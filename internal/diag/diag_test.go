@@ -25,13 +25,31 @@ func TestCountersFlops(t *testing.T) {
 }
 
 func TestCountersAdd(t *testing.T) {
-	a := Counters{PP: 1, PC: 2, QuadPC: 3, CellsBuilt: 4, Traversals: 5, Deferred: 6, Requests: 7, VortexPP: 8, SPHPairs: 9}
+	a := Counters{PP: 1, PC: 2, QuadPC: 3, CellsBuilt: 4, Traversals: 5, Deferred: 6, Requests: 7, VortexPP: 8, SPHPairs: 9, Rewalked: 10}
 	b := a
 	a.Add(b)
 	if a.PP != 2 || a.PC != 4 || a.QuadPC != 6 || a.CellsBuilt != 8 ||
 		a.Traversals != 10 || a.Deferred != 12 || a.Requests != 14 ||
-		a.VortexPP != 16 || a.SPHPairs != 18 {
+		a.VortexPP != 16 || a.SPHPairs != 18 || a.Rewalked != 20 {
 		t.Fatalf("Add wrong: %+v", a)
+	}
+	if d := a.Sub(b); d != b {
+		t.Fatalf("Sub wrong: %+v, want %+v", d, b)
+	}
+}
+
+// Rewalked visits lower the walk efficiency and never leak into the
+// traversal count the flop accounting reads.
+func TestWalkEfficiency(t *testing.T) {
+	if e := (&Counters{}).WalkEfficiency(); e != 0 {
+		t.Fatalf("nothing walked: efficiency %g, want 0", e)
+	}
+	if e := (&Counters{Traversals: 40}).WalkEfficiency(); e != 1 {
+		t.Fatalf("single rank: efficiency %g, want 1", e)
+	}
+	c := Counters{Traversals: 30, Rewalked: 10}
+	if e := c.WalkEfficiency(); e != 0.75 || c.Traversals != 30 {
+		t.Fatalf("efficiency %g of %+v, want 0.75", e, c)
 	}
 }
 

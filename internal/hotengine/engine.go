@@ -20,11 +20,14 @@
 //     oct-tree over its bodies, publishes its "branch" cells (the
 //     coarsest cells wholly inside its interval), and all processors
 //     assemble the identical shared top tree above the branches.
-//  3. Tree traversal with latency hiding: each leaf group walks the
-//     tree through Resolve, which checks the top tree, the local
-//     tree, and an imported-cell table. A miss defers the group (the
-//     paper's explicit context switch) and queues a batched request
-//     to the cell's owner (internal/abm).
+//  3. Tree traversal with latency hiding: the engine walks the tree
+//     for each leaf group on behalf of the physics' Visitor, one hash
+//     probe per cell (the top tree, the local tree or the imported
+//     cells, known from the parent). A miss suspends the group on its
+//     frontier of missing keys (the paper's explicit context switch)
+//     and queues a batched request to each cell's owner
+//     (internal/abm); the group resumes below the frontier when the
+//     cells land.
 //  4. Rounds of batched request/reply run until every group finishes.
 //
 // The global key name space makes step 3 possible: any processor can
@@ -34,6 +37,7 @@ package hotengine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -142,10 +146,14 @@ const sentinelUnfetched = int32(-1 << 30)
 type node[X any] struct {
 	Cell  tree.Cell
 	Extra X
-	// Prefetched marks a speculatively imported cell that no walk has
-	// resolved yet; Resolve clears it and counts the hit. Only the
-	// rank goroutine touches imported nodes.
+	// Prefetched marks a speculatively imported cell that no traversal
+	// has resolved yet; importedPtr clears it and counts the hit. Only
+	// the rank goroutine touches imported nodes.
 	Prefetched bool
+	// kids is the table this node's children resolve in: inTop above
+	// the branches, inLocal under this rank's own branches, inImported
+	// under another rank's branch and under every imported cell.
+	kids table
 }
 
 // walkPhase is the persistent per-phase-label state: the abm engine
@@ -218,36 +226,39 @@ type Engine[X, B any] struct {
 	// blocking collective receives drain the deferred work backlog.
 	pool     *evalPool
 	progress func() bool
-	// Per-phase pipeline state shared between the round loop, the
-	// Progress hook and the incremental reply imports (all
-	// rank-goroutine-only): the current walk/eval closures and pool;
-	// the queue of not-yet-walked groups (freshBuf[freshIdx:]); the
-	// queue of deferred groups whose last missing cell has arrived
-	// (readyBuf[readyIdx:], retry candidates); per-group unresolved
-	// key counts and the reverse key->waiting-groups index that
-	// importCell decrements so a group is promoted to ready the
-	// moment its final cell lands; and missing cell keys discovered
-	// since the last flush (missBuf -- posting to the abm engine must
-	// wait until the rank is outside a collective). waiterPool
-	// recycles the keyWaiters value slices across keys and phases.
-	curWalk    WalkFn
+	// Per-phase walk state shared between the round loop, the Progress
+	// hook and the incremental reply imports (all rank-goroutine-only):
+	// the current visitor, eval closure and pool; the queue of
+	// not-yet-walked groups (freshBuf[freshIdx:]) and the queue of
+	// parked groups whose last missing cell has arrived
+	// (readyBuf[readyIdx:], resume candidates), both as indices into
+	// Local.Groups; the per-group walk state (groups, same indexing)
+	// and how many are parked; the miss->waiting-groups lists importCell
+	// walks so a group is promoted to ready the moment its final cell
+	// lands (keyWaiters heads into the waiters node arena, free nodes
+	// chained from freeWaiter; a miss is in keyWaiters exactly while
+	// its requests are in flight, so it doubles as the request-dedup
+	// set); and missing cell keys discovered since the last flush
+	// (missBuf -- posting to the abm engine must wait until the rank is
+	// outside a collective). stack and missing are the traversal's own
+	// scratch.
+	curWalk    Visitor[X]
 	curEval    EvalFn
 	curPool    *evalPool
-	freshBuf   []keys.Key
+	freshBuf   []int32
 	freshIdx   int
-	readyBuf   []keys.Key
+	readyBuf   []int32
 	readyIdx   int
-	waitCount  map[keys.Key]int
-	keyWaiters map[keys.Key][]keys.Key
-	waiterPool [][]keys.Key
+	groups     []suspended
+	nparked    int
+	keyWaiters map[keys.Key]waitList
+	waiters    []waiter
+	freeWaiter int32
+	stack      []entry
+	missing    []miss
 	missBuf    []keys.Key
 	onReply    func(src int, reps []Reply[X, B])
 	observe    bool
-	// Persistent walkGroups scratch, cleared on entry: the pending
-	// request-dedup set, the stall start times, and the two deferral
-	// list buffers swapped each round.
-	pending    map[keys.Key]bool
-	deferredAt map[keys.Key]time.Time
 	// Overlap accounting (cumulative across the run, like Counters):
 	// wall time the rank goroutine spent inside the walk collectives,
 	// and how much eval-worker busy time landed inside those windows
@@ -310,7 +321,7 @@ func (e *Engine[X, B]) ConfigureOverlap(workers, prefetchDepth int) {
 
 // Slots returns how many evaluation states the walk pipeline can hold
 // in flight; adapters size their per-slot walkers/lists to this and
-// index them by the slot argument of WalkFn/EvalFn. 1 when the
+// index them by the slot argument of Visitor.Begin/EvalFn. 1 when the
 // pipeline is off (only the inline slot 0 exists).
 func (e *Engine[X, B]) Slots() int {
 	if e.pool == nil {
@@ -485,12 +496,14 @@ func (e *Engine[X, B]) exchangeBranches() {
 				Key: w.Key, Mp: w.Mp, RCrit: w.RCrit, N: w.N,
 				ChildMask: w.ChildMask, Leaf: w.Leaf,
 			}
+			kids := inImported
 			if r == e.C.Rank() {
 				c.First = e.Local.Cell(w.Key).First
+				kids = inLocal
 			} else if w.Leaf {
 				c.First = sentinelUnfetched
 			}
-			e.top.Insert(w.Key, node[X]{Cell: c, Extra: w.Extra})
+			e.top.Insert(w.Key, node[X]{Cell: c, Extra: w.Extra, kids: kids})
 			branchKeys = append(branchKeys, w.Key)
 		}
 	}
@@ -534,6 +547,7 @@ func (e *Engine[X, B]) exchangeBranches() {
 				ChildMask: mask,
 			},
 			Extra: extra,
+			kids:  inTop,
 		})
 	}
 	if len(branchKeys) > 0 && e.top.Ptr(keys.Root) == nil {
@@ -551,54 +565,11 @@ func (e *Engine[X, B]) exchangeBranches() {
 func (e *Engine[X, B]) OwnerOf(k keys.Key) int {
 	off := tree.KeyOffset(k.MinBody())
 	// Find r with Splits[r] <= off < Splits[r+1].
-	r := sort.Search(len(e.Splits)-1, func(i int) bool { return e.Splits[i+1] > off })
+	r := tree.UpperBound(e.Splits[1:], off)
 	if r >= e.C.Size() {
 		r = e.C.Size() - 1
 	}
 	return r
-}
-
-// Resolve finds a cell and its physics payload, or reports it
-// missing. Lookup order: top tree (authoritative above and at the
-// branches, except unfetched remote leaves, which fall through to the
-// imports), then the local tree for cells this rank owns, then the
-// imported cells. The returned pointers are valid until the next
-// import round.
-func (e *Engine[X, B]) Resolve(k keys.Key) (*tree.Cell, *X, bool) {
-	if n := e.top.Ptr(k); n != nil {
-		if n.Cell.Leaf && n.Cell.First == sentinelUnfetched {
-			if in := e.importedPtr(k); in != nil {
-				return &in.Cell, &in.Extra, true
-			}
-			return nil, nil, false // bodies must be fetched
-		}
-		return &n.Cell, &n.Extra, true
-	}
-	if e.OwnerOf(k) == e.C.Rank() {
-		if c := e.Local.Cell(k); c != nil {
-			x := e.Phys.Extra(c)
-			return c, &x, true
-		}
-		return nil, nil, false
-	}
-	if in := e.importedPtr(k); in != nil {
-		return &in.Cell, &in.Extra, true
-	}
-	return nil, nil, false
-}
-
-// importedPtr looks up an imported cell, marking a prefetched cell's
-// first resolution as a prefetch hit. Resolve runs on the rank
-// goroutine only (walks do; pooled evals never resolve), so the mark
-// is race-free; the hit count survives a walk miss's counter restore
-// because the node's flag is already consumed.
-func (e *Engine[X, B]) importedPtr(k keys.Key) *node[X] {
-	in := e.imported.Ptr(k)
-	if in != nil && in.Prefetched {
-		in.Prefetched = false
-		e.Counters.PrefetchUsed++
-	}
-	return in
 }
 
 // serve answers a batch of cell requests from src out of the local
@@ -677,26 +648,34 @@ func (e *Engine[X, B]) importCell(w Wire[X, B], prefetched bool) {
 		start := e.Phys.ImportLeaf(w.N, w.Bodies)
 		c.First = -(start + 1)
 	}
-	e.imported.Insert(w.Key, node[X]{Cell: c, Extra: w.Extra, Prefetched: prefetched})
+	e.imported.Insert(w.Key, node[X]{Cell: c, Extra: w.Extra, Prefetched: prefetched, kids: inImported})
 	if prefetched {
 		e.Counters.Prefetched++
 	}
 	e.RemoteCells++
 	// Wake the groups waiting on this cell: a group whose last
-	// outstanding key just landed is promoted to the ready queue and
-	// can retry -- with incremental delivery, in the middle of the
-	// very round that carried the cell.
-	if ws, ok := e.keyWaiters[w.Key]; ok {
-		delete(e.keyWaiters, w.Key)
-		for _, gk := range ws {
-			if n := e.waitCount[gk] - 1; n == 0 {
-				delete(e.waitCount, gk)
-				e.readyBuf = append(e.readyBuf, gk)
-			} else {
-				e.waitCount[gk] = n
+	// outstanding miss just landed is promoted to the ready queue and
+	// can resume -- with incremental delivery, in the middle of the
+	// very round that carried the cell. In-flight misses go by family,
+	// under the parent's key; only a remote leaf branch, fetched on its
+	// own, goes under its own. The first cell of a family to land wakes
+	// the waiters: its siblings follow in this same batch, before any
+	// walk can run.
+	wk := w.Key.Parent()
+	l, ok := e.keyWaiters[wk]
+	if !ok {
+		wk = w.Key
+		l, ok = e.keyWaiters[wk]
+	}
+	if ok {
+		delete(e.keyWaiters, wk)
+		for n := l.head; n >= 0; n = e.waiters[n].next {
+			gi := e.waiters[n].group
+			if e.groups[gi].wait--; e.groups[gi].wait == 0 {
+				e.readyBuf = append(e.readyBuf, gi)
 			}
 		}
-		e.waiterPool = append(e.waiterPool, ws[:0])
+		e.waiters[l.tail].next, e.freeWaiter = e.freeWaiter, l.head
 	}
 }
 
@@ -723,21 +702,18 @@ func (e *Engine[X, B]) ResetImports() {
 	e.Phys.ResetImports()
 }
 
-// WalkGroups runs phases 3 and 4 for one traversal pass: it invokes
-// walk for every local leaf group, deferring groups whose walk
-// returns missing keys and fetching those cells from their owners in
-// batched rounds until every group completes, then running eval for
-// each completed group. On a miss the engine restores the counters to
-// the snapshot taken before the attempt, so a discarded partial walk
-// never inflates the traversal counts -- the paper's performance
-// accounting rides on these counters being exact.
+// WalkGroups runs phases 3 and 4 for one traversal pass: it walks the
+// tree for every local leaf group on behalf of the visitor v, parking
+// groups that miss a remote cell and fetching those cells from their
+// owners in batched rounds until every group completes, then running
+// eval for each completed group. Counters.Traversals counts the cell
+// visits of completed walks only -- the paper's performance accounting
+// rides on it being exact -- while visits of first attempts that
+// missed and of discovery descents go to Counters.Rewalked.
 //
-// eval may be nil, in which case walk must do its own evaluation
-// (inline, on the rank goroutine -- the historical schedule, and
-// required for passes whose evaluation writes columns the serve path
-// snapshots, like SPH density). With eval non-nil and EvalWorkers
-// configured, the phase is pipelined: most groups are not walked up
-// front but queued, and the msg.Comm Progress hook walks and
+// eval may be nil when the pass has nothing to evaluate. With the
+// eval pipeline configured the phase is pipelined: most groups are not
+// walked up front but queued, and the msg.Comm Progress hook walks and
 // evaluates them on the rank goroutine while the collective rounds
 // wait on in-flight messages -- compute fills the communication
 // windows instead of preceding them. Completed sweep-side groups
@@ -746,8 +722,16 @@ func (e *Engine[X, B]) ResetImports() {
 // argument tells the adapter which of its Slots() evaluation states
 // to use. label names the phase for the Timer and (with the
 // configured prefix) the msg traffic accounting.
-func (e *Engine[X, B]) WalkGroups(label string, walk WalkFn, eval EvalFn) {
-	e.walkGroups(label, nil, walk, eval)
+func (e *Engine[X, B]) WalkGroups(label string, v Visitor[X], eval EvalFn) {
+	e.walkGroups(label, nil, v, eval, e.pool)
+}
+
+// WalkGroupsInline is WalkGroups with every evaluation run on the rank
+// goroutine right after its walk, whatever the pipeline configuration
+// -- for passes whose evaluation writes columns the serve path
+// snapshots, like SPH density.
+func (e *Engine[X, B]) WalkGroupsInline(label string, v Visitor[X], eval EvalFn) {
+	e.walkGroups(label, nil, v, eval, nil)
 }
 
 // WalkGroupsIf is WalkGroups restricted to the groups for which
@@ -756,8 +740,8 @@ func (e *Engine[X, B]) WalkGroups(label string, walk WalkFn, eval EvalFn) {
 // same collective rounds (request serving, including prefetch, is
 // symmetric), so the call is collective even when a rank's active set
 // is empty.
-func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool, walk WalkFn, eval EvalFn) {
-	e.walkGroups(label, active, walk, eval)
+func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool, v Visitor[X], eval EvalFn) {
+	e.walkGroups(label, active, v, eval, e.pool)
 }
 
 // Pipelined walk tuning. primeBatch is how many distinct missing keys
@@ -767,106 +751,25 @@ func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool
 // most of the queue is left as window fodder. drainRound is the
 // safety valve: past this many rounds the windows are clearly not
 // eating the queue (tiny latency, tiny appetite), so fall back to the
-// classic inline drain and let the phase terminate on the deferred
+// classic inline drain and let the phase terminate on the parked
 // groups alone, well inside MaxRounds.
 const (
 	primeBatch = 256
 	drainRound = 12
 )
 
-// walkOne attempts one group's walk with the evaluation state of
-// slot, dispatching the eval (pool job for pooled slots, inline for
-// slot 0) on completion, and on a miss restoring the counters,
-// parking the group on e.waitQ and buffering its new missing keys on
-// e.missBuf. Rank goroutine only; callers outside a collective must
-// flush missBuf to the phase's abm engine afterwards (inside one,
-// posting must wait). Returns whether the group completed.
-func (e *Engine[X, B]) walkOne(slot int, gk keys.Key) bool {
-	g := e.Local.Cell(gk)
-	snapshot := e.Counters
-	missing := e.curWalk(slot, gk, g, &e.Counters)
-	if missing == nil {
-		if e.observe {
-			if t0, ok := e.deferredAt[gk]; ok {
-				d := time.Since(t0)
-				e.Stalls.Observe(uint64(d.Nanoseconds()))
-				e.Trace.SpanAt("stall", t0, d)
-				delete(e.deferredAt, gk)
-			}
-		}
-		if e.curEval != nil {
-			if slot != 0 {
-				e.curPool.jobs <- evalJob{slot: slot, gk: gk, g: g, eval: e.curEval}
-			} else {
-				e.curEval(0, gk, g, &e.Counters)
-			}
-		}
-		return true
-	}
-	if slot != 0 {
-		e.curPool.free <- slot
-	}
-	// Context switch: restore the counters (keeping PrefetchUsed --
-	// the imported nodes' hit flags are already consumed, so the
-	// count must survive the restore), defer the group, batch its
-	// requests.
-	pu := e.Counters.PrefetchUsed
-	e.Counters = snapshot
-	e.Counters.PrefetchUsed = pu
-	e.Counters.Deferred++
-	if e.observe {
-		if _, ok := e.deferredAt[gk]; !ok {
-			e.deferredAt[gk] = time.Now()
-		}
-	}
-	for _, mk := range missing {
-		e.waitCount[gk]++
-		ws, ok := e.keyWaiters[mk]
-		if !ok && len(e.waiterPool) > 0 {
-			ws = e.waiterPool[len(e.waiterPool)-1]
-			e.waiterPool = e.waiterPool[:len(e.waiterPool)-1]
-		}
-		e.keyWaiters[mk] = append(ws, gk)
-		if !e.pending[mk] {
-			e.pending[mk] = true
-			e.Counters.Requests++
-			e.missBuf = append(e.missBuf, mk)
-		}
-	}
-	return false
-}
-
-// acquireSlot hands out a free pool slot for a sweep-side walk, or 0
-// (the inline spill slot). Pools without spawned workers always
-// spill: materializing an interaction list per queued job only pays
-// when another core can evaluate it concurrently; the single-core
-// overlap comes from the Progress hook walking queued groups inside
-// the communication windows instead.
-func (e *Engine[X, B]) acquireSlot(pool *evalPool) int {
-	if pool == nil || pool.nworkers == 0 {
-		return 0
-	}
-	select {
-	case s := <-pool.free:
-		return s
-	default:
-		return 0
-	}
-}
-
 // progressOne is the msg.Comm Progress hook: it runs on the rank
 // goroutine whenever a blocking collective receive has no message
 // yet. Priority order: drain a materialized eval job (frees pipeline
-// slots for the next sweep); retry a ready deferred group (its
-// requested cells arrived with the previous round, so this is the
-// heavy, likely-to-complete work); first-walk a queued fresh group.
-// During a collective the cell tables are quiescent -- imports happen
-// only after Round returns -- so the walks are safe, and a completed
-// walk is bitwise the walk the sweep would have run (the traversal of
-// a completed walk is independent of which cells beyond it happen to
-// be resolvable). A miss is parked exactly like a sweep miss, with
-// its requests buffered until the rank is back outside the
-// collective.
+// slots for the next sweep); resume a ready parked group (its
+// requested cells have arrived, so this is the heavy,
+// likely-to-complete work); first-walk a queued fresh group. The hook
+// runs between receives of one collective, as the incremental reply
+// imports do, so the cell tables never change under a traversal, and a
+// completed walk is bitwise the walk the sweep would have run (it
+// emits in root-DFS order whichever cells beyond it happen to be
+// resolvable). A miss is parked exactly like a sweep miss, with its
+// requests buffered until the rank is back outside the collective.
 func (e *Engine[X, B]) progressOne() bool {
 	pool := e.curPool
 	if pool != nil && pool.tryRunOne() {
@@ -875,25 +778,23 @@ func (e *Engine[X, B]) progressOne() bool {
 	if e.curWalk == nil {
 		return false
 	}
-	var gk keys.Key
+	t0 := time.Now()
 	if e.readyIdx < len(e.readyBuf) {
-		gk = e.readyBuf[e.readyIdx]
 		e.readyIdx++
+		e.resume(e.readyBuf[e.readyIdx-1], false)
 	} else if e.freshIdx < len(e.freshBuf) {
-		gk = e.freshBuf[e.freshIdx]
 		e.freshIdx++
+		e.attempt(e.freshBuf[e.freshIdx-1], false)
 	} else {
 		return false
 	}
-	t0 := time.Now()
-	e.walkOne(0, gk)
 	if pool != nil {
 		pool.busyNs.Add(time.Since(t0).Nanoseconds())
 	}
 	return true
 }
 
-func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, walk WalkFn, eval EvalFn) {
+func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, v Visitor[X], eval EvalFn, pool *evalPool) {
 	e.Timer.Start(label)
 	ph := e.phases[label]
 	if ph == nil {
@@ -909,12 +810,11 @@ func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, 
 	eng.Trace = e.Trace
 	e.C.Phase(ph.label)
 
-	pool := e.pool
 	if eval == nil {
-		pool = nil // inline-only pass
+		pool = nil // nothing to pipeline
 	}
 	pipelined := pool != nil
-	e.curWalk, e.curEval, e.curPool = walk, eval, pool
+	e.curWalk, e.curEval, e.curPool = v, eval, pool
 	if pipelined {
 		// Collective receives that would block instead walk queued
 		// groups and run queued evals on this goroutine
@@ -927,45 +827,34 @@ func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, 
 		e.curWalk, e.curEval, e.curPool = nil, nil, nil
 	}()
 
-	// Pipelined phases queue the groups (freshBuf) and let the
-	// Progress hook consume them; classic phases start everything on
-	// the retry queue, which round 0's sweep drains in full -- exactly
-	// the historical schedule.
 	fresh := e.freshBuf[:0]
-	ready := e.readyBuf[:0]
-	for _, gk := range e.Local.Groups {
+	for gi, gk := range e.Local.Groups {
 		if active == nil || active(e.Local.Cell(gk)) {
-			if pipelined {
-				fresh = append(fresh, gk)
-			} else {
-				ready = append(ready, gk)
-			}
+			fresh = append(fresh, int32(gi))
 		}
 	}
 	e.freshBuf, e.freshIdx = fresh, 0
-	e.readyBuf, e.readyIdx = ready, 0
+	e.readyBuf, e.readyIdx = e.readyBuf[:0], 0
 	e.missBuf = e.missBuf[:0]
-	if e.pending == nil {
-		e.pending = make(map[keys.Key]bool)
-		e.waitCount = make(map[keys.Key]int)
-		e.keyWaiters = make(map[keys.Key][]keys.Key)
+	// One walk-state slot per group, keeping the frontier buffers of
+	// earlier phases. All of this is already clear after a phase that
+	// ran to completion; an aborted one may have left groups parked.
+	e.groups = slices.Grow(e.groups[:0], len(e.Local.Groups))[:len(e.Local.Groups)]
+	for gi := range e.groups {
+		e.groups[gi].wait = 0
 	}
-	clear(e.pending)
-	clear(e.waitCount)
-	for mk, ws := range e.keyWaiters {
-		e.waiterPool = append(e.waiterPool, ws[:0])
-		delete(e.keyWaiters, mk)
+	e.nparked = 0
+	if e.keyWaiters == nil {
+		e.keyWaiters = make(map[keys.Key]waitList)
 	}
+	clear(e.keyWaiters)
+	e.waiters, e.freeWaiter = e.waiters[:0], -1
 
 	// Stall observation (off unless tracing or the histogram is
-	// attached): a group's stall runs from its first deferral to the
+	// attached): a group's stall runs from its first parking to the
 	// walk that finally completes it, spanning however many rounds
 	// that takes.
 	e.observe = e.Stalls != nil || e.Trace != nil
-	if e.observe && e.deferredAt == nil {
-		e.deferredAt = make(map[keys.Key]time.Time)
-	}
-	clear(e.deferredAt)
 
 	for round := 0; ; round++ {
 		if round > e.Cfg.MaxRounds {
@@ -974,53 +863,41 @@ func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, 
 			// world so every rank unwinds with its round state (noted
 			// by abm.Round) attached to the WorldError.
 			e.C.Abort(fmt.Errorf(
-				"hotengine: request rounds exceeded MaxRounds=%d in phase %q: %d groups deferred, %d cells pending, %d rounds since exchange",
-				e.Cfg.MaxRounds, label,
-				len(e.readyBuf)-e.readyIdx+len(e.waitCount)+len(e.freshBuf)-e.freshIdx,
-				len(e.pending), e.Rounds))
+				"hotengine: request rounds exceeded MaxRounds=%d in phase %q: %d groups parked, %d unwalked, %d cell families in flight, %d rounds since exchange",
+				e.Cfg.MaxRounds, label, e.nparked, len(e.freshBuf)-e.freshIdx,
+				len(e.keyWaiters), e.Rounds))
 		}
-		// Retry sweep: groups whose requested cells have all arrived
-		// (importCell promoted them) walk again, straight into a pool
-		// slot when a worker could drain it. Compact the consumed
-		// prefix first so the buffer never grows without bound.
+		// Resume sweep: groups whose requested cells have all arrived
+		// (importCell promoted them) continue below their frontier,
+		// the completed list going straight into a pool slot when a
+		// worker could drain it. Compact the consumed prefix first so
+		// the buffer never grows without bound.
 		if e.readyIdx > 0 {
 			n := copy(e.readyBuf, e.readyBuf[e.readyIdx:])
 			e.readyBuf, e.readyIdx = e.readyBuf[:n], 0
 		}
 		for e.readyIdx < len(e.readyBuf) {
-			gk := e.readyBuf[e.readyIdx]
 			e.readyIdx++
-			e.walkOne(e.acquireSlot(pool), gk)
+			e.resume(e.readyBuf[e.readyIdx-1], true)
 		}
-		if round == 0 {
-			// Bootstrap: walk queued groups inline until the first
-			// request batch is primed (or, serially, until everything
-			// simply completes). Without this the opening rounds
-			// would carry near-empty batches.
-			for e.freshIdx < len(e.freshBuf) && len(e.missBuf) < primeBatch {
-				gk := e.freshBuf[e.freshIdx]
-				e.freshIdx++
-				e.walkOne(e.acquireSlot(pool), gk)
-			}
+		// First walks. An inline phase walks every group in round 0,
+		// the classic schedule. A pipelined phase only primes the
+		// first request batch (without this the opening rounds would
+		// carry near-empty batches) and leaves the rest of the queue
+		// to the Progress hook, draining it here past drainRound.
+		for e.freshIdx < len(e.freshBuf) &&
+			(!pipelined || round >= drainRound || round == 0 && len(e.missBuf) < primeBatch) {
+			e.freshIdx++
+			e.attempt(e.freshBuf[e.freshIdx-1], true)
 		}
-		if round >= drainRound {
-			for e.freshIdx < len(e.freshBuf) {
-				gk := e.freshBuf[e.freshIdx]
-				e.freshIdx++
-				e.walkOne(e.acquireSlot(pool), gk)
-			}
-		}
-		for _, mk := range e.missBuf {
-			eng.Post(e.OwnerOf(mk), mk)
-		}
-		e.missBuf = e.missBuf[:0]
+		e.postMisses(eng)
 
 		// The collectives are where the Progress hook (and, with
 		// spare cores, the eval workers) eat the queued work; time
 		// them and the eval/walk busy time inside them for the
 		// overlap report. Replies import incrementally as each source
 		// batch lands (abm OnReply), promoting waiting groups
-		// mid-round, so hook retries run against data delivered by
+		// mid-round, so hook resumes run against data delivered by
 		// the very round they overlap.
 		var t0 time.Time
 		var busy0 int64
@@ -1028,7 +905,7 @@ func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, 
 			t0 = time.Now()
 			busy0 = pool.busyNs.Load()
 		}
-		work := len(e.readyBuf)-e.readyIdx+len(e.waitCount)+len(e.freshBuf)-e.freshIdx > 0
+		work := e.nparked+len(e.freshBuf)-e.freshIdx > 0
 		more := eng.AnyPendingGlobal(work)
 		if !more {
 			if pool != nil {
@@ -1038,10 +915,7 @@ func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, 
 		}
 		// Keys discovered by hook walks during AnyPendingGlobal can
 		// still make this round's batches.
-		for _, mk := range e.missBuf {
-			eng.Post(e.OwnerOf(mk), mk)
-		}
-		e.missBuf = e.missBuf[:0]
+		e.postMisses(eng)
 		eng.Round()
 		e.Rounds++
 		if pool != nil {
@@ -1049,10 +923,7 @@ func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, 
 		}
 		// Requests discovered inside the collectives (hook walks that
 		// missed) post now, joining the next round's batches.
-		for _, mk := range e.missBuf {
-			eng.Post(e.OwnerOf(mk), mk)
-		}
-		e.missBuf = e.missBuf[:0]
+		e.postMisses(eng)
 	}
 	if pool != nil {
 		// Drain: the rank helps eat the remaining backlog, waits out the
@@ -1069,6 +940,16 @@ func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, 
 		pool.release()
 	}
 	e.Timer.Stop()
+}
+
+// postMisses hands the missing keys buffered by park to the phase's
+// abm engine, each addressed to its owner. Only legal outside a
+// collective.
+func (e *Engine[X, B]) postMisses(eng *abm.Engine[keys.Key, Reply[X, B]]) {
+	for _, mk := range e.missBuf {
+		eng.Post(e.OwnerOf(mk), mk)
+	}
+	e.missBuf = e.missBuf[:0]
 }
 
 // noteComm accounts one collective window: its wall time, and how

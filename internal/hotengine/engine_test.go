@@ -45,6 +45,36 @@ func (p *countPhysics) ImportLeaf(n int32, b []int64) int32 {
 
 func (p *countPhysics) ResetImports() { p.impID = p.impID[:0] }
 
+// idWalk is the exhaustive traversal of the synthetic physics as a
+// Visitor: no opening criterion, every reachable leaf is visited, and
+// the leaf IDs of a completed walk land in ids.
+type idWalk struct {
+	e    *hotengine.Engine[float64, []int64]
+	phys *countPhysics
+	got  []int64
+	ids  map[int64]bool
+}
+
+func (w *idWalk) Begin(int, keys.Key, *tree.Cell) { w.got = w.got[:0] }
+func (w *idWalk) Test(*tree.Cell) tree.Action     { return tree.Open }
+func (w *idWalk) Cell(*tree.Cell, float64)        {}
+
+func (w *idWalk) Leaf(c *tree.Cell) {
+	if c.First >= 0 {
+		w.got = append(w.got, w.e.Sys.ID[c.First:c.First+c.N]...)
+	} else {
+		lo := -(c.First + 1)
+		w.got = append(w.got, w.phys.impID[lo:lo+c.N]...)
+	}
+}
+
+// collect is the walk's EvalFn: it runs once per completed group.
+func (w *idWalk) collect(int, keys.Key, *tree.Cell, *diag.Counters) {
+	for _, id := range w.got {
+		w.ids[id] = true
+	}
+}
+
 func randomSystem(n int, seed int64) *core.System {
 	rng := rand.New(rand.NewSource(seed))
 	sys := core.New(n)
@@ -94,50 +124,16 @@ func TestEngineCoreFullTraversal(t *testing.T) {
 				t.Errorf("np=%d rank=%d: root not resolvable", np, c.Rank())
 				return
 			}
-			if root.N != int32(n) || *extra != float64(n) {
-				t.Errorf("np=%d rank=%d: root N=%d extra=%v, want %d", np, c.Rank(), root.N, *extra, n)
+			if root.N != int32(n) || extra != float64(n) {
+				t.Errorf("np=%d rank=%d: root N=%d extra=%v, want %d", np, c.Rank(), root.N, extra, n)
 			}
 
 			// Exhaustive walk: gather every particle ID reachable from
-			// the root, deferring on missing cells so the request rounds
+			// the root, parking on missing cells so the request rounds
 			// fetch remote leaves.
-			ids := map[int64]bool{}
-			var stack []keys.Key
-			e.WalkGroups("walk", func(slot int, gk keys.Key, g *tree.Cell, _ *diag.Counters) []keys.Key {
-				var missing []keys.Key
-				got := []int64{}
-				stack = append(stack[:0], keys.Root)
-				for len(stack) > 0 {
-					k := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					cell, _, ok := e.Resolve(k)
-					if !ok {
-						missing = append(missing, k)
-						continue
-					}
-					if cell.Leaf {
-						if cell.First >= 0 {
-							got = append(got, e.Sys.ID[cell.First:cell.First+cell.N]...)
-						} else {
-							lo := -(cell.First + 1)
-							got = append(got, phys.impID[lo:lo+cell.N]...)
-						}
-						continue
-					}
-					for oct := 0; oct < 8; oct++ {
-						if cell.ChildMask&(1<<uint(oct)) != 0 {
-							stack = append(stack, k.Child(oct))
-						}
-					}
-				}
-				if missing != nil {
-					return missing
-				}
-				for _, id := range got {
-					ids[id] = true
-				}
-				return nil
-			}, nil)
+			w := &idWalk{e: e, phys: phys, ids: map[int64]bool{}}
+			e.WalkGroups("walk", w, w.collect)
+			ids := w.ids
 
 			if np > 1 && e.RemoteCells == 0 {
 				t.Errorf("np=%d rank=%d: exhaustive walk imported no remote cells", np, c.Rank())
@@ -154,6 +150,46 @@ func TestEngineCoreFullTraversal(t *testing.T) {
 	}
 }
 
+// TestWalkGroupsIfIdleRankServes is the partial walk of block
+// timesteps at its most lopsided: rank 1 has no active group, yet rank
+// 0's exhaustive walk needs rank 1's whole tree, a level per round.
+// Every request after the first round is discovered by resuming a
+// suspended group below its frontier, and rank 1 must stay in the
+// collective rounds to serve them without ever walking itself.
+func TestWalkGroupsIfIdleRankServes(t *testing.T) {
+	const n = 700
+	global := randomSystem(n, 99)
+	var got, rounds, groups [2]int
+	var ctr [2]diag.Counters
+	msg.Run(2, func(c *msg.Comm) {
+		phys := &countPhysics{}
+		var e *hotengine.Engine[float64, []int64]
+		phys.e = func() *hotengine.Engine[float64, []int64] { return e }
+		e = hotengine.New[float64, []int64](c, scatterTo(global, c), phys, hotengine.Config{
+			MAC: grav.MACParams{Kind: grav.MACBarnesHut, Theta: 0.5}, Bucket: 8,
+		})
+		e.Exchange()
+		w := &idWalk{e: e, phys: phys, ids: map[int64]bool{}}
+		e.WalkGroupsIf("walk", func(*tree.Cell) bool { return c.Rank() == 0 }, w, w.collect)
+		got[c.Rank()], ctr[c.Rank()] = len(w.ids), e.Counters
+		rounds[c.Rank()], groups[c.Rank()] = e.Rounds, len(e.Local.Groups)
+	})
+	if got[0] != n {
+		t.Errorf("active rank saw %d of %d particle IDs", got[0], n)
+	}
+	if got[1] != 0 || ctr[1].Traversals != 0 || ctr[1].Rewalked != 0 || ctr[1].Requests != 0 {
+		t.Errorf("idle rank walked: %d ids, counters %+v", got[1], ctr[1])
+	}
+	if rounds[0] < 2 || rounds[1] != rounds[0] {
+		t.Errorf("rounds = %v, want the idle rank in every one of the active rank's >= 2 rounds", rounds)
+	}
+	// Parked more often than there are groups: some group was resumed
+	// and parked again on keys its discovery descent found.
+	if ctr[0].Deferred <= uint64(groups[0]) {
+		t.Errorf("active rank parked %d times for %d groups: no resumed group discovered new keys", ctr[0].Deferred, groups[0])
+	}
+}
+
 // TestEngineTimerPhases checks the diagnostics parity the shared core
 // provides: every instantiation gets the same per-phase breakdown.
 func TestEngineTimerPhases(t *testing.T) {
@@ -166,9 +202,7 @@ func TestEngineTimerPhases(t *testing.T) {
 			MAC: grav.MACParams{Kind: grav.MACBarnesHut, Theta: 0.5}, Bucket: 8,
 		})
 		e.Exchange()
-		e.WalkGroups("walk", func(slot int, gk keys.Key, g *tree.Cell, _ *diag.Counters) []keys.Key {
-			return nil
-		}, nil)
+		e.WalkGroups("walk", &idWalk{e: e, phys: phys}, nil)
 		want := []string{"decompose", "treebuild", "branches", "walk"}
 		got := e.Timer.Phases()
 		if len(got) != len(want) {
@@ -182,13 +216,14 @@ func TestEngineTimerPhases(t *testing.T) {
 	})
 }
 
-// A walk that never converges (every group keeps reporting the same
-// key missing) must end in a prompt world-wide abort when MaxRounds
-// is exceeded -- not the panic-plus-survivor-deadlock it used to be.
+// A walk that needs more request rounds than MaxRounds allows (here
+// an exhaustive walk, one round per tree level below the branches,
+// against a budget of one) must end in a prompt world-wide abort --
+// not the panic-plus-survivor-deadlock it used to be.
 // The WorldError carries each rank's batched-request round so the
 // report shows how far the protocol got.
 func TestMaxRoundsAbort(t *testing.T) {
-	global := randomSystem(64, 77)
+	global := randomSystem(700, 77)
 	done := make(chan *msg.WorldError, 1)
 	go func() {
 		w := msg.NewWorld(2)
@@ -199,14 +234,10 @@ func TestMaxRoundsAbort(t *testing.T) {
 			e = hotengine.New[float64, []int64](c, scatterTo(global, c), phys, hotengine.Config{
 				MAC:       grav.MACParams{Kind: grav.MACBarnesHut, Theta: 0.5},
 				Bucket:    8,
-				MaxRounds: 3,
+				MaxRounds: 1,
 			})
 			e.Exchange()
-			// Pathological walk: the root always resolves, but this walk
-			// insists it is missing, so the rounds can never drain.
-			e.WalkGroups("walk", func(slot int, gk keys.Key, g *tree.Cell, _ *diag.Counters) []keys.Key {
-				return []keys.Key{keys.Root}
-			}, nil)
+			e.WalkGroups("walk", &idWalk{e: e, phys: phys}, nil)
 		})
 	}()
 	var err *msg.WorldError
@@ -218,7 +249,7 @@ func TestMaxRoundsAbort(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected a WorldError from the MaxRounds backstop")
 	}
-	if !strings.Contains(err.Cause.Error(), "MaxRounds=3") {
+	if !strings.Contains(err.Cause.Error(), "MaxRounds=1") {
 		t.Fatalf("cause = %v, want a MaxRounds overrun", err.Cause)
 	}
 	if !strings.Contains(err.Cause.Error(), `phase "walk"`) {

@@ -1,0 +1,107 @@
+package hotengine
+
+import (
+	"repro/internal/abm"
+	"repro/internal/keys"
+	"repro/internal/tree"
+)
+
+// Resolve is the multi-probe cell lookup the engine used before
+// traversals carried their table down the recursion: top tree
+// (authoritative above and at the branches, except unfetched remote
+// leaves, which fall through to the imports), then the local tree for
+// cells this rank owns, then the imported cells. Kept as the reference
+// the table-carrying traversal is tested against.
+func (e *Engine[X, B]) Resolve(k keys.Key) (c *tree.Cell, x X, ok bool) {
+	if n := e.top.Ptr(k); n != nil {
+		if n.Cell.Leaf && n.Cell.First == sentinelUnfetched {
+			if in := e.importedPtr(k); in != nil {
+				return &in.Cell, in.Extra, true
+			}
+			return nil, x, false // bodies must be fetched
+		}
+		return &n.Cell, n.Extra, true
+	}
+	if e.OwnerOf(k) == e.C.Rank() {
+		if c := e.Local.Cell(k); c != nil {
+			return c, e.Phys.Extra(c), true
+		}
+		return nil, x, false
+	}
+	if in := e.importedPtr(k); in != nil {
+		return &in.Cell, in.Extra, true
+	}
+	return nil, x, false
+}
+
+// RestartWalkGroups is the walk phase as this package ran it before
+// suspended walks: a group that misses a cell is re-walked from the
+// root, emitting all the way, once per round until it completes
+// (classic inline schedule, no prefetch accounting). It is the
+// reference WalkGroups is tested against: same lists, same counters,
+// same rounds and traffic.
+func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn) {
+	eng := abm.New[keys.Key, Reply[X, B]](e.C, KeyWireBytes(), e.cellBytes, e.serve)
+	eng.RepBytes = e.replyBytes
+	e.C.Phase(e.Cfg.PhasePrefix + label)
+	pending := map[keys.Key]bool{}
+	todo := append([]keys.Key(nil), e.Local.Groups...)
+	var stack, missing []keys.Key
+	for {
+		var deferred []keys.Key
+		for _, gk := range todo {
+			g := e.Local.Cell(gk)
+			v.Begin(0, gk, g)
+			missing = missing[:0]
+			stack = append(stack[:0], keys.Root)
+			var visits uint64
+			for len(stack) > 0 {
+				k := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				c, x, ok := e.Resolve(k)
+				if !ok {
+					missing = append(missing, k)
+					continue
+				}
+				visits++
+				switch a := v.Test(c); {
+				case a == tree.Skip:
+				case a == tree.Accept:
+					v.Cell(c, x)
+				case c.Leaf:
+					v.Leaf(c)
+				default:
+					for oct := 0; oct < 8; oct++ {
+						if c.ChildMask&(1<<uint(oct)) != 0 {
+							stack = append(stack, k.Child(oct))
+						}
+					}
+				}
+			}
+			if len(missing) == 0 {
+				e.Counters.Traversals += visits
+				if eval != nil {
+					eval(0, gk, g, &e.Counters)
+				}
+				continue
+			}
+			e.Counters.Deferred++
+			deferred = append(deferred, gk)
+			for _, mk := range missing {
+				if !pending[mk] {
+					pending[mk] = true
+					e.Counters.Requests++
+					eng.Post(e.OwnerOf(mk), mk)
+				}
+			}
+		}
+		if !eng.AnyPendingGlobal(len(deferred) > 0) {
+			return
+		}
+		for _, reps := range eng.Round() {
+			e.onReplyBatch(0, reps)
+		}
+		e.Rounds++
+		todo = deferred
+	}
+}

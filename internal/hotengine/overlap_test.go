@@ -11,6 +11,24 @@ import (
 	"repro/internal/tree"
 )
 
+// sumWalk accepts every cell two levels below the root and sums the
+// payloads it is handed.
+type sumWalk struct {
+	e   *hotengine.Engine[float64, []int64]
+	sum float64
+}
+
+func (w *sumWalk) Begin(int, keys.Key, *tree.Cell) {}
+func (w *sumWalk) Cell(_ *tree.Cell, x float64)    { w.sum += x }
+func (w *sumWalk) Leaf(c *tree.Cell)               { w.sum += float64(c.N) }
+
+func (w *sumWalk) Test(c *tree.Cell) tree.Action {
+	if c.Key.Level() >= 2 {
+		return tree.Accept
+	}
+	return tree.Open
+}
+
 // TestWalkGroupsSteadyStateAllocs pins the steady-state allocation
 // behaviour of the walk phase: the abm engine, the pending/stall maps
 // and the deferral buffers are persistent per (engine, label), so a
@@ -30,10 +48,10 @@ func TestWalkGroupsSteadyStateAllocs(t *testing.T) {
 		defer e.Close()
 		e.Exchange()
 
-		walk := func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) []keys.Key {
-			ctr.Traversals++
-			return nil
-		}
+		// A real traversal with a non-empty per-cell payload (the count
+		// as a float64): every local cell it accepts hands the payload
+		// to the visitor by value, which must not reach the heap.
+		walk := &sumWalk{e: e}
 		eval := func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
 			ctr.PP++
 		}
@@ -58,50 +76,6 @@ func TestWalkGroupsSteadyStateAllocs(t *testing.T) {
 			t.Errorf("pipelined WalkGroups allocates %.1f/call in steady state, want <= 2", avg)
 		}
 	})
-}
-
-// exhaustiveIDWalk returns a WalkFn that visits every reachable leaf
-// (no opening criterion), deferring on unresolved cells, and records
-// each resolved cell in ctr.Traversals. Completed walks add the leaf
-// IDs to ids.
-func exhaustiveIDWalk(e *hotengine.Engine[float64, []int64], phys *countPhysics, ids map[int64]bool) hotengine.WalkFn {
-	var stack []keys.Key
-	return func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) []keys.Key {
-		var missing []keys.Key
-		got := []int64{}
-		stack = append(stack[:0], keys.Root)
-		for len(stack) > 0 {
-			k := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			cell, _, ok := e.Resolve(k)
-			if !ok {
-				missing = append(missing, k)
-				continue
-			}
-			ctr.Traversals++
-			if cell.Leaf {
-				if cell.First >= 0 {
-					got = append(got, e.Sys.ID[cell.First:cell.First+cell.N]...)
-				} else {
-					lo := -(cell.First + 1)
-					got = append(got, phys.impID[lo:lo+cell.N]...)
-				}
-				continue
-			}
-			for oct := 0; oct < 8; oct++ {
-				if cell.ChildMask&(1<<uint(oct)) != 0 {
-					stack = append(stack, k.Child(oct))
-				}
-			}
-		}
-		if missing != nil {
-			return missing
-		}
-		for _, id := range got {
-			ids[id] = true
-		}
-		return nil
-	}
 }
 
 // TestPrefetchPiggybacking drives the exhaustive walk at np=4 with and
@@ -130,7 +104,8 @@ func TestPrefetchPiggybacking(t *testing.T) {
 			})
 			e.Exchange()
 			ids := map[int64]bool{}
-			e.WalkGroups("walk", exhaustiveIDWalk(e, phys, ids), nil)
+			w := &idWalk{e: e, phys: phys, ids: ids}
+			e.WalkGroups("walk", w, w.collect)
 			stats[c.Rank()] = rankStat{
 				trav:       e.Counters.Traversals,
 				prefetched: e.Counters.Prefetched,

@@ -19,7 +19,7 @@ import (
 // worker goroutines. The decoupling that makes this hide latency on
 // any core count is slots vs workers: a slot is one in-flight group's
 // evaluation state (the adapter keeps a walker/list per slot, indexed
-// by the slot argument of WalkFn/EvalFn), and there are many more
+// by the slot argument of Visitor.Begin/EvalFn), and there are many more
 // slots than workers. The queued backlog of completed-but-unevaluated
 // groups is the paper's pool of context-switched work: when the rank
 // goroutine parks in an Alltoallv, the workers drain the backlog, so
@@ -31,12 +31,6 @@ import (
 // worker accumulates into its own diag.Counters folded in at phase
 // drain -- uint64 sums are order-independent, so forces *and* counts
 // are bitwise identical to the inline schedule at any worker count.
-
-// WalkFn attempts one group's traversal using the evaluation state of
-// the given slot, returning nil on completion or the missing cell keys
-// to defer on. It always runs on the rank goroutine; ctr is the
-// engine's own counter set.
-type WalkFn func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) []keys.Key
 
 // EvalFn evaluates one completed group's interactions from the given
 // slot's state. With the pipeline on it may run on a worker goroutine

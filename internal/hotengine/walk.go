@@ -1,0 +1,318 @@
+package hotengine
+
+import (
+	"time"
+
+	"repro/internal/keys"
+	"repro/internal/tree"
+)
+
+// Visitor is the physics side of a group traversal. The engine owns
+// the DFS stack, cell resolution and miss collection; the visitor
+// decides what each resolved cell means for the group and takes the
+// interactions. All methods run on the rank goroutine, one traversal
+// at a time, so a visitor may keep the current group's state (its
+// bounding sphere, the slot's list) in its own fields.
+type Visitor[X any] interface {
+	// Begin starts a traversal for group g (key gk) against the
+	// evaluation state of slot, which it resets. A group may begin
+	// several times before it completes: the optimistic first attempt,
+	// discovery descents on slot 0, and the final emitting walk.
+	Begin(slot int, gk keys.Key, g *tree.Cell)
+	// Test classifies a resolved cell against the group: Skip it,
+	// Accept its moments as one interaction, or Open it. It must be a
+	// pure function of the cell and the group -- discovery descents
+	// replay it to find which cells the emitting walk will open.
+	Test(c *tree.Cell) tree.Action
+	// Cell takes an accepted cell and its payload; Leaf takes an
+	// opened leaf's bodies. Both are called only while the traversal
+	// is emitting, in root-DFS order.
+	Cell(c *tree.Cell, x X)
+	Leaf(c *tree.Cell)
+}
+
+// table names the store a stack entry resolves in. Carrying it down
+// the recursion is what makes a visit cost one hash probe: where a
+// cell lives follows from where its parent did.
+type table uint8
+
+const (
+	inTop      table = iota // shared top tree: the branches and everything above them
+	inLocal                 // this rank's tree, below its own branches
+	inImported              // fetched cells, below other ranks' branches
+)
+
+type entry struct {
+	k keys.Key
+	t table
+}
+
+// miss is one unit of a traversal's frontier. Cells are requested, and
+// arrive, as whole families -- the first group to open a cell asks for
+// all of its children at once, to one owner, so they come back in one
+// reply batch -- and a family is one miss: k is the parent, mask its
+// missing children. mask 0 means k itself is missing: a remote leaf
+// branch, known from the top tree, whose bodies have to be fetched.
+type miss struct {
+	k    keys.Key
+	mask uint8
+}
+
+// suspended is the walk state of one group while it is parked: the
+// frontier its last traversal stopped at, how many of its misses are
+// still in flight, and when it was first parked (stall observation).
+// Nothing list-sized is kept; see DESIGN.md "Suspended walks". The
+// frontier buffer is reused by whichever group has the slot's index in
+// later phases.
+type suspended struct {
+	frontier []miss
+	wait     int32
+	since    time.Time
+}
+
+// waiter is one (miss, waiting group) pair, a node of that miss's list
+// in the engine's waiters arena; waitList is what keyWaiters holds per
+// in-flight miss, under miss.k. Lists append at the tail so groups wake
+// in the order they parked.
+type waiter struct{ group, next int32 }
+
+type waitList struct{ head, tail int32 }
+
+// traverse runs one DFS from the entries on e.stack for the current
+// visitor, returning the number of cells it resolved. Missing cells are
+// collected on e.missing and the traversal carries on past them, so
+// one round batches every request the group can discover; emission
+// (the visitor's Cell/Leaf) stops at the first miss, since a list with
+// a hole is never evaluated.
+func (e *Engine[X, B]) traverse(emit bool) (visits uint64) {
+	v := e.curWalk
+	e.missing = e.missing[:0]
+	for len(e.stack) > 0 {
+		ent := e.stack[len(e.stack)-1]
+		e.stack = e.stack[:len(e.stack)-1]
+		var n *node[X]
+		kids := ent.t
+		if kids == inTop {
+			n = e.top.Ptr(ent.k)
+			kids = n.kids
+			if n.Cell.First == sentinelUnfetched {
+				n = nil // remote leaf branch: the copy with bodies is an import
+			}
+		}
+		var c *tree.Cell
+		switch {
+		case n != nil:
+			c = &n.Cell
+		case kids == inLocal:
+			c = e.Local.Cell(ent.k)
+		default:
+			if n = e.importedPtr(ent.k); n == nil {
+				e.noteMiss(ent)
+				emit = false
+				continue
+			}
+			c = &n.Cell
+		}
+		visits++
+		switch a := v.Test(c); {
+		case a == tree.Skip:
+		case a == tree.Accept:
+			if !emit {
+				break
+			}
+			if n != nil {
+				v.Cell(c, n.Extra)
+			} else {
+				v.Cell(c, e.Phys.Extra(c))
+			}
+		case c.Leaf:
+			if emit {
+				v.Leaf(c)
+			}
+		default:
+			for oct := 0; oct < 8; oct++ {
+				if c.ChildMask&(1<<uint(oct)) != 0 {
+					e.stack = append(e.stack, entry{ent.k.Child(oct), kids})
+				}
+			}
+		}
+	}
+	return visits
+}
+
+// noteMiss records a missing cell on e.missing: a remote leaf branch
+// (reached through the top tree) on its own, anything else folded into
+// its family's miss -- siblings pop off the stack back to back.
+func (e *Engine[X, B]) noteMiss(ent entry) {
+	if ent.t == inTop {
+		e.missing = append(e.missing, miss{k: ent.k})
+		return
+	}
+	p, bit := ent.k.Parent(), uint8(1)<<uint(ent.k.Octant())
+	if n := len(e.missing); n > 0 && e.missing[n-1].k == p {
+		e.missing[n-1].mask |= bit
+	} else {
+		e.missing = append(e.missing, miss{p, bit})
+	}
+}
+
+// importedPtr looks up an imported cell, marking a prefetched cell's
+// first resolution as a prefetch hit. Traversals run on the rank
+// goroutine only (pooled evals never resolve), so the mark is
+// race-free.
+func (e *Engine[X, B]) importedPtr(k keys.Key) *node[X] {
+	in := e.imported.Ptr(k)
+	if in != nil && in.Prefetched {
+		in.Prefetched = false
+		e.Counters.PrefetchUsed++
+	}
+	return in
+}
+
+// attempt is the optimistic first walk of group gi (an index into
+// Local.Groups): emitting from the root, it completes outright when
+// every cell it needs is already here (always on one rank, rarely on
+// four). Otherwise its visits are charged to Rewalked and the group is
+// parked on the cells it missed. pooled lets the list land in a
+// pipeline slot. Rank goroutine only; callers outside a collective
+// must flush missBuf to the phase's abm engine afterwards (inside one,
+// posting must wait).
+func (e *Engine[X, B]) attempt(gi int32, pooled bool) {
+	gk := e.Local.Groups[gi]
+	g := e.Local.Cell(gk)
+	slot := e.acquireSlot(pooled)
+	if e.emitFromRoot(slot, gk, g) {
+		return
+	}
+	if slot != 0 {
+		e.curPool.free <- slot
+	}
+	e.nparked++
+	if e.observe {
+		e.groups[gi].since = time.Now()
+	}
+	e.park(gi)
+}
+
+// emitFromRoot runs an emitting walk of g from the root into slot and
+// dispatches its evaluation if it completed; on a miss it charges the
+// visits to Rewalked and leaves the misses on e.missing.
+func (e *Engine[X, B]) emitFromRoot(slot int, gk keys.Key, g *tree.Cell) bool {
+	e.curWalk.Begin(slot, gk, g)
+	e.stack = append(e.stack[:0], entry{keys.Root, inTop})
+	n := e.traverse(true)
+	if len(e.missing) > 0 {
+		e.Counters.Rewalked += n
+		return false
+	}
+	e.Counters.Traversals += n
+	switch {
+	case e.curEval == nil:
+	case slot != 0:
+		e.curPool.jobs <- evalJob{slot: slot, gk: gk, g: g, eval: e.curEval}
+	default:
+		e.curEval(0, gk, g, &e.Counters)
+	}
+	return true
+}
+
+// resume continues a parked group whose frontier has fully arrived:
+// a MAC-only discovery descent from the frontier cells finds the next
+// layer of missing cells (and parks the group again on those), and once
+// nothing is missing a single emitting walk from the root builds the
+// list. That walk cannot miss -- imports only grow within a phase --
+// and it emits in root-DFS order, the one order every schedule shares,
+// which is what keeps forces bitwise independent of when cells arrive.
+func (e *Engine[X, B]) resume(gi int32, pooled bool) {
+	gk := e.Local.Groups[gi]
+	g := e.Local.Cell(gk)
+	s := &e.groups[gi]
+	e.curWalk.Begin(0, gk, g)
+	e.stack = e.stack[:0]
+	for i := len(s.frontier) - 1; i >= 0; i-- { // popped in the order they were missed
+		f := s.frontier[i]
+		if f.mask == 0 {
+			e.stack = append(e.stack, entry{f.k, inTop})
+		}
+		for oct := 0; oct < 8; oct++ {
+			if f.mask&(1<<uint(oct)) != 0 {
+				e.stack = append(e.stack, entry{f.k.Child(oct), inImported})
+			}
+		}
+	}
+	e.Counters.Rewalked += e.traverse(false)
+	if len(e.missing) > 0 {
+		e.park(gi)
+		return
+	}
+	e.nparked--
+	if !e.emitFromRoot(e.acquireSlot(pooled), gk, g) {
+		panic("hotengine: resumed walk missed a cell below an empty frontier")
+	}
+	if e.observe {
+		d := time.Since(s.since)
+		e.Stalls.Observe(uint64(d.Nanoseconds()))
+		e.Trace.SpanAt("stall", s.since, d)
+	}
+}
+
+// park suspends group gi on the cells its traversal just missed --
+// the paper's explicit context switch -- and buffers requests for those
+// no other group is already waiting on.
+func (e *Engine[X, B]) park(gi int32) {
+	s := &e.groups[gi]
+	s.frontier = append(s.frontier[:0], e.missing...)
+	s.wait = int32(len(s.frontier))
+	e.Counters.Deferred++
+	for _, f := range s.frontier {
+		n := e.freeWaiter
+		if n >= 0 {
+			e.freeWaiter = e.waiters[n].next
+			e.waiters[n] = waiter{gi, -1}
+		} else {
+			n = int32(len(e.waiters))
+			e.waiters = append(e.waiters, waiter{gi, -1})
+		}
+		if l, inFlight := e.keyWaiters[f.k]; inFlight {
+			e.waiters[l.tail].next = n
+			e.keyWaiters[f.k] = waitList{l.head, n}
+			continue
+		}
+		// First group to miss it (a requested family keeps its waiters
+		// until it lands, after which nothing can miss it).
+		e.keyWaiters[f.k] = waitList{n, n}
+		if f.mask == 0 {
+			e.request(f.k)
+		}
+		for oct := 7; oct >= 0; oct-- { // the order the traversal missed them in
+			if f.mask&(1<<uint(oct)) != 0 {
+				e.request(f.k.Child(oct))
+			}
+		}
+	}
+}
+
+// request buffers one cell request until the rank can post it.
+func (e *Engine[X, B]) request(k keys.Key) {
+	e.Counters.Requests++
+	e.missBuf = append(e.missBuf, k)
+}
+
+// acquireSlot hands out a free pool slot for a sweep-side emitting
+// walk, or 0 (the inline spill slot). Pools without spawned workers
+// always spill: materializing an interaction list per queued job only
+// pays when another core can evaluate it concurrently; the single-core
+// overlap comes from the Progress hook walking queued groups inside
+// the communication windows instead.
+func (e *Engine[X, B]) acquireSlot(pooled bool) int {
+	pool := e.curPool
+	if !pooled || pool == nil || pool.nworkers == 0 {
+		return 0
+	}
+	select {
+	case s := <-pool.free:
+		return s
+	default:
+		return 0
+	}
+}

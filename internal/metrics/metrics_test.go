@@ -168,6 +168,23 @@ func TestBuildReportDetachedInputs(t *testing.T) {
 	}
 }
 
+// The report carries the walk efficiency next to the counters it is
+// made of, and the rendering shows it.
+func TestReportWalkEfficiency(t *testing.T) {
+	rep := BuildReport("x", 10, 1.0, []RankInput{
+		{Counters: diag.Counters{Traversals: 50, Rewalked: 30}},
+		{Counters: diag.Counters{Traversals: 70, Rewalked: 10}},
+	}, nil, nil)
+	if rep.Totals.Counters.Traversals != 120 || rep.Totals.WalkEfficiency != 0.75 {
+		t.Fatalf("totals = %+v, want 120 traversals at efficiency 0.75", rep.Totals)
+	}
+	var b strings.Builder
+	rep.Render(&b)
+	if !strings.Contains(b.String(), "40 rewalked (efficiency 0.750)") {
+		t.Fatalf("render missing the walk line:\n%s", b.String())
+	}
+}
+
 // TraceDropped must surface in the rendered report as a warning.
 func TestRenderWarnsOnDroppedTraceEvents(t *testing.T) {
 	rep := BuildReport("x", 10, 1.0, []RankInput{{}}, nil, nil)

@@ -39,8 +39,12 @@ type Totals struct {
 	Flops        uint64        `json:"flops"`
 	// FlopsRate is Flops over the host wall-clock, in flops/s.
 	FlopsRate float64 `json:"flops_rate"`
-	Msgs      uint64  `json:"msgs"`
-	Bytes     uint64  `json:"bytes"`
+	// WalkEfficiency is Traversals / (Traversals + Rewalked): the share
+	// of tree-walk cell visits that went into a completed interaction
+	// list rather than into finding out which remote cells to fetch.
+	WalkEfficiency float64 `json:"walk_efficiency"`
+	Msgs           uint64  `json:"msgs"`
+	Bytes          uint64  `json:"bytes"`
 }
 
 // RankReport is one rank's share.
@@ -316,6 +320,7 @@ func BuildReport(command string, bodies int, wall float64, ranks []RankInput, w 
 	}
 	rep.Totals.Interactions = rep.Totals.Counters.Interactions()
 	rep.Totals.Flops = rep.Totals.Counters.Flops()
+	rep.Totals.WalkEfficiency = rep.Totals.Counters.WalkEfficiency()
 	if wall > 0 {
 		rep.Totals.FlopsRate = float64(rep.Totals.Flops) / wall
 	}
@@ -368,6 +373,10 @@ func (r *RunReport) Render(w io.Writer) {
 		r.Totals.Interactions, r.Totals.Counters.PP, r.Totals.Counters.PC, r.Totals.Counters.QuadPC)
 	fmt.Fprintf(w, "flops: %d at %d/interaction -> %s\n",
 		r.Totals.Flops, r.Constants.FlopsPerInteraction, diag.Rate(r.Totals.Flops, r.WallSeconds))
+	if c := r.Totals.Counters; c.Traversals > 0 {
+		fmt.Fprintf(w, "walk: %d cell visits in completed walks, %d rewalked (efficiency %.3f)\n",
+			c.Traversals, c.Rewalked, r.Totals.WalkEfficiency)
+	}
 	if r.Totals.Msgs > 0 {
 		fmt.Fprintf(w, "traffic: %d msgs, %.3f MB total\n", r.Totals.Msgs, float64(r.Totals.Bytes)/1e6)
 	}
@@ -511,6 +520,8 @@ func Diff(w io.Writer, base, cur *RunReport, tol float64) (regressed bool) {
 	fmt.Fprintf(w, "  %-16s %14d -> %14d  %+6.1f%%\n",
 		"interactions", base.Totals.Interactions, cur.Totals.Interactions,
 		rel(float64(base.Totals.Interactions), float64(cur.Totals.Interactions))*100)
+	fmt.Fprintf(w, "  %-16s %14.3f -> %14.3f\n",
+		"walk_efficiency", base.Totals.WalkEfficiency, cur.Totals.WalkEfficiency)
 	fmt.Fprintf(w, "  %-16s %14d -> %14d  %+6.1f%%\n",
 		"bytes", base.Totals.Bytes, cur.Totals.Bytes,
 		rel(float64(base.Totals.Bytes), float64(cur.Totals.Bytes))*100)

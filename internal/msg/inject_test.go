@@ -2,6 +2,7 @@ package msg
 
 import (
 	"errors"
+	"io"
 	"testing"
 	"time"
 )
@@ -185,4 +186,27 @@ func TestInjectorStallTripsWatchdog(t *testing.T) {
 			t.Fatalf("stalls = %d, want 1", st.Stalls)
 		}
 	})
+}
+
+// Regression for the lost wake-up in mailbox.take: the in-flight
+// timer's callback used to Broadcast without holding the mailbox lock,
+// so a timer armed with d <= 0 could fire between the scan that found
+// nothing due and cond.Wait registering the waiter; the broadcast was
+// lost, nothing else would ever wake that rank, and the whole world
+// parked. Short latencies on every message make d <= 0 common: at the
+// old code this world lasted a few hundred collectives.
+func TestLatencyTimerWakeupNotLost(t *testing.T) {
+	w := NewWorld(4)
+	w.SetInjector(&Injector{Seed: 11, LatencyProb: 1, MaxLatency: 200 * time.Microsecond})
+	w.StartWatchdog(WatchdogConfig{Quiet: 3 * time.Second, Out: io.Discard})
+	err := w.RunErr(func(c *Comm) {
+		for i := 0; i < 2000; i++ {
+			if got := Allreduce(c, c.Rank()+i, SumI, 4); got != 6+4*i {
+				panic("allreduce result corrupted")
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("world hung or aborted under short injected latencies: %v", err)
+	}
 }

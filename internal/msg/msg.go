@@ -191,10 +191,11 @@ func (m *mailbox) take(src, tag int, st *rankState) Message {
 		if !earliest.IsZero() {
 			// The message is here but still in flight; wake this wait
 			// when it matures. A late or spurious broadcast only causes
-			// a harmless rescan.
+			// a harmless rescan; an early one must not be lost, hence
+			// wake, not a bare Broadcast.
 			d := time.Until(earliest)
 			if timer == nil {
-				timer = time.AfterFunc(d, m.cond.Broadcast)
+				timer = time.AfterFunc(d, m.wake)
 			} else {
 				timer.Reset(d)
 			}
@@ -205,6 +206,17 @@ func (m *mailbox) take(src, tag int, st *rankState) Message {
 		}
 		m.cond.Wait()
 	}
+}
+
+// wake is the in-flight timer's callback. It broadcasts under m.mu: a
+// timer armed with d <= 0 fires at once, and take still holds the lock
+// until cond.Wait has registered the waiter, so the broadcast cannot
+// fall between the scan that found nothing due and the wait, where it
+// would be lost and the rank would park forever.
+func (m *mailbox) wake() {
+	m.mu.Lock()
+	m.cond.Broadcast()
+	m.mu.Unlock()
 }
 
 // tryTake removes and returns the first matching message if one is

@@ -1,0 +1,83 @@
+package parallel
+
+import (
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/diag"
+	"repro/internal/grav"
+	"repro/internal/ic"
+	"repro/internal/msg"
+)
+
+// TestWalkCountsMatchRestartWalk pins what the suspended walk must
+// leave exactly as the restart-from-root walk had it. The numbers were
+// captured from the commit before suspended walks (PR 12, be27d9e) on
+// this fixed problem: completed-walk visits, interactions, requests,
+// deferrals, request rounds, imported cells and the world's traffic.
+// A change that alters which cells are opened, which are requested, or
+// in how many rounds, moves one of them. A single rank has nothing to
+// wait for, so it rewalks nothing.
+func TestWalkCountsMatchRestartWalk(t *testing.T) {
+	const n = 1200
+	golden := []struct {
+		np                               int
+		trav, pp, pc, requests, deferred uint64
+		rounds, remote                   int
+		msgs, bytes                      uint64
+	}{
+		{np: 1},
+		{np: 2, trav: 83981, pp: 854395, pc: 198721, requests: 316, deferred: 1198, rounds: 5, remote: 316, msgs: 166, bytes: 116620},
+		{np: 8, trav: 99133, pp: 808784, pc: 224867, requests: 2160, deferred: 1143, rounds: 4, remote: 2160, msgs: 1498, bytes: 601437},
+	}
+	for _, want := range golden {
+		np := want.np
+		var sum diag.Counters
+		rounds := make([]int, np)
+		remote := 0
+		var mu sync.Mutex
+		w := msg.NewWorld(np)
+		w.Run(func(c *msg.Comm) {
+			global := ic.Plummer(n, 1.0, 17)
+			local := core.New(0)
+			local.EnableDynamics()
+			for i := c.Rank() * n / np; i < (c.Rank()+1)*n/np; i++ {
+				local.AppendFrom(global, i)
+			}
+			e := New(c, local, Config{MAC: grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true}, Eps2: 1e-6})
+			e.ComputeForces()
+			mu.Lock()
+			defer mu.Unlock()
+			sum.Add(e.Counters)
+			rounds[c.Rank()] = e.Rounds
+			remote += e.RemoteCells
+		})
+		if np == 1 {
+			if sum.Rewalked != 0 || sum.Deferred != 0 || sum.Traversals == 0 {
+				t.Errorf("np=1: rewalked %d, deferred %d, traversals %d; a single rank must complete every walk at once",
+					sum.Rewalked, sum.Deferred, sum.Traversals)
+			}
+			continue
+		}
+		tot := w.TotalTraffic()
+		if sum.Traversals != want.trav || sum.PP != want.pp || sum.PC != want.pc ||
+			sum.Requests != want.requests || sum.Deferred != want.deferred {
+			t.Errorf("np=%d: traversals %d pp %d pc %d requests %d deferred %d, want %d %d %d %d %d", np,
+				sum.Traversals, sum.PP, sum.PC, sum.Requests, sum.Deferred,
+				want.trav, want.pp, want.pc, want.requests, want.deferred)
+		}
+		for r, got := range rounds {
+			if got != want.rounds {
+				t.Errorf("np=%d rank %d: %d request rounds, want %d", np, r, got, want.rounds)
+			}
+		}
+		if remote != want.remote || tot.Msgs != want.msgs || tot.Bytes != want.bytes {
+			t.Errorf("np=%d: %d imported cells, %d msgs, %d bytes, want %d %d %d", np,
+				remote, tot.Msgs, tot.Bytes, want.remote, want.msgs, want.bytes)
+		}
+		if sum.Rewalked == 0 {
+			t.Errorf("np=%d: no rewalked visits counted although %d walks were deferred", np, sum.Deferred)
+		}
+	}
+}

@@ -192,27 +192,31 @@ func (b engineBodies) MaxRung(local int) int {
 	return msg.Allreduce(b.e.C, local, msg.MaxI, 8)
 }
 
-// source adapts the engine's three cell stores into a tree.Source
-// for the walker.
-type source struct{ e *Engine }
-
-func (s source) Root() keys.Key { return keys.Root }
-
-func (s source) Cell(k keys.Key) *tree.Cell {
-	c, _, ok := s.e.Resolve(k)
-	if !ok {
-		return nil
-	}
-	return c
+// visitor is the gravity side of the pipeline's traversal
+// (hotengine.Visitor): the slot's tree.Walker classifies cells with the
+// MAC and collects the interaction list.
+type visitor struct {
+	e *Engine
+	w *tree.Walker
 }
 
-func (s source) LeafBodies(c *tree.Cell) ([]vec.V3, []float64) {
-	e := s.e
+func (v *visitor) Begin(slot int, gk keys.Key, g *tree.Cell) {
+	v.w = v.e.walkers[slot]
+	v.w.Begin(gk, v.e.Sys.Pos[g.First:g.First+g.N])
+}
+
+func (v *visitor) Test(c *tree.Cell) tree.Action { return v.w.Test(c) }
+
+func (v *visitor) Cell(c *tree.Cell, _ hotengine.None) { v.w.List.AddCell(&c.Mp) }
+
+func (v *visitor) Leaf(c *tree.Cell) {
+	e := v.e
 	if c.First >= 0 {
-		return e.Sys.Pos[c.First : c.First+c.N], e.Sys.Mass[c.First : c.First+c.N]
+		v.w.TakeLeaf(c, e.Sys.Pos[c.First:c.First+c.N], e.Sys.Mass[c.First:c.First+c.N])
+		return
 	}
 	i := -(c.First + 1)
-	return e.phys.impPos[i : i+c.N], e.phys.impMass[i : i+c.N]
+	v.w.TakeLeaf(c, e.phys.impPos[i:i+c.N], e.phys.impMass[i:i+c.N])
 }
 
 // ComputeForces runs one full parallel force evaluation: decompose,
@@ -248,19 +252,15 @@ func (e *Engine) computeForces(minRung int) diag.Counters {
 		e.ExchangeIncremental()
 	}
 
-	src := source{e}
+	walk := &visitor{e: e}
 	sys := e.Sys
 	// The walk stage (rank goroutine) builds the slot's self-contained
 	// interaction list; the eval stage runs the kernels from it and may
 	// execute on a worker goroutine concurrently with later walks. Each
 	// group writes only its own disjoint Acc/Pot/Work rows and the
 	// handed-in counter set, so forces and counts are bitwise identical
-	// to the inline schedule. Walk touches no PP/PC counters, so the
+	// to the inline schedule. The walk touches no PP/PC counters, so the
 	// per-body work weight is the eval-local delta.
-	walk := func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) []keys.Key {
-		lo, hi := g.First, g.First+g.N
-		return e.walkers[slot].Walk(src, gk, sys.Pos[lo:hi], ctr)
-	}
 	eval := func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
 		lo, hi := g.First, g.First+g.N
 		w := e.walkers[slot]

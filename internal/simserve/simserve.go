@@ -77,8 +77,9 @@ type Config struct {
 	// message progress for this long is aborted and reported failed
 	// (default 30s, 0 keeps the default; negative disables).
 	Watchdog time.Duration
-	// TelemetryCapacity is each job's sample-ring size (default 1024;
-	// bounded so thousands of retained jobs stay cheap).
+	// TelemetryCapacity caps each job's sample-ring size (default 1024;
+	// a job that takes fewer steps gets a ring of steps+1 samples, so
+	// thousands of retained jobs stay cheap).
 	TelemetryCapacity int
 	// Log is the service logger (nil = slog.Default()).
 	Log *slog.Logger
@@ -190,8 +191,11 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	}
 	j.reg = metrics.NewRegistry()
 	j.tel = telemetry.NewSampler(telemetry.Config{
-		NP:       spec.NP,
-		Capacity: m.cfg.TelemetryCapacity,
+		NP: spec.NP,
+		// One sample per force evaluation is all the job can produce,
+		// and the ring is retained with the job: do not pin the full
+		// default capacity per terminal job.
+		Capacity: min(m.cfg.TelemetryCapacity, spec.Steps+1),
 		Registry: j.reg,
 		Monitors: telemetry.MonitorConfig{
 			EnergyDriftTol: 0.02, ImbalanceMax: 4, ImbalanceRuns: 3,

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -456,5 +457,51 @@ func TestHTTPAPI(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusOK || !bytes.Contains(b, []byte(MetricCompleted)) {
 		t.Fatalf("GET /metrics = %d: %s", r.StatusCode, b)
+	}
+}
+
+// TestForcesHashMatchesRestartWalk pins the final forces of every
+// physics the service runs, at 2, 4 and 8 ranks, to the digests the
+// commit before suspended walks (PR 12, be27d9e: restart-from-root
+// retries, multi-probe cell lookup) produced for the same specs. The
+// emitting walk builds each interaction list in root-DFS order, the
+// order the restart walk had, so not one bit of any force may move.
+// The digests are of amd64 arithmetic (no fused multiply-add).
+func TestForcesHashMatchesRestartWalk(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden digests were captured on amd64")
+	}
+	m := testManager(t, Config{Workers: 2, MaxNP: 8})
+	golden := []struct {
+		spec   Spec
+		hashes [3]string // np = 2, 4, 8
+	}{
+		{Spec{Physics: PhysicsGravity, N: 1500, Steps: 1, Seed: 17},
+			[3]string{"621b8e3f9a77c654", "9865cae4ee8decf6", "51dce5dff996b42e"}},
+		{Spec{Physics: PhysicsGravity, N: 1500, Steps: 1, Seed: 17, DTMode: "block"},
+			[3]string{"133e2bb0ac501af2", "38c7fda55279cec1", "a952d240f70f0d51"}},
+		{Spec{Physics: PhysicsGravity, N: 1500, Steps: 1, Seed: 17, EvalWorkers: 2, Prefetch: 1},
+			[3]string{"621b8e3f9a77c654", "9865cae4ee8decf6", "51dce5dff996b42e"}},
+		{Spec{Physics: PhysicsSPH, N: 600, Steps: 1, Seed: 17},
+			[3]string{"8e747d466bc64bab", "c2994f7239ce8140", "1bd8666bd3c52d1d"}},
+		{Spec{Physics: PhysicsVortex, N: 24, Steps: 2},
+			[3]string{"ae3825da448d1a7e", "48bb1ce2743d21a8", "013be88ae9624476"}},
+	}
+	for _, g := range golden {
+		for i, np := range []int{2, 4, 8} {
+			sp := g.spec
+			sp.NP = np
+			j, err := m.Submit(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := waitTerminal(t, j, 60*time.Second); st != StateCompleted {
+				t.Fatalf("%+v ended %s: %s", sp, st, j.Status().Error)
+			}
+			if got := j.Result().ForcesHash; got != g.hashes[i] {
+				t.Errorf("%s dtmode=%q workers=%d np=%d: forces hash %s, want %s",
+					sp.Physics, sp.DTMode, sp.EvalWorkers, np, got, g.hashes[i])
+			}
+		}
 	}
 }

@@ -34,7 +34,6 @@ type ParallelEngine struct {
 	Cfg ParallelConfig
 
 	phys     *physics
-	stack    []keys.Key
 	pressure []vec.V3
 	// cands and ws are one candidate block / gravity walker per
 	// pipeline slot (index = the slot argument of the walk/eval
@@ -197,15 +196,14 @@ func (e *ParallelEngine) Eval() diag.Counters {
 	e.Exchange()
 	sys := e.Sys
 
-	// The density pass must evaluate inline (eval nil): it writes
+	// The density pass must evaluate inline: it writes
 	// Sys.Rho, the column the serve path's PackLeaf snapshots on the
 	// rank goroutine -- a concurrent eval stage would race those
 	// copies. The force and gravity passes write only per-group
 	// pressure/Acc/Pot/Work rows, none of which serve reads, so they
 	// pipeline freely.
-	e.WalkGroups("density", func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) []keys.Key {
-		return e.walkDensity(g, ctr)
-	}, nil)
+	gather := &gatherer{e: e}
+	e.WalkGroupsInline("density", gather, e.evalDensity)
 
 	// The force pass reads neighbor densities, which the density pass
 	// just computed on their owning ranks: drop the stale imports and
@@ -217,19 +215,12 @@ func (e *ParallelEngine) Eval() diag.Counters {
 		e.pressure = make([]vec.V3, sys.Len())
 	}
 	e.pressure = e.pressure[:sys.Len()]
-	e.WalkGroups("forces", func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) []keys.Key {
-		lo, hi := g.First, g.First+g.N
-		return e.gather(&e.cands[slot], sys.Pos[lo:hi], 2*e.hmax(lo, hi), ctr)
-	}, func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
+	e.WalkGroups("forces", gather, func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
 		e.evalForces(&e.cands[slot], g, ctr)
 	})
 
 	if e.Cfg.Gravity {
-		src := gsource{e}
-		e.WalkGroups("gravity", func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) []keys.Key {
-			lo, hi := g.First, g.First+g.N
-			return e.ws[slot].Walk(src, gk, sys.Pos[lo:hi], ctr)
-		}, func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
+		e.WalkGroups("gravity", &gravVisitor{e: e}, func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
 			lo, hi := g.First, g.First+g.N
 			w := e.ws[slot]
 			before := ctr.PP + ctr.PC
@@ -274,59 +265,52 @@ func (e *ParallelEngine) leafColumns(c *tree.Cell) Leaf {
 	}
 }
 
-// gather collects every body that could lie within rmax of any
-// particle of the group into the candidate block, pruning cells
-// whose cube is entirely outside the group's search sphere (the same
-// cube-versus-sphere test as the serial Neighbors). Missing remote
-// cells are returned instead; candidate gathering is suppressed once
-// the walk is doomed, but the traversal continues so the whole
-// request set batches into one round. gather is the walk stage: it
-// always runs on the rank goroutine (Resolve and e.stack are
-// single-owner), filling the slot's candidate block for a possibly
-// concurrent evaluation.
-func (e *ParallelEngine) gather(cand *candidates, gpos []vec.V3, rmax float64, ctr *diag.Counters) (missing []keys.Key) {
-	gc, gr := tree.GroupSphere(gpos)
-	R := gr + rmax
-	cand.reset()
-	e.stack = append(e.stack[:0], keys.Root)
-	for len(e.stack) > 0 {
-		k := e.stack[len(e.stack)-1]
-		e.stack = e.stack[:len(e.stack)-1]
-		c, _, ok := e.Resolve(k)
-		if !ok {
-			missing = append(missing, k)
-			continue
-		}
-		ctr.Traversals++
-		if c.N == 0 {
-			continue
-		}
-		center, size := e.Domain.CellCenter(k)
-		// Prune: the cell cube is entirely outside the sphere when the
-		// center distance exceeds R plus the half-diagonal.
-		halfDiag := size * math.Sqrt(3) / 2
-		if center.Sub(gc).Norm() > R+halfDiag {
-			continue
-		}
-		if c.Leaf {
-			if missing == nil {
-				b := e.leafColumns(c)
-				cand.pos = append(cand.pos, b.Pos...)
-				cand.vel = append(cand.vel, b.Vel...)
-				cand.mass = append(cand.mass, b.Mass...)
-				cand.h = append(cand.h, b.H...)
-				cand.rho = append(cand.rho, b.Rho...)
-				cand.id = append(cand.id, b.ID...)
-			}
-			continue
-		}
-		for oct := 0; oct < 8; oct++ {
-			if c.ChildMask&(1<<uint(oct)) != 0 {
-				e.stack = append(e.stack, k.Child(oct))
-			}
-		}
+// gatherer is the neighbor search of the density and force passes as
+// a traversal visitor (hotengine.Visitor): it collects every body that
+// could lie within two smoothing lengths of any particle of the group
+// into the slot's candidate block, pruning cells whose cube is entirely
+// outside the group's search sphere (the same cube-versus-sphere test
+// as the serial Neighbors). It never accepts a cell: range queries
+// prune on geometry alone.
+type gatherer struct {
+	e    *ParallelEngine
+	gc   vec.V3
+	R    float64
+	cand *candidates
+}
+
+func (v *gatherer) Begin(slot int, _ keys.Key, g *tree.Cell) {
+	lo, hi := g.First, g.First+g.N
+	gc, gr := tree.GroupSphere(v.e.Sys.Pos[lo:hi])
+	v.gc, v.R = gc, gr+2*v.e.hmax(lo, hi)
+	v.cand = &v.e.cands[slot]
+	v.cand.reset()
+}
+
+func (v *gatherer) Test(c *tree.Cell) tree.Action {
+	if c.N == 0 {
+		return tree.Skip
 	}
-	return missing
+	center, size := v.e.Domain.CellCenter(c.Key)
+	// Prune: the cell cube is entirely outside the sphere when the
+	// center distance exceeds R plus the half-diagonal.
+	halfDiag := size * math.Sqrt(3) / 2
+	if center.Sub(v.gc).Norm() > v.R+halfDiag {
+		return tree.Skip
+	}
+	return tree.Open
+}
+
+func (v *gatherer) Cell(*tree.Cell, hotengine.None) {}
+
+func (v *gatherer) Leaf(c *tree.Cell) {
+	b, cand := v.e.leafColumns(c), v.cand
+	cand.pos = append(cand.pos, b.Pos...)
+	cand.vel = append(cand.vel, b.Vel...)
+	cand.mass = append(cand.mass, b.Mass...)
+	cand.h = append(cand.h, b.H...)
+	cand.rho = append(cand.rho, b.Rho...)
+	cand.id = append(cand.id, b.ID...)
 }
 
 // hmax returns the largest smoothing length in a body range.
@@ -340,18 +324,14 @@ func (e *ParallelEngine) hmax(lo, hi int32) float64 {
 	return m
 }
 
-// walkDensity computes rho by kernel summation for one group, with
-// the same per-pair arithmetic and pair accounting as the serial
-// Density (self included). Inline-only (it writes Sys.Rho and
-// Sys.Work, columns the serve path reads), so it always uses slot 0's
-// candidate block and the rank's own counters.
-func (e *ParallelEngine) walkDensity(g *tree.Cell, ctr *diag.Counters) []keys.Key {
+// evalDensity computes rho by kernel summation for one group from its
+// gathered candidate block, with the same per-pair arithmetic and pair
+// accounting as the serial Density (self included). Inline-only (it
+// writes Sys.Rho and Sys.Work, columns the serve path reads).
+func (e *ParallelEngine) evalDensity(slot int, _ keys.Key, g *tree.Cell, ctr *diag.Counters) {
 	sys := e.Sys
-	cand := &e.cands[0]
+	cand := &e.cands[slot]
 	lo, hi := g.First, g.First+g.N
-	if missing := e.gather(cand, sys.Pos[lo:hi], 2*e.hmax(lo, hi), ctr); missing != nil {
-		return missing
-	}
 	var pairs uint64
 	for i := lo; i < hi; i++ {
 		h := sys.H[i]
@@ -375,7 +355,6 @@ func (e *ParallelEngine) walkDensity(g *tree.Cell, ctr *diag.Counters) []keys.Ke
 			sys.Work[i] = per
 		}
 	}
-	return nil
 }
 
 // evalForces computes the symmetric pressure force plus Monaghan
@@ -423,24 +402,26 @@ func (e *ParallelEngine) evalForces(cand *candidates, g *tree.Cell, ctr *diag.Co
 	}
 }
 
-// gsource adapts the engine's cell stores into a tree.Source for the
-// gravity walker; the SPH leaf payload carries positions and masses,
-// which is all gravity needs.
-type gsource struct{ e *ParallelEngine }
-
-func (s gsource) Root() keys.Key { return keys.Root }
-
-func (s gsource) Cell(k keys.Key) *tree.Cell {
-	c, _, ok := s.e.Resolve(k)
-	if !ok {
-		return nil
-	}
-	return c
+// gravVisitor drives the slot's gravity walker over the same
+// traversal; the SPH leaf payload carries positions and masses, which
+// is all gravity needs.
+type gravVisitor struct {
+	e *ParallelEngine
+	w *tree.Walker
 }
 
-func (s gsource) LeafBodies(c *tree.Cell) ([]vec.V3, []float64) {
-	b := s.e.leafColumns(c)
-	return b.Pos, b.Mass
+func (v *gravVisitor) Begin(slot int, gk keys.Key, g *tree.Cell) {
+	v.w = v.e.ws[slot]
+	v.w.Begin(gk, v.e.Sys.Pos[g.First:g.First+g.N])
+}
+
+func (v *gravVisitor) Test(c *tree.Cell) tree.Action { return v.w.Test(c) }
+
+func (v *gravVisitor) Cell(c *tree.Cell, _ hotengine.None) { v.w.List.AddCell(&c.Mp) }
+
+func (v *gravVisitor) Leaf(c *tree.Cell) {
+	b := v.e.leafColumns(c)
+	v.w.TakeLeaf(c, b.Pos, b.Mass)
 }
 
 // Kick advances velocities by dt using the current accelerations.

@@ -138,9 +138,12 @@ type Sample struct {
 
 	// OverlapFrac is this step's eval-during-comm over eval-busy
 	// seconds (0 when the walk/eval pipeline is off or idle);
-	// PrefetchHitRate this step's prefetch-used over prefetched cells.
+	// PrefetchHitRate this step's prefetch-used over prefetched cells;
+	// WalkEfficiency this step's completed-walk cell visits over all
+	// cell visits (diag.Counters.WalkEfficiency).
 	OverlapFrac     float64 `json:"overlap_frac"`
 	PrefetchHitRate float64 `json:"prefetch_hit_rate"`
+	WalkEfficiency  float64 `json:"walk_efficiency"`
 
 	Bodies int `json:"bodies"`
 }
@@ -347,6 +350,7 @@ func (s *Sampler) assemble() {
 	if dp := d.Prefetched; dp > 0 {
 		smp.PrefetchHitRate = float64(d.PrefetchUsed) / float64(dp)
 	}
+	smp.WalkEfficiency = d.WalkEfficiency()
 	s.prev = cum
 	s.push(smp)
 	s.mu.Unlock()
@@ -388,6 +392,7 @@ func (s *Sampler) publish(smp *Sample) {
 	reg.Gauge("telemetry_imbalance").Set(smp.Imbalance)
 	reg.Gauge("telemetry_overlap_frac").Set(smp.OverlapFrac)
 	reg.Gauge("telemetry_prefetch_hit_rate").Set(smp.PrefetchHitRate)
+	reg.Gauge("telemetry_walk_efficiency").Set(smp.WalkEfficiency)
 	reg.Gauge("telemetry_bodies").Set(float64(smp.Bodies))
 }
 

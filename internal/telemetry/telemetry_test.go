@@ -89,6 +89,17 @@ func TestSamplerDeltas(t *testing.T) {
 	if smp.Imbalance != 1 {
 		t.Fatalf("balanced step has imbalance %g, want 1", smp.Imbalance)
 	}
+
+	// Third step: 60 more completed-walk visits and 20 rewalked ones
+	// across the ranks; the efficiency is this step's, not the run's.
+	r0, r1 := rank(300, 10e6, 9, 2000), rank(80, 10e6, 5, 700)
+	r0.Counters.Traversals, r0.Counters.Rewalked = 40, 20
+	r1.Counters.Traversals = 20
+	s.Contribute(0, r0)
+	s.Contribute(1, r1)
+	if smp, _ = s.Last(); smp.WalkEfficiency != 0.75 {
+		t.Fatalf("walk efficiency = %g, want 60/(60+20)", smp.WalkEfficiency)
+	}
 }
 
 // The ring keeps the newest Capacity samples; Samples returns them

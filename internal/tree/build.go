@@ -173,7 +173,7 @@ func (b *Builder) partition(t *Tree, w int) {
 		cur := p.lo
 		for oct := 0; oct < 8; oct++ {
 			ck := p.key.Child(oct)
-			end := cur + upperBound(t.Sys.Key[cur:p.hi], ck.MaxBody())
+			end := cur + UpperBound(t.Sys.Key[cur:p.hi], ck.MaxBody())
 			if end > cur {
 				kids[nk] = part{key: ck, lo: cur, hi: end}
 				nk++
@@ -304,7 +304,7 @@ func (t *Tree) buildInto(sink *cellSink, key keys.Key, lo, hi int) grav.Multipol
 	for oct := 0; oct < 8; oct++ {
 		ck := key.Child(oct)
 		// End of this octant's body range: first key beyond MaxBody.
-		end := cur + upperBound(t.Sys.Key[cur:hi], ck.MaxBody())
+		end := cur + UpperBound(t.Sys.Key[cur:hi], ck.MaxBody())
 		if end > cur {
 			mp := t.buildInto(sink, ck, cur, end)
 			present = append(present, mp)
@@ -325,11 +325,12 @@ func (t *Tree) buildInto(sink *cellSink, key keys.Key, lo, hi int) grav.Multipol
 	return mp
 }
 
-// upperBound returns how many leading keys of ks are <= max. Octant
-// splits near the buckets are short, so small slices use a linear
-// scan; long ones a branch-light binary search (replacing the
-// closure-based sort.Search on the build hot path).
-func upperBound(ks []keys.Key, max keys.Key) int {
+// UpperBound returns how many leading keys of the ascending ks are
+// <= max. Octant splits near the buckets are short, so small slices
+// use a linear scan; long ones a branch-light binary search (replacing
+// the closure-based sort.Search on the build hot path and in the
+// engine's owner lookup over the split table).
+func UpperBound[K ~uint64](ks []K, max K) int {
 	if len(ks) <= 64 {
 		for i, k := range ks {
 			if k > max {

@@ -118,7 +118,7 @@ func TestUpperBound(t *testing.T) {
 			for want < n && ks[want] <= max {
 				want++
 			}
-			if got := upperBound(ks, max); got != want {
+			if got := UpperBound(ks, max); got != want {
 				t.Fatalf("n=%d q=%d: upperBound=%d want %d", n, q, got, want)
 			}
 		}

@@ -10,14 +10,13 @@ import (
 	"repro/internal/vec"
 )
 
-// Source is what a traversal walks: a provider of cells by key. The
-// serial Tree is a Source; the parallel engine wraps the shared top
-// tree, the local tree and the imported remote cells into one Source
-// whose Cell method records misses as pending remote requests.
+// Source is what Walker.Walk traverses: a provider of cells by key.
+// The serial Tree is a Source. (The distributed engines do not go
+// through it: internal/hotengine owns their traversal and drives the
+// Walker as a visitor, through Begin, Test and TakeLeaf.)
 type Source interface {
 	// Cell returns the cell stored under k, or nil if the data is not
-	// (yet) available. A nil return during a parallel walk means "ask
-	// the owner"; the serial tree never returns nil for keys reachable
+	// available; the serial tree never returns nil for keys reachable
 	// from the root.
 	Cell(k keys.Key) *Cell
 	// LeafBodies returns the bodies of a leaf cell.
@@ -37,9 +36,15 @@ type Walker struct {
 	// uses; the zero value is the production tiled set. Engines set it
 	// once so every evaluation of a run is pinned to one set.
 	Kernels grav.Impl
-	// List is the interaction list built by the last Walk.
+	// List is the interaction list built by the last Walk (or the
+	// last Begin ... TakeLeaf sequence of a distributed traversal).
 	List grav.InteractionList
 	tg   grav.Targets
+	// The current group, fixed by Begin: its leaf key and bounding
+	// sphere.
+	groupKey keys.Key
+	gc       vec.V3
+	gr       float64
 }
 
 // GroupSphere returns the bounding sphere of a body set: midpoint of
@@ -87,25 +92,61 @@ func GroupSphere(pos []vec.V3) (center vec.V3, radius float64) {
 	return vec.V3{X: cx, Y: cy, Z: cz}, math.Sqrt(r2max)
 }
 
+// Action is a traversal's verdict on one resolved cell.
+type Action uint8
+
+const (
+	Skip   Action = iota // contributes nothing to the group
+	Accept               // far enough: its moments stand in for its bodies
+	Open                 // too close: descend (a leaf hands over its bodies)
+)
+
+// Classify applies the multipole acceptance criterion to cell c for a
+// group with bounding sphere (gc, gr).
+func Classify(c *Cell, gc vec.V3, gr float64) Action {
+	if c.Mp.M == 0 {
+		return Skip // empty cell contributes nothing
+	}
+	d := c.Mp.COM.Sub(gc).Norm()
+	if d-gr > c.RCrit && d > gr {
+		return Accept
+	}
+	return Open
+}
+
+// Begin starts a list build for the group with leaf key groupKey and
+// bodies gpos: it resets w.List and fixes the group's bounding sphere
+// for Test.
+func (w *Walker) Begin(groupKey keys.Key, gpos []vec.V3) {
+	w.groupKey = groupKey
+	w.gc, w.gr = GroupSphere(gpos)
+	w.List.Reset()
+}
+
+// Test classifies cell c against the group Begin set up.
+func (w *Walker) Test(c *Cell) Action { return Classify(c, w.gc, w.gr) }
+
+// TakeLeaf adds an opened leaf to the list: the group's own leaf sets
+// the Self flag, any other contributes its bodies.
+func (w *Walker) TakeLeaf(c *Cell, spos []vec.V3, smass []float64) {
+	if c.Key == w.groupKey {
+		w.List.Self = true
+	} else {
+		w.List.AddBodies(spos, smass)
+	}
+}
+
 // Walk traverses src for one group of bodies and builds the group's
 // interaction list in w.List (phase 1 of the two-phase evaluation):
 // accepted multipoles go to the cell slab, leaf bodies are gathered
 // into the SoA source columns, and the group's own leaf sets the Self
 // flag. No forces are computed here -- call Evaluate afterwards.
-// groupKey identifies the group's own leaf.
-//
-// If any needed cell is unavailable the traversal keeps going to
-// collect every missing key (so one communication round batches all
-// of them, the asynchronous-batched-messages pattern) and returns
-// them; the partial list must then be discarded and the group
-// re-walked after the data arrives (Walk resets w.List, so re-walking
-// with the same Walker reuses the storage).
+// groupKey identifies the group's own leaf. Keys src cannot supply are
+// returned; the list is then incomplete.
 func (w *Walker) Walk(src Source, groupKey keys.Key, gpos []vec.V3, ctr *diag.Counters) (missing []keys.Key) {
-	gc, gr := GroupSphere(gpos)
-	w.stack = w.stack[:0]
+	w.Begin(groupKey, gpos)
 	w.missing = w.missing[:0]
-	w.List.Reset()
-	w.stack = append(w.stack, src.Root())
+	w.stack = append(w.stack[:0], src.Root())
 	for len(w.stack) > 0 {
 		k := w.stack[len(w.stack)-1]
 		w.stack = w.stack[:len(w.stack)-1]
@@ -115,26 +156,18 @@ func (w *Walker) Walk(src Source, groupKey keys.Key, gpos []vec.V3, ctr *diag.Co
 			continue
 		}
 		ctr.Traversals++
-		if c.Mp.M == 0 {
-			continue // empty cell contributes nothing
-		}
-		d := c.Mp.COM.Sub(gc).Norm()
-		if d-gr > c.RCrit && d > gr {
+		switch a := w.Test(c); {
+		case a == Skip:
+		case a == Accept:
 			w.List.AddCell(&c.Mp)
-			continue
-		}
-		if c.Leaf {
-			if c.Key == groupKey {
-				w.List.Self = true
-			} else {
-				spos, smass := src.LeafBodies(c)
-				w.List.AddBodies(spos, smass)
-			}
-			continue
-		}
-		for oct := 0; oct < 8; oct++ {
-			if c.ChildMask&(1<<uint(oct)) != 0 {
-				w.stack = append(w.stack, k.Child(oct))
+		case c.Leaf:
+			spos, smass := src.LeafBodies(c)
+			w.TakeLeaf(c, spos, smass)
+		default:
+			for oct := 0; oct < 8; oct++ {
+				if c.ChildMask&(1<<uint(oct)) != 0 {
+					w.stack = append(w.stack, k.Child(oct))
+				}
 			}
 		}
 	}

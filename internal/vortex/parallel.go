@@ -30,7 +30,7 @@ type ParallelEngine struct {
 	phys   *vphysics
 	lists  []vList
 	tgs    []vTargets
-	stack  []keys.Key
+	walk   visitor
 	dAlpha []vec.V3
 }
 
@@ -100,6 +100,7 @@ func NewParallel(c *msg.Comm, sys *core.System, sigma, theta float64) *ParallelE
 	sys.EnableVortex()
 	e := &ParallelEngine{Sigma: sigma, Theta: theta}
 	e.phys = &vphysics{e: e}
+	e.walk.e = e
 	e.Engine = hotengine.New[vec.V3, VLeaf](c, sys, e.phys, hotengine.Config{
 		MAC:         grav.MACParams{Kind: grav.MACBarnesHut, Theta: theta, Quad: false},
 		Bucket:      32,
@@ -134,13 +135,7 @@ func (e *ParallelEngine) ensureSlots() {
 func (e *ParallelEngine) Eval() []vec.V3 {
 	e.Exchange()
 	e.dAlpha = make([]vec.V3, e.Sys.Len())
-	walk := func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) []keys.Key {
-		return e.walkGroup(slot, g, ctr)
-	}
-	eval := func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
-		e.evalGroup(slot, g, ctr)
-	}
-	e.WalkGroups("walk", walk, eval)
+	e.WalkGroups("walk", &e.walk, e.evalGroup)
 	return e.dAlpha
 }
 
@@ -153,55 +148,38 @@ func (e *ParallelEngine) leafBodies(c *tree.Cell) ([]vec.V3, []vec.V3) {
 	return e.phys.impPos[i : i+c.N], e.phys.impAlpha[i : i+c.N]
 }
 
-// walkGroup builds one group's interaction list (SoA source columns
-// plus a monopole slab) into the slot's vList, returning missing keys
-// instead if any cell is unresolved (the list is discarded and the
-// group rewalked after the data arrives). The walk runs only on the
-// rank goroutine; e.stack is shared across slots for that reason.
-func (e *ParallelEngine) walkGroup(slot int, g *tree.Cell, ctr *diag.Counters) (missing []keys.Key) {
-	sys := e.Sys
-	lo, hi := g.First, g.First+g.N
-	gpos := sys.Pos[lo:hi]
-	gc, gr := tree.GroupSphere(gpos)
-	list := &e.lists[slot]
-	list.reset()
-	e.stack = append(e.stack[:0], keys.Root)
-	for len(e.stack) > 0 {
-		k := e.stack[len(e.stack)-1]
-		e.stack = e.stack[:len(e.stack)-1]
-		c, asum, ok := e.Resolve(k)
-		if !ok {
-			missing = append(missing, k)
-			continue
-		}
-		ctr.Traversals++
-		if c.Mp.M == 0 {
-			continue // zero total |alpha|: no contribution
-		}
-		dd := c.Mp.COM.Sub(gc).Norm()
-		if dd-gr > c.RCrit && dd > gr {
-			list.cells = append(list.cells, cellMoment{ASum: *asum, Centroid: c.Mp.COM})
-			continue
-		}
-		if c.Leaf {
-			spos, salpha := e.leafBodies(c)
-			list.addBodies(spos, salpha)
-			continue
-		}
-		for oct := 0; oct < 8; oct++ {
-			if c.ChildMask&(1<<uint(oct)) != 0 {
-				e.stack = append(e.stack, k.Child(oct))
-			}
-		}
-	}
-	return missing
+// visitor is the vortex side of the pipeline's traversal
+// (hotengine.Visitor): the gravity MAC on the |alpha|-weighted tree
+// geometry, accepted cells taken as monopoles of their total strength,
+// opened leaves as (position, strength) columns, all into the slot's
+// vList. Traversals run only on the rank goroutine, one at a time, so
+// one visitor serves every slot.
+type visitor struct {
+	e    *ParallelEngine
+	gc   vec.V3
+	gr   float64
+	list *vList
 }
+
+func (v *visitor) Begin(slot int, _ keys.Key, g *tree.Cell) {
+	v.gc, v.gr = tree.GroupSphere(v.e.Sys.Pos[g.First : g.First+g.N])
+	v.list = &v.e.lists[slot]
+	v.list.reset()
+}
+
+func (v *visitor) Test(c *tree.Cell) tree.Action { return tree.Classify(c, v.gc, v.gr) }
+
+func (v *visitor) Cell(c *tree.Cell, asum vec.V3) {
+	v.list.cells = append(v.list.cells, cellMoment{ASum: asum, Centroid: c.Mp.COM})
+}
+
+func (v *visitor) Leaf(c *tree.Cell) { v.list.addBodies(v.e.leafBodies(c)) }
 
 // evalGroup sweeps a completed interaction list with the batched
 // kernels. Sources were copied into the slot's vList by the walk, so
 // the sweep touches only the group's own Vel/dAlpha rows and the slot
 // scratch -- safe to run on an eval worker during communication.
-func (e *ParallelEngine) evalGroup(slot int, g *tree.Cell, ctr *diag.Counters) {
+func (e *ParallelEngine) evalGroup(slot int, _ keys.Key, g *tree.Cell, ctr *diag.Counters) {
 	sys := e.Sys
 	lo, hi := g.First, g.First+g.N
 	s2 := e.Sigma * e.Sigma

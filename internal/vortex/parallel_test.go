@@ -140,3 +140,25 @@ func TestParallelVortexEmptyRanks(t *testing.T) {
 		e.Eval()
 	})
 }
+
+// TestParallelWalkSteadyStateAllocs pins the walk phase of the vortex
+// instantiation, whose per-cell payload is a vec.V3, at the engine's
+// steady-state allocation budget: the payload of an accepted local cell
+// reaches the visitor by value. (It used to be returned by pointer from
+// the cell lookup, one heap allocation per local-cell visit.)
+func TestParallelWalkSteadyStateAllocs(t *testing.T) {
+	global := twoRings(32, 3)
+	msg.Run(1, func(c *msg.Comm) {
+		e := NewParallel(c, scatterV(global, c), 0.15, 0.4)
+		e.Eval() // settle the tree, the lists and the walk phase's scratch
+		eval := e.evalGroup
+		if e.Counters.Traversals == 0 {
+			t.Fatal("evaluation walked nothing")
+		}
+		if avg := testing.AllocsPerRun(10, func() {
+			e.WalkGroups("walk", &e.walk, eval)
+		}); avg > 2 {
+			t.Errorf("vortex WalkGroups allocates %.1f/call in steady state, want <= 2", avg)
+		}
+	})
+}

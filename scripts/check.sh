@@ -24,6 +24,8 @@ echo "== simserve smoke (daemon + crash-injected job contained + bench throughpu
 sh scripts/simserve_smoke.sh
 echo "== chaos soak (bounded, fixed seeds; clean exit or structured abort, never a hang)"
 sh scripts/chaos.sh quick
+echo "== walk guard (counts: rewalked/traversals <= 1.5 and 6 request rounds at N=10000 np=4)"
+sh scripts/walk_guard.sh
 echo "== bce (hot interaction kernels stay bounds-check-free, -d=ssa/check_bce)"
 sh scripts/bce.sh
 echo "== benchcmp (construction + walker ablations vs BENCH_baseline.json, tol 15%)"
