@@ -446,8 +446,9 @@ func BenchmarkAblation_BuildSerial(b *testing.B)   { benchBuild(b, 1) }
 func BenchmarkAblation_BuildParallel(b *testing.B) { benchBuild(b, 4) }
 
 // benchDecompose runs a 4-rank decomposition trajectory: one cold
-// solve, then steady-state steps -- incremental (resort repair plus
-// warm bisection) against the cold re-solve.
+// solve, then steady-state steps -- incremental (the order is
+// repaired, not re-sorted) against the cold re-solve. The splitter
+// search is the same four collectives either way.
 func benchDecompose(b *testing.B, cold bool) {
 	const n, steps = 20000, 4
 	global := ic.Plummer(n, 1.0, 19)

@@ -11,7 +11,10 @@
 // requests. The engine guarantees replies come back aligned with the
 // posted requests (per destination, in posting order), which is what
 // lets the treecode insert fetched cells without any bookkeeping
-// beyond the original key list.
+// beyond the original key list. Every request batch also carries one
+// bit, "the sender is not finished", so the round loop needs no
+// separate termination collective: it ends on the one exchange in
+// which nobody asks for anything and nobody raises the bit.
 package abm
 
 import (
@@ -40,16 +43,20 @@ type Engine[Req, Rep any] struct {
 	// read its request batches (the replies prove it), so by the time
 	// the recycled arrays take new posts, nobody aliases them.
 	spare [][]Req
-	// arrived and repRecv are the reused outer receive buffers of the
-	// two exchanges; replies is the reused per-source reply index.
-	arrived [][]Req
-	replies [][]Rep
-	repRecv [][]Rep
+	// reqSend and reqRecv are the reused per-peer batches of the
+	// request exchange (batchBytes their wire size, bound once),
+	// repRecv the reused outer receive buffer of the reply exchange;
+	// replies is the reused per-source reply index.
+	reqSend, reqRecv []batch[Req]
+	batchBytes       func(batch[Req]) int
+	replies          [][]Rep
+	repRecv          [][]Rep
 	// Posted counts requests queued since construction (diagnostic).
 	Posted uint64
 	// Served counts requests this rank handled (diagnostic).
 	Served uint64
-	// Rounds counts exchange rounds executed.
+	// Rounds counts request/reply rounds executed (the exchange that
+	// ends a round loop is not one).
 	Rounds uint64
 	// Trace, when non-nil, receives one "abm.round" span per Round
 	// call on this rank's timeline (nil = off, zero cost).
@@ -71,6 +78,14 @@ type Engine[Req, Rep any] struct {
 	OnReply func(src int, reps []Rep)
 }
 
+// batch is what one rank sends another in the request exchange.
+type batch[Req any] struct {
+	reqs []Req
+	// more is the sender's claim that it is not finished: it posted
+	// requests this round or has work that may post some later.
+	more bool
+}
+
 // New creates an engine on communicator c. reqBytes and repBytes are
 // the logical wire sizes per request and per (fixed part of a) reply
 // for traffic accounting.
@@ -82,7 +97,10 @@ func New[Req, Rep any](c *msg.Comm, reqBytes, repBytes int, handler func(src int
 		Handler:  handler,
 		queues:   make([][]Req, c.Size()),
 		spare:    make([][]Req, c.Size()),
-		replies:  make([][]Rep, c.Size()),
+		reqSend:  make([]batch[Req], c.Size()),
+		// The requests and a byte for the flag.
+		batchBytes: func(b batch[Req]) int { return reqBytes*len(b.reqs) + 1 },
+		replies:    make([][]Rep, c.Size()),
 	}
 }
 
@@ -110,28 +128,43 @@ func (e *Engine[Req, Rep]) PendingLocal() bool {
 // participate (they may be serving others). The returned slice (and
 // the request batches handed to Handler) are valid until the next
 // Round on this engine; steady-state rounds allocate nothing beyond
-// what Handler itself allocates.
-func (e *Engine[Req, Rep]) Round() [][]Rep {
+// what Handler itself allocates and the message layer spends per send.
+//
+// work is the caller's termination vote: true while it holds work that
+// may post requests in a later round. When no rank posted a request or
+// voted true, every rank learns so from the request exchange alone:
+// the reply exchange is skipped and Round returns (nil, false) on all
+// of them, which ends the round loop.
+func (e *Engine[Req, Rep]) Round(work bool) ([][]Rep, bool) {
 	t0 := e.Trace.Now()
 	defer func() { e.Trace.Span("abm.round", t0) }()
-	e.Rounds++
-	e.c.NoteRound(e.Rounds)
+	e.c.NoteRound(e.Rounds + 1)
+	more := work || e.PendingLocal()
 	out := e.queues
 	e.queues = e.spare
-
-	e.arrived = msg.AlltoallvInto(e.c, out, e.arrived, e.reqBytes)
-	arrived := e.arrived
+	for d := range out {
+		e.reqSend[d] = batch[Req]{reqs: out[d], more: more}
+	}
+	e.reqRecv = msg.Alltoall(e.c, e.reqSend, e.reqRecv, e.batchBytes)
+	for _, b := range e.reqRecv {
+		more = more || b.more
+	}
+	if !more {
+		e.spare = out // all empty: nothing was lent out
+		return nil, false
+	}
+	e.Rounds++
 	replies := e.replies
-	for src := range arrived {
+	for src, b := range e.reqRecv {
 		replies[src] = nil
-		if len(arrived[src]) == 0 {
+		if len(b.reqs) == 0 {
 			continue
 		}
-		e.Served += uint64(len(arrived[src]))
-		reps := e.Handler(src, arrived[src])
-		if len(reps) != len(arrived[src]) {
+		e.Served += uint64(len(b.reqs))
+		reps := e.Handler(src, b.reqs)
+		if len(reps) != len(b.reqs) {
 			e.c.Abort(fmt.Errorf("abm: handler returned %d replies for %d requests from rank %d",
-				len(reps), len(arrived[src]), src))
+				len(reps), len(b.reqs), src))
 		}
 		replies[src] = reps
 	}
@@ -155,16 +188,5 @@ func (e *Engine[Req, Rep]) Round() [][]Rep {
 		out[d] = out[d][:0]
 	}
 	e.spare = out
-	return e.repRecv
-}
-
-// AnyPendingGlobal is a collective that reports whether any rank has
-// pending work (its own unflushed requests or the caller-supplied
-// extra condition). Used as the termination test of the round loop.
-func (e *Engine[Req, Rep]) AnyPendingGlobal(extra bool) bool {
-	local := 0
-	if extra || e.PendingLocal() {
-		local = 1
-	}
-	return msg.Allreduce(e.c, local, msg.MaxI, 4) != 0
+	return e.repRecv, true
 }

@@ -123,10 +123,9 @@ func snapsEqual(t *testing.T, label string, want, got []stepSnap) {
 	}
 }
 
-// The incremental decomposer (warm bisection, resort repair, merged
-// exchange) must produce byte-identical splits and body order to the
-// historical cold path, step after step, under drift that moves
-// bodies between ranks.
+// The incremental decomposer (resort repair, merged exchange) must
+// produce byte-identical splits and body order to the cold path, step
+// after step, under drift that moves bodies between ranks.
 func TestDecomposerIncrementalMatchesCold(t *testing.T) {
 	const n, steps = 1500, 4
 	global := clustered(n, 7)
@@ -160,33 +159,31 @@ func TestDecomposerIncrementalMatchesCold(t *testing.T) {
 	}
 }
 
-// With a static body set the previous splits stay exact, so every
-// splitter must accept its warm bracket and the bisection must finish
-// in fewer allreduce rounds than the cold 63; the pre-exchange repair
-// must find nothing displaced.
+// A warm (persistent) decomposer on a static body set: the order
+// repair finds nothing displaced and never falls back to the full
+// sort, and the splitter search costs exactly what a cold call's does
+// -- four collectives, with nothing carried over between calls to
+// validate or fall back from.
 func TestDecomposerWarmPathEngages(t *testing.T) {
 	const n, steps = 1200, 3
 	global := clustered(n, 9)
 	for _, np := range []int{2, 4, 8} {
 		snaps := runWorld(t, global, np, steps, nil, func() *Decomposer { return &Decomposer{} })
-		coldRounds := snaps[0].stats[0].Rounds
+		cold := runWorld(t, global, np, steps, nil, func() *Decomposer { return &Decomposer{Cold: true} })
+		snapsEqual(t, "static", cold, snaps)
 		for r := 0; r < np; r++ {
-			st0 := snaps[0].stats[r]
-			if st0.WarmSplitters != 0 {
-				t.Fatalf("np=%d rank=%d: first step used warm brackets", np, r)
-			}
 			for s := 1; s < steps; s++ {
 				st := snaps[s].stats[r]
-				if st.WarmSplitters != np-1 {
-					t.Fatalf("np=%d rank=%d step=%d: %d/%d warm splitters", np, r, s, st.WarmSplitters, np-1)
-				}
-				if st.Rounds >= coldRounds {
-					t.Fatalf("np=%d rank=%d step=%d: warm bisection took %d rounds, cold took %d",
-						np, r, s, st.Rounds, coldRounds)
+				if st.Rounds != 4 || st.Rounds != cold[s].stats[r].Rounds {
+					t.Fatalf("np=%d rank=%d step=%d: search took %d collectives, cold took %d, want 4",
+						np, r, s, st.Rounds, cold[s].stats[r].Rounds)
 				}
 				if st.FullSort || st.Displaced != 0 {
 					t.Fatalf("np=%d rank=%d step=%d: static bodies reported displaced=%d fullSort=%v",
 						np, r, s, st.Displaced, st.FullSort)
+				}
+				if !cold[s].stats[r].FullSort {
+					t.Fatalf("np=%d rank=%d step=%d: Cold did not sort in full", np, r, s)
 				}
 			}
 		}
@@ -194,18 +191,25 @@ func TestDecomposerWarmPathEngages(t *testing.T) {
 }
 
 // The first call of a fresh Decomposer must fall back to a full sort
-// (nothing is known about the order) and never use warm brackets.
+// (nothing is known about the order) and pays the same four search
+// collectives as every later call; on one rank there is no search.
 func TestDecomposerColdStartStats(t *testing.T) {
 	global := clustered(600, 11)
 	snaps := runWorld(t, global, 4, 1, nil, func() *Decomposer { return &Decomposer{} })
 	for r := 0; r < 4; r++ {
 		st := snaps[0].stats[r]
-		if st.WarmSplitters != 0 {
-			t.Fatalf("rank %d: warm splitters on first call", r)
+		if !st.FullSort || st.Displaced != len(global.ID)/4 {
+			t.Fatalf("rank %d: first call displaced=%d fullSort=%v, want a full sort", r, st.Displaced, st.FullSort)
+		}
+		if st.Rounds != 4 {
+			t.Fatalf("rank %d: search took %d collectives, want 4", r, st.Rounds)
 		}
 		if st.MergeRuns < 1 {
 			t.Fatalf("rank %d: merge saw %d runs", r, st.MergeRuns)
 		}
+	}
+	if st := runWorld(t, global, 1, 1, nil, func() *Decomposer { return &Decomposer{} })[0].stats[0]; st.Rounds != 0 {
+		t.Fatalf("np=1: search took %d collectives, want none", st.Rounds)
 	}
 }
 

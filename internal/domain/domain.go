@@ -7,23 +7,23 @@
 // up in each processor is weighted by the work associated with each
 // item".
 //
-// Splitters are found by a parallel bisection on the 63-bit key-offset
-// space: each round every rank reports the work below the probe
-// offsets (a binary search in its sorted local array), an allreduce
-// sums them, and the probes halve. 63 rounds pin the splitters
-// exactly; bodies then move with a single all-to-all exchange.
+// Like a sample sort, the splitter search costs a fixed number of
+// collectives whatever the key width, N or Np: an exact selection
+// among the offsets where the work below can change, narrowed by
+// samples first and settled by the few bodies left in between
+// (selectSplits; two allgathers, two vector allreduces). Bodies then
+// move with a single all-to-all exchange.
 //
 // The paper's other observation is that the decomposition changes
 // slowly between timesteps, so a persistent Decomposer works
 // incrementally: the local order is repaired (core.Sorter.Resort)
-// instead of re-sorted, the bisection brackets start from a window
-// around the previous step's splitters (falling back to the full
-// interval when the window no longer brackets the target, so the
-// splits are byte-identical to a cold solve either way), and the
-// prefix/probe/send scratch is reused across calls.
+// instead of re-sorted, and the prefix/sample/probe/send scratch is
+// reused across calls.
 package domain
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/keys"
@@ -58,11 +58,10 @@ type Result struct {
 	Moved int
 }
 
-// warmWindow is the half-width, in key offsets, of the bracket a warm
-// bisection starts from around the previous step's splitters. 2^40 is
-// 2^-23 of the curve: generous against per-step drift, yet it cuts
-// the bisection from 63 allreduce rounds to about 41.
-const warmWindow = uint64(1) << 40
+// samplesPerRank is how many evenly spaced local bodies each rank
+// offers in the first pass of the splitter search, which then probes
+// Np*samplesPerRank+1 offsets.
+const samplesPerRank = 64
 
 // DefaultReuseThreshold is the displaced-body fraction at or below
 // which a Reuse decomposition keeps the previous splits. One body in
@@ -79,21 +78,19 @@ type Stats struct {
 	Displaced int
 	// FullSort reports that fallback.
 	FullSort bool
-	// Rounds is the number of bisection allreduce rounds.
+	// Rounds is the number of collectives the splitter search issued
+	// (the Reuse check included): 4 for a full search, 0 on one rank.
 	Rounds int
-	// WarmSplitters is how many of the P-1 splitters accepted the
-	// warm-start bracket (0 on a cold solve).
-	WarmSplitters int
 	// MergeRuns is the number of non-empty sorted runs the
 	// post-exchange merge combined (1 means the order was free).
 	MergeRuns int
 	// DisplacedFrac is the global fraction of bodies the order repair
 	// found displaced, allreduced so every rank sees the same value.
 	// Only computed when Reuse is set (it costs the one allreduce that
-	// replaces the bisection's many).
+	// replaces the splitter search).
 	DisplacedFrac float64
 	// SplitsReused reports that the fast path engaged: the previous
-	// splits were kept verbatim and the bisection was skipped.
+	// splits were kept verbatim and the splitter search was skipped.
 	SplitsReused bool
 }
 
@@ -104,20 +101,20 @@ type Stats struct {
 type Decomposer struct {
 	// Workers caps the sort fan-out (core.Sorter.Workers).
 	Workers int
-	// Cold disables every cross-step shortcut: full sort, full-range
-	// bisection. The results are byte-identical either way; Cold
-	// exists for ablations and paranoia.
+	// Cold disables the cross-step shortcuts: a full sort instead of
+	// the order repair, and no Reuse. The results are byte-identical
+	// either way; Cold exists for ablations and paranoia.
 	Cold bool
 	// Reuse enables the displaced-fraction fast path for the partial
 	// force evaluations of block timesteps: when the globally
 	// allreduced fraction of displaced bodies is at most
 	// ReuseThreshold, the previous call's splits are kept verbatim and
-	// the splitter bisection (and its allreduce rounds) is skipped
-	// entirely. Bodies that drifted across the kept boundaries are
-	// still exchanged, so ownership stays exact; only the load balance
-	// goes slightly stale until the next full decomposition. Unlike
-	// Cold, this changes results (the splits), so callers enable it
-	// only between synchronization points.
+	// the splitter search (and its collectives) is skipped entirely.
+	// Bodies that drifted across the kept boundaries are still
+	// exchanged, so ownership stays exact; only the load balance goes
+	// slightly stale until the next full decomposition. Unlike Cold,
+	// this changes results (the splits), so callers enable it only
+	// between synchronization points.
 	Reuse bool
 	// ReuseThreshold is the displaced fraction at or below which Reuse
 	// keeps the previous splits; 0 means DefaultReuseThreshold.
@@ -131,14 +128,14 @@ type Decomposer struct {
 	sorter core.Sorter
 	prev   []uint64
 
-	pw     []float64
-	lo, hi []uint64
-	tgt    []float64
-	probes []float64
-	warm   []float64
-	send   [][]Wire
-	perm   []int32
-	heads  []int
+	pw    []float64
+	mine  []uint64  // this rank's candidates of a search pass
+	cand  []uint64  // every rank's, merged: identical on all ranks
+	sums  []float64 // work below each of cand
+	below []uint64  // per splitter, an offset known to lie below it
+	send  [][]Wire
+	perm  []int32
+	heads []int
 }
 
 // Decompose redistributes bodies so every rank owns a contiguous
@@ -175,7 +172,7 @@ func (dc *Decomposer) Decompose(c *msg.Comm, sys *core.System, d keys.Domain) Re
 	if dc.Reuse && !dc.Cold && len(dc.prev) == p+1 {
 		// Fast path for partial evaluations: one allreduce decides --
 		// identically on every rank -- whether few enough bodies moved
-		// to keep the previous splits and skip the bisection.
+		// to keep the previous splits and skip the search.
 		thresh := dc.ReuseThreshold
 		if thresh <= 0 {
 			thresh = DefaultReuseThreshold
@@ -200,9 +197,7 @@ func (dc *Decomposer) Decompose(c *msg.Comm, sys *core.System, d keys.Domain) Re
 		for i := 0; i < n; i++ {
 			pw[i+1] = pw[i] + sys.Work[i]
 		}
-
-		total := msg.Allreduce(c, pw[n], msg.SumF64, 8)
-		splits = dc.bisect(c, sys, pw, total, p)
+		splits = dc.selectSplits(c, sys.Key, pw, p)
 	}
 
 	// Pack send buffers: bodies are sorted, so each destination's
@@ -311,91 +306,92 @@ func (dc *Decomposer) Decompose(c *msg.Comm, sys *core.System, d keys.Domain) Re
 	return Result{Sys: out, Splits: splits, Moved: moved}
 }
 
-// bisect finds the P-1 interior splitters. A warm bracket from the
-// previous call is validated with one extra allreduce round; every
-// splitter whose bracket no longer contains its work target falls
-// back to the full interval, so the fixed point -- the smallest
-// offset whose cumulative work reaches the target -- is identical to
-// a cold solve.
-func (dc *Decomposer) bisect(c *msg.Comm, sys *core.System, pw []float64, total float64, p int) []uint64 {
-	if cap(dc.lo) < p-1 {
-		dc.lo = make([]uint64, p-1)
-		dc.hi = make([]uint64, p-1)
-		dc.tgt = make([]float64, p-1)
-		dc.probes = make([]float64, p-1)
-		dc.warm = make([]float64, 2*(p-1))
-	}
-	lo, hi := dc.lo[:p-1], dc.hi[:p-1]
-	tgt, probes := dc.tgt[:p-1], dc.probes[:p-1]
-	workBelow := func(off uint64) float64 {
-		return pw[searchOffset(sys.Key, off)]
-	}
-	for s := range lo {
-		lo[s] = 0
-		hi[s] = tree.EndOffset
-		tgt[s] = total * float64(s+1) / float64(p)
-	}
-
-	if !dc.Cold && len(dc.prev) == p+1 && p > 1 {
-		warm := dc.warm[:2*(p-1)]
-		for s := range lo {
-			wlo, whi := warmBracket(dc.prev[s+1])
-			warm[2*s] = workBelow(wlo)
-			warm[2*s+1] = workBelow(whi)
-		}
-		sums := msg.Allreduce(c, append([]float64(nil), warm...), sumVec, 8*len(warm))
-		dc.Last.Rounds++
-		for s := range lo {
-			wlo, whi := warmBracket(dc.prev[s+1])
-			if sums[2*s] < tgt[s] && sums[2*s+1] >= tgt[s] {
-				lo[s], hi[s] = wlo, whi
-				dc.Last.WarmSplitters++
-			}
-		}
-	}
-
-	for round := 0; round < 64; round++ {
-		done := true
-		for s := range lo {
-			if hi[s]-lo[s] > 1 {
-				done = false
-			}
-			probes[s] = workBelow((lo[s] + hi[s]) / 2)
-		}
-		if done {
-			break
-		}
-		sums := msg.Allreduce(c, append([]float64(nil), probes...), sumVec, 8*(p-1))
-		dc.Last.Rounds++
-		for s := range lo {
-			mid := (lo[s] + hi[s]) / 2
-			if sums[s] >= tgt[s] {
-				hi[s] = mid
-			} else {
-				lo[s] = mid
-			}
-		}
-	}
-
-	splits := make([]uint64, p+1)
-	splits[p] = tree.EndOffset
-	for s := range hi {
-		splits[s+1] = hi[s]
-	}
-	return splits
+// summary is a rank's contribution to one pass of the splitter
+// search: its total work and its candidate offsets, ascending.
+type summary struct {
+	work  float64
+	cands []uint64
 }
 
-// warmBracket clamps [prev-warmWindow, prev+warmWindow] to the curve.
-func warmBracket(prev uint64) (lo, hi uint64) {
-	lo = 0
-	if prev > warmWindow {
-		lo = prev - warmWindow
+// selectSplits finds the P-1 interior splitters: splits[s+1] is the
+// smallest offset >= 1 below which the global work (per-rank prefix
+// sums added in rank order) reaches total*(s+1)/P, or EndOffset when
+// none does. That predicate is monotone in the offset and can only
+// change at a candidate -- the offset 1 or some body's offset + 1 --
+// so it is evaluated at candidates alone, in two passes of one
+// allgather and one allreduce each. In the first every rank offers
+// samplesPerRank evenly spaced bodies, which narrows each bracket to
+// two adjacent samples, at most ceil(n/samplesPerRank) bodies per
+// rank apart; in the second it offers every body still inside.
+//
+// Splitter s is bracketed by (lo[s], hi[s]]: the work below lo is
+// short of the target, hi is the answer unless a candidate in between
+// already reaches it. hi narrows in place in the result.
+func (dc *Decomposer) selectSplits(c *msg.Comm, ks []keys.Key, pw []float64, p int) []uint64 {
+	splits := make([]uint64, p+1)
+	for s := 1; s <= p; s++ {
+		splits[s] = tree.EndOffset
 	}
-	hi = prev + warmWindow
-	if hi > tree.EndOffset {
-		hi = tree.EndOffset
+	if p == 1 {
+		return splits
 	}
-	return lo, hi
+	dc.below = append(dc.below[:0], make([]uint64, p-1)...)
+	lo, hi := dc.below, splits[1:p]
+	for pass := 0; pass < 2; pass++ {
+		// Targets rise with s, so brackets repeat or move right:
+		// each is searched once and the candidates come out sorted.
+		mine := dc.mine[:0]
+		for s := range lo {
+			if s > 0 && lo[s-1] == lo[s] {
+				continue
+			}
+			first := searchOffset(ks, lo[s])
+			m := searchOffset(ks, hi[s]-1) - first // lo < offset+1 < hi
+			k := m
+			if pass == 0 {
+				k = min(m, samplesPerRank)
+			}
+			for j := 0; j < k; j++ {
+				mine = append(mine, tree.KeyOffset(ks[first+j*m/k])+1)
+			}
+		}
+		mine = slices.Compact(mine)
+		dc.mine = mine
+		total := 0.0
+		cand := append(dc.cand[:0], 1)
+		for _, a := range msg.Allgather(c, summary{work: pw[len(ks)], cands: mine}, 8+8*len(mine)) {
+			total += a.work
+			cand = append(cand, a.cands...)
+		}
+		slices.Sort(cand)
+		cand = slices.Compact(cand)
+		dc.cand = cand
+
+		// Work below every candidate, summed over ranks in rank order
+		// into rank 0's vector. The sums alias that scratch: rank 0
+		// refills it only after the next allgather, which no rank
+		// enters before it is done reading.
+		sums := dc.sums[:0]
+		for _, off := range cand {
+			sums = append(sums, pw[searchOffset(ks, off)])
+		}
+		dc.sums = sums
+		sums = msg.Allreduce(c, sums, addVec, 8*len(sums))
+		dc.Last.Rounds += 2
+
+		for s := range lo {
+			tgt := total * float64(s+1) / float64(p)
+			k, _ := slices.BinarySearch(cand, lo[s]+1)
+			for ; k < len(cand) && cand[k] < hi[s]; k++ {
+				if sums[k] >= tgt {
+					hi[s] = cand[k]
+					break
+				}
+				lo[s] = cand[k]
+			}
+		}
+	}
+	return splits
 }
 
 // mergeRuns restores (Key, ID) order over the freshly unpacked
@@ -477,12 +473,13 @@ func sumPair(a, b [2]float64) [2]float64 {
 	return [2]float64{a[0] + b[0], a[1] + b[1]}
 }
 
-func sumVec(a, b []float64) []float64 {
-	out := make([]float64, len(a))
+// addVec accumulates b into a: the reduction's accumulator is the
+// root's own probe vector, so nothing is allocated.
+func addVec(a, b []float64) []float64 {
 	for i := range a {
-		out[i] = a[i] + b[i]
+		a[i] += b[i]
 	}
-	return out
+	return a
 }
 
 // GlobalDomain computes the bounding domain of bodies distributed

@@ -11,9 +11,9 @@ import (
 
 // The splits-reuse fast path of partial evaluations: when few bodies
 // drifted out of order, a Reuse decomposer keeps the previous splits
-// (one allreduce, no prefix sums, no bisection) while still exchanging
-// strays -- so ownership stays exactly consistent with the splits.
-// Heavy drift must fall back to the full bisection on every rank.
+// (one allreduce, no prefix sums, no splitter search) while still
+// exchanging strays -- so ownership stays exactly consistent with the
+// splits. Heavy drift must fall back to the full search on every rank.
 func TestDecomposerSplitsReuse(t *testing.T) {
 	const n, np = 1200, 4
 	global := clustered(n, 7)

@@ -1,0 +1,254 @@
+package domain
+
+import (
+	"cmp"
+	"fmt"
+	"io"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/ic"
+	"repro/internal/keys"
+	"repro/internal/msg"
+	"repro/internal/tree"
+	"repro/internal/vec"
+)
+
+// hash32 is the deterministic per-(body, step) noise of the selection
+// tests: it depends on nothing a rank could see differently.
+func hash32(id int64, step int) uint64 {
+	h := uint64(id)*0x9e3779b97f4a7c15 + uint64(step+1)*0xbf58476d1ce4e5b9
+	h ^= h >> 31
+	h *= 0x94d049bb133111eb
+	return h >> 32
+}
+
+// selCase is one row of the selection matrix: where bodies start and
+// how positions and work are reshaped before every decomposition.
+type selCase struct {
+	name string
+	n    int
+	// home gives body i's initial rank.
+	home func(i, n, np int) int
+	// shape runs after the common position drift.
+	shape func(sys *core.System, step int)
+}
+
+func blockHome(i, n, np int) int { return i * np / n }
+
+func setWork(f func(id int64, step int) float64) func(*core.System, int) {
+	return func(sys *core.System, step int) {
+		for i := range sys.Work {
+			sys.Work[i] = f(sys.ID[i], step)
+		}
+	}
+}
+
+var selCases = []selCase{
+	{name: "uniform-work", n: 700, home: blockHome,
+		shape: setWork(func(int64, int) float64 { return 1 })},
+	{name: "random-work", n: 700, home: blockHome,
+		shape: setWork(func(id int64, step int) float64 { return 0.1 + float64(hash32(id, step)%1000)/7 })},
+	{name: "zero-work-bodies", n: 700, home: blockHome,
+		shape: setWork(func(id int64, step int) float64 {
+			if hash32(id, step)%3 == 0 {
+				return 0
+			}
+			return float64(1 + id%5)
+		})},
+	{name: "total-work-zero", n: 300, home: blockHome,
+		shape: setWork(func(int64, int) float64 { return 0 })},
+	{name: "one-key", n: 300, home: blockHome,
+		shape: func(sys *core.System, step int) {
+			for i := range sys.Pos {
+				sys.Pos[i] = vec.V3{X: 0.25, Y: 0.5, Z: 0.75}
+				sys.Work[i] = 1 + float64(sys.ID[i]%3)
+			}
+		}},
+	// Five distinct positions, equal work: every target falls inside
+	// a run of equal keys.
+	{name: "duplicate-keys", n: 600, home: blockHome,
+		shape: func(sys *core.System, step int) {
+			for i := range sys.Pos {
+				k := float64((sys.ID[i] + int64(step)) % 5)
+				sys.Pos[i] = vec.V3{X: k / 5, Y: 1 - k/5, Z: k / 7}
+				sys.Work[i] = 1
+			}
+		}},
+	{name: "fewer-than-samples", n: 20, home: blockHome,
+		shape: setWork(func(id int64, step int) float64 { return float64(1 + hash32(id, step)%4) })},
+	{name: "empty-ranks", n: 500, home: func(i, n, np int) int { return blockHome(i, n, (np+1)/2) * 2 },
+		shape: setWork(func(id int64, step int) float64 { return float64(1 + hash32(id, step)%9) })},
+	{name: "one-rank", n: 500, home: func(i, n, np int) int { return np - 1 },
+		shape: setWork(func(id int64, step int) float64 { return float64(1 + hash32(id, step)%9) })},
+}
+
+// prefixWork returns pw with pw[i] = work of bodies [0, i), summed as
+// Decompose sums it.
+func prefixWork(work []float64) []float64 {
+	pw := make([]float64, len(work)+1)
+	for i, w := range work {
+		pw[i+1] = pw[i] + w
+	}
+	return pw
+}
+
+// The sample selection must return the reference bisection's splits
+// bit for bit, in at most five collectives, whatever the body layout.
+func TestSelectMatchesBisection(t *testing.T) {
+	const steps = 3
+	ics := []struct {
+		name string
+		gen  func(n int) *core.System
+	}{
+		{"plummer", func(n int) *core.System { return ic.Plummer(n, 1, 5) }},
+		{"clustered", func(n int) *core.System { return clustered(n, 5) }},
+	}
+	for _, np := range []int{1, 2, 3, 4, 8} {
+		for _, gen := range ics {
+			for _, tc := range selCases {
+				for _, reuse := range []bool{false, true} {
+					label := fmt.Sprintf("np=%d/%s/%s/reuse=%v", np, gen.name, tc.name, reuse)
+					global := gen.gen(tc.n)
+					msg.Run(np, func(c *msg.Comm) {
+						local := core.New(0)
+						local.EnableDynamics()
+						for i := 0; i < tc.n; i++ {
+							if tc.home(i, tc.n, np) == c.Rank() {
+								local.AppendFrom(global, i)
+							}
+						}
+						dec := &Decomposer{Reuse: reuse}
+						for s := 0; s < steps; s++ {
+							// Small drift on the even steps keeps the
+							// Reuse path alive, a large one breaks it.
+							scale := 1e-5
+							if s%2 == 1 {
+								scale = 0.3
+							}
+							for i := range local.Pos {
+								h := hash32(local.ID[i], s)
+								f := func(shift uint) float64 { return (float64((h>>shift)%1024)/1024 - 0.5) * scale }
+								local.Pos[i] = local.Pos[i].Add(vec.V3{X: f(0), Y: f(10), Z: f(20)})
+							}
+							tc.shape(local, s)
+							d := GlobalDomain(c, local)
+
+							ref := core.New(0)
+							for i := 0; i < local.Len(); i++ {
+								ref.AppendFrom(local, i)
+							}
+							ref.AssignKeys(d)
+							ref.SortByKey()
+							want := bisectSplits(c, ref.Key, prefixWork(ref.Work), np)
+
+							res := dec.Decompose(c, local, d)
+							local = res.Sys
+							st := dec.Last
+							if st.SplitsReused {
+								if st.Rounds > 1 {
+									t.Errorf("%s step %d rank %d: %d collectives with splits reused", label, s, c.Rank(), st.Rounds)
+								}
+								continue
+							}
+							if !slices.Equal(res.Splits, want) {
+								t.Errorf("%s step %d rank %d: splits\n got %x\nwant %x", label, s, c.Rank(), res.Splits, want)
+							}
+							wantRounds := 0
+							if np > 1 {
+								wantRounds = 4
+							}
+							if reuse && s > 0 {
+								wantRounds++ // the Reuse check that said no
+							}
+							if st.Rounds != wantRounds {
+								t.Errorf("%s step %d rank %d: %d collectives, want %d", label, s, c.Rank(), st.Rounds, wantRounds)
+							}
+						}
+					})
+					if t.Failed() {
+						t.FailNow()
+					}
+				}
+			}
+		}
+	}
+}
+
+// decodeFuzzWorld turns fuzz bytes into a world: np ranks, each with a
+// key-sorted body list (offset, work). Byte 0 picks np, byte 1 the bit
+// position of the 16-bit offsets (so runs collide or spread over the
+// curve); then four bytes per body: rank, work, offset high and low.
+// Work is a small non-negative integer or zero, offsets 0xffff map to
+// the last representable offset.
+func decodeFuzzWorld(data []byte) (np int, ks [][]keys.Key, work [][]float64) {
+	if len(data) < 2 {
+		return 1, make([][]keys.Key, 1), make([][]float64, 1)
+	}
+	np = 1 + int(data[0]%8)
+	shift := uint(data[1] % 48)
+	type body struct {
+		off  uint64
+		work float64
+	}
+	bodies := make([][]body, np)
+	for b := data[2:]; len(b) >= 4; b = b[4:] {
+		off := (uint64(b[2])<<8 | uint64(b[3])) << shift
+		if b[2] == 0xff && b[3] == 0xff {
+			off = tree.EndOffset - 1
+		}
+		r := int(b[0]) % np
+		bodies[r] = append(bodies[r], body{off, float64(b[1] / 8)})
+	}
+	ks = make([][]keys.Key, np)
+	work = make([][]float64, np)
+	for r, bs := range bodies {
+		slices.SortStableFunc(bs, func(a, b body) int { return cmp.Compare(a.off, b.off) })
+		for _, b := range bs {
+			ks[r] = append(ks[r], keys.Key(b.off|1<<63))
+			work[r] = append(work[r], b.work)
+		}
+	}
+	return np, ks, work
+}
+
+// FuzzSelectSplits: for any world the decoder can describe, the
+// selection equals the reference bisection, and neither panics nor
+// leaves a rank waiting (the watchdog would abort the world).
+func FuzzSelectSplits(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 40})
+	f.Add([]byte{3, 40, 0, 8, 0, 1, 1, 8, 0, 1, 2, 8, 0, 1, 3, 8, 0, 1})             // one key on every rank
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0xff, 0xff})                    // zero work, both curve ends
+	f.Add([]byte{7, 20, 0, 200, 1, 2, 0, 16, 1, 2, 0, 16, 1, 3, 5, 16, 9, 9})        // a heavy body holding several targets
+	f.Add([]byte{2, 47, 0, 9, 0, 0, 1, 9, 0x7f, 0xff, 2, 9, 0x80, 0, 0, 9, 0xff, 0}) // wide offsets
+	long := []byte{4, 13}
+	for i := 0; i < 400; i++ {
+		h := hash32(int64(i), 0)
+		long = append(long, byte(h), byte(h>>8), byte(h>>16)&3, byte(h>>24))
+	}
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		np, ks, work := decodeFuzzWorld(data)
+		w := msg.NewWorld(np)
+		w.StartWatchdog(msg.WatchdogConfig{Quiet: 5 * time.Second, Out: io.Discard})
+		err := w.RunErr(func(c *msg.Comm) {
+			r := c.Rank()
+			pw := prefixWork(work[r])
+			want := bisectSplits(c, ks[r], pw, np)
+			var dc Decomposer
+			got := dc.selectSplits(c, ks[r], pw, np)
+			if !slices.Equal(got, want) {
+				t.Errorf("rank %d: splits\n got %x\nwant %x", r, got, want)
+			}
+			if np > 1 && dc.Last.Rounds != 4 {
+				t.Errorf("rank %d: %d collectives, want 4", r, dc.Last.Rounds)
+			}
+		})
+		if err != nil {
+			t.Fatalf("world aborted: %v", err)
+		}
+	})
+}

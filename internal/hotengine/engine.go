@@ -111,9 +111,9 @@ type Config struct {
 	// byte-identical for any value.
 	BuildWorkers int
 	// ColdStart disables the incremental decomposition shortcuts
-	// (resort repair, warm-started splitter bisection), re-solving
-	// from scratch every Exchange. Splits and body order are
-	// byte-identical either way; this exists for ablations.
+	// (resort repair, splits reuse), sorting from scratch every
+	// Exchange. Splits and body order are byte-identical either way;
+	// this exists for ablations.
 	ColdStart bool
 	// EvalWorkers turns on the walk/eval pipeline: completed groups
 	// are evaluated by this many worker goroutines while the rank
@@ -209,8 +209,7 @@ type Engine[X, B any] struct {
 	Stalls *metrics.Histogram
 
 	// dec and builder carry the construction pipeline's cross-step
-	// state: sorter scratch, previous splits (warm bisection), cell
-	// buffers.
+	// state: sorter scratch, previous splits (reuse), cell buffers.
 	dec     domain.Decomposer
 	builder tree.Builder
 
@@ -343,7 +342,8 @@ func (e *Engine[X, B]) Close() {
 func (e *Engine[X, B]) CellBytes() int { return e.cellBytes }
 
 // DecomposeStats describes the engine's most recent decomposition
-// (displaced bodies, bisection rounds, splits-reuse fast path).
+// (displaced bodies, splitter-search collectives, splits-reuse fast
+// path).
 func (e *Engine[X, B]) DecomposeStats() domain.Stats { return e.dec.Last }
 
 // EnableTrace attaches a per-rank tracer: the Timer's phases become
@@ -366,6 +366,7 @@ func (e *Engine[X, B]) Report() metrics.RankInput {
 		Sub:         e.Sub,
 		Rounds:      e.Rounds,
 		RemoteCells: e.RemoteCells,
+		SplitRounds: e.dec.Last.Rounds,
 	}
 	if e.Cfg.EvalWorkers > 0 || e.Cfg.PrefetchDepth > 0 {
 		in.Overlap = &metrics.OverlapStats{
@@ -412,6 +413,7 @@ func (e *Engine[X, B]) TelemetrySample(stepNs int64) telemetry.RankSample {
 		CommNs:           e.commNs,
 		EvalBusyNs:       e.evalBusyNs(),
 		EvalDuringCommNs: e.evalDuringCommNs,
+		SplitRounds:      e.dec.Last.Rounds,
 	}
 }
 
@@ -429,7 +431,7 @@ func (e *Engine[X, B]) Exchange() {
 // clamps, so bodies that drifted outside the stale box quantize to its
 // faces) and the decomposer may keep the previous splits when few
 // bodies moved (domain.Decomposer.Reuse), skipping the splitter
-// bisection and its allreduce rounds. Ownership stays exact -- strays
+// search and its collectives. Ownership stays exact -- strays
 // are still exchanged -- only the load balance and the domain box go
 // slightly stale until the next full Exchange. Must follow at least
 // one full Exchange.
@@ -898,29 +900,23 @@ func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, 
 		// overlap report. Replies import incrementally as each source
 		// batch lands (abm OnReply), promoting waiting groups
 		// mid-round, so hook resumes run against data delivered by
-		// the very round they overlap.
+		// the very round they overlap. The request batches carry this
+		// rank's vote on termination (groups parked or not yet walked);
+		// the phase ends on the exchange where nobody votes or asks.
 		var t0 time.Time
 		var busy0 int64
 		if pool != nil {
 			t0 = time.Now()
 			busy0 = pool.busyNs.Load()
 		}
-		work := e.nparked+len(e.freshBuf)-e.freshIdx > 0
-		more := eng.AnyPendingGlobal(work)
-		if !more {
-			if pool != nil {
-				e.noteComm(pool, t0, busy0)
-			}
-			break
-		}
-		// Keys discovered by hook walks during AnyPendingGlobal can
-		// still make this round's batches.
-		e.postMisses(eng)
-		eng.Round()
-		e.Rounds++
+		_, more := eng.Round(e.nparked+len(e.freshBuf)-e.freshIdx > 0)
 		if pool != nil {
 			e.noteComm(pool, t0, busy0)
 		}
+		if !more {
+			break
+		}
+		e.Rounds++
 		// Requests discovered inside the collectives (hook walks that
 		// missed) post now, joining the next round's batches.
 		e.postMisses(eng)

@@ -95,10 +95,11 @@ func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn
 				}
 			}
 		}
-		if !eng.AnyPendingGlobal(len(deferred) > 0) {
+		all, more := eng.Round(len(deferred) > 0)
+		if !more {
 			return
 		}
-		for _, reps := range eng.Round() {
+		for _, reps := range all {
 			e.onReplyBatch(0, reps)
 		}
 		e.Rounds++

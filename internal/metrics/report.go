@@ -58,6 +58,9 @@ type RankReport struct {
 	SentBytes    uint64                      `json:"sent_bytes"`
 	Rounds       int                         `json:"rounds"`
 	RemoteCells  int                         `json:"remote_cells"`
+	// SplitRounds is the number of collectives the rank's last
+	// decomposition spent finding the splitters (domain.Stats.Rounds).
+	SplitRounds int `json:"split_rounds"`
 }
 
 // PhaseBalance is the load-balance statistics of one phase's
@@ -174,6 +177,8 @@ type RankInput struct {
 	Sub         *diag.Timer
 	Rounds      int
 	RemoteCells int
+	// SplitRounds is domain.Stats.Rounds of the last decomposition.
+	SplitRounds int
 	// Stepping carries the rank's time-integration scheduler
 	// accounting; aggregated across ranks into RunReport.Stepping.
 	Stepping *SteppingStats
@@ -221,6 +226,7 @@ func BuildReport(command string, bodies int, wall float64, ranks []RankInput, w 
 			Flops:       in.Counters.Flops(),
 			Rounds:      in.Rounds,
 			RemoteCells: in.RemoteCells,
+			SplitRounds: in.SplitRounds,
 		}
 		for _, tm := range []*diag.Timer{in.Timer, in.Sub} {
 			if tm == nil {
@@ -438,12 +444,12 @@ func (r *RunReport) Render(w io.Writer) {
 	}
 
 	fmt.Fprintf(w, "\nper-rank work:\n")
-	fmt.Fprintf(w, "  %4s %14s %16s %10s %12s %7s %8s\n",
-		"rank", "interactions", "flops", "sent msgs", "sent bytes", "rounds", "remote")
+	fmt.Fprintf(w, "  %4s %14s %16s %10s %12s %7s %8s %6s\n",
+		"rank", "interactions", "flops", "sent msgs", "sent bytes", "rounds", "remote", "split")
 	for _, rr := range r.Ranks {
-		fmt.Fprintf(w, "  %4d %14d %16d %10d %12d %7d %8d\n",
+		fmt.Fprintf(w, "  %4d %14d %16d %10d %12d %7d %8d %6d\n",
 			rr.Rank, rr.Counters.Interactions(), rr.Flops,
-			rr.SentMsgs, rr.SentBytes, rr.Rounds, rr.RemoteCells)
+			rr.SentMsgs, rr.SentBytes, rr.Rounds, rr.RemoteCells, rr.SplitRounds)
 	}
 
 	if len(r.Phases) > 0 {

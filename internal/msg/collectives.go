@@ -6,7 +6,8 @@ package msg
 // deterministic regardless of scheduling.
 
 // Bcast distributes root's value to every rank via a binomial tree
-// (log2 P message rounds, as a real MPI would).
+// (log2 P message rounds, as a real MPI would). The payload size that
+// is accounted on every hop is root's: only root need know it.
 func Bcast[T any](c *Comm, root int, x T, bytes int) T {
 	tag := c.nextTag(opBcast)
 	p := c.Size()
@@ -17,7 +18,7 @@ func Bcast[T any](c *Comm, root int, x T, bytes int) T {
 		// lowest set bit of the virtual rank.
 		parent := (vr&(vr-1) + root) % p
 		m := c.Recv(parent, tag)
-		x = m.Data.(T)
+		x, bytes = m.Data.(T), m.Bytes
 	}
 	// Forward to children: set each bit above the lowest set bit
 	// while the result stays < p.
@@ -69,26 +70,38 @@ func Allreduce[T any](c *Comm, x T, op func(a, b T) T, bytes int) T {
 // Gather collects every rank's value at root, indexed by rank; other
 // ranks receive nil.
 func Gather[T any](c *Comm, root int, x T, bytes int) []T {
-	tag := c.nextTag(opGather)
-	if c.Rank() != root {
-		c.send(root, tag, x, bytes)
-		return nil
-	}
-	out := make([]T, c.Size())
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			out[r] = x
-		} else {
-			out[r] = c.Recv(r, tag).Data.(T)
-		}
-	}
+	out, _ := gather(c, root, x, bytes)
 	return out
 }
 
-// Allgather collects every rank's value on all ranks.
+// gather is Gather that also returns, on root, the summed payload size
+// of all contributions (each rank passes its own bytes).
+func gather[T any](c *Comm, root int, x T, bytes int) (out []T, total int) {
+	tag := c.nextTag(opGather)
+	if c.Rank() != root {
+		c.send(root, tag, x, bytes)
+		return nil, 0
+	}
+	out = make([]T, c.Size())
+	for r := 0; r < c.Size(); r++ {
+		if r == root {
+			out[r] = x
+			total += bytes
+		} else {
+			m := c.Recv(r, tag)
+			out[r] = m.Data.(T)
+			total += m.Bytes
+		}
+	}
+	return out, total
+}
+
+// Allgather collects every rank's value on all ranks. Contributions
+// may differ in size: the broadcast leg is accounted at the gathered
+// total, which root learns from the arriving messages.
 func Allgather[T any](c *Comm, x T, bytes int) []T {
-	v := Gather(c, 0, x, bytes)
-	return Bcast(c, 0, v, bytes*c.Size())
+	v, total := gather(c, 0, x, bytes)
+	return Bcast(c, 0, v, total)
 }
 
 // ExScan returns the exclusive prefix reduction over ranks: rank r
@@ -114,6 +127,36 @@ func ExScan[T any](c *Comm, x T, op func(a, b T) T, bytes int) T {
 	return prefix
 }
 
+// Alltoall sends the single value send[d] to rank d and returns what
+// every rank sent here, indexed by source, reusing recv when its
+// capacity allows. Each T is copied into its message, so the sender may
+// overwrite send as soon as the call returns (whatever a T points to
+// is still shared, as in Alltoallv). bytesOf gives the logical wire
+// size of one value.
+func Alltoall[T any](c *Comm, send, recv []T, bytesOf func(T) int) []T {
+	if len(send) != c.Size() {
+		panic("msg: Alltoall needs one send value per rank")
+	}
+	tag := c.nextTag(opAlltoall)
+	for d := 0; d < c.Size(); d++ {
+		if d != c.Rank() {
+			c.send(d, tag, send[d], bytesOf(send[d]))
+		}
+	}
+	if cap(recv) < c.Size() {
+		recv = make([]T, c.Size())
+	}
+	recv = recv[:c.Size()]
+	for s := 0; s < c.Size(); s++ {
+		if s == c.Rank() {
+			recv[s] = send[s]
+		} else {
+			recv[s] = c.Recv(s, tag).Data.(T)
+		}
+	}
+	return recv
+}
+
 // Alltoallv sends send[d] to rank d and returns what every rank sent
 // here, indexed by source. bytesPer is the logical wire size of one T.
 // The received slices alias the senders' slices (in-process handoff);
@@ -127,28 +170,7 @@ func Alltoallv[T any](c *Comm, send [][]T, bytesPer int) [][]T {
 // steady-state exchanges -- the ABM round loop -- allocate nothing.
 // Pass nil to allocate fresh.
 func AlltoallvInto[T any](c *Comm, send, recv [][]T, bytesPer int) [][]T {
-	if len(send) != c.Size() {
-		panic("msg: Alltoallv needs one send slice per rank")
-	}
-	tag := c.nextTag(opAlltoall)
-	for d := 0; d < c.Size(); d++ {
-		if d == c.Rank() {
-			continue
-		}
-		c.send(d, tag, send[d], bytesPer*len(send[d]))
-	}
-	if cap(recv) < c.Size() {
-		recv = make([][]T, c.Size())
-	}
-	recv = recv[:c.Size()]
-	recv[c.Rank()] = send[c.Rank()]
-	for s := 0; s < c.Size(); s++ {
-		if s == c.Rank() {
-			continue
-		}
-		recv[s] = c.Recv(s, tag).Data.([]T)
-	}
-	return recv
+	return Alltoall(c, send, recv, func(b []T) int { return bytesPer * len(b) })
 }
 
 // AlltoallvSizedFunc is AlltoallvSizedInto that additionally invokes
@@ -194,32 +216,13 @@ func AlltoallvSizedFunc[T any](c *Comm, send, recv [][]T, bytesOf func(T) int, o
 // each batch is accounted as the sum over its elements. The fixed-size
 // exchanges keep the cheaper bytesPer path.
 func AlltoallvSizedInto[T any](c *Comm, send, recv [][]T, bytesOf func(T) int) [][]T {
-	if len(send) != c.Size() {
-		panic("msg: Alltoallv needs one send slice per rank")
-	}
-	tag := c.nextTag(opAlltoall)
-	for d := 0; d < c.Size(); d++ {
-		if d == c.Rank() {
-			continue
-		}
+	return Alltoall(c, send, recv, func(b []T) int {
 		n := 0
-		for i := range send[d] {
-			n += bytesOf(send[d][i])
+		for i := range b {
+			n += bytesOf(b[i])
 		}
-		c.send(d, tag, send[d], n)
-	}
-	if cap(recv) < c.Size() {
-		recv = make([][]T, c.Size())
-	}
-	recv = recv[:c.Size()]
-	recv[c.Rank()] = send[c.Rank()]
-	for s := 0; s < c.Size(); s++ {
-		if s == c.Rank() {
-			continue
-		}
-		recv[s] = c.Recv(s, tag).Data.([]T)
-	}
-	return recv
+		return n
+	})
 }
 
 // Common reduction operators.

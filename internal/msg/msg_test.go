@@ -161,6 +161,38 @@ func TestGatherAllgather(t *testing.T) {
 	})
 }
 
+// Allgather contributions may differ in size (branch cells, splitter
+// samples): the gather leg carries each rank's own bytes, the
+// broadcast leg the gathered total on every hop of the binomial tree.
+func TestAllgatherAccountsVariableSizes(t *testing.T) {
+	lens := []int{1, 10, 100, 1000}
+	total := uint64(0)
+	for _, n := range lens {
+		total += uint64(8 * n)
+	}
+	w := Run(4, func(c *Comm) {
+		mine := make([]float64, lens[c.Rank()])
+		all := Allgather(c, mine, 8*len(mine))
+		for r, v := range all {
+			if len(v) != lens[r] {
+				t.Errorf("rank %d: Allgather[%d] has %d elements, want %d", c.Rank(), r, len(v), lens[r])
+			}
+		}
+	})
+	// Binomial tree from rank 0 at P=4: 0 -> 1, 0 -> 2, 2 -> 3.
+	want := []PhaseTraffic{
+		{Msgs: 2, Bytes: 2 * total},
+		{Msgs: 1, Bytes: 8 * 10},
+		{Msgs: 2, Bytes: 8*100 + total},
+		{Msgs: 1, Bytes: 8 * 1000},
+	}
+	for r := range want {
+		if got := w.RankTraffic(r).Total(); got != want[r] {
+			t.Errorf("rank %d sent %+v, want %+v", r, got, want[r])
+		}
+	}
+}
+
 func TestExScan(t *testing.T) {
 	Run(6, func(c *Comm) {
 		got := ExScan(c, int64(c.Rank()+1), SumI64, 8)
@@ -196,6 +228,38 @@ func TestAlltoallv(t *testing.T) {
 			}
 		}
 	})
+}
+
+// Alltoall moves one value per peer, by value, sized per value, and
+// reuses the receive buffer it is handed.
+func TestAlltoall(t *testing.T) {
+	const np = 4
+	w := Run(np, func(c *Comm) {
+		send := make([]int, np)
+		var recv []int
+		for round := 0; round < 2; round++ {
+			for d := range send {
+				send[d] = 100*round + 10*c.Rank() + d
+			}
+			got := Alltoall(c, send, recv, func(v int) int { return v % 10 })
+			if round == 1 && &got[0] != &recv[0] {
+				t.Errorf("rank %d: receive buffer not reused", c.Rank())
+			}
+			recv = got
+			for s, v := range recv {
+				if v != 100*round+10*s+c.Rank() {
+					t.Errorf("rank %d round %d: recv[%d] = %d", c.Rank(), round, s, v)
+				}
+			}
+		}
+	})
+	for r := 0; r < np; r++ {
+		// Two rounds of one message to each peer d, d bytes each.
+		want := PhaseTraffic{Msgs: 2 * (np - 1), Bytes: uint64(2 * (0 + 1 + 2 + 3 - r))}
+		if got := w.RankTraffic(r).Total(); got != want {
+			t.Errorf("rank %d sent %+v, want %+v", r, got, want)
+		}
+	}
 }
 
 func TestAlltoallvEmptySlices(t *testing.T) {

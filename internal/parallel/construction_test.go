@@ -20,7 +20,7 @@ type evalSnap struct {
 
 // driftByID nudges every body by a hash of (ID, step), identically on
 // any rank that holds it, so consecutive evaluations exercise the
-// incremental resort and warm bisection.
+// incremental resort.
 func driftByID(sys *core.System, step int) {
 	for i := 0; i < sys.Len(); i++ {
 		h := uint64(sys.ID[i])*2654435761 + uint64(step)*0x9e3779b9

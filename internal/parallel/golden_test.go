@@ -19,6 +19,17 @@ import (
 // A change that alters which cells are opened, which are requested, or
 // in how many rounds, moves one of them. A single rank has nothing to
 // wait for, so it rewalks nothing.
+//
+// msgs and bytes alone were re-captured when the step shed its
+// per-bit collectives (np=2 from 166 msgs / 116620 bytes, np=8 from
+// 1498 / 601437). Three parts: Allgather now accounts its broadcast
+// leg at the gathered total rather than own size x P, which only the
+// branch exchange felt (np=2 -826 bytes, np=8 -8968); the splitter
+// search is 4 collectives instead of 64 allreduces (np=2 -120 msgs
+// +2840 bytes, np=8 -840 msgs +43968 bytes: fewer, larger messages);
+// and the walk's termination vote rides on the request batches, one
+// closing all-to-all replacing an allreduce per round (np=2 -10 msgs
+// -36 bytes, np=8 -14 msgs and +-0 bytes).
 func TestWalkCountsMatchRestartWalk(t *testing.T) {
 	const n = 1200
 	golden := []struct {
@@ -28,8 +39,8 @@ func TestWalkCountsMatchRestartWalk(t *testing.T) {
 		msgs, bytes                      uint64
 	}{
 		{np: 1},
-		{np: 2, trav: 83981, pp: 854395, pc: 198721, requests: 316, deferred: 1198, rounds: 5, remote: 316, msgs: 166, bytes: 116620},
-		{np: 8, trav: 99133, pp: 808784, pc: 224867, requests: 2160, deferred: 1143, rounds: 4, remote: 2160, msgs: 1498, bytes: 601437},
+		{np: 2, trav: 83981, pp: 854395, pc: 198721, requests: 316, deferred: 1198, rounds: 5, remote: 316, msgs: 36, bytes: 118598},
+		{np: 8, trav: 99133, pp: 808784, pc: 224867, requests: 2160, deferred: 1143, rounds: 4, remote: 2160, msgs: 644, bytes: 636437},
 	}
 	for _, want := range golden {
 		np := want.np
@@ -47,6 +58,16 @@ func TestWalkCountsMatchRestartWalk(t *testing.T) {
 			}
 			e := New(c, local, Config{MAC: grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true}, Eps2: 1e-6})
 			e.ComputeForces()
+			// The splitter search is 4 collectives at any np > 1, and
+			// the rank's report says so.
+			wantSplit := 4
+			if np == 1 {
+				wantSplit = 0
+			}
+			if got, rep := e.DecomposeStats().Rounds, e.Report().SplitRounds; got != wantSplit || rep != got {
+				t.Errorf("np=%d rank %d: splitter search took %d collectives (report says %d), want %d",
+					np, c.Rank(), got, rep, wantSplit)
+			}
 			mu.Lock()
 			defer mu.Unlock()
 			sum.Add(e.Counters)

@@ -45,7 +45,7 @@ type Config struct {
 	// are byte-identical for any value.
 	BuildWorkers int
 	// ColdStart disables the incremental decomposition (resort repair,
-	// warm splitter bisection); results are byte-identical either way.
+	// splits reuse); results are byte-identical either way.
 	ColdStart bool
 	// Kernels selects the interaction-kernel implementation for every
 	// force evaluation of this engine; the zero value is the production

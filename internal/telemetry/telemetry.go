@@ -64,9 +64,11 @@ type RankSample struct {
 	// Phases is the cumulative per-phase seconds (diag.Timer
 	// SnapshotSeconds; ownership passes to the sampler).
 	Phases map[string]float64
-	// Rounds/RemoteCells mirror the engine's request-round state.
+	// Rounds/RemoteCells mirror the engine's request-round state,
+	// SplitRounds the collectives of its last splitter search.
 	Rounds      int
 	RemoteCells int
+	SplitRounds int
 	// Sent is the rank's cumulative outbound traffic total.
 	Sent msg.PhaseTraffic
 	// Bodies is the rank's current local body count.
@@ -144,6 +146,10 @@ type Sample struct {
 	OverlapFrac     float64 `json:"overlap_frac"`
 	PrefetchHitRate float64 `json:"prefetch_hit_rate"`
 	WalkEfficiency  float64 `json:"walk_efficiency"`
+
+	// SplitRounds is the most collectives any rank's last
+	// decomposition spent on the splitter search.
+	SplitRounds int `json:"split_rounds"`
 
 	Bodies int `json:"bodies"`
 }
@@ -274,7 +280,7 @@ func (s *Sampler) assemble() {
 	hasEnergy := false
 	var stepMaxNs, stepSumNs int64
 	var rungs [MaxRungs]uint64
-	bodies := 0
+	bodies, splitRounds := 0, 0
 	for i := range s.slots {
 		sl := &s.slots[i]
 		sl.mu.Lock()
@@ -298,6 +304,7 @@ func (s *Sampler) assemble() {
 			stepMaxNs = rs.StepNs
 		}
 		stepSumNs += rs.StepNs
+		splitRounds = max(splitRounds, rs.SplitRounds)
 		for r, n := range rs.Rungs {
 			rungs[r] += n
 		}
@@ -318,6 +325,7 @@ func (s *Sampler) assemble() {
 		Bytes:        cum.bytes - s.prev.bytes,
 		Rungs:        rungs,
 		Bodies:       bodies,
+		SplitRounds:  splitRounds,
 	}
 	if dw := cum.wallNs - s.prev.wallNs; dw > 0 {
 		smp.FlopsRate = float64(smp.Flops) / (float64(dw) / 1e9)
@@ -393,6 +401,7 @@ func (s *Sampler) publish(smp *Sample) {
 	reg.Gauge("telemetry_overlap_frac").Set(smp.OverlapFrac)
 	reg.Gauge("telemetry_prefetch_hit_rate").Set(smp.PrefetchHitRate)
 	reg.Gauge("telemetry_walk_efficiency").Set(smp.WalkEfficiency)
+	reg.Gauge("telemetry_split_rounds").Set(float64(smp.SplitRounds))
 	reg.Gauge("telemetry_bodies").Set(float64(smp.Bodies))
 }
 
@@ -462,6 +471,7 @@ func (s *Sampler) LiveReport() *metrics.RunReport {
 			PhaseSeconds: phases,
 			Rounds:       rs.Rounds,
 			RemoteCells:  rs.RemoteCells,
+			SplitRounds:  rs.SplitRounds,
 			SentMsgs:     rs.Sent.Msgs,
 			SentBytes:    rs.Sent.Bytes,
 		}

@@ -24,8 +24,12 @@ echo "== simserve smoke (daemon + crash-injected job contained + bench throughpu
 sh scripts/simserve_smoke.sh
 echo "== chaos soak (bounded, fixed seeds; clean exit or structured abort, never a hang)"
 sh scripts/chaos.sh quick
-echo "== walk guard (counts: rewalked/traversals <= 1.5 and 6 request rounds at N=10000 np=4)"
+echo "== walk guard (counts at N=10000 np=4: rewalked/traversals <= 1.5, 6 request rounds, splitter search <= 5 collectives)"
 sh scripts/walk_guard.sh
+echo "== fuzz (time-boxed: splitter selection equals the reference bisection, never panics, never hangs a world)"
+# Coverage of a multi-goroutine target is not reproducible, so the
+# minimizer would otherwise spend its default 60 s per new input.
+go test -run='^$' -fuzz=FuzzSelectSplits -fuzztime=20s -fuzzminimizetime=10x ./internal/domain
 echo "== bce (hot interaction kernels stay bounds-check-free, -d=ssa/check_bce)"
 sh scripts/bce.sh
 echo "== benchcmp (construction + walker ablations vs BENCH_baseline.json, tol 15%)"

@@ -48,11 +48,13 @@ done
 [ -n "$ok" ] || { echo "missing telemetry_step_ms in /metrics"; cat "$OUT/metrics"; exit 1; }
 grep -q '# TYPE telemetry_samples counter' "$OUT/metrics" || { echo "missing typed counter in /metrics"; exit 1; }
 grep -q 'telemetry_walk_efficiency' "$OUT/metrics" || { echo "missing telemetry_walk_efficiency in /metrics"; exit 1; }
+grep -q 'telemetry_split_rounds' "$OUT/metrics" || { echo "missing telemetry_split_rounds in /metrics"; exit 1; }
 
 fetch "$ADDR/report" >"$OUT/report"
 grep -q '"command": "treebench"' "$OUT/report" || { echo "bad /report"; cat "$OUT/report"; exit 1; }
 grep -q '"flops_per_interaction": 38' "$OUT/report" || { echo "/report missing flop constants"; exit 1; }
 grep -q '"walk_efficiency"' "$OUT/report" || { echo "/report missing walk_efficiency"; exit 1; }
+grep -q '"split_rounds"' "$OUT/report" || { echo "/report missing split_rounds"; exit 1; }
 
 fetch "$ADDR/series?n=3" >"$OUT/series"
 grep -q '"flops_rate"' "$OUT/series" || { echo "bad /series"; cat "$OUT/series"; exit 1; }
