@@ -12,18 +12,21 @@ chaos:
 
 .PHONY: chaos
 
-# Regenerate the committed performance baseline (ablation benches at
-# one iteration each, parsed to JSON by cmd/benchdump). A short
+# Regenerate the committed performance baseline (ablation benches
+# parsed to JSON by cmd/benchdump). A short
 # treebench run supplies the RunReport whose flop-rate context is
 # embedded alongside the numbers ("sim" field), so the baseline records
 # what the machine achieved end to end when it was cut.
 # The construction-pipeline benches (Sort/Build/Decompose) finish in
 # tens of milliseconds, so they run 5 iterations for a stable number;
 # the second-scale benches stay at one; the sub-millisecond
-# interaction-kernel benches (Eval) run 100 for the same reason.
+# interaction-kernel benches (Eval) run 100 for the same reason, and
+# the nanosecond rows (Rsqrt, Hash) run for a second each -- one
+# iteration of those is one call plus the timer.
 bench-baseline:
 	go run ./cmd/treebench -n 50000 -procs 4 -steps 1 -metrics /tmp/treebench_report.json >/dev/null
-	{ go test -run='^$$' -bench='Ablation_(MAC|Order|Group|Batched|Hash|Rsqrt|Curve|ABM|Step|WalkOverlap|Prefetch)' -benchtime=1x . ; \
+	{ go test -run='^$$' -bench='Ablation_(MAC|Order|Group|Batched|Curve|ABM|Step|WalkOverlap|Prefetch)' -benchtime=1x . ; \
+	  go test -run='^$$' -bench='Ablation_(Hash|Rsqrt)' -benchtime=1s . ; \
 	  go test -run='^$$' -bench='Ablation_(Sort|Build|Decompose)' -benchtime=5x . ; \
 	  go test -run='^$$' -bench='Ablation_Eval' -benchtime=100x . ; } \
 	  | go run ./cmd/benchdump -runreport /tmp/treebench_report.json -o BENCH_baseline.json

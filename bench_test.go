@@ -271,13 +271,13 @@ func BenchmarkAblation_BatchedConcurrentAllocs(b *testing.B) {
 	}
 }
 
-// --- tiled vs reference interaction kernels -------------------------------
+// --- interaction kernels: dispatching vs the Go loop ------------------------
 //
-// The kernel-tiling guardrail: the register-blocked, tile-fused
-// kernels (grav.ImplTiled) against the three-sweep reference set
-// (grav.ImplRef), on real interaction lists captured from a 100k-body
-// clustered walk so tile shapes and list lengths are production ones.
-// Both must run allocation-free at steady state.
+// The production kernels as dispatched on this host (AVX2 on amd64
+// that has it) against their definition, the Go loops called directly,
+// on real interaction lists captured from a 100k-body clustered walk
+// so group sizes and list lengths are production ones. Both must run
+// allocation-free at steady state.
 
 // evalFixture is one group's captured evaluation input: the target
 // block and a deep copy of the interaction list the walk built for it.
@@ -325,7 +325,14 @@ func captureEvalFixtures(b *testing.B, maxGroups int) []evalFixture {
 	return out
 }
 
-func benchEvalPP(b *testing.B, im grav.Impl) {
+// evalPPFunc and evalM2PFunc are the signatures the dispatching kernels
+// and the Go loops share.
+type (
+	evalPPFunc  func(*grav.Targets, *grav.InteractionList, float64) uint64
+	evalM2PFunc func(*grav.Targets, *grav.InteractionList, bool, float64) uint64
+)
+
+func benchEvalPP(b *testing.B, evalPP evalPPFunc) {
 	fx := captureEvalFixtures(b, 48)
 	var tg grav.Targets
 	round := func() uint64 {
@@ -333,9 +340,9 @@ func benchEvalPP(b *testing.B, im grav.Impl) {
 		for i := range fx {
 			f := &fx[i]
 			tg.Load(f.gpos, f.gmass)
-			n += im.EvalPP(&tg, &f.list, 1e-6)
+			n += evalPP(&tg, &f.list, 1e-6)
 			if f.list.Self {
-				n += im.EvalSelf(&tg, 1e-6)
+				n += grav.EvalSelf(&tg, 1e-6)
 			}
 		}
 		return n
@@ -350,10 +357,10 @@ func benchEvalPP(b *testing.B, im grav.Impl) {
 	b.ReportMetric(float64(inter), "interactions/op")
 }
 
-func BenchmarkAblation_EvalPPTiled(b *testing.B) { benchEvalPP(b, grav.ImplTiled) }
-func BenchmarkAblation_EvalPPRef(b *testing.B)  { benchEvalPP(b, grav.ImplRef) }
+func BenchmarkAblation_EvalPP(b *testing.B)   { benchEvalPP(b, grav.EvalPP) }
+func BenchmarkAblation_EvalPPGo(b *testing.B) { benchEvalPP(b, grav.EvalPPGo) }
 
-func benchEvalM2P(b *testing.B, im grav.Impl) {
+func benchEvalM2P(b *testing.B, evalM2P evalM2PFunc) {
 	fx := captureEvalFixtures(b, 48)
 	var tg grav.Targets
 	round := func() uint64 {
@@ -361,7 +368,7 @@ func benchEvalM2P(b *testing.B, im grav.Impl) {
 		for i := range fx {
 			f := &fx[i]
 			tg.Load(f.gpos, nil)
-			n += im.EvalM2P(&tg, &f.list, true, 1e-6)
+			n += evalM2P(&tg, &f.list, true, 1e-6)
 		}
 		return n
 	}
@@ -375,8 +382,8 @@ func benchEvalM2P(b *testing.B, im grav.Impl) {
 	b.ReportMetric(float64(inter), "interactions/op")
 }
 
-func BenchmarkAblation_EvalM2PTiled(b *testing.B) { benchEvalM2P(b, grav.ImplTiled) }
-func BenchmarkAblation_EvalM2PRef(b *testing.B)  { benchEvalM2P(b, grav.ImplRef) }
+func BenchmarkAblation_EvalM2P(b *testing.B)   { benchEvalM2P(b, grav.EvalM2P) }
+func BenchmarkAblation_EvalM2PGo(b *testing.B) { benchEvalM2P(b, grav.EvalM2PGo) }
 
 // --- tree-construction pipeline ------------------------------------------
 //
@@ -544,24 +551,29 @@ func BenchmarkAblation_HashGoMap(b *testing.B) {
 	}
 }
 
+// rsqrtSink receives the Rsqrt benches' sums: a result the compiler
+// can see is unused lets it delete the inlined 1/math.Sqrt outright
+// (the Libm row then times an empty loop, 0.16 ns).
+var rsqrtSink float64
+
 func BenchmarkAblation_RsqrtKarp(b *testing.B) {
 	x := 1.0001
-	var sink float64
+	var sum float64
 	for i := 0; i < b.N; i++ {
-		sink += rsqrt.Rsqrt(x)
+		sum += rsqrt.Rsqrt(x)
 		x += 1e-9
 	}
-	_ = sink
+	rsqrtSink = sum
 }
 
 func BenchmarkAblation_RsqrtLibm(b *testing.B) {
 	x := 1.0001
-	var sink float64
+	var sum float64
 	for i := 0; i < b.N; i++ {
-		sink += 1 / math.Sqrt(x)
+		sum += 1 / math.Sqrt(x)
 		x += 1e-9
 	}
-	_ = sink
+	rsqrtSink = sum
 }
 
 func BenchmarkAblation_CurveMorton(b *testing.B)  { benchCurve(b, false) }

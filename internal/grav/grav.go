@@ -1,10 +1,19 @@
 // Package grav implements the gravitational kernels of the treecode:
-// the softened body-body interaction built on the Karp reciprocal
-// square root (the paper's 38-flop interaction), the body-cell
-// multipole interaction through quadrupole order, multipole moment
-// construction and translation, and the two multipole acceptance
-// criteria (Barnes-Hut opening angle and the Salmon-Warren absolute
-// error bound from "Skeletons from the treecode closet").
+// the softened body-body interaction, the body-cell multipole
+// interaction through quadrupole order, multipole moment construction
+// and translation, and the two multipole acceptance criteria
+// (Barnes-Hut opening angle and the Salmon-Warren absolute error bound
+// from "Skeletons from the treecode closet").
+//
+// There is one production kernel set: EvalPP/EvalSelf/EvalM2P
+// (kernel.go) evaluate an InteractionList (soa.go) on a Targets block
+// with the hardware square root, as plain Go loops or, on amd64 with
+// AVX2, the same arithmetic four targets at a time. The scalar
+// PPTile/PPSelf/M2P in this file are the paper's interaction as the
+// paper computed it, on the Karp reciprocal square root
+// (internal/rsqrt, the 38-flop interaction): they serve the direct
+// sum, the fused walk ablation, and the tests that hold the production
+// kernels to 1e-13 of them.
 //
 // Units: G = 1 throughout. The Plummer softening eps2 enters as
 // r^2 -> r^2 + eps^2 in the body-body kernel.
@@ -88,8 +97,9 @@ func Combine(children []Multipole) Multipole {
 }
 
 // PPTile accumulates the force and potential on targets from a
-// disjoint set of source bodies: the paper's 38-flop interaction. It
-// returns the number of interactions computed.
+// disjoint set of source bodies: the paper's 38-flop interaction on
+// the Karp reciprocal square root. It returns the number of
+// interactions computed.
 func PPTile(tpos []vec.V3, acc []vec.V3, pot []float64, spos []vec.V3, smass []float64, eps2 float64) uint64 {
 	for i := range tpos {
 		ax, ay, az := acc[i].X, acc[i].Y, acc[i].Z

@@ -1,0 +1,230 @@
+// The production interaction kernels, EvalPP/EvalSelf/EvalM2P, defined
+// as the plainest Go loops that compute them: for each target one
+// accumulator set starting at zero, the whole list swept once in list
+// order, rv := 1/math.Sqrt(r2) on the hardware's correctly rounded
+// square root and divide, the four sums added to the target's output
+// slots once at the end. On amd64 with AVX2 (kernel_amd64.go/.s) the
+// same loops run with four targets in the four lanes of a YMM register
+// and each source broadcast to all of them, using only lane-wise
+// subtract/multiply/add/sqrt/divide: every lane executes exactly the
+// scalar sequence below, so the assembly is bit-identical to these
+// loops by construction and a test holds it to that
+// (TestKernelAsmMatchesGo). Nothing selects a path but the CPU probe.
+//
+// Hardware 1/sqrt has the special-case table the Karp routine
+// documents (0 -> +Inf, +Inf -> 0, NaN or negative -> NaN, subnormals
+// exact), so the loops carry no special-value branch: a NaN or Inf
+// input propagates to the targets it touches exactly as IEEE
+// arithmetic says.
+//
+// What is executed is not what is counted. One body-body (or
+// monopole) interaction executes 22 floating-point operations here,
+// one quadrupole interaction 56; the counters and every flop rate the
+// repo reports still charge the paper's 38 and 38+70, the cost of the
+// same interaction on the Karp reciprocal square root (grav.go's
+// scalar PPTile/PPSelf/M2P, kept as the paper-fidelity kernel).
+// diag.ExecutedFlops has the executed figures.
+package grav
+
+import "math"
+
+// EvalPP applies every body source of the list to every target.
+// Returns the interaction count.
+func EvalPP(t *Targets, l *InteractionList, eps2 float64) uint64 {
+	if len(l.SM) == 0 || len(t.X) == 0 {
+		return 0
+	}
+	pp(t, l.SX, l.SY, l.SZ, l.SM, eps2)
+	return uint64(len(t.X)) * uint64(len(l.SM))
+}
+
+// EvalPPGo is EvalPP through the Go loop on every platform: the
+// kernel's definition, exported for the tests and benchmarks that
+// hold the assembly to it.
+func EvalPPGo(t *Targets, l *InteractionList, eps2 float64) uint64 {
+	if len(l.SM) == 0 || len(t.X) == 0 {
+		return 0
+	}
+	ppGo(t, l.SX, l.SY, l.SZ, l.SM, eps2)
+	return uint64(len(t.X)) * uint64(len(l.SM))
+}
+
+// EvalM2P applies every multipole of the list's slab to every target.
+// With the difference taken as COM - target the monopole interaction
+// is the body-body interaction with the cell columns as sources.
+// Returns the interaction count (one per target per cell).
+func EvalM2P(t *Targets, l *InteractionList, quad bool, eps2 float64) uint64 {
+	if len(l.CM) == 0 || len(t.X) == 0 {
+		return 0
+	}
+	if quad {
+		m2pQuad(t, l, eps2)
+	} else {
+		pp(t, l.CX, l.CY, l.CZ, l.CM, eps2)
+	}
+	return uint64(len(t.X)) * uint64(len(l.CM))
+}
+
+// EvalM2PGo is EvalM2P through the Go loops on every platform (see
+// EvalPPGo).
+func EvalM2PGo(t *Targets, l *InteractionList, quad bool, eps2 float64) uint64 {
+	if len(l.CM) == 0 || len(t.X) == 0 {
+		return 0
+	}
+	if quad {
+		m2pQuadGo(t, l, eps2)
+	} else {
+		ppGo(t, l.CX, l.CY, l.CZ, l.CM, eps2)
+	}
+	return uint64(len(t.X)) * uint64(len(l.CM))
+}
+
+// ppGo is the body-body kernel: sources (sx, sy, sz, sm) on every
+// target of t. Re-slicing the columns to one shared length hands the
+// prove pass the bounds, so the inner loop is check-free
+// (scripts/bce.sh).
+func ppGo(t *Targets, sx, sy, sz, sm []float64, eps2 float64) {
+	n := len(sm)
+	sx, sy, sz = sx[:n], sy[:n], sz[:n]
+	nt := len(t.X)
+	tx, ty, tz := t.X[:nt], t.Y[:nt], t.Z[:nt]
+	oax, oay, oaz, opot := t.AX[:nt], t.AY[:nt], t.AZ[:nt], t.Pot[:nt]
+	for i := range tx {
+		xi, yi, zi := tx[i], ty[i], tz[i]
+		var ax, ay, az, p float64
+		for j := range sm {
+			dx := sx[j] - xi
+			dy := sy[j] - yi
+			dz := sz[j] - zi
+			r2 := dx*dx + dy*dy + dz*dz + eps2
+			rv := 1 / math.Sqrt(r2)
+			mrv := sm[j] * rv
+			rin3 := mrv * (rv * rv)
+			ax += rin3 * dx
+			ay += rin3 * dy
+			az += rin3 * dz
+			p -= mrv
+		}
+		oax[i] += ax
+		oay[i] += ay
+		oaz[i] += az
+		opot[i] += p
+	}
+}
+
+// m2pQuadGo is the monopole+quadrupole kernel. The difference d
+// points from target to cell COM and the quadrupole terms are written
+// in d directly (Q.d flips sign with d, d.Q.d does not):
+//
+//	a   = (M/r^3 + (5/2)(d.Q.d)/r^7) d - Q.d/r^5
+//	phi = -(M/r + (d.Q.d)/(2 r^5))
+func m2pQuadGo(t *Targets, l *InteractionList, eps2 float64) {
+	cm := l.CM
+	n := len(cm)
+	cx, cy, cz := l.CX[:n], l.CY[:n], l.CZ[:n]
+	qxx, qyy, qzz := l.QXX[:n], l.QYY[:n], l.QZZ[:n]
+	qxy, qxz, qyz := l.QXY[:n], l.QXZ[:n], l.QYZ[:n]
+	nt := len(t.X)
+	tx, ty, tz := t.X[:nt], t.Y[:nt], t.Z[:nt]
+	oax, oay, oaz, opot := t.AX[:nt], t.AY[:nt], t.AZ[:nt], t.Pot[:nt]
+	for i := range tx {
+		xi, yi, zi := tx[i], ty[i], tz[i]
+		var ax, ay, az, p float64
+		for j := range cm {
+			da := cx[j] - xi
+			db := cy[j] - yi
+			dc := cz[j] - zi
+			r2 := da*da + db*db + dc*dc + eps2
+			rv := 1 / math.Sqrt(r2)
+			rv2 := rv * rv
+			rv3 := rv * rv2
+			mono := cm[j] * rv3
+			qdx := qxx[j]*da + qxy[j]*db + qxz[j]*dc
+			qdy := qxy[j]*da + qyy[j]*db + qyz[j]*dc
+			qdz := qxz[j]*da + qyz[j]*db + qzz[j]*dc
+			dqd := da*qdx + db*qdy + dc*qdz
+			rv5 := rv3 * rv2
+			rv7 := rv5 * rv2
+			cc := 2.5 * dqd * rv7
+			ax += (mono+cc)*da - qdx*rv5
+			ay += (mono+cc)*db - qdy*rv5
+			az += (mono+cc)*dc - qdz*rv5
+			p -= cm[j]*rv + 0.5*dqd*rv5
+		}
+		oax[i] += ax
+		oay[i] += ay
+		oaz[i] += az
+		opot[i] += p
+	}
+}
+
+// EvalSelf evaluates the group's interaction with itself (both
+// directions of every pair, self-pairs skipped). It walks each
+// unordered pair (i,j), j < i, exactly once: one distance and one
+// reciprocal square root feed both directions, +m_j*rinv3*d
+// accumulated into target i's locals and -m_i*rinv3*d scattered into
+// body j's output slots. The self pair never appears in the
+// enumeration, so a body exactly coincident with another (r2 = eps2)
+// is an ordinary pair. Groups are leaf buckets (tens of bodies), a
+// few percent of a list's work, so this stays scalar on every
+// platform. Targets must have been loaded with masses. Returns the
+// interaction count, n*(n-1): the physical interactions are the same,
+// each is computed once instead of twice.
+func EvalSelf(t *Targets, eps2 float64) uint64 {
+	n := len(t.X)
+	if n == 0 {
+		return 0
+	}
+	x, y, z, ms := t.X[:n], t.Y[:n], t.Z[:n], t.M[:n]
+	ax, ay, az, pot := t.AX[:n], t.AY[:n], t.AZ[:n], t.Pot[:n]
+	for i := 1; i < n; i++ {
+		xi, yi, zi, mi := x[i], y[i], z[i], ms[i]
+		var axi, ayi, azi, pi float64
+		for j := 0; j < i; j++ {
+			dx := x[j] - xi
+			dy := y[j] - yi
+			dz := z[j] - zi
+			r2 := dx*dx + dy*dy + dz*dz + eps2
+			rv := 1 / math.Sqrt(r2)
+			rv2 := rv * rv
+			mjrv := ms[j] * rv
+			mirv := mi * rv
+			fj := mjrv * rv2
+			fi := mirv * rv2
+			axi += fj * dx
+			ayi += fj * dy
+			azi += fj * dz
+			pi -= mjrv
+			ax[j] -= fi * dx
+			ay[j] -= fi * dy
+			az[j] -= fi * dz
+			pot[j] -= mirv
+		}
+		ax[i] += axi
+		ay[i] += ayi
+		az[i] += azi
+		pot[i] += pi
+	}
+	return uint64(n) * uint64(n-1)
+}
+
+// peakProbeGo is PeakProbe's scalar form: eight independent chains
+// (enough to cover the latency-throughput gap of the FP units), one
+// multiply and one add per chain per step.
+func peakProbeGo(n int) (flops, witness float64) {
+	a0, a1, a2, a3 := 1.0, 1.1, 1.2, 1.3
+	a4, a5, a6, a7 := 1.4, 1.5, 1.6, 1.7
+	// A multiplier this near 1 keeps the chains finite for any n.
+	const c, d = 1.0000000001, 1e-9
+	for i := 0; i < n; i++ {
+		a0 = a0*c + d
+		a1 = a1*c + d
+		a2 = a2*c + d
+		a3 = a3*c + d
+		a4 = a4*c + d
+		a5 = a5*c + d
+		a6 = a6*c + d
+		a7 = a7*c + d
+	}
+	return 16 * float64(n), a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7
+}

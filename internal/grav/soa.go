@@ -6,25 +6,10 @@
 // touching the tree, the hash table, or any AoS accumulator in the
 // inner loop.
 //
-// Two kernel sets evaluate a list. The production EvalPP/EvalSelf/
-// EvalM2P (tiled.go) are tile-fused sweeps: sources stream in tiles
-// of tileSources per target, with the distance, the inlined Karp
-// rsqrt, and the force fused into one pass per tile so every
-// intermediate stays in registers, and the self-interaction walks
-// each unordered pair once. The EvalPPRef/EvalSelfRef/EvalM2PRef
-// kernels in this file are the original three-sweep pipeline -- full-length
-// distance column, one batched rsqrt.Sweep, then the accumulate pass
-// recomputing the differences -- kept as the ablation baseline and
-// the independent implementation the equivalence tests pin the tiled
-// path against. Both report identical interaction counts (and hence
-// identical 38-flop accounting in internal/diag) and agree to
-// roundoff; engines choose a set with Impl.
+// The kernels that evaluate a list are in kernel.go.
 package grav
 
-import (
-	"repro/internal/rsqrt"
-	"repro/internal/vec"
-)
+import "repro/internal/vec"
 
 // InteractionList is the flat interaction list one group accumulates
 // during a tree walk: body sources as SoA position/mass columns, and
@@ -137,22 +122,13 @@ func (l *InteractionList) Cell(i int) Multipole {
 }
 
 // Targets is the reusable SoA block for one group of targets:
-// gathered positions and masses, the acceleration/potential
-// accumulators the batched kernels write, and the two scratch columns
-// of the distance/rsqrt/apply pipeline. Load/Store convert to and
+// gathered positions and masses, and the acceleration/potential
+// accumulators the batched kernels add to. Load/Store convert to and
 // from the AoS representation the rest of the code uses; between them
 // the kernels never touch []vec.V3.
 type Targets struct {
 	X, Y, Z, M      []float64
 	AX, AY, AZ, Pot []float64
-	// r2, ri are the full-length scratch columns of the reference
-	// three-sweep pipeline; the fused tiled kernels keep their
-	// per-interaction intermediates in registers and need no scratch.
-	r2, ri []float64
-	// snap backs up the accumulator columns across EvalSelf's
-	// symmetric fast path, which scatters as it goes and must be able
-	// to unwind if a special r2 forces the slow redo.
-	snap []float64
 }
 
 // growF returns s resized to n, reusing capacity.
@@ -190,15 +166,12 @@ func (t *Targets) Store(acc []vec.V3, pot []float64) {
 	}
 }
 
-// Caps returns the block's capacities in targets and scratch rows
-// (see InteractionList.Caps for why pools want these).
-func (t *Targets) Caps() (ntargets, nscratch int) {
-	return cap(t.X), cap(t.r2)
-}
+// Cap returns the block's capacity in targets (see
+// InteractionList.Caps for why pools want it).
+func (t *Targets) Cap() int { return cap(t.X) }
 
-// Grow raises the block's capacities to at least ntargets rows and
-// nscratch pipeline rows.
-func (t *Targets) Grow(ntargets, nscratch int) {
+// Grow raises the block's capacity to at least ntargets rows.
+func (t *Targets) Grow(ntargets int) {
 	growCap(&t.X, ntargets)
 	growCap(&t.Y, ntargets)
 	growCap(&t.Z, ntargets)
@@ -207,165 +180,4 @@ func (t *Targets) Grow(ntargets, nscratch int) {
 	growCap(&t.AY, ntargets)
 	growCap(&t.AZ, ntargets)
 	growCap(&t.Pot, ntargets)
-	growCap(&t.r2, nscratch)
-	growCap(&t.ri, nscratch)
-}
-
-// EvalPPRef applies every body source of the list to every target:
-// the batched form of PPTile, in the original three-sweep layout.
-// Target-major: the target position and its four accumulators stay in
-// registers across the whole source sweep, and the sources stream
-// from four contiguous columns. The full-length r2/ri scratch and the
-// recomputed differences are what the tiled EvalPP eliminates; this
-// version is the ablation baseline. Returns the interaction count.
-func EvalPPRef(t *Targets, l *InteractionList, eps2 float64) uint64 {
-	ns := len(l.SM)
-	nt := len(t.X)
-	if ns == 0 || nt == 0 {
-		return 0
-	}
-	t.r2, t.ri = growF(t.r2, ns), growF(t.ri, ns)
-	sx, sy, sz, sm := l.SX[:ns], l.SY[:ns], l.SZ[:ns], l.SM
-	for i := 0; i < nt; i++ {
-		xi, yi, zi := t.X[i], t.Y[i], t.Z[i]
-		r2 := t.r2
-		for j := range sm {
-			dx := sx[j] - xi
-			dy := sy[j] - yi
-			dz := sz[j] - zi
-			r2[j] = dx*dx + dy*dy + dz*dz + eps2
-		}
-		rsqrt.Sweep(t.ri, r2)
-		ax, ay, az := t.AX[i], t.AY[i], t.AZ[i]
-		p := t.Pot[i]
-		ri := t.ri
-		for j := range sm {
-			dx := sx[j] - xi
-			dy := sy[j] - yi
-			dz := sz[j] - zi
-			rinv := ri[j]
-			rinv3 := sm[j] * rinv * rinv * rinv
-			ax += rinv3 * dx
-			ay += rinv3 * dy
-			az += rinv3 * dz
-			p -= sm[j] * rinv
-		}
-		t.AX[i], t.AY[i], t.AZ[i] = ax, ay, az
-		t.Pot[i] = p
-	}
-	return uint64(nt) * uint64(ns)
-}
-
-// EvalSelfRef evaluates the group's interaction with itself (both
-// directions of every pair, self-pairs skipped): the batched form of
-// PPSelf, reading sources from the target block's own columns, in the
-// original three-sweep layout. The r2[i] = 1 sentinel below keeps the
-// skipped self slot off rsqrt.Sweep's zero fallback path; the tiled
-// EvalSelf instead splits the self tile and never forms the slot at
-// all. Targets must have been loaded with masses. Returns the
-// interaction count.
-func EvalSelfRef(t *Targets, eps2 float64) uint64 {
-	n := len(t.X)
-	if n == 0 {
-		return 0
-	}
-	t.r2, t.ri = growF(t.r2, n), growF(t.ri, n)
-	for i := 0; i < n; i++ {
-		xi, yi, zi := t.X[i], t.Y[i], t.Z[i]
-		r2 := t.r2
-		for j := 0; j < n; j++ {
-			dx := t.X[j] - xi
-			dy := t.Y[j] - yi
-			dz := t.Z[j] - zi
-			r2[j] = dx*dx + dy*dy + dz*dz + eps2
-		}
-		r2[i] = 1 // keep the skipped self slot off the fallback path
-		rsqrt.Sweep(t.ri, r2)
-		ax, ay, az := t.AX[i], t.AY[i], t.AZ[i]
-		p := t.Pot[i]
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			dx := t.X[j] - xi
-			dy := t.Y[j] - yi
-			dz := t.Z[j] - zi
-			rinv := t.ri[j]
-			rinv3 := t.M[j] * rinv * rinv * rinv
-			ax += rinv3 * dx
-			ay += rinv3 * dy
-			az += rinv3 * dz
-			p -= t.M[j] * rinv
-		}
-		t.AX[i], t.AY[i], t.AZ[i] = ax, ay, az
-		t.Pot[i] = p
-	}
-	return uint64(n) * uint64(n-1)
-}
-
-// EvalM2PRef applies every multipole of the list's slab to every
-// target: the batched form of M2P in the original three-sweep layout,
-// with the quad branch hoisted out of the sweeps. Returns the
-// interaction count (one per target per cell).
-func EvalM2PRef(t *Targets, l *InteractionList, quad bool, eps2 float64) uint64 {
-	nc := len(l.CM)
-	nt := len(t.X)
-	if nc == 0 || nt == 0 {
-		return 0
-	}
-	t.r2, t.ri = growF(t.r2, nc), growF(t.ri, nc)
-	cm, cx, cy, cz := l.CM, l.CX[:nc], l.CY[:nc], l.CZ[:nc]
-	for i := 0; i < nt; i++ {
-		xi, yi, zi := t.X[i], t.Y[i], t.Z[i]
-		r2 := t.r2
-		for c := range cm {
-			dx := xi - cx[c]
-			dy := yi - cy[c]
-			dz := zi - cz[c]
-			r2[c] = dx*dx + dy*dy + dz*dz + eps2
-		}
-		rsqrt.Sweep(t.ri, r2)
-		ax, ay, az := t.AX[i], t.AY[i], t.AZ[i]
-		p := t.Pot[i]
-		ri := t.ri
-		if quad {
-			qxx, qyy, qzz := l.QXX[:nc], l.QYY[:nc], l.QZZ[:nc]
-			qxy, qxz, qyz := l.QXY[:nc], l.QXZ[:nc], l.QYZ[:nc]
-			for c := range cm {
-				dx := xi - cx[c]
-				dy := yi - cy[c]
-				dz := zi - cz[c]
-				rinv := ri[c]
-				rinv2 := rinv * rinv
-				rinv3 := rinv * rinv2
-				mono := cm[c] * rinv3
-				qdx := qxx[c]*dx + qxy[c]*dy + qxz[c]*dz
-				qdy := qxy[c]*dx + qyy[c]*dy + qyz[c]*dz
-				qdz := qxz[c]*dx + qyz[c]*dy + qzz[c]*dz
-				dqd := dx*qdx + dy*qdy + dz*qdz
-				rinv5 := rinv3 * rinv2
-				rinv7 := rinv5 * rinv2
-				cc := 2.5 * dqd * rinv7
-				ax += qdx*rinv5 - cc*dx - mono*dx
-				ay += qdy*rinv5 - cc*dy - mono*dy
-				az += qdz*rinv5 - cc*dz - mono*dz
-				p -= cm[c]*rinv + 0.5*dqd*rinv5
-			}
-		} else {
-			for c := range cm {
-				dx := xi - cx[c]
-				dy := yi - cy[c]
-				dz := zi - cz[c]
-				rinv := ri[c]
-				mono := cm[c] * rinv * rinv * rinv
-				ax -= mono * dx
-				ay -= mono * dy
-				az -= mono * dz
-				p -= cm[c] * rinv
-			}
-		}
-		t.AX[i], t.AY[i], t.AZ[i] = ax, ay, az
-		t.Pot[i] = p
-	}
-	return uint64(nt) * uint64(nc)
 }

@@ -15,7 +15,9 @@
 // pair diag.FlopsPerSPHPair = 55. Every "flops" or "flops_rate"
 // metric in a RunReport is counted interactions pushed through those
 // constants, exactly as the paper derives 430 Gflops from interaction
-// counts and wall-clock time.
+// counts and wall-clock time. What the hardware-sqrt kernels execute
+// for an interaction is less (diag.ExecutedFlops); only the roofline
+// section uses that.
 //
 // All update paths are atomic, so engine goroutines and pool workers
 // may hammer one metric concurrently; all read paths are snapshots.

@@ -5,12 +5,22 @@
 // ceilings. The paper argued its kernels were compute-bound on the
 // Pentium Pro ("32 bytes per 38 flops"); this section makes the same
 // argument measurable on the host the run actually used.
+//
+// Two flop counts appear. KernelFlops, Intensity and AchievedFlops are
+// in the paper's accounting (38 per interaction, what every rate in
+// the repo is quoted in); ExecutedFlops is what the hardware-sqrt
+// kernels really execute (diag.ExecutedFlops, 22 per interaction).
+// The ceilings bound executed work, so Ceiling and Utilization are in
+// executed flops: a kernel cannot exceed 100% by being charged for
+// arithmetic it no longer does.
 package metrics
 
 import (
 	"runtime"
 	"sync"
 	"time"
+
+	"repro/internal/grav"
 )
 
 // Roofline is the roofline section of a RunReport. The first four
@@ -20,14 +30,19 @@ import (
 // on one machine can be calibrated against another).
 type Roofline struct {
 	// KernelFlops and KernelBytes are the totals over all ranks under
-	// the paper's flop accounting and the tiled kernels' bytes-moved
+	// the paper's flop accounting and the list kernels' bytes-moved
 	// accounting (see diag.KernelBytes).
 	KernelFlops uint64 `json:"kernel_flops"`
 	KernelBytes uint64 `json:"kernel_bytes"`
 	// Intensity is KernelFlops/KernelBytes in flops/byte.
 	Intensity float64 `json:"intensity_flops_per_byte"`
-	// AchievedFlops is the run's sustained rate, flops/s.
+	// AchievedFlops is the run's sustained rate, counted flops/s.
 	AchievedFlops float64 `json:"achieved_flops"`
+	// ExecutedFlops is what the kernels executed for that work, and
+	// ExecutedPerInteraction its mean per gravitational interaction,
+	// to set beside the counted 38 (+70 with quadrupoles).
+	ExecutedFlops          uint64  `json:"executed_flops,omitempty"`
+	ExecutedPerInteraction float64 `json:"executed_flops_per_interaction,omitempty"`
 
 	// PeakFlops is the measured (or asserted) compute ceiling, flops/s.
 	PeakFlops float64 `json:"peak_flops,omitempty"`
@@ -36,14 +51,23 @@ type Roofline struct {
 	// RidgeIntensity is PeakFlops/PeakBandwidth: below it a kernel is
 	// bandwidth-limited, above it compute-limited.
 	RidgeIntensity float64 `json:"ridge_intensity,omitempty"`
-	// Ceiling is min(PeakFlops, Intensity*PeakBandwidth): the roofline
-	// bound for this kernel's intensity.
+	// Ceiling is min(PeakFlops, executed intensity * PeakBandwidth):
+	// the roofline bound on this kernel's executed flop rate.
 	Ceiling float64 `json:"ceiling_flops,omitempty"`
 	// Bound is "compute" or "memory" depending on which side of the
 	// ridge the kernel sits.
 	Bound string `json:"bound,omitempty"`
-	// Utilization is AchievedFlops/Ceiling.
+	// Utilization is the executed flop rate over Ceiling.
 	Utilization float64 `json:"utilization,omitempty"`
+}
+
+// executedShare is ExecutedFlops/KernelFlops, the factor from counted
+// to executed flops; 1 for a report that predates the distinction.
+func (r *Roofline) executedShare() float64 {
+	if r.ExecutedFlops == 0 || r.KernelFlops == 0 {
+		return 1
+	}
+	return float64(r.ExecutedFlops) / float64(r.KernelFlops)
 }
 
 // NewRoofline builds the accounting half from run totals; wall is the
@@ -68,50 +92,38 @@ func (r *Roofline) Calibrate(peakFlops, peakBandwidth float64) {
 	if peakBandwidth > 0 {
 		r.RidgeIntensity = peakFlops / peakBandwidth
 	}
+	exec := r.executedShare()
 	r.Ceiling = peakFlops
 	r.Bound = "compute"
-	if bw := r.Intensity * peakBandwidth; bw > 0 && bw < r.Ceiling {
+	if bw := exec * r.Intensity * peakBandwidth; bw > 0 && bw < r.Ceiling {
 		r.Ceiling = bw
 		r.Bound = "memory"
 	}
 	if r.Ceiling > 0 {
-		r.Utilization = r.AchievedFlops / r.Ceiling
+		r.Utilization = exec * r.AchievedFlops / r.Ceiling
 	}
 }
 
 // MeasurePeakFlops estimates the host's double-precision compute
-// ceiling in flops/s: every core runs chains of independent
-// multiply-adds (8 accumulators per goroutine, enough to cover the
-// FP latency-throughput gap), charged at 2 flops each. On hardware
-// where the compiler does not fuse them this underestimates the FMA
-// peak by up to 2x -- acceptable for a ceiling the kernels are
-// compared against, and stated in the report as "measured".
+// ceiling in flops/s for the instruction mix the interaction kernels
+// use: every core runs grav.PeakProbe, chains of independent
+// multiplies and adds (never fused, as in the kernels), four lanes wide
+// where the kernels are. A host with FMA units could do up to twice
+// this on fused code; the kernels do not issue any, so this is the
+// ceiling they are compared against, stated in the report as
+// "measured".
 func MeasurePeakFlops() float64 {
 	workers := runtime.GOMAXPROCS(0)
-	const iters = 1 << 22
+	const steps = 1 << 22
 	var wg sync.WaitGroup
+	flops := make([]float64, workers)
 	sink := make([]float64, workers)
 	start := time.Now()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			a0, a1, a2, a3 := 1.0, 1.1, 1.2, 1.3
-			a4, a5, a6, a7 := 1.4, 1.5, 1.6, 1.7
-			// Multipliers near 1 keep the accumulators finite for the
-			// whole run (no Inf/denormal slowdowns).
-			const c, d = 1.0000000001, 1e-9
-			for i := 0; i < iters; i++ {
-				a0 = a0*c + d
-				a1 = a1*c + d
-				a2 = a2*c + d
-				a3 = a3*c + d
-				a4 = a4*c + d
-				a5 = a5*c + d
-				a6 = a6*c + d
-				a7 = a7*c + d
-			}
-			sink[w] = a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7
+			flops[w], sink[w] = grav.PeakProbe(steps)
 		}(w)
 	}
 	wg.Wait()
@@ -119,8 +131,11 @@ func MeasurePeakFlops() float64 {
 	if el <= 0 {
 		return 0
 	}
-	// 8 chains x 2 flops per iteration per worker.
-	return float64(workers) * float64(iters) * 16 / el
+	total := 0.0
+	for _, f := range flops {
+		total += f
+	}
+	return total / el
 }
 
 // MeasurePeakBandwidth estimates the host's memory read bandwidth in

@@ -47,11 +47,6 @@ type Config struct {
 	// ColdStart disables the incremental decomposition (resort repair,
 	// splits reuse); results are byte-identical either way.
 	ColdStart bool
-	// Kernels selects the interaction-kernel implementation for every
-	// force evaluation of this engine; the zero value is the production
-	// tiled set, grav.ImplRef the reference sweeps (ablations and
-	// cross-kernel equivalence tests).
-	Kernels grav.Impl
 	// EvalWorkers turns on the walk/eval pipeline: completed groups are
 	// evaluated by worker goroutines while the rank keeps walking and
 	// communicating. 0 = inline (historical schedule); forces are
@@ -144,7 +139,7 @@ func New(c *msg.Comm, sys *core.System, cfg Config) *Engine {
 	})
 	e.walkers = make([]*tree.Walker, e.Slots())
 	for i := range e.walkers {
-		e.walkers[i] = &tree.Walker{Kernels: cfg.Kernels}
+		e.walkers[i] = &tree.Walker{}
 	}
 	e.Stepper.B = engineBodies{e}
 	return e

@@ -3,6 +3,7 @@ package parallel
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/diag"
@@ -220,4 +221,39 @@ func TestRunReportMatchesCountersAndForcesUnchanged(t *testing.T) {
 			t.Fatalf("rank %d trace send bytes %d != traffic record %d", r, sentBytes, got)
 		}
 	}
+}
+
+// The roofline must stay a ceiling now that the kernels run four lanes
+// wide on half the counted arithmetic: on a small treebench-style run
+// (4 ranks, real wall clock, host ceilings measured with the kernels'
+// own instruction mix) the utilization is a fraction, and the report
+// says what an interaction executes beside what it is charged.
+func TestRooflineUtilizationIsAFraction(t *testing.T) {
+	if testing.Short() {
+		t.Skip("host measurement in -short mode")
+	}
+	const n = 3000
+	t0 := time.Now()
+	w, engines := run4(t, n, 2, nil, nil)
+	wall := time.Since(t0).Seconds()
+	inputs := make([]metrics.RankInput, len(engines))
+	for r, e := range engines {
+		inputs[r] = e.Report()
+	}
+	rep := metrics.BuildReport("test", n, wall, inputs, w, nil)
+	rf := rep.Roofline
+	rf.Calibrate(metrics.MeasurePeakFlops(), metrics.MeasurePeakBandwidth())
+	if !(rf.Utilization > 0 && rf.Utilization <= 1) {
+		t.Errorf("utilization %g of a %s-bound ceiling %g flops/s (achieved %g counted), want in (0, 1]",
+			rf.Utilization, rf.Bound, rf.Ceiling, rf.AchievedFlops)
+	}
+	lo, hi := float64(diag.ExecutedFlopsPerInteraction), float64(diag.ExecutedFlopsPerInteraction+diag.ExecutedFlopsPerQuadrupole)
+	if x := rf.ExecutedPerInteraction; x < lo || x > hi {
+		t.Errorf("executed flops per interaction %g outside [%g, %g]", x, lo, hi)
+	}
+	if rf.ExecutedFlops == 0 || rf.ExecutedFlops >= rf.KernelFlops {
+		t.Errorf("executed flops %d, counted %d: want 0 < executed < counted", rf.ExecutedFlops, rf.KernelFlops)
+	}
+	t.Logf("utilization %.3f (%s-bound), %.1f executed flops per interaction, peak %.1f Gflop/s",
+		rf.Utilization, rf.Bound, rf.ExecutedPerInteraction, rf.PeakFlops/1e9)
 }

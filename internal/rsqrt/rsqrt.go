@@ -15,6 +15,14 @@
 // polish it to full double precision. The seed table is built once at
 // init time (the 1997 code likewise precomputed it); the per-call path
 // contains no divisions and no calls to math.Sqrt.
+//
+// It is kept for fidelity to the paper, not for speed: on present-day
+// hardware 1/math.Sqrt is correctly rounded, takes half the time of
+// this routine call for call, and vectorizes, so the production force
+// kernels (internal/grav kernel.go) use the hardware. Rsqrt serves the scalar
+// Karp kernels grav.PPTile/PPSelf/M2P (the direct sum, the fused walk
+// and the accuracy tests' second opinion) and the Ablation_RsqrtKarp
+// vs Ablation_RsqrtLibm pair that measures the trade.
 package rsqrt
 
 import "math"
@@ -27,106 +35,6 @@ const tableBits = 8
 
 const tableSize = 1 << tableBits
 
-// TableSize is the number of seed intervals, exported for kernels that
-// fuse the sweep body into their own loops (internal/grav's tiled
-// kernels). The tables themselves are built only here, at init.
-const TableSize = tableSize
-
-// IntervalWidth is the mantissa span of one seed interval.
-const IntervalWidth = intervalWidth
-
-// SeedTables returns the Chebyshev seed coefficient tables. Callers
-// fusing the sweep into a larger loop index them with the same clamped
-// interval index Sweep uses; writing through the pointers is not
-// allowed.
-func SeedTables() (c0, c1, c2 *[TableSize]float64) {
-	return &seedC0, &seedC1, &seedC2
-}
-
-// The fused-kernel seed: the variant of the Karp table designed for
-// inlining into a larger loop (internal/grav's tiled kernels), where
-// everything the evaluation needs comes straight from the argument's
-// bit pattern with the fewest possible integer operations:
-//
-//   - the table index is the single 8-bit field (bits >> 45) & 255:
-//     its low FusedMantBits bits are the top mantissa bits (the
-//     interval within the binade) and its top bit is the BIASED
-//     exponent's least significant bit, which encodes the binade
-//     parity, so no shift/or assembly of the index is needed;
-//   - the polynomial runs directly in the integer low mantissa
-//     tf = float64(bits & (2^45-1)) with the 2^-52 scale folded into
-//     the coefficients (exact: power-of-two scalings), so the
-//     unfolded mantissa u is never materialized as a float;
-//   - the Newton factor 0.5*m = HalfM*u is D + E*tf with per-entry
-//     D = HalfM*Base and E = HalfM*2^-52, which is EXACT (both
-//     addends are exact and their sum is HalfM*u, representable);
-//   - the final scale by 2^(-e/2) is an integer add into the
-//     exponent field (exact, identical to the multiply).
-//
-// The per-binade grid is fine enough (interpolation error ~7e-9,
-// worst case at the bottom of the odd binade) that a single Newton
-// iteration reaches full double precision, so the fused form costs
-// one whole Newton step less than the classic sweep while agreeing
-// with it to a couple of ulps. The whole table is 10 KB.
-
-// FusedMantBits is the per-binade resolution of the fused seed table:
-// 2^FusedMantBits intervals over each binade.
-const FusedMantBits = 7
-
-// FusedTableSize is the total fused seed entry count; entry k serves
-// arguments whose index field (bits >> FusedShift) & (FusedTableSize-1)
-// equals k.
-const FusedTableSize = 2 << FusedMantBits
-
-// FusedShift is the right shift that brings the index field to the
-// bottom: the low mantissa has 52-FusedMantBits bits below the field.
-const FusedShift = 52 - FusedMantBits
-
-// FusedCoeffs is one fused seed interval for the argument binade with
-// fold = 1 (biased exponent odd) or 2 (biased exponent even): the
-// Chebyshev quadratic C0 + tf*(C1 + tf*C2) in the integer low
-// mantissa tf approximates 1/sqrt(fold*u) on the interval, and
-// D + E*tf = (fold/2)*u exactly for the Newton step.
-type FusedCoeffs struct {
-	C0, C1, C2, D, E float64
-}
-
-var fusedSeed [FusedTableSize]FusedCoeffs
-
-// FusedTable returns the fused seed table; writing through the
-// pointer is not allowed.
-func FusedTable() *[FusedTableSize]FusedCoeffs {
-	return &fusedSeed
-}
-
-// RsqrtFused is the scalar form of the fused-kernel pipeline:
-// bit-indexed seed, one Newton iteration. It is the reference the
-// property tests hold the tiled kernels' inlined arithmetic against
-// (the kernels inline exactly this operation sequence), and agrees
-// with Rsqrt to within a couple of ulps (both are within ~1 ulp of
-// the exactly rounded result). Special cases match Rsqrt exactly:
-// they take the same fallback.
-//
-// The exponent handling: for x = u * 2^e with even e' = e - odd the
-// result is y * 2^(-e'/2), and -e'/2 = (1023 + odd - be) >> 1 with
-// be the biased exponent and odd = (be&1)^1 (the bias 1023 is odd).
-// The scale is applied by adding to y's exponent field directly --
-// exact, identical to the multiply (y is in (0.35, 1.01] and e'/2 is
-// within +-511, so the sum stays normal).
-func RsqrtFused(x float64) float64 {
-	b := math.Float64bits(x)
-	if (b>>52)-1 >= 0x7FE {
-		return Rsqrt(x) // zero, subnormal, negative, Inf, NaN
-	}
-	be := int(b >> 52)
-	k := int(b>>FusedShift) & (FusedTableSize - 1)
-	tf := float64(b << (64 - FusedShift) >> (64 - FusedShift))
-	c := &fusedSeed[k]
-	y := c.C0 + tf*(c.C1+tf*c.C2)
-	y = y * (1.5 - (c.D+c.E*tf)*(y*y))
-	return math.Float64frombits(math.Float64bits(y) + uint64((1023+(be&1^1)-be)>>1)<<52)
-}
-
 // Each interval stores the coefficients of the quadratic
 // c0 + t*(c1 + t*c2) in t = m - start(interval).
 var seedC0, seedC1, seedC2 [tableSize]float64
@@ -136,18 +44,16 @@ var seedC0, seedC1, seedC2 [tableSize]float64
 const intervalWidth = 3.0 / tableSize
 
 // chebCoeffs returns the coefficients of the degree-2 Chebyshev
-// interpolant of 1/sqrt(fold*u) on [a,b] in u, expanded around a so
-// evaluation is Horner in t = u-a: both seed tables are built from
-// this one fit (the classic table with fold = 1 over the folded
-// mantissa, the fused table with the binade's fold baked in).
-func chebCoeffs(a, b, fold float64) (c0, c1, c2 float64) {
+// interpolant of 1/sqrt(u) on [a,b], expanded around a so evaluation
+// is Horner in t = u-a.
+func chebCoeffs(a, b float64) (c0, c1, c2 float64) {
 	mid := 0.5 * (a + b)
 	half := 0.5 * (b - a)
 	// Chebyshev nodes of degree-2 interpolation on [a,b].
 	var x, f [3]float64
 	for k := 0; k < 3; k++ {
 		x[k] = mid + half*math.Cos(float64(2*k+1)*math.Pi/6)
-		f[k] = 1 / math.Sqrt(fold*x[k])
+		f[k] = 1 / math.Sqrt(x[k])
 	}
 	// Newton divided differences, then shift the expansion
 	// point from x[0] to a.
@@ -162,27 +68,7 @@ func chebCoeffs(a, b, fold float64) (c0, c1, c2 float64) {
 func init() {
 	for i := 0; i < tableSize; i++ {
 		a := 1.0 + float64(i)*intervalWidth
-		seedC0[i], seedC1[i], seedC2[i] = chebCoeffs(a, a+intervalWidth, 1)
-	}
-	const half = FusedTableSize / 2
-	for k := 0; k < FusedTableSize; k++ {
-		i := k & (half - 1)
-		// Entry k's top bit is the BIASED exponent LSB; the bias is
-		// odd, so biased-even (top bit 0) means unbiased-odd: fold 2.
-		fold := 2.0
-		if k >= half {
-			fold = 1
-		}
-		base := 1 + float64(i)/half
-		c0, c1, c2 := chebCoeffs(base, base+1.0/half, fold)
-		// Rescale from t = u-base to the integer low mantissa
-		// tf = t*2^52; power-of-two scalings are exact, so the
-		// evaluation is bit-identical to the u-space form.
-		fusedSeed[k].C0 = c0
-		fusedSeed[k].C1 = c1 * 0x1p-52
-		fusedSeed[k].C2 = c2 * 0x1p-104
-		fusedSeed[k].D = 0.5 * fold * base
-		fusedSeed[k].E = 0.5 * fold * 0x1p-52
+		seedC0[i], seedC1[i], seedC2[i] = chebCoeffs(a, a+intervalWidth)
 	}
 }
 
@@ -242,50 +128,6 @@ func rsqrtN(x float64, iters int) float64 {
 	// Exact rescale by 2^(-e/2); e is even and within [-1074, 1023],
 	// so -e/2 is within the normal exponent range.
 	return y * math.Float64frombits(uint64(-e/2+1023)<<52)
-}
-
-// oddFold multiplies the mantissa by 1 or 2 depending on exponent
-// parity; a table load instead of a branch, because the parity is
-// effectively random across interactions and a branch there costs a
-// mispredict on half of them.
-var oddFold = [2]float64{1, 2}
-
-// Sweep fills dst with the Karp reciprocal square root of each src
-// element, bit-identical to calling Rsqrt per element. The scalar
-// routine is too large for the compiler's inlining budget, so the
-// batched SoA kernels in internal/grav call this instead: the seed
-// and Newton sequences of consecutive elements are independent, and
-// with the loop body inlined their ~20-cycle dependence chains
-// overlap -- this is where a batched pipeline beats a per-interaction
-// call. Special arguments (zero, subnormal, negative, infinite, NaN)
-// take the scalar fallback. dst must be at least as long as src.
-func Sweep(dst, src []float64) {
-	dst = dst[:len(src)]
-	for i, x := range src {
-		b := math.Float64bits(x)
-		e := int(b >> 52)
-		if e == 0 || e >= 0x7FF {
-			dst[i] = Rsqrt(x) // zero, subnormal, negative, Inf, NaN
-			continue
-		}
-		e -= 1023
-		odd := e & 1
-		e -= odd
-		m := math.Float64frombits(b&0x000FFFFFFFFFFFFF|0x3FF0000000000000) * oddFold[odd]
-		k := int((m - 1.0) * (1.0 / intervalWidth))
-		if k >= tableSize {
-			k = tableSize - 1
-		}
-		// m >= 1 keeps k non-negative; the mask is a no-op that hands
-		// the prove pass the [0, tableSize) range so the three table
-		// loads below carry no bounds checks.
-		k &= tableSize - 1
-		t := m - (1.0 + float64(k)*intervalWidth)
-		y := seedC0[k] + t*(seedC1[k]+t*seedC2[k])
-		y = y * (1.5 - 0.5*m*y*y)
-		y = y * (1.5 - 0.5*m*y*y)
-		dst[i] = y * math.Float64frombits(uint64(-e/2+1023)<<52)
-	}
 }
 
 // Flops is the number of floating point operations the paper charges

@@ -111,80 +111,6 @@ func TestIterationAccuracyLadder(t *testing.T) {
 	}
 }
 
-// sameBits reports whether two float64s are bit-identical, treating
-// every NaN as equal to every other NaN.
-func sameBits(a, b float64) bool {
-	if math.IsNaN(a) && math.IsNaN(b) {
-		return true
-	}
-	return math.Float64bits(a) == math.Float64bits(b)
-}
-
-// Property: the batched Sweep is element-wise bit-identical to the
-// scalar Rsqrt for arbitrary bit patterns -- the contract that lets
-// the SoA kernels in internal/grav share this implementation instead
-// of re-deriving the seed tables.
-func TestSweepMatchesRsqrtProperty(t *testing.T) {
-	f := func(us []uint64) bool {
-		src := make([]float64, len(us))
-		for i, u := range us {
-			src[i] = math.Float64frombits(u)
-		}
-		dst := make([]float64, len(src))
-		Sweep(dst, src)
-		for i := range src {
-			if !sameBits(dst[i], Rsqrt(src[i])) {
-				t.Logf("x=%x sweep=%x rsqrt=%x",
-					math.Float64bits(src[i]), math.Float64bits(dst[i]), math.Float64bits(Rsqrt(src[i])))
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// The directed companion of the property test: walk the full exponent
-// range, both mantissa-fold parities, the subnormal binade, and every
-// special case through Sweep in one batch.
-func TestSweepExponentRange(t *testing.T) {
-	var src []float64
-	for e := -1074; e <= 1023; e++ {
-		// One even-exponent and one odd-exponent representative per
-		// binade, plus a mantissa near the top of the seed table.
-		x := math.Ldexp(1, e)
-		src = append(src, x, 1.5*x, 1.999*x)
-	}
-	// Subnormals (min, max, mid) and specials.
-	src = append(src,
-		math.Float64frombits(1),
-		math.Float64frombits(0x000FFFFFFFFFFFFF),
-		math.Float64frombits(0x0000000100000000),
-		0, math.Copysign(0, -1), -1, math.Inf(1), math.Inf(-1), math.NaN(),
-	)
-	dst := make([]float64, len(src))
-	Sweep(dst, src)
-	for i, x := range src {
-		if want := Rsqrt(x); !sameBits(dst[i], want) {
-			t.Errorf("Sweep(%g) = %x, Rsqrt = %x",
-				x, math.Float64bits(dst[i]), math.Float64bits(want))
-		}
-	}
-}
-
-// A short destination must be the caller's bug, not silent
-// truncation: Sweep reslices dst to len(src) up front.
-func TestSweepShortDstPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Sweep with short dst did not panic")
-		}
-	}()
-	Sweep(make([]float64, 2), make([]float64, 3))
-}
-
 func TestSqrt(t *testing.T) {
 	for _, x := range []float64{0, 1, 2, 100, 1e-10, 1e10} {
 		got := Sqrt(x)
@@ -225,21 +151,4 @@ func BenchmarkMathSqrtInverse(b *testing.B) {
 		x += 1e-9
 	}
 	_ = sink
-}
-
-// BenchmarkSweep measures batched throughput per element on a
-// kernel-tile-sized span, where consecutive elements' seed and Newton
-// chains overlap -- the number the tiled kernels actually pay.
-func BenchmarkSweep(b *testing.B) {
-	const n = 256
-	src := make([]float64, n)
-	dst := make([]float64, n)
-	for i := range src {
-		src[i] = 0.5 + float64(i)*0.037
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Sweep(dst, src)
-	}
-	b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds()/1e9, "Gelem/s")
 }

@@ -7,7 +7,7 @@
 //
 //	POST   /jobs          submit a Spec, 202 + Status
 //	GET    /jobs          list all jobs (statuses, submission order)
-//	GET    /jobs/{id}     one job's Status
+//	GET    /jobs/{id}     one job's Status (410 once the job has been forgotten)
 //	DELETE /jobs/{id}     cancel (queued -> cancelled now; running -> world abort)
 //	GET    /jobs/{id}/*   the job's telemetry handler (series, health, ...)
 //	GET    /healthz       liveness + job-state tally
@@ -58,40 +58,46 @@ func Handler(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, out)
 	})
 
-	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		j, ok := m.Get(r.PathValue("id"))
-		if !ok {
+	// lookup resolves {id} or answers for it: 410 for a finished job
+	// the manager has forgotten, 404 for an ID it never issued.
+	lookup := func(w http.ResponseWriter, r *http.Request) (*Job, bool) {
+		id := r.PathValue("id")
+		j, ok := m.Get(id)
+		switch {
+		case ok:
+		case m.Evicted(id):
+			http.Error(w, "job finished and is no longer retained", http.StatusGone)
+		default:
 			http.Error(w, "no such job", http.StatusNotFound)
-			return
 		}
-		writeJSON(w, http.StatusOK, j.Status())
+		return j, ok
+	}
+
+	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		if j, ok := lookup(w, r); ok {
+			writeJSON(w, http.StatusOK, j.Status())
+		}
 	})
 
 	mux.HandleFunc("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		if _, ok := m.Get(id); !ok {
-			http.Error(w, "no such job", http.StatusNotFound)
+		j, ok := lookup(w, r)
+		if !ok {
 			return
 		}
-		if err := m.Cancel(id); err != nil {
+		if err := m.Cancel(j.ID); err != nil {
 			// Already terminal: cancellation cannot apply.
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
-		j, _ := m.Get(id)
 		writeJSON(w, http.StatusOK, j.Status())
 	})
 
 	// The job's own telemetry surface: strip /jobs/{id} and let the
 	// per-job mux route /series, /health, /report, /metrics, pprof.
 	mux.HandleFunc("/jobs/{id}/", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		j, ok := m.Get(id)
-		if !ok {
-			http.Error(w, "no such job", http.StatusNotFound)
-			return
+		if j, ok := lookup(w, r); ok {
+			http.StripPrefix("/jobs/"+j.ID, j.handler).ServeHTTP(w, r)
 		}
-		http.StripPrefix("/jobs/"+id, j.handler).ServeHTTP(w, r)
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

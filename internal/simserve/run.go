@@ -80,6 +80,7 @@ func (m *Manager) runJob(j *Job) {
 		m.reg.Counter(MetricFailed).Add(1)
 		m.lg.Error("job failed (contained)", "job", j.ID, "err", err)
 	}
+	m.retire(j.ID)
 }
 
 // execute builds the job's world and runs its physics. The returned

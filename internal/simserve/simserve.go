@@ -32,6 +32,9 @@ package simserve
 import (
 	"fmt"
 	"log/slog"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,6 +51,7 @@ const (
 	MetricCompleted = "simserve_jobs_completed"
 	MetricFailed    = "simserve_jobs_failed"
 	MetricCancelled = "simserve_jobs_cancelled"
+	MetricEvicted   = "simserve_jobs_evicted" // terminal jobs forgotten to bound the job table
 	MetricRunning   = "simserve_jobs_running"
 	MetricQueued    = "simserve_jobs_queued"
 	MetricBatches   = "simserve_batches_flushed"
@@ -84,6 +88,12 @@ type Config struct {
 	// Log is the service logger (nil = slog.Default()).
 	Log *slog.Logger
 }
+
+// retainTerminal is how many finished jobs stay queryable. Older ones
+// are forgotten as newer ones finish (their IDs then answer 410 Gone),
+// so the job table is bounded by this plus the jobs admitted and
+// running, whatever the service's uptime.
+const retainTerminal = 64
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -123,9 +133,10 @@ type Manager struct {
 	lg  *slog.Logger
 	reg *metrics.Registry
 
-	mu    sync.Mutex
-	jobs  map[string]*Job
-	order []string // submission order, for listing
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	order    []string // submission order, for listing
+	terminal []string // finished jobs still tracked, oldest first
 
 	seq     atomic.Uint64
 	backlog atomic.Int64 // admitted, not yet dequeued by a worker
@@ -150,6 +161,7 @@ func New(cfg Config) *Manager {
 		// never blocks a batch flush.
 		queue: make(chan *Job, cfg.QueueDepth),
 	}
+	m.reg.Counter(MetricEvicted) // exposed as 0 until the first eviction
 	m.batch = newBatcher(cfg.BatchWindow, cfg.BatchSize, m.dispatch)
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
@@ -183,7 +195,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	}
 
 	j := &Job{
-		ID:        fmt.Sprintf("j-%06d", m.seq.Add(1)),
+		ID:        jobID(m.seq.Add(1)),
 		Spec:      spec,
 		inj:       inj,
 		state:     StateQueued,
@@ -225,12 +237,49 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	return j, nil
 }
 
+// jobID is the n-th accepted job's ID.
+func jobID(n uint64) string { return fmt.Sprintf("j-%06d", n) }
+
 // Get returns a job by ID.
 func (m *Manager) Get(id string) (*Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	return j, ok
+}
+
+// Evicted reports whether id names a job this manager accepted and
+// has since forgotten (HTTP 410, where an ID never issued is 404).
+// IDs are issued in sequence, so nothing is kept per forgotten job.
+func (m *Manager) Evicted(id string) bool {
+	n, err := strconv.ParseUint(strings.TrimPrefix(id, "j-"), 10, 64)
+	if err != nil || id != jobID(n) || n == 0 || n > m.seq.Load() {
+		return false
+	}
+	_, tracked := m.Get(id)
+	return !tracked
+}
+
+// retire records that job id just went terminal and forgets the
+// oldest finished jobs beyond retainTerminal. Queued and running jobs
+// are never on the terminal list, so never evicted.
+func (m *Manager) retire(id string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.terminal = append(m.terminal, id)
+	drop := len(m.terminal) - retainTerminal
+	if drop <= 0 {
+		return
+	}
+	for _, old := range m.terminal[:drop] {
+		delete(m.jobs, old)
+	}
+	m.terminal = append(m.terminal[:0], m.terminal[drop:]...)
+	m.order = slices.DeleteFunc(m.order, func(id string) bool {
+		_, tracked := m.jobs[id]
+		return !tracked
+	})
+	m.reg.Counter(MetricEvicted).Add(uint64(drop))
 }
 
 // Jobs lists every tracked job in submission order.
@@ -260,6 +309,7 @@ func (m *Manager) Cancel(id string) error {
 		// so account for it here.
 		j.tel.Close()
 		m.reg.Counter(MetricCancelled).Add(1)
+		m.retire(id)
 	}
 	return nil
 }

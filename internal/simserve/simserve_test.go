@@ -460,33 +460,21 @@ func TestHTTPAPI(t *testing.T) {
 	}
 }
 
-// TestForcesHashMatchesRestartWalk pins the final forces of every
-// physics the service runs, at 2, 4 and 8 ranks, to the digests the
-// commit before suspended walks (PR 12, be27d9e: restart-from-root
-// retries, multi-probe cell lookup) produced for the same specs. The
-// emitting walk builds each interaction list in root-DFS order, the
-// order the restart walk had, so not one bit of any force may move.
-// The digests are of amd64 arithmetic (no fused multiply-add).
-func TestForcesHashMatchesRestartWalk(t *testing.T) {
+// goldenHashes is one spec and its forces_hash digests at np = 2, 4, 8.
+type goldenHashes struct {
+	spec   Spec
+	hashes [3]string
+}
+
+// checkForcesHashes runs every golden spec at 2, 4 and 8 ranks and
+// compares the digests. They are of amd64 arithmetic (no fused
+// multiply-add anywhere in the step).
+func checkForcesHashes(t *testing.T, golden []goldenHashes) {
+	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests were captured on amd64")
 	}
 	m := testManager(t, Config{Workers: 2, MaxNP: 8})
-	golden := []struct {
-		spec   Spec
-		hashes [3]string // np = 2, 4, 8
-	}{
-		{Spec{Physics: PhysicsGravity, N: 1500, Steps: 1, Seed: 17},
-			[3]string{"621b8e3f9a77c654", "9865cae4ee8decf6", "51dce5dff996b42e"}},
-		{Spec{Physics: PhysicsGravity, N: 1500, Steps: 1, Seed: 17, DTMode: "block"},
-			[3]string{"133e2bb0ac501af2", "38c7fda55279cec1", "a952d240f70f0d51"}},
-		{Spec{Physics: PhysicsGravity, N: 1500, Steps: 1, Seed: 17, EvalWorkers: 2, Prefetch: 1},
-			[3]string{"621b8e3f9a77c654", "9865cae4ee8decf6", "51dce5dff996b42e"}},
-		{Spec{Physics: PhysicsSPH, N: 600, Steps: 1, Seed: 17},
-			[3]string{"8e747d466bc64bab", "c2994f7239ce8140", "1bd8666bd3c52d1d"}},
-		{Spec{Physics: PhysicsVortex, N: 24, Steps: 2},
-			[3]string{"ae3825da448d1a7e", "48bb1ce2743d21a8", "013be88ae9624476"}},
-	}
 	for _, g := range golden {
 		for i, np := range []int{2, 4, 8} {
 			sp := g.spec
@@ -504,4 +492,43 @@ func TestForcesHashMatchesRestartWalk(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestForcesHashMatchesRestartWalk pins the final positions of the
+// vortex jobs, at 2, 4 and 8 ranks, to the digests the commit before
+// suspended walks (PR 12, be27d9e: restart-from-root retries,
+// multi-probe cell lookup) produced for the same spec. The emitting
+// walk builds each interaction list in root-DFS order, the order the
+// restart walk had, so not one bit may move. (The gravity and SPH
+// digests it also held until PR 17 moved with the gravity kernel and
+// are in TestForcesHashPinsKernel; the vortex kernel did not change.)
+func TestForcesHashMatchesRestartWalk(t *testing.T) {
+	checkForcesHashes(t, []goldenHashes{
+		{Spec{Physics: PhysicsVortex, N: 24, Steps: 2},
+			[3]string{"ae3825da448d1a7e", "48bb1ce2743d21a8", "013be88ae9624476"}},
+	})
+}
+
+// TestForcesHashPinsKernel pins the final forces of every job that
+// runs the gravity kernels (gravity uniform, block and pipelined with
+// prefetch; SPH with self-gravity) to the digests of the PR 17 kernel
+// generation: grav/kernel.go's Go loops -- hardware sqrt and divide,
+// one accumulator set per target swept in list order -- or their AVX2
+// form, which is the same arithmetic bit for bit. The lists are still
+// the restart walk's, element for element (the count goldens in
+// internal/parallel did not move); only the arithmetic applied to them
+// changed, by ~1e-15 of the force (EXPERIMENTS.md "Kernel (PR 17)").
+// A change to the kernels' operation order, a fused multiply-add, or
+// an assembly lane that strays from the Go loop shows up here.
+func TestForcesHashPinsKernel(t *testing.T) {
+	checkForcesHashes(t, []goldenHashes{
+		{Spec{Physics: PhysicsGravity, N: 1500, Steps: 1, Seed: 17},
+			[3]string{"e3812b3950857929", "ff9971309216c0d3", "1052c4de89354c0c"}},
+		{Spec{Physics: PhysicsGravity, N: 1500, Steps: 1, Seed: 17, DTMode: "block"},
+			[3]string{"6c0f884bc724d78b", "c4a163ec12e46c40", "c4f0f89a2cab5857"}},
+		{Spec{Physics: PhysicsGravity, N: 1500, Steps: 1, Seed: 17, EvalWorkers: 2, Prefetch: 1},
+			[3]string{"e3812b3950857929", "ff9971309216c0d3", "1052c4de89354c0c"}},
+		{Spec{Physics: PhysicsSPH, N: 600, Steps: 1, Seed: 17},
+			[3]string{"3377916bed0f000f", "43b5072667ebf1d6", "a30b7c0028029d3b"}},
+	})
 }

@@ -128,17 +128,16 @@ func (p *ForcePool) equalize() { EqualizeWalkers(p.walkers) }
 // must hold all walkers idle (between evaluations); the distributed
 // engines' eval slot pools use this the same way ForcePool does.
 func EqualizeWalkers(walkers []*Walker) {
-	var nb, nc, nt, ns, nstack int
+	var nb, nc, nt, nstack int
 	for _, w := range walkers {
 		b, c := w.List.Caps()
-		t, s := w.tg.Caps()
 		nb, nc = max(nb, b), max(nc, c)
-		nt, ns = max(nt, t), max(ns, s)
+		nt = max(nt, w.tg.Cap())
 		nstack = max(nstack, cap(w.stack))
 	}
 	for _, w := range walkers {
 		w.List.Grow(nb, nc)
-		w.tg.Grow(nt, ns)
+		w.tg.Grow(nt)
 		if cap(w.stack) < nstack {
 			grown := make([]keys.Key, len(w.stack), nstack)
 			copy(grown, w.stack)

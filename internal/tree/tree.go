@@ -48,11 +48,7 @@ type Tree struct {
 	Domain keys.Domain
 	MAC    grav.MACParams
 	Bucket int
-	// Kernels pins the interaction-kernel implementation every
-	// Gravity evaluation over this tree uses (serial and pooled); the
-	// zero value is the production tiled set.
-	Kernels grav.Impl
-	Cells   *htab.Table[Cell]
+	Cells  *htab.Table[Cell]
 	// Groups lists the leaf cell keys in Morton order; leaves are the
 	// traversal groups.
 	Groups []keys.Key

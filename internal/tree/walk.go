@@ -32,10 +32,6 @@ type Source interface {
 type Walker struct {
 	stack   []keys.Key
 	missing []keys.Key
-	// Kernels selects the interaction-kernel implementation Evaluate
-	// uses; the zero value is the production tiled set. Engines set it
-	// once so every evaluation of a run is pinned to one set.
-	Kernels grav.Impl
 	// List is the interaction list built by the last Walk (or the
 	// last Begin ... TakeLeaf sequence of a distributed traversal).
 	List grav.InteractionList
@@ -189,14 +185,14 @@ func (w *Walker) Evaluate(gpos []vec.V3, gmass []float64, acc []vec.V3, pot []fl
 	} else {
 		w.tg.Load(gpos, nil)
 	}
-	n := w.Kernels.EvalM2P(&w.tg, &w.List, quad, eps2)
+	n := grav.EvalM2P(&w.tg, &w.List, quad, eps2)
 	ctr.PC += n
 	if quad {
 		ctr.QuadPC += n
 	}
-	ctr.PP += w.Kernels.EvalPP(&w.tg, &w.List, eps2)
+	ctr.PP += grav.EvalPP(&w.tg, &w.List, eps2)
 	if w.List.Self {
-		ctr.PP += w.Kernels.EvalSelf(&w.tg, eps2)
+		ctr.PP += grav.EvalSelf(&w.tg, eps2)
 	}
 	w.tg.Store(acc, pot)
 }
@@ -261,7 +257,6 @@ func (w *Walker) WalkFused(src Source, groupKey keys.Key, gpos []vec.V3, acc []v
 // the serial driver and the concurrent pool workers; with a reused
 // Walker the steady state allocates nothing.
 func (t *Tree) gravityGroups(w *Walker, ctr *diag.Counters, glo, ghi int, eps2 float64) {
-	w.Kernels = t.Kernels
 	sys := t.Sys
 	for _, gk := range t.Groups[glo:ghi] {
 		g := t.Cell(gk)
@@ -324,7 +319,6 @@ func (t *Tree) GravityActive(eps2 float64, minRung int) diag.Counters {
 	}
 	var ctr diag.Counters
 	var w Walker
-	w.Kernels = t.Kernels
 	sys := t.Sys
 	for _, gk := range t.Groups {
 		g := t.Cell(gk)

@@ -1,29 +1,22 @@
 #!/bin/sh
-# Bounds-check-elimination guard for the hot interaction kernels.
+# Bounds-check-elimination guard for the interaction kernels' Go loops
+# (internal/grav/kernel.go: the kernels' definition everywhere, and the
+# production path wherever the AVX2 assembly is not).
 #
-# Builds the kernel packages with -d=ssa/check_bce and compares the
-# checks the compiler could NOT eliminate against the committed
-# golden (scripts/bce_allow.txt). The golden is aggregated to
-# per-file, per-kind counts so comment edits don't churn it; any NEW
-# check that survives prove -- say a refactor that breaks the
-# re-slice idiom and puts a per-interaction bounds check back into a
-# tile sweep -- changes a count and fails the guard.
+# Builds the package with -d=ssa/check_bce and compares the checks the
+# compiler could NOT eliminate in kernel.go against the committed
+# golden (scripts/bce_allow.txt). The golden is aggregated to per-kind
+# counts so comment edits don't churn it; any NEW check that survives
+# prove -- say a refactor that drops a column's re-slice and puts a
+# per-interaction bounds check back into a sweep -- changes a count and
+# fails the guard.
 #
-# What the golden admits, and why it is not zero:
-#   - internal/grav/tiled.go IsSliceInBounds: the per-tile slice
-#     headers (sx[:n] and friends, the l.SX[s0:s0+n] tile carving,
-#     the EvalSelf snapshot copies). These run once per tile or per
-#     group, amortized over tileSources interactions each.
-#   - internal/grav/tiled.go IsInBounds: the per-tile target loads
-#     (t.X[i] etc.) in the EvalPP/EvalM2P outer loops, plus exactly
-#     ONE in-loop check: the first source access in ppTile's unrolled
-#     pair loop. The loop steps by two, which go1.24's prove pass
-#     cannot follow as an induction variable, so the first access
-#     keeps its check and every later access is eliminated against
-#     it -- one compare-and-branch per two interactions is the floor
-#     this loop shape admits.
-#   - internal/rsqrt/rsqrt.go: the scalar-fallback store in Sweep and
-#     Sweep's own header re-slice; the batched main loop is clean.
+# What the golden admits: IsSliceInBounds only, the once-per-call
+# re-slices of every column to the one shared length (sx[:n] and
+# friends at the top of ppGo, m2pQuadGo and EvalSelf). That re-slice is
+# what lets prove drop every index check, so there is no IsInBounds
+# line: the loops themselves are check-free. There is no tile to carve
+# and no seed table to index any more.
 #
 # Run with -update after a deliberate kernel change to regenerate the
 # golden (and say why in the commit).
@@ -32,8 +25,8 @@ cd "$(dirname "$0")/.."
 
 golden=scripts/bce_allow.txt
 
-actual=$(go build -gcflags='-d=ssa/check_bce' ./internal/grav/ ./internal/rsqrt/ 2>&1 |
-	grep -E '^internal/(grav/tiled|rsqrt/rsqrt)\.go' |
+actual=$(go build -gcflags='-d=ssa/check_bce' ./internal/grav/ 2>&1 |
+	grep -E '^internal/grav/kernel\.go' |
 	sed -E 's/^([^:]+):[0-9]+:[0-9]+: Found /\1 /' |
 	sort | uniq -c | awk '{printf "%4d %s %s\n", $1, $2, $3}')
 
@@ -44,9 +37,9 @@ if [ "${1:-}" = "-update" ]; then
 fi
 
 if ! printf '%s\n' "$actual" | diff -u "$golden" - >&2; then
-	echo "bce: surviving bounds checks in the hot kernels changed" >&2
-	echo "bce: inspect with: go build -gcflags='-d=ssa/check_bce' ./internal/grav/ ./internal/rsqrt/" >&2
+	echo "bce: surviving bounds checks in the kernel loops changed" >&2
+	echo "bce: inspect with: go build -gcflags='-d=ssa/check_bce' ./internal/grav/" >&2
 	echo "bce: if the change is deliberate: sh scripts/bce.sh -update" >&2
 	exit 1
 fi
-echo "bce: hot-kernel bounds checks match $golden"
+echo "bce: kernel-loop bounds checks match $golden"

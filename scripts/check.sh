@@ -1,5 +1,6 @@
 #!/bin/sh
-# Repo-wide check: build, vet, race tests, the hot-kernel
+# Repo-wide check: build (and an arm64 cross-build, so the kernels'
+# portable path cannot rot), vet, race tests, the kernel-loop
 # bounds-check-elimination guard, and the benchmark guardrail -- the
 # ablation benches run once and are diffed against the committed
 # BENCH_baseline.json, failing on a >15% ns/op regression or any
@@ -11,13 +12,16 @@ echo "== go build"
 go build ./...
 echo "== go vet"
 go vet ./...
+echo "== cross-build arm64 (no assembly kernel there: the Go loops are the production path)"
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/grav
 echo "== go test -race"
 go test -race ./...
 echo "== go test -race -count=1 (concurrency-heavy packages, uncached)"
 go test -race -count=1 ./internal/trace ./internal/metrics ./internal/diag ./internal/msg \
 	./internal/core ./internal/tree ./internal/domain ./internal/abm ./internal/hotengine \
 	./internal/integrate ./internal/telemetry ./internal/parallel ./internal/simserve \
-	./internal/cliutil
+	./internal/cliutil ./internal/grav
 echo "== telemetry smoke (treebench -http: scrape /metrics /report /series /health)"
 sh scripts/telemetry_smoke.sh
 echo "== simserve smoke (daemon + crash-injected job contained + bench throughput)"
@@ -30,7 +34,7 @@ echo "== fuzz (time-boxed: splitter selection equals the reference bisection, ne
 # Coverage of a multi-goroutine target is not reproducible, so the
 # minimizer would otherwise spend its default 60 s per new input.
 go test -run='^$' -fuzz=FuzzSelectSplits -fuzztime=20s -fuzzminimizetime=10x ./internal/domain
-echo "== bce (hot interaction kernels stay bounds-check-free, -d=ssa/check_bce)"
+echo "== bce (the interaction kernels' Go loops stay bounds-check-free, -d=ssa/check_bce)"
 sh scripts/bce.sh
 echo "== benchcmp (construction + walker ablations vs BENCH_baseline.json, tol 15%)"
 {
