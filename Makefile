@@ -25,7 +25,7 @@ chaos:
 # iteration of those is one call plus the timer.
 bench-baseline:
 	go run ./cmd/treebench -n 50000 -procs 4 -steps 1 -metrics /tmp/treebench_report.json >/dev/null
-	{ go test -run='^$$' -bench='Ablation_(MAC|Order|Group|Batched|Curve|ABM|Step|WalkOverlap|Prefetch)' -benchtime=1x . ; \
+	{ go test -run='^$$' -bench='Ablation_(MAC|Order|Group|Batched|Curve|ABM|Step|WalkOverlap)' -benchtime=1x . ; \
 	  go test -run='^$$' -bench='Ablation_(Hash|Rsqrt)' -benchtime=1s . ; \
 	  go test -run='^$$' -bench='Ablation_(Sort|Build|Decompose)' -benchtime=5x . ; \
 	  go test -run='^$$' -bench='Ablation_Eval' -benchtime=100x . ; } \

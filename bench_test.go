@@ -643,12 +643,13 @@ func BenchmarkPaperAccounting(b *testing.B) {
 // in-flight message latency (deterministic: every send of every config
 // draws the same delays from the same seed, so on/off is a fair A/B).
 // The reported walk_s/op is the slowest rank's walk-phase wall clock;
-// stall_p99_ms the p99 of the per-group deferral stalls. With the
-// pipeline on, the rank goroutine walks fresh groups and retries
-// just-promoted ones inside the reply collectives' latency windows
-// (the Progress hook), so walk_s/op drops while forces stay bitwise
-// identical (TestOverlapBitwiseForceEquivalence).
-func benchWalkPipeline(b *testing.B, workers, slots, prefetch int) {
+// stall_p99_ms the p99 of the per-group deferral stalls (0 when the
+// push covered every walk and nothing was deferred). With the pipeline
+// on, completed groups evaluate on the workers and, on the safety-net
+// path, the rank goroutine walks inside the reply collectives' latency
+// windows (the Progress hook); forces stay bitwise identical
+// (TestOverlapBitwiseForceEquivalence).
+func benchWalkPipeline(b *testing.B, workers, slots int) {
 	const n, np = 100000, 8
 	// The fixture churns ~100 MB of IC + tree heap per iteration; at the
 	// default GOGC the collector's single-core pauses land directly on
@@ -676,7 +677,7 @@ func benchWalkPipeline(b *testing.B, workers, slots, prefetch int) {
 			}
 			e := parallel.New(c, local, parallel.Config{
 				MAC: mac, Eps2: 1e-6, Bucket: 16,
-				EvalWorkers: workers, EvalSlots: slots, PrefetchDepth: prefetch,
+				EvalWorkers: workers, EvalSlots: slots,
 			})
 			defer e.Close()
 			e.Stalls = stalls
@@ -695,7 +696,5 @@ func benchWalkPipeline(b *testing.B, workers, slots, prefetch int) {
 	b.ReportMetric(float64(inter), "interactions/op")
 }
 
-func BenchmarkAblation_WalkOverlapOff(b *testing.B) { benchWalkPipeline(b, 0, 0, 0) }
-func BenchmarkAblation_WalkOverlapOn(b *testing.B)  { benchWalkPipeline(b, 1, 0, 0) }
-func BenchmarkAblation_PrefetchD0(b *testing.B)     { benchWalkPipeline(b, 0, 0, 0) }
-func BenchmarkAblation_PrefetchD1(b *testing.B)     { benchWalkPipeline(b, 0, 0, 1) }
+func BenchmarkAblation_WalkOverlapOff(b *testing.B) { benchWalkPipeline(b, 0, 0) }
+func BenchmarkAblation_WalkOverlapOn(b *testing.B)  { benchWalkPipeline(b, 1, 0) }

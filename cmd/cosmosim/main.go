@@ -43,14 +43,13 @@ func main() {
 	dtmode := flag.String("dtmode", "uniform", "time stepping: uniform (one rung) or block (hierarchical per-body sub-steps)")
 	eta := flag.Float64("eta", 0.02, "block-timestep criterion scale: dt_i = eta*sqrt(eps/|a_i|)")
 	evalWorkers := flag.Int("evalworkers", 0, "walk/eval pipeline workers: completed groups evaluate under the batched-message collectives (0 = inline historical schedule; forces identical either way)")
-	prefetch := flag.Int("prefetch", 0, "serve-side prefetch depth: replies piggyback the subtree below each requested cell, cutting request rounds (0 = off)")
 	httpAddr := flag.String("http", "", "serve live telemetry (/metrics /series /health /report /debug/pprof) on this address (:0 picks a port)")
 	noProgress := flag.Duration("noprogress", 3*time.Second, "telemetry no-progress health threshold (with -http; 0 = off)")
 	flag.Parse()
 	lg := telemetry.NewLogger(os.Stderr, "cosmosim")
 	if _, err := (cliutil.Flags{
 		N: *grid, Procs: *procs, Steps: *steps, DTMode: *dtmode, Eta: *eta,
-		EvalWorkers: *evalWorkers, Prefetch: *prefetch,
+		EvalWorkers: *evalWorkers,
 	}).Validate(); err != nil {
 		cliutil.Fail("cosmosim", err)
 	}
@@ -125,7 +124,7 @@ func main() {
 		e := parallel.New(c, local, parallel.Config{
 			MAC:         grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 3e-3, Quad: true},
 			Eps2:        1e-6,
-			EvalWorkers: *evalWorkers, PrefetchDepth: *prefetch,
+			EvalWorkers: *evalWorkers,
 		})
 		if *dtmode == "block" {
 			e.Stepper.Scheme = integrate.Block

@@ -39,12 +39,11 @@ func main() {
 	httpAddr := flag.String("http", "", "serve live telemetry (/metrics /series /health /report /debug/pprof) on this address (:0 picks a port)")
 	noProgress := flag.Duration("noprogress", 3*time.Second, "telemetry no-progress health threshold (with -http; 0 = off)")
 	evalWorkers := flag.Int("evalworkers", 0, "walk/eval pipeline workers for the distributed run: completed groups evaluate under the batched-message collectives (0 = inline historical schedule; results identical either way)")
-	prefetch := flag.Int("prefetch", 0, "serve-side prefetch depth for the distributed run: replies piggyback the subtree below each requested cell (0 = off)")
 	flag.Parse()
 	lg := telemetry.NewLogger(os.Stderr, "sphsim")
 	if _, err := (cliutil.Flags{
 		N: *n, Procs: *procs, Steps: *steps,
-		EvalWorkers: *evalWorkers, Prefetch: *prefetch,
+		EvalWorkers: *evalWorkers,
 	}).Validate(); err != nil {
 		cliutil.Fail("sphsim", err)
 	}
@@ -100,7 +99,7 @@ func main() {
 	var ctrGas, ctrCtl diag.Counters
 	if *procs > 1 {
 		start := time.Now()
-		gasRun := runParallel(*n, *steps, *dt, *cs, *procs, *evalWorkers, *prefetch, run, stalls, tel)
+		gasRun := runParallel(*n, *steps, *dt, *cs, *procs, *evalWorkers, run, stalls, tel)
 		wall := time.Since(start).Seconds()
 		gas, ctrGas = gasRun.sys, gasRun.total
 
@@ -125,7 +124,7 @@ func main() {
 			fmt.Printf("wrote trace %s (%d events dropped)\n", *traceOut, run.Dropped())
 		}
 
-		ctl := runParallel(*n, *steps, *dt, 0, *procs, *evalWorkers, *prefetch, nil, nil, nil)
+		ctl := runParallel(*n, *steps, *dt, 0, *procs, *evalWorkers, nil, nil, nil)
 		control, ctrCtl = ctl.sys, ctl.total
 	} else {
 		gas, ctrGas = serialRun(*n, *steps, *dt, *cs)
@@ -202,7 +201,7 @@ type parallelRun struct {
 // The pressureless control disables viscosity along with the sound
 // speed, which zeroes the SPH acceleration exactly. run, stalls and
 // tel, when non-nil, instrument every rank.
-func runParallel(n, steps int, dt, cs float64, procs, evalWorkers, prefetch int,
+func runParallel(n, steps int, dt, cs float64, procs, evalWorkers int,
 	run *trace.Run, stalls *metrics.Histogram, tel *telemetry.Sampler) parallelRun {
 	p := sph.Params{EOS: sph.Isothermal, CS: cs, AlphaVisc: 1, BetaVisc: 2}
 	if cs == 0 {
@@ -232,8 +231,7 @@ func runParallel(n, steps int, dt, cs float64, procs, evalWorkers, prefetch int,
 		}
 
 		e := sph.NewParallel(c, local, sph.ParallelConfig{
-			Params: p, Gravity: true, Eps2: 1e-4,
-			EvalWorkers: evalWorkers, PrefetchDepth: prefetch,
+			Params: p, Gravity: true, Eps2: 1e-4, EvalWorkers: evalWorkers,
 		})
 		if run != nil {
 			e.EnableTrace(run.Rank(c.Rank()))

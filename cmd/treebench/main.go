@@ -39,14 +39,13 @@ func main() {
 	dtmode := flag.String("dtmode", "uniform", "time stepping: uniform (one rung) or block (hierarchical per-body sub-steps)")
 	eta := flag.Float64("eta", 0.02, "block-timestep criterion scale: dt_i = eta*sqrt(eps/|a_i|)")
 	evalWorkers := flag.Int("evalworkers", 0, "walk/eval pipeline workers: completed groups evaluate under the batched-message collectives (0 = inline historical schedule; forces identical either way)")
-	prefetch := flag.Int("prefetch", 0, "serve-side prefetch depth: replies piggyback the subtree below each requested cell, cutting request rounds (0 = off)")
 	httpAddr := flag.String("http", "", "serve live telemetry (/metrics /series /health /report /debug/pprof) on this address (:0 picks a port)")
 	noProgress := flag.Duration("noprogress", 3*time.Second, "telemetry no-progress health threshold (with -http; 0 = off)")
 	flag.Parse()
 	lg := telemetry.NewLogger(os.Stderr, "treebench")
 	inj, err := cliutil.Flags{
 		N: *n, Procs: *procs, Steps: *steps, DTMode: *dtmode, Eta: *eta,
-		EvalWorkers: *evalWorkers, Prefetch: *prefetch, Chaos: *chaosSpec,
+		EvalWorkers: *evalWorkers, Chaos: *chaosSpec,
 	}.Validate()
 	if err != nil {
 		cliutil.Fail("treebench", err)
@@ -118,8 +117,7 @@ func main() {
 			local.AppendFrom(global, i)
 		}
 		e := parallel.New(c, local, parallel.Config{
-			MAC: mac, Bucket: *bucket, Eps2: 1e-6,
-			EvalWorkers: *evalWorkers, PrefetchDepth: *prefetch,
+			MAC: mac, Bucket: *bucket, Eps2: 1e-6, EvalWorkers: *evalWorkers,
 		})
 		if *dtmode == "block" {
 			e.Stepper.Scheme = integrate.Block

@@ -61,12 +61,6 @@ type Engine[Req, Rep any] struct {
 	// Trace, when non-nil, receives one "abm.round" span per Round
 	// call on this rank's timeline (nil = off, zero cost).
 	Trace *trace.Tracer
-	// RepBytes, when set, gives each reply's wire size individually
-	// and the reply exchange accounts batches as the sum over their
-	// elements -- the hook for variable-size replies (a cell plus its
-	// piggybacked prefetch subtree). When nil the fixed repBytes from
-	// New is used.
-	RepBytes func(Rep) int
 	// OnReply, when set, is invoked on the calling goroutine as each
 	// source's reply batch arrives during Round (in source order, the
 	// local batch at its own position), instead of the caller reading
@@ -87,8 +81,8 @@ type batch[Req any] struct {
 }
 
 // New creates an engine on communicator c. reqBytes and repBytes are
-// the logical wire sizes per request and per (fixed part of a) reply
-// for traffic accounting.
+// the logical wire sizes per request and per reply for traffic
+// accounting.
 func New[Req, Rep any](c *msg.Comm, reqBytes, repBytes int, handler func(src int, reqs []Req) []Rep) *Engine[Req, Rep] {
 	return &Engine[Req, Rep]{
 		c:        c,
@@ -168,17 +162,9 @@ func (e *Engine[Req, Rep]) Round(work bool) ([][]Rep, bool) {
 		}
 		replies[src] = reps
 	}
-	switch {
-	case e.OnReply != nil:
-		bytesOf := e.RepBytes
-		if bytesOf == nil {
-			per := e.repBytes
-			bytesOf = func(Rep) int { return per }
-		}
-		e.repRecv = msg.AlltoallvSizedFunc(e.c, replies, e.repRecv, bytesOf, e.OnReply)
-	case e.RepBytes != nil:
-		e.repRecv = msg.AlltoallvSizedInto(e.c, replies, e.repRecv, e.RepBytes)
-	default:
+	if e.OnReply != nil {
+		e.repRecv = msg.AlltoallvFunc(e.c, replies, e.repRecv, e.repBytes, e.OnReply)
+	} else {
 		e.repRecv = msg.AlltoallvInto(e.c, replies, e.repRecv, e.repBytes)
 	}
 	// The reply exchange above is the synchronization point: every

@@ -36,9 +36,8 @@ type Flags struct {
 	// Eta is the block-timestep criterion scale, checked only when
 	// DTMode is "block".
 	Eta float64
-	// EvalWorkers and Prefetch are the walk/eval pipeline knobs.
+	// EvalWorkers is the walk/eval pipeline knob.
 	EvalWorkers int
-	Prefetch    int
 	// Chaos is the fault-injection spec ("" = off).
 	Chaos string
 }
@@ -67,9 +66,6 @@ func (f Flags) Validate() (*msg.Injector, error) {
 	}
 	if f.EvalWorkers < 0 {
 		return nil, fmt.Errorf("-evalworkers must be >= 0 (got %d)", f.EvalWorkers)
-	}
-	if f.Prefetch < 0 {
-		return nil, fmt.Errorf("-prefetch must be >= 0 (got %d)", f.Prefetch)
 	}
 	if f.Chaos == "" {
 		return nil, nil

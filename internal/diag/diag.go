@@ -27,12 +27,12 @@ type Counters struct {
 	Requests   uint64 // remote cell requests issued
 	VortexPP   uint64 // vortex body-body interactions
 	SPHPairs   uint64 // SPH neighbor pairs evaluated
-	// Prefetch accounting (serve-side subtree prefetch): Prefetched
-	// counts speculatively imported cells, PrefetchUsed the subset a
-	// walk actually resolved. Prefetched - PrefetchUsed is the wasted
-	// speculation.
-	Prefetched   uint64
-	PrefetchUsed uint64
+	// Push accounting (owner-side push of the locally essential cells):
+	// Pushed counts the cells imported from a push, PushUsed the subset
+	// a walk actually resolved. Pushed - PushUsed is what the
+	// conservative test sent in vain.
+	Pushed   uint64
+	PushUsed uint64
 }
 
 // Paper flop-accounting constants.
@@ -98,26 +98,26 @@ func (c *Counters) Add(other Counters) {
 	c.Requests += other.Requests
 	c.VortexPP += other.VortexPP
 	c.SPHPairs += other.SPHPairs
-	c.Prefetched += other.Prefetched
-	c.PrefetchUsed += other.PrefetchUsed
+	c.Pushed += other.Pushed
+	c.PushUsed += other.PushUsed
 }
 
 // Sub returns the field-wise difference c - other: the per-step delta
 // between two snapshots of an accumulating counter set.
 func (c Counters) Sub(other Counters) Counters {
 	return Counters{
-		PP:           c.PP - other.PP,
-		PC:           c.PC - other.PC,
-		QuadPC:       c.QuadPC - other.QuadPC,
-		CellsBuilt:   c.CellsBuilt - other.CellsBuilt,
-		Traversals:   c.Traversals - other.Traversals,
-		Rewalked:     c.Rewalked - other.Rewalked,
-		Deferred:     c.Deferred - other.Deferred,
-		Requests:     c.Requests - other.Requests,
-		VortexPP:     c.VortexPP - other.VortexPP,
-		SPHPairs:     c.SPHPairs - other.SPHPairs,
-		Prefetched:   c.Prefetched - other.Prefetched,
-		PrefetchUsed: c.PrefetchUsed - other.PrefetchUsed,
+		PP:         c.PP - other.PP,
+		PC:         c.PC - other.PC,
+		QuadPC:     c.QuadPC - other.QuadPC,
+		CellsBuilt: c.CellsBuilt - other.CellsBuilt,
+		Traversals: c.Traversals - other.Traversals,
+		Rewalked:   c.Rewalked - other.Rewalked,
+		Deferred:   c.Deferred - other.Deferred,
+		Requests:   c.Requests - other.Requests,
+		VortexPP:   c.VortexPP - other.VortexPP,
+		SPHPairs:   c.SPHPairs - other.SPHPairs,
+		Pushed:     c.Pushed - other.Pushed,
+		PushUsed:   c.PushUsed - other.PushUsed,
 	}
 }
 
@@ -130,6 +130,15 @@ func (c *Counters) WalkEfficiency() float64 {
 		return 0
 	}
 	return float64(c.Traversals) / float64(c.Traversals+c.Rewalked)
+}
+
+// PushHitRate is the useful share of the pushed cells, PushUsed /
+// Pushed. Zero when nothing was pushed.
+func (c *Counters) PushHitRate() float64 {
+	if c.Pushed == 0 {
+		return 0
+	}
+	return float64(c.PushUsed) / float64(c.Pushed)
 }
 
 // Interactions returns the paper's headline interaction count.

@@ -20,19 +20,22 @@
 //     oct-tree over its bodies, publishes its "branch" cells (the
 //     coarsest cells wholly inside its interval), and all processors
 //     assemble the identical shared top tree above the branches.
-//  3. Tree traversal with latency hiding: the engine walks the tree
-//     for each leaf group on behalf of the physics' Visitor, one hash
-//     probe per cell (the top tree, the local tree or the imported
-//     cells, known from the parent). A miss suspends the group on its
-//     frontier of missing keys (the paper's explicit context switch)
-//     and queues a batched request to each cell's owner
-//     (internal/abm); the group resumes below the frontier when the
-//     cells land.
-//  4. Rounds of batched request/reply run until every group finishes.
+//  3. Push of the locally essential cells: every processor publishes
+//     one bound on the groups it is about to walk, and every owner
+//     sends each peer, in one all-to-all, the cells of its tree the
+//     Visitor's test, made conservative over that bound, could open.
+//  4. Tree traversal: the engine walks the tree for each leaf group on
+//     behalf of the physics' Visitor, one hash probe per cell (the top
+//     tree, the local tree or the imported cells, known from the
+//     parent), and the phase ends on one closing exchange. The paper's
+//     latency hiding is the safety net underneath: a group that still
+//     misses a cell is suspended on its frontier of missing keys (the
+//     explicit context switch) and rounds of batched request/reply
+//     (internal/abm) run until every group has finished.
 //
-// The global key name space makes step 3 possible: any processor can
-// compute which cells it needs and who owns them from key arithmetic
-// plus the split table alone.
+// The global key name space makes the safety net possible: any
+// processor can compute which cells it needs and who owns them from
+// key arithmetic plus the split table alone.
 package hotengine
 
 import (
@@ -129,13 +132,6 @@ type Config struct {
 	// collective, so depth, not worker count, bounds how much kernel
 	// time can hide under communication. 0 means 64 per worker.
 	EvalSlots int
-	// PrefetchDepth makes serve piggyback the subtree below each
-	// requested cell (children, depth levels deep) in the same reply
-	// batch: the speculation that a rank opening a cell will shortly
-	// open its children, cutting request rounds per walk phase. 0
-	// disables. Replies are deduped against already-imported cells on
-	// the requester; forces are identical at any depth.
-	PrefetchDepth int
 }
 
 // sentinelUnfetched marks a remote leaf whose bodies have not arrived.
@@ -146,10 +142,10 @@ const sentinelUnfetched = int32(-1 << 30)
 type node[X any] struct {
 	Cell  tree.Cell
 	Extra X
-	// Prefetched marks a speculatively imported cell that no traversal
-	// has resolved yet; importedPtr clears it and counts the hit. Only
-	// the rank goroutine touches imported nodes.
-	Prefetched bool
+	// Pushed marks a cell its owner pushed that no traversal has
+	// resolved yet; importedPtr clears it and counts the hit. Only the
+	// rank goroutine touches imported nodes.
+	Pushed bool
 	// kids is the table this node's children resolve in: inTop above
 	// the branches, inLocal under this rank's own branches, inImported
 	// under another rank's branch and under every imported cell.
@@ -160,7 +156,7 @@ type node[X any] struct {
 // (recycled queue/receive buffers) and the precomputed traffic label
 // (prefix concatenation allocates, so it is done once).
 type walkPhase[X, B any] struct {
-	eng   *abm.Engine[keys.Key, Reply[X, B]]
+	eng   *abm.Engine[keys.Key, Wire[X, B]]
 	label string
 }
 
@@ -192,8 +188,8 @@ type Engine[X, B any] struct {
 	// assembly). Spans nest inside the Timer's decompose/treebuild
 	// phases.
 	Sub *diag.Timer
-	// Rounds is the number of request/reply rounds since the last
-	// Exchange; RemoteCells the cells imported.
+	// Rounds is the request/reply rounds since the last Exchange (0
+	// while the push covers every walk); RemoteCells the cells imported.
 	Rounds      int
 	RemoteCells int
 
@@ -214,6 +210,11 @@ type Engine[X, B any] struct {
 	builder tree.Builder
 
 	cellBytes int
+	// branches are this rank's own branch cells, the roots of the push
+	// descent; pushOff leaves the walk to request/reply alone (tests
+	// only).
+	branches []keys.Key
+	pushOff  bool
 
 	// phases holds one persistent abm engine per walk-phase label, so
 	// steady-state walks reuse the recycled queue/receive buffers
@@ -222,17 +223,16 @@ type Engine[X, B any] struct {
 	// pool is the eval pipeline (nil when EvalWorkers is 0);
 	// progress is e.progressOne bound once, installed as the Comm's
 	// Progress hook for the duration of a pipelined walk phase so
-	// blocking collective receives drain the deferred work backlog.
+	// blocking collective receives drain the eval and resume backlog.
 	pool     *evalPool
 	progress func() bool
 	// Per-phase walk state shared between the round loop, the Progress
 	// hook and the incremental reply imports (all rank-goroutine-only):
-	// the current visitor, eval closure and pool; the queue of
-	// not-yet-walked groups (freshBuf[freshIdx:]) and the queue of
-	// parked groups whose last missing cell has arrived
-	// (readyBuf[readyIdx:], resume candidates), both as indices into
-	// Local.Groups; the per-group walk state (groups, same indexing)
-	// and how many are parked; the miss->waiting-groups lists importCell
+	// the current visitor, eval closure and pool; the groups the phase
+	// walks (freshBuf) and the queue of parked groups whose last missing
+	// cell has arrived (readyBuf[readyIdx:], resume candidates), both as
+	// indices into Local.Groups; the per-group walk state (groups, same
+	// indexing) and how many are parked; the miss->waiting-groups lists importCell
 	// walks so a group is promoted to ready the moment its final cell
 	// lands (keyWaiters heads into the waiters node arena, free nodes
 	// chained from freeWaiter; a miss is in keyWaiters exactly while
@@ -245,7 +245,6 @@ type Engine[X, B any] struct {
 	curEval    EvalFn
 	curPool    *evalPool
 	freshBuf   []int32
-	freshIdx   int
 	readyBuf   []int32
 	readyIdx   int
 	groups     []suspended
@@ -256,7 +255,7 @@ type Engine[X, B any] struct {
 	stack      []entry
 	missing    []miss
 	missBuf    []keys.Key
-	onReply    func(src int, reps []Reply[X, B])
+	onReply    func(src int, reps []Wire[X, B])
 	observe    bool
 	// Overlap accounting (cumulative across the run, like Counters):
 	// wall time the rank goroutine spent inside the walk collectives,
@@ -291,16 +290,14 @@ func New[X, B any](c *msg.Comm, sys *core.System, phys Physics[X, B], cfg Config
 	e.progress = e.progressOne
 	e.onReply = e.onReplyBatch
 	e.Cfg.EvalWorkers = 0 // set by ConfigureOverlap so the pool exists
-	e.ConfigureOverlap(cfg.EvalWorkers, cfg.PrefetchDepth)
+	e.ConfigureOverlap(cfg.EvalWorkers)
 	return e
 }
 
-// ConfigureOverlap (re)configures the latency-hiding knobs after
-// construction: the eval pipeline's worker count and the serve-side
-// prefetch depth. Call between evaluations only. workers 0 tears the
-// pool down (inline evaluation).
-func (e *Engine[X, B]) ConfigureOverlap(workers, prefetchDepth int) {
-	e.Cfg.PrefetchDepth = prefetchDepth
+// ConfigureOverlap (re)configures the eval pipeline's worker count
+// after construction. Call between evaluations only. workers 0 tears
+// the pool down (inline evaluation).
+func (e *Engine[X, B]) ConfigureOverlap(workers int) {
 	if workers == e.Cfg.EvalWorkers && (e.pool != nil) == (workers > 0) {
 		return
 	}
@@ -368,16 +365,13 @@ func (e *Engine[X, B]) Report() metrics.RankInput {
 		RemoteCells: e.RemoteCells,
 		SplitRounds: e.dec.Last.Rounds,
 	}
-	if e.Cfg.EvalWorkers > 0 || e.Cfg.PrefetchDepth > 0 {
+	if e.Cfg.EvalWorkers > 0 {
 		in.Overlap = &metrics.OverlapStats{
 			EvalWorkers:           e.Cfg.EvalWorkers,
-			PrefetchDepth:         e.Cfg.PrefetchDepth,
 			CommSeconds:           float64(e.commNs) / 1e9,
 			EvalBusySeconds:       float64(e.evalBusyNs()) / 1e9,
 			EvalDuringCommSeconds: float64(e.evalDuringCommNs) / 1e9,
 			Rounds:                e.Rounds,
-			Prefetched:            e.Counters.Prefetched,
-			PrefetchUsed:          e.Counters.PrefetchUsed,
 		}
 	}
 	return in
@@ -471,11 +465,13 @@ func (e *Engine[X, B]) exchange(incremental bool) {
 func (e *Engine[X, B]) exchangeBranches() {
 	e.C.Phase(e.Cfg.PhasePrefix + "branches")
 	var mine []Wire[X, B]
+	e.branches = e.branches[:0]
 	for _, bk := range tree.RangeDecompose(e.Splits[e.C.Rank()], e.Splits[e.C.Rank()+1]) {
 		c := e.Local.Cell(bk)
 		if c == nil {
 			continue // no bodies in this part of the interval
 		}
+		e.branches = append(e.branches, bk)
 		mine = append(mine, Wire[X, B]{
 			Key: bk, Mp: c.Mp, Extra: e.Phys.Extra(c), RCrit: c.RCrit,
 			N: c.N, ChildMask: c.ChildMask, Leaf: c.Leaf,
@@ -576,19 +572,15 @@ func (e *Engine[X, B]) OwnerOf(k keys.Key) int {
 
 // serve answers a batch of cell requests from src out of the local
 // tree. Every requested key must be at or below one of this rank's
-// branches, so a miss is a protocol violation. With PrefetchDepth > 0
-// each reply piggybacks the subtree below the requested cell.
-func (e *Engine[X, B]) serve(src int, reqs []keys.Key) []Reply[X, B] {
-	out := make([]Reply[X, B], len(reqs))
+// branches, so a miss is a protocol violation.
+func (e *Engine[X, B]) serve(src int, reqs []keys.Key) []Wire[X, B] {
+	out := make([]Wire[X, B], len(reqs))
 	for i, k := range reqs {
 		c := e.Local.Cell(k)
 		if c == nil {
 			panic(fmt.Sprintf("hotengine: rank %d asked rank %d for unknown cell %v", src, e.C.Rank(), k))
 		}
-		out[i].W = e.wireOf(k, c)
-		if e.Cfg.PrefetchDepth > 0 && !c.Leaf {
-			out[i].Pre = e.appendSubtree(out[i].Pre, k, c, e.Cfg.PrefetchDepth)
-		}
+		out[i] = e.wireOf(k, c)
 	}
 	return out
 }
@@ -605,40 +597,11 @@ func (e *Engine[X, B]) wireOf(k keys.Key, c *tree.Cell) Wire[X, B] {
 	return w
 }
 
-// appendSubtree packs the children below a local cell, depth levels
-// deep: the serve-side speculation that a rank opening a cell will
-// shortly want what is underneath it. Children of a local non-leaf
-// are local by construction; a missing child octant is simply skipped.
-func (e *Engine[X, B]) appendSubtree(dst []Wire[X, B], k keys.Key, c *tree.Cell, depth int) []Wire[X, B] {
-	for oct := 0; oct < 8; oct++ {
-		if c.ChildMask&(1<<uint(oct)) == 0 {
-			continue
-		}
-		ck := k.Child(oct)
-		cc := e.Local.Cell(ck)
-		if cc == nil {
-			continue
-		}
-		dst = append(dst, e.wireOf(ck, cc))
-		if depth > 1 && !cc.Leaf {
-			dst = e.appendSubtree(dst, ck, cc, depth-1)
-		}
-	}
-	return dst
-}
-
-// replyBytes is the abm traffic size of one reply: the fixed cell
-// record times one plus the piggybacked prefetch cells (leaf body
-// columns are accounted separately by the physics, as ever).
-func (e *Engine[X, B]) replyBytes(r Reply[X, B]) int {
-	return e.cellBytes * (1 + len(r.Pre))
-}
-
-// importCell stores a fetched remote cell, copying leaf bodies into
-// the physics' import arena. Duplicates are dropped: with prefetch, a
-// directly requested cell can arrive a second time inside another
-// reply's subtree (or vice versa) within the same round.
-func (e *Engine[X, B]) importCell(w Wire[X, B], prefetched bool) {
+// importCell stores a remote cell, pushed by its owner or fetched by
+// request, copying leaf bodies into the physics' import arena. A cell
+// already held is dropped: a phase over an earlier phase's imports is
+// pushed much of them again (SPH forces, then gravity).
+func (e *Engine[X, B]) importCell(w Wire[X, B], pushed bool) {
 	if e.imported.Ptr(w.Key) != nil {
 		return
 	}
@@ -650,9 +613,9 @@ func (e *Engine[X, B]) importCell(w Wire[X, B], prefetched bool) {
 		start := e.Phys.ImportLeaf(w.N, w.Bodies)
 		c.First = -(start + 1)
 	}
-	e.imported.Insert(w.Key, node[X]{Cell: c, Extra: w.Extra, Prefetched: prefetched, kids: inImported})
-	if prefetched {
-		e.Counters.Prefetched++
+	e.imported.Insert(w.Key, node[X]{Cell: c, Extra: w.Extra, Pushed: pushed, kids: inImported})
+	if pushed {
+		e.Counters.Pushed++
 	}
 	e.RemoteCells++
 	// Wake the groups waiting on this cell: a group whose last
@@ -686,17 +649,14 @@ func (e *Engine[X, B]) importCell(w Wire[X, B], prefetched bool) {
 // goroutine. Interleaved with the Progress hook's walks this stays
 // race-free -- both run between receives of the same collective --
 // and a walk simply sees a monotonically growing cell table.
-func (e *Engine[X, B]) onReplyBatch(_ int, reps []Reply[X, B]) {
+func (e *Engine[X, B]) onReplyBatch(_ int, reps []Wire[X, B]) {
 	for i := range reps {
-		e.importCell(reps[i].W, false)
-		for _, pw := range reps[i].Pre {
-			e.importCell(pw, true)
-		}
+		e.importCell(reps[i], false)
 	}
 }
 
 // ResetImports discards every imported cell and the physics' arena,
-// so a later WalkGroups re-fetches remote data. Multi-pass physics
+// so a later WalkGroups imports remote data afresh. Multi-pass physics
 // (SPH) uses this between the density and force passes: the second
 // pass must see the updated remote densities, not the stale imports.
 func (e *Engine[X, B]) ResetImports() {
@@ -704,26 +664,25 @@ func (e *Engine[X, B]) ResetImports() {
 	e.Phys.ResetImports()
 }
 
-// WalkGroups runs phases 3 and 4 for one traversal pass: it walks the
-// tree for every local leaf group on behalf of the visitor v, parking
-// groups that miss a remote cell and fetching those cells from their
-// owners in batched rounds until every group completes, then running
-// eval for each completed group. Counters.Traversals counts the cell
-// visits of completed walks only -- the paper's performance accounting
-// rides on it being exact -- while visits of first attempts that
-// missed and of discovery descents go to Counters.Rewalked.
+// WalkGroups runs phases 3 and 4 for one traversal pass: after the
+// push it walks the tree for every local leaf group on behalf of the
+// visitor v, parking groups that still miss a remote cell and fetching
+// those cells from their owners in batched rounds until every group
+// completes, then running eval for each completed group.
+// Counters.Traversals counts the cell visits of completed walks only
+// -- the paper's performance accounting rides on it being exact --
+// while visits of first attempts that missed and of discovery descents
+// go to Counters.Rewalked.
 //
 // eval may be nil when the pass has nothing to evaluate. With the
-// eval pipeline configured the phase is pipelined: most groups are not
-// walked up front but queued, and the msg.Comm Progress hook walks and
-// evaluates them on the rank goroutine while the collective rounds
-// wait on in-flight messages -- compute fills the communication
-// windows instead of preceding them. Completed sweep-side groups
-// additionally hand their materialized lists to the worker pool when
-// workers could actually run in parallel (spare cores). The slot
-// argument tells the adapter which of its Slots() evaluation states
-// to use. label names the phase for the Timer and (with the
-// configured prefix) the msg traffic accounting.
+// eval pipeline configured, completed groups hand their materialized
+// lists to the worker pool when workers could actually run in parallel
+// (spare cores), and the msg.Comm Progress hook evaluates queued lists
+// and resumes parked groups on the rank goroutine while a collective
+// waits on in-flight messages. The slot argument tells the adapter
+// which of its Slots() evaluation states to use. label names the phase
+// for the Timer and (with the configured prefix) the msg traffic
+// accounting.
 func (e *Engine[X, B]) WalkGroups(label string, v Visitor[X], eval EvalFn) {
 	e.walkGroups(label, nil, v, eval, e.pool)
 }
@@ -739,57 +698,35 @@ func (e *Engine[X, B]) WalkGroupsInline(label string, v Visitor[X], eval EvalFn)
 // WalkGroupsIf is WalkGroups restricted to the groups for which
 // active returns true -- the partial traversal of block timesteps.
 // Skipped groups run no walk at all, but every rank still enters the
-// same collective rounds (request serving, including prefetch, is
-// symmetric), so the call is collective even when a rank's active set
-// is empty.
+// same collectives (it publishes an empty bound, pushes to the others
+// and serves their requests), so the call is collective even when a
+// rank's active set is empty.
 func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool, v Visitor[X], eval EvalFn) {
 	e.walkGroups(label, active, v, eval, e.pool)
 }
-
-// Pipelined walk tuning. primeBatch is how many distinct missing keys
-// the round-0 bootstrap walks inline before entering the first
-// collective: enough that the opening request batches are chunky (the
-// batching amortization the abm layer rides on), small enough that
-// most of the queue is left as window fodder. drainRound is the
-// safety valve: past this many rounds the windows are clearly not
-// eating the queue (tiny latency, tiny appetite), so fall back to the
-// classic inline drain and let the phase terminate on the parked
-// groups alone, well inside MaxRounds.
-const (
-	primeBatch = 256
-	drainRound = 12
-)
 
 // progressOne is the msg.Comm Progress hook: it runs on the rank
 // goroutine whenever a blocking collective receive has no message
 // yet. Priority order: drain a materialized eval job (frees pipeline
 // slots for the next sweep); resume a ready parked group (its
-// requested cells have arrived, so this is the heavy,
-// likely-to-complete work); first-walk a queued fresh group. The hook
-// runs between receives of one collective, as the incremental reply
-// imports do, so the cell tables never change under a traversal, and a
-// completed walk is bitwise the walk the sweep would have run (it
-// emits in root-DFS order whichever cells beyond it happen to be
-// resolvable). A miss is parked exactly like a sweep miss, with its
-// requests buffered until the rank is back outside the collective.
+// requested cells have arrived). The hook runs between receives of one
+// collective, as the incremental reply imports do, so the cell tables
+// never change under a traversal, and a completed walk is bitwise the
+// walk the sweep would have run (it emits in root-DFS order whichever
+// cells beyond it happen to be resolvable). A miss is parked exactly
+// like a sweep miss, with its requests buffered until the rank is back
+// outside the collective.
 func (e *Engine[X, B]) progressOne() bool {
 	pool := e.curPool
 	if pool != nil && pool.tryRunOne() {
 		return true
 	}
-	if e.curWalk == nil {
+	if e.curWalk == nil || e.readyIdx == len(e.readyBuf) {
 		return false
 	}
 	t0 := time.Now()
-	if e.readyIdx < len(e.readyBuf) {
-		e.readyIdx++
-		e.resume(e.readyBuf[e.readyIdx-1], false)
-	} else if e.freshIdx < len(e.freshBuf) {
-		e.freshIdx++
-		e.attempt(e.freshBuf[e.freshIdx-1], false)
-	} else {
-		return false
-	}
+	e.readyIdx++
+	e.resume(e.readyBuf[e.readyIdx-1], false)
 	if pool != nil {
 		pool.busyNs.Add(time.Since(t0).Nanoseconds())
 	}
@@ -801,10 +738,9 @@ func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, 
 	ph := e.phases[label]
 	if ph == nil {
 		ph = &walkPhase[X, B]{
-			eng:   abm.New[keys.Key, Reply[X, B]](e.C, KeyWireBytes(), e.cellBytes, e.serve),
+			eng:   abm.New[keys.Key, Wire[X, B]](e.C, KeyWireBytes(), e.cellBytes, e.serve),
 			label: e.Cfg.PhasePrefix + label,
 		}
-		ph.eng.RepBytes = e.replyBytes
 		ph.eng.OnReply = e.onReply
 		e.phases[label] = ph
 	}
@@ -815,27 +751,13 @@ func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, 
 	if eval == nil {
 		pool = nil // nothing to pipeline
 	}
-	pipelined := pool != nil
-	e.curWalk, e.curEval, e.curPool = v, eval, pool
-	if pipelined {
-		// Collective receives that would block instead walk queued
-		// groups and run queued evals on this goroutine
-		// (msg.Comm.Progress): compute drains inside the
-		// communication windows even on one core.
-		e.C.Progress = e.progress
-	}
-	defer func() {
-		e.C.Progress = nil
-		e.curWalk, e.curEval, e.curPool = nil, nil, nil
-	}()
 
-	fresh := e.freshBuf[:0]
+	e.freshBuf = e.freshBuf[:0]
 	for gi, gk := range e.Local.Groups {
 		if active == nil || active(e.Local.Cell(gk)) {
-			fresh = append(fresh, int32(gi))
+			e.freshBuf = append(e.freshBuf, int32(gi))
 		}
 	}
-	e.freshBuf, e.freshIdx = fresh, 0
 	e.readyBuf, e.readyIdx = e.readyBuf[:0], 0
 	e.missBuf = e.missBuf[:0]
 	// One walk-state slot per group, keeping the frontier buffers of
@@ -858,6 +780,24 @@ func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, 
 	// that takes.
 	e.observe = e.Stalls != nil || e.Trace != nil
 
+	e.push(v)
+	e.curWalk, e.curEval, e.curPool = v, eval, pool
+	if pool != nil {
+		// Collective receives that would block instead run queued evals
+		// and resume parked groups on this goroutine (msg.Comm.Progress).
+		e.C.Progress = e.progress
+	}
+	defer func() {
+		e.C.Progress = nil
+		e.curWalk, e.curEval, e.curPool = nil, nil, nil
+	}()
+
+	// First walks: every group once, against what the push delivered,
+	// the completed list going straight into a pool slot when a worker
+	// could drain it.
+	for _, gi := range e.freshBuf {
+		e.attempt(gi)
+	}
 	for round := 0; ; round++ {
 		if round > e.Cfg.MaxRounds {
 			// One rank declaring the protocol stuck must not strand
@@ -865,15 +805,13 @@ func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, 
 			// world so every rank unwinds with its round state (noted
 			// by abm.Round) attached to the WorldError.
 			e.C.Abort(fmt.Errorf(
-				"hotengine: request rounds exceeded MaxRounds=%d in phase %q: %d groups parked, %d unwalked, %d cell families in flight, %d rounds since exchange",
-				e.Cfg.MaxRounds, label, e.nparked, len(e.freshBuf)-e.freshIdx,
-				len(e.keyWaiters), e.Rounds))
+				"hotengine: request rounds exceeded MaxRounds=%d in phase %q: %d groups parked, %d cell families in flight, %d rounds since exchange",
+				e.Cfg.MaxRounds, label, e.nparked, len(e.keyWaiters), e.Rounds))
 		}
 		// Resume sweep: groups whose requested cells have all arrived
-		// (importCell promoted them) continue below their frontier,
-		// the completed list going straight into a pool slot when a
-		// worker could drain it. Compact the consumed prefix first so
-		// the buffer never grows without bound.
+		// (importCell promoted them) continue below their frontier.
+		// Compact the consumed prefix first so the buffer never grows
+		// without bound.
 		if e.readyIdx > 0 {
 			n := copy(e.readyBuf, e.readyBuf[e.readyIdx:])
 			e.readyBuf, e.readyIdx = e.readyBuf[:n], 0
@@ -881,16 +819,6 @@ func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, 
 		for e.readyIdx < len(e.readyBuf) {
 			e.readyIdx++
 			e.resume(e.readyBuf[e.readyIdx-1], true)
-		}
-		// First walks. An inline phase walks every group in round 0,
-		// the classic schedule. A pipelined phase only primes the
-		// first request batch (without this the opening rounds would
-		// carry near-empty batches) and leaves the rest of the queue
-		// to the Progress hook, draining it here past drainRound.
-		for e.freshIdx < len(e.freshBuf) &&
-			(!pipelined || round >= drainRound || round == 0 && len(e.missBuf) < primeBatch) {
-			e.freshIdx++
-			e.attempt(e.freshBuf[e.freshIdx-1], true)
 		}
 		e.postMisses(eng)
 
@@ -901,15 +829,15 @@ func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, 
 		// batch lands (abm OnReply), promoting waiting groups
 		// mid-round, so hook resumes run against data delivered by
 		// the very round they overlap. The request batches carry this
-		// rank's vote on termination (groups parked or not yet walked);
-		// the phase ends on the exchange where nobody votes or asks.
+		// rank's vote on termination (groups parked); the phase ends on
+		// the exchange where nobody votes or asks.
 		var t0 time.Time
 		var busy0 int64
 		if pool != nil {
 			t0 = time.Now()
 			busy0 = pool.busyNs.Load()
 		}
-		_, more := eng.Round(e.nparked+len(e.freshBuf)-e.freshIdx > 0)
+		_, more := eng.Round(e.nparked > 0)
 		if pool != nil {
 			e.noteComm(pool, t0, busy0)
 		}
@@ -941,7 +869,7 @@ func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, 
 // postMisses hands the missing keys buffered by park to the phase's
 // abm engine, each addressed to its owner. Only legal outside a
 // collective.
-func (e *Engine[X, B]) postMisses(eng *abm.Engine[keys.Key, Reply[X, B]]) {
+func (e *Engine[X, B]) postMisses(eng *abm.Engine[keys.Key, Wire[X, B]]) {
 	for _, mk := range e.missBuf {
 		eng.Post(e.OwnerOf(mk), mk)
 	}

@@ -59,6 +59,9 @@ func (w *idWalk) Begin(int, keys.Key, *tree.Cell) { w.got = w.got[:0] }
 func (w *idWalk) Test(*tree.Cell) tree.Action     { return tree.Open }
 func (w *idWalk) Cell(*tree.Cell, float64)        {}
 
+func (w *idWalk) Sphere(*tree.Cell) (vec.V3, float64)           { return vec.V3{}, 0 }
+func (w *idWalk) TestBound(*tree.Cell, *tree.Bound) tree.Action { return tree.Open }
+
 func (w *idWalk) Leaf(c *tree.Cell) {
 	if c.First >= 0 {
 		w.got = append(w.got, w.e.Sys.ID[c.First:c.First+c.N]...)
@@ -99,8 +102,8 @@ func scatterTo(global *core.System, c *msg.Comm) *core.System {
 // physics on several rank counts and does an exhaustive walk (no
 // opening criterion: every leaf is visited), checking that the top
 // tree's root payload combines to the global count and that every
-// rank assembles the complete global ID set through the batched
-// request rounds.
+// rank assembles the complete global ID set from what the owners push
+// (an exhaustive walk's bound opens everything) without a request.
 func TestEngineCoreFullTraversal(t *testing.T) {
 	const n = 700
 	for _, np := range []int{1, 2, 4, 8} {
@@ -129,14 +132,16 @@ func TestEngineCoreFullTraversal(t *testing.T) {
 			}
 
 			// Exhaustive walk: gather every particle ID reachable from
-			// the root, parking on missing cells so the request rounds
-			// fetch remote leaves.
+			// the root.
 			w := &idWalk{e: e, phys: phys, ids: map[int64]bool{}}
 			e.WalkGroups("walk", w, w.collect)
 			ids := w.ids
 
 			if np > 1 && e.RemoteCells == 0 {
 				t.Errorf("np=%d rank=%d: exhaustive walk imported no remote cells", np, c.Rank())
+			}
+			if ctr := e.Counters; e.Rounds != 0 || ctr.Requests != 0 || ctr.Deferred != 0 || ctr.Rewalked != 0 {
+				t.Errorf("np=%d rank=%d: pushed walk still asked: %d rounds, counters %+v", np, c.Rank(), e.Rounds, ctr)
 			}
 			mu.Lock()
 			seen[c.Rank()] = ids
@@ -155,7 +160,8 @@ func TestEngineCoreFullTraversal(t *testing.T) {
 // 0's exhaustive walk needs rank 1's whole tree, a level per round.
 // Every request after the first round is discovered by resuming a
 // suspended group below its frontier, and rank 1 must stay in the
-// collective rounds to serve them without ever walking itself.
+// collective rounds to serve them without ever walking itself. The
+// push is off: with it rank 1 sends its whole tree up front.
 func TestWalkGroupsIfIdleRankServes(t *testing.T) {
 	const n = 700
 	global := randomSystem(n, 99)
@@ -168,6 +174,7 @@ func TestWalkGroupsIfIdleRankServes(t *testing.T) {
 		e = hotengine.New[float64, []int64](c, scatterTo(global, c), phys, hotengine.Config{
 			MAC: grav.MACParams{Kind: grav.MACBarnesHut, Theta: 0.5}, Bucket: 8,
 		})
+		e.SetPush(false)
 		e.Exchange()
 		w := &idWalk{e: e, phys: phys, ids: map[int64]bool{}}
 		e.WalkGroupsIf("walk", func(*tree.Cell) bool { return c.Rank() == 0 }, w, w.collect)
@@ -218,8 +225,8 @@ func TestEngineTimerPhases(t *testing.T) {
 
 // A walk that needs more request rounds than MaxRounds allows (here
 // an exhaustive walk, one round per tree level below the branches,
-// against a budget of one) must end in a prompt world-wide abort --
-// not the panic-plus-survivor-deadlock it used to be.
+// against a budget of one, the push off) must end in a prompt
+// world-wide abort -- not the panic-plus-survivor-deadlock it used to be.
 // The WorldError carries each rank's batched-request round so the
 // report shows how far the protocol got.
 func TestMaxRoundsAbort(t *testing.T) {
@@ -236,6 +243,7 @@ func TestMaxRoundsAbort(t *testing.T) {
 				Bucket:    8,
 				MaxRounds: 1,
 			})
+			e.SetPush(false)
 			e.Exchange()
 			e.WalkGroups("walk", &idWalk{e: e, phys: phys}, nil)
 		})

@@ -6,20 +6,20 @@ import (
 	"repro/internal/tree"
 )
 
+// SetPush switches the push of a walk phase on or off. Off, every
+// remote cell is fetched by park/request/resume, as before the push
+// existed: the path the push is tested against, and the only way to
+// exercise parking at will. This hook is the only switch.
+func (e *Engine[X, B]) SetPush(on bool) { e.pushOff = !on }
+
 // Resolve is the multi-probe cell lookup the engine used before
 // traversals carried their table down the recursion: top tree
-// (authoritative above and at the branches, except unfetched remote
-// leaves, which fall through to the imports), then the local tree for
-// cells this rank owns, then the imported cells. Kept as the reference
-// the table-carrying traversal is tested against.
+// (authoritative above and at the branches; a remote leaf branch
+// resolves to its record without bodies, Unfetched), then the local
+// tree for cells this rank owns, then the imported cells. Kept as the
+// reference the table-carrying traversal is tested against.
 func (e *Engine[X, B]) Resolve(k keys.Key) (c *tree.Cell, x X, ok bool) {
 	if n := e.top.Ptr(k); n != nil {
-		if n.Cell.Leaf && n.Cell.First == sentinelUnfetched {
-			if in := e.importedPtr(k); in != nil {
-				return &in.Cell, in.Extra, true
-			}
-			return nil, x, false // bodies must be fetched
-		}
 		return &n.Cell, n.Extra, true
 	}
 	if e.OwnerOf(k) == e.C.Rank() {
@@ -37,12 +37,11 @@ func (e *Engine[X, B]) Resolve(k keys.Key) (c *tree.Cell, x X, ok bool) {
 // RestartWalkGroups is the walk phase as this package ran it before
 // suspended walks: a group that misses a cell is re-walked from the
 // root, emitting all the way, once per round until it completes
-// (classic inline schedule, no prefetch accounting). It is the
-// reference WalkGroups is tested against: same lists, same counters,
-// same rounds and traffic.
+// (classic inline schedule, no push). It is the reference WalkGroups
+// with the push off is tested against: same lists, same counters, same
+// rounds and traffic.
 func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn) {
-	eng := abm.New[keys.Key, Reply[X, B]](e.C, KeyWireBytes(), e.cellBytes, e.serve)
-	eng.RepBytes = e.replyBytes
+	eng := abm.New[keys.Key, Wire[X, B]](e.C, KeyWireBytes(), e.cellBytes, e.serve)
 	e.C.Phase(e.Cfg.PhasePrefix + label)
 	pending := map[keys.Key]bool{}
 	todo := append([]keys.Key(nil), e.Local.Groups...)
@@ -63,8 +62,18 @@ func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn
 					missing = append(missing, k)
 					continue
 				}
+				a := v.Test(c)
+				if a == tree.Open && c.First == sentinelUnfetched {
+					// A remote leaf branch is fetched only to be opened.
+					in := e.importedPtr(k)
+					if in == nil {
+						missing = append(missing, k)
+						continue
+					}
+					c, x = &in.Cell, in.Extra
+				}
 				visits++
-				switch a := v.Test(c); {
+				switch {
 				case a == tree.Skip:
 				case a == tree.Accept:
 					v.Cell(c, x)

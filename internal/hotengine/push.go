@@ -1,0 +1,78 @@
+package hotengine
+
+import (
+	"reflect"
+
+	"repro/internal/keys"
+	"repro/internal/msg"
+	"repro/internal/tree"
+)
+
+// boundBytes is the packed wire size of one rank's tree.Bound.
+var boundBytes = packedSize(reflect.TypeOf(tree.Bound{}))
+
+// push runs phase 3 for the groups in freshBuf: the owner of a cell,
+// not the rank that walks into it, decides who could need it and sends
+// it before anyone walks. One allgather of the ranks' bounds, one
+// descent of the local tree per peer with the visitor's test made
+// conservative over the peer's bound, one all-to-all of the packed
+// cells, imported as each batch lands. What arrives is a superset of
+// what the walks resolve, and they still apply the exact test, so no
+// list changes; a cell the bound did not cover is missed and requested
+// (DESIGN.md "Push-first walk").
+func (e *Engine[X, B]) push(v Visitor[X]) {
+	if e.pushOff || e.C.Size() == 1 {
+		return
+	}
+	t0 := e.Trace.Now()
+	var mine tree.Bound
+	for _, gi := range e.freshBuf {
+		mine.Add(v.Sphere(e.Local.Cell(e.Local.Groups[gi])))
+	}
+	bounds := msg.Allgather(e.C, mine, boundBytes)
+	// Fresh batches every phase: reusing them measured no faster, and
+	// the receivers, who copy out as they import, are the last to hold them.
+	batches := make([][]Wire[X, B], len(bounds))
+	for r := range bounds {
+		var send []Wire[X, B]
+		if b := &bounds[r]; b.Any && r != e.C.Rank() {
+			for _, bk := range e.branches {
+				// Every rank holds a branch's record, a leaf's without
+				// its bodies.
+				switch c := e.Local.Cell(bk); {
+				case v.TestBound(c, b) != tree.Open:
+				case c.Leaf:
+					send = append(send, e.wireOf(bk, c))
+				default:
+					send = e.packChildren(send, v, b, bk, c)
+				}
+			}
+		}
+		batches[r] = send
+	}
+	msg.AlltoallvFunc(e.C, batches, nil, e.cellBytes, func(_ int, ws []Wire[X, B]) {
+		for i := range ws {
+			e.importCell(ws[i], true)
+		}
+	})
+	e.Trace.Span("push", t0)
+}
+
+// packChildren appends the children of local cell c (key k), which a
+// walk inside b could open, and below each child that it could open in
+// turn, that child's. A leaf's record carries its bodies, as a reply's
+// would.
+func (e *Engine[X, B]) packChildren(dst []Wire[X, B], v Visitor[X], b *tree.Bound, k keys.Key, c *tree.Cell) []Wire[X, B] {
+	for oct := 0; oct < 8; oct++ {
+		if c.ChildMask&(1<<uint(oct)) == 0 {
+			continue
+		}
+		ck := k.Child(oct)
+		cc := e.Local.Cell(ck)
+		dst = append(dst, e.wireOf(ck, cc))
+		if !cc.Leaf && v.TestBound(cc, b) == tree.Open {
+			dst = e.packChildren(dst, v, b, ck, cc)
+		}
+	}
+	return dst
+}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/diag"
@@ -94,17 +95,32 @@ type recWalk struct {
 }
 
 func (w *recWalk) Begin(slot int, _ keys.Key, g *tree.Cell) {
-	w.gc, w.gr = tree.GroupSphere(w.p.e.Sys.Pos[g.First : g.First+g.N])
+	w.gc, w.gr = w.Sphere(g)
 	w.trace = &w.traces[slot]
 	*w.trace = (*w.trace)[:0]
 }
 
-func (w *recWalk) Test(c *tree.Cell) tree.Action {
+func (w *recWalk) Sphere(g *tree.Cell) (vec.V3, float64) {
+	gc, gr := tree.GroupSphere(w.p.e.Sys.Pos[g.First : g.First+g.N])
+	return gc, gr + w.rmax
+}
+
+func (w *recWalk) Test(c *tree.Cell) tree.Action { return w.test(c, w.gc, w.gr) }
+
+func (w *recWalk) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
 	if w.rmax == 0 {
-		return tree.Classify(c, w.gc, w.gr)
+		return tree.ClassifyBound(c, b)
+	}
+	center, _ := w.p.e.Domain.CellCenter(c.Key)
+	return w.test(c, b.Nearest(center), b.R)
+}
+
+func (w *recWalk) test(c *tree.Cell, gc vec.V3, gr float64) tree.Action {
+	if w.rmax == 0 {
+		return tree.Classify(c, gc, gr)
 	}
 	center, size := w.p.e.Domain.CellCenter(c.Key)
-	if c.N == 0 || center.Sub(w.gc).Norm() > w.gr+w.rmax+size*math.Sqrt(3)/2 {
+	if c.N == 0 || center.Sub(gc).Norm() > gr+size*math.Sqrt(3)/2 {
 		return tree.Skip
 	}
 	return tree.Open
@@ -130,16 +146,19 @@ func (w *recWalk) done(slot int, gk keys.Key, _ *tree.Cell, _ *diag.Counters) {
 	w.mu.Unlock()
 }
 
-// gravWalk drives a tree.Walker the way the gravity engine and the SPH
-// gravity pass do, evaluates each completed list with the production
-// kernels, and records the list columns.
+// gravWalk drives a tree.Walker per pipeline slot the way the gravity
+// engine and the SPH gravity pass do, evaluates each completed list
+// with the production kernels, and records the list columns.
 type gravWalk struct {
 	p     *colPhysics
-	w     tree.Walker
+	ws    []tree.Walker // one per pipeline slot
+	w     *tree.Walker  // the current traversal's
+	mu    sync.Mutex    // eval may run on an eval worker
 	lists map[keys.Key][]uint64
 }
 
-func (v *gravWalk) Begin(_ int, gk keys.Key, g *tree.Cell) {
+func (v *gravWalk) Begin(slot int, gk keys.Key, g *tree.Cell) {
+	v.w = &v.ws[slot]
 	v.w.Begin(gk, v.p.e.Sys.Pos[g.First:g.First+g.N])
 }
 func (v *gravWalk) Test(c *tree.Cell) tree.Action { return v.w.Test(c) }
@@ -149,10 +168,19 @@ func (v *gravWalk) Leaf(c *tree.Cell) {
 	v.w.TakeLeaf(c, b.Pos, b.Mass)
 }
 
-func (v *gravWalk) eval(_ int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
+func (v *gravWalk) Sphere(g *tree.Cell) (vec.V3, float64) {
+	return tree.GroupSphere(v.p.e.Sys.Pos[g.First : g.First+g.N])
+}
+
+func (v *gravWalk) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
+	return tree.ClassifyBound(c, b)
+}
+
+func (v *gravWalk) eval(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
 	sys, lo, hi := v.p.e.Sys, g.First, g.First+g.N
-	v.w.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], 1e-6, true, ctr)
-	l := &v.w.List
+	w := &v.ws[slot]
+	w.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], 1e-6, true, ctr)
+	l := &w.List
 	var words []uint64
 	for _, col := range [][]float64{l.SX, l.SY, l.SZ, l.SM, l.CM, l.CX, l.CY, l.CZ, l.QXX, l.QYZ} {
 		words = append(words, uint64(len(col)))
@@ -163,25 +191,54 @@ func (v *gravWalk) eval(_ int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
 	if l.Self {
 		words = append(words, 1)
 	}
+	v.mu.Lock()
 	v.lists[gk] = words
+	v.mu.Unlock()
 }
 
-// walkRecord is everything one rank's run of the five passes leaves
-// behind that the two walk implementations must agree on.
+// underPush is a gravity walk whose TestBound breaks its contract: it
+// refuses to open every third cell, so the owners push too little and
+// the walks fall back on park/request/resume for the rest.
+type underPush struct{ *gravWalk }
+
+func (v *underPush) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
+	if uint64(c.Key)%3 == 0 {
+		return tree.Accept
+	}
+	return tree.ClassifyBound(c, b)
+}
+
+// walkMode selects the walk implementation runPasses drives.
+type walkMode int
+
+const (
+	restartWalk walkMode = iota // export_test.go's reference, no push
+	requestWalk                 // WalkGroups with the push off
+	pushedWalk                  // WalkGroups as it ships
+	underPushed                 // pushedWalk, the gravity passes through underPush
+)
+
+const npasses = 6
+
+var passNames = [npasses]string{"gravity", "vortex", "sph density", "sph forces", "sph gravity", "partial gravity"}
+
+// walkRecord is everything one rank's run of the passes leaves behind
+// that the walk implementations must agree on.
 type walkRecord struct {
-	lists  [5]map[keys.Key][]uint64 // per pass: group -> list trace
-	ctr    [5]diag.Counters         // per pass deltas
-	rounds [5]int
-	remote [5]int
+	lists  [npasses]map[keys.Key][]uint64 // per pass: group -> list trace
+	ctr    [npasses]diag.Counters         // per pass deltas
+	rounds [npasses]int
+	remote [npasses]int
 	acc    map[int64]vec.V3 // gravity-pass forces by body ID
 }
 
 // runPasses runs, on every rank of a fresh world, the traversal passes
 // of all three physics: a gravity walk; a payload-carrying (vortex)
-// walk; and the SPH sequence density -> re-fetch -> forces -> gravity,
-// the last starting from the force pass's imports. walk selects the
-// implementation under test.
-func runPasses(np, workers, prefetch int, restart bool) ([]walkRecord, msg.PhaseTraffic) {
+// walk; the SPH sequence density -> re-fetch -> forces -> gravity, the
+// last starting from the force pass's imports; and, when partial is
+// set, a gravity walk over every other group and none at all on the
+// last rank (WalkGroupsIf; the restart reference has no counterpart).
+func runPasses(np, workers int, mode walkMode, partial bool) ([]walkRecord, msg.PhaseTraffic) {
 	const n = 1500
 	recs := make([]walkRecord, np)
 	var mu sync.Mutex
@@ -197,9 +254,10 @@ func runPasses(np, workers, prefetch int, restart bool) ([]walkRecord, msg.Phase
 		e := hotengine.New[vec.V3, cols](c, local, p, hotengine.Config{
 			MAC:         grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true},
 			Bucket:      8,
-			EvalWorkers: workers, PrefetchDepth: prefetch,
+			EvalWorkers: workers,
 		})
 		defer e.Close()
+		e.SetPush(mode >= pushedWalk)
 		p.e = e
 		e.Exchange()
 
@@ -209,8 +267,14 @@ func runPasses(np, workers, prefetch int, restart bool) ([]walkRecord, msg.Phase
 			before := e.Counters
 			r0 := e.Rounds
 			switch {
-			case restart:
+			case mode == restartWalk:
 				e.RestartWalkGroups(label, v, eval)
+			case label == "partial":
+				every := 0
+				e.WalkGroupsIf(label, func(*tree.Cell) bool {
+					every++
+					return every%2 == 0 && c.Rank() != np-1
+				}, v, eval)
 			case inline:
 				e.WalkGroupsInline(label, v, eval)
 			default:
@@ -221,8 +285,12 @@ func runPasses(np, workers, prefetch int, restart bool) ([]walkRecord, msg.Phase
 			pass++
 		}
 		gravity := func(label string) {
-			v := &gravWalk{p: p, lists: map[keys.Key][]uint64{}}
-			run(label, true, v, v.eval, v.lists) // one Walker: evaluate inline
+			g := &gravWalk{p: p, ws: make([]tree.Walker, e.Slots()), lists: map[keys.Key][]uint64{}}
+			var v hotengine.Visitor[vec.V3] = g
+			if mode == underPushed {
+				v = &underPush{g}
+			}
+			run(label, false, v, g.eval, g.lists)
 		}
 		query := func(label string, rmax float64, inline bool) {
 			v := &recWalk{p: p, rmax: rmax, traces: make([][]uint64, e.Slots()), lists: map[keys.Key][]uint64{}}
@@ -240,6 +308,10 @@ func runPasses(np, workers, prefetch int, restart bool) ([]walkRecord, msg.Phase
 		e.ResetImports()
 		query("forces", 0.15, false)
 		gravity("gravity")
+		if partial {
+			e.ResetImports()
+			gravity("partial")
+		}
 
 		mu.Lock()
 		recs[c.Rank()] = rec
@@ -248,58 +320,191 @@ func runPasses(np, workers, prefetch int, restart bool) ([]walkRecord, msg.Phase
 	return recs, w.TotalTraffic()
 }
 
-// TestResumedWalkMatchesRestart holds the suspended walk to the
-// restart-from-root walk it replaced (export_test.go keeps that one as
-// the reference): for the traversal shapes of gravity, vortex and SPH
-// (density, forces and gravity passes) at 2, 4 and 8 ranks, every
-// group's interaction list is identical element for element, the
-// gravity forces are bitwise equal, and so are the completed-walk
-// visits, the deferrals, the requests, the rounds, the imported cells
-// and the world's traffic. With eval workers on, scheduling may differ
-// but the lists and forces may not.
+// sameLists fails the test unless run completed the groups of want in
+// pass ps with identical interaction lists.
+func sameLists(t *testing.T, where string, ps int, run, want walkRecord) {
+	t.Helper()
+	if len(run.lists[ps]) != len(want.lists[ps]) {
+		t.Fatalf("%s: %d groups completed, reference %d", where, len(run.lists[ps]), len(want.lists[ps]))
+	}
+	for gk, l := range want.lists[ps] {
+		if !slices.Equal(run.lists[ps][gk], l) {
+			t.Fatalf("%s: group %v list differs from the reference's", where, gk)
+		}
+	}
+}
+
+// TestResumedWalkMatchesRestart holds the suspended walk, the safety
+// net under the push, to the restart-from-root walk it replaced
+// (export_test.go keeps that one as the reference): with the push off,
+// for the traversal shapes of gravity, vortex and SPH (density, forces
+// and gravity passes) at 2, 4 and 8 ranks, every group's interaction
+// list is identical element for element, the gravity forces are
+// bitwise equal, and so are the completed-walk visits, the deferrals,
+// the requests, the rounds, the imported cells and the world's traffic.
+// With eval workers on, scheduling may differ but the lists and forces
+// may not.
 func TestResumedWalkMatchesRestart(t *testing.T) {
-	passes := [5]string{"gravity", "vortex", "sph density", "sph forces", "sph gravity"}
 	for _, np := range []int{2, 4, 8} {
-		for _, prefetch := range []int{0, 1} {
-			name := fmt.Sprintf("np=%d prefetch=%d", np, prefetch)
-			want, wantTraffic := runPasses(np, 0, prefetch, true)
-			got, gotTraffic := runPasses(np, 0, prefetch, false)
-			piped, _ := runPasses(np, 2, prefetch, false)
-			if gotTraffic != wantTraffic {
-				t.Errorf("%s: traffic %+v, restart walk %+v", name, gotTraffic, wantTraffic)
+		name := fmt.Sprintf("np=%d", np)
+		want, wantTraffic := runPasses(np, 0, restartWalk, false)
+		got, gotTraffic := runPasses(np, 0, requestWalk, false)
+		piped, _ := runPasses(np, 2, requestWalk, false)
+		if gotTraffic != wantTraffic {
+			t.Errorf("%s: traffic %+v, restart walk %+v", name, gotTraffic, wantTraffic)
+		}
+		for r := 0; r < np; r++ {
+			for ps := 0; ps < npasses-1; ps++ {
+				where := fmt.Sprintf("%s rank %d %s", name, r, passNames[ps])
+				g, w := got[r].ctr[ps], want[r].ctr[ps]
+				if w.Rewalked != 0 {
+					t.Fatalf("%s: the reference counted rewalked visits", where)
+				}
+				g.Rewalked = 0
+				if g != w {
+					t.Errorf("%s: counters %+v, restart walk %+v", where, g, w)
+				}
+				if got[r].rounds[ps] != want[r].rounds[ps] || got[r].remote[ps] != want[r].remote[ps] {
+					t.Errorf("%s: %d rounds / %d imported cells, restart walk %d / %d", where,
+						got[r].rounds[ps], got[r].remote[ps], want[r].rounds[ps], want[r].remote[ps])
+				}
+				sameLists(t, where, ps, got[r], want[r])
+				sameLists(t, where+" (eval workers)", ps, piped[r], want[r])
 			}
+			for id, a := range want[r].acc {
+				if got[r].acc[id] != a || piped[r].acc[id] != a {
+					t.Fatalf("%s rank %d: body %d force differs from the restart walk's", name, r, id)
+				}
+			}
+		}
+	}
+}
+
+// TestPushedWalkMatchesRequests holds the walk as it ships, owners
+// pushing before anyone walks, to the same walk fetching every remote
+// cell by park/request/resume (the push off): over the same passes plus
+// a partial walk, at 2, 4 and 8 ranks, lists match element for element,
+// forces and completed-walk visits are bitwise equal, and the pushed
+// walk never parks, asks, rewalks or runs a round -- while importing
+// at least what the requests fetched. With eval workers on, the same.
+func TestPushedWalkMatchesRequests(t *testing.T) {
+	for _, np := range []int{2, 4, 8} {
+		want, _ := runPasses(np, 0, requestWalk, true)
+		for _, workers := range []int{0, 2} {
+			got, _ := runPasses(np, workers, pushedWalk, true)
 			for r := 0; r < np; r++ {
-				for ps, pname := range passes {
-					where := fmt.Sprintf("%s rank %d %s", name, r, pname)
+				var pushed, used uint64
+				for ps := 0; ps < npasses; ps++ {
+					where := fmt.Sprintf("np=%d workers=%d rank %d %s", np, workers, r, passNames[ps])
 					g, w := got[r].ctr[ps], want[r].ctr[ps]
-					if w.Rewalked != 0 {
-						t.Fatalf("%s: the reference counted rewalked visits", where)
+					if g.Requests != 0 || g.Deferred != 0 || g.Rewalked != 0 || got[r].rounds[ps] != 0 {
+						t.Errorf("%s: the pushed walk fell back on requests: %d rounds, counters %+v", where, got[r].rounds[ps], g)
 					}
-					g.Rewalked = 0
-					if g != w {
-						t.Errorf("%s: counters %+v, restart walk %+v", where, g, w)
+					if g.Traversals != w.Traversals || g.PP != w.PP || g.PC != w.PC {
+						t.Errorf("%s: counters %+v, request walk %+v", where, g, w)
 					}
-					if got[r].rounds[ps] != want[r].rounds[ps] || got[r].remote[ps] != want[r].remote[ps] {
-						t.Errorf("%s: %d rounds / %d imported cells, restart walk %d / %d", where,
-							got[r].rounds[ps], got[r].remote[ps], want[r].rounds[ps], want[r].remote[ps])
+					if got[r].remote[ps] < want[r].remote[ps] {
+						t.Errorf("%s: %d cells imported, request walk imported %d", where, got[r].remote[ps], want[r].remote[ps])
 					}
-					for _, run := range []walkRecord{got[r], piped[r]} {
-						if len(run.lists[ps]) != len(want[r].lists[ps]) {
-							t.Fatalf("%s: %d groups completed, restart walk %d", where, len(run.lists[ps]), len(want[r].lists[ps]))
-						}
-						for gk, l := range want[r].lists[ps] {
-							if !slices.Equal(run.lists[ps][gk], l) {
-								t.Fatalf("%s: group %v list differs from the restart walk's", where, gk)
-							}
-						}
-					}
+					pushed, used = pushed+g.Pushed, used+g.PushUsed
+					sameLists(t, where, ps, got[r], want[r])
+				}
+				// A pass may use what an earlier one over the same imports
+				// was sent (SPH gravity after forces), so only the sums
+				// are ordered.
+				if used == 0 || used > pushed {
+					t.Errorf("np=%d workers=%d rank %d: %d of %d pushed cells used", np, workers, r, used, pushed)
 				}
 				for id, a := range want[r].acc {
-					if got[r].acc[id] != a || piped[r].acc[id] != a {
-						t.Fatalf("%s rank %d: body %d force differs from the restart walk's", name, r, id)
+					if got[r].acc[id] != a {
+						t.Fatalf("np=%d rank %d: body %d force differs from the request walk's", np, r, id)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestUnderPushFallsBackOnRequests breaks the push's contract on
+// purpose: a TestBound that refuses to open every third cell leaves
+// holes in what the owners send. The walks that fall into one park,
+// ask and resume, so rounds run again -- and lists and forces still
+// match the reference bit for bit.
+func TestUnderPushFallsBackOnRequests(t *testing.T) {
+	for _, np := range []int{2, 4} {
+		want, _ := runPasses(np, 0, requestWalk, true)
+		got, _ := runPasses(np, 0, underPushed, true)
+		rounds := 0
+		for r := 0; r < np; r++ {
+			for _, ps := range []int{0, 4, 5} { // the gravity passes
+				where := fmt.Sprintf("np=%d rank %d %s", np, r, passNames[ps])
+				rounds += got[r].rounds[ps]
+				if got[r].ctr[ps].Traversals != want[r].ctr[ps].Traversals {
+					t.Errorf("%s: %d completed-walk visits, request walk %d", where,
+						got[r].ctr[ps].Traversals, want[r].ctr[ps].Traversals)
+				}
+				sameLists(t, where, ps, got[r], want[r])
+			}
+			for id, a := range want[r].acc {
+				if got[r].acc[id] != a {
+					t.Fatalf("np=%d rank %d: body %d force differs from the request walk's", np, r, id)
+				}
+			}
+		}
+		if rounds == 0 {
+			t.Errorf("np=%d: an under-pushing TestBound never exercised the request rounds", np)
+		}
+	}
+}
+
+// BenchmarkWalkUnderLatency prices the two ways a walk phase gets its
+// remote cells, on the same gravity walk (np = 4, 20000-body Plummer
+// sphere) with every message held in flight for up to 40 ms: pushed by
+// their owners before anyone walks, or requested on a miss, round after
+// round. walk_s/op is the slowest rank's walk phase, rounds/op its
+// request rounds.
+func BenchmarkWalkUnderLatency(b *testing.B) {
+	for _, mode := range []struct {
+		name string
+		push bool
+	}{{"push", true}, {"requests", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			const n, np = 20000, 4
+			var walkSec float64
+			var rounds int
+			for i := 0; i < b.N; i++ {
+				w := msg.NewWorld(np)
+				w.SetInjector(&msg.Injector{Seed: 7, LatencyProb: 1, MaxLatency: 40 * time.Millisecond})
+				var mu sync.Mutex
+				walkSec, rounds = 0, 0
+				w.Run(func(c *msg.Comm) {
+					global := ic.Plummer(n, 1.0, 11)
+					local := core.New(0)
+					local.EnableDynamics()
+					for j := c.Rank() * n / np; j < (c.Rank()+1)*n/np; j++ {
+						local.AppendFrom(global, j)
+					}
+					p := &colPhysics{}
+					e := hotengine.New[vec.V3, cols](c, local, p, hotengine.Config{
+						MAC:    grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-3, Quad: true},
+						Bucket: 16,
+					})
+					e.SetPush(mode.push)
+					p.e = e
+					e.Exchange()
+					v := &gravWalk{p: p, ws: make([]tree.Walker, e.Slots()), lists: map[keys.Key][]uint64{}}
+					e.WalkGroups("walk", v, func(slot int, _ keys.Key, g *tree.Cell, ctr *diag.Counters) {
+						sys, lo, hi := e.Sys, g.First, g.First+g.N
+						v.ws[slot].Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], 1e-6, true, ctr)
+					})
+					mu.Lock()
+					defer mu.Unlock()
+					walkSec = max(walkSec, e.Timer.Get("walk").Seconds())
+					rounds = max(rounds, e.Rounds)
+				})
+			}
+			b.ReportMetric(walkSec, "walk_s/op")
+			b.ReportMetric(float64(rounds), "rounds/op")
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/keys"
 	"repro/internal/tree"
+	"repro/internal/vec"
 )
 
 // Visitor is the physics side of a group traversal. The engine owns
@@ -29,6 +30,14 @@ type Visitor[X any] interface {
 	// is emitting, in root-DFS order.
 	Cell(c *tree.Cell, x X)
 	Leaf(c *tree.Cell)
+	// Sphere returns the sphere Test measures cells against for group
+	// g, as Begin would fix it; a rank publishes their tree.Bound.
+	Sphere(g *tree.Cell) (c vec.V3, r float64)
+	// TestBound is Test made conservative over a peer's bound: it must
+	// return Open for every cell Test could open for a group whose
+	// sphere has its centre in b's box and a radius of at most b.R.
+	// Owners run it down their own trees to decide what to push.
+	TestBound(c *tree.Cell, b *tree.Bound) tree.Action
 }
 
 // table names the store a stack entry resolves in. Carrying it down
@@ -95,8 +104,11 @@ func (e *Engine[X, B]) traverse(emit bool) (visits uint64) {
 		if kids == inTop {
 			n = e.top.Ptr(ent.k)
 			kids = n.kids
-			if n.Cell.First == sentinelUnfetched {
-				n = nil // remote leaf branch: the copy with bodies is an import
+			if n.Cell.First == sentinelUnfetched && v.Test(&n.Cell) == tree.Open {
+				// A remote leaf branch some group has to open: the copy
+				// with bodies is an import. Skipped or accepted, the top
+				// tree's moments (the same off the wire) do.
+				n = nil
 			}
 		}
 		var c *tree.Cell
@@ -156,31 +168,28 @@ func (e *Engine[X, B]) noteMiss(ent entry) {
 	}
 }
 
-// importedPtr looks up an imported cell, marking a prefetched cell's
-// first resolution as a prefetch hit. Traversals run on the rank
-// goroutine only (pooled evals never resolve), so the mark is
-// race-free.
+// importedPtr looks up an imported cell, marking a pushed cell's first
+// resolution as a push hit. Traversals run on the rank goroutine only
+// (pooled evals never resolve), so the mark is race-free.
 func (e *Engine[X, B]) importedPtr(k keys.Key) *node[X] {
 	in := e.imported.Ptr(k)
-	if in != nil && in.Prefetched {
-		in.Prefetched = false
-		e.Counters.PrefetchUsed++
+	if in != nil && in.Pushed {
+		in.Pushed = false
+		e.Counters.PushUsed++
 	}
 	return in
 }
 
-// attempt is the optimistic first walk of group gi (an index into
-// Local.Groups): emitting from the root, it completes outright when
-// every cell it needs is already here (always on one rank, rarely on
-// four). Otherwise its visits are charged to Rewalked and the group is
-// parked on the cells it missed. pooled lets the list land in a
-// pipeline slot. Rank goroutine only; callers outside a collective
-// must flush missBuf to the phase's abm engine afterwards (inside one,
-// posting must wait).
-func (e *Engine[X, B]) attempt(gi int32, pooled bool) {
+// attempt is the first walk of group gi (an index into Local.Groups):
+// emitting from the root, it completes outright when every cell it
+// needs is already here (always on one rank, and wherever the push
+// covered the group). Otherwise its visits are charged to Rewalked and
+// the group is parked on the cells it missed; the caller flushes
+// missBuf to the phase's abm engine afterwards.
+func (e *Engine[X, B]) attempt(gi int32) {
 	gk := e.Local.Groups[gi]
 	g := e.Local.Cell(gk)
-	slot := e.acquireSlot(pooled)
+	slot := e.acquireSlot(true)
 	if e.emitFromRoot(slot, gk, g) {
 		return
 	}

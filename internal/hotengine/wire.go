@@ -8,13 +8,13 @@ import (
 	"repro/internal/keys"
 )
 
-// Wire is the packed cell record exchanged between ranks, for both the
-// branch allgather and request replies. X is the physics' per-cell
-// moment payload (nothing for gravity, the strength sum for vortex
-// dynamics); Bodies is the physics' leaf body payload, present in
-// replies to leaf requests only and excluded from the fixed wire size
-// (its cost is the per-body columns, accounted separately by the
-// physics if desired).
+// Wire is the packed cell record exchanged between ranks: in the
+// branch allgather, the push and request replies. X is the physics'
+// per-cell moment payload (nothing for gravity, the strength sum for
+// vortex dynamics); Bodies is the physics' leaf body payload, present
+// with pushed and requested leaves only and excluded from the fixed
+// wire size (its cost is the per-body columns, accounted separately by
+// the physics if desired).
 type Wire[X, B any] struct {
 	Key       keys.Key
 	Mp        grav.Multipole
@@ -23,21 +23,8 @@ type Wire[X, B any] struct {
 	N         int32
 	ChildMask uint8
 	Leaf      bool
-	// Bodies carries leaf body columns (replies only; zero in branch
-	// messages).
+	// Bodies carries leaf body columns (zero in branch messages).
 	Bodies B
-}
-
-// Reply is one request reply on the wire: the requested cell W plus
-// any speculative subtree cells Pre piggybacked by serve-side prefetch
-// (Config.PrefetchDepth levels below W, in DFS order). Wrapping rather
-// than extending Wire keeps replies 1:1 with requests -- the alignment
-// the abm engine guarantees -- and keeps the fixed Wire record (and
-// its pinned packed size) unchanged. A Reply's wire cost is
-// CellWireBytes times 1+len(Pre).
-type Reply[X, B any] struct {
-	W   Wire[X, B]
-	Pre []Wire[X, B]
 }
 
 // CellWireBytes returns the packed wire size of one Wire[X, B] record

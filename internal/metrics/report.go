@@ -43,8 +43,12 @@ type Totals struct {
 	// of tree-walk cell visits that went into a completed interaction
 	// list rather than into finding out which remote cells to fetch.
 	WalkEfficiency float64 `json:"walk_efficiency"`
-	Msgs           uint64  `json:"msgs"`
-	Bytes          uint64  `json:"bytes"`
+	// PushHitRate is Counters.PushUsed / Counters.Pushed: the share of
+	// the cells the owners pushed that a walk went on to resolve. The
+	// rest is what the conservative test sent in vain.
+	PushHitRate float64 `json:"push_hit_rate"`
+	Msgs        uint64  `json:"msgs"`
+	Bytes       uint64  `json:"bytes"`
 }
 
 // RankReport is one rank's share.
@@ -61,6 +65,11 @@ type RankReport struct {
 	// SplitRounds is the number of collectives the rank's last
 	// decomposition spent finding the splitters (domain.Stats.Rounds).
 	SplitRounds int `json:"split_rounds"`
+	// Pushed and PushUsed are the rank's Counters.Pushed/PushUsed: the
+	// cells it imported from the owners' push, and how many of them a
+	// walk resolved.
+	Pushed   uint64 `json:"pushed"`
+	PushUsed uint64 `json:"push_used"`
 }
 
 // PhaseBalance is the load-balance statistics of one phase's
@@ -89,8 +98,7 @@ type RunReport struct {
 	// accounting (present when the drivers supplied it).
 	Stepping *SteppingStats `json:"stepping,omitempty"`
 	// Overlap aggregates the walk/eval pipeline's latency-hiding
-	// accounting (present when any rank ran with eval workers or
-	// prefetch on).
+	// accounting (present when any rank ran with eval workers).
 	Overlap *OverlapStats `json:"overlap,omitempty"`
 	// TraceDropped counts trace events discarded by full rank rings
 	// (trace.Run.Dropped at report time); non-zero means the exported
@@ -149,21 +157,15 @@ type SteppingStats struct {
 // paper's "keep the FPUs busy while messages are in flight" made
 // measurable. OverlapFraction is EvalDuringComm/EvalBusy, the
 // fraction of kernel work that was hidden under communication.
-// Prefetch accounting rides along: cells speculatively imported,
-// how many a walk actually used, and the hit rate.
 type OverlapStats struct {
 	EvalWorkers           int     `json:"eval_workers"`
-	PrefetchDepth         int     `json:"prefetch_depth"`
 	CommSeconds           float64 `json:"comm_seconds"`
 	EvalBusySeconds       float64 `json:"eval_busy_seconds"`
 	EvalDuringCommSeconds float64 `json:"eval_during_comm_seconds"`
 	OverlapFraction       float64 `json:"overlap_fraction"`
 	// Rounds is the request/reply round count (max across ranks; the
 	// rounds are collective, so ranks agree up to partial phases).
-	Rounds          int     `json:"rounds"`
-	Prefetched      uint64  `json:"prefetched"`
-	PrefetchUsed    uint64  `json:"prefetch_used"`
-	PrefetchHitRate float64 `json:"prefetch_hit_rate"`
+	Rounds int `json:"rounds"`
 }
 
 // RankInput is what one rank's engine contributes to a report.
@@ -227,6 +229,8 @@ func BuildReport(command string, bodies int, wall float64, ranks []RankInput, w 
 			Rounds:      in.Rounds,
 			RemoteCells: in.RemoteCells,
 			SplitRounds: in.SplitRounds,
+			Pushed:      in.Counters.Pushed,
+			PushUsed:    in.Counters.PushUsed,
 		}
 		for _, tm := range []*diag.Timer{in.Timer, in.Sub} {
 			if tm == nil {
@@ -295,19 +299,14 @@ func BuildReport(command string, bodies int, wall float64, ranks []RankInput, w 
 		}
 		if in.Overlap != nil {
 			if rep.Overlap == nil {
-				rep.Overlap = &OverlapStats{
-					EvalWorkers:   in.Overlap.EvalWorkers,
-					PrefetchDepth: in.Overlap.PrefetchDepth,
-				}
+				rep.Overlap = &OverlapStats{EvalWorkers: in.Overlap.EvalWorkers}
 			}
 			ov := rep.Overlap
-			// Seconds and prefetch counts are per-rank shares, summed;
-			// rounds are collective, so keep the max.
+			// Seconds are per-rank shares, summed; rounds are collective,
+			// so keep the max.
 			ov.CommSeconds += in.Overlap.CommSeconds
 			ov.EvalBusySeconds += in.Overlap.EvalBusySeconds
 			ov.EvalDuringCommSeconds += in.Overlap.EvalDuringCommSeconds
-			ov.Prefetched += in.Overlap.Prefetched
-			ov.PrefetchUsed += in.Overlap.PrefetchUsed
 			if in.Overlap.Rounds > ov.Rounds {
 				ov.Rounds = in.Overlap.Rounds
 			}
@@ -316,17 +315,13 @@ func BuildReport(command string, bodies int, wall float64, ranks []RankInput, w 
 	if st := rep.Stepping; st != nil && st.TotalSinks > 0 {
 		st.ActiveFraction = float64(st.ActiveSinks) / float64(st.TotalSinks)
 	}
-	if ov := rep.Overlap; ov != nil {
-		if ov.EvalBusySeconds > 0 {
-			ov.OverlapFraction = ov.EvalDuringCommSeconds / ov.EvalBusySeconds
-		}
-		if ov.Prefetched > 0 {
-			ov.PrefetchHitRate = float64(ov.PrefetchUsed) / float64(ov.Prefetched)
-		}
+	if ov := rep.Overlap; ov != nil && ov.EvalBusySeconds > 0 {
+		ov.OverlapFraction = ov.EvalDuringCommSeconds / ov.EvalBusySeconds
 	}
 	rep.Totals.Interactions = rep.Totals.Counters.Interactions()
 	rep.Totals.Flops = rep.Totals.Counters.Flops()
 	rep.Totals.WalkEfficiency = rep.Totals.Counters.WalkEfficiency()
+	rep.Totals.PushHitRate = rep.Totals.Counters.PushHitRate()
 	if wall > 0 {
 		rep.Totals.FlopsRate = float64(rep.Totals.Flops) / wall
 	}
@@ -388,6 +383,10 @@ func (r *RunReport) Render(w io.Writer) {
 		fmt.Fprintf(w, "walk: %d cell visits in completed walks, %d rewalked (efficiency %.3f)\n",
 			c.Traversals, c.Rewalked, r.Totals.WalkEfficiency)
 	}
+	if c := r.Totals.Counters; c.Pushed > 0 {
+		fmt.Fprintf(w, "push: %d cells, %d used (hit rate %.1f%%, %d sent in vain)\n",
+			c.Pushed, c.PushUsed, r.Totals.PushHitRate*100, c.Pushed-c.PushUsed)
+	}
 	if r.Totals.Msgs > 0 {
 		fmt.Fprintf(w, "traffic: %d msgs, %.3f MB total\n", r.Totals.Msgs, float64(r.Totals.Bytes)/1e6)
 	}
@@ -440,25 +439,21 @@ func (r *RunReport) Render(w io.Writer) {
 	}
 
 	if ov := r.Overlap; ov != nil {
-		fmt.Fprintf(w, "\noverlap (eval workers=%d, prefetch depth=%d):\n", ov.EvalWorkers, ov.PrefetchDepth)
+		fmt.Fprintf(w, "\noverlap (eval workers=%d):\n", ov.EvalWorkers)
 		fmt.Fprintf(w, "  comm windows     %.4fs (rank time inside walk collectives, all ranks)\n", ov.CommSeconds)
 		fmt.Fprintf(w, "  eval busy        %.4fs total kernel time on eval workers\n", ov.EvalBusySeconds)
 		fmt.Fprintf(w, "  eval during comm %.4fs (%.1f%% of eval work hidden under communication)\n",
 			ov.EvalDuringCommSeconds, ov.OverlapFraction*100)
 		fmt.Fprintf(w, "  rounds           %d\n", ov.Rounds)
-		if ov.Prefetched > 0 {
-			fmt.Fprintf(w, "  prefetch         %d cells, %d used (hit rate %.1f%%, %d wasted)\n",
-				ov.Prefetched, ov.PrefetchUsed, ov.PrefetchHitRate*100, ov.Prefetched-ov.PrefetchUsed)
-		}
 	}
 
 	fmt.Fprintf(w, "\nper-rank work:\n")
-	fmt.Fprintf(w, "  %4s %14s %16s %10s %12s %7s %8s %6s\n",
-		"rank", "interactions", "flops", "sent msgs", "sent bytes", "rounds", "remote", "split")
+	fmt.Fprintf(w, "  %4s %14s %16s %10s %12s %7s %8s %6s %8s %8s\n",
+		"rank", "interactions", "flops", "sent msgs", "sent bytes", "rounds", "remote", "split", "pushed", "used")
 	for _, rr := range r.Ranks {
-		fmt.Fprintf(w, "  %4d %14d %16d %10d %12d %7d %8d %6d\n",
+		fmt.Fprintf(w, "  %4d %14d %16d %10d %12d %7d %8d %6d %8d %8d\n",
 			rr.Rank, rr.Counters.Interactions(), rr.Flops,
-			rr.SentMsgs, rr.SentBytes, rr.Rounds, rr.RemoteCells, rr.SplitRounds)
+			rr.SentMsgs, rr.SentBytes, rr.Rounds, rr.RemoteCells, rr.SplitRounds, rr.Pushed, rr.PushUsed)
 	}
 
 	if len(r.Phases) > 0 {

@@ -173,27 +173,21 @@ func AlltoallvInto[T any](c *Comm, send, recv [][]T, bytesPer int) [][]T {
 	return Alltoall(c, send, recv, func(b []T) int { return bytesPer * len(b) })
 }
 
-// AlltoallvSizedFunc is AlltoallvSizedInto that additionally invokes
+// AlltoallvFunc is AlltoallvInto that additionally invokes
 // onBatch(src, batch) as each source's batch lands (the local batch
 // at its own position in source order), so the caller can process
 // early arrivals while later sources are still in flight -- the
-// incremental-delivery hook the pipelined tree walk imports cells
-// through. onBatch runs on the calling goroutine and must not
-// communicate.
-func AlltoallvSizedFunc[T any](c *Comm, send, recv [][]T, bytesOf func(T) int, onBatch func(src int, batch []T)) [][]T {
+// incremental-delivery hook the tree walk imports cells through.
+// onBatch runs on the calling goroutine and must not communicate.
+func AlltoallvFunc[T any](c *Comm, send, recv [][]T, bytesPer int, onBatch func(src int, batch []T)) [][]T {
 	if len(send) != c.Size() {
 		panic("msg: Alltoallv needs one send slice per rank")
 	}
 	tag := c.nextTag(opAlltoall)
 	for d := 0; d < c.Size(); d++ {
-		if d == c.Rank() {
-			continue
+		if d != c.Rank() {
+			c.send(d, tag, send[d], bytesPer*len(send[d]))
 		}
-		n := 0
-		for i := range send[d] {
-			n += bytesOf(send[d][i])
-		}
-		c.send(d, tag, send[d], n)
 	}
 	if cap(recv) < c.Size() {
 		recv = make([][]T, c.Size())
@@ -208,21 +202,6 @@ func AlltoallvSizedFunc[T any](c *Comm, send, recv [][]T, bytesOf func(T) int, o
 		onBatch(s, recv[s])
 	}
 	return recv
-}
-
-// AlltoallvSizedInto is AlltoallvInto for element types whose wire
-// size varies per value (e.g. cell replies carrying a piggybacked
-// prefetch subtree): bytesOf gives the logical wire size of one T, and
-// each batch is accounted as the sum over its elements. The fixed-size
-// exchanges keep the cheaper bytesPer path.
-func AlltoallvSizedInto[T any](c *Comm, send, recv [][]T, bytesOf func(T) int) [][]T {
-	return Alltoall(c, send, recv, func(b []T) int {
-		n := 0
-		for i := range b {
-			n += bytesOf(b[i])
-		}
-		return n
-	})
 }
 
 // Common reduction operators.

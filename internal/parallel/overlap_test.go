@@ -16,9 +16,9 @@ import (
 )
 
 // overlapRun runs one full force evaluation at np ranks with the given
-// latency-hiding knobs and returns the per-ID forces plus the
-// rank-summed interaction counters.
-func overlapRun(t *testing.T, np, n, workers, slots, prefetch int) (map[int64]vec.V3, map[int64]float64, diag.Counters) {
+// eval pipeline and returns the per-ID forces plus the rank-summed
+// interaction counters.
+func overlapRun(t *testing.T, np, n, workers, slots int) (map[int64]vec.V3, map[int64]float64, diag.Counters) {
 	t.Helper()
 	mac := grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true}
 	acc := make(map[int64]vec.V3, n)
@@ -35,7 +35,7 @@ func overlapRun(t *testing.T, np, n, workers, slots, prefetch int) (map[int64]ve
 		}
 		e := New(c, local, Config{
 			MAC: mac, Eps2: 1e-6,
-			EvalWorkers: workers, EvalSlots: slots, PrefetchDepth: prefetch,
+			EvalWorkers: workers, EvalSlots: slots,
 		})
 		defer e.Close()
 		e.ComputeForces()
@@ -51,44 +51,33 @@ func overlapRun(t *testing.T, np, n, workers, slots, prefetch int) (map[int64]ve
 }
 
 // TestOverlapBitwiseForceEquivalence is the determinism contract of
-// the walk/eval pipeline and the serve-side prefetch: at 1, 2 and 8
-// ranks, any combination of eval workers and prefetch depth must
+// the walk/eval pipeline: at 1, 2 and 8 ranks, eval workers must
 // reproduce the inline schedule's forces bit for bit, with identical
 // PP/PC/QuadPC/Traversals counts. Group body ranges are disjoint and
 // the workers' counters fold as order-independent sums, so nothing
 // about the schedule may leak into the physics.
 func TestOverlapBitwiseForceEquivalence(t *testing.T) {
 	const n = 1200
-	variants := []struct {
-		name                     string
-		workers, slots, prefetch int
-	}{
-		{"workers3", 3, 8, 0},
-		{"prefetch1", 0, 0, 1},
-		{"workers3_prefetch1", 3, 8, 1},
-	}
 	for _, np := range []int{1, 2, 8} {
-		baseAcc, basePot, baseCtr := overlapRun(t, np, n, 0, 0, 0)
+		baseAcc, basePot, baseCtr := overlapRun(t, np, n, 0, 0)
 		if len(baseAcc) != n {
 			t.Fatalf("np=%d: baseline covered %d of %d bodies", np, len(baseAcc), n)
 		}
-		for _, v := range variants {
-			acc, pot, ctr := overlapRun(t, np, n, v.workers, v.slots, v.prefetch)
-			if len(acc) != n {
-				t.Fatalf("np=%d %s: covered %d of %d bodies", np, v.name, len(acc), n)
+		acc, pot, ctr := overlapRun(t, np, n, 3, 8)
+		if len(acc) != n {
+			t.Fatalf("np=%d workers3: covered %d of %d bodies", np, len(acc), n)
+		}
+		for id, a := range baseAcc {
+			if acc[id] != a || pot[id] != basePot[id] {
+				t.Fatalf("np=%d workers3: body %d forces diverged: acc %v vs %v, pot %v vs %v",
+					np, id, acc[id], a, pot[id], basePot[id])
 			}
-			for id, a := range baseAcc {
-				if acc[id] != a || pot[id] != basePot[id] {
-					t.Fatalf("np=%d %s: body %d forces diverged: acc %v vs %v, pot %v vs %v",
-						np, v.name, id, acc[id], a, pot[id], basePot[id])
-				}
-			}
-			if ctr.PP != baseCtr.PP || ctr.PC != baseCtr.PC ||
-				ctr.QuadPC != baseCtr.QuadPC || ctr.Traversals != baseCtr.Traversals {
-				t.Errorf("np=%d %s: counters diverged: PP %d/%d PC %d/%d QuadPC %d/%d Traversals %d/%d",
-					np, v.name, ctr.PP, baseCtr.PP, ctr.PC, baseCtr.PC,
-					ctr.QuadPC, baseCtr.QuadPC, ctr.Traversals, baseCtr.Traversals)
-			}
+		}
+		if ctr.PP != baseCtr.PP || ctr.PC != baseCtr.PC ||
+			ctr.QuadPC != baseCtr.QuadPC || ctr.Traversals != baseCtr.Traversals {
+			t.Errorf("np=%d workers3: counters diverged: PP %d/%d PC %d/%d QuadPC %d/%d Traversals %d/%d",
+				np, ctr.PP, baseCtr.PP, ctr.PC, baseCtr.PC,
+				ctr.QuadPC, baseCtr.QuadPC, ctr.Traversals, baseCtr.Traversals)
 		}
 	}
 }
@@ -103,8 +92,8 @@ func TestOverlapWorkersMultiCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const n = 1200
 	for _, np := range []int{2, 8} {
-		baseAcc, basePot, baseCtr := overlapRun(t, np, n, 0, 0, 0)
-		acc, pot, ctr := overlapRun(t, np, n, 3, 16, 1)
+		baseAcc, basePot, baseCtr := overlapRun(t, np, n, 0, 0)
+		acc, pot, ctr := overlapRun(t, np, n, 3, 16)
 		if len(acc) != n {
 			t.Fatalf("np=%d: covered %d of %d bodies", np, len(acc), n)
 		}
@@ -123,10 +112,9 @@ func TestOverlapWorkersMultiCore(t *testing.T) {
 	}
 }
 
-// overlapBlockRun advances the block-timestep engine with the
-// latency-hiding knobs set, returning final per-ID state and rank-0
-// stepper stats.
-func overlapBlockRun(t *testing.T, np, n, steps int, dt, eta float64, workers, prefetch int) (map[int64]vec.V3, map[int64]vec.V3, integrate.Stats) {
+// overlapBlockRun advances the block-timestep engine with the eval
+// pipeline set, returning final per-ID state and rank-0 stepper stats.
+func overlapBlockRun(t *testing.T, np, n, steps int, dt, eta float64, workers int) (map[int64]vec.V3, map[int64]vec.V3, integrate.Stats) {
 	t.Helper()
 	mac := grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true}
 	pos := make(map[int64]vec.V3, n)
@@ -143,7 +131,7 @@ func overlapBlockRun(t *testing.T, np, n, steps int, dt, eta float64, workers, p
 		}
 		e := New(c, local, Config{
 			MAC: mac, Eps2: 1e-6,
-			EvalWorkers: workers, EvalSlots: 8, PrefetchDepth: prefetch,
+			EvalWorkers: workers, EvalSlots: 8,
 		})
 		defer e.Close()
 		e.Stepper.Scheme = integrate.Block
@@ -168,37 +156,27 @@ func overlapBlockRun(t *testing.T, np, n, steps int, dt, eta float64, workers, p
 
 // TestOverlapBlockModeBitwise runs the multi-rung block scheduler --
 // whose partial evaluations walk only the active groups, leaving some
-// ranks with empty active sets that still must serve requests (and
-// prefetch subtrees) symmetrically -- and demands bitwise-identical
-// trajectories with the pipeline and prefetch on.
+// ranks with empty active sets that still must push to the others --
+// and demands bitwise-identical trajectories with the pipeline on.
 func TestOverlapBlockModeBitwise(t *testing.T) {
 	const n, steps, dt, eta = 1200, 3, 1e-3, 0.02
 	const np = 8
-	basePos, baseVel, baseStats := overlapBlockRun(t, np, n, steps, dt, eta, 0, 0)
+	basePos, baseVel, baseStats := overlapBlockRun(t, np, n, steps, dt, eta, 0)
 	if baseStats.PartialEvals == 0 {
 		t.Fatalf("no partial evaluations engaged (stats %+v); the partial-walk path went unexercised", baseStats)
 	}
-	for _, v := range []struct {
-		name              string
-		workers, prefetch int
-	}{
-		{"workers3", 3, 0},
-		{"prefetch1", 0, 1},
-		{"workers3_prefetch1", 3, 1},
-	} {
-		pos, vel, stats := overlapBlockRun(t, np, n, steps, dt, eta, v.workers, v.prefetch)
-		if stats.PartialEvals != baseStats.PartialEvals || stats.FullEvals != baseStats.FullEvals {
-			t.Errorf("%s: schedule diverged: %d partial + %d full evals, want %d + %d",
-				v.name, stats.PartialEvals, stats.FullEvals, baseStats.PartialEvals, baseStats.FullEvals)
-		}
-		if len(pos) != len(basePos) {
-			t.Fatalf("%s: body count %d vs %d", v.name, len(pos), len(basePos))
-		}
-		for id, p := range basePos {
-			if pos[id] != p || vel[id] != baseVel[id] {
-				t.Fatalf("%s: body %d diverged: pos %v vs %v, vel %v vs %v",
-					v.name, id, pos[id], p, vel[id], baseVel[id])
-			}
+	pos, vel, stats := overlapBlockRun(t, np, n, steps, dt, eta, 3)
+	if stats.PartialEvals != baseStats.PartialEvals || stats.FullEvals != baseStats.FullEvals {
+		t.Errorf("workers3: schedule diverged: %d partial + %d full evals, want %d + %d",
+			stats.PartialEvals, stats.FullEvals, baseStats.PartialEvals, baseStats.FullEvals)
+	}
+	if len(pos) != len(basePos) {
+		t.Fatalf("workers3: body count %d vs %d", len(pos), len(basePos))
+	}
+	for id, p := range basePos {
+		if pos[id] != p || vel[id] != baseVel[id] {
+			t.Fatalf("workers3: body %d diverged: pos %v vs %v, vel %v vs %v",
+				id, pos[id], p, vel[id], baseVel[id])
 		}
 	}
 }

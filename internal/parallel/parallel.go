@@ -55,13 +55,10 @@ type Config struct {
 	// EvalSlots is the pipeline depth (in-flight group evaluations);
 	// 0 = 64 per worker.
 	EvalSlots int
-	// PrefetchDepth makes request replies piggyback the subtree below
-	// each cell, that many levels deep. 0 = off.
-	PrefetchDepth int
 }
 
-// Leaf is the gravity leaf payload of a request reply: position and
-// mass columns, aliasing the serving rank's storage.
+// Leaf is the gravity leaf payload of a pushed or requested cell:
+// position and mass columns, aliasing the owning rank's storage.
 type Leaf struct {
 	Pos  []vec.V3
 	Mass []float64
@@ -135,7 +132,6 @@ func New(c *msg.Comm, sys *core.System, cfg Config) *Engine {
 		MAC: cfg.MAC, Bucket: cfg.Bucket, MaxRounds: cfg.MaxRounds,
 		BuildWorkers: cfg.BuildWorkers, ColdStart: cfg.ColdStart,
 		EvalWorkers: cfg.EvalWorkers, EvalSlots: cfg.EvalSlots,
-		PrefetchDepth: cfg.PrefetchDepth,
 	})
 	e.walkers = make([]*tree.Walker, e.Slots())
 	for i := range e.walkers {
@@ -201,6 +197,12 @@ func (v *visitor) Begin(slot int, gk keys.Key, g *tree.Cell) {
 }
 
 func (v *visitor) Test(c *tree.Cell) tree.Action { return v.w.Test(c) }
+
+func (v *visitor) Sphere(g *tree.Cell) (vec.V3, float64) {
+	return tree.GroupSphere(v.e.Sys.Pos[g.First : g.First+g.N])
+}
+
+func (v *visitor) TestBound(c *tree.Cell, b *tree.Bound) tree.Action { return tree.ClassifyBound(c, b) }
 
 func (v *visitor) Cell(c *tree.Cell, _ hotengine.None) { v.w.List.AddCell(&c.Mp) }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/ic"
 	"repro/internal/metrics"
 	"repro/internal/msg"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/vec"
 )
@@ -167,18 +168,42 @@ func TestRunReportMatchesCountersAndForcesUnchanged(t *testing.T) {
 		}
 	}
 
-	// Distributed 4-rank walks defer groups on remote data; the stall
-	// histogram must have seen them, bounded by the deferral counter.
-	if deferredTotal > 0 {
-		if stalls.Count() == 0 {
-			t.Fatal("groups were deferred but no stalls sampled")
+	// A healthy 4-rank run is pushed everything it opens: nothing is
+	// deferred, so the stall histogram stays empty and reads 0 at every
+	// percentile, the walk is all useful visits, and each rank's report
+	// row carries what it was pushed and what of that it used.
+	if deferredTotal != 0 || stalls.Count() != 0 {
+		t.Fatalf("healthy run deferred %d groups and sampled %d stalls", deferredTotal, stalls.Count())
+	}
+	if h := rep.Histograms[metrics.StallHistogram]; h.P50 != 0 || h.P99 != 0 {
+		t.Fatalf("empty stall histogram reads p50 %d p99 %d, want 0", h.P50, h.P99)
+	}
+	if rep.Totals.WalkEfficiency != 1 {
+		t.Fatalf("walk_efficiency %v, want 1", rep.Totals.WalkEfficiency)
+	}
+	if hr := rep.Totals.PushHitRate; hr <= 0 || hr > 1 {
+		t.Fatalf("push_hit_rate %v, want in (0, 1]", hr)
+	}
+	for r, rr := range rep.Ranks {
+		if rr.Pushed == 0 || rr.Pushed != engines[r].Counters.Pushed || rr.PushUsed != engines[r].Counters.PushUsed {
+			t.Fatalf("rank %d report row: pushed %d used %d, counters %+v", r, rr.Pushed, rr.PushUsed, engines[r].Counters)
 		}
-		if stalls.Count() > deferredTotal {
-			t.Fatalf("stall samples %d exceed deferrals %d", stalls.Count(), deferredTotal)
-		}
-		if rep.Histograms[metrics.StallHistogram].Count != stalls.Count() {
-			t.Fatal("report histogram snapshot disagrees")
-		}
+	}
+
+	// The live view of the same run: the walk_stall monitor (and every
+	// other default monitor) stays silent, and /series carries the push.
+	tel := telemetry.NewSampler(telemetry.Config{NP: len(engines), Registry: reg, Monitors: telemetry.DefaultMonitors()})
+	defer tel.Close()
+	for r, e := range engines {
+		tel.Contribute(r, e.Telemetry(1e6))
+	}
+	smp, ok := tel.Last()
+	if evs := tel.Events(); !ok || len(evs) != 0 {
+		t.Fatalf("healthy run fired %+v (sample assembled: %v)", evs, ok)
+	}
+	if smp.StallP99Ns != 0 || smp.WalkEfficiency != 1 || smp.Pushed != want.Pushed || smp.PushUsed != want.PushUsed {
+		t.Fatalf("sample: stall p99 %d, walk_efficiency %v, pushed %d used %d; want 0, 1, %d, %d",
+			smp.StallP99Ns, smp.WalkEfficiency, smp.Pushed, smp.PushUsed, want.Pushed, want.PushUsed)
 	}
 
 	// Phase balance covers the pipeline phases with sane statistics.

@@ -61,9 +61,6 @@ type ParallelConfig struct {
 	// writes Rho, the column the serve path snapshots). 0 = inline;
 	// results are bitwise identical either way.
 	EvalWorkers int
-	// PrefetchDepth makes request replies piggyback the subtree below
-	// each cell, that many levels deep. 0 = off.
-	PrefetchDepth int
 }
 
 // Leaf is the SPH leaf payload of a request reply: every per-body
@@ -170,12 +167,11 @@ func NewParallel(c *msg.Comm, sys *core.System, cfg ParallelConfig) *ParallelEng
 	e := &ParallelEngine{Cfg: cfg}
 	e.phys = &physics{e: e}
 	e.Engine = hotengine.New[hotengine.None, Leaf](c, sys, e.phys, hotengine.Config{
-		MAC:           grav.MACParams{Kind: grav.MACBarnesHut, Theta: cfg.Theta, Quad: false},
-		Bucket:        cfg.Bucket,
-		MaxRounds:     cfg.MaxRounds,
-		PhasePrefix:   "sph",
-		EvalWorkers:   cfg.EvalWorkers,
-		PrefetchDepth: cfg.PrefetchDepth,
+		MAC:         grav.MACParams{Kind: grav.MACBarnesHut, Theta: cfg.Theta, Quad: false},
+		Bucket:      cfg.Bucket,
+		MaxRounds:   cfg.MaxRounds,
+		PhasePrefix: "sph",
+		EvalWorkers: cfg.EvalWorkers,
 	})
 	e.cands = make([]candidates, e.Slots())
 	e.ws = make([]*tree.Walker, e.Slots())
@@ -273,29 +269,38 @@ func (e *ParallelEngine) leafColumns(c *tree.Cell) Leaf {
 // as the serial Neighbors). It never accepts a cell: range queries
 // prune on geometry alone.
 type gatherer struct {
-	e    *ParallelEngine
-	gc   vec.V3
-	R    float64
-	cand *candidates
+	e      *ParallelEngine
+	sphere tree.Bound // the current group's search sphere
+	cand   *candidates
 }
 
 func (v *gatherer) Begin(slot int, _ keys.Key, g *tree.Cell) {
-	lo, hi := g.First, g.First+g.N
-	gc, gr := tree.GroupSphere(v.e.Sys.Pos[lo:hi])
-	v.gc, v.R = gc, gr+2*v.e.hmax(lo, hi)
+	v.sphere = tree.Bound{}
+	v.sphere.Add(v.Sphere(g))
 	v.cand = &v.e.cands[slot]
 	v.cand.reset()
 }
 
-func (v *gatherer) Test(c *tree.Cell) tree.Action {
+// Sphere is the group's search sphere: its bounding sphere grown by the
+// largest kernel support of its particles.
+func (v *gatherer) Sphere(g *tree.Cell) (vec.V3, float64) {
+	lo, hi := g.First, g.First+g.N
+	gc, gr := tree.GroupSphere(v.e.Sys.Pos[lo:hi])
+	return gc, gr + 2*v.e.hmax(lo, hi)
+}
+
+func (v *gatherer) Test(c *tree.Cell) tree.Action { return v.TestBound(c, &v.sphere) }
+
+// TestBound prunes a cell whose cube is entirely outside every search
+// sphere b encloses: its center is farther from b's box (one group's
+// center, for Test) than the largest radius plus the half-diagonal.
+func (v *gatherer) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
 	if c.N == 0 {
 		return tree.Skip
 	}
 	center, size := v.e.Domain.CellCenter(c.Key)
-	// Prune: the cell cube is entirely outside the sphere when the
-	// center distance exceeds R plus the half-diagonal.
 	halfDiag := size * math.Sqrt(3) / 2
-	if center.Sub(v.gc).Norm() > v.R+halfDiag {
+	if center.Sub(b.Nearest(center)).Norm() > b.R+halfDiag {
 		return tree.Skip
 	}
 	return tree.Open
@@ -416,6 +421,14 @@ func (v *gravVisitor) Begin(slot int, gk keys.Key, g *tree.Cell) {
 }
 
 func (v *gravVisitor) Test(c *tree.Cell) tree.Action { return v.w.Test(c) }
+
+func (v *gravVisitor) Sphere(g *tree.Cell) (vec.V3, float64) {
+	return tree.GroupSphere(v.e.Sys.Pos[g.First : g.First+g.N])
+}
+
+func (v *gravVisitor) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
+	return tree.ClassifyBound(c, b)
+}
 
 func (v *gravVisitor) Cell(c *tree.Cell, _ hotengine.None) { v.w.List.AddCell(&c.Mp) }
 

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hotengine"
+	"repro/internal/hotengine/visitortest"
 	"repro/internal/integrate"
 	"repro/internal/msg"
 	"repro/internal/vec"
@@ -206,4 +208,17 @@ func TestParallelStepMatchesLeapfrog(t *testing.T) {
 	if maxErr > 1e-9 {
 		t.Errorf("max position divergence after %d steps: %g", steps, maxErr)
 	}
+}
+
+// TestVisitorBoundIsSound holds both SPH visitors -- the neighbor
+// gatherer, whose sphere includes the kernel support, and the gravity
+// pass -- to the push's contract on a real tree: TestBound opens
+// whatever Test opens.
+func TestVisitorBoundIsSound(t *testing.T) {
+	msg.Run(1, func(c *msg.Comm) {
+		e := NewParallel(c, gasLattice(12), ParallelConfig{Gravity: true, Eps2: 1e-4})
+		e.Exchange()
+		visitortest.Sound[hotengine.None](t, &gatherer{e: e}, e.Local, 1)
+		visitortest.Sound[hotengine.None](t, &gravVisitor{e: e}, e.Local, 2)
+	})
 }

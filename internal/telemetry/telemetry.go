@@ -140,16 +140,19 @@ type Sample struct {
 
 	// OverlapFrac is this step's eval-during-comm over eval-busy
 	// seconds (0 when the walk/eval pipeline is off or idle);
-	// PrefetchHitRate this step's prefetch-used over prefetched cells;
+	// PushHitRate this step's push-used over pushed cells;
 	// WalkEfficiency this step's completed-walk cell visits over all
 	// cell visits (diag.Counters.WalkEfficiency).
-	OverlapFrac     float64 `json:"overlap_frac"`
-	PrefetchHitRate float64 `json:"prefetch_hit_rate"`
-	WalkEfficiency  float64 `json:"walk_efficiency"`
+	OverlapFrac    float64 `json:"overlap_frac"`
+	PushHitRate    float64 `json:"push_hit_rate"`
+	WalkEfficiency float64 `json:"walk_efficiency"`
 
 	// SplitRounds is the most collectives any rank's last
-	// decomposition spent on the splitter search.
-	SplitRounds int `json:"split_rounds"`
+	// decomposition spent on the splitter search; Pushed and PushUsed
+	// are this step's pushed cells and push hits across all ranks.
+	SplitRounds int    `json:"split_rounds"`
+	Pushed      uint64 `json:"pushed"`
+	PushUsed    uint64 `json:"push_used"`
 
 	Bodies int `json:"bodies"`
 }
@@ -326,6 +329,8 @@ func (s *Sampler) assemble() {
 		Rungs:        rungs,
 		Bodies:       bodies,
 		SplitRounds:  splitRounds,
+		Pushed:       d.Pushed,
+		PushUsed:     d.PushUsed,
 	}
 	if dw := cum.wallNs - s.prev.wallNs; dw > 0 {
 		smp.FlopsRate = float64(smp.Flops) / (float64(dw) / 1e9)
@@ -355,9 +360,7 @@ func (s *Sampler) assemble() {
 	if db := cum.evalBusyNs - s.prev.evalBusyNs; db > 0 {
 		smp.OverlapFrac = float64(cum.evalDuringCommNs-s.prev.evalDuringCommNs) / float64(db)
 	}
-	if dp := d.Prefetched; dp > 0 {
-		smp.PrefetchHitRate = float64(d.PrefetchUsed) / float64(dp)
-	}
+	smp.PushHitRate = d.PushHitRate()
 	smp.WalkEfficiency = d.WalkEfficiency()
 	s.prev = cum
 	s.push(smp)
@@ -399,9 +402,11 @@ func (s *Sampler) publish(smp *Sample) {
 	reg.Gauge("telemetry_active_fraction").Set(smp.ActiveFraction)
 	reg.Gauge("telemetry_imbalance").Set(smp.Imbalance)
 	reg.Gauge("telemetry_overlap_frac").Set(smp.OverlapFrac)
-	reg.Gauge("telemetry_prefetch_hit_rate").Set(smp.PrefetchHitRate)
+	reg.Gauge("telemetry_push_hit_rate").Set(smp.PushHitRate)
 	reg.Gauge("telemetry_walk_efficiency").Set(smp.WalkEfficiency)
 	reg.Gauge("telemetry_split_rounds").Set(float64(smp.SplitRounds))
+	reg.Gauge("telemetry_pushed").Set(float64(smp.Pushed))
+	reg.Gauge("telemetry_push_used").Set(float64(smp.PushUsed))
 	reg.Gauge("telemetry_bodies").Set(float64(smp.Bodies))
 }
 

@@ -110,6 +110,48 @@ func Classify(c *Cell, gc vec.V3, gr float64) Action {
 	return Open
 }
 
+// Bound encloses the spheres of a set of groups: the box of their
+// centres and their largest radius. A rank publishes one for the
+// groups it is about to walk, and cell owners classify against it
+// (ClassifyBound) to find every cell one of those groups could open.
+// Any is false for the empty set.
+type Bound struct {
+	Lo, Hi vec.V3
+	R      float64
+	Any    bool
+}
+
+// Add grows b to enclose the sphere (c, r).
+func (b *Bound) Add(c vec.V3, r float64) {
+	if !b.Any {
+		*b = Bound{Lo: c, Hi: c, R: r, Any: true}
+		return
+	}
+	b.Lo, b.Hi, b.R = vec.Min(b.Lo, c), vec.Max(b.Hi, c), math.Max(b.R, r)
+}
+
+// Nearest returns the point of b's box nearest to p: the worst-case
+// centre, as seen from p, of a sphere b encloses. For every c inside
+// the box p.Sub(Nearest(p)).Norm() <= p.Sub(c).Norm(), in floating
+// point too: each component's magnitude is no larger, and squaring, the
+// sum and the root are monotone.
+func (b *Bound) Nearest(p vec.V3) vec.V3 {
+	return vec.V3{
+		X: max(b.Lo.X, min(p.X, b.Hi.X)),
+		Y: max(b.Lo.Y, min(p.Y, b.Hi.Y)),
+		Z: max(b.Lo.Z, min(p.Z, b.Hi.Z)),
+	}
+}
+
+// ClassifyBound is Classify made conservative over b: it returns Open
+// whenever Classify would for any sphere (gc, gr) with gc inside b's
+// box and gr <= b.R, because the distance it measures is no larger and
+// the radius no smaller, and Classify's comparisons are monotone in
+// both.
+func ClassifyBound(c *Cell, b *Bound) Action {
+	return Classify(c, b.Nearest(c.Mp.COM), b.R)
+}
+
 // Begin starts a list build for the group with leaf key groupKey and
 // bodies gpos: it resets w.List and fixes the group's bounding sphere
 // for Test.

@@ -110,10 +110,10 @@ func NewParallel(c *msg.Comm, sys *core.System, sigma, theta float64) *ParallelE
 	return e
 }
 
-// EnableOverlap turns on the pipelined walk/eval schedule (and serve-side
-// prefetch) after construction, resizing the per-slot scratch to match.
-func (e *ParallelEngine) EnableOverlap(workers, prefetchDepth int) {
-	e.ConfigureOverlap(workers, prefetchDepth)
+// EnableOverlap turns on the pipelined walk/eval schedule after
+// construction, resizing the per-slot scratch to match.
+func (e *ParallelEngine) EnableOverlap(workers int) {
+	e.ConfigureOverlap(workers)
 	e.ensureSlots()
 }
 
@@ -168,6 +168,12 @@ func (v *visitor) Begin(slot int, _ keys.Key, g *tree.Cell) {
 }
 
 func (v *visitor) Test(c *tree.Cell) tree.Action { return tree.Classify(c, v.gc, v.gr) }
+
+func (v *visitor) Sphere(g *tree.Cell) (vec.V3, float64) {
+	return tree.GroupSphere(v.e.Sys.Pos[g.First : g.First+g.N])
+}
+
+func (v *visitor) TestBound(c *tree.Cell, b *tree.Bound) tree.Action { return tree.ClassifyBound(c, b) }
 
 func (v *visitor) Cell(c *tree.Cell, asum vec.V3) {
 	v.list.cells = append(v.list.cells, cellMoment{ASum: asum, Centroid: c.Mp.COM})

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hotengine/visitortest"
 	"repro/internal/ic"
 	"repro/internal/msg"
 	"repro/internal/vec"
@@ -160,5 +161,15 @@ func TestParallelWalkSteadyStateAllocs(t *testing.T) {
 		}); avg > 2 {
 			t.Errorf("vortex WalkGroups allocates %.1f/call in steady state, want <= 2", avg)
 		}
+	})
+}
+
+// TestVisitorBoundIsSound holds the vortex visitor to the push's
+// contract on a real tree: TestBound opens whatever Test opens.
+func TestVisitorBoundIsSound(t *testing.T) {
+	msg.Run(1, func(c *msg.Comm) {
+		e := NewParallel(c, twoRings(64, 3), 0.15, 0.4)
+		e.Exchange()
+		visitortest.Sound[vec.V3](t, &e.walk, e.Local, 1)
 	})
 }

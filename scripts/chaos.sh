@@ -69,18 +69,35 @@ for np in 2 8; do
 	done
 done
 
-# Overlap pass: with the walk/eval pipeline and prefetch on, faults
-# land while the rank goroutine is running deferred walks inside a
-# collective's Progress hook and while serve is packing prefetch
-# subtrees -- containment must hold on the pipelined schedule too (a
-# crash mid-hook must still unwind into a structured abort, never a
-# deadlock on the eval pool's slot tokens).
+# Push pass: faults confined to the walk phase, which is the bound
+# allgather, the push exchange and the closing exchange, with the
+# walk/eval pipeline on. A crash there leaves peers inside the push's
+# all-to-all waiting for a batch that never comes, or holding half of
+# one; a stall holds the whole world at the exchange every walk depends
+# on. Containment must hold there too, and on the pipelined schedule (a
+# fault must still unwind into a structured abort, never a deadlock on
+# the eval pool's slot tokens). A crash report whose rank is in phase
+# "walk" at round 0 died before the first request exchange, that is, in
+# the allgather or the push; at least one run must show it.
+inpush=0
 for np in 2 8; do
-	for seed in $seeds; do
-		run_one "$bin" -n 3000 -procs "$np" -steps 2 -evalworkers 2 -prefetch 1 \
-			-watchdog 2s -chaos "seed=$seed,crash=0.002,stall=0.002,latency=0.02"
+	for spec in \
+		"crash=0.01,crashphase=walk" \
+		"stall=0.01,stallphase=walk"; do
+		for seed in $seeds; do
+			run_one "$bin" -n 3000 -procs "$np" -steps 2 -evalworkers 2 \
+				-watchdog 2s -chaos "seed=$seed,$spec,latency=0.02"
+			r=$(sed -n 's/.*world aborted by rank \([0-9]*\): msg: injected crash.*/\1/p' /tmp/chaos_err.$$ | head -n 1)
+			if [ -n "$r" ] && grep -q "rank $r: phase=[^ ]*walk[^ ]* seq=[0-9]* round=0 " /tmp/chaos_err.$$; then
+				inpush=$((inpush + 1))
+			fi
+		done
 	done
 done
+if [ "$inpush" -eq 0 ]; then
+	echo "FAIL: no injected crash landed in the walk phase before its first request exchange" >&2
+	exit 1
+fi
 
 # Block-timestep pass: the hierarchical scheduler multiplies the
 # collectives per step (sub-step evaluations, rung allreduces, the
@@ -95,4 +112,4 @@ for np in 2 8; do
 done
 
 rm -f /tmp/chaos_err.$$
-echo "chaos: $runs runs, $cleans clean, $aborts contained aborts, 0 hangs"
+echo "chaos: $runs runs, $cleans clean, $aborts contained aborts ($inpush crashes inside the push), 0 hangs"
