@@ -24,12 +24,13 @@ chaos:
 # the nanosecond rows (Rsqrt, Hash) run for a second each -- one
 # iteration of those is one call plus the timer.
 bench-baseline:
-	go run ./cmd/treebench -n 50000 -procs 4 -steps 1 -metrics /tmp/treebench_report.json >/dev/null
-	{ go test -run='^$$' -bench='Ablation_(MAC|Order|Group|Batched|Curve|ABM|Step|WalkOverlap)' -benchtime=1x . ; \
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	go run ./cmd/treebench -n 50000 -procs 4 -steps 1 -metrics "$$dir/report.json" >/dev/null && \
+	{ go test -run='^$$' -bench='Ablation_(MAC|Order|Group|Batched|Curve|ABM|Step)' -benchtime=1x . ; \
 	  go test -run='^$$' -bench='Ablation_(Hash|Rsqrt)' -benchtime=1s . ; \
 	  go test -run='^$$' -bench='Ablation_(Sort|Build|Decompose)' -benchtime=5x . ; \
 	  go test -run='^$$' -bench='Ablation_Eval' -benchtime=100x . ; } \
-	  | go run ./cmd/benchdump -runreport /tmp/treebench_report.json -o BENCH_baseline.json
+	  | go run ./cmd/benchdump -runreport "$$dir/report.json" -o BENCH_baseline.json
 
 # Opt-in end-to-end guardrail on the achieved flop rate: cut a sim
 # baseline once on a quiet machine, then simcmp fails (exit 1) if the
@@ -44,17 +45,12 @@ simcmp:
 
 .PHONY: check bench-baseline simbaseline simcmp
 
-# Run just the benchmark guardrail: ablation benches at one iteration,
-# diffed against the committed baseline (fails on >15% regression).
-# The interaction-kernel benches get a looser timing tolerance (see
-# scripts/check.sh); their strict guards are allocs/op and the BCE
-# golden.
+# Run just the allocation guard of scripts/check.sh: the benches that
+# must stay allocation-free, diffed against the committed baseline
+# (times are printed, not compared).
 benchcmp:
-	{ go test -run='^$$' -bench=Ablation_Batched -benchtime=1x . ; \
-	  go test -run='^$$' -bench='Ablation_(Sort|Build|Decompose)' -benchtime=5x . ; } \
-	  | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(Batched|Sort|Build|Decompose)' -tol 0.15
-	{ go test -run='^$$' -bench='Ablation_Eval' -benchtime=100x . ; \
-	  go test -run='^$$' -bench='Ablation_Step' -benchtime=1x . ; } \
-	  | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(Eval|Step)' -tol 0.5
+	{ go test -run='^$$' -bench=Ablation_BatchedConcurrentAllocs -benchtime=1x . ; \
+	  go test -run='^$$' -bench='Ablation_Eval' -benchtime=100x . ; } \
+	  | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(BatchedConcurrentAllocs|Eval)'
 
 .PHONY: benchcmp

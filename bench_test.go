@@ -9,10 +9,7 @@ package hot
 
 import (
 	"math"
-	"runtime/debug"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/diag"
@@ -22,10 +19,8 @@ import (
 	"repro/internal/htab"
 	"repro/internal/ic"
 	"repro/internal/keys"
-	"repro/internal/metrics"
 	"repro/internal/msg"
 	"repro/internal/npb"
-	"repro/internal/parallel"
 	"repro/internal/perfmodel"
 	"repro/internal/rsqrt"
 	"repro/internal/tree"
@@ -220,41 +215,13 @@ func BenchmarkAblation_GroupSize4(b *testing.B)  { benchGravity(b, grav.DefaultM
 func BenchmarkAblation_GroupSize16(b *testing.B) { benchGravity(b, grav.DefaultMAC(), 16) }
 func BenchmarkAblation_GroupSize64(b *testing.B) { benchGravity(b, grav.DefaultMAC(), 64) }
 
-// --- fused vs batched (interaction-list) force evaluation ----------------
-//
-// The perf guardrail of the two-phase walk: the list-based path must
-// beat the fused walk on a 100k-body clustered problem with
-// quadrupoles on, with byte-identical interaction counts. Run both
-// with -benchtime=1x for the BENCH_baseline.json trajectory.
+// --- concurrent force evaluation -----------------------------------------
 
 func batchedBenchTree(b *testing.B) *tree.Tree {
 	sys, d := buildCluster(100000)
 	mac := grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-3, Quad: true}
 	return tree.Build(sys, d, mac, 16)
 }
-
-func benchBatchedGravity(b *testing.B, fused bool) {
-	tr := batchedBenchTree(b)
-	cList := tr.Gravity(1e-6)
-	cFused := tr.GravityFused(1e-6)
-	if cList.PP != cFused.PP || cList.PC != cFused.PC || cList.QuadPC != cFused.QuadPC {
-		b.Fatalf("interaction counts diverge: list PP=%d PC=%d, fused PP=%d PC=%d",
-			cList.PP, cList.PC, cFused.PP, cFused.PC)
-	}
-	b.ResetTimer()
-	var ctr diag.Counters
-	for i := 0; i < b.N; i++ {
-		if fused {
-			ctr = tr.GravityFused(1e-6)
-		} else {
-			ctr = tr.Gravity(1e-6)
-		}
-	}
-	b.ReportMetric(float64(ctr.Interactions()), "interactions/op")
-}
-
-func BenchmarkAblation_BatchedList(b *testing.B)  { benchBatchedGravity(b, false) }
-func BenchmarkAblation_BatchedFused(b *testing.B) { benchBatchedGravity(b, true) }
 
 // Steady-state concurrent evaluation through a persistent ForcePool:
 // allocs/op must be 0 (per-worker pooled walkers, lists and SoA
@@ -387,12 +354,11 @@ func BenchmarkAblation_EvalM2PGo(b *testing.B) { benchEvalM2P(b, grav.EvalM2PGo)
 
 // --- tree-construction pipeline ------------------------------------------
 //
-// The construction guardrails: the radix sort must beat the
-// comparison sort on 100k bodies, and the fan-out build and
-// incremental decomposition are tracked against their serial/cold
-// ablations. Note the worker-fanned variants can only pull ahead of
-// their serial twins when GOMAXPROCS > 1; on a single-CPU host they
-// measure the (small) coordination overhead instead.
+// The radix sort of 100k bodies, the fan-out build against its serial
+// twin, and a decomposition trajectory. Note the worker-fanned variants
+// can only pull ahead of their serial twins when GOMAXPROCS > 1; on a
+// single-CPU host they measure the (small) coordination overhead
+// instead.
 
 // sortBenchSystems returns a pristine unsorted keyed system and a
 // same-shape scratch the benchmark restores into each iteration.
@@ -419,23 +385,16 @@ func restoreSystem(dst, src *core.System) {
 	copy(dst.Pot, src.Pot)
 }
 
-func benchSort(b *testing.B, std bool) {
+func BenchmarkAblation_SortRadix(b *testing.B) {
 	base, work := sortBenchSystems(100000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		restoreSystem(work, base)
 		b.StartTimer()
-		if std {
-			work.SortByKeyStd()
-		} else {
-			work.SortByKey()
-		}
+		work.SortByKey()
 	}
 }
-
-func BenchmarkAblation_SortRadix(b *testing.B) { benchSort(b, false) }
-func BenchmarkAblation_SortStd(b *testing.B)   { benchSort(b, true) }
 
 func benchBuild(b *testing.B, workers int) {
 	sys, d := buildCluster(100000)
@@ -452,11 +411,10 @@ func benchBuild(b *testing.B, workers int) {
 func BenchmarkAblation_BuildSerial(b *testing.B)   { benchBuild(b, 1) }
 func BenchmarkAblation_BuildParallel(b *testing.B) { benchBuild(b, 4) }
 
-// benchDecompose runs a 4-rank decomposition trajectory: one cold
-// solve, then steady-state steps -- incremental (the order is
-// repaired, not re-sorted) against the cold re-solve. The splitter
-// search is the same four collectives either way.
-func benchDecompose(b *testing.B, cold bool) {
+// A 4-rank decomposition trajectory: one cold solve, then steady-state
+// steps (the order is repaired, not re-sorted; the splitter search is
+// four collectives every time).
+func BenchmarkAblation_DecomposeIncremental(b *testing.B) {
 	const n, steps = 20000, 4
 	global := ic.Plummer(n, 1.0, 19)
 	b.ResetTimer()
@@ -468,7 +426,7 @@ func benchDecompose(b *testing.B, cold bool) {
 			for j := lo; j < hi; j++ {
 				local.AppendFrom(global, j)
 			}
-			dec := &domain.Decomposer{Cold: cold}
+			dec := &domain.Decomposer{}
 			for s := 0; s < steps; s++ {
 				d := domain.GlobalDomain(c, local)
 				local = dec.Decompose(c, local, d).Sys
@@ -476,9 +434,6 @@ func benchDecompose(b *testing.B, cold bool) {
 		})
 	}
 }
-
-func BenchmarkAblation_DecomposeIncremental(b *testing.B) { benchDecompose(b, false) }
-func BenchmarkAblation_DecomposeCold(b *testing.B)        { benchDecompose(b, true) }
 
 // benchStep times one global step of the serial engine on the
 // clustered stepping IC: a Plummer sphere (the dense core spans
@@ -525,29 +480,38 @@ func BenchmarkAblation_GroupSphere(b *testing.B) {
 	}
 }
 
+// hashBenchKeys returns the cell keys of a real tree (Plummer sphere,
+// N = 10000, bucket 16): the keys the table exists to hold. Keys made
+// up by arithmetic on the coordinates share their low bits and chain
+// behind a few dozen buckets of the AND-mask hash, which a tree's never
+// do (tree.TestHashQualityOnRealKeys).
+func hashBenchKeys() []keys.Key {
+	sys, d := buildCluster(10000)
+	return tree.Build(sys, d, grav.DefaultMAC(), 16).Cells.Keys()
+}
+
 func BenchmarkAblation_HashTable(b *testing.B) {
-	t := htab.New[int](1 << 14)
-	ks := make([]keys.Key, 1<<14)
-	for i := range ks {
-		ks[i] = keys.FromCoords(uint32(i*2654435761)&0x1FFFFF, uint32(i*40503)&0x1FFFFF, uint32(i)&0x1FFFFF, keys.MaxLevel)
-		t.Insert(ks[i], i)
+	ks := hashBenchKeys()
+	t := htab.New[int](len(ks))
+	for i, k := range ks {
+		t.Insert(k, i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.Lookup(ks[i&(1<<14-1)])
+		t.Lookup(ks[i%len(ks)])
 	}
+	b.ReportMetric(float64(t.Stats.Probes)/float64(t.Stats.Lookups), "probes/lookup")
 }
 
 func BenchmarkAblation_HashGoMap(b *testing.B) {
-	m := make(map[keys.Key]int, 1<<14)
-	ks := make([]keys.Key, 1<<14)
-	for i := range ks {
-		ks[i] = keys.FromCoords(uint32(i*2654435761)&0x1FFFFF, uint32(i*40503)&0x1FFFFF, uint32(i)&0x1FFFFF, keys.MaxLevel)
-		m[ks[i]] = i
+	ks := hashBenchKeys()
+	m := make(map[keys.Key]int, len(ks))
+	for i, k := range ks {
+		m[k] = i
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m[ks[i&(1<<14-1)]]
+		_ = m[ks[i%len(ks)]]
 	}
 }
 
@@ -635,66 +599,3 @@ func BenchmarkPaperAccounting(b *testing.B) {
 	b.ReportMetric(float64(ctr.Flops())/float64(ctr.Interactions()), "flops/interaction")
 	_ = vec.V3{}
 }
-
-// --- latency hiding ------------------------------------------------------
-
-// benchWalkPipeline measures the distributed walk phase of one full
-// force evaluation at np=8 on a 100k Plummer sphere, under injected
-// in-flight message latency (deterministic: every send of every config
-// draws the same delays from the same seed, so on/off is a fair A/B).
-// The reported walk_s/op is the slowest rank's walk-phase wall clock;
-// stall_p99_ms the p99 of the per-group deferral stalls (0 when the
-// push covered every walk and nothing was deferred). With the pipeline
-// on, completed groups evaluate on the workers and, on the safety-net
-// path, the rank goroutine walks inside the reply collectives' latency
-// windows (the Progress hook); forces stay bitwise identical
-// (TestOverlapBitwiseForceEquivalence).
-func benchWalkPipeline(b *testing.B, workers, slots int) {
-	const n, np = 100000, 8
-	// The fixture churns ~100 MB of IC + tree heap per iteration; at the
-	// default GOGC the collector's single-core pauses land directly on
-	// the packed critical path and swamp the on/off delta. Relax it
-	// identically for every config so the A/B measures overlap, not
-	// allocator noise.
-	defer debug.SetGCPercent(debug.SetGCPercent(400))
-	mac := grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-3, Quad: true}
-	var walkSec, p99ms float64
-	var inter uint64
-	for i := 0; i < b.N; i++ {
-		w := msg.NewWorld(np)
-		w.SetInjector(&msg.Injector{Seed: 7, LatencyProb: 1, MaxLatency: 40 * time.Millisecond})
-		reg := metrics.NewRegistry()
-		stalls := reg.Histogram(metrics.StallHistogram)
-		var mu sync.Mutex
-		walkSec, inter = 0, 0
-		w.Run(func(c *msg.Comm) {
-			global := ic.Plummer(n, 1.0, 11)
-			local := core.New(0)
-			local.EnableDynamics()
-			lo, hi := c.Rank()*n/np, (c.Rank()+1)*n/np
-			for j := lo; j < hi; j++ {
-				local.AppendFrom(global, j)
-			}
-			e := parallel.New(c, local, parallel.Config{
-				MAC: mac, Eps2: 1e-6, Bucket: 16,
-				EvalWorkers: workers, EvalSlots: slots,
-			})
-			defer e.Close()
-			e.Stalls = stalls
-			e.ComputeForces()
-			mu.Lock()
-			defer mu.Unlock()
-			if s := e.Timer.Get("walk").Seconds(); s > walkSec {
-				walkSec = s
-			}
-			inter += e.Counters.Interactions()
-		})
-		p99ms = float64(stalls.Quantile(0.99)) / 1e6
-	}
-	b.ReportMetric(walkSec, "walk_s/op")
-	b.ReportMetric(p99ms, "stall_p99_ms")
-	b.ReportMetric(float64(inter), "interactions/op")
-}
-
-func BenchmarkAblation_WalkOverlapOff(b *testing.B) { benchWalkPipeline(b, 0, 0) }
-func BenchmarkAblation_WalkOverlapOn(b *testing.B)  { benchWalkPipeline(b, 1, 0) }

@@ -42,14 +42,12 @@ func main() {
 	watchdog := flag.Duration("watchdog", 0, "abort with a stall report after this long without progress (0 = off)")
 	dtmode := flag.String("dtmode", "uniform", "time stepping: uniform (one rung) or block (hierarchical per-body sub-steps)")
 	eta := flag.Float64("eta", 0.02, "block-timestep criterion scale: dt_i = eta*sqrt(eps/|a_i|)")
-	evalWorkers := flag.Int("evalworkers", 0, "walk/eval pipeline workers: completed groups evaluate under the batched-message collectives (0 = inline historical schedule; forces identical either way)")
 	httpAddr := flag.String("http", "", "serve live telemetry (/metrics /series /health /report /debug/pprof) on this address (:0 picks a port)")
 	noProgress := flag.Duration("noprogress", 3*time.Second, "telemetry no-progress health threshold (with -http; 0 = off)")
 	flag.Parse()
 	lg := telemetry.NewLogger(os.Stderr, "cosmosim")
 	if _, err := (cliutil.Flags{
 		N: *grid, Procs: *procs, Steps: *steps, DTMode: *dtmode, Eta: *eta,
-		EvalWorkers: *evalWorkers,
 	}).Validate(); err != nil {
 		cliutil.Fail("cosmosim", err)
 	}
@@ -122,9 +120,8 @@ func main() {
 			local.AppendFrom(sys, i)
 		}
 		e := parallel.New(c, local, parallel.Config{
-			MAC:         grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 3e-3, Quad: true},
-			Eps2:        1e-6,
-			EvalWorkers: *evalWorkers,
+			MAC:  grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 3e-3, Quad: true},
+			Eps2: 1e-6,
 		})
 		if *dtmode == "block" {
 			e.Stepper.Scheme = integrate.Block

@@ -38,12 +38,10 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit")
 	httpAddr := flag.String("http", "", "serve live telemetry (/metrics /series /health /report /debug/pprof) on this address (:0 picks a port)")
 	noProgress := flag.Duration("noprogress", 3*time.Second, "telemetry no-progress health threshold (with -http; 0 = off)")
-	evalWorkers := flag.Int("evalworkers", 0, "walk/eval pipeline workers for the distributed run: completed groups evaluate under the batched-message collectives (0 = inline historical schedule; results identical either way)")
 	flag.Parse()
 	lg := telemetry.NewLogger(os.Stderr, "sphsim")
 	if _, err := (cliutil.Flags{
 		N: *n, Procs: *procs, Steps: *steps,
-		EvalWorkers: *evalWorkers,
 	}).Validate(); err != nil {
 		cliutil.Fail("sphsim", err)
 	}
@@ -99,7 +97,7 @@ func main() {
 	var ctrGas, ctrCtl diag.Counters
 	if *procs > 1 {
 		start := time.Now()
-		gasRun := runParallel(*n, *steps, *dt, *cs, *procs, *evalWorkers, run, stalls, tel)
+		gasRun := runParallel(*n, *steps, *dt, *cs, *procs, run, stalls, tel)
 		wall := time.Since(start).Seconds()
 		gas, ctrGas = gasRun.sys, gasRun.total
 
@@ -124,7 +122,7 @@ func main() {
 			fmt.Printf("wrote trace %s (%d events dropped)\n", *traceOut, run.Dropped())
 		}
 
-		ctl := runParallel(*n, *steps, *dt, 0, *procs, *evalWorkers, nil, nil, nil)
+		ctl := runParallel(*n, *steps, *dt, 0, *procs, nil, nil, nil)
 		control, ctrCtl = ctl.sys, ctl.total
 	} else {
 		gas, ctrGas = serialRun(*n, *steps, *dt, *cs)
@@ -201,7 +199,7 @@ type parallelRun struct {
 // The pressureless control disables viscosity along with the sound
 // speed, which zeroes the SPH acceleration exactly. run, stalls and
 // tel, when non-nil, instrument every rank.
-func runParallel(n, steps int, dt, cs float64, procs, evalWorkers int,
+func runParallel(n, steps int, dt, cs float64, procs int,
 	run *trace.Run, stalls *metrics.Histogram, tel *telemetry.Sampler) parallelRun {
 	p := sph.Params{EOS: sph.Isothermal, CS: cs, AlphaVisc: 1, BetaVisc: 2}
 	if cs == 0 {
@@ -231,7 +229,7 @@ func runParallel(n, steps int, dt, cs float64, procs, evalWorkers int,
 		}
 
 		e := sph.NewParallel(c, local, sph.ParallelConfig{
-			Params: p, Gravity: true, Eps2: 1e-4, EvalWorkers: evalWorkers,
+			Params: p, Gravity: true, Eps2: 1e-4,
 		})
 		if run != nil {
 			e.EnableTrace(run.Rank(c.Rank()))

@@ -38,14 +38,13 @@ func main() {
 	watchdog := flag.Duration("watchdog", 0, "abort with a stall report after this long without progress (0 = off; chaos runs default to 5s)")
 	dtmode := flag.String("dtmode", "uniform", "time stepping: uniform (one rung) or block (hierarchical per-body sub-steps)")
 	eta := flag.Float64("eta", 0.02, "block-timestep criterion scale: dt_i = eta*sqrt(eps/|a_i|)")
-	evalWorkers := flag.Int("evalworkers", 0, "walk/eval pipeline workers: completed groups evaluate under the batched-message collectives (0 = inline historical schedule; forces identical either way)")
 	httpAddr := flag.String("http", "", "serve live telemetry (/metrics /series /health /report /debug/pprof) on this address (:0 picks a port)")
 	noProgress := flag.Duration("noprogress", 3*time.Second, "telemetry no-progress health threshold (with -http; 0 = off)")
 	flag.Parse()
 	lg := telemetry.NewLogger(os.Stderr, "treebench")
 	inj, err := cliutil.Flags{
 		N: *n, Procs: *procs, Steps: *steps, DTMode: *dtmode, Eta: *eta,
-		EvalWorkers: *evalWorkers, Chaos: *chaosSpec,
+		Chaos: *chaosSpec,
 	}.Validate()
 	if err != nil {
 		cliutil.Fail("treebench", err)
@@ -117,7 +116,7 @@ func main() {
 			local.AppendFrom(global, i)
 		}
 		e := parallel.New(c, local, parallel.Config{
-			MAC: mac, Bucket: *bucket, Eps2: 1e-6, EvalWorkers: *evalWorkers,
+			MAC: mac, Bucket: *bucket, Eps2: 1e-6,
 		})
 		if *dtmode == "block" {
 			e.Stepper.Scheme = integrate.Block

@@ -39,12 +39,10 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit")
 	httpAddr := flag.String("http", "", "serve live telemetry (/metrics /series /health /report /debug/pprof) on this address (:0 picks a port)")
 	noProgress := flag.Duration("noprogress", 3*time.Second, "telemetry no-progress health threshold (with -http; 0 = off)")
-	evalWorkers := flag.Int("evalworkers", 0, "walk/eval pipeline workers for the distributed run: completed groups evaluate under the batched-message collectives (0 = inline historical schedule; results identical either way)")
 	flag.Parse()
 	lg := telemetry.NewLogger(os.Stderr, "vortexsim")
 	if _, err := (cliutil.Flags{
 		N: *nTheta * *nCore, Procs: *procs, Steps: *steps,
-		EvalWorkers: *evalWorkers,
 	}).Validate(); err != nil {
 		cliutil.Fail("vortexsim", err)
 	}
@@ -102,7 +100,7 @@ func main() {
 	var inputs []metrics.RankInput
 	start := time.Now()
 	if *procs > 1 {
-		sys, total, w, inputs = runParallel(sys, *steps, *dt, *sigma, *theta, *procs, *evalWorkers, run, stalls, tel)
+		sys, total, w, inputs = runParallel(sys, *steps, *dt, *sigma, *theta, *procs, run, stalls, tel)
 	} else {
 		for s := 0; s < *steps; s++ {
 			ctr := vortex.Step(sys, *sigma, *theta, *dt)
@@ -164,7 +162,7 @@ func main() {
 // summed counters; rank 0 prints the per-phase timer breakdown the
 // shared core provides (the diagnostics parity gravity always had).
 // run, stalls and tel, when non-nil, instrument every rank.
-func runParallel(global *core.System, steps int, dt, sigma, theta float64, procs, evalWorkers int,
+func runParallel(global *core.System, steps int, dt, sigma, theta float64, procs int,
 	run *trace.Run, stalls *metrics.Histogram, tel *telemetry.Sampler) (*core.System, diag.Counters, *msg.World, []metrics.RankInput) {
 	n := global.Len()
 	var mu sync.Mutex
@@ -185,7 +183,6 @@ func runParallel(global *core.System, steps int, dt, sigma, theta float64, procs
 		}
 
 		e := vortex.NewParallel(c, local, sigma, theta)
-		e.EnableOverlap(evalWorkers)
 		if run != nil {
 			e.EnableTrace(run.Rank(c.Rank()))
 		}

@@ -65,10 +65,9 @@ type Engine[Req, Rep any] struct {
 	// source's reply batch arrives during Round (in source order, the
 	// local batch at its own position), instead of the caller reading
 	// the returned slice afterwards. Early batches are processed while
-	// later sources are still in flight, which is what lets a caller's
-	// Progress hook act on freshly delivered data inside the same
-	// round. Must not communicate; batches remain valid until the next
-	// Round.
+	// later sources are still in flight (the tree walk imports cells
+	// and readies the groups waiting on them as each batch lands).
+	// Must not communicate; batches remain valid until the next Round.
 	OnReply func(src int, reps []Rep)
 }
 

@@ -36,8 +36,6 @@ type Flags struct {
 	// Eta is the block-timestep criterion scale, checked only when
 	// DTMode is "block".
 	Eta float64
-	// EvalWorkers is the walk/eval pipeline knob.
-	EvalWorkers int
 	// Chaos is the fault-injection spec ("" = off).
 	Chaos string
 }
@@ -63,9 +61,6 @@ func (f Flags) Validate() (*msg.Injector, error) {
 		}
 	default:
 		return nil, fmt.Errorf("unknown -dtmode %q (want uniform or block)", f.DTMode)
-	}
-	if f.EvalWorkers < 0 {
-		return nil, fmt.Errorf("-evalworkers must be >= 0 (got %d)", f.EvalWorkers)
 	}
 	if f.Chaos == "" {
 		return nil, nil

@@ -15,7 +15,6 @@ func TestValidateAccepts(t *testing.T) {
 		ok(),
 		{N: 1, Procs: 1, Steps: 0}, // minimal, no dtmode flag
 		{N: 10, Procs: 2, Steps: 1, DTMode: "block", Eta: 0.02},
-		{N: 10, Procs: 2, Steps: 1, EvalWorkers: 4},
 		{N: 10, Procs: 2, Steps: 1, Chaos: "seed=7,crash=0.001,crashphase=walk"},
 	}
 	for i, f := range cases {
@@ -36,7 +35,6 @@ func TestValidateRejects(t *testing.T) {
 		{func(f *Flags) { f.Steps = -1 }, "-steps"},
 		{func(f *Flags) { f.DTMode = "adaptive" }, "-dtmode"},
 		{func(f *Flags) { f.DTMode = "block"; f.Eta = 0 }, "-eta"},
-		{func(f *Flags) { f.EvalWorkers = -1 }, "-evalworkers"},
 		{func(f *Flags) { f.Chaos = "crash" }, "-chaos"},
 		{func(f *Flags) { f.Chaos = "crash=2" }, "probability"},
 		{func(f *Flags) { f.Chaos = "seed=x" }, "seed"},

@@ -102,37 +102,6 @@ func (s *System) EnableSPH() {
 	}
 }
 
-// fields returns all non-nil slices as swappable views; used by Swap
-// and the permutation helpers so new fields cannot be forgotten.
-func (s *System) swap(i, j int) {
-	s.Pos[i], s.Pos[j] = s.Pos[j], s.Pos[i]
-	s.Mass[i], s.Mass[j] = s.Mass[j], s.Mass[i]
-	s.Key[i], s.Key[j] = s.Key[j], s.Key[i]
-	s.Work[i], s.Work[j] = s.Work[j], s.Work[i]
-	s.ID[i], s.ID[j] = s.ID[j], s.ID[i]
-	if s.Vel != nil {
-		s.Vel[i], s.Vel[j] = s.Vel[j], s.Vel[i]
-	}
-	if s.Acc != nil {
-		s.Acc[i], s.Acc[j] = s.Acc[j], s.Acc[i]
-	}
-	if s.Pot != nil {
-		s.Pot[i], s.Pot[j] = s.Pot[j], s.Pot[i]
-	}
-	if s.Alpha != nil {
-		s.Alpha[i], s.Alpha[j] = s.Alpha[j], s.Alpha[i]
-	}
-	if s.H != nil {
-		s.H[i], s.H[j] = s.H[j], s.H[i]
-	}
-	if s.Rho != nil {
-		s.Rho[i], s.Rho[j] = s.Rho[j], s.Rho[i]
-	}
-	if s.Rung != nil {
-		s.Rung[i], s.Rung[j] = s.Rung[j], s.Rung[i]
-	}
-}
-
 // AssignKeys computes Morton keys for every body within the domain.
 func (s *System) AssignKeys(d keys.Domain) {
 	for i, p := range s.Pos {
@@ -147,14 +116,6 @@ func (s *System) AssignHilbertKeys(d keys.Domain) {
 		s.Key[i] = d.HilbertKeyOf(p)
 	}
 }
-
-// byKey adapts a System to package sort for SortByKeyStd (see
-// sort.go; SortByKey itself is the radix path).
-type byKey struct{ s *System }
-
-func (b byKey) Len() int           { return b.s.Len() }
-func (b byKey) Less(i, j int) bool { return b.s.Key[i] < b.s.Key[j] }
-func (b byKey) Swap(i, j int)      { b.s.swap(i, j) }
 
 // Sorted reports whether keys are in ascending order.
 func (s *System) Sorted() bool {

@@ -436,19 +436,11 @@ func (st *Sorter) Resort(s *System) int {
 var sorters = sync.Pool{New: func() any { return new(Sorter) }}
 
 // SortByKey sorts the bodies into ascending key order with a stable
-// parallel radix sort; equal keys are ordered by ID (deterministic,
-// unlike the previous comparison sort). Long-lived pipelines hold
-// their own Sorter; this entry point serves everyone else from a
-// pool.
+// parallel radix sort; equal keys are ordered by ID. Long-lived
+// pipelines hold their own Sorter; this entry point serves everyone
+// else from a pool.
 func (s *System) SortByKey() {
 	st := sorters.Get().(*Sorter)
 	st.Sort(s)
 	sorters.Put(st)
-}
-
-// SortByKeyStd is the pre-radix comparison sort (package sort over
-// the SoA columns, unstable under equal keys), kept as the ablation
-// baseline for BenchmarkAblation_SortStd.
-func (s *System) SortByKeyStd() {
-	sort.Sort(byKey{s})
 }

@@ -101,10 +101,6 @@ type Stats struct {
 type Decomposer struct {
 	// Workers caps the sort fan-out (core.Sorter.Workers).
 	Workers int
-	// Cold disables the cross-step shortcuts: a full sort instead of
-	// the order repair, and no Reuse. The results are byte-identical
-	// either way; Cold exists for ablations and paranoia.
-	Cold bool
 	// Reuse enables the displaced-fraction fast path for the partial
 	// force evaluations of block timesteps: when the globally
 	// allreduced fraction of displaced bodies is at most
@@ -112,9 +108,9 @@ type Decomposer struct {
 	// the splitter search (and its collectives) is skipped entirely.
 	// Bodies that drifted across the kept boundaries are still
 	// exchanged, so ownership stays exact; only the load balance goes
-	// slightly stale until the next full decomposition. Unlike Cold,
-	// this changes results (the splits), so callers enable it only
-	// between synchronization points.
+	// slightly stale until the next full decomposition. This changes
+	// results (the splits), so callers enable it only between
+	// synchronization points.
 	Reuse bool
 	// ReuseThreshold is the displaced fraction at or below which Reuse
 	// keeps the previous splits; 0 means DefaultReuseThreshold.
@@ -152,24 +148,17 @@ func (dc *Decomposer) Decompose(c *msg.Comm, sys *core.System, d keys.Domain) Re
 		dc.Sub.Start("treebuild/sort")
 	}
 	sys.AssignKeys(d)
-	if dc.Cold {
-		dc.sorter.Sort(sys)
-		dc.Last.Displaced = sys.Len()
-		dc.Last.FullSort = true
-	} else {
-		n := sys.Len()
-		dc.Last.Displaced = dc.sorter.Resort(sys)
-		dc.Last.FullSort = dc.Last.Displaced == n && n > 0
-	}
+	n := sys.Len()
+	dc.Last.Displaced = dc.sorter.Resort(sys)
+	dc.Last.FullSort = dc.Last.Displaced == n && n > 0
 	if dc.Sub != nil {
 		dc.Sub.Stop()
 	}
 
-	n := sys.Len()
 	p := c.Size()
 
 	var splits []uint64
-	if dc.Reuse && !dc.Cold && len(dc.prev) == p+1 {
+	if dc.Reuse && len(dc.prev) == p+1 {
 		// Fast path for partial evaluations: one allreduce decides --
 		// identically on every rank -- whether few enough bodies moved
 		// to keep the previous splits and skip the search.

@@ -12,8 +12,8 @@
 // PPTile/PPSelf/M2P in this file are the paper's interaction as the
 // paper computed it, on the Karp reciprocal square root
 // (internal/rsqrt, the 38-flop interaction): they serve the direct
-// sum, the fused walk ablation, and the tests that hold the production
-// kernels to 1e-13 of them.
+// sum and the tests that hold the production kernels to 1e-13 of them
+// (the fused walk among them).
 //
 // Units: G = 1 throughout. The Plummer softening eps2 enters as
 // r^2 -> r^2 + eps^2 in the body-body kernel.

@@ -19,9 +19,9 @@ type sumWalk struct {
 	sum float64
 }
 
-func (w *sumWalk) Begin(int, keys.Key, *tree.Cell) {}
-func (w *sumWalk) Cell(_ *tree.Cell, x float64)    { w.sum += x }
-func (w *sumWalk) Leaf(c *tree.Cell)               { w.sum += float64(c.N) }
+func (w *sumWalk) Begin(keys.Key, *tree.Cell)   {}
+func (w *sumWalk) Cell(_ *tree.Cell, x float64) { w.sum += x }
+func (w *sumWalk) Leaf(c *tree.Cell)            { w.sum += float64(c.N) }
 
 func (w *sumWalk) Sphere(*tree.Cell) (vec.V3, float64)           { return vec.V3{}, 0 }
 func (w *sumWalk) TestBound(*tree.Cell, *tree.Bound) tree.Action { return tree.Open }
@@ -36,9 +36,8 @@ func (w *sumWalk) Test(c *tree.Cell) tree.Action {
 // TestWalkGroupsSteadyStateAllocs pins the steady-state allocation
 // behaviour of the walk phase: the abm engine, the pending/stall maps
 // and the deferral buffers are persistent per (engine, label), so a
-// warm WalkGroups call on a settled tree must not allocate on the
-// rank goroutine's hot path -- neither inline nor with the eval pool
-// attached.
+// warm WalkGroups call on a settled tree must not allocate, with or
+// without an eval.
 func TestWalkGroupsSteadyStateAllocs(t *testing.T) {
 	global := randomSystem(500, 4242)
 	msg.Run(1, func(c *msg.Comm) {
@@ -49,35 +48,23 @@ func TestWalkGroupsSteadyStateAllocs(t *testing.T) {
 			MAC:    grav.MACParams{Kind: grav.MACBarnesHut, Theta: 0.5},
 			Bucket: 8,
 		})
-		defer e.Close()
 		e.Exchange()
 
 		// A real traversal with a non-empty per-cell payload (the count
 		// as a float64): every local cell it accepts hands the payload
 		// to the visitor by value, which must not reach the heap.
 		walk := &sumWalk{e: e}
-		eval := func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
+		eval := func(gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
 			ctr.PP++
 		}
 
 		// Warm up: first call per label builds the persistent abm
 		// engine and the scratch maps.
-		e.WalkGroups("walk", walk, nil)
-		if avg := testing.AllocsPerRun(20, func() {
-			e.WalkGroups("walk", walk, nil)
-		}); avg > 2 {
-			t.Errorf("inline WalkGroups allocates %.1f/call in steady state, want <= 2", avg)
-		}
-
-		// Same with the eval pipeline attached: slot tokens, job
-		// structs and counter folding must all ride on persistent
-		// storage.
-		e.ConfigureOverlap(1)
 		e.WalkGroups("walk", walk, eval)
 		if avg := testing.AllocsPerRun(20, func() {
 			e.WalkGroups("walk", walk, eval)
 		}); avg > 2 {
-			t.Errorf("pipelined WalkGroups allocates %.1f/call in steady state, want <= 2", avg)
+			t.Errorf("WalkGroups allocates %.1f/call in steady state, want <= 2", avg)
 		}
 	})
 }

@@ -108,30 +108,6 @@ type Config struct {
 	// keeps the vortex engine's historical "vtreebuild"/"vwalk"
 	// accounting separate from gravity's).
 	PhasePrefix string
-	// BuildWorkers caps the goroutines of the construction pipeline
-	// (radix sort and fan-out tree build). 0 means automatic
-	// (GOMAXPROCS, capped); 1 forces the serial paths. Results are
-	// byte-identical for any value.
-	BuildWorkers int
-	// ColdStart disables the incremental decomposition shortcuts
-	// (resort repair, splits reuse), sorting from scratch every
-	// Exchange. Splits and body order are byte-identical either way;
-	// this exists for ablations.
-	ColdStart bool
-	// EvalWorkers turns on the walk/eval pipeline: completed groups
-	// are evaluated by this many worker goroutines while the rank
-	// goroutine keeps walking and running the batched-message rounds,
-	// so kernels overlap the collectives. 0 (the default) evaluates
-	// inline on the rank goroutine, exactly the historical schedule.
-	// Forces and counters are bitwise identical either way.
-	EvalWorkers int
-	// EvalSlots is the pipeline depth: how many completed groups may
-	// be queued or running at once (each slot pins one adapter-side
-	// evaluation state -- walker, interaction list). The backlog is
-	// what the workers drain while the rank goroutine sits in a
-	// collective, so depth, not worker count, bounds how much kernel
-	// time can hide under communication. 0 means 64 per worker.
-	EvalSlots int
 }
 
 // sentinelUnfetched marks a remote leaf whose bodies have not arrived.
@@ -220,33 +196,23 @@ type Engine[X, B any] struct {
 	// steady-state walks reuse the recycled queue/receive buffers
 	// instead of reconstructing the engine every call.
 	phases map[string]*walkPhase[X, B]
-	// pool is the eval pipeline (nil when EvalWorkers is 0);
-	// progress is e.progressOne bound once, installed as the Comm's
-	// Progress hook for the duration of a pipelined walk phase so
-	// blocking collective receives drain the eval and resume backlog.
-	pool     *evalPool
-	progress func() bool
-	// Per-phase walk state shared between the round loop, the Progress
-	// hook and the incremental reply imports (all rank-goroutine-only):
-	// the current visitor, eval closure and pool; the groups the phase
-	// walks (freshBuf) and the queue of parked groups whose last missing
-	// cell has arrived (readyBuf[readyIdx:], resume candidates), both as
-	// indices into Local.Groups; the per-group walk state (groups, same
-	// indexing) and how many are parked; the miss->waiting-groups lists importCell
-	// walks so a group is promoted to ready the moment its final cell
-	// lands (keyWaiters heads into the waiters node arena, free nodes
-	// chained from freeWaiter; a miss is in keyWaiters exactly while
-	// its requests are in flight, so it doubles as the request-dedup
-	// set); and missing cell keys discovered since the last flush
-	// (missBuf -- posting to the abm engine must wait until the rank is
-	// outside a collective). stack and missing are the traversal's own
-	// scratch.
+	// Per-phase walk state shared between the round loop and the
+	// incremental reply imports: the current visitor and eval closure;
+	// the groups the phase walks (freshBuf) and the parked groups whose
+	// last missing cell has arrived (readyBuf, resumed by the next
+	// sweep), both as indices into Local.Groups; the per-group walk
+	// state (groups, same indexing) and how many are parked; the
+	// miss->waiting-groups lists importCell walks so a group is promoted
+	// to ready the moment its final cell lands (keyWaiters heads into
+	// the waiters node arena, free nodes chained from freeWaiter; a miss
+	// is in keyWaiters exactly while its requests are in flight, so it
+	// doubles as the request-dedup set); and missing cell keys
+	// discovered since the last flush (missBuf). stack and missing are
+	// the traversal's own scratch.
 	curWalk    Visitor[X]
 	curEval    EvalFn
-	curPool    *evalPool
 	freshBuf   []int32
 	readyBuf   []int32
-	readyIdx   int
 	groups     []suspended
 	nparked    int
 	keyWaiters map[keys.Key]waitList
@@ -257,12 +223,6 @@ type Engine[X, B any] struct {
 	missBuf    []keys.Key
 	onReply    func(src int, reps []Wire[X, B])
 	observe    bool
-	// Overlap accounting (cumulative across the run, like Counters):
-	// wall time the rank goroutine spent inside the walk collectives,
-	// and how much eval-worker busy time landed inside those windows
-	// (clamped to workers x window; whole-job granularity).
-	commNs           int64
-	evalDuringCommNs int64
 }
 
 // New creates an engine wrapping this rank's share of the bodies. The
@@ -282,57 +242,10 @@ func New[X, B any](c *msg.Comm, sys *core.System, phys Physics[X, B], cfg Config
 		cellBytes: CellWireBytes[X, B](),
 		phases:    make(map[string]*walkPhase[X, B]),
 	}
-	e.dec.Workers = cfg.BuildWorkers
-	e.dec.Cold = cfg.ColdStart
 	e.dec.Sub = e.Sub
-	e.builder.Workers = cfg.BuildWorkers
 	e.builder.Sub = e.Sub
-	e.progress = e.progressOne
 	e.onReply = e.onReplyBatch
-	e.Cfg.EvalWorkers = 0 // set by ConfigureOverlap so the pool exists
-	e.ConfigureOverlap(cfg.EvalWorkers)
 	return e
-}
-
-// ConfigureOverlap (re)configures the eval pipeline's worker count
-// after construction. Call between evaluations only. workers 0 tears
-// the pool down (inline evaluation).
-func (e *Engine[X, B]) ConfigureOverlap(workers int) {
-	if workers == e.Cfg.EvalWorkers && (e.pool != nil) == (workers > 0) {
-		return
-	}
-	if e.pool != nil {
-		e.pool.Close()
-		e.pool = nil
-	}
-	e.Cfg.EvalWorkers = workers
-	if workers > 0 {
-		slots := e.Cfg.EvalSlots
-		if slots <= 0 {
-			slots = workers * 64
-		}
-		e.pool = newEvalPool(workers, slots)
-	}
-}
-
-// Slots returns how many evaluation states the walk pipeline can hold
-// in flight; adapters size their per-slot walkers/lists to this and
-// index them by the slot argument of Visitor.Begin/EvalFn. 1 when the
-// pipeline is off (only the inline slot 0 exists).
-func (e *Engine[X, B]) Slots() int {
-	if e.pool == nil {
-		return 1
-	}
-	return e.pool.nslots + 1
-}
-
-// Close stops the eval workers, if any. The engine must not walk
-// afterwards.
-func (e *Engine[X, B]) Close() {
-	if e.pool != nil {
-		e.pool.Close()
-		e.pool = nil
-	}
 }
 
 // CellBytes returns the derived fixed wire size of one cell record.
@@ -357,7 +270,7 @@ func (e *Engine[X, B]) EnableTrace(t *trace.Tracer) {
 // Report packages this rank's accumulated diagnostics as a RunReport
 // rank input (internal/metrics).
 func (e *Engine[X, B]) Report() metrics.RankInput {
-	in := metrics.RankInput{
+	return metrics.RankInput{
 		Counters:    e.Counters,
 		Timer:       e.Timer,
 		Sub:         e.Sub,
@@ -365,24 +278,6 @@ func (e *Engine[X, B]) Report() metrics.RankInput {
 		RemoteCells: e.RemoteCells,
 		SplitRounds: e.dec.Last.Rounds,
 	}
-	if e.Cfg.EvalWorkers > 0 {
-		in.Overlap = &metrics.OverlapStats{
-			EvalWorkers:           e.Cfg.EvalWorkers,
-			CommSeconds:           float64(e.commNs) / 1e9,
-			EvalBusySeconds:       float64(e.evalBusyNs()) / 1e9,
-			EvalDuringCommSeconds: float64(e.evalDuringCommNs) / 1e9,
-			Rounds:                e.Rounds,
-		}
-	}
-	return in
-}
-
-// evalBusyNs is the cumulative worker time spent inside EvalFn.
-func (e *Engine[X, B]) evalBusyNs() int64 {
-	if e.pool == nil {
-		return 0
-	}
-	return e.pool.busyNs.Load()
 }
 
 // TelemetrySample packages this rank's cumulative pipeline state for
@@ -397,17 +292,14 @@ func (e *Engine[X, B]) TelemetrySample(stepNs int64) telemetry.RankSample {
 		phases[ph] = s
 	}
 	return telemetry.RankSample{
-		Counters:         e.Counters,
-		StepNs:           stepNs,
-		Phases:           phases,
-		Rounds:           e.Rounds,
-		RemoteCells:      e.RemoteCells,
-		Sent:             e.C.TrafficTotal(),
-		Bodies:           e.Sys.Len(),
-		CommNs:           e.commNs,
-		EvalBusyNs:       e.evalBusyNs(),
-		EvalDuringCommNs: e.evalDuringCommNs,
-		SplitRounds:      e.dec.Last.Rounds,
+		Counters:    e.Counters,
+		StepNs:      stepNs,
+		Phases:      phases,
+		Rounds:      e.Rounds,
+		RemoteCells: e.RemoteCells,
+		Sent:        e.C.TrafficTotal(),
+		Bodies:      e.Sys.Len(),
+		SplitRounds: e.dec.Last.Rounds,
 	}
 }
 
@@ -438,7 +330,7 @@ func (e *Engine[X, B]) exchange(incremental bool) {
 	if !incremental {
 		e.Domain = domain.GlobalDomain(e.C, e.Sys)
 	}
-	e.dec.Reuse = incremental && !e.Cfg.ColdStart
+	e.dec.Reuse = incremental
 	res := e.dec.Decompose(e.C, e.Sys, e.Domain)
 	e.Sys = res.Sys
 	e.Splits = res.Splits
@@ -619,9 +511,8 @@ func (e *Engine[X, B]) importCell(w Wire[X, B], pushed bool) {
 	}
 	e.RemoteCells++
 	// Wake the groups waiting on this cell: a group whose last
-	// outstanding miss just landed is promoted to the ready queue and
-	// can resume -- with incremental delivery, in the middle of the
-	// very round that carried the cell. In-flight misses go by family,
+	// outstanding miss just landed is promoted to the ready queue, and
+	// the next sweep resumes it. In-flight misses go by family,
 	// under the parent's key; only a remote leaf branch, fetched on its
 	// own, goes under its own. The first cell of a family to land wakes
 	// the waiters: its siblings follow in this same batch, before any
@@ -646,9 +537,7 @@ func (e *Engine[X, B]) importCell(w Wire[X, B], pushed bool) {
 
 // onReplyBatch is the abm OnReply hook (bound once): it imports one
 // source's reply batch as it arrives inside Round, on the rank
-// goroutine. Interleaved with the Progress hook's walks this stays
-// race-free -- both run between receives of the same collective --
-// and a walk simply sees a monotonically growing cell table.
+// goroutine, while later sources' batches are still in flight.
 func (e *Engine[X, B]) onReplyBatch(_ int, reps []Wire[X, B]) {
 	for i := range reps {
 		e.importCell(reps[i], false)
@@ -666,74 +555,28 @@ func (e *Engine[X, B]) ResetImports() {
 
 // WalkGroups runs phases 3 and 4 for one traversal pass: after the
 // push it walks the tree for every local leaf group on behalf of the
-// visitor v, parking groups that still miss a remote cell and fetching
-// those cells from their owners in batched rounds until every group
-// completes, then running eval for each completed group.
-// Counters.Traversals counts the cell visits of completed walks only
-// -- the paper's performance accounting rides on it being exact --
-// while visits of first attempts that missed and of discovery descents
-// go to Counters.Rewalked.
+// visitor v, running eval for each group right after the emitting walk
+// that completed it, parking groups that still miss a remote cell and
+// fetching those cells from their owners in batched rounds until every
+// group completes. Counters.Traversals counts the cell visits of
+// completed walks only -- the paper's performance accounting rides on
+// it being exact -- while visits of first attempts that missed and of
+// discovery descents go to Counters.Rewalked.
 //
-// eval may be nil when the pass has nothing to evaluate. With the
-// eval pipeline configured, completed groups hand their materialized
-// lists to the worker pool when workers could actually run in parallel
-// (spare cores), and the msg.Comm Progress hook evaluates queued lists
-// and resumes parked groups on the rank goroutine while a collective
-// waits on in-flight messages. The slot argument tells the adapter
-// which of its Slots() evaluation states to use. label names the phase
-// for the Timer and (with the configured prefix) the msg traffic
-// accounting.
+// eval may be nil when the pass has nothing to evaluate. label names
+// the phase for the Timer and (with the configured prefix) the msg
+// traffic accounting.
 func (e *Engine[X, B]) WalkGroups(label string, v Visitor[X], eval EvalFn) {
-	e.walkGroups(label, nil, v, eval, e.pool)
-}
-
-// WalkGroupsInline is WalkGroups with every evaluation run on the rank
-// goroutine right after its walk, whatever the pipeline configuration
-// -- for passes whose evaluation writes columns the serve path
-// snapshots, like SPH density.
-func (e *Engine[X, B]) WalkGroupsInline(label string, v Visitor[X], eval EvalFn) {
-	e.walkGroups(label, nil, v, eval, nil)
+	e.WalkGroupsIf(label, nil, v, eval)
 }
 
 // WalkGroupsIf is WalkGroups restricted to the groups for which
-// active returns true -- the partial traversal of block timesteps.
-// Skipped groups run no walk at all, but every rank still enters the
-// same collectives (it publishes an empty bound, pushes to the others
-// and serves their requests), so the call is collective even when a
-// rank's active set is empty.
+// active returns true (nil means all) -- the partial traversal of
+// block timesteps. Skipped groups run no walk at all, but every rank
+// still enters the same collectives (it publishes an empty bound,
+// pushes to the others and serves their requests), so the call is
+// collective even when a rank's active set is empty.
 func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool, v Visitor[X], eval EvalFn) {
-	e.walkGroups(label, active, v, eval, e.pool)
-}
-
-// progressOne is the msg.Comm Progress hook: it runs on the rank
-// goroutine whenever a blocking collective receive has no message
-// yet. Priority order: drain a materialized eval job (frees pipeline
-// slots for the next sweep); resume a ready parked group (its
-// requested cells have arrived). The hook runs between receives of one
-// collective, as the incremental reply imports do, so the cell tables
-// never change under a traversal, and a completed walk is bitwise the
-// walk the sweep would have run (it emits in root-DFS order whichever
-// cells beyond it happen to be resolvable). A miss is parked exactly
-// like a sweep miss, with its requests buffered until the rank is back
-// outside the collective.
-func (e *Engine[X, B]) progressOne() bool {
-	pool := e.curPool
-	if pool != nil && pool.tryRunOne() {
-		return true
-	}
-	if e.curWalk == nil || e.readyIdx == len(e.readyBuf) {
-		return false
-	}
-	t0 := time.Now()
-	e.readyIdx++
-	e.resume(e.readyBuf[e.readyIdx-1], false)
-	if pool != nil {
-		pool.busyNs.Add(time.Since(t0).Nanoseconds())
-	}
-	return true
-}
-
-func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, v Visitor[X], eval EvalFn, pool *evalPool) {
 	e.Timer.Start(label)
 	ph := e.phases[label]
 	if ph == nil {
@@ -748,17 +591,13 @@ func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, 
 	eng.Trace = e.Trace
 	e.C.Phase(ph.label)
 
-	if eval == nil {
-		pool = nil // nothing to pipeline
-	}
-
 	e.freshBuf = e.freshBuf[:0]
 	for gi, gk := range e.Local.Groups {
 		if active == nil || active(e.Local.Cell(gk)) {
 			e.freshBuf = append(e.freshBuf, int32(gi))
 		}
 	}
-	e.readyBuf, e.readyIdx = e.readyBuf[:0], 0
+	e.readyBuf = e.readyBuf[:0]
 	e.missBuf = e.missBuf[:0]
 	// One walk-state slot per group, keeping the frontier buffers of
 	// earlier phases. All of this is already clear after a phase that
@@ -781,20 +620,9 @@ func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, 
 	e.observe = e.Stalls != nil || e.Trace != nil
 
 	e.push(v)
-	e.curWalk, e.curEval, e.curPool = v, eval, pool
-	if pool != nil {
-		// Collective receives that would block instead run queued evals
-		// and resume parked groups on this goroutine (msg.Comm.Progress).
-		e.C.Progress = e.progress
-	}
-	defer func() {
-		e.C.Progress = nil
-		e.curWalk, e.curEval, e.curPool = nil, nil, nil
-	}()
+	e.curWalk, e.curEval = v, eval
 
-	// First walks: every group once, against what the push delivered,
-	// the completed list going straight into a pool slot when a worker
-	// could drain it.
+	// First walks: every group once, against what the push delivered.
 	for _, gi := range e.freshBuf {
 		e.attempt(gi)
 	}
@@ -809,85 +637,26 @@ func (e *Engine[X, B]) walkGroups(label string, active func(g *tree.Cell) bool, 
 				e.Cfg.MaxRounds, label, e.nparked, len(e.keyWaiters), e.Rounds))
 		}
 		// Resume sweep: groups whose requested cells have all arrived
-		// (importCell promoted them) continue below their frontier.
-		// Compact the consumed prefix first so the buffer never grows
-		// without bound.
-		if e.readyIdx > 0 {
-			n := copy(e.readyBuf, e.readyBuf[e.readyIdx:])
-			e.readyBuf, e.readyIdx = e.readyBuf[:n], 0
+		// (importCell promoted them during the last round) continue
+		// below their frontier.
+		for _, gi := range e.readyBuf {
+			e.resume(gi)
 		}
-		for e.readyIdx < len(e.readyBuf) {
-			e.readyIdx++
-			e.resume(e.readyBuf[e.readyIdx-1], true)
+		e.readyBuf = e.readyBuf[:0]
+		for _, mk := range e.missBuf {
+			eng.Post(e.OwnerOf(mk), mk)
 		}
-		e.postMisses(eng)
+		e.missBuf = e.missBuf[:0]
 
-		// The collectives are where the Progress hook (and, with
-		// spare cores, the eval workers) eat the queued work; time
-		// them and the eval/walk busy time inside them for the
-		// overlap report. Replies import incrementally as each source
-		// batch lands (abm OnReply), promoting waiting groups
-		// mid-round, so hook resumes run against data delivered by
-		// the very round they overlap. The request batches carry this
-		// rank's vote on termination (groups parked); the phase ends on
-		// the exchange where nobody votes or asks.
-		var t0 time.Time
-		var busy0 int64
-		if pool != nil {
-			t0 = time.Now()
-			busy0 = pool.busyNs.Load()
-		}
-		_, more := eng.Round(e.nparked > 0)
-		if pool != nil {
-			e.noteComm(pool, t0, busy0)
-		}
-		if !more {
+		// Replies import as each source batch lands (abm OnReply). The
+		// request batches carry this rank's vote on termination (groups
+		// parked); the phase ends on the exchange where nobody votes or
+		// asks.
+		if _, more := eng.Round(e.nparked > 0); !more {
 			break
 		}
 		e.Rounds++
-		// Requests discovered inside the collectives (hook walks that
-		// missed) post now, joining the next round's batches.
-		e.postMisses(eng)
 	}
-	if pool != nil {
-		// Drain: the rank helps eat the remaining backlog, waits out the
-		// in-flight worker evals, folds the private counters into the
-		// rank's (uint64 sums, order-independent), and returns the slot
-		// tokens for the next phase.
-		for pool.tryRunOne() {
-		}
-		pool.quiesce()
-		for i := range pool.ctrs {
-			e.Counters.Add(pool.ctrs[i])
-			pool.ctrs[i] = diag.Counters{}
-		}
-		pool.release()
-	}
+	e.curWalk, e.curEval = nil, nil
 	e.Timer.Stop()
-}
-
-// postMisses hands the missing keys buffered by park to the phase's
-// abm engine, each addressed to its owner. Only legal outside a
-// collective.
-func (e *Engine[X, B]) postMisses(eng *abm.Engine[keys.Key, Wire[X, B]]) {
-	for _, mk := range e.missBuf {
-		eng.Post(e.OwnerOf(mk), mk)
-	}
-	e.missBuf = e.missBuf[:0]
-}
-
-// noteComm accounts one collective window: its wall time, and how
-// much eval-worker busy time landed inside it (whole-job granularity,
-// clamped to workers x window so a long job finishing just after the
-// window opens cannot over-credit).
-func (e *Engine[X, B]) noteComm(pool *evalPool, t0 time.Time, busy0 int64) {
-	dt := time.Since(t0).Nanoseconds()
-	e.commNs += dt
-	db := pool.busyNs.Load() - busy0
-	// workers + the rank goroutine itself (Progress hook) can all be
-	// evaluating inside the window.
-	if lim := int64(pool.nworkers+1) * dt; db > lim {
-		db = lim
-	}
-	e.evalDuringCommNs += db
 }

@@ -55,9 +55,9 @@ type idWalk struct {
 	ids  map[int64]bool
 }
 
-func (w *idWalk) Begin(int, keys.Key, *tree.Cell) { w.got = w.got[:0] }
-func (w *idWalk) Test(*tree.Cell) tree.Action     { return tree.Open }
-func (w *idWalk) Cell(*tree.Cell, float64)        {}
+func (w *idWalk) Begin(keys.Key, *tree.Cell)  { w.got = w.got[:0] }
+func (w *idWalk) Test(*tree.Cell) tree.Action { return tree.Open }
+func (w *idWalk) Cell(*tree.Cell, float64)    {}
 
 func (w *idWalk) Sphere(*tree.Cell) (vec.V3, float64)           { return vec.V3{}, 0 }
 func (w *idWalk) TestBound(*tree.Cell, *tree.Bound) tree.Action { return tree.Open }
@@ -72,7 +72,7 @@ func (w *idWalk) Leaf(c *tree.Cell) {
 }
 
 // collect is the walk's EvalFn: it runs once per completed group.
-func (w *idWalk) collect(int, keys.Key, *tree.Cell, *diag.Counters) {
+func (w *idWalk) collect(keys.Key, *tree.Cell, *diag.Counters) {
 	for _, id := range w.got {
 		w.ids[id] = true
 	}

@@ -50,7 +50,7 @@ func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn
 		var deferred []keys.Key
 		for _, gk := range todo {
 			g := e.Local.Cell(gk)
-			v.Begin(0, gk, g)
+			v.Begin(gk, g)
 			missing = missing[:0]
 			stack = append(stack[:0], keys.Root)
 			var visits uint64
@@ -90,7 +90,7 @@ func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn
 			if len(missing) == 0 {
 				e.Counters.Traversals += visits
 				if eval != nil {
-					eval(0, gk, g, &e.Counters)
+					eval(gk, g, &e.Counters)
 				}
 				continue
 			}

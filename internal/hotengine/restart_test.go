@@ -84,20 +84,17 @@ func (p *colPhysics) leaf(c *tree.Cell) cols {
 // the gravity and vortex walks); with rmax positive it is an SPH-style
 // range query that prunes on geometry and never accepts.
 type recWalk struct {
-	p      *colPhysics
-	rmax   float64
-	gc     vec.V3
-	gr     float64
-	traces [][]uint64 // one per pipeline slot
-	trace  *[]uint64  // the current traversal's
-	mu     sync.Mutex // done may run on an eval worker
-	lists  map[keys.Key][]uint64
+	p     *colPhysics
+	rmax  float64
+	gc    vec.V3
+	gr    float64
+	trace []uint64 // the current traversal's
+	lists map[keys.Key][]uint64
 }
 
-func (w *recWalk) Begin(slot int, _ keys.Key, g *tree.Cell) {
+func (w *recWalk) Begin(_ keys.Key, g *tree.Cell) {
 	w.gc, w.gr = w.Sphere(g)
-	w.trace = &w.traces[slot]
-	*w.trace = (*w.trace)[:0]
+	w.trace = w.trace[:0]
 }
 
 func (w *recWalk) Sphere(g *tree.Cell) (vec.V3, float64) {
@@ -127,38 +124,32 @@ func (w *recWalk) test(c *tree.Cell, gc vec.V3, gr float64) tree.Action {
 }
 
 func (w *recWalk) Cell(c *tree.Cell, x vec.V3) {
-	*w.trace = append(*w.trace, uint64(c.Key), math.Float64bits(c.Mp.M),
+	w.trace = append(w.trace, uint64(c.Key), math.Float64bits(c.Mp.M),
 		math.Float64bits(x.X), math.Float64bits(x.Y), math.Float64bits(x.Z))
 }
 
 func (w *recWalk) Leaf(c *tree.Cell) {
 	b := w.p.leaf(c)
-	*w.trace = append(*w.trace, uint64(c.Key))
+	w.trace = append(w.trace, uint64(c.Key))
 	for i := range b.ID {
-		*w.trace = append(*w.trace, uint64(b.ID[i]), math.Float64bits(b.Pos[i].Y), math.Float64bits(b.Mass[i]))
+		w.trace = append(w.trace, uint64(b.ID[i]), math.Float64bits(b.Pos[i].Y), math.Float64bits(b.Mass[i]))
 	}
 }
 
-func (w *recWalk) done(slot int, gk keys.Key, _ *tree.Cell, _ *diag.Counters) {
-	l := slices.Clone(w.traces[slot])
-	w.mu.Lock()
-	w.lists[gk] = l
-	w.mu.Unlock()
+func (w *recWalk) done(gk keys.Key, _ *tree.Cell, _ *diag.Counters) {
+	w.lists[gk] = slices.Clone(w.trace)
 }
 
-// gravWalk drives a tree.Walker per pipeline slot the way the gravity
-// engine and the SPH gravity pass do, evaluates each completed list
-// with the production kernels, and records the list columns.
+// gravWalk drives a tree.Walker the way the gravity engine and the SPH
+// gravity pass do, evaluates each completed list with the production
+// kernels, and records the list columns.
 type gravWalk struct {
 	p     *colPhysics
-	ws    []tree.Walker // one per pipeline slot
-	w     *tree.Walker  // the current traversal's
-	mu    sync.Mutex    // eval may run on an eval worker
+	w     tree.Walker
 	lists map[keys.Key][]uint64
 }
 
-func (v *gravWalk) Begin(slot int, gk keys.Key, g *tree.Cell) {
-	v.w = &v.ws[slot]
+func (v *gravWalk) Begin(gk keys.Key, g *tree.Cell) {
 	v.w.Begin(gk, v.p.e.Sys.Pos[g.First:g.First+g.N])
 }
 func (v *gravWalk) Test(c *tree.Cell) tree.Action { return v.w.Test(c) }
@@ -176,9 +167,9 @@ func (v *gravWalk) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
 	return tree.ClassifyBound(c, b)
 }
 
-func (v *gravWalk) eval(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
+func (v *gravWalk) eval(gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
 	sys, lo, hi := v.p.e.Sys, g.First, g.First+g.N
-	w := &v.ws[slot]
+	w := &v.w
 	w.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], 1e-6, true, ctr)
 	l := &w.List
 	var words []uint64
@@ -191,9 +182,7 @@ func (v *gravWalk) eval(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters)
 	if l.Self {
 		words = append(words, 1)
 	}
-	v.mu.Lock()
 	v.lists[gk] = words
-	v.mu.Unlock()
 }
 
 // underPush is a gravity walk whose TestBound breaks its contract: it
@@ -238,7 +227,7 @@ type walkRecord struct {
 // last starting from the force pass's imports; and, when partial is
 // set, a gravity walk over every other group and none at all on the
 // last rank (WalkGroupsIf; the restart reference has no counterpart).
-func runPasses(np, workers int, mode walkMode, partial bool) ([]walkRecord, msg.PhaseTraffic) {
+func runPasses(np int, mode walkMode, partial bool) ([]walkRecord, msg.PhaseTraffic) {
 	const n = 1500
 	recs := make([]walkRecord, np)
 	var mu sync.Mutex
@@ -252,18 +241,16 @@ func runPasses(np, workers int, mode walkMode, partial bool) ([]walkRecord, msg.
 		}
 		p := &colPhysics{}
 		e := hotengine.New[vec.V3, cols](c, local, p, hotengine.Config{
-			MAC:         grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true},
-			Bucket:      8,
-			EvalWorkers: workers,
+			MAC:    grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true},
+			Bucket: 8,
 		})
-		defer e.Close()
 		e.SetPush(mode >= pushedWalk)
 		p.e = e
 		e.Exchange()
 
 		rec := walkRecord{acc: map[int64]vec.V3{}}
 		pass := 0
-		run := func(label string, inline bool, v hotengine.Visitor[vec.V3], eval hotengine.EvalFn, lists map[keys.Key][]uint64) {
+		run := func(label string, v hotengine.Visitor[vec.V3], eval hotengine.EvalFn, lists map[keys.Key][]uint64) {
 			before := e.Counters
 			r0 := e.Rounds
 			switch {
@@ -275,8 +262,6 @@ func runPasses(np, workers int, mode walkMode, partial bool) ([]walkRecord, msg.
 					every++
 					return every%2 == 0 && c.Rank() != np-1
 				}, v, eval)
-			case inline:
-				e.WalkGroupsInline(label, v, eval)
 			default:
 				e.WalkGroups(label, v, eval)
 			}
@@ -285,16 +270,16 @@ func runPasses(np, workers int, mode walkMode, partial bool) ([]walkRecord, msg.
 			pass++
 		}
 		gravity := func(label string) {
-			g := &gravWalk{p: p, ws: make([]tree.Walker, e.Slots()), lists: map[keys.Key][]uint64{}}
+			g := &gravWalk{p: p, lists: map[keys.Key][]uint64{}}
 			var v hotengine.Visitor[vec.V3] = g
 			if mode == underPushed {
 				v = &underPush{g}
 			}
-			run(label, false, v, g.eval, g.lists)
+			run(label, v, g.eval, g.lists)
 		}
-		query := func(label string, rmax float64, inline bool) {
-			v := &recWalk{p: p, rmax: rmax, traces: make([][]uint64, e.Slots()), lists: map[keys.Key][]uint64{}}
-			run(label, inline, v, v.done, v.lists)
+		query := func(label string, rmax float64) {
+			v := &recWalk{p: p, rmax: rmax, lists: map[keys.Key][]uint64{}}
+			run(label, v, v.done, v.lists)
 		}
 
 		gravity("walk")
@@ -302,11 +287,11 @@ func runPasses(np, workers int, mode walkMode, partial bool) ([]walkRecord, msg.
 			rec.acc[e.Sys.ID[i]] = e.Sys.Acc[i]
 		}
 		e.ResetImports()
-		query("vwalk", 0, false)
+		query("vwalk", 0)
 		e.ResetImports()
-		query("density", 0.15, true)
+		query("density", 0.15)
 		e.ResetImports()
-		query("forces", 0.15, false)
+		query("forces", 0.15)
 		gravity("gravity")
 		if partial {
 			e.ResetImports()
@@ -342,14 +327,11 @@ func sameLists(t *testing.T, where string, ps int, run, want walkRecord) {
 // list is identical element for element, the gravity forces are
 // bitwise equal, and so are the completed-walk visits, the deferrals,
 // the requests, the rounds, the imported cells and the world's traffic.
-// With eval workers on, scheduling may differ but the lists and forces
-// may not.
 func TestResumedWalkMatchesRestart(t *testing.T) {
 	for _, np := range []int{2, 4, 8} {
 		name := fmt.Sprintf("np=%d", np)
-		want, wantTraffic := runPasses(np, 0, restartWalk, false)
-		got, gotTraffic := runPasses(np, 0, requestWalk, false)
-		piped, _ := runPasses(np, 2, requestWalk, false)
+		want, wantTraffic := runPasses(np, restartWalk, false)
+		got, gotTraffic := runPasses(np, requestWalk, false)
 		if gotTraffic != wantTraffic {
 			t.Errorf("%s: traffic %+v, restart walk %+v", name, gotTraffic, wantTraffic)
 		}
@@ -369,10 +351,9 @@ func TestResumedWalkMatchesRestart(t *testing.T) {
 						got[r].rounds[ps], got[r].remote[ps], want[r].rounds[ps], want[r].remote[ps])
 				}
 				sameLists(t, where, ps, got[r], want[r])
-				sameLists(t, where+" (eval workers)", ps, piped[r], want[r])
 			}
 			for id, a := range want[r].acc {
-				if got[r].acc[id] != a || piped[r].acc[id] != a {
+				if got[r].acc[id] != a {
 					t.Fatalf("%s rank %d: body %d force differs from the restart walk's", name, r, id)
 				}
 			}
@@ -386,39 +367,37 @@ func TestResumedWalkMatchesRestart(t *testing.T) {
 // a partial walk, at 2, 4 and 8 ranks, lists match element for element,
 // forces and completed-walk visits are bitwise equal, and the pushed
 // walk never parks, asks, rewalks or runs a round -- while importing
-// at least what the requests fetched. With eval workers on, the same.
+// at least what the requests fetched.
 func TestPushedWalkMatchesRequests(t *testing.T) {
 	for _, np := range []int{2, 4, 8} {
-		want, _ := runPasses(np, 0, requestWalk, true)
-		for _, workers := range []int{0, 2} {
-			got, _ := runPasses(np, workers, pushedWalk, true)
-			for r := 0; r < np; r++ {
-				var pushed, used uint64
-				for ps := 0; ps < npasses; ps++ {
-					where := fmt.Sprintf("np=%d workers=%d rank %d %s", np, workers, r, passNames[ps])
-					g, w := got[r].ctr[ps], want[r].ctr[ps]
-					if g.Requests != 0 || g.Deferred != 0 || g.Rewalked != 0 || got[r].rounds[ps] != 0 {
-						t.Errorf("%s: the pushed walk fell back on requests: %d rounds, counters %+v", where, got[r].rounds[ps], g)
-					}
-					if g.Traversals != w.Traversals || g.PP != w.PP || g.PC != w.PC {
-						t.Errorf("%s: counters %+v, request walk %+v", where, g, w)
-					}
-					if got[r].remote[ps] < want[r].remote[ps] {
-						t.Errorf("%s: %d cells imported, request walk imported %d", where, got[r].remote[ps], want[r].remote[ps])
-					}
-					pushed, used = pushed+g.Pushed, used+g.PushUsed
-					sameLists(t, where, ps, got[r], want[r])
+		want, _ := runPasses(np, requestWalk, true)
+		got, _ := runPasses(np, pushedWalk, true)
+		for r := 0; r < np; r++ {
+			var pushed, used uint64
+			for ps := 0; ps < npasses; ps++ {
+				where := fmt.Sprintf("np=%d rank %d %s", np, r, passNames[ps])
+				g, w := got[r].ctr[ps], want[r].ctr[ps]
+				if g.Requests != 0 || g.Deferred != 0 || g.Rewalked != 0 || got[r].rounds[ps] != 0 {
+					t.Errorf("%s: the pushed walk fell back on requests: %d rounds, counters %+v", where, got[r].rounds[ps], g)
 				}
-				// A pass may use what an earlier one over the same imports
-				// was sent (SPH gravity after forces), so only the sums
-				// are ordered.
-				if used == 0 || used > pushed {
-					t.Errorf("np=%d workers=%d rank %d: %d of %d pushed cells used", np, workers, r, used, pushed)
+				if g.Traversals != w.Traversals || g.PP != w.PP || g.PC != w.PC {
+					t.Errorf("%s: counters %+v, request walk %+v", where, g, w)
 				}
-				for id, a := range want[r].acc {
-					if got[r].acc[id] != a {
-						t.Fatalf("np=%d rank %d: body %d force differs from the request walk's", np, r, id)
-					}
+				if got[r].remote[ps] < want[r].remote[ps] {
+					t.Errorf("%s: %d cells imported, request walk imported %d", where, got[r].remote[ps], want[r].remote[ps])
+				}
+				pushed, used = pushed+g.Pushed, used+g.PushUsed
+				sameLists(t, where, ps, got[r], want[r])
+			}
+			// A pass may use what an earlier one over the same imports
+			// was sent (SPH gravity after forces), so only the sums
+			// are ordered.
+			if used == 0 || used > pushed {
+				t.Errorf("np=%d rank %d: %d of %d pushed cells used", np, r, used, pushed)
+			}
+			for id, a := range want[r].acc {
+				if got[r].acc[id] != a {
+					t.Fatalf("np=%d rank %d: body %d force differs from the request walk's", np, r, id)
 				}
 			}
 		}
@@ -432,8 +411,8 @@ func TestPushedWalkMatchesRequests(t *testing.T) {
 // match the reference bit for bit.
 func TestUnderPushFallsBackOnRequests(t *testing.T) {
 	for _, np := range []int{2, 4} {
-		want, _ := runPasses(np, 0, requestWalk, true)
-		got, _ := runPasses(np, 0, underPushed, true)
+		want, _ := runPasses(np, requestWalk, true)
+		got, _ := runPasses(np, underPushed, true)
 		rounds := 0
 		for r := 0; r < np; r++ {
 			for _, ps := range []int{0, 4, 5} { // the gravity passes
@@ -492,10 +471,10 @@ func BenchmarkWalkUnderLatency(b *testing.B) {
 					e.SetPush(mode.push)
 					p.e = e
 					e.Exchange()
-					v := &gravWalk{p: p, ws: make([]tree.Walker, e.Slots()), lists: map[keys.Key][]uint64{}}
-					e.WalkGroups("walk", v, func(slot int, _ keys.Key, g *tree.Cell, ctr *diag.Counters) {
+					v := &gravWalk{p: p, lists: map[keys.Key][]uint64{}}
+					e.WalkGroups("walk", v, func(_ keys.Key, g *tree.Cell, ctr *diag.Counters) {
 						sys, lo, hi := e.Sys, g.First, g.First+g.N
-						v.ws[slot].Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], 1e-6, true, ctr)
+						v.w.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], 1e-6, true, ctr)
 					})
 					mu.Lock()
 					defer mu.Unlock()

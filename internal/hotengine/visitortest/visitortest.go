@@ -51,7 +51,7 @@ func Sound[X any](t testing.TB, v hotengine.Visitor[X], tr *tree.Tree, seed int6
 			}
 		}
 		for _, gk := range run {
-			v.Begin(0, gk, tr.Cell(gk))
+			v.Begin(gk, tr.Cell(gk))
 			for _, c := range cells {
 				if v.Test(c) != tree.Open {
 					continue

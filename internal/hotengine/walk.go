@@ -3,6 +3,7 @@ package hotengine
 import (
 	"time"
 
+	"repro/internal/diag"
 	"repro/internal/keys"
 	"repro/internal/tree"
 	"repro/internal/vec"
@@ -13,13 +14,13 @@ import (
 // decides what each resolved cell means for the group and takes the
 // interactions. All methods run on the rank goroutine, one traversal
 // at a time, so a visitor may keep the current group's state (its
-// bounding sphere, the slot's list) in its own fields.
+// bounding sphere, its interaction list) in its own fields.
 type Visitor[X any] interface {
-	// Begin starts a traversal for group g (key gk) against the
-	// evaluation state of slot, which it resets. A group may begin
-	// several times before it completes: the optimistic first attempt,
-	// discovery descents on slot 0, and the final emitting walk.
-	Begin(slot int, gk keys.Key, g *tree.Cell)
+	// Begin starts a traversal for group g (key gk), resetting the
+	// visitor's evaluation state. A group may begin several times
+	// before it completes: the optimistic first attempt, discovery
+	// descents, and the final emitting walk.
+	Begin(gk keys.Key, g *tree.Cell)
 	// Test classifies a resolved cell against the group: Skip it,
 	// Accept its moments as one interaction, or Open it. It must be a
 	// pure function of the cell and the group -- discovery descents
@@ -39,6 +40,11 @@ type Visitor[X any] interface {
 	// Owners run it down their own trees to decide what to push.
 	TestBound(c *tree.Cell, b *tree.Bound) tree.Action
 }
+
+// EvalFn evaluates one completed group's interactions from the state
+// its emitting walk just left in the visitor. It runs on the rank
+// goroutine right after that walk; ctr is the engine's Counters.
+type EvalFn func(gk keys.Key, g *tree.Cell, ctr *diag.Counters)
 
 // table names the store a stack entry resolves in. Carrying it down
 // the recursion is what makes a visit cost one hash probe: where a
@@ -71,7 +77,7 @@ type miss struct {
 // frontier its last traversal stopped at, how many of its misses are
 // still in flight, and when it was first parked (stall observation).
 // Nothing list-sized is kept; see DESIGN.md "Suspended walks". The
-// frontier buffer is reused by whichever group has the slot's index in
+// frontier buffer is reused by whichever group has the same index in
 // later phases.
 type suspended struct {
 	frontier []miss
@@ -169,8 +175,7 @@ func (e *Engine[X, B]) noteMiss(ent entry) {
 }
 
 // importedPtr looks up an imported cell, marking a pushed cell's first
-// resolution as a push hit. Traversals run on the rank goroutine only
-// (pooled evals never resolve), so the mark is race-free.
+// resolution as a push hit.
 func (e *Engine[X, B]) importedPtr(k keys.Key) *node[X] {
 	in := e.imported.Ptr(k)
 	if in != nil && in.Pushed {
@@ -189,12 +194,8 @@ func (e *Engine[X, B]) importedPtr(k keys.Key) *node[X] {
 func (e *Engine[X, B]) attempt(gi int32) {
 	gk := e.Local.Groups[gi]
 	g := e.Local.Cell(gk)
-	slot := e.acquireSlot(true)
-	if e.emitFromRoot(slot, gk, g) {
+	if e.emitFromRoot(gk, g) {
 		return
-	}
-	if slot != 0 {
-		e.curPool.free <- slot
 	}
 	e.nparked++
 	if e.observe {
@@ -203,11 +204,11 @@ func (e *Engine[X, B]) attempt(gi int32) {
 	e.park(gi)
 }
 
-// emitFromRoot runs an emitting walk of g from the root into slot and
-// dispatches its evaluation if it completed; on a miss it charges the
-// visits to Rewalked and leaves the misses on e.missing.
-func (e *Engine[X, B]) emitFromRoot(slot int, gk keys.Key, g *tree.Cell) bool {
-	e.curWalk.Begin(slot, gk, g)
+// emitFromRoot runs an emitting walk of g from the root and evaluates
+// the group if it completed; on a miss it charges the visits to
+// Rewalked and leaves the misses on e.missing.
+func (e *Engine[X, B]) emitFromRoot(gk keys.Key, g *tree.Cell) bool {
+	e.curWalk.Begin(gk, g)
 	e.stack = append(e.stack[:0], entry{keys.Root, inTop})
 	n := e.traverse(true)
 	if len(e.missing) > 0 {
@@ -215,12 +216,8 @@ func (e *Engine[X, B]) emitFromRoot(slot int, gk keys.Key, g *tree.Cell) bool {
 		return false
 	}
 	e.Counters.Traversals += n
-	switch {
-	case e.curEval == nil:
-	case slot != 0:
-		e.curPool.jobs <- evalJob{slot: slot, gk: gk, g: g, eval: e.curEval}
-	default:
-		e.curEval(0, gk, g, &e.Counters)
+	if e.curEval != nil {
+		e.curEval(gk, g, &e.Counters)
 	}
 	return true
 }
@@ -232,11 +229,11 @@ func (e *Engine[X, B]) emitFromRoot(slot int, gk keys.Key, g *tree.Cell) bool {
 // list. That walk cannot miss -- imports only grow within a phase --
 // and it emits in root-DFS order, the one order every schedule shares,
 // which is what keeps forces bitwise independent of when cells arrive.
-func (e *Engine[X, B]) resume(gi int32, pooled bool) {
+func (e *Engine[X, B]) resume(gi int32) {
 	gk := e.Local.Groups[gi]
 	g := e.Local.Cell(gk)
 	s := &e.groups[gi]
-	e.curWalk.Begin(0, gk, g)
+	e.curWalk.Begin(gk, g)
 	e.stack = e.stack[:0]
 	for i := len(s.frontier) - 1; i >= 0; i-- { // popped in the order they were missed
 		f := s.frontier[i]
@@ -255,7 +252,7 @@ func (e *Engine[X, B]) resume(gi int32, pooled bool) {
 		return
 	}
 	e.nparked--
-	if !e.emitFromRoot(e.acquireSlot(pooled), gk, g) {
+	if !e.emitFromRoot(gk, g) {
 		panic("hotengine: resumed walk missed a cell below an empty frontier")
 	}
 	if e.observe {
@@ -305,23 +302,4 @@ func (e *Engine[X, B]) park(gi int32) {
 func (e *Engine[X, B]) request(k keys.Key) {
 	e.Counters.Requests++
 	e.missBuf = append(e.missBuf, k)
-}
-
-// acquireSlot hands out a free pool slot for a sweep-side emitting
-// walk, or 0 (the inline spill slot). Pools without spawned workers
-// always spill: materializing an interaction list per queued job only
-// pays when another core can evaluate it concurrently; the single-core
-// overlap comes from the Progress hook walking queued groups inside
-// the communication windows instead.
-func (e *Engine[X, B]) acquireSlot(pooled bool) int {
-	pool := e.curPool
-	if !pooled || pool == nil || pool.nworkers == 0 {
-		return 0
-	}
-	select {
-	case s := <-pool.free:
-		return s
-	default:
-		return 0
-	}
 }

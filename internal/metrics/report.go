@@ -97,9 +97,6 @@ type RunReport struct {
 	// Stepping aggregates the per-rank time-integration scheduler
 	// accounting (present when the drivers supplied it).
 	Stepping *SteppingStats `json:"stepping,omitempty"`
-	// Overlap aggregates the walk/eval pipeline's latency-hiding
-	// accounting (present when any rank ran with eval workers).
-	Overlap *OverlapStats `json:"overlap,omitempty"`
 	// TraceDropped counts trace events discarded by full rank rings
 	// (trace.Run.Dropped at report time); non-zero means the exported
 	// Chrome timeline has holes and should not be read as complete
@@ -150,24 +147,6 @@ type SteppingStats struct {
 	RungOccupancy []uint64 `json:"rung_occupancy,omitempty"`
 }
 
-// OverlapStats summarizes the walk/eval pipeline's latency hiding:
-// how much wall time the rank goroutines spent parked in the walk
-// collectives, how much eval-worker kernel time there was in total,
-// and how much of it ran inside those communication windows -- the
-// paper's "keep the FPUs busy while messages are in flight" made
-// measurable. OverlapFraction is EvalDuringComm/EvalBusy, the
-// fraction of kernel work that was hidden under communication.
-type OverlapStats struct {
-	EvalWorkers           int     `json:"eval_workers"`
-	CommSeconds           float64 `json:"comm_seconds"`
-	EvalBusySeconds       float64 `json:"eval_busy_seconds"`
-	EvalDuringCommSeconds float64 `json:"eval_during_comm_seconds"`
-	OverlapFraction       float64 `json:"overlap_fraction"`
-	// Rounds is the request/reply round count (max across ranks; the
-	// rounds are collective, so ranks agree up to partial phases).
-	Rounds int `json:"rounds"`
-}
-
 // RankInput is what one rank's engine contributes to a report.
 type RankInput struct {
 	Counters diag.Counters
@@ -184,9 +163,6 @@ type RankInput struct {
 	// Stepping carries the rank's time-integration scheduler
 	// accounting; aggregated across ranks into RunReport.Stepping.
 	Stepping *SteppingStats
-	// Overlap carries the rank's latency-hiding accounting; aggregated
-	// across ranks into RunReport.Overlap.
-	Overlap *OverlapStats
 	// PhaseSeconds is the detached alternative to Timer/Sub: a plain
 	// per-phase seconds map, read only when both timers are nil. The
 	// live-telemetry sampler builds reports from copies, not from the
@@ -297,26 +273,9 @@ func BuildReport(command string, bodies int, wall float64, ranks []RankInput, w 
 				st.RungOccupancy[r] += n
 			}
 		}
-		if in.Overlap != nil {
-			if rep.Overlap == nil {
-				rep.Overlap = &OverlapStats{EvalWorkers: in.Overlap.EvalWorkers}
-			}
-			ov := rep.Overlap
-			// Seconds are per-rank shares, summed; rounds are collective,
-			// so keep the max.
-			ov.CommSeconds += in.Overlap.CommSeconds
-			ov.EvalBusySeconds += in.Overlap.EvalBusySeconds
-			ov.EvalDuringCommSeconds += in.Overlap.EvalDuringCommSeconds
-			if in.Overlap.Rounds > ov.Rounds {
-				ov.Rounds = in.Overlap.Rounds
-			}
-		}
 	}
 	if st := rep.Stepping; st != nil && st.TotalSinks > 0 {
 		st.ActiveFraction = float64(st.ActiveSinks) / float64(st.TotalSinks)
-	}
-	if ov := rep.Overlap; ov != nil && ov.EvalBusySeconds > 0 {
-		ov.OverlapFraction = ov.EvalDuringCommSeconds / ov.EvalBusySeconds
 	}
 	rep.Totals.Interactions = rep.Totals.Counters.Interactions()
 	rep.Totals.Flops = rep.Totals.Counters.Flops()
@@ -436,15 +395,6 @@ func (r *RunReport) Render(w io.Writer) {
 			}
 			fmt.Fprintln(w)
 		}
-	}
-
-	if ov := r.Overlap; ov != nil {
-		fmt.Fprintf(w, "\noverlap (eval workers=%d):\n", ov.EvalWorkers)
-		fmt.Fprintf(w, "  comm windows     %.4fs (rank time inside walk collectives, all ranks)\n", ov.CommSeconds)
-		fmt.Fprintf(w, "  eval busy        %.4fs total kernel time on eval workers\n", ov.EvalBusySeconds)
-		fmt.Fprintf(w, "  eval during comm %.4fs (%.1f%% of eval work hidden under communication)\n",
-			ov.EvalDuringCommSeconds, ov.OverlapFraction*100)
-		fmt.Fprintf(w, "  rounds           %d\n", ov.Rounds)
 	}
 
 	fmt.Fprintf(w, "\nper-rank work:\n")

@@ -42,9 +42,8 @@ type InjectorStats struct {
 //
 //   - Latency: a message spends up to MaxLatency in flight before it
 //     becomes visible to the receiver. The sender is never blocked and
-//     the receiver's CPU stays free -- a Recv with a Progress hook
-//     computes through the window, which is exactly the latency the
-//     paper's asynchronous batched messages are designed to hide.
+//     the receiver's CPU stays free: exactly the latency the paper's
+//     asynchronous batched messages are designed to hide.
 //     Delivery order per (src, tag) stream is unchanged, so results
 //     stay bit-identical.
 //   - Reorder: a message is delivered one slot ahead of the newest

@@ -51,8 +51,7 @@ type Message struct {
 	bumped bool
 	// due, when nonzero, is the injected in-flight deadline: the
 	// message sits in the mailbox but is invisible to take/tryTake
-	// until due passes. The sender is never blocked and the receiver's
-	// goroutine stays free to run its Progress hook -- latency as time
+	// until due passes. The sender is never blocked -- latency as time
 	// on the wire, not as a CPU stall.
 	due time.Time
 }
@@ -403,16 +402,6 @@ type Comm struct {
 	// off the per-message hot path: on phase changes, collective
 	// entry, and only when a Recv actually blocks.
 	st *rankState
-
-	// Progress, when non-nil, is polled by a Recv whose message has
-	// not arrived yet: the hook runs one unit of deferred local work
-	// (e.g. a queued group evaluation) and reports whether it did
-	// anything. Recv alternates poll-for-message / one-unit-of-work
-	// until either the message lands or the hook runs dry, then parks
-	// in the ordinary blocking wait -- MPI_Test-and-compute on top of
-	// the channel substrate. The hook runs on this rank's goroutine
-	// and must never communicate.
-	Progress func() bool
 }
 
 // Comm returns rank r's communicator.
@@ -492,19 +481,6 @@ func (c *Comm) send(dst, tag int, data any, bytes int) {
 // Recv blocks until a message matching (src, tag) arrives. Use
 // AnySource / AnyTag as wildcards.
 func (c *Comm) Recv(src, tag int) Message {
-	if c.Progress != nil {
-		for {
-			if m, ok := c.w.boxes[c.rank].tryTake(src, tag); ok {
-				if c.w.trace != nil {
-					c.w.trace.Rank(c.rank).Recv(c.phase, m.Src, m.Bytes)
-				}
-				return m
-			}
-			if !c.Progress() {
-				break
-			}
-		}
-	}
 	m := c.w.boxes[c.rank].take(src, tag, c.st)
 	if c.w.trace != nil {
 		c.w.trace.Rank(c.rank).Recv(c.phase, m.Src, m.Bytes)

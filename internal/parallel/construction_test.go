@@ -32,8 +32,12 @@ func driftByID(sys *core.System, step int) {
 }
 
 // runPipeline runs `evals` force evaluations at np ranks under cfg,
-// drifting bodies between them, and snapshots each.
-func runPipeline(t *testing.T, n, np, evals int, cfg Config) []evalSnap {
+// drifting bodies between them, and snapshots each. With fresh set,
+// every evaluation after the first runs on a new engine over the
+// bodies the last one left, in reverse order: nothing the construction
+// pipeline keeps between steps (sorter scratch, cell buffers) is there
+// to use, and the order repair has to fall back on the full sort.
+func runPipeline(t *testing.T, n, np, evals int, cfg Config, fresh bool) []evalSnap {
 	t.Helper()
 	snaps := make([]evalSnap, evals)
 	for s := range snaps {
@@ -50,16 +54,25 @@ func runPipeline(t *testing.T, n, np, evals int, cfg Config) []evalSnap {
 			local.AppendFrom(global, i)
 		}
 		e := New(c, local, cfg)
-		prev := e.Counters
 		for s := 0; s < evals; s++ {
 			if s > 0 {
 				driftByID(e.Sys, s)
+				if fresh {
+					rev := core.New(0)
+					rev.EnableDynamics()
+					for i := e.Sys.Len() - 1; i >= 0; i-- {
+						rev.AppendFrom(e.Sys, i)
+					}
+					e = New(c, rev, cfg)
+				}
 			}
-			e.ComputeForces()
+			ctr := e.ComputeForces()
+			if st := e.DecomposeStats(); s > 0 && st.FullSort != (fresh && st.Displaced > 1) {
+				t.Errorf("np=%d eval=%d fresh=%v: full sort %v (%d displaced)", np, s, fresh, st.FullSort, st.Displaced)
+			}
 			mu.Lock()
-			snaps[s].pp += e.Counters.PP - prev.PP
-			snaps[s].pc += e.Counters.PC - prev.PC
-			prev = e.Counters
+			snaps[s].pp += ctr.PP
+			snaps[s].pc += ctr.PC
 			for i := 0; i < e.Sys.Len(); i++ {
 				snaps[s].acc[e.Sys.ID[i]] = e.Sys.Acc[i]
 				snaps[s].pot[e.Sys.ID[i]] = e.Sys.Pot[i]
@@ -70,41 +83,31 @@ func runPipeline(t *testing.T, n, np, evals int, cfg Config) []evalSnap {
 	return snaps
 }
 
-// The construction pipeline's knobs (worker fan-out, incremental vs
-// cold decomposition) must not change a single output bit: same
-// forces, same potentials, same interaction counts, at every rank
-// count and on every evaluation of a drifting multi-step run.
+// The incremental construction pipeline must not change a single
+// output bit: an engine kept across a drifting multi-step run, which
+// repairs the order of the few bodies that moved, and a fresh engine
+// per evaluation, which sorts in full, give the same forces, potentials
+// and interaction counts at every rank count.
 func TestConstructionEquivalenceAcrossPipelines(t *testing.T) {
 	const n, evals = 1200, 3
-	base := Config{
+	cfg := Config{
 		MAC:  grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true},
 		Eps2: 1e-6,
 	}
-	variants := []struct {
-		name string
-		mod  func(Config) Config
-	}{
-		{"serialBuild", func(c Config) Config { c.BuildWorkers = 1; return c }},
-		{"parallelBuild", func(c Config) Config { c.BuildWorkers = 8; return c }},
-		{"coldStart", func(c Config) Config { c.ColdStart = true; return c }},
-		{"coldParallel", func(c Config) Config { c.ColdStart = true; c.BuildWorkers = 8; return c }},
-	}
 	for _, np := range []int{1, 2, 8} {
-		ref := runPipeline(t, n, np, evals, base)
-		for _, v := range variants {
-			got := runPipeline(t, n, np, evals, v.mod(base))
-			for s := 0; s < evals; s++ {
-				if got[s].pp != ref[s].pp || got[s].pc != ref[s].pc {
-					t.Errorf("np=%d %s eval=%d: PP/PC %d/%d, want %d/%d",
-						np, v.name, s, got[s].pp, got[s].pc, ref[s].pp, ref[s].pc)
-				}
-				if len(got[s].acc) != len(ref[s].acc) {
-					t.Fatalf("np=%d %s eval=%d: %d bodies, want %d", np, v.name, s, len(got[s].acc), len(ref[s].acc))
-				}
-				for id, a := range ref[s].acc {
-					if got[s].acc[id] != a || got[s].pot[id] != ref[s].pot[id] {
-						t.Fatalf("np=%d %s eval=%d: body %d force differs bitwise", np, v.name, s, id)
-					}
+		ref := runPipeline(t, n, np, evals, cfg, true)
+		got := runPipeline(t, n, np, evals, cfg, false)
+		for s := 0; s < evals; s++ {
+			if got[s].pp != ref[s].pp || got[s].pc != ref[s].pc {
+				t.Errorf("np=%d eval=%d: PP/PC %d/%d, fresh engine %d/%d",
+					np, s, got[s].pp, got[s].pc, ref[s].pp, ref[s].pc)
+			}
+			if len(got[s].acc) != len(ref[s].acc) {
+				t.Fatalf("np=%d eval=%d: %d bodies, want %d", np, s, len(got[s].acc), len(ref[s].acc))
+			}
+			for id, a := range ref[s].acc {
+				if got[s].acc[id] != a || got[s].pot[id] != ref[s].pot[id] {
+					t.Fatalf("np=%d eval=%d: body %d force differs bitwise from a fresh engine's", np, s, id)
 				}
 			}
 		}

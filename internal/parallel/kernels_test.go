@@ -37,8 +37,8 @@ func runKernels(t *testing.T, np, n int, karp bool, mac grav.MACParams, eps2 flo
 		e := New(c, local, Config{MAC: mac, Eps2: eps2})
 		if karp {
 			e.Exchange()
-			e.WalkGroups("walk", &visitor{e: e}, func(slot int, _ keys.Key, g *tree.Cell, ctr *diag.Counters) {
-				karpEvaluate(e, &e.walkers[slot].List, g, ctr)
+			e.WalkGroups("walk", &visitor{e: e}, func(_ keys.Key, g *tree.Cell, ctr *diag.Counters) {
+				karpEvaluate(e, &e.walker.List, g, ctr)
 			})
 		} else {
 			e.ComputeForces()

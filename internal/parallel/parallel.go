@@ -40,21 +40,6 @@ type Config struct {
 	// *relative* force error fixed as clustering raises the typical
 	// acceleration (a collective; all ranks update identically).
 	AdaptTol float64
-	// BuildWorkers caps the construction-pipeline goroutines (radix
-	// sort, fan-out tree build); 0 means automatic, 1 serial. Forces
-	// are byte-identical for any value.
-	BuildWorkers int
-	// ColdStart disables the incremental decomposition (resort repair,
-	// splits reuse); results are byte-identical either way.
-	ColdStart bool
-	// EvalWorkers turns on the walk/eval pipeline: completed groups are
-	// evaluated by worker goroutines while the rank keeps walking and
-	// communicating. 0 = inline (historical schedule); forces are
-	// bitwise identical either way.
-	EvalWorkers int
-	// EvalSlots is the pipeline depth (in-flight group evaluations);
-	// 0 = 64 per worker.
-	EvalSlots int
 }
 
 // Leaf is the gravity leaf payload of a pushed or requested cell:
@@ -78,10 +63,9 @@ type Engine struct {
 	Stepper integrate.Stepper
 
 	phys *physics
-	// walkers is one Walker per pipeline slot (index = the slot
-	// argument of the walk/eval closures); a single entry when the
-	// pipeline is off.
-	walkers []*tree.Walker
+	// walker holds the interaction list of the group being walked and
+	// evaluated.
+	walker tree.Walker
 }
 
 // physics is the gravity instantiation of hotengine.Physics: no
@@ -130,13 +114,7 @@ func New(c *msg.Comm, sys *core.System, cfg Config) *Engine {
 	e.phys = &physics{e: e}
 	e.Engine = hotengine.New[hotengine.None, Leaf](c, sys, e.phys, hotengine.Config{
 		MAC: cfg.MAC, Bucket: cfg.Bucket, MaxRounds: cfg.MaxRounds,
-		BuildWorkers: cfg.BuildWorkers, ColdStart: cfg.ColdStart,
-		EvalWorkers: cfg.EvalWorkers, EvalSlots: cfg.EvalSlots,
 	})
-	e.walkers = make([]*tree.Walker, e.Slots())
-	for i := range e.walkers {
-		e.walkers[i] = &tree.Walker{}
-	}
 	e.Stepper.B = engineBodies{e}
 	return e
 }
@@ -184,19 +162,15 @@ func (b engineBodies) MaxRung(local int) int {
 }
 
 // visitor is the gravity side of the pipeline's traversal
-// (hotengine.Visitor): the slot's tree.Walker classifies cells with the
-// MAC and collects the interaction list.
-type visitor struct {
-	e *Engine
-	w *tree.Walker
+// (hotengine.Visitor): the engine's tree.Walker classifies cells with
+// the MAC and collects the interaction list.
+type visitor struct{ e *Engine }
+
+func (v *visitor) Begin(gk keys.Key, g *tree.Cell) {
+	v.e.walker.Begin(gk, v.e.Sys.Pos[g.First:g.First+g.N])
 }
 
-func (v *visitor) Begin(slot int, gk keys.Key, g *tree.Cell) {
-	v.w = v.e.walkers[slot]
-	v.w.Begin(gk, v.e.Sys.Pos[g.First:g.First+g.N])
-}
-
-func (v *visitor) Test(c *tree.Cell) tree.Action { return v.w.Test(c) }
+func (v *visitor) Test(c *tree.Cell) tree.Action { return v.e.walker.Test(c) }
 
 func (v *visitor) Sphere(g *tree.Cell) (vec.V3, float64) {
 	return tree.GroupSphere(v.e.Sys.Pos[g.First : g.First+g.N])
@@ -204,16 +178,16 @@ func (v *visitor) Sphere(g *tree.Cell) (vec.V3, float64) {
 
 func (v *visitor) TestBound(c *tree.Cell, b *tree.Bound) tree.Action { return tree.ClassifyBound(c, b) }
 
-func (v *visitor) Cell(c *tree.Cell, _ hotengine.None) { v.w.List.AddCell(&c.Mp) }
+func (v *visitor) Cell(c *tree.Cell, _ hotengine.None) { v.e.walker.List.AddCell(&c.Mp) }
 
 func (v *visitor) Leaf(c *tree.Cell) {
 	e := v.e
 	if c.First >= 0 {
-		v.w.TakeLeaf(c, e.Sys.Pos[c.First:c.First+c.N], e.Sys.Mass[c.First:c.First+c.N])
+		v.e.walker.TakeLeaf(c, e.Sys.Pos[c.First:c.First+c.N], e.Sys.Mass[c.First:c.First+c.N])
 		return
 	}
 	i := -(c.First + 1)
-	v.w.TakeLeaf(c, e.phys.impPos[i:i+c.N], e.phys.impMass[i:i+c.N])
+	v.e.walker.TakeLeaf(c, e.phys.impPos[i:i+c.N], e.phys.impMass[i:i+c.N])
 }
 
 // ComputeForces runs one full parallel force evaluation: decompose,
@@ -251,18 +225,13 @@ func (e *Engine) computeForces(minRung int) diag.Counters {
 
 	walk := &visitor{e: e}
 	sys := e.Sys
-	// The walk stage (rank goroutine) builds the slot's self-contained
-	// interaction list; the eval stage runs the kernels from it and may
-	// execute on a worker goroutine concurrently with later walks. Each
-	// group writes only its own disjoint Acc/Pot/Work rows and the
-	// handed-in counter set, so forces and counts are bitwise identical
-	// to the inline schedule. The walk touches no PP/PC counters, so the
+	// The walk builds the group's interaction list; eval runs the
+	// kernels from it. The walk touches no PP/PC counters, so the
 	// per-body work weight is the eval-local delta.
-	eval := func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
+	eval := func(gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
 		lo, hi := g.First, g.First+g.N
-		w := e.walkers[slot]
 		before := ctr.PP + ctr.PC
-		w.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], e.Cfg.Eps2, e.Cfg.MAC.Quad, ctr)
+		e.walker.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], e.Cfg.Eps2, e.Cfg.MAC.Quad, ctr)
 		if g.N > 0 {
 			per := float64(ctr.PP+ctr.PC-before) / float64(g.N)
 			for i := lo; i < hi; i++ {
@@ -276,11 +245,6 @@ func (e *Engine) computeForces(minRung int) diag.Counters {
 		e.WalkGroupsIf("walk", func(g *tree.Cell) bool {
 			return tree.GroupActive(sys, int(g.First), int(g.First+g.N), minRung)
 		}, walk, eval)
-	}
-	if len(e.walkers) > 1 {
-		// Level the slot walkers' buffer capacities while they are all
-		// idle, same as ForcePool does between evaluations.
-		tree.EqualizeWalkers(e.walkers)
 	}
 
 	if minRung <= 0 && e.Cfg.AdaptTol > 0 && e.Cfg.MAC.Kind == grav.MACSalmonWarren {

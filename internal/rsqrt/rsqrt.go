@@ -20,8 +20,8 @@
 // hardware 1/math.Sqrt is correctly rounded, takes half the time of
 // this routine call for call, and vectorizes, so the production force
 // kernels (internal/grav kernel.go) use the hardware. Rsqrt serves the scalar
-// Karp kernels grav.PPTile/PPSelf/M2P (the direct sum, the fused walk
-// and the accuracy tests' second opinion) and the Ablation_RsqrtKarp
+// Karp kernels grav.PPTile/PPSelf/M2P (the direct sum, the tests'
+// fused walk and the accuracy tests' second opinion) and the Ablation_RsqrtKarp
 // vs Ablation_RsqrtLibm pair that measures the trade.
 package rsqrt
 

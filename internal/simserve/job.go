@@ -80,9 +80,6 @@ type Spec struct {
 	Tol float64 `json:"tol,omitempty"`
 	// Seed seeds the IC generator (0 = 42, the drivers' default).
 	Seed int64 `json:"seed,omitempty"`
-	// EvalWorkers is the walk/eval pipeline knob; results are bitwise
-	// identical either way.
-	EvalWorkers int `json:"evalworkers,omitempty"`
 	// Chaos is a deterministic fault-injection spec (test harness;
 	// same grammar as the drivers' -chaos flag). A crash or stall it
 	// injects fails THIS job, nothing else.
@@ -161,7 +158,7 @@ func (sp Spec) validate(maxBodies, maxNP int) (*msg.Injector, error) {
 	}
 	inj, err := cliutil.Flags{
 		N: sp.N, Procs: sp.NP, Steps: sp.Steps, DTMode: sp.DTMode, Eta: sp.Eta,
-		EvalWorkers: sp.EvalWorkers, Chaos: sp.Chaos,
+		Chaos: sp.Chaos,
 	}.Validate()
 	if err != nil {
 		return nil, err

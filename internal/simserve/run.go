@@ -178,7 +178,7 @@ func gravityRank(j *Job, engines []*parallel.Engine) func(*msg.Comm) {
 		scatter(global, local, c.Rank(), c.Size())
 		e := parallel.New(c, local, parallel.Config{
 			MAC:    grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: sp.Tol, Quad: true},
-			Bucket: 16, Eps2: 1e-6, EvalWorkers: sp.EvalWorkers,
+			Bucket: 16, Eps2: 1e-6,
 		})
 		if sp.DTMode == "block" {
 			e.Stepper.Scheme = integrate.Block
@@ -215,7 +215,7 @@ func sphRank(j *Job, engines []*sph.ParallelEngine) func(*msg.Comm) {
 		scatter(global, local, c.Rank(), c.Size())
 		e := sph.NewParallel(c, local, sph.ParallelConfig{
 			Params:  sph.Params{EOS: sph.Isothermal, CS: 0.8, AlphaVisc: 1, BetaVisc: 2},
-			Gravity: true, Eps2: 1e-4, EvalWorkers: sp.EvalWorkers,
+			Gravity: true, Eps2: 1e-4,
 		})
 		t0 := time.Now()
 		e.Eval()
@@ -246,7 +246,6 @@ func vortexRank(j *Job, engines []*vortex.ParallelEngine) func(*msg.Comm) {
 		local.EnableVortex()
 		scatter(global, local, c.Rank(), c.Size())
 		e := vortex.NewParallel(c, local, sigma, theta)
-		e.EnableOverlap(sp.EvalWorkers)
 		for s := 0; s < sp.Steps; s++ {
 			t0 := time.Now()
 			e.Step(sp.DT)

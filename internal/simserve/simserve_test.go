@@ -372,7 +372,13 @@ func TestHTTPAPI(t *testing.T) {
 	}
 
 	// Bad bodies are 400s, not crashes.
-	for _, bad := range []string{`{`, `{"physics":"magneto","n":1,"np":1}`, `{"bogus":1}`} {
+	// A retired spec field (evalworkers) is an unknown field.
+	for _, bad := range []string{
+		`{`,
+		`{"physics":"magneto","n":1,"np":1}`,
+		`{"bogus":1}`,
+		`{"physics":"gravity","n":300,"np":2,"steps":1,"evalworkers":2}`,
+	} {
 		if resp, b := post(bad); resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("POST %q = %d: %s", bad, resp.StatusCode, b)
 		}
@@ -487,8 +493,8 @@ func checkForcesHashes(t *testing.T, golden []goldenHashes) {
 				t.Fatalf("%+v ended %s: %s", sp, st, j.Status().Error)
 			}
 			if got := j.Result().ForcesHash; got != g.hashes[i] {
-				t.Errorf("%s dtmode=%q workers=%d np=%d: forces hash %s, want %s",
-					sp.Physics, sp.DTMode, sp.EvalWorkers, np, got, g.hashes[i])
+				t.Errorf("%s dtmode=%q np=%d: forces hash %s, want %s",
+					sp.Physics, sp.DTMode, np, got, g.hashes[i])
 			}
 		}
 	}
@@ -510,8 +516,8 @@ func TestForcesHashMatchesRestartWalk(t *testing.T) {
 }
 
 // TestForcesHashPinsKernel pins the final forces of every job that
-// runs the gravity kernels (gravity uniform, block and pipelined; SPH
-// with self-gravity) to the digests of the PR 17 kernel
+// runs the gravity kernels (gravity uniform and block; SPH with
+// self-gravity) to the digests of the PR 17 kernel
 // generation: grav/kernel.go's Go loops -- hardware sqrt and divide,
 // one accumulator set per target swept in list order -- or their AVX2
 // form, which is the same arithmetic bit for bit. The lists are still
@@ -526,8 +532,6 @@ func TestForcesHashPinsKernel(t *testing.T) {
 			[3]string{"e3812b3950857929", "ff9971309216c0d3", "1052c4de89354c0c"}},
 		{Spec{Physics: PhysicsGravity, N: 1500, Steps: 1, Seed: 17, DTMode: "block"},
 			[3]string{"6c0f884bc724d78b", "c4a163ec12e46c40", "c4f0f89a2cab5857"}},
-		{Spec{Physics: PhysicsGravity, N: 1500, Steps: 1, Seed: 17, EvalWorkers: 2},
-			[3]string{"e3812b3950857929", "ff9971309216c0d3", "1052c4de89354c0c"}},
 		{Spec{Physics: PhysicsSPH, N: 600, Steps: 1, Seed: 17},
 			[3]string{"3377916bed0f000f", "43b5072667ebf1d6", "a30b7c0028029d3b"}},
 	})

@@ -35,11 +35,10 @@ type ParallelEngine struct {
 
 	phys     *physics
 	pressure []vec.V3
-	// cands and ws are one candidate block / gravity walker per
-	// pipeline slot (index = the slot argument of the walk/eval
-	// closures); single entries when the pipeline is off.
-	cands []candidates
-	ws    []*tree.Walker
+	// cand is the candidate block of the group being gathered and
+	// evaluated, w the gravity pass's walker.
+	cand candidates
+	w    tree.Walker
 }
 
 // ParallelConfig controls the distributed SPH evaluation.
@@ -56,11 +55,6 @@ type ParallelConfig struct {
 	Theta   float64
 	// MaxRounds bounds the request/reply rounds per pass; 0 means 64.
 	MaxRounds int
-	// EvalWorkers turns on the walk/eval pipeline for the force and
-	// gravity passes (the density pass always evaluates inline: it
-	// writes Rho, the column the serve path snapshots). 0 = inline;
-	// results are bitwise identical either way.
-	EvalWorkers int
 }
 
 // Leaf is the SPH leaf payload of a request reply: every per-body
@@ -171,13 +165,7 @@ func NewParallel(c *msg.Comm, sys *core.System, cfg ParallelConfig) *ParallelEng
 		Bucket:      cfg.Bucket,
 		MaxRounds:   cfg.MaxRounds,
 		PhasePrefix: "sph",
-		EvalWorkers: cfg.EvalWorkers,
 	})
-	e.cands = make([]candidates, e.Slots())
-	e.ws = make([]*tree.Walker, e.Slots())
-	for i := range e.ws {
-		e.ws[i] = new(tree.Walker)
-	}
 	return e
 }
 
@@ -192,14 +180,8 @@ func (e *ParallelEngine) Eval() diag.Counters {
 	e.Exchange()
 	sys := e.Sys
 
-	// The density pass must evaluate inline: it writes
-	// Sys.Rho, the column the serve path's PackLeaf snapshots on the
-	// rank goroutine -- a concurrent eval stage would race those
-	// copies. The force and gravity passes write only per-group
-	// pressure/Acc/Pot/Work rows, none of which serve reads, so they
-	// pipeline freely.
 	gather := &gatherer{e: e}
-	e.WalkGroupsInline("density", gather, e.evalDensity)
+	e.WalkGroups("density", gather, e.evalDensity)
 
 	// The force pass reads neighbor densities, which the density pass
 	// just computed on their owning ranks: drop the stale imports and
@@ -211,16 +193,13 @@ func (e *ParallelEngine) Eval() diag.Counters {
 		e.pressure = make([]vec.V3, sys.Len())
 	}
 	e.pressure = e.pressure[:sys.Len()]
-	e.WalkGroups("forces", gather, func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
-		e.evalForces(&e.cands[slot], g, ctr)
-	})
+	e.WalkGroups("forces", gather, e.evalForces)
 
 	if e.Cfg.Gravity {
-		e.WalkGroups("gravity", &gravVisitor{e: e}, func(slot int, gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
+		e.WalkGroups("gravity", &gravVisitor{e: e}, func(gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
 			lo, hi := g.First, g.First+g.N
-			w := e.ws[slot]
 			before := ctr.PP + ctr.PC
-			w.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], e.Cfg.Eps2, false, ctr)
+			e.w.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], e.Cfg.Eps2, false, ctr)
 			if g.N > 0 {
 				per := float64(ctr.PP+ctr.PC-before) / float64(g.N)
 				for i := lo; i < hi; i++ {
@@ -228,9 +207,6 @@ func (e *ParallelEngine) Eval() diag.Counters {
 				}
 			}
 		})
-		if len(e.ws) > 1 {
-			tree.EqualizeWalkers(e.ws)
-		}
 		for i := range sys.Acc {
 			sys.Acc[i] = sys.Acc[i].Add(e.pressure[i])
 		}
@@ -264,21 +240,19 @@ func (e *ParallelEngine) leafColumns(c *tree.Cell) Leaf {
 // gatherer is the neighbor search of the density and force passes as
 // a traversal visitor (hotengine.Visitor): it collects every body that
 // could lie within two smoothing lengths of any particle of the group
-// into the slot's candidate block, pruning cells whose cube is entirely
+// into the engine's candidate block, pruning cells whose cube is entirely
 // outside the group's search sphere (the same cube-versus-sphere test
 // as the serial Neighbors). It never accepts a cell: range queries
 // prune on geometry alone.
 type gatherer struct {
 	e      *ParallelEngine
 	sphere tree.Bound // the current group's search sphere
-	cand   *candidates
 }
 
-func (v *gatherer) Begin(slot int, _ keys.Key, g *tree.Cell) {
+func (v *gatherer) Begin(_ keys.Key, g *tree.Cell) {
 	v.sphere = tree.Bound{}
 	v.sphere.Add(v.Sphere(g))
-	v.cand = &v.e.cands[slot]
-	v.cand.reset()
+	v.e.cand.reset()
 }
 
 // Sphere is the group's search sphere: its bounding sphere grown by the
@@ -309,7 +283,7 @@ func (v *gatherer) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
 func (v *gatherer) Cell(*tree.Cell, hotengine.None) {}
 
 func (v *gatherer) Leaf(c *tree.Cell) {
-	b, cand := v.e.leafColumns(c), v.cand
+	b, cand := v.e.leafColumns(c), &v.e.cand
 	cand.pos = append(cand.pos, b.Pos...)
 	cand.vel = append(cand.vel, b.Vel...)
 	cand.mass = append(cand.mass, b.Mass...)
@@ -331,11 +305,10 @@ func (e *ParallelEngine) hmax(lo, hi int32) float64 {
 
 // evalDensity computes rho by kernel summation for one group from its
 // gathered candidate block, with the same per-pair arithmetic and pair
-// accounting as the serial Density (self included). Inline-only (it
-// writes Sys.Rho and Sys.Work, columns the serve path reads).
-func (e *ParallelEngine) evalDensity(slot int, _ keys.Key, g *tree.Cell, ctr *diag.Counters) {
+// accounting as the serial Density (self included).
+func (e *ParallelEngine) evalDensity(_ keys.Key, g *tree.Cell, ctr *diag.Counters) {
 	sys := e.Sys
-	cand := &e.cands[slot]
+	cand := &e.cand
 	lo, hi := g.First, g.First+g.N
 	var pairs uint64
 	for i := lo; i < hi; i++ {
@@ -366,11 +339,10 @@ func (e *ParallelEngine) evalDensity(slot int, _ keys.Key, g *tree.Cell, ctr *di
 // artificial viscosity for one group from its gathered candidate
 // block, matching the serial Forces pair for pair (self-pairs
 // excluded by particle ID, which is what the serial index test means
-// once neighbors can be remote copies). The eval stage of the force
-// pass: it writes only this group's pressure rows and ctr, and reads
-// sys columns no concurrent stage writes, so it may run on a worker.
-func (e *ParallelEngine) evalForces(cand *candidates, g *tree.Cell, ctr *diag.Counters) {
+// once neighbors can be remote copies).
+func (e *ParallelEngine) evalForces(_ keys.Key, g *tree.Cell, ctr *diag.Counters) {
 	sys := e.Sys
+	cand := &e.cand
 	lo, hi := g.First, g.First+g.N
 	p := &e.Cfg.Params
 	for i := lo; i < hi; i++ {
@@ -407,20 +379,16 @@ func (e *ParallelEngine) evalForces(cand *candidates, g *tree.Cell, ctr *diag.Co
 	}
 }
 
-// gravVisitor drives the slot's gravity walker over the same
+// gravVisitor drives the engine's gravity walker over the same
 // traversal; the SPH leaf payload carries positions and masses, which
 // is all gravity needs.
-type gravVisitor struct {
-	e *ParallelEngine
-	w *tree.Walker
+type gravVisitor struct{ e *ParallelEngine }
+
+func (v *gravVisitor) Begin(gk keys.Key, g *tree.Cell) {
+	v.e.w.Begin(gk, v.e.Sys.Pos[g.First:g.First+g.N])
 }
 
-func (v *gravVisitor) Begin(slot int, gk keys.Key, g *tree.Cell) {
-	v.w = v.e.ws[slot]
-	v.w.Begin(gk, v.e.Sys.Pos[g.First:g.First+g.N])
-}
-
-func (v *gravVisitor) Test(c *tree.Cell) tree.Action { return v.w.Test(c) }
+func (v *gravVisitor) Test(c *tree.Cell) tree.Action { return v.e.w.Test(c) }
 
 func (v *gravVisitor) Sphere(g *tree.Cell) (vec.V3, float64) {
 	return tree.GroupSphere(v.e.Sys.Pos[g.First : g.First+g.N])
@@ -430,11 +398,11 @@ func (v *gravVisitor) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
 	return tree.ClassifyBound(c, b)
 }
 
-func (v *gravVisitor) Cell(c *tree.Cell, _ hotengine.None) { v.w.List.AddCell(&c.Mp) }
+func (v *gravVisitor) Cell(c *tree.Cell, _ hotengine.None) { v.e.w.List.AddCell(&c.Mp) }
 
 func (v *gravVisitor) Leaf(c *tree.Cell) {
 	b := v.e.leafColumns(c)
-	v.w.TakeLeaf(c, b.Pos, b.Mass)
+	v.e.w.TakeLeaf(c, b.Pos, b.Mass)
 }
 
 // Kick advances velocities by dt using the current accelerations.

@@ -73,12 +73,6 @@ type RankSample struct {
 	Sent msg.PhaseTraffic
 	// Bodies is the rank's current local body count.
 	Bodies int
-	// Overlap accounting (cumulative): rank wall time inside walk
-	// collectives, eval-worker busy time, and how much of the latter
-	// ran inside the former. Zero when the pipeline is off.
-	CommNs           int64
-	EvalBusyNs       int64
-	EvalDuringCommNs int64
 
 	// HasEnergy marks Kinetic/Potential/Momentum as meaningful (the
 	// gravity and SPH engines set it; vortex dynamics has no softened
@@ -138,12 +132,9 @@ type Sample struct {
 	// Registry (0 when no histogram is attached).
 	StallP99Ns uint64 `json:"stall_p99_ns"`
 
-	// OverlapFrac is this step's eval-during-comm over eval-busy
-	// seconds (0 when the walk/eval pipeline is off or idle);
-	// PushHitRate this step's push-used over pushed cells;
+	// PushHitRate is this step's push-used over pushed cells;
 	// WalkEfficiency this step's completed-walk cell visits over all
 	// cell visits (diag.Counters.WalkEfficiency).
-	OverlapFrac    float64 `json:"overlap_frac"`
 	PushHitRate    float64 `json:"push_hit_rate"`
 	WalkEfficiency float64 `json:"walk_efficiency"`
 
@@ -187,14 +178,12 @@ type slot struct {
 // totals is the cumulative aggregate the delta of each sample is taken
 // against.
 type totals struct {
-	counters         diag.Counters
-	msgs, bytes      uint64
-	subSteps         uint64
-	activeSinks      uint64
-	totalSinks       uint64
-	wallNs           int64
-	evalBusyNs       int64
-	evalDuringCommNs int64
+	counters    diag.Counters
+	msgs, bytes uint64
+	subSteps    uint64
+	activeSinks uint64
+	totalSinks  uint64
+	wallNs      int64
 }
 
 // Sampler collects per-rank step contributions into a ring of Samples
@@ -295,8 +284,6 @@ func (s *Sampler) assemble() {
 		cum.subSteps += rs.SubSteps
 		cum.activeSinks += rs.ActiveSinks
 		cum.totalSinks += rs.TotalSinks
-		cum.evalBusyNs += rs.EvalBusyNs
-		cum.evalDuringCommNs += rs.EvalDuringCommNs
 		if rs.HasEnergy {
 			hasEnergy = true
 			kin += rs.Kinetic
@@ -357,9 +344,6 @@ func (s *Sampler) assemble() {
 	if s.cfg.Registry != nil {
 		smp.StallP99Ns = s.cfg.Registry.Histogram(metrics.StallHistogram).Quantile(0.99)
 	}
-	if db := cum.evalBusyNs - s.prev.evalBusyNs; db > 0 {
-		smp.OverlapFrac = float64(cum.evalDuringCommNs-s.prev.evalDuringCommNs) / float64(db)
-	}
 	smp.PushHitRate = d.PushHitRate()
 	smp.WalkEfficiency = d.WalkEfficiency()
 	s.prev = cum
@@ -401,7 +385,6 @@ func (s *Sampler) publish(smp *Sample) {
 	reg.Gauge("telemetry_energy_drift").Set(smp.EnergyDrift)
 	reg.Gauge("telemetry_active_fraction").Set(smp.ActiveFraction)
 	reg.Gauge("telemetry_imbalance").Set(smp.Imbalance)
-	reg.Gauge("telemetry_overlap_frac").Set(smp.OverlapFrac)
 	reg.Gauge("telemetry_push_hit_rate").Set(smp.PushHitRate)
 	reg.Gauge("telemetry_walk_efficiency").Set(smp.WalkEfficiency)
 	reg.Gauge("telemetry_split_rounds").Set(float64(smp.SplitRounds))

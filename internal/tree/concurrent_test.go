@@ -14,8 +14,11 @@ func TestGravityConcurrentMatchesSerial(t *testing.T) {
 	potSerial := append(sys.Pot[:0:0], sys.Pot...)
 	workSerial := append(sys.Work[:0:0], sys.Work...)
 
-	for _, workers := range []int{2, 4, 8} {
-		ctr := tr.GravityConcurrent(1e-6, workers)
+	// 0 workers means GOMAXPROCS.
+	for _, workers := range []int{0, 1, 2, 4, 8} {
+		pool := NewForcePool(workers)
+		ctr := pool.Gravity(tr, 1e-6)
+		pool.Close()
 		if ctr.PP != ctrSerial.PP || ctr.PC != ctrSerial.PC {
 			t.Fatalf("workers=%d: counters differ: %+v vs %+v", workers, ctr, ctrSerial)
 		}
@@ -29,23 +32,15 @@ func TestGravityConcurrentMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-	// workers=1 must delegate to the serial path.
-	ctr := tr.GravityConcurrent(1e-6, 1)
-	if ctr.Interactions() != ctrSerial.Interactions() {
-		t.Fatal("workers=1 differs")
-	}
-	// workers=0 uses GOMAXPROCS and still matches.
-	ctr = tr.GravityConcurrent(1e-6, 0)
-	if ctr.Interactions() != ctrSerial.Interactions() {
-		t.Fatal("workers=0 differs")
-	}
 }
 
 func BenchmarkGravityConcurrent(b *testing.B) {
 	sys, d := cloud(30000, 22)
 	tr := Build(sys, d, grav.DefaultMAC(), 16)
+	pool := NewForcePool(0)
+	defer pool.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.GravityConcurrent(1e-6, 0)
+		pool.Gravity(tr, 1e-6)
 	}
 }

@@ -89,7 +89,9 @@ func TestGravityMatchesFused(t *testing.T) {
 				}
 			}
 
-			ctrC := tr.GravityConcurrent(eps2, 4)
+			pool := NewForcePool(4)
+			ctrC := pool.Gravity(tr, eps2)
+			pool.Close()
 			if ctrC.PP != ctrFused.PP || ctrC.PC != ctrFused.PC {
 				t.Fatalf("%s: concurrent counts differ", tag)
 			}

@@ -112,30 +112,23 @@ func (p *ForcePool) Gravity(t *Tree, eps2 float64) diag.Counters {
 	return total
 }
 
-// equalize levels every worker's buffer capacities up to the
-// fleet-wide maximum. The atomic group queue hands batches out
-// nondeterministically, so without this a worker could meet a group
-// whose interaction list is larger than any it saw before and have to
-// grow mid-evaluation; after one full evaluation plus equalize, every
-// walker can hold the largest list any group produces and the steady
-// state allocates nothing. Runs between evaluations, workers idle.
-func (p *ForcePool) equalize() { EqualizeWalkers(p.walkers) }
-
-// EqualizeWalkers levels every walker's buffer capacities (interaction
-// list, SoA target block, traversal stack) up to the fleet-wide
-// maximum, so after one full evaluation no walker has to grow
-// mid-flight no matter which groups it is handed next time. Callers
-// must hold all walkers idle (between evaluations); the distributed
-// engines' eval slot pools use this the same way ForcePool does.
-func EqualizeWalkers(walkers []*Walker) {
+// equalize levels every worker's buffer capacities (interaction list,
+// SoA target block, traversal stack) up to the fleet-wide maximum. The
+// atomic group queue hands batches out nondeterministically, so
+// without this a worker could meet a group whose interaction list is
+// larger than any it saw before and have to grow mid-evaluation; after
+// one full evaluation plus equalize, every walker can hold the largest
+// list any group produces and the steady state allocates nothing. Runs
+// between evaluations, workers idle.
+func (p *ForcePool) equalize() {
 	var nb, nc, nt, nstack int
-	for _, w := range walkers {
+	for _, w := range p.walkers {
 		b, c := w.List.Caps()
 		nb, nc = max(nb, b), max(nc, c)
 		nt = max(nt, w.tg.Cap())
 		nstack = max(nstack, cap(w.stack))
 	}
-	for _, w := range walkers {
+	for _, w := range p.walkers {
 		w.List.Grow(nb, nc)
 		w.tg.Grow(nt)
 		if cap(w.stack) < nstack {

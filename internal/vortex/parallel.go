@@ -28,8 +28,8 @@ type ParallelEngine struct {
 	Theta float64
 
 	phys   *vphysics
-	lists  []vList
-	tgs    []vTargets
+	list   vList
+	tg     vTargets
 	walk   visitor
 	dAlpha []vec.V3
 }
@@ -106,27 +106,7 @@ func NewParallel(c *msg.Comm, sys *core.System, sigma, theta float64) *ParallelE
 		Bucket:      32,
 		PhasePrefix: "v",
 	})
-	e.ensureSlots()
 	return e
-}
-
-// EnableOverlap turns on the pipelined walk/eval schedule after
-// construction, resizing the per-slot scratch to match.
-func (e *ParallelEngine) EnableOverlap(workers int) {
-	e.ConfigureOverlap(workers)
-	e.ensureSlots()
-}
-
-// ensureSlots sizes the per-slot interaction lists and target blocks to
-// the engine's slot count (1 when the pipeline is off).
-func (e *ParallelEngine) ensureSlots() {
-	n := e.Slots()
-	for len(e.lists) < n {
-		e.lists = append(e.lists, vList{})
-	}
-	for len(e.tgs) < n {
-		e.tgs = append(e.tgs, vTargets{})
-	}
 }
 
 // Eval runs one distributed evaluation: sys.Vel is filled and the
@@ -151,20 +131,17 @@ func (e *ParallelEngine) leafBodies(c *tree.Cell) ([]vec.V3, []vec.V3) {
 // visitor is the vortex side of the pipeline's traversal
 // (hotengine.Visitor): the gravity MAC on the |alpha|-weighted tree
 // geometry, accepted cells taken as monopoles of their total strength,
-// opened leaves as (position, strength) columns, all into the slot's
-// vList. Traversals run only on the rank goroutine, one at a time, so
-// one visitor serves every slot.
+// opened leaves as (position, strength) columns, all into the engine's
+// vList.
 type visitor struct {
-	e    *ParallelEngine
-	gc   vec.V3
-	gr   float64
-	list *vList
+	e  *ParallelEngine
+	gc vec.V3
+	gr float64
 }
 
-func (v *visitor) Begin(slot int, _ keys.Key, g *tree.Cell) {
+func (v *visitor) Begin(_ keys.Key, g *tree.Cell) {
 	v.gc, v.gr = tree.GroupSphere(v.e.Sys.Pos[g.First : g.First+g.N])
-	v.list = &v.e.lists[slot]
-	v.list.reset()
+	v.e.list.reset()
 }
 
 func (v *visitor) Test(c *tree.Cell) tree.Action { return tree.Classify(c, v.gc, v.gr) }
@@ -176,21 +153,18 @@ func (v *visitor) Sphere(g *tree.Cell) (vec.V3, float64) {
 func (v *visitor) TestBound(c *tree.Cell, b *tree.Bound) tree.Action { return tree.ClassifyBound(c, b) }
 
 func (v *visitor) Cell(c *tree.Cell, asum vec.V3) {
-	v.list.cells = append(v.list.cells, cellMoment{ASum: asum, Centroid: c.Mp.COM})
+	v.e.list.cells = append(v.e.list.cells, cellMoment{ASum: asum, Centroid: c.Mp.COM})
 }
 
-func (v *visitor) Leaf(c *tree.Cell) { v.list.addBodies(v.e.leafBodies(c)) }
+func (v *visitor) Leaf(c *tree.Cell) { v.e.list.addBodies(v.e.leafBodies(c)) }
 
 // evalGroup sweeps a completed interaction list with the batched
-// kernels. Sources were copied into the slot's vList by the walk, so
-// the sweep touches only the group's own Vel/dAlpha rows and the slot
-// scratch -- safe to run on an eval worker during communication.
-func (e *ParallelEngine) evalGroup(slot int, _ keys.Key, g *tree.Cell, ctr *diag.Counters) {
+// kernels.
+func (e *ParallelEngine) evalGroup(_ keys.Key, g *tree.Cell, ctr *diag.Counters) {
 	sys := e.Sys
 	lo, hi := g.First, g.First+g.N
 	s2 := e.Sigma * e.Sigma
-	list := &e.lists[slot]
-	tg := &e.tgs[slot]
+	list, tg := &e.list, &e.tg
 	tg.load(sys.Pos[lo:hi], sys.Alpha[lo:hi])
 	ctr.VortexPP += evalVelMono(tg, list.cells, s2)
 	ctr.VortexPP += evalVelPP(tg, list, s2)

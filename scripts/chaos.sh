@@ -70,22 +70,20 @@ for np in 2 8; do
 done
 
 # Push pass: faults confined to the walk phase, which is the bound
-# allgather, the push exchange and the closing exchange, with the
-# walk/eval pipeline on. A crash there leaves peers inside the push's
-# all-to-all waiting for a batch that never comes, or holding half of
-# one; a stall holds the whole world at the exchange every walk depends
-# on. Containment must hold there too, and on the pipelined schedule (a
-# fault must still unwind into a structured abort, never a deadlock on
-# the eval pool's slot tokens). A crash report whose rank is in phase
-# "walk" at round 0 died before the first request exchange, that is, in
-# the allgather or the push; at least one run must show it.
+# allgather, the push exchange and the closing exchange. A crash there
+# leaves peers inside the push's all-to-all waiting for a batch that
+# never comes, or holding half of one; a stall holds the whole world at
+# the exchange every walk depends on. Containment must hold there too.
+# A crash report whose rank is in phase "walk" at round 0 died before
+# the first request exchange, that is, in the allgather or the push; at
+# least one run must show it.
 inpush=0
 for np in 2 8; do
 	for spec in \
 		"crash=0.01,crashphase=walk" \
 		"stall=0.01,stallphase=walk"; do
 		for seed in $seeds; do
-			run_one "$bin" -n 3000 -procs "$np" -steps 2 -evalworkers 2 \
+			run_one "$bin" -n 3000 -procs "$np" -steps 2 \
 				-watchdog 2s -chaos "seed=$seed,$spec,latency=0.02"
 			r=$(sed -n 's/.*world aborted by rank \([0-9]*\): msg: injected crash.*/\1/p' /tmp/chaos_err.$$ | head -n 1)
 			if [ -n "$r" ] && grep -q "rank $r: phase=[^ ]*walk[^ ]* seq=[0-9]* round=0 " /tmp/chaos_err.$$; then
