@@ -18,7 +18,7 @@
 // work-weighted Morton decomposition, branch exchange, batched
 // remote-cell requests -- on any number of simulated processors:
 //
-//	result := hot.RunParallel(hot.ParallelConfig{
+//	result, err := hot.RunParallel(hot.ParallelConfig{
 //	    Procs: 16, Steps: 10, Dt: 1e-3, Config: hot.Defaults(),
 //	}, bodies, nil)
 package hot
@@ -32,8 +32,8 @@ import (
 	"repro/internal/grav"
 	"repro/internal/integrate"
 	"repro/internal/keys"
-	"repro/internal/msg"
 	"repro/internal/parallel"
+	"repro/internal/runner"
 	"repro/internal/tree"
 	"repro/internal/vec"
 )
@@ -273,7 +273,9 @@ type ParallelResult struct {
 
 // RunParallel executes the full distributed treecode on cfg.Procs
 // simulated processors. onStep, when non-nil, receives per-step info
-// (called on rank 0's data, between steps).
+// (called on rank 0's data, between steps). A failure on any rank,
+// a panic in onStep included, is returned as an error wrapping the
+// *msg.WorldError; it is not re-raised.
 func RunParallel(cfg ParallelConfig, bodies []Body, onStep func(step int, info StepInfo)) (ParallelResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return ParallelResult{}, err
@@ -284,56 +286,37 @@ func RunParallel(cfg ParallelConfig, bodies []Body, onStep func(step int, info S
 	if len(bodies) == 0 {
 		return ParallelResult{}, fmt.Errorf("hot: no bodies")
 	}
-	global := toSystem(bodies)
 	var res ParallelResult
-	perRank := make([]*parallel.Engine, cfg.Procs)
-	w := msg.Run(cfg.Procs, func(c *msg.Comm) {
-		n := global.Len()
-		local := core.New(0)
-		local.EnableDynamics()
-		lo, hi := c.Rank()*n/c.Size(), (c.Rank()+1)*n/c.Size()
-		for i := lo; i < hi; i++ {
-			local.AppendFrom(global, i)
-		}
-		e := parallel.New(c, local, parallel.Config{
-			MAC:    cfg.macParams(),
-			Bucket: cfg.Bucket,
-			Eps2:   cfg.Eps * cfg.Eps,
-		})
-		e.ComputeForces()
-		for s := 0; s < cfg.Steps; s++ {
-			ctr := e.Step(cfg.Dt)
-			if onStep != nil && c.Rank() == 0 {
-				onStep(s, StepInfo{
+	run, err := runner.Run(runner.Plan{
+		NP: cfg.Procs, Steps: cfg.Steps, DT: cfg.Dt, System: toSystem(bodies),
+		Physics: runner.Gravity{MAC: cfg.macParams(), Bucket: cfg.Bucket, Eps2: cfg.Eps * cfg.Eps},
+		OnStep: func(rank, step int, e runner.Engine, ctr diag.Counters) {
+			if onStep != nil && rank == 0 && step >= 0 {
+				onStep(step, StepInfo{
 					Interactions: ctr.Interactions(),
 					Flops:        ctr.Flops(),
 					Cells:        ctr.CellsBuilt,
 				})
 			}
-		}
-		kin, pot := e.Energy()
-		if c.Rank() == 0 {
-			res.Kinetic, res.Potential = kin, pot
-		}
-		perRank[c.Rank()] = e
-	})
-
-	// Collect bodies and counters.
-	all := core.New(0)
-	all.EnableDynamics()
-	for _, e := range perRank {
-		for i := 0; i < e.Sys.Len(); i++ {
-			all.AppendFrom(e.Sys, i)
-		}
-		res.Interactions += e.Counters.Interactions()
-		res.Flops += e.Counters.Flops()
-		res.RemoteCells += e.RemoteCells
-		if e.Rounds > res.Rounds {
-			res.Rounds = e.Rounds
-		}
+			if step == cfg.Steps-1 { // a collective: every rank, once, at the end
+				kin, pot := e.(*parallel.Engine).Energy()
+				if rank == 0 {
+					res.Kinetic, res.Potential = kin, pot
+				}
+			}
+		},
+	}, runner.Attachments{})
+	if err != nil {
+		return ParallelResult{}, fmt.Errorf("hot: parallel run failed: %w", err)
 	}
-	res.Bodies = fromSystemByID(all, len(bodies))
-	m := w.MaxRankTraffic()
+
+	res.Bodies = fromSystemByID(run.Merged(), len(bodies))
+	res.Interactions, res.Flops = run.Counters.Interactions(), run.Counters.Flops()
+	for _, in := range run.Ranks {
+		res.RemoteCells += in.RemoteCells
+		res.Rounds = max(res.Rounds, in.Rounds)
+	}
+	m := run.World.MaxRankTraffic()
 	res.MaxMsgs, res.MaxBytes = m.Msgs, m.Bytes
 	return res, nil
 }

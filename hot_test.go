@@ -1,9 +1,13 @@
 package hot
 
 import (
+	"errors"
 	"math"
 	"sort"
+	"strings"
 	"testing"
+
+	"repro/internal/msg"
 )
 
 func TestDefaultsValidate(t *testing.T) {
@@ -108,6 +112,24 @@ func TestParallelErrors(t *testing.T) {
 	}
 	if _, err := RunParallel(ParallelConfig{Config: Defaults(), Procs: 2}, nil, nil); err == nil {
 		t.Fatal("no bodies accepted")
+	}
+}
+
+// A rank failure is RunParallel's error: a panic in onStep (here on
+// step 1) used to be re-raised on the caller through msg.Run.
+func TestParallelRankFailureIsAnError(t *testing.T) {
+	res, err := RunParallel(ParallelConfig{Config: Defaults(), Procs: 3, Steps: 4, Dt: 1e-4},
+		ColdSphere(200, 1, 3), func(step int, _ StepInfo) {
+			if step == 1 {
+				panic("observer failed")
+			}
+		})
+	var werr *msg.WorldError
+	if !errors.As(err, &werr) || werr.Rank != 0 || !strings.Contains(err.Error(), "observer failed") {
+		t.Fatalf("err = %v, want a wrapped *msg.WorldError from rank 0 naming the panic", err)
+	}
+	if res.Bodies != nil || res.Interactions != 0 {
+		t.Fatalf("a failed run returned a result: %+v", res)
 	}
 }
 

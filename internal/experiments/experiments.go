@@ -19,8 +19,8 @@ import (
 	"repro/internal/grav"
 	"repro/internal/ic"
 	"repro/internal/msg"
-	"repro/internal/parallel"
 	"repro/internal/perfmodel"
+	"repro/internal/runner"
 	"repro/internal/vec"
 	"repro/internal/vortex"
 )
@@ -67,33 +67,26 @@ func cosmoSystem(grid int, seed int64) *core.System {
 // simulated ranks and returns the total counters plus interactions
 // per body per step.
 func runTreecode(sys *core.System, procs, steps int, aTol float64) (diag.Counters, float64, float64) {
-	n := sys.Len()
-	var total diag.Counters
-	start := time.Now()
-	engines := make([]*parallel.Engine, procs)
-	msg.Run(procs, func(c *msg.Comm) {
-		local := core.New(0)
-		local.EnableDynamics()
-		lo, hi := c.Rank()*n/procs, (c.Rank()+1)*n/procs
-		for i := lo; i < hi; i++ {
-			local.AppendFrom(sys, i)
-		}
-		e := parallel.New(c, local, parallel.Config{
+	res := evolve(sys, procs, steps, aTol)
+	perBodyStep := float64(res.Counters.Interactions()) / float64(sys.Len()) / float64(steps+1)
+	return res.Counters, perBodyStep, res.Wall.Seconds()
+}
+
+// evolve is the cosmology runs' plan: quadrupole Salmon-Warren gravity
+// at the production softening and timestep. No caller here has an
+// error path, so a failed world panics with its *msg.WorldError.
+func evolve(sys *core.System, procs, steps int, aTol float64) *runner.Result {
+	res, err := runner.Run(runner.Plan{
+		NP: procs, Steps: steps, DT: 5e-4, System: sys,
+		Physics: runner.Gravity{
 			MAC:  grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: aTol, Quad: true},
 			Eps2: 1e-6,
-		})
-		e.ComputeForces()
-		for s := 0; s < steps; s++ {
-			e.Step(5e-4)
-		}
-		engines[c.Rank()] = e
-	})
-	host := time.Since(start).Seconds()
-	for _, e := range engines {
-		total.Add(e.Counters)
+		},
+	}, runner.Attachments{})
+	if err != nil {
+		panic(err)
 	}
-	perBodyStep := float64(total.Interactions()) / float64(n) / float64(steps+1)
-	return total, perBodyStep, host
+	return res
 }
 
 // --- E1: the 1M-body O(N^2) benchmark (635 Gflops) ---------------------
@@ -216,15 +209,15 @@ func E3(grid, steps int) []Row {
 // E4 runs the scaled two-ring fusion, counts kernel flops exactly,
 // and models the paper's 20-hour Hyglac run.
 func E4(nTheta, nCore, steps int) []Row {
-	sys := rings(nTheta, nCore)
+	sys := ic.RingPair(runner.RingSigma, nTheta, nCore)
 	n0 := sys.Len()
 	var total diag.Counters
 	start := time.Now()
 	for s := 0; s < steps; s++ {
-		ctr := vortex.Step(sys, 0.12, 0.5, 0.02)
+		ctr := vortex.Step(sys, runner.RingSigma, runner.RingTheta, 0.02)
 		total.Add(ctr)
 		if s == steps/2 {
-			sys = vortex.Remesh(sys, 0.06, 1e-4)
+			sys = vortex.Remesh(sys, runner.RingSigma/2, 1e-4)
 		}
 	}
 	host := time.Since(start).Seconds()
@@ -248,17 +241,6 @@ func E4(nTheta, nCore, steps int) []Row {
 		{ID: "E4", Quantity: "ring fusion duration", Paper: 20, Ours: durEst.TotalSec / 3600, Unit: "hours",
 			Note: "paper's flop total through the Hyglac machine model"},
 	}
-}
-
-func rings(nTheta, nCore int) *core.System {
-	sys := core.New(0)
-	sys.EnableDynamics()
-	sys.EnableVortex()
-	// Two offset rings with parallel axes: they approach, stretch and
-	// merge, as in the Hyglac simulation.
-	ic.VortexRing(sys, 1.0, 1.0, 0.12, vec.V3{X: -0.75}, vec.V3{Z: 1}, nTheta, nCore, 41)
-	ic.VortexRing(sys, 1.0, 1.0, 0.12, vec.V3{X: 0.75}, vec.V3{Z: 1}, nTheta, nCore, 43)
-	return sys
 }
 
 // --- E5: SC'96 combined machine (2.19 Gflops, $47/Mflop) ----------------

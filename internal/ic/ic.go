@@ -68,6 +68,18 @@ func UniformSphere(n int, radius float64, seed int64) *core.System {
 	return sys
 }
 
+// GasSphere is the SPH demonstration's initial state: a cold unit
+// UniformSphere of gas whose smoothing lengths start at 0.1, about
+// twice the mean spacing of a few thousand particles.
+func GasSphere(n int, seed int64) *core.System {
+	sys := UniformSphere(n, 1.0, seed)
+	sys.EnableSPH()
+	for i := range sys.H {
+		sys.H[i] = 0.1
+	}
+	return sys
+}
+
 // TwoBody returns a two-body circular orbit with separation d and
 // masses m1, m2 (softening must be << d for the orbit to be clean).
 func TwoBody(m1, m2, d float64) *core.System {
@@ -136,6 +148,17 @@ func VortexRing(sys *core.System, gamma, R, rc float64, center, axis vec.V3, nTh
 			k++
 		}
 	}
+}
+
+// RingPair is the vortex demonstration's initial state, the paper's
+// Hyglac run in small: two unit rings of core radius sigma with
+// parallel axes, offset so that they attract, stretch and merge.
+func RingPair(sigma float64, nTheta, nCore int) *core.System {
+	sys := core.New(0)
+	sys.EnableDynamics()
+	VortexRing(sys, 1.0, 1.0, sigma, vec.V3{X: -0.75}, vec.V3{Z: 1}, nTheta, nCore, 41)
+	VortexRing(sys, 1.0, 1.0, sigma, vec.V3{X: 0.75}, vec.V3{Z: 1}, nTheta, nCore, 43)
+	return sys
 }
 
 // grow appends n zero bodies to sys preserving enabled fields.

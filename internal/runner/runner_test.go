@@ -1,0 +1,304 @@
+package runner
+
+import (
+	"errors"
+	"io"
+	"log/slog"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/diag"
+	"repro/internal/grav"
+	"repro/internal/ic"
+	"repro/internal/metrics"
+	"repro/internal/msg"
+	"repro/internal/parallel"
+	"repro/internal/sph"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
+	"repro/internal/vortex"
+)
+
+var production = Gravity{
+	MAC:  grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 3e-3, Quad: true},
+	Eps2: 1e-6,
+}
+
+// scenes is one small plan per physics.
+func scenes(np, steps int) map[string]Plan {
+	return map[string]Plan{
+		"gravity": {NP: np, Steps: steps, DT: 1e-3, System: ic.Plummer(300, 1.0, 42), Physics: production},
+		"sph":     {NP: np, Steps: steps, DT: 4e-3, System: ic.GasSphere(200, 42), Physics: GasSphere(GasCS)},
+		"vortex": {NP: np, Steps: steps, DT: 0.02, System: ic.RingPair(RingSigma, 12, RingCore),
+			Physics: Vortex{Sigma: RingSigma, Theta: RingTheta}},
+	}
+}
+
+// settled waits for the goroutine count to come back to before: a
+// world's ranks and watchdog return a moment after Run does.
+func settled(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after the run, %d before it:\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// stallsOf reads the Stalls field of the hotengine.Engine embedded in
+// each adapter.
+func stallsOf(t *testing.T, e Engine) *metrics.Histogram {
+	switch e := e.(type) {
+	case *parallel.Engine:
+		return e.Stalls
+	case *sph.ParallelEngine:
+		return e.Stalls
+	case *vortex.ParallelEngine:
+		return e.Stalls
+	}
+	t.Errorf("unexpected engine type %T", e)
+	return nil
+}
+
+// A run given a registry feeds that registry's stall histogram from
+// every rank of every physics -- the service's walk_stall monitor reads
+// it, and was blind while simserve armed the monitor without setting
+// Stalls. (That a parked group observes into Stalls is hotengine's own
+// test.) Without a registry the engines carry none.
+func TestRegistryWiresStallHistogram(t *testing.T) {
+	for name, plan := range scenes(2, 1) {
+		for _, reg := range []*metrics.Registry{metrics.NewRegistry(), nil} {
+			want := reg.Histogram(metrics.StallHistogram)
+			var mu sync.Mutex
+			seen := 0
+			plan.OnStep = func(rank, step int, e Engine, _ diag.Counters) {
+				mu.Lock()
+				defer mu.Unlock()
+				seen++
+				if got := stallsOf(t, e); got != want {
+					t.Errorf("%s rank %d step %d: engine Stalls = %p, want the registry's %p", name, rank, step, got, want)
+				}
+			}
+			if _, err := Run(plan, Attachments{Registry: reg}); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if seen != 2*2 { // two ranks, step -1 and step 0
+				t.Errorf("%s: hook ran %d times, want 4", name, seen)
+			}
+		}
+	}
+}
+
+// An injected crash in any physics comes back as the *msg.WorldError:
+// no panic reaches the caller and every rank and the watchdog are gone.
+// sphsim and vortexsim ran their world with World.Run, which re-raised.
+func TestCrashIsAnErrorNotAPanic(t *testing.T) {
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	for name, plan := range scenes(4, 2) {
+		before := runtime.NumGoroutine()
+		res, err := Run(plan, Attachments{
+			Injector: &msg.Injector{Seed: 7, CrashProb: 1},
+			Watchdog: msg.WatchdogConfig{Quiet: 30 * time.Second, Log: quiet},
+		})
+		var werr *msg.WorldError
+		if !errors.As(err, &werr) || res != nil {
+			t.Fatalf("%s: Run = (%v, %v), want a *msg.WorldError and no result", name, res, err)
+		}
+		var crash *msg.InjectedCrash
+		if !errors.As(err, &crash) {
+			t.Errorf("%s: cause %v is not the injected crash", name, werr.Cause)
+		}
+		settled(t, before)
+	}
+}
+
+// The runner reads the plan's system and never writes it, which is
+// what lets a caller generate its bodies once and hand them to every
+// rank (sphsim regenerated them inside each) and to a second run: the
+// slabs partition the system, and two runs of one plan agree bitwise.
+func TestSystemIsScatteredNotConsumed(t *testing.T) {
+	global := ic.GasSphere(50, 3)
+	for _, np := range []int{1, 2, 3, 8, 64} {
+		next := int64(0)
+		for r := 0; r < np; r++ {
+			s := slab(global, r, np)
+			for i := 0; i < s.Len(); i++ {
+				if s.ID[i] != next || s.Pos[i] != global.Pos[next] || s.H[i] != global.H[next] {
+					t.Fatalf("np=%d rank %d body %d: got ID %d, want %d", np, r, i, s.ID[i], next)
+				}
+				next++
+			}
+		}
+		if next != int64(global.Len()) {
+			t.Fatalf("np=%d: slabs hold %d bodies, the system %d", np, next, global.Len())
+		}
+	}
+	plan := scenes(3, 2)["sph"]
+	pos := append(plan.System.Pos[:0:0], plan.System.Pos...)
+	var hashes [2]string
+	for i := range hashes {
+		res, err := Run(plan, Attachments{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes[i] = ForcesHash(res.Systems, false)
+	}
+	if hashes[0] != hashes[1] {
+		t.Errorf("second run of the same plan: hash %s, first %s", hashes[1], hashes[0])
+	}
+	for i, p := range plan.System.Pos {
+		if p != pos[i] {
+			t.Fatalf("Run moved body %d of the plan's system", i)
+		}
+	}
+}
+
+// The cosmosim shape -- bodies from the caller, a collective Energy()
+// inside the per-step hook -- against the loop written out by hand, at
+// 1, 2 and 8 ranks: same forces bit for bit, same energies, same
+// per-step counters, same traffic.
+func TestHookedPlanMatchesHandWrittenLoop(t *testing.T) {
+	const n, steps, dt = 400, 3, 5e-4
+	global := ic.Plummer(n, 1.0, 11)
+	for _, np := range []int{1, 2, 8} {
+		type sample struct {
+			e     float64
+			inter uint64
+		}
+		// By hand.
+		want := make([]sample, steps)
+		systems := make([]*core.System, np)
+		w := msg.NewWorld(np)
+		if werr := w.RunErr(func(c *msg.Comm) {
+			local := core.New(0)
+			local.EnableDynamics()
+			lo, hi := c.Rank()*n/np, (c.Rank()+1)*n/np
+			for i := lo; i < hi; i++ {
+				local.AppendFrom(global, i)
+			}
+			e := parallel.New(c, local, parallel.Config{MAC: production.MAC, Eps2: production.Eps2})
+			e.ComputeForces()
+			for s := 0; s < steps; s++ {
+				ctr := e.Step(dt)
+				kin, pot := e.Energy()
+				if c.Rank() == 0 {
+					want[s] = sample{kin + pot, ctr.Interactions()}
+				}
+			}
+			systems[c.Rank()] = e.Sys
+		}); werr != nil {
+			t.Fatalf("np=%d reference: %v", np, werr)
+		}
+
+		got := make([]sample, steps)
+		res, err := Run(Plan{
+			NP: np, Steps: steps, DT: dt, System: global, Physics: production,
+			OnStep: func(rank, s int, e Engine, ctr diag.Counters) {
+				if s < 0 {
+					return
+				}
+				kin, pot := e.(*parallel.Engine).Energy()
+				if rank == 0 {
+					got[s] = sample{kin + pot, ctr.Interactions()}
+				}
+			},
+		}, Attachments{})
+		if err != nil {
+			t.Fatalf("np=%d: %v", np, err)
+		}
+		if a, b := ForcesHash(res.Systems, false), ForcesHash(systems, false); a != b {
+			t.Errorf("np=%d: runner forces %s, hand-written loop %s", np, a, b)
+		}
+		for s := range want {
+			if got[s] != want[s] {
+				t.Errorf("np=%d step %d: runner (E, interactions) = %v, by hand %v", np, s, got[s], want[s])
+			}
+		}
+		if a, b := res.World.TotalTraffic(), w.TotalTraffic(); a != b {
+			t.Errorf("np=%d: runner traffic %+v, by hand %+v", np, a, b)
+		}
+		if res.Bodies() != n || res.Merged().Len() != n {
+			t.Errorf("np=%d: %d bodies gathered (%d merged), want %d", np, res.Bodies(), res.Merged().Len(), n)
+		}
+	}
+}
+
+// A run with every attachment on leaves no goroutine behind, samples
+// once per evaluation, and gathers per-rank report inputs that are the
+// engines' own counters.
+func TestFullyAttachedRun(t *testing.T) {
+	const np, steps = 4, 2
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	for name, plan := range scenes(np, steps) {
+		before := runtime.NumGoroutine()
+		run, reg := trace.NewRun(np), metrics.NewRegistry()
+		tel := telemetry.NewSampler(telemetry.Config{NP: np, Registry: reg, Trace: run})
+		engines := make([]diag.Counters, np)
+		var handed *msg.World
+		plan.OnStep = func(rank, step int, e Engine, _ diag.Counters) {
+			if step == steps-1 {
+				engines[rank] = e.Report().Counters
+			}
+		}
+		res, err := Run(plan, Attachments{
+			Trace: run, Registry: reg, Sampler: tel,
+			Watchdog: msg.WatchdogConfig{Quiet: 30 * time.Second, Log: quiet},
+			OnWorld:  func(w *msg.World) error { handed = w; return nil },
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if handed != res.World {
+			t.Errorf("%s: OnWorld was handed %p, the run's world is %p", name, handed, res.World)
+		}
+		evals := steps + 1
+		if name == "vortex" { // no first evaluation
+			evals = steps
+		}
+		if got := len(tel.Samples(0)); got != evals {
+			t.Errorf("%s: %d samples, want one per evaluation = %d", name, got, evals)
+		}
+		if len(run.Events()) == 0 {
+			t.Errorf("%s: the trace run recorded nothing", name)
+		}
+		rep := metrics.BuildReport(name, res.Bodies(), res.Wall.Seconds(), res.Ranks, res.World, reg)
+		var total diag.Counters
+		for r, rr := range rep.Ranks {
+			if rr.Counters != engines[r] || rr.Counters.Flops() == 0 {
+				t.Errorf("%s rank %d: report counters %+v, the engine's %+v", name, r, rr.Counters, engines[r])
+			}
+			total.Add(engines[r])
+		}
+		if res.Counters != total || rep.Totals.Counters != total {
+			t.Errorf("%s: summed counters %+v (report %+v), the engines' sum %+v", name, res.Counters, rep.Totals.Counters, total)
+		}
+		if _, ok := rep.Histograms[metrics.StallHistogram]; !ok {
+			t.Errorf("%s: report has no %s histogram", name, metrics.StallHistogram)
+		}
+		tel.Close() // the caller's: Run must not have closed it
+		settled(t, before)
+	}
+}
+
+// A refusal from OnWorld is Run's error, and nothing ran.
+func TestOnWorldRefusal(t *testing.T) {
+	before := runtime.NumGoroutine()
+	refused := errors.New("cancelled before start")
+	plan := scenes(2, 1)["gravity"]
+	plan.OnStep = func(int, int, Engine, diag.Counters) { t.Error("a rank ran after OnWorld refused") }
+	res, err := Run(plan, Attachments{
+		Watchdog: msg.WatchdogConfig{Quiet: time.Hour},
+		OnWorld:  func(*msg.World) error { return refused },
+	})
+	if res != nil || !errors.Is(err, refused) {
+		t.Fatalf("Run = (%v, %v), want the refusal", res, err)
+	}
+	settled(t, before)
+}

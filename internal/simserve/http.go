@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/telemetry"
@@ -33,10 +34,8 @@ func Handler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec Spec
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+		if err != nil {
 			http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 			return
 		}
@@ -113,6 +112,16 @@ func Handler(m *Manager) http.Handler {
 	})
 
 	return mux
+}
+
+// decodeSpec reads a POST /jobs body: one JSON object, no fields a
+// Spec does not have.
+func decodeSpec(body io.Reader) (Spec, error) {
+	var spec Spec
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 // submitStatus maps Submit's sentinel errors onto HTTP statuses.

@@ -150,11 +150,13 @@ func (sp Spec) validate(maxBodies, maxNP int) (*msg.Injector, error) {
 	default:
 		return nil, fmt.Errorf("unknown physics %q (want gravity, sph or vortex)", sp.Physics)
 	}
-	if sp.DT <= 0 {
-		return nil, fmt.Errorf("dt must be > 0 (got %g)", sp.DT)
-	}
-	if sp.Tol <= 0 {
-		return nil, fmt.Errorf("tol must be > 0 (got %g)", sp.Tol)
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"dt", sp.DT}, {"tol", sp.Tol}, {"eta", sp.Eta}} {
+		if !cliutil.Positive(f.v) {
+			return nil, fmt.Errorf("%s must be finite and > 0 (got %g)", f.name, f.v)
+		}
 	}
 	inj, err := cliutil.Flags{
 		N: sp.N, Procs: sp.NP, Steps: sp.Steps, DTMode: sp.DTMode, Eta: sp.Eta,
@@ -163,7 +165,8 @@ func (sp Spec) validate(maxBodies, maxNP int) (*msg.Injector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sp.Bodies() > maxBodies {
+	// N first: Bodies multiplies a vortex N by 8, which can wrap.
+	if sp.N > maxBodies || sp.Bodies() > maxBodies {
 		return nil, fmt.Errorf("job too large: %d bodies exceeds the per-job cap %d", sp.Bodies(), maxBodies)
 	}
 	if sp.NP > maxNP {

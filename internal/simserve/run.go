@@ -1,33 +1,25 @@
-// Job execution: one accepted Spec becomes one msg.World whose rank
-// bodies mirror the standalone drivers step for step -- same ICs,
-// same slab scatter, same engine configuration, same evaluation
-// sequence. That mirroring is the service's correctness contract: a
-// job's final forces are bit-identical to what treebench/sphsim/
-// vortexsim compute for the same (spec, np, seed), pinned by
-// TestGravityJobBitwiseStandalone.
+// Job execution: one accepted Spec becomes one runner.Plan, and the job
+// runs through runner.Run -- the same function the standalone drivers
+// call, so there is no second rank body to keep in step. That is the
+// service's correctness contract: a job's final forces are
+// bit-identical to what treebench/sphsim/vortexsim compute for the same
+// (spec, np, seed), and TestGravityJobBitwiseStandalone holds the
+// runner to a rank body written out by hand.
 
 package simserve
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"math"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/grav"
 	"repro/internal/ic"
-	"repro/internal/integrate"
 	"repro/internal/msg"
-	"repro/internal/parallel"
-	"repro/internal/sph"
-	"repro/internal/vec"
-	"repro/internal/vortex"
+	"repro/internal/runner"
 )
 
 // vortexCore is the fixed points-across-core of vortex-ring jobs
 // (the driver's -ncore default).
-const vortexCore = 4
+const vortexCore = runner.RingCore
 
 // runJob moves a dequeued job through running to a terminal state.
 // Every failure mode of the world -- rank panic, injected crash,
@@ -83,210 +75,61 @@ func (m *Manager) runJob(j *Job) {
 	m.retire(j.ID)
 }
 
-// execute builds the job's world and runs its physics. The returned
+// execute runs the job's plan in a world of its own. The returned
 // error is the structured world abort (or cancellation); a nil error
 // means every rank completed and res holds the digest.
 func (m *Manager) execute(j *Job) (*Result, error) {
-	sp := j.Spec
-	w := msg.NewWorld(sp.NP)
-	if j.inj != nil {
-		w.SetInjector(j.inj)
+	run, err := runner.Run(j.Spec.plan(), runner.Attachments{
+		Registry: j.reg, Sampler: j.tel, Injector: j.inj,
+		// A negative configured quiet period disables the watchdog.
+		Watchdog: msg.WatchdogConfig{Quiet: max(m.cfg.Watchdog, 0), Log: m.lg.With("job", j.ID)},
+		OnWorld: func(w *msg.World) error {
+			if !j.attachWorld(w) {
+				return errCancelled
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	if m.cfg.Watchdog > 0 {
-		w.StartWatchdog(msg.WatchdogConfig{Quiet: m.cfg.Watchdog, Log: m.lg.With("job", j.ID)})
-	}
-	if !j.attachWorld(w) {
-		return nil, errCancelled
-	}
+	// The headline count adds the SPH pair and vortex kernels to the
+	// gravity interactions; each physics only counts its own.
+	c := run.Counters
+	return &Result{
+		Bodies:       run.Bodies(),
+		Interactions: c.Interactions() + c.SPHPairs + c.VortexPP,
+		Flops:        c.Flops(),
+		ForcesHash:   runner.ForcesHash(run.Systems, j.Spec.Physics == PhysicsVortex),
+		WallMs:       float64(run.Wall.Nanoseconds()) / 1e6,
+	}, nil
+}
 
-	systems := make([]*core.System, sp.NP)
-	var werr *msg.WorldError
-	var interactions, flops uint64
-	t0 := time.Now()
+// plan turns a defaulted, validated spec into the run it asks for:
+// the bodies of Spec.IC and the physics of the standalone driver of
+// the same name, at that driver's defaults.
+func (sp Spec) plan() runner.Plan {
+	p := runner.Plan{NP: sp.NP, Steps: sp.Steps, DT: sp.DT}
 	switch sp.Physics {
-	case PhysicsGravity:
-		engines := make([]*parallel.Engine, sp.NP)
-		werr = w.RunErr(gravityRank(j, engines))
-		if werr == nil {
-			for r, e := range engines {
-				systems[r] = e.Sys
-				interactions += e.Counters.Interactions()
-				flops += e.Counters.Flops()
-			}
-		}
-	case PhysicsSPH: // headline count includes the SPH pair kernel
-		engines := make([]*sph.ParallelEngine, sp.NP)
-		werr = w.RunErr(sphRank(j, engines))
-		if werr == nil {
-			for r, e := range engines {
-				systems[r] = e.Sys
-				interactions += e.Counters.Interactions() + e.Counters.SPHPairs
-				flops += e.Counters.Flops()
-			}
-		}
-	case PhysicsVortex: // vortex work is all in the VortexPP kernel
-		engines := make([]*vortex.ParallelEngine, sp.NP)
-		werr = w.RunErr(vortexRank(j, engines))
-		if werr == nil {
-			for r, e := range engines {
-				systems[r] = e.Sys
-				interactions += e.Counters.VortexPP
-				flops += e.Counters.Flops()
-			}
-		}
-	}
-	if werr != nil {
-		return nil, werr
-	}
-	res := &Result{
-		Interactions: interactions,
-		Flops:        flops,
-		ForcesHash:   ForcesHash(systems, sp.Physics == PhysicsVortex),
-		WallMs:       float64(time.Since(t0).Nanoseconds()) / 1e6,
-	}
-	for _, s := range systems {
-		res.Bodies += s.Len()
-	}
-	return res, nil
-}
-
-// scatter builds rank r's contiguous slab of the global system --
-// the same lo:hi split every driver uses.
-func scatter(global *core.System, local *core.System, rank, size int) {
-	n := global.Len()
-	lo, hi := rank*n/size, (rank+1)*n/size
-	for i := lo; i < hi; i++ {
-		local.AppendFrom(global, i)
-	}
-}
-
-// gravityRank is the per-rank body of a gravity job, mirroring
-// cmd/treebench: Plummer (or cold-sphere) ICs, Salmon-Warren MAC with
-// quadrupoles, one initial force evaluation then Steps KDK steps.
-func gravityRank(j *Job, engines []*parallel.Engine) func(*msg.Comm) {
-	sp := j.Spec
-	var global *core.System
-	switch sp.IC {
-	case ICSphere:
-		global = ic.UniformSphere(sp.N, 1.0, sp.Seed)
+	case PhysicsSPH:
+		p.System, p.Physics = ic.GasSphere(sp.N, sp.Seed), runner.GasSphere(runner.GasCS)
+	case PhysicsVortex:
+		p.System = ic.RingPair(runner.RingSigma, sp.N, vortexCore)
+		p.Physics = runner.Vortex{Sigma: runner.RingSigma, Theta: runner.RingTheta}
 	default:
-		global = ic.Plummer(sp.N, 1.0, sp.Seed)
-	}
-	return func(c *msg.Comm) {
-		local := core.New(0)
-		local.EnableDynamics()
-		scatter(global, local, c.Rank(), c.Size())
-		e := parallel.New(c, local, parallel.Config{
+		if sp.IC == ICSphere {
+			p.System = ic.UniformSphere(sp.N, 1.0, sp.Seed)
+		} else {
+			p.System = ic.Plummer(sp.N, 1.0, sp.Seed)
+		}
+		g := runner.Gravity{
 			MAC:    grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: sp.Tol, Quad: true},
 			Bucket: 16, Eps2: 1e-6,
-		})
+		}
 		if sp.DTMode == "block" {
-			e.Stepper.Scheme = integrate.Block
-			e.Stepper.Eta = sp.Eta
-			e.Stepper.Eps = math.Sqrt(1e-6)
+			g.Eta = sp.Eta
 		}
-		t0 := time.Now()
-		e.ComputeForces()
-		// The initial evaluation is sample 1: energies are current
-		// here, giving the job's drift monitor its E0 baseline.
-		j.tel.Contribute(c.Rank(), e.Telemetry(time.Since(t0).Nanoseconds()))
-		for s := 0; s < sp.Steps; s++ {
-			t0 = time.Now()
-			e.Step(sp.DT)
-			j.tel.Contribute(c.Rank(), e.Telemetry(time.Since(t0).Nanoseconds()))
-		}
-		engines[c.Rank()] = e
+		p.Physics = g
 	}
-}
-
-// sphRank mirrors cmd/sphsim's distributed gas run: a cold uniform
-// gas sphere under isothermal pressure plus self-gravity.
-func sphRank(j *Job, engines []*sph.ParallelEngine) func(*msg.Comm) {
-	sp := j.Spec
-	global := ic.UniformSphere(sp.N, 1.0, sp.Seed)
-	global.EnableSPH()
-	for i := range global.H {
-		global.H[i] = 0.1
-	}
-	return func(c *msg.Comm) {
-		local := core.New(0)
-		local.EnableDynamics()
-		local.EnableSPH()
-		scatter(global, local, c.Rank(), c.Size())
-		e := sph.NewParallel(c, local, sph.ParallelConfig{
-			Params:  sph.Params{EOS: sph.Isothermal, CS: 0.8, AlphaVisc: 1, BetaVisc: 2},
-			Gravity: true, Eps2: 1e-4,
-		})
-		t0 := time.Now()
-		e.Eval()
-		j.tel.Contribute(c.Rank(), e.Telemetry(time.Since(t0).Nanoseconds()))
-		for s := 0; s < sp.Steps; s++ {
-			t0 = time.Now()
-			e.Step(sp.DT)
-			j.tel.Contribute(c.Rank(), e.Telemetry(time.Since(t0).Nanoseconds()))
-		}
-		engines[c.Rank()] = e
-	}
-}
-
-// vortexRank mirrors cmd/vortexsim's distributed run: two offset
-// vortex rings (N points around, vortexCore across) advected with
-// the vortex particle method.
-func vortexRank(j *Job, engines []*vortex.ParallelEngine) func(*msg.Comm) {
-	sp := j.Spec
-	const sigma, theta = 0.12, 0.5
-	global := core.New(0)
-	global.EnableDynamics()
-	global.EnableVortex()
-	ic.VortexRing(global, 1.0, 1.0, sigma, vec.V3{X: -0.75}, vec.V3{Z: 1}, sp.N, vortexCore, 41)
-	ic.VortexRing(global, 1.0, 1.0, sigma, vec.V3{X: 0.75}, vec.V3{Z: 1}, sp.N, vortexCore, 43)
-	return func(c *msg.Comm) {
-		local := core.New(0)
-		local.EnableDynamics()
-		local.EnableVortex()
-		scatter(global, local, c.Rank(), c.Size())
-		e := vortex.NewParallel(c, local, sigma, theta)
-		for s := 0; s < sp.Steps; s++ {
-			t0 := time.Now()
-			e.Step(sp.DT)
-			j.tel.Contribute(c.Rank(), e.Telemetry(time.Since(t0).Nanoseconds()))
-		}
-		engines[c.Rank()] = e
-	}
-}
-
-// ForcesHash digests the final per-body state in rank-major, local
-// body order: ID plus the acceleration columns (positions for the
-// vortex method, whose Step folds the induced velocity straight into
-// Pos). Bit-for-bit deterministic for a given (spec, np, seed), so
-// equality with a standalone-driver run IS bitwise force equality.
-func ForcesHash(systems []*core.System, positions bool) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(u uint64) {
-		binary.LittleEndian.PutUint64(buf[:], u)
-		h.Write(buf[:])
-	}
-	for _, s := range systems {
-		for i := 0; i < s.Len(); i++ {
-			word(uint64(s.ID[i]))
-			v := s.Acc[i]
-			if positions {
-				v = s.Pos[i]
-			}
-			word(math.Float64bits(v.X))
-			word(math.Float64bits(v.Y))
-			word(math.Float64bits(v.Z))
-		}
-	}
-	return string(appendHex(nil, h.Sum64()))
-}
-
-// appendHex is %016x without fmt on the hash path.
-func appendHex(dst []byte, u uint64) []byte {
-	const digits = "0123456789abcdef"
-	for shift := 60; shift >= 0; shift -= 4 {
-		dst = append(dst, digits[(u>>uint(shift))&0xf])
-	}
-	return dst
+	return p
 }

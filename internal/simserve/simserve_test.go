@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/ic"
 	"repro/internal/msg"
 	"repro/internal/parallel"
+	"repro/internal/runner"
 )
 
 func discardLog() *slog.Logger {
@@ -99,7 +101,7 @@ func TestGravityJobBitwiseStandalone(t *testing.T) {
 	if werr != nil {
 		t.Fatalf("reference run aborted: %v", werr)
 	}
-	if ref := ForcesHash(systems, false); res.ForcesHash != ref {
+	if ref := runner.ForcesHash(systems, false); res.ForcesHash != ref {
 		t.Fatalf("service forces hash %s != standalone %s", res.ForcesHash, ref)
 	}
 }
@@ -252,6 +254,12 @@ func TestSubmitRejections(t *testing.T) {
 		{Physics: PhysicsGravity, N: 100, NP: 16, Steps: 1},   // over MaxNP
 		{Physics: PhysicsVortex, N: 10, NP: 2, Steps: 1, DTMode: "block"},
 		{Physics: PhysicsSPH, N: 100, NP: 2, Steps: 1, IC: ICPlummer},
+		// NaN fails every comparison, so "dt <= 0" let it through.
+		{Physics: PhysicsGravity, N: 100, NP: 2, Steps: 1, DT: math.NaN()},
+		{Physics: PhysicsGravity, N: 100, NP: 2, Steps: 1, Tol: math.Inf(1)},
+		{Physics: PhysicsGravity, N: 100, NP: 2, Steps: 1, Eta: -5},
+		{Physics: PhysicsGravity, N: 100, NP: 2, Steps: 1, DTMode: "block", Eta: math.NaN()},
+		{Physics: PhysicsVortex, N: 1 << 62, NP: 2, Steps: 1}, // 8N wraps to 0 bodies
 	}
 	for i, sp := range cases {
 		if _, err := m.Submit(sp); !errors.Is(err, ErrBadSpec) {

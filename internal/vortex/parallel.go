@@ -181,8 +181,10 @@ type saved struct {
 // The decomposition between the two stages may migrate particles
 // across ranks, so the pre-step state is exchanged by particle ID (a
 // collective allgather; the in-process machine makes this cheap, and
-// the state is ~56 bytes/particle either way).
-func (e *ParallelEngine) Step(dt float64) {
+// the state is ~56 bytes/particle either way). Returns this step's
+// counter delta, like the gravity and SPH engines.
+func (e *ParallelEngine) Step(dt float64) diag.Counters {
+	start := e.Counters
 	d1 := e.Eval()
 	n := e.Sys.Len()
 	mine := make([]saved, n)
@@ -210,6 +212,7 @@ func (e *ParallelEngine) Step(dt float64) {
 		e.Sys.Pos[i] = s.X.Add(e.Sys.Vel[i].Scale(dt))
 		e.Sys.Alpha[i] = s.A.Add(d2[i].Scale(dt))
 	}
+	return e.Counters.Sub(start)
 }
 
 // Telemetry returns the pipeline's rank sample. Vortex dynamics has no

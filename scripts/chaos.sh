@@ -1,10 +1,12 @@
 #!/bin/sh
 # Chaos soak for the message runtime's failure containment: drive
-# treebench under deterministic fault injection and assert that every
-# run either completes cleanly (exit 0) or ends in a structured
-# world abort (exit 3) -- never a hang (the timeout's exit 124) and
-# never an uncontained crash (exit 2). Seeds are fixed, so a failure
-# here is replayable with the printed command line.
+# treebench -- that is, internal/runner, the one function every driver
+# and the service run a world through, with cliutil.Obs turning its
+# *msg.WorldError into exit 3 -- under deterministic fault injection and
+# assert that every run either completes cleanly (exit 0) or ends in a
+# structured world abort (exit 3) -- never a hang (the timeout's exit
+# 124) and never an uncontained crash (exit 2). Seeds are fixed, so a
+# failure here is replayable with the printed command line.
 #
 # Usage: scripts/chaos.sh [quick|full]   (default: full)
 set -eu

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Repo-wide check: build (and an arm64 cross-build, so the kernels'
 # portable path cannot rot), vet, race tests, the smokes, the chaos
-# soak, the walk guard, the fuzzer, the kernel-loop
-# bounds-check-elimination guard, and the allocation guard -- the
+# soak, the walk guard, the fuzzers, the one-runner constructor guard,
+# the kernel-loop bounds-check-elimination guard, and the allocation
+# guard -- the
 # benches that must run allocation-free are diffed against the
 # committed BENCH_baseline.json, failing on any growth in allocs/op.
 # Times are not compared: this box swings +-40% between two runs of one
@@ -24,7 +25,7 @@ echo "== go test -race -count=1 (concurrency-heavy packages, uncached)"
 go test -race -count=1 ./internal/trace ./internal/metrics ./internal/diag ./internal/msg \
 	./internal/core ./internal/tree ./internal/domain ./internal/abm ./internal/hotengine \
 	./internal/integrate ./internal/telemetry ./internal/parallel ./internal/simserve \
-	./internal/cliutil ./internal/grav
+	./internal/cliutil ./internal/grav ./internal/runner
 echo "== telemetry smoke (treebench -http: scrape /metrics /report /series /health)"
 sh scripts/telemetry_smoke.sh
 echo "== simserve smoke (daemon + crash-injected job contained + bench throughput)"
@@ -37,6 +38,16 @@ echo "== fuzz (time-boxed: splitter selection equals the reference bisection, ne
 # Coverage of a multi-goroutine target is not reproducible, so the
 # minimizer would otherwise spend its default 60 s per new input.
 go test -run='^$' -fuzz=FuzzSelectSplits -fuzztime=20s -fuzzminimizetime=10x ./internal/domain
+echo "== fuzz (time-boxed: a chaos spec parses to probabilities in [0, 1] or an error)"
+go test -run='^$' -fuzz=FuzzParseChaos -fuzztime=10s -fuzzminimizetime=10x ./internal/cliutil
+echo "== fuzz (time-boxed: a POST /jobs body decodes and validates to a runnable spec or an error, never a panic)"
+go test -run='^$' -fuzz=FuzzJobSpec -fuzztime=10s -fuzzminimizetime=10x ./internal/simserve
+echo "== one runner (engines are constructed in internal/runner and nowhere else outside tests)"
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=runner \
+	'(parallel\.New|sph\.NewParallel|vortex\.NewParallel)\(' .; then
+	echo "FAIL: an engine constructed outside internal/runner: describe the run as a runner.Plan" >&2
+	exit 1
+fi
 echo "== bce (the interaction kernels' Go loops stay bounds-check-free, -d=ssa/check_bce)"
 sh scripts/bce.sh
 echo "== benchcmp (allocs/op of the pooled walk and the interaction kernels vs BENCH_baseline.json)"
