@@ -17,40 +17,30 @@ chaos:
 # treebench run supplies the RunReport whose flop-rate context is
 # embedded alongside the numbers ("sim" field), so the baseline records
 # what the machine achieved end to end when it was cut.
-# The construction-pipeline benches (Sort/Build/Decompose) finish in
-# tens of milliseconds, so they run 5 iterations for a stable number;
-# the second-scale benches stay at one; the sub-millisecond
-# interaction-kernel benches (Eval) run 100 for the same reason, and
-# the nanosecond rows (Rsqrt, Hash) run for a second each -- one
-# iteration of those is one call plus the timer.
+# The construction-pipeline benches (Sort/Build/Decompose) and the
+# descent pair finish in tens of milliseconds, so they run 5 iterations
+# for a stable number; the second-scale benches stay at one; the
+# sub-millisecond interaction-kernel benches (Eval) run 100 for the same
+# reason, and the nanosecond rows (Rsqrt, Hash) run for a second each --
+# one iteration of those is one call plus the timer.
 bench-baseline:
 	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	go run ./cmd/treebench -n 50000 -procs 4 -steps 1 -metrics "$$dir/report.json" >/dev/null && \
 	{ go test -run='^$$' -bench='Ablation_(MAC|Order|Group|Batched|Curve|ABM|Step)' -benchtime=1x . ; \
 	  go test -run='^$$' -bench='Ablation_(Hash|Rsqrt)' -benchtime=1s . ; \
-	  go test -run='^$$' -bench='Ablation_(Sort|Build|Decompose)' -benchtime=5x . ; \
+	  go test -run='^$$' -bench='Ablation_(Sort|Build|Decompose|Descent)' -benchtime=5x . ; \
 	  go test -run='^$$' -bench='Ablation_Eval' -benchtime=100x . ; } \
 	  | go run ./cmd/benchdump -runreport "$$dir/report.json" -o BENCH_baseline.json
 
-# Opt-in end-to-end guardrail on the achieved flop rate: cut a sim
-# baseline once on a quiet machine, then simcmp fails (exit 1) if the
-# current run's flop rate is >15% below it. Too wall-clock-noisy for
-# check.sh; useful before/after perf work.
-simbaseline:
-	go run ./cmd/treebench -n 50000 -procs 4 -steps 1 -metrics SIM_baseline.json >/dev/null
-
-simcmp:
-	go run ./cmd/treebench -n 50000 -procs 4 -steps 1 -metrics /tmp/sim_current.json >/dev/null
-	go run ./cmd/perfreport -diff SIM_baseline.json /tmp/sim_current.json
-
-.PHONY: check bench-baseline simbaseline simcmp
+.PHONY: check bench-baseline
 
 # Run just the allocation guard of scripts/check.sh: the benches that
 # must stay allocation-free, diffed against the committed baseline
 # (times are printed, not compared).
 benchcmp:
 	{ go test -run='^$$' -bench=Ablation_BatchedConcurrentAllocs -benchtime=1x . ; \
+	  go test -run='^$$' -bench=Ablation_DescentIndex -benchtime=5x . ; \
 	  go test -run='^$$' -bench='Ablation_Eval' -benchtime=100x . ; } \
-	  | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(BatchedConcurrentAllocs|Eval)'
+	  | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(BatchedConcurrentAllocs|DescentIndex|Eval)'
 
 .PHONY: benchcmp

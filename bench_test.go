@@ -354,11 +354,10 @@ func BenchmarkAblation_EvalM2PGo(b *testing.B) { benchEvalM2P(b, grav.EvalM2PGo)
 
 // --- tree-construction pipeline ------------------------------------------
 //
-// The radix sort of 100k bodies, the fan-out build against its serial
-// twin, and a decomposition trajectory. Note the worker-fanned variants
-// can only pull ahead of their serial twins when GOMAXPROCS > 1; on a
-// single-CPU host they measure the (small) coordination overhead
-// instead.
+// The radix sort of 100k bodies, the tree build over them, and a
+// decomposition trajectory. Note the worker-fanned sort can only pull
+// ahead of a serial one when GOMAXPROCS > 1; on a single-CPU host it
+// measures the (small) coordination overhead instead.
 
 // sortBenchSystems returns a pristine unsorted keyed system and a
 // same-shape scratch the benchmark restores into each iteration.
@@ -396,9 +395,9 @@ func BenchmarkAblation_SortRadix(b *testing.B) {
 	}
 }
 
-func benchBuild(b *testing.B, workers int) {
+func BenchmarkAblation_BuildSerial(b *testing.B) {
 	sys, d := buildCluster(100000)
-	builder := tree.NewBuilder(workers)
+	var builder tree.Builder
 	mac := grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-3, Quad: true}
 	b.ResetTimer()
 	var cells int
@@ -407,9 +406,6 @@ func benchBuild(b *testing.B, workers int) {
 	}
 	b.ReportMetric(float64(cells), "cells/op")
 }
-
-func BenchmarkAblation_BuildSerial(b *testing.B)   { benchBuild(b, 1) }
-func BenchmarkAblation_BuildParallel(b *testing.B) { benchBuild(b, 4) }
 
 // A 4-rank decomposition trajectory: one cold solve, then steady-state
 // steps (the order is repaired, not re-sorted; the splitter search is
@@ -478,6 +474,83 @@ func BenchmarkAblation_GroupSphere(b *testing.B) {
 			tree.GroupSphere(sys.Pos[lo : lo+16])
 		}
 	}
+}
+
+// --- descent: by index against the paper's hash probe per cell --------------
+//
+// The same tree (Plummer sphere, N = 20000, default MAC, bucket 16),
+// the same groups, the same squared acceptance test, the same batch of
+// accepted cells gathered into the same list: what differs is how a
+// child is found. Walker.Walk steps to entry Kids + j of the table; the
+// hash descent is the paper's, a stack of keys and a probe for each.
+// Lists are equal element for element
+// (hotengine.TestIndexDescentMatchesHashDescent); both must run
+// allocation-free at steady state.
+
+// hashDescent is the scratch of the key-stack walk.
+type hashDescent struct {
+	stack    []keys.Key
+	accepted []*tree.Cell
+}
+
+func (h *hashDescent) walk(w *tree.Walker, tr *tree.Tree, gk keys.Key, gpos []vec.V3, ctr *diag.Counters) {
+	w.Begin(gk)
+	gc, gr := tree.GroupSphere(gpos)
+	h.accepted = h.accepted[:0]
+	h.stack = append(h.stack[:0], keys.Root)
+	for len(h.stack) > 0 {
+		k := h.stack[len(h.stack)-1]
+		h.stack = h.stack[:len(h.stack)-1]
+		c := tr.Cell(k)
+		ctr.Traversals++
+		switch a := tree.Classify(c, gc, gr); {
+		case a == tree.Skip:
+		case a == tree.Accept:
+			h.accepted = append(h.accepted, c)
+		case c.Leaf:
+			spos, smass := tr.LeafBodies(c)
+			w.TakeLeaf(c, spos, smass)
+		default:
+			for oct := 0; oct < 8; oct++ {
+				if c.ChildMask&(1<<uint(oct)) != 0 {
+					h.stack = append(h.stack, k.Child(oct))
+				}
+			}
+		}
+	}
+	w.TakeCells(h.accepted)
+}
+
+func benchDescent(b *testing.B, walk func(*tree.Walker, *tree.Tree, keys.Key, []vec.V3, *diag.Counters)) {
+	sys, d := buildCluster(20000)
+	tr := tree.Build(sys, d, grav.DefaultMAC(), 16)
+	var w tree.Walker
+	var ctr diag.Counters
+	round := func() {
+		for _, gk := range tr.Groups {
+			g := tr.Cell(gk)
+			walk(&w, tr, gk, sys.Pos[g.First:g.First+g.N], &ctr)
+		}
+	}
+	round() // warm-up: stack, batch and list reach their high-water marks
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctr = diag.Counters{}
+		round()
+	}
+	b.ReportMetric(float64(ctr.Traversals), "visits/op")
+}
+
+func BenchmarkAblation_DescentIndex(b *testing.B) {
+	benchDescent(b, func(w *tree.Walker, tr *tree.Tree, gk keys.Key, gpos []vec.V3, ctr *diag.Counters) {
+		w.Walk(tr, gk, gpos, ctr)
+	})
+}
+
+func BenchmarkAblation_DescentHash(b *testing.B) {
+	var h hashDescent
+	benchDescent(b, h.walk)
 }
 
 // hashBenchKeys returns the cell keys of a real tree (Plummer sphere,

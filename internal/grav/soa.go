@@ -9,7 +9,11 @@
 // The kernels that evaluate a list are in kernel.go.
 package grav
 
-import "repro/internal/vec"
+import (
+	"slices"
+
+	"repro/internal/vec"
+)
 
 // InteractionList is the flat interaction list one group accumulates
 // during a tree walk: body sources as SoA position/mass columns, and
@@ -64,6 +68,19 @@ func (l *InteractionList) AddCell(mp *Multipole) {
 	l.QXY = append(l.QXY, mp.Q.XY)
 	l.QXZ = append(l.QXZ, mp.Q.XZ)
 	l.QYZ = append(l.QYZ, mp.Q.YZ)
+}
+
+// ExtendCells lengthens the slab by n rows for the caller to fill and
+// returns the index of the first: a walk that collected its accepted
+// cells gathers them in one loop, behind one capacity check. Growth is
+// append's, geometric, so a reused list stops allocating at its
+// high-water mark.
+func (l *InteractionList) ExtendCells(n int) (at int) {
+	at = len(l.CM)
+	for _, col := range [...]*[]float64{&l.CM, &l.CX, &l.CY, &l.CZ, &l.QXX, &l.QYY, &l.QZZ, &l.QXY, &l.QXZ, &l.QYZ} {
+		*col = slices.Grow(*col, n)[:at+n]
+	}
+	return at
 }
 
 // NSources returns the number of body sources in the list.

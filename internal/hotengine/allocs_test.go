@@ -19,14 +19,18 @@ type sumWalk struct {
 	sum float64
 }
 
-func (w *sumWalk) Begin(keys.Key, *tree.Cell)   {}
-func (w *sumWalk) Cell(_ *tree.Cell, x float64) { w.sum += x }
-func (w *sumWalk) Leaf(c *tree.Cell)            { w.sum += float64(c.N) }
+func (w *sumWalk) Begin(keys.Key, *tree.Cell) {}
+func (w *sumWalk) Leaf(c *tree.Cell)          { w.sum += float64(c.N) }
+func (w *sumWalk) Cells(_ []*tree.Cell, xs []float64) {
+	for _, x := range xs {
+		w.sum += x
+	}
+}
 
-func (w *sumWalk) Sphere(*tree.Cell) (vec.V3, float64)           { return vec.V3{}, 0 }
-func (w *sumWalk) TestBound(*tree.Cell, *tree.Bound) tree.Action { return tree.Open }
+func (w *sumWalk) Sphere(*tree.Cell) (vec.V3, float64) { return vec.V3{}, 0 }
+func (w *sumWalk) MAC() bool                           { return false }
 
-func (w *sumWalk) Test(c *tree.Cell) tree.Action {
+func (w *sumWalk) TestBound(c *tree.Cell, _ *tree.Bound) tree.Action {
 	if c.Key.Level() >= 2 {
 		return tree.Accept
 	}

@@ -25,13 +25,15 @@
 //     sends each peer, in one all-to-all, the cells of its tree the
 //     Visitor's test, made conservative over that bound, could open.
 //  4. Tree traversal: the engine walks the tree for each leaf group on
-//     behalf of the physics' Visitor, one hash probe per cell (the top
-//     tree, the local tree or the imported cells, known from the
-//     parent), and the phase ends on one closing exchange. The paper's
-//     latency hiding is the safety net underneath: a group that still
-//     misses a cell is suspended on its frontier of missing keys (the
-//     explicit context switch) and rounds of batched request/reply
-//     (internal/abm) run until every group has finished.
+//     behalf of the physics' Visitor -- one hash probe per cell of the
+//     top tree and of the imported cells (which of the two is known
+//     from the parent), none below this rank's own branches, where
+//     tree.Descend moves by index -- and the phase ends on one closing
+//     exchange. The paper's latency hiding is the safety net
+//     underneath: a group that still misses a cell is suspended on its
+//     frontier of missing keys (the explicit context switch) and rounds
+//     of batched request/reply (internal/abm) run until every group has
+//     finished.
 //
 // The global key name space makes the safety net possible: any
 // processor can compute which cells it needs and who owns them from
@@ -40,6 +42,7 @@ package hotengine
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"time"
@@ -159,10 +162,9 @@ type Engine[X, B any] struct {
 	Timer *diag.Timer
 	// Sub accumulates the tree-construction sub-breakdown across
 	// evaluations: "treebuild/sort" (key sort and order repair, both
-	// sides of the exchange), "treebuild/build" (partitioning and
-	// subtree builds) and "treebuild/insert" (hash insertion and spine
-	// assembly). Spans nest inside the Timer's decompose/treebuild
-	// phases.
+	// sides of the exchange), "treebuild/build" (the recursion: octant
+	// splits and moments) and "treebuild/insert" (hash insertion). Spans
+	// nest inside the Timer's decompose/treebuild phases.
 	Sub *diag.Timer
 	// Rounds is the request/reply rounds since the last Exchange (0
 	// while the push covers every walk); RemoteCells the cells imported.
@@ -208,21 +210,30 @@ type Engine[X, B any] struct {
 	// is in keyWaiters exactly while its requests are in flight, so it
 	// doubles as the request-dedup set); and missing cell keys
 	// discovered since the last flush (missBuf). stack and missing are
-	// the traversal's own scratch.
-	curWalk    Visitor[X]
-	curEval    EvalFn
-	freshBuf   []int32
-	readyBuf   []int32
-	groups     []suspended
-	nparked    int
-	keyWaiters map[keys.Key]waitList
-	waiters    []waiter
-	freeWaiter int32
-	stack      []entry
-	missing    []miss
-	missBuf    []keys.Key
-	onReply    func(src int, reps []Wire[X, B])
-	observe    bool
+	// the traversal's own scratch; desc is the current group's descent
+	// (its sphere, the test, the batch of accepted cells) and extras the
+	// payloads of that batch, index for index, filled only when X has
+	// any (hasExtra). hashDescent, nil outside tests, stands in for
+	// tree.Descend below a local branch (the paper's hash-only descent,
+	// export_test.go).
+	desc        tree.Descent
+	extras      []X
+	hasExtra    bool
+	hashDescent func(c *tree.Cell, emit bool) uint64
+	curWalk     Visitor[X]
+	curEval     EvalFn
+	freshBuf    []int32
+	readyBuf    []int32
+	groups      []suspended
+	nparked     int
+	keyWaiters  map[keys.Key]waitList
+	waiters     []waiter
+	freeWaiter  int32
+	stack       []entry
+	missing     []miss
+	missBuf     []keys.Key
+	onReply     func(src int, reps []Wire[X, B])
+	observe     bool
 }
 
 // New creates an engine wrapping this rank's share of the bodies. The
@@ -241,6 +252,7 @@ func New[X, B any](c *msg.Comm, sys *core.System, phys Physics[X, B], cfg Config
 		Sub:       diag.NewTimer(),
 		cellBytes: CellWireBytes[X, B](),
 		phases:    make(map[string]*walkPhase[X, B]),
+		hasExtra:  reflect.TypeFor[X]().Size() > 0,
 	}
 	e.dec.Sub = e.Sub
 	e.builder.Sub = e.Sub
@@ -376,9 +388,9 @@ func (e *Engine[X, B]) exchangeBranches() {
 	e.Phys.ResetImports()
 	e.RemoteCells = 0
 
-	// Insert branches. Own branches keep their local body ranges so
-	// the walker can use them directly; remote leaf branches are
-	// marked unfetched.
+	// Insert branches. Own branches keep their local body ranges and
+	// child index, so a traversal steps from the top tree's copy straight
+	// into the local one; remote leaf branches are marked unfetched.
 	var branchKeys []keys.Key
 	for r, batch := range all {
 		for _, w := range batch {
@@ -388,7 +400,8 @@ func (e *Engine[X, B]) exchangeBranches() {
 			}
 			kids := inImported
 			if r == e.C.Rank() {
-				c.First = e.Local.Cell(w.Key).First
+				own := e.Local.Cell(w.Key)
+				c.First, c.Kids = own.First, own.Kids
 				kids = inLocal
 			} else if w.Leaf {
 				c.First = sentinelUnfetched
@@ -620,7 +633,8 @@ func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool
 	e.observe = e.Stalls != nil || e.Trace != nil
 
 	e.push(v)
-	e.curWalk, e.curEval = v, eval
+	e.setVisitor(v)
+	e.curEval = eval
 
 	// First walks: every group once, against what the push delivered.
 	for _, gi := range e.freshBuf {
@@ -658,5 +672,6 @@ func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool
 		e.Rounds++
 	}
 	e.curWalk, e.curEval = nil, nil
+	e.desc.Drop() // the last batch points into tables the next Exchange replaces
 	e.Timer.Stop()
 }

@@ -55,11 +55,11 @@ type idWalk struct {
 	ids  map[int64]bool
 }
 
-func (w *idWalk) Begin(keys.Key, *tree.Cell)  { w.got = w.got[:0] }
-func (w *idWalk) Test(*tree.Cell) tree.Action { return tree.Open }
-func (w *idWalk) Cell(*tree.Cell, float64)    {}
+func (w *idWalk) Begin(keys.Key, *tree.Cell)    { w.got = w.got[:0] }
+func (w *idWalk) Cells([]*tree.Cell, []float64) {}
 
 func (w *idWalk) Sphere(*tree.Cell) (vec.V3, float64)           { return vec.V3{}, 0 }
+func (w *idWalk) MAC() bool                                     { return false }
 func (w *idWalk) TestBound(*tree.Cell, *tree.Bound) tree.Action { return tree.Open }
 
 func (w *idWalk) Leaf(c *tree.Cell) {
@@ -139,6 +139,14 @@ func TestEngineCoreFullTraversal(t *testing.T) {
 
 			if np > 1 && e.RemoteCells == 0 {
 				t.Errorf("np=%d rank=%d: exhaustive walk imported no remote cells", np, c.Rank())
+			}
+			// The local tree's children sit where its cells say, and only
+			// this rank's own branches carry that index out of it.
+			if err := e.Local.CheckInvariants(); err != nil {
+				t.Errorf("np=%d rank=%d: %v", np, c.Rank(), err)
+			}
+			if err := e.CheckChildIndices(); err != nil {
+				t.Errorf("np=%d rank=%d: %v", np, c.Rank(), err)
 			}
 			if ctr := e.Counters; e.Rounds != 0 || ctr.Requests != 0 || ctr.Deferred != 0 || ctr.Rewalked != 0 {
 				t.Errorf("np=%d rank=%d: pushed walk still asked: %d rounds, counters %+v", np, c.Rank(), e.Rounds, ctr)

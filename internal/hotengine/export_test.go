@@ -1,6 +1,8 @@
 package hotengine
 
 import (
+	"fmt"
+
 	"repro/internal/abm"
 	"repro/internal/keys"
 	"repro/internal/tree"
@@ -11,6 +13,78 @@ import (
 // existed: the path the push is tested against, and the only way to
 // exercise parking at will. This hook is the only switch.
 func (e *Engine[X, B]) SetPush(on bool) { e.pushOff = !on }
+
+// SetHashDescent switches the descent below this rank's own branches
+// between tree.Descend (off: children by index, as shipped) and the
+// paper's design, a stack of keys and one hash probe per cell (on):
+// the ablation the index descent is tested and timed against. Same
+// test, same order, same batch; only how a child is found differs.
+// This hook is the only switch.
+func (e *Engine[X, B]) SetHashDescent(on bool) {
+	if !on {
+		e.hashDescent = nil
+		return
+	}
+	var stack []keys.Key
+	pushKids := func(c *tree.Cell) {
+		for oct := 0; oct < 8; oct++ {
+			if c.ChildMask&(1<<uint(oct)) != 0 {
+				stack = append(stack, c.Key.Child(oct))
+			}
+		}
+	}
+	e.hashDescent = func(branch *tree.Cell, emit bool) (visits uint64) {
+		d := &e.desc
+		stack = stack[:0]
+		pushKids(branch)
+		for len(stack) > 0 {
+			c := e.Local.Cell(stack[len(stack)-1])
+			stack = stack[:len(stack)-1]
+			visits++
+			switch a := d.Test(c); {
+			case a == tree.Skip:
+			case a == tree.Accept:
+				if emit {
+					d.Accepted = append(d.Accepted, c)
+					e.extras = append(e.extras, e.Phys.Extra(c))
+				}
+			case c.Leaf:
+				if emit {
+					d.Leaves.Leaf(c)
+				}
+			default:
+				pushKids(c)
+			}
+		}
+		return visits
+	}
+}
+
+// CheckChildIndices verifies where a cell's child index may be set
+// outside the local tree: the top tree's copy of one of this rank's own
+// branches carries the branch's (so a traversal steps from the copy
+// into the local entries); an ancestor, another rank's branch and every
+// imported cell carry none.
+func (e *Engine[X, B]) CheckChildIndices() error {
+	var err error
+	e.top.Range(func(k keys.Key, n *node[X]) bool {
+		want := int32(0)
+		if n.kids == inLocal {
+			want = e.Local.Cell(k).Kids
+		}
+		if n.Cell.Kids != want {
+			err = fmt.Errorf("top-tree cell %v (children in table %d) has child index %d, want %d", k, n.kids, n.Cell.Kids, want)
+		}
+		return err == nil
+	})
+	e.imported.Range(func(k keys.Key, n *node[X]) bool {
+		if n.Cell.Kids != 0 {
+			err = fmt.Errorf("imported cell %v has child index %d", k, n.Cell.Kids)
+		}
+		return err == nil
+	})
+	return err
+}
 
 // Resolve is the multi-probe cell lookup the engine used before
 // traversals carried their table down the recursion: top tree
@@ -46,11 +120,13 @@ func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn
 	pending := map[keys.Key]bool{}
 	todo := append([]keys.Key(nil), e.Local.Groups...)
 	var stack, missing []keys.Key
+	e.setVisitor(v)
+	defer func() { e.curWalk = nil }()
 	for {
 		var deferred []keys.Key
 		for _, gk := range todo {
 			g := e.Local.Cell(gk)
-			v.Begin(gk, g)
+			e.begin(gk, g)
 			missing = missing[:0]
 			stack = append(stack[:0], keys.Root)
 			var visits uint64
@@ -62,7 +138,7 @@ func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn
 					missing = append(missing, k)
 					continue
 				}
-				a := v.Test(c)
+				a := e.desc.Test(c)
 				if a == tree.Open && c.First == sentinelUnfetched {
 					// A remote leaf branch is fetched only to be opened.
 					in := e.importedPtr(k)
@@ -76,7 +152,8 @@ func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn
 				switch {
 				case a == tree.Skip:
 				case a == tree.Accept:
-					v.Cell(c, x)
+					e.desc.Accepted = append(e.desc.Accepted, c)
+					e.extras = append(e.extras, x)
 				case c.Leaf:
 					v.Leaf(c)
 				default:
@@ -89,6 +166,7 @@ func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn
 			}
 			if len(missing) == 0 {
 				e.Counters.Traversals += visits
+				v.Cells(e.desc.Accepted, e.extras)
 				if eval != nil {
 					eval(gk, g, &e.Counters)
 				}

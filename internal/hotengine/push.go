@@ -3,7 +3,6 @@ package hotengine
 import (
 	"reflect"
 
-	"repro/internal/keys"
 	"repro/internal/msg"
 	"repro/internal/tree"
 )
@@ -44,7 +43,7 @@ func (e *Engine[X, B]) push(v Visitor[X]) {
 				case c.Leaf:
 					send = append(send, e.wireOf(bk, c))
 				default:
-					send = e.packChildren(send, v, b, bk, c)
+					send = e.packChildren(send, v, b, c)
 				}
 			}
 		}
@@ -58,20 +57,15 @@ func (e *Engine[X, B]) push(v Visitor[X]) {
 	e.Trace.Span("push", t0)
 }
 
-// packChildren appends the children of local cell c (key k), which a
-// walk inside b could open, and below each child that it could open in
-// turn, that child's. A leaf's record carries its bodies, as a reply's
-// would.
-func (e *Engine[X, B]) packChildren(dst []Wire[X, B], v Visitor[X], b *tree.Bound, k keys.Key, c *tree.Cell) []Wire[X, B] {
-	for oct := 0; oct < 8; oct++ {
-		if c.ChildMask&(1<<uint(oct)) == 0 {
-			continue
-		}
-		ck := k.Child(oct)
-		cc := e.Local.Cell(ck)
-		dst = append(dst, e.wireOf(ck, cc))
+// packChildren appends the children of local cell c, which a walk
+// inside b could open, and below each child that it could open in turn,
+// that child's. A leaf's record carries its bodies, as a reply's would.
+func (e *Engine[X, B]) packChildren(dst []Wire[X, B], v Visitor[X], b *tree.Bound, c *tree.Cell) []Wire[X, B] {
+	for i, m := int(c.Kids), c.ChildMask; m != 0; i, m = i+1, m&(m-1) {
+		cc := e.Local.Cells.At(i)
+		dst = append(dst, e.wireOf(cc.Key, cc))
 		if !cc.Leaf && v.TestBound(cc, b) == tree.Open {
-			dst = e.packChildren(dst, v, b, ck, cc)
+			dst = e.packChildren(dst, v, b, cc)
 		}
 	}
 	return dst

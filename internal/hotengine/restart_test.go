@@ -3,6 +3,7 @@ package hotengine_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -86,46 +87,36 @@ func (p *colPhysics) leaf(c *tree.Cell) cols {
 type recWalk struct {
 	p     *colPhysics
 	rmax  float64
-	gc    vec.V3
-	gr    float64
-	trace []uint64 // the current traversal's
+	trace []uint64 // the current traversal's: its leaves, then its cells
 	lists map[keys.Key][]uint64
 }
 
-func (w *recWalk) Begin(_ keys.Key, g *tree.Cell) {
-	w.gc, w.gr = w.Sphere(g)
-	w.trace = w.trace[:0]
-}
+func (w *recWalk) Begin(keys.Key, *tree.Cell) { w.trace = w.trace[:0] }
+
+func (w *recWalk) MAC() bool { return w.rmax == 0 }
 
 func (w *recWalk) Sphere(g *tree.Cell) (vec.V3, float64) {
 	gc, gr := tree.GroupSphere(w.p.e.Sys.Pos[g.First : g.First+g.N])
 	return gc, gr + w.rmax
 }
 
-func (w *recWalk) Test(c *tree.Cell) tree.Action { return w.test(c, w.gc, w.gr) }
-
 func (w *recWalk) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
 	if w.rmax == 0 {
 		return tree.ClassifyBound(c, b)
 	}
-	center, _ := w.p.e.Domain.CellCenter(c.Key)
-	return w.test(c, b.Nearest(center), b.R)
-}
-
-func (w *recWalk) test(c *tree.Cell, gc vec.V3, gr float64) tree.Action {
-	if w.rmax == 0 {
-		return tree.Classify(c, gc, gr)
-	}
 	center, size := w.p.e.Domain.CellCenter(c.Key)
-	if c.N == 0 || center.Sub(gc).Norm() > gr+size*math.Sqrt(3)/2 {
+	if c.N == 0 || center.Sub(b.Nearest(center)).Norm() > b.R+size*math.Sqrt(3)/2 {
 		return tree.Skip
 	}
 	return tree.Open
 }
 
-func (w *recWalk) Cell(c *tree.Cell, x vec.V3) {
-	w.trace = append(w.trace, uint64(c.Key), math.Float64bits(c.Mp.M),
-		math.Float64bits(x.X), math.Float64bits(x.Y), math.Float64bits(x.Z))
+func (w *recWalk) Cells(cells []*tree.Cell, xs []vec.V3) {
+	for i, c := range cells {
+		x := xs[i]
+		w.trace = append(w.trace, uint64(c.Key), math.Float64bits(c.Mp.M),
+			math.Float64bits(x.X), math.Float64bits(x.Y), math.Float64bits(x.Z))
+	}
 }
 
 func (w *recWalk) Leaf(c *tree.Cell) {
@@ -149,11 +140,9 @@ type gravWalk struct {
 	lists map[keys.Key][]uint64
 }
 
-func (v *gravWalk) Begin(gk keys.Key, g *tree.Cell) {
-	v.w.Begin(gk, v.p.e.Sys.Pos[g.First:g.First+g.N])
-}
-func (v *gravWalk) Test(c *tree.Cell) tree.Action { return v.w.Test(c) }
-func (v *gravWalk) Cell(c *tree.Cell, _ vec.V3)   { v.w.List.AddCell(&c.Mp) }
+func (v *gravWalk) Begin(gk keys.Key, _ *tree.Cell)      { v.w.Begin(gk) }
+func (v *gravWalk) MAC() bool                            { return true }
+func (v *gravWalk) Cells(cells []*tree.Cell, _ []vec.V3) { v.w.TakeCells(cells) }
 func (v *gravWalk) Leaf(c *tree.Cell) {
 	b := v.p.leaf(c)
 	v.w.TakeLeaf(c, b.Pos, b.Mass)
@@ -228,12 +217,18 @@ type walkRecord struct {
 // set, a gravity walk over every other group and none at all on the
 // last rank (WalkGroupsIf; the restart reference has no counterpart).
 func runPasses(np int, mode walkMode, partial bool) ([]walkRecord, msg.PhaseTraffic) {
-	const n = 1500
+	return runPassesOn(ic.Plummer(1500, 1.0, 29), np, mode, partial, false)
+}
+
+// runPassesOn is runPasses over the bodies of global, with the descent
+// below a rank's own branches by index (as shipped) or, with
+// hashDescent set, by key and hash probe.
+func runPassesOn(global *core.System, np int, mode walkMode, partial, hashDescent bool) ([]walkRecord, msg.PhaseTraffic) {
+	n := global.Len()
 	recs := make([]walkRecord, np)
 	var mu sync.Mutex
 	w := msg.NewWorld(np)
 	w.Run(func(c *msg.Comm) {
-		global := ic.Plummer(n, 1.0, 29)
 		local := core.New(0)
 		local.EnableDynamics()
 		for i := c.Rank() * n / np; i < (c.Rank()+1)*n/np; i++ {
@@ -245,6 +240,7 @@ func runPasses(np int, mode walkMode, partial bool) ([]walkRecord, msg.PhaseTraf
 			Bucket: 8,
 		})
 		e.SetPush(mode >= pushedWalk)
+		e.SetHashDescent(hashDescent)
 		p.e = e
 		e.Exchange()
 
@@ -432,6 +428,82 @@ func TestUnderPushFallsBackOnRequests(t *testing.T) {
 		}
 		if rounds == 0 {
 			t.Errorf("np=%d: an under-pushing TestBound never exercised the request rounds", np)
+		}
+	}
+}
+
+// clumps is a clustered IC: half the bodies uniform in the unit cube,
+// half in two tight clumps, so the tree is deep where they are and
+// shallow elsewhere and ranks own very different volumes.
+func clumps(n int, seed int64) *core.System {
+	rng := rand.New(rand.NewSource(seed))
+	sys := core.New(n)
+	sys.EnableDynamics()
+	for i := 0; i < n; i++ {
+		switch i % 4 {
+		case 0, 1:
+			sys.Pos[i] = vec.V3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
+		case 2:
+			sys.Pos[i] = vec.V3{X: 0.3 + 0.02*rng.NormFloat64(), Y: 0.7 + 0.02*rng.NormFloat64(), Z: 0.2 + 0.02*rng.NormFloat64()}
+		default:
+			sys.Pos[i] = vec.V3{X: 0.8 + 0.005*rng.NormFloat64(), Y: 0.1 + 0.005*rng.NormFloat64(), Z: 0.6 + 0.005*rng.NormFloat64()}
+		}
+		sys.Mass[i] = 1 / float64(n)
+		sys.ID[i] = int64(i)
+	}
+	return sys
+}
+
+// TestIndexDescentMatchesHashDescent holds the descent as it ships --
+// below a rank's own branches a child is the next entry of the table,
+// found by index -- to the paper's, a stack of keys and a hash probe
+// per cell (SetHashDescent): on a Plummer sphere and a clustered IC, at
+// 1, 2 and 8 ranks, over the traversal shapes of gravity, vortex and
+// SPH (density, forces, gravity) and a partial walk, pushed and by
+// request rounds, every group's list is identical element for element
+// (so the pair counts of the range queries are), every counter --
+// completed-walk visits, rewalked visits, PP, PC, deferrals, requests,
+// cells pushed and used -- every round and import count, the traffic,
+// and the gravity forces bit for bit.
+func TestIndexDescentMatchesHashDescent(t *testing.T) {
+	ics := []struct {
+		name string
+		sys  *core.System
+	}{{"plummer", ic.Plummer(1500, 1.0, 31)}, {"clustered", clumps(1500, 32)}}
+	for _, c := range ics {
+		for _, np := range []int{1, 2, 8} {
+			for _, mode := range []walkMode{requestWalk, pushedWalk} {
+				name := fmt.Sprintf("%s np=%d mode=%d", c.name, np, mode)
+				want, wantTraffic := runPassesOn(c.sys, np, mode, true, true)
+				got, gotTraffic := runPassesOn(c.sys, np, mode, true, false)
+				if gotTraffic != wantTraffic {
+					t.Errorf("%s: traffic %+v, hash descent %+v", name, gotTraffic, wantTraffic)
+				}
+				var visits, rewalked uint64
+				for r := 0; r < np; r++ {
+					for ps := 0; ps < npasses; ps++ {
+						where := fmt.Sprintf("%s rank %d %s", name, r, passNames[ps])
+						if got[r].ctr[ps] != want[r].ctr[ps] {
+							t.Errorf("%s: counters %+v, hash descent %+v", where, got[r].ctr[ps], want[r].ctr[ps])
+						}
+						if got[r].rounds[ps] != want[r].rounds[ps] || got[r].remote[ps] != want[r].remote[ps] {
+							t.Errorf("%s: %d rounds / %d imported cells, hash descent %d / %d", where,
+								got[r].rounds[ps], got[r].remote[ps], want[r].rounds[ps], want[r].remote[ps])
+						}
+						sameLists(t, where, ps, got[r], want[r])
+						visits += got[r].ctr[ps].Traversals
+						rewalked += got[r].ctr[ps].Rewalked
+					}
+					for id, a := range want[r].acc {
+						if got[r].acc[id] != a {
+							t.Fatalf("%s rank %d: body %d force differs from the hash descent's", name, r, id)
+						}
+					}
+				}
+				if visits == 0 || (np > 1 && mode == requestWalk && rewalked == 0) {
+					t.Errorf("%s: vacuous: %d completed-walk visits, %d rewalked", name, visits, rewalked)
+				}
+			}
 		}
 	}
 }

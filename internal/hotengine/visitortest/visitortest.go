@@ -1,5 +1,6 @@
-// Package visitortest checks the contract between a hotengine.Visitor's
-// Test and its TestBound, the one the push's safety rests on.
+// Package visitortest checks the contract between the test a
+// hotengine.Visitor's traversals run and its TestBound, the one the
+// push's safety rests on.
 package visitortest
 
 import (
@@ -11,8 +12,9 @@ import (
 	"repro/internal/tree"
 )
 
-// Sound fails t if v.TestBound does not open a cell v.Test opens. It
-// draws random runs of one to sixteen consecutive groups of tr (an exchanged engine's
+// Sound fails t if v.TestBound does not open a cell that a traversal
+// for v opens (by tree.Classify against v.Sphere, or by TestBound over
+// that sphere alone when v.MAC is false: tree.Descent.Test). It draws random runs of one to sixteen consecutive groups of tr (an exchanged engine's
 // local tree), reduces each run's spheres to a bound the way the engine
 // does, and holds every group of the run against every cell of the
 // tree. It also fails if the check was vacuous: if no group opened a
@@ -30,6 +32,10 @@ func Sound[X any](t testing.TB, v hotengine.Visitor[X], tr *tree.Tree, seed int6
 				stack = append(stack, k.Child(oct))
 			}
 		}
+	}
+	var d tree.Descent
+	if !v.MAC() {
+		d.Prune = v
 	}
 	rng := rand.New(rand.NewSource(seed))
 	opened, pruned := 0, 0
@@ -51,9 +57,9 @@ func Sound[X any](t testing.TB, v hotengine.Visitor[X], tr *tree.Tree, seed int6
 			}
 		}
 		for _, gk := range run {
-			v.Begin(gk, tr.Cell(gk))
+			d.Aim(v.Sphere(tr.Cell(gk)))
 			for _, c := range cells {
-				if v.Test(c) != tree.Open {
+				if d.Test(c) != tree.Open {
 					continue
 				}
 				opened++

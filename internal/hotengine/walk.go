@@ -1,6 +1,7 @@
 package hotengine
 
 import (
+	"math/bits"
 	"time"
 
 	"repro/internal/diag"
@@ -10,35 +11,40 @@ import (
 )
 
 // Visitor is the physics side of a group traversal. The engine owns
-// the DFS stack, cell resolution and miss collection; the visitor
-// decides what each resolved cell means for the group and takes the
-// interactions. All methods run on the rank goroutine, one traversal
-// at a time, so a visitor may keep the current group's state (its
-// bounding sphere, its interaction list) in its own fields.
+// the descent, cell resolution, the acceptance test and miss
+// collection; the visitor says what a group is measured by and takes
+// the interactions. All methods run on the rank goroutine, one
+// traversal at a time, so a visitor may keep the current group's state
+// (its interaction list) in its own fields.
 type Visitor[X any] interface {
 	// Begin starts a traversal for group g (key gk), resetting the
 	// visitor's evaluation state. A group may begin several times
 	// before it completes: the optimistic first attempt, discovery
 	// descents, and the final emitting walk.
 	Begin(gk keys.Key, g *tree.Cell)
-	// Test classifies a resolved cell against the group: Skip it,
-	// Accept its moments as one interaction, or Open it. It must be a
-	// pure function of the cell and the group -- discovery descents
-	// replay it to find which cells the emitting walk will open.
-	Test(c *tree.Cell) tree.Action
-	// Cell takes an accepted cell and its payload; Leaf takes an
-	// opened leaf's bodies. Both are called only while the traversal
-	// is emitting, in root-DFS order.
-	Cell(c *tree.Cell, x X)
-	Leaf(c *tree.Cell)
-	// Sphere returns the sphere Test measures cells against for group
-	// g, as Begin would fix it; a rank publishes their tree.Bound.
+	// Sphere returns the sphere cells are measured against for group
+	// g. It must be a pure function of the group -- discovery descents
+	// replay the test to find which cells the emitting walk will open --
+	// and a rank publishes the tree.Bound of its groups' spheres.
 	Sphere(g *tree.Cell) (c vec.V3, r float64)
-	// TestBound is Test made conservative over a peer's bound: it must
-	// return Open for every cell Test could open for a group whose
-	// sphere has its centre in b's box and a radius of at most b.R.
-	// Owners run it down their own trees to decide what to push.
+	// MAC reports whether a cell is Skipped, Accepted (its moments one
+	// interaction) or Opened by the multipole acceptance criterion
+	// against Sphere: tree.Classify, which the engine runs itself, with
+	// no call into the visitor. Otherwise the test is TestBound over the
+	// group's own sphere, a range query's prune. Asked once per walk
+	// phase.
+	MAC() bool
+	// TestBound is the test made conservative over a peer's bound: it
+	// must return Open for every cell the test could open for a group
+	// whose sphere has its centre in b's box and a radius of at most
+	// b.R. Owners run it down their own trees to decide what to push.
 	TestBound(c *tree.Cell, b *tree.Bound) tree.Action
+	// Leaf takes an opened leaf's bodies, as the emitting traversal
+	// reaches it; Cells takes the cells that traversal accepted, with
+	// their payloads, in one batch when it has completed. Both are in
+	// root-DFS order.
+	Leaf(c *tree.Cell)
+	Cells(cells []*tree.Cell, xs []X)
 }
 
 // EvalFn evaluates one completed group's interactions from the state
@@ -46,14 +52,15 @@ type Visitor[X any] interface {
 // goroutine right after that walk; ctr is the engine's Counters.
 type EvalFn func(gk keys.Key, g *tree.Cell, ctr *diag.Counters)
 
-// table names the store a stack entry resolves in. Carrying it down
-// the recursion is what makes a visit cost one hash probe: where a
-// cell lives follows from where its parent did.
+// table names the store a cell's children live in. Carrying it down
+// the recursion is what makes a visit above or outside the local tree
+// cost one hash probe, and one below it none: where a cell lives
+// follows from where its parent did.
 type table uint8
 
 const (
 	inTop      table = iota // shared top tree: the branches and everything above them
-	inLocal                 // this rank's tree, below its own branches
+	inLocal                 // this rank's tree, below its own branches: descended by index, never stacked
 	inImported              // fetched cells, below other ranks' branches
 )
 
@@ -94,66 +101,80 @@ type waiter struct{ group, next int32 }
 type waitList struct{ head, tail int32 }
 
 // traverse runs one DFS from the entries on e.stack for the current
-// visitor, returning the number of cells it resolved. Missing cells are
-// collected on e.missing and the traversal carries on past them, so
+// visitor, returning the number of cells it resolved. The stack holds
+// only what has to be looked up by name: the top tree and the imported
+// cells. Opening one of this rank's own branches hands the whole
+// subtree to tree.Descend -- it is wholly local, so it is traversed,
+// in the same order, before anything else on the stack. Missing cells
+// are collected on e.missing and the traversal carries on past them, so
 // one round batches every request the group can discover; emission
-// (the visitor's Cell/Leaf) stops at the first miss, since a list with
-// a hole is never evaluated.
+// (the visitor's Leaf, the batch for its Cells) stops at the first
+// miss, since a list with a hole is never evaluated.
 func (e *Engine[X, B]) traverse(emit bool) (visits uint64) {
-	v := e.curWalk
+	d := &e.desc
 	e.missing = e.missing[:0]
 	for len(e.stack) > 0 {
 		ent := e.stack[len(e.stack)-1]
 		e.stack = e.stack[:len(e.stack)-1]
 		var n *node[X]
-		kids := ent.t
-		if kids == inTop {
+		if ent.t == inTop {
 			n = e.top.Ptr(ent.k)
-			kids = n.kids
-			if n.Cell.First == sentinelUnfetched && v.Test(&n.Cell) == tree.Open {
+			if n.Cell.First == sentinelUnfetched && d.Test(&n.Cell) == tree.Open {
 				// A remote leaf branch some group has to open: the copy
 				// with bodies is an import. Skipped or accepted, the top
 				// tree's moments (the same off the wire) do.
-				n = nil
+				n = e.importedPtr(ent.k)
 			}
+		} else {
+			n = e.importedPtr(ent.k)
 		}
-		var c *tree.Cell
-		switch {
-		case n != nil:
-			c = &n.Cell
-		case kids == inLocal:
-			c = e.Local.Cell(ent.k)
-		default:
-			if n = e.importedPtr(ent.k); n == nil {
-				e.noteMiss(ent)
-				emit = false
-				continue
-			}
-			c = &n.Cell
+		if n == nil {
+			e.noteMiss(ent)
+			emit = false
+			continue
 		}
+		c := &n.Cell
 		visits++
-		switch a := v.Test(c); {
+		switch a := d.Test(c); {
 		case a == tree.Skip:
 		case a == tree.Accept:
-			if !emit {
-				break
-			}
-			if n != nil {
-				v.Cell(c, n.Extra)
-			} else {
-				v.Cell(c, e.Phys.Extra(c))
+			if emit {
+				d.Accepted = append(d.Accepted, c)
+				e.extras = append(e.extras, n.Extra)
 			}
 		case c.Leaf:
 			if emit {
-				v.Leaf(c)
+				d.Leaves.Leaf(c)
 			}
+		case n.kids == inLocal:
+			visits += e.descendLocal(c, emit)
 		default:
 			for oct := 0; oct < 8; oct++ {
 				if c.ChildMask&(1<<uint(oct)) != 0 {
-					e.stack = append(e.stack, entry{ent.k.Child(oct), kids})
+					e.stack = append(e.stack, entry{ent.k.Child(oct), n.kids})
 				}
 			}
 		}
+	}
+	return visits
+}
+
+// descendLocal traverses the local subtree below c, one of this rank's
+// branches as the top tree holds it, and pairs the cells the descent
+// accepted with their payloads.
+func (e *Engine[X, B]) descendLocal(c *tree.Cell, emit bool) uint64 {
+	if e.hashDescent != nil {
+		return e.hashDescent(c, emit)
+	}
+	d := &e.desc
+	visits := e.Local.Descend(d, c.Kids, int32(bits.OnesCount8(c.ChildMask)), emit)
+	fresh := d.Accepted[len(e.extras):]
+	if !e.hasExtra {
+		e.extras = append(e.extras, make([]X, len(fresh))...)
+		return visits
+	}
+	for _, c := range fresh {
+		e.extras = append(e.extras, e.Phys.Extra(c))
 	}
 	return visits
 }
@@ -204,11 +225,30 @@ func (e *Engine[X, B]) attempt(gi int32) {
 	e.park(gi)
 }
 
+// setVisitor makes v the visitor of the traversals that follow: it takes
+// their leaves, and its TestBound is their test unless it asks for the
+// MAC.
+func (e *Engine[X, B]) setVisitor(v Visitor[X]) {
+	e.curWalk = v
+	e.desc.Leaves, e.desc.Prune = v, nil
+	if !v.MAC() {
+		e.desc.Prune = v
+	}
+}
+
+// begin starts a traversal of group g: the visitor resets its state
+// and the descent is aimed at the group's sphere, its batch emptied.
+func (e *Engine[X, B]) begin(gk keys.Key, g *tree.Cell) {
+	e.curWalk.Begin(gk, g)
+	e.desc.Aim(e.curWalk.Sphere(g))
+	e.extras = e.extras[:0]
+}
+
 // emitFromRoot runs an emitting walk of g from the root and evaluates
 // the group if it completed; on a miss it charges the visits to
 // Rewalked and leaves the misses on e.missing.
 func (e *Engine[X, B]) emitFromRoot(gk keys.Key, g *tree.Cell) bool {
-	e.curWalk.Begin(gk, g)
+	e.begin(gk, g)
 	e.stack = append(e.stack[:0], entry{keys.Root, inTop})
 	n := e.traverse(true)
 	if len(e.missing) > 0 {
@@ -216,6 +256,7 @@ func (e *Engine[X, B]) emitFromRoot(gk keys.Key, g *tree.Cell) bool {
 		return false
 	}
 	e.Counters.Traversals += n
+	e.curWalk.Cells(e.desc.Accepted, e.extras)
 	if e.curEval != nil {
 		e.curEval(gk, g, &e.Counters)
 	}
@@ -233,7 +274,7 @@ func (e *Engine[X, B]) resume(gi int32) {
 	gk := e.Local.Groups[gi]
 	g := e.Local.Cell(gk)
 	s := &e.groups[gi]
-	e.curWalk.Begin(gk, g)
+	e.begin(gk, g)
 	e.stack = e.stack[:0]
 	for i := len(s.frontier) - 1; i >= 0; i-- { // popped in the order they were missed
 		f := s.frontier[i]

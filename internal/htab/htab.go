@@ -88,6 +88,14 @@ func (t *Table[V]) Ptr(k keys.Key) *V {
 	return nil
 }
 
+// At returns a pointer to the value of the i-th entry in insertion
+// order, with no hash probe: the table keeps its entries in one flat
+// slice, so a structure that records where it inserted related keys
+// (a tree its cells' children, side by side) can move between them by
+// index arithmetic and keep the hash for the names it has to look up.
+// The same invalidation caveat as Ptr applies.
+func (t *Table[V]) At(i int) *V { return &t.entries[i].val }
+
 // Contains reports whether k is present.
 func (t *Table[V]) Contains(k keys.Key) bool {
 	for i := t.buckets[t.hash(k)]; i >= 0; i = t.entries[i].next {

@@ -119,6 +119,13 @@ func TestRangeInsertionOrder(t *testing.T) {
 			t.Fatalf("range order[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
+	// At(i) is the i-th entry inserted, the one Ptr finds by key,
+	// across the growth the inserts caused.
+	for i, k := range want {
+		if p := tb.At(i); p != tb.Ptr(k) || *p != i {
+			t.Fatalf("At(%d) = %v, want the entry of %v", i, *p, k)
+		}
+	}
 	// Early stop.
 	n := 0
 	tb.Range(func(keys.Key, *int) bool { n++; return false })

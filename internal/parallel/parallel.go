@@ -162,23 +162,22 @@ func (b engineBodies) MaxRung(local int) int {
 }
 
 // visitor is the gravity side of the pipeline's traversal
-// (hotengine.Visitor): the engine's tree.Walker classifies cells with
-// the MAC and collects the interaction list.
+// (hotengine.Visitor): cells are opened by the MAC against the group's
+// bounding sphere, and the engine's tree.Walker collects the
+// interaction list.
 type visitor struct{ e *Engine }
 
-func (v *visitor) Begin(gk keys.Key, g *tree.Cell) {
-	v.e.walker.Begin(gk, v.e.Sys.Pos[g.First:g.First+g.N])
-}
-
-func (v *visitor) Test(c *tree.Cell) tree.Action { return v.e.walker.Test(c) }
+func (v *visitor) Begin(gk keys.Key, _ *tree.Cell) { v.e.walker.Begin(gk) }
 
 func (v *visitor) Sphere(g *tree.Cell) (vec.V3, float64) {
 	return tree.GroupSphere(v.e.Sys.Pos[g.First : g.First+g.N])
 }
 
+func (v *visitor) MAC() bool { return true }
+
 func (v *visitor) TestBound(c *tree.Cell, b *tree.Bound) tree.Action { return tree.ClassifyBound(c, b) }
 
-func (v *visitor) Cell(c *tree.Cell, _ hotengine.None) { v.e.walker.List.AddCell(&c.Mp) }
+func (v *visitor) Cells(cells []*tree.Cell, _ []hotengine.None) { v.e.walker.TakeCells(cells) }
 
 func (v *visitor) Leaf(c *tree.Cell) {
 	e := v.e

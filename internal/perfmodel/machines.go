@@ -172,9 +172,19 @@ func (m *Machine) Model(flops uint64, regime Regime, comm msg.PhaseTraffic) Esti
 
 // String renders the estimate in the paper's idiom.
 func (e Estimate) String() string {
-	return fmt.Sprintf("%s: %s over %.1f s (compute %.1f s + comm %.1f s), $%.0f/Mflop",
-		e.Machine.Name, diag.Rate(e.Flops, e.TotalSec), e.TotalSec,
-		e.ComputeSec, e.CommSec, e.PerMflopUSD)
+	return fmt.Sprintf("%s: %s over %s (compute %s + comm %s), $%.0f/Mflop",
+		e.Machine.Name, diag.Rate(e.Flops, e.TotalSec), seconds(e.TotalSec),
+		seconds(e.ComputeSec), seconds(e.CommSec), e.PerMflopUSD)
+}
+
+// seconds renders a modeled time to three significant digits at any
+// scale: a test-sized run on 6800 processors is a millisecond, not
+// "0.0 s", and ten days are "850000 s", not 8.5e+05.
+func seconds(s float64) string {
+	if s >= 1000 {
+		return fmt.Sprintf("%.0f s", s)
+	}
+	return fmt.Sprintf("%.3g s", s)
 }
 
 // ScaleInteractions extrapolates a measured interactions-per-body

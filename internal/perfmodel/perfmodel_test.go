@@ -119,6 +119,16 @@ func TestProcsAndString(t *testing.T) {
 	if !strings.Contains(s, "Loki") || !strings.Contains(s, "/Mflop") {
 		t.Fatalf("estimate string: %q", s)
 	}
+	// A 20 000-body step on all of ASCI Red is a fraction of a
+	// millisecond of modeled time, and ten days on Loki most of a
+	// million seconds: neither may print as zero or as an exponent.
+	small := ASCIRed.Model(20_000*2_800*38, RegimeTreeEarly, msg.PhaseTraffic{Msgs: 10, Bytes: 1 << 16}).String()
+	if strings.Contains(small, " 0 s") || strings.Contains(small, "0.0 s") {
+		t.Errorf("a sub-millisecond estimate prints as zero: %q", small)
+	}
+	if long := Loki.Model(19_700_000_000_000*38, RegimeTreeEarly, msg.PhaseTraffic{}).String(); strings.Contains(long, "e+") {
+		t.Errorf("a ten-day estimate prints with an exponent: %q", long)
+	}
 }
 
 func TestScaleInteractions(t *testing.T) {

@@ -244,16 +244,9 @@ func (e *ParallelEngine) leafColumns(c *tree.Cell) Leaf {
 // outside the group's search sphere (the same cube-versus-sphere test
 // as the serial Neighbors). It never accepts a cell: range queries
 // prune on geometry alone.
-type gatherer struct {
-	e      *ParallelEngine
-	sphere tree.Bound // the current group's search sphere
-}
+type gatherer struct{ e *ParallelEngine }
 
-func (v *gatherer) Begin(_ keys.Key, g *tree.Cell) {
-	v.sphere = tree.Bound{}
-	v.sphere.Add(v.Sphere(g))
-	v.e.cand.reset()
-}
+func (v *gatherer) Begin(keys.Key, *tree.Cell) { v.e.cand.reset() }
 
 // Sphere is the group's search sphere: its bounding sphere grown by the
 // largest kernel support of its particles.
@@ -263,11 +256,14 @@ func (v *gatherer) Sphere(g *tree.Cell) (vec.V3, float64) {
 	return gc, gr + 2*v.e.hmax(lo, hi)
 }
 
-func (v *gatherer) Test(c *tree.Cell) tree.Action { return v.TestBound(c, &v.sphere) }
+// MAC is false: the traversal's test is TestBound over the group's own
+// search sphere.
+func (v *gatherer) MAC() bool { return false }
 
 // TestBound prunes a cell whose cube is entirely outside every search
 // sphere b encloses: its center is farther from b's box (one group's
-// center, for Test) than the largest radius plus the half-diagonal.
+// center, in a traversal) than the largest radius plus the
+// half-diagonal.
 func (v *gatherer) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
 	if c.N == 0 {
 		return tree.Skip
@@ -280,7 +276,7 @@ func (v *gatherer) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
 	return tree.Open
 }
 
-func (v *gatherer) Cell(*tree.Cell, hotengine.None) {}
+func (v *gatherer) Cells([]*tree.Cell, []hotengine.None) {}
 
 func (v *gatherer) Leaf(c *tree.Cell) {
 	b, cand := v.e.leafColumns(c), &v.e.cand
@@ -384,11 +380,9 @@ func (e *ParallelEngine) evalForces(_ keys.Key, g *tree.Cell, ctr *diag.Counters
 // is all gravity needs.
 type gravVisitor struct{ e *ParallelEngine }
 
-func (v *gravVisitor) Begin(gk keys.Key, g *tree.Cell) {
-	v.e.w.Begin(gk, v.e.Sys.Pos[g.First:g.First+g.N])
-}
+func (v *gravVisitor) Begin(gk keys.Key, _ *tree.Cell) { v.e.w.Begin(gk) }
 
-func (v *gravVisitor) Test(c *tree.Cell) tree.Action { return v.e.w.Test(c) }
+func (v *gravVisitor) MAC() bool { return true }
 
 func (v *gravVisitor) Sphere(g *tree.Cell) (vec.V3, float64) {
 	return tree.GroupSphere(v.e.Sys.Pos[g.First : g.First+g.N])
@@ -398,7 +392,7 @@ func (v *gravVisitor) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
 	return tree.ClassifyBound(c, b)
 }
 
-func (v *gravVisitor) Cell(c *tree.Cell, _ hotengine.None) { v.e.w.List.AddCell(&c.Mp) }
+func (v *gravVisitor) Cells(cells []*tree.Cell, _ []hotengine.None) { v.e.w.TakeCells(cells) }
 
 func (v *gravVisitor) Leaf(c *tree.Cell) {
 	b := v.e.leafColumns(c)

@@ -21,20 +21,26 @@ func buildTestSystem(n int, seed int64) (*core.System, keys.Domain) {
 }
 
 // treesEqual asserts two trees are byte-identical: same cells (all
-// fields, moments and RCrit included) and same group order.
+// fields, moments, RCrit and child index included) at the same
+// entries, and the same group order.
 func treesEqual(t *testing.T, want, got *Tree) {
 	t.Helper()
 	if want.NCells() != got.NCells() {
 		t.Fatalf("cell count %d != %d", got.NCells(), want.NCells())
 	}
+	i := 0
 	want.Cells.Range(func(k keys.Key, wc *Cell) bool {
 		gc := got.Cell(k)
 		if gc == nil {
-			t.Fatalf("cell %v missing from parallel build", k)
+			t.Fatalf("cell %v missing", k)
+		}
+		if gc != got.Cells.At(i) {
+			t.Fatalf("cell %v is not entry %d", k, i)
 		}
 		if *gc != *wc {
-			t.Fatalf("cell %v differs:\n serial  %+v\n parallel %+v", k, *wc, *gc)
+			t.Fatalf("cell %v differs:\n want %+v\n got  %+v", k, *wc, *gc)
 		}
+		i++
 		return true
 	})
 	if len(want.Groups) != len(got.Groups) {
@@ -47,58 +53,64 @@ func treesEqual(t *testing.T, want, got *Tree) {
 	}
 }
 
-// The tentpole determinism claim: the fan-out build produces the
-// serial build's tree byte for byte, for any worker count, bucket
-// size, and force-split interval.
-func TestParallelBuildMatchesSerial(t *testing.T) {
-	for _, n := range []int{0, 1, 50, 5000} {
+// A Builder reused from build to build (one per rank, every step)
+// gives the tree a fresh one gives, byte for byte and entry for entry,
+// for any body count and bucket size, growing or shrinking in between.
+func TestBuilderReuseMatchesFresh(t *testing.T) {
+	var reused Builder
+	mac := grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true}
+	for _, n := range []int{5000, 0, 1, 50, 5000} {
 		sys, d := buildTestSystem(n, 31)
-		mac := grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true}
 		for _, bucket := range []int{1, 16} {
-			serial := (&Builder{Workers: 1}).BuildRange(sys, d, mac, bucket, 0, EndOffset)
-			if err := serial.CheckInvariants(); err != nil {
-				t.Fatal(err)
+			fresh := BuildRange(sys, d, mac, bucket, 0, EndOffset)
+			if err := fresh.CheckInvariants(); err != nil {
+				t.Fatalf("n=%d bucket=%d: %v", n, bucket, err)
 			}
-			for _, workers := range []int{2, 8} {
-				b := &Builder{Workers: workers, minParallel: 1}
-				par := b.BuildRange(sys, d, mac, bucket, 0, EndOffset)
-				if err := par.CheckInvariants(); err != nil {
-					t.Fatalf("n=%d bucket=%d w=%d: %v", n, bucket, workers, err)
-				}
-				treesEqual(t, serial, par)
-				// A reused Builder must keep producing the same tree.
-				treesEqual(t, serial, b.BuildRange(sys, d, mac, bucket, 0, EndOffset))
+			again := reused.BuildRange(sys, d, mac, bucket, 0, EndOffset)
+			if err := again.CheckInvariants(); err != nil {
+				t.Fatalf("n=%d bucket=%d reused: %v", n, bucket, err)
 			}
+			treesEqual(t, fresh, again)
 		}
 	}
 }
 
-// Force-split ranges (the parallel engine's branch-cell guarantee)
-// must survive the fan-out build too.
-func TestParallelBuildRangeSplits(t *testing.T) {
+// Force-split ranges (the parallel engine's branch-cell guarantee):
+// every branch cell of a random interval materializes as a node, the
+// layout invariants hold around the forced splits, and a reused
+// Builder agrees with a fresh one.
+func TestBuildRangeSplits(t *testing.T) {
 	sys, d := buildTestSystem(4000, 37)
 	mac := grav.DefaultMAC()
 	rng := rand.New(rand.NewSource(5))
+	var reused Builder
 	for trial := 0; trial < 8; trial++ {
 		a := uint64(rng.Int63()) % EndOffset
 		b := uint64(rng.Int63()) % EndOffset
 		if a > b {
 			a, b = b, a
 		}
-		serial := (&Builder{Workers: 1}).BuildRange(sys, d, mac, 16, a, b)
-		par := (&Builder{Workers: 8, minParallel: 1}).BuildRange(sys, d, mac, 16, a, b)
-		treesEqual(t, serial, par)
+		fresh := BuildRange(sys, d, mac, 16, a, b)
+		if err := fresh.CheckInvariants(); err != nil {
+			t.Fatalf("[%d, %d): %v", a, b, err)
+		}
+		for _, bk := range RangeDecompose(a, b) {
+			lo := UpperBound(sys.Key, bk.MinBody()-1)
+			if hi := UpperBound(sys.Key, bk.MaxBody()); hi > lo && fresh.Cell(bk) == nil {
+				t.Fatalf("[%d, %d): branch %v holds %d bodies and is not a cell", a, b, bk, hi-lo)
+			}
+		}
+		treesEqual(t, fresh, reused.BuildRange(sys, d, mac, 16, a, b))
 	}
 }
 
-// The package-level BuildRange must behave exactly as before the
-// Builder existed (the serial driver and every old test ride on it).
+// The package-level BuildRange is a transient Builder's.
 func TestBuildRangeWrapperUnchanged(t *testing.T) {
 	sys, d := buildTestSystem(3000, 41)
 	mac := grav.DefaultMAC()
 	wrapped := BuildRange(sys, d, mac, 16, 0, EndOffset)
-	serial := (&Builder{Workers: 1}).BuildRange(sys, d, mac, 16, 0, EndOffset)
-	treesEqual(t, serial, wrapped)
+	built := new(Builder).BuildRange(sys, d, mac, 16, 0, EndOffset)
+	treesEqual(t, built, wrapped)
 	if err := wrapped.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,124 @@
+package tree
+
+import (
+	"slices"
+
+	"repro/internal/vec"
+)
+
+// LeafTaker receives the leaves a descent opens, in root-DFS order.
+type LeafTaker interface {
+	Leaf(c *Cell)
+}
+
+// Pruner is a cell test other than the multipole acceptance criterion:
+// a range query's prune. A descent runs it against the one-sphere bound
+// of its group.
+type Pruner interface {
+	TestBound(c *Cell, b *Bound) Action
+}
+
+// Descent is the state of one group's traversal, reused from group to
+// group: the sphere cells are measured against, the batch of accepted
+// cells, and the index stack of Descend. Set Leaves (and Prune, for a
+// range query) once, Aim it at each group, then Descend whatever local
+// subtrees the traversal reaches; a traversal that also crosses cells
+// held outside a tree (the distributed engine's top tree and imports)
+// classifies those with Test and appends to Accepted itself.
+type Descent struct {
+	// Leaves takes the leaves an emitting descent opens.
+	Leaves LeafTaker
+	// Prune, when non-nil, is the cell test in place of Classify.
+	Prune Pruner
+	// Accepted is the batch of cells accepted since Aim, in root-DFS
+	// order. Their moments are gathered from it in one pass when the
+	// traversal is over, rather than cell by cell through a callback.
+	Accepted []*Cell
+
+	gc     vec.V3
+	gr     float64
+	sphere Bound // (gc, gr) as Prune takes it
+	stack  []int32
+}
+
+// Aim points the descent at a group's sphere and drops the batch.
+func (d *Descent) Aim(gc vec.V3, gr float64) {
+	d.gc, d.gr = gc, gr
+	d.sphere = Bound{Lo: gc, Hi: gc, R: gr, Any: true}
+	d.Drop()
+}
+
+// Drop empties the batch and forgets its pointers: a stale one, in the
+// buffer past the length of later, shorter batches or left behind when
+// the walks are over, would keep a whole earlier tree's entries (or
+// import table's) reachable.
+func (d *Descent) Drop() {
+	clear(d.Accepted)
+	d.Accepted = d.Accepted[:0]
+}
+
+// Test classifies one cell against the group Aim fixed.
+func (d *Descent) Test(c *Cell) Action {
+	if d.Prune != nil {
+		return d.Prune.TestBound(c, &d.sphere)
+	}
+	return Classify(c, d.gc, d.gr)
+}
+
+// Descend runs the group's DFS over the n sibling cells from entry
+// from of t's table and everything below them, and returns the number
+// of cells it visited. Below a local cell every cell is local, so there
+// is nothing to miss and nothing to look up: children are Kids, Kids+1,
+// ... in the table's entries, pushed in octant order and popped in
+// reverse, the order a stack of keys gives. While emit is set, accepted
+// cells are appended to d.Accepted and opened leaves handed to
+// d.Leaves; a descent that only discovers what a group will open
+// leaves both alone.
+func (t *Tree) Descend(d *Descent, from, n int32, emit bool) (visits uint64) {
+	cells, prune, gc, gr := t.Cells, d.Prune, d.gc, d.gr
+	stack := d.stack[:0]
+	for i := from; i < from+n; i++ {
+		stack = append(stack, i)
+	}
+	for len(stack) > 0 {
+		c := cells.At(int(stack[len(stack)-1]))
+		stack = stack[:len(stack)-1]
+		visits++
+		var a Action
+		if prune == nil {
+			a = Classify(c, gc, gr) // inlined: no call per visit
+		} else {
+			a = prune.TestBound(c, &d.sphere)
+		}
+		switch {
+		case a == Skip:
+		case a == Accept:
+			if emit {
+				d.Accepted = append(d.Accepted, c)
+			}
+		case c.Leaf:
+			if emit {
+				d.Leaves.Leaf(c)
+			}
+		default:
+			k := c.Kids
+			for m := c.ChildMask; m != 0; m &= m - 1 {
+				stack = append(stack, k)
+				k++
+			}
+		}
+	}
+	d.stack = stack
+	return visits
+}
+
+// Caps returns the capacities of the descent's stack and batch; with
+// Grow it lets a worker pool level its walkers (see
+// grav.InteractionList.Caps).
+func (d *Descent) Caps() (stack, batch int) { return cap(d.stack), cap(d.Accepted) }
+
+// Grow raises the capacities to at least stack and batch entries.
+func (d *Descent) Grow(stack, batch int) {
+	d.stack = slices.Grow(d.stack[:0], stack)
+	d.Accepted = slices.Grow(d.Accepted[:0], batch)
+}

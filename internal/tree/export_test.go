@@ -7,23 +7,19 @@ import (
 	"repro/internal/vec"
 )
 
-// WalkFused is the original single-phase traversal: it evaluates each
-// accepted interaction as it is found, accumulating into acc and pot
-// (parallel slices of gpos, NOT zeroed here). It is the reference the
-// list walk (Walk + Evaluate) is tested against.
-func (w *Walker) WalkFused(src Source, groupKey keys.Key, gpos []vec.V3, acc []vec.V3, pot []float64, eps2 float64, quad bool, ctr *diag.Counters) (missing []keys.Key) {
+// WalkFused is the original single-phase traversal, as the paper wrote
+// it: a stack of keys, one hash probe per cell, a square root per
+// acceptance test, and each accepted interaction evaluated as it is
+// found, accumulating into acc and pot (parallel slices of gpos, NOT
+// zeroed here). It is the reference the list walk (Walk + Evaluate,
+// descending by index and comparing squares) is tested against.
+func WalkFused(t *Tree, groupKey keys.Key, gpos []vec.V3, acc []vec.V3, pot []float64, eps2 float64, quad bool, ctr *diag.Counters) {
 	gc, gr := GroupSphere(gpos)
-	w.stack = w.stack[:0]
-	w.missing = w.missing[:0]
-	w.stack = append(w.stack, src.Root())
-	for len(w.stack) > 0 {
-		k := w.stack[len(w.stack)-1]
-		w.stack = w.stack[:len(w.stack)-1]
-		c := src.Cell(k)
-		if c == nil {
-			w.missing = append(w.missing, k)
-			continue
-		}
+	stack := []keys.Key{keys.Root}
+	for len(stack) > 0 {
+		k := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		c := t.Cell(k)
 		ctr.Traversals++
 		if c.Mp.M == 0 {
 			continue // empty cell contributes nothing
@@ -38,7 +34,7 @@ func (w *Walker) WalkFused(src Source, groupKey keys.Key, gpos []vec.V3, acc []v
 			continue
 		}
 		if c.Leaf {
-			spos, smass := src.LeafBodies(c)
+			spos, smass := t.LeafBodies(c)
 			if c.Key == groupKey {
 				ctr.PP += grav.PPSelf(gpos, smass, acc, pot, eps2)
 			} else {
@@ -48,14 +44,10 @@ func (w *Walker) WalkFused(src Source, groupKey keys.Key, gpos []vec.V3, acc []v
 		}
 		for oct := 0; oct < 8; oct++ {
 			if c.ChildMask&(1<<uint(oct)) != 0 {
-				w.stack = append(w.stack, k.Child(oct))
+				stack = append(stack, k.Child(oct))
 			}
 		}
 	}
-	if len(w.missing) > 0 {
-		return w.missing
-	}
-	return nil
 }
 
 // GravityFused is the original fused-walk evaluation (traversal and
@@ -63,7 +55,6 @@ func (w *Walker) WalkFused(src Source, groupKey keys.Key, gpos []vec.V3, acc []v
 // as Gravity and the same forces to roundoff.
 func (t *Tree) GravityFused(eps2 float64) diag.Counters {
 	var ctr diag.Counters
-	var w Walker
 	sys := t.Sys
 	for _, gk := range t.Groups {
 		g := t.Cell(gk)
@@ -73,9 +64,7 @@ func (t *Tree) GravityFused(eps2 float64) diag.Counters {
 			sys.Pot[i] = 0
 		}
 		before := ctr.PP + ctr.PC
-		if m := w.WalkFused(t, gk, sys.Pos[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], eps2, t.MAC.Quad, &ctr); m != nil {
-			panic("tree: serial walk reported missing cells")
-		}
+		WalkFused(t, gk, sys.Pos[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], eps2, t.MAC.Quad, &ctr)
 		if g.N > 0 {
 			per := float64(ctr.PP+ctr.PC-before) / float64(g.N)
 			for i := lo; i < hi; i++ {

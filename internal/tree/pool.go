@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/diag"
-	"repro/internal/keys"
 	"repro/internal/trace"
 )
 
@@ -81,7 +80,7 @@ func (p *ForcePool) worker(i int) {
 			if hi > n {
 				hi = n
 			}
-			t.gravityGroups(w, ctr, int(lo), int(hi), p.eps2)
+			t.gravityGroups(w, ctr, int(lo), int(hi), p.eps2, 0)
 		}
 		p.trace.WorkerSpan(i, "gravity", t0)
 		p.done <- struct{}{}
@@ -113,29 +112,26 @@ func (p *ForcePool) Gravity(t *Tree, eps2 float64) diag.Counters {
 }
 
 // equalize levels every worker's buffer capacities (interaction list,
-// SoA target block, traversal stack) up to the fleet-wide maximum. The
-// atomic group queue hands batches out nondeterministically, so
+// SoA target block, descent stack and batch) up to the fleet-wide
+// maximum. The atomic group queue hands batches out nondeterministically, so
 // without this a worker could meet a group whose interaction list is
 // larger than any it saw before and have to grow mid-evaluation; after
 // one full evaluation plus equalize, every walker can hold the largest
 // list any group produces and the steady state allocates nothing. Runs
 // between evaluations, workers idle.
 func (p *ForcePool) equalize() {
-	var nb, nc, nt, nstack int
+	var nb, nc, nt, nstack, nbatch int
 	for _, w := range p.walkers {
 		b, c := w.List.Caps()
 		nb, nc = max(nb, b), max(nc, c)
 		nt = max(nt, w.tg.Cap())
-		nstack = max(nstack, cap(w.stack))
+		s, a := w.d.Caps()
+		nstack, nbatch = max(nstack, s), max(nbatch, a)
 	}
 	for _, w := range p.walkers {
 		w.List.Grow(nb, nc)
 		w.tg.Grow(nt)
-		if cap(w.stack) < nstack {
-			grown := make([]keys.Key, len(w.stack), nstack)
-			copy(grown, w.stack)
-			w.stack = grown
-		}
+		w.d.Grow(nstack, nbatch)
 	}
 }
 

@@ -4,11 +4,14 @@
 // that lets the parallel code use one global name space for local and
 // remote data alike.
 //
-// A tree is built bottom-up over a key-sorted body array: cells
-// subdivide until they hold at most BucketSize bodies, leaves carry
-// [First,First+N) ranges into the body array, and every cell stores
-// its multipole moments and the critical radius RCrit precomputed from
-// the configured multipole acceptance criterion.
+// A tree is built over a key-sorted body array: cells subdivide until
+// they hold at most BucketSize bodies, leaves carry [First,First+N)
+// ranges into the body array, and every cell stores its multipole
+// moments and the critical radius RCrit precomputed from the
+// configured multipole acceptance criterion. The children of a cell
+// sit side by side in the table's entries (Cell.Kids), so a traversal
+// that stays inside one tree moves by index (Descend) and the hash is
+// probed only for a name: a group's leaf, a branch, a requested cell.
 package tree
 
 import (
@@ -37,6 +40,12 @@ type Cell struct {
 	// First and N give the body range of a leaf (indices into the
 	// owning body arena).
 	First, N int32
+	// Kids is the index, among the entries of the tree's table, of this
+	// cell's first child; the others follow it in octant order, one per
+	// set bit of ChildMask. Zero (the root's entry, nobody's child)
+	// means none: a leaf, or a record that is not in a local tree -- a
+	// top-tree ancestor, another rank's branch, an imported cell.
+	Kids int32
 	// ChildMask has bit o set when child octant o exists.
 	ChildMask uint8
 	Leaf      bool
@@ -78,9 +87,6 @@ func BuildRange(sys *core.System, d keys.Domain, mac grav.MACParams, bucket int,
 
 // Cell returns the cell stored under k, or nil.
 func (t *Tree) Cell(k keys.Key) *Cell { return t.Cells.Ptr(k) }
-
-// Root returns the root key.
-func (t *Tree) Root() keys.Key { return keys.Root }
 
 // LeafBodies returns the positions and masses of a leaf's bodies.
 func (t *Tree) LeafBodies(c *Cell) ([]vec.V3, []float64) {
@@ -126,13 +132,21 @@ func (t *Tree) CheckInvariants() error {
 		return fmt.Errorf("tree: leaves cover %d bodies, want %d", next, t.Sys.Len())
 	}
 	// Internal cells: mass equals sum of children; ChildMask matches
-	// table contents.
+	// table contents; the children sit side by side from entry Kids, in
+	// octant order, which is what Descend walks.
+	if t.Cells.At(0) != root {
+		return fmt.Errorf("tree: the root is not entry 0")
+	}
 	var err error
 	t.Cells.Range(func(k keys.Key, c *Cell) bool {
 		if c.Leaf {
-			return true
+			if c.Kids != 0 {
+				err = fmt.Errorf("tree: leaf %v has a child index %d", k, c.Kids)
+			}
+			return err == nil
 		}
 		var m float64
+		next := int(c.Kids)
 		for oct := 0; oct < 8; oct++ {
 			ck := k.Child(oct)
 			child := t.Cell(ck)
@@ -141,6 +155,11 @@ func (t *Tree) CheckInvariants() error {
 					err = fmt.Errorf("tree: cell %v claims child %d but it is absent", k, oct)
 					return false
 				}
+				if next <= 0 || next >= t.NCells() || t.Cells.At(next) != child {
+					err = fmt.Errorf("tree: cell %v child %d is not at entry %d", k, oct, next)
+					return false
+				}
+				next++
 				m += child.Mp.M
 			} else if child != nil && keys.Root.Contains(ck) {
 				// A present child not in the mask is a corruption

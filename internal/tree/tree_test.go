@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
-	"repro/internal/diag"
 	"repro/internal/grav"
 	"repro/internal/keys"
 	"repro/internal/vec"
@@ -258,55 +257,6 @@ func TestRangeDecomposeIsMinimal(t *testing.T) {
 	if len(cells) != 1 || cells[0] != c {
 		t.Fatalf("aligned octant -> %v", cells)
 	}
-}
-
-func TestWalkMissingCells(t *testing.T) {
-	// A source that hides one subtree must cause Walk to report the
-	// hidden keys rather than silently computing a wrong force.
-	sys, d := cloud(500, 11)
-	tr := Build(sys, d, grav.DefaultMAC(), 16)
-	hidden := keys.Root.Child(firstChild(t, tr))
-	src := &hidingSource{Tree: tr, hide: hidden}
-	var w Walker
-	gk := tr.Groups[len(tr.Groups)-1]
-	g := tr.Cell(gk)
-	var ctr diag.Counters
-	pos := sys.Pos[g.First : g.First+g.N]
-	missing := w.Walk(src, gk, pos, &ctr)
-	// The last group is spatially far from child(first); it may have
-	// accepted the hidden cell's parent... the hidden child itself is
-	// only missing if the walk tried to open it.
-	for _, m := range missing {
-		if m != hidden {
-			t.Fatalf("unexpected missing key %v", m)
-		}
-	}
-}
-
-func firstChild(t *testing.T, tr *Tree) int {
-	root := tr.Cell(keys.Root)
-	if root == nil || root.Leaf {
-		t.Skip("root is a leaf")
-	}
-	for oct := 0; oct < 8; oct++ {
-		if root.ChildMask&(1<<uint(oct)) != 0 {
-			return oct
-		}
-	}
-	t.Fatal("root has no children")
-	return 0
-}
-
-type hidingSource struct {
-	*Tree
-	hide keys.Key
-}
-
-func (h *hidingSource) Cell(k keys.Key) *Cell {
-	if k == h.hide {
-		return nil
-	}
-	return h.Tree.Cell(k)
 }
 
 func BenchmarkTreeBuild10k(b *testing.B) {

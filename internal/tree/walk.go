@@ -10,37 +10,21 @@ import (
 	"repro/internal/vec"
 )
 
-// Source is what Walker.Walk traverses: a provider of cells by key.
-// The serial Tree is a Source. (The distributed engines do not go
-// through it: internal/hotengine owns their traversal and drives the
-// Walker as a visitor, through Begin, Test and TakeLeaf.)
-type Source interface {
-	// Cell returns the cell stored under k, or nil if the data is not
-	// available; the serial tree never returns nil for keys reachable
-	// from the root.
-	Cell(k keys.Key) *Cell
-	// LeafBodies returns the bodies of a leaf cell.
-	LeafBodies(c *Cell) ([]vec.V3, []float64)
-	// Root returns the key traversals start from.
-	Root() keys.Key
-}
-
-// Walker holds the reusable state of group traversals: the stack, the
-// missing-key buffer, the interaction list the walk fills, and the
-// SoA target block Evaluate uses. One long-lived Walker per worker
-// amortizes every per-group allocation away.
+// Walker holds the reusable state of group traversals: the descent
+// (stack and batch of accepted cells), the interaction list the walk
+// fills, and the SoA target block Evaluate uses. One long-lived Walker
+// per worker amortizes every per-group allocation away.
 type Walker struct {
-	stack   []keys.Key
-	missing []keys.Key
+	d Descent
 	// List is the interaction list built by the last Walk (or the
-	// last Begin ... TakeLeaf sequence of a distributed traversal).
+	// last Begin ... TakeLeaf, TakeCells sequence of a distributed
+	// traversal).
 	List grav.InteractionList
 	tg   grav.Targets
-	// The current group, fixed by Begin: its leaf key and bounding
-	// sphere.
+	// The current group's leaf key, fixed by Begin, and the tree Walk
+	// is descending.
 	groupKey keys.Key
-	gc       vec.V3
-	gr       float64
+	src      *Tree
 }
 
 // GroupSphere returns the bounding sphere of a body set: midpoint of
@@ -98,13 +82,18 @@ const (
 )
 
 // Classify applies the multipole acceptance criterion to cell c for a
-// group with bounding sphere (gc, gr).
+// group with bounding sphere (gc, gr): the cell's moments stand in for
+// its bodies when its centre of mass is farther than RCrit from every
+// point of the sphere, d > RCrit + gr, compared squared so that a
+// visit takes no square root. (For RCrit >= 0 that is the d - gr >
+// RCrit && d > gr it replaces, in exact arithmetic; an infinite RCrit
+// still opens.)
 func Classify(c *Cell, gc vec.V3, gr float64) Action {
 	if c.Mp.M == 0 {
 		return Skip // empty cell contributes nothing
 	}
-	d := c.Mp.COM.Sub(gc).Norm()
-	if d-gr > c.RCrit && d > gr {
+	dx, dy, dz := c.Mp.COM.X-gc.X, c.Mp.COM.Y-gc.Y, c.Mp.COM.Z-gc.Z
+	if s := c.RCrit + gr; dx*dx+dy*dy+dz*dz > s*s {
 		return Accept
 	}
 	return Open
@@ -132,9 +121,9 @@ func (b *Bound) Add(c vec.V3, r float64) {
 
 // Nearest returns the point of b's box nearest to p: the worst-case
 // centre, as seen from p, of a sphere b encloses. For every c inside
-// the box p.Sub(Nearest(p)).Norm() <= p.Sub(c).Norm(), in floating
-// point too: each component's magnitude is no larger, and squaring, the
-// sum and the root are monotone.
+// the box p.Sub(Nearest(p)).Norm2() <= p.Sub(c).Norm2(), in floating
+// point too: each component's magnitude is no larger, and squaring and
+// the sum are monotone.
 func (b *Bound) Nearest(p vec.V3) vec.V3 {
 	return vec.V3{
 		X: max(b.Lo.X, min(p.X, b.Hi.X)),
@@ -145,24 +134,20 @@ func (b *Bound) Nearest(p vec.V3) vec.V3 {
 
 // ClassifyBound is Classify made conservative over b: it returns Open
 // whenever Classify would for any sphere (gc, gr) with gc inside b's
-// box and gr <= b.R, because the distance it measures is no larger and
-// the radius no smaller, and Classify's comparisons are monotone in
-// both.
+// box and gr <= b.R, because the squared distance it measures is no
+// larger and the radius no smaller, and both sides of Classify's
+// comparison are monotone (the sum and the square of a non-negative
+// number are, rounded too).
 func ClassifyBound(c *Cell, b *Bound) Action {
 	return Classify(c, b.Nearest(c.Mp.COM), b.R)
 }
 
-// Begin starts a list build for the group with leaf key groupKey and
-// bodies gpos: it resets w.List and fixes the group's bounding sphere
-// for Test.
-func (w *Walker) Begin(groupKey keys.Key, gpos []vec.V3) {
+// Begin starts a list build for the group with leaf key groupKey: it
+// resets w.List for TakeLeaf and TakeCells.
+func (w *Walker) Begin(groupKey keys.Key) {
 	w.groupKey = groupKey
-	w.gc, w.gr = GroupSphere(gpos)
 	w.List.Reset()
 }
-
-// Test classifies cell c against the group Begin set up.
-func (w *Walker) Test(c *Cell) Action { return Classify(c, w.gc, w.gr) }
 
 // TakeLeaf adds an opened leaf to the list: the group's own leaf sets
 // the Self flag, any other contributes its bodies.
@@ -174,44 +159,47 @@ func (w *Walker) TakeLeaf(c *Cell, spos []vec.V3, smass []float64) {
 	}
 }
 
-// Walk traverses src for one group of bodies and builds the group's
+// TakeCells gathers a traversal's batch of accepted cells into the
+// list's slab, in order: one capacity check for the batch, then ten
+// indexed stores per cell.
+func (w *Walker) TakeCells(cells []*Cell) {
+	l := &w.List
+	n := len(cells)
+	at := l.ExtendCells(n)
+	cm, cx, cy, cz := l.CM[at:][:n], l.CX[at:][:n], l.CY[at:][:n], l.CZ[at:][:n]
+	qxx, qyy, qzz := l.QXX[at:][:n], l.QYY[at:][:n], l.QZZ[at:][:n]
+	qxy, qxz, qyz := l.QXY[at:][:n], l.QXZ[at:][:n], l.QYZ[at:][:n]
+	for i, c := range cells {
+		mp := &c.Mp
+		cm[i], cx[i], cy[i], cz[i] = mp.M, mp.COM.X, mp.COM.Y, mp.COM.Z
+		qxx[i], qyy[i], qzz[i] = mp.Q.XX, mp.Q.YY, mp.Q.ZZ
+		qxy[i], qxz[i], qyz[i] = mp.Q.XY, mp.Q.XZ, mp.Q.YZ
+	}
+}
+
+// Leaf takes a leaf Walk's descent opened (LeafTaker).
+func (w *Walker) Leaf(c *Cell) {
+	spos, smass := w.src.LeafBodies(c)
+	w.TakeLeaf(c, spos, smass)
+}
+
+// Walk traverses t for one group of bodies and builds the group's
 // interaction list in w.List (phase 1 of the two-phase evaluation):
 // accepted multipoles go to the cell slab, leaf bodies are gathered
 // into the SoA source columns, and the group's own leaf sets the Self
 // flag. No forces are computed here -- call Evaluate afterwards.
-// groupKey identifies the group's own leaf. Keys src cannot supply are
-// returned; the list is then incomplete.
-func (w *Walker) Walk(src Source, groupKey keys.Key, gpos []vec.V3, ctr *diag.Counters) (missing []keys.Key) {
-	w.Begin(groupKey, gpos)
-	w.missing = w.missing[:0]
-	w.stack = append(w.stack[:0], src.Root())
-	for len(w.stack) > 0 {
-		k := w.stack[len(w.stack)-1]
-		w.stack = w.stack[:len(w.stack)-1]
-		c := src.Cell(k)
-		if c == nil {
-			w.missing = append(w.missing, k)
-			continue
-		}
-		ctr.Traversals++
-		switch a := w.Test(c); {
-		case a == Skip:
-		case a == Accept:
-			w.List.AddCell(&c.Mp)
-		case c.Leaf:
-			spos, smass := src.LeafBodies(c)
-			w.TakeLeaf(c, spos, smass)
-		default:
-			for oct := 0; oct < 8; oct++ {
-				if c.ChildMask&(1<<uint(oct)) != 0 {
-					w.stack = append(w.stack, k.Child(oct))
-				}
-			}
-		}
-	}
-	if len(w.missing) > 0 {
-		return w.missing
-	}
+// groupKey identifies the group's own leaf. It is Descend from the
+// root, the descent the distributed engine runs below its own
+// branches. A tree holds every cell below its root, so missing is
+// always nil; the result remains for callers that check it.
+func (w *Walker) Walk(t *Tree, groupKey keys.Key, gpos []vec.V3, ctr *diag.Counters) (missing []keys.Key) {
+	w.Begin(groupKey)
+	w.src, w.d.Leaves = t, w
+	w.d.Aim(GroupSphere(gpos))
+	ctr.Traversals += t.Descend(&w.d, 0, 1, true)
+	w.TakeCells(w.d.Accepted)
+	w.d.Drop()
+	w.src = nil // a pooled Walker outlives the trees it walks
 	return nil
 }
 
@@ -239,22 +227,24 @@ func (w *Walker) Evaluate(gpos []vec.V3, gmass []float64, acc []vec.V3, pot []fl
 	w.tg.Store(acc, pot)
 }
 
-// gravityGroups runs the two-phase evaluation for the groups
-// [glo,ghi): list-build walk, batched evaluation, and the per-body
-// work weights for the next domain decomposition (the group's
-// interactions spread evenly over its bodies, exact to +-1 since
-// every body in a group shares the same interaction list). Shared by
-// the serial driver and the concurrent pool workers; with a reused
-// Walker the steady state allocates nothing.
-func (t *Tree) gravityGroups(w *Walker, ctr *diag.Counters, glo, ghi int, eps2 float64) {
+// gravityGroups runs the two-phase evaluation for those of the groups
+// [glo,ghi) that hold a body on rung minRung or finer (GroupActive):
+// list-build walk, batched evaluation, and the per-body work weights
+// for the next domain decomposition (the group's interactions spread
+// evenly over its bodies, exact to +-1 since every body in a group
+// shares the same interaction list). Shared by the serial driver and
+// the concurrent pool workers; with a reused Walker the steady state
+// allocates nothing.
+func (t *Tree) gravityGroups(w *Walker, ctr *diag.Counters, glo, ghi int, eps2 float64, minRung int) {
 	sys := t.Sys
 	for _, gk := range t.Groups[glo:ghi] {
 		g := t.Cell(gk)
 		lo, hi := g.First, g.First+g.N
-		before := ctr.PP + ctr.PC
-		if m := w.Walk(t, gk, sys.Pos[lo:hi], ctr); m != nil {
-			panic("tree: serial walk reported missing cells")
+		if !GroupActive(sys, int(lo), int(hi), minRung) {
+			continue
 		}
+		before := ctr.PP + ctr.PC
+		w.Walk(t, gk, sys.Pos[lo:hi], ctr)
 		w.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], eps2, t.MAC.Quad, ctr)
 		if g.N > 0 {
 			per := float64(ctr.PP+ctr.PC-before) / float64(g.N)
@@ -269,12 +259,7 @@ func (t *Tree) gravityGroups(w *Walker, ctr *diag.Counters, glo, ghi int, eps2 f
 // (interaction-list) path: for every group, build its list, evaluate
 // it batched, and record per-body work weights. The system must have
 // dynamics enabled. Returns the interaction counters.
-func (t *Tree) Gravity(eps2 float64) diag.Counters {
-	var ctr diag.Counters
-	var w Walker
-	t.gravityGroups(&w, &ctr, 0, len(t.Groups), eps2)
-	return ctr
-}
+func (t *Tree) Gravity(eps2 float64) diag.Counters { return t.GravityActive(eps2, 0) }
 
 // GroupActive reports whether the body range [lo,hi) of sys holds any
 // body on rung minRung or finer. Activity is group-granular: a group
@@ -304,29 +289,8 @@ func GroupActive(sys *core.System, lo, hi, minRung int) bool {
 // uniform one. Inactive bodies still contribute as sources through the
 // tree, which must have been rebuilt from their drifted positions.
 func (t *Tree) GravityActive(eps2 float64, minRung int) diag.Counters {
-	if minRung <= 0 {
-		return t.Gravity(eps2)
-	}
 	var ctr diag.Counters
 	var w Walker
-	sys := t.Sys
-	for _, gk := range t.Groups {
-		g := t.Cell(gk)
-		lo, hi := g.First, g.First+g.N
-		if !GroupActive(sys, int(lo), int(hi), minRung) {
-			continue
-		}
-		before := ctr.PP + ctr.PC
-		if m := w.Walk(t, gk, sys.Pos[lo:hi], &ctr); m != nil {
-			panic("tree: serial walk reported missing cells")
-		}
-		w.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], eps2, t.MAC.Quad, &ctr)
-		if g.N > 0 {
-			per := float64(ctr.PP+ctr.PC-before) / float64(g.N)
-			for i := lo; i < hi; i++ {
-				sys.Work[i] = per
-			}
-		}
-	}
+	t.gravityGroups(&w, &ctr, 0, len(t.Groups), eps2, minRung)
 	return ctr
 }

@@ -133,18 +133,11 @@ func (e *ParallelEngine) leafBodies(c *tree.Cell) ([]vec.V3, []vec.V3) {
 // geometry, accepted cells taken as monopoles of their total strength,
 // opened leaves as (position, strength) columns, all into the engine's
 // vList.
-type visitor struct {
-	e  *ParallelEngine
-	gc vec.V3
-	gr float64
-}
+type visitor struct{ e *ParallelEngine }
 
-func (v *visitor) Begin(_ keys.Key, g *tree.Cell) {
-	v.gc, v.gr = tree.GroupSphere(v.e.Sys.Pos[g.First : g.First+g.N])
-	v.e.list.reset()
-}
+func (v *visitor) Begin(keys.Key, *tree.Cell) { v.e.list.reset() }
 
-func (v *visitor) Test(c *tree.Cell) tree.Action { return tree.Classify(c, v.gc, v.gr) }
+func (v *visitor) MAC() bool { return true }
 
 func (v *visitor) Sphere(g *tree.Cell) (vec.V3, float64) {
 	return tree.GroupSphere(v.e.Sys.Pos[g.First : g.First+g.N])
@@ -152,8 +145,10 @@ func (v *visitor) Sphere(g *tree.Cell) (vec.V3, float64) {
 
 func (v *visitor) TestBound(c *tree.Cell, b *tree.Bound) tree.Action { return tree.ClassifyBound(c, b) }
 
-func (v *visitor) Cell(c *tree.Cell, asum vec.V3) {
-	v.e.list.cells = append(v.e.list.cells, cellMoment{ASum: asum, Centroid: c.Mp.COM})
+func (v *visitor) Cells(cells []*tree.Cell, asum []vec.V3) {
+	for i, c := range cells {
+		v.e.list.cells = append(v.e.list.cells, cellMoment{ASum: asum[i], Centroid: c.Mp.COM})
+	}
 }
 
 func (v *visitor) Leaf(c *tree.Cell) { v.e.list.addBodies(v.e.leafBodies(c)) }

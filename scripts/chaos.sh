@@ -22,8 +22,13 @@ full) seeds="1 2 3 4 5" ;;
 	;;
 esac
 
-bin="$(mktemp -d)/treebench"
-trap 'rm -rf "$(dirname "$bin")"' EXIT
+# Binary and captured stderr live in one mktemp directory, removed on
+# any exit.
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+trap 'exit 130' INT TERM
+bin="$tmp/treebench"
+err="$tmp/stderr"
 go build -o "$bin" ./cmd/treebench
 
 runs=0
@@ -34,7 +39,7 @@ cleans=0
 run_one() {
 	runs=$((runs + 1))
 	rc=0
-	timeout 120 "$@" >/dev/null 2>/tmp/chaos_err.$$ || rc=$?
+	timeout 120 "$@" >/dev/null 2>"$err" || rc=$?
 	case "$rc" in
 	0)
 		cleans=$((cleans + 1))
@@ -42,9 +47,9 @@ run_one() {
 	3)
 		# Contained failure: the stderr must carry the
 		# structured report, not a raw panic trace.
-		if ! grep -q "msg: world aborted" /tmp/chaos_err.$$; then
+		if ! grep -q "msg: world aborted" "$err"; then
 			echo "FAIL (exit 3 without a WorldError): $*" >&2
-			cat /tmp/chaos_err.$$ >&2
+			cat "$err" >&2
 			exit 1
 		fi
 		aborts=$((aborts + 1))
@@ -55,7 +60,7 @@ run_one() {
 		;;
 	*)
 		echo "FAIL (uncontained exit $rc): $*" >&2
-		cat /tmp/chaos_err.$$ >&2
+		cat "$err" >&2
 		exit 1
 		;;
 	esac
@@ -87,8 +92,8 @@ for np in 2 8; do
 		for seed in $seeds; do
 			run_one "$bin" -n 3000 -procs "$np" -steps 2 \
 				-watchdog 2s -chaos "seed=$seed,$spec,latency=0.02"
-			r=$(sed -n 's/.*world aborted by rank \([0-9]*\): msg: injected crash.*/\1/p' /tmp/chaos_err.$$ | head -n 1)
-			if [ -n "$r" ] && grep -q "rank $r: phase=[^ ]*walk[^ ]* seq=[0-9]* round=0 " /tmp/chaos_err.$$; then
+			r=$(sed -n 's/.*world aborted by rank \([0-9]*\): msg: injected crash.*/\1/p' "$err" | head -n 1)
+			if [ -n "$r" ] && grep -q "rank $r: phase=[^ ]*walk[^ ]* seq=[0-9]* round=0 " "$err"; then
 				inpush=$((inpush + 1))
 			fi
 		done
@@ -111,5 +116,4 @@ for np in 2 8; do
 	done
 done
 
-rm -f /tmp/chaos_err.$$
 echo "chaos: $runs runs, $cleans clean, $aborts contained aborts ($inpush crashes inside the push), 0 hangs"
