@@ -11,10 +11,13 @@
 // requests. The engine guarantees replies come back aligned with the
 // posted requests (per destination, in posting order), which is what
 // lets the treecode insert fetched cells without any bookkeeping
-// beyond the original key list. Every request batch also carries one
-// bit, "the sender is not finished", so the round loop needs no
-// separate termination collective: it ends on the one exchange in
-// which nobody asks for anything and nobody raises the bit.
+// beyond the original key list.
+//
+// Whether a round is needed at all is a smaller question, and Vote
+// answers it with one allreduce: 2(P-1) one-byte messages, where the
+// all-to-all of empty batches that used to carry the answer was P(P-1).
+// A round loop is "for Vote(work) { Round() }"; behind hotengine's push
+// nobody is parked, and a walk phase ends on its first vote.
 package abm
 
 import (
@@ -43,20 +46,17 @@ type Engine[Req, Rep any] struct {
 	// read its request batches (the replies prove it), so by the time
 	// the recycled arrays take new posts, nobody aliases them.
 	spare [][]Req
-	// reqSend and reqRecv are the reused per-peer batches of the
-	// request exchange (batchBytes their wire size, bound once),
-	// repRecv the reused outer receive buffer of the reply exchange;
-	// replies is the reused per-source reply index.
-	reqSend, reqRecv []batch[Req]
-	batchBytes       func(batch[Req]) int
-	replies          [][]Rep
-	repRecv          [][]Rep
+	// reqRecv and repRecv are the reused outer receive buffers of the
+	// request and reply exchanges; replies is the reused per-source
+	// reply index.
+	reqRecv [][]Req
+	replies [][]Rep
+	repRecv [][]Rep
 	// Posted counts requests queued since construction (diagnostic).
 	Posted uint64
 	// Served counts requests this rank handled (diagnostic).
 	Served uint64
-	// Rounds counts request/reply rounds executed (the exchange that
-	// ends a round loop is not one).
+	// Rounds counts request/reply rounds executed.
 	Rounds uint64
 	// Trace, when non-nil, receives one "abm.round" span per Round
 	// call on this rank's timeline (nil = off, zero cost).
@@ -71,14 +71,6 @@ type Engine[Req, Rep any] struct {
 	OnReply func(src int, reps []Rep)
 }
 
-// batch is what one rank sends another in the request exchange.
-type batch[Req any] struct {
-	reqs []Req
-	// more is the sender's claim that it is not finished: it posted
-	// requests this round or has work that may post some later.
-	more bool
-}
-
 // New creates an engine on communicator c. reqBytes and repBytes are
 // the logical wire sizes per request and per reply for traffic
 // accounting.
@@ -90,10 +82,7 @@ func New[Req, Rep any](c *msg.Comm, reqBytes, repBytes int, handler func(src int
 		Handler:  handler,
 		queues:   make([][]Req, c.Size()),
 		spare:    make([][]Req, c.Size()),
-		reqSend:  make([]batch[Req], c.Size()),
-		// The requests and a byte for the flag.
-		batchBytes: func(b batch[Req]) int { return reqBytes*len(b.reqs) + 1 },
-		replies:    make([][]Rep, c.Size()),
+		replies:  make([][]Rep, c.Size()),
 	}
 }
 
@@ -114,6 +103,13 @@ func (e *Engine[Req, Rep]) PendingLocal() bool {
 	return false
 }
 
+// Vote is a collective: it reports, identically on every rank, whether
+// any rank has unflushed requests or holds work that may post some
+// later (work, the caller's own claim). False ends a round loop.
+func (e *Engine[Req, Rep]) Vote(work bool) bool {
+	return msg.Allreduce(e.c, work || e.PendingLocal(), func(a, b bool) bool { return a || b }, 1)
+}
+
 // Round is a collective: all ranks must call it together. It flushes
 // every queue, serves incoming batches with Handler, and returns the
 // replies to this rank's requests, indexed by destination rank and
@@ -122,42 +118,25 @@ func (e *Engine[Req, Rep]) PendingLocal() bool {
 // the request batches handed to Handler) are valid until the next
 // Round on this engine; steady-state rounds allocate nothing beyond
 // what Handler itself allocates and the message layer spends per send.
-//
-// work is the caller's termination vote: true while it holds work that
-// may post requests in a later round. When no rank posted a request or
-// voted true, every rank learns so from the request exchange alone:
-// the reply exchange is skipped and Round returns (nil, false) on all
-// of them, which ends the round loop.
-func (e *Engine[Req, Rep]) Round(work bool) ([][]Rep, bool) {
+func (e *Engine[Req, Rep]) Round() [][]Rep {
 	t0 := e.Trace.Now()
 	defer func() { e.Trace.Span("abm.round", t0) }()
 	e.c.NoteRound(e.Rounds + 1)
-	more := work || e.PendingLocal()
 	out := e.queues
 	e.queues = e.spare
-	for d := range out {
-		e.reqSend[d] = batch[Req]{reqs: out[d], more: more}
-	}
-	e.reqRecv = msg.Alltoall(e.c, e.reqSend, e.reqRecv, e.batchBytes)
-	for _, b := range e.reqRecv {
-		more = more || b.more
-	}
-	if !more {
-		e.spare = out // all empty: nothing was lent out
-		return nil, false
-	}
+	e.reqRecv = msg.AlltoallvInto(e.c, out, e.reqRecv, e.reqBytes)
 	e.Rounds++
 	replies := e.replies
-	for src, b := range e.reqRecv {
+	for src, reqs := range e.reqRecv {
 		replies[src] = nil
-		if len(b.reqs) == 0 {
+		if len(reqs) == 0 {
 			continue
 		}
-		e.Served += uint64(len(b.reqs))
-		reps := e.Handler(src, b.reqs)
-		if len(reps) != len(b.reqs) {
+		e.Served += uint64(len(reqs))
+		reps := e.Handler(src, reqs)
+		if len(reps) != len(reqs) {
 			e.c.Abort(fmt.Errorf("abm: handler returned %d replies for %d requests from rank %d",
-				len(reps), len(b.reqs), src))
+				len(reps), len(reqs), src))
 		}
 		replies[src] = reps
 	}
@@ -173,5 +152,5 @@ func (e *Engine[Req, Rep]) Round(work bool) ([][]Rep, bool) {
 		out[d] = out[d][:0]
 	}
 	e.spare = out
-	return e.repRecv, true
+	return e.repRecv
 }

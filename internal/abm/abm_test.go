@@ -22,7 +22,7 @@ func TestRoundTripAligned(t *testing.T) {
 			e.Post(d, 10*c.Rank()+d)
 			e.Post(d, 100+d)
 		}
-		reps, _ := e.Round(false)
+		reps := e.Round()
 		for d := 0; d < c.Size(); d++ {
 			want0 := fmt.Sprintf("r%d:q%d:from%d", d, 10*c.Rank()+d, c.Rank())
 			want1 := fmt.Sprintf("r%d:q%d:from%d", d, 100+d, c.Rank())
@@ -47,7 +47,7 @@ func TestEmptyRound(t *testing.T) {
 			e.Post(1, 7)
 			e.Post(2, 9)
 		}
-		reps, _ := e.Round(false)
+		reps := e.Round()
 		if c.Rank() == 0 {
 			if reps[1][0] != 49 || reps[2][0] != 81 {
 				t.Errorf("replies: %v", reps)
@@ -78,11 +78,8 @@ func TestMultiRoundConvergence(t *testing.T) {
 		depth := c.Rank() + 1 // ranks need different numbers of rounds
 		e.Post((c.Rank()+1)%c.Size(), depth)
 		got := 0
-		for {
-			reps, more := e.Round(false)
-			if !more {
-				break
-			}
+		for e.Vote(false) {
+			reps := e.Round()
 			for d := range reps {
 				for _, v := range reps[d] {
 					got++
@@ -102,35 +99,44 @@ func TestMultiRoundConvergence(t *testing.T) {
 	}
 }
 
-// The round loop ends on one request exchange: when nobody posted and
-// nobody voted to go on, every rank gets more == false from the same
-// call, the reply exchange is skipped and the round is not counted. A
-// single rank's vote keeps everyone going, requests or not.
-func TestRoundCarriesTermination(t *testing.T) {
+// The vote decides, identically on every rank, whether a round runs: a
+// single rank's claim of work keeps everyone going, requests or not,
+// and so does a single posted request. With no posts and no claims the
+// loop ends on the vote alone: zero Round calls, one collective, 2(P-1)
+// messages where the empty all-to-all that used to carry the answer
+// was P(P-1).
+func TestVoteDecidesTermination(t *testing.T) {
 	const np = 4
 	w := msg.Run(np, func(c *msg.Comm) {
 		e := New[int, int](c, 8, 8, func(src int, reqs []int) []int { return make([]int, len(reqs)) })
-		// Round 1: only rank 2 votes, nobody asks.
-		if _, more := e.Round(c.Rank() == 2); !more {
+		// Only rank 2 claims work, nobody asks.
+		if !e.Vote(c.Rank() == 2) {
 			t.Errorf("rank %d: loop ended although rank 2 voted to go on", c.Rank())
 		}
-		// Round 2: only rank 1 asks, nobody votes.
+		// Only rank 1 asks, nobody claims work.
 		if c.Rank() == 1 {
 			e.Post(3, 7)
 		}
-		if reps, more := e.Round(false); !more || (c.Rank() == 1) != (len(reps[3]) == 1) {
-			t.Errorf("rank %d: more=%v replies=%v after rank 1 posted", c.Rank(), more, reps)
+		if !e.Vote(false) {
+			t.Errorf("rank %d: loop ended although rank 1 had posted", c.Rank())
 		}
-		// Round 3: nothing anywhere.
-		if reps, more := e.Round(false); more || reps != nil {
-			t.Errorf("rank %d: more=%v replies=%v on an idle world", c.Rank(), more, reps)
+		if reps := e.Round(); (c.Rank() == 1) != (len(reps[3]) == 1) {
+			t.Errorf("rank %d: replies %v after rank 1 posted", c.Rank(), reps)
 		}
-		if e.Rounds != 2 {
-			t.Errorf("rank %d: Rounds = %d, want 2 (the closing exchange is not a round)", c.Rank(), e.Rounds)
+		// Nothing anywhere: the loop as a caller writes it.
+		before := c.Collectives()
+		for e.Vote(false) {
+			e.Round()
+		}
+		if got := c.Collectives() - before; got != 1 {
+			t.Errorf("rank %d: an idle loop took %d collectives, want 1", c.Rank(), got)
+		}
+		if e.Rounds != 1 {
+			t.Errorf("rank %d: Rounds = %d, want 1 (a vote is not a round)", c.Rank(), e.Rounds)
 		}
 	})
-	// Two full rounds of two all-to-alls and the closing exchange.
-	if got, want := w.TotalTraffic().Msgs, uint64((2*2+1)*np*(np-1)); got != want {
+	// Three votes and one round of two all-to-alls.
+	if got, want := w.TotalTraffic().Msgs, uint64(3*2*(np-1)+2*np*(np-1)); got != want {
 		t.Errorf("%d messages, want %d", got, want)
 	}
 }
@@ -147,7 +153,7 @@ func TestCounters(t *testing.T) {
 				t.Error("pending should be true after Post")
 			}
 		}
-		e.Round(false)
+		e.Round()
 		if e.PendingLocal() {
 			t.Error("pending should clear after Round")
 		}
@@ -174,7 +180,7 @@ func TestHandlerArityPanics(t *testing.T) {
 			return nil // wrong arity
 		})
 		e.Post(0, 1)
-		e.Round(false)
+		e.Round()
 	})
 }
 
@@ -196,12 +202,12 @@ func TestRoundZeroAllocSteadyState(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			e.Post(0, i)
 			e.Post(0, i+10)
-			e.Round(false)
+			e.Round()
 		}
 		allocs := testing.AllocsPerRun(100, func() {
 			e.Post(0, 1)
 			e.Post(0, 2)
-			out, _ := e.Round(false)
+			out := e.Round()
 			if len(out[0]) != 2 || out[0][0] != 2 || out[0][1] != 4 {
 				t.Fatalf("bad replies: %v", out[0])
 			}
@@ -228,7 +234,7 @@ func TestRoundRecyclesQueuesMultiRank(t *testing.T) {
 			for d := 0; d < c.Size(); d++ {
 				e.Post(d, round*10+d)
 			}
-			out, _ := e.Round(false)
+			out := e.Round()
 			for d := 0; d < c.Size(); d++ {
 				if len(out[d]) != 1 || out[d][0] != round*10+d+c.Rank() {
 					t.Errorf("round %d dst %d: %v", round, d, out[d])
@@ -255,14 +261,14 @@ func BenchmarkRoundSteadyState(b *testing.B) {
 		})
 		for i := 0; i < 4; i++ {
 			e.Post(0, i)
-			e.Round(false)
+			e.Round()
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			e.Post(0, i)
 			e.Post(0, i+1)
-			e.Round(false)
+			e.Round()
 		}
 	})
 }

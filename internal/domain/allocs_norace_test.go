@@ -7,10 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/keys"
 	"repro/internal/msg"
 )
 
-// The splitter search of a warm Decomposer runs on its own scratch:
+// Both splitter searches run on the Decomposer's own scratch: windows,
 // samples, candidates and probe vectors are reused and the reductions
 // accumulate in place, so what is left per call is the result slice
 // and what the message layer spends per collective (a boxed payload
@@ -19,8 +20,21 @@ import (
 // rest of Decompose hands a freshly allocated system to its caller by
 // contract and is not measured here.
 func TestDecomposeSteadyStateAllocs(t *testing.T) {
+	// Full search: 4 collectives x 6 sends, 2 gather results, 4 split
+	// slices. One-allgather search: 6 sends, 1 gather result, 4 split
+	// slices.
+	t.Run("full", func(t *testing.T) { searchAllocs(t, false, 32) })
+	t.Run("one-allgather", func(t *testing.T) { searchAllocs(t, true, 12) })
+}
+
+func searchAllocs(t *testing.T, warm bool, most float64) {
 	const n, np, calls = 4000, 4, 50
 	global := clustered(n, 3)
+	if warm {
+		// Slabs of the sorted order are what an exchange leaves behind.
+		global.AssignKeys(keys.NewDomain(global.Pos))
+		global.SortByKey()
+	}
 	var perCall float64
 	msg.Run(np, func(c *msg.Comm) {
 		local := core.New(0)
@@ -31,6 +45,9 @@ func TestDecomposeSteadyStateAllocs(t *testing.T) {
 		local.SortByKey()
 		pw := prefixWork(local.Work)
 		var dc Decomposer
+		if warm {
+			dc.prev = make([]uint64, np+1)
+		}
 		for i := 0; i < 3; i++ { // size the scratch and the mailboxes
 			dc.selectSplits(c, local.Key, pw, np)
 		}
@@ -49,9 +66,8 @@ func TestDecomposeSteadyStateAllocs(t *testing.T) {
 			perCall = float64(after.Mallocs-before.Mallocs) / calls
 		}
 	})
-	// 4 collectives x 6 sends, 2 gather results, 4 split slices.
-	if perCall > 32 {
-		t.Fatalf("splitter search allocates %.1f objects per call across %d ranks, want <= 32", perCall, np)
+	if perCall > most {
+		t.Fatalf("splitter search allocates %.1f objects per call across %d ranks, want <= %g", perCall, np, most)
 	}
 	t.Logf("%.1f allocs per search across %d ranks", perCall, np)
 }

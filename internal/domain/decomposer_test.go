@@ -123,17 +123,35 @@ func snapsEqual(t *testing.T, label string, want, got []stepSnap) {
 	}
 }
 
-// The incremental decomposer (resort repair, merged exchange) must
-// produce byte-identical splits and body order to the cold path, step
-// after step, under drift that moves bodies between ranks.
+// The incremental decomposer (resort repair, one-allgather splitter
+// search, merged exchange) must produce byte-identical splits and body
+// order to the cold path, step after step, under drift that moves
+// bodies between ranks -- and the one-allgather search must be what
+// found most of those splits, or the test compares the full search
+// with itself.
 func TestDecomposerIncrementalMatchesCold(t *testing.T) {
-	const n, steps = 1500, 4
+	const n, steps = 1500, 10
 	global := clustered(n, 7)
 	for _, np := range []int{1, 2, 4, 8} {
 		drift := jitter(2e-4)
 		cold := runWorld(t, global, np, steps, drift, func() *Decomposer { return nil })
 		inc := runWorld(t, global, np, steps, drift, func() *Decomposer { return &Decomposer{} })
 		snapsEqual(t, "incremental", cold, inc)
+		hits := 0
+		for s := 1; s < steps && np > 1; s++ {
+			for r, st := range inc[s].stats {
+				if st.Rounds != inc[s].stats[0].Rounds || (st.Rounds != 1 && st.Rounds != 5) {
+					t.Fatalf("np=%d step=%d rank=%d: search took %d collectives, rank 0's %d; want 1 or 5 on every rank",
+						np, s, r, st.Rounds, inc[s].stats[0].Rounds)
+				}
+			}
+			if inc[s].stats[0].Rounds == 1 {
+				hits++
+			}
+		}
+		if np > 1 && hits < steps/2 {
+			t.Fatalf("np=%d: the one-allgather search settled %d of %d warm steps", np, hits, steps-1)
+		}
 		// Drift moved bodies across ranks at some step (otherwise the
 		// test exercises nothing).
 		if np > 1 {
@@ -159,9 +177,9 @@ func TestDecomposerIncrementalMatchesCold(t *testing.T) {
 
 // A warm (persistent) decomposer on a static body set: the order
 // repair finds nothing displaced and never falls back to the full
-// sort, and the splitter search costs exactly what a cold call's does
-// -- four collectives, with nothing carried over between calls to
-// validate or fall back from.
+// sort, and every splitter sits where two ranks' bodies meet, so the
+// search is the one allgather where the first call's was four
+// collectives.
 func TestDecomposerWarmPathEngages(t *testing.T) {
 	const n, steps = 1200, 3
 	global := clustered(n, 9)
@@ -172,8 +190,8 @@ func TestDecomposerWarmPathEngages(t *testing.T) {
 		for r := 0; r < np; r++ {
 			for s := 1; s < steps; s++ {
 				st := snaps[s].stats[r]
-				if st.Rounds != 4 || st.Rounds != snaps[0].stats[r].Rounds {
-					t.Fatalf("np=%d rank=%d step=%d: search took %d collectives, the first call %d, want 4",
+				if st.Rounds != 1 || snaps[0].stats[r].Rounds != 4 {
+					t.Fatalf("np=%d rank=%d step=%d: search took %d collectives, the first call %d, want 1 and 4",
 						np, r, s, st.Rounds, snaps[0].stats[r].Rounds)
 				}
 				if st.FullSort || st.Displaced != 0 {
@@ -186,8 +204,8 @@ func TestDecomposerWarmPathEngages(t *testing.T) {
 }
 
 // The first call of a fresh Decomposer must fall back to a full sort
-// (nothing is known about the order) and pays the same four search
-// collectives as every later call; on one rank there is no search.
+// (nothing is known about the order) and pays the four collectives of
+// the full search; on one rank there is no search.
 func TestDecomposerColdStartStats(t *testing.T) {
 	global := clustered(600, 11)
 	snaps := runWorld(t, global, 4, 1, nil, func() *Decomposer { return &Decomposer{} })

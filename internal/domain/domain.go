@@ -11,14 +11,23 @@
 // collectives whatever the key width, N or Np: an exact selection
 // among the offsets where the work below can change, narrowed by
 // samples first and settled by the few bodies left in between
-// (selectSplits; two allgathers, two vector allreduces). Bodies then
+// (sampleSplits; two allgathers, two vector allreduces). Bodies then
 // move with a single all-to-all exchange.
 //
 // The paper's other observation is that the decomposition changes
 // slowly between timesteps, so a persistent Decomposer works
 // incrementally: the local order is repaired (core.Sorter.Resort)
-// instead of re-sorted, and the prefix/sample/probe/send scratch is
-// reused across calls.
+// instead of re-sorted, the prefix/sample/probe/send scratch is reused
+// across calls, and the splitter search itself is one allgather
+// (hintedSplits): after an exchange every rank holds one interval of
+// the curve, so the next splitters fall where two neighbours' intervals
+// meet, among the first and last few bodies of each rank. Publishing
+// those is enough to evaluate the same rank-ordered work sums the full
+// search reduces, at every offset that can matter, and to know when it
+// was not enough: the search then runs in full. The splits are the same
+// bits either way -- a function of the bodies and Np, never of what the
+// previous step left behind; only the count of collectives differs
+// (Stats.Rounds: 1 on a hit, 4 cold, 5 on a miss).
 package domain
 
 import (
@@ -63,6 +72,19 @@ type Result struct {
 // Np*samplesPerRank+1 offsets.
 const samplesPerRank = 64
 
+// hintWindow is how many bodies from each end of its sorted list a
+// rank publishes to the one-allgather search: 2 KB a rank, about what
+// the first pass of the full search sends. Chosen from how deep into a
+// rank's list the bracket of a splitter reaches, measured per splitter
+// on the two distributed benchmark workloads (Plummer, np = 4, dt =
+// 1e-3; EXPERIMENTS.md "Six collectives"): at N = 10 000 p50 4 to 7,
+// p90 8 to 12, largest 33; at N = 5 000 p50 3 to 4, p90 6 to 11,
+// largest 34; at dt = 5e-3 largest 36. Only the first step after a
+// first evaluation reaches further (100 to 1 600 bodies: work goes
+// from all-equal to counted interactions and every splitter jumps),
+// and that step runs the full search.
+const hintWindow = 64
+
 // DefaultReuseThreshold is the displaced-body fraction at or below
 // which a Reuse decomposition keeps the previous splits. One body in
 // twenty crossing a cell boundary between sub-steps barely moves the
@@ -79,7 +101,10 @@ type Stats struct {
 	// FullSort reports that fallback.
 	FullSort bool
 	// Rounds is the number of collectives the splitter search issued
-	// (the Reuse check included): 4 for a full search, 0 on one rank.
+	// (the Reuse check included): 1 when the one-allgather search of a
+	// warm decomposer settled every splitter, 5 when it could not and
+	// the full search followed, 4 for the full search of a cold one, 0
+	// on one rank.
 	Rounds int
 	// MergeRuns is the number of non-empty sorted runs the
 	// post-exchange merge combined (1 means the order was free).
@@ -99,8 +124,6 @@ type Stats struct {
 // reusable buffer. One Decomposer per rank; the zero value is a cold
 // decomposer. The one-shot Decompose function wraps it.
 type Decomposer struct {
-	// Workers caps the sort fan-out (core.Sorter.Workers).
-	Workers int
 	// Reuse enables the displaced-fraction fast path for the partial
 	// force evaluations of block timesteps: when the globally
 	// allreduced fraction of displaced bodies is at most
@@ -124,14 +147,16 @@ type Decomposer struct {
 	sorter core.Sorter
 	prev   []uint64
 
-	pw    []float64
-	mine  []uint64  // this rank's candidates of a search pass
-	cand  []uint64  // every rank's, merged: identical on all ranks
-	sums  []float64 // work below each of cand
-	below []uint64  // per splitter, an offset known to lie below it
-	send  [][]Wire
-	perm  []int32
-	heads []int
+	pw      []float64
+	mine    []uint64  // this rank's candidates of a search pass
+	cand    []uint64  // every rank's, merged: identical on all ranks
+	sums    []float64 // work below each of cand
+	below   []uint64  // per splitter, an offset known to lie below it
+	edges   []edge    // this rank's published bodies (hintedSplits)
+	unknown []bool    // per candidate: inside some rank's unpublished interior
+	send    [][]Wire
+	perm    []int32
+	heads   []int
 }
 
 // Decompose redistributes bodies so every rank owns a contiguous
@@ -142,7 +167,6 @@ type Decomposer struct {
 func (dc *Decomposer) Decompose(c *msg.Comm, sys *core.System, d keys.Domain) Result {
 	c.Phase("decompose")
 	dc.Last = Stats{}
-	dc.sorter.Workers = dc.Workers
 
 	if dc.Sub != nil {
 		dc.Sub.Start("treebuild/sort")
@@ -307,7 +331,134 @@ type summary struct {
 // sums added in rank order) reaches total*(s+1)/P, or EndOffset when
 // none does. That predicate is monotone in the offset and can only
 // change at a candidate -- the offset 1 or some body's offset + 1 --
-// so it is evaluated at candidates alone, in two passes of one
+// so it is evaluated at candidates alone. A warm decomposer, whose
+// last exchange left every rank one interval of the curve, first asks
+// hintedSplits, which answers in one allgather or not at all; the full
+// search (sampleSplits) is the answer otherwise, and the only one that
+// works on bodies in no particular place: a first evaluation, a
+// restart.
+func (dc *Decomposer) selectSplits(c *msg.Comm, ks []keys.Key, pw []float64, p int) []uint64 {
+	if p > 1 && len(dc.prev) == p+1 {
+		if splits, ok := dc.hintedSplits(c, ks, pw, p); ok {
+			return splits
+		}
+	}
+	return dc.sampleSplits(c, ks, pw, p)
+}
+
+// edge is one published body: its key offset and the work of this
+// rank's bodies below it in the local order.
+type edge struct {
+	off   uint64
+	below float64
+}
+
+// window is a rank's contribution to the one-allgather search: its
+// body count, their total work, and the first and last hintWindow
+// bodies of its sorted list (all of them when there are no more than
+// that), ascending.
+type window struct {
+	n     int
+	work  float64
+	edges []edge
+}
+
+// gap returns the index in w.edges of the first body after the
+// unpublished interior, or -1 when every body is published.
+func (w *window) gap() int {
+	if len(w.edges) == w.n {
+		return -1
+	}
+	return len(w.edges) / 2
+}
+
+// hintedSplits is the splitter search in one allgather. Every rank
+// publishes a window; from all of them every rank evaluates, at every
+// published candidate, the same sum the full search allreduces -- each
+// rank's work below the candidate, added in rank order -- wherever that
+// is known: rank r's term is unknown exactly for candidates in its
+// unpublished interior, above its last published head body and not
+// above its first published tail body. An unpublished body's candidate
+// lies in its rank's interior or equals a published one, so between two
+// adjacent published candidates that are both known there is no
+// candidate at all, and a splitter whose target is first reached at the
+// upper of such a pair is that candidate, exactly as the full search
+// finds it. ok is false when some splitter has no such pair: the same
+// verdict on every rank, from the same gathered data.
+func (dc *Decomposer) hintedSplits(c *msg.Comm, ks []keys.Key, pw []float64, p int) (splits []uint64, ok bool) {
+	n := len(ks)
+	edges := dc.edges[:0]
+	for i := 0; i < n; i++ {
+		if i == hintWindow && n > 2*hintWindow {
+			i = n - hintWindow
+		}
+		edges = append(edges, edge{tree.KeyOffset(ks[i]), pw[i]})
+	}
+	dc.edges = edges
+	wins := msg.Allgather(c, window{n: n, work: pw[n], edges: edges}, 16+16*len(edges))
+	dc.Last.Rounds++
+
+	total := 0.0
+	cand := append(dc.cand[:0], 1)
+	for i := range wins {
+		total += wins[i].work
+		for _, e := range wins[i].edges {
+			cand = append(cand, e.off+1)
+		}
+	}
+	slices.Sort(cand)
+	cand = slices.Compact(cand)
+	dc.cand = cand
+
+	// One sweep per rank, in rank order so the sums associate as the
+	// allreduce's do (which starts from rank 0's term; 0 + x is x): j is
+	// the first published body at or above the candidate, and the work
+	// below the candidate is the work below j.
+	sums := append(dc.sums[:0], make([]float64, len(cand))...)
+	unknown := append(dc.unknown[:0], make([]bool, len(cand))...)
+	dc.sums, dc.unknown = sums, unknown
+	for r := range wins {
+		w := &wins[r]
+		gap, j := w.gap(), 0
+		for k, off := range cand {
+			for j < len(w.edges) && w.edges[j].off < off {
+				j++
+			}
+			below := w.work
+			if j < len(w.edges) {
+				below = w.edges[j].below
+			}
+			if j == gap {
+				unknown[k] = true
+			}
+			sums[k] += below
+		}
+	}
+
+	// Targets rise with s, so the scan never goes back. The last
+	// candidate lies above every body and is known to every rank: a
+	// target it does not reach is reached nowhere.
+	splits = make([]uint64, p+1)
+	splits[p] = tree.EndOffset
+	k := 0
+	for s := 0; s < p-1; s++ {
+		tgt := total * float64(s+1) / float64(p)
+		for k < len(cand) && (unknown[k] || !(sums[k] >= tgt)) {
+			k++
+		}
+		switch {
+		case k == len(cand):
+			splits[s+1] = tree.EndOffset
+		case k > 0 && unknown[k-1]:
+			return nil, false
+		default:
+			splits[s+1] = cand[k]
+		}
+	}
+	return splits, true
+}
+
+// sampleSplits is the full splitter search, in two passes of one
 // allgather and one allreduce each. In the first every rank offers
 // samplesPerRank evenly spaced bodies, which narrows each bracket to
 // two adjacent samples, at most ceil(n/samplesPerRank) bodies per
@@ -316,7 +467,7 @@ type summary struct {
 // Splitter s is bracketed by (lo[s], hi[s]]: the work below lo is
 // short of the target, hi is the answer unless a candidate in between
 // already reaches it. hi narrows in place in the result.
-func (dc *Decomposer) selectSplits(c *msg.Comm, ks []keys.Key, pw []float64, p int) []uint64 {
+func (dc *Decomposer) sampleSplits(c *msg.Comm, ks []keys.Key, pw []float64, p int) []uint64 {
 	splits := make([]uint64, p+1)
 	for s := 1; s <= p; s++ {
 		splits[s] = tree.EndOffset
@@ -426,7 +577,6 @@ func (dc *Decomposer) mergeRuns(out *core.System, recv [][]Wire) {
 		perm[k] = int32(bestIdx)
 		dc.heads[best]++
 	}
-	dc.sorter.Workers = dc.Workers
 	dc.sorter.Apply(out, perm)
 }
 

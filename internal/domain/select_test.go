@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,6 +84,33 @@ var selCases = []selCase{
 		shape: setWork(func(id int64, step int) float64 { return float64(1 + hash32(id, step)%9) })},
 	{name: "one-rank", n: 500, home: func(i, n, np int) int { return np - 1 },
 		shape: setWork(func(id int64, step int) float64 { return float64(1 + hash32(id, step)%9) })},
+	// Ownership no exchange could have left behind: every rank's
+	// bodies span the whole curve, more of them than two windows hold,
+	// so every splitter lies in every rank's unpublished interior.
+	{name: "scattered-by-id", n: 2400, home: func(i, n, np int) int { return i % np },
+		shape: setWork(func(id int64, step int) float64 { return float64(1 + hash32(id, step)%9) })},
+	// Seven distinct keys in runs longer than a window: the edge of
+	// every published window falls inside a run of equal keys.
+	{name: "runs-over-window-edge", n: 2100, home: blockHome,
+		shape: func(sys *core.System, step int) {
+			for i := range sys.Pos {
+				k := float64((sys.ID[i] + int64(step)) % 7)
+				sys.Pos[i] = vec.V3{X: k / 7, Y: 1 - k/7, Z: k / 9}
+				sys.Work[i] = 1 + float64(sys.ID[i]%2)
+			}
+		}},
+	// Bodies barely move but the work does: on the last step one half
+	// of space weighs eight times the other, and every splitter moves
+	// past the windows.
+	{name: "splitter-past-window", n: 2400, home: blockHome,
+		shape: func(sys *core.System, step int) {
+			for i := range sys.Pos {
+				sys.Work[i] = 1
+				if step == 2 && sys.Pos[i].X > 0.1 {
+					sys.Work[i] = 8
+				}
+			}
+		}},
 }
 
 // prefixWork returns pw with pw[i] = work of bodies [0, i), summed as
@@ -95,8 +123,19 @@ func prefixWork(work []float64) []float64 {
 	return pw
 }
 
-// The sample selection must return the reference bisection's splits
-// bit for bit, in at most five collectives, whatever the body layout.
+// sameOnAllRanks reports whether every rank passed the same x (a
+// collective, for tests).
+func sameOnAllRanks(c *msg.Comm, x int) bool {
+	r := msg.Allreduce(c, [2]int{x, x}, func(a, b [2]int) [2]int { return [2]int{min(a[0], b[0]), max(a[1], b[1])} }, 16)
+	return r[0] == r[1]
+}
+
+// Both searches must return the reference bisection's splits bit for
+// bit whatever the body layout: the full one in four collectives, the
+// one-allgather search wherever it says it settled every splitter --
+// which every rank must say or deny together. A persistent Decomposer
+// runs the second before the first from its second call on, so its
+// splitters cost one collective or five.
 func TestSelectMatchesBisection(t *testing.T) {
 	const steps = 3
 	ics := []struct {
@@ -106,6 +145,7 @@ func TestSelectMatchesBisection(t *testing.T) {
 		{"plummer", func(n int) *core.System { return ic.Plummer(n, 1, 5) }},
 		{"clustered", func(n int) *core.System { return clustered(n, 5) }},
 	}
+	var hinted, missed atomic.Int64
 	for _, np := range []int{1, 2, 3, 4, 8} {
 		for _, gen := range ics {
 			for _, tc := range selCases {
@@ -142,7 +182,29 @@ func TestSelectMatchesBisection(t *testing.T) {
 							}
 							ref.AssignKeys(d)
 							ref.SortByKey()
-							want := bisectSplits(c, ref.Key, prefixWork(ref.Work), np)
+							pw := prefixWork(ref.Work)
+							want := bisectSplits(c, ref.Key, pw, np)
+
+							// The one-allgather search on this ownership:
+							// whatever home dealt on step 0, what the last
+							// exchange left, drifted, on the others.
+							if np > 1 {
+								got, ok := new(Decomposer).hintedSplits(c, ref.Key, pw, np)
+								if !sameOnAllRanks(c, len(got)) {
+									t.Errorf("%s step %d rank %d: ranks disagree on whether the one-allgather search settled (here: %v)", label, s, c.Rank(), ok)
+								}
+								if ok && !slices.Equal(got, want) {
+									t.Errorf("%s step %d rank %d: one-allgather splits\n got %x\nwant %x", label, s, c.Rank(), got, want)
+								}
+								if ok {
+									hinted.Add(1)
+								} else {
+									missed.Add(1)
+								}
+								if tc.name == "scattered-by-id" && s == 0 && ok {
+									t.Errorf("%s rank %d: settled splitters inside every rank's unpublished interior", label, c.Rank())
+								}
+							}
 
 							res := dec.Decompose(c, local, d)
 							local = res.Sys
@@ -156,15 +218,22 @@ func TestSelectMatchesBisection(t *testing.T) {
 							if !slices.Equal(res.Splits, want) {
 								t.Errorf("%s step %d rank %d: splits\n got %x\nwant %x", label, s, c.Rank(), res.Splits, want)
 							}
-							wantRounds := 0
-							if np > 1 {
-								wantRounds = 4
-							}
+							search := st.Rounds
 							if reuse && s > 0 {
-								wantRounds++ // the Reuse check that said no
+								search-- // the Reuse check that said no
 							}
-							if st.Rounds != wantRounds {
-								t.Errorf("%s step %d rank %d: %d collectives, want %d", label, s, c.Rank(), st.Rounds, wantRounds)
+							switch {
+							case np == 1 && search == 0:
+							case np > 1 && s == 0 && search == 4:
+							case np > 1 && s > 0 && (search == 1 || search == 5):
+							default:
+								t.Errorf("%s step %d rank %d: %d collectives in the search", label, s, c.Rank(), search)
+							}
+							if !sameOnAllRanks(c, st.Rounds) {
+								t.Errorf("%s step %d rank %d: ranks took different searches (here: %d collectives)", label, s, c.Rank(), st.Rounds)
+							}
+							if tc.name == "splitter-past-window" && np == 4 && s == 2 && search != 5 {
+								t.Errorf("%s rank %d: a splitter that moved past the windows was found in %d collectives, want 5", label, c.Rank(), search)
 							}
 						}
 					})
@@ -174,6 +243,10 @@ func TestSelectMatchesBisection(t *testing.T) {
 				}
 			}
 		}
+	}
+	t.Logf("settled %d, gave up %d", hinted.Load(), missed.Load())
+	if hinted.Load() == 0 || missed.Load() == 0 {
+		t.Errorf("the one-allgather search settled %d rank-steps and gave up on %d: the matrix must hold both", hinted.Load(), missed.Load())
 	}
 }
 
@@ -214,9 +287,24 @@ func decodeFuzzWorld(data []byte) (np int, ks [][]keys.Key, work [][]float64) {
 	return np, ks, work
 }
 
-// FuzzSelectSplits: for any world the decoder can describe, the
-// selection equals the reference bisection, and neither panics nor
-// leaves a rank waiting (the watchdog would abort the world).
+// fuzzWorld encodes a world for decodeFuzzWorld: n bodies on np ranks
+// (byte 0 = np-1, so np is what comes out), rank, work byte and 16-bit
+// offset by the functions given.
+func fuzzWorld(np, shift, n int, rank, work, off func(i int) int) []byte {
+	b := []byte{byte(np - 1), byte(shift)}
+	for i := 0; i < n; i++ {
+		o := off(i)
+		b = append(b, byte(rank(i)), byte(work(i)), byte(o>>8), byte(o))
+	}
+	return b
+}
+
+// FuzzSelectSplits: for any world the decoder can describe, both
+// searches equal the reference bisection -- the full one always, the
+// one-allgather search whenever it claims to have settled every
+// splitter, a claim all ranks make or none -- a warm decomposer's
+// selection costs one collective or five accordingly, and nothing
+// panics or leaves a rank waiting (the watchdog would abort the world).
 func FuzzSelectSplits(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 40})
@@ -230,8 +318,31 @@ func FuzzSelectSplits(f *testing.F) {
 		long = append(long, byte(h), byte(h>>8), byte(h>>16)&3, byte(h>>24))
 	}
 	f.Add(long)
+	// Worlds with more bodies per rank than two windows hold, so ranks
+	// have an unpublished interior. 1600 bodies on 4 ranks, offsets
+	// rising with i unless said otherwise.
+	const big = 1600
+	h := func(i int) int { return int(hash32(int64(i), 1)) }
+	rising := func(i int) int { return i * 40 }
+	owner := func(i int) int { return i * 4 / big }
+	some := func(i int) int { return 8 + h(i)%64 }
+	f.Add(fuzzWorld(4, 20, big, owner, some, rising))                                        // settled ownership
+	f.Add(fuzzWorld(4, 20, big, func(i int) int { return i % 4 }, some, rising))             // scattered by ID
+	f.Add(fuzzWorld(4, 20, big, func(i int) int { return owner(i) &^ 1 }, some, rising))     // empty ranks
+	f.Add(fuzzWorld(4, 20, big, owner, some, func(int) int { return 77 }))                   // one key
+	f.Add(fuzzWorld(4, 20, big, owner, some, func(i int) int { return (i / 90) * 500 }))     // runs of equal keys over the window edges
+	f.Add(fuzzWorld(4, 20, big, owner, func(i int) int { return 8 * (i % 2) }, rising))      // zero-work bodies
+	f.Add(fuzzWorld(4, 20, big, owner, func(int) int { return 0 }, rising))                  // all-zero work
+	f.Add(fuzzWorld(4, 20, big, owner, func(i int) int { return 8 + 240*(i/1000) }, rising)) // splitters far from where ranks meet
+	f.Add(fuzzWorld(4, 20, big, func(i int) int {                                            // a few strays far from home
+		if i%97 == 0 {
+			return (owner(i) + 2) % 4
+		}
+		return owner(i)
+	}, some, rising))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		np, ks, work := decodeFuzzWorld(data)
+		settled := make([]bool, np)
 		w := msg.NewWorld(np)
 		w.StartWatchdog(msg.WatchdogConfig{Quiet: 5 * time.Second, Out: io.Discard})
 		err := w.RunErr(func(c *msg.Comm) {
@@ -246,9 +357,30 @@ func FuzzSelectSplits(f *testing.F) {
 			if np > 1 && dc.Last.Rounds != 4 {
 				t.Errorf("rank %d: %d collectives, want 4", r, dc.Last.Rounds)
 			}
+			if np == 1 {
+				return
+			}
+			got, ok := new(Decomposer).hintedSplits(c, ks[r], pw, np)
+			if ok && !slices.Equal(got, want) {
+				t.Errorf("rank %d: one-allgather splits\n got %x\nwant %x", r, got, want)
+			}
+			settled[r] = ok
+			// The selection as a decomposer runs it after an exchange.
+			warm := Decomposer{prev: make([]uint64, np+1)}
+			if got := warm.selectSplits(c, ks[r], pw, np); !slices.Equal(got, want) {
+				t.Errorf("rank %d: warm splits\n got %x\nwant %x", r, got, want)
+			}
+			if wantRounds := map[bool]int{true: 1, false: 5}[ok]; warm.Last.Rounds != wantRounds {
+				t.Errorf("rank %d: warm selection took %d collectives, want %d", r, warm.Last.Rounds, wantRounds)
+			}
 		})
 		if err != nil {
 			t.Fatalf("world aborted: %v", err)
+		}
+		for r := range settled {
+			if settled[r] != settled[0] {
+				t.Fatalf("rank %d settled=%v, rank 0 settled=%v: ranks took different branches", r, settled[r], settled[0])
+			}
 		}
 	})
 }

@@ -21,15 +21,17 @@
 //     coarsest cells wholly inside its interval), and all processors
 //     assemble the identical shared top tree above the branches.
 //  3. Push of the locally essential cells: every processor publishes
-//     one bound on the groups it is about to walk, and every owner
-//     sends each peer, in one all-to-all, the cells of its tree the
-//     Visitor's test, made conservative over that bound, could open.
+//     one bound on the groups it is about to walk (with its branches,
+//     when the exchange was told its first walk: ExchangeFor), and
+//     every owner sends each peer, in one all-to-all, the cells of its
+//     tree the Visitor's test, made conservative over that bound, could
+//     open.
 //  4. Tree traversal: the engine walks the tree for each leaf group on
 //     behalf of the physics' Visitor -- one hash probe per cell of the
 //     top tree and of the imported cells (which of the two is known
 //     from the parent), none below this rank's own branches, where
-//     tree.Descend moves by index -- and the phase ends on one closing
-//     exchange. The paper's latency hiding is the safety net
+//     tree.Descend moves by index -- and the phase ends on one vote,
+//     an allreduce. The paper's latency hiding is the safety net
 //     underneath: a group that still misses a cell is suspended on its
 //     frontier of missing keys (the explicit context switch) and rounds
 //     of batched request/reply (internal/abm) run until every group has
@@ -189,9 +191,11 @@ type Engine[X, B any] struct {
 
 	cellBytes int
 	// branches are this rank's own branch cells, the roots of the push
-	// descent; pushOff leaves the walk to request/reply alone (tests
-	// only).
+	// descent; pubs is what the ranks published with theirs when that
+	// included walk bounds (ExchangeFor), for the first push after it;
+	// pushOff leaves the walk to request/reply alone (tests only).
 	branches []keys.Key
+	pubs     []published[X, B]
 	pushOff  bool
 
 	// phases holds one persistent abm engine per walk-phase label, so
@@ -199,8 +203,9 @@ type Engine[X, B any] struct {
 	// instead of reconstructing the engine every call.
 	phases map[string]*walkPhase[X, B]
 	// Per-phase walk state shared between the round loop and the
-	// incremental reply imports: the current visitor and eval closure;
-	// the groups the phase walks (freshBuf) and the parked groups whose
+	// incremental reply imports: the current visitor, eval closure and
+	// abm engine (curEng, which requests are posted to); the groups the
+	// phase walks (freshBuf) and the parked groups whose
 	// last missing cell has arrived (readyBuf, resumed by the next
 	// sweep), both as indices into Local.Groups; the per-group walk
 	// state (groups, same indexing) and how many are parked; the
@@ -208,8 +213,7 @@ type Engine[X, B any] struct {
 	// to ready the moment its final cell lands (keyWaiters heads into
 	// the waiters node arena, free nodes chained from freeWaiter; a miss
 	// is in keyWaiters exactly while its requests are in flight, so it
-	// doubles as the request-dedup set); and missing cell keys
-	// discovered since the last flush (missBuf). stack and missing are
+	// doubles as the request-dedup set). stack and missing are
 	// the traversal's own scratch; desc is the current group's descent
 	// (its sphere, the test, the batch of accepted cells) and extras the
 	// payloads of that batch, index for index, filled only when X has
@@ -222,6 +226,7 @@ type Engine[X, B any] struct {
 	hashDescent func(c *tree.Cell, emit bool) uint64
 	curWalk     Visitor[X]
 	curEval     EvalFn
+	curEng      *abm.Engine[keys.Key, Wire[X, B]]
 	freshBuf    []int32
 	readyBuf    []int32
 	groups      []suspended
@@ -231,7 +236,6 @@ type Engine[X, B any] struct {
 	freeWaiter  int32
 	stack       []entry
 	missing     []miss
-	missBuf     []keys.Key
 	onReply     func(src int, reps []Wire[X, B])
 	observe     bool
 }
@@ -320,24 +324,26 @@ func (e *Engine[X, B]) TelemetrySample(stepNs int64) telemetry.RankSample {
 // Sys holds the redistributed local bodies and the engine is ready
 // for WalkGroups.
 func (e *Engine[X, B]) Exchange() {
-	e.exchange(false)
+	e.ExchangeFor(nil, nil, false)
 }
 
-// ExchangeIncremental is Exchange's fast path for the partial force
-// evaluations between block-timestep synchronization points: the key
-// domain is reused from the last full Exchange (keys.Domain.KeyOf
-// clamps, so bodies that drifted outside the stale box quantize to its
-// faces) and the decomposer may keep the previous splits when few
-// bodies moved (domain.Decomposer.Reuse), skipping the splitter
-// search and its collectives. Ownership stays exact -- strays
-// are still exchanged -- only the load balance and the domain box go
-// slightly stale until the next full Exchange. Must follow at least
-// one full Exchange.
-func (e *Engine[X, B]) ExchangeIncremental() {
-	e.exchange(true)
-}
-
-func (e *Engine[X, B]) exchange(incremental bool) {
+// ExchangeFor is Exchange for a caller that knows the walk it will run
+// first: visitor v over the groups active admits (nil means all). That
+// walk's bound follows from the local tree alone, so it travels on the
+// branch allgather and the push needs no allgather of its own. The next
+// WalkGroups/WalkGroupsIf must be that walk: any other would be
+// under-pushed and fall back on requests.
+//
+// incremental selects the fast path for the partial force evaluations
+// between block-timestep synchronization points: the key domain is
+// reused from the last full exchange (keys.Domain.KeyOf clamps, so
+// bodies that drifted outside the stale box quantize to its faces) and
+// the decomposer may keep the previous splits when few bodies moved
+// (domain.Decomposer.Reuse), skipping the splitter search. Ownership
+// stays exact -- strays are still exchanged -- only the load balance
+// and the box go slightly stale until the next full exchange, at least
+// one of which must have come before.
+func (e *Engine[X, B]) ExchangeFor(v Visitor[X], active func(g *tree.Cell) bool, incremental bool) {
 	e.Timer.Start("decompose")
 	if !incremental {
 		e.Domain = domain.GlobalDomain(e.C, e.Sys)
@@ -358,15 +364,23 @@ func (e *Engine[X, B]) exchange(incremental bool) {
 	e.Phys.PostBuild(e.Local)
 
 	e.Timer.Start("branches")
-	e.exchangeBranches()
+	e.exchangeBranches(v, active)
 	e.Timer.Stop()
 	e.Rounds = 0
 }
 
+// published is one rank's contribution to the branch allgather: its
+// branch cells and, for an exchange that knows it, the first walk's bound.
+type published[X, B any] struct {
+	cells []Wire[X, B]
+	bound tree.Bound
+}
+
 // exchangeBranches publishes this rank's branch cells and assembles
 // the shared top tree (branches plus all their ancestors, moments
-// combined across ranks).
-func (e *Engine[X, B]) exchangeBranches() {
+// combined across ranks). With a visitor it also publishes the bound of
+// the groups v is about to walk and keeps every rank's for the push.
+func (e *Engine[X, B]) exchangeBranches(v Visitor[X], active func(g *tree.Cell) bool) {
 	e.C.Phase(e.Cfg.PhasePrefix + "branches")
 	var mine []Wire[X, B]
 	e.branches = e.branches[:0]
@@ -381,7 +395,15 @@ func (e *Engine[X, B]) exchangeBranches() {
 			N: c.N, ChildMask: c.ChildMask, Leaf: c.Leaf,
 		})
 	}
-	all := msg.Allgather(e.C, mine, e.cellBytes*len(mine))
+	pub, bytes := published[X, B]{cells: mine}, e.cellBytes*len(mine)
+	if v != nil {
+		pub.bound, bytes = e.walkBound(v, active), bytes+boundBytes
+	}
+	all := msg.Allgather(e.C, pub, bytes)
+	e.pubs = nil
+	if v != nil {
+		e.pubs = all
+	}
 
 	e.top = htab.New[node[X]](256)
 	e.imported = htab.New[node[X]](1024)
@@ -392,8 +414,8 @@ func (e *Engine[X, B]) exchangeBranches() {
 	// child index, so a traversal steps from the top tree's copy straight
 	// into the local one; remote leaf branches are marked unfetched.
 	var branchKeys []keys.Key
-	for r, batch := range all {
-		for _, w := range batch {
+	for r, a := range all {
+		for _, w := range a.cells {
 			c := tree.Cell{
 				Key: w.Key, Mp: w.Mp, RCrit: w.RCrit, N: w.N,
 				ChildMask: w.ChildMask, Leaf: w.Leaf,
@@ -587,8 +609,8 @@ func (e *Engine[X, B]) WalkGroups(label string, v Visitor[X], eval EvalFn) {
 // active returns true (nil means all) -- the partial traversal of
 // block timesteps. Skipped groups run no walk at all, but every rank
 // still enters the same collectives (it publishes an empty bound,
-// pushes to the others and serves their requests), so the call is
-// collective even when a rank's active set is empty.
+// pushes to the others, votes and serves their requests), so the call
+// is collective even when a rank's active set is empty.
 func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool, v Visitor[X], eval EvalFn) {
 	e.Timer.Start(label)
 	ph := e.phases[label]
@@ -611,7 +633,6 @@ func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool
 		}
 	}
 	e.readyBuf = e.readyBuf[:0]
-	e.missBuf = e.missBuf[:0]
 	// One walk-state slot per group, keeping the frontier buffers of
 	// earlier phases. All of this is already clear after a phase that
 	// ran to completion; an aborted one may have left groups parked.
@@ -632,16 +653,19 @@ func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool
 	// that takes.
 	e.observe = e.Stalls != nil || e.Trace != nil
 
-	e.push(v)
+	e.push(v, active)
 	e.setVisitor(v)
-	e.curEval = eval
+	e.curEval, e.curEng = eval, eng
 
 	// First walks: every group once, against what the push delivered.
 	for _, gi := range e.freshBuf {
 		e.attempt(gi)
 	}
-	for round := 0; ; round++ {
-		if round > e.Cfg.MaxRounds {
+	// The phase ends on the vote that finds nothing parked or posted
+	// anywhere: the first, where the push covered every walk. Else a round
+	// runs (onReplyBatch imports as replies land) and the ready groups resume.
+	for round := 0; eng.Vote(e.nparked > 0); round++ {
+		if round >= e.Cfg.MaxRounds {
 			// One rank declaring the protocol stuck must not strand
 			// the others inside the next collective: abort the whole
 			// world so every rank unwinds with its round state (noted
@@ -650,28 +674,14 @@ func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool
 				"hotengine: request rounds exceeded MaxRounds=%d in phase %q: %d groups parked, %d cell families in flight, %d rounds since exchange",
 				e.Cfg.MaxRounds, label, e.nparked, len(e.keyWaiters), e.Rounds))
 		}
-		// Resume sweep: groups whose requested cells have all arrived
-		// (importCell promoted them during the last round) continue
-		// below their frontier.
+		eng.Round()
+		e.Rounds++
 		for _, gi := range e.readyBuf {
 			e.resume(gi)
 		}
 		e.readyBuf = e.readyBuf[:0]
-		for _, mk := range e.missBuf {
-			eng.Post(e.OwnerOf(mk), mk)
-		}
-		e.missBuf = e.missBuf[:0]
-
-		// Replies import as each source batch lands (abm OnReply). The
-		// request batches carry this rank's vote on termination (groups
-		// parked); the phase ends on the exchange where nobody votes or
-		// asks.
-		if _, more := eng.Round(e.nparked > 0); !more {
-			break
-		}
-		e.Rounds++
 	}
-	e.curWalk, e.curEval = nil, nil
+	e.curWalk, e.curEval, e.curEng = nil, nil, nil
 	e.desc.Drop() // the last batch points into tables the next Exchange replaces
 	e.Timer.Stop()
 }

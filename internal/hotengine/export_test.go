@@ -182,11 +182,10 @@ func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn
 				}
 			}
 		}
-		all, more := eng.Round(len(deferred) > 0)
-		if !more {
+		if !eng.Vote(len(deferred) > 0) {
 			return
 		}
-		for _, reps := range all {
+		for _, reps := range eng.Round() {
 			e.onReplyBatch(0, reps)
 		}
 		e.Rounds++

@@ -10,31 +10,43 @@ import (
 // boundBytes is the packed wire size of one rank's tree.Bound.
 var boundBytes = packedSize(reflect.TypeOf(tree.Bound{}))
 
-// push runs phase 3 for the groups in freshBuf: the owner of a cell,
+// walkBound reduces the spheres v measures the groups active admits
+// (nil means all) by to the one bound this rank publishes.
+func (e *Engine[X, B]) walkBound(v Visitor[X], active func(g *tree.Cell) bool) (b tree.Bound) {
+	for _, gk := range e.Local.Groups {
+		if g := e.Local.Cell(gk); active == nil || active(g) {
+			b.Add(v.Sphere(g))
+		}
+	}
+	return b
+}
+
+// push runs phase 3 for the groups active admits: the owner of a cell,
 // not the rank that walks into it, decides who could need it and sends
-// it before anyone walks. One allgather of the ranks' bounds, one
-// descent of the local tree per peer with the visitor's test made
-// conservative over the peer's bound, one all-to-all of the packed
-// cells, imported as each batch lands. What arrives is a superset of
-// what the walks resolve, and they still apply the exact test, so no
-// list changes; a cell the bound did not cover is missed and requested
-// (DESIGN.md "Push-first walk").
-func (e *Engine[X, B]) push(v Visitor[X]) {
+// it before anyone walks. One allgather of the ranks' bounds, unless
+// the branch exchange carried them (ExchangeFor), one descent of the
+// local tree per peer with the visitor's test made conservative over
+// the peer's bound, one all-to-all of the packed cells, imported as
+// each batch lands. What arrives is a superset of what the walks
+// resolve, and they still apply the exact test, so no list changes; a
+// cell the bound did not cover is missed and requested (DESIGN.md
+// "Push-first walk").
+func (e *Engine[X, B]) push(v Visitor[X], active func(g *tree.Cell) bool) {
+	pubs := e.pubs
+	e.pubs = nil // its bounds describe the first walk only
 	if e.pushOff || e.C.Size() == 1 {
 		return
 	}
 	t0 := e.Trace.Now()
-	var mine tree.Bound
-	for _, gi := range e.freshBuf {
-		mine.Add(v.Sphere(e.Local.Cell(e.Local.Groups[gi])))
+	if pubs == nil {
+		pubs = msg.Allgather(e.C, published[X, B]{bound: e.walkBound(v, active)}, boundBytes)
 	}
-	bounds := msg.Allgather(e.C, mine, boundBytes)
 	// Fresh batches every phase: reusing them measured no faster, and
 	// the receivers, who copy out as they import, are the last to hold them.
-	batches := make([][]Wire[X, B], len(bounds))
-	for r := range bounds {
+	batches := make([][]Wire[X, B], len(pubs))
+	for r := range pubs {
 		var send []Wire[X, B]
-		if b := &bounds[r]; b.Any && r != e.C.Rank() {
+		if b := &pubs[r].bound; b.Any && r != e.C.Rank() {
 			for _, bk := range e.branches {
 				// Every rank holds a branch's record, a leaf's without
 				// its bodies.

@@ -210,8 +210,7 @@ func (e *Engine[X, B]) importedPtr(k keys.Key) *node[X] {
 // emitting from the root, it completes outright when every cell it
 // needs is already here (always on one rank, and wherever the push
 // covered the group). Otherwise its visits are charged to Rewalked and
-// the group is parked on the cells it missed; the caller flushes
-// missBuf to the phase's abm engine afterwards.
+// the group is parked on the cells it missed.
 func (e *Engine[X, B]) attempt(gi int32) {
 	gk := e.Local.Groups[gi]
 	g := e.Local.Cell(gk)
@@ -304,7 +303,7 @@ func (e *Engine[X, B]) resume(gi int32) {
 }
 
 // park suspends group gi on the cells its traversal just missed --
-// the paper's explicit context switch -- and buffers requests for those
+// the paper's explicit context switch -- and posts requests for those
 // no other group is already waiting on.
 func (e *Engine[X, B]) park(gi int32) {
 	s := &e.groups[gi]
@@ -339,8 +338,8 @@ func (e *Engine[X, B]) park(gi int32) {
 	}
 }
 
-// request buffers one cell request until the rank can post it.
+// request posts one cell request to its owner: the next round sends it.
 func (e *Engine[X, B]) request(k keys.Key) {
 	e.Counters.Requests++
-	e.missBuf = append(e.missBuf, k)
+	e.curEng.Post(e.OwnerOf(k), k)
 }

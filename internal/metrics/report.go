@@ -49,6 +49,9 @@ type Totals struct {
 	PushHitRate float64 `json:"push_hit_rate"`
 	Msgs        uint64  `json:"msgs"`
 	Bytes       uint64  `json:"bytes"`
+	// CollectivesPerStep is the most collectives any rank entered in
+	// its last step (RankReport.Collectives).
+	CollectivesPerStep int `json:"collectives_per_step"`
 }
 
 // RankReport is one rank's share.
@@ -65,6 +68,11 @@ type RankReport struct {
 	// SplitRounds is the number of collectives the rank's last
 	// decomposition spent finding the splitters (domain.Stats.Rounds).
 	SplitRounds int `json:"split_rounds"`
+	// Collectives is how many collectives the rank entered in its last
+	// step (the first evaluation when the run took none), counted by
+	// msg.Comm.Collectives: an allreduce or an allgather is one. Under
+	// latency a step costs about this many waits on the slowest message.
+	Collectives int `json:"collectives_per_step"`
 	// Pushed and PushUsed are the rank's Counters.Pushed/PushUsed: the
 	// cells it imported from the owners' push, and how many of them a
 	// walk resolved.
@@ -160,6 +168,9 @@ type RankInput struct {
 	RemoteCells int
 	// SplitRounds is domain.Stats.Rounds of the last decomposition.
 	SplitRounds int
+	// Collectives is the msg.Comm.Collectives delta of the rank's last
+	// step; whoever drives the steps fills it in (internal/runner).
+	Collectives int
 	// Stepping carries the rank's time-integration scheduler
 	// accounting; aggregated across ranks into RunReport.Stepping.
 	Stepping *SteppingStats
@@ -205,6 +216,7 @@ func BuildReport(command string, bodies int, wall float64, ranks []RankInput, w 
 			Rounds:      in.Rounds,
 			RemoteCells: in.RemoteCells,
 			SplitRounds: in.SplitRounds,
+			Collectives: in.Collectives,
 			Pushed:      in.Counters.Pushed,
 			PushUsed:    in.Counters.PushUsed,
 		}
@@ -253,6 +265,7 @@ func BuildReport(command string, bodies int, wall float64, ranks []RankInput, w 
 			rr.SentMsgs, rr.SentBytes = tot.Msgs, tot.Bytes
 		}
 		rep.Totals.Counters.Add(in.Counters)
+		rep.Totals.CollectivesPerStep = max(rep.Totals.CollectivesPerStep, in.Collectives)
 		rep.Ranks = append(rep.Ranks, rr)
 		if in.Stepping != nil {
 			if rep.Stepping == nil {
@@ -349,6 +362,9 @@ func (r *RunReport) Render(w io.Writer) {
 	if r.Totals.Msgs > 0 {
 		fmt.Fprintf(w, "traffic: %d msgs, %.3f MB total\n", r.Totals.Msgs, float64(r.Totals.Bytes)/1e6)
 	}
+	if n := r.Totals.CollectivesPerStep; n > 0 {
+		fmt.Fprintf(w, "collectives: %d in the last step (most on any rank; an allreduce or allgather is one)\n", n)
+	}
 	if r.TraceDropped > 0 {
 		fmt.Fprintf(w, "WARNING: %d trace events dropped (ring full); timeline is incomplete\n", r.TraceDropped)
 	}
@@ -398,12 +414,12 @@ func (r *RunReport) Render(w io.Writer) {
 	}
 
 	fmt.Fprintf(w, "\nper-rank work:\n")
-	fmt.Fprintf(w, "  %4s %14s %16s %10s %12s %7s %8s %6s %8s %8s\n",
-		"rank", "interactions", "flops", "sent msgs", "sent bytes", "rounds", "remote", "split", "pushed", "used")
+	fmt.Fprintf(w, "  %4s %14s %16s %10s %12s %7s %8s %6s %6s %8s %8s\n",
+		"rank", "interactions", "flops", "sent msgs", "sent bytes", "rounds", "remote", "split", "colls", "pushed", "used")
 	for _, rr := range r.Ranks {
-		fmt.Fprintf(w, "  %4d %14d %16d %10d %12d %7d %8d %6d %8d %8d\n",
+		fmt.Fprintf(w, "  %4d %14d %16d %10d %12d %7d %8d %6d %6d %8d %8d\n",
 			rr.Rank, rr.Counters.Interactions(), rr.Flops,
-			rr.SentMsgs, rr.SentBytes, rr.Rounds, rr.RemoteCells, rr.SplitRounds, rr.Pushed, rr.PushUsed)
+			rr.SentMsgs, rr.SentBytes, rr.Rounds, rr.RemoteCells, rr.SplitRounds, rr.Collectives, rr.Pushed, rr.PushUsed)
 	}
 
 	if len(r.Phases) > 0 {

@@ -61,9 +61,10 @@ func Reduce[T any](c *Comm, root int, x T, op func(a, b T) T, bytes int) T {
 	return acc
 }
 
-// Allreduce is Reduce followed by Bcast.
+// Allreduce is Reduce followed by Bcast: two tags, one collective.
 func Allreduce[T any](c *Comm, x T, op func(a, b T) T, bytes int) T {
 	v := Reduce(c, 0, x, op, bytes)
+	c.collectives-- // the broadcast leg is the same collective
 	return Bcast(c, 0, v, bytes)
 }
 
@@ -101,6 +102,7 @@ func gather[T any](c *Comm, root int, x T, bytes int) (out []T, total int) {
 // total, which root learns from the arriving messages.
 func Allgather[T any](c *Comm, x T, bytes int) []T {
 	v, total := gather(c, 0, x, bytes)
+	c.collectives-- // the broadcast leg is the same collective
 	return Bcast(c, 0, v, total)
 }
 

@@ -397,6 +397,10 @@ type Comm struct {
 	// never be confused; all ranks must call collectives in the same
 	// order (the usual SPMD contract).
 	seq int
+	// collectives counts the collectives this rank has entered, as a
+	// caller counts them: a step's latency under a slow network is this
+	// many waits on the slowest message, whatever each one carries.
+	collectives uint64
 	// st mirrors phase/seq/blocked-recv into the world's per-rank
 	// state table for the watchdog and WorldError (abort.go). Updated
 	// off the per-message hot path: on phase changes, collective
@@ -443,6 +447,13 @@ func (c *Comm) CurrentPhase() string { return c.phase }
 func (c *Comm) TrafficTotal() PhaseTraffic {
 	return c.w.traffic[c.rank].Total()
 }
+
+// Collectives returns how many collectives this rank has entered. Each
+// call of a collective in this package counts one -- an Allreduce or
+// an Allgather is one, not its reduce (or gather) and broadcast legs
+// -- so the difference across a step is the step's count of global
+// waits. Only the rank's own goroutine may call it.
+func (c *Comm) Collectives() uint64 { return c.collectives }
 
 // Send delivers data to rank dst under a user tag (>= 0). bytes is
 // the logical payload size for traffic accounting; the data itself is
@@ -505,6 +516,7 @@ func (c *Comm) TryRecv(src, tag int) (Message, bool) {
 func (c *Comm) nextTag(op int) int {
 	tag := -(c.seq*16 + op + 3)
 	c.seq++
+	c.collectives++
 	c.st.setSeq(c.seq)
 	return tag
 }

@@ -67,8 +67,15 @@ func runPipeline(t *testing.T, n, np, evals int, cfg Config, fresh bool) []evalS
 				}
 			}
 			ctr := e.ComputeForces()
-			if st := e.DecomposeStats(); s > 0 && st.FullSort != (fresh && st.Displaced > 1) {
+			st := e.DecomposeStats()
+			if s > 0 && st.FullSort != (fresh && st.Displaced > 1) {
 				t.Errorf("np=%d eval=%d fresh=%v: full sort %v (%d displaced)", np, s, fresh, st.FullSort, st.Displaced)
+			}
+			// A fresh engine searches its splitters in full; a kept one
+			// finds them in one allgather, so the equality below is
+			// between the two searches as well.
+			if want := map[bool]int{true: 4, false: 1}[fresh || s == 0]; np > 1 && st.Rounds != want {
+				t.Errorf("np=%d eval=%d fresh=%v: splitter search took %d collectives, want %d", np, s, fresh, st.Rounds, want)
 			}
 			mu.Lock()
 			snaps[s].pp += ctr.PP
@@ -85,9 +92,10 @@ func runPipeline(t *testing.T, n, np, evals int, cfg Config, fresh bool) []evalS
 
 // The incremental construction pipeline must not change a single
 // output bit: an engine kept across a drifting multi-step run, which
-// repairs the order of the few bodies that moved, and a fresh engine
-// per evaluation, which sorts in full, give the same forces, potentials
-// and interaction counts at every rank count.
+// repairs the order of the few bodies that moved and finds its
+// splitters in one allgather, and a fresh engine per evaluation, which
+// sorts and searches in full, give the same forces, potentials and
+// interaction counts at every rank count.
 func TestConstructionEquivalenceAcrossPipelines(t *testing.T) {
 	const n, evals = 1200, 3
 	cfg := Config{

@@ -200,8 +200,8 @@ func (e *Engine) ComputeForces() diag.Counters {
 // ComputeForcesActive is the partial evaluation of block timesteps:
 // only groups holding a body on rung minRung or finer are walked and
 // evaluated (their whole group, so the kernels run unchanged), the
-// decomposition takes the incremental fast path
-// (hotengine.ExchangeIncremental), and the MAC adaptation is frozen --
+// decomposition takes the incremental fast path (hotengine.ExchangeFor
+// with incremental set), and the MAC adaptation is frozen --
 // AdaptTol rescales only at full evaluations, so the opening criterion
 // is constant across a big step. minRung <= 0 is exactly
 // ComputeForces. Collective at any minRung: every rank walks, serves
@@ -216,13 +216,18 @@ func (e *Engine) computeForces(minRung int) diag.Counters {
 	// AdaptTol may have rescaled the MAC after the previous
 	// evaluation; the pipeline builds trees with its own copy.
 	e.Engine.Cfg.MAC = e.Cfg.MAC
-	if minRung <= 0 {
-		e.Exchange()
-	} else {
-		e.ExchangeIncremental()
-	}
-
 	walk := &visitor{e: e}
+	// The partial evaluation's active set, nil for all groups. It reads
+	// e.Sys when called: the exchange, which needs it for the bound it
+	// publishes with the branches, has replaced the bodies by then.
+	var active func(g *tree.Cell) bool
+	if minRung > 0 {
+		active = func(g *tree.Cell) bool {
+			return tree.GroupActive(e.Sys, int(g.First), int(g.First+g.N), minRung)
+		}
+	}
+	e.ExchangeFor(walk, active, minRung > 0)
+
 	sys := e.Sys
 	// The walk builds the group's interaction list; eval runs the
 	// kernels from it. The walk touches no PP/PC counters, so the
@@ -238,13 +243,7 @@ func (e *Engine) computeForces(minRung int) diag.Counters {
 			}
 		}
 	}
-	if minRung <= 0 {
-		e.WalkGroups("walk", walk, eval)
-	} else {
-		e.WalkGroupsIf("walk", func(g *tree.Cell) bool {
-			return tree.GroupActive(sys, int(g.First), int(g.First+g.N), minRung)
-		}, walk, eval)
-	}
+	e.WalkGroupsIf("walk", active, walk, eval)
 
 	if minRung <= 0 && e.Cfg.AdaptTol > 0 && e.Cfg.MAC.Kind == grav.MACSalmonWarren {
 		if rms := e.RMSAccel(); rms > 0 {

@@ -282,3 +282,47 @@ func TestRooflineUtilizationIsAFraction(t *testing.T) {
 	t.Logf("utilization %.3f (%s-bound), %.1f executed flops per interaction, peak %.1f Gflop/s",
 		rf.Utilization, rf.Bound, rf.ExecutedPerInteraction, rf.PeakFlops/1e9)
 }
+
+// A uniform step in steady state is six collectives and, on four
+// ranks, 48 messages: the box (allreduce), the splitters (one
+// allgather), the bodies (all-to-all), the branches with the walk
+// bounds (allgather), the push (all-to-all) and the vote that ends the
+// walk (allreduce). The first step after a first evaluation is not
+// steady -- the work goes from all-equal to counted interactions and
+// the splitters jump past what the ranks publish -- so the count is
+// taken on later ones.
+func TestUniformStepIsSixCollectives(t *testing.T) {
+	const n, np, steps = 3000, 4, 5
+	mac := grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true}
+	global := ic.Plummer(n, 1.0, 41)
+	var colls, split [np][steps]int
+	var sent [np][steps]uint64
+	msg.Run(np, func(c *msg.Comm) {
+		local := core.New(0)
+		local.EnableDynamics()
+		for i := c.Rank() * n / np; i < (c.Rank()+1)*n/np; i++ {
+			local.AppendFrom(global, i)
+		}
+		e := New(c, local, Config{MAC: mac, Eps2: 1e-6})
+		e.ComputeForces()
+		for s := 0; s < steps; s++ {
+			before, sentBefore := c.Collectives(), c.TrafficTotal().Msgs
+			e.Step(1e-3)
+			colls[c.Rank()][s] = int(c.Collectives() - before)
+			split[c.Rank()][s] = e.DecomposeStats().Rounds
+			sent[c.Rank()][s] = c.TrafficTotal().Msgs - sentBefore
+		}
+	})
+	for s := 1; s < steps; s++ {
+		msgs := uint64(0)
+		for r := 0; r < np; r++ {
+			if colls[r][s] != 6 || split[r][s] != 1 {
+				t.Errorf("step %d rank %d: %d collectives, %d of them the splitter search; want 6 and 1", s, r, colls[r][s], split[r][s])
+			}
+			msgs += sent[r][s]
+		}
+		if msgs != 48 {
+			t.Errorf("step %d: %d messages, want 48", s, msgs)
+		}
+	}
+}

@@ -120,13 +120,17 @@ func Run(p Plan, at Attachments) (*Result, error) {
 			e.EnableTrace(at.Trace.Rank(r))
 		}
 		*e.stalls = stalls
-		// evaluated times one evaluation or step, samples it, and runs
-		// the hook.
+		// evaluated times one evaluation or step and counts its
+		// collectives, samples it, and runs the hook.
+		collectives := 0
 		evaluated := func(step int, eval func() diag.Counters) {
-			t0 := time.Now()
+			t0, c0 := time.Now(), c.Collectives()
 			ctr := eval()
+			collectives = int(c.Collectives() - c0)
 			if at.Sampler != nil {
-				at.Sampler.Contribute(r, e.Telemetry(time.Since(t0).Nanoseconds()))
+				rs := e.Telemetry(time.Since(t0).Nanoseconds())
+				rs.Collectives = collectives
+				at.Sampler.Contribute(r, rs)
 			}
 			if p.OnStep != nil {
 				p.OnStep(r, step, e.Engine, ctr)
@@ -144,6 +148,7 @@ func Run(p Plan, at Attachments) (*Result, error) {
 		}
 		res.Systems[r] = *e.sys
 		res.Ranks[r] = e.Report()
+		res.Ranks[r].Collectives = collectives
 	})
 	res.Wall = time.Since(start)
 	if werr != nil {

@@ -279,6 +279,16 @@ func TestFullyAttachedRun(t *testing.T) {
 		if res.Counters != total || rep.Totals.Counters != total {
 			t.Errorf("%s: summed counters %+v (report %+v), the engines' sum %+v", name, res.Counters, rep.Totals.Counters, total)
 		}
+		// Every rank enters the same collectives, so the step's count is
+		// one number: in each rank's row, in the totals and in the last
+		// sample of the series.
+		last, _ := tel.Last()
+		for r, rr := range rep.Ranks {
+			if rr.Collectives == 0 || rr.Collectives != rep.Totals.CollectivesPerStep || rr.Collectives != last.Collectives {
+				t.Errorf("%s rank %d: %d collectives in the last step, totals say %d, the series %d", name, r,
+					rr.Collectives, rep.Totals.CollectivesPerStep, last.Collectives)
+			}
+		}
 		if _, ok := rep.Histograms[metrics.StallHistogram]; !ok {
 			t.Errorf("%s: report has no %s histogram", name, metrics.StallHistogram)
 		}

@@ -65,10 +65,13 @@ type RankSample struct {
 	// SnapshotSeconds; ownership passes to the sampler).
 	Phases map[string]float64
 	// Rounds/RemoteCells mirror the engine's request-round state,
-	// SplitRounds the collectives of its last splitter search.
+	// SplitRounds the collectives of its last splitter search,
+	// Collectives all those of the step just finished (filled in by
+	// whoever drives the steps: internal/runner).
 	Rounds      int
 	RemoteCells int
 	SplitRounds int
+	Collectives int
 	// Sent is the rank's cumulative outbound traffic total.
 	Sent msg.PhaseTraffic
 	// Bodies is the rank's current local body count.
@@ -144,6 +147,9 @@ type Sample struct {
 	SplitRounds int    `json:"split_rounds"`
 	Pushed      uint64 `json:"pushed"`
 	PushUsed    uint64 `json:"push_used"`
+	// Collectives is the most collectives any rank entered this step
+	// (an allreduce or an allgather counts one).
+	Collectives int `json:"collectives_per_step"`
 
 	Bodies int `json:"bodies"`
 }
@@ -272,7 +278,7 @@ func (s *Sampler) assemble() {
 	hasEnergy := false
 	var stepMaxNs, stepSumNs int64
 	var rungs [MaxRungs]uint64
-	bodies, splitRounds := 0, 0
+	bodies, splitRounds, collectives := 0, 0, 0
 	for i := range s.slots {
 		sl := &s.slots[i]
 		sl.mu.Lock()
@@ -295,6 +301,7 @@ func (s *Sampler) assemble() {
 		}
 		stepSumNs += rs.StepNs
 		splitRounds = max(splitRounds, rs.SplitRounds)
+		collectives = max(collectives, rs.Collectives)
 		for r, n := range rs.Rungs {
 			rungs[r] += n
 		}
@@ -316,6 +323,7 @@ func (s *Sampler) assemble() {
 		Rungs:        rungs,
 		Bodies:       bodies,
 		SplitRounds:  splitRounds,
+		Collectives:  collectives,
 		Pushed:       d.Pushed,
 		PushUsed:     d.PushUsed,
 	}
@@ -388,6 +396,7 @@ func (s *Sampler) publish(smp *Sample) {
 	reg.Gauge("telemetry_push_hit_rate").Set(smp.PushHitRate)
 	reg.Gauge("telemetry_walk_efficiency").Set(smp.WalkEfficiency)
 	reg.Gauge("telemetry_split_rounds").Set(float64(smp.SplitRounds))
+	reg.Gauge("telemetry_collectives_per_step").Set(float64(smp.Collectives))
 	reg.Gauge("telemetry_pushed").Set(float64(smp.Pushed))
 	reg.Gauge("telemetry_push_used").Set(float64(smp.PushUsed))
 	reg.Gauge("telemetry_bodies").Set(float64(smp.Bodies))
@@ -460,6 +469,7 @@ func (s *Sampler) LiveReport() *metrics.RunReport {
 			Rounds:       rs.Rounds,
 			RemoteCells:  rs.RemoteCells,
 			SplitRounds:  rs.SplitRounds,
+			Collectives:  rs.Collectives,
 			SentMsgs:     rs.Sent.Msgs,
 			SentBytes:    rs.Sent.Bytes,
 		}

@@ -113,7 +113,7 @@ func NewParallel(c *msg.Comm, sys *core.System, sigma, theta float64) *ParallelE
 // returned slice holds dalpha/dt for the (redistributed, key-sorted)
 // local particles.
 func (e *ParallelEngine) Eval() []vec.V3 {
-	e.Exchange()
+	e.ExchangeFor(&e.walk, nil, false)
 	e.dAlpha = make([]vec.V3, e.Sys.Len())
 	e.WalkGroups("walk", &e.walk, e.evalGroup)
 	return e.dAlpha

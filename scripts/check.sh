@@ -32,12 +32,12 @@ echo "== simserve smoke (daemon + crash-injected job contained + bench throughpu
 sh scripts/simserve_smoke.sh
 echo "== chaos soak (bounded, fixed seeds; clean exit or structured abort, never a hang)"
 sh scripts/chaos.sh quick
-echo "== walk guard (counts at N=10000 np=4: rewalked/traversals <= 0.1, 0 request rounds, splitter search <= 5 collectives)"
+echo "== walk guard (counts at N=10000 np=4: rewalked/traversals <= 0.1, 0 request rounds, a warm step's splitter search 1 collective of at most 6)"
 sh scripts/walk_guard.sh
-echo "== fuzz (time-boxed: splitter selection equals the reference bisection, never panics, never hangs a world)"
+echo "== fuzz (time-boxed: both splitter searches equal the reference bisection, ranks agree on which ran, never a panic, never a hung world)"
 # Coverage of a multi-goroutine target is not reproducible, so the
 # minimizer would otherwise spend its default 60 s per new input.
-go test -run='^$' -fuzz=FuzzSelectSplits -fuzztime=20s -fuzzminimizetime=10x ./internal/domain
+go test -run='^$' -fuzz=FuzzSelectSplits -fuzztime=10s -fuzzminimizetime=10x ./internal/domain
 echo "== fuzz (time-boxed: a chaos spec parses to probabilities in [0, 1] or an error)"
 go test -run='^$' -fuzz=FuzzParseChaos -fuzztime=10s -fuzzminimizetime=10x ./internal/cliutil
 echo "== fuzz (time-boxed: a POST /jobs body decodes and validates to a runnable spec or an error, never a panic)"

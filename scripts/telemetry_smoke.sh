@@ -49,6 +49,7 @@ done
 grep -q '# TYPE telemetry_samples counter' "$OUT/metrics" || { echo "missing typed counter in /metrics"; exit 1; }
 grep -q 'telemetry_walk_efficiency' "$OUT/metrics" || { echo "missing telemetry_walk_efficiency in /metrics"; exit 1; }
 grep -q 'telemetry_split_rounds' "$OUT/metrics" || { echo "missing telemetry_split_rounds in /metrics"; exit 1; }
+grep -q 'telemetry_collectives_per_step' "$OUT/metrics" || { echo "missing telemetry_collectives_per_step in /metrics"; exit 1; }
 grep -q 'telemetry_pushed' "$OUT/metrics" || { echo "missing telemetry_pushed in /metrics"; exit 1; }
 grep -q 'telemetry_push_used' "$OUT/metrics" || { echo "missing telemetry_push_used in /metrics"; exit 1; }
 grep -q 'telemetry_push_hit_rate' "$OUT/metrics" || { echo "missing telemetry_push_hit_rate in /metrics"; exit 1; }
@@ -58,11 +59,13 @@ grep -q '"command": "treebench"' "$OUT/report" || { echo "bad /report"; cat "$OU
 grep -q '"flops_per_interaction": 38' "$OUT/report" || { echo "/report missing flop constants"; exit 1; }
 grep -q '"walk_efficiency"' "$OUT/report" || { echo "/report missing walk_efficiency"; exit 1; }
 grep -q '"split_rounds"' "$OUT/report" || { echo "/report missing split_rounds"; exit 1; }
+grep -q '"collectives_per_step"' "$OUT/report" || { echo "/report missing collectives_per_step"; exit 1; }
 grep -q '"push_used"' "$OUT/report" || { echo "/report missing push_used"; exit 1; }
 grep -q '"push_hit_rate"' "$OUT/report" || { echo "/report missing push_hit_rate"; exit 1; }
 
 fetch "$ADDR/series?n=3" >"$OUT/series"
 grep -q '"flops_rate"' "$OUT/series" || { echo "bad /series"; cat "$OUT/series"; exit 1; }
+grep -q '"collectives_per_step"' "$OUT/series" || { echo "/series missing collectives_per_step"; exit 1; }
 grep -q '"push_used"' "$OUT/series" || { echo "/series missing push_used"; exit 1; }
 
 fetch "$ADDR/health" >"$OUT/health"

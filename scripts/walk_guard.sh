@@ -4,21 +4,24 @@
 # ranks must be pushed what its walks open: no request rounds in a
 # force evaluation (one is tolerated as the safety net catching a cell
 # the conservative test did not cover; two mean the push is not doing
-# its job), at most 0.1 rewalked cell visits (missed first attempts
-# plus discovery descents) per completed-walk visit, and the splitters
-# of a decomposition found in at most 5 collectives (4, plus the reuse
-# check of a partial evaluation). A change that sends the walk back to
-# discover -> ask -> wait (6 rounds and one rewalked visit per useful
-# one here), or returns the splitter search to a collective per key
-# bit, fails without needing injected latency to show it.
+# its job) and at most 0.1 rewalked cell visits (missed first attempts
+# plus discovery descents) per completed-walk visit. And a warm step
+# must cost what it is designed to: the splitters found in the one
+# allgather, six collectives in all. A change that sends the walk back
+# to discover -> ask -> wait (6 rounds and one rewalked visit per useful
+# one here), the splitter search back to several collectives, or a
+# seventh collective into the step, fails without needing injected
+# latency to show it.
 set -eu
 cd "$(dirname "$0")/.."
 
 OUT=$(mktemp -d)
 trap 'rm -rf "$OUT"' EXIT INT TERM
 
-# A rank's "rounds" in the report are those of its last evaluation.
-go run ./cmd/treebench -n 10000 -procs 4 -steps 1 -metrics "$OUT/report.json" >/dev/null
+# A rank's "rounds", "split_rounds" and "collectives_per_step" in the
+# report are those of its last step: the third, since the first after a
+# first evaluation re-weights every body and searches in full.
+go run ./cmd/treebench -n 10000 -procs 4 -steps 3 -metrics "$OUT/report.json" >/dev/null
 
 # The report is indented JSON, one field per line, totals before ranks.
 awk -F'[:,]' '
@@ -26,12 +29,15 @@ awk -F'[:,]' '
 	/"Rewalked"/ && !seen  { rew = $2 + 0; seen = 1 }
 	/"rounds"/             { ranks++; if ($2 + 0 > rounds) rounds = $2 + 0 }
 	/"split_rounds"/       { splits++; if ($2 + 0 > most) most = $2 + 0 }
+	/"collectives_per_step"/ && !colls { colls = $2 + 0 }
 	END {
-		if (!trav || !seen || ranks != 4 || splits != 4) { print "walk guard: could not read the report"; exit 1 }
+		if (!trav || !seen || ranks != 4 || splits != 4 || !colls) { print "walk guard: could not read the report"; exit 1 }
 		printf "rewalked/traversals = %d/%d = %.2f\n", rew, trav, rew / trav
 		if (rew > 0.1 * trav) { print "walk guard: more than 0.1 rewalked visits per completed-walk visit"; exit 1 }
 		printf "request rounds per evaluation = %d\n", rounds
 		if (rounds > 1) { print "walk guard: a rank ran " rounds " request rounds in an evaluation, want 0"; exit 1 }
 		printf "splitter search = %d collectives\n", most
-		if (most < 1 || most > 5) { print "walk guard: a splitter search took " most " collectives, want 1 to 5"; exit 1 }
+		if (most != 1) { print "walk guard: the splitter search of a warm step took " most " collectives, want 1"; exit 1 }
+		printf "collectives per step = %d\n", colls
+		if (colls > 6) { print "walk guard: a warm step took " colls " collectives, want at most 6"; exit 1 }
 	}' "$OUT/report.json"
