@@ -17,19 +17,20 @@ chaos:
 # treebench run supplies the RunReport whose flop-rate context is
 # embedded alongside the numbers ("sim" field), so the baseline records
 # what the machine achieved end to end when it was cut.
-# The construction-pipeline benches (Sort/Build/Decompose) and the
-# descent pair finish in tens of milliseconds, so they run 5 iterations
-# for a stable number; the second-scale benches stay at one; the
-# sub-millisecond interaction-kernel benches (Eval) run 100 for the same
-# reason, and the nanosecond rows (Rsqrt, Hash) run for a second each --
-# one iteration of those is one call plus the timer.
+# No row is one iteration: a time taken once on this box says nothing.
+# The benches of tens to hundreds of milliseconds (the tree ablations,
+# the construction pipeline, the descent and sink pairs, the steps) run
+# 5; the 100k-body pooled walk, nearly a second a call and kept for its
+# allocs/op, 3; the sub-millisecond ones (the interaction kernels,
+# GroupSphere) 100; the nanosecond rows (Rsqrt, Hash) for a second each
+# -- one iteration of those is one call plus the timer.
 bench-baseline:
 	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	go run ./cmd/treebench -n 50000 -procs 4 -steps 1 -metrics "$$dir/report.json" >/dev/null && \
-	{ go test -run='^$$' -bench='Ablation_(MAC|Order|Group|Batched|Curve|ABM|Step)' -benchtime=1x . ; \
+	{ go test -run='^$$' -bench='Ablation_(MAC|Order|GroupSize|Curve|ABM|Step|Sink|Sort|Build|Decompose|Descent)' -benchtime=5x . ; \
+	  go test -run='^$$' -bench='Ablation_Batched' -benchtime=3x . ; \
 	  go test -run='^$$' -bench='Ablation_(Hash|Rsqrt)' -benchtime=1s . ; \
-	  go test -run='^$$' -bench='Ablation_(Sort|Build|Decompose|Descent)' -benchtime=5x . ; \
-	  go test -run='^$$' -bench='Ablation_Eval' -benchtime=100x . ; } \
+	  go test -run='^$$' -bench='Ablation_(Eval|GroupSphere)' -benchtime=100x . ; } \
 	  | go run ./cmd/benchdump -runreport "$$dir/report.json" -o BENCH_baseline.json
 
 .PHONY: check bench-baseline
@@ -39,8 +40,8 @@ bench-baseline:
 # (times are printed, not compared).
 benchcmp:
 	{ go test -run='^$$' -bench=Ablation_BatchedConcurrentAllocs -benchtime=1x . ; \
-	  go test -run='^$$' -bench=Ablation_DescentIndex -benchtime=5x . ; \
+	  go test -run='^$$' -bench='Ablation_(DescentIndex|SinkCells)' -benchtime=5x . ; \
 	  go test -run='^$$' -bench='Ablation_Eval' -benchtime=100x . ; } \
-	  | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(BatchedConcurrentAllocs|DescentIndex|Eval)'
+	  | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(BatchedConcurrentAllocs|DescentIndex|SinkCells|Eval)'
 
 .PHONY: benchcmp

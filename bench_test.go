@@ -9,6 +9,7 @@ package hot
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -214,6 +215,62 @@ func BenchmarkAblation_OrderQuadrupole(b *testing.B) {
 func BenchmarkAblation_GroupSize4(b *testing.B)  { benchGravity(b, grav.DefaultMAC(), 4) }
 func BenchmarkAblation_GroupSize16(b *testing.B) { benchGravity(b, grav.DefaultMAC(), 16) }
 func BenchmarkAblation_GroupSize64(b *testing.B) { benchGravity(b, grav.DefaultMAC(), 64) }
+
+// --- sink cells vs leaves as groups ------------------------------------------
+//
+// The same tree (Plummer sphere, N = 10000, default MAC, bucket 16),
+// hence the same sources; what differs is who shares an interaction
+// list. SinkCells walks and evaluates the tree's own groups, cells of
+// up to 64 bodies; SinkLeaves the leaves, each for itself, as every
+// walk ran before sink cells: 3.7 times the lists (2110 against 567)
+// for 23% fewer interactions, in nearly half as much time again (79
+// against 54 ms in BENCH_baseline.json). The GroupSize rows above vary
+// the bucket, which since sink cells sizes the sources only.
+
+// leafGroups returns tr's leaves in Morton order (the tree package
+// keeps its own copy of this, for its tests, in export_test.go).
+func leafGroups(tr *tree.Tree) []keys.Key {
+	var leaves []keys.Key
+	tr.Cells.Range(func(k keys.Key, c *tree.Cell) bool {
+		if c.Leaf {
+			leaves = append(leaves, k)
+		}
+		return true
+	})
+	sort.Slice(leaves, func(i, j int) bool { return tr.Cell(leaves[i]).First < tr.Cell(leaves[j]).First })
+	return leaves
+}
+
+func benchSink(b *testing.B, leaves bool) {
+	sys, d := buildCluster(10000)
+	tr := tree.Build(sys, d, grav.DefaultMAC(), 16)
+	groups := tr.Groups
+	if leaves {
+		groups = leafGroups(tr)
+	}
+	var w tree.Walker
+	var ctr diag.Counters
+	round := func() {
+		for _, gk := range groups {
+			g := tr.Cell(gk)
+			lo, hi := g.First, g.First+g.N
+			w.Walk(tr, gk, sys.Pos[lo:hi], &ctr)
+			w.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], 1e-6, tr.MAC.Quad, &ctr)
+		}
+	}
+	round() // warm-up: stack, batch, list and target block reach their high-water marks
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctr = diag.Counters{}
+		round()
+	}
+	b.ReportMetric(float64(ctr.Interactions()), "interactions/op")
+	b.ReportMetric(float64(len(groups)), "groups/op")
+}
+
+func BenchmarkAblation_SinkLeaves(b *testing.B) { benchSink(b, true) }
+func BenchmarkAblation_SinkCells(b *testing.B)  { benchSink(b, false) }
 
 // --- concurrent force evaluation -----------------------------------------
 
@@ -503,6 +560,10 @@ func (h *hashDescent) walk(w *tree.Walker, tr *tree.Tree, gk keys.Key, gpos []ve
 		h.stack = h.stack[:len(h.stack)-1]
 		c := tr.Cell(k)
 		ctr.Traversals++
+		if k == gk { // the group's own cell: taken whole, never tested
+			w.TakeLeaf(c, nil, nil)
+			continue
+		}
 		switch a := tree.Classify(c, gc, gr); {
 		case a == tree.Skip:
 		case a == tree.Accept:

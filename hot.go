@@ -180,8 +180,9 @@ func NewSerial(bodies []Body, cfg Config) (*Serial, error) {
 
 // EnableBlockSteps switches Step to hierarchical block timesteps:
 // each body sub-steps the global dt in 2^r pieces with r chosen from
-// dt_i = eta*sqrt(Eps/|a_i|), and only the tree-leaf groups holding an
-// active body are re-evaluated at each sub-step. Typical eta is
+// dt_i = eta*sqrt(Eps/|a_i|), and only the walk groups (sink cells of
+// up to 64 bodies) holding an active body are re-evaluated at each
+// sub-step. Typical eta is
 // 0.01-0.05 for unit-scale problems. Call before the first Step (or
 // at any step boundary).
 func (s *Serial) EnableBlockSteps(eta float64) {

@@ -256,6 +256,10 @@ func (o *Obs) Run(p runner.Plan) *runner.Result {
 	if o.metrics != "" {
 		rep := metrics.BuildReport(o.prog, res.Bodies(), res.Wall.Seconds(), res.Ranks, res.World, reg)
 		rep.TraceDropped = run.Dropped()
+		if g, ok := p.Physics.(runner.Gravity); ok {
+			t := &rep.Totals
+			t.WalkSamplePerBody, t.WalkSampleGrouped, t.WalkSampleBodies = res.PerBodyWalk(g)
+		}
 		o.check("metrics write", rep.WriteFile(o.metrics))
 		fmt.Printf("wrote RunReport %s (render: go run ./cmd/perfreport %s)\n", o.metrics, o.metrics)
 	}

@@ -165,11 +165,13 @@ func m2pQuadGo(t *Targets, l *InteractionList, eps2 float64) {
 // accumulated into target i's locals and -m_i*rinv3*d scattered into
 // body j's output slots. The self pair never appears in the
 // enumeration, so a body exactly coincident with another (r2 = eps2)
-// is an ordinary pair. Groups are leaf buckets (tens of bodies), a
-// few percent of a list's work, so this stays scalar on every
-// platform. Targets must have been loaded with masses. Returns the
-// interaction count, n*(n-1): the physical interactions are the same,
-// each is computed once instead of twice.
+// is an ordinary pair. Groups are sink cells of at most 64 bodies, 17
+// on average: on 10 000 Plummer bodies the self-interaction is 0.9% of
+// the counted interactions and 1.1% of the walk-plus-evaluation time
+// (0.26% and 0.2% when every leaf was its own group), so this stays
+// scalar on every platform. Targets must have been loaded with masses.
+// Returns the interaction count, n*(n-1): the physical interactions are
+// the same, each is computed once instead of twice.
 func EvalSelf(t *Targets, eps2 float64) uint64 {
 	n := len(t.X)
 	if n == 0 {

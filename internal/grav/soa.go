@@ -19,10 +19,11 @@ import (
 // during a tree walk: body sources as SoA position/mass columns, and
 // accepted cell multipoles as an SoA slab (only the ten moments the
 // kernels read; B2/Bmax are MAC-time data and stay out of the hot
-// columns). The group's own leaf is not copied into the source
-// columns; Self records that it was accepted, and EvalSelf evaluates
-// it directly from the Targets block (keeping the self-pair skip, and
-// hence the PP count, exact).
+// columns). The group's own cell is not copied into the source
+// columns; Self records that the walk reached it, and EvalSelf
+// evaluates it directly from the Targets block, all the group's bodies
+// against each other (keeping the self-pair skip, and hence the PP
+// count, exact).
 //
 // All storage is reused across Reset calls, so a long-lived list
 // allocates only until its buffers reach the high-water mark.
@@ -33,7 +34,7 @@ type InteractionList struct {
 	// mass; QXX..QYZ their traceless quadrupoles.
 	CM, CX, CY, CZ               []float64
 	QXX, QYY, QZZ, QXY, QXZ, QYZ []float64
-	// Self records that the group's own leaf interacts with itself.
+	// Self records that the group's own bodies interact with each other.
 	Self bool
 }
 

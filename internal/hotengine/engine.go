@@ -26,16 +26,18 @@
 //     every owner sends each peer, in one all-to-all, the cells of its
 //     tree the Visitor's test, made conservative over that bound, could
 //     open.
-//  4. Tree traversal: the engine walks the tree for each leaf group on
-//     behalf of the physics' Visitor -- one hash probe per cell of the
-//     top tree and of the imported cells (which of the two is known
-//     from the parent), none below this rank's own branches, where
-//     tree.Descend moves by index -- and the phase ends on one vote,
-//     an allreduce. The paper's latency hiding is the safety net
-//     underneath: a group that still misses a cell is suspended on its
-//     frontier of missing keys (the explicit context switch) and rounds
-//     of batched request/reply (internal/abm) run until every group has
-//     finished.
+//  4. Tree traversal: the engine walks the tree for each group of the
+//     local tree (tree.Tree.Groups: sink cells of up to 64 bodies, at
+//     or below this rank's branches) on behalf of the physics' Visitor,
+//     which is handed the group's own cell whole instead of a verdict
+//     on it -- one hash probe per cell of the top tree and of the
+//     imported cells (which of the two is known from the parent), none
+//     below this rank's own branches, where tree.Descend moves by index
+//     -- and the phase ends on one vote, an allreduce. The paper's
+//     latency hiding is the safety net underneath: a group that still
+//     misses a cell is suspended on its frontier of missing keys (the
+//     explicit context switch) and rounds of batched request/reply
+//     (internal/abm) run until every group has finished.
 //
 // The global key name space makes the safety net possible: any
 // processor can compute which cells it needs and who owns them from
@@ -589,7 +591,7 @@ func (e *Engine[X, B]) ResetImports() {
 }
 
 // WalkGroups runs phases 3 and 4 for one traversal pass: after the
-// push it walks the tree for every local leaf group on behalf of the
+// push it walks the tree for every local group on behalf of the
 // visitor v, running eval for each group right after the emitting walk
 // that completed it, parking groups that still miss a remote cell and
 // fetching those cells from their owners in batched rounds until every

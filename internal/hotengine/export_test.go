@@ -18,8 +18,9 @@ func (e *Engine[X, B]) SetPush(on bool) { e.pushOff = !on }
 // between tree.Descend (off: children by index, as shipped) and the
 // paper's design, a stack of keys and one hash probe per cell (on):
 // the ablation the index descent is tested and timed against. Same
-// test, same order, same batch; only how a child is found differs.
-// This hook is the only switch.
+// test, same order, same batch, the group's own cell known by its key
+// and taken whole; only how a child is found differs. This hook is the
+// only switch.
 func (e *Engine[X, B]) SetHashDescent(on bool) {
 	if !on {
 		e.hashDescent = nil
@@ -41,6 +42,12 @@ func (e *Engine[X, B]) SetHashDescent(on bool) {
 			c := e.Local.Cell(stack[len(stack)-1])
 			stack = stack[:len(stack)-1]
 			visits++
+			if d.Own(c) {
+				if emit {
+					d.Leaves.Leaf(c)
+				}
+				continue
+			}
 			switch a := d.Test(c); {
 			case a == tree.Skip:
 			case a == tree.Accept:
@@ -111,9 +118,10 @@ func (e *Engine[X, B]) Resolve(k keys.Key) (c *tree.Cell, x X, ok bool) {
 // RestartWalkGroups is the walk phase as this package ran it before
 // suspended walks: a group that misses a cell is re-walked from the
 // root, emitting all the way, once per round until it completes
-// (classic inline schedule, no push). It is the reference WalkGroups
-// with the push off is tested against: same lists, same counters, same
-// rounds and traffic.
+// (classic inline schedule, no push), the group's own cell known by its
+// key and taken whole. It is the reference WalkGroups with the push off
+// is tested against: same lists, same counters, same rounds and
+// traffic.
 func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn) {
 	eng := abm.New[keys.Key, Wire[X, B]](e.C, KeyWireBytes(), e.cellBytes, e.serve)
 	e.C.Phase(e.Cfg.PhasePrefix + label)
@@ -136,6 +144,11 @@ func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn
 				c, x, ok := e.Resolve(k)
 				if !ok {
 					missing = append(missing, k)
+					continue
+				}
+				if k == gk {
+					visits++
+					v.Leaf(c)
 					continue
 				}
 				a := e.desc.Test(c)

@@ -57,7 +57,8 @@ func Sound[X any](t testing.TB, v hotengine.Visitor[X], tr *tree.Tree, seed int6
 			}
 		}
 		for _, gk := range run {
-			d.Aim(v.Sphere(tr.Cell(gk)))
+			gc, gr := v.Sphere(tr.Cell(gk))
+			d.Aim(gk, gc, gr)
 			for _, c := range cells {
 				if d.Test(c) != tree.Open {
 					continue

@@ -40,9 +40,10 @@ type Visitor[X any] interface {
 	// b.R. Owners run it down their own trees to decide what to push.
 	TestBound(c *tree.Cell, b *tree.Bound) tree.Action
 	// Leaf takes an opened leaf's bodies, as the emitting traversal
-	// reaches it; Cells takes the cells that traversal accepted, with
-	// their payloads, in one batch when it has completed. Both are in
-	// root-DFS order.
+	// reaches it, and likewise the group's own cell, whole and untested
+	// (tree.Descent.Own); Cells takes the cells that traversal accepted,
+	// with their payloads, in one batch when it has completed. Both are
+	// in root-DFS order.
 	Leaf(c *tree.Cell)
 	Cells(cells []*tree.Cell, xs []X)
 }
@@ -135,6 +136,12 @@ func (e *Engine[X, B]) traverse(emit bool) (visits uint64) {
 		}
 		c := &n.Cell
 		visits++
+		if d.Own(c) { // a whole branch: the top tree's copy has its body range
+			if emit {
+				d.Leaves.Leaf(c)
+			}
+			continue
+		}
 		switch a := d.Test(c); {
 		case a == tree.Skip:
 		case a == tree.Accept:
@@ -239,7 +246,8 @@ func (e *Engine[X, B]) setVisitor(v Visitor[X]) {
 // and the descent is aimed at the group's sphere, its batch emptied.
 func (e *Engine[X, B]) begin(gk keys.Key, g *tree.Cell) {
 	e.curWalk.Begin(gk, g)
-	e.desc.Aim(e.curWalk.Sphere(g))
+	gc, gr := e.curWalk.Sphere(g)
+	e.desc.Aim(gk, gc, gr)
 	e.extras = e.extras[:0]
 }
 

@@ -185,6 +185,27 @@ func TestReportWalkEfficiency(t *testing.T) {
 	}
 }
 
+// The rendering of a walk sample shows both counts and the counted
+// rate scaled by what the per-body algorithm would have counted.
+func TestReportPerBodyWalkRate(t *testing.T) {
+	rep := BuildReport("x", 10, 2.0, []RankInput{{Counters: diag.Counters{PP: 1e9}}}, nil, nil)
+	rep.Totals.WalkSamplePerBody, rep.Totals.WalkSampleGrouped, rep.Totals.WalkSampleBodies = 1500, 2000, 10
+	if rep.Totals.FlopsRate != 19e9 {
+		t.Fatalf("counted rate %g, want 1.9e10", rep.Totals.FlopsRate)
+	}
+	var b strings.Builder
+	rep.Render(&b)
+	if !strings.Contains(b.String(), "per-body walk: 150.0 interactions/body where the grouped walk counts 200.0 (sampled n=10) -> 14.25 Gflops") {
+		t.Fatalf("render missing the per-body walk line:\n%s", b.String())
+	}
+	plain := BuildReport("x", 10, 2.0, []RankInput{{}}, nil, nil)
+	b.Reset()
+	plain.Render(&b)
+	if strings.Contains(b.String(), "per-body walk") {
+		t.Fatalf("a report without a sample renders one:\n%s", b.String())
+	}
+}
+
 // TraceDropped must surface in the rendered report as a warning.
 func TestRenderWarnsOnDroppedTraceEvents(t *testing.T) {
 	rep := BuildReport("x", 10, 1.0, []RankInput{{}}, nil, nil)

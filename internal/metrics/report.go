@@ -52,6 +52,13 @@ type Totals struct {
 	// CollectivesPerStep is the most collectives any rank entered in
 	// its last step (RankReport.Collectives).
 	CollectivesPerStep int `json:"collectives_per_step"`
+	// WalkSample* are what WalkSampleBodies of the final bodies are
+	// charged by the original algorithm, one walk per body, and by the
+	// grouped walk that ran (runner.Result.PerBodyWalk). FlopsRate times
+	// PerBody/Grouped is the rate that longer lists cannot raise.
+	WalkSamplePerBody uint64 `json:"walk_sample_per_body,omitempty"`
+	WalkSampleGrouped uint64 `json:"walk_sample_grouped,omitempty"`
+	WalkSampleBodies  int    `json:"walk_sample_bodies,omitempty"`
 }
 
 // RankReport is one rank's share.
@@ -134,11 +141,14 @@ const (
 
 // SteppingStats summarizes the time-integration scheduler: how many
 // (sub-)steps ran, how many force evaluations were full vs partial,
-// and what fraction of the bodies the partial evaluations actually
-// computed forces for. ActiveSinks/TotalSinks is the active fraction;
-// its inverse is the force-evaluation saving of block timesteps over
-// uniform stepping at the finest occupied rung. Mirrors
-// integrate.Stats so the report stays decoupled from the integrator.
+// and what fraction of the bodies were due a force at each.
+// ActiveSinks/TotalSinks is that active fraction, in bodies (a "sink"
+// here is one, integrate.Stats' word). Its inverse bounds the saving of
+// block timesteps over uniform stepping at the finest occupied rung: a
+// partial evaluation computes the whole of every walk group, a sink
+// cell of up to 64 bodies (tree.GroupActive), that holds an active one.
+// Mirrors integrate.Stats so the report stays decoupled from the
+// integrator.
 type SteppingStats struct {
 	// Mode is "uniform" or "block"; Eta the block criterion scale.
 	Mode           string  `json:"mode"`
@@ -351,6 +361,11 @@ func (r *RunReport) Render(w io.Writer) {
 		r.Totals.Interactions, r.Totals.Counters.PP, r.Totals.Counters.PC, r.Totals.Counters.QuadPC)
 	fmt.Fprintf(w, "flops: %d at %d/interaction -> %s\n",
 		r.Totals.Flops, r.Constants.FlopsPerInteraction, diag.Rate(r.Totals.Flops, r.WallSeconds))
+	if t := r.Totals; t.WalkSampleGrouped > 0 {
+		n, per, grp := float64(t.WalkSampleBodies), float64(t.WalkSamplePerBody), float64(t.WalkSampleGrouped)
+		fmt.Fprintf(w, "per-body walk: %.1f interactions/body where the grouped walk counts %.1f (sampled n=%d) -> %s\n",
+			per/n, grp/n, t.WalkSampleBodies, diag.Rate(uint64(t.FlopsRate*per/grp), 1))
+	}
 	if c := r.Totals.Counters; c.Traversals > 0 {
 		fmt.Fprintf(w, "walk: %d cell visits in completed walks, %d rewalked (efficiency %.3f)\n",
 			c.Traversals, c.Rewalked, r.Totals.WalkEfficiency)

@@ -24,10 +24,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diag"
+	"repro/internal/keys"
 	"repro/internal/metrics"
 	"repro/internal/msg"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/tree"
 )
 
 // Plan describes one distributed run.
@@ -189,6 +191,24 @@ func (r *Result) Merged() *core.System {
 		}
 	}
 	return out
+}
+
+// PerBodyWalk samples every 64th of a gravity run's final bodies in key
+// order: what the original per-body walk charges them on one tree built
+// as g builds its own (tree.PerBodyWalk), and what the grouped walk
+// that ran did (their work weights). A driver's epilogue: it merges and
+// sorts the bodies, so no step calls it.
+func (r *Result) PerBodyWalk(g Gravity) (perBody, grouped uint64, sampled int) {
+	sys := r.Merged()
+	d := keys.NewDomain(sys.Pos)
+	sys.AssignKeys(d)
+	sys.SortByKey()
+	var work float64
+	for i := 0; i < sys.Len(); i += 64 {
+		work += sys.Work[i]
+	}
+	perBody, sampled = tree.Build(sys, d, g.MAC, g.Bucket).PerBodyWalk(64)
+	return perBody, uint64(work), sampled
 }
 
 // ForcesHash digests final per-body state in rank-major, local body

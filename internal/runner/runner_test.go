@@ -312,3 +312,26 @@ func TestOnWorldRefusal(t *testing.T) {
 	}
 	settled(t, before)
 }
+
+// The per-body walk sample of a finished gravity run: every 64th body,
+// the grouped count within a few percent of what the run's own counters
+// say a body was charged (another tree: one rank's, no force-splits),
+// and the per-body count below it.
+func TestPerBodyWalkOfARun(t *testing.T) {
+	p := Plan{NP: 2, Steps: 0, System: ic.Plummer(2000, 1.0, 42), Physics: production}
+	res, err := Run(p, Attachments{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perBody, grouped, sampled := res.PerBodyWalk(production)
+	if sampled != (2000+63)/64 {
+		t.Fatalf("sampled %d bodies of 2000, want every 64th", sampled)
+	}
+	ran := float64(res.Counters.Interactions()) / 2000
+	if got := float64(grouped) / float64(sampled); got < 0.9*ran || got > 1.1*ran {
+		t.Fatalf("grouped walk charges a sampled body %.1f interactions, the run charged %.1f", got, ran)
+	}
+	if perBody == 0 || perBody >= grouped {
+		t.Fatalf("per-body walk counts %d, grouped %d: want fewer, and some", perBody, grouped)
+	}
+}

@@ -515,7 +515,12 @@ func checkForcesHashes(t *testing.T, golden []goldenHashes) {
 // walk builds each interaction list in root-DFS order, the order the
 // restart walk had, so not one bit may move. (The gravity and SPH
 // digests it also held until PR 17 moved with the gravity kernel and
-// are in TestForcesHashPinsKernel; the vortex kernel did not change.)
+// are in TestForcesHashPinsKernel; the vortex kernel did not change.
+// Nor did these move when walk groups became sink cells, PR 23: with
+// 192 particles in 32-body leaves over two ranks or more, no cell above
+// a leaf holds at most 64 of them inside a rank's interval, the groups
+// are the leaves they were, and the interaction counts stood too
+// (129413, 113449, 86201). At 512 particles they move, +29%.)
 func TestForcesHashMatchesRestartWalk(t *testing.T) {
 	checkForcesHashes(t, []goldenHashes{
 		{Spec{Physics: PhysicsVortex, N: 24, Steps: 2},
@@ -528,19 +533,21 @@ func TestForcesHashMatchesRestartWalk(t *testing.T) {
 // self-gravity) to the digests of the PR 17 kernel
 // generation: grav/kernel.go's Go loops -- hardware sqrt and divide,
 // one accumulator set per target swept in list order -- or their AVX2
-// form, which is the same arithmetic bit for bit. The lists are still
-// the restart walk's, element for element (the count goldens in
-// internal/parallel did not move); only the arithmetic applied to them
-// changed, by ~1e-15 of the force (EXPERIMENTS.md "Kernel (PR 17)").
-// A change to the kernels' operation order, a fused multiply-add, or
-// an assembly lane that strays from the Go loop shows up here.
+// form, which is the same arithmetic bit for bit -- applied to the
+// lists of PR 23's walk groups, sink cells of up to 64 bodies over the
+// unchanged source tree (the nine digests were re-captured then, once,
+// with the count goldens in internal/parallel; old -> new in
+// EXPERIMENTS.md "Sink cells (PR 23)"). A change to the kernels'
+// operation order, a fused multiply-add, an assembly lane that strays
+// from the Go loop, or a list that gains, loses or reorders an entry
+// shows up here.
 func TestForcesHashPinsKernel(t *testing.T) {
 	checkForcesHashes(t, []goldenHashes{
 		{Spec{Physics: PhysicsGravity, N: 1500, Steps: 1, Seed: 17},
-			[3]string{"e3812b3950857929", "ff9971309216c0d3", "1052c4de89354c0c"}},
+			[3]string{"a75f0e7fe851b847", "936f0ae6674afd6f", "30d266145d1db1d1"}},
 		{Spec{Physics: PhysicsGravity, N: 1500, Steps: 1, Seed: 17, DTMode: "block"},
-			[3]string{"6c0f884bc724d78b", "c4a163ec12e46c40", "c4f0f89a2cab5857"}},
+			[3]string{"943ee3c0f4818d7e", "44e297e2f7dcdfc2", "c7c3356de39c1451"}},
 		{Spec{Physics: PhysicsSPH, N: 600, Steps: 1, Seed: 17},
-			[3]string{"3377916bed0f000f", "43b5072667ebf1d6", "a30b7c0028029d3b"}},
+			[3]string{"9f9aa5c7debbc47b", "3f703dc953383c04", "a39e22b66ff8d57c"}},
 	})
 }

@@ -20,7 +20,7 @@ import (
 // the paper's point that SPH was "implemented ... interfaced to
 // exactly the same library" as gravity. Density and forces are two
 // traversal passes of range queries against the distributed tree:
-// each leaf group prunes cells against its search sphere (group
+// each walk group prunes cells against its search sphere (group
 // bounding sphere inflated by the largest kernel support), gathering
 // local and imported leaf bodies as neighbor candidates; cells held
 // by other ranks arrive through the same deferred-group batched

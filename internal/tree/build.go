@@ -26,7 +26,7 @@ type Builder struct {
 	Sub *diag.Timer
 
 	// cells is the tree under construction, in table order; groups its
-	// leaves in Morton order.
+	// sink cells (Tree.Groups) in Morton order.
 	cells  []Cell
 	groups []keys.Key
 }
@@ -52,7 +52,7 @@ func (b *Builder) BuildRange(sys *core.System, d keys.Domain, mac grav.MACParams
 	}
 	b.cells = append(b.cells[:0], Cell{})
 	b.groups = b.groups[:0]
-	b.build(t, 0, keys.Root, 0, sys.Len())
+	b.build(t, 0, keys.Root, 0, sys.Len(), false)
 	if b.Sub != nil {
 		b.Sub.Start("treebuild/insert")
 	}
@@ -71,10 +71,18 @@ func (b *Builder) BuildRange(sys *core.System, d keys.Domain, mac grav.MACParams
 
 // build fills entry idx with the cell for key over the bodies
 // [lo, hi), and the entries it appends with the subtree below it.
-func (b *Builder) build(t *Tree, idx int32, key keys.Key, lo, hi int) grav.Multipole {
+// grouped says an ancestor is a sink already: the first cell on the way
+// down inside the interval with at most sinkCap bodies is the group of
+// everything below it, and a leaf reached without one is its own.
+func (b *Builder) build(t *Tree, idx int32, key keys.Key, lo, hi int, grouped bool) grav.Multipole {
 	center, size := t.Domain.CellCenter(key)
-	inside := KeyOffset(key.MinBody()) >= t.rangeLo && KeyOffset(key.MaxBody()) < t.rangeHi
-	if (hi-lo <= t.Bucket && inside) || key.Level() == keys.MaxLevel {
+	inside := t.inside(key)
+	leaf := (hi-lo <= t.Bucket && inside) || key.Level() == keys.MaxLevel
+	if !grouped && (leaf || (inside && hi-lo <= sinkCap)) {
+		b.groups = append(b.groups, key)
+		grouped = true
+	}
+	if leaf {
 		mp := grav.FromBodies(t.Sys.Pos[lo:hi], t.Sys.Mass[lo:hi])
 		c := Cell{
 			Key:   key,
@@ -85,7 +93,6 @@ func (b *Builder) build(t *Tree, idx int32, key keys.Key, lo, hi int) grav.Multi
 		}
 		c.RCrit = grav.RCrit(&mp, size, mp.COM.Sub(center).Norm(), t.MAC)
 		b.cells[idx] = c
-		b.groups = append(b.groups, key)
 		return mp
 	}
 	// End of each octant's body range: first key beyond its MaxBody.
@@ -108,7 +115,7 @@ func (b *Builder) build(t *Tree, idx int32, key keys.Key, lo, hi int) grav.Multi
 	cur = lo
 	for oct := 0; oct < 8; oct++ {
 		if mask&(1<<uint(oct)) != 0 {
-			present = append(present, b.build(t, kids+int32(len(present)), key.Child(oct), cur, ends[oct]))
+			present = append(present, b.build(t, kids+int32(len(present)), key.Child(oct), cur, ends[oct], grouped))
 		}
 		cur = ends[oct]
 	}

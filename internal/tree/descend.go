@@ -1,12 +1,12 @@
 package tree
 
 import (
-	"slices"
-
+	"repro/internal/keys"
 	"repro/internal/vec"
 )
 
-// LeafTaker receives the leaves a descent opens, in root-DFS order.
+// LeafTaker receives the leaves a descent opens, in root-DFS order, and
+// in their place the group's own cell, whole (Descent.Own).
 type LeafTaker interface {
 	Leaf(c *Cell)
 }
@@ -35,15 +35,16 @@ type Descent struct {
 	// traversal is over, rather than cell by cell through a callback.
 	Accepted []*Cell
 
+	own    keys.Key
 	gc     vec.V3
 	gr     float64
 	sphere Bound // (gc, gr) as Prune takes it
 	stack  []int32
 }
 
-// Aim points the descent at a group's sphere and drops the batch.
-func (d *Descent) Aim(gc vec.V3, gr float64) {
-	d.gc, d.gr = gc, gr
+// Aim points the descent at group own's sphere and drops the batch.
+func (d *Descent) Aim(own keys.Key, gc vec.V3, gr float64) {
+	d.own, d.gc, d.gr = own, gc, gr
 	d.sphere = Bound{Lo: gc, Hi: gc, R: gr, Any: true}
 	d.Drop()
 }
@@ -57,7 +58,13 @@ func (d *Descent) Drop() {
 	d.Accepted = d.Accepted[:0]
 }
 
-// Test classifies one cell against the group Aim fixed.
+// Own reports whether c is the group's own cell. A traversal hands it
+// to Leaves whole and tests nothing at or below it: a one-body sub-cell
+// that sets the sphere's radius has RCrit = 0 and d = gr up to rounding,
+// and accepted, the body would attract itself as a monopole.
+func (d *Descent) Own(c *Cell) bool { return c.Key == d.own }
+
+// Test classifies one cell, never the group's Own, against Aim's group.
 func (d *Descent) Test(c *Cell) Action {
 	if d.Prune != nil {
 		return d.Prune.TestBound(c, &d.sphere)
@@ -71,11 +78,11 @@ func (d *Descent) Test(c *Cell) Action {
 // is nothing to miss and nothing to look up: children are Kids, Kids+1,
 // ... in the table's entries, pushed in octant order and popped in
 // reverse, the order a stack of keys gives. While emit is set, accepted
-// cells are appended to d.Accepted and opened leaves handed to
-// d.Leaves; a descent that only discovers what a group will open
-// leaves both alone.
+// cells are appended to d.Accepted and opened leaves, and the group's
+// own cell, handed to d.Leaves; a descent that only discovers what a
+// group will open leaves both alone.
 func (t *Tree) Descend(d *Descent, from, n int32, emit bool) (visits uint64) {
-	cells, prune, gc, gr := t.Cells, d.Prune, d.gc, d.gr
+	cells, prune, own, gc, gr := t.Cells, d.Prune, d.own, d.gc, d.gr
 	stack := d.stack[:0]
 	for i := from; i < from+n; i++ {
 		stack = append(stack, i)
@@ -84,6 +91,12 @@ func (t *Tree) Descend(d *Descent, from, n int32, emit bool) (visits uint64) {
 		c := cells.At(int(stack[len(stack)-1]))
 		stack = stack[:len(stack)-1]
 		visits++
+		if c.Key == own {
+			if emit {
+				d.Leaves.Leaf(c)
+			}
+			continue
+		}
 		var a Action
 		if prune == nil {
 			a = Classify(c, gc, gr) // inlined: no call per visit
@@ -117,8 +130,14 @@ func (t *Tree) Descend(d *Descent, from, n int32, emit bool) (visits uint64) {
 // grav.InteractionList.Caps).
 func (d *Descent) Caps() (stack, batch int) { return cap(d.stack), cap(d.Accepted) }
 
-// Grow raises the capacities to at least stack and batch entries.
+// Grow raises capacities below stack and batch entries to exactly that.
+// Growing by append overshoots, and a pool levelling its walkers would
+// chase the overshoot as its next maximum at every evaluation.
 func (d *Descent) Grow(stack, batch int) {
-	d.stack = slices.Grow(d.stack[:0], stack)
-	d.Accepted = slices.Grow(d.Accepted[:0], batch)
+	if cap(d.stack) < stack {
+		d.stack = make([]int32, 0, stack)
+	}
+	if cap(d.Accepted) < batch {
+		d.Accepted = make([]*Cell, 0, batch)
+	}
 }

@@ -1,6 +1,8 @@
 package tree
 
 import (
+	"sort"
+
 	"repro/internal/diag"
 	"repro/internal/grav"
 	"repro/internal/keys"
@@ -12,8 +14,10 @@ import (
 // acceptance test, and each accepted interaction evaluated as it is
 // found, accumulating into acc and pot (parallel slices of gpos, NOT
 // zeroed here). It is the reference the list walk (Walk + Evaluate,
-// descending by index and comparing squares) is tested against.
-func WalkFused(t *Tree, groupKey keys.Key, gpos []vec.V3, acc []vec.V3, pot []float64, eps2 float64, quad bool, ctr *diag.Counters) {
+// descending by index and comparing squares) is tested against. The
+// group's own cell is never put to the MAC: by key, its bodies (gpos,
+// gmass) interact pairwise.
+func WalkFused(t *Tree, groupKey keys.Key, gpos []vec.V3, gmass []float64, acc []vec.V3, pot []float64, eps2 float64, quad bool, ctr *diag.Counters) {
 	gc, gr := GroupSphere(gpos)
 	stack := []keys.Key{keys.Root}
 	for len(stack) > 0 {
@@ -23,6 +27,10 @@ func WalkFused(t *Tree, groupKey keys.Key, gpos []vec.V3, acc []vec.V3, pot []fl
 		ctr.Traversals++
 		if c.Mp.M == 0 {
 			continue // empty cell contributes nothing
+		}
+		if k == groupKey {
+			ctr.PP += grav.PPSelf(gpos, gmass, acc, pot, eps2)
+			continue
 		}
 		d := c.Mp.COM.Sub(gc).Norm()
 		if d-gr > c.RCrit && d > gr {
@@ -35,11 +43,7 @@ func WalkFused(t *Tree, groupKey keys.Key, gpos []vec.V3, acc []vec.V3, pot []fl
 		}
 		if c.Leaf {
 			spos, smass := t.LeafBodies(c)
-			if c.Key == groupKey {
-				ctr.PP += grav.PPSelf(gpos, smass, acc, pot, eps2)
-			} else {
-				ctr.PP += grav.PPTile(gpos, acc, pot, spos, smass, eps2)
-			}
+			ctr.PP += grav.PPTile(gpos, acc, pot, spos, smass, eps2)
 			continue
 		}
 		for oct := 0; oct < 8; oct++ {
@@ -64,7 +68,7 @@ func (t *Tree) GravityFused(eps2 float64) diag.Counters {
 			sys.Pot[i] = 0
 		}
 		before := ctr.PP + ctr.PC
-		WalkFused(t, gk, sys.Pos[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], eps2, t.MAC.Quad, &ctr)
+		WalkFused(t, gk, sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], eps2, t.MAC.Quad, &ctr)
 		if g.N > 0 {
 			per := float64(ctr.PP+ctr.PC-before) / float64(g.N)
 			for i := lo; i < hi; i++ {
@@ -73,4 +77,25 @@ func (t *Tree) GravityFused(eps2 float64) diag.Counters {
 		}
 	}
 	return ctr
+}
+
+// SinkCap is the group capacity, for tests that hold groups to it.
+const SinkCap = sinkCap
+
+// LeafGroups returns t's leaves in Morton order: the groups of the
+// traversal before sink cells, when every leaf walked for itself. Set
+// as t.Groups it is the ablation sink cells are timed and tested
+// against (every walker takes a group by key and body range, so a leaf
+// serves); nothing outside tests can select it. This hook is the only
+// switch.
+func LeafGroups(t *Tree) []keys.Key {
+	var leaves []keys.Key
+	t.Cells.Range(func(k keys.Key, c *Cell) bool {
+		if c.Leaf {
+			leaves = append(leaves, k)
+		}
+		return true
+	})
+	sort.Slice(leaves, func(i, j int) bool { return t.Cell(leaves[i]).First < t.Cell(leaves[j]).First })
+	return leaves
 }

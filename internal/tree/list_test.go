@@ -55,7 +55,8 @@ func accClose(t *testing.T, tag string, acc, ref []vec.V3, pot, refPot []float64
 
 // The list-based two-phase evaluation must match the fused walk on
 // realistic ICs, serial and concurrent, monopole and quadrupole, with
-// byte-identical interaction counts.
+// byte-identical interaction counts: over the tree's sink cells, and
+// over its leaves as groups (the ablation's grouping).
 func TestGravityMatchesFused(t *testing.T) {
 	macs := map[string]grav.MACParams{
 		"bh-mono": {Kind: grav.MACBarnesHut, Theta: 0.7, Quad: false},
@@ -70,32 +71,36 @@ func TestGravityMatchesFused(t *testing.T) {
 	for icName, mk := range ics {
 		sys, d := mk()
 		for macName, mac := range macs {
-			tag := icName + "/" + macName
 			tr := Build(sys, d, mac, 16)
-			ctrFused := tr.GravityFused(eps2)
-			refAcc := append(sys.Acc[:0:0], sys.Acc...)
-			refPot := append(sys.Pot[:0:0], sys.Pot...)
-			refWork := append(sys.Work[:0:0], sys.Work...)
+			groupings := map[string][]keys.Key{"sinks": tr.Groups, "leaves": LeafGroups(tr)}
+			for grouping, groups := range groupings {
+				tag := icName + "/" + macName + "/" + grouping
+				tr.Groups = groups
+				ctrFused := tr.GravityFused(eps2)
+				refAcc := append(sys.Acc[:0:0], sys.Acc...)
+				refPot := append(sys.Pot[:0:0], sys.Pot...)
+				refWork := append(sys.Work[:0:0], sys.Work...)
 
-			ctr := tr.Gravity(eps2)
-			if ctr.PP != ctrFused.PP || ctr.PC != ctrFused.PC || ctr.QuadPC != ctrFused.QuadPC {
-				t.Fatalf("%s: counts differ: batched PP=%d PC=%d QuadPC=%d, fused PP=%d PC=%d QuadPC=%d",
-					tag, ctr.PP, ctr.PC, ctr.QuadPC, ctrFused.PP, ctrFused.PC, ctrFused.QuadPC)
-			}
-			accClose(t, tag+"/serial", sys.Acc, refAcc, sys.Pot, refPot)
-			for i := range refWork {
-				if sys.Work[i] != refWork[i] {
-					t.Fatalf("%s: work weight %d differs", tag, i)
+				ctr := tr.Gravity(eps2)
+				if ctr.PP != ctrFused.PP || ctr.PC != ctrFused.PC || ctr.QuadPC != ctrFused.QuadPC {
+					t.Fatalf("%s: counts differ: batched PP=%d PC=%d QuadPC=%d, fused PP=%d PC=%d QuadPC=%d",
+						tag, ctr.PP, ctr.PC, ctr.QuadPC, ctrFused.PP, ctrFused.PC, ctrFused.QuadPC)
 				}
-			}
+				accClose(t, tag+"/serial", sys.Acc, refAcc, sys.Pot, refPot)
+				for i := range refWork {
+					if sys.Work[i] != refWork[i] {
+						t.Fatalf("%s: work weight %d differs", tag, i)
+					}
+				}
 
-			pool := NewForcePool(4)
-			ctrC := pool.Gravity(tr, eps2)
-			pool.Close()
-			if ctrC.PP != ctrFused.PP || ctrC.PC != ctrFused.PC {
-				t.Fatalf("%s: concurrent counts differ", tag)
+				pool := NewForcePool(4)
+				ctrC := pool.Gravity(tr, eps2)
+				pool.Close()
+				if ctrC.PP != ctrFused.PP || ctrC.PC != ctrFused.PC {
+					t.Fatalf("%s: concurrent counts differ", tag)
+				}
+				accClose(t, tag+"/concurrent", sys.Acc, refAcc, sys.Pot, refPot)
 			}
-			accClose(t, tag+"/concurrent", sys.Acc, refAcc, sys.Pot, refPot)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // groupBatch is how many groups a pool worker claims per grab: large
 // enough that the atomic counter is cold, small enough that the
-// tail-end imbalance stays negligible (groups are leaf buckets, so a
-// batch is a few hundred bodies of work).
+// tail-end imbalance stays negligible (groups are sink cells of at most
+// sinkCap bodies, so a batch is a few hundred bodies of work).
 const groupBatch = 8
 
 // ForcePool is a persistent worker pool for concurrent force
@@ -117,7 +117,8 @@ func (p *ForcePool) Gravity(t *Tree, eps2 float64) diag.Counters {
 // without this a worker could meet a group whose interaction list is
 // larger than any it saw before and have to grow mid-evaluation; after
 // one full evaluation plus equalize, every walker can hold the largest
-// list any group produces and the steady state allocates nothing. Runs
+// list any group produces and the steady state allocates nothing
+// (every Grow is exact, so a levelled fleet stays levelled). Runs
 // between evaluations, workers idle.
 func (p *ForcePool) equalize() {
 	var nb, nc, nt, nstack, nbatch int

@@ -5,8 +5,8 @@
 // remote data alike.
 //
 // A tree is built over a key-sorted body array: cells subdivide until
-// they hold at most BucketSize bodies, leaves carry [First,First+N)
-// ranges into the body array, and every cell stores its multipole
+// they hold at most BucketSize bodies, every cell carries the
+// [First,First+N) range of its bodies, and every cell stores its multipole
 // moments and the critical radius RCrit precomputed from the
 // configured multipole acceptance criterion. The children of a cell
 // sit side by side in the table's entries (Cell.Kids), so a traversal
@@ -25,9 +25,17 @@ import (
 	"repro/internal/vec"
 )
 
-// DefaultBucketSize is the leaf capacity; leaves double as the groups
-// of the group-based traversal.
+// DefaultBucketSize is the leaf capacity: how finely the tree resolves
+// its bodies as sources.
 const DefaultBucketSize = 16
+
+// sinkCap is the most bodies that share one interaction list (a group,
+// Tree.Groups), sized apart from the sources as in Barnes' modified
+// algorithm. Walk plus evaluation of 10 000 Plummer bodies, in ms at
+// 16/24/32/48/64/96/128: 121/110/97/85/81/79/81 and 118/106/92/84/81/
+// 78/82 on two seeds (EXPERIMENTS.md "Sink cells (PR 23)"): flat from
+// 48 up, so a constant, not a knob.
+const sinkCap = 64
 
 // Cell is one node of the hashed oct-tree.
 type Cell struct {
@@ -37,8 +45,8 @@ type Cell struct {
 	// expansion is valid for any target farther than RCrit from the
 	// center of mass.
 	RCrit float64
-	// First and N give the body range of a leaf (indices into the
-	// owning body arena).
+	// First and N give the cell's body range (indices into the owning
+	// body arena; of a record outside a local tree, a leaf's only).
 	First, N int32
 	// Kids is the index, among the entries of the tree's table, of this
 	// cell's first child; the others follow it in octant order, one per
@@ -58,8 +66,10 @@ type Tree struct {
 	MAC    grav.MACParams
 	Bucket int
 	Cells  *htab.Table[Cell]
-	// Groups lists the leaf cell keys in Morton order; leaves are the
-	// traversal groups.
+	// Groups lists the sink cells, the traversal's groups, in Morton
+	// order: each the largest cell of at most sinkCap bodies wholly
+	// inside [rangeLo, rangeHi), or a leaf where there is none. They
+	// tile the bodies; the leaves below them remain the sources.
 	Groups []keys.Key
 	// rangeLo/rangeHi force-split interval: a cell whose key interval
 	// is not fully inside [rangeLo, rangeHi) must subdivide even if it
@@ -83,6 +93,11 @@ func Build(sys *core.System, d keys.Domain, mac grav.MACParams, bucket int) *Tre
 func BuildRange(sys *core.System, d keys.Domain, mac grav.MACParams, bucket int, lo, hi uint64) *Tree {
 	var b Builder
 	return b.BuildRange(sys, d, mac, bucket, lo, hi)
+}
+
+// inside reports whether every body key under k is in the interval.
+func (t *Tree) inside(k keys.Key) bool {
+	return KeyOffset(k.MinBody()) >= t.rangeLo && KeyOffset(k.MaxBody()) < t.rangeHi
 }
 
 // Cell returns the cell stored under k, or nil.
@@ -110,26 +125,35 @@ func (t *Tree) CheckInvariants() error {
 	if d := root.Mp.M - sum; d > 1e-9*sum+1e-12 || d < -1e-9*sum-1e-12 {
 		return fmt.Errorf("tree: root mass %g != body mass %g", root.Mp.M, sum)
 	}
-	// Every body must be covered by exactly one leaf, and leaf ranges
-	// must tile [0, N) in Morton order.
+	// Group ranges tile [0, N) in Morton order (so none is an ancestor
+	// of another). A group is a leaf or a cell of at most sinkCap
+	// bodies inside the interval, the largest such, and never straddles
+	// the interval: outside it there are only single-key leaves.
+	sink := func(c *Cell) bool { return int(c.N) <= sinkCap && t.inside(c.Key) }
 	next := 0
 	for _, gk := range t.Groups {
 		g := t.Cell(gk)
-		if g == nil || !g.Leaf {
-			return fmt.Errorf("tree: group %v is not a leaf", gk)
+		if g == nil || !(g.Leaf || sink(g)) {
+			return fmt.Errorf("tree: group %v is neither a leaf nor a sink cell", gk)
+		}
+		if p := t.Cell(gk.Parent()); p != nil && sink(p) {
+			return fmt.Errorf("tree: group %v is not the largest sink cell: its parent holds %d bodies", gk, p.N)
+		}
+		if !t.inside(gk) && gk.Level() < keys.MaxLevel {
+			return fmt.Errorf("tree: group %v straddles the interval [%d, %d)", gk, t.rangeLo, t.rangeHi)
 		}
 		if int(g.First) != next {
-			return fmt.Errorf("tree: leaf %v starts at %d, want %d", gk, g.First, next)
+			return fmt.Errorf("tree: group %v starts at %d, want %d", gk, g.First, next)
 		}
 		next = int(g.First + g.N)
 		for i := g.First; i < g.First+g.N; i++ {
 			if !gk.Contains(t.Sys.Key[i]) {
-				return fmt.Errorf("tree: body %d (key %v) outside its leaf %v", i, t.Sys.Key[i], gk)
+				return fmt.Errorf("tree: body %d (key %v) outside its group %v", i, t.Sys.Key[i], gk)
 			}
 		}
 	}
 	if next != t.Sys.Len() {
-		return fmt.Errorf("tree: leaves cover %d bodies, want %d", next, t.Sys.Len())
+		return fmt.Errorf("tree: groups cover %d bodies, want %d", next, t.Sys.Len())
 	}
 	// Internal cells: mass equals sum of children; ChildMask matches
 	// table contents; the children sit side by side from entry Kids, in

@@ -21,8 +21,8 @@ type Walker struct {
 	// traversal).
 	List grav.InteractionList
 	tg   grav.Targets
-	// The current group's leaf key, fixed by Begin, and the tree Walk
-	// is descending.
+	// The current group's key, fixed by Begin, and the tree Walk is
+	// descending.
 	groupKey keys.Key
 	src      *Tree
 }
@@ -142,14 +142,14 @@ func ClassifyBound(c *Cell, b *Bound) Action {
 	return Classify(c, b.Nearest(c.Mp.COM), b.R)
 }
 
-// Begin starts a list build for the group with leaf key groupKey: it
+// Begin starts a list build for the group with key groupKey: it
 // resets w.List for TakeLeaf and TakeCells.
 func (w *Walker) Begin(groupKey keys.Key) {
 	w.groupKey = groupKey
 	w.List.Reset()
 }
 
-// TakeLeaf adds an opened leaf to the list: the group's own leaf sets
+// TakeLeaf adds an opened leaf to the list: the group's own cell sets
 // the Self flag, any other contributes its bodies.
 func (w *Walker) TakeLeaf(c *Cell, spos []vec.V3, smass []float64) {
 	if c.Key == w.groupKey {
@@ -186,16 +186,17 @@ func (w *Walker) Leaf(c *Cell) {
 // Walk traverses t for one group of bodies and builds the group's
 // interaction list in w.List (phase 1 of the two-phase evaluation):
 // accepted multipoles go to the cell slab, leaf bodies are gathered
-// into the SoA source columns, and the group's own leaf sets the Self
+// into the SoA source columns, and the group's own cell sets the Self
 // flag. No forces are computed here -- call Evaluate afterwards.
-// groupKey identifies the group's own leaf. It is Descend from the
+// groupKey identifies the group's own cell. It is Descend from the
 // root, the descent the distributed engine runs below its own
 // branches. A tree holds every cell below its root, so missing is
 // always nil; the result remains for callers that check it.
 func (w *Walker) Walk(t *Tree, groupKey keys.Key, gpos []vec.V3, ctr *diag.Counters) (missing []keys.Key) {
 	w.Begin(groupKey)
 	w.src, w.d.Leaves = t, w
-	w.d.Aim(GroupSphere(gpos))
+	gc, gr := GroupSphere(gpos)
+	w.d.Aim(groupKey, gc, gr)
 	ctr.Traversals += t.Descend(&w.d, 0, 1, true)
 	w.TakeCells(w.d.Accepted)
 	w.d.Drop()
@@ -262,13 +263,14 @@ func (t *Tree) gravityGroups(w *Walker, ctr *diag.Counters, glo, ghi int, eps2 f
 func (t *Tree) Gravity(eps2 float64) diag.Counters { return t.GravityActive(eps2, 0) }
 
 // GroupActive reports whether the body range [lo,hi) of sys holds any
-// body on rung minRung or finer. Activity is group-granular: a group
-// with one active body is evaluated whole (the inactive members' Acc
-// is overwritten with values they never consume -- their own kicks
-// read Acc only at their own sub-step boundaries, which are full
-// evaluations for them), so the interaction kernels, including the
-// self-interaction, run unchanged. A nil Rung column means rung zero
-// everywhere.
+// body on rung minRung or finer. Activity is group-granular: a group,
+// a sink cell of up to sinkCap bodies, is evaluated whole for one active
+// body (the inactive members' Acc is overwritten with values they never
+// consume -- their own kicks read Acc only at their own sub-step
+// boundaries, which are full evaluations for them), so the interaction
+// kernels, including the self-interaction, run unchanged; the cost is
+// measured in EXPERIMENTS.md "Sink cells (PR 23)". A nil Rung column
+// means rung zero everywhere.
 func GroupActive(sys *core.System, lo, hi, minRung int) bool {
 	if minRung <= 0 || sys.Rung == nil {
 		return true
@@ -293,4 +295,30 @@ func (t *Tree) GravityActive(eps2 float64, minRung int) diag.Counters {
 	var w Walker
 	t.gravityGroups(&w, &ctr, 0, len(t.Groups), eps2, minRung)
 	return ctr
+}
+
+// bodyCount counts the bodies of the leaves a descent opens.
+type bodyCount struct{ n uint64 }
+
+func (b *bodyCount) Leaf(c *Cell) { b.n += uint64(c.N) }
+
+// PerBodyWalk counts the interactions of the original algorithm for
+// every stride-th body: one walk per body, a sphere of radius zero, the
+// same MAC, accepted cells plus the bodies of opened leaves less
+// itself, and no list. Grouping lengthens lists to fill the kernels'
+// lanes, so a counted rate flatters it; this count over the grouped one
+// (Sys.Work, once evaluated) takes it back to the algorithm the paper
+// timed (GRAPE-5's correction).
+func (t *Tree) PerBodyWalk(stride int) (inter uint64, sampled int) {
+	var d Descent
+	var leaves bodyCount
+	d.Leaves = &leaves
+	for i := 0; i < t.Sys.Len(); i += stride {
+		d.Aim(keys.Invalid, t.Sys.Pos[i], 0)
+		t.Descend(&d, 0, 1, true)
+		inter += uint64(len(d.Accepted))
+		sampled++
+	}
+	d.Drop()
+	return inter + leaves.n - uint64(sampled), sampled
 }

@@ -69,6 +69,11 @@ func TreeEval(sys *core.System, sigma, theta float64) ([]vec.V3, diag.Counters) 
 			if c.Mp.M == 0 {
 				continue // zero total |alpha|: no contribution
 			}
+			if k == gk {
+				// Own cell: sources one by one, whatever the MAC would say.
+				list.addBodies(gpos, galpha)
+				continue
+			}
 			dd := c.Mp.COM.Sub(gc).Norm()
 			if dd-gr > c.RCrit && dd > gr {
 				list.cells = append(list.cells, cellMoment{

@@ -50,10 +50,10 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --ex
 fi
 echo "== bce (the interaction kernels' Go loops stay bounds-check-free, -d=ssa/check_bce)"
 sh scripts/bce.sh
-echo "== benchcmp (allocs/op of the pooled walk, the index descent and the interaction kernels vs BENCH_baseline.json)"
+echo "== benchcmp (allocs/op of the pooled walk, the index descent, the sink-cell walk and evaluation, and the interaction kernels vs BENCH_baseline.json)"
 {
 	go test -run='^$' -bench=Ablation_BatchedConcurrentAllocs -benchtime=1x .
-	go test -run='^$' -bench=Ablation_DescentIndex -benchtime=5x .
+	go test -run='^$' -bench='Ablation_(DescentIndex|SinkCells)' -benchtime=5x .
 	go test -run='^$' -bench='Ablation_Eval' -benchtime=100x .
-} | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(BatchedConcurrentAllocs|DescentIndex|Eval)'
+} | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(BatchedConcurrentAllocs|DescentIndex|SinkCells|Eval)'
 echo "== ok"
