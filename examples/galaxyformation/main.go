@@ -40,7 +40,7 @@ func main() {
 		},
 		OnStep: func(rank, s int, e runner.Engine, ctr diag.Counters) {
 			if rank == 0 && s >= 0 && s%4 == 0 {
-				in := e.Report()
+				in := e.Record()
 				fmt.Printf("step %2d: %9d interactions, %2d request rounds, %5d remote cells\n",
 					s, ctr.Interactions(), in.Rounds, in.RemoteCells)
 			}

@@ -254,7 +254,7 @@ func (o *Obs) Run(p runner.Plan) *runner.Result {
 		o.Abort(err)
 	}
 	if o.metrics != "" {
-		rep := metrics.BuildReport(o.prog, res.Bodies(), res.Wall.Seconds(), res.Ranks, res.World, reg)
+		rep := metrics.BuildReport(o.prog, res.Wall.Seconds(), res.Ranks, res.World, reg)
 		rep.TraceDropped = run.Dropped()
 		if g, ok := p.Physics.(runner.Gravity); ok {
 			t := &rep.Totals
@@ -274,12 +274,15 @@ func (o *Obs) Run(p runner.Plan) *runner.Result {
 	return res
 }
 
-// PrintPhases prints one rank's per-phase wall clock, rounds and
-// remote cells under title.
+// PrintPhases prints one rank's per-phase wall clock (the sub-phases,
+// "treebuild/sort", are the report's), rounds and remote cells under
+// title.
 func PrintPhases(title string, in metrics.RankInput) {
 	fmt.Println(title)
-	for _, ph := range in.Timer.Phases() {
-		fmt.Printf("  %-12s %v\n", ph, in.Timer.Get(ph))
+	for _, ph := range in.Phases {
+		if !strings.Contains(ph.Name, "/") {
+			fmt.Printf("  %-12s %v\n", ph.Name, ph.D)
+		}
 	}
 	fmt.Printf("  rounds=%d remoteCells=%d\n", in.Rounds, in.RemoteCells)
 }

@@ -1,4 +1,4 @@
-// Stable parallel LSD radix sort over the Morton keys. The paper
+// Stable LSD radix sort over the Morton keys. The paper
 // treats body ordering as the inner loop of the domain decomposition
 // ("practically identical to a parallel sorting algorithm"), so the
 // sort must cost a few linear passes, not an O(N log N) comparison
@@ -16,7 +16,6 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -24,23 +23,16 @@ import (
 	"repro/internal/vec"
 )
 
-// sortSerialBelow is the size under which the per-pass goroutine
-// fan-out costs more than it saves and the Sorter stays serial.
-const sortSerialBelow = 1 << 13
-
 // Sorter sorts a System's bodies into (Key, ID) order. It owns the
 // permutation, histogram and per-column gather scratch, so a Sorter
-// reused across timesteps allocates nothing in steady state. A Sorter
-// is not safe for concurrent use; distinct ranks use distinct Sorters.
+// reused across timesteps allocates nothing in steady state. It runs on
+// the caller's goroutine: ranks are the unit of parallelism, and a rank
+// that fanned out here would only contend with the others. A Sorter is
+// not safe for concurrent use; distinct ranks use distinct Sorters.
 type Sorter struct {
-	// Workers caps the sorting goroutines. 0 means automatic
-	// (GOMAXPROCS, capped); 1 forces the serial path.
-	Workers int
-
 	perm, permTmp []int32
 	vals, valsTmp []uint64
-	hist          [][256]int32
-	orw, andw     []uint64
+	hist          [256]int32
 
 	kept, disp []int32
 
@@ -52,44 +44,6 @@ type Sorter struct {
 	sRung                    []uint8
 }
 
-// workers picks the fan-out for an n-element pass.
-func (st *Sorter) workers(n int) int {
-	if n < sortSerialBelow {
-		return 1
-	}
-	w := st.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w > 8 {
-			w = 8
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// parallelRanges splits [0,n) into workers contiguous chunks and runs
-// fn on each. The chunk boundaries are a pure function of (workers, n)
-// so the histogram and scatter passes of one radix digit agree.
-func parallelRanges(workers, n int, fn func(w, lo, hi int)) {
-	if workers <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}
-
 func (st *Sorter) ensure(n int) {
 	if n > math.MaxInt32 {
 		panic("core: Sorter supports at most 2^31-1 bodies")
@@ -99,12 +53,6 @@ func (st *Sorter) ensure(n int) {
 		st.permTmp = make([]int32, n)
 		st.vals = make([]uint64, n)
 		st.valsTmp = make([]uint64, n)
-	}
-	w := st.workers(n)
-	if len(st.hist) < w {
-		st.hist = make([][256]int32, w)
-		st.orw = make([]uint64, w)
-		st.andw = make([]uint64, w)
 	}
 }
 
@@ -158,214 +106,84 @@ func (st *Sorter) Sort(s *System) {
 // is permuted alongside). Bytes on which every value agrees are
 // skipped, so a key set spanning few octant levels costs few passes.
 func (st *Sorter) radixSort(n int) {
-	w := st.workers(n)
 	orv, andv := uint64(0), ^uint64(0)
-	if w == 1 {
-		for _, v := range st.vals[:n] {
-			orv |= v
-			andv &= v
-		}
-	} else {
-		vals := st.vals[:n]
-		parallelRanges(w, n, func(wi, lo, hi int) {
-			o, a := uint64(0), ^uint64(0)
-			for _, v := range vals[lo:hi] {
-				o |= v
-				a &= v
-			}
-			st.orw[wi], st.andw[wi] = o, a
-		})
-		for wi := 0; wi < w; wi++ {
-			orv |= st.orw[wi]
-			andv &= st.andw[wi]
-		}
+	for _, v := range st.vals[:n] {
+		orv |= v
+		andv &= v
 	}
 	for shift := uint(0); shift < 64; shift += 8 {
 		if (orv>>shift)&0xff == (andv>>shift)&0xff {
 			continue // all values share this byte
 		}
-		st.radixPass(n, w, shift)
+		st.radixPass(n, shift)
 	}
 }
 
-// radixPass is one stable counting pass on byte (vals >> shift). The
-// per-chunk histograms are recomputed every pass: the element
-// arrangement changes between passes, so per-chunk scatter offsets
-// from an earlier arrangement would not be stable. The serial path
-// avoids the dispatch closures entirely (they heap-allocate), keeping
-// a reused Sorter allocation-free in steady state.
-func (st *Sorter) radixPass(n, w int, shift uint) {
-	if w == 1 {
-		st.countChunk(0, 0, n, shift)
-		st.mergeOffsets(1)
-		st.scatterChunk(0, 0, n, shift)
-	} else {
-		parallelRanges(w, n, func(wi, lo, hi int) { st.countChunk(wi, lo, hi, shift) })
-		st.mergeOffsets(w)
-		parallelRanges(w, n, func(wi, lo, hi int) { st.scatterChunk(wi, lo, hi, shift) })
+// radixPass is one stable counting pass on byte (vals >> shift): count,
+// turn the counts into exclusive offsets, scatter in array order.
+func (st *Sorter) radixPass(n int, shift uint) {
+	h := &st.hist
+	*h = [256]int32{}
+	vals, perm := st.vals[:n], st.perm[:n]
+	for _, v := range vals {
+		h[uint8(v>>shift)]++
+	}
+	pos := int32(0)
+	for b, c := range h {
+		h[b] = pos
+		pos += c
+	}
+	tmpV, tmpP := st.valsTmp, st.permTmp
+	for i, v := range vals {
+		b := uint8(v >> shift)
+		d := h[b]
+		h[b]++
+		tmpV[d] = v
+		tmpP[d] = perm[i]
 	}
 	st.vals, st.valsTmp = st.valsTmp, st.vals
 	st.perm, st.permTmp = st.permTmp, st.perm
 }
 
-func (st *Sorter) countChunk(wi, lo, hi int, shift uint) {
-	h := &st.hist[wi]
-	*h = [256]int32{}
-	for _, v := range st.vals[lo:hi] {
-		h[uint8(v>>shift)]++
+// permute gathers col[perm[i]] into scratch[i] and hands back the two
+// exchanged: the gathered array is the column now, the column's old
+// array the scratch of the next call. Each column's scratch grows on
+// its own (arrays of different element sizes do not share append's
+// capacity growth). A nil column stays nil.
+func permute[T any](col, scratch []T, perm []int32) (gathered, old []T) {
+	if col == nil {
+		return nil, scratch
 	}
-}
-
-// mergeOffsets turns the per-chunk counts into exclusive scatter
-// offsets: chunk wi's run of byte b lands after every chunk's smaller
-// bytes and after earlier chunks' runs of b -- the stable order.
-func (st *Sorter) mergeOffsets(w int) {
-	hist := st.hist[:w]
-	pos := int32(0)
-	for b := 0; b < 256; b++ {
-		for wi := 0; wi < w; wi++ {
-			c := hist[wi][b]
-			hist[wi][b] = pos
-			pos += c
-		}
+	if cap(scratch) < len(perm) {
+		scratch = make([]T, len(perm))
 	}
-}
-
-func (st *Sorter) scatterChunk(wi, lo, hi int, shift uint) {
-	h := &st.hist[wi]
-	vals, perm := st.vals, st.perm
-	tmpV, tmpP := st.valsTmp, st.permTmp
-	for i := lo; i < hi; i++ {
-		b := uint8(vals[i] >> shift)
-		d := h[b]
-		h[b]++
-		tmpV[d] = vals[i]
-		tmpP[d] = perm[i]
-	}
-}
-
-// gather copies src[perm[i]] into dst[i].
-func gather[T any](dst, src []T, perm []int32) {
+	scratch = scratch[:len(perm)]
 	for i, p := range perm {
-		dst[i] = src[p]
+		scratch[i] = col[p]
 	}
+	return scratch, col
 }
 
 // Apply permutes every non-nil column of s by perm (body i of the
-// result is body perm[i] of the input) with one parallel gather pass
-// per column, then swaps the gathered arrays into the System. The
-// previous backing arrays become the Sorter's scratch; callers must
-// not hold Slice views across a sort.
+// result is body perm[i] of the input) with one gather pass per column
+// into the Sorter's scratch, which then becomes the column. Callers
+// must not hold Slice views across a sort.
 func (st *Sorter) Apply(s *System, perm []int32) {
-	n := len(perm)
-	if n != s.Len() {
+	if len(perm) != s.Len() {
 		panic("core: permutation length does not match system")
 	}
-	if n == 0 {
-		return
-	}
-	// Each column grows independently: the swap below hands the
-	// System's old arrays to the scratch, and arrays of different
-	// element sizes do not share append's capacity growth, so the
-	// scratch capacities diverge across calls.
-	st.sPos = grow(st.sPos, n)
-	st.sMass = grow(st.sMass, n)
-	st.sKey = grow(st.sKey, n)
-	st.sWork = grow(st.sWork, n)
-	st.sID = grow(st.sID, n)
-	if s.Vel != nil {
-		st.sVel = grow(st.sVel, n)
-	}
-	if s.Acc != nil {
-		st.sAcc = grow(st.sAcc, n)
-	}
-	if s.Alpha != nil {
-		st.sAlpha = grow(st.sAlpha, n)
-	}
-	if s.Pot != nil {
-		st.sPot = grow(st.sPot, n)
-	}
-	if s.H != nil {
-		st.sH = grow(st.sH, n)
-	}
-	if s.Rho != nil {
-		st.sRho = grow(st.sRho, n)
-	}
-	if s.Rung != nil {
-		st.sRung = grow(st.sRung, n)
-	}
-
-	if w := st.workers(n); w == 1 {
-		st.applyChunk(s, perm, 0, n)
-	} else {
-		parallelRanges(w, n, func(_, lo, hi int) { st.applyChunk(s, perm, lo, hi) })
-	}
-
-	s.Pos, st.sPos = st.sPos, s.Pos
-	s.Mass, st.sMass = st.sMass, s.Mass
-	s.Key, st.sKey = st.sKey, s.Key
-	s.Work, st.sWork = st.sWork, s.Work
-	s.ID, st.sID = st.sID, s.ID
-	if s.Vel != nil {
-		s.Vel, st.sVel = st.sVel, s.Vel
-	}
-	if s.Acc != nil {
-		s.Acc, st.sAcc = st.sAcc, s.Acc
-	}
-	if s.Alpha != nil {
-		s.Alpha, st.sAlpha = st.sAlpha, s.Alpha
-	}
-	if s.Pot != nil {
-		s.Pot, st.sPot = st.sPot, s.Pot
-	}
-	if s.H != nil {
-		s.H, st.sH = st.sH, s.H
-	}
-	if s.Rho != nil {
-		s.Rho, st.sRho = st.sRho, s.Rho
-	}
-	if s.Rung != nil {
-		s.Rung, st.sRung = st.sRung, s.Rung
-	}
-}
-
-func grow[T any](sl []T, n int) []T {
-	if cap(sl) < n {
-		return make([]T, n)
-	}
-	return sl[:n]
-}
-
-// applyChunk gathers rows [lo,hi) of every non-nil column into the
-// Sorter's scratch arrays.
-func (st *Sorter) applyChunk(s *System, perm []int32, lo, hi int) {
-	p := perm[lo:hi]
-	gather(st.sPos[lo:hi], s.Pos, p)
-	gather(st.sMass[lo:hi], s.Mass, p)
-	gather(st.sKey[lo:hi], s.Key, p)
-	gather(st.sWork[lo:hi], s.Work, p)
-	gather(st.sID[lo:hi], s.ID, p)
-	if s.Vel != nil {
-		gather(st.sVel[lo:hi], s.Vel, p)
-	}
-	if s.Acc != nil {
-		gather(st.sAcc[lo:hi], s.Acc, p)
-	}
-	if s.Alpha != nil {
-		gather(st.sAlpha[lo:hi], s.Alpha, p)
-	}
-	if s.Pot != nil {
-		gather(st.sPot[lo:hi], s.Pot, p)
-	}
-	if s.H != nil {
-		gather(st.sH[lo:hi], s.H, p)
-	}
-	if s.Rho != nil {
-		gather(st.sRho[lo:hi], s.Rho, p)
-	}
-	if s.Rung != nil {
-		gather(st.sRung[lo:hi], s.Rung, p)
-	}
+	s.Pos, st.sPos = permute(s.Pos, st.sPos, perm)
+	s.Mass, st.sMass = permute(s.Mass, st.sMass, perm)
+	s.Key, st.sKey = permute(s.Key, st.sKey, perm)
+	s.Work, st.sWork = permute(s.Work, st.sWork, perm)
+	s.ID, st.sID = permute(s.ID, st.sID, perm)
+	s.Vel, st.sVel = permute(s.Vel, st.sVel, perm)
+	s.Acc, st.sAcc = permute(s.Acc, st.sAcc, perm)
+	s.Alpha, st.sAlpha = permute(s.Alpha, st.sAlpha, perm)
+	s.Pot, st.sPot = permute(s.Pot, st.sPot, perm)
+	s.H, st.sH = permute(s.H, st.sH, perm)
+	s.Rho, st.sRho = permute(s.Rho, st.sRho, perm)
+	s.Rung, st.sRung = permute(s.Rung, st.sRung, perm)
 }
 
 // lessAt orders bodies i, j of s by (Key, ID).
@@ -436,7 +254,7 @@ func (st *Sorter) Resort(s *System) int {
 var sorters = sync.Pool{New: func() any { return new(Sorter) }}
 
 // SortByKey sorts the bodies into ascending key order with a stable
-// parallel radix sort; equal keys are ordered by ID. Long-lived
+// radix sort; equal keys are ordered by ID. Long-lived
 // pipelines hold their own Sorter; this entry point serves everyone
 // else from a pool.
 func (s *System) SortByKey() {

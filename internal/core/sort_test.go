@@ -101,39 +101,29 @@ func TestSortMatchesStableReference(t *testing.T) {
 		"reverse":    func(i int) keys.Key { return keys.FromCoords(uint32(5000-i), 0, 0, keys.MaxLevel) },
 	}
 	for name, keyOf := range cases {
-		for _, workers := range []int{1, 2, 8} {
-			orig := makeSystem(3001, keyOf, rng)
-			got := clone(orig)
-			st := &Sorter{Workers: workers}
-			st.Sort(got)
-			checkAgainstReference(t, orig, got, referencePerm(orig))
-			if !got.Sorted() {
-				t.Fatalf("%s/w%d: not sorted", name, workers)
-			}
-			// Idempotence: a second sort is the identity.
-			again := clone(got)
-			st.Sort(again)
-			checkAgainstReference(t, got, again, referencePerm(got))
-			_ = name
+		orig := makeSystem(3001, keyOf, rng)
+		got := clone(orig)
+		var st Sorter
+		st.Sort(got)
+		checkAgainstReference(t, orig, got, referencePerm(orig))
+		if !got.Sorted() {
+			t.Fatalf("%s: not sorted", name)
 		}
+		// Idempotence: a second sort is the identity.
+		again := clone(got)
+		st.Sort(again)
+		checkAgainstReference(t, got, again, referencePerm(got))
 	}
 }
 
-// Above the serial cutoff the parallel histogram/scatter path runs;
-// it must agree with the reference and with the serial Sorter.
-func TestSortParallelLargeMatchesSerial(t *testing.T) {
+// A rank-sized system (the sorter used to fan out from 8192 bodies
+// up) sorts on the one path like a small one.
+func TestSortLargeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	n := sortSerialBelow * 2
-	orig := makeSystem(n, func(i int) keys.Key { return randomBodyKey(rng) }, rng)
-	a, b := clone(orig), clone(orig)
-	(&Sorter{Workers: 1}).Sort(a)
-	(&Sorter{Workers: 8}).Sort(b)
-	checkAgainstReference(t, orig, a, referencePerm(orig))
-	for i := 0; i < n; i++ {
-		if a.Key[i] != b.Key[i] || a.ID[i] != b.ID[i] || a.Pos[i] != b.Pos[i] {
-			t.Fatalf("worker counts disagree at body %d", i)
-		}
-	}
+	orig := makeSystem(1<<14, func(i int) keys.Key { return randomBodyKey(rng) }, rng)
+	got := clone(orig)
+	new(Sorter).Sort(got)
+	checkAgainstReference(t, orig, got, referencePerm(orig))
 }
 
 func TestSortByKeyPooled(t *testing.T) {
@@ -148,7 +138,7 @@ func TestResortRepairsPerturbedKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, frac := range []float64{0, 0.02, 0.1, 0.6} { // 0.6 forces the fallback
 		orig := makeSystem(4000, func(i int) keys.Key { return randomBodyKey(rng) }, rng)
-		st := &Sorter{Workers: 2}
+		st := &Sorter{}
 		st.Sort(orig)
 		// Perturb a fraction of the keys, as a dynamics step would.
 		for i := 0; i < orig.Len(); i++ {
@@ -197,13 +187,12 @@ func TestResortEqualKeyTieBreak(t *testing.T) {
 	}
 }
 
-// A reused serial Sorter must not allocate in steady state: the
-// permutation, value and gather scratch all persist, and the serial
-// path constructs no dispatch closures.
+// A reused Sorter must not allocate in steady state: the permutation,
+// value and gather scratch all persist.
 func TestSorterSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	s := makeSystem(5000, func(i int) keys.Key { return randomBodyKey(rng) }, rng)
-	st := &Sorter{Workers: 1}
+	st := &Sorter{}
 	st.Sort(s)
 	shuffle := func() {
 		for i := 0; i < 200; i++ {

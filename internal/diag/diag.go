@@ -170,10 +170,9 @@ func (c *Counters) ExecutedFlops() uint64 {
 // goroutine -- the rank's engine loop -- may call Start/Stop; the
 // engines uphold this by construction (each rank is one goroutine,
 // and worker pools never touch the rank's Timer). Readers (Get,
-// Phases, Total, String) must run after the owner has finished, which
-// is how every command uses it: msg.Run joins all ranks before any
-// report is built. This keeps the hot phase transitions free of
-// locks.
+// Phases, Banked) are the owner's too: what leaves the rank is the
+// slice Banked returns, inside the rank's record. This keeps the hot
+// phase transitions free of locks.
 type Timer struct {
 	phases map[string]time.Duration
 	order  []string
@@ -225,36 +224,34 @@ func (t *Timer) Phases() []string {
 	return append([]string(nil), t.order...)
 }
 
-// SnapshotSeconds returns the banked per-phase seconds as a fresh map
-// (the open phase, if any, is not included until its Stop). Like
-// Start/Stop it may only be called by the owning goroutine; the
-// telemetry sampler calls it from the rank's own step loop and hands
-// the returned map across, which is what makes mid-run phase
+// Phase is one phase's banked time.
+type Phase struct {
+	Name string
+	D    time.Duration
+}
+
+// Banked returns every phase's banked time in first-start order as a
+// fresh slice (the open phase, if any, is not included until its Stop).
+// Like Start/Stop it may only be called by the owning goroutine; an
+// engine calls it from the rank's own step loop and hands the slice
+// across in its rank record, which is what makes mid-run phase
 // reporting safe without adding locks here.
+func (t *Timer) Banked() []Phase {
+	out := make([]Phase, len(t.order))
+	for i, p := range t.order {
+		out[i] = Phase{p, t.phases[p]}
+	}
+	return out
+}
+
+// SnapshotSeconds returns the banked per-phase seconds as a fresh map,
+// under Banked's contract (the benchmark's ruler reads it per step).
 func (t *Timer) SnapshotSeconds() map[string]float64 {
 	out := make(map[string]float64, len(t.phases))
 	for p, d := range t.phases {
 		out[p] = d.Seconds()
 	}
 	return out
-}
-
-// Total returns the sum over all phases.
-func (t *Timer) Total() time.Duration {
-	var sum time.Duration
-	for _, d := range t.phases {
-		sum += d
-	}
-	return sum
-}
-
-// String renders phases in first-start order.
-func (t *Timer) String() string {
-	s := ""
-	for _, p := range t.order {
-		s += fmt.Sprintf("%-16s %v\n", p, t.phases[p])
-	}
-	return s
 }
 
 // Balance summarizes a per-processor quantity: the load-balance

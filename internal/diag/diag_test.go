@@ -63,17 +63,16 @@ func TestTimer(t *testing.T) {
 	if tm.Get("build") <= 0 || tm.Get("walk") <= 0 {
 		t.Fatal("phases not recorded")
 	}
-	if tm.Total() < tm.Get("build") {
-		t.Fatal("total smaller than a phase")
+	// Banked is every phase in first-start order, build first.
+	b := tm.Banked()
+	if len(b) != 2 || b[0] != (Phase{"build", tm.Get("build")}) || b[1] != (Phase{"walk", tm.Get("walk")}) {
+		t.Fatalf("Banked = %v, want build then walk with their times", b)
 	}
-	s := tm.String()
-	if !strings.Contains(s, "build") || !strings.Contains(s, "walk") {
-		t.Fatalf("String missing phases: %q", s)
+	tm.Start("build") // an open phase is not banked until it stops
+	if again := tm.Banked(); again[0] != b[0] {
+		t.Fatalf("Banked counts the open phase: %v, was %v", again, b)
 	}
-	// build must come first (first-start order).
-	if strings.Index(s, "build") > strings.Index(s, "walk") {
-		t.Fatal("phase order not preserved")
-	}
+	tm.Stop()
 	// Stopping when already stopped is a no-op.
 	tm.Stop()
 }

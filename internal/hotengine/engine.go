@@ -60,7 +60,6 @@ import (
 	"repro/internal/keys"
 	"repro/internal/metrics"
 	"repro/internal/msg"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/tree"
 )
@@ -176,7 +175,7 @@ type Engine[X, B any] struct {
 	RemoteCells int
 
 	// Trace, when non-nil, receives this rank's timeline: phase spans
-	// (via the Timer's sink -- set both through EnableTrace), ABM
+	// (via the Timer's sink -- set both through Observe), ABM
 	// round spans, and a "stall" span per deferred group covering
 	// first deferral to walk completion. Nil means zero overhead.
 	Trace *trace.Tracer
@@ -274,50 +273,35 @@ func (e *Engine[X, B]) CellBytes() int { return e.cellBytes }
 // path).
 func (e *Engine[X, B]) DecomposeStats() domain.Stats { return e.dec.Last }
 
-// EnableTrace attaches a per-rank tracer: the Timer's phases become
-// timeline spans and the walk emits ABM round and stall spans. Call
-// before the first Exchange.
-func (e *Engine[X, B]) EnableTrace(t *trace.Tracer) {
-	e.Trace = t
-	e.Timer.Sink = func(phase string, start time.Time, d time.Duration) {
-		t.SpanAt(phase, start, d)
+// Observe attaches the rank's observers, either of which may be nil:
+// with a tracer the Timer's phases become timeline spans and the walk
+// emits ABM round and stall spans; stalls is Stalls. Call before the
+// first Exchange.
+func (e *Engine[X, B]) Observe(t *trace.Tracer, stalls *metrics.Histogram) {
+	e.Trace, e.Stalls = t, stalls
+	if t != nil {
+		e.Timer.Sink = func(phase string, start time.Time, d time.Duration) {
+			t.SpanAt(phase, start, d)
+		}
+		e.Sub.Sink = e.Timer.Sink
 	}
-	e.Sub.Sink = e.Timer.Sink
 }
 
-// Report packages this rank's accumulated diagnostics as a RunReport
-// rank input (internal/metrics).
-func (e *Engine[X, B]) Report() metrics.RankInput {
+// Record describes this rank's accumulated pipeline state as the one
+// value every reader takes (RunReport, live sampler, driver epilogues).
+// Everything in it is owned by the rank goroutine (counters, timers,
+// traffic record) and copied, so the call is safe mid-run from that
+// goroutine and the value is safe anywhere. The physics engines add
+// their invariants (energy, stepping).
+func (e *Engine[X, B]) Record() metrics.RankInput {
 	return metrics.RankInput{
 		Counters:    e.Counters,
-		Timer:       e.Timer,
-		Sub:         e.Sub,
+		Phases:      append(e.Timer.Banked(), e.Sub.Banked()...),
 		Rounds:      e.Rounds,
 		RemoteCells: e.RemoteCells,
 		SplitRounds: e.dec.Last.Rounds,
-	}
-}
-
-// TelemetrySample packages this rank's cumulative pipeline state for
-// the live sampler: everything here is either owned by the rank
-// goroutine (counters, timers, traffic record) or copied, so the call
-// is safe mid-run where Report (which shares Timer pointers) is not.
-// stepNs is the rank's wall-clock for the step just finished. The
-// physics engines wrap this with their invariants (energy, stepping).
-func (e *Engine[X, B]) TelemetrySample(stepNs int64) telemetry.RankSample {
-	phases := e.Timer.SnapshotSeconds()
-	for ph, s := range e.Sub.SnapshotSeconds() {
-		phases[ph] = s
-	}
-	return telemetry.RankSample{
-		Counters:    e.Counters,
-		StepNs:      stepNs,
-		Phases:      phases,
-		Rounds:      e.Rounds,
-		RemoteCells: e.RemoteCells,
 		Sent:        e.C.TrafficTotal(),
 		Bodies:      e.Sys.Len(),
-		SplitRounds: e.dec.Last.Rounds,
 	}
 }
 

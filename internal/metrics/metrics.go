@@ -1,5 +1,5 @@
 // Package metrics is the machine-readable side of the observability
-// layer: lock-free counters, gauges and HDR-style power-of-two
+// layer: lock-free counters, gauges and HDR-style log-linear
 // histograms behind a named Registry, plus the RunReport every
 // simulation command can emit (report.go). Where internal/trace
 // answers "when did each rank do what", this package answers "how
@@ -28,7 +28,6 @@ package metrics
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -71,15 +70,37 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// histBuckets is one bucket per possible bit length of a uint64
-// sample: bucket i holds values whose bits.Len64 is i, i.e. the
-// half-open range [2^(i-1), 2^i), with bucket 0 holding exact zeros.
-const histBuckets = 65
+// histSub is the linear sub-buckets per octave: a sample is filed by
+// its bit length and the three mantissa bits after the leading one.
+// Values below 2*histSub get a bucket each.
+const (
+	histSub     = 8
+	histBuckets = 62 * histSub // a 64-bit sample lands in (64-3)*histSub + 7
+)
 
-// Histogram is an HDR-style latency histogram: power-of-two buckets,
-// exact count/sum/max, atomic updates. Resolution is a factor of two,
-// which is what latency percentiles need -- a stall of 1 ms vs 1.4 ms
-// is the same diagnosis, 1 ms vs 16 ms is not.
+// histIndex is the bucket of v; histUpper the largest value of bucket i.
+func histIndex(v uint64) int {
+	if v < histSub {
+		return int(v)
+	}
+	l := bits.Len64(v)
+	return (l-3)*histSub + int(v>>(l-4))&(histSub-1)
+}
+
+func histUpper(i int) uint64 {
+	if i < histSub {
+		return uint64(i)
+	}
+	// The top bucket's 16<<60 wraps to 0, and 0-1 is its true upper edge.
+	return uint64(histSub+i%histSub+1)<<(i/histSub-1) - 1
+}
+
+// Histogram is an HDR-style latency histogram: eight linear buckets
+// per power of two, exact count/sum/max, atomic updates. A quantile is
+// an upper bound within 12.5% of the sample it stands for, which is
+// what a threshold on a p99 needs: at one bucket per octave a stall
+// histogram could not tell 1 ms from 2 ms, and no gate can sit inside a
+// factor of two.
 type Histogram struct {
 	buckets [histBuckets]atomic.Uint64
 	count   atomic.Uint64
@@ -92,7 +113,7 @@ func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
 	}
-	h.buckets[bits.Len64(v)].Add(1)
+	h.buckets[histIndex(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
 	for {
@@ -112,8 +133,8 @@ func (h *Histogram) Count() uint64 {
 }
 
 // Quantile returns an upper bound on the q-quantile (0 <= q <= 1):
-// the top of the power-of-two bucket containing it, clamped to the
-// exact observed maximum. Nil-safe (0).
+// the top of the bucket containing it, clamped to the exact observed
+// maximum. Nil-safe (0).
 func (h *Histogram) Quantile(q float64) uint64 {
 	if h == nil {
 		return 0
@@ -130,14 +151,7 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	for i := 0; i < histBuckets; i++ {
 		seen += h.buckets[i].Load()
 		if seen >= rank {
-			upper := uint64(math.MaxUint64)
-			if i < 64 {
-				upper = 1<<uint(i) - 1
-			}
-			if m := h.max.Load(); m < upper {
-				upper = m
-			}
-			return upper
+			return min(histUpper(i), h.max.Load())
 		}
 	}
 	return h.max.Load()
@@ -293,26 +307,4 @@ func (r *Registry) Snapshots() map[string]HistogramSnapshot {
 		out[name] = h.Snapshot()
 	}
 	return out
-}
-
-// Names returns the registry's metric names, sorted, for stable
-// rendering. Nil-safe (nil).
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -17,7 +17,9 @@ import (
 	"sort"
 
 	"repro/internal/diag"
+	"repro/internal/integrate"
 	"repro/internal/msg"
+	"repro/internal/vec"
 )
 
 // ReportSchema versions the RunReport JSON layout.
@@ -139,7 +141,7 @@ const (
 	ChaosCrashes  = "chaos_crashes"
 )
 
-// SteppingStats summarizes the time-integration scheduler: how many
+// SteppingStats is the report's time-integration section: how many
 // (sub-)steps ran, how many force evaluations were full vs partial,
 // and what fraction of the bodies were due a force at each.
 // ActiveSinks/TotalSinks is that active fraction, in bodies (a "sink"
@@ -147,8 +149,7 @@ const (
 // block timesteps over uniform stepping at the finest occupied rung: a
 // partial evaluation computes the whole of every walk group, a sink
 // cell of up to 64 bodies (tree.GroupActive), that holds an active one.
-// Mirrors integrate.Stats so the report stays decoupled from the
-// integrator.
+// BuildReport sums it from the ranks' integrate.Stats.
 type SteppingStats struct {
 	// Mode is "uniform" or "block"; Eta the block criterion scale.
 	Mode           string  `json:"mode"`
@@ -165,46 +166,77 @@ type SteppingStats struct {
 	RungOccupancy []uint64 `json:"rung_occupancy,omitempty"`
 }
 
-// RankInput is what one rank's engine contributes to a report.
-type RankInput struct {
-	Counters diag.Counters
-	Timer    *diag.Timer
-	// Sub carries sub-phase breakdowns nested inside Timer's phases
-	// (e.g. "treebuild/sort" within treebuild); folded into
-	// PhaseSeconds and the balance table under their slash-qualified
-	// names.
-	Sub         *diag.Timer
-	Rounds      int
-	RemoteCells int
-	// SplitRounds is domain.Stats.Rounds of the last decomposition.
-	SplitRounds int
-	// Collectives is the msg.Comm.Collectives delta of the rank's last
-	// step; whoever drives the steps fills it in (internal/runner).
-	Collectives int
-	// Stepping carries the rank's time-integration scheduler
-	// accounting; aggregated across ranks into RunReport.Stepping.
-	Stepping *SteppingStats
-	// PhaseSeconds is the detached alternative to Timer/Sub: a plain
-	// per-phase seconds map, read only when both timers are nil. The
-	// live-telemetry sampler builds reports from copies, not from the
-	// ranks' own (still-running) timers.
-	PhaseSeconds map[string]float64
-	// SentMsgs/SentBytes are the detached alternative to the msg.World
-	// traffic lookup, read only when w == nil.
-	SentMsgs  uint64
-	SentBytes uint64
+// MaxRungs bounds the current-rung histogram of a rank record and of
+// every /series sample (integrate.DefaultMaxRung is 6; 16 leaves
+// headroom without growing samples past a cache line or two).
+const MaxRungs = 16
+
+// Stepping is a rank's time-integration scheduler as its engine
+// describes it. Mode is "uniform" or "block", and empty for an engine
+// whose steps no scheduler accounts for (SPH, vortex): such a run's
+// report has no stepping section.
+type Stepping struct {
+	Mode string
+	Eta  float64
+	// Stats is cumulative; its Occupancy is the record's own copy.
+	integrate.Stats
 }
 
-// BuildReport assembles a RunReport from per-rank engine state, the
-// message world's traffic records (nil for serial runs), and an
-// optional registry of extra metrics. wall is the host wall-clock of
-// the instrumented region in seconds.
-func BuildReport(command string, bodies int, wall float64, ranks []RankInput, w *msg.World, reg *Registry) *RunReport {
+// RankInput is one rank's state as its engine describes it (the
+// engine's Record method), and the only thing that crosses from an
+// engine to a reader: BuildReport makes the RunReport of a slice of
+// them, telemetry.Sampler takes one per rank per evaluation for /series
+// and builds the live /report from the same slice, and the drivers'
+// epilogues print from it. It is a value -- no timer, no pointer into a
+// running engine -- so whoever holds one may read it from any goroutine.
+// All totals are cumulative since the start of the run. To add a
+// per-rank number, add it here (DESIGN.md "Observability" has the four
+// places it then goes).
+type RankInput struct {
+	Counters diag.Counters
+	// Phases is the banked time of the engine's phase clock, then of its
+	// sub-phase clock ("treebuild/sort" nests inside treebuild), each in
+	// first-start order.
+	Phases []diag.Phase
+	// Rounds and RemoteCells are the request rounds and imported cells
+	// since the engine's last exchange; SplitRounds the collectives its
+	// last decomposition spent finding the splitters (domain.Stats.Rounds).
+	Rounds      int
+	RemoteCells int
+	SplitRounds int
+	// Collectives is the msg.Comm.Collectives delta of the step just
+	// finished and StepNs the rank's own wall clock for it; whoever
+	// drives the steps fills both in (internal/runner).
+	Collectives int
+	StepNs      int64
+	// Sent is the rank's cumulative outbound traffic, Bodies its current
+	// local body count.
+	Sent   msg.PhaseTraffic
+	Bodies int
+	// HasEnergy marks Kinetic/Potential/Momentum, the rank's partial
+	// sums, as meaningful (the gravity and SPH engines set it; vortex
+	// dynamics has no softened potential to sum, so its drift would be
+	// noise).
+	HasEnergy bool
+	Kinetic   float64
+	Potential float64
+	Momentum  vec.V3
+	// Stepping is the scheduler accounting, Rungs the rank's current
+	// rung occupancy (not cumulative).
+	Stepping Stepping
+	Rungs    [MaxRungs]uint64
+}
+
+// BuildReport assembles a RunReport from the ranks' records, the
+// message world's traffic records (nil mid-run and for serial runs: no
+// per-phase traffic, no comm matrix), and an optional registry of extra
+// metrics. wall is the host wall-clock of the instrumented region in
+// seconds.
+func BuildReport(command string, wall float64, ranks []RankInput, w *msg.World, reg *Registry) *RunReport {
 	rep := &RunReport{
 		Schema:      ReportSchema,
 		Command:     command,
 		NP:          len(ranks),
-		Bodies:      bodies,
 		WallSeconds: wall,
 		Constants: Constants{
 			FlopsPerInteraction:    diag.FlopsPerInteraction,
@@ -223,6 +255,8 @@ func BuildReport(command string, bodies int, wall float64, ranks []RankInput, w 
 			Rank:        r,
 			Counters:    in.Counters,
 			Flops:       in.Counters.Flops(),
+			SentMsgs:    in.Sent.Msgs,
+			SentBytes:   in.Sent.Bytes,
 			Rounds:      in.Rounds,
 			RemoteCells: in.RemoteCells,
 			SplitRounds: in.SplitRounds,
@@ -230,69 +264,43 @@ func BuildReport(command string, bodies int, wall float64, ranks []RankInput, w 
 			Pushed:      in.Counters.Pushed,
 			PushUsed:    in.Counters.PushUsed,
 		}
-		for _, tm := range []*diag.Timer{in.Timer, in.Sub} {
-			if tm == nil {
-				continue
-			}
-			if rr.PhaseSeconds == nil {
-				rr.PhaseSeconds = map[string]float64{}
-			}
-			for _, ph := range tm.Phases() {
-				rr.PhaseSeconds[ph] = tm.Get(ph).Seconds()
-				if !phaseSeen[ph] {
-					phaseSeen[ph] = true
-					phaseOrder = append(phaseOrder, ph)
-				}
-			}
+		if len(in.Phases) > 0 {
+			rr.PhaseSeconds = make(map[string]float64, len(in.Phases))
 		}
-		if in.Timer == nil && in.Sub == nil && len(in.PhaseSeconds) > 0 {
-			rr.PhaseSeconds = map[string]float64{}
-			names := make([]string, 0, len(in.PhaseSeconds))
-			for ph := range in.PhaseSeconds {
-				names = append(names, ph)
+		for _, ph := range in.Phases {
+			rr.PhaseSeconds[ph.Name] = ph.D.Seconds()
+			if !phaseSeen[ph.Name] {
+				phaseSeen[ph.Name] = true
+				phaseOrder = append(phaseOrder, ph.Name)
 			}
-			sort.Strings(names) // deterministic balance-table order
-			for _, ph := range names {
-				rr.PhaseSeconds[ph] = in.PhaseSeconds[ph]
-				if !phaseSeen[ph] {
-					phaseSeen[ph] = true
-					phaseOrder = append(phaseOrder, ph)
-				}
-			}
-		}
-		if w == nil {
-			rr.SentMsgs, rr.SentBytes = in.SentMsgs, in.SentBytes
-			rep.Totals.Msgs += in.SentMsgs
-			rep.Totals.Bytes += in.SentBytes
 		}
 		if w != nil {
-			t := w.RankTraffic(r)
 			rr.Traffic = map[string]msg.PhaseTraffic{}
-			for ph, pt := range t.Phases {
+			for ph, pt := range w.RankTraffic(r).Phases {
 				rr.Traffic[ph] = *pt
 			}
-			tot := t.Total()
-			rr.SentMsgs, rr.SentBytes = tot.Msgs, tot.Bytes
 		}
+		rep.Bodies += in.Bodies
 		rep.Totals.Counters.Add(in.Counters)
+		rep.Totals.Msgs += in.Sent.Msgs
+		rep.Totals.Bytes += in.Sent.Bytes
 		rep.Totals.CollectivesPerStep = max(rep.Totals.CollectivesPerStep, in.Collectives)
 		rep.Ranks = append(rep.Ranks, rr)
-		if in.Stepping != nil {
+		if s := in.Stepping; s.Mode != "" {
 			if rep.Stepping == nil {
-				rep.Stepping = &SteppingStats{Mode: in.Stepping.Mode, Eta: in.Stepping.Eta,
-					BigSteps: in.Stepping.BigSteps, SubSteps: in.Stepping.SubSteps}
+				rep.Stepping = &SteppingStats{Mode: s.Mode, Eta: s.Eta}
 			}
 			st := rep.Stepping
 			// Steps and evaluations are collective (every rank runs the
 			// same schedule); sinks and occupancy are per-rank shares.
-			st.FullEvals = in.Stepping.FullEvals
-			st.PartialEvals = in.Stepping.PartialEvals
-			st.ActiveSinks += in.Stepping.ActiveSinks
-			st.TotalSinks += in.Stepping.TotalSinks
-			for len(st.RungOccupancy) < len(in.Stepping.RungOccupancy) {
+			st.BigSteps, st.SubSteps = s.BigSteps, s.SubSteps
+			st.FullEvals, st.PartialEvals = s.FullEvals, s.PartialEvals
+			st.ActiveSinks += s.ActiveSinks
+			st.TotalSinks += s.TotalSinks
+			for len(st.RungOccupancy) < len(s.Occupancy) {
 				st.RungOccupancy = append(st.RungOccupancy, 0)
 			}
-			for r, n := range in.Stepping.RungOccupancy {
+			for r, n := range s.Occupancy {
 				st.RungOccupancy[r] += n
 			}
 		}
@@ -314,8 +322,6 @@ func BuildReport(command string, bodies int, wall float64, ranks []RankInput, w 
 		rep.Roofline.ExecutedPerInteraction = diag.ExecutedFlopsPerInteraction + diag.ExecutedFlopsPerQuadrupole*quadShare
 	}
 	if w != nil {
-		tot := w.TotalTraffic()
-		rep.Totals.Msgs, rep.Totals.Bytes = tot.Msgs, tot.Bytes
 		rep.CommMatrixMsgs, rep.CommMatrixBytes = w.CommMatrix()
 	}
 

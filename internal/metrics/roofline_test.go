@@ -49,7 +49,7 @@ func TestRooflineCalibrateBounds(t *testing.T) {
 
 func TestReportCarriesRoofline(t *testing.T) {
 	in := []RankInput{{Counters: diag.Counters{PP: 1000, PC: 500, QuadPC: 500}}}
-	rep := BuildReport("test", 100, 2.0, in, nil, nil)
+	rep := BuildReport("test", 2.0, in, nil, nil)
 	rf := rep.Roofline
 	if rf == nil {
 		t.Fatal("BuildReport left Roofline nil")

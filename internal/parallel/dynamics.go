@@ -1,10 +1,12 @@
 package parallel
 
 import (
+	"slices"
+
 	"repro/internal/diag"
 	"repro/internal/integrate"
+	"repro/internal/metrics"
 	"repro/internal/msg"
-	"repro/internal/telemetry"
 	"repro/internal/vec"
 )
 
@@ -27,28 +29,27 @@ func (e *Engine) Step(dt float64) diag.Counters {
 	return e.Counters.Sub(start)
 }
 
-// Telemetry extends the pipeline's rank sample with gravity's
-// invariants and the scheduler accounting: the energy and momentum
-// contributions are this rank's partial sums (no collective -- the
-// sampler adds the ranks up), SubSteps..TotalSinks the cumulative
-// stepper totals, Rungs the current occupancy. Call from the rank's
-// own goroutine right after Step, where Acc/Pot are current.
-func (e *Engine) Telemetry(stepNs int64) telemetry.RankSample {
-	rs := e.Engine.TelemetrySample(stepNs)
-	rs.HasEnergy = true
+// Record extends the pipeline's rank record with gravity's invariants
+// and the scheduler accounting: the energy and momentum contributions
+// are this rank's partial sums (no collective -- a reader adds the
+// ranks up), Stepping the stepper's cumulative accounting, Rungs the
+// current occupancy. Call from the rank's own goroutine after an
+// evaluation, where Acc/Pot are current.
+func (e *Engine) Record() metrics.RankInput {
+	in := e.Engine.Record()
+	in.HasEnergy = true
 	for i := range e.Sys.Vel {
-		rs.Kinetic += 0.5 * e.Sys.Mass[i] * e.Sys.Vel[i].Norm2()
-		rs.Potential += 0.5 * e.Sys.Mass[i] * e.Sys.Pot[i]
-		rs.Momentum = rs.Momentum.Add(e.Sys.Vel[i].Scale(e.Sys.Mass[i]))
+		in.Kinetic += 0.5 * e.Sys.Mass[i] * e.Sys.Vel[i].Norm2()
+		in.Potential += 0.5 * e.Sys.Mass[i] * e.Sys.Pot[i]
+		in.Momentum = in.Momentum.Add(e.Sys.Vel[i].Scale(e.Sys.Mass[i]))
 	}
-	s := e.Stepper.Stats
-	rs.SubSteps = s.SubSteps
-	rs.FullEvals = s.FullEvals
-	rs.PartialEvals = s.PartialEvals
-	rs.ActiveSinks = s.ActiveSinks
-	rs.TotalSinks = s.TotalSinks
-	integrate.CountRungs(e.Sys, rs.Rungs[:])
-	return rs
+	in.Stepping = metrics.Stepping{Mode: "uniform", Eta: e.Stepper.Eta, Stats: e.Stepper.Stats}
+	if e.Stepper.Scheme == integrate.Block {
+		in.Stepping.Mode = "block"
+	}
+	in.Stepping.Occupancy = slices.Clone(in.Stepping.Occupancy)
+	integrate.CountRungs(e.Sys, in.Rungs[:])
+	return in
 }
 
 // Energy returns the global kinetic and potential energy (collective;

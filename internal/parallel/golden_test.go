@@ -101,7 +101,7 @@ func TestWalkCountsMatchRestartWalk(t *testing.T) {
 			if np == 1 {
 				wantSplit = 0
 			}
-			if got, rep := e.DecomposeStats().Rounds, e.Report().SplitRounds; got != wantSplit || rep != got {
+			if got, rep := e.DecomposeStats().Rounds, e.Record().SplitRounds; got != wantSplit || rep != got {
 				t.Errorf("np=%d rank %d: splitter search took %d collectives (report says %d), want %d",
 					np, c.Rank(), got, rep, wantSplit)
 			}

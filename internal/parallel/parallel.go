@@ -20,7 +20,6 @@ import (
 	"repro/internal/hotengine"
 	"repro/internal/integrate"
 	"repro/internal/keys"
-	"repro/internal/metrics"
 	"repro/internal/msg"
 	"repro/internal/tree"
 	"repro/internal/vec"
@@ -117,36 +116,6 @@ func New(c *msg.Comm, sys *core.System, cfg Config) *Engine {
 	})
 	e.Stepper.B = engineBodies{e}
 	return e
-}
-
-// Report extends the pipeline's rank input with the stepper's
-// scheduler accounting, so RunReports show the active-fraction and
-// rung-occupancy sections.
-func (e *Engine) Report() metrics.RankInput {
-	in := e.Engine.Report()
-	in.Stepping = SteppingStats(&e.Stepper)
-	return in
-}
-
-// SteppingStats converts a stepper's accumulated accounting into the
-// report schema's mirror struct.
-func SteppingStats(st *integrate.Stepper) *metrics.SteppingStats {
-	mode := "uniform"
-	if st.Scheme == integrate.Block {
-		mode = "block"
-	}
-	s := st.Stats
-	out := &metrics.SteppingStats{
-		Mode: mode, Eta: st.Eta,
-		BigSteps: s.BigSteps, SubSteps: s.SubSteps,
-		FullEvals: s.FullEvals, PartialEvals: s.PartialEvals,
-		ActiveSinks: s.ActiveSinks, TotalSinks: s.TotalSinks,
-		RungOccupancy: append([]uint64(nil), s.Occupancy...),
-	}
-	if s.TotalSinks > 0 {
-		out.ActiveFraction = float64(s.ActiveSinks) / float64(s.TotalSinks)
-	}
-	return out
 }
 
 // engineBodies adapts the engine to integrate.Bodies: forces come

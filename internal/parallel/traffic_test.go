@@ -36,10 +36,7 @@ func run4(t *testing.T, n, evals int, tr *trace.Run, stalls *metrics.Histogram) 
 			local.AppendFrom(global, i)
 		}
 		e := New(c, local, Config{MAC: mac, Eps2: 1e-6})
-		if tr != nil {
-			e.EnableTrace(tr.Rank(c.Rank()))
-		}
-		e.Stalls = stalls
+		e.Observe(tr.Rank(c.Rank()), stalls)
 		for k := 0; k < evals; k++ {
 			e.ComputeForces()
 		}
@@ -142,11 +139,11 @@ func TestRunReportMatchesCountersAndForcesUnchanged(t *testing.T) {
 	var want diag.Counters
 	var deferredTotal uint64
 	for r, e := range engines {
-		inputs[r] = e.Report()
+		inputs[r] = e.Record()
 		want.Add(e.Counters)
 		deferredTotal += e.Counters.Deferred
 	}
-	rep := metrics.BuildReport("test", n, 1.0, inputs, w, reg)
+	rep := metrics.BuildReport("test", 1.0, inputs, w, reg)
 
 	if rep.Totals.Counters != want {
 		t.Fatalf("report counters %+v != engine counters %+v", rep.Totals.Counters, want)
@@ -194,8 +191,9 @@ func TestRunReportMatchesCountersAndForcesUnchanged(t *testing.T) {
 	// other default monitor) stays silent, and /series carries the push.
 	tel := telemetry.NewSampler(telemetry.Config{NP: len(engines), Registry: reg, Monitors: telemetry.DefaultMonitors()})
 	defer tel.Close()
-	for r, e := range engines {
-		tel.Contribute(r, e.Telemetry(1e6))
+	for r, in := range inputs {
+		in.StepNs = 1e6
+		tel.Contribute(r, in)
 	}
 	smp, ok := tel.Last()
 	if evs := tel.Events(); !ok || len(evs) != 0 {
@@ -263,9 +261,9 @@ func TestRooflineUtilizationIsAFraction(t *testing.T) {
 	wall := time.Since(t0).Seconds()
 	inputs := make([]metrics.RankInput, len(engines))
 	for r, e := range engines {
-		inputs[r] = e.Report()
+		inputs[r] = e.Record()
 	}
-	rep := metrics.BuildReport("test", n, wall, inputs, w, nil)
+	rep := metrics.BuildReport("test", wall, inputs, w, nil)
 	rf := rep.Roofline
 	rf.Calibrate(metrics.MeasurePeakFlops(), metrics.MeasurePeakBandwidth())
 	if !(rf.Utilization > 0 && rf.Utilization <= 1) {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/parallel"
 	"repro/internal/sph"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/vortex"
 )
@@ -20,21 +19,23 @@ import (
 // drives. The value an OnStep hook receives is the concrete engine
 // (*parallel.Engine, *sph.ParallelEngine or *vortex.ParallelEngine).
 type Engine interface {
-	EnableTrace(*trace.Tracer)
+	// Observe attaches the rank's tracer and stall histogram (either
+	// may be nil) before anything runs.
+	Observe(*trace.Tracer, *metrics.Histogram)
 	Step(dt float64) diag.Counters
-	Telemetry(stepNs int64) telemetry.RankSample
-	Report() metrics.RankInput
+	// Record describes the rank as of the evaluation just finished; call
+	// it from the rank's own goroutine.
+	Record() metrics.RankInput
 }
 
-// rankEngine is one rank's engine plus the three things the adapters
-// do not share a method for: the first evaluation (nil when the
-// physics has none), and the Sys and Stalls fields of the embedded
-// hotengine.Engine, whose type parameters differ per physics.
+// rankEngine is one rank's engine plus the two things the adapters do
+// not share a method for: the first evaluation (nil when the physics
+// has none), and the Sys field of the embedded hotengine.Engine, whose
+// type parameters differ per physics.
 type rankEngine struct {
 	Engine
-	first  func() diag.Counters
-	sys    **core.System
-	stalls **metrics.Histogram
+	first func() diag.Counters
+	sys   **core.System
 }
 
 // Physics builds one rank's engine over its slab of the plan's system.
@@ -60,7 +61,7 @@ func (g Gravity) build(c *msg.Comm, local *core.System) rankEngine {
 		e.Stepper.Eta = g.Eta
 		e.Stepper.Eps = math.Sqrt(g.Eps2)
 	}
-	return rankEngine{Engine: e, first: e.ComputeForces, sys: &e.Sys, stalls: &e.Stalls}
+	return rankEngine{Engine: e, first: e.ComputeForces, sys: &e.Sys}
 }
 
 // SPH is smoothed particle hydrodynamics, with self-gravity when
@@ -69,7 +70,7 @@ type SPH sph.ParallelConfig
 
 func (s SPH) build(c *msg.Comm, local *core.System) rankEngine {
 	e := sph.NewParallel(c, local, sph.ParallelConfig(s))
-	return rankEngine{Engine: e, first: e.Eval, sys: &e.Sys, stalls: &e.Stalls}
+	return rankEngine{Engine: e, first: e.Eval, sys: &e.Sys}
 }
 
 // Vortex is the vortex particle method (internal/vortex). Its RK2 step
@@ -78,7 +79,7 @@ type Vortex struct{ Sigma, Theta float64 }
 
 func (v Vortex) build(c *msg.Comm, local *core.System) rankEngine {
 	e := vortex.NewParallel(c, local, v.Sigma, v.Theta)
-	return rankEngine{Engine: e, sys: &e.Sys, stalls: &e.Stalls}
+	return rankEngine{Engine: e, sys: &e.Sys}
 }
 
 // The two demonstration scenes sphsim, vortexsim and the service's sph

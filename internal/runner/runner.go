@@ -81,8 +81,8 @@ type Result struct {
 	Systems []*core.System
 	// Counters is the work of the whole run, summed over ranks.
 	Counters diag.Counters
-	// Ranks are the per-rank RunReport inputs (counters, phase timers,
-	// rounds, stepping accounting).
+	// Ranks are the ranks' records as of their return: what
+	// metrics.BuildReport and the drivers' epilogues read.
 	Ranks []metrics.RankInput
 	// World holds the traffic records of the run.
 	World *msg.World
@@ -118,21 +118,24 @@ func Run(p Plan, at Attachments) (*Result, error) {
 	werr := w.RunErr(func(c *msg.Comm) {
 		r := c.Rank()
 		e := p.Physics.build(c, slab(p.System, r, p.NP))
-		if at.Trace != nil {
-			e.EnableTrace(at.Trace.Rank(r))
+		e.Observe(at.Trace.Rank(r), stalls)
+		// record is the rank's record with the two things only the step
+		// loop knows: the wall clock and collectives of the last step.
+		var stepNs int64
+		collectives := 0
+		record := func() metrics.RankInput {
+			in := e.Record()
+			in.StepNs, in.Collectives = stepNs, collectives
+			return in
 		}
-		*e.stalls = stalls
 		// evaluated times one evaluation or step and counts its
 		// collectives, samples it, and runs the hook.
-		collectives := 0
 		evaluated := func(step int, eval func() diag.Counters) {
 			t0, c0 := time.Now(), c.Collectives()
 			ctr := eval()
-			collectives = int(c.Collectives() - c0)
+			stepNs, collectives = time.Since(t0).Nanoseconds(), int(c.Collectives()-c0)
 			if at.Sampler != nil {
-				rs := e.Telemetry(time.Since(t0).Nanoseconds())
-				rs.Collectives = collectives
-				at.Sampler.Contribute(r, rs)
+				at.Sampler.Contribute(r, record())
 			}
 			if p.OnStep != nil {
 				p.OnStep(r, step, e.Engine, ctr)
@@ -149,8 +152,7 @@ func Run(p Plan, at Attachments) (*Result, error) {
 			evaluated(s, func() diag.Counters { return e.Step(p.DT) })
 		}
 		res.Systems[r] = *e.sys
-		res.Ranks[r] = e.Report()
-		res.Ranks[r].Collectives = collectives
+		res.Ranks[r] = record()
 	})
 	res.Wall = time.Since(start)
 	if werr != nil {

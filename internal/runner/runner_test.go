@@ -4,7 +4,10 @@ import (
 	"errors"
 	"io"
 	"log/slog"
+	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -244,7 +247,7 @@ func TestFullyAttachedRun(t *testing.T) {
 		var handed *msg.World
 		plan.OnStep = func(rank, step int, e Engine, _ diag.Counters) {
 			if step == steps-1 {
-				engines[rank] = e.Report().Counters
+				engines[rank] = e.Record().Counters
 			}
 		}
 		res, err := Run(plan, Attachments{
@@ -268,7 +271,7 @@ func TestFullyAttachedRun(t *testing.T) {
 		if len(run.Events()) == 0 {
 			t.Errorf("%s: the trace run recorded nothing", name)
 		}
-		rep := metrics.BuildReport(name, res.Bodies(), res.Wall.Seconds(), res.Ranks, res.World, reg)
+		rep := metrics.BuildReport(name, res.Wall.Seconds(), res.Ranks, res.World, reg)
 		var total diag.Counters
 		for r, rr := range rep.Ranks {
 			if rr.Counters != engines[r] || rr.Counters.Flops() == 0 {
@@ -294,6 +297,81 @@ func TestFullyAttachedRun(t *testing.T) {
 		}
 		tel.Close() // the caller's: Run must not have closed it
 		settled(t, before)
+	}
+}
+
+// The live /report and the exit RunReport are one function over one
+// record, so after the last step they agree on everything a rank
+// describes -- counters, phase names and their first-start order,
+// rounds, traffic, the stepping section -- for every physics and
+// stepping mode. They were two translations of two structs: the live
+// one had no stepping section and sorted its phases.
+func TestLiveReportMatchesFinalReport(t *testing.T) {
+	plans := scenes(0, 2)
+	block := plans["gravity"]
+	g := production
+	g.Eta = 0.02
+	block.Physics = g
+	plans["gravity-block"] = block
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	for name, plan := range plans {
+		for _, np := range []int{1, 2} {
+			plan.NP = np
+			run, reg := trace.NewRun(np), metrics.NewRegistry()
+			tel := telemetry.NewSampler(telemetry.Config{NP: np, Registry: reg, Trace: run, Command: name})
+			// Mid-run the report is readable from any goroutine while the
+			// other ranks contribute, and already has the run's shape.
+			plan.OnStep = func(rank, step int, _ Engine, _ diag.Counters) {
+				if rank == 0 && step == 0 {
+					if rep := tel.LiveReport(); (rep.Stepping != nil) != strings.HasPrefix(name, "gravity") {
+						t.Errorf("%s np=%d: mid-run stepping section = %+v", name, np, rep.Stepping)
+					}
+				}
+			}
+			res, err := Run(plan, Attachments{
+				Trace: run, Registry: reg, Sampler: tel,
+				Watchdog: msg.WatchdogConfig{Quiet: 30 * time.Second, Log: quiet},
+			})
+			if err != nil {
+				t.Fatalf("%s np=%d: %v", name, np, err)
+			}
+			live := tel.LiveReport()
+			final := metrics.BuildReport(name, res.Wall.Seconds(), res.Ranks, res.World, reg)
+			tel.Close()
+
+			phases := func(rep *metrics.RunReport) (names []string) {
+				for _, pb := range rep.Phases {
+					names = append(names, pb.Phase)
+				}
+				return names
+			}
+			if l, f := phases(live), phases(final); len(f) == 0 || !slices.Equal(l, f) {
+				t.Errorf("%s np=%d: live phase_balance %v, final %v", name, np, l, f)
+			}
+			if !reflect.DeepEqual(live.Stepping, final.Stepping) {
+				t.Errorf("%s np=%d: live stepping %+v, final %+v", name, np, live.Stepping, final.Stepping)
+			}
+			if name == "gravity-block" && (final.Stepping == nil || final.Stepping.Mode != "block" ||
+				final.Stepping.PartialEvals == 0 || len(final.Stepping.RungOccupancy) < 2) {
+				t.Errorf("%s np=%d: stepping %+v, want block sub-steps over several rungs", name, np, final.Stepping)
+			}
+			if live.Bodies != final.Bodies || live.Totals.Counters != final.Totals.Counters ||
+				live.Totals.Msgs != final.Totals.Msgs || live.Totals.Bytes != final.Totals.Bytes ||
+				live.Totals.CollectivesPerStep != final.Totals.CollectivesPerStep {
+				t.Errorf("%s np=%d: live bodies %d totals %+v, final bodies %d totals %+v", name, np,
+					live.Bodies, live.Totals, final.Bodies, final.Totals)
+			}
+			if wt := res.World.TotalTraffic(); final.Totals.Msgs != wt.Msgs || final.Totals.Bytes != wt.Bytes {
+				t.Errorf("%s np=%d: report traffic %d/%d, the world's %+v", name, np, final.Totals.Msgs, final.Totals.Bytes, wt)
+			}
+			for r, f := range final.Ranks {
+				l := live.Ranks[r]
+				f.Traffic = nil // per phase: only the finished world has it
+				if !reflect.DeepEqual(l, f) {
+					t.Errorf("%s np=%d rank %d:\nlive  %+v\nfinal %+v", name, np, r, l, f)
+				}
+			}
+		}
 	}
 }
 

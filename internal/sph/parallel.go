@@ -9,8 +9,8 @@ import (
 	"repro/internal/hotengine"
 	"repro/internal/integrate"
 	"repro/internal/keys"
+	"repro/internal/metrics"
 	"repro/internal/msg"
-	"repro/internal/telemetry"
 	"repro/internal/tree"
 	"repro/internal/vec"
 )
@@ -428,21 +428,21 @@ func (e *ParallelEngine) Step(dt float64) diag.Counters {
 	return e.Counters.Sub(start)
 }
 
-// Telemetry extends the pipeline's rank sample with SPH's invariants:
+// Record extends the pipeline's rank record with SPH's invariants:
 // this rank's partial kinetic energy and momentum (plus gravitational
 // potential when the gravity pass runs), summed across ranks by the
-// sampler. Call from the rank's own goroutine right after Step.
-func (e *ParallelEngine) Telemetry(stepNs int64) telemetry.RankSample {
-	rs := e.Engine.TelemetrySample(stepNs)
-	rs.HasEnergy = true
+// reader. Call from the rank's own goroutine after an evaluation.
+func (e *ParallelEngine) Record() metrics.RankInput {
+	in := e.Engine.Record()
+	in.HasEnergy = true
 	for i := range e.Sys.Vel {
-		rs.Kinetic += 0.5 * e.Sys.Mass[i] * e.Sys.Vel[i].Norm2()
-		rs.Momentum = rs.Momentum.Add(e.Sys.Vel[i].Scale(e.Sys.Mass[i]))
+		in.Kinetic += 0.5 * e.Sys.Mass[i] * e.Sys.Vel[i].Norm2()
+		in.Momentum = in.Momentum.Add(e.Sys.Vel[i].Scale(e.Sys.Mass[i]))
 	}
 	if e.Cfg.Gravity {
 		for i := range e.Sys.Pot {
-			rs.Potential += 0.5 * e.Sys.Mass[i] * e.Sys.Pot[i]
+			in.Potential += 0.5 * e.Sys.Mass[i] * e.Sys.Pot[i]
 		}
 	}
-	return rs
+	return in
 }

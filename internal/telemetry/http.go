@@ -22,7 +22,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"time"
 
 	"repro/internal/metrics"
 )
@@ -169,12 +168,4 @@ func (s *Sampler) registry() *metrics.Registry {
 		return nil
 	}
 	return s.cfg.Registry
-}
-
-// Uptime returns time since the sampler started. Nil-safe (0).
-func (s *Sampler) Uptime() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return time.Since(s.start)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/diag"
 	"repro/internal/metrics"
 )
 
@@ -48,7 +49,8 @@ func TestConcurrentHTTPReadsUnderContribution(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < steps; i++ {
 				rs := rank(uint64(100+i), int64(1e6+r), 5, 1000)
-				rs.Phases = map[string]float64{"walk": float64(i)}
+				rs.Phases = []diag.Phase{{Name: "walk", D: time.Duration(i)}}
+				rs.Stepping.Mode, rs.Stepping.Occupancy = "block", []uint64{uint64(i)}
 				s.Contribute(r, rs)
 			}
 		}(r)

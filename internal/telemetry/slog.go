@@ -18,13 +18,3 @@ func NewLogger(w io.Writer, command string) *slog.Logger {
 	h := slog.NewJSONHandler(w, &slog.HandlerOptions{Level: slog.LevelInfo})
 	return slog.New(h).With("cmd", command)
 }
-
-// RankLogger derives a per-rank child logger: every record carries the
-// rank attribute, so per-rank lines from a parallel world sort and
-// filter cleanly.
-func RankLogger(lg *slog.Logger, rank int) *slog.Logger {
-	if lg == nil {
-		lg = slog.Default()
-	}
-	return lg.With("rank", rank)
-}

@@ -35,65 +35,14 @@ import (
 
 	"repro/internal/diag"
 	"repro/internal/metrics"
-	"repro/internal/msg"
 	"repro/internal/trace"
 	"repro/internal/vec"
 )
-
-// MaxRungs bounds the rung-occupancy histogram carried by every
-// sample (integrate.DefaultMaxRung is 6; 16 leaves headroom without
-// growing samples past a cache line or two).
-const MaxRungs = 16
 
 // DefaultCapacity is the sample ring size used when Config.Capacity
 // is zero: at one sample per step it holds hours of a production run's
 // tail, in ~1 MB.
 const DefaultCapacity = 4096
-
-// RankSample is one rank's per-step contribution, built by the rank's
-// own goroutine from state only it writes (its engine counters, its
-// timer, its traffic record), which is what makes the sampler safe
-// without world-wide locks. All totals are cumulative since the start
-// of the run; the Sampler takes deltas.
-type RankSample struct {
-	// Counters is the rank's cumulative interaction/work counters.
-	Counters diag.Counters
-	// StepNs is the rank's own wall-clock for the step just finished,
-	// the numerator of the load-imbalance statistic.
-	StepNs int64
-	// Phases is the cumulative per-phase seconds (diag.Timer
-	// SnapshotSeconds; ownership passes to the sampler).
-	Phases map[string]float64
-	// Rounds/RemoteCells mirror the engine's request-round state,
-	// SplitRounds the collectives of its last splitter search,
-	// Collectives all those of the step just finished (filled in by
-	// whoever drives the steps: internal/runner).
-	Rounds      int
-	RemoteCells int
-	SplitRounds int
-	Collectives int
-	// Sent is the rank's cumulative outbound traffic total.
-	Sent msg.PhaseTraffic
-	// Bodies is the rank's current local body count.
-	Bodies int
-
-	// HasEnergy marks Kinetic/Potential/Momentum as meaningful (the
-	// gravity and SPH engines set it; vortex dynamics has no softened
-	// potential to sum, so its drift would be noise).
-	HasEnergy bool
-	Kinetic   float64
-	Potential float64
-	Momentum  vec.V3
-
-	// Stepping totals (cumulative), from the integrate scheduler.
-	SubSteps     uint64
-	FullEvals    uint64
-	PartialEvals uint64
-	ActiveSinks  uint64
-	TotalSinks   uint64
-	// Rungs is the rank's current rung occupancy (not cumulative).
-	Rungs [MaxRungs]uint64
-}
 
 // Sample is one assembled world-wide time-series point: per-step
 // deltas plus the invariants evaluated at the step boundary. The JSON
@@ -124,8 +73,8 @@ type Sample struct {
 
 	// ActiveFraction is this step's active sinks over total sinks
 	// (1 for uniform stepping); Rungs the current global occupancy.
-	ActiveFraction float64          `json:"active_fraction"`
-	Rungs          [MaxRungs]uint64 `json:"rungs"`
+	ActiveFraction float64                  `json:"active_fraction"`
+	Rungs          [metrics.MaxRungs]uint64 `json:"rungs"`
 
 	// Imbalance is max/mean of the per-rank step wall-clocks (1 =
 	// perfectly balanced); the inverse of diag.Balance.Efficiency.
@@ -177,7 +126,7 @@ type Config struct {
 // assembling rank can read it even if its owner races ahead.
 type slot struct {
 	mu sync.Mutex
-	rs RankSample
+	rs metrics.RankInput
 	_  [32]byte // pad slots apart; adjacent ranks hammer adjacent slots
 }
 
@@ -186,7 +135,6 @@ type slot struct {
 type totals struct {
 	counters    diag.Counters
 	msgs, bytes uint64
-	subSteps    uint64
 	activeSinks uint64
 	totalSinks  uint64
 	wallNs      int64
@@ -248,11 +196,13 @@ func (s *Sampler) Close() {
 	s.health.stopWatch()
 }
 
-// Contribute records one rank's step sample. When the last rank of
-// the step arrives, the world sample is assembled, pushed into the
-// ring, and handed to the health monitors. Nil-safe no-op, so the
-// telemetry-off step path costs one branch and zero allocations.
-func (s *Sampler) Contribute(rank int, rs RankSample) {
+// Contribute records one rank's record of the step it just finished,
+// built by the rank's own goroutine (ownership of its slices passes to
+// the sampler). When the last rank of the step arrives, the world
+// sample is assembled, pushed into the ring, and handed to the health
+// monitors. Nil-safe no-op, so the telemetry-off step path costs one
+// branch and zero allocations.
+func (s *Sampler) Contribute(rank int, rs metrics.RankInput) {
 	if s == nil {
 		return
 	}
@@ -277,7 +227,7 @@ func (s *Sampler) assemble() {
 	var mom vec.V3
 	hasEnergy := false
 	var stepMaxNs, stepSumNs int64
-	var rungs [MaxRungs]uint64
+	var rungs [metrics.MaxRungs]uint64
 	bodies, splitRounds, collectives := 0, 0, 0
 	for i := range s.slots {
 		sl := &s.slots[i]
@@ -287,9 +237,8 @@ func (s *Sampler) assemble() {
 		cum.counters.Add(rs.Counters)
 		cum.msgs += rs.Sent.Msgs
 		cum.bytes += rs.Sent.Bytes
-		cum.subSteps += rs.SubSteps
-		cum.activeSinks += rs.ActiveSinks
-		cum.totalSinks += rs.TotalSinks
+		cum.activeSinks += rs.Stepping.ActiveSinks
+		cum.totalSinks += rs.Stepping.TotalSinks
 		if rs.HasEnergy {
 			hasEnergy = true
 			kin += rs.Kinetic
@@ -444,40 +393,24 @@ func (s *Sampler) Events() []HealthEvent {
 	return s.health.events()
 }
 
-// LiveReport assembles a mid-run RunReport from the latest per-rank
-// snapshots -- the same schema the drivers write at exit, built
-// entirely from sampler-owned copies so it is safe to call from the
-// HTTP goroutine while every rank keeps running. Nil-safe (nil).
+// LiveReport assembles a mid-run RunReport from the ranks' latest
+// records: metrics.BuildReport, the code the drivers run at exit, over
+// the slots' copies, so it is safe to call from the HTTP goroutine
+// while every rank keeps running, and agrees with the exit report on
+// everything but the per-phase traffic and the comm matrix, which only
+// the finished world has. Nil-safe (nil).
 func (s *Sampler) LiveReport() *metrics.RunReport {
 	if s == nil {
 		return nil
 	}
-	inputs := make([]metrics.RankInput, len(s.slots))
-	bodies := 0
+	ranks := make([]metrics.RankInput, len(s.slots))
 	for i := range s.slots {
 		sl := &s.slots[i]
 		sl.mu.Lock()
-		rs := sl.rs
-		phases := make(map[string]float64, len(rs.Phases))
-		for k, v := range rs.Phases {
-			phases[k] = v
-		}
+		ranks[i] = sl.rs
 		sl.mu.Unlock()
-		inputs[i] = metrics.RankInput{
-			Counters:     rs.Counters,
-			PhaseSeconds: phases,
-			Rounds:       rs.Rounds,
-			RemoteCells:  rs.RemoteCells,
-			SplitRounds:  rs.SplitRounds,
-			Collectives:  rs.Collectives,
-			SentMsgs:     rs.Sent.Msgs,
-			SentBytes:    rs.Sent.Bytes,
-		}
-		bodies += rs.Bodies
 	}
-	wall := float64(s.now()) / 1e9
-	rep := metrics.BuildReport(s.cfg.Command, bodies, wall, inputs, nil, s.cfg.Registry)
-	return rep
+	return metrics.BuildReport(s.cfg.Command, float64(s.now())/1e9, ranks, nil, s.cfg.Registry)
 }
 
 func abs(x float64) float64 {

@@ -3,10 +3,12 @@ package telemetry
 import (
 	"io"
 	"log/slog"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/diag"
+	"repro/internal/integrate"
 	"repro/internal/metrics"
 	"repro/internal/msg"
 	"repro/internal/trace"
@@ -22,7 +24,7 @@ func discard() *slog.Logger {
 // the step path unconditionally.
 func TestContributeOffZeroAllocs(t *testing.T) {
 	var s *Sampler
-	rs := RankSample{
+	rs := metrics.RankInput{
 		Counters: diag.Counters{PP: 1000},
 		StepNs:   12345,
 		Sent:     msg.PhaseTraffic{Msgs: 10, Bytes: 1 << 20},
@@ -34,9 +36,9 @@ func TestContributeOffZeroAllocs(t *testing.T) {
 	}
 }
 
-// rank builds a cumulative RankSample the way the engines do.
-func rank(pp uint64, stepNs int64, msgs, bytes uint64) RankSample {
-	return RankSample{
+// rank builds a cumulative rank record the way the engines do.
+func rank(pp uint64, stepNs int64, msgs, bytes uint64) metrics.RankInput {
+	return metrics.RankInput{
 		Counters: diag.Counters{PP: pp},
 		StepNs:   stepNs,
 		Sent:     msg.PhaseTraffic{Msgs: msgs, Bytes: bytes},
@@ -133,8 +135,8 @@ func TestRingEviction(t *testing.T) {
 }
 
 // energyRank contributes a fixed-energy sample.
-func energyRank(energy float64) RankSample {
-	return RankSample{HasEnergy: true, Kinetic: 0, Potential: energy, StepNs: 1e6}
+func energyRank(energy float64) metrics.RankInput {
+	return metrics.RankInput{HasEnergy: true, Kinetic: 0, Potential: energy, StepNs: 1e6}
 }
 
 // The energy-drift monitor is edge-triggered with re-arm: one critical
@@ -181,8 +183,8 @@ func TestImbalanceDebounce(t *testing.T) {
 	defer s.Close()
 
 	skewed := func() {
-		s.Contribute(0, RankSample{StepNs: 1e6})
-		s.Contribute(1, RankSample{StepNs: 9e6}) // max/mean = 1.8
+		s.Contribute(0, metrics.RankInput{StepNs: 1e6})
+		s.Contribute(1, metrics.RankInput{StepNs: 9e6}) // max/mean = 1.8
 	}
 	skewed()
 	skewed()
@@ -197,8 +199,8 @@ func TestImbalanceDebounce(t *testing.T) {
 
 	// A balanced sample resets the streak; two more skewed ones stay
 	// below the debounce.
-	s.Contribute(0, RankSample{StepNs: 5e6})
-	s.Contribute(1, RankSample{StepNs: 5e6})
+	s.Contribute(0, metrics.RankInput{StepNs: 5e6})
+	s.Contribute(1, metrics.RankInput{StepNs: 5e6})
 	skewed()
 	skewed()
 	if evs := s.Events(); len(evs) != 1 {
@@ -280,10 +282,10 @@ func TestEscalateOnlyCriticals(t *testing.T) {
 	defer s.Close()
 
 	// Skewed step clocks (warn) plus drifted energy (critical).
-	s.Contribute(0, RankSample{StepNs: 1e6, HasEnergy: true, Potential: -1.0})
-	s.Contribute(1, RankSample{StepNs: 9e6})
-	s.Contribute(0, RankSample{StepNs: 1e6, HasEnergy: true, Potential: -1.1})
-	s.Contribute(1, RankSample{StepNs: 9e6})
+	s.Contribute(0, metrics.RankInput{StepNs: 1e6, HasEnergy: true, Potential: -1.0})
+	s.Contribute(1, metrics.RankInput{StepNs: 9e6})
+	s.Contribute(0, metrics.RankInput{StepNs: 1e6, HasEnergy: true, Potential: -1.1})
+	s.Contribute(1, metrics.RankInput{StepNs: 9e6})
 
 	if len(escalated) != 1 || escalated[0].Monitor != MonitorEnergyDrift {
 		t.Fatalf("escalated = %+v, want only the energy_drift critical", escalated)
@@ -293,17 +295,24 @@ func TestEscalateOnlyCriticals(t *testing.T) {
 	}
 }
 
-// LiveReport builds a mid-run RunReport from sampler-owned copies: the
-// detached BuildReport path (no world, no live timers).
+// LiveReport is metrics.BuildReport over the ranks' latest records: the
+// code and the data of the exit report, so a mid-run /report carries the
+// stepping section and the phases in first-start order.
 func TestLiveReport(t *testing.T) {
 	s := NewSampler(Config{NP: 2, Command: "bench", Monitors: MonitorConfig{Log: discard()}})
 	defer s.Close()
 
+	sec := time.Second
 	rs0 := rank(100, 10e6, 5, 1000)
-	rs0.Phases = map[string]float64{"walk": 2.0, "treebuild": 1.0}
+	rs0.Phases = []diag.Phase{{Name: "walk", D: 2 * sec}, {Name: "branches", D: sec}}
 	rs0.Rounds = 3
+	rs0.Stepping = metrics.Stepping{Mode: "block", Eta: 0.02, Stats: integrate.Stats{
+		SubSteps: 4, ActiveSinks: 25, TotalSinks: 100, Occupancy: []uint64{90, 10}}}
 	rs1 := rank(60, 10e6, 7, 2000)
-	rs1.Phases = map[string]float64{"walk": 2.5}
+	rs1.Phases = []diag.Phase{{Name: "walk", D: 5 * sec / 2}}
+	rs1.Stepping = rs0.Stepping
+	s.Contribute(0, rank(1, 1, 1, 1)) // an earlier step: the report is of the latest
+	s.Contribute(1, rank(1, 1, 1, 1))
 	s.Contribute(0, rs0)
 	s.Contribute(1, rs1)
 
@@ -311,20 +320,21 @@ func TestLiveReport(t *testing.T) {
 	if rep == nil {
 		t.Fatal("nil live report")
 	}
-	if rep.Command != "bench" || rep.NP != 2 {
-		t.Fatalf("report header = %s np=%d", rep.Command, rep.NP)
+	want := metrics.BuildReport("bench", rep.WallSeconds, []metrics.RankInput{rs0, rs1}, nil, nil)
+	if !reflect.DeepEqual(rep, want) {
+		t.Fatalf("live report\n%+v\nis not BuildReport over the same records\n%+v", rep, want)
 	}
-	if rep.Totals.Interactions != 160 {
-		t.Fatalf("totals interactions = %d, want 160", rep.Totals.Interactions)
+	if rep.NP != 2 || rep.Bodies != 200 || rep.Totals.Interactions != 160 || rep.Totals.Msgs != 12 || rep.Totals.Bytes != 3000 {
+		t.Fatalf("report np=%d bodies=%d totals=%+v", rep.NP, rep.Bodies, rep.Totals)
 	}
-	if rep.Totals.Msgs != 12 || rep.Totals.Bytes != 3000 {
-		t.Fatalf("totals traffic = %d/%d, want detached sent sums 12/3000", rep.Totals.Msgs, rep.Totals.Bytes)
+	if rep.Stepping == nil || rep.Stepping.ActiveFraction != 0.25 || rep.Stepping.RungOccupancy[0] != 180 {
+		t.Fatalf("stepping = %+v", rep.Stepping)
 	}
-	if rep.Ranks[0].PhaseSeconds["walk"] != 2.0 || rep.Ranks[1].SentBytes != 2000 {
-		t.Fatalf("rank rows = %+v", rep.Ranks)
+	if len(rep.Phases) != 2 || rep.Phases[0].Phase != "walk" || rep.Phases[1].Phase != "branches" {
+		t.Fatalf("phase balance = %+v, want walk then branches (first-start order, not sorted)", rep.Phases)
 	}
-	if len(rep.Phases) == 0 {
-		t.Fatal("no phase balance rows from detached PhaseSeconds")
+	if smp, _ := s.Last(); smp.ActiveFraction != 0.25 {
+		t.Fatalf("sample active fraction = %g, want 50 of 200 sinks", smp.ActiveFraction)
 	}
 
 	var nils *Sampler

@@ -95,9 +95,6 @@ func (r *Run) Size() int {
 	return len(r.ranks)
 }
 
-// Epoch returns the run's time origin.
-func (r *Run) Epoch() time.Time { return r.epoch }
-
 // Rank returns rank i's tracer. Nil-safe: a nil Run yields a nil
 // Tracer, whose methods are all no-ops.
 func (r *Run) Rank(i int) *Tracer {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/hotengine"
 	"repro/internal/keys"
 	"repro/internal/msg"
-	"repro/internal/telemetry"
 	"repro/internal/tree"
 	"repro/internal/vec"
 )
@@ -208,11 +207,4 @@ func (e *ParallelEngine) Step(dt float64) diag.Counters {
 		e.Sys.Alpha[i] = s.A.Add(d2[i].Scale(dt))
 	}
 	return e.Counters.Sub(start)
-}
-
-// Telemetry returns the pipeline's rank sample. Vortex dynamics has no
-// softened potential to sum, so HasEnergy stays false and the
-// energy-drift monitor never arms on vortex runs.
-func (e *ParallelEngine) Telemetry(stepNs int64) telemetry.RankSample {
-	return e.TelemetrySample(stepNs)
 }

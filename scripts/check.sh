@@ -2,10 +2,10 @@
 # Repo-wide check: build (and an arm64 cross-build, so the kernels'
 # portable path cannot rot), vet, race tests, the smokes, the chaos
 # soak, the walk guard, the fuzzers, the one-runner constructor guard,
-# the kernel-loop bounds-check-elimination guard, and the allocation
-# guard -- the
-# benches that must run allocation-free are diffed against the
-# committed BENCH_baseline.json, failing on any growth in allocs/op.
+# the one-rank-record guard, the kernel-loop bounds-check-elimination
+# guard, and the allocation guard -- the benches that must run
+# allocation-free are diffed against the committed BENCH_baseline.json,
+# failing on any growth in allocs/op.
 # Times are not compared: this box swings +-40% between two runs of one
 # binary, so a timing claim takes alternating pairs (ROADMAP "How a
 # number is claimed now"), not a tolerance.
@@ -46,6 +46,12 @@ echo "== one runner (engines are constructed in internal/runner and nowhere else
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=runner \
 	'(parallel\.New|sph\.NewParallel|vortex\.NewParallel)\(' .; then
 	echo "FAIL: an engine constructed outside internal/runner: describe the run as a runner.Plan" >&2
+	exit 1
+fi
+echo "== one rank record (an engine describes its rank through Record, as a metrics.RankInput, and no other way)"
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
+	'func \(e \*(Engine|ParallelEngine)[^)]*\) (Telemetry|TelemetrySample|Report)\(|RankSample' .; then
+	echo "FAIL: a second description of a rank: add the field to metrics.RankInput and fill it in Record" >&2
 	exit 1
 fi
 echo "== bce (the interaction kernels' Go loops stay bounds-check-free, -d=ssa/check_bce)"

@@ -54,7 +54,14 @@ grep -q 'telemetry_pushed' "$OUT/metrics" || { echo "missing telemetry_pushed in
 grep -q 'telemetry_push_used' "$OUT/metrics" || { echo "missing telemetry_push_used in /metrics"; exit 1; }
 grep -q 'telemetry_push_hit_rate' "$OUT/metrics" || { echo "missing telemetry_push_hit_rate in /metrics"; exit 1; }
 
-fetch "$ADDR/report" >"$OUT/report"
+# The stepper has occupied its rungs once the first block step is in:
+# poll until the live report says so.
+for i in $(seq 1 120); do
+	fetch "$ADDR/report" >"$OUT/report"
+	grep -q '"rung_occupancy"' "$OUT/report" && break
+	kill -0 $PID 2>/dev/null || { echo "treebench exited before its first step"; cat "$OUT/stderr"; exit 1; }
+	sleep 0.5
+done
 grep -q '"command": "treebench"' "$OUT/report" || { echo "bad /report"; cat "$OUT/report"; exit 1; }
 grep -q '"flops_per_interaction": 38' "$OUT/report" || { echo "/report missing flop constants"; exit 1; }
 grep -q '"walk_efficiency"' "$OUT/report" || { echo "/report missing walk_efficiency"; exit 1; }
@@ -62,6 +69,8 @@ grep -q '"split_rounds"' "$OUT/report" || { echo "/report missing split_rounds";
 grep -q '"collectives_per_step"' "$OUT/report" || { echo "/report missing collectives_per_step"; exit 1; }
 grep -q '"push_used"' "$OUT/report" || { echo "/report missing push_used"; exit 1; }
 grep -q '"push_hit_rate"' "$OUT/report" || { echo "/report missing push_hit_rate"; exit 1; }
+grep -q '"stepping"' "$OUT/report" || { echo "/report missing the stepping section mid-run"; exit 1; }
+grep -q '"rung_occupancy"' "$OUT/report" || { echo "/report missing rung_occupancy"; exit 1; }
 
 fetch "$ADDR/series?n=3" >"$OUT/series"
 grep -q '"flops_rate"' "$OUT/series" || { echo "bad /series"; cat "$OUT/series"; exit 1; }
