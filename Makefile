@@ -20,15 +20,13 @@ chaos:
 # No row is one iteration: a time taken once on this box says nothing.
 # The benches of tens to hundreds of milliseconds (the tree ablations,
 # the construction pipeline, the descent and sink pairs, the steps) run
-# 5; the 100k-body pooled walk, nearly a second a call and kept for its
-# allocs/op, 3; the sub-millisecond ones (the interaction kernels,
-# GroupSphere) 100; the nanosecond rows (Rsqrt, Hash) for a second each
-# -- one iteration of those is one call plus the timer.
+# 5; the sub-millisecond ones (the interaction kernels, GroupSphere)
+# 100; the nanosecond rows (Rsqrt, Hash) for a second each -- one
+# iteration of those is one call plus the timer.
 bench-baseline:
 	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	go run ./cmd/treebench -n 50000 -procs 4 -steps 1 -metrics "$$dir/report.json" >/dev/null && \
 	{ go test -run='^$$' -bench='Ablation_(MAC|Order|GroupSize|Curve|ABM|Step|Sink|Sort|Build|Decompose|Descent)' -benchtime=5x . ; \
-	  go test -run='^$$' -bench='Ablation_Batched' -benchtime=3x . ; \
 	  go test -run='^$$' -bench='Ablation_(Hash|Rsqrt)' -benchtime=1s . ; \
 	  go test -run='^$$' -bench='Ablation_(Eval|GroupSphere)' -benchtime=100x . ; } \
 	  | go run ./cmd/benchdump -runreport "$$dir/report.json" -o BENCH_baseline.json
@@ -39,9 +37,8 @@ bench-baseline:
 # must stay allocation-free, diffed against the committed baseline
 # (times are printed, not compared).
 benchcmp:
-	{ go test -run='^$$' -bench=Ablation_BatchedConcurrentAllocs -benchtime=1x . ; \
-	  go test -run='^$$' -bench='Ablation_(DescentIndex|SinkCells)' -benchtime=5x . ; \
+	{ go test -run='^$$' -bench='Ablation_(DescentIndex|SinkCells)' -benchtime=5x . ; \
 	  go test -run='^$$' -bench='Ablation_Eval' -benchtime=100x . ; } \
-	  | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(BatchedConcurrentAllocs|DescentIndex|SinkCells|Eval)'
+	  | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(DescentIndex|SinkCells|Eval)'
 
 .PHONY: benchcmp

@@ -272,29 +272,6 @@ func benchSink(b *testing.B, leaves bool) {
 func BenchmarkAblation_SinkLeaves(b *testing.B) { benchSink(b, true) }
 func BenchmarkAblation_SinkCells(b *testing.B)  { benchSink(b, false) }
 
-// --- concurrent force evaluation -----------------------------------------
-
-func batchedBenchTree(b *testing.B) *tree.Tree {
-	sys, d := buildCluster(100000)
-	mac := grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-3, Quad: true}
-	return tree.Build(sys, d, mac, 16)
-}
-
-// Steady-state concurrent evaluation through a persistent ForcePool:
-// allocs/op must be 0 (per-worker pooled walkers, lists and SoA
-// blocks; pre-allocated wake/done channels).
-func BenchmarkAblation_BatchedConcurrentAllocs(b *testing.B) {
-	tr := batchedBenchTree(b)
-	pool := tree.NewForcePool(0)
-	defer pool.Close()
-	pool.Gravity(tr, 1e-6) // warm-up to the buffers' high-water mark
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pool.Gravity(tr, 1e-6)
-	}
-}
-
 // --- interaction kernels: dispatching vs the Go loop ------------------------
 //
 // The production kernels as dispatched on this host (AVX2 on amd64

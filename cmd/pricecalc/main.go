@@ -5,22 +5,21 @@
 // With -modern it re-runs Part II on present-day rented hardware: a
 // cloud-instance table (vCPU, clock, FMA width, $/hr -> peak GFLOPS,
 // hourly $/TFLOP, five-year rent), plus a measured figure -- a short
-// clustered treecode evaluation on this host, its sustained Mflops
-// priced at the five-year rent of a matching instance and printed
-// next to the paper's $50/Mflop and GRAPE-5's $7/Mflops.
+// treebench run on this host, one rank per GOMAXPROCS, its sustained
+// Mflops priced at the five-year rent of a matching instance and
+// printed next to the paper's $50/Mflop and GRAPE-5's $7/Mflops.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"os"
 	"runtime"
-	"time"
 
 	"repro/internal/grav"
 	"repro/internal/ic"
-	"repro/internal/keys"
 	"repro/internal/perfmodel"
-	"repro/internal/tree"
+	"repro/internal/runner"
 )
 
 func main() {
@@ -66,7 +65,7 @@ func main() {
 }
 
 // modernStudy prints the present-day instance table and a measured
-// $/Mflop: a short clustered treecode run on this host gives a
+// $/Mflop: a short distributed treecode run on this host gives a
 // sustained Mflops rate, which is priced at the five-year rent of the
 // smallest listed instance with at least GOMAXPROCS vCPUs (prorated
 // to the vCPUs actually used).
@@ -75,8 +74,8 @@ func modernStudy(n int) {
 	fmt.Print(perfmodel.FormatModernTable(perfmodel.ModernTable))
 
 	procs := runtime.GOMAXPROCS(0)
-	mflops, inter := measureTreecode(n)
-	fmt.Printf("\nmeasured: %d-body clustered treecode on this host (%d procs)\n", n, procs)
+	mflops, inter := measureTreecode(n, procs)
+	fmt.Printf("\nmeasured: %d-body clustered treecode on this host (%d ranks)\n", n, procs)
 	fmt.Printf("  %d interactions/eval, %.0f sustained Mflops (38 flops/interaction)\n", inter, mflops)
 
 	// Smallest instance that covers this host's parallelism; fall back
@@ -102,26 +101,24 @@ func modernStudy(n int) {
 	fmt.Printf("  GRAPE-5       $%d/Mflops (special-purpose figure the paper cites)\n", perfmodel.Grape5PerMflopUSD)
 }
 
-// measureTreecode runs force evaluations over a clustered Plummer
-// system through the concurrent pool until ~1 s has elapsed and
-// returns the sustained Mflops under the paper's 38-flop accounting,
-// plus the per-evaluation interaction count.
-func measureTreecode(n int) (mflops float64, interactions uint64) {
-	sys := ic.Plummer(n, 1.0, 42)
-	d := keys.NewDomain(sys.Pos)
-	sys.AssignKeys(d)
-	sys.SortByKey()
-	mac := grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true}
-	tr := tree.Build(sys, d, mac, 16)
-	pool := tree.NewForcePool(0)
-	defer pool.Close()
-	ctr := pool.Gravity(tr, 1e-6) // warm-up: pool buffers reach their high-water mark
-	var flops uint64
-	start := time.Now()
-	for time.Since(start) < time.Second {
-		c := pool.Gravity(tr, 1e-6)
-		flops += c.Flops()
+// measureTreecode runs treebench's plan -- a clustered Plummer sphere,
+// Salmon-Warren MAC with quadrupoles, three steps -- on procs ranks and
+// returns the sustained Mflops under the paper's 38-flop accounting
+// (counted flops over the world's wall clock, decomposition and tree
+// builds included), plus the interactions per evaluation.
+func measureTreecode(n, procs int) (mflops float64, interactions uint64) {
+	const steps = 3
+	res, err := runner.Run(runner.Plan{
+		NP: procs, Steps: steps, DT: 1e-3,
+		System: ic.Plummer(n, 1.0, 42),
+		Physics: runner.Gravity{
+			MAC:    grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true},
+			Bucket: 16, Eps2: 1e-6,
+		},
+	}, runner.Attachments{})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pricecalc: %v\n", err)
+		os.Exit(3)
 	}
-	wall := time.Since(start).Seconds()
-	return float64(flops) / wall / 1e6, ctr.Interactions()
+	return float64(res.Counters.Flops()) / res.Wall.Seconds() / 1e6, res.Counters.Interactions() / (steps + 1)
 }

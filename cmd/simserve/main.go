@@ -36,8 +36,6 @@ func main() {
 	addr := flag.String("addr", ":8420", "listen address (:0 picks a port)")
 	workers := flag.Int("workers", 4, "concurrently running worlds")
 	queue := flag.Int("queue", 256, "admitted-but-not-started job cap (beyond it: HTTP 429)")
-	batchWindow := flag.Duration("batchwindow", 5*time.Millisecond, "admission batch window")
-	batchSize := flag.Int("batchsize", 16, "admission batch size cap")
 	maxBodies := flag.Int("maxbodies", 1_000_000, "per-job body cap")
 	maxNP := flag.Int("maxnp", 64, "per-job rank cap")
 	watchdog := flag.Duration("watchdog", 30*time.Second, "per-job stall watchdog quiet period (negative = off)")
@@ -58,7 +56,6 @@ func main() {
 	lg := telemetry.NewLogger(os.Stderr, "simserve")
 	cfg := simserve.Config{
 		Workers: *workers, QueueDepth: *queue,
-		BatchWindow: *batchWindow, BatchSize: *batchSize,
 		MaxBodies: *maxBodies, MaxNP: *maxNP,
 		Watchdog: *watchdog, Log: lg,
 	}

@@ -174,7 +174,7 @@ func ObsFlags(prog string) *Obs {
 func (o *Obs) instrumented() bool { return o.trace != "" || o.metrics != "" || o.http != "" }
 
 // DistributedOnly ends the process with exit 1 when such a flag is set
-// and procs selects a driver's serial path (sphsim, vortexsim), which
+// and procs selects vortexsim's serial path (the remeshing one), which
 // has no engine to observe.
 func (o *Obs) DistributedOnly(procs int) {
 	if o.instrumented() && procs <= 1 {

@@ -168,11 +168,10 @@ func (c *Counters) ExecutedFlops() uint64 {
 //
 // Concurrency contract: a Timer is single-owner. Exactly one
 // goroutine -- the rank's engine loop -- may call Start/Stop; the
-// engines uphold this by construction (each rank is one goroutine,
-// and worker pools never touch the rank's Timer). Readers (Get,
-// Phases, Banked) are the owner's too: what leaves the rank is the
-// slice Banked returns, inside the rank's record. This keeps the hot
-// phase transitions free of locks.
+// engines uphold this by construction (each rank is one goroutine).
+// Readers (Get, Phases, Banked) are the owner's too: what leaves the
+// rank is the slice Banked returns, inside the rank's record. This
+// keeps the hot phase transitions free of locks.
 type Timer struct {
 	phases map[string]time.Duration
 	order  []string

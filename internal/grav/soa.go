@@ -87,42 +87,6 @@ func (l *InteractionList) ExtendCells(n int) (at int) {
 // NSources returns the number of body sources in the list.
 func (l *InteractionList) NSources() int { return len(l.SM) }
 
-// Caps returns the list's storage capacities in source rows and slab
-// rows. With Grow it lets a worker pool level all its lists to the
-// fleet-wide high-water mark, so nondeterministic work assignment
-// cannot ask any list for more than it has already got.
-func (l *InteractionList) Caps() (nbodies, ncells int) {
-	return cap(l.SM), cap(l.CM)
-}
-
-// Grow raises the list's storage capacities to at least nbodies
-// source rows and ncells slab rows, preserving contents.
-func (l *InteractionList) Grow(nbodies, ncells int) {
-	growCap(&l.SX, nbodies)
-	growCap(&l.SY, nbodies)
-	growCap(&l.SZ, nbodies)
-	growCap(&l.SM, nbodies)
-	growCap(&l.CM, ncells)
-	growCap(&l.CX, ncells)
-	growCap(&l.CY, ncells)
-	growCap(&l.CZ, ncells)
-	growCap(&l.QXX, ncells)
-	growCap(&l.QYY, ncells)
-	growCap(&l.QZZ, ncells)
-	growCap(&l.QXY, ncells)
-	growCap(&l.QXZ, ncells)
-	growCap(&l.QYZ, ncells)
-}
-
-// growCap raises a slice's capacity to at least n, keeping contents.
-func growCap(s *[]float64, n int) {
-	if cap(*s) < n {
-		grown := make([]float64, len(*s), n)
-		copy(grown, *s)
-		*s = grown
-	}
-}
-
 // NCells returns the number of cell multipoles in the list.
 func (l *InteractionList) NCells() int { return len(l.CM) }
 
@@ -182,20 +146,4 @@ func (t *Targets) Store(acc []vec.V3, pot []float64) {
 		acc[i] = vec.V3{X: t.AX[i], Y: t.AY[i], Z: t.AZ[i]}
 		pot[i] = t.Pot[i]
 	}
-}
-
-// Cap returns the block's capacity in targets (see
-// InteractionList.Caps for why pools want it).
-func (t *Targets) Cap() int { return cap(t.X) }
-
-// Grow raises the block's capacity to at least ntargets rows.
-func (t *Targets) Grow(ntargets int) {
-	growCap(&t.X, ntargets)
-	growCap(&t.Y, ntargets)
-	growCap(&t.Z, ntargets)
-	growCap(&t.M, ntargets)
-	growCap(&t.AX, ntargets)
-	growCap(&t.AY, ntargets)
-	growCap(&t.AZ, ntargets)
-	growCap(&t.Pot, ntargets)
 }

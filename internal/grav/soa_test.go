@@ -129,7 +129,7 @@ func TestEvalM2PMatchesM2P(t *testing.T) {
 }
 
 // A reused list and target block must reach a zero-allocation steady
-// state: this is what makes per-worker pooling effective.
+// state: this is what makes a rank's one long-lived Walker effective.
 func TestListReuseAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	tpos, tmass := randBodies(rng, 16)

@@ -34,13 +34,6 @@ func Leapfrog(sys *core.System, forces Forces, dt float64, n int) {
 	}
 }
 
-// KickDriftKick advances one uniform leapfrog step (the one-rung case
-// of the stepper core; same Acc-current entry/exit contract as
-// Leapfrog).
-func KickDriftKick(sys *core.System, forces Forces, dt float64) {
-	Leapfrog(sys, forces, dt, 1)
-}
-
 // Kick advances velocities by dt with the current accelerations.
 func Kick(sys *core.System, dt float64) {
 	for i := range sys.Vel {

@@ -19,8 +19,9 @@
 // for an interaction is less (diag.ExecutedFlops); only the roofline
 // section uses that.
 //
-// All update paths are atomic, so engine goroutines and pool workers
-// may hammer one metric concurrently; all read paths are snapshots.
+// All update paths are atomic, so the ranks of a world (and the jobs
+// of a service) may hammer one metric concurrently; all read paths are
+// snapshots.
 // Every type tolerates a nil receiver on its update methods, so a
 // disabled registry costs one branch per update site.
 package metrics

@@ -78,7 +78,7 @@ type RankState struct {
 	// Round is the rank's last noted batched-request round (abm).
 	Round uint64
 	// Blocked reports the rank was parked in a blocking Recv, on
-	// (BlockedSrc, BlockedTag) -- wildcards appear as AnySource/AnyTag.
+	// (BlockedSrc, BlockedTag).
 	Blocked    bool
 	BlockedSrc int
 	BlockedTag int

@@ -106,29 +106,6 @@ func Allgather[T any](c *Comm, x T, bytes int) []T {
 	return Bcast(c, 0, v, total)
 }
 
-// ExScan returns the exclusive prefix reduction over ranks: rank r
-// gets op(x_0, ..., x_{r-1}); rank 0 gets the zero value. Used by the
-// decomposition to compute global body offsets.
-func ExScan[T any](c *Comm, x T, op func(a, b T) T, bytes int) T {
-	tag := c.nextTag(opScan)
-	// Linear chain: rank r-1 sends its inclusive prefix to r.
-	var prefix T
-	have := false
-	if c.Rank() > 0 {
-		m := c.Recv(c.Rank()-1, tag)
-		prefix = m.Data.(T)
-		have = true
-	}
-	if c.Rank() < c.Size()-1 {
-		inc := x
-		if have {
-			inc = op(prefix, x)
-		}
-		c.send(c.Rank()+1, tag, inc, bytes)
-	}
-	return prefix
-}
-
 // Alltoall sends the single value send[d] to rank d and returns what
 // every rank sent here, indexed by source, reusing recv when its
 // capacity allows. Each T is copied into its message, so the sender may

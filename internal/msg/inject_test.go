@@ -156,6 +156,40 @@ func TestInjectorReorderBounded(t *testing.T) {
 	})
 }
 
+// A message still in flight holds back the rest of its (src, tag)
+// stream: a later message of the stream, already due, is not delivered
+// ahead of it, while another stream's message is.
+func TestInFlightHoldsBackItsStream(t *testing.T) {
+	w := NewWorld(2)
+	due := time.Now().Add(200 * time.Millisecond)
+	box := w.boxes[1]
+	box.put(Message{Src: 0, Tag: 7, Data: 1, due: due}, false)
+	box.put(Message{Src: 0, Tag: 7, Data: 2}, false)
+	box.put(Message{Src: 0, Tag: 8, Data: 3}, false)
+	err := w.RunErr(func(c *Comm) {
+		if c.Rank() != 1 {
+			return
+		}
+		if m, ok := c.TryRecv(0, 7); ok {
+			t.Errorf("TryRecv delivered %v past its stream's in-flight head", m.Data)
+		}
+		if m := c.Recv(0, 8); m.Data.(int) != 3 {
+			t.Errorf("tag 8 delivered %v, want 3", m.Data)
+		}
+		for want := 1; want <= 2; want++ {
+			if m := c.Recv(0, 7); m.Data.(int) != want {
+				t.Errorf("tag 7 delivered %v, want %d", m.Data, want)
+			}
+		}
+		if time.Now().Before(due) {
+			t.Error("in-flight message delivered before its deadline")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // An injected stall is watchdog bait: the stalled rank goes quiet,
 // the watchdog declares the stall, and the stalled rank's 30s park is
 // cut short by the abort (the whole test runs in well under a

@@ -2,7 +2,7 @@
 // a set of "processors" (goroutines) exchanging typed messages through
 // unbounded per-rank mailboxes, with the collectives the treecode
 // needs (barrier, broadcast, reduce, allreduce, gather, allgather,
-// scan, alltoallv) built on point-to-point sends.
+// alltoall, alltoallv) built on point-to-point sends.
 //
 // Two properties matter for the reproduction:
 //
@@ -31,12 +31,6 @@ import (
 
 	"repro/internal/trace"
 )
-
-// AnySource matches messages from any rank in Recv.
-const AnySource = -1
-
-// AnyTag matches any user tag in Recv.
-const AnyTag = -2
 
 // Message is one point-to-point transfer.
 type Message struct {
@@ -105,55 +99,22 @@ func (m *mailbox) putReordered(msg Message) {
 	m.queue = append(m.queue, msg)
 }
 
-func match(msg Message, src, tag int) bool {
-	if src != AnySource && msg.Src != src {
-		return false
-	}
-	if tag != AnyTag && msg.Tag != tag {
-		return false
-	}
-	return true
-}
-
-// scanDue finds the first matching message whose injected in-flight
-// deadline (if any) has passed, honoring per-stream FIFO: once a
-// not-yet-due match is seen, later messages of the same (Src, Tag)
-// stream are never delivered ahead of it. Returns the queue index, or
-// -1 with the earliest deadline among blocked matches (zero if there
-// are no matches at all). Caller holds m.mu.
+// scanDue finds the first queued message of the (src, tag) stream. It
+// is delivered once its injected in-flight deadline (if any) has
+// passed; until then it holds back the rest of its stream (per-stream
+// FIFO). Returns the queue index, or -1 with the deadline to wait for
+// (zero if the stream has nothing queued). Caller holds m.mu.
 func (m *mailbox) scanDue(src, tag int) (int, time.Time) {
-	var now time.Time
-	var earliest time.Time
-	var held [][2]int // (Src, Tag) streams blocked by an earlier not-due match
-scan:
 	for i, msg := range m.queue {
-		if !match(msg, src, tag) {
+		if msg.Src != src || msg.Tag != tag {
 			continue
 		}
-		if msg.due.IsZero() {
-			if held == nil {
-				return i, time.Time{}
-			}
-		} else {
-			if now.IsZero() {
-				now = time.Now()
-			}
-			if msg.due.After(now) {
-				if earliest.IsZero() || msg.due.Before(earliest) {
-					earliest = msg.due
-				}
-				held = append(held, [2]int{msg.Src, msg.Tag})
-				continue
-			}
-		}
-		for _, h := range held {
-			if h[0] == msg.Src && h[1] == msg.Tag {
-				continue scan
-			}
+		if !msg.due.IsZero() && msg.due.After(time.Now()) {
+			return -1, msg.due
 		}
 		return i, time.Time{}
 	}
-	return -1, earliest
+	return -1, time.Time{}
 }
 
 // take removes and returns the first matching message, blocking until
@@ -489,8 +450,7 @@ func (c *Comm) send(dst, tag int, data any, bytes int) {
 	c.w.boxes[dst].put(Message{Src: c.rank, Tag: tag, Data: data, Bytes: bytes, due: due}, reorder)
 }
 
-// Recv blocks until a message matching (src, tag) arrives. Use
-// AnySource / AnyTag as wildcards.
+// Recv blocks until the next message of the (src, tag) stream arrives.
 func (c *Comm) Recv(src, tag int) Message {
 	m := c.w.boxes[c.rank].take(src, tag, c.st)
 	if c.w.trace != nil {
@@ -527,7 +487,6 @@ const (
 	opReduce
 	opGather
 	opAlltoall
-	opScan
 )
 
 // Barrier blocks until every rank has entered it. Dissemination

@@ -38,23 +38,6 @@ func TestRecvTagMatching(t *testing.T) {
 	})
 }
 
-func TestRecvAnySource(t *testing.T) {
-	var got int32
-	Run(4, func(c *Comm) {
-		if c.Rank() != 0 {
-			c.Send(0, 5, c.Rank(), 4)
-		} else {
-			for i := 0; i < 3; i++ {
-				m := c.Recv(AnySource, 5)
-				atomic.AddInt32(&got, int32(m.Data.(int)))
-			}
-		}
-	})
-	if got != 1+2+3 {
-		t.Fatalf("sum = %d", got)
-	}
-}
-
 func TestFIFOPerSourceTag(t *testing.T) {
 	Run(2, func(c *Comm) {
 		const n = 100
@@ -191,20 +174,6 @@ func TestAllgatherAccountsVariableSizes(t *testing.T) {
 			t.Errorf("rank %d sent %+v, want %+v", r, got, want[r])
 		}
 	}
-}
-
-func TestExScan(t *testing.T) {
-	Run(6, func(c *Comm) {
-		got := ExScan(c, int64(c.Rank()+1), SumI64, 8)
-		// exclusive prefix of 1,2,3,... at rank r is r(r+1)/2
-		want := int64(c.Rank() * (c.Rank() + 1) / 2)
-		if c.Rank() == 0 {
-			want = 0
-		}
-		if got != want {
-			t.Errorf("rank %d: ExScan = %d want %d", c.Rank(), got, want)
-		}
-	})
 }
 
 func TestAlltoallv(t *testing.T) {

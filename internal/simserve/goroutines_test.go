@@ -10,7 +10,7 @@ import (
 // TestJobsLeaveNoGoroutines runs 20 jobs of every physics and stepping
 // mode, at 2 and 4 ranks, through one manager: once they are all
 // terminal the process is back to the goroutines it had before the
-// first submission (the manager's own workers and batcher). A job that
+// first submission (the manager's own workers). A job that
 // leaves anything running behind -- a rank, a watchdog, a pool -- grows
 // a long-lived daemon without bound.
 func TestJobsLeaveNoGoroutines(t *testing.T) {

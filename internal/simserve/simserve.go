@@ -11,14 +11,13 @@
 //	           stall-watchdogged; the unit of failure isolation
 //	engines  = the np per-rank engine instances inside the world,
 //	           whose persistent state (domain.Decomposer splitters,
-//	           core.Sorter scratch, tree.ForcePool workers) is reused
+//	           core.Sorter scratch, tree.Walker lists) is reused
 //	           across every step and sub-step of the job
 //
-// Admission is batched (batcher.go): accepted jobs enter a time/size
-// window and flush onto a bounded worker pool, so a burst of
-// submissions becomes a few dispatches instead of a thundering herd.
-// The pool bounds concurrency: at most Workers worlds exist at once,
-// each with Spec.NP rank goroutines.
+// Admission is one bounded queue: Submit sends an accepted job straight
+// onto it and a pool of Workers goroutines drains it FIFO. The pool
+// bounds concurrency: at most Workers worlds exist at once, each with
+// Spec.NP rank goroutines.
 //
 // Isolation is PR 5's containment story, promoted to the service
 // tier: a rank panic, an injected crash, a stall (watchdog) or a
@@ -54,8 +53,6 @@ const (
 	MetricEvicted   = "simserve_jobs_evicted" // terminal jobs forgotten to bound the job table
 	MetricRunning   = "simserve_jobs_running"
 	MetricQueued    = "simserve_jobs_queued"
-	MetricBatches   = "simserve_batches_flushed"
-	MetricBatchJobs = "simserve_batch_jobs"     // histogram: jobs per flushed batch
 	MetricLatencyNs = "simserve_job_latency_ns" // histogram: submit -> terminal
 	MetricRunNs     = "simserve_job_run_ns"     // histogram: started -> terminal
 )
@@ -69,10 +66,6 @@ type Config struct {
 	// beyond it are rejected (HTTP 429), the honest answer under
 	// overload (default 256).
 	QueueDepth int
-	// BatchWindow / BatchSize are the admission batcher's flush
-	// thresholds (defaults 5ms / 16).
-	BatchWindow time.Duration
-	BatchSize   int
 	// MaxBodies / MaxNP cap a single job (defaults 1e6 / 64): one
 	// pathological request must not own the box.
 	MaxBodies int
@@ -102,12 +95,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 5 * time.Millisecond
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 16
-	}
 	if c.MaxBodies <= 0 {
 		c.MaxBodies = 1_000_000
 	}
@@ -126,7 +113,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Manager owns the job table, the admission batcher, and the worker
+// Manager owns the job table, the admission queue, and the worker
 // pool. All methods are safe for concurrent use.
 type Manager struct {
 	cfg Config
@@ -141,9 +128,11 @@ type Manager struct {
 	seq     atomic.Uint64
 	backlog atomic.Int64 // admitted, not yet dequeued by a worker
 	running atomic.Int64
-	closed  atomic.Bool
+	// closed is set under mu, together with closing queue, so a Submit
+	// that finds it unset under mu may send; read without mu it is only
+	// Submit's early refusal.
+	closed atomic.Bool
 
-	batch *batcher
 	queue chan *Job
 	wg    sync.WaitGroup
 }
@@ -158,11 +147,10 @@ func New(cfg Config) *Manager {
 		jobs: make(map[string]*Job),
 		// The backlog cap guarantees at most QueueDepth jobs sit
 		// between admission and dequeue, so a queue of that capacity
-		// never blocks a batch flush.
+		// never blocks Submit's send.
 		queue: make(chan *Job, cfg.QueueDepth),
 	}
 	m.reg.Counter(MetricEvicted) // exposed as 0 until the first eviction
-	m.batch = newBatcher(cfg.BatchWindow, cfg.BatchSize, m.dispatch)
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
 		go m.worker()
@@ -219,19 +207,15 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	j.handler = telemetry.Handler(j.tel)
 
 	m.mu.Lock()
-	m.jobs[j.ID] = j
-	m.order = append(m.order, j.ID)
-	m.mu.Unlock()
-
-	if !m.batch.submit(j) {
-		// Closed between the flag check and the batcher: unwind.
-		m.backlog.Add(-1)
-		m.mu.Lock()
-		delete(m.jobs, j.ID)
-		m.order = m.order[:len(m.order)-1]
+	if m.closed.Load() { // closed since the check above
 		m.mu.Unlock()
+		m.backlog.Add(-1)
 		return nil, ErrClosed
 	}
+	m.jobs[j.ID] = j
+	m.order = append(m.order, j.ID)
+	m.queue <- j // never blocks: the backlog cap leaves room (see New)
+	m.mu.Unlock()
 	m.reg.Counter(MetricSubmitted).Add(1)
 	m.reg.Gauge(MetricQueued).Set(float64(m.backlog.Load()))
 	return j, nil
@@ -323,25 +307,17 @@ func (m *Manager) Counts() map[State]int {
 	return counts
 }
 
-// Close stops intake, flushes the batcher, drains the queue and waits
-// for running jobs. Idempotent.
+// Close stops intake, drains the queue and waits for running jobs.
+// Idempotent.
 func (m *Manager) Close() {
+	m.mu.Lock()
 	if m.closed.Swap(true) {
+		m.mu.Unlock()
 		return
 	}
-	m.batch.close()
 	close(m.queue)
+	m.mu.Unlock()
 	m.wg.Wait()
-}
-
-// dispatch is the batcher's flush sink: one batch of admitted jobs
-// handed FIFO to the worker pool.
-func (m *Manager) dispatch(batch []*Job) {
-	m.reg.Counter(MetricBatches).Add(1)
-	m.reg.Histogram(MetricBatchJobs).Observe(uint64(len(batch)))
-	for _, j := range batch {
-		m.queue <- j
-	}
 }
 
 // worker runs queued jobs until the queue closes.

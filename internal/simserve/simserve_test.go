@@ -32,9 +32,6 @@ func testManager(t *testing.T, cfg Config) *Manager {
 	if cfg.Log == nil {
 		cfg.Log = discardLog()
 	}
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = time.Millisecond
-	}
 	m := New(cfg)
 	t.Cleanup(m.Close)
 	return m
@@ -284,65 +281,49 @@ func TestSubmitRejections(t *testing.T) {
 	}
 }
 
-// TestBatcher unit-tests the admission window: size-triggered flush,
-// time-triggered flush, and close flushing stragglers.
-func TestBatcher(t *testing.T) {
+// TestSubmitRacesClose submits from many goroutines while the manager
+// closes (run under -race): no submission may send on the closed
+// queue, each one is accepted or refused with ErrClosed (or
+// ErrOverloaded), and every accepted job reaches a terminal state --
+// Close drains the queue, so none is stranded in it.
+func TestSubmitRacesClose(t *testing.T) {
+	m := New(Config{Workers: 2, QueueDepth: 8, Log: discardLog()})
+	spec := Spec{Physics: PhysicsGravity, N: 100, NP: 1, Steps: 0}
 	var mu sync.Mutex
-	var batches [][]*Job
-	flush := func(b []*Job) {
-		mu.Lock()
-		batches = append(batches, b)
-		mu.Unlock()
+	var accepted []*Job
+	var wg sync.WaitGroup
+	first := make(chan struct{})
+	var once sync.Once
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				j, err := m.Submit(spec)
+				switch {
+				case err == nil:
+					mu.Lock()
+					accepted = append(accepted, j)
+					mu.Unlock()
+					once.Do(func() { close(first) })
+				case errors.Is(err, ErrClosed), errors.Is(err, ErrOverloaded):
+				default:
+					t.Errorf("submit: %v", err)
+				}
+			}
+		}()
 	}
-	b := newBatcher(20*time.Millisecond, 3, flush)
-
-	// Size trigger: the third submit flushes immediately.
-	for i := 0; i < 3; i++ {
-		if !b.submit(&Job{}) {
-			t.Fatal("submit refused before close")
+	<-first // close while the submitters are mid-stream
+	m.Close()
+	wg.Wait()
+	if _, err := m.Submit(spec); !errors.Is(err, ErrClosed) {
+		t.Fatalf("submit after close: %v, want ErrClosed", err)
+	}
+	for _, j := range accepted {
+		if st := j.State(); !st.Terminal() {
+			t.Fatalf("accepted job %s is %s after Close returned", j.ID, st)
 		}
 	}
-	mu.Lock()
-	if len(batches) != 1 || len(batches[0]) != 3 {
-		t.Fatalf("size trigger: batches = %v", batchSizes(batches))
-	}
-	mu.Unlock()
-
-	// Time trigger: one pending job flushes after the window.
-	b.submit(&Job{})
-	deadline := time.Now().Add(time.Second)
-	for {
-		mu.Lock()
-		n := len(batches)
-		mu.Unlock()
-		if n == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("window flush never fired")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// Close flushes stragglers and refuses new work.
-	b.submit(&Job{})
-	b.close()
-	mu.Lock()
-	if len(batches) != 3 || len(batches[2]) != 1 {
-		t.Fatalf("close flush: batches = %v", batchSizes(batches))
-	}
-	mu.Unlock()
-	if b.submit(&Job{}) {
-		t.Fatal("submit accepted after close")
-	}
-}
-
-func batchSizes(batches [][]*Job) []int {
-	out := make([]int, len(batches))
-	for i, b := range batches {
-		out[i] = len(b)
-	}
-	return out
 }
 
 // TestHTTPAPI drives the full edge through httptest: submit, status,

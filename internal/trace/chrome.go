@@ -1,12 +1,11 @@
 // Chrome trace_event export: a Run serializes to the JSON Array
 // Format understood by chrome://tracing and Perfetto
 // (ui.perfetto.dev), so a parallel treecode run opens as per-rank
-// timelines with phase spans, worker busy intervals, and message
-// markers.
+// timelines with phase spans and message markers.
 //
-// Mapping: rank -> pid (one "process" per rank, named "rank N"),
-// sub-track -> tid (0 is the rank's main timeline, 1+ are pool
-// workers). Spans are "X" complete events; instants and comm events
+// Mapping: rank -> pid (one "process" per rank, named "rank N"), with
+// every event on tid 0, the rank's one timeline: a rank is one
+// goroutine. Spans are "X" complete events; instants and comm events
 // are "i" instants with the peer rank and byte size in args.
 // Timestamps are microseconds since the run epoch, as the format
 // requires.
@@ -48,17 +47,17 @@ func (r *Run) WriteChromeTrace(w io.Writer) error {
 		ts := float64(ev.Start) / 1e3
 		switch ev.Kind {
 		case KindSpan:
-			put(fmt.Sprintf(`{"name":%s,"ph":"X","pid":%d,"tid":%d,"ts":%.3f,"dur":%.3f}`,
-				quote(ev.Name), ev.Rank, ev.TID, ts, float64(ev.Dur)/1e3))
+			put(fmt.Sprintf(`{"name":%s,"ph":"X","pid":%d,"tid":0,"ts":%.3f,"dur":%.3f}`,
+				quote(ev.Name), ev.Rank, ts, float64(ev.Dur)/1e3))
 		case KindInstant:
-			put(fmt.Sprintf(`{"name":%s,"ph":"i","s":"t","pid":%d,"tid":%d,"ts":%.3f}`,
-				quote(ev.Name), ev.Rank, ev.TID, ts))
+			put(fmt.Sprintf(`{"name":%s,"ph":"i","s":"t","pid":%d,"tid":0,"ts":%.3f}`,
+				quote(ev.Name), ev.Rank, ts))
 		case KindSend:
-			put(fmt.Sprintf(`{"name":%s,"ph":"i","s":"t","pid":%d,"tid":%d,"ts":%.3f,"args":{"dir":"send","peer":%d,"bytes":%d}}`,
-				quote("send "+ev.Name), ev.Rank, ev.TID, ts, ev.Peer, ev.Bytes))
+			put(fmt.Sprintf(`{"name":%s,"ph":"i","s":"t","pid":%d,"tid":0,"ts":%.3f,"args":{"dir":"send","peer":%d,"bytes":%d}}`,
+				quote("send "+ev.Name), ev.Rank, ts, ev.Peer, ev.Bytes))
 		case KindRecv:
-			put(fmt.Sprintf(`{"name":%s,"ph":"i","s":"t","pid":%d,"tid":%d,"ts":%.3f,"args":{"dir":"recv","peer":%d,"bytes":%d}}`,
-				quote("recv "+ev.Name), ev.Rank, ev.TID, ts, ev.Peer, ev.Bytes))
+			put(fmt.Sprintf(`{"name":%s,"ph":"i","s":"t","pid":%d,"tid":0,"ts":%.3f,"args":{"dir":"recv","peer":%d,"bytes":%d}}`,
+				quote("recv "+ev.Name), ev.Rank, ts, ev.Peer, ev.Bytes))
 		}
 	}
 	if _, err := bw.WriteString("\n]\n"); err != nil {

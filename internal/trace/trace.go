@@ -49,7 +49,6 @@ type Event struct {
 	Name  string
 	Kind  Kind
 	Rank  int
-	TID   int   // sub-track within the rank (0 = the rank's main timeline)
 	Start int64 // ns since the run epoch
 	Dur   int64 // ns; spans only
 	Peer  int   // send: dst rank, recv: src rank; -1 otherwise
@@ -152,8 +151,8 @@ func (r *Run) Dropped() uint64 {
 }
 
 // Tracer is one rank's event sink: a mutex-protected ring that keeps
-// the newest max events. Multiple goroutines of the same rank (e.g.
-// ForcePool workers) may emit concurrently.
+// the newest max events. Goroutines other than the rank's own (the msg
+// watchdog through Run.MarkAll) may emit concurrently.
 type Tracer struct {
 	run  *Run
 	rank int
@@ -203,16 +202,6 @@ func (t *Tracer) SpanAt(name string, start time.Time, d time.Duration) {
 		return
 	}
 	t.emit(Event{Name: name, Kind: KindSpan, Rank: t.rank, Start: start.Sub(t.run.epoch).Nanoseconds(), Dur: d.Nanoseconds(), Peer: -1})
-}
-
-// WorkerSpan records a span on sub-track worker+1, used by worker
-// pools so concurrent per-worker busy intervals get their own rows
-// instead of nesting on the rank's main timeline. Nil-safe no-op.
-func (t *Tracer) WorkerSpan(worker int, name string, start int64) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{Name: name, Kind: KindSpan, Rank: t.rank, TID: worker + 1, Start: start, Dur: t.Now() - start, Peer: -1})
 }
 
 // Instant records a point event. Nil-safe no-op.

@@ -16,7 +16,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	tr.Span("x", t0)
 	tr.SpanAt("x", time.Now(), time.Second)
-	tr.WorkerSpan(3, "x", t0)
 	tr.Instant("x")
 	tr.Send("p", 1, 10)
 	tr.Recv("p", 1, 10)
@@ -82,21 +81,21 @@ func TestRingKeepsNewestAndCountsDrops(t *testing.T) {
 	}
 }
 
-// Concurrent emission from one rank (the ForcePool pattern) must be
-// race-free; run under -race.
+// Concurrent emission into one rank's ring (the rank's own spans while
+// MarkAll or the watchdog stamps it) must be race-free; run under -race.
 func TestConcurrentEmit(t *testing.T) {
 	r := NewRunCapacity(1, 128)
 	tr := r.Rank(0)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				t0 := tr.Now()
-				tr.WorkerSpan(w, "busy", t0)
+				tr.Span("busy", t0)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if got := len(tr.Events()); got != 128 {
@@ -114,7 +113,7 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 	tr.Span(`wa"lk`, t0)
 	tr.Send("branches", 1, 142)
 	r.Rank(1).Instant("note")
-	r.Rank(1).WorkerSpan(2, "busy", 0)
+	r.Rank(1).Span("busy", 0)
 
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {

@@ -124,20 +124,3 @@ func (t *Tree) Descend(d *Descent, from, n int32, emit bool) (visits uint64) {
 	d.stack = stack
 	return visits
 }
-
-// Caps returns the capacities of the descent's stack and batch; with
-// Grow it lets a worker pool level its walkers (see
-// grav.InteractionList.Caps).
-func (d *Descent) Caps() (stack, batch int) { return cap(d.stack), cap(d.Accepted) }
-
-// Grow raises capacities below stack and batch entries to exactly that.
-// Growing by append overshoots, and a pool levelling its walkers would
-// chase the overshoot as its next maximum at every evaluation.
-func (d *Descent) Grow(stack, batch int) {
-	if cap(d.stack) < stack {
-		d.stack = make([]int32, 0, stack)
-	}
-	if cap(d.Accepted) < batch {
-		d.Accepted = make([]*Cell, 0, batch)
-	}
-}

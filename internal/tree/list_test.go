@@ -54,7 +54,7 @@ func accClose(t *testing.T, tag string, acc, ref []vec.V3, pot, refPot []float64
 }
 
 // The list-based two-phase evaluation must match the fused walk on
-// realistic ICs, serial and concurrent, monopole and quadrupole, with
+// realistic ICs, monopole and quadrupole, with
 // byte-identical interaction counts: over the tree's sink cells, and
 // over its leaves as groups (the ablation's grouping).
 func TestGravityMatchesFused(t *testing.T) {
@@ -86,20 +86,12 @@ func TestGravityMatchesFused(t *testing.T) {
 					t.Fatalf("%s: counts differ: batched PP=%d PC=%d QuadPC=%d, fused PP=%d PC=%d QuadPC=%d",
 						tag, ctr.PP, ctr.PC, ctr.QuadPC, ctrFused.PP, ctrFused.PC, ctrFused.QuadPC)
 				}
-				accClose(t, tag+"/serial", sys.Acc, refAcc, sys.Pot, refPot)
+				accClose(t, tag, sys.Acc, refAcc, sys.Pot, refPot)
 				for i := range refWork {
 					if sys.Work[i] != refWork[i] {
 						t.Fatalf("%s: work weight %d differs", tag, i)
 					}
 				}
-
-				pool := NewForcePool(4)
-				ctrC := pool.Gravity(tr, eps2)
-				pool.Close()
-				if ctrC.PP != ctrFused.PP || ctrC.PC != ctrFused.PC {
-					t.Fatalf("%s: concurrent counts differ", tag)
-				}
-				accClose(t, tag+"/concurrent", sys.Acc, refAcc, sys.Pot, refPot)
 			}
 		}
 	}

@@ -13,7 +13,7 @@ import (
 // Walker holds the reusable state of group traversals: the descent
 // (stack and batch of accepted cells), the interaction list the walk
 // fills, and the SoA target block Evaluate uses. One long-lived Walker
-// per worker amortizes every per-group allocation away.
+// per rank amortizes every per-group allocation away.
 type Walker struct {
 	d Descent
 	// List is the interaction list built by the last Walk (or the
@@ -200,7 +200,7 @@ func (w *Walker) Walk(t *Tree, groupKey keys.Key, gpos []vec.V3, ctr *diag.Count
 	ctr.Traversals += t.Descend(&w.d, 0, 1, true)
 	w.TakeCells(w.d.Accepted)
 	w.d.Drop()
-	w.src = nil // a pooled Walker outlives the trees it walks
+	w.src = nil // a reused Walker outlives the trees it walks
 	return nil
 }
 
@@ -226,34 +226,6 @@ func (w *Walker) Evaluate(gpos []vec.V3, gmass []float64, acc []vec.V3, pot []fl
 		ctr.PP += grav.EvalSelf(&w.tg, eps2)
 	}
 	w.tg.Store(acc, pot)
-}
-
-// gravityGroups runs the two-phase evaluation for those of the groups
-// [glo,ghi) that hold a body on rung minRung or finer (GroupActive):
-// list-build walk, batched evaluation, and the per-body work weights
-// for the next domain decomposition (the group's interactions spread
-// evenly over its bodies, exact to +-1 since every body in a group
-// shares the same interaction list). Shared by the serial driver and
-// the concurrent pool workers; with a reused Walker the steady state
-// allocates nothing.
-func (t *Tree) gravityGroups(w *Walker, ctr *diag.Counters, glo, ghi int, eps2 float64, minRung int) {
-	sys := t.Sys
-	for _, gk := range t.Groups[glo:ghi] {
-		g := t.Cell(gk)
-		lo, hi := g.First, g.First+g.N
-		if !GroupActive(sys, int(lo), int(hi), minRung) {
-			continue
-		}
-		before := ctr.PP + ctr.PC
-		w.Walk(t, gk, sys.Pos[lo:hi], ctr)
-		w.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], eps2, t.MAC.Quad, ctr)
-		if g.N > 0 {
-			per := float64(ctr.PP+ctr.PC-before) / float64(g.N)
-			for i := lo; i < hi; i++ {
-				sys.Work[i] = per
-			}
-		}
-	}
 }
 
 // Gravity runs a full serial force evaluation through the two-phase
@@ -290,10 +262,30 @@ func GroupActive(sys *core.System, lo, hi, minRung int) bool {
 // identical code path, so a synchronization evaluation is bitwise the
 // uniform one. Inactive bodies still contribute as sources through the
 // tree, which must have been rebuilt from their drifted positions.
+// Each active group gets a list-build walk, a batched evaluation, and
+// the per-body work weights for the next domain decomposition (the
+// group's interactions spread evenly over its bodies, exact to +-1
+// since every body in a group shares the same interaction list).
 func (t *Tree) GravityActive(eps2 float64, minRung int) diag.Counters {
 	var ctr diag.Counters
 	var w Walker
-	t.gravityGroups(&w, &ctr, 0, len(t.Groups), eps2, minRung)
+	sys := t.Sys
+	for _, gk := range t.Groups {
+		g := t.Cell(gk)
+		lo, hi := g.First, g.First+g.N
+		if !GroupActive(sys, int(lo), int(hi), minRung) {
+			continue
+		}
+		before := ctr.PP + ctr.PC
+		w.Walk(t, gk, sys.Pos[lo:hi], &ctr)
+		w.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], eps2, t.MAC.Quad, &ctr)
+		if g.N > 0 {
+			per := float64(ctr.PP+ctr.PC-before) / float64(g.N)
+			for i := lo; i < hi; i++ {
+				sys.Work[i] = per
+			}
+		}
+	}
 	return ctr
 }
 

@@ -32,6 +32,11 @@ echo "== simserve smoke (daemon + crash-injected job contained + bench throughpu
 sh scripts/simserve_smoke.sh
 echo "== chaos soak (bounded, fixed seeds; clean exit or structured abort, never a hang)"
 sh scripts/chaos.sh quick
+echo "== sphsim -procs 1 (one rank runs the engine, so the observability flags apply: a RunReport with SPH pairs)"
+OUT=$(mktemp -d)
+trap 'rm -rf "$OUT"' EXIT
+go run ./cmd/sphsim -n 500 -steps 2 -procs 1 -metrics "$OUT/r.json" >/dev/null
+grep -q '"SPHPairs": [1-9]' "$OUT/r.json" || { echo "FAIL: sphsim -procs 1 wrote no RunReport with SPH pairs" >&2; exit 1; }
 echo "== walk guard (counts at N=10000 np=4: rewalked/traversals <= 0.1, 0 request rounds, a warm step's splitter search 1 collective of at most 6)"
 sh scripts/walk_guard.sh
 echo "== fuzz (time-boxed: both splitter searches equal the reference bisection, ranks agree on which ran, never a panic, never a hung world)"
@@ -56,10 +61,9 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
 fi
 echo "== bce (the interaction kernels' Go loops stay bounds-check-free, -d=ssa/check_bce)"
 sh scripts/bce.sh
-echo "== benchcmp (allocs/op of the pooled walk, the index descent, the sink-cell walk and evaluation, and the interaction kernels vs BENCH_baseline.json)"
+echo "== benchcmp (allocs/op of the index descent, the sink-cell walk and evaluation, and the interaction kernels vs BENCH_baseline.json)"
 {
-	go test -run='^$' -bench=Ablation_BatchedConcurrentAllocs -benchtime=1x .
 	go test -run='^$' -bench='Ablation_(DescentIndex|SinkCells)' -benchtime=5x .
 	go test -run='^$' -bench='Ablation_Eval' -benchtime=100x .
-} | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(BatchedConcurrentAllocs|DescentIndex|SinkCells|Eval)'
+} | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(DescentIndex|SinkCells|Eval)'
 echo "== ok"
