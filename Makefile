@@ -26,7 +26,7 @@ chaos:
 bench-baseline:
 	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	go run ./cmd/treebench -n 50000 -procs 4 -steps 1 -metrics "$$dir/report.json" >/dev/null && \
-	{ go test -run='^$$' -bench='Ablation_(MAC|Order|GroupSize|Curve|ABM|Step|Sink|Sort|Build|Decompose|Descent)' -benchtime=5x . ; \
+	{ go test -run='^$$' -bench='Ablation_(MAC|Order|GroupSize|ABM|Step|Sink|Sort|Build|Decompose|Descent)' -benchtime=5x . ; \
 	  go test -run='^$$' -bench='Ablation_(Hash|Rsqrt)' -benchtime=1s . ; \
 	  go test -run='^$$' -bench='Ablation_(Eval|GroupSphere)' -benchtime=100x . ; } \
 	  | go run ./cmd/benchdump -runreport "$$dir/report.json" -o BENCH_baseline.json

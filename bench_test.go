@@ -651,33 +651,6 @@ func BenchmarkAblation_RsqrtLibm(b *testing.B) {
 	rsqrtSink = sum
 }
 
-func BenchmarkAblation_CurveMorton(b *testing.B)  { benchCurve(b, false) }
-func BenchmarkAblation_CurveHilbert(b *testing.B) { benchCurve(b, true) }
-
-// benchCurve measures the locality of the two space-filling curves:
-// the mean spatial jump between consecutive bodies in curve order,
-// which is what decomposition surface area (and hence boundary
-// communication) follows.
-func benchCurve(b *testing.B, hilbert bool) {
-	sys := ic.Plummer(20000, 1.0, 13)
-	d := keys.NewDomain(sys.Pos)
-	var jump float64
-	for i := 0; i < b.N; i++ {
-		if hilbert {
-			sys.AssignHilbertKeys(d)
-		} else {
-			sys.AssignKeys(d)
-		}
-		sys.SortByKey()
-		jump = 0
-		for j := 1; j < sys.Len(); j++ {
-			jump += sys.Pos[j].Sub(sys.Pos[j-1]).Norm()
-		}
-		jump /= float64(sys.Len() - 1)
-	}
-	b.ReportMetric(jump, "mean_jump")
-}
-
 func BenchmarkAblation_ABMBatching(b *testing.B) {
 	// Batched requests vs the hypothetical per-request messaging:
 	// run a parallel force evaluation, then compare the actual

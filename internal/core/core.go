@@ -109,14 +109,6 @@ func (s *System) AssignKeys(d keys.Domain) {
 	}
 }
 
-// AssignHilbertKeys computes Hilbert keys instead (decomposition
-// ablation; the tree build re-assigns Morton keys afterwards).
-func (s *System) AssignHilbertKeys(d keys.Domain) {
-	for i, p := range s.Pos {
-		s.Key[i] = d.HilbertKeyOf(p)
-	}
-}
-
 // Sorted reports whether keys are in ascending order.
 func (s *System) Sorted() bool {
 	for i := 1; i < len(s.Key); i++ {

@@ -173,14 +173,3 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Fatal("Validate missed short Vel")
 	}
 }
-
-func TestHilbertKeysAssign(t *testing.T) {
-	s := randomSystem(50, 5)
-	d := keys.NewDomain(s.Pos)
-	s.AssignHilbertKeys(d)
-	for _, k := range s.Key {
-		if !k.Valid() || k.Level() != keys.MaxLevel {
-			t.Fatal("bad hilbert key")
-		}
-	}
-}

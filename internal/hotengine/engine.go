@@ -26,17 +26,18 @@
 //     every owner sends each peer, in one all-to-all, the cells of its
 //     tree the Visitor's test, made conservative over that bound, could
 //     open.
-//  4. Tree traversal: the engine walks the tree for each group of the
-//     local tree (tree.Tree.Groups: sink cells of up to 64 bodies, at
-//     or below this rank's branches) on behalf of the physics' Visitor,
-//     which is handed the group's own cell whole instead of a verdict
-//     on it -- one hash probe per cell of the top tree and of the
-//     imported cells (which of the two is known from the parent), none
-//     below this rank's own branches, where tree.Descend moves by index
-//     -- and the phase ends on one vote, an allreduce. The paper's
-//     latency hiding is the safety net underneath: a group that still
-//     misses a cell is suspended on its frontier of missing keys (the
-//     explicit context switch) and rounds of batched request/reply
+//  4. Tree traversal: the engine walks the locally essential tree (LET)
+//     for each group of the local tree (tree.Tree.Groups: sink cells of
+//     up to 64 bodies, at or below this rank's branches) on behalf of
+//     the physics' Visitor, which is handed the group's own cell whole
+//     instead of a verdict on it. The LET is one table in the layout
+//     tree.Builder produces -- the top tree, a copy of each own branch's
+//     subtree, and every import, appended as its family lands -- so
+//     every walk is tree.Descend, children by index, no name looked up.
+//     The phase ends on one vote, an allreduce. The paper's latency
+//     hiding is the safety net underneath: a group whose walk opens a
+//     cell whose children have not landed is suspended on that frontier
+//     (the explicit context switch) and rounds of batched request/reply
 //     (internal/abm) run until every group has finished.
 //
 // The global key name space makes the safety net possible: any
@@ -46,9 +47,9 @@ package hotengine
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/abm"
@@ -116,24 +117,6 @@ type Config struct {
 	PhasePrefix string
 }
 
-// sentinelUnfetched marks a remote leaf whose bodies have not arrived.
-const sentinelUnfetched = int32(-1 << 30)
-
-// node is a cell plus its physics payload, the unit of the top and
-// imported tables.
-type node[X any] struct {
-	Cell  tree.Cell
-	Extra X
-	// Pushed marks a cell its owner pushed that no traversal has
-	// resolved yet; importedPtr clears it and counts the hit. Only the
-	// rank goroutine touches imported nodes.
-	Pushed bool
-	// kids is the table this node's children resolve in: inTop above
-	// the branches, inLocal under this rank's own branches, inImported
-	// under another rank's branch and under every imported cell.
-	kids table
-}
-
 // walkPhase is the persistent per-phase-label state: the abm engine
 // (recycled queue/receive buffers) and the precomputed traffic label
 // (prefix concatenation allocates, so it is done once).
@@ -153,10 +136,18 @@ type Engine[X, B any] struct {
 
 	Domain keys.Domain
 	Splits []uint64
-	Local  *tree.Tree
+	// Local is this rank's tree: what it serves requests and pushes from.
+	Local *tree.Tree
 
-	top      *htab.Table[node[X]]
-	imported *htab.Table[node[X]]
+	// let is the locally essential tree every walk descends: root at
+	// entry 0, each cell's children side by side from Kids. The first
+	// letTop entries are the top tree and the copies of this rank's own
+	// subtrees; imports follow. letX holds each entry's payload, remote
+	// the entries of other ranks' branches (what ResetImports restores).
+	let    *tree.Tree
+	letX   []X
+	letTop int
+	remote []int32
 
 	// Counters accumulates interaction counts across evaluations.
 	Counters diag.Counters
@@ -214,17 +205,16 @@ type Engine[X, B any] struct {
 	// to ready the moment its final cell lands (keyWaiters heads into
 	// the waiters node arena, free nodes chained from freeWaiter; a miss
 	// is in keyWaiters exactly while its requests are in flight, so it
-	// doubles as the request-dedup set). stack and missing are
-	// the traversal's own scratch; desc is the current group's descent
-	// (its sphere, the test, the batch of accepted cells) and extras the
-	// payloads of that batch, index for index, filled only when X has
-	// any (hasExtra). hashDescent, nil outside tests, stands in for
-	// tree.Descend below a local branch (the paper's hash-only descent,
-	// export_test.go).
+	// doubles as the request-dedup set). desc is the current group's
+	// descent (its sphere, the test, the batch of accepted cells and
+	// their entries, what it missed) and extras the payloads of that
+	// batch, index for index, gathered only when X has any (hasExtra).
+	// hashDescent, nil outside tests, stands in for tree.Descend over
+	// the LET (the paper's hash-only descent, export_test.go).
 	desc        tree.Descent
 	extras      []X
 	hasExtra    bool
-	hashDescent func(c *tree.Cell, emit bool) uint64
+	hashDescent func(from, n int32, emit bool) uint64
 	curWalk     Visitor[X]
 	curEval     EvalFn
 	curEng      *abm.Engine[keys.Key, Wire[X, B]]
@@ -235,8 +225,6 @@ type Engine[X, B any] struct {
 	keyWaiters  map[keys.Key]waitList
 	waiters     []waiter
 	freeWaiter  int32
-	stack       []entry
-	missing     []miss
 	onReply     func(src int, reps []Wire[X, B])
 	observe     bool
 }
@@ -261,6 +249,7 @@ func New[X, B any](c *msg.Comm, sys *core.System, phys Physics[X, B], cfg Config
 	}
 	e.dec.Sub = e.Sub
 	e.builder.Sub = e.Sub
+	e.desc.Index = e.hasExtra
 	e.onReply = e.onReplyBatch
 	return e
 }
@@ -306,7 +295,8 @@ func (e *Engine[X, B]) Record() metrics.RankInput {
 }
 
 // Exchange runs phases 1 and 2: decomposition, local tree build, and
-// the branch exchange that assembles the shared top tree. On return
+// the branch exchange that assembles the shared top tree and the
+// locally essential tree every walk descends. On return
 // Sys holds the redistributed local bodies and the engine is ready
 // for WalkGroups.
 func (e *Engine[X, B]) Exchange() {
@@ -362,10 +352,11 @@ type published[X, B any] struct {
 	bound tree.Bound
 }
 
-// exchangeBranches publishes this rank's branch cells and assembles
-// the shared top tree (branches plus all their ancestors, moments
-// combined across ranks). With a visitor it also publishes the bound of
-// the groups v is about to walk and keeps every rank's for the push.
+// exchangeBranches publishes this rank's branch cells, assembles the
+// shared top tree (branches plus all their ancestors, moments combined
+// across ranks) and lays out the LET over it. With a visitor it also
+// publishes the bound of the groups v is about to walk and keeps every
+// rank's for the push.
 func (e *Engine[X, B]) exchangeBranches(v Visitor[X], active func(g *tree.Cell) bool) {
 	e.C.Phase(e.Cfg.PhasePrefix + "branches")
 	var mine []Wire[X, B]
@@ -391,83 +382,135 @@ func (e *Engine[X, B]) exchangeBranches(v Visitor[X], active func(g *tree.Cell) 
 		e.pubs = all
 	}
 
-	e.top = htab.New[node[X]](256)
-	e.imported = htab.New[node[X]](1024)
 	e.Phys.ResetImports()
 	e.RemoteCells = 0
 
-	// Insert branches. Own branches keep their local body ranges and
-	// child index, so a traversal steps from the top tree's copy straight
-	// into the local one; remote leaf branches are marked unfetched.
-	var branchKeys []keys.Key
+	// Lay the LET out from the root: the top tree over every rank's
+	// branches, which arrive in Morton order, and below the branches what
+	// is here already.
+	var bs []branch[X, B]
 	for r, a := range all {
 		for _, w := range a.cells {
-			c := tree.Cell{
-				Key: w.Key, Mp: w.Mp, RCrit: w.RCrit, N: w.N,
-				ChildMask: w.ChildMask, Leaf: w.Leaf,
-			}
-			kids := inImported
-			if r == e.C.Rank() {
-				own := e.Local.Cell(w.Key)
-				c.First, c.Kids = own.First, own.Kids
-				kids = inLocal
-			} else if w.Leaf {
-				c.First = sentinelUnfetched
-			}
-			e.top.Insert(w.Key, node[X]{Cell: c, Extra: w.Extra, kids: kids})
-			branchKeys = append(branchKeys, w.Key)
+			bs = append(bs, branch[X, B]{w, r})
 		}
 	}
+	// One table for the engine's life: a cell holds no pointer, so the
+	// capacity the imports grew it to is kept, not reallocated each step.
+	if e.let == nil {
+		e.let = &tree.Tree{Cells: htab.New[tree.Cell](4*len(bs) + e.Local.NCells())}
+	}
+	e.let.Cells.Clear()
+	e.letX, e.remote = e.letX[:0], e.remote[:0]
+	if len(bs) > 0 {
+		var x X
+		e.place(tree.Cell{Key: keys.Root}, x)
+		e.layTop(0, keys.Root, bs)
+	}
+	e.letTop = e.let.Cells.Len()
+}
 
-	// Build ancestors, deepest level first so children always exist
-	// when their parent's moments are combined.
-	anc := map[keys.Key]bool{}
-	for _, bk := range branchKeys {
-		for k := bk.Parent(); k != keys.Invalid; k = k.Parent() {
-			if anc[k] {
-				break // all higher ancestors already recorded
-			}
-			anc[k] = true
+// branch is a published branch cell and the rank it is a branch of.
+type branch[X, B any] struct {
+	w    Wire[X, B]
+	rank int
+}
+
+// place appends a cell and its payload to the LET.
+func (e *Engine[X, B]) place(c tree.Cell, x X) {
+	e.let.Cells.Insert(c.Key, c)
+	e.letX = append(e.letX, x)
+}
+
+// layTop fills entry i with top-tree cell k over bs, the branches at or
+// below it, and lays out what is known below it, the way tree.Builder
+// builds: its children's block first, then each child's, its moments
+// combined from theirs in octant order. An own branch is the local
+// tree's cell, its subtree copied in; another rank's branch has nothing
+// below it until its family (a leaf: its bodies) lands.
+func (e *Engine[X, B]) layTop(i int32, k keys.Key, bs []branch[X, B]) (tree.Cell, X) {
+	if b := bs[0]; b.w.Key == k {
+		w := b.w
+		c := tree.Cell{
+			Key: k, Mp: w.Mp, RCrit: w.RCrit, N: w.N,
+			ChildMask: w.ChildMask, Leaf: w.Leaf,
+		}
+		own := b.rank == e.C.Rank()
+		if own {
+			c = *e.Local.Cell(k)
+		} else {
+			blank(&c)
+		}
+		*e.let.Cells.At(int(i)), e.letX[i] = c, w.Extra
+		if own {
+			e.copyLocal(i, &c)
+		} else {
+			e.remote = append(e.remote, i)
+		}
+		return c, w.Extra
+	}
+	lvl, kids := k.Level()+1, int32(e.let.Cells.Len())
+	var mask uint8
+	for _, b := range bs {
+		if ck := b.w.Key.AncestorAt(lvl); mask&(1<<uint(ck.Octant())) == 0 {
+			mask |= 1 << uint(ck.Octant())
+			var x X
+			e.place(tree.Cell{Key: ck}, x)
 		}
 	}
-	order := make([]keys.Key, 0, len(anc))
-	for k := range anc {
-		order = append(order, k)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].Level() > order[j].Level() })
-	for _, k := range order {
-		var children []grav.Multipole
-		var mask uint8
-		var nb int32
-		var extra X
-		for oct := 0; oct < 8; oct++ {
-			if cc := e.top.Ptr(k.Child(oct)); cc != nil {
-				children = append(children, cc.Cell.Mp)
-				mask |= 1 << uint(oct)
-				nb += cc.Cell.N
-				extra = e.Phys.CombineExtra(extra, cc.Extra)
-			}
+	var children []grav.Multipole
+	var nb int32
+	var extra X
+	for j := kids; len(bs) > 0; j++ {
+		ck, n := bs[0].w.Key.AncestorAt(lvl), 1
+		for n < len(bs) && bs[n].w.Key.AncestorAt(lvl) == ck {
+			n++
 		}
-		mp := grav.Combine(children)
-		center, size := e.Domain.CellCenter(k)
-		e.top.Insert(k, node[X]{
-			Cell: tree.Cell{
-				Key: k, Mp: mp,
-				RCrit:     grav.RCrit(&mp, size, mp.COM.Sub(center).Norm(), e.Cfg.MAC),
-				N:         nb,
-				ChildMask: mask,
-			},
-			Extra: extra,
-			kids:  inTop,
-		})
+		c, x := e.layTop(j, ck, bs[:n])
+		children = append(children, c.Mp)
+		nb += c.N
+		extra = e.Phys.CombineExtra(extra, x)
+		bs = bs[n:]
 	}
-	if len(branchKeys) > 0 && e.top.Ptr(keys.Root) == nil {
-		// Exactly one branch and it is the root itself (single rank
-		// holding everything): nothing to do. Otherwise the root must
-		// exist.
-		if len(branchKeys) != 1 || branchKeys[0] != keys.Root {
-			panic("hotengine: top tree has no root")
-		}
+	mp := grav.Combine(children)
+	center, size := e.Domain.CellCenter(k)
+	c := tree.Cell{
+		Key: k, Mp: mp,
+		RCrit:     grav.RCrit(&mp, size, mp.COM.Sub(center).Norm(), e.Cfg.MAC),
+		N:         nb,
+		Kids:      kids,
+		ChildMask: mask,
+	}
+	*e.let.Cells.At(int(i)), e.letX[i] = c, extra
+	return c, extra
+}
+
+// blank marks another rank's branch record as having nothing below it
+// here yet: a leaf's bodies unfetched (and, once they land pushed, not
+// yet entered), a cell's children not laid out.
+func blank(c *tree.Cell) {
+	if c.Leaf {
+		c.First, c.Kids = tree.Unfetched, -1
+	} else {
+		c.Kids = 0
+	}
+}
+
+// copyLocal copies the local subtree below src, one of this rank's
+// cells, under its copy at entry i.
+func (e *Engine[X, B]) copyLocal(i int32, src *tree.Cell) {
+	if src.Leaf {
+		return
+	}
+	n, kids := int32(bits.OnesCount8(src.ChildMask)), int32(e.let.Cells.Len())
+	for j := int32(0); j < n; j++ {
+		lc := e.Local.Cells.At(int(src.Kids + j))
+		c := *lc
+		c.Kids = 0
+		e.place(c, e.Phys.Extra(lc))
+	}
+	e.let.Cells.At(int(i)).Kids = kids
+	for j := int32(0); j < n; j++ {
+		e.copyLocal(kids+j, e.Local.Cells.At(int(src.Kids+j)))
 	}
 }
 
@@ -510,26 +553,35 @@ func (e *Engine[X, B]) wireOf(k keys.Key, c *tree.Cell) Wire[X, B] {
 	return w
 }
 
-// importCell stores a remote cell, pushed by its owner or fetched by
+// importCell lays out a remote cell, pushed by its owner or fetched by
 // request, copying leaf bodies into the physics' import arena. A cell
 // already held is dropped: a phase over an earlier phase's imports is
-// pushed much of them again (SPH forces, then gravity).
+// pushed much of them again (SPH forces, then gravity). Families land
+// whole, so the first of one to arrive reserves the block for all of
+// it; another rank's leaf branch is filled in place.
 func (e *Engine[X, B]) importCell(w Wire[X, B], pushed bool) {
-	if e.imported.Ptr(w.Key) != nil {
+	cells := e.let.Cells
+	i := cells.Index(w.Key)
+	switch {
+	case i < 0:
+		i = e.reserve(w.Key, pushed)
+	case cells.At(i).First != tree.Unfetched:
 		return
 	}
 	c := tree.Cell{
 		Key: w.Key, Mp: w.Mp, RCrit: w.RCrit, N: w.N,
 		ChildMask: w.ChildMask, Leaf: w.Leaf,
 	}
+	if pushed {
+		c.Kids = cells.At(i).Kids // a leaf branch's: not yet entered
+		e.Counters.Pushed++
+	}
 	if w.Leaf {
 		start := e.Phys.ImportLeaf(w.N, w.Bodies)
 		c.First = -(start + 1)
 	}
-	e.imported.Insert(w.Key, node[X]{Cell: c, Extra: w.Extra, Pushed: pushed, kids: inImported})
-	if pushed {
-		e.Counters.Pushed++
-	}
+	*cells.At(i) = c
+	e.letX[i] = w.Extra
 	e.RemoteCells++
 	// Wake the groups waiting on this cell: a group whose last
 	// outstanding miss just landed is promoted to the ready queue, and
@@ -565,12 +617,40 @@ func (e *Engine[X, B]) onReplyBatch(_ int, reps []Wire[X, B]) {
 	}
 }
 
+// reserve lays out the block of k's family, the first of it to land:
+// a slot per sibling, unfetched until it lands too, and the parent's
+// Kids -- negated for a pushed family, so that the first descent into
+// it counts it used (tree.Descent.Entered). It returns k's slot.
+func (e *Engine[X, B]) reserve(k keys.Key, pushed bool) int {
+	cells, pk := e.let.Cells, k.Parent()
+	p := cells.Index(pk)
+	mask := cells.At(p).ChildMask
+	kids := int32(cells.Len())
+	for oct := 0; oct < 8; oct++ {
+		if mask&(1<<uint(oct)) != 0 {
+			var x X
+			e.place(tree.Cell{Key: pk.Child(oct), First: tree.Unfetched}, x)
+		}
+	}
+	at := kids
+	if pushed {
+		at = -kids
+	}
+	cells.At(p).Kids = at
+	return int(kids) + bits.OnesCount8(mask&(1<<uint(k.Octant())-1))
+}
+
 // ResetImports discards every imported cell and the physics' arena,
-// so a later WalkGroups imports remote data afresh. Multi-pass physics
-// (SPH) uses this between the density and force passes: the second
-// pass must see the updated remote densities, not the stale imports.
+// returning the LET to its layout before any import, so a later
+// WalkGroups imports remote data afresh. Multi-pass physics (SPH) uses
+// this between the density and force passes: the second pass must see
+// the updated remote densities, not the stale imports.
 func (e *Engine[X, B]) ResetImports() {
-	e.imported = htab.New[node[X]](1024)
+	e.let.Cells.Truncate(e.letTop)
+	e.letX = e.letX[:e.letTop]
+	for _, i := range e.remote {
+		blank(e.let.Cells.At(int(i)))
+	}
 	e.Phys.ResetImports()
 }
 
@@ -668,6 +748,8 @@ func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool
 		e.readyBuf = e.readyBuf[:0]
 	}
 	e.curWalk, e.curEval, e.curEng = nil, nil, nil
-	e.desc.Drop() // the last batch points into tables the next Exchange replaces
+	e.Counters.PushUsed += e.desc.Entered
+	e.desc.Entered = 0
+	e.desc.Drop() // the last batch points into the LET, which the next Exchange lays out again
 	e.Timer.Stop()
 }

@@ -145,7 +145,7 @@ func TestEngineCoreFullTraversal(t *testing.T) {
 			if err := e.Local.CheckInvariants(); err != nil {
 				t.Errorf("np=%d rank=%d: %v", np, c.Rank(), err)
 			}
-			if err := e.CheckChildIndices(); err != nil {
+			if err := e.CheckLET(); err != nil {
 				t.Errorf("np=%d rank=%d: %v", np, c.Rank(), err)
 			}
 			if ctr := e.Counters; e.Rounds != 0 || ctr.Requests != 0 || ctr.Deferred != 0 || ctr.Rewalked != 0 {

@@ -2,6 +2,9 @@ package hotengine
 
 import (
 	"fmt"
+	"math/bits"
+	"reflect"
+	"slices"
 
 	"repro/internal/abm"
 	"repro/internal/keys"
@@ -14,32 +17,28 @@ import (
 // exercise parking at will. This hook is the only switch.
 func (e *Engine[X, B]) SetPush(on bool) { e.pushOff = !on }
 
-// SetHashDescent switches the descent below this rank's own branches
-// between tree.Descend (off: children by index, as shipped) and the
-// paper's design, a stack of keys and one hash probe per cell (on):
-// the ablation the index descent is tested and timed against. Same
-// test, same order, same batch, the group's own cell known by its key
-// and taken whole; only how a child is found differs. This hook is the
-// only switch.
+// SetHashDescent switches the walks between tree.Descend over the LET
+// (off: children by index, as shipped) and the paper's design, a stack
+// of keys and one hash probe per cell of the same table (on): the
+// ablation the index descent is tested and timed against. Same test,
+// same order, same batch, the same misses and first entries, the group's
+// own cell known by its key and taken whole; only how a child is found
+// differs. This hook is the only switch.
 func (e *Engine[X, B]) SetHashDescent(on bool) {
 	if !on {
 		e.hashDescent = nil
 		return
 	}
 	var stack []keys.Key
-	pushKids := func(c *tree.Cell) {
-		for oct := 0; oct < 8; oct++ {
-			if c.ChildMask&(1<<uint(oct)) != 0 {
-				stack = append(stack, c.Key.Child(oct))
-			}
-		}
-	}
-	e.hashDescent = func(branch *tree.Cell, emit bool) (visits uint64) {
-		d := &e.desc
+	e.hashDescent = func(from, n int32, emit bool) (visits uint64) {
+		d, cells := &e.desc, e.let.Cells
 		stack = stack[:0]
-		pushKids(branch)
+		for i := from; i < from+n; i++ {
+			stack = append(stack, cells.At(int(i)).Key)
+		}
 		for len(stack) > 0 {
-			c := e.Local.Cell(stack[len(stack)-1])
+			i := int32(cells.Index(stack[len(stack)-1]))
+			c := cells.At(int(i))
 			stack = stack[:len(stack)-1]
 			visits++
 			if d.Own(c) {
@@ -53,66 +52,132 @@ func (e *Engine[X, B]) SetHashDescent(on bool) {
 			case a == tree.Accept:
 				if emit {
 					d.Accepted = append(d.Accepted, c)
-					e.extras = append(e.extras, e.Phys.Extra(c))
+					if d.Index {
+						d.At = append(d.At, i)
+					}
 				}
 			case c.Leaf:
+				if c.Kids < 0 {
+					if c.First == tree.Unfetched {
+						visits--
+						d.Missed, emit = append(d.Missed, i), false
+						continue
+					}
+					c.Kids = 0
+					d.Entered++
+				}
 				if emit {
 					d.Leaves.Leaf(c)
 				}
+			case c.Kids == 0:
+				d.Missed, emit = append(d.Missed, i), false
 			default:
-				pushKids(c)
+				if c.Kids < 0 {
+					c.Kids = -c.Kids
+					d.Entered += uint64(bits.OnesCount8(c.ChildMask))
+				}
+				for oct := 0; oct < 8; oct++ {
+					if c.ChildMask&(1<<uint(oct)) != 0 {
+						stack = append(stack, c.Key.Child(oct))
+					}
+				}
 			}
 		}
 		return visits
 	}
 }
 
-// CheckChildIndices verifies where a cell's child index may be set
-// outside the local tree: the top tree's copy of one of this rank's own
-// branches carries the branch's (so a traversal steps from the copy
-// into the local entries); an ancestor, another rank's branch and every
-// imported cell carry none.
-func (e *Engine[X, B]) CheckChildIndices() error {
-	var err error
-	e.top.Range(func(k keys.Key, n *node[X]) bool {
-		want := int32(0)
-		if n.kids == inLocal {
-			want = e.Local.Cell(k).Kids
+// CheckLET verifies the locally essential tree's layout: entry 0 is the
+// root and every entry is found under its key; every cell with Kids ≠ 0
+// has its ChildMask children at |Kids|, |Kids|+1, ... in octant order;
+// Kids == 0 on a cell that is not a leaf only for another rank's cell
+// whose family has not landed, and an unfetched record only for another
+// rank's leaf branch (no reserved slot is left empty); each entry has
+// its payload; and each own subtree equals the local tree's, cell for
+// cell and payload for payload.
+func (e *Engine[X, B]) CheckLET() error {
+	cells := e.let.Cells
+	if cells.Len() == 0 {
+		return nil // no bodies anywhere
+	}
+	if k := cells.At(0).Key; k != keys.Root {
+		return fmt.Errorf("entry 0 is %v, not the root", k)
+	}
+	if len(e.letX) != cells.Len() {
+		return fmt.Errorf("%d payloads for %d entries", len(e.letX), cells.Len())
+	}
+	for i := 0; i < cells.Len(); i++ {
+		c := cells.At(i)
+		remote := i >= e.letTop || slices.Contains(e.remote, int32(i))
+		if j := cells.Index(c.Key); j != i {
+			return fmt.Errorf("entry %d (%v) is found at %d", i, c.Key, j)
 		}
-		if n.Cell.Kids != want {
-			err = fmt.Errorf("top-tree cell %v (children in table %d) has child index %d, want %d", k, n.kids, n.Cell.Kids, want)
+		switch kids := c.Kids; {
+		case c.First == tree.Unfetched && !(c.Leaf && slices.Contains(e.remote, int32(i))):
+			return fmt.Errorf("entry %d (%v) is a slot its family left empty", i, c.Key)
+		case c.Leaf:
+			if kids > 0 || (kids < 0 && !slices.Contains(e.remote, int32(i))) {
+				return fmt.Errorf("leaf %v has child index %d", c.Key, kids)
+			}
+		case kids == 0:
+			if !remote {
+				return fmt.Errorf("cell %v of the top tree or an own subtree has no children laid out", c.Key)
+			}
+			for oct := 0; oct < 8; oct++ {
+				if c.ChildMask&(1<<uint(oct)) != 0 && cells.Index(c.Key.Child(oct)) >= 0 {
+					return fmt.Errorf("cell %v: child %d landed but is not laid out under it", c.Key, oct)
+				}
+			}
+		default:
+			next := max(kids, -kids)
+			for oct := 0; oct < 8; oct++ {
+				if c.ChildMask&(1<<uint(oct)) == 0 {
+					continue
+				}
+				if int(next) >= cells.Len() || cells.At(int(next)).Key != c.Key.Child(oct) {
+					return fmt.Errorf("cell %v child %d is not at entry %d", c.Key, oct, next)
+				}
+				next++
+			}
 		}
-		return err == nil
-	})
-	e.imported.Range(func(k keys.Key, n *node[X]) bool {
-		if n.Cell.Kids != 0 {
-			err = fmt.Errorf("imported cell %v has child index %d", k, n.Cell.Kids)
+	}
+	for _, bk := range e.branches {
+		if err := e.sameSubtree(cells.Index(bk), e.Local.Cell(bk)); err != nil {
+			return err
 		}
-		return err == nil
-	})
-	return err
+	}
+	return nil
 }
 
-// Resolve is the multi-probe cell lookup the engine used before
-// traversals carried their table down the recursion: top tree
-// (authoritative above and at the branches; a remote leaf branch
-// resolves to its record without bodies, Unfetched), then the local
-// tree for cells this rank owns, then the imported cells. Kept as the
-// reference the table-carrying traversal is tested against.
-func (e *Engine[X, B]) Resolve(k keys.Key) (c *tree.Cell, x X, ok bool) {
-	if n := e.top.Ptr(k); n != nil {
-		return &n.Cell, n.Extra, true
+// sameSubtree compares the LET's entry i and what lies below it with
+// the local cell lc and its subtree.
+func (e *Engine[X, B]) sameSubtree(i int, lc *tree.Cell) error {
+	c, l := *e.let.Cells.At(i), *lc
+	if (c.Kids == 0) != (l.Kids == 0) {
+		return fmt.Errorf("own cell %v: child index %d, local %d", c.Key, c.Kids, l.Kids)
 	}
-	if e.OwnerOf(k) == e.C.Rank() {
-		if c := e.Local.Cell(k); c != nil {
-			return c, e.Phys.Extra(c), true
+	c.Kids, l.Kids = 0, 0
+	if c != l || !reflect.DeepEqual(e.letX[i], e.Phys.Extra(lc)) {
+		return fmt.Errorf("own cell %v differs from the local tree's", c.Key)
+	}
+	for j := 0; j < bits.OnesCount8(c.ChildMask) && !c.Leaf; j++ {
+		if err := e.sameSubtree(int(e.let.Cells.At(i).Kids)+j, e.Local.Cells.At(int(lc.Kids)+j)); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// Resolve looks a cell up in the LET by key, as the walks did before
+// the LET was laid out: another rank's leaf branch resolves to its
+// record, without bodies until they land (First == tree.Unfetched); a
+// cell whose family has not landed does not resolve.
+func (e *Engine[X, B]) Resolve(k keys.Key) (c *tree.Cell, x X, ok bool) {
+	i := e.let.Cells.Index(k)
+	if i < 0 {
 		return nil, x, false
 	}
-	if in := e.importedPtr(k); in != nil {
-		return &in.Cell, in.Extra, true
-	}
-	return nil, x, false
+	return e.let.Cells.At(i), e.letX[i], true
 }
 
 // RestartWalkGroups is the walk phase as this package ran it before
@@ -135,7 +200,7 @@ func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn
 		for _, gk := range todo {
 			g := e.Local.Cell(gk)
 			e.begin(gk, g)
-			missing = missing[:0]
+			e.extras, missing = e.extras[:0], missing[:0]
 			stack = append(stack[:0], keys.Root)
 			var visits uint64
 			for len(stack) > 0 {
@@ -152,14 +217,10 @@ func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn
 					continue
 				}
 				a := e.desc.Test(c)
-				if a == tree.Open && c.First == sentinelUnfetched {
+				if a == tree.Open && c.First == tree.Unfetched {
 					// A remote leaf branch is fetched only to be opened.
-					in := e.importedPtr(k)
-					if in == nil {
-						missing = append(missing, k)
-						continue
-					}
-					c, x = &in.Cell, in.Extra
+					missing = append(missing, k)
+					continue
 				}
 				visits++
 				switch {

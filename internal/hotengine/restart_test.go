@@ -208,6 +208,7 @@ type walkRecord struct {
 	rounds [npasses]int
 	remote [npasses]int
 	acc    map[int64]vec.V3 // gravity-pass forces by body ID
+	let    error            // the first CheckLET failure, after any pass or reset
 }
 
 // runPasses runs, on every rank of a fresh world, the traversal passes
@@ -246,6 +247,16 @@ func runPassesOn(global *core.System, np int, mode walkMode, partial, hashDescen
 
 		rec := walkRecord{acc: map[int64]vec.V3{}}
 		pass := 0
+		checkLET := func(when string) {
+			if err := e.CheckLET(); err != nil && rec.let == nil {
+				rec.let = fmt.Errorf("%s: %w", when, err)
+			}
+		}
+		reset := func() {
+			e.ResetImports()
+			checkLET(fmt.Sprintf("reset after %s", passNames[pass-1]))
+		}
+		checkLET("after the exchange")
 		run := func(label string, v hotengine.Visitor[vec.V3], eval hotengine.EvalFn, lists map[keys.Key][]uint64) {
 			before := e.Counters
 			r0 := e.Rounds
@@ -263,6 +274,7 @@ func runPassesOn(global *core.System, np int, mode walkMode, partial, hashDescen
 			}
 			rec.lists[pass], rec.ctr[pass] = lists, e.Counters.Sub(before)
 			rec.rounds[pass], rec.remote[pass] = e.Rounds-r0, e.RemoteCells
+			checkLET(fmt.Sprintf("after %s", passNames[pass]))
 			pass++
 		}
 		gravity := func(label string) {
@@ -282,15 +294,15 @@ func runPassesOn(global *core.System, np int, mode walkMode, partial, hashDescen
 		for i := 0; i < e.Sys.Len(); i++ {
 			rec.acc[e.Sys.ID[i]] = e.Sys.Acc[i]
 		}
-		e.ResetImports()
+		reset()
 		query("vwalk", 0)
-		e.ResetImports()
+		reset()
 		query("density", 0.15)
-		e.ResetImports()
+		reset()
 		query("forces", 0.15)
 		gravity("gravity")
 		if partial {
-			e.ResetImports()
+			reset()
 			gravity("partial")
 		}
 
@@ -299,6 +311,17 @@ func runPassesOn(global *core.System, np int, mode walkMode, partial, hashDescen
 		mu.Unlock()
 	})
 	return recs, w.TotalTraffic()
+}
+
+// letHeld fails the test if any rank's LET broke its layout (CheckLET)
+// after a pass or a reset.
+func letHeld(t *testing.T, where string, recs []walkRecord) {
+	t.Helper()
+	for r, rec := range recs {
+		if rec.let != nil {
+			t.Errorf("%s rank %d: %v", where, r, rec.let)
+		}
+	}
 }
 
 // sameLists fails the test unless run completed the groups of want in
@@ -328,6 +351,8 @@ func TestResumedWalkMatchesRestart(t *testing.T) {
 		name := fmt.Sprintf("np=%d", np)
 		want, wantTraffic := runPasses(np, restartWalk, false)
 		got, gotTraffic := runPasses(np, requestWalk, false)
+		letHeld(t, name+" restart", want)
+		letHeld(t, name+" requests", got)
 		if gotTraffic != wantTraffic {
 			t.Errorf("%s: traffic %+v, restart walk %+v", name, gotTraffic, wantTraffic)
 		}
@@ -368,6 +393,8 @@ func TestPushedWalkMatchesRequests(t *testing.T) {
 	for _, np := range []int{2, 4, 8} {
 		want, _ := runPasses(np, requestWalk, true)
 		got, _ := runPasses(np, pushedWalk, true)
+		letHeld(t, fmt.Sprintf("np=%d requests", np), want)
+		letHeld(t, fmt.Sprintf("np=%d pushed", np), got)
 		for r := 0; r < np; r++ {
 			var pushed, used uint64
 			for ps := 0; ps < npasses; ps++ {
@@ -409,6 +436,7 @@ func TestUnderPushFallsBackOnRequests(t *testing.T) {
 	for _, np := range []int{2, 4} {
 		want, _ := runPasses(np, requestWalk, true)
 		got, _ := runPasses(np, underPushed, true)
+		letHeld(t, fmt.Sprintf("np=%d under-pushed", np), got)
 		rounds := 0
 		for r := 0; r < np; r++ {
 			for _, ps := range []int{0, 4, 5} { // the gravity passes

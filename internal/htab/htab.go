@@ -80,12 +80,32 @@ func (t *Table[V]) Lookup(k keys.Key) (V, bool) {
 // pointer is invalidated by the next Insert (the entry slice may
 // move), so callers must not hold it across mutations.
 func (t *Table[V]) Ptr(k keys.Key) *V {
-	for i := t.buckets[t.hash(k)]; i >= 0; i = t.entries[i].next {
-		if t.entries[i].key == k {
-			return &t.entries[i].val
-		}
+	if i := t.Index(k); i >= 0 {
+		return &t.entries[i].val
 	}
 	return nil
+}
+
+// Index returns the insertion-order index of k's entry (At's i), or -1.
+func (t *Table[V]) Index(k keys.Key) int {
+	for i := t.buckets[t.hash(k)]; i >= 0; i = t.entries[i].next {
+		if t.entries[i].key == k {
+			return int(i)
+		}
+	}
+	return -1
+}
+
+// Truncate removes every entry from the n-th on, keeping the first n
+// and their indices. A chain runs from its newest entry to its oldest
+// (Insert prepends, grow relinks in entry order), so each entry removed
+// from the end is the head of its chain.
+func (t *Table[V]) Truncate(n int) {
+	for i := len(t.entries) - 1; i >= n; i-- {
+		t.buckets[t.hash(t.entries[i].key)] = t.entries[i].next
+	}
+	clear(t.entries[n:])
+	t.entries = t.entries[:n]
 }
 
 // At returns a pointer to the value of the i-th entry in insertion

@@ -134,6 +134,36 @@ func TestRangeInsertionOrder(t *testing.T) {
 	}
 }
 
+// TestTruncateKeepsThePrefix truncates across growth and across chains
+// that mix kept and removed entries: the kept keys keep their index and
+// value, the removed ones are gone, and the table takes new keys again.
+func TestTruncateKeepsThePrefix(t *testing.T) {
+	tb := New[int](4)
+	rng := rand.New(rand.NewSource(5))
+	var ks []keys.Key
+	for i := 0; i < 3000; i++ {
+		k := keys.Key(1<<30 | rng.Intn(1<<12)<<4) // many share low bits
+		if tb.Insert(k, i) {
+			ks = append(ks, k)
+		}
+	}
+	for _, n := range []int{len(ks), len(ks) / 2, 17, 0} {
+		tb.Truncate(n)
+		if tb.Len() != n {
+			t.Fatalf("Truncate(%d): len %d", n, tb.Len())
+		}
+		for i, k := range ks {
+			if got := tb.Index(k); (i < n && got != i) || (i >= n && got != -1) {
+				t.Fatalf("Truncate(%d): Index of entry %d = %d", n, i, got)
+			}
+		}
+	}
+	tb.Insert(ks[5], 5)
+	if tb.Index(ks[5]) != 0 || tb.Ptr(ks[6]) != nil {
+		t.Fatal("table unusable after truncation")
+	}
+}
+
 func TestKeysMatchesRange(t *testing.T) {
 	tb := New[int](4)
 	for i := 0; i < 50; i++ {

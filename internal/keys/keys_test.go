@@ -2,7 +2,6 @@ package keys
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -213,97 +212,12 @@ func TestNewDomainContainsAll(t *testing.T) {
 	}
 }
 
-func TestHilbertBijection(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 2000; i++ {
-		x := rng.Uint32() & coordMax
-		y := rng.Uint32() & coordMax
-		z := rng.Uint32() & coordMax
-		X := [3]uint32{x, y, z}
-		axesToTranspose(&X, coordBits)
-		transposeToAxes(&X, coordBits)
-		if X != [3]uint32{x, y, z} {
-			t.Fatalf("Hilbert transpose not invertible at (%d,%d,%d): got %v", x, y, z, X)
-		}
-	}
-}
-
-// Property: consecutive Hilbert-ordered cells are spatially adjacent
-// (the defining locality property of the Hilbert curve). Checked at a
-// coarse 4-bit resolution by full enumeration.
-func TestHilbertAdjacency(t *testing.T) {
-	const b = 4
-	const n = 1 << b
-	type pt struct{ x, y, z uint32 }
-	order := make(map[uint64]pt, n*n*n)
-	for x := uint32(0); x < n; x++ {
-		for y := uint32(0); y < n; y++ {
-			for z := uint32(0); z < n; z++ {
-				X := [3]uint32{x, y, z}
-				axesToTranspose(&X, b)
-				// Build the index by interleaving the transposed bits.
-				var idx uint64
-				for bit := b - 1; bit >= 0; bit-- {
-					for i := 0; i < 3; i++ {
-						idx = idx<<1 | uint64(X[i]>>uint(bit)&1)
-					}
-				}
-				order[idx] = pt{x, y, z}
-			}
-		}
-	}
-	if len(order) != n*n*n {
-		t.Fatalf("Hilbert index not a bijection: %d distinct indices", len(order))
-	}
-	idxs := make([]uint64, 0, len(order))
-	for i := range order {
-		idxs = append(idxs, i)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	for i := 1; i < len(idxs); i++ {
-		a, b2 := order[idxs[i-1]], order[idxs[i]]
-		d := absDiff(a.x, b2.x) + absDiff(a.y, b2.y) + absDiff(a.z, b2.z)
-		if d != 1 {
-			t.Fatalf("non-adjacent consecutive Hilbert cells: %+v -> %+v", a, b2)
-		}
-	}
-}
-
-func absDiff(a, b uint32) uint32 {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}
-
-func TestHilbertKeyFormat(t *testing.T) {
-	k := HilbertFromCoords(1, 2, 3)
-	if !k.Valid() || k.Level() != MaxLevel {
-		t.Fatalf("Hilbert key has wrong format: level %d", k.Level())
-	}
-	d := Domain{Origin: vec.V3{}, Size: 1}
-	k2 := d.HilbertKeyOf(vec.V3{X: 0.5, Y: 0.25, Z: 0.75})
-	if !k2.Valid() || k2.Level() != MaxLevel {
-		t.Fatalf("HilbertKeyOf wrong format: level %d", k2.Level())
-	}
-}
-
 func BenchmarkKeyFromPos(b *testing.B) {
 	d := Domain{Origin: vec.V3{}, Size: 1}
 	p := vec.V3{X: 0.123, Y: 0.456, Z: 0.789}
 	var sink Key
 	for i := 0; i < b.N; i++ {
 		sink ^= d.KeyOf(p)
-	}
-	_ = sink
-}
-
-func BenchmarkHilbertKey(b *testing.B) {
-	d := Domain{Origin: vec.V3{}, Size: 1}
-	p := vec.V3{X: 0.123, Y: 0.456, Z: 0.789}
-	var sink Key
-	for i := 0; i < b.N; i++ {
-		sink ^= d.HilbertKeyOf(p)
 	}
 	_ = sink
 }

@@ -10,8 +10,10 @@
 // moments and the critical radius RCrit precomputed from the
 // configured multipole acceptance criterion. The children of a cell
 // sit side by side in the table's entries (Cell.Kids), so a traversal
-// that stays inside one tree moves by index (Descend) and the hash is
-// probed only for a name: a group's leaf, a branch, a requested cell.
+// moves by index (Descend) and the hash is probed only for a name: a
+// group's leaf, a branch, a requested cell. The distributed engine lays
+// its locally essential tree out the same way and walks it with the same
+// Descend.
 package tree
 
 import (
@@ -51,8 +53,12 @@ type Cell struct {
 	// Kids is the index, among the entries of the tree's table, of this
 	// cell's first child; the others follow it in octant order, one per
 	// set bit of ChildMask. Zero (the root's entry, nobody's child)
-	// means none: a leaf, or a record that is not in a local tree -- a
-	// top-tree ancestor, another rank's branch, an imported cell.
+	// means none: a leaf, or children not here -- in a locally essential
+	// tree, another rank's cell whose family has not landed. Negative
+	// means the children are here, at -Kids, but no descent has entered
+	// them yet (a leaf's -1: its bodies, here unless First ==
+	// Unfetched); the first Descend to open the cell counts them
+	// (Descent.Entered) and makes Kids non-negative.
 	Kids int32
 	// ChildMask has bit o set when child octant o exists.
 	ChildMask uint8

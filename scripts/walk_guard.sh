@@ -11,7 +11,11 @@
 # to discover -> ask -> wait (6 rounds and one rewalked visit per useful
 # one here), the splitter search back to several collectives, or a
 # seventh collective into the step, fails without needing injected
-# latency to show it.
+# latency to show it. The push accounting is held too: on every rank
+# some pushed cell is used and none is used that was not pushed, and
+# with no request in the run every import was pushed -- Σ pushed is
+# Σ imported cells over all four evaluations (the report's remote_cells
+# is the last one's, so each rank's must be at most its pushed count).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -30,8 +34,12 @@ awk -F'[:,]' '
 	/"rounds"/             { ranks++; if ($2 + 0 > rounds) rounds = $2 + 0 }
 	/"split_rounds"/       { splits++; if ($2 + 0 > most) most = $2 + 0 }
 	/"collectives_per_step"/ && !colls { colls = $2 + 0 }
+	/"Requests"/ && !reqseen { reqs = $2 + 0; reqseen = 1 }
+	/"remote_cells"/       { remote[++nremote] = $2 + 0 }
+	/"pushed"/             { pushed[++npushed] = $2 + 0 }
+	/"push_used"/          { used[++nused] = $2 + 0 }
 	END {
-		if (!trav || !seen || ranks != 4 || splits != 4 || !colls) { print "walk guard: could not read the report"; exit 1 }
+		if (!trav || !seen || ranks != 4 || splits != 4 || !colls || !reqseen || nremote != 4 || npushed != 4 || nused != 4) { print "walk guard: could not read the report"; exit 1 }
 		printf "rewalked/traversals = %d/%d = %.2f\n", rew, trav, rew / trav
 		if (rew > 0.1 * trav) { print "walk guard: more than 0.1 rewalked visits per completed-walk visit"; exit 1 }
 		printf "request rounds per evaluation = %d\n", rounds
@@ -40,4 +48,11 @@ awk -F'[:,]' '
 		if (most != 1) { print "walk guard: the splitter search of a warm step took " most " collectives, want 1"; exit 1 }
 		printf "collectives per step = %d\n", colls
 		if (colls > 6) { print "walk guard: a warm step took " colls " collectives, want at most 6"; exit 1 }
+		for (r = 1; r <= 4; r++) {
+			printf "rank %d: pushed %d, used %d, imported %d in the last evaluation\n", r - 1, pushed[r], used[r], remote[r]
+			if (used[r] <= 0 || used[r] > pushed[r]) { print "walk guard: rank " r - 1 " used " used[r] " of " pushed[r] " pushed cells, want 0 < used <= pushed"; exit 1 }
+			if (remote[r] > pushed[r]) { print "walk guard: rank " r - 1 " imported " remote[r] " cells in one evaluation but was pushed " pushed[r] " in all"; exit 1 }
+		}
+		printf "requests = %d (every import pushed)\n", reqs
+		if (reqs != 0) { print "walk guard: " reqs " cells were requested, want every import pushed"; exit 1 }
 	}' "$OUT/report.json"
