@@ -7,7 +7,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/diag"
@@ -26,7 +25,7 @@ func main() {
 	dt := flag.Float64("dt", 0.02, "timestep")
 	sigma := flag.Float64("sigma", runner.RingSigma, "core smoothing radius")
 	theta := flag.Float64("theta", runner.RingTheta, "opening angle")
-	procs := flag.Int("procs", 1, "in-process ranks (>1 runs the distributed engine; remeshing off)")
+	procs := flag.Int("procs", 1, "in-process ranks")
 	obs := cliutil.ObsFlags("vortexsim")
 	flag.Parse()
 	if _, err := (cliutil.Flags{
@@ -34,7 +33,6 @@ func main() {
 	}).Validate(); err != nil {
 		cliutil.Fail("vortexsim", err)
 	}
-	obs.DistributedOnly(*procs)
 	obs.Start(*procs, runner.Attachments{})
 	defer obs.Close()
 
@@ -42,41 +40,29 @@ func main() {
 	sys := ic.RingPair(*sigma, *nTheta, *nCore)
 	fmt.Printf("initial particles: %d (paper run: 57,000)\n", sys.Len())
 
-	var total diag.Counters
-	var wall float64
-	if *procs > 1 {
-		// The distributed engine: each rank owns a slab of particles
-		// and the shared hotengine pipeline supplies the decomposition,
-		// branch exchange and push.
-		res := obs.Run(runner.Plan{
-			NP: *procs, Steps: *steps, DT: *dt, System: sys,
-			Physics: runner.Vortex{Sigma: *sigma, Theta: *theta},
-		})
-		sys, total, wall = res.Merged(), res.Counters, res.Wall.Seconds()
-		cliutil.PrintPhases("rank 0 phase breakdown:", res.Ranks[0])
-		c := vortex.Centroid(sys.Pos, sys.Alpha)
-		i := vortex.LinearImpulse(sys.Pos, sys.Alpha)
-		fmt.Printf("final state: centroid z=%.3f, impulse=(%.3f,%.3f,%.3f)\n", c.Z, i.X, i.Y, i.Z)
-	} else {
-		start := time.Now()
-		for s := 0; s < *steps; s++ {
-			ctr := vortex.Step(sys, *sigma, *theta, *dt)
-			total.Add(ctr)
-			if *remeshEvery > 0 && (s+1)%*remeshEvery == 0 {
-				before := sys.Len()
-				sys = vortex.Remesh(sys, *sigma/2, 1e-4)
-				fmt.Printf("step %3d: remesh %d -> %d particles\n", s, before, sys.Len())
-			}
-			if s%10 == 0 {
-				c := vortex.Centroid(sys.Pos, sys.Alpha)
-				i := vortex.LinearImpulse(sys.Pos, sys.Alpha)
-				fmt.Printf("step %3d: centroid z=%.3f, impulse=(%.3f,%.3f,%.3f)\n",
-					s, c.Z, i.X, i.Y, i.Z)
+	// Each rank owns a slab of particles; the shared hotengine pipeline
+	// supplies the decomposition, branch exchange and push, and the
+	// remesh is a collective of every rank.
+	plan := runner.Plan{
+		NP: *procs, Steps: *steps, DT: *dt, System: sys,
+		Physics: runner.Vortex{Sigma: *sigma, Theta: *theta},
+	}
+	if *remeshEvery > 0 {
+		plan.OnStep = func(rank, s int, e runner.Engine, _ diag.Counters) {
+			if s >= 0 && (s+1)%*remeshEvery == 0 {
+				before, after := e.(*vortex.ParallelEngine).Remesh(*sigma/2, 1e-4)
+				if rank == 0 {
+					fmt.Printf("step %3d: remesh %d -> %d particles\n", s, before, after)
+				}
 			}
 		}
-		wall = time.Since(start).Seconds()
 	}
-
+	res := obs.Run(plan)
+	sys, total, wall := res.Merged(), res.Counters, res.Wall.Seconds()
+	cliutil.PrintPhases("rank 0 phase breakdown:", res.Ranks[0])
+	c := vortex.Centroid(sys.Pos, sys.Alpha)
+	i := vortex.LinearImpulse(sys.Pos, sys.Alpha)
+	fmt.Printf("final state: centroid z=%.3f, impulse=(%.3f,%.3f,%.3f)\n", c.Z, i.X, i.Y, i.Z)
 	fmt.Printf("final particles: %d (paper ended at 360,000)\n", sys.Len())
 	fmt.Printf("vortex interactions: %d, flops: %d\n", total.VortexPP, total.Flops())
 	fmt.Printf("host: %.2fs, %.1f Mflops-equivalent\n", wall, float64(total.Flops())/wall/1e6)

@@ -11,40 +11,39 @@ import (
 
 	"repro/internal/diag"
 	"repro/internal/ic"
+	"repro/internal/runner"
 	"repro/internal/vortex"
 )
 
 func main() {
-	const (
-		sigma = 0.12 // core smoothing radius
-		theta = 0.5  // tree opening angle
-		dt    = 0.02
-	)
-	sys := ic.RingPair(sigma, 48, 4)
+	const np, steps, dt = 4, 24, 0.02
+	sys := ic.RingPair(runner.RingSigma, 48, 4)
 
-	fmt.Printf("two rings, %d vortex particles\n", sys.Len())
+	fmt.Printf("two rings, %d vortex particles on %d ranks\n", sys.Len(), np)
 	i0 := vortex.LinearImpulse(sys.Pos, sys.Alpha)
 	fmt.Printf("initial impulse: (%.4f, %.4f, %.4f) -- an inviscid invariant\n\n", i0.X, i0.Y, i0.Z)
 
-	var total diag.Counters
-	for s := 0; s < 24; s++ {
-		ctr := vortex.Step(sys, sigma, theta, dt)
-		total.Add(ctr)
-		if (s+1)%8 == 0 {
-			before := sys.Len()
-			sys = vortex.Remesh(sys, sigma/2, 1e-4)
-			fmt.Printf("step %2d: remeshed %5d -> %5d particles (core overlap restored)\n",
-				s, before, sys.Len())
-		}
-		if s%6 == 0 {
-			c := vortex.Centroid(sys.Pos, sys.Alpha)
-			i := vortex.LinearImpulse(sys.Pos, sys.Alpha)
-			fmt.Printf("step %2d: centroid z = %+.3f, impulse drift %.2e\n",
-				s, c.Z, i.Sub(i0).Norm()/i0.Norm())
-		}
+	res, err := runner.Run(runner.Plan{
+		NP: np, Steps: steps, DT: dt, System: sys,
+		Physics: runner.Vortex{Sigma: runner.RingSigma, Theta: runner.RingTheta},
+		OnStep: func(rank, s int, e runner.Engine, _ diag.Counters) {
+			if s >= 0 && (s+1)%8 == 0 {
+				before, after := e.(*vortex.ParallelEngine).Remesh(runner.RingSigma/2, 1e-4)
+				if rank == 0 {
+					fmt.Printf("step %2d: remeshed %5d -> %5d particles (core overlap restored)\n", s, before, after)
+				}
+			}
+		},
+	}, runner.Attachments{})
+	if err != nil {
+		panic(err)
 	}
 
-	fmt.Printf("\n%d vortex interactions, %d flops (%d per interaction)\n",
-		total.VortexPP, total.Flops(), diag.FlopsPerVortexInteract)
+	out := res.Merged()
+	c := vortex.Centroid(out.Pos, out.Alpha)
+	i := vortex.LinearImpulse(out.Pos, out.Alpha)
+	fmt.Printf("\nfinal: centroid z = %+.3f, impulse drift %.2e\n", c.Z, i.Sub(i0).Norm()/i0.Norm())
+	fmt.Printf("%d vortex interactions, %d flops (%d per interaction)\n",
+		res.Counters.VortexPP, res.Counters.Flops(), diag.FlopsPerVortexInteract)
 	fmt.Println("rings translated along +z while merging: the fusion the paper simulated")
 }

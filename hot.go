@@ -15,8 +15,9 @@
 //	}
 //
 // The parallel entry point runs the full distributed algorithm --
-// work-weighted Morton decomposition, branch exchange, batched
-// remote-cell requests -- on any number of simulated processors:
+// work-weighted Morton decomposition, branch exchange, a push of every
+// cell a peer's walk will open (batched requests only as the safety
+// net) -- on any number of simulated processors:
 //
 //	result, err := hot.RunParallel(hot.ParallelConfig{
 //	    Procs: 16, Steps: 10, Dt: 1e-3, Config: hot.Defaults(),

@@ -173,16 +173,6 @@ func ObsFlags(prog string) *Obs {
 // engine is set.
 func (o *Obs) instrumented() bool { return o.trace != "" || o.metrics != "" || o.http != "" }
 
-// DistributedOnly ends the process with exit 1 when such a flag is set
-// and procs selects vortexsim's serial path (the remeshing one), which
-// has no engine to observe.
-func (o *Obs) DistributedOnly(procs int) {
-	if o.instrumented() && procs <= 1 {
-		o.Log.Error("-trace/-metrics/-http instrument the distributed engine; use -procs > 1")
-		os.Exit(1)
-	}
-}
-
 // check ends the process with exit 1 on an environment error (a file
 // that cannot be written, an address that cannot be bound).
 func (o *Obs) check(what string, err error) {

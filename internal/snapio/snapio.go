@@ -111,33 +111,45 @@ func writeStripe(path string, sys *core.System, time float64, s, stripes int, lo
 }
 
 // ReadStriped loads a striped snapshot set written by WriteStriped.
+// The headers are checked before anything is allocated or indexed --
+// the CRC covers only the payload, and the files come from disk -- so
+// a hostile set is an error, never a panic: each stripe's records must
+// fit in its file and inside [0, NTotal), every stripe must agree on
+// NTotal, and the stripes must tile [0, NTotal) in order.
 func ReadStriped(dir, base string, stripes int) (*core.System, float64, error) {
-	var sys *core.System
-	var time float64
-	for s := 0; s < stripes; s++ {
-		h, payload, err := readStripe(stripeName(dir, base, s, stripes))
+	if stripes < 1 {
+		return nil, 0, fmt.Errorf("snapio: stripes must be >= 1")
+	}
+	hs := make([]*Header, stripes)
+	payloads := make([][]byte, stripes)
+	var next int64
+	for s := range hs {
+		h, payload, err := readStripe(stripeName(dir, base, s, stripes), s, stripes)
 		if err != nil {
 			return nil, 0, err
 		}
-		if int(h.Stripes) != stripes {
-			return nil, 0, fmt.Errorf("snapio: stripe count mismatch: file says %d, expected %d", h.Stripes, stripes)
+		if s > 0 && h.NTotal != hs[0].NTotal || h.Offset != next {
+			return nil, 0, fmt.Errorf("snapio: stripe %d (bodies %d+%d of %d) does not continue the set", s, h.Offset, h.NLocal, h.NTotal)
 		}
-		if sys == nil {
-			sys = core.New(int(h.NTotal))
-			sys.EnableDynamics()
-			time = h.Time
-		}
+		hs[s], payloads[s], next = h, payload, next+h.NLocal
+	}
+	if next != hs[0].NTotal {
+		return nil, 0, fmt.Errorf("snapio: stripes hold %d of %d bodies", next, hs[0].NTotal)
+	}
+	sys := core.New(int(next))
+	sys.EnableDynamics()
+	for s, h := range hs {
 		for i := int64(0); i < h.NLocal; i++ {
-			decodeBody(payload[i*recordBytes:], sys, int(h.Offset+i))
+			decodeBody(payloads[s][i*recordBytes:], sys, int(h.Offset+i))
 		}
 	}
-	if sys == nil {
-		return nil, 0, fmt.Errorf("snapio: no stripes read")
-	}
-	return sys, time, nil
+	return sys, hs[0].Time, nil
 }
 
-func readStripe(path string) (*Header, []byte, error) {
+// readStripe reads and checks stripe s of a set of stripes: its header
+// must name it, place its records inside [0, NTotal), and not claim
+// more records than the file holds; its payload must match the CRC.
+func readStripe(path string, s, stripes int) (*Header, []byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -148,11 +160,22 @@ func readStripe(path string) (*Header, []byte, error) {
 		return nil, nil, fmt.Errorf("snapio: short header in %s: %w", path, err)
 	}
 	h := decodeHeader(buf)
-	if h.Magic != Magic {
+	switch {
+	case h.Magic != Magic:
 		return nil, nil, fmt.Errorf("snapio: %s: bad magic %x", path, h.Magic)
-	}
-	if h.Version != Version {
+	case h.Version != Version:
 		return nil, nil, fmt.Errorf("snapio: %s: unsupported version %d", path, h.Version)
+	case int(h.Stripes) != stripes || int(h.Stripe) != s:
+		return nil, nil, fmt.Errorf("snapio: %s: says stripe %d of %d, expected %d of %d", path, h.Stripe, h.Stripes, s, stripes)
+	case h.NLocal < 0 || h.Offset < 0 || h.Offset > h.NTotal || h.NLocal > h.NTotal-h.Offset:
+		return nil, nil, fmt.Errorf("snapio: %s: bodies %d+%d outside [0, %d)", path, h.Offset, h.NLocal, h.NTotal)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	if h.NLocal > (st.Size()-headerBytes)/recordBytes {
+		return nil, nil, fmt.Errorf("snapio: %s: %d records claimed, the file holds %d bytes", path, h.NLocal, st.Size())
 	}
 	payload := make([]byte, h.NLocal*recordBytes)
 	if _, err := f.ReadAt(payload, int64(headerBytes)); err != nil {

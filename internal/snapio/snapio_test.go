@@ -144,3 +144,38 @@ func TestReadMissingFile(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 }
+
+// FuzzReadStriped holds ReadStriped to its contract on hostile files:
+// an error or a valid system, never a panic. The two inputs are the
+// stripe files of a two-stripe set; the first is also read alone as a
+// one-stripe set. The committed corpus has the two headers that used
+// to panic: an offset equal to the body count (an index past the
+// system) and a negative body count (a negative allocation).
+func FuzzReadStriped(f *testing.F) {
+	dir := f.TempDir()
+	if err := WriteStriped(dir, "seed", randomSystem(5, 6), 1.5, 2); err != nil {
+		f.Fatal(err)
+	}
+	a, _ := os.ReadFile(filepath.Join(dir, "seed.000-of-002.snap"))
+	b, _ := os.ReadFile(filepath.Join(dir, "seed.001-of-002.snap"))
+	f.Add(a, b)
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		dir := t.TempDir()
+		for name, data := range map[string][]byte{
+			"one.000-of-001.snap": a, "two.000-of-002.snap": a, "two.001-of-002.snap": b,
+		} {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for base, stripes := range map[string]int{"one": 1, "two": 2} {
+			sys, _, err := ReadStriped(dir, base, stripes)
+			if err != nil {
+				continue
+			}
+			if err := sys.Validate(); err != nil || len(sys.Vel) != sys.Len() {
+				t.Fatalf("%s: read an invalid system (%v)", base, err)
+			}
+		}
+	})
+}

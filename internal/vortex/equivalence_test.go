@@ -107,3 +107,84 @@ func TestParallelMatchesTreeEval(t *testing.T) {
 		}
 	}
 }
+
+// remeshAt remeshes global on np ranks onto the lattice of spacing h
+// and returns the new particles in ID order with the global counts
+// Remesh reported. Each rank takes its
+// domain and splits from an exchange of global's slabs; with piled set
+// the last rank then holds every particle and the others none, as far
+// from the ranks that own their nodes as a step could leave them.
+func remeshAt(t *testing.T, global *core.System, np int, piled bool, h, cut float64) (out *core.System, before, after int) {
+	t.Helper()
+	systems := make([]*core.System, np)
+	msg.Run(np, func(c *msg.Comm) {
+		e := NewParallel(c, scatterVortex(global, c), eqSigma, eqTheta)
+		e.Exchange()
+		if piled {
+			e.Sys = core.New(0)
+			if c.Rank() == np-1 {
+				e.Sys = global // Remesh reads the particles and replaces them
+			}
+		}
+		b, a := e.Remesh(h, cut)
+		systems[c.Rank()] = e.Sys
+		if c.Rank() == 0 {
+			before, after = b, a
+		}
+	})
+	out = core.New(after)
+	out.EnableVortex()
+	seen := make([]bool, after)
+	for _, s := range systems {
+		for i := 0; i < s.Len(); i++ {
+			id := s.ID[i]
+			if id < 0 || id >= int64(after) || seen[id] {
+				t.Fatalf("np=%d: ID %d out of range or repeated", np, id)
+			}
+			seen[id] = true
+			out.Pos[id], out.Alpha[id] = s.Pos[i], s.Alpha[i]
+		}
+	}
+	return out, before, after
+}
+
+// TestRemeshIsPartitionIndependent holds Remesh to a function of the
+// global particle set: the ring pair after three steps, remeshed on 1,
+// 2 and 8 ranks, from exchanged slabs and piled on one rank, and a tiny
+// pair on 6 ranks the same two ways, gives the same IDs, positions and
+// strengths bit for bit as on one rank.
+func TestRemeshIsPartitionIndependent(t *testing.T) {
+	var stepped *core.System
+	msg.Run(1, func(c *msg.Comm) {
+		e := NewParallel(c, ringPair(), eqSigma, eqTheta)
+		for s := 0; s < 3; s++ {
+			e.Step(0.02)
+		}
+		stepped = e.Sys
+	})
+	for _, tc := range []struct {
+		global *core.System
+		nps    []int
+	}{
+		{stepped, []int{2, 8}},
+		{twoRings(8, 1), []int{6}},
+	} {
+		ref, before, after := remeshAt(t, tc.global, 1, false, eqSigma/2, 1e-4)
+		if before != tc.global.Len() || after <= before {
+			t.Fatalf("one rank: remesh %d -> %d of %d particles", before, after, tc.global.Len())
+		}
+		for _, np := range append([]int{1}, tc.nps...) {
+			for _, piled := range []bool{false, true} {
+				got, b, a := remeshAt(t, tc.global, np, piled, eqSigma/2, 1e-4)
+				if b != before || a != after {
+					t.Fatalf("np=%d piled=%v: %d -> %d, one rank %d -> %d", np, piled, b, a, before, after)
+				}
+				for i := 0; i < after; i++ {
+					if got.Pos[i] != ref.Pos[i] || got.Alpha[i] != ref.Alpha[i] {
+						t.Fatalf("np=%d piled=%v: particle %d differs from one rank", np, piled, i)
+					}
+				}
+			}
+		}
+	}
+}

@@ -14,13 +14,14 @@ import (
 // ParallelEngine evaluates the vortex particle method on the
 // distributed hashed oct-tree, exactly as the paper ran the two-ring
 // fusion across Hyglac's 16 processors: the same decomposition,
-// branch-exchange and batched request machinery as gravity -- now
+// branch exchange and push of locally essential cells as gravity -- now
 // literally the same code, the shared pipeline in internal/hotengine
 // -- instantiated with vector-valued cell moments (total strength at
 // the strength-weighted centroid) and the Biot-Savart / stretching
 // kernels. Completed group walks are swept with the batched SoA
-// kernels (evalVelMono/evalVelPP), the same two-phase evaluation as
-// the serial TreeEval.
+// kernels (evalVelMono/evalVelPP); on one rank the evaluation is bit
+// for bit the serial tree walk its tests hold it to. Remesh
+// (remesh.go) is the collective that grows the particle set.
 type ParallelEngine struct {
 	*hotengine.Engine[vec.V3, VLeaf]
 	Sigma float64
@@ -165,7 +166,9 @@ func (e *ParallelEngine) evalGroup(_ keys.Key, g *tree.Cell, ctr *diag.Counters)
 	tg.store(sys.Vel[lo:hi], e.dAlpha[lo:hi])
 }
 
-// saved carries a particle's pre-step state across rank migrations.
+// saved is a particle's position and strength under its ID: the
+// pre-step state Step carries across rank migrations, and what Remesh
+// sends the owners of the particle's lattice nodes.
 type saved struct {
 	ID   int64
 	X, A vec.V3

@@ -81,20 +81,28 @@ func TestParallelVortexMatchesSerial(t *testing.T) {
 }
 
 func TestParallelVortexStep(t *testing.T) {
-	global := twoRings(24, 2)
-	const sigma, theta, dt = 0.15, 0.5, 0.05
-
-	// Serial reference trajectory via the serial Step.
-	serial := twoRings(24, 2)
-	for s := 0; s < 3; s++ {
-		Step(serial, sigma, theta, dt)
+	// The one-rank engine's trajectory is the reference for three ranks.
+	zSerial, _ := stepCentroid(twoRings(24, 2), 1)
+	zPar, totalN := stepCentroid(twoRings(24, 2), 3)
+	if totalN != twoRings(24, 2).Len() {
+		t.Fatalf("lost particles: %d of %d", totalN, twoRings(24, 2).Len())
 	}
-	zSerial := Centroid(serial.Pos, serial.Alpha).Z
+	// Both trajectories advance in +z and agree closely.
+	if zPar <= 0 || zSerial <= 0 {
+		t.Fatalf("rings did not advance: serial %v parallel %v", zSerial, zPar)
+	}
+	if math.Abs(zPar-zSerial) > 0.05*zSerial+1e-3 {
+		t.Fatalf("parallel trajectory deviates: %v vs %v", zPar, zSerial)
+	}
+}
 
-	var zPar float64
-	var totalN int
-	var mu sync.Mutex
-	msg.Run(3, func(c *msg.Comm) {
+// stepCentroid advances global three steps on np ranks and returns the
+// gathered centroid height and particle count.
+func stepCentroid(global *core.System, np int) (float64, int) {
+	const sigma, theta, dt = 0.15, 0.5, 0.05
+	var z float64
+	var n int
+	msg.Run(np, func(c *msg.Comm) {
 		e := NewParallel(c, scatterV(global, c), sigma, theta)
 		for s := 0; s < 3; s++ {
 			e.Step(dt)
@@ -114,22 +122,10 @@ func TestParallelVortexStep(t *testing.T) {
 					alpha = append(alpha, p.A)
 				}
 			}
-			mu.Lock()
-			zPar = Centroid(pos, alpha).Z
-			totalN = len(pos)
-			mu.Unlock()
+			z, n = Centroid(pos, alpha).Z, len(pos)
 		}
 	})
-	if totalN != global.Len() {
-		t.Fatalf("lost particles: %d of %d", totalN, global.Len())
-	}
-	// Both trajectories advance in +z and agree closely.
-	if zPar <= 0 || zSerial <= 0 {
-		t.Fatalf("rings did not advance: serial %v parallel %v", zSerial, zPar)
-	}
-	if math.Abs(zPar-zSerial) > 0.05*zSerial+1e-3 {
-		t.Fatalf("parallel trajectory deviates: %v vs %v", zPar, zSerial)
-	}
+	return z, n
 }
 
 func TestParallelVortexEmptyRanks(t *testing.T) {

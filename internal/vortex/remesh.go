@@ -1,10 +1,13 @@
 package vortex
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
+	"repro/internal/keys"
+	"repro/internal/msg"
 	"repro/internal/vec"
 )
 
@@ -23,73 +26,122 @@ func M4Prime(x float64) float64 {
 	}
 }
 
-// Remesh redistributes the particle strengths onto a regular lattice
-// of spacing h using the M4' kernel, returning a fresh particle set
-// positioned at lattice nodes. Nodes whose interpolated strength
-// magnitude falls below cut times the maximum are dropped. This
-// restores the core-overlap condition the method needs; it is the
-// operation that grew the paper's ring-fusion run from 57,000 to
-// 360,000 particles.
-func Remesh(sys *core.System, h, cut float64) *core.System {
-	type node struct{ x, y, z int }
-	acc := make(map[node]vec.V3)
-	for p := 0; p < sys.Len(); p++ {
-		px, py, pz := sys.Pos[p].X/h, sys.Pos[p].Y/h, sys.Pos[p].Z/h
-		ix, iy, iz := int(math.Floor(px)), int(math.Floor(py)), int(math.Floor(pz))
-		for dx := -1; dx <= 2; dx++ {
-			wx := M4Prime(px - float64(ix+dx))
-			if wx == 0 {
+// node is a lattice node, (x, y, z) times the spacing.
+type node struct{ x, y, z int }
+
+// pos is the node's position on the lattice of spacing h.
+func (nd node) pos(h float64) vec.V3 {
+	return vec.V3{X: float64(nd.x) * h, Y: float64(nd.y) * h, Z: float64(nd.z) * h}
+}
+
+// spread calls f for every lattice node of spacing h the M4' stencil
+// of a particle at p reaches, with its weight.
+func spread(p vec.V3, h float64, f func(nd node, w float64)) {
+	px, py, pz := p.X/h, p.Y/h, p.Z/h
+	ix, iy, iz := int(math.Floor(px)), int(math.Floor(py)), int(math.Floor(pz))
+	for dx := -1; dx <= 2; dx++ {
+		wx := M4Prime(px - float64(ix+dx))
+		if wx == 0 {
+			continue
+		}
+		for dy := -1; dy <= 2; dy++ {
+			wy := M4Prime(py - float64(iy+dy))
+			if wy == 0 {
 				continue
 			}
-			for dy := -1; dy <= 2; dy++ {
-				wy := M4Prime(py - float64(iy+dy))
-				if wy == 0 {
-					continue
-				}
-				for dz := -1; dz <= 2; dz++ {
-					wz := M4Prime(pz - float64(iz+dz))
-					if wz == 0 {
-						continue
-					}
-					nd := node{ix + dx, iy + dy, iz + dz}
-					acc[nd] = acc[nd].Add(sys.Alpha[p].Scale(wx * wy * wz))
+			for dz := -1; dz <= 2; dz++ {
+				if wz := M4Prime(pz - float64(iz+dz)); wz != 0 {
+					f(node{ix + dx, iy + dy, iz + dz}, wx*wy*wz)
 				}
 			}
 		}
 	}
-	// Find the cutoff scale.
+}
+
+// Remesh redistributes the particle strengths onto the regular lattice
+// of spacing h (origin 0) with the M4' kernel and replaces the
+// particles of every rank by the lattice nodes whose strength
+// magnitude exceeds cut times the global maximum. This restores the
+// core-overlap condition the method needs; it is the operation that
+// grew the paper's ring-fusion run from 57,000 to 360,000 particles.
+// It returns the global particle counts before and after.
+//
+// Remesh is collective, and uses the Domain and Splits of the last
+// evaluation (so it follows a step: a runner.Plan's OnStep at step >=
+// 0): a node belongs to the rank whose interval holds its key.
+// Each particle travels, in one alltoallv, to every rank owning one of
+// its nodes, and the owner sums each node's contributions in ascending
+// particle ID. One allreduce finds the maximum, and one allgather of
+// kept counts numbers the new particles in global (key, x, y, z) node
+// order. The result depends on the global particle set alone, never on
+// the rank count or how the particles were spread over the ranks.
+func (e *ParallelEngine) Remesh(h, cut float64) (before, after int) {
+	me := e.C.Rank()
+	owner := func(nd node) int { return e.OwnerOf(e.Domain.KeyOf(nd.pos(h))) }
+
+	send := make([][]saved, e.C.Size())
+	var to []int
+	for i := 0; i < e.Sys.Len(); i++ {
+		to = to[:0]
+		spread(e.Sys.Pos[i], h, func(nd node, _ float64) {
+			if r := owner(nd); !slices.Contains(to, r) {
+				to = append(to, r)
+			}
+		})
+		for _, r := range to {
+			send[r] = append(send[r], saved{ID: e.Sys.ID[i], X: e.Sys.Pos[i], A: e.Sys.Alpha[i]})
+		}
+	}
+	var in []saved
+	for _, b := range msg.Alltoallv(e.C, send, 56) {
+		in = append(in, b...)
+	}
+	slices.SortFunc(in, func(a, b saved) int { return cmp.Compare(a.ID, b.ID) })
+	acc := make(map[node]vec.V3)
+	for _, p := range in {
+		spread(p.X, h, func(nd node, w float64) {
+			if owner(nd) == me {
+				acc[nd] = acc[nd].Add(p.A.Scale(w))
+			}
+		})
+	}
+
 	maxA := 0.0
 	for _, a := range acc {
-		if v := a.Norm(); v > maxA {
-			maxA = v
-		}
+		maxA = math.Max(maxA, a.Norm())
 	}
-	thresh := cut * maxA
-	// Deterministic output order.
-	nodes := make([]node, 0, len(acc))
+	thresh := cut * msg.Allreduce(e.C, maxA, msg.MaxF64, 8)
+	type kept struct {
+		key keys.Key
+		nd  node
+	}
+	var out []kept
 	for nd, a := range acc {
 		if a.Norm() > thresh {
-			nodes = append(nodes, nd)
+			out = append(out, kept{e.Domain.KeyOf(nd.pos(h)), nd})
 		}
 	}
-	sort.Slice(nodes, func(i, j int) bool {
-		a, b := nodes[i], nodes[j]
-		if a.z != b.z {
-			return a.z < b.z
-		}
-		if a.y != b.y {
-			return a.y < b.y
-		}
-		return a.x < b.x
+	slices.SortFunc(out, func(a, b kept) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.nd.x, b.nd.x),
+			cmp.Compare(a.nd.y, b.nd.y), cmp.Compare(a.nd.z, b.nd.z))
 	})
-	out := core.New(len(nodes))
-	out.EnableDynamics()
-	out.EnableVortex()
-	for i, nd := range nodes {
-		out.Pos[i] = vec.V3{X: float64(nd.x) * h, Y: float64(nd.y) * h, Z: float64(nd.z) * h}
-		out.Alpha[i] = acc[nd]
-		out.Mass[i] = out.Alpha[i].Norm()
-		out.ID[i] = int64(i)
+
+	counts := msg.Allgather(e.C, [2]int{e.Sys.Len(), len(out)}, 16)
+	first := 0
+	for r, c := range counts {
+		before, after = before+c[0], after+c[1]
+		if r < me {
+			first += c[1]
+		}
 	}
-	return out
+	sys := core.New(len(out))
+	sys.EnableDynamics()
+	sys.EnableVortex()
+	for i, k := range out {
+		sys.Pos[i], sys.Alpha[i] = k.nd.pos(h), acc[k.nd]
+		sys.Mass[i] = sys.Alpha[i].Norm()
+		sys.ID[i] = int64(first + i)
+	}
+	e.Sys = sys
+	return before, after
 }

@@ -11,8 +11,8 @@ import (
 // The walk gathers accepted cell monopoles and leaf particles into a
 // vList, and the eval* kernels sweep the whole list target-major,
 // holding each target's six accumulators (velocity and dalpha/dt) in
-// registers across the source stream. Per-interaction arithmetic and
-// VortexPP accounting match velTile/velMono exactly.
+// registers across the source stream. Per-interaction arithmetic is
+// Pairwise's, and every list entry counts once toward VortexPP.
 
 // vList is the flat interaction list of one target group: source
 // particles as SoA position and strength columns, plus the accepted
@@ -80,10 +80,9 @@ func (t *vTargets) store(vel, dAlpha []vec.V3) {
 }
 
 // evalVelPP applies every source particle of the list to every
-// target: the batched velTile. Coincident pairs (r2 == 0, the group's
-// own bodies against themselves, or remesh duplicates) are skipped
-// exactly as in the fused kernel, and -- also matching velTile -- still
-// count toward VortexPP. Returns the interaction count.
+// target. Coincident pairs (r2 == 0, the group's own bodies against
+// themselves, or remesh duplicates) are skipped, and still count
+// toward VortexPP. Returns the interaction count.
 func evalVelPP(t *vTargets, l *vList, s2 float64) uint64 {
 	for p := range t.x {
 		xp, yp, zp := t.x[p], t.y[p], t.z[p]
@@ -130,9 +129,12 @@ func evalVelPP(t *vTargets, l *vList, s2 float64) uint64 {
 	return uint64(len(t.x)) * uint64(len(l.sx))
 }
 
-// evalVelMono applies every accepted cell monopole to every target:
-// the batched velMono, with the same sigma regularization (a
-// single-body cell reproduces the body-body interaction exactly).
+// evalVelMono applies every accepted cell monopole to every target
+// with the particle kernel's sigma regularization: a single-body cell
+// then reproduces the body-body interaction exactly, which matters
+// because force-split parallel trees contain deep single-body cells
+// whose critical radii are far smaller than the core size (the same
+// pitfall as softened gravity vs bare multipoles).
 // Returns the interaction count.
 func evalVelMono(t *vTargets, cells []cellMoment, s2 float64) uint64 {
 	for p := range t.x {

@@ -25,7 +25,6 @@ package vortex
 import (
 	"math"
 
-	"repro/internal/diag"
 	"repro/internal/vec"
 )
 
@@ -65,64 +64,12 @@ func Pairwise(pos, alpha []vec.V3, sigma float64, vel, dAlpha []vec.V3) uint64 {
 	return uint64(n) * uint64(n-1)
 }
 
-// velTile accumulates velocity and stretching on targets from a
-// disjoint source tile.
-func velTile(tpos, talpha []vec.V3, vel, dAlpha []vec.V3, spos, salpha []vec.V3, s2 float64, ctr *diag.Counters) {
-	for p := range tpos {
-		u := vel[p]
-		da := dAlpha[p]
-		ap := talpha[p]
-		for q := range spos {
-			r := tpos[p].Sub(spos[q])
-			r2 := r.Norm2()
-			if r2 == 0 {
-				continue // coincident particle (self during remesh)
-			}
-			d2 := r2 + s2
-			d := math.Sqrt(d2)
-			inv5 := 1 / (d2 * d2 * d)
-			g := (r2 + 2.5*s2) * inv5
-			gp := -3 * (r2 + 3.5*s2) * inv5 / d2
-			rxa := r.Cross(salpha[q])
-			u = u.Sub(rxa.Scale(fourPiInv * g))
-			da = da.Sub(ap.Cross(salpha[q]).Scale(fourPiInv * g))
-			da = da.Sub(rxa.Scale(fourPiInv * gp * ap.Dot(r)))
-		}
-		vel[p] = u
-		dAlpha[p] = da
-		ctr.VortexPP += uint64(len(spos))
-	}
-}
-
 // cellMoment accumulates a far-field monopole for a cluster: total
 // strength and strength-weighted centroid (falling back to the
 // geometric mean position for clusters whose |alpha| sums to ~0).
 type cellMoment struct {
 	ASum     vec.V3
 	Centroid vec.V3
-}
-
-// velMono applies a cluster's monopole to the targets with the same
-// sigma regularization as the particle kernel: a single-body cell
-// then reproduces the body-body interaction exactly, which matters
-// because force-split parallel trees contain deep single-body cells
-// whose critical radii are far smaller than the core size (the same
-// pitfall as softened gravity vs bare multipoles).
-func velMono(tpos, talpha []vec.V3, vel, dAlpha []vec.V3, m *cellMoment, s2 float64, ctr *diag.Counters) {
-	for p := range tpos {
-		r := tpos[p].Sub(m.Centroid)
-		r2 := r.Norm2()
-		d2 := r2 + s2
-		d := math.Sqrt(d2)
-		inv5 := 1 / (d2 * d2 * d)
-		g := (r2 + 2.5*s2) * inv5
-		gp := -3 * (r2 + 3.5*s2) * inv5 / d2
-		rxa := r.Cross(m.ASum)
-		vel[p] = vel[p].Sub(rxa.Scale(fourPiInv * g))
-		dAlpha[p] = dAlpha[p].Sub(talpha[p].Cross(m.ASum).Scale(fourPiInv * g))
-		dAlpha[p] = dAlpha[p].Sub(rxa.Scale(fourPiInv * gp * talpha[p].Dot(r)))
-		ctr.VortexPP++
-	}
 }
 
 // Diagnostics of a vortex particle field.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ic"
+	"repro/internal/msg"
 	"repro/internal/vec"
 )
 
@@ -139,7 +140,7 @@ func TestRemeshConservesStrengthAndImpulse(t *testing.T) {
 	s := ring(32, 4, 1.0, 1.0, 0.15, vec.V3{X: 0.3, Y: -0.2, Z: 0.1}, 4)
 	a0 := TotalStrength(s.Alpha)
 	i0 := LinearImpulse(s.Pos, s.Alpha)
-	out := Remesh(s, 0.07, 0) // no cutoff: exact conservation
+	out, _, _ := remeshAt(t, s, 1, false, 0.07, 0) // no cutoff: exact conservation
 	if out.Len() == 0 {
 		t.Fatal("remesh produced nothing")
 	}
@@ -159,7 +160,7 @@ func TestRemeshGrowsThinParticleSet(t *testing.T) {
 	// particles (the paper's 57k -> 360k growth over the run).
 	s := ring(64, 2, 1.0, 1.0, 0.05, vec.V3{}, 5)
 	n0 := s.Len()
-	out := Remesh(s, 0.03, 1e-4)
+	out, _, _ := remeshAt(t, s, 1, false, 0.03, 1e-4)
 	if out.Len() <= n0 {
 		t.Fatalf("remesh %d -> %d, expected growth", n0, out.Len())
 	}
@@ -169,9 +170,13 @@ func TestStepAdvancesRing(t *testing.T) {
 	s := ring(32, 3, 1.0, 1.0, 0.15, vec.V3{}, 6)
 	z0 := Centroid(s.Pos, s.Alpha).Z
 	i0 := LinearImpulse(s.Pos, s.Alpha)
-	for k := 0; k < 5; k++ {
-		Step(s, 0.15, 0.4, 0.05)
-	}
+	msg.Run(1, func(c *msg.Comm) {
+		e := NewParallel(c, s, 0.15, 0.4)
+		for k := 0; k < 5; k++ {
+			e.Step(0.05)
+		}
+		s = e.Sys
+	})
 	z1 := Centroid(s.Pos, s.Alpha).Z
 	if z1 <= z0 {
 		t.Fatalf("ring did not advance: %v -> %v", z0, z1)
@@ -220,7 +225,7 @@ func TestEnergyAndEnstrophyDiagnostics(t *testing.T) {
 	// just verify the diagnostic is stable under remesh (conserved
 	// approximately, since M4' smooths).
 	before := Enstrophy(s.Alpha)
-	out := Remesh(s, 0.07, 0)
+	out, _, _ := remeshAt(t, s, 1, false, 0.07, 0)
 	after := Enstrophy(out.Alpha)
 	if after <= 0 || after > 2*before {
 		t.Fatalf("enstrophy through remesh: %v -> %v", before, after)

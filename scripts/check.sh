@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repo-wide check: build (and an arm64 cross-build, so the kernels'
 # portable path cannot rot), vet, race tests, the smokes, the chaos
-# soak, the walk guard, the fuzzers, the one-runner constructor guard,
+# soak, the walk guard, the fuzzers, the one-runner guards,
 # the one-rank-record guard, the kernel-loop bounds-check-elimination
 # guard, and the allocation guard -- the benches that must run
 # allocation-free are diffed against the committed BENCH_baseline.json,
@@ -37,6 +37,11 @@ OUT=$(mktemp -d)
 trap 'rm -rf "$OUT"' EXIT
 go run ./cmd/sphsim -n 500 -steps 2 -procs 1 -metrics "$OUT/r.json" >/dev/null
 grep -q '"SPHPairs": [1-9]' "$OUT/r.json" || { echo "FAIL: sphsim -procs 1 wrote no RunReport with SPH pairs" >&2; exit 1; }
+echo "== vortexsim -procs 1 (the remesh is a collective of the engine: a RunReport with vortex interactions and a grown particle set)"
+go run ./cmd/vortexsim -ntheta 24 -procs 1 -steps 4 -remesh 2 -metrics "$OUT/v.json" >/dev/null
+grep -q '"VortexPP": [1-9]' "$OUT/v.json" || { echo "FAIL: vortexsim -procs 1 wrote no RunReport with vortex interactions" >&2; exit 1; }
+BODIES=$(sed -n 's/^  "bodies": \([0-9]*\),$/\1/p' "$OUT/v.json")
+[ "${BODIES:-0}" -gt 192 ] || { echo "FAIL: vortexsim -procs 1 -remesh 2 ended with ${BODIES:-no} bodies of 192 (2 rings x 24 x 4)" >&2; exit 1; }
 echo "== walk guard (counts at N=10000 np=4: rewalked/traversals <= 0.1, 0 request rounds, a warm step's splitter search 1 collective of at most 6)"
 sh scripts/walk_guard.sh
 echo "== fuzz (time-boxed: both splitter searches equal the reference bisection, ranks agree on which ran, never a panic, never a hung world)"
@@ -47,10 +52,17 @@ echo "== fuzz (time-boxed: a chaos spec parses to probabilities in [0, 1] or an 
 go test -run='^$' -fuzz=FuzzParseChaos -fuzztime=10s -fuzzminimizetime=10x ./internal/cliutil
 echo "== fuzz (time-boxed: a POST /jobs body decodes and validates to a runnable spec or an error, never a panic)"
 go test -run='^$' -fuzz=FuzzJobSpec -fuzztime=10s -fuzzminimizetime=10x ./internal/simserve
-echo "== one runner (engines are constructed in internal/runner and nowhere else outside tests)"
+echo "== fuzz (time-boxed: a striped snapshot set reads to a valid system or an error, never a panic)"
+go test -run='^$' -fuzz=FuzzReadStriped -fuzztime=10s -fuzzminimizetime=10x ./internal/snapio
+echo "== one runner (engines are constructed in internal/runner and nowhere else outside tests, and vortex runs have no serial path)"
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=runner \
 	'(parallel\.New|sph\.NewParallel|vortex\.NewParallel)\(' .; then
 	echo "FAIL: an engine constructed outside internal/runner: describe the run as a runner.Plan" >&2
+	exit 1
+fi
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
+	'vortex\.Step\(|TreeEval\(|DistributedOnly' .; then
+	echo "FAIL: a second vortex path: step and remesh through runner.Run (TreeEval is a test reference)" >&2
 	exit 1
 fi
 echo "== one rank record (an engine describes its rank through Record, as a metrics.RankInput, and no other way)"
