@@ -87,7 +87,11 @@ func main() {
 			base.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 			continue
 		case strings.HasPrefix(line, "pkg:"):
-			base.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			// The first package names the baseline; rows of a later
+			// one (the vortex kernels' ablation) join it by name.
+			if base.Pkg == "" {
+				base.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			}
 			continue
 		}
 		if !strings.HasPrefix(line, "Benchmark") {

@@ -6,6 +6,10 @@ var haveAVX2 = cpuHasAVX2()
 
 func cpuHasAVX2() bool
 
+// HaveAVX2 is the probe's verdict for the other packages' four-lane
+// kernels (internal/vortex), so that one probe selects every path.
+func HaveAVX2() bool { return haveAVX2 }
+
 // laneBlock is what the assembly reads its four targets from: x[4]
 // y[4] z[4] and eps2 in all four lanes.
 type laneBlock [16]float64

@@ -28,7 +28,11 @@ import (
 // discarded and re-fetched, because the force pass must see the
 // densities the owning ranks just computed, not the stale copies.
 // An optional third pass evaluates self-gravity with the gravity
-// walker over the same imported cells.
+// walker over the same imported cells. The pair loops and the
+// gatherer decide on squared distances and take a square root only
+// within a relative 2^-40 of the radius (sqBounds): no decision
+// differs from the exact Norm() test's. The serial reference the
+// engine is held to is in serial_test.go.
 type ParallelEngine struct {
 	*hotengine.Engine[hotengine.None, Leaf]
 	Cfg ParallelConfig
@@ -263,14 +267,18 @@ func (v *gatherer) MAC() bool { return false }
 // TestBound prunes a cell whose cube is entirely outside every search
 // sphere b encloses: its center is farther from b's box (one group's
 // center, in a traversal) than the largest radius plus the
-// half-diagonal.
+// half-diagonal. The squared distance decides outside sqBounds' margin
+// on either side of that reach; inside it the exact Norm() > reach
+// does, so every decision is the unsquared test's.
 func (v *gatherer) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
 	if c.N == 0 {
 		return tree.Skip
 	}
 	center, size := v.e.Domain.CellCenter(c.Key)
-	halfDiag := size * math.Sqrt(3) / 2
-	if center.Sub(b.Nearest(center)).Norm() > b.R+halfDiag {
+	reach := b.R + size*math.Sqrt(3)/2
+	d2 := center.Sub(b.Nearest(center)).Norm2()
+	near, far := sqBounds(reach)
+	if d2 > far || d2 > near && math.Sqrt(d2) > reach {
 		return tree.Skip
 	}
 	return tree.Open
@@ -301,20 +309,33 @@ func (e *ParallelEngine) hmax(lo, hi int32) float64 {
 
 // evalDensity computes rho by kernel summation for one group from its
 // gathered candidate block, with the same per-pair arithmetic and pair
-// accounting as the serial Density (self included).
+// accounting as the serial Density (self included). A candidate past
+// far is out without a square root (sqBounds); every other one takes
+// the serial loop's exact Norm() <= r, so the neighbour set and its
+// order are the serial loop's. The scan takes pos[j] - x, the exact
+// negation of x - pos[j] and so the same r2, because then the compiler
+// subtracts into the loaded value instead of copying x first.
 func (e *ParallelEngine) evalDensity(_ keys.Key, g *tree.Cell, ctr *diag.Counters) {
 	sys := e.Sys
 	cand := &e.cand
 	lo, hi := g.First, g.First+g.N
+	pos := cand.pos
+	mass := cand.mass[:len(pos)]
 	var pairs uint64
 	for i := lo; i < hi; i++ {
 		h := sys.H[i]
 		r := 2 * h
+		_, far := sqBounds(r)
+		norm := 1 / (math.Pi * h * h * h)
+		xi := sys.Pos[i]
 		rho := 0.0
-		for j := range cand.pos {
-			d := sys.Pos[i].Sub(cand.pos[j]).Norm()
-			if d <= r {
-				rho += cand.mass[j] * W(d, h)
+		for j := range pos {
+			r2 := pos[j].Sub(xi).Norm2()
+			if r2 > far {
+				continue
+			}
+			if d := math.Sqrt(r2); d <= r {
+				rho += mass[j] * w(d, h, norm)
 				pairs++
 			}
 		}
@@ -335,44 +356,78 @@ func (e *ParallelEngine) evalDensity(_ keys.Key, g *tree.Cell, ctr *diag.Counter
 // artificial viscosity for one group from its gathered candidate
 // block, matching the serial Forces pair for pair (self-pairs
 // excluded by particle ID, which is what the serial index test means
-// once neighbors can be remote copies).
+// once neighbors can be remote copies). The scan is evalDensity's:
+// a candidate past far is out, and every other one goes to
+// forceTarget.add, out of line, so the scan, where nearly every
+// candidate ends, keeps its few values in registers.
 func (e *ParallelEngine) evalForces(_ keys.Key, g *tree.Cell, ctr *diag.Counters) {
 	sys := e.Sys
-	cand := &e.cand
+	pos := e.cand.pos
 	lo, hi := g.First, g.First+g.N
 	p := &e.Cfg.Params
+	t := forceTarget{p: p, c: &e.cand}
 	for i := lo; i < hi; i++ {
-		hsml := sys.H[i]
-		r := 2 * hsml
-		Pi := p.pressure(sys.Rho[i])
-		var acc vec.V3
-		for j := range cand.pos {
-			if cand.id[j] == sys.ID[i] {
+		hsml, rhoi := sys.H[i], sys.Rho[i]
+		t.x, t.vel, t.id = sys.Pos[i], sys.Vel[i], sys.ID[i]
+		t.h, t.r, t.rho = hsml, 2*hsml, rhoi
+		t.term, t.cs = p.pressure(rhoi)/(rhoi*rhoi), p.soundSpeed(rhoi)
+		t.acc = vec.V3{}
+		_, far := sqBounds(t.r)
+		xi := t.x
+		for j := range pos {
+			if pos[j].Sub(xi).Norm2() > far {
 				continue
 			}
-			rij := sys.Pos[i].Sub(cand.pos[j])
-			if rij.Norm() > r {
-				continue
-			}
-			hbar := 0.5 * (hsml + cand.h[j])
-			Pj := p.pressure(cand.rho[j])
-			term := Pi/(sys.Rho[i]*sys.Rho[i]) + Pj/(cand.rho[j]*cand.rho[j])
-			// Artificial viscosity on approaching pairs.
-			if p.AlphaVisc > 0 {
-				vij := sys.Vel[i].Sub(cand.vel[j])
-				vr := vij.Dot(rij)
-				if vr < 0 {
-					mu := hbar * vr / (rij.Norm2() + 0.01*hbar*hbar)
-					rhob := 0.5 * (sys.Rho[i] + cand.rho[j])
-					cbar := 0.5 * (p.soundSpeed(sys.Rho[i]) + p.soundSpeed(cand.rho[j]))
-					term += (-p.AlphaVisc*cbar*mu + p.BetaVisc*mu*mu) / rhob
-				}
-			}
-			acc = acc.Sub(GradW(rij, hbar).Scale(cand.mass[j] * term))
-			ctr.SPHPairs++
+			t.add(j)
 		}
-		e.pressure[i] = acc
+		e.pressure[i] = t.acc
 	}
+	ctr.SPHPairs += t.pairs
+}
+
+// forceTarget is the force pass's target: what the pair term needs of
+// it, taken once per target by the serial loop's own expressions (the
+// pressure term P_i/rho_i^2 and the sound speed among them), and its
+// running sum.
+type forceTarget struct {
+	p                   *Params
+	c                   *candidates
+	x, vel              vec.V3
+	id                  int64
+	h, r, rho, term, cs float64
+	acc                 vec.V3
+	pairs               uint64
+}
+
+// add applies candidate j if the serial loop's exact test makes it a
+// neighbour (Norm() <= 2h, and not the target itself), with the
+// serial Forces' pair term: the symmetric pressure gradient, plus
+// viscosity on an approaching pair, weighted by j's mass. The gradient
+// is handed the distance instead of taking a second Norm.
+func (t *forceTarget) add(j int) {
+	cand, p := t.c, t.p
+	rij := t.x.Sub(cand.pos[j])
+	r2 := rij.Norm2()
+	d := math.Sqrt(r2)
+	if d > t.r || cand.id[j] == t.id {
+		return
+	}
+	hbar := 0.5 * (t.h + cand.h[j])
+	Pj := p.pressure(cand.rho[j])
+	term := t.term + Pj/(cand.rho[j]*cand.rho[j])
+	// Artificial viscosity on approaching pairs.
+	if p.AlphaVisc > 0 {
+		vij := t.vel.Sub(cand.vel[j])
+		vr := vij.Dot(rij)
+		if vr < 0 {
+			mu := hbar * vr / (r2 + 0.01*hbar*hbar)
+			rhob := 0.5 * (t.rho + cand.rho[j])
+			cbar := 0.5 * (t.cs + p.soundSpeed(cand.rho[j]))
+			term += (-p.AlphaVisc*cbar*mu + p.BetaVisc*mu*mu) / rhob
+		}
+	}
+	t.acc = t.acc.Sub(gradW(rij, d, hbar).Scale(cand.mass[j] * term))
+	t.pairs++
 }
 
 // gravVisitor drives the engine's gravity walker over the same

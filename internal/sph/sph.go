@@ -13,9 +13,6 @@ package sph
 import (
 	"math"
 
-	"repro/internal/core"
-	"repro/internal/diag"
-	"repro/internal/grav"
 	"repro/internal/keys"
 	"repro/internal/tree"
 	"repro/internal/vec"
@@ -23,9 +20,12 @@ import (
 
 // W returns the 3-D cubic spline kernel W(r, h), normalized so that
 // its integral over R^3 is 1. Support radius is 2h.
-func W(r, h float64) float64 {
+func W(r, h float64) float64 { return w(r, h, 1/(math.Pi*h*h*h)) }
+
+// w is W with its normalization n = 1/(pi h^3) passed in, so a loop
+// over one target's neighbours computes it once.
+func w(r, h, n float64) float64 {
 	q := r / h
-	n := 1 / (math.Pi * h * h * h)
 	switch {
 	case q < 1:
 		return n * (1 - 1.5*q*q + 0.75*q*q*q)
@@ -39,8 +39,11 @@ func W(r, h float64) float64 {
 
 // GradW returns the gradient of the kernel with respect to r_i, where
 // rij = r_i - r_j (a vector of magnitude r).
-func GradW(rij vec.V3, h float64) vec.V3 {
-	r := rij.Norm()
+func GradW(rij vec.V3, h float64) vec.V3 { return gradW(rij, rij.Norm(), h) }
+
+// gradW is GradW given r = rij.Norm(), which a pair loop has already
+// taken.
+func gradW(rij vec.V3, r, h float64) vec.V3 {
 	if r == 0 {
 		return vec.V3{}
 	}
@@ -57,6 +60,32 @@ func GradW(rij vec.V3, h float64) vec.V3 {
 		return vec.V3{}
 	}
 	return rij.Scale(dw / r)
+}
+
+// sqBounds brackets r for a test made on a squared distance: for every
+// float64 d2, d2 <= near implies math.Sqrt(d2) <= r and d2 > far
+// implies math.Sqrt(d2) > r, so only d2 in (near, far] needs the
+// square root to be compared with r exactly. The pair loops and the
+// gatherer decide everything outside that window without a root and
+// everything inside it with the exact test, so each decision is the
+// unsquared test's.
+//
+// Why, for 2^-500 <= r <= 2^500 (r normal, r*r neither overflowing nor
+// subnormal; u = 2^-53 is the unit roundoff): the rounded square root
+// is monotone and correctly rounded, so fl(sqrt(d2)) <= r needs
+// sqrt(d2) <= r + ulp(r)/2 <= r(1+u), i.e. d2 <= r^2 (1+u)^2 <
+// r^2 (1 + 2^-51). But far = fl(fl(r*r)(1 + 2^-40)) >= r^2 (1-u)^2
+// (1 + 2^-40) > r^2 (1 + 2^-41), so d2 > far rules that out. And
+// near = fl(fl(r*r)(1 - 2^-40)) <= r^2 (1+u)^2 (1 - 2^-40) < r^2, so
+// d2 <= near gives sqrt(d2) < r, and rounding cannot carry it past the
+// representable r. Outside that range, or for a NaN r, every d2 takes
+// the exact test (near = -1, far = +Inf).
+func sqBounds(r float64) (near, far float64) {
+	if !(r >= 0x1p-500 && r <= 0x1p500) {
+		return -1, math.Inf(1)
+	}
+	rr := r * r
+	return rr * (1 - 0x1p-40), rr * (1 + 0x1p-40)
 }
 
 // EOS selects the equation of state.
@@ -137,79 +166,4 @@ func Neighbors(tr *tree.Tree, x vec.V3, r float64, out []int32) []int32 {
 		}
 	}
 	return out
-}
-
-// Density fills sys.Rho by kernel summation over neighbors within 2h
-// (per-particle smoothing lengths from sys.H). The system must be
-// key-sorted with a tree built over it.
-func Density(tr *tree.Tree, p *Params) diag.Counters {
-	var ctr diag.Counters
-	sys := tr.Sys
-	var nb []int32
-	for i := 0; i < sys.Len(); i++ {
-		h := sys.H[i]
-		nb = Neighbors(tr, sys.Pos[i], 2*h, nb)
-		rho := 0.0
-		for _, j := range nb {
-			rho += sys.Mass[j] * W(sys.Pos[i].Sub(sys.Pos[j]).Norm(), h)
-		}
-		sys.Rho[i] = rho
-		ctr.SPHPairs += uint64(len(nb))
-	}
-	return ctr
-}
-
-// Forces fills sys.Acc with the symmetric SPH pressure force plus
-// Monaghan artificial viscosity. Density must be current. Gravity is
-// not included here (combine with the gravity driver when needed).
-func Forces(tr *tree.Tree, p *Params) diag.Counters {
-	var ctr diag.Counters
-	sys := tr.Sys
-	var nb []int32
-	for i := 0; i < sys.Len(); i++ {
-		hi := sys.H[i]
-		Pi := p.pressure(sys.Rho[i])
-		var acc vec.V3
-		nb = Neighbors(tr, sys.Pos[i], 2*hi, nb)
-		for _, j := range nb {
-			if int(j) == i {
-				continue
-			}
-			rij := sys.Pos[i].Sub(sys.Pos[int(j)])
-			hbar := 0.5 * (hi + sys.H[j])
-			Pj := p.pressure(sys.Rho[j])
-			term := Pi/(sys.Rho[i]*sys.Rho[i]) + Pj/(sys.Rho[j]*sys.Rho[j])
-			// Artificial viscosity on approaching pairs.
-			if p.AlphaVisc > 0 {
-				vij := sys.Vel[i].Sub(sys.Vel[int(j)])
-				vr := vij.Dot(rij)
-				if vr < 0 {
-					mu := hbar * vr / (rij.Norm2() + 0.01*hbar*hbar)
-					rhob := 0.5 * (sys.Rho[i] + sys.Rho[j])
-					cbar := 0.5 * (p.soundSpeed(sys.Rho[i]) + p.soundSpeed(sys.Rho[j]))
-					term += (-p.AlphaVisc*cbar*mu + p.BetaVisc*mu*mu) / rhob
-				}
-			}
-			acc = acc.Sub(GradW(rij, hbar).Scale(sys.Mass[j] * term))
-			ctr.SPHPairs++
-		}
-		sys.Acc[i] = acc
-	}
-	return ctr
-}
-
-// Step runs one full SPH evaluation (tree build, density, forces) and
-// returns the tree for reuse. mac and bucket follow the tree defaults
-// when zero-valued.
-func Step(sys *core.System, p *Params, bucket int) (*tree.Tree, diag.Counters) {
-	sys.EnableSPH()
-	sys.EnableDynamics()
-	d := keys.NewDomain(sys.Pos)
-	sys.AssignKeys(d)
-	sys.SortByKey()
-	tr := tree.Build(sys, d, grav.MACParams{Kind: grav.MACBarnesHut, Theta: 0.7, Quad: false}, bucket)
-	ctr := Density(tr, p)
-	ctr2 := Forces(tr, p)
-	ctr.Add(ctr2)
-	return tr, ctr
 }

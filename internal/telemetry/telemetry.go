@@ -210,8 +210,10 @@ func (s *Sampler) Contribute(rank int, rs metrics.RankInput) {
 	sl.mu.Lock()
 	sl.rs = rs
 	sl.mu.Unlock()
-	if int(s.arrived.Add(1)) == s.cfg.NP {
-		s.arrived.Store(0)
+	// Every NP-th arrival closes a step. The count only grows: zeroing
+	// it after the NP-th would drop an arrival that lands in between,
+	// from a rank already into its next step.
+	if s.arrived.Add(1)%int64(s.cfg.NP) == 0 {
 		s.assemble()
 	}
 }

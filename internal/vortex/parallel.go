@@ -19,9 +19,11 @@ import (
 // -- instantiated with vector-valued cell moments (total strength at
 // the strength-weighted centroid) and the Biot-Savart / stretching
 // kernels. Completed group walks are swept with the batched SoA
-// kernels (evalVelMono/evalVelPP); on one rank the evaluation is bit
-// for bit the serial tree walk its tests hold it to. Remesh
-// (remesh.go) is the collective that grows the particle set.
+// kernels (evalVelMono/evalVelPP, kernel.go): four targets per AVX2
+// register on amd64, bit for bit the Go loops that define them and run
+// everywhere else. On one rank the evaluation is bit for bit the
+// serial tree walk its tests hold it to. Remesh (remesh.go) is the
+// collective that grows the particle set.
 type ParallelEngine struct {
 	*hotengine.Engine[vec.V3, VLeaf]
 	Sigma float64

@@ -18,7 +18,7 @@ echo "== go vet"
 go vet ./...
 echo "== cross-build arm64 (no assembly kernel there: the Go loops are the production path)"
 GOARCH=arm64 go build ./...
-GOARCH=arm64 go vet ./internal/grav
+GOARCH=arm64 go vet ./internal/grav ./internal/vortex
 echo "== go test -race"
 go test -race ./...
 echo "== go test -race -count=1 (concurrency-heavy packages, uncached)"
@@ -54,7 +54,7 @@ echo "== fuzz (time-boxed: a POST /jobs body decodes and validates to a runnable
 go test -run='^$' -fuzz=FuzzJobSpec -fuzztime=10s -fuzzminimizetime=10x ./internal/simserve
 echo "== fuzz (time-boxed: a striped snapshot set reads to a valid system or an error, never a panic)"
 go test -run='^$' -fuzz=FuzzReadStriped -fuzztime=10s -fuzzminimizetime=10x ./internal/snapio
-echo "== one runner (engines are constructed in internal/runner and nowhere else outside tests, and vortex runs have no serial path)"
+echo "== one runner (engines are constructed in internal/runner and nowhere else outside tests, and vortex and SPH runs have no serial path)"
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=runner \
 	'(parallel\.New|sph\.NewParallel|vortex\.NewParallel)\(' .; then
 	echo "FAIL: an engine constructed outside internal/runner: describe the run as a runner.Plan" >&2
@@ -65,6 +65,10 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
 	echo "FAIL: a second vortex path: step and remesh through runner.Run (TreeEval is a test reference)" >&2
 	exit 1
 fi
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'sph\.Step\(' .; then
+	echo "FAIL: a second SPH path: run through runner.Run (the serial Density/Forces/Step are a test reference)" >&2
+	exit 1
+fi
 echo "== one rank record (an engine describes its rank through Record, as a metrics.RankInput, and no other way)"
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
 	'func \(e \*(Engine|ParallelEngine)[^)]*\) (Telemetry|TelemetrySample|Report)\(|RankSample' .; then
@@ -73,9 +77,9 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
 fi
 echo "== bce (the interaction kernels' Go loops stay bounds-check-free, -d=ssa/check_bce)"
 sh scripts/bce.sh
-echo "== benchcmp (allocs/op of the index descent, the sink-cell walk and evaluation, and the interaction kernels vs BENCH_baseline.json)"
+echo "== benchcmp (allocs/op of the index descent, the sink-cell walk and evaluation, and the gravity and vortex interaction kernels vs BENCH_baseline.json)"
 {
 	go test -run='^$' -bench='Ablation_(DescentIndex|SinkCells)' -benchtime=5x .
-	go test -run='^$' -bench='Ablation_Eval' -benchtime=100x .
+	go test -run='^$' -bench='Ablation_Eval' -benchtime=100x . ./internal/vortex
 } | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(DescentIndex|SinkCells|Eval)'
 echo "== ok"
