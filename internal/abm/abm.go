@@ -140,11 +140,7 @@ func (e *Engine[Req, Rep]) Round() [][]Rep {
 		}
 		replies[src] = reps
 	}
-	if e.OnReply != nil {
-		e.repRecv = msg.AlltoallvFunc(e.c, replies, e.repRecv, e.repBytes, e.OnReply)
-	} else {
-		e.repRecv = msg.AlltoallvInto(e.c, replies, e.repRecv, e.repBytes)
-	}
+	e.repRecv = msg.AlltoallvFunc(e.c, replies, e.repRecv, e.repBytes, nil, e.OnReply)
 	// The reply exchange above is the synchronization point: every
 	// server has finished reading this round's request batches, so the
 	// drained queues can be recycled for posting.

@@ -12,7 +12,7 @@
 // among the offsets where the work below can change, narrowed by
 // samples first and settled by the few bodies left in between
 // (sampleSplits; two allgathers, two vector allreduces). Bodies then
-// move with a single all-to-all exchange.
+// move in one exchange, a batch from every rank to every other.
 //
 // The paper's other observation is that the decomposition changes
 // slowly between timesteps, so a persistent Decomposer works
@@ -27,7 +27,11 @@
 // was not enough: the search then runs in full. The splits are the same
 // bits either way -- a function of the bodies and Np, never of what the
 // previous step left behind; only the count of collectives differs
-// (Stats.Rounds: 1 on a hit, 4 cold, 5 on a miss).
+// (Stats.Rounds: 1 on a hit, 4 cold, 5 on a miss). The same windows say
+// who can hold bodies for whom, so after a hit the exchange carries
+// only those batches (Decomposer.plan): on a warm step most pairs of
+// ranks have nothing to send each other, and under latency an empty
+// message waits like a full one (Stats.Batches counts what was sent).
 package domain
 
 import (
@@ -117,6 +121,11 @@ type Stats struct {
 	// SplitsReused reports that the fast path engaged: the previous
 	// splits were kept verbatim and the splitter search was skipped.
 	SplitsReused bool
+	// Batches is the number of body batches this rank sent in the
+	// exchange: one to every other rank after a full search or a Reuse
+	// check, only those the windows say may hold bodies after a settled
+	// one-allgather search (Decomposer.plan).
+	Batches int
 }
 
 // Decomposer carries the cross-step state of the incremental
@@ -152,8 +161,11 @@ type Decomposer struct {
 	cand    []uint64  // every rank's, merged: identical on all ranks
 	sums    []float64 // work below each of cand
 	below   []uint64  // per splitter, an offset known to lie below it
-	edges   []edge    // this rank's published bodies (hintedSplits)
+	edges   [2][]edge // this rank's published bodies, by parity of hinted
+	hinted  int       // one-allgather searches run
 	unknown []bool    // per candidate: inside some rank's unpublished interior
+	wins    []window  // every rank's, when the last search settled in one allgather
+	sends   []bool    // the exchange plan, row-major by (sender, receiver)
 	send    [][]Wire
 	perm    []int32
 	heads   []int
@@ -165,8 +177,16 @@ type Decomposer struct {
 // returned system is sorted by (Key, ID), exactly as core.Sorter
 // produces, regardless of which incremental shortcuts engaged.
 func (dc *Decomposer) Decompose(c *msg.Comm, sys *core.System, d keys.Domain) Result {
+	splits := dc.search(c, sys, d)
+	return dc.exchange(c, sys, d, splits, dc.plan(splits))
+}
+
+// search keys and sorts sys and returns the new splits: the previous
+// ones when Reuse keeps them, else what selectSplits finds.
+func (dc *Decomposer) search(c *msg.Comm, sys *core.System, d keys.Domain) []uint64 {
 	c.Phase("decompose")
 	dc.Last = Stats{}
+	dc.wins = nil
 
 	if dc.Sub != nil {
 		dc.Sub.Start("treebuild/sort")
@@ -212,12 +232,63 @@ func (dc *Decomposer) Decompose(c *msg.Comm, sys *core.System, d keys.Domain) Re
 		}
 		splits = dc.selectSplits(c, sys.Key, pw, p)
 	}
+	return splits
+}
 
+// plan returns the pairs of ranks between which the body exchange runs.
+// After a settled one-allgather search every rank holds every rank's
+// window, and sender r may hold a body in receiver d's new interval
+// [splits[d], splits[d+1]) only if one of r's published offsets lies in
+// it or r's unpublished interior overlaps it. That covers every body: a
+// body of r's is either published, or lies between the last head body
+// and the first tail body of r's sorted list, so its offset lies between
+// theirs, and the owner of an offset never falls as the offset rises.
+// Every rank evaluates this on the same gathered windows and the same
+// splits, so sender and receiver agree on every message without a
+// collective, and the bodies packed are the sorted list that was
+// published, so none can be bound for a rank the plan leaves out (the
+// exchange aborts the world if one is). As the search settles no
+// splitter inside an interior (FuzzSelectSplits checks), the interior's
+// receiver is also its bounding bodies'; the rule keeps the plan sound
+// without leaning on that. Without windows -- a full search, a Reuse
+// check, one rank -- it returns nil: every pair.
+func (dc *Decomposer) plan(splits []uint64) msg.Pairs {
+	if dc.wins == nil {
+		return nil
+	}
+	p := len(dc.wins)
+	owner := func(off uint64) int {
+		d, _ := slices.BinarySearch(splits, off+1) // the first split above off
+		return d - 1
+	}
+	sends := append(dc.sends[:0], make([]bool, p*p)...)
+	dc.sends = sends
+	for r := range dc.wins {
+		w := &dc.wins[r]
+		row := sends[r*p : (r+1)*p]
+		for _, e := range w.edges {
+			row[owner(e.off)] = true
+		}
+		if g := w.gap(); g > 0 {
+			for d := owner(w.edges[g-1].off); d <= owner(w.edges[g].off); d++ {
+				row[d] = true
+			}
+		}
+	}
+	return func(src, dst int) bool { return sends[src*p+dst] }
+}
+
+// exchange sends every body to the owner of its interval under splits
+// and unpacks what arrives, sending and receiving only the batches pairs
+// names (nil: all of them).
+func (dc *Decomposer) exchange(c *msg.Comm, sys *core.System, d keys.Domain, splits []uint64, pairs msg.Pairs) Result {
+	p, n := c.Size(), sys.Len()
 	// Pack send buffers: bodies are sorted, so each destination's
 	// bodies form one contiguous run and a single linear sweep finds
-	// every boundary. The buffers are reused across calls: the next
-	// call's collectives cannot be reached by any rank before this
-	// call's receivers are done reading, so overwriting is safe.
+	// every boundary. The buffers are reused across calls: on more than
+	// one rank the next call packs only after a collective of its own,
+	// which no rank gets past before every receiver has entered it, done
+	// reading this call's, so overwriting is safe.
 	if len(dc.send) < p {
 		dc.send = make([][]Wire, p)
 	}
@@ -232,6 +303,9 @@ func (dc *Decomposer) Decompose(c *msg.Comm, sys *core.System, d keys.Domain) Re
 		}
 		if r != c.Rank() {
 			moved += end - start
+			if pairs == nil || pairs(c.Rank(), r) {
+				dc.Last.Batches++
+			}
 		}
 		buf := send[r][:0]
 		for i := start; i < end; i++ {
@@ -257,7 +331,7 @@ func (dc *Decomposer) Decompose(c *msg.Comm, sys *core.System, d keys.Domain) Re
 		start = end
 	}
 
-	recv := msg.Alltoallv(c, send, WireBytes)
+	recv := msg.AlltoallvFunc(c, send, nil, WireBytes, pairs, nil)
 
 	// Unpack, preserving the field configuration of the input.
 	m := 0
@@ -387,14 +461,21 @@ func (w *window) gap() int {
 // verdict on every rank, from the same gathered data.
 func (dc *Decomposer) hintedSplits(c *msg.Comm, ks []keys.Key, pw []float64, p int) (splits []uint64, ok bool) {
 	n := len(ks)
-	edges := dc.edges[:0]
+	// The gathered windows alias every rank's edges, which are read up
+	// to the body exchange, and a rank the sparse exchange does not hold
+	// back may start its next search meanwhile. Two buffers in turn are
+	// enough: no rank gets past a search's allgather until every rank
+	// has entered it, done with the search before.
+	dc.hinted++
+	buf := &dc.edges[dc.hinted&1]
+	edges := (*buf)[:0]
 	for i := 0; i < n; i++ {
 		if i == hintWindow && n > 2*hintWindow {
 			i = n - hintWindow
 		}
 		edges = append(edges, edge{tree.KeyOffset(ks[i]), pw[i]})
 	}
-	dc.edges = edges
+	*buf = edges
 	wins := msg.Allgather(c, window{n: n, work: pw[n], edges: edges}, 16+16*len(edges))
 	dc.Last.Rounds++
 
@@ -455,6 +536,7 @@ func (dc *Decomposer) hintedSplits(c *msg.Comm, ks []keys.Key, pw []float64, p i
 			splits[s+1] = cand[k]
 		}
 	}
+	dc.wins = wins
 	return splits, true
 }
 

@@ -1,10 +1,18 @@
 package domain
 
 import (
+	"repro/internal/core"
 	"repro/internal/keys"
 	"repro/internal/msg"
 	"repro/internal/tree"
 )
+
+// decomposeDense is Decompose with the body exchange over every pair of
+// ranks whatever the search found, as it ran before the windows planned
+// it: the reference the planned exchange is tested against.
+func (dc *Decomposer) decomposeDense(c *msg.Comm, sys *core.System, d keys.Domain) Result {
+	return dc.exchange(c, sys, d, dc.search(c, sys, d), nil)
+}
 
 // bisectSplits is the splitter search this package ran before the
 // sample selection: a bisection on the 63-bit key-offset space, one

@@ -305,6 +305,9 @@ func fuzzWorld(np, shift, n int, rank, work, off func(i int) int) []byte {
 // splitter, a claim all ranks make or none -- a warm decomposer's
 // selection costs one collective or five accordingly, and nothing
 // panics or leaves a rank waiting (the watchdog would abort the world).
+// Where the one-allgather search settles, the exchange its windows plan
+// is the same on every rank and reaches every receiver of every body
+// (checkPlan).
 func FuzzSelectSplits(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 40})
@@ -340,9 +343,32 @@ func FuzzSelectSplits(f *testing.F) {
 		}
 		return owner(i)
 	}, some, rising))
+	// Worlds for the exchange plan the windows make, settled but for the
+	// one whose interior straddles a splitter, which the search declines.
+	f.Add(fuzzWorld(4, 20, 90, func(i int) int { return []int{0, 1, 3}[i/30] }, func(i int) int { // rank 2 empty and left so: one body carries two targets
+		if i == 59 {
+			return 31 * 8
+		}
+		return 8
+	}, func(i int) int { return i * 100 }))
+	f.Add(fuzzWorld(4, 20, 4*2*hintWindow, func(i int) int { return i / (2 * hintWindow) }, some, rising)) // every body published
+	f.Add(fuzzWorld(4, 0, big, owner, func(int) int { return 8 }, func(i int) int { return i }))           // each splitter the offset of the body above
+	f.Add(fuzzWorld(4, 20, big, func(i int) int {                                                          // rank 1's interior straddles what ranks 1 and 2 held
+		if i >= big/2 && i < big/2+big/8 {
+			return 1
+		}
+		return owner(i)
+	}, some, rising))
+	f.Add(fuzzWorld(4, 20, big, func(i int) int { // more strays, each one rank down, rank 0's to rank 3
+		if i%23 == 0 {
+			return (owner(i) + 3) % 4
+		}
+		return owner(i)
+	}, some, rising))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		np, ks, work := decodeFuzzWorld(data)
 		settled := make([]bool, np)
+		plans := make([][]bool, np)
 		w := msg.NewWorld(np)
 		w.StartWatchdog(msg.WatchdogConfig{Quiet: 5 * time.Second, Out: io.Discard})
 		err := w.RunErr(func(c *msg.Comm) {
@@ -360,11 +386,15 @@ func FuzzSelectSplits(f *testing.F) {
 			if np == 1 {
 				return
 			}
-			got, ok := new(Decomposer).hintedSplits(c, ks[r], pw, np)
+			hinted := new(Decomposer)
+			got, ok := hinted.hintedSplits(c, ks[r], pw, np)
 			if ok && !slices.Equal(got, want) {
 				t.Errorf("rank %d: one-allgather splits\n got %x\nwant %x", r, got, want)
 			}
 			settled[r] = ok
+			if ok {
+				plans[r] = checkPlan(t, hinted, got, ks[r], r)
+			}
 			// The selection as a decomposer runs it after an exchange.
 			warm := Decomposer{prev: make([]uint64, np+1)}
 			if got := warm.selectSplits(c, ks[r], pw, np); !slices.Equal(got, want) {
@@ -381,6 +411,40 @@ func FuzzSelectSplits(f *testing.F) {
 			if settled[r] != settled[0] {
 				t.Fatalf("rank %d settled=%v, rank 0 settled=%v: ranks took different branches", r, settled[r], settled[0])
 			}
+			if !slices.Equal(plans[r], plans[0]) {
+				t.Fatalf("rank %d planned the exchange\n%v\nrank 0\n%v", r, plans[r], plans[0])
+			}
 		}
 	})
+}
+
+// checkPlan holds the exchange plan of a settled one-allgather search on
+// rank r to what r's bodies ks need, and returns it, row-major by
+// (sender, receiver), for the comparison across ranks: every receiver r
+// holds a body for is planned, where the receiver of an offset is the
+// first rank whose upper split lies above it, as the exchange packs. And
+// no splitter falls inside r's unpublished interior -- where the search
+// would not know r's work below it -- so the interior's bodies all go
+// to one receiver.
+func checkPlan(t *testing.T, dc *Decomposer, splits []uint64, ks []keys.Key, r int) []bool {
+	pairs := dc.plan(splits)
+	owner := func(k keys.Key) int {
+		d := 0
+		for tree.KeyOffset(k) >= splits[d+1] {
+			d++
+		}
+		return d
+	}
+	for i, k := range ks {
+		if d := owner(k); !pairs(r, d) {
+			t.Errorf("rank %d: body %d (offset %x) goes to rank %d, which the plan leaves out (splits %x)", r, i, tree.KeyOffset(k), d, splits)
+			break
+		}
+	}
+	if n := len(ks); n > 2*hintWindow {
+		if lo, hi := owner(ks[hintWindow-1]), owner(ks[n-hintWindow]); lo != hi {
+			t.Errorf("rank %d: the unpublished interior goes to ranks %d to %d, yet the search settled", r, lo, hi)
+		}
+	}
+	return slices.Clone(dc.sends)
 }

@@ -289,6 +289,7 @@ func (e *Engine[X, B]) Record() metrics.RankInput {
 		Rounds:      e.Rounds,
 		RemoteCells: e.RemoteCells,
 		SplitRounds: e.dec.Last.Rounds,
+		BodyBatches: e.dec.Last.Batches,
 		Sent:        e.C.TrafficTotal(),
 		Bodies:      e.Sys.Len(),
 	}

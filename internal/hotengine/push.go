@@ -61,7 +61,7 @@ func (e *Engine[X, B]) push(v Visitor[X], active func(g *tree.Cell) bool) {
 		}
 		batches[r] = send
 	}
-	msg.AlltoallvFunc(e.C, batches, nil, e.cellBytes, func(_ int, ws []Wire[X, B]) {
+	msg.AlltoallvFunc(e.C, batches, nil, e.cellBytes, nil, func(_ int, ws []Wire[X, B]) {
 		for i := range ws {
 			e.importCell(ws[i], true)
 		}

@@ -77,6 +77,10 @@ type RankReport struct {
 	// SplitRounds is the number of collectives the rank's last
 	// decomposition spent finding the splitters (domain.Stats.Rounds).
 	SplitRounds int `json:"split_rounds"`
+	// BodyBatches is the number of body batches the rank sent in its
+	// last decomposition's exchange (domain.Stats.Batches): np-1 when
+	// every pair exchanged, fewer when the splitter windows planned it.
+	BodyBatches int `json:"body_batches"`
 	// Collectives is how many collectives the rank entered in its last
 	// step (the first evaluation when the run took none), counted by
 	// msg.Comm.Collectives: an allreduce or an allgather is one. Under
@@ -200,10 +204,12 @@ type RankInput struct {
 	Phases []diag.Phase
 	// Rounds and RemoteCells are the request rounds and imported cells
 	// since the engine's last exchange; SplitRounds the collectives its
-	// last decomposition spent finding the splitters (domain.Stats.Rounds).
+	// last decomposition spent finding the splitters (domain.Stats.Rounds)
+	// and BodyBatches the body batches it sent (domain.Stats.Batches).
 	Rounds      int
 	RemoteCells int
 	SplitRounds int
+	BodyBatches int
 	// Collectives is the msg.Comm.Collectives delta of the step just
 	// finished and StepNs the rank's own wall clock for it; whoever
 	// drives the steps fills both in (internal/runner).
@@ -260,6 +266,7 @@ func BuildReport(command string, wall float64, ranks []RankInput, w *msg.World, 
 			Rounds:      in.Rounds,
 			RemoteCells: in.RemoteCells,
 			SplitRounds: in.SplitRounds,
+			BodyBatches: in.BodyBatches,
 			Collectives: in.Collectives,
 			Pushed:      in.Counters.Pushed,
 			PushUsed:    in.Counters.PushUsed,
@@ -435,12 +442,12 @@ func (r *RunReport) Render(w io.Writer) {
 	}
 
 	fmt.Fprintf(w, "\nper-rank work:\n")
-	fmt.Fprintf(w, "  %4s %14s %16s %10s %12s %7s %8s %6s %6s %8s %8s\n",
-		"rank", "interactions", "flops", "sent msgs", "sent bytes", "rounds", "remote", "split", "colls", "pushed", "used")
+	fmt.Fprintf(w, "  %4s %14s %16s %10s %12s %7s %8s %6s %7s %6s %8s %8s\n",
+		"rank", "interactions", "flops", "sent msgs", "sent bytes", "rounds", "remote", "split", "batches", "colls", "pushed", "used")
 	for _, rr := range r.Ranks {
-		fmt.Fprintf(w, "  %4d %14d %16d %10d %12d %7d %8d %6d %6d %8d %8d\n",
-			rr.Rank, rr.Counters.Interactions(), rr.Flops,
-			rr.SentMsgs, rr.SentBytes, rr.Rounds, rr.RemoteCells, rr.SplitRounds, rr.Collectives, rr.Pushed, rr.PushUsed)
+		fmt.Fprintf(w, "  %4d %14d %16d %10d %12d %7d %8d %6d %7d %6d %8d %8d\n",
+			rr.Rank, rr.Counters.Interactions(), rr.Flops, rr.SentMsgs, rr.SentBytes, rr.Rounds,
+			rr.RemoteCells, rr.SplitRounds, rr.BodyBatches, rr.Collectives, rr.Pushed, rr.PushUsed)
 	}
 
 	if len(r.Phases) > 0 {

@@ -1,5 +1,7 @@
 package msg
 
+import "fmt"
+
 // Collectives are free generic functions (Go methods cannot be
 // generic). All ranks must call the same collectives in the same
 // order; reduction operators are applied in rank order so results are
@@ -106,6 +108,66 @@ func Allgather[T any](c *Comm, x T, bytes int) []T {
 	return Bcast(c, 0, v, total)
 }
 
+// Pairs is the plan of a sparse exchange: Pairs(src, dst) reports
+// whether rank src sends rank dst a message. The sender asks it for its
+// destinations and the receiver for its sources, so it must give every
+// rank the same answer -- a function of data every rank holds, such as
+// the result of an earlier collective; nothing checks that, and a pair
+// the two ends disagree on is a lost message or a receive that never
+// returns. nil is every pair: the dense all-to-all.
+type Pairs func(src, dst int) bool
+
+// UnplannedError is the abort cause of a sparse exchange in which a rank
+// held items for a peer its plan does not send to: they would have been
+// lost, so the world stops instead.
+type UnplannedError struct {
+	Src, Dst, Items int
+}
+
+func (e *UnplannedError) Error() string {
+	return fmt.Sprintf("msg: rank %d holds %d items for rank %d, which its exchange plan does not send to", e.Src, e.Items, e.Dst)
+}
+
+// exchange is the one all-to-all of this package, sparse in general:
+// this rank sends send[d] to every other rank d that pairs plans and
+// receives from every source that pairs plans to send here, into recv
+// (reused when its capacity allows) indexed by source; an unplanned
+// source's slot is T's zero value and its own slot is send[own]. Each
+// slot is handed to onRecv, if there is one, as it lands. Every rank
+// enters it, planned or not, so the tags of later collectives stay in
+// step.
+func exchange[T any](c *Comm, send, recv []T, bytesOf func(T) int, pairs Pairs, onRecv func(src int, x T)) []T {
+	p, me := c.Size(), c.Rank()
+	if len(send) != p {
+		panic("msg: an all-to-all needs one send value per rank")
+	}
+	tag := c.nextTag(opAlltoall)
+	for d := range send {
+		if d != me && (pairs == nil || pairs(me, d)) {
+			c.send(d, tag, send[d], bytesOf(send[d]))
+		}
+	}
+	if cap(recv) < p {
+		recv = make([]T, p)
+	}
+	recv = recv[:p]
+	for s := range recv {
+		switch {
+		case s == me:
+			recv[s] = send[s]
+		case pairs == nil || pairs(s, me):
+			recv[s] = c.Recv(s, tag).Data.(T)
+		default:
+			var zero T
+			recv[s] = zero
+		}
+		if onRecv != nil {
+			onRecv(s, recv[s])
+		}
+	}
+	return recv
+}
+
 // Alltoall sends the single value send[d] to rank d and returns what
 // every rank sent here, indexed by source, reusing recv when its
 // capacity allows. Each T is copied into its message, so the sender may
@@ -113,27 +175,7 @@ func Allgather[T any](c *Comm, x T, bytes int) []T {
 // is still shared, as in Alltoallv). bytesOf gives the logical wire
 // size of one value.
 func Alltoall[T any](c *Comm, send, recv []T, bytesOf func(T) int) []T {
-	if len(send) != c.Size() {
-		panic("msg: Alltoall needs one send value per rank")
-	}
-	tag := c.nextTag(opAlltoall)
-	for d := 0; d < c.Size(); d++ {
-		if d != c.Rank() {
-			c.send(d, tag, send[d], bytesOf(send[d]))
-		}
-	}
-	if cap(recv) < c.Size() {
-		recv = make([]T, c.Size())
-	}
-	recv = recv[:c.Size()]
-	for s := 0; s < c.Size(); s++ {
-		if s == c.Rank() {
-			recv[s] = send[s]
-		} else {
-			recv[s] = c.Recv(s, tag).Data.(T)
-		}
-	}
-	return recv
+	return exchange(c, send, recv, bytesOf, nil, nil)
 }
 
 // Alltoallv sends send[d] to rank d and returns what every rank sent
@@ -141,7 +183,7 @@ func Alltoall[T any](c *Comm, send, recv []T, bytesOf func(T) int) []T {
 // The received slices alias the senders' slices (in-process handoff);
 // receivers treat them as read-only.
 func Alltoallv[T any](c *Comm, send [][]T, bytesPer int) [][]T {
-	return AlltoallvInto(c, send, nil, bytesPer)
+	return AlltoallvFunc(c, send, nil, bytesPer, nil, nil)
 }
 
 // AlltoallvInto is Alltoallv reusing recv as the result's outer slice
@@ -149,38 +191,27 @@ func Alltoallv[T any](c *Comm, send [][]T, bytesPer int) [][]T {
 // steady-state exchanges -- the ABM round loop -- allocate nothing.
 // Pass nil to allocate fresh.
 func AlltoallvInto[T any](c *Comm, send, recv [][]T, bytesPer int) [][]T {
-	return Alltoall(c, send, recv, func(b []T) int { return bytesPer * len(b) })
+	return AlltoallvFunc(c, send, recv, bytesPer, nil, nil)
 }
 
-// AlltoallvFunc is AlltoallvInto that additionally invokes
-// onBatch(src, batch) as each source's batch lands (the local batch
-// at its own position in source order), so the caller can process
-// early arrivals while later sources are still in flight -- the
+// AlltoallvFunc is AlltoallvInto over the pairs the plan names (nil:
+// all of them), invoking onBatch(src, batch), when it is not nil, as
+// each source's batch lands (the local batch at its own position in
+// source order, an unplanned source's as nil), so the caller can
+// process early arrivals while later sources are still in flight -- the
 // incremental-delivery hook the tree walk imports cells through.
-// onBatch runs on the calling goroutine and must not communicate.
-func AlltoallvFunc[T any](c *Comm, send, recv [][]T, bytesPer int, onBatch func(src int, batch []T)) [][]T {
-	if len(send) != c.Size() {
-		panic("msg: Alltoallv needs one send slice per rank")
-	}
-	tag := c.nextTag(opAlltoall)
-	for d := 0; d < c.Size(); d++ {
-		if d != c.Rank() {
-			c.send(d, tag, send[d], bytesPer*len(send[d]))
+// onBatch runs on the calling goroutine and must not communicate. A
+// non-empty batch for a destination the plan does not send to aborts
+// the world with an *UnplannedError before anything is sent.
+func AlltoallvFunc[T any](c *Comm, send, recv [][]T, bytesPer int, pairs Pairs, onBatch func(src int, batch []T)) [][]T {
+	if pairs != nil {
+		for d, b := range send {
+			if d != c.Rank() && len(b) > 0 && !pairs(c.Rank(), d) {
+				c.Abort(&UnplannedError{Src: c.Rank(), Dst: d, Items: len(b)})
+			}
 		}
 	}
-	if cap(recv) < c.Size() {
-		recv = make([][]T, c.Size())
-	}
-	recv = recv[:c.Size()]
-	for s := 0; s < c.Size(); s++ {
-		if s == c.Rank() {
-			recv[s] = send[s]
-		} else {
-			recv[s] = c.Recv(s, tag).Data.([]T)
-		}
-		onBatch(s, recv[s])
-	}
-	return recv
+	return exchange(c, send, recv, func(b []T) int { return bytesPer * len(b) }, pairs, onBatch)
 }
 
 // Common reduction operators.

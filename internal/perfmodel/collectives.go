@@ -1,19 +1,42 @@
 package perfmodel
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Collective is the message pattern of one collective of internal/msg.
-type Collective int
+type Collective struct {
+	kind pattern
+	// pairs lists the (sender, receiver) pairs of a sparse all-to-all.
+	pairs [][2]int
+}
+
+type pattern int
 
 const (
+	reduceBcast pattern = iota
+	allToAll
+	sparseAllToAll
+)
+
+var (
 	// ReduceBcast is an Allreduce or an Allgather: every rank sends to
 	// rank 0, which waits for all of them, then a binomial-tree
 	// broadcast. 2(np-1) messages.
-	ReduceBcast Collective = iota
+	ReduceBcast = Collective{kind: reduceBcast}
 	// AllToAll is an Alltoall(v): every rank sends to every other and
 	// waits for what the others sent it. np(np-1) messages.
-	AllToAll
+	AllToAll = Collective{kind: allToAll}
 )
+
+// SparseAllToAll is an all-to-all over the given (sender, receiver)
+// pairs alone (msg.Pairs): a rank waits only for what the listed pairs
+// send it. Every ordered pair of distinct ranks is AllToAll; none is a
+// collective that costs nothing.
+func SparseAllToAll(pairs ...[2]int) Collective {
+	return Collective{kind: sparseAllToAll, pairs: pairs}
+}
 
 // latencyTrials is the sample size of ExpectedWall: the standard error
 // is under 0.5% of the mean for a step of a few dozen messages and
@@ -32,8 +55,28 @@ const latencyTrials = 20000
 // ranks downstream of it and nobody else: an all-to-all is not a
 // barrier, and the expectation has no closed form beyond one
 // collective. It is a mean over latencyTrials draws of a fixed
-// pseudo-random sequence, hence a pure function of its arguments.
+// pseudo-random sequence, hence a pure function of its arguments. A
+// sparse all-to-all draws a delay for every pair, as the dense one
+// does, and applies only those of the pairs that send, so in every
+// trial it ends no later than the dense one: fewer messages never
+// model slower. A pair that names a rank outside [0, np) or a rank
+// sending to itself panics.
 func ExpectedWall(ops []Collective, np int, prob float64, maxLatency time.Duration) time.Duration {
+	// sends[i][s*np+r] says whether s sends to r in op i (nil: all do).
+	sends := make([][]bool, len(ops))
+	for i, op := range ops {
+		if op.kind != sparseAllToAll {
+			continue
+		}
+		sends[i] = make([]bool, np*np)
+		for _, pr := range op.pairs {
+			s, r := pr[0], pr[1]
+			if s < 0 || s >= np || r < 0 || r >= np || s == r {
+				panic(fmt.Sprintf("perfmodel: pair %d -> %d on %d ranks", s, r, np))
+			}
+			sends[i][s*np+r] = true
+		}
+	}
 	rng := uint64(0x9e3779b97f4a7c15)
 	delay := func() float64 { // splitmix64, two uniforms per message
 		u := func() float64 {
@@ -53,9 +96,9 @@ func ExpectedWall(ops []Collective, np int, prob float64, maxLatency time.Durati
 	var sum float64
 	for trial := 0; trial < latencyTrials; trial++ {
 		clear(t)
-		for _, op := range ops {
-			switch op {
-			case ReduceBcast:
+		for i, op := range ops {
+			switch op.kind {
+			case reduceBcast:
 				for r := 1; r < np; r++ {
 					t[0] = max(t[0], t[r]+delay())
 				}
@@ -64,12 +107,15 @@ func ExpectedWall(ops []Collective, np int, prob float64, maxLatency time.Durati
 				for r := 1; r < np; r++ {
 					t[r] = max(t[r], t[r&(r-1)]+delay())
 				}
-			case AllToAll:
+			default:
 				copy(sent, t)
 				for r := range t {
 					for s := range sent {
-						if s != r {
-							t[r] = max(t[r], sent[s]+delay())
+						if s == r {
+							continue
+						}
+						if d := delay(); sends[i] == nil || sends[i][s*np+r] {
+							t[r] = max(t[r], sent[s]+d)
 						}
 					}
 				}

@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -52,7 +53,7 @@ func TestExpectedWallMatchesClosedFormOfOneCollective(t *testing.T) {
 // sets beside the measured op_wall_ms; the test pins only that the
 // model is deterministic and ranks the two the right way round.
 func TestExpectedWallOfTheUniformStep(t *testing.T) {
-	const rb, a2a = ReduceBcast, AllToAll
+	rb, a2a := ReduceBcast, AllToAll
 	ten := []Collective{rb, rb, rb, rb, rb, a2a, rb, rb, a2a, a2a} // box; 4 of search; bodies; branches; bounds; push; closing
 	six := []Collective{rb, rb, a2a, rb, a2a, rb}                  // box; search; bodies; branches+bounds; push; vote
 	before := ExpectedWall(ten, 4, 1.0/16, 128*time.Millisecond)
@@ -64,4 +65,74 @@ func TestExpectedWallOfTheUniformStep(t *testing.T) {
 		t.Errorf("six collectives modelled at %v, ten at %v", after, before)
 	}
 	t.Logf("ten collectives (78 messages) %v, six (48 messages) %v: predicted saving %v", before, after, before-after)
+}
+
+// The same step with the body exchange sparse, as a warm step sends it:
+// only the pairs of ranks whose intervals the splitter windows say can
+// hold bodies for each other. The test pins that the model is
+// deterministic, that a sparse exchange over every pair is the dense
+// one to the bit, that a lone sparse exchange of m messages ends with
+// the slowest of them (the closed form), and that any proper subset of
+// the pairs is modelled no slower than the dense exchange -- not on
+// average, in every draw, since a sparse exchange draws the dense one's
+// delays and drops some. EXPERIMENTS.md ("Sparse exchange") sets the
+// prediction for the pairs a dist-latency run planned beside the
+// measured op_wall_ms.
+func TestExpectedWallOfTheSparseExchange(t *testing.T) {
+	const np, q, l = 4, 1.0 / 16, 128 * time.Millisecond
+	rb := ReduceBcast
+	step := func(bodies Collective) []Collective {
+		return []Collective{rb, rb, bodies, rb, AllToAll, rb} // box; search; bodies; branches+bounds; push; vote
+	}
+	var every [][2]int
+	for s := 0; s < np; s++ {
+		for r := 0; r < np; r++ {
+			if s != r {
+				every = append(every, [2]int{s, r})
+			}
+		}
+	}
+	dense := ExpectedWall(step(AllToAll), np, q, l)
+	if all := ExpectedWall(step(SparseAllToAll(every...)), np, q, l); all != dense {
+		t.Errorf("every pair listed: %v, the dense exchange %v", all, dense)
+	}
+
+	neighbours := [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 3}, {3, 2}}
+	subsets := map[string][][2]int{
+		"none":                 nil,
+		"one":                  {{2, 1}},
+		"one way to the right": {{0, 1}, {1, 2}, {2, 3}},
+		"neighbours":           neighbours,
+		"all but one":          every[1:],
+	}
+	for bits := 1; bits < 1<<len(every)-1; bits += 97 { // a spread of the 4094 others
+		var sub [][2]int
+		for i, pr := range every {
+			if bits>>i&1 == 1 {
+				sub = append(sub, pr)
+			}
+		}
+		subsets[fmt.Sprintf("mask %#x", bits)] = sub
+	}
+	for name, sub := range subsets {
+		got := ExpectedWall(step(SparseAllToAll(sub...)), np, q, l)
+		if again := ExpectedWall(step(SparseAllToAll(sub...)), np, q, l); again != got {
+			t.Errorf("%s: same arguments, %v then %v", name, got, again)
+		}
+		if got > dense {
+			t.Errorf("%s (%d of %d pairs): %v, slower than the dense exchange's %v", name, len(sub), len(every), got, dense)
+		}
+		if m := len(sub); m > 0 {
+			lone := float64(ExpectedWall([]Collective{SparseAllToAll(sub...)}, np, q, l))
+			if want := maxOf(m, q, l); math.Abs(lone-want) > 0.05*want {
+				t.Errorf("%s alone: %.2f ms, closed form for the slowest of %d messages %.2f ms", name, lone/1e6, m, want/1e6)
+			}
+		}
+	}
+	for _, name := range []string{"none", "one", "one way to the right", "neighbours"} {
+		sub := subsets[name]
+		got := ExpectedWall(step(SparseAllToAll(sub...)), np, q, l)
+		t.Logf("six collectives, body exchange over %s (%d messages in the step): %v; dense (48) %v: saving %v",
+			name, 36+len(sub), got, dense, dense-got)
+	}
 }

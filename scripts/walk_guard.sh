@@ -7,11 +7,13 @@
 # its job) and at most 0.1 rewalked cell visits (missed first attempts
 # plus discovery descents) per completed-walk visit. And a warm step
 # must cost what it is designed to: the splitters found in the one
-# allgather, six collectives in all. A change that sends the walk back
-# to discover -> ask -> wait (6 rounds and one rewalked visit per useful
-# one here), the splitter search back to several collectives, or a
-# seventh collective into the step, fails without needing injected
-# latency to show it. The push accounting is held too: on every rank
+# allgather, six collectives in all, and the bodies sent only where the
+# splitter windows say they can be (fewer than the 12 batches of every
+# pair). A change that sends the walk back to discover -> ask -> wait (6
+# rounds and one rewalked visit per useful one here), the splitter
+# search back to several collectives, a seventh collective into the
+# step, or the body exchange back to every pair, fails without needing
+# injected latency to show it. The push accounting is held too: on every rank
 # some pushed cell is used and none is used that was not pushed, and
 # with no request in the run every import was pushed -- Σ pushed is
 # Σ imported cells over all four evaluations (the report's remote_cells
@@ -38,8 +40,9 @@ awk -F'[:,]' '
 	/"remote_cells"/       { remote[++nremote] = $2 + 0 }
 	/"pushed"/             { pushed[++npushed] = $2 + 0 }
 	/"push_used"/          { used[++nused] = $2 + 0 }
+	/"body_batches"/       { nbatches++; batches += $2 + 0 }
 	END {
-		if (!trav || !seen || ranks != 4 || splits != 4 || !colls || !reqseen || nremote != 4 || npushed != 4 || nused != 4) { print "walk guard: could not read the report"; exit 1 }
+		if (!trav || !seen || ranks != 4 || splits != 4 || !colls || !reqseen || nremote != 4 || npushed != 4 || nused != 4 || nbatches != 4) { print "walk guard: could not read the report"; exit 1 }
 		printf "rewalked/traversals = %d/%d = %.2f\n", rew, trav, rew / trav
 		if (rew > 0.1 * trav) { print "walk guard: more than 0.1 rewalked visits per completed-walk visit"; exit 1 }
 		printf "request rounds per evaluation = %d\n", rounds
@@ -48,6 +51,8 @@ awk -F'[:,]' '
 		if (most != 1) { print "walk guard: the splitter search of a warm step took " most " collectives, want 1"; exit 1 }
 		printf "collectives per step = %d\n", colls
 		if (colls > 6) { print "walk guard: a warm step took " colls " collectives, want at most 6"; exit 1 }
+		printf "body batches sent = %d of 12\n", batches
+		if (batches >= 12) { print "walk guard: a warm step sent " batches " body batches, every pair: the planned exchange did not engage"; exit 1 }
 		for (r = 1; r <= 4; r++) {
 			printf "rank %d: pushed %d, used %d, imported %d in the last evaluation\n", r - 1, pushed[r], used[r], remote[r]
 			if (used[r] <= 0 || used[r] > pushed[r]) { print "walk guard: rank " r - 1 " used " used[r] " of " pushed[r] " pushed cells, want 0 < used <= pushed"; exit 1 }
