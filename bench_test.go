@@ -272,120 +272,6 @@ func benchSink(b *testing.B, leaves bool) {
 func BenchmarkAblation_SinkLeaves(b *testing.B) { benchSink(b, true) }
 func BenchmarkAblation_SinkCells(b *testing.B)  { benchSink(b, false) }
 
-// --- interaction kernels: dispatching vs the Go loop ------------------------
-//
-// The production kernels as dispatched on this host (AVX2 on amd64
-// that has it) against their definition, the Go loops called directly,
-// on real interaction lists captured from a 100k-body clustered walk
-// so group sizes and list lengths are production ones. Both must run
-// allocation-free at steady state.
-
-// evalFixture is one group's captured evaluation input: the target
-// block and a deep copy of the interaction list the walk built for it.
-type evalFixture struct {
-	gpos  []vec.V3
-	gmass []float64
-	list  grav.InteractionList
-}
-
-// captureEvalFixtures walks a 100k-body clustered tree and snapshots
-// the interaction lists of up to maxGroups groups spread evenly across
-// the Morton order.
-func captureEvalFixtures(b *testing.B, maxGroups int) []evalFixture {
-	b.Helper()
-	sys, d := buildCluster(100000)
-	mac := grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-3, Quad: true}
-	tr := tree.Build(sys, d, mac, 16)
-	stride := len(tr.Groups) / maxGroups
-	if stride < 1 {
-		stride = 1
-	}
-	var w tree.Walker
-	var ctr diag.Counters
-	var out []evalFixture
-	cp := func(s []float64) []float64 { return append([]float64(nil), s...) }
-	for gi := 0; gi < len(tr.Groups) && len(out) < maxGroups; gi += stride {
-		gk := tr.Groups[gi]
-		g := tr.Cell(gk)
-		lo, hi := g.First, g.First+g.N
-		if m := w.Walk(tr, gk, sys.Pos[lo:hi], &ctr); m != nil {
-			b.Fatal("serial walk reported missing cells")
-		}
-		out = append(out, evalFixture{
-			gpos:  append([]vec.V3(nil), sys.Pos[lo:hi]...),
-			gmass: cp(sys.Mass[lo:hi]),
-			list: grav.InteractionList{
-				SX: cp(w.List.SX), SY: cp(w.List.SY), SZ: cp(w.List.SZ), SM: cp(w.List.SM),
-				CM: cp(w.List.CM), CX: cp(w.List.CX), CY: cp(w.List.CY), CZ: cp(w.List.CZ),
-				QXX: cp(w.List.QXX), QYY: cp(w.List.QYY), QZZ: cp(w.List.QZZ),
-				QXY: cp(w.List.QXY), QXZ: cp(w.List.QXZ), QYZ: cp(w.List.QYZ),
-				Self: w.List.Self,
-			},
-		})
-	}
-	return out
-}
-
-// evalPPFunc and evalM2PFunc are the signatures the dispatching kernels
-// and the Go loops share.
-type (
-	evalPPFunc  func(*grav.Targets, *grav.InteractionList, float64) uint64
-	evalM2PFunc func(*grav.Targets, *grav.InteractionList, bool, float64) uint64
-)
-
-func benchEvalPP(b *testing.B, evalPP evalPPFunc) {
-	fx := captureEvalFixtures(b, 48)
-	var tg grav.Targets
-	round := func() uint64 {
-		var n uint64
-		for i := range fx {
-			f := &fx[i]
-			tg.Load(f.gpos, f.gmass)
-			n += evalPP(&tg, &f.list, 1e-6)
-			if f.list.Self {
-				n += grav.EvalSelf(&tg, 1e-6)
-			}
-		}
-		return n
-	}
-	round() // warm-up: target block reaches its high-water mark
-	b.ReportAllocs()
-	b.ResetTimer()
-	var inter uint64
-	for i := 0; i < b.N; i++ {
-		inter = round()
-	}
-	b.ReportMetric(float64(inter), "interactions/op")
-}
-
-func BenchmarkAblation_EvalPP(b *testing.B)   { benchEvalPP(b, grav.EvalPP) }
-func BenchmarkAblation_EvalPPGo(b *testing.B) { benchEvalPP(b, grav.EvalPPGo) }
-
-func benchEvalM2P(b *testing.B, evalM2P evalM2PFunc) {
-	fx := captureEvalFixtures(b, 48)
-	var tg grav.Targets
-	round := func() uint64 {
-		var n uint64
-		for i := range fx {
-			f := &fx[i]
-			tg.Load(f.gpos, nil)
-			n += evalM2P(&tg, &f.list, true, 1e-6)
-		}
-		return n
-	}
-	round()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var inter uint64
-	for i := 0; i < b.N; i++ {
-		inter = round()
-	}
-	b.ReportMetric(float64(inter), "interactions/op")
-}
-
-func BenchmarkAblation_EvalM2P(b *testing.B)   { benchEvalM2P(b, grav.EvalM2P) }
-func BenchmarkAblation_EvalM2PGo(b *testing.B) { benchEvalM2P(b, grav.EvalM2PGo) }
-
 // --- tree-construction pipeline ------------------------------------------
 //
 // The radix sort of 100k bodies, the tree build over them, and a

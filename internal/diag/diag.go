@@ -46,10 +46,10 @@ const (
 
 // What the production kernels (internal/grav kernel.go) execute per
 // interaction the paper's accounting charges 38 (or 38+70) for: with a
-// hardware square root and divide there is no table, polynomial or
-// Newton step to pay for. Counted flops stay the paper's -- rates
-// remain comparable with its tables -- and the roofline, a statement
-// about this machine, uses these.
+// hardware square root and divide there is no table or polynomial to
+// pay for, and a Newton step only on the eight-lane path. Counted flops
+// stay the paper's -- rates remain comparable with its tables -- and
+// the roofline, a statement about this machine, uses these.
 const (
 	// ExecutedFlopsPerInteraction: 3 differences, 6 for r2, sqrt and
 	// divide, 3 multiplies to m/r and m/r^3, 7 to accumulate. (The
@@ -58,32 +58,35 @@ const (
 	// ExecutedFlopsPerQuadrupole: the extra operations of a
 	// monopole+quadrupole interaction (56 in all).
 	ExecutedFlopsPerQuadrupole = 34
+	// ExecutedFlopsPerNewton: what the eight-lane body-body kernel
+	// (which also runs monopole cells) executes beyond that. Its
+	// reciprocal is VRCP14PD, five FMAs of iteration and the check's
+	// FMA, subtract and two multiplies, an FMA counting 2, in place of
+	// the divide: 1 + 10 + 2 + 1 + 2 - 1.
+	ExecutedFlopsPerNewton = 15
 )
 
 // Bytes-moved accounting for the interaction kernels (internal/grav),
 // the denominator of the roofline's arithmetic intensity. The kernels
-// share each 32-byte source row (x,y,z,m) across a block of 4 targets
-// (the four lanes), so the memory traffic charged per interaction is
-// the row divided by the block height; target rows and accumulators
-// stay in registers for a whole sweep, so they are not charged against
-// DRAM bandwidth.
+// share each source row across the block of targets in a register's
+// lanes -- 8 with AVX-512, 4 with AVX2, 1 in the Go loops -- so the
+// memory traffic charged per interaction is the row divided by the
+// lane count; target rows and accumulators stay in registers for a
+// whole sweep, so they are not charged against DRAM bandwidth.
 const (
-	// BytesPerPPInteraction: 32-byte body source row / 4-target block.
-	BytesPerPPInteraction = 8
-	// BytesPerPCInteraction: 32-byte monopole row (cm,cx,cy,cz) / 4.
-	BytesPerPCInteraction = 8
-	// BytesPerQuadPCExtra: the six 8-byte quadrupole columns / 4,
-	// charged on top of BytesPerPCInteraction when quad terms run.
-	BytesPerQuadPCExtra = 12
+	// BytesPerSourceRow: a body source row (x,y,z,m) or a monopole row
+	// (cm,cx,cy,cz).
+	BytesPerSourceRow = 32
+	// BytesPerQuadRow: the six 8-byte quadrupole columns, read on top
+	// of the monopole row when quadrupole terms run.
+	BytesPerQuadRow = 48
 )
 
 // KernelBytes returns the bytes moved through the interaction kernels
-// under the accounting above: the roofline denominator paired with
-// Flops as the numerator.
-func (c *Counters) KernelBytes() uint64 {
-	return c.PP*BytesPerPPInteraction +
-		c.PC*BytesPerPCInteraction +
-		c.QuadPC*BytesPerQuadPCExtra
+// under the accounting above when lanes targets share each row: the
+// roofline denominator paired with Flops as the numerator.
+func (c *Counters) KernelBytes(lanes int) uint64 {
+	return ((c.PP+c.PC)*BytesPerSourceRow + c.QuadPC*BytesPerQuadRow) / uint64(lanes)
 }
 
 // Add accumulates other into c.
@@ -155,13 +158,25 @@ func (c *Counters) Flops() uint64 {
 }
 
 // ExecutedFlops returns the floating point operations the kernels
-// actually executed for the work Flops charges at the paper's rates
-// (vortex and SPH kernels execute what they are charged).
-func (c *Counters) ExecutedFlops() uint64 {
-	return (c.PP+c.PC)*ExecutedFlopsPerInteraction +
-		c.QuadPC*ExecutedFlopsPerQuadrupole +
+// actually executed for the work Flops charges at the paper's rates,
+// on the kernel path of the given lane count (vortex and SPH kernels
+// execute what they are charged).
+func (c *Counters) ExecutedFlops(lanes int) uint64 {
+	return c.ExecutedGravityFlops(lanes) +
 		c.VortexPP*FlopsPerVortexInteract +
 		c.SPHPairs*FlopsPerSPHPair
+}
+
+// ExecutedGravityFlops is ExecutedFlops' gravitational part. At eight
+// lanes every body-body and monopole interaction is charged the Newton
+// reciprocal, the four-lane tail blocks and the scalar self sweep
+// included, so the figure is an upper bound by their share.
+func (c *Counters) ExecutedGravityFlops(lanes int) uint64 {
+	f := (c.PP+c.PC)*ExecutedFlopsPerInteraction + c.QuadPC*ExecutedFlopsPerQuadrupole
+	if lanes == 8 {
+		f += (c.PP + c.PC - c.QuadPC) * ExecutedFlopsPerNewton
+	}
+	return f
 }
 
 // Timer accumulates wall-clock time per named phase.

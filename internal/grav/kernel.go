@@ -3,13 +3,18 @@
 // accumulator set starting at zero, the whole list swept once in list
 // order, rv := 1/math.Sqrt(r2) on the hardware's correctly rounded
 // square root and divide, the four sums added to the target's output
-// slots once at the end. On amd64 with AVX2 (kernel_amd64.go/.s) the
-// same loops run with four targets in the four lanes of a YMM register
-// and each source broadcast to all of them, using only lane-wise
+// slots once at the end. On amd64 (kernel_amd64.go/.s) the same loops
+// run with eight targets in the eight lanes of a ZMM register where
+// AVX-512 is usable, and four in a YMM register where only AVX2 is,
+// each source broadcast to all of them, using only lane-wise
 // subtract/multiply/add/sqrt/divide: every lane executes exactly the
 // scalar sequence below, so the assembly is bit-identical to these
-// loops by construction and a test holds it to that
-// (TestKernelAsmMatchesGo). Nothing selects a path but the CPU probe.
+// loops by construction and tests hold it to that at both widths
+// (TestKernelAsmMatchesGo, TestRsqrtLanesMatchGo). FMA appears only to
+// compute an exact residual, never in the value chain: the eight-lane
+// PP kernel takes rv from Newton steps where that residual proves the
+// result equals 1/math.Sqrt(r2), and from the divider otherwise.
+// Nothing selects a path but the CPU probe.
 //
 // Hardware 1/sqrt has the special-case table the Karp routine
 // documents (0 -> +Inf, +Inf -> 0, NaN or negative -> NaN, subnormals
@@ -22,11 +27,40 @@
 // one quadrupole interaction 56; the counters and every flop rate the
 // repo reports still charge the paper's 38 and 38+70, the cost of the
 // same interaction on the Karp reciprocal square root (grav.go's
-// scalar PPTile/PPSelf/M2P, kept as the paper-fidelity kernel).
+// scalar PPTile/PPSelf/M2P, kept as the paper-fidelity kernel), and
+// the eight-lane PP kernel's Newton steps and check execute 15 more.
 // diag.ExecutedFlops has the executed figures.
 package grav
 
 import "math"
+
+// HaveAVX2 is the probe's verdict for the other packages' four-lane
+// kernels (internal/vortex), so that one probe selects every path.
+func HaveAVX2() bool { return haveAVX2 }
+
+// KernelPath names the code path the CPU probe selected for EvalPP and
+// EvalM2P: "avx512", "avx2" or "go".
+func KernelPath() string {
+	switch {
+	case haveAVX512:
+		return "avx512"
+	case haveAVX2:
+		return "avx2"
+	}
+	return "go"
+}
+
+// Lanes is how many targets share each source row on that path: 8, 4,
+// or 1 for the Go loops.
+func Lanes() int {
+	switch {
+	case haveAVX512:
+		return 8
+	case haveAVX2:
+		return 4
+	}
+	return 1
+}
 
 // EvalPP applies every body source of the list to every target.
 // Returns the interaction count.

@@ -1,27 +1,67 @@
 package grav
 
-// haveAVX2 is the one-time CPUID/XGETBV probe: AVX2 present and the OS
-// saving YMM state. It is the only thing that selects a kernel path.
-var haveAVX2 = cpuHasAVX2()
+// haveAVX2 and haveAVX512 are the one-time CPUID/XGETBV probe. They are
+// the only thing that selects a kernel path: eight-lane blocks where
+// AVX-512 is usable, four-lane blocks where AVX2 is, the Go loops
+// elsewhere.
+var (
+	haveAVX2   = cpuHasAVX2()
+	haveAVX512 = cpuHasAVX512()
+)
 
-func cpuHasAVX2() bool
+func cpuid(leaf, sub uint32) (a, b, c, d uint32)
 
-// HaveAVX2 is the probe's verdict for the other packages' four-lane
-// kernels (internal/vortex), so that one probe selects every path.
-func HaveAVX2() bool { return haveAVX2 }
+func xgetbv() uint32
 
-// laneBlock is what the assembly reads its four targets from: x[4]
-// y[4] z[4] and eps2 in all four lanes.
-type laneBlock [16]float64
+// cpuHasAVX2: AVX2 present and the OS saving XMM and YMM state.
+func cpuHasAVX2() bool { return cpuHas(0x6, 1<<5) }
 
-// laneSums is what it writes: the four lanes' ax[4] ay[4] az[4]
-// pot[4], each accumulated from zero in list order.
-type laneSums [16]float64
+// cpuHasAVX512: everything cpuHasAVX2 requires, AVX512F, and the OS
+// saving the opmask and ZMM state too.
+func cpuHasAVX512() bool { return cpuHas(0xE6, 1<<5|1<<16) }
+
+// cpuHas reports whether CPUID leaf 7 exists, OSXSAVE and AVX are set
+// (leaf 1 ECX bits 27 and 28), XCR0 has every bit of xcr0 and leaf 7
+// EBX every bit of ebx7.
+func cpuHas(xcr0, ebx7 uint32) bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	if _, _, c, _ := cpuid(1, 0); c&0x18000000 != 0x18000000 {
+		return false
+	}
+	if xgetbv()&xcr0 != xcr0 {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&ebx7 == ebx7
+}
+
+// laneBlock is what the four-lane assembly reads its targets from:
+// x[4] y[4] z[4] and eps2 in all four lanes. laneBlock8 is the same at
+// eight lanes.
+type (
+	laneBlock  [16]float64
+	laneBlock8 [32]float64
+)
+
+// laneSums is what the four-lane assembly writes: the lanes' ax[4]
+// ay[4] az[4] pot[4], each accumulated from zero in list order.
+// laneSums8 is the same at eight lanes.
+type (
+	laneSums  [16]float64
+	laneSums8 [32]float64
+)
 
 // pp4 sweeps the n sources (sx, sy, sz, sm) over the block's targets.
 //
 //go:noescape
 func pp4(tg *laneBlock, sx, sy, sz, sm *float64, n int, out *laneSums)
+
+// pp8 is pp4 at eight lanes.
+//
+//go:noescape
+func pp8(tg *laneBlock8, sx, sy, sz, sm *float64, n int, out *laneSums8)
 
 // m2pQuad4 sweeps n monopole+quadrupole cells over the block's
 // targets; cols holds the slab columns in the order cm cx cy cz qxx
@@ -30,46 +70,88 @@ func pp4(tg *laneBlock, sx, sy, sz, sm *float64, n int, out *laneSums)
 //go:noescape
 func m2pQuad4(tg *laneBlock, cols *[10]*float64, n int, out *laneSums)
 
+// m2pQuad8 is m2pQuad4 at eight lanes.
+//
+//go:noescape
+func m2pQuad8(tg *laneBlock8, cols *[10]*float64, n int, out *laneSums8)
+
 // mulAdd4 runs n steps of eight independent four-lane
-// multiply-then-add chains and stores their lane-wise sum.
+// multiply-then-add chains and stores their lane-wise sum; mulAdd8 is
+// the same at eight lanes.
 //
 //go:noescape
 func mulAdd4(n int, out *[4]float64)
 
-// load gathers targets [i, i+4) of t into the lanes and returns how
-// many of them exist: the spare lanes of a group's last block repeat
-// its last target, and laneSums.addTo discards what they compute.
-func (b *laneBlock) load(t *Targets, i int) int {
-	m := min(4, len(t.X)-i)
-	for k := 0; k < 4; k++ {
-		j := i + min(k, m-1)
-		b[k], b[4+k], b[8+k] = t.X[j], t.Y[j], t.Z[j]
-	}
-	return m
-}
+//go:noescape
+func mulAdd8(n int, out *[8]float64)
 
-// addTo adds the first m lanes to targets [i, i+m) of t.
+func (b *laneBlock) load(t *Targets, i int) int  { return loadLanes(b[0:4], b[4:8], b[8:12], t, i) }
+func (b *laneBlock8) load(t *Targets, i int) int { return loadLanes(b[0:8], b[8:16], b[16:24], t, i) }
+
 func (s *laneSums) addTo(t *Targets, i, m int) {
-	for k := 0; k < m; k++ {
-		t.AX[i+k] += s[k]
-		t.AY[i+k] += s[4+k]
-		t.AZ[i+k] += s[8+k]
-		t.Pot[i+k] += s[12+k]
+	addLanes(s[0:4], s[4:8], s[8:12], s[12:16], t, i, m)
+}
+
+func (s *laneSums8) addTo(t *Targets, i, m int) {
+	addLanes(s[0:8], s[8:16], s[16:24], s[24:32], t, i, m)
+}
+
+// loadLanes gathers targets [i, i+len(x)) of t into the lanes x, y, z
+// and returns how many of them exist: the spare lanes of a group's
+// last block repeat its last target, and addLanes discards what they
+// compute.
+func loadLanes(x, y, z []float64, t *Targets, i int) int {
+	n := len(t.X)
+	tx, ty, tz := t.X[i:n], t.Y[i:n], t.Z[i:n]
+	last := min(len(x), len(tx)) - 1
+	if last < 0 {
+		return 0
+	}
+	y, z = y[:len(x)], z[:len(x)]
+	for k := range x {
+		j := min(k, last)
+		x[k], y[k], z[k] = tx[j], ty[j], tz[j]
+	}
+	return last + 1
+}
+
+// addLanes adds the first m lanes to targets [i, i+m) of t.
+func addLanes(ax, ay, az, pot []float64, t *Targets, i, m int) {
+	oax, oay, oaz, opot := t.AX[i:i+m], t.AY[i:i+m], t.AZ[i:i+m], t.Pot[i:i+m]
+	ax, ay, az, pot = ax[:m], ay[:m], az[:m], pot[:m]
+	for k := range oax {
+		oax[k] += ax[k]
+		oay[k] += ay[k]
+		oaz[k] += az[k]
+		opot[k] += pot[k]
 	}
 }
 
+// pp and m2pQuad take eight-lane blocks while more than four targets
+// remain and finish with four-lane ones, so a group pads no more lanes
+// than at four.
 func pp(t *Targets, sx, sy, sz, sm []float64, eps2 float64) {
 	if !haveAVX2 {
 		ppGo(t, sx, sy, sz, sm, eps2)
 		return
 	}
 	n := len(sm)
-	sx, sy, sz = sx[:n], sy[:n], sz[:n]
+	x, y, z, m0 := &sx[:n][0], &sy[:n][0], &sz[:n][0], &sm[0]
+	i := 0
+	if haveAVX512 {
+		tg := laneBlock8{24: eps2, eps2, eps2, eps2, eps2, eps2, eps2, eps2}
+		var out laneSums8
+		for ; len(t.X)-i > 4; i += 8 {
+			m := tg.load(t, i)
+			pp8(&tg, x, y, z, m0, n, &out)
+			out.addTo(t, i, m)
+		}
+	}
 	tg := laneBlock{12: eps2, eps2, eps2, eps2}
 	var out laneSums
-	for i := 0; i < len(t.X); i += 4 {
+	for ; i < len(t.X); i += 4 {
 		m := tg.load(t, i)
-		pp4(&tg, &sx[0], &sy[0], &sz[0], &sm[0], n, &out)
+		pp4(&tg, x, y, z, m0, n, &out)
 		out.addTo(t, i, m)
 	}
 }
@@ -85,9 +167,19 @@ func m2pQuad(t *Targets, l *InteractionList, eps2 float64) {
 		&l.QXX[:n][0], &l.QYY[:n][0], &l.QZZ[:n][0],
 		&l.QXY[:n][0], &l.QXZ[:n][0], &l.QYZ[:n][0],
 	}
+	i := 0
+	if haveAVX512 {
+		tg := laneBlock8{24: eps2, eps2, eps2, eps2, eps2, eps2, eps2, eps2}
+		var out laneSums8
+		for ; len(t.X)-i > 4; i += 8 {
+			m := tg.load(t, i)
+			m2pQuad8(&tg, &cols, n, &out)
+			out.addTo(t, i, m)
+		}
+	}
 	tg := laneBlock{12: eps2, eps2, eps2, eps2}
 	var out laneSums
-	for i := 0; i < len(t.X); i += 4 {
+	for ; i < len(t.X); i += 4 {
 		m := tg.load(t, i)
 		m2pQuad4(&tg, &cols, n, &out)
 		out.addTo(t, i, m)
@@ -95,14 +187,23 @@ func m2pQuad(t *Targets, l *InteractionList, eps2 float64) {
 }
 
 // PeakProbe executes n steps of eight independent multiply-then-add
-// chains, the kernels' instruction mix (four lanes wide when the
-// kernels are), and returns the flops that took and a value depending
-// on every chain: the roofline's compute-ceiling probe.
+// chains, the kernels' instruction mix at the kernels' width (eight
+// lanes, four, or scalar), and returns the flops that took and a value
+// depending on every chain: the roofline's compute-ceiling probe.
 func PeakProbe(n int) (flops, witness float64) {
-	if !haveAVX2 {
-		return peakProbeGo(n)
+	switch {
+	case haveAVX512:
+		var out [8]float64
+		mulAdd8(n, &out)
+		w := 0.0
+		for _, v := range out {
+			w += v
+		}
+		return 8 * 16 * float64(n), w
+	case haveAVX2:
+		var out [4]float64
+		mulAdd4(n, &out)
+		return 4 * 16 * float64(n), out[0] + out[1] + out[2] + out[3]
 	}
-	var out [4]float64
-	mulAdd4(n, &out)
-	return 4 * 16 * float64(n), out[0] + out[1] + out[2] + out[3]
+	return peakProbeGo(n)
 }

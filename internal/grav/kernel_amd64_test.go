@@ -43,17 +43,23 @@ func (t *Targets) clone() *Targets {
 		AX: dup(t.AX), AY: dup(t.AY), AZ: dup(t.AZ), Pot: dup(t.Pot)}
 }
 
-// sameColumns fails unless the four output columns agree bit for bit.
-// With nanClass, two NaNs of different payload also agree: which
-// operand's NaN an add keeps is the one thing operand order (free in
-// both the compiler and the assembly) may change.
+// sameBits reports whether x and y are the same bits or, with
+// nanClass, both NaN: which operand's NaN an add keeps is the one
+// thing operand order (free in both the compiler and the assembly) may
+// change.
+func sameBits(x, y float64, nanClass bool) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || nanClass && math.IsNaN(x) && math.IsNaN(y)
+}
+
+// sameColumns fails unless the four output columns agree bit for bit
+// (NaNs by class with nanClass).
 func sameColumns(t *testing.T, tag string, a, b *Targets, nanClass bool) {
 	t.Helper()
 	cols := [4][2][]float64{{a.AX, b.AX}, {a.AY, b.AY}, {a.AZ, b.AZ}, {a.Pot, b.Pot}}
 	for c, p := range cols {
 		for i := range p[0] {
 			x, y := p[0][i], p[1][i]
-			if math.Float64bits(x) == math.Float64bits(y) || nanClass && math.IsNaN(x) && math.IsNaN(y) {
+			if sameBits(x, y, nanClass) {
 				continue
 			}
 			t.Fatalf("%s: column %d target %d: assembly %x (%g), Go %x (%g)",
@@ -62,19 +68,30 @@ func sameColumns(t *testing.T, tag string, a, b *Targets, nanClass bool) {
 	}
 }
 
-// TestKernelAsmMatchesGo holds the AVX2 kernels to their definition:
-// all four output columns bitwise equal to the Go loops', for every
-// remainder of the target count mod 4, list lengths around the empty
-// list, the lane count and the old tile length, both multipole
-// orders, non-zero incoming sums and unaligned columns; and the same
-// NaN/Inf pattern on inputs where IEEE arithmetic produces one.
+// TestKernelAsmMatchesGo holds the assembly kernels to their
+// definition at both widths -- as dispatched (eight-lane blocks on an
+// AVX-512 host, then a four-lane tail) and with the four-lane path
+// forced: all four output columns bitwise equal to the Go loops', for
+// target counts 1...33 (every remainder mod 8 and mod 4), list lengths
+// around the empty list, the lane counts and the old tile length, both
+// multipole orders, non-zero incoming sums and unaligned columns; and
+// the same NaN/Inf pattern on inputs where IEEE arithmetic produces
+// one.
 func TestKernelAsmMatchesGo(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("no AVX2: the Go loops are the only kernel on this host")
 	}
+	t.Run("dispatched", kernelAsmMatchesGo)
+	t.Run("lanes4", func(t *testing.T) {
+		Lanes4(t)
+		kernelAsmMatchesGo(t)
+	})
+}
+
+func kernelAsmMatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const eps2 = 1e-6
-	for nt := 1; nt <= 17; nt++ {
+	for nt := 1; nt <= 33; nt++ {
 		for _, ns := range []int{0, 1, 3, 4, 5, 63, 64, 65, 1000} {
 			tg, l := kernelCase(rng, nt, ns)
 			ref := tg.clone()
@@ -94,8 +111,8 @@ func TestKernelAsmMatchesGo(t *testing.T) {
 	// Special inputs: a source coincident with a target at eps2 = 0
 	// (r2 = 0, rv = +Inf, Inf*0 = NaN in that lane only), a separation
 	// whose square overflows (rv = 0) and one whose square is subnormal
-	// (rv huge, rv^3 overflows).
-	for nt := 1; nt <= 6; nt++ {
+	// (rv huge, rv^3 overflows), in four- and eight-lane blocks.
+	for nt := 1; nt <= 12; nt++ {
 		tg, l := kernelCase(rng, nt, 9)
 		l.SX[2], l.SY[2], l.SZ[2] = tg.X[nt-1], tg.Y[nt-1], tg.Z[nt-1]
 		l.CX[4], l.CY[4], l.CZ[4] = tg.X[0], tg.Y[0], tg.Z[0]
@@ -117,4 +134,111 @@ func TestKernelAsmMatchesGo(t *testing.T) {
 			sameColumns(t, "m2p specials", tg, ref, true)
 		}
 	}
+}
+
+// rsqrtLanes runs pp8 on eight targets at the origin with eps2 = r2[k]
+// in lane k and one unit source at the origin, so each lane's r2 is
+// 0 + r2[k] and its potential is 0 - rv: pp8's reciprocal square root,
+// lane by lane. want is ppGo's potential on the same target and
+// source.
+func rsqrtLanes(r2 *[8]float64) (got, want [8]float64) {
+	var tg laneBlock8
+	copy(tg[24:], r2[:])
+	var out laneSums8
+	o := []float64{0}
+	pp8(&tg, &o[0], &o[0], &o[0], &[]float64{1}[0], 1, &out)
+	copy(got[:], out[24:])
+	var acc [4]float64
+	ref := Targets{X: o, Y: o, Z: o, AX: acc[0:1], AY: acc[1:2], AZ: acc[2:3], Pot: acc[3:4]}
+	for k, v := range r2 {
+		acc[3] = 0
+		ppGo(&ref, o, o, o, []float64{1}, v)
+		want[k] = acc[3]
+	}
+	return got, want
+}
+
+func checkRsqrtLanes(t testing.TB, r2 *[8]float64) {
+	t.Helper()
+	got, want := rsqrtLanes(r2)
+	for k := range got {
+		if !sameBits(got[k], want[k], true) {
+			t.Fatalf("r2 = %x (%g): pp8 potential %x (%g), Go %x (%g)", math.Float64bits(r2[k]), r2[k],
+				math.Float64bits(got[k]), got[k], math.Float64bits(want[k]), want[k])
+		}
+	}
+}
+
+// rsqrtHardCases are the r2 where a multiply-and-add reciprocal is
+// most likely to part from 1/math.Sqrt: squares of s with an all-ones
+// significand and of s one step either side of a power of two, powers
+// of two, s at 2^-510 and 2^510 and one step past them, s at the ends
+// of its range (the smallest subnormal r2 and the largest double),
+// subnormals, zero, +Inf, negatives and NaN.
+func rsqrtHardCases() []float64 {
+	var c []float64
+	sq := func(s float64) { c = append(c, s*s) }
+	for e := -1074; e <= 1023; e++ {
+		p := math.Ldexp(1, e)
+		c = append(c, p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)))
+		if e > -500 && e < 500 {
+			sq(p)
+			sq(math.Nextafter(p, 0)) // all-ones significand
+			sq(math.Nextafter(p, math.Inf(1)))
+		}
+	}
+	for _, s := range []float64{math.Ldexp(1, -510), math.Ldexp(1, 510)} {
+		sq(s)
+		sq(math.Nextafter(s, 0))
+		sq(math.Nextafter(s, math.Inf(1)))
+	}
+	return append(c, 0, math.SmallestNonzeroFloat64, 4e-320, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), -1, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff0000000000001))
+}
+
+// TestRsqrtLanesMatchGo holds pp8's reciprocal -- Newton steps kept
+// only where the exact residual proves them right, the divider
+// elsewhere -- to 1/math.Sqrt bit for bit: on the hard cases and on
+// 10^7 random r2, half of them random bits over the whole positive
+// range (subnormals, Inf and NaN included), half in the range a
+// simulation meets.
+func TestRsqrtLanesMatchGo(t *testing.T) {
+	if !haveAVX512 {
+		t.Skip("no AVX-512: pp8 does not run on this host")
+	}
+	var r2 [8]float64
+	hard := rsqrtHardCases()
+	for i := 0; i < len(hard); i += 8 {
+		for k := range r2 {
+			r2[k] = hard[(i+k)%len(hard)]
+		}
+		checkRsqrtLanes(t, &r2)
+	}
+	n := 10_000_000
+	if testing.Short() {
+		n = 1_000_000
+	}
+	rng := rand.New(rand.NewSource(30))
+	for i := 0; i < n; i += 8 {
+		for k := range r2 {
+			if k%2 == 0 {
+				r2[k] = math.Float64frombits(rng.Uint64() >> 1)
+			} else {
+				r2[k] = math.Ldexp(1+rng.Float64(), rng.Intn(120)-60)
+			}
+		}
+		checkRsqrtLanes(t, &r2)
+	}
+}
+
+// FuzzRsqrtLanes: eight r2 in, pp8's reciprocal bitwise equal to
+// 1/math.Sqrt out (NaNs by class). The corpus in testdata holds the
+// hard cases of TestRsqrtLanesMatchGo.
+func FuzzRsqrtLanes(f *testing.F) {
+	if !haveAVX512 {
+		f.Skip("no AVX-512: pp8 does not run on this host")
+	}
+	f.Fuzz(func(t *testing.T, a, b, c, d, e, g, h, i float64) {
+		checkRsqrtLanes(t, &[8]float64{a, b, c, d, e, g, h, i})
+	})
 }

@@ -2,7 +2,9 @@
 
 package grav
 
-// Without an assembly kernel the Go loops are the production path.
+// Without an assembly kernel no probe runs and the Go loops are the
+// production path.
+var haveAVX2, haveAVX512 bool
 
 func pp(t *Targets, sx, sy, sz, sm []float64, eps2 float64) { ppGo(t, sx, sy, sz, sm, eps2) }
 

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"repro/internal/diag"
+	"repro/internal/grav"
 	"repro/internal/integrate"
 	"repro/internal/msg"
 	"repro/internal/vec"
@@ -322,11 +323,12 @@ func BuildReport(command string, wall float64, ranks []RankInput, w *msg.World, 
 	if wall > 0 {
 		rep.Totals.FlopsRate = float64(rep.Totals.Flops) / wall
 	}
-	rep.Roofline = NewRoofline(rep.Totals.Flops, rep.Totals.Counters.KernelBytes(), wall)
-	rep.Roofline.ExecutedFlops = rep.Totals.Counters.ExecutedFlops()
+	c, lanes := &rep.Totals.Counters, grav.Lanes()
+	rep.Roofline = NewRoofline(rep.Totals.Flops, c.KernelBytes(lanes), wall)
+	rep.Roofline.Kernel = grav.KernelPath()
+	rep.Roofline.ExecutedFlops = c.ExecutedFlops(lanes)
 	if n := rep.Totals.Interactions; n > 0 {
-		quadShare := float64(rep.Totals.Counters.QuadPC) / float64(n)
-		rep.Roofline.ExecutedPerInteraction = diag.ExecutedFlopsPerInteraction + diag.ExecutedFlopsPerQuadrupole*quadShare
+		rep.Roofline.ExecutedPerInteraction = float64(c.ExecutedGravityFlops(lanes)) / float64(n)
 	}
 	if w != nil {
 		rep.CommMatrixMsgs, rep.CommMatrixBytes = w.CommMatrix()
@@ -399,6 +401,9 @@ func (r *RunReport) Render(w io.Writer) {
 
 	if rf := r.Roofline; rf != nil && rf.KernelBytes > 0 {
 		fmt.Fprintf(w, "\nroofline:\n")
+		if rf.Kernel != "" {
+			fmt.Fprintf(w, "  kernel path      %s\n", rf.Kernel)
+		}
 		fmt.Fprintf(w, "  kernel flops     %d counted\n", rf.KernelFlops)
 		if rf.ExecutedFlops > 0 {
 			fmt.Fprintf(w, "  executed flops   %d (%.1f per gravitational interaction; counted %d, +%d with quadrupoles)\n",

@@ -9,7 +9,8 @@
 // Two flop counts appear. KernelFlops, Intensity and AchievedFlops are
 // in the paper's accounting (38 per interaction, what every rate in
 // the repo is quoted in); ExecutedFlops is what the hardware-sqrt
-// kernels really execute (diag.ExecutedFlops, 22 per interaction).
+// kernels really execute (diag.ExecutedFlops: 22 per interaction, 37
+// per body-body one on the eight-lane path's Newton reciprocal).
 // The ceilings bound executed work, so Ceiling and Utilization are in
 // executed flops: a kernel cannot exceed 100% by being charged for
 // arithmetic it no longer does.
@@ -43,6 +44,11 @@ type Roofline struct {
 	// to set beside the counted 38 (+70 with quadrupoles).
 	ExecutedFlops          uint64  `json:"executed_flops,omitempty"`
 	ExecutedPerInteraction float64 `json:"executed_flops_per_interaction,omitempty"`
+	// Kernel names the interaction-kernel code path the run's host took
+	// (grav.KernelPath: "avx512", "avx2" or "go"). KernelBytes and
+	// ExecutedFlops depend on it, so two reports compare only at the
+	// same path.
+	Kernel string `json:"kernel,omitempty"`
 
 	// PeakFlops is the measured (or asserted) compute ceiling, flops/s.
 	PeakFlops float64 `json:"peak_flops,omitempty"`
@@ -107,11 +113,12 @@ func (r *Roofline) Calibrate(peakFlops, peakBandwidth float64) {
 // MeasurePeakFlops estimates the host's double-precision compute
 // ceiling in flops/s for the instruction mix the interaction kernels
 // use: every core runs grav.PeakProbe, chains of independent
-// multiplies and adds (never fused, as in the kernels), four lanes wide
-// where the kernels are. A host with FMA units could do up to twice
-// this on fused code; the kernels do not issue any, so this is the
-// ceiling they are compared against, stated in the report as
-// "measured".
+// multiplies and adds (never fused, as in the kernels' value chains)
+// at the kernels' width: eight lanes on the AVX-512 path, four on the
+// AVX2 path, scalar in the Go loops. A host with FMA units could do up
+// to twice this on fused code; the kernels fuse only the eight-lane PP
+// reciprocal's few Newton operations, so this is the ceiling they are
+// compared against, stated in the report as "measured".
 func MeasurePeakFlops() float64 {
 	workers := runtime.GOMAXPROCS(0)
 	const steps = 1 << 22

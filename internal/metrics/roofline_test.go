@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/diag"
+	"repro/internal/grav"
 )
 
 func TestRooflineAccounting(t *testing.T) {
@@ -58,9 +59,12 @@ func TestReportCarriesRoofline(t *testing.T) {
 	if rf.KernelFlops != wantFlops {
 		t.Errorf("kernel flops = %d, want %d", rf.KernelFlops, wantFlops)
 	}
-	wantBytes := uint64(1000*diag.BytesPerPPInteraction + 500*diag.BytesPerPCInteraction + 500*diag.BytesPerQuadPCExtra)
+	wantBytes := uint64(1500*diag.BytesPerSourceRow+500*diag.BytesPerQuadRow) / uint64(grav.Lanes())
 	if rf.KernelBytes != wantBytes {
-		t.Errorf("kernel bytes = %d, want %d", rf.KernelBytes, wantBytes)
+		t.Errorf("kernel bytes = %d, want %d at %d lanes", rf.KernelBytes, wantBytes, grav.Lanes())
+	}
+	if rf.Kernel != grav.KernelPath() {
+		t.Errorf("kernel = %q, want %q", rf.Kernel, grav.KernelPath())
 	}
 
 	var sb strings.Builder

@@ -1,23 +1,28 @@
 #!/bin/sh
 # Bounds-check-elimination guard for the interaction kernels' Go loops
 # (internal/grav/kernel.go and internal/vortex/kernel.go: the kernels'
-# definition everywhere, and the production path wherever the AVX2
-# assembly is not).
+# definition everywhere, and the production path wherever the assembly
+# is not) and for the Go glue that feeds grav's assembly
+# (internal/grav/kernel_amd64.go: the lane loads and stores of every
+# four- and eight-target block).
 #
 # Builds the packages with -d=ssa/check_bce and compares the checks the
-# compiler could NOT eliminate in the two kernel.go files against the
+# compiler could NOT eliminate in those three files against the
 # committed golden (scripts/bce_allow.txt). The golden is aggregated to per-kind
 # counts so comment edits don't churn it; any NEW check that survives
 # prove -- say a refactor that drops a column's re-slice and puts a
 # per-interaction bounds check back into a sweep -- changes a count and
 # fails the guard.
 #
-# What the golden admits: IsSliceInBounds only, the once-per-call
-# re-slices of every column to the one shared length (sx[:n] and
-# friends at the top of ppGo, m2pQuadGo and EvalSelf; the columns and
-# target slices at the top of evalVelPPGo and evalVelMonoGo). That
-# re-slice is what lets prove drop every index check, so there is no
-# IsInBounds line: the loops themselves are check-free. There is no tile to carve
+# What the golden admits: in the two kernel.go files IsSliceInBounds
+# only, the once-per-call re-slices of every column to the one shared
+# length (sx[:n] and friends at the top of ppGo, m2pQuadGo and
+# EvalSelf; the columns and target slices at the top of evalVelPPGo
+# and evalVelMonoGo). That re-slice is what lets prove drop every index
+# check, so the loops themselves are check-free. In kernel_amd64.go the
+# same re-slices at the top of loadLanes/addLanes, and three IsInBounds
+# in pp and m2pQuad: the first element of the source columns, taken
+# once per call, outside the block loop. There is no tile to carve
 # and no seed table to index any more.
 #
 # Run with -update after a deliberate kernel change to regenerate the
@@ -28,7 +33,7 @@ cd "$(dirname "$0")/.."
 golden=scripts/bce_allow.txt
 
 actual=$(go build -gcflags='-d=ssa/check_bce' ./internal/grav/ ./internal/vortex/ 2>&1 |
-	grep -E '^internal/(grav|vortex)/kernel\.go' |
+	grep -E '^internal/((grav|vortex)/kernel|grav/kernel_amd64)\.go' |
 	sed -E 's/^([^:]+):[0-9]+:[0-9]+: Found /\1 /' |
 	sort | uniq -c | awk '{printf "%4d %s %s\n", $1, $2, $3}')
 

@@ -54,6 +54,8 @@ echo "== fuzz (time-boxed: a POST /jobs body decodes and validates to a runnable
 go test -run='^$' -fuzz=FuzzJobSpec -fuzztime=10s -fuzzminimizetime=10x ./internal/simserve
 echo "== fuzz (time-boxed: a striped snapshot set reads to a valid system or an error, never a panic)"
 go test -run='^$' -fuzz=FuzzReadStriped -fuzztime=10s -fuzzminimizetime=10x ./internal/snapio
+echo "== fuzz (time-boxed: the eight-lane PP kernel's reciprocal is 1/math.Sqrt bit for bit; skips without AVX-512)"
+go test -run='^$' -fuzz=FuzzRsqrtLanes -fuzztime=10s ./internal/grav
 echo "== one runner (engines are constructed in internal/runner and nowhere else outside tests, and vortex and SPH runs have no serial path)"
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=runner \
 	'(parallel\.New|sph\.NewParallel|vortex\.NewParallel)\(' .; then
@@ -77,9 +79,9 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
 fi
 echo "== bce (the interaction kernels' Go loops stay bounds-check-free, -d=ssa/check_bce)"
 sh scripts/bce.sh
-echo "== benchcmp (allocs/op of the index descent, the sink-cell walk and evaluation, and the gravity and vortex interaction kernels vs BENCH_baseline.json)"
+echo "== benchcmp (allocs/op of the index descent, the sink-cell walk and evaluation, and the gravity (dispatched, four-lane, Go) and vortex interaction kernels vs BENCH_baseline.json)"
 {
 	go test -run='^$' -bench='Ablation_(DescentIndex|SinkCells)' -benchtime=5x .
-	go test -run='^$' -bench='Ablation_Eval' -benchtime=100x . ./internal/vortex
+	go test -run='^$' -bench='Ablation_Eval' -benchtime=100x ./internal/grav ./internal/vortex
 } | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(DescentIndex|SinkCells|Eval)'
 echo "== ok"
