@@ -45,25 +45,27 @@ const (
 )
 
 // What the production kernels (internal/grav kernel.go) execute per
-// interaction the paper's accounting charges 38 (or 38+70) for: with a
-// hardware square root and divide there is no table or polynomial to
-// pay for, and a Newton step only on the eight-lane path. Counted flops
-// stay the paper's -- rates remain comparable with its tables -- and
-// the roofline, a statement about this machine, uses these.
+// interaction the paper's accounting charges 38 (or 38+70) for, an FMA
+// counting two. Every path -- eight lanes, four, or the Go loops --
+// executes the same arithmetic, reciprocal square root included, so
+// these do not depend on the lane count. Counted flops stay the
+// paper's -- rates remain comparable with its tables -- and the
+// roofline, a statement about this machine, uses these.
 const (
-	// ExecutedFlopsPerInteraction: 3 differences, 6 for r2, sqrt and
-	// divide, 3 multiplies to m/r and m/r^3, 7 to accumulate. (The
-	// symmetric self sweep does 15 per counted interaction.)
-	ExecutedFlopsPerInteraction = 22
+	// ExecutedFlopsPerInteraction: 3 differences, 3 FMAs for r2, 17
+	// for the reciprocal square root (-r2/2, then four Newton steps of
+	// a multiply, an FMA and a multiply), 3 multiplies to m/r^3 and 4
+	// FMAs to accumulate. The symmetric self sweep, on the divider,
+	// does 15 per counted interaction, so a group's self interactions
+	// are over-charged by the difference.
+	ExecutedFlopsPerInteraction = 37
 	// ExecutedFlopsPerQuadrupole: the extra operations of a
-	// monopole+quadrupole interaction (56 in all).
+	// monopole+quadrupole interaction (71 in all): 2 more powers of
+	// 1/r (r^-5, r^-7), Q.d in 3 multiplies and 6 FMAs, d.Q.d in a
+	// multiply and 2 FMAs, (5/2)(d.Q.d)/r^7 into the radial factor and
+	// (d.Q.d)/(2 r^5) into the potential by a multiply and an FMA each,
+	// and Q.d/r^5 into the force by 3 FMAs.
 	ExecutedFlopsPerQuadrupole = 34
-	// ExecutedFlopsPerNewton: what the eight-lane body-body kernel
-	// (which also runs monopole cells) executes beyond that. Its
-	// reciprocal is VRCP14PD, five FMAs of iteration and the check's
-	// FMA, subtract and two multiplies, an FMA counting 2, in place of
-	// the divide: 1 + 10 + 2 + 1 + 2 - 1.
-	ExecutedFlopsPerNewton = 15
 )
 
 // Bytes-moved accounting for the interaction kernels (internal/grav),
@@ -158,25 +160,17 @@ func (c *Counters) Flops() uint64 {
 }
 
 // ExecutedFlops returns the floating point operations the kernels
-// actually executed for the work Flops charges at the paper's rates,
-// on the kernel path of the given lane count (vortex and SPH kernels
-// execute what they are charged).
-func (c *Counters) ExecutedFlops(lanes int) uint64 {
-	return c.ExecutedGravityFlops(lanes) +
+// actually executed for the work Flops charges at the paper's rates
+// (vortex and SPH kernels execute what they are charged).
+func (c *Counters) ExecutedFlops() uint64 {
+	return c.ExecutedGravityFlops() +
 		c.VortexPP*FlopsPerVortexInteract +
 		c.SPHPairs*FlopsPerSPHPair
 }
 
-// ExecutedGravityFlops is ExecutedFlops' gravitational part. At eight
-// lanes every body-body and monopole interaction is charged the Newton
-// reciprocal, the four-lane tail blocks and the scalar self sweep
-// included, so the figure is an upper bound by their share.
-func (c *Counters) ExecutedGravityFlops(lanes int) uint64 {
-	f := (c.PP+c.PC)*ExecutedFlopsPerInteraction + c.QuadPC*ExecutedFlopsPerQuadrupole
-	if lanes == 8 {
-		f += (c.PP + c.PC - c.QuadPC) * ExecutedFlopsPerNewton
-	}
-	return f
+// ExecutedGravityFlops is ExecutedFlops' gravitational part.
+func (c *Counters) ExecutedGravityFlops() uint64 {
+	return (c.PP+c.PC)*ExecutedFlopsPerInteraction + c.QuadPC*ExecutedFlopsPerQuadrupole
 }
 
 // Timer accumulates wall-clock time per named phase.

@@ -24,25 +24,26 @@ func TestCountersFlops(t *testing.T) {
 	}
 }
 
-// The executed flops and bytes follow the kernel path: rows shared by
-// 8, 4 or 1 targets, and the Newton reciprocal charged to the
-// body-body and monopole interactions at eight lanes only.
+// The executed bytes follow the kernel path, rows shared by 8, 4 or 1
+// targets; the executed flops do not, since every path runs the same
+// arithmetic, reciprocal square root included.
 func TestExecutedAccountingByPath(t *testing.T) {
 	c := Counters{PP: 10, PC: 6, QuadPC: 4, VortexPP: 1}
+	const flops = 16*37 + 4*34
+	if got := c.ExecutedGravityFlops(); got != flops {
+		t.Errorf("executed gravity flops %d, want %d", got, flops)
+	}
+	if got := c.ExecutedFlops(); got != flops+FlopsPerVortexInteract {
+		t.Errorf("executed flops %d, want %d", got, flops+FlopsPerVortexInteract)
+	}
 	for _, tc := range []struct {
-		lanes        int
-		flops, bytes uint64
+		lanes int
+		bytes uint64
 	}{
-		{1, 16*22 + 4*34, 16*32 + 4*48},
-		{4, 16*22 + 4*34, (16*32 + 4*48) / 4},
-		{8, 16*22 + 4*34 + 12*15, (16*32 + 4*48) / 8},
+		{1, 16*32 + 4*48},
+		{4, (16*32 + 4*48) / 4},
+		{8, (16*32 + 4*48) / 8},
 	} {
-		if got := c.ExecutedGravityFlops(tc.lanes); got != tc.flops {
-			t.Errorf("lanes %d: executed gravity flops %d, want %d", tc.lanes, got, tc.flops)
-		}
-		if got := c.ExecutedFlops(tc.lanes); got != tc.flops+FlopsPerVortexInteract {
-			t.Errorf("lanes %d: executed flops %d, want %d", tc.lanes, got, tc.flops+FlopsPerVortexInteract)
-		}
 		if got := c.KernelBytes(tc.lanes); got != tc.bytes {
 			t.Errorf("lanes %d: kernel bytes %d, want %d", tc.lanes, got, tc.bytes)
 		}

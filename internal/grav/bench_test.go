@@ -5,9 +5,12 @@ package grav_test
 // the four-lane path forced (the AVX2 rows), and their definition, the
 // Go loops called directly, on real interaction lists captured from a
 // 100k-body clustered walk so group sizes and list lengths are
-// production ones. All must run allocation-free at steady state.
+// production ones; and the dispatched kernels on one full block of
+// eight targets over a long random list (the Row rows). All must run
+// allocation-free at steady state.
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/diag"
@@ -131,3 +134,46 @@ func BenchmarkAblation_EvalM2PAVX2(b *testing.B) {
 	benchEvalM2P(b, grav.EvalM2P)
 }
 func BenchmarkAblation_EvalM2PGo(b *testing.B) { benchEvalM2P(b, grav.EvalM2PGo) }
+
+// rowSources is the row benches' list length: long enough that the
+// block's set-up and the sums' store are noise against the sweep.
+const rowSources = 4096
+
+// benchEvalRow times one full eight-target block over rowSources random
+// sources (or cells) as dispatched, and reports ns per source row: a
+// kernel's throughput with no lane padding and no list-length mix in
+// it, which the fixture benches above carry.
+func benchEvalRow(b *testing.B, eval func(*grav.Targets, *grav.InteractionList) uint64) {
+	rng := rand.New(rand.NewSource(33))
+	col := func(n int, scale float64) []float64 {
+		c := make([]float64, n)
+		for i := range c {
+			c[i] = scale * (2*rng.Float64() - 1)
+		}
+		return c
+	}
+	const nt = 8
+	tg := grav.Targets{X: col(nt, 1), Y: col(nt, 1), Z: col(nt, 1),
+		AX: col(nt, 0), AY: col(nt, 0), AZ: col(nt, 0), Pot: col(nt, 0)}
+	l := grav.InteractionList{
+		SX: col(rowSources, 4), SY: col(rowSources, 4), SZ: col(rowSources, 4), SM: col(rowSources, 1),
+		CM: col(rowSources, 1), CX: col(rowSources, 4), CY: col(rowSources, 4), CZ: col(rowSources, 4),
+		QXX: col(rowSources, .1), QYY: col(rowSources, .1), QZZ: col(rowSources, .1),
+		QXY: col(rowSources, .1), QXZ: col(rowSources, .1), QYZ: col(rowSources, .1),
+	}
+	eval(&tg, &l)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eval(&tg, &l)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rowSources, "ns/row")
+}
+
+func BenchmarkAblation_EvalRowPP(b *testing.B) {
+	benchEvalRow(b, func(t *grav.Targets, l *grav.InteractionList) uint64 { return grav.EvalPP(t, l, 1e-6) })
+}
+
+func BenchmarkAblation_EvalRowM2P(b *testing.B) {
+	benchEvalRow(b, func(t *grav.Targets, l *grav.InteractionList) uint64 { return grav.EvalM2P(t, l, true, 1e-6) })
+}

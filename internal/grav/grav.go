@@ -7,8 +7,12 @@
 //
 // There is one production kernel set: EvalPP/EvalSelf/EvalM2P
 // (kernel.go) evaluate an InteractionList (soa.go) on a Targets block
-// with the hardware square root, as plain Go loops or, on amd64 with
-// AVX2, the same arithmetic four targets at a time. The scalar
+// as plain Go loops or, on amd64, the same arithmetic eight targets at
+// a time with AVX-512 and four with AVX2 and FMA. Like the paper's,
+// EvalPP and EvalM2P take the reciprocal square root from multiplies
+// and adds (a seed and Newton steps on fused multiply-adds; the
+// divider only for r2 out of range); EvalSelf, a sliver of the work,
+// stays on the hardware square root and divide. The scalar
 // PPTile/PPSelf/M2P in this file are the paper's interaction as the
 // paper computed it, on the Karp reciprocal square root
 // (internal/rsqrt, the 38-flop interaction): they serve the direct

@@ -1,41 +1,44 @@
 // The production interaction kernels, EvalPP/EvalSelf/EvalM2P, defined
 // as the plainest Go loops that compute them: for each target one
 // accumulator set starting at zero, the whole list swept once in list
-// order, rv := 1/math.Sqrt(r2) on the hardware's correctly rounded
-// square root and divide, the four sums added to the target's output
-// slots once at the end. On amd64 (kernel_amd64.go/.s) the same loops
-// run with eight targets in the eight lanes of a ZMM register where
-// AVX-512 is usable, and four in a YMM register where only AVX2 is,
-// each source broadcast to all of them, using only lane-wise
-// subtract/multiply/add/sqrt/divide: every lane executes exactly the
+// order, the four sums added to the target's output slots once at the
+// end. The value chain is the paper's: 1/sqrt(r2) from multiplies and
+// adds alone (invSqrt: a bit-trick seed and four Newton steps, as Karp
+// took it from a table and two), and every product that feeds a sum an
+// explicit math.FMA, so the loops mean the same bits on every
+// platform -- Go fuses a plain x*y + z on arm64 but never on amd64,
+// and scripts/check.sh compiles these loops for arm64 to hold them to
+// that. On amd64 (kernel_amd64.go/.s) the same loops run with eight
+// targets in the eight lanes of a ZMM register where AVX-512 is
+// usable, and four in a YMM register where AVX2 and FMA are, each
+// source broadcast to all of them, using only lane-wise subtract,
+// multiply and fused multiply-add: every lane executes exactly the
 // scalar sequence below, so the assembly is bit-identical to these
 // loops by construction and tests hold it to that at both widths
-// (TestKernelAsmMatchesGo, TestRsqrtLanesMatchGo). FMA appears only to
-// compute an exact residual, never in the value chain: the eight-lane
-// PP kernel takes rv from Newton steps where that residual proves the
-// result equals 1/math.Sqrt(r2), and from the divider otherwise.
-// Nothing selects a path but the CPU probe.
+// (TestKernelAsmMatchesGo, TestRsqrtLanesMatchGo). The divider and
+// square root run only where r2 is out of invSqrt's range, out of
+// line in the assembly. Nothing selects a path but the CPU probe.
 //
-// Hardware 1/sqrt has the special-case table the Karp routine
-// documents (0 -> +Inf, +Inf -> 0, NaN or negative -> NaN, subnormals
-// exact), so the loops carry no special-value branch: a NaN or Inf
-// input propagates to the targets it touches exactly as IEEE
-// arithmetic says.
+// Out of range the reciprocal is 1/math.Sqrt(r2), which has the
+// special-case table the Karp routine documents (0 -> +Inf, +Inf -> 0,
+// NaN or negative -> NaN, subnormals exact), so the loops carry no
+// special-value branch of their own: a NaN or Inf input propagates to
+// the targets it touches exactly as IEEE arithmetic says.
 //
 // What is executed is not what is counted. One body-body (or
-// monopole) interaction executes 22 floating-point operations here,
-// one quadrupole interaction 56; the counters and every flop rate the
-// repo reports still charge the paper's 38 and 38+70, the cost of the
-// same interaction on the Karp reciprocal square root (grav.go's
-// scalar PPTile/PPSelf/M2P, kept as the paper-fidelity kernel), and
-// the eight-lane PP kernel's Newton steps and check execute 15 more.
-// diag.ExecutedFlops has the executed figures.
+// monopole) interaction executes 37 floating-point operations here,
+// one quadrupole interaction 71 (an FMA counting two); the counters
+// and every flop rate the repo reports still charge the paper's 38
+// and 38+70, the cost of the same interaction on the Karp reciprocal
+// square root (grav.go's scalar PPTile/PPSelf/M2P, kept as the direct
+// sum's reference). diag.ExecutedFlops has the executed figures.
 package grav
 
 import "math"
 
 // HaveAVX2 is the probe's verdict for the other packages' four-lane
-// kernels (internal/vortex), so that one probe selects every path.
+// kernels (internal/vortex), so that one probe selects every path: AVX2
+// and FMA, the four-lane gravity kernels' requirement.
 func HaveAVX2() bool { return haveAVX2 }
 
 // KernelPath names the code path the CPU probe selected for EvalPP and
@@ -113,6 +116,35 @@ func EvalM2PGo(t *Targets, l *InteractionList, quad bool, eps2 float64) uint64 {
 	return uint64(len(t.X)) * uint64(len(l.CM))
 }
 
+// invSqrt is the kernels' reciprocal square root. For r2 with an
+// exponent in [-1000, 1000) it takes the seed y =
+// Float64frombits(rsqrtMagic - bits(r2)>>1), within 3.5e-3 of
+// 1/sqrt(r2), and four Newton steps y *= 1.5 - (r2/2)*y*y, one FMA
+// each. The relative error squares at every step (1.8e-5, 4.6e-10,
+// 3e-19, ...), so what is left is the last step's rounding: within 4
+// ulp of 1/math.Sqrt(r2) (TestInvSqrtAccuracy). In that range y*y and
+// r2*y*y can neither overflow nor underflow. Everything else -- zero,
+// subnormals, huge values, negatives, Inf and NaN -- is
+// 1/math.Sqrt(r2) exactly. (The shape of this function is held to Go's
+// inlining budget: it is inlined into both kernels.)
+func invSqrt(r2 float64) float64 {
+	if r2 >= rsqrtLo && r2 < rsqrtHi {
+		h, y := -0.5*r2, math.Float64frombits(rsqrtMagic-math.Float64bits(r2)>>1)
+		y *= math.FMA(h, y*y, 1.5)
+		y *= math.FMA(h, y*y, 1.5)
+		y *= math.FMA(h, y*y, 1.5)
+		return y * math.FMA(h, y*y, 1.5)
+	}
+	return 1 / math.Sqrt(r2)
+}
+
+// invSqrt's range and seed constant.
+const (
+	rsqrtLo    = 0x1p-1000
+	rsqrtHi    = 0x1p1000
+	rsqrtMagic = 0x5FE6EB50C7B537A9
+)
+
 // ppGo is the body-body kernel: sources (sx, sy, sz, sm) on every
 // target of t. Re-slicing the columns to one shared length hands the
 // prove pass the bounds, so the inner loop is check-free
@@ -130,14 +162,13 @@ func ppGo(t *Targets, sx, sy, sz, sm []float64, eps2 float64) {
 			dx := sx[j] - xi
 			dy := sy[j] - yi
 			dz := sz[j] - zi
-			r2 := dx*dx + dy*dy + dz*dz + eps2
-			rv := 1 / math.Sqrt(r2)
-			mrv := sm[j] * rv
-			rin3 := mrv * (rv * rv)
-			ax += rin3 * dx
-			ay += rin3 * dy
-			az += rin3 * dz
-			p -= mrv
+			r2 := math.FMA(dz, dz, math.FMA(dy, dy, math.FMA(dx, dx, eps2)))
+			rv := invSqrt(r2)
+			rin3 := sm[j] * (rv * (rv * rv))
+			ax = math.FMA(rin3, dx, ax)
+			ay = math.FMA(rin3, dy, ay)
+			az = math.FMA(rin3, dz, az)
+			p = math.FMA(-sm[j], rv, p)
 		}
 		oax[i] += ax
 		oay[i] += ay
@@ -168,22 +199,20 @@ func m2pQuadGo(t *Targets, l *InteractionList, eps2 float64) {
 			da := cx[j] - xi
 			db := cy[j] - yi
 			dc := cz[j] - zi
-			r2 := da*da + db*db + dc*dc + eps2
-			rv := 1 / math.Sqrt(r2)
+			r2 := math.FMA(dc, dc, math.FMA(db, db, math.FMA(da, da, eps2)))
+			rv := invSqrt(r2)
 			rv2 := rv * rv
 			rv3 := rv * rv2
-			mono := cm[j] * rv3
-			qdx := qxx[j]*da + qxy[j]*db + qxz[j]*dc
-			qdy := qxy[j]*da + qyy[j]*db + qyz[j]*dc
-			qdz := qxz[j]*da + qyz[j]*db + qzz[j]*dc
-			dqd := da*qdx + db*qdy + dc*qdz
 			rv5 := rv3 * rv2
-			rv7 := rv5 * rv2
-			cc := 2.5 * dqd * rv7
-			ax += (mono+cc)*da - qdx*rv5
-			ay += (mono+cc)*db - qdy*rv5
-			az += (mono+cc)*dc - qdz*rv5
-			p -= cm[j]*rv + 0.5*dqd*rv5
+			qdx := math.FMA(qxz[j], dc, math.FMA(qxy[j], db, qxx[j]*da))
+			qdy := math.FMA(qyz[j], dc, math.FMA(qyy[j], db, qxy[j]*da))
+			qdz := math.FMA(qzz[j], dc, math.FMA(qyz[j], db, qxz[j]*da))
+			dqd := math.FMA(dc, qdz, math.FMA(db, qdy, da*qdx))
+			mc := math.FMA(dqd, 2.5*(rv5*rv2), cm[j]*rv3) // M/r^3 + (5/2)(d.Q.d)/r^7
+			ax = math.FMA(mc, da, math.FMA(-qdx, rv5, ax))
+			ay = math.FMA(mc, db, math.FMA(-qdy, rv5, ay))
+			az = math.FMA(mc, dc, math.FMA(-qdz, rv5, az))
+			p = math.FMA(-cm[j], rv, math.FMA(dqd, -0.5*rv5, p))
 		}
 		oax[i] += ax
 		oay[i] += ay
@@ -246,21 +275,21 @@ func EvalSelf(t *Targets, eps2 float64) uint64 {
 
 // peakProbeGo is PeakProbe's scalar form: eight independent chains
 // (enough to cover the latency-throughput gap of the FP units), one
-// multiply and one add per chain per step.
+// fused multiply-add per chain per step, as in the kernels.
 func peakProbeGo(n int) (flops, witness float64) {
 	a0, a1, a2, a3 := 1.0, 1.1, 1.2, 1.3
 	a4, a5, a6, a7 := 1.4, 1.5, 1.6, 1.7
 	// A multiplier this near 1 keeps the chains finite for any n.
 	const c, d = 1.0000000001, 1e-9
 	for i := 0; i < n; i++ {
-		a0 = a0*c + d
-		a1 = a1*c + d
-		a2 = a2*c + d
-		a3 = a3*c + d
-		a4 = a4*c + d
-		a5 = a5*c + d
-		a6 = a6*c + d
-		a7 = a7*c + d
+		a0 = math.FMA(a0, c, d)
+		a1 = math.FMA(a1, c, d)
+		a2 = math.FMA(a2, c, d)
+		a3 = math.FMA(a3, c, d)
+		a4 = math.FMA(a4, c, d)
+		a5 = math.FMA(a5, c, d)
+		a6 = math.FMA(a6, c, d)
+		a7 = math.FMA(a7, c, d)
 	}
 	return 16 * float64(n), a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7
 }

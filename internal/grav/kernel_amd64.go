@@ -2,39 +2,56 @@ package grav
 
 // haveAVX2 and haveAVX512 are the one-time CPUID/XGETBV probe. They are
 // the only thing that selects a kernel path: eight-lane blocks where
-// AVX-512 is usable, four-lane blocks where AVX2 is, the Go loops
-// elsewhere.
-var (
-	haveAVX2   = cpuHasAVX2()
-	haveAVX512 = cpuHasAVX512()
-)
+// AVX-512 is usable, four-lane blocks where AVX2 and FMA are, the Go
+// loops elsewhere.
+var haveAVX2, haveAVX512 = readCPU().paths()
 
 func cpuid(leaf, sub uint32) (a, b, c, d uint32)
 
 func xgetbv() uint32
 
-// cpuHasAVX2: AVX2 present and the OS saving XMM and YMM state.
-func cpuHasAVX2() bool { return cpuHas(0x6, 1<<5) }
+// cpuWords are the words the probe decides on.
+type cpuWords struct {
+	maxLeaf uint32 // CPUID.0:EAX, the highest basic leaf
+	ecx1    uint32 // CPUID.1:ECX
+	ebx7    uint32 // CPUID.(7,0):EBX, 0 where leaf 7 does not exist
+	xcr0    uint32 // XCR0's low word, 0 where OSXSAVE says XGETBV faults
+}
 
-// cpuHasAVX512: everything cpuHasAVX2 requires, AVX512F, and the OS
-// saving the opmask and ZMM state too.
-func cpuHasAVX512() bool { return cpuHas(0xE6, 1<<5|1<<16) }
+// The feature bits the kernels need.
+const (
+	ecx1FMA     = 1 << 12
+	ecx1OSXSAVE = 1 << 27
+	ecx1AVX     = 1 << 28
+	ebx7AVX2    = 1 << 5
+	ebx7AVX512F = 1 << 16
+	xcr0YMM     = 0x6  // the OS saves XMM and YMM state
+	xcr0ZMM     = 0xE6 // ... and the opmask and ZMM state too
+)
 
-// cpuHas reports whether CPUID leaf 7 exists, OSXSAVE and AVX are set
-// (leaf 1 ECX bits 27 and 28), XCR0 has every bit of xcr0 and leaf 7
-// EBX every bit of ebx7.
-func cpuHas(xcr0, ebx7 uint32) bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
+// readCPU executes CPUID, and XGETBV where it exists.
+func readCPU() cpuWords {
+	var w cpuWords
+	w.maxLeaf, _, _, _ = cpuid(0, 0)
+	_, _, w.ecx1, _ = cpuid(1, 0)
+	if w.ecx1&ecx1OSXSAVE != 0 {
+		w.xcr0 = xgetbv()
 	}
-	if _, _, c, _ := cpuid(1, 0); c&0x18000000 != 0x18000000 {
-		return false
+	if w.maxLeaf >= 7 {
+		_, w.ebx7, _, _ = cpuid(7, 0)
 	}
-	if xgetbv()&xcr0 != xcr0 {
-		return false
-	}
-	_, b, _, _ := cpuid(7, 0)
-	return b&ebx7 == ebx7
+	return w
+}
+
+// paths is the probe's decision. The four-lane kernels need AVX2 and
+// FMA with the OS saving YMM state; the eight-lane ones need all of
+// that (they finish a group on four-lane blocks), AVX512F and the OS
+// saving the opmask and ZMM state.
+func (w cpuWords) paths() (avx2, avx512 bool) {
+	const ecx1 = ecx1FMA | ecx1OSXSAVE | ecx1AVX
+	avx2 = w.maxLeaf >= 7 && w.ecx1&ecx1 == ecx1 && w.xcr0&xcr0YMM == xcr0YMM && w.ebx7&ebx7AVX2 != 0
+	avx512 = avx2 && w.xcr0&xcr0ZMM == xcr0ZMM && w.ebx7&ebx7AVX512F != 0
+	return avx2, avx512
 }
 
 // laneBlock is what the four-lane assembly reads its targets from:
@@ -75,9 +92,9 @@ func m2pQuad4(tg *laneBlock, cols *[10]*float64, n int, out *laneSums)
 //go:noescape
 func m2pQuad8(tg *laneBlock8, cols *[10]*float64, n int, out *laneSums8)
 
-// mulAdd4 runs n steps of eight independent four-lane
-// multiply-then-add chains and stores their lane-wise sum; mulAdd8 is
-// the same at eight lanes.
+// mulAdd4 runs n steps of eight independent four-lane fused
+// multiply-add chains and stores their lane-wise sum; mulAdd8 is the
+// same at eight lanes.
 //
 //go:noescape
 func mulAdd4(n int, out *[4]float64)
@@ -186,7 +203,7 @@ func m2pQuad(t *Targets, l *InteractionList, eps2 float64) {
 	}
 }
 
-// PeakProbe executes n steps of eight independent multiply-then-add
+// PeakProbe executes n steps of eight independent fused multiply-add
 // chains, the kernels' instruction mix at the kernels' width (eight
 // lanes, four, or scalar), and returns the flops that took and a value
 // depending on every chain: the roofline's compute-ceiling probe.

@@ -1,19 +1,26 @@
 // SIMD forms of the loops in kernel.go: four targets in the four lanes
-// of a YMM register (AVX2: pp4, m2pQuad4) or eight in the eight lanes
-// of a ZMM register (AVX-512F: pp8, m2pQuad8), each source broadcast to
-// all of them. Only lane-wise VSUBPD/VMULPD/VADDPD/VSQRTPD/VDIVPD touch
-// the values, in the order and association the Go loops write, with no
-// sum across lanes -- each lane is the scalar loop, bit for bit.
+// of a YMM register (AVX2 and FMA: pp4, m2pQuad4) or eight in the eight
+// lanes of a ZMM register (AVX-512F: pp8, m2pQuad8), each source
+// broadcast to all of them. Only lane-wise subtracts, multiplies, fused
+// multiply-adds and the integer seed of invSqrt touch the values, in
+// the order, association and fusion the Go loops write, with no sum
+// across lanes -- each lane is the scalar loop, bit for bit. A fused
+// multiply-add rounds once wherever it stands, so it is as portable
+// between the two as a multiply.
 //
-// FMA only for an exact residual, never in the value chain. pp8 finds
-// 1/s by Newton-type steps on fused multiply-adds, but keeps that
-// quotient only where an exact residual proves it is the correctly
-// rounded one (the proof is at pp8); any other vector is recomputed by
-// VDIVPD. Nothing a fused operation rounded ever reaches a sum.
+// The reciprocal square root is invSqrt's: y = magic - bits(r2)>>1 and
+// four Newton steps y *= fma(-r2/2, y*y, 1.5). Two compares per source
+// find lanes whose r2 lies outside [2^-1000, 2^1000) -- zero,
+// subnormal, huge, negative, Inf or NaN -- and such a vector branches
+// out of line, where VSQRTPD and VDIVPD give those lanes 1/sqrt(r2) and
+// a blend keeps the Newton value in the others.
 //
 // Operand order is Go's: OP b, a, dst is dst = a OP b; VFMADD231PD c,
 // b, a is a = b*c + a, VFNMADD231PD c, b, a is a = a - b*c and
-// VFMADD213PD c, b, a is a = b*a + c; VCMPPD $p, b, a, K is K = a p b.
+// VFMADD213PD c, b, a is a = b*a + c (a .BCST operand is one double
+// broadcast from memory); VCMPPD $p, b, a, K is K = a p b, with
+// predicates 0x19 "not >=" and 0x15 "not <", both true on NaN;
+// VBLENDVPD m, x, y, dst is dst = m ? x : y.
 // R14 (g) and R15 (clobbered by dynamic linking) are never used.
 
 #include "textflag.h"
@@ -24,11 +31,17 @@ DATA one4<>+16(SB)/8, $0x3ff0000000000000
 DATA one4<>+24(SB)/8, $0x3ff0000000000000
 GLOBL one4<>(SB), RODATA|NOPTR, $32
 
-DATA half4<>+0(SB)/8, $0x3fe0000000000000
-DATA half4<>+8(SB)/8, $0x3fe0000000000000
-DATA half4<>+16(SB)/8, $0x3fe0000000000000
-DATA half4<>+24(SB)/8, $0x3fe0000000000000
-GLOBL half4<>(SB), RODATA|NOPTR, $32
+DATA c15x4<>+0(SB)/8, $0x3ff8000000000000
+DATA c15x4<>+8(SB)/8, $0x3ff8000000000000
+DATA c15x4<>+16(SB)/8, $0x3ff8000000000000
+DATA c15x4<>+24(SB)/8, $0x3ff8000000000000
+GLOBL c15x4<>(SB), RODATA|NOPTR, $32
+
+DATA negHalf4<>+0(SB)/8, $0xbfe0000000000000
+DATA negHalf4<>+8(SB)/8, $0xbfe0000000000000
+DATA negHalf4<>+16(SB)/8, $0xbfe0000000000000
+DATA negHalf4<>+24(SB)/8, $0xbfe0000000000000
+GLOBL negHalf4<>(SB), RODATA|NOPTR, $32
 
 DATA c25x4<>+0(SB)/8, $0x4004000000000000
 DATA c25x4<>+8(SB)/8, $0x4004000000000000
@@ -36,18 +49,30 @@ DATA c25x4<>+16(SB)/8, $0x4004000000000000
 DATA c25x4<>+24(SB)/8, $0x4004000000000000
 GLOBL c25x4<>(SB), RODATA|NOPTR, $32
 
+// invSqrt's seed constant (rsqrtMagic) and range, 2^-1000 and 2^1000.
+DATA magic4<>+0(SB)/8, $0x5fe6eb50c7b537a9
+DATA magic4<>+8(SB)/8, $0x5fe6eb50c7b537a9
+DATA magic4<>+16(SB)/8, $0x5fe6eb50c7b537a9
+DATA magic4<>+24(SB)/8, $0x5fe6eb50c7b537a9
+GLOBL magic4<>(SB), RODATA|NOPTR, $32
+
+DATA lo4<>+0(SB)/8, $0x0170000000000000
+DATA lo4<>+8(SB)/8, $0x0170000000000000
+DATA lo4<>+16(SB)/8, $0x0170000000000000
+DATA lo4<>+24(SB)/8, $0x0170000000000000
+GLOBL lo4<>(SB), RODATA|NOPTR, $32
+
+DATA hi4<>+0(SB)/8, $0x7e70000000000000
+DATA hi4<>+8(SB)/8, $0x7e70000000000000
+DATA hi4<>+16(SB)/8, $0x7e70000000000000
+DATA hi4<>+24(SB)/8, $0x7e70000000000000
+GLOBL hi4<>(SB), RODATA|NOPTR, $32
+
 // The probe's multiplier 1.0000000001 and addend 1e-9.
 DATA probeC<>+0(SB)/8, $0x3ff000000006df38
 GLOBL probeC<>(SB), RODATA|NOPTR, $8
 DATA probeD<>+0(SB)/8, $0x3e112e0be826d695
 GLOBL probeD<>(SB), RODATA|NOPTR, $8
-
-// pp8's integer 1 that steps a positive double to its predecessor,
-// and the mask that clears a sign.
-DATA bit1<>+0(SB)/8, $1
-GLOBL bit1<>(SB), RODATA|NOPTR, $8
-DATA absMask<>+0(SB)/8, $0x7fffffffffffffff
-GLOBL absMask<>(SB), RODATA|NOPTR, $8
 
 // func cpuid(leaf, sub uint32) (a, b, c, d uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -68,6 +93,8 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	RET
 
 // func pp4(tg *laneBlock, sx, sy, sz, sm *float64, n int, out *laneSums)
+//
+// Y0-Y3 the targets and eps2, Y4-Y7 the sums, Y8-Y15 temporaries.
 TEXT ·pp4(SB), NOSPLIT, $0-56
 	MOVQ tg+0(FP), AX
 	MOVQ sx+8(FP), SI
@@ -79,7 +106,6 @@ TEXT ·pp4(SB), NOSPLIT, $0-56
 	VMOVUPD 32(AX), Y1 // yi
 	VMOVUPD 64(AX), Y2 // zi
 	VMOVUPD 96(AX), Y3 // eps2
-	VMOVUPD one4<>(SB), Y15
 	VXORPD  Y4, Y4, Y4 // ax
 	VXORPD  Y5, Y5, Y5 // ay
 	VXORPD  Y6, Y6, Y6 // az
@@ -93,25 +119,40 @@ pploop:
 	VSUBPD  Y1, Y9, Y9    // dy
 	VBROADCASTSD (R8)(DX*8), Y10
 	VSUBPD  Y2, Y10, Y10  // dz
-	VMULPD  Y8, Y8, Y11   // dx*dx
-	VMULPD  Y9, Y9, Y12   // dy*dy
-	VADDPD  Y12, Y11, Y11
-	VMULPD  Y10, Y10, Y12 // dz*dz
-	VADDPD  Y12, Y11, Y11
-	VADDPD  Y3, Y11, Y11  // r2
-	VSQRTPD Y11, Y11
-	VDIVPD  Y11, Y15, Y11 // rv = 1/sqrt(r2)
+	VMOVAPD Y3, Y11
+	VFMADD231PD Y8, Y8, Y11   // dx*dx + eps2
+	VFMADD231PD Y9, Y9, Y11   // dy*dy + ...
+	VFMADD231PD Y10, Y10, Y11 // r2 = dz*dz + ...
+	VMULPD  negHalf4<>(SB), Y11, Y12 // h = -r2/2
+	VPSRLQ  $1, Y11, Y13
+	VMOVUPD magic4<>(SB), Y14
+	VPSUBQ  Y13, Y14, Y13     // y = magic - bits(r2)>>1
+	VMULPD  Y13, Y13, Y14
+	VFMADD213PD c15x4<>(SB), Y12, Y14
+	VMULPD  Y14, Y13, Y13     // y *= fma(h, y*y, 1.5)
+	VMULPD  Y13, Y13, Y14
+	VFMADD213PD c15x4<>(SB), Y12, Y14
+	VMULPD  Y14, Y13, Y13
+	VMULPD  Y13, Y13, Y14
+	VFMADD213PD c15x4<>(SB), Y12, Y14
+	VMULPD  Y14, Y13, Y13
+	VMULPD  Y13, Y13, Y14
+	VFMADD213PD c15x4<>(SB), Y12, Y14
+	VMULPD  Y14, Y13, Y13     // rv
+	VCMPPD  $0x19, lo4<>(SB), Y11, Y14
+	VCMPPD  $0x15, hi4<>(SB), Y11, Y12
+	VORPD   Y12, Y14, Y14     // lanes out of range
+	VTESTPD Y14, Y14
+	JNE     pp4fix
+pp4rv:
+	VMULPD  Y13, Y13, Y14     // rv*rv
+	VMULPD  Y14, Y13, Y14     // rv*(rv*rv)
 	VBROADCASTSD (R9)(DX*8), Y12
-	VMULPD  Y11, Y12, Y12 // mrv = sm*rv
-	VMULPD  Y11, Y11, Y13 // rv*rv
-	VMULPD  Y13, Y12, Y13 // rin3 = mrv*(rv*rv)
-	VMULPD  Y8, Y13, Y14
-	VADDPD  Y14, Y4, Y4   // ax += rin3*dx
-	VMULPD  Y9, Y13, Y14
-	VADDPD  Y14, Y5, Y5   // ay += rin3*dy
-	VMULPD  Y10, Y13, Y14
-	VADDPD  Y14, Y6, Y6   // az += rin3*dz
-	VSUBPD  Y12, Y7, Y7   // p -= mrv
+	VMULPD  Y14, Y12, Y14     // rin3 = sm*rv^3
+	VFMADD231PD Y14, Y8, Y4   // ax += rin3*dx
+	VFMADD231PD Y14, Y9, Y5   // ay += rin3*dy
+	VFMADD231PD Y14, Y10, Y6  // az += rin3*dz
+	VFNMADD231PD Y13, Y12, Y7 // p -= sm*rv
 	INCQ    DX
 pptest:
 	CMPQ    DX, CX
@@ -123,6 +164,12 @@ pptest:
 	VMOVUPD Y7, 96(AX)
 	VZEROUPPER
 	RET
+pp4fix:
+	VSQRTPD Y11, Y12
+	VMOVUPD one4<>(SB), Y11
+	VDIVPD  Y12, Y11, Y12
+	VBLENDVPD Y14, Y12, Y13, Y13 // rv = 1/sqrt(r2) where out of range
+	JMP     pp4rv
 
 // func m2pQuad4(tg *laneBlock, cols *[10]*float64, n int, out *laneSums)
 //
@@ -156,70 +203,67 @@ qloop:
 	VSUBPD  32(AX), Y1, Y1 // db
 	VBROADCASTSD (DI)(DX*8), Y2
 	VSUBPD  64(AX), Y2, Y2 // dc
-	VMULPD  Y0, Y0, Y3
-	VMULPD  Y1, Y1, Y4
-	VADDPD  Y4, Y3, Y3
-	VMULPD  Y2, Y2, Y4
-	VADDPD  Y4, Y3, Y3
-	VADDPD  96(AX), Y3, Y3 // r2
-	VSQRTPD Y3, Y3
-	VMOVUPD one4<>(SB), Y4
-	VDIVPD  Y3, Y4, Y3     // rv = 1/sqrt(r2)
-	VBROADCASTSD (R8)(DX*8), Y4
-	VMULPD  Y0, Y4, Y4     // qxx*da
-	VBROADCASTSD (R11)(DX*8), Y7
-	VMULPD  Y1, Y7, Y7     // qxy*db
-	VADDPD  Y7, Y4, Y4
-	VBROADCASTSD (R12)(DX*8), Y7
-	VMULPD  Y2, Y7, Y7     // qxz*dc
-	VADDPD  Y7, Y4, Y4     // qdx
-	VBROADCASTSD (R11)(DX*8), Y5
-	VMULPD  Y0, Y5, Y5     // qxy*da
-	VBROADCASTSD (R9)(DX*8), Y7
-	VMULPD  Y1, Y7, Y7     // qyy*db
-	VADDPD  Y7, Y5, Y5
-	VBROADCASTSD (R13)(DX*8), Y7
-	VMULPD  Y2, Y7, Y7     // qyz*dc
-	VADDPD  Y7, Y5, Y5     // qdy
-	VBROADCASTSD (R12)(DX*8), Y6
-	VMULPD  Y0, Y6, Y6     // qxz*da
-	VBROADCASTSD (R13)(DX*8), Y7
-	VMULPD  Y1, Y7, Y7     // qyz*db
-	VADDPD  Y7, Y6, Y6
-	VBROADCASTSD (R10)(DX*8), Y7
-	VMULPD  Y2, Y7, Y7     // qzz*dc
-	VADDPD  Y7, Y6, Y6     // qdz
-	VMULPD  Y4, Y0, Y7     // da*qdx
-	VMULPD  Y5, Y1, Y8     // db*qdy
-	VADDPD  Y8, Y7, Y7
-	VMULPD  Y6, Y2, Y8     // dc*qdz
-	VADDPD  Y8, Y7, Y7     // dqd
-	VMULPD  Y3, Y3, Y8     // rv2 = rv*rv
-	VMULPD  Y8, Y3, Y9     // rv3 = rv*rv2
-	VBROADCASTSD (BX)(DX*8), Y10
-	VMULPD  Y3, Y10, Y3    // cm*rv
-	VMULPD  Y9, Y10, Y10   // mono = cm*rv3
-	VMULPD  Y8, Y9, Y9     // rv5 = rv3*rv2
-	VMULPD  half4<>(SB), Y7, Y11 // 0.5*dqd
-	VMULPD  Y9, Y11, Y11   // 0.5*dqd*rv5
-	VADDPD  Y11, Y3, Y3    // cm*rv + 0.5*dqd*rv5
-	VSUBPD  Y3, Y15, Y15   // p -= ...
-	VMULPD  Y8, Y9, Y8     // rv7 = rv5*rv2
-	VMULPD  c25x4<>(SB), Y7, Y7 // 2.5*dqd
-	VMULPD  Y8, Y7, Y7     // cc = 2.5*dqd*rv7
-	VADDPD  Y7, Y10, Y10   // mono+cc
-	VMULPD  Y0, Y10, Y3    // (mono+cc)*da
-	VMULPD  Y9, Y4, Y4     // qdx*rv5
-	VSUBPD  Y4, Y3, Y3
-	VADDPD  Y3, Y12, Y12   // ax += ...
-	VMULPD  Y1, Y10, Y3    // (mono+cc)*db
-	VMULPD  Y9, Y5, Y5     // qdy*rv5
-	VSUBPD  Y5, Y3, Y3
-	VADDPD  Y3, Y13, Y13   // ay += ...
-	VMULPD  Y2, Y10, Y3    // (mono+cc)*dc
-	VMULPD  Y9, Y6, Y6     // qdz*rv5
-	VSUBPD  Y6, Y3, Y3
-	VADDPD  Y3, Y14, Y14   // az += ...
+	VMOVUPD 96(AX), Y3
+	VFMADD231PD Y0, Y0, Y3
+	VFMADD231PD Y1, Y1, Y3
+	VFMADD231PD Y2, Y2, Y3 // r2
+	VMULPD  negHalf4<>(SB), Y3, Y4 // h
+	VPSRLQ  $1, Y3, Y5
+	VMOVUPD magic4<>(SB), Y6
+	VPSUBQ  Y5, Y6, Y5     // y
+	VMULPD  Y5, Y5, Y6
+	VFMADD213PD c15x4<>(SB), Y4, Y6
+	VMULPD  Y6, Y5, Y5
+	VMULPD  Y5, Y5, Y6
+	VFMADD213PD c15x4<>(SB), Y4, Y6
+	VMULPD  Y6, Y5, Y5
+	VMULPD  Y5, Y5, Y6
+	VFMADD213PD c15x4<>(SB), Y4, Y6
+	VMULPD  Y6, Y5, Y5
+	VMULPD  Y5, Y5, Y6
+	VFMADD213PD c15x4<>(SB), Y4, Y6
+	VMULPD  Y6, Y5, Y5     // rv
+	VCMPPD  $0x19, lo4<>(SB), Y3, Y6
+	VCMPPD  $0x15, hi4<>(SB), Y3, Y4
+	VORPD   Y4, Y6, Y6
+	VTESTPD Y6, Y6
+	JNE     q4fix
+q4rv:
+	VMULPD  Y5, Y5, Y3     // rv2
+	VMULPD  Y3, Y5, Y4     // rv3
+	VMULPD  Y3, Y4, Y6     // rv5
+	VBROADCASTSD (R8)(DX*8), Y7
+	VMULPD  Y0, Y7, Y7     // qxx*da
+	VBROADCASTSD (R11)(DX*8), Y8
+	VFMADD231PD Y8, Y1, Y7 // + qxy*db
+	VBROADCASTSD (R12)(DX*8), Y9
+	VFMADD231PD Y9, Y2, Y7 // qdx = ... + qxz*dc
+	VMULPD  Y0, Y8, Y8     // qxy*da
+	VBROADCASTSD (R9)(DX*8), Y10
+	VFMADD231PD Y10, Y1, Y8 // + qyy*db
+	VBROADCASTSD (R13)(DX*8), Y10
+	VFMADD231PD Y10, Y2, Y8 // qdy = ... + qyz*dc
+	VMULPD  Y0, Y9, Y9     // qxz*da
+	VFMADD231PD Y10, Y1, Y9 // + qyz*db
+	VBROADCASTSD (R10)(DX*8), Y10
+	VFMADD231PD Y10, Y2, Y9 // qdz = ... + qzz*dc
+	VMULPD  Y7, Y0, Y10    // da*qdx
+	VFMADD231PD Y8, Y1, Y10 // + db*qdy
+	VFMADD231PD Y9, Y2, Y10 // dqd = ... + dc*qdz
+	VBROADCASTSD (BX)(DX*8), Y11
+	VMULPD  Y4, Y11, Y4    // cm*rv3
+	VMULPD  Y3, Y6, Y3     // rv7 = rv5*rv2
+	VMULPD  c25x4<>(SB), Y3, Y3 // 2.5*rv7
+	VFMADD231PD Y3, Y10, Y4 // mc = dqd*2.5*rv7 + cm*rv3
+	VFNMADD231PD Y6, Y7, Y12 // ax -= qdx*rv5
+	VFMADD231PD Y4, Y0, Y12  // ax += mc*da
+	VFNMADD231PD Y6, Y8, Y13 // ay -= qdy*rv5
+	VFMADD231PD Y4, Y1, Y13  // ay += mc*db
+	VFNMADD231PD Y6, Y9, Y14 // az -= qdz*rv5
+	VFMADD231PD Y4, Y2, Y14  // az += mc*dc
+	VMULPD  negHalf4<>(SB), Y6, Y6 // -rv5/2
+	VFMADD231PD Y6, Y10, Y15 // p += dqd*(-rv5/2)
+	VFNMADD231PD Y5, Y11, Y15 // p -= cm*rv
 	INCQ    DX
 qtest:
 	CMPQ    DX, n+16(FP)
@@ -231,6 +275,12 @@ qtest:
 	VMOVUPD Y15, 96(AX)
 	VZEROUPPER
 	RET
+q4fix:
+	VSQRTPD Y3, Y4
+	VMOVUPD one4<>(SB), Y7
+	VDIVPD  Y4, Y7, Y4
+	VBLENDVPD Y6, Y4, Y5, Y5 // rv = 1/sqrt(r2) where out of range
+	JMP     q4rv
 
 // func mulAdd4(n int, out *[4]float64)
 TEXT ·mulAdd4(SB), NOSPLIT, $0-16
@@ -247,22 +297,14 @@ TEXT ·mulAdd4(SB), NOSPLIT, $0-16
 	VMOVUPD Y0, Y7
 	JMP     matest
 maloop:
-	VMULPD Y8, Y0, Y0
-	VADDPD Y9, Y0, Y0
-	VMULPD Y8, Y1, Y1
-	VADDPD Y9, Y1, Y1
-	VMULPD Y8, Y2, Y2
-	VADDPD Y9, Y2, Y2
-	VMULPD Y8, Y3, Y3
-	VADDPD Y9, Y3, Y3
-	VMULPD Y8, Y4, Y4
-	VADDPD Y9, Y4, Y4
-	VMULPD Y8, Y5, Y5
-	VADDPD Y9, Y5, Y5
-	VMULPD Y8, Y6, Y6
-	VADDPD Y9, Y6, Y6
-	VMULPD Y8, Y7, Y7
-	VADDPD Y9, Y7, Y7
+	VFMADD213PD Y9, Y8, Y0
+	VFMADD213PD Y9, Y8, Y1
+	VFMADD213PD Y9, Y8, Y2
+	VFMADD213PD Y9, Y8, Y3
+	VFMADD213PD Y9, Y8, Y4
+	VFMADD213PD Y9, Y8, Y5
+	VFMADD213PD Y9, Y8, Y6
+	VFMADD213PD Y9, Y8, Y7
 	DECQ   CX
 matest:
 	TESTQ  CX, CX
@@ -281,36 +323,15 @@ matest:
 
 // func pp8(tg *laneBlock8, sx, sy, sz, sm *float64, n int, out *laneSums8)
 //
-// pp4 at eight lanes, with one change: rv = RN(1/s), s = RN(sqrt(r2)),
-// comes from multiplies and adds wherever that can be proven right --
-// the paper's Karp reciprocal, made exact. q starts at VRCP14PD(s)
-// (relative error < 2^-14), takes one third-order step
-// y += y*(e + e*e) (error near 2^-42) and one Newton step y += y*e
-// (near 2^-84), e = 1 - s*y, all on FMAs. A lane keeps q only if
+// pp4 at eight lanes, two sources per iteration: the two are computed
+// side by side and added to the sums one after the other, so each lane
+// still sums in list order; an odd last source runs alone. K1-K4 hold
+// the lanes out of range, two masks per source, and one such lane
+// sends the pair out of line.
 //
-//	|e| < s*d/2,  e = fma(-s, q, 1),  d = q - pred(q),
-//
-// pred(q) being q's bits minus one. Why an accepted q is RN(1/s): for
-// every finite r2 > 0, s is a normal double in [2^-537, 2^512) and q,
-// within a hair of 1/s, is one too, so s*d/2 (d a power of two, near
-// 2^-53 q) is exact. Write s = S*2^a and q = Q*2^b with S, Q < 2^53:
-// s*q and 1 lie on the grid 2^(a+b), near 2^-105. If
-// |1 - s*q| < s*d/2 <= S*2^(a+b-1), the residual is fewer than 2^52
-// steps of that grid, a double, and the FMA returns it exactly; if
-// not, rounding is monotone and |e| >= s*d/2. So a lane is accepted
-// iff |1/s - q| < d/2. Below q, d/2 is half the gap to pred(q); above,
-// at most half the gap to the successor (d = ulp(q), or ulp(q)/2 at a
-// power of two); and 1/s is never a tie (a midpoint has 54 significant
-// bits, and s = 2^k/odd is no double). So q = RN(1/s). A right q at a
-// power of two may fail above it, which only costs the fallback. s = 0
-// or +Inf makes VRCP14PD's estimate +Inf or 0 and the residual
-// 0*Inf = NaN, as does a NaN s, and the compare is true on unordered,
-// so every special value is the divider's. The verdict stays in K1:
-// if any lane fails, the vector goes to VDIVPD out of line, which
-// gives every lane, accepted or not, the bits of 1/s.
-//
-// Z0-Z3 the targets and eps2, Z4-Z7 the sums, Z8-Z14 and Z21
-// temporaries, Z15 and Z18-Z20 the constants.
+// Z0-Z3 the targets and eps2, Z4-Z7 the sums, Z8-Z14 the first
+// source's temporaries and Z21-Z27 the second's, Z15-Z20 the constants
+// (one, magic, -1/2, 3/2, 2^-1000, 2^1000).
 TEXT ·pp8(SB), NOSPLIT, $0-56
 	MOVQ tg+0(FP), AX
 	MOVQ sx+8(FP), SI
@@ -323,63 +344,139 @@ TEXT ·pp8(SB), NOSPLIT, $0-56
 	VMOVUPD 128(AX), Z2 // zi
 	VMOVUPD 192(AX), Z3 // eps2
 	VBROADCASTSD one4<>(SB), Z15
-	VPBROADCASTQ bit1<>(SB), Z18
-	VPBROADCASTQ absMask<>(SB), Z19
-	VBROADCASTSD half4<>(SB), Z20
+	VPBROADCASTQ magic4<>(SB), Z16
+	VBROADCASTSD negHalf4<>(SB), Z17
+	VBROADCASTSD c15x4<>(SB), Z18
+	VBROADCASTSD lo4<>(SB), Z19
+	VBROADCASTSD hi4<>(SB), Z20
 	VPXORQ  Z4, Z4, Z4 // ax
 	VPXORQ  Z5, Z5, Z5 // ay
 	VPXORQ  Z6, Z6, Z6 // az
 	VPXORQ  Z7, Z7, Z7 // p
+	LEAQ    -1(CX), R10 // a pair starts below n-1
 	XORQ    DX, DX
-	JMP     pp8test
-pp8loop:
+	JMP     pp8test2
+pp8loop2:
 	VBROADCASTSD (SI)(DX*8), Z8
-	VSUBPD  Z0, Z8, Z8    // dx = sx - xi
+	VBROADCASTSD 8(SI)(DX*8), Z21
+	VSUBPD  Z0, Z8, Z8 // dx = sx - xi
+	VSUBPD  Z0, Z21, Z21
 	VBROADCASTSD (DI)(DX*8), Z9
-	VSUBPD  Z1, Z9, Z9    // dy
+	VBROADCASTSD 8(DI)(DX*8), Z22
+	VSUBPD  Z1, Z9, Z9 // dy
+	VSUBPD  Z1, Z22, Z22
 	VBROADCASTSD (R8)(DX*8), Z10
-	VSUBPD  Z2, Z10, Z10  // dz
-	VMULPD  Z8, Z8, Z11   // dx*dx
-	VMULPD  Z9, Z9, Z12   // dy*dy
-	VADDPD  Z12, Z11, Z11
-	VMULPD  Z10, Z10, Z12 // dz*dz
-	VADDPD  Z12, Z11, Z11
-	VADDPD  Z3, Z11, Z11  // r2
-	VSQRTPD Z11, Z11      // s = sqrt(r2)
-	VRCP14PD Z11, Z12     // y ~ 1/s
-	VMOVAPD Z15, Z13
-	VFNMADD231PD Z12, Z11, Z13 // e = 1 - s*y
-	VFMADD213PD  Z13, Z13, Z13 // e + e*e
-	VFMADD231PD  Z13, Z12, Z12 // y += y*(e + e*e)
-	VMOVAPD Z15, Z13
-	VFNMADD231PD Z12, Z11, Z13 // e = 1 - s*y
-	VFMADD231PD  Z13, Z12, Z12 // q = y + y*e
-	VMOVAPD Z15, Z13
-	VFNMADD231PD Z12, Z11, Z13 // e = 1 - s*q, exact where it decides
-	VPSUBQ  Z18, Z12, Z14      // pred(q)
-	VSUBPD  Z14, Z12, Z14      // d = q - pred(q)
-	VMULPD  Z11, Z14, Z14
-	VMULPD  Z20, Z14, Z14      // s*d/2
-	VPANDQ  Z19, Z13, Z13      // |e|
-	VCMPPD  $0x05, Z14, Z13, K1 // not |e| < s*d/2
-	KORTESTW K1, K1
-	JNZ     pp8div
-pp8rv:
-	VBROADCASTSD (R9)(DX*8), Z13
-	VMULPD  Z12, Z13, Z13 // mrv = sm*rv
-	VMULPD  Z12, Z12, Z14 // rv*rv
-	VMULPD  Z14, Z13, Z14 // rin3 = mrv*(rv*rv)
-	VMULPD  Z8, Z14, Z21
-	VADDPD  Z21, Z4, Z4   // ax += rin3*dx
-	VMULPD  Z9, Z14, Z21
-	VADDPD  Z21, Z5, Z5   // ay += rin3*dy
-	VMULPD  Z10, Z14, Z21
-	VADDPD  Z21, Z6, Z6   // az += rin3*dz
-	VSUBPD  Z13, Z7, Z7   // p -= mrv
-	INCQ    DX
-pp8test:
+	VBROADCASTSD 8(R8)(DX*8), Z23
+	VSUBPD  Z2, Z10, Z10 // dz
+	VSUBPD  Z2, Z23, Z23
+	VMOVAPD Z3, Z11
+	VMOVAPD Z3, Z24
+	VFMADD231PD Z8, Z8, Z11
+	VFMADD231PD Z21, Z21, Z24
+	VFMADD231PD Z9, Z9, Z11
+	VFMADD231PD Z22, Z22, Z24
+	VFMADD231PD Z10, Z10, Z11 // r2 = dz*dz + (dy*dy + (dx*dx + eps2))
+	VFMADD231PD Z23, Z23, Z24
+	VMULPD  Z17, Z11, Z13 // h = -r2/2
+	VMULPD  Z17, Z24, Z26
+	VPSRLQ  $1, Z11, Z12
+	VPSRLQ  $1, Z24, Z25
+	VPSUBQ  Z12, Z16, Z12 // y = magic - bits(r2)>>1
+	VPSUBQ  Z25, Z16, Z25
+	VMULPD  Z12, Z12, Z14
+	VMULPD  Z25, Z25, Z27
+	VFMADD213PD Z18, Z13, Z14
+	VFMADD213PD Z18, Z26, Z27
+	VMULPD  Z14, Z12, Z12 // y *= fma(h, y*y, 1.5), four times
+	VMULPD  Z27, Z25, Z25
+	VMULPD  Z12, Z12, Z14
+	VMULPD  Z25, Z25, Z27
+	VFMADD213PD Z18, Z13, Z14
+	VFMADD213PD Z18, Z26, Z27
+	VMULPD  Z14, Z12, Z12
+	VMULPD  Z27, Z25, Z25
+	VMULPD  Z12, Z12, Z14
+	VMULPD  Z25, Z25, Z27
+	VFMADD213PD Z18, Z13, Z14
+	VFMADD213PD Z18, Z26, Z27
+	VMULPD  Z14, Z12, Z12
+	VMULPD  Z27, Z25, Z25
+	VMULPD  Z12, Z12, Z14
+	VMULPD  Z25, Z25, Z27
+	VFMADD213PD Z18, Z13, Z14
+	VFMADD213PD Z18, Z26, Z27
+	VMULPD  Z14, Z12, Z12
+	VMULPD  Z27, Z25, Z25
+	VCMPPD  $0x19, Z19, Z11, K1 // r2 out of [2^-1000, 2^1000)
+	VCMPPD  $0x19, Z19, Z24, K3
+	VCMPPD  $0x15, Z20, Z11, K2
+	VCMPPD  $0x15, Z20, Z24, K4
+	KORW    K1, K2, K1
+	KORW    K3, K4, K3
+	KORTESTW K1, K3
+	JNE     pp8fix2
+pp8rv2:
+	VMULPD  Z12, Z12, Z13 // rv*rv
+	VMULPD  Z25, Z25, Z26
+	VMULPD  Z13, Z12, Z13 // rv*(rv*rv)
+	VMULPD  Z26, Z25, Z26
+	VBROADCASTSD (R9)(DX*8), Z14
+	VBROADCASTSD 8(R9)(DX*8), Z27
+	VMULPD  Z13, Z14, Z13 // rin3 = sm*rv^3
+	VMULPD  Z26, Z27, Z26
+	VFMADD231PD Z13, Z8, Z4 // ax += rin3*dx
+	VFMADD231PD Z26, Z21, Z4
+	VFMADD231PD Z13, Z9, Z5 // ay
+	VFMADD231PD Z26, Z22, Z5
+	VFMADD231PD Z13, Z10, Z6 // az
+	VFMADD231PD Z26, Z23, Z6
+	VFNMADD231PD Z12, Z14, Z7 // p -= sm*rv
+	VFNMADD231PD Z25, Z27, Z7
+	ADDQ    $2, DX
+pp8test2:
+	CMPQ    DX, R10
+	JLT     pp8loop2
 	CMPQ    DX, CX
-	JLT     pp8loop
+	JGE     pp8done
+	VBROADCASTSD (SI)(DX*8), Z8 // the odd last source
+	VSUBPD  Z0, Z8, Z8
+	VBROADCASTSD (DI)(DX*8), Z9
+	VSUBPD  Z1, Z9, Z9
+	VBROADCASTSD (R8)(DX*8), Z10
+	VSUBPD  Z2, Z10, Z10
+	VMOVAPD Z3, Z11
+	VFMADD231PD Z8, Z8, Z11
+	VFMADD231PD Z9, Z9, Z11
+	VFMADD231PD Z10, Z10, Z11
+	VMULPD  Z17, Z11, Z13
+	VPSRLQ  $1, Z11, Z12
+	VPSUBQ  Z12, Z16, Z12
+	VMULPD  Z12, Z12, Z14
+	VFMADD213PD Z18, Z13, Z14
+	VMULPD  Z14, Z12, Z12
+	VMULPD  Z12, Z12, Z14
+	VFMADD213PD Z18, Z13, Z14
+	VMULPD  Z14, Z12, Z12
+	VMULPD  Z12, Z12, Z14
+	VFMADD213PD Z18, Z13, Z14
+	VMULPD  Z14, Z12, Z12
+	VMULPD  Z12, Z12, Z14
+	VFMADD213PD Z18, Z13, Z14
+	VMULPD  Z14, Z12, Z12
+	VCMPPD  $0x19, Z19, Z11, K1
+	VCMPPD  $0x15, Z20, Z11, K2
+	KORTESTW K1, K2
+	JNE     pp8fix1
+pp8rv1:
+	VMULPD  Z12, Z12, Z13
+	VMULPD  Z13, Z12, Z13
+	VBROADCASTSD (R9)(DX*8), Z14
+	VMULPD  Z13, Z14, Z13
+	VFMADD231PD Z13, Z8, Z4
+	VFMADD231PD Z13, Z9, Z5
+	VFMADD231PD Z13, Z10, Z6
+	VFNMADD231PD Z12, Z14, Z7
+pp8done:
 	MOVQ    out+48(FP), AX
 	VMOVUPD Z4, 0(AX)
 	VMOVUPD Z5, 64(AX)
@@ -387,16 +484,31 @@ pp8test:
 	VMOVUPD Z7, 192(AX)
 	VZEROUPPER
 	RET
-pp8div:
-	VDIVPD  Z11, Z15, Z12 // rv = 1/s
-	JMP     pp8rv
+pp8fix2: // rv = 1/sqrt(r2) in the lanes out of range
+	VSQRTPD Z11, Z13
+	VDIVPD  Z13, Z15, Z13
+	VMOVAPD Z13, K1, Z12
+	VSQRTPD Z24, Z26
+	VDIVPD  Z26, Z15, Z26
+	VMOVAPD Z26, K3, Z25
+	JMP     pp8rv2
+pp8fix1:
+	KORW    K1, K2, K1
+	VSQRTPD Z11, Z13
+	VDIVPD  Z13, Z15, Z13
+	VMOVAPD Z13, K1, Z12
+	JMP     pp8rv1
 
 // func m2pQuad8(tg *laneBlock8, cols *[10]*float64, n int, out *laneSums8)
 //
-// m2pQuad4 at eight lanes, instruction for instruction; with 32
-// registers the targets and constants stay in Z16-Z22. Its reciprocal
-// is VDIVPD: 54 other operations per interaction keep this loop on the
-// multiply and add ports, where pp8's Newton steps only cost.
+// m2pQuad4 at eight lanes, two cells per iteration like pp8 (an odd
+// last cell alone), each lane still summing in list order. The ten
+// columns are read as embedded broadcasts, the constants too but
+// magic, so the two cells' temporaries fit beside the targets and
+// sums: Z0-Z10 the first cell's, Z11-Z21 the second's, Z22-Z25 the
+// sums, Z26-Z29 the targets and eps2, Z30 magic. K1-K4 hold the lanes
+// out of range, two masks per cell; AX, free once the block is loaded,
+// is n-1.
 TEXT ·m2pQuad8(SB), NOSPLIT, $0-32
 	MOVQ tg+0(FP), AX
 	MOVQ cols+8(FP), DX
@@ -410,100 +522,224 @@ TEXT ·m2pQuad8(SB), NOSPLIT, $0-32
 	MOVQ 56(DX), R11 // qxy
 	MOVQ 64(DX), R12 // qxz
 	MOVQ 72(DX), R13 // qyz
-	VMOVUPD 0(AX), Z16   // xi
-	VMOVUPD 64(AX), Z17  // yi
-	VMOVUPD 128(AX), Z18 // zi
-	VMOVUPD 192(AX), Z19 // eps2
-	VBROADCASTSD one4<>(SB), Z20
-	VBROADCASTSD half4<>(SB), Z21
-	VBROADCASTSD c25x4<>(SB), Z22
-	VPXORQ Z12, Z12, Z12 // ax
-	VPXORQ Z13, Z13, Z13 // ay
-	VPXORQ Z14, Z14, Z14 // az
-	VPXORQ Z15, Z15, Z15 // p
+	VMOVUPD 0(AX), Z26   // xi
+	VMOVUPD 64(AX), Z27  // yi
+	VMOVUPD 128(AX), Z28 // zi
+	VMOVUPD 192(AX), Z29 // eps2
+	VPBROADCASTQ magic4<>(SB), Z30
+	VPXORQ Z22, Z22, Z22 // ax
+	VPXORQ Z23, Z23, Z23 // ay
+	VPXORQ Z24, Z24, Z24 // az
+	VPXORQ Z25, Z25, Z25 // p
+	MOVQ   n+16(FP), AX
+	DECQ   AX // a pair starts below n-1
 	XORQ   DX, DX
-	JMP    q8test
-q8loop:
+	JMP    q8test2
+q8loop2:
 	VBROADCASTSD (CX)(DX*8), Z0
-	VSUBPD  Z16, Z0, Z0    // da = cx - xi
+	VBROADCASTSD 8(CX)(DX*8), Z11
+	VSUBPD  Z26, Z0, Z0 // da = cx - xi (first cell; the second interleaved)
+	VSUBPD  Z26, Z11, Z11
 	VBROADCASTSD (SI)(DX*8), Z1
-	VSUBPD  Z17, Z1, Z1    // db
+	VBROADCASTSD 8(SI)(DX*8), Z12
+	VSUBPD  Z27, Z1, Z1 // db
+	VSUBPD  Z27, Z12, Z12
 	VBROADCASTSD (DI)(DX*8), Z2
-	VSUBPD  Z18, Z2, Z2    // dc
-	VMULPD  Z0, Z0, Z3
-	VMULPD  Z1, Z1, Z4
-	VADDPD  Z4, Z3, Z3
-	VMULPD  Z2, Z2, Z4
-	VADDPD  Z4, Z3, Z3
-	VADDPD  Z19, Z3, Z3    // r2
-	VSQRTPD Z3, Z3
-	VDIVPD  Z3, Z20, Z3    // rv = 1/sqrt(r2)
-	VBROADCASTSD (R8)(DX*8), Z4
-	VMULPD  Z0, Z4, Z4     // qxx*da
-	VBROADCASTSD (R11)(DX*8), Z7
-	VMULPD  Z1, Z7, Z7     // qxy*db
-	VADDPD  Z7, Z4, Z4
-	VBROADCASTSD (R12)(DX*8), Z7
-	VMULPD  Z2, Z7, Z7     // qxz*dc
-	VADDPD  Z7, Z4, Z4     // qdx
-	VBROADCASTSD (R11)(DX*8), Z5
-	VMULPD  Z0, Z5, Z5     // qxy*da
-	VBROADCASTSD (R9)(DX*8), Z7
-	VMULPD  Z1, Z7, Z7     // qyy*db
-	VADDPD  Z7, Z5, Z5
-	VBROADCASTSD (R13)(DX*8), Z7
-	VMULPD  Z2, Z7, Z7     // qyz*dc
-	VADDPD  Z7, Z5, Z5     // qdy
-	VBROADCASTSD (R12)(DX*8), Z6
-	VMULPD  Z0, Z6, Z6     // qxz*da
-	VBROADCASTSD (R13)(DX*8), Z7
-	VMULPD  Z1, Z7, Z7     // qyz*db
-	VADDPD  Z7, Z6, Z6
-	VBROADCASTSD (R10)(DX*8), Z7
-	VMULPD  Z2, Z7, Z7     // qzz*dc
-	VADDPD  Z7, Z6, Z6     // qdz
-	VMULPD  Z4, Z0, Z7     // da*qdx
-	VMULPD  Z5, Z1, Z8     // db*qdy
-	VADDPD  Z8, Z7, Z7
-	VMULPD  Z6, Z2, Z8     // dc*qdz
-	VADDPD  Z8, Z7, Z7     // dqd
-	VMULPD  Z3, Z3, Z8     // rv2 = rv*rv
-	VMULPD  Z8, Z3, Z9     // rv3 = rv*rv2
-	VBROADCASTSD (BX)(DX*8), Z10
-	VMULPD  Z3, Z10, Z3    // cm*rv
-	VMULPD  Z9, Z10, Z10   // mono = cm*rv3
-	VMULPD  Z8, Z9, Z9     // rv5 = rv3*rv2
-	VMULPD  Z21, Z7, Z11   // 0.5*dqd
-	VMULPD  Z9, Z11, Z11   // 0.5*dqd*rv5
-	VADDPD  Z11, Z3, Z3    // cm*rv + 0.5*dqd*rv5
-	VSUBPD  Z3, Z15, Z15   // p -= ...
-	VMULPD  Z8, Z9, Z8     // rv7 = rv5*rv2
-	VMULPD  Z22, Z7, Z7    // 2.5*dqd
-	VMULPD  Z8, Z7, Z7     // cc = 2.5*dqd*rv7
-	VADDPD  Z7, Z10, Z10   // mono+cc
-	VMULPD  Z0, Z10, Z3    // (mono+cc)*da
-	VMULPD  Z9, Z4, Z4     // qdx*rv5
-	VSUBPD  Z4, Z3, Z3
-	VADDPD  Z3, Z12, Z12   // ax += ...
-	VMULPD  Z1, Z10, Z3    // (mono+cc)*db
-	VMULPD  Z9, Z5, Z5     // qdy*rv5
-	VSUBPD  Z5, Z3, Z3
-	VADDPD  Z3, Z13, Z13   // ay += ...
-	VMULPD  Z2, Z10, Z3    // (mono+cc)*dc
-	VMULPD  Z9, Z6, Z6     // qdz*rv5
-	VSUBPD  Z6, Z3, Z3
-	VADDPD  Z3, Z14, Z14   // az += ...
-	INCQ    DX
-q8test:
+	VBROADCASTSD 8(DI)(DX*8), Z13
+	VSUBPD  Z28, Z2, Z2 // dc
+	VSUBPD  Z28, Z13, Z13
+	VMOVAPD Z29, Z3
+	VMOVAPD Z29, Z14
+	VFMADD231PD Z0, Z0, Z3
+	VFMADD231PD Z11, Z11, Z14
+	VFMADD231PD Z1, Z1, Z3
+	VFMADD231PD Z12, Z12, Z14
+	VFMADD231PD Z2, Z2, Z3 // r2 = dc*dc + (db*db + (da*da + eps2))
+	VFMADD231PD Z13, Z13, Z14
+	VMULPD.BCST negHalf4<>(SB), Z3, Z5 // h = -r2/2
+	VMULPD.BCST negHalf4<>(SB), Z14, Z16
+	VPSRLQ  $1, Z3, Z4
+	VPSRLQ  $1, Z14, Z15
+	VPSUBQ  Z4, Z30, Z4 // y = magic - bits(r2)>>1
+	VPSUBQ  Z15, Z30, Z15
+	VMULPD  Z4, Z4, Z6
+	VMULPD  Z15, Z15, Z17
+	VFMADD213PD.BCST c15x4<>(SB), Z5, Z6
+	VFMADD213PD.BCST c15x4<>(SB), Z16, Z17
+	VMULPD  Z6, Z4, Z4 // y *= fma(h, y*y, 1.5), four times
+	VMULPD  Z17, Z15, Z15
+	VMULPD  Z4, Z4, Z6
+	VMULPD  Z15, Z15, Z17
+	VFMADD213PD.BCST c15x4<>(SB), Z5, Z6
+	VFMADD213PD.BCST c15x4<>(SB), Z16, Z17
+	VMULPD  Z6, Z4, Z4
+	VMULPD  Z17, Z15, Z15
+	VMULPD  Z4, Z4, Z6
+	VMULPD  Z15, Z15, Z17
+	VFMADD213PD.BCST c15x4<>(SB), Z5, Z6
+	VFMADD213PD.BCST c15x4<>(SB), Z16, Z17
+	VMULPD  Z6, Z4, Z4
+	VMULPD  Z17, Z15, Z15
+	VMULPD  Z4, Z4, Z6
+	VMULPD  Z15, Z15, Z17
+	VFMADD213PD.BCST c15x4<>(SB), Z5, Z6
+	VFMADD213PD.BCST c15x4<>(SB), Z16, Z17
+	VMULPD  Z6, Z4, Z4
+	VMULPD  Z17, Z15, Z15
+	VCMPPD.BCST $0x19, lo4<>(SB), Z3, K1 // r2 out of [2^-1000, 2^1000)
+	VCMPPD.BCST $0x19, lo4<>(SB), Z14, K3
+	VCMPPD.BCST $0x15, hi4<>(SB), Z3, K2
+	VCMPPD.BCST $0x15, hi4<>(SB), Z14, K4
+	KORW    K1, K2, K1
+	KORW    K3, K4, K3
+	KORTESTW K1, K3
+	JNE     q8fix2
+q8rv2:
+	VMULPD  Z4, Z4, Z3 // rv2
+	VMULPD  Z15, Z15, Z14
+	VMULPD  Z3, Z4, Z5 // rv3
+	VMULPD  Z14, Z15, Z16
+	VMULPD  Z3, Z5, Z6 // rv5
+	VMULPD  Z14, Z16, Z17
+	VMULPD.BCST (R8)(DX*8), Z0, Z7 // qxx*da
+	VMULPD.BCST 8(R8)(DX*8), Z11, Z18
+	VFMADD231PD.BCST (R11)(DX*8), Z1, Z7 // + qxy*db
+	VFMADD231PD.BCST 8(R11)(DX*8), Z12, Z18
+	VFMADD231PD.BCST (R12)(DX*8), Z2, Z7 // qdx = ... + qxz*dc
+	VFMADD231PD.BCST 8(R12)(DX*8), Z13, Z18
+	VMULPD.BCST (R11)(DX*8), Z0, Z8 // qxy*da
+	VMULPD.BCST 8(R11)(DX*8), Z11, Z19
+	VFMADD231PD.BCST (R9)(DX*8), Z1, Z8 // + qyy*db
+	VFMADD231PD.BCST 8(R9)(DX*8), Z12, Z19
+	VFMADD231PD.BCST (R13)(DX*8), Z2, Z8 // qdy = ... + qyz*dc
+	VFMADD231PD.BCST 8(R13)(DX*8), Z13, Z19
+	VMULPD.BCST (R12)(DX*8), Z0, Z9 // qxz*da
+	VMULPD.BCST 8(R12)(DX*8), Z11, Z20
+	VFMADD231PD.BCST (R13)(DX*8), Z1, Z9 // + qyz*db
+	VFMADD231PD.BCST 8(R13)(DX*8), Z12, Z20
+	VFMADD231PD.BCST (R10)(DX*8), Z2, Z9 // qdz = ... + qzz*dc
+	VFMADD231PD.BCST 8(R10)(DX*8), Z13, Z20
+	VMULPD  Z7, Z0, Z10 // da*qdx
+	VMULPD  Z18, Z11, Z21
+	VFMADD231PD Z8, Z1, Z10 // + db*qdy
+	VFMADD231PD Z19, Z12, Z21
+	VFMADD231PD Z9, Z2, Z10 // dqd = ... + dc*qdz
+	VFMADD231PD Z20, Z13, Z21
+	VMULPD.BCST (BX)(DX*8), Z5, Z5 // mono = cm*rv3
+	VMULPD.BCST 8(BX)(DX*8), Z16, Z16
+	VMULPD  Z6, Z3, Z3 // rv7 = rv5*rv2
+	VMULPD  Z17, Z14, Z14
+	VMULPD.BCST c25x4<>(SB), Z3, Z3 // 2.5*rv7
+	VMULPD.BCST c25x4<>(SB), Z14, Z14
+	VFMADD231PD Z3, Z10, Z5 // mc = dqd*2.5*rv7 + mono
+	VFMADD231PD Z14, Z21, Z16
+	VFNMADD231PD Z6, Z7, Z22 // ax -= qdx*rv5, ax += mc*da: the first cell, then the second
+	VFMADD231PD Z5, Z0, Z22
+	VFNMADD231PD Z17, Z18, Z22
+	VFMADD231PD Z16, Z11, Z22
+	VFNMADD231PD Z6, Z8, Z23 // ay
+	VFMADD231PD Z5, Z1, Z23
+	VFNMADD231PD Z17, Z19, Z23
+	VFMADD231PD Z16, Z12, Z23
+	VFNMADD231PD Z6, Z9, Z24 // az
+	VFMADD231PD Z5, Z2, Z24
+	VFNMADD231PD Z17, Z20, Z24
+	VFMADD231PD Z16, Z13, Z24
+	VMULPD.BCST negHalf4<>(SB), Z6, Z6 // -rv5/2, p += dqd*(-rv5/2), p -= cm*rv
+	VFMADD231PD Z6, Z10, Z25
+	VFNMADD231PD.BCST (BX)(DX*8), Z4, Z25
+	VMULPD.BCST negHalf4<>(SB), Z17, Z17
+	VFMADD231PD Z17, Z21, Z25
+	VFNMADD231PD.BCST 8(BX)(DX*8), Z15, Z25
+	ADDQ    $2, DX
+q8test2:
+	CMPQ    DX, AX
+	JLT     q8loop2
 	CMPQ    DX, n+16(FP)
-	JLT     q8loop
+	JGE     q8done
+	VBROADCASTSD (CX)(DX*8), Z0 // the odd last cell
+	VSUBPD  Z26, Z0, Z0
+	VBROADCASTSD (SI)(DX*8), Z1
+	VSUBPD  Z27, Z1, Z1
+	VBROADCASTSD (DI)(DX*8), Z2
+	VSUBPD  Z28, Z2, Z2
+	VMOVAPD Z29, Z3
+	VFMADD231PD Z0, Z0, Z3
+	VFMADD231PD Z1, Z1, Z3
+	VFMADD231PD Z2, Z2, Z3
+	VMULPD.BCST negHalf4<>(SB), Z3, Z5
+	VPSRLQ  $1, Z3, Z4
+	VPSUBQ  Z4, Z30, Z4
+	VMULPD  Z4, Z4, Z6
+	VFMADD213PD.BCST c15x4<>(SB), Z5, Z6
+	VMULPD  Z6, Z4, Z4
+	VMULPD  Z4, Z4, Z6
+	VFMADD213PD.BCST c15x4<>(SB), Z5, Z6
+	VMULPD  Z6, Z4, Z4
+	VMULPD  Z4, Z4, Z6
+	VFMADD213PD.BCST c15x4<>(SB), Z5, Z6
+	VMULPD  Z6, Z4, Z4
+	VMULPD  Z4, Z4, Z6
+	VFMADD213PD.BCST c15x4<>(SB), Z5, Z6
+	VMULPD  Z6, Z4, Z4
+	VCMPPD.BCST $0x19, lo4<>(SB), Z3, K1
+	VCMPPD.BCST $0x15, hi4<>(SB), Z3, K2
+	KORTESTW K1, K2
+	JNE     q8fix1
+q8rv1:
+	VMULPD  Z4, Z4, Z3
+	VMULPD  Z3, Z4, Z5
+	VMULPD  Z3, Z5, Z6
+	VMULPD.BCST (R8)(DX*8), Z0, Z7
+	VFMADD231PD.BCST (R11)(DX*8), Z1, Z7
+	VFMADD231PD.BCST (R12)(DX*8), Z2, Z7
+	VMULPD.BCST (R11)(DX*8), Z0, Z8
+	VFMADD231PD.BCST (R9)(DX*8), Z1, Z8
+	VFMADD231PD.BCST (R13)(DX*8), Z2, Z8
+	VMULPD.BCST (R12)(DX*8), Z0, Z9
+	VFMADD231PD.BCST (R13)(DX*8), Z1, Z9
+	VFMADD231PD.BCST (R10)(DX*8), Z2, Z9
+	VMULPD  Z7, Z0, Z10
+	VFMADD231PD Z8, Z1, Z10
+	VFMADD231PD Z9, Z2, Z10
+	VMULPD.BCST (BX)(DX*8), Z5, Z5
+	VMULPD  Z6, Z3, Z3
+	VMULPD.BCST c25x4<>(SB), Z3, Z3
+	VFMADD231PD Z3, Z10, Z5
+	VFNMADD231PD Z6, Z7, Z22
+	VFMADD231PD Z5, Z0, Z22
+	VFNMADD231PD Z6, Z8, Z23
+	VFMADD231PD Z5, Z1, Z23
+	VFNMADD231PD Z6, Z9, Z24
+	VFMADD231PD Z5, Z2, Z24
+	VMULPD.BCST negHalf4<>(SB), Z6, Z6
+	VFMADD231PD Z6, Z10, Z25
+	VFNMADD231PD.BCST (BX)(DX*8), Z4, Z25
+q8done:
 	MOVQ    out+24(FP), AX
-	VMOVUPD Z12, 0(AX)
-	VMOVUPD Z13, 64(AX)
-	VMOVUPD Z14, 128(AX)
-	VMOVUPD Z15, 192(AX)
+	VMOVUPD Z22, 0(AX)
+	VMOVUPD Z23, 64(AX)
+	VMOVUPD Z24, 128(AX)
+	VMOVUPD Z25, 192(AX)
 	VZEROUPPER
 	RET
+q8fix2: // rv = 1/sqrt(r2) in the lanes out of range
+	VSQRTPD Z3, Z5
+	VBROADCASTSD one4<>(SB), Z6
+	VDIVPD  Z5, Z6, Z5
+	VMOVAPD Z5, K1, Z4
+	VSQRTPD Z14, Z16
+	VBROADCASTSD one4<>(SB), Z17
+	VDIVPD  Z16, Z17, Z16
+	VMOVAPD Z16, K3, Z15
+	JMP     q8rv2
+q8fix1:
+	KORW    K1, K2, K1
+	VSQRTPD Z3, Z5
+	VBROADCASTSD one4<>(SB), Z6
+	VDIVPD  Z5, Z6, Z5
+	VMOVAPD Z5, K1, Z4
+	JMP     q8rv1
 
 // func mulAdd8(n int, out *[8]float64)
 TEXT ·mulAdd8(SB), NOSPLIT, $0-16
@@ -520,22 +756,14 @@ TEXT ·mulAdd8(SB), NOSPLIT, $0-16
 	VMOVAPD Z0, Z7
 	JMP     ma8test
 ma8loop:
-	VMULPD Z8, Z0, Z0
-	VADDPD Z9, Z0, Z0
-	VMULPD Z8, Z1, Z1
-	VADDPD Z9, Z1, Z1
-	VMULPD Z8, Z2, Z2
-	VADDPD Z9, Z2, Z2
-	VMULPD Z8, Z3, Z3
-	VADDPD Z9, Z3, Z3
-	VMULPD Z8, Z4, Z4
-	VADDPD Z9, Z4, Z4
-	VMULPD Z8, Z5, Z5
-	VADDPD Z9, Z5, Z5
-	VMULPD Z8, Z6, Z6
-	VADDPD Z9, Z6, Z6
-	VMULPD Z8, Z7, Z7
-	VADDPD Z9, Z7, Z7
+	VFMADD213PD Z9, Z8, Z0
+	VFMADD213PD Z9, Z8, Z1
+	VFMADD213PD Z9, Z8, Z2
+	VFMADD213PD Z9, Z8, Z3
+	VFMADD213PD Z9, Z8, Z4
+	VFMADD213PD Z9, Z8, Z5
+	VFMADD213PD Z9, Z8, Z6
+	VFMADD213PD Z9, Z8, Z7
 	DECQ   CX
 ma8test:
 	TESTQ  CX, CX

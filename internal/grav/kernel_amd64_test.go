@@ -43,14 +43,6 @@ func (t *Targets) clone() *Targets {
 		AX: dup(t.AX), AY: dup(t.AY), AZ: dup(t.AZ), Pot: dup(t.Pot)}
 }
 
-// sameBits reports whether x and y are the same bits or, with
-// nanClass, both NaN: which operand's NaN an add keeps is the one
-// thing operand order (free in both the compiler and the assembly) may
-// change.
-func sameBits(x, y float64, nanClass bool) bool {
-	return math.Float64bits(x) == math.Float64bits(y) || nanClass && math.IsNaN(x) && math.IsNaN(y)
-}
-
 // sameColumns fails unless the four output columns agree bit for bit
 // (NaNs by class with nanClass).
 func sameColumns(t *testing.T, tag string, a, b *Targets, nanClass bool) {
@@ -134,77 +126,97 @@ func kernelAsmMatchesGo(t *testing.T) {
 			sameColumns(t, "m2p specials", tg, ref, true)
 		}
 	}
+
+	// One entry out of invSqrt's range whose contribution is exactly
+	// zero -- a separation whose square overflows, with no quadrupole to
+	// make it NaN -- at each position of an odd-length list, so in each
+	// lane of the kernels' pairs and alone after them: the sums stay
+	// finite, and a lane that missed the divider would be infinite.
+	for nt := 1; nt <= 12; nt++ {
+		for k := range 7 {
+			tg, l := kernelCase(rng, nt, 7)
+			l.SX[k], l.CX[k] = 1e200, -1e200
+			l.QXX[k], l.QYY[k], l.QZZ[k], l.QXY[k], l.QXZ[k], l.QYZ[k] = 0, 0, 0, 0, 0, 0
+			ref := tg.clone()
+			EvalPP(tg, l, 0)
+			EvalPPGo(ref, l, 0)
+			sameColumns(t, "pp out of range", tg, ref, false)
+			for _, quad := range []bool{false, true} {
+				EvalM2P(tg, l, quad, 0)
+				EvalM2PGo(ref, l, quad, 0)
+				sameColumns(t, "m2p out of range", tg, ref, false)
+			}
+		}
+	}
 }
 
-// rsqrtLanes runs pp8 on eight targets at the origin with eps2 = r2[k]
-// in lane k and one unit source at the origin, so each lane's r2 is
-// 0 + r2[k] and its potential is 0 - rv: pp8's reciprocal square root,
-// lane by lane. want is ppGo's potential on the same target and
-// source.
-func rsqrtLanes(r2 *[8]float64) (got, want [8]float64) {
-	var tg laneBlock8
-	copy(tg[24:], r2[:])
-	var out laneSums8
-	o := []float64{0}
-	pp8(&tg, &o[0], &o[0], &o[0], &[]float64{1}[0], 1, &out)
-	copy(got[:], out[24:])
+// rsqrtLanes runs the lane kernels on eight targets at the origin with
+// eps2 = r2[k] in lane k and ns unit sources at the origin, so each
+// lane's r2 is 0 + r2[k] and its potential is -ns*rv: the kernels'
+// reciprocal square root, lane by lane, through pp8's pair loop (ns 2)
+// or its odd last source (ns 1), and through pp4 on each half of the
+// eight. want is ppGo's potential on the same target and sources.
+func rsqrtLanes(r2 *[8]float64, ns int) (got8, got4, want [8]float64) {
+	var zeros [2]float64
+	ones := [2]float64{1, 1}
+	o, m := zeros[:ns], ones[:ns]
+	if haveAVX512 {
+		var tg laneBlock8
+		copy(tg[24:], r2[:])
+		var out laneSums8
+		pp8(&tg, &o[0], &o[0], &o[0], &m[0], ns, &out)
+		copy(got8[:], out[24:])
+	}
+	for h := 0; h < 8; h += 4 {
+		var tg laneBlock
+		copy(tg[12:], r2[h:h+4])
+		var out laneSums
+		pp4(&tg, &o[0], &o[0], &o[0], &m[0], ns, &out)
+		copy(got4[h:h+4], out[12:])
+	}
 	var acc [4]float64
-	ref := Targets{X: o, Y: o, Z: o, AX: acc[0:1], AY: acc[1:2], AZ: acc[2:3], Pot: acc[3:4]}
+	ref := Targets{X: o[:1], Y: o[:1], Z: o[:1], AX: acc[0:1], AY: acc[1:2], AZ: acc[2:3], Pot: acc[3:4]}
 	for k, v := range r2 {
 		acc[3] = 0
-		ppGo(&ref, o, o, o, []float64{1}, v)
+		ppGo(&ref, o, o, o, m, v)
 		want[k] = acc[3]
 	}
-	return got, want
+	return got8, got4, want
 }
 
+// checkRsqrtLanes fails unless every lane of every lane kernel that
+// runs on this host equals the Go loop bit for bit (NaNs by class), at
+// one source and at two.
 func checkRsqrtLanes(t testing.TB, r2 *[8]float64) {
 	t.Helper()
-	got, want := rsqrtLanes(r2)
-	for k := range got {
-		if !sameBits(got[k], want[k], true) {
-			t.Fatalf("r2 = %x (%g): pp8 potential %x (%g), Go %x (%g)", math.Float64bits(r2[k]), r2[k],
-				math.Float64bits(got[k]), got[k], math.Float64bits(want[k]), want[k])
+	for _, ns := range []int{1, 2} {
+		got8, got4, want := rsqrtLanes(r2, ns)
+		check := func(kernel string, k int, got float64) {
+			if !sameBits(got, want[k], true) {
+				t.Fatalf("r2 = %x (%g), %d sources: %s potential %x (%g), Go %x (%g)",
+					math.Float64bits(r2[k]), r2[k], ns, kernel,
+					math.Float64bits(got), got, math.Float64bits(want[k]), want[k])
+			}
+		}
+		for k := range want {
+			if haveAVX512 {
+				check("pp8", k, got8[k])
+			}
+			check("pp4", k, got4[k])
 		}
 	}
 }
 
-// rsqrtHardCases are the r2 where a multiply-and-add reciprocal is
-// most likely to part from 1/math.Sqrt: squares of s with an all-ones
-// significand and of s one step either side of a power of two, powers
-// of two, s at 2^-510 and 2^510 and one step past them, s at the ends
-// of its range (the smallest subnormal r2 and the largest double),
-// subnormals, zero, +Inf, negatives and NaN.
-func rsqrtHardCases() []float64 {
-	var c []float64
-	sq := func(s float64) { c = append(c, s*s) }
-	for e := -1074; e <= 1023; e++ {
-		p := math.Ldexp(1, e)
-		c = append(c, p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)))
-		if e > -500 && e < 500 {
-			sq(p)
-			sq(math.Nextafter(p, 0)) // all-ones significand
-			sq(math.Nextafter(p, math.Inf(1)))
-		}
-	}
-	for _, s := range []float64{math.Ldexp(1, -510), math.Ldexp(1, 510)} {
-		sq(s)
-		sq(math.Nextafter(s, 0))
-		sq(math.Nextafter(s, math.Inf(1)))
-	}
-	return append(c, 0, math.SmallestNonzeroFloat64, 4e-320, math.MaxFloat64,
-		math.Inf(1), math.Inf(-1), -1, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff0000000000001))
-}
-
-// TestRsqrtLanesMatchGo holds pp8's reciprocal -- Newton steps kept
-// only where the exact residual proves them right, the divider
-// elsewhere -- to 1/math.Sqrt bit for bit: on the hard cases and on
-// 10^7 random r2, half of them random bits over the whole positive
-// range (subnormals, Inf and NaN included), half in the range a
-// simulation meets.
+// TestRsqrtLanesMatchGo holds the lanes' reciprocal -- Newton steps,
+// and the divider out of line for lanes out of invSqrt's range -- to
+// the Go loop bit for bit, at eight lanes and four: on the hard cases;
+// on mixed vectors, one out-of-range lane among in-range ones at every
+// lane position; and on 10^7 random r2, half of them random bits over
+// the whole positive range (subnormals, Inf and NaN included), half in
+// the range a simulation meets.
 func TestRsqrtLanesMatchGo(t *testing.T) {
-	if !haveAVX512 {
-		t.Skip("no AVX-512: pp8 does not run on this host")
+	if !haveAVX2 {
+		t.Skip("no AVX2: the Go loops are the only kernel on this host")
 	}
 	var r2 [8]float64
 	hard := rsqrtHardCases()
@@ -214,11 +226,21 @@ func TestRsqrtLanesMatchGo(t *testing.T) {
 		}
 		checkRsqrtLanes(t, &r2)
 	}
+	rng := rand.New(rand.NewSource(30))
+	for _, bad := range []float64{0, math.Copysign(0, -1), 4e-320, math.Ldexp(1, -1001),
+		math.Nextafter(rsqrtLo, 0), rsqrtHi, math.MaxFloat64, math.Inf(1), -1, math.NaN()} {
+		for k := range r2 {
+			for j := range r2 {
+				r2[j] = math.Ldexp(1+rng.Float64(), rng.Intn(120)-60)
+			}
+			r2[k] = bad
+			checkRsqrtLanes(t, &r2)
+		}
+	}
 	n := 10_000_000
 	if testing.Short() {
 		n = 1_000_000
 	}
-	rng := rand.New(rand.NewSource(30))
 	for i := 0; i < n; i += 8 {
 		for k := range r2 {
 			if k%2 == 0 {
@@ -231,14 +253,48 @@ func TestRsqrtLanesMatchGo(t *testing.T) {
 	}
 }
 
-// FuzzRsqrtLanes: eight r2 in, pp8's reciprocal bitwise equal to
-// 1/math.Sqrt out (NaNs by class). The corpus in testdata holds the
-// hard cases of TestRsqrtLanesMatchGo.
+// FuzzRsqrtLanes: eight r2 in, the lanes' reciprocal bitwise equal to
+// the Go loop's out (NaNs by class), at eight lanes and four. The
+// corpus in testdata holds the hard cases of TestRsqrtLanesMatchGo.
 func FuzzRsqrtLanes(f *testing.F) {
-	if !haveAVX512 {
-		f.Skip("no AVX-512: pp8 does not run on this host")
+	if !haveAVX2 {
+		f.Skip("no AVX2: the Go loops are the only kernel on this host")
 	}
 	f.Fuzz(func(t *testing.T, a, b, c, d, e, g, h, i float64) {
 		checkRsqrtLanes(t, &[8]float64{a, b, c, d, e, g, h, i})
 	})
+}
+
+// TestProbePaths holds the probe's decision to the features each path
+// executes: the four-lane kernels' FMAs fault on an AVX2 host without
+// FMA, so that host must get the Go loops.
+func TestProbePaths(t *testing.T) {
+	const (
+		ecx1 = ecx1FMA | ecx1OSXSAVE | ecx1AVX
+		ebx7 = ebx7AVX2 | ebx7AVX512F
+	)
+	for _, tc := range []struct {
+		name        string
+		w           cpuWords
+		four, eight bool
+	}{
+		{"avx512", cpuWords{0xd, ecx1, ebx7, xcr0ZMM}, true, true},
+		{"avx2", cpuWords{7, ecx1, ebx7AVX2, xcr0YMM}, true, false},
+		{"avx2 without fma", cpuWords{7, ecx1 &^ ecx1FMA, ebx7AVX2, xcr0YMM}, false, false},
+		{"avx512 without fma", cpuWords{0xd, ecx1 &^ ecx1FMA, ebx7, xcr0ZMM}, false, false},
+		{"avx512f without avx2", cpuWords{0xd, ecx1, ebx7AVX512F, xcr0ZMM}, false, false},
+		{"no osxsave", cpuWords{7, ecx1 &^ ecx1OSXSAVE, ebx7, 0}, false, false},
+		{"os saves no ymm", cpuWords{7, ecx1, ebx7, 0x3}, false, false},
+		{"os saves no zmm", cpuWords{0xd, ecx1, ebx7, xcr0YMM}, true, false},
+		{"no leaf 7", cpuWords{6, ecx1, 0, xcr0ZMM}, false, false},
+		{"nothing", cpuWords{}, false, false},
+	} {
+		four, eight := tc.w.paths()
+		if four != tc.four || eight != tc.eight {
+			t.Errorf("%s: paths() = (%v, %v), want (%v, %v)", tc.name, four, eight, tc.four, tc.eight)
+		}
+	}
+	if four, eight := readCPU().paths(); four != haveAVX2 || eight != haveAVX512 {
+		t.Errorf("probe re-read (%v, %v), at startup (%v, %v)", four, eight, haveAVX2, haveAVX512)
+	}
 }

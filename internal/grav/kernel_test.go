@@ -71,12 +71,13 @@ func TestEvalSelfCoincidentBodiesAtTileEdges(t *testing.T) {
 	}
 }
 
-// The production kernels (hardware sqrt; dispatching and Go-loop
-// forms) must agree with the scalar Karp kernels PPTile/PPSelf/M2P to
-// roundoff across a full mixed evaluation (multipoles + foreign
-// bodies + self) of identical lists, with identical counts, at target
-// counts covering every remainder of the four-lane block: 1e-13 of
-// the largest acceleration, 1e-13 relative in the potential.
+// The production kernels (Newton reciprocal square root and FMAs;
+// dispatching and Go-loop forms) must agree with the scalar Karp
+// kernels PPTile/PPSelf/M2P to roundoff across a full mixed evaluation
+// (multipoles + foreign bodies + self) of identical lists, with
+// identical counts, at target counts covering every remainder of the
+// four-lane block: 1e-13 of the largest acceleration, 1e-13 relative
+// in the potential.
 func TestEvalMatchesKarpMixedList(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	eps2 := 1e-6
@@ -136,4 +137,81 @@ func TestEvalMatchesKarpMixedList(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rsqrtHardCases are the r2 where a multiply-and-add reciprocal is
+// most likely to part from 1/math.Sqrt: every power of two and its two
+// neighbours (1 and 1 +- ulp, both edges of invSqrt's range, 2^-1000
+// and 2^1000, from either side, among them), squares of s with an
+// all-ones significand and of s one step either side of a power of
+// two, s at 2^-510 and 2^510 and one step past them, subnormals, the
+// largest double, zero, +Inf, negatives and NaN.
+func rsqrtHardCases() []float64 {
+	var c []float64
+	sq := func(s float64) { c = append(c, s*s) }
+	for e := -1074; e <= 1023; e++ {
+		p := math.Ldexp(1, e)
+		c = append(c, p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)))
+		if e > -500 && e < 500 {
+			sq(p)
+			sq(math.Nextafter(p, 0)) // all-ones significand
+			sq(math.Nextafter(p, math.Inf(1)))
+		}
+	}
+	for _, s := range []float64{math.Ldexp(1, -510), math.Ldexp(1, 510)} {
+		sq(s)
+		sq(math.Nextafter(s, 0))
+		sq(math.Nextafter(s, math.Inf(1)))
+	}
+	return append(c, 0, math.SmallestNonzeroFloat64, 4e-320, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), -1, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff0000000000001))
+}
+
+// sameBits reports whether x and y are the same bits or, with
+// nanClass, both NaN: which operand's NaN an add keeps is the one
+// thing operand order (free in both the compiler and the assembly) may
+// change.
+func sameBits(x, y float64, nanClass bool) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || nanClass && math.IsNaN(x) && math.IsNaN(y)
+}
+
+// invSqrtULP returns how many ulp invSqrt(r2) lies from
+// 1/math.Sqrt(r2), and false where r2 is out of invSqrt's range and the
+// two differ at all (NaNs by class).
+func invSqrtULP(r2 float64) (int64, bool) {
+	got, want := invSqrt(r2), 1/math.Sqrt(r2)
+	if !(r2 >= rsqrtLo && r2 < rsqrtHi) {
+		return 0, sameBits(got, want, true)
+	}
+	d := int64(math.Float64bits(got)) - int64(math.Float64bits(want))
+	return max(d, -d), true
+}
+
+// TestInvSqrtAccuracy is the kernels' accuracy gate on their
+// reciprocal square root: within 4 ulp of the correctly rounded
+// 1/math.Sqrt on the hard cases and on 10^7 random r2 spread evenly
+// over the exponents of invSqrt's range, exactly 1/math.Sqrt outside
+// it. The worst measured is 3 ulp.
+func TestInvSqrtAccuracy(t *testing.T) {
+	var worst int64
+	check := func(r2 float64) {
+		d, ok := invSqrtULP(r2)
+		if !ok || d > 4 {
+			t.Fatalf("r2 = %x (%g): invSqrt %g, 1/math.Sqrt %g (%d ulp; out of range: %v)",
+				math.Float64bits(r2), r2, invSqrt(r2), 1/math.Sqrt(r2), d, !ok)
+		}
+		worst = max(worst, d)
+	}
+	for _, r2 := range rsqrtHardCases() {
+		check(r2)
+	}
+	n := 10_000_000
+	if testing.Short() {
+		n = 1_000_000
+	}
+	rng := rand.New(rand.NewSource(33))
+	for range n {
+		check(math.Ldexp(1+rng.Float64(), rng.Intn(2000)-1000))
+	}
+	t.Logf("worst %d ulp", worst)
 }

@@ -15,7 +15,7 @@
 // pair diag.FlopsPerSPHPair = 55. Every "flops" or "flops_rate"
 // metric in a RunReport is counted interactions pushed through those
 // constants, exactly as the paper derives 430 Gflops from interaction
-// counts and wall-clock time. What the hardware-sqrt kernels execute
+// counts and wall-clock time. What the production kernels execute
 // for an interaction is less (diag.ExecutedFlops); only the roofline
 // section uses that.
 //

@@ -326,9 +326,9 @@ func BuildReport(command string, wall float64, ranks []RankInput, w *msg.World, 
 	c, lanes := &rep.Totals.Counters, grav.Lanes()
 	rep.Roofline = NewRoofline(rep.Totals.Flops, c.KernelBytes(lanes), wall)
 	rep.Roofline.Kernel = grav.KernelPath()
-	rep.Roofline.ExecutedFlops = c.ExecutedFlops(lanes)
+	rep.Roofline.ExecutedFlops = c.ExecutedFlops()
 	if n := rep.Totals.Interactions; n > 0 {
-		rep.Roofline.ExecutedPerInteraction = float64(c.ExecutedGravityFlops(lanes)) / float64(n)
+		rep.Roofline.ExecutedPerInteraction = float64(c.ExecutedGravityFlops()) / float64(n)
 	}
 	if w != nil {
 		rep.CommMatrixMsgs, rep.CommMatrixBytes = w.CommMatrix()

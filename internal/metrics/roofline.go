@@ -8,9 +8,9 @@
 //
 // Two flop counts appear. KernelFlops, Intensity and AchievedFlops are
 // in the paper's accounting (38 per interaction, what every rate in
-// the repo is quoted in); ExecutedFlops is what the hardware-sqrt
-// kernels really execute (diag.ExecutedFlops: 22 per interaction, 37
-// per body-body one on the eight-lane path's Newton reciprocal).
+// the repo is quoted in); ExecutedFlops is what the production
+// kernels really execute (diag.ExecutedFlops: 37 per interaction, 71
+// with quadrupole terms, the same on every kernel path).
 // The ceilings bound executed work, so Ceiling and Utilization are in
 // executed flops: a kernel cannot exceed 100% by being charged for
 // arithmetic it no longer does.
@@ -112,13 +112,12 @@ func (r *Roofline) Calibrate(peakFlops, peakBandwidth float64) {
 
 // MeasurePeakFlops estimates the host's double-precision compute
 // ceiling in flops/s for the instruction mix the interaction kernels
-// use: every core runs grav.PeakProbe, chains of independent
-// multiplies and adds (never fused, as in the kernels' value chains)
-// at the kernels' width: eight lanes on the AVX-512 path, four on the
-// AVX2 path, scalar in the Go loops. A host with FMA units could do up
-// to twice this on fused code; the kernels fuse only the eight-lane PP
-// reciprocal's few Newton operations, so this is the ceiling they are
-// compared against, stated in the report as "measured".
+// use: every core runs grav.PeakProbe, chains of independent fused
+// multiply-adds (the kernels' value chains are mostly FMAs, each
+// counted as two flops) at the kernels' width: eight lanes on the
+// AVX-512 path, four on the AVX2 path, scalar in the Go loops. This is
+// the ceiling they are compared against, stated in the report as
+// "measured".
 func MeasurePeakFlops() float64 {
 	workers := runtime.GOMAXPROCS(0)
 	const steps = 1 << 22

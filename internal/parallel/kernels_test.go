@@ -79,12 +79,13 @@ func karpEvaluate(e *Engine, l *grav.InteractionList, g *tree.Cell, ctr *diag.Co
 }
 
 // TestKernelEquivalenceAcrossRanks holds the production kernels
-// (hardware sqrt, four targets per register where the host has AVX2)
-// to the paper's: at np = 1, 2 and 8 the engine must count exactly the
-// interactions a Karp replay of the same lists counts, and its forces
-// must agree with the replay's to 1e-13 of the largest acceleration
-// (1e-13 relative in the potential) -- both reciprocal square roots
-// are good to an ulp or two and only that differs.
+// (Newton reciprocal square root and FMAs, eight or four targets per
+// register where the host has AVX-512 or AVX2) to the paper's: at
+// np = 1, 2 and 8 the engine must count exactly the interactions a
+// Karp replay of the same lists counts, and its forces must agree with
+// the replay's to 1e-13 of the largest acceleration (1e-13 relative in
+// the potential) -- both reciprocal square roots are good to a few ulp
+// and only they and the roundings the FMAs save differ.
 func TestKernelEquivalenceAcrossRanks(t *testing.T) {
 	const n = 1200
 	mac := grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true}

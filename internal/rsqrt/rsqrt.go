@@ -16,13 +16,17 @@
 // init time (the 1997 code likewise precomputed it); the per-call path
 // contains no divisions and no calls to math.Sqrt.
 //
-// It is kept for fidelity to the paper, not for speed: on present-day
-// hardware 1/math.Sqrt is correctly rounded, takes half the time of
-// this routine call for call, and vectorizes, so the production force
-// kernels (internal/grav kernel.go) use the hardware. Rsqrt serves the scalar
-// Karp kernels grav.PPTile/PPSelf/M2P (the direct sum, the tests'
-// fused walk and the accuracy tests' second opinion) and the Ablation_RsqrtKarp
-// vs Ablation_RsqrtLibm pair that measures the trade.
+// The production force kernels (internal/grav kernel.go) take their
+// reciprocal square root the same way, from multiplies and adds: the
+// square root and divide units are as slow against the FMA units
+// today as they were on the Pentium Pro, and vector lanes have no
+// table lookup, so there a bit-trick seed and four Newton steps on
+// fused multiply-adds replace the table and the polynomial. Rsqrt
+// itself stays the paper's scalar routine: it serves the Karp kernels
+// grav.PPTile/PPSelf/M2P (the direct sum, the tests' fused walk and
+// the accuracy tests' second opinion) and the Ablation_RsqrtKarp vs
+// Ablation_RsqrtLibm pair, which times it against 1/math.Sqrt call for
+// call.
 package rsqrt
 
 import "math"

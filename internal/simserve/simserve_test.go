@@ -462,8 +462,11 @@ type goldenHashes struct {
 }
 
 // checkForcesHashes runs every golden spec at 2, 4 and 8 ranks and
-// compares the digests. They are of amd64 arithmetic (no fused
-// multiply-add anywhere in the step).
+// compares the digests. They are of amd64 arithmetic: the gravity
+// list kernels' fused multiply-adds are explicit and mean the same
+// bits on any platform, but the rest of the step (EvalSelf, the
+// integrator, SPH, the vortex kernels) is plain Go, which arm64 may
+// fuse.
 func checkForcesHashes(t *testing.T, golden []goldenHashes) {
 	t.Helper()
 	if runtime.GOARCH != "amd64" {
@@ -511,24 +514,25 @@ func TestForcesHashMatchesRestartWalk(t *testing.T) {
 
 // TestForcesHashPinsKernel pins the final forces of every job that
 // runs the gravity kernels (gravity uniform and block; SPH with
-// self-gravity) to the digests of the PR 17 kernel
-// generation: grav/kernel.go's Go loops -- hardware sqrt and divide,
-// one accumulator set per target swept in list order -- or their AVX2
-// form, which is the same arithmetic bit for bit -- applied to the
-// lists of PR 23's walk groups, sink cells of up to 64 bodies over the
-// unchanged source tree (the nine digests were re-captured then, once,
-// with the count goldens in internal/parallel; old -> new in
-// EXPERIMENTS.md "Sink cells (PR 23)"). A change to the kernels'
-// operation order, a fused multiply-add, an assembly lane that strays
+// self-gravity) to the digests of the current kernel generation:
+// grav/kernel.go's Go loops -- invSqrt's Newton reciprocal square
+// root, every product that feeds a sum an explicit FMA, one
+// accumulator set per target swept in list order -- or their AVX2 and
+// AVX-512 forms, which are the same arithmetic bit for bit, applied to
+// the lists of the walk groups, sink cells of up to 64 bodies. The
+// nine digests were re-captured once for that kernel, with every count
+// unchanged; old -> new in EXPERIMENTS.md "Lanes' reciprocal square
+// root". A change to
+// the kernels' operation order or fusion, an assembly lane that strays
 // from the Go loop, or a list that gains, loses or reorders an entry
 // shows up here.
 func TestForcesHashPinsKernel(t *testing.T) {
 	checkForcesHashes(t, []goldenHashes{
 		{Spec{Physics: PhysicsGravity, N: 1500, Steps: 1, Seed: 17},
-			[3]string{"a75f0e7fe851b847", "936f0ae6674afd6f", "30d266145d1db1d1"}},
+			[3]string{"f0a246ac5b3e9d70", "6bf093bacb35fcaa", "a2a1b750f8465433"}},
 		{Spec{Physics: PhysicsGravity, N: 1500, Steps: 1, Seed: 17, DTMode: "block"},
-			[3]string{"943ee3c0f4818d7e", "44e297e2f7dcdfc2", "c7c3356de39c1451"}},
+			[3]string{"20b4854cc37fb80e", "f4f07edf6ef55c2d", "f2e569d405d6ba91"}},
 		{Spec{Physics: PhysicsSPH, N: 600, Steps: 1, Seed: 17},
-			[3]string{"9f9aa5c7debbc47b", "3f703dc953383c04", "a39e22b66ff8d57c"}},
+			[3]string{"8de7c0a1666a82f4", "e0b8847ccb4579e6", "fdc0f7f3e041ff49"}},
 	})
 }

@@ -5,14 +5,34 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/grav"
 	"repro/internal/vec"
 )
+
+// TestCancellingMassesAreNotSkipped: a cell whose signed masses cancel
+// to exactly zero still acts through its bodies, so only a cell of
+// massless bodies is skipped. internal/bem's panel sources sum to about
+// zero over a closed body, and to exactly zero often enough that a
+// skipped root would drop whole evaluations of its solver.
+func TestCancellingMassesAreNotSkipped(t *testing.T) {
+	dipole := Cell{Mp: grav.FromBodies([]vec.V3{{X: 1}, {X: -1}}, []float64{1, -1})}
+	if dipole.Mp.M != 0 {
+		t.Fatalf("dipole mass %g, want 0", dipole.Mp.M)
+	}
+	if a := Classify(&dipole, vec.V3{X: 100}, 0); a == Skip {
+		t.Fatal("a cell of cancelling masses was skipped")
+	}
+	massless := Cell{Mp: grav.FromBodies([]vec.V3{{X: 1}, {Y: 1}}, []float64{0, 0})}
+	if a := Classify(&massless, vec.V3{X: 100}, 0); a != Skip {
+		t.Fatalf("a cell of massless bodies: %v, want Skip", a)
+	}
+}
 
 // classifyRoot is the acceptance test as it stood before it was
 // squared: a distance, by square root, against RCrit from the sphere's
 // near side.
 func classifyRoot(c *Cell, gc vec.V3, gr float64) Action {
-	if c.Mp.M == 0 {
+	if c.Mp.M == 0 && c.Mp.B2 == 0 {
 		return Skip
 	}
 	d := c.Mp.COM.Sub(gc).Norm()

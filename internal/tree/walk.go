@@ -87,10 +87,13 @@ const (
 // point of the sphere, d > RCrit + gr, compared squared so that a
 // visit takes no square root. (For RCrit >= 0 that is the d - gr >
 // RCrit && d > gr it replaces, in exact arithmetic; an infinite RCrit
-// still opens.)
+// still opens.) A cell is skipped only if both its mass and its second
+// moment B2 are zero, as they are when all of its bodies are massless:
+// with signed masses (internal/bem's panel sources) the mass alone can
+// cancel to zero while the bodies still act.
 func Classify(c *Cell, gc vec.V3, gr float64) Action {
-	if c.Mp.M == 0 {
-		return Skip // empty cell contributes nothing
+	if c.Mp.M == 0 && c.Mp.B2 == 0 {
+		return Skip // massless bodies contribute nothing
 	}
 	dx, dy, dz := c.Mp.COM.X-gc.X, c.Mp.COM.Y-gc.Y, c.Mp.COM.Z-gc.Z
 	if s := c.RCrit + gr; dx*dx+dy*dy+dz*dz > s*s {

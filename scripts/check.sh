@@ -3,7 +3,7 @@
 # portable path cannot rot), vet, race tests, the smokes, the chaos
 # soak, the walk guard, the fuzzers, the one-runner guards,
 # the one-rank-record guard, the kernel-loop bounds-check-elimination
-# guard, and the allocation guard -- the benches that must run
+# and fusion guards, and the allocation guard -- the benches that must run
 # allocation-free are diffed against the committed BENCH_baseline.json,
 # failing on any growth in allocs/op.
 # Times are not compared: this box swings +-40% between two runs of one
@@ -54,7 +54,7 @@ echo "== fuzz (time-boxed: a POST /jobs body decodes and validates to a runnable
 go test -run='^$' -fuzz=FuzzJobSpec -fuzztime=10s -fuzzminimizetime=10x ./internal/simserve
 echo "== fuzz (time-boxed: a striped snapshot set reads to a valid system or an error, never a panic)"
 go test -run='^$' -fuzz=FuzzReadStriped -fuzztime=10s -fuzzminimizetime=10x ./internal/snapio
-echo "== fuzz (time-boxed: the eight-lane PP kernel's reciprocal is 1/math.Sqrt bit for bit; skips without AVX-512)"
+echo "== fuzz (time-boxed: the lane kernels' reciprocal square root is the Go loop's bit for bit, at eight lanes and four; skips without AVX2)"
 go test -run='^$' -fuzz=FuzzRsqrtLanes -fuzztime=10s ./internal/grav
 echo "== one runner (engines are constructed in internal/runner and nowhere else outside tests, and vortex and SPH runs have no serial path)"
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=runner \
@@ -79,6 +79,8 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
 fi
 echo "== bce (the interaction kernels' Go loops stay bounds-check-free, -d=ssa/check_bce)"
 sh scripts/bce.sh
+echo "== fma guard (the gravity kernels' Go loops fuse on arm64 only where they call math.FMA, so they mean the same bits everywhere)"
+sh scripts/fma_guard.sh
 echo "== benchcmp (allocs/op of the index descent, the sink-cell walk and evaluation, and the gravity (dispatched, four-lane, Go) and vortex interaction kernels vs BENCH_baseline.json)"
 {
 	go test -run='^$' -bench='Ablation_(DescentIndex|SinkCells)' -benchtime=5x .
