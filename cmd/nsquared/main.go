@@ -9,12 +9,10 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/direct"
 	"repro/internal/ic"
 	"repro/internal/msg"
 	"repro/internal/perfmodel"
-	"repro/internal/vec"
-
-	"repro/internal/direct"
 )
 
 func main() {
@@ -25,21 +23,8 @@ func main() {
 
 	sys := ic.UniformSphere(*n, 1.0, 7)
 	start := time.Now()
-	var pp uint64
-	counts := make([]uint64, *procs)
-	msg.Run(*procs, func(c *msg.Comm) {
-		lo, hi := c.Rank()**n / *procs, (c.Rank()+1)**n / *procs
-		acc := make([]vec.V3, hi-lo)
-		pot := make([]float64, hi-lo)
-		for s := 0; s < *steps; s++ {
-			ctr := direct.Ring(c, sys.Pos[lo:hi], sys.Mass[lo:hi], acc[:hi-lo], pot[:hi-lo], 1e-6)
-			counts[c.Rank()] += ctr.PP
-		}
-	})
+	pp := direct.RingRun(*procs, *steps, sys.Pos, sys.Mass, 1e-6)
 	wall := time.Since(start).Seconds()
-	for _, v := range counts {
-		pp += v
-	}
 	flops := pp * 38
 	fmt.Printf("N=%d procs=%d steps=%d\n", *n, *procs, *steps)
 	fmt.Printf("interactions %d, flops %d\n", pp, flops)

@@ -2,8 +2,10 @@
 // reproduction of the treecode of Warren & Salmon et al. ("Pentium
 // Pro Inside", SC'97). It solves gravitational (and, through the
 // subpackages, vortex-dynamical and SPH) N-body problems in
-// O(N log N) time, either serially or on a simulated message-passing
-// machine whose processors are goroutines.
+// O(N log N) time on a simulated message-passing machine whose
+// processors are goroutines. A serial run is that machine with one
+// processor: Serial is the distributed engine as the only rank of a
+// one-rank world, stepped on the caller's goroutine.
 //
 // Quick start:
 //
@@ -32,7 +34,6 @@ import (
 	"repro/internal/direct"
 	"repro/internal/grav"
 	"repro/internal/integrate"
-	"repro/internal/keys"
 	"repro/internal/parallel"
 	"repro/internal/runner"
 	"repro/internal/tree"
@@ -141,6 +142,8 @@ func toSystem(bodies []Body) *core.System {
 	return sys
 }
 
+// fromSystem returns bodies in their original order, by ID, from a
+// system holding all of them in any order.
 func fromSystem(sys *core.System) []Body {
 	out := make([]Body, sys.Len())
 	for i := range out {
@@ -153,13 +156,18 @@ func fromSystem(sys *core.System) []Body {
 	return out
 }
 
-// Serial is a single-process simulation with a stepwise API.
+// gravity is the runner physics of this configuration.
+func (c Config) gravity() runner.Gravity {
+	return runner.Gravity{MAC: c.macParams(), Bucket: c.Bucket, Eps2: c.Eps * c.Eps}
+}
+
+// Serial is a single-process simulation with a stepwise API: the
+// distributed engine as the only rank of a one-rank world, stepped on
+// the caller's goroutine.
 type Serial struct {
 	cfg Config
-	sys *core.System
+	e   *parallel.Engine
 	ctr diag.Counters
-	acc diag.Counters
-	st  integrate.Stepper
 }
 
 // NewSerial builds a serial simulation and computes initial forces.
@@ -170,13 +178,8 @@ func NewSerial(bodies []Body, cfg Config) (*Serial, error) {
 	if len(bodies) == 0 {
 		return nil, fmt.Errorf("hot: no bodies")
 	}
-	s := &Serial{cfg: cfg, sys: toSystem(bodies)}
-	s.st.B = &integrate.FuncBodies{
-		System: s.sys,
-		Force:  func(_ *core.System, minRung int) { s.forcesActive(minRung) },
-	}
-	s.forces()
-	return s, nil
+	e, ctr := cfg.gravity().Serial(toSystem(bodies))
+	return &Serial{cfg: cfg, e: e, ctr: ctr}, nil
 }
 
 // EnableBlockSteps switches Step to hierarchical block timesteps:
@@ -187,47 +190,28 @@ func NewSerial(bodies []Body, cfg Config) (*Serial, error) {
 // 0.01-0.05 for unit-scale problems. Call before the first Step (or
 // at any step boundary).
 func (s *Serial) EnableBlockSteps(eta float64) {
-	s.st.Scheme = integrate.Block
-	s.st.Eta = eta
-	s.st.Eps = s.cfg.Eps
+	s.e.Stepper.Scheme = integrate.Block
+	s.e.Stepper.Eta = eta
+	s.e.Stepper.Eps = s.cfg.Eps
 }
 
 // StepperStats returns the accumulated block-scheduler accounting
 // (sub-steps, full/partial evaluations, active-sink fractions).
-func (s *Serial) StepperStats() integrate.Stats { return s.st.Stats }
-
-func (s *Serial) forces() {
-	s.acc = diag.Counters{}
-	s.forcesActive(0)
-	s.ctr = s.acc
-}
-
-// forcesActive rebuilds the tree from the current (drifted) positions
-// and evaluates forces for the groups active at minRung (everything
-// when minRung <= 0), accumulating this step's counters.
-func (s *Serial) forcesActive(minRung int) {
-	d := keys.NewDomain(s.sys.Pos)
-	s.sys.AssignKeys(d)
-	s.sys.SortByKey()
-	tr := tree.Build(s.sys, d, s.cfg.macParams(), s.cfg.Bucket)
-	ctr := tr.GravityActive(s.cfg.Eps*s.cfg.Eps, minRung)
-	ctr.CellsBuilt = uint64(tr.NCells())
-	s.acc.Add(ctr)
-}
+func (s *Serial) StepperStats() integrate.Stats { return s.e.Stepper.Stats }
 
 // Step advances one global step through the integrate core: the
 // kick-drift-kick leapfrog by default, hierarchical sub-steps after
 // EnableBlockSteps. StepInfo aggregates every (partial) force
 // evaluation the step ran.
 func (s *Serial) Step(dt float64) StepInfo {
-	s.acc = diag.Counters{}
-	s.st.Step(dt)
-	s.ctr = s.acc
-	return s.info()
+	s.ctr = s.e.Step(dt)
+	return s.Info()
 }
 
-func (s *Serial) info() StepInfo {
-	kin, pot, _ := integrate.Energy(s.sys)
+// Info returns the statistics of the last step (or, before the first,
+// of the initial force evaluation) and the current energies.
+func (s *Serial) Info() StepInfo {
+	kin, pot := s.e.Energy()
 	return StepInfo{
 		Interactions: s.ctr.Interactions(),
 		Flops:        s.ctr.Flops(),
@@ -237,14 +221,11 @@ func (s *Serial) info() StepInfo {
 	}
 }
 
-// Info returns the statistics of the last force evaluation.
-func (s *Serial) Info() StepInfo { return s.info() }
-
 // Bodies returns the current state, indexed as originally passed.
-func (s *Serial) Bodies() []Body { return fromSystem(s.sys) }
+func (s *Serial) Bodies() []Body { return fromSystem(s.e.Sys) }
 
 // N returns the body count.
-func (s *Serial) N() int { return s.sys.Len() }
+func (s *Serial) N() int { return s.e.Sys.Len() }
 
 // ParallelConfig configures a simulated-parallel run.
 type ParallelConfig struct {
@@ -291,7 +272,7 @@ func RunParallel(cfg ParallelConfig, bodies []Body, onStep func(step int, info S
 	var res ParallelResult
 	run, err := runner.Run(runner.Plan{
 		NP: cfg.Procs, Steps: cfg.Steps, DT: cfg.Dt, System: toSystem(bodies),
-		Physics: runner.Gravity{MAC: cfg.macParams(), Bucket: cfg.Bucket, Eps2: cfg.Eps * cfg.Eps},
+		Physics: cfg.gravity(),
 		OnStep: func(rank, step int, e runner.Engine, ctr diag.Counters) {
 			if onStep != nil && rank == 0 && step >= 0 {
 				onStep(step, StepInfo{
@@ -312,7 +293,7 @@ func RunParallel(cfg ParallelConfig, bodies []Body, onStep func(step int, info S
 		return ParallelResult{}, fmt.Errorf("hot: parallel run failed: %w", err)
 	}
 
-	res.Bodies = fromSystemByID(run.Merged(), len(bodies))
+	res.Bodies = fromSystem(run.Merged())
 	res.Interactions, res.Flops = run.Counters.Interactions(), run.Counters.Flops()
 	for _, in := range run.Ranks {
 		res.RemoteCells += in.RemoteCells
@@ -321,20 +302,6 @@ func RunParallel(cfg ParallelConfig, bodies []Body, onStep func(step int, info S
 	m := run.World.MaxRankTraffic()
 	res.MaxMsgs, res.MaxBytes = m.Msgs, m.Bytes
 	return res, nil
-}
-
-// fromSystemByID reassembles bodies in original order from a
-// concatenation of rank-local systems.
-func fromSystemByID(sys *core.System, n int) []Body {
-	out := make([]Body, n)
-	for i := 0; i < sys.Len(); i++ {
-		out[sys.ID[i]] = Body{
-			Pos:  [3]float64{sys.Pos[i].X, sys.Pos[i].Y, sys.Pos[i].Z},
-			Vel:  [3]float64{sys.Vel[i].X, sys.Vel[i].Y, sys.Vel[i].Z},
-			Mass: sys.Mass[i],
-		}
-	}
-	return out
 }
 
 // DirectForces computes exact softened forces (the O(N^2) reference)

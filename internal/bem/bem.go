@@ -7,8 +7,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/grav"
-	"repro/internal/keys"
-	"repro/internal/tree"
+	"repro/internal/parallel"
+	"repro/internal/runner"
 	"repro/internal/vec"
 )
 
@@ -32,6 +32,11 @@ type Flow struct {
 	Residual float64
 	// Counters tallies the induced-velocity interactions.
 	Counters diag.Counters
+
+	// tree is the one-rank gravity engine of the tree path, built for
+	// opening angle theta.
+	tree  *parallel.Engine
+	theta float64
 }
 
 // NewFlow prepares a solver for a uniform onset flow.
@@ -66,23 +71,31 @@ func (f *Flow) inducedVelocities(vel []vec.V3, useTree bool, theta float64) {
 	// Tree path: bodies are panel centroids with "mass"
 	// sigma_j * A_j; gravity computes a = sum m (x_j - x) / r^3, so
 	// the source velocity is -a/(4 pi). Signed masses require the
-	// geometric Barnes-Hut MAC.
-	sys := core.New(n)
-	sys.EnableDynamics()
-	for j := 0; j < n; j++ {
-		sys.Pos[j] = f.Mesh.Panels[j].Centroid
-		sys.Mass[j] = f.Sigma[j] * f.Mesh.Panels[j].Area
+	// geometric Barnes-Hut MAC. The centroids never move, so one
+	// engine serves every sum at this theta: only the strengths are
+	// refreshed, by panel ID, before each evaluation.
+	var ctr diag.Counters
+	if f.tree == nil || f.theta != theta {
+		sys := core.New(n)
+		for j := 0; j < n; j++ {
+			sys.Pos[j] = f.Mesh.Panels[j].Centroid
+			sys.Mass[j] = f.Sigma[j] * f.Mesh.Panels[j].Area
+		}
+		g := runner.Gravity{MAC: grav.MACParams{Kind: grav.MACBarnesHut, Theta: theta, Quad: true}, Bucket: 16}
+		f.tree, ctr = g.Serial(sys)
+		f.theta = theta
+	} else {
+		sys := f.tree.Sys
+		for i, j := range sys.ID {
+			sys.Mass[i] = f.Sigma[j] * f.Mesh.Panels[j].Area
+		}
+		ctr = f.tree.ComputeForces()
 	}
-	d := keys.NewDomain(sys.Pos)
-	sys.AssignKeys(d)
-	sys.SortByKey()
-	tr := tree.Build(sys, d, grav.MACParams{Kind: grav.MACBarnesHut, Theta: theta, Quad: true}, 16)
-	ctr := tr.Gravity(0)
 	f.Counters.Add(ctr)
 	const scale = -1 / (4 * math.Pi)
-	for i := 0; i < n; i++ {
-		// Map back to panel order via the stable IDs.
-		vel[sys.ID[i]] = sys.Acc[i].Scale(scale)
+	sys := f.tree.Sys
+	for i, j := range sys.ID {
+		vel[j] = sys.Acc[i].Scale(scale)
 	}
 }
 

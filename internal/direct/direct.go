@@ -72,3 +72,26 @@ func Ring(c *msg.Comm, pos []vec.V3, mass []float64, acc []vec.V3, pot []float64
 	}
 	return ctr
 }
+
+// RingRun is the paper's O(N^2) benchmark: steps evaluations of Ring on
+// a world of procs ranks, rank r holding the contiguous block
+// [r*n/procs, (r+1)*n/procs) of the bodies, which do not move between
+// evaluations. It returns the body-body interactions summed over ranks
+// and steps, n(n-1) per step.
+func RingRun(procs, steps int, pos []vec.V3, mass []float64, eps2 float64) uint64 {
+	n := len(pos)
+	counts := make([]uint64, procs)
+	msg.Run(procs, func(c *msg.Comm) {
+		lo, hi := c.Rank()*n/procs, (c.Rank()+1)*n/procs
+		acc := make([]vec.V3, hi-lo)
+		pot := make([]float64, hi-lo)
+		for s := 0; s < steps; s++ {
+			counts[c.Rank()] += Ring(c, pos[lo:hi], mass[lo:hi], acc, pot, eps2).PP
+		}
+	})
+	var pp uint64
+	for _, v := range counts {
+		pp += v
+	}
+	return pp
+}

@@ -120,3 +120,14 @@ func BenchmarkDirectSerial1k(b *testing.B) {
 	}
 	b.ReportMetric(1000*999*38, "flops/op")
 }
+
+// The benchmark counts n(n-1) interactions per step whatever the rank
+// count, uneven blocks included.
+func TestRingRunCounts(t *testing.T) {
+	pos, mass := randomBodies(101, 5)
+	for _, np := range []int{1, 3, 8} {
+		if pp := RingRun(np, 2, pos, mass, 1e-4); pp != 2*101*100 {
+			t.Errorf("np=%d: %d interactions, want %d", np, pp, 2*101*100)
+		}
+	}
+}

@@ -112,22 +112,9 @@ func E1(n, procs, steps int) E1Result {
 		sys.Pos[i] = vec.V3{X: g(), Y: g(), Z: g()}
 		sys.Mass[i] = 1.0 / float64(n)
 	}
-	var pp uint64
 	start := time.Now()
-	counters := make([]uint64, procs)
-	msg.Run(procs, func(c *msg.Comm) {
-		lo, hi := c.Rank()*n/procs, (c.Rank()+1)*n/procs
-		acc := make([]vec.V3, hi-lo)
-		pot := make([]float64, hi-lo)
-		for s := 0; s < steps; s++ {
-			ctr := direct.Ring(c, sys.Pos[lo:hi], sys.Mass[lo:hi], acc, pot, 1e-6)
-			counters[c.Rank()] += ctr.PP
-		}
-	})
+	pp := direct.RingRun(procs, steps, sys.Pos, sys.Mass, 1e-6)
 	host := time.Since(start).Seconds()
-	for _, v := range counters {
-		pp += v
-	}
 
 	// Paper's benchmark: counts N*N (not N(N-1)) per step.
 	paperFlops := uint64(4) * 38 * 1_000_000 * 1_000_000

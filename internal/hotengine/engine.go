@@ -254,9 +254,6 @@ func New[X, B any](c *msg.Comm, sys *core.System, phys Physics[X, B], cfg Config
 	return e
 }
 
-// CellBytes returns the derived fixed wire size of one cell record.
-func (e *Engine[X, B]) CellBytes() int { return e.cellBytes }
-
 // DecomposeStats describes the engine's most recent decomposition
 // (displaced bodies, splitter-search collectives, splits-reuse fast
 // path).

@@ -3,9 +3,12 @@
 // N-body integrator, symplectic for fixed steps), its hierarchical
 // block-timestep generalization (per-body power-of-two sub-steps
 // chosen from an acceleration criterion, see Stepper), and the shared
-// kick/drift loops. Serial drivers adapt via Forces/FuncBodies; the
-// distributed gravity and SPH engines adapt via the Bodies interface.
-// The comoving variant for cosmological runs lives in internal/cosmo.
+// kick/drift loops. The distributed gravity and SPH engines adapt via
+// the Bodies interface; every run, serial ones included, steps through
+// an engine. Forces, FuncBodies and Leapfrog step a bare system with a
+// force callback and serve only as test references (scripts/check.sh
+// fails on FuncBodies outside this package and tests). The comoving
+// variant for cosmological runs lives in internal/cosmo.
 package integrate
 
 import (
@@ -13,8 +16,8 @@ import (
 	"repro/internal/vec"
 )
 
-// Forces computes accelerations (and potentials) for the system; the
-// serial tree driver and the direct solver both satisfy it.
+// Forces computes accelerations (and potentials) for the system: a
+// test's reference force, such as the serial tree or the direct sum.
 type Forces func(sys *core.System)
 
 // Leapfrog advances the system by n uniform kick-drift-kick steps of

@@ -253,7 +253,7 @@ func KickRungs(sys *core.System, minRung int, dt float64) {
 }
 
 // FuncBodies adapts a *core.System plus a force callback to the
-// Bodies interface for serial drivers: the system is never replaced
+// Bodies interface for test references: the system is never replaced
 // and rungs need no synchronization.
 type FuncBodies struct {
 	System *core.System

@@ -153,7 +153,7 @@ const (
 // here is one, integrate.Stats' word). Its inverse bounds the saving of
 // block timesteps over uniform stepping at the finest occupied rung: a
 // partial evaluation computes the whole of every walk group, a sink
-// cell of up to 64 bodies (tree.GroupActive), that holds an active one.
+// cell of up to 64 bodies, that holds an active one.
 // BuildReport sums it from the ranks' integrate.Stats.
 type SteppingStats struct {
 	// Mode is "uniform" or "block"; Eta the block criterion scale.

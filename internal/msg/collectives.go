@@ -224,12 +224,6 @@ func MaxF64(a, b float64) float64 {
 	}
 	return b
 }
-func MinF64(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
 func MaxI(a, b int) int {
 	if a > b {
 		return a

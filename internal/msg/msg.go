@@ -398,9 +398,6 @@ func (c *Comm) NoteRound(n uint64) {
 	c.w.progress.Add(1)
 }
 
-// CurrentPhase returns the active phase label.
-func (c *Comm) CurrentPhase() string { return c.phase }
-
 // TrafficTotal returns this rank's cumulative outbound traffic. Safe
 // to call mid-run from the rank's own goroutine (only the owning rank
 // writes its Traffic record); the telemetry sampler reads it once per

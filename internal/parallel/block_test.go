@@ -112,3 +112,42 @@ func TestBlockPartialStepsParallel(t *testing.T) {
 	t.Logf("active fraction %.3f, worst relative deviation %g",
 		float64(stats.ActiveSinks)/float64(stats.TotalSinks), worst)
 }
+
+// One big step of block timesteps (bodies on several rungs, partial
+// evaluations of the groups holding an active body, inactive bodies as
+// drifted sources) leaves the total momentum where it was, to a small
+// part of the momentum the step exchanged (sum m |a| dt), at one rank
+// and at four.
+func TestMomentumConservationBlockStep(t *testing.T) {
+	const eps2, dt = 1e-6, 1e-3
+	global := ic.Plummer(3000, 1.0, 5)
+	for _, np := range []int{1, 4} {
+		var drift, scale float64
+		var stats integrate.Stats
+		msg.Run(np, func(c *msg.Comm) {
+			e := New(c, scatter(global, c), Config{MAC: grav.DefaultMAC(), Bucket: 16, Eps2: eps2})
+			e.Stepper.Scheme, e.Stepper.Eta, e.Stepper.Eps = integrate.Block, 0.02, math.Sqrt(eps2)
+			e.ComputeForces()
+			var s float64
+			for i := range e.Sys.Acc {
+				s += e.Sys.Acc[i].Norm() * e.Sys.Mass[i]
+			}
+			s = msg.Allreduce(c, s, msg.SumF64, 8)
+			before := e.Momentum()
+			e.Step(dt)
+			d := e.Momentum().Sub(before).Norm()
+			if c.Rank() == 0 {
+				drift, scale, stats = d, s, e.Stepper.Stats
+			}
+		})
+		if stats.PartialEvals == 0 {
+			t.Fatalf("np=%d: no partial evaluation ran: %+v", np, stats)
+		}
+		// Measured 1.85e-5 (np 1) and 1.95e-5 (np 4) of the exchanged
+		// momentum.
+		if drift > 1e-4*scale*dt {
+			t.Fatalf("np=%d: momentum moved by %g in one big step, %g of the %g exchanged", np, drift, drift/(scale*dt), scale*dt)
+		}
+		t.Logf("np=%d: momentum moved by %.3g of the %g exchanged", np, drift/(scale*dt), scale*dt)
+	}
+}

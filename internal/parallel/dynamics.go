@@ -10,12 +10,6 @@ import (
 	"repro/internal/vec"
 )
 
-// Kick advances velocities by dt using the current accelerations.
-func (e *Engine) Kick(dt float64) { integrate.Kick(e.Sys, dt) }
-
-// Drift advances positions by dt using the current velocities.
-func (e *Engine) Drift(dt float64) { integrate.Drift(e.Sys, dt) }
-
 // Step advances one global step through the engine's Stepper: the
 // kick-drift-kick leapfrog by default, hierarchical block sub-steps
 // when the driver configured Stepper.Scheme (a collective either
@@ -72,9 +66,4 @@ func (e *Engine) Momentum() vec.V3 {
 		loc = loc.Add(e.Sys.Vel[i].Scale(e.Sys.Mass[i]))
 	}
 	return msg.Allreduce(e.C, loc, func(a, b vec.V3) vec.V3 { return a.Add(b) }, 24)
-}
-
-// GlobalLen returns the global body count (collective).
-func (e *Engine) GlobalLen() int64 {
-	return msg.Allreduce(e.C, int64(e.Sys.Len()), msg.SumI64, 8)
 }

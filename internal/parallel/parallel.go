@@ -12,8 +12,6 @@
 package parallel
 
 import (
-	"math"
-
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/grav"
@@ -30,15 +28,6 @@ type Config struct {
 	MAC    grav.MACParams
 	Bucket int
 	Eps2   float64
-	// MaxRounds bounds the request/reply rounds per evaluation as a
-	// deadlock backstop; 0 means the default (64).
-	MaxRounds int
-	// AdaptTol, when positive and the MAC is Salmon-Warren, rescales
-	// MAC.AccelTol to AdaptTol times the RMS acceleration after every
-	// evaluation -- the production treecode's way of keeping the
-	// *relative* force error fixed as clustering raises the typical
-	// acceleration (a collective; all ranks update identically).
-	AdaptTol float64
 }
 
 // Leaf is the gravity leaf payload of a pushed or requested cell:
@@ -105,14 +94,11 @@ func New(c *msg.Comm, sys *core.System, cfg Config) *Engine {
 	if cfg.Bucket <= 0 {
 		cfg.Bucket = tree.DefaultBucketSize
 	}
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = 64
-	}
 	sys.EnableDynamics()
 	e := &Engine{Cfg: cfg}
 	e.phys = &physics{e: e}
 	e.Engine = hotengine.New[hotengine.None, Leaf](c, sys, e.phys, hotengine.Config{
-		MAC: cfg.MAC, Bucket: cfg.Bucket, MaxRounds: cfg.MaxRounds,
+		MAC: cfg.MAC, Bucket: cfg.Bucket,
 	})
 	e.Stepper.B = engineBodies{e}
 	return e
@@ -166,25 +152,16 @@ func (e *Engine) ComputeForces() diag.Counters {
 	return e.computeForces(0)
 }
 
-// ComputeForcesActive is the partial evaluation of block timesteps:
-// only groups holding a body on rung minRung or finer are walked and
-// evaluated (their whole group, so the kernels run unchanged), the
-// decomposition takes the incremental fast path (hotengine.ExchangeFor
-// with incremental set), and the MAC adaptation is frozen --
-// AdaptTol rescales only at full evaluations, so the opening criterion
-// is constant across a big step. minRung <= 0 is exactly
-// ComputeForces. Collective at any minRung: every rank walks, serves
+// computeForces at minRung > 0 is the partial evaluation of block
+// timesteps: only groups holding a body on rung minRung or finer are
+// walked and evaluated (their whole group, so the kernels run
+// unchanged), and the decomposition takes the incremental fast path
+// (hotengine.ExchangeFor with incremental set). minRung <= 0 is the
+// full evaluation. Collective at any minRung: every rank walks, serves
 // requests and enters the same rounds even with no active groups.
-func (e *Engine) ComputeForcesActive(minRung int) diag.Counters {
-	return e.computeForces(minRung)
-}
-
 func (e *Engine) computeForces(minRung int) diag.Counters {
 	start := e.Counters
 
-	// AdaptTol may have rescaled the MAC after the previous
-	// evaluation; the pipeline builds trees with its own copy.
-	e.Engine.Cfg.MAC = e.Cfg.MAC
 	walk := &visitor{e: e}
 	// The partial evaluation's active set, nil for all groups. It reads
 	// e.Sys when called: the exchange, which needs it for the bound it
@@ -192,7 +169,7 @@ func (e *Engine) computeForces(minRung int) diag.Counters {
 	var active func(g *tree.Cell) bool
 	if minRung > 0 {
 		active = func(g *tree.Cell) bool {
-			return tree.GroupActive(e.Sys, int(g.First), int(g.First+g.N), minRung)
+			return groupActive(e.Sys, int(g.First), int(g.First+g.N), minRung)
 		}
 	}
 	e.ExchangeFor(walk, active, minRung > 0)
@@ -213,31 +190,27 @@ func (e *Engine) computeForces(minRung int) diag.Counters {
 		}
 	}
 	e.WalkGroupsIf("walk", active, walk, eval)
-
-	if minRung <= 0 && e.Cfg.AdaptTol > 0 && e.Cfg.MAC.Kind == grav.MACSalmonWarren {
-		if rms := e.RMSAccel(); rms > 0 {
-			e.Cfg.MAC.AccelTol = e.Cfg.AdaptTol * rms
-		}
-	}
-
 	return e.Counters.Sub(start)
 }
 
-// RMSAccel returns the global root-mean-square acceleration, used to
-// scale the absolute-error MAC between steps (a collective).
-func (e *Engine) RMSAccel() float64 {
-	type sums struct {
-		S float64
-		N int64
+// groupActive reports whether the body range [lo,hi) of sys holds any
+// body on rung minRung or finer. Activity is group-granular: a group,
+// a sink cell of up to 64 bodies, is evaluated whole for one active
+// body (the inactive members' Acc is overwritten with values they never
+// consume -- their own kicks read Acc only at their own sub-step
+// boundaries, which are full evaluations for them), so the interaction
+// kernels, including the self-interaction, run unchanged; the cost is
+// measured in EXPERIMENTS.md "Sink cells (PR 23)". Inactive bodies
+// still contribute as sources through the tree, rebuilt from their
+// drifted positions. A nil Rung column means rung zero everywhere.
+func groupActive(sys *core.System, lo, hi, minRung int) bool {
+	if minRung <= 0 || sys.Rung == nil {
+		return true
 	}
-	var loc sums
-	for i := range e.Sys.Acc {
-		loc.S += e.Sys.Acc[i].Norm2()
-		loc.N++
+	for _, r := range sys.Rung[lo:hi] {
+		if int(r) >= minRung {
+			return true
+		}
 	}
-	g := msg.Allreduce(e.C, loc, func(a, b sums) sums { return sums{a.S + b.S, a.N + b.N} }, 16)
-	if g.N == 0 {
-		return 0
-	}
-	return math.Sqrt(g.S / float64(g.N))
+	return false
 }

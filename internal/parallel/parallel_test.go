@@ -280,17 +280,6 @@ func TestWorkWeightsFeedBack(t *testing.T) {
 	})
 }
 
-func TestGlobalLen(t *testing.T) {
-	global := globalCloud(100, 8)
-	msg.Run(3, func(c *msg.Comm) {
-		e := New(c, scatter(global, c), cfg())
-		e.ComputeForces()
-		if g := e.GlobalLen(); g != 100 {
-			t.Errorf("GlobalLen = %d", g)
-		}
-	})
-}
-
 func BenchmarkParallelStep4Ranks(b *testing.B) {
 	global := globalCloud(20000, 9)
 	b.ResetTimer()
@@ -303,39 +292,6 @@ func BenchmarkParallelStep4Ranks(b *testing.B) {
 			e.ComputeForces()
 		}
 	})
-}
-
-func TestAdaptiveTolerance(t *testing.T) {
-	const n = 500
-	global := globalCloud(n, 10)
-	wantAcc, _ := directRef(global, 1e-6)
-	aRMS := rmsNorm(wantAcc)
-	var tolAfter float64
-	msg.Run(2, func(c *msg.Comm) {
-		e := New(c, scatter(global, c), Config{
-			MAC:      grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-2, Quad: true},
-			Eps2:     1e-6,
-			AdaptTol: 1e-5, // relative tolerance
-		})
-		e.ComputeForces()
-		// After the first evaluation the tolerance is rescaled to
-		// AdaptTol * RMS accel, so a second evaluation is accurate
-		// even though the initial absolute tolerance was hopeless.
-		e.ComputeForces()
-		if c.Rank() == 0 {
-			tolAfter = e.Cfg.MAC.AccelTol
-		}
-		for i := 0; i < e.Sys.Len(); i++ {
-			id := e.Sys.ID[i]
-			if rel := e.Sys.Acc[i].Sub(wantAcc[id]).Norm() / aRMS; rel > 1e-3 {
-				t.Errorf("body %d error %g of RMS after adaptation", id, rel)
-			}
-		}
-	})
-	// The adapted tolerance tracks the problem's acceleration scale.
-	if tolAfter <= 0 || tolAfter > 1e-5*aRMS*10 || tolAfter < 1e-5*aRMS/10 {
-		t.Fatalf("adapted tolerance %g, RMS accel %g", tolAfter, aRMS)
-	}
 }
 
 func TestBalanceReport(t *testing.T) {

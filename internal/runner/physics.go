@@ -64,6 +64,17 @@ func (g Gravity) build(c *msg.Comm, local *core.System) rankEngine {
 	return rankEngine{Engine: e, first: e.ComputeForces, sys: &e.Sys}
 }
 
+// Serial is g's engine over sys as the only rank of a one-rank world,
+// built on the caller's goroutine, with the first evaluation's
+// counters. At np = 1 no collective sends or waits, so the caller
+// steps and evaluates it like any serial object: it is the library's
+// serial gravity (hot.Serial, bem's tree sums), the same algorithm as
+// every distributed run. The engine owns sys from here on.
+func (g Gravity) Serial(sys *core.System) (*parallel.Engine, diag.Counters) {
+	e := g.build(msg.NewWorld(1).Comm(0), sys)
+	return e.Engine.(*parallel.Engine), e.first()
+}
+
 // SPH is smoothed particle hydrodynamics, with self-gravity when
 // Gravity is set (internal/sph).
 type SPH sph.ParallelConfig

@@ -6,7 +6,9 @@
 // (internal/simserve), hot.RunParallel, internal/experiments and the
 // examples each describe their run as a Plan and call Run; none of them
 // constructs an engine or a world for a treecode run (scripts/check.sh
-// fails on a constructor call outside this package).
+// fails on a constructor call outside this package). A serial gravity
+// run (hot.Serial, bem's tree sums) is Gravity.Serial: the same engine
+// as the only rank of a one-rank world.
 //
 // A Plan is what is computed: ranks, steps, the bodies and the physics.
 // Attachments are who is watching; all optional, and a run with none

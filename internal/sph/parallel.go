@@ -57,8 +57,6 @@ type ParallelConfig struct {
 	Gravity bool
 	Eps2    float64
 	Theta   float64
-	// MaxRounds bounds the request/reply rounds per pass; 0 means 64.
-	MaxRounds int
 }
 
 // Leaf is the SPH leaf payload of a request reply: every per-body
@@ -167,7 +165,6 @@ func NewParallel(c *msg.Comm, sys *core.System, cfg ParallelConfig) *ParallelEng
 	e.Engine = hotengine.New[hotengine.None, Leaf](c, sys, e.phys, hotengine.Config{
 		MAC:         grav.MACParams{Kind: grav.MACBarnesHut, Theta: cfg.Theta, Quad: false},
 		Bucket:      cfg.Bucket,
-		MaxRounds:   cfg.MaxRounds,
 		PhasePrefix: "sph",
 	})
 	return e

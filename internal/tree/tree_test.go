@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/grav"
 	"repro/internal/ic"
-	"repro/internal/integrate"
 	"repro/internal/keys"
 	"repro/internal/vec"
 )
@@ -213,42 +212,6 @@ func TestMomentumConservation(t *testing.T) {
 		if net, scale := netForce(c.sys); net > c.tol*scale {
 			t.Errorf("%s: net force %g (scale %g)", c.name, net, scale)
 		}
-	}
-}
-
-// One big step of block timesteps (bodies on several rungs, partial
-// evaluations of the groups holding an active body, inactive bodies as
-// drifted sources) leaves the total momentum where it was, to a small
-// part of the momentum the step exchanged.
-func TestMomentumConservationBlockStep(t *testing.T) {
-	sys, _ := sorted(ic.Plummer(3000, 1.0, 5))
-	const eps2, dt = 1e-6, 1e-3
-	forces := func(sys *core.System, minRung int) {
-		d := keys.NewDomain(sys.Pos)
-		sys.AssignKeys(d)
-		sys.SortByKey()
-		Build(sys, d, grav.DefaultMAC(), 16).GravityActive(eps2, minRung)
-	}
-	momentum := func() (p vec.V3) {
-		for i := range sys.Vel {
-			p = p.Add(sys.Vel[i].Scale(sys.Mass[i]))
-		}
-		return p
-	}
-	st := integrate.Stepper{
-		B:      &integrate.FuncBodies{System: sys, Force: forces},
-		Scheme: integrate.Block, Eta: 0.02, Eps: math.Sqrt(eps2),
-	}
-	forces(sys, 0)
-	_, scale := netForce(sys)
-	before := momentum()
-	st.Step(dt)
-	if st.Stats.PartialEvals == 0 {
-		t.Fatalf("no partial evaluation ran: %+v", st.Stats)
-	}
-	// Measured 1.9e-5 of the exchanged momentum (sum m |a| dt).
-	if drift := momentum().Sub(before).Norm(); drift > 1e-4*scale*dt {
-		t.Fatalf("momentum moved by %g in one big step, %g of the %g exchanged", drift, drift/(scale*dt), scale*dt)
 	}
 }
 

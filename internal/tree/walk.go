@@ -3,7 +3,6 @@ package tree
 import (
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/grav"
 	"repro/internal/keys"
@@ -233,52 +232,19 @@ func (w *Walker) Evaluate(gpos []vec.V3, gmass []float64, acc []vec.V3, pot []fl
 
 // Gravity runs a full serial force evaluation through the two-phase
 // (interaction-list) path: for every group, build its list, evaluate
-// it batched, and record per-body work weights. The system must have
-// dynamics enabled. Returns the interaction counters.
-func (t *Tree) Gravity(eps2 float64) diag.Counters { return t.GravityActive(eps2, 0) }
-
-// GroupActive reports whether the body range [lo,hi) of sys holds any
-// body on rung minRung or finer. Activity is group-granular: a group,
-// a sink cell of up to sinkCap bodies, is evaluated whole for one active
-// body (the inactive members' Acc is overwritten with values they never
-// consume -- their own kicks read Acc only at their own sub-step
-// boundaries, which are full evaluations for them), so the interaction
-// kernels, including the self-interaction, run unchanged; the cost is
-// measured in EXPERIMENTS.md "Sink cells (PR 23)". A nil Rung column
-// means rung zero everywhere.
-func GroupActive(sys *core.System, lo, hi, minRung int) bool {
-	if minRung <= 0 || sys.Rung == nil {
-		return true
-	}
-	for _, r := range sys.Rung[lo:hi] {
-		if int(r) >= minRung {
-			return true
-		}
-	}
-	return false
-}
-
-// GravityActive is the partial force evaluation of block timesteps:
-// it walks and evaluates only the groups containing a body on rung
-// minRung or finer, skipping everything else (their Acc, Pot and Work
-// are left untouched). minRung <= 0 degenerates to Gravity -- the
-// identical code path, so a synchronization evaluation is bitwise the
-// uniform one. Inactive bodies still contribute as sources through the
-// tree, which must have been rebuilt from their drifted positions.
-// Each active group gets a list-build walk, a batched evaluation, and
-// the per-body work weights for the next domain decomposition (the
-// group's interactions spread evenly over its bodies, exact to +-1
-// since every body in a group shares the same interaction list).
-func (t *Tree) GravityActive(eps2 float64, minRung int) diag.Counters {
+// it batched, and record the per-body work weights (the group's
+// interactions spread evenly over its bodies, exact to +-1 since every
+// body in a group shares the same interaction list). The system must
+// have dynamics enabled. Returns the interaction counters. It is the
+// serial reference the one-rank distributed engine reproduces bit for
+// bit; programs evaluate gravity through that engine.
+func (t *Tree) Gravity(eps2 float64) diag.Counters {
 	var ctr diag.Counters
 	var w Walker
 	sys := t.Sys
 	for _, gk := range t.Groups {
 		g := t.Cell(gk)
 		lo, hi := g.First, g.First+g.N
-		if !GroupActive(sys, int(lo), int(hi), minRung) {
-			continue
-		}
 		before := ctr.PP + ctr.PC
 		w.Walk(t, gk, sys.Pos[lo:hi], &ctr)
 		w.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], eps2, t.MAC.Quad, &ctr)

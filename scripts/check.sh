@@ -56,7 +56,7 @@ echo "== fuzz (time-boxed: a striped snapshot set reads to a valid system or an 
 go test -run='^$' -fuzz=FuzzReadStriped -fuzztime=10s -fuzzminimizetime=10x ./internal/snapio
 echo "== fuzz (time-boxed: the lane kernels' reciprocal square root is the Go loop's bit for bit, at eight lanes and four; skips without AVX2)"
 go test -run='^$' -fuzz=FuzzRsqrtLanes -fuzztime=10s ./internal/grav
-echo "== one runner (engines are constructed in internal/runner and nowhere else outside tests, and vortex and SPH runs have no serial path)"
+echo "== one runner (engines are constructed in internal/runner and nowhere else outside tests, and gravity, vortex and SPH runs have no serial path)"
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=runner \
 	'(parallel\.New|sph\.NewParallel|vortex\.NewParallel)\(' .; then
 	echo "FAIL: an engine constructed outside internal/runner: describe the run as a runner.Plan" >&2
@@ -69,6 +69,11 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
 fi
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'sph\.Step\(' .; then
 	echo "FAIL: a second SPH path: run through runner.Run (the serial Density/Forces/Step are a test reference)" >&2
+	exit 1
+fi
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'GravityActive\(|\.Gravity\(|FuncBodies' . |
+	grep -vE '^\./internal/tree/[^:]*:[0-9]+:.*\.Gravity\(|^\./internal/integrate/[^:]*:[0-9]+:.*FuncBodies'; then
+	echo "FAIL: a second serial gravity path: evaluate and step through runner.Gravity.Serial, the one-rank engine (tree.Tree.Gravity and integrate.FuncBodies are test references)" >&2
 	exit 1
 fi
 echo "== one rank record (an engine describes its rank through Record, as a metrics.RankInput, and no other way)"
