@@ -32,6 +32,16 @@
 // only those batches (Decomposer.plan): on a warm step most pairs of
 // ranks have nothing to send each other, and under latency an empty
 // message waits like a full one (Stats.Batches counts what was sent).
+//
+// The keys are quantized in keys.DomainOf the global bounding box, a
+// rule that snaps the cube to a lattice and a ladder of sizes, so it
+// stays the same bits while the bodies move a little. A cold
+// decomposition allreduces the box first (GlobalDomain); a warm one
+// (DecomposeGlobal) keys with the domain it returned last and publishes
+// its local box on the splitter allgather, from which every rank
+// computes the true domain. When the prediction missed, every rank
+// re-keys and searches again (Stats.Relocated), so the domain, like the
+// splits, is a function of the bodies alone.
 package domain
 
 import (
@@ -69,6 +79,8 @@ type Result struct {
 	Splits []uint64
 	// Moved counts bodies that changed ranks (this rank's sends).
 	Moved int
+	// Domain is the key domain Sys is keyed and sorted in.
+	Domain keys.Domain
 }
 
 // samplesPerRank is how many evenly spaced local bodies each rank
@@ -108,7 +120,7 @@ type Stats struct {
 	// (the Reuse check included): 1 when the one-allgather search of a
 	// warm decomposer settled every splitter, 5 when it could not and
 	// the full search followed, 4 for the full search of a cold one, 0
-	// on one rank.
+	// on one rank; one more when the search ran again after Relocated.
 	Rounds int
 	// MergeRuns is the number of non-empty sorted runs the
 	// post-exchange merge combined (1 means the order was free).
@@ -126,6 +138,10 @@ type Stats struct {
 	// check, only those the windows say may hold bodies after a settled
 	// one-allgather search (Decomposer.plan).
 	Batches int
+	// Relocated reports that DecomposeGlobal's predicted domain was not
+	// the bodies' (the boxes gathered on the splitter search named
+	// another), so every rank re-keyed and searched again.
+	Relocated bool
 }
 
 // Decomposer carries the cross-step state of the incremental
@@ -155,6 +171,9 @@ type Decomposer struct {
 
 	sorter core.Sorter
 	prev   []uint64
+	dom    keys.Domain // the domain of this call, then the last returned
+	check  bool        // dom is a prediction the next hinted search checks
+	box    keys.Box    // this rank's bounding box, published when checking
 
 	pw      []float64
 	mine    []uint64  // this rank's candidates of a search pass
@@ -177,21 +196,61 @@ type Decomposer struct {
 // returned system is sorted by (Key, ID), exactly as core.Sorter
 // produces, regardless of which incremental shortcuts engaged.
 func (dc *Decomposer) Decompose(c *msg.Comm, sys *core.System, d keys.Domain) Result {
-	splits := dc.search(c, sys, d)
-	return dc.exchange(c, sys, d, splits, dc.plan(splits))
+	dc.dom, dc.check = d, false
+	return dc.decompose(c, sys)
 }
 
-// search keys and sorts sys and returns the new splits: the previous
-// ones when Reuse keeps them, else what selectSplits finds.
-func (dc *Decomposer) search(c *msg.Comm, sys *core.System, d keys.Domain) []uint64 {
+// DecomposeGlobal is Decompose in the bodies' own domain, keys.DomainOf
+// their global bounding box, which Result.Domain returns. A cold
+// decomposer, or one with Reuse set, allreduces the box first
+// (GlobalDomain). A warm one saves that collective: it keys and sorts
+// with the domain it returned last and publishes its local box with its
+// window on the one-allgather splitter search, where every rank checks
+// the prediction against the union of the gathered boxes. On a miss
+// (Stats.Relocated) every rank re-keys in the true domain, re-sorts and
+// searches again, which costs the collective the prediction saved. The
+// domain, the keys and the splits are therefore those a cold decomposer
+// finds for the same bodies, whatever the last call left behind.
+func (dc *Decomposer) DecomposeGlobal(c *msg.Comm, sys *core.System) Result {
+	if p := c.Size(); p > 1 && len(dc.prev) == p+1 && !dc.Reuse {
+		dc.box, dc.check = keys.BoxOf(sys.Pos), true
+	} else {
+		dc.dom, dc.check = GlobalDomain(c, sys), false
+	}
+	return dc.decompose(c, sys)
+}
+
+// decompose runs search, plan and exchange in dc.dom.
+func (dc *Decomposer) decompose(c *msg.Comm, sys *core.System) Result {
+	splits := dc.search(c, sys)
+	if c.Size() == 1 {
+		return dc.keep(sys, splits)
+	}
+	return dc.exchange(c, sys, splits, dc.plan(splits))
+}
+
+// search keys and sorts sys in dc.dom and returns the new splits: the
+// previous ones when Reuse keeps them, else what selectSplits finds.
+// When the hinted search finds dc.dom was a wrong prediction it has set
+// the true one, and the keys, the order and the search are done again.
+func (dc *Decomposer) search(c *msg.Comm, sys *core.System) []uint64 {
 	c.Phase("decompose")
 	dc.Last = Stats{}
 	dc.wins = nil
+	for {
+		if splits := dc.searchIn(c, sys); splits != nil {
+			return splits
+		}
+		dc.Last.Relocated = true
+	}
+}
 
+// searchIn is one attempt of search, nil when it relocated.
+func (dc *Decomposer) searchIn(c *msg.Comm, sys *core.System) []uint64 {
 	if dc.Sub != nil {
 		dc.Sub.Start("treebuild/sort")
 	}
-	sys.AssignKeys(d)
+	sys.AssignKeys(dc.dom)
 	n := sys.Len()
 	dc.Last.Displaced = dc.sorter.Resort(sys)
 	dc.Last.FullSort = dc.Last.Displaced == n && n > 0
@@ -278,10 +337,33 @@ func (dc *Decomposer) plan(splits []uint64) msg.Pairs {
 	return func(src, dst int) bool { return sends[src*p+dst] }
 }
 
+// keep is the exchange on one rank, where no body moves: the keyed,
+// sorted input is the result, with the columns the body wire would have
+// carried through exchange -- dynamics, SPH, vortex and rung columns as
+// the input has them, accelerations and potentials zeroed, nothing
+// else -- and no wire record packed or unpacked.
+func (dc *Decomposer) keep(sys *core.System, splits []uint64) Result {
+	if sys.Vel != nil || sys.Acc != nil || sys.Pot != nil {
+		sys.EnableDynamics()
+		clear(sys.Acc)
+		clear(sys.Pot)
+	}
+	if sys.H != nil {
+		sys.EnableSPH()
+	} else {
+		sys.Rho = nil
+	}
+	if sys.Len() > 1 {
+		dc.Last.MergeRuns = 1
+	}
+	dc.prev = append(dc.prev[:0], splits...)
+	return Result{Sys: sys, Splits: splits, Domain: dc.dom}
+}
+
 // exchange sends every body to the owner of its interval under splits
 // and unpacks what arrives, sending and receiving only the batches pairs
 // names (nil: all of them).
-func (dc *Decomposer) exchange(c *msg.Comm, sys *core.System, d keys.Domain, splits []uint64, pairs msg.Pairs) Result {
+func (dc *Decomposer) exchange(c *msg.Comm, sys *core.System, splits []uint64, pairs msg.Pairs) Result {
 	p, n := c.Size(), sys.Len()
 	// Pack send buffers: bodies are sorted, so each destination's
 	// bodies form one contiguous run and a single linear sweep finds
@@ -380,7 +462,7 @@ func (dc *Decomposer) exchange(c *msg.Comm, sys *core.System, d keys.Domain, spl
 	if dc.Sub != nil {
 		dc.Sub.Start("treebuild/sort")
 	}
-	out.AssignKeys(d)
+	out.AssignKeys(dc.dom)
 	// The received buffers are P (Key, ID)-sorted runs over this
 	// rank's new interval; merging them by run boundary is the full
 	// stable sort without sorting anything.
@@ -390,7 +472,7 @@ func (dc *Decomposer) exchange(c *msg.Comm, sys *core.System, d keys.Domain, spl
 	}
 
 	dc.prev = append(dc.prev[:0], splits...)
-	return Result{Sys: out, Splits: splits, Moved: moved}
+	return Result{Sys: out, Splits: splits, Moved: moved, Domain: dc.dom}
 }
 
 // summary is a rank's contribution to one pass of the splitter
@@ -410,7 +492,7 @@ type summary struct {
 // hintedSplits, which answers in one allgather or not at all; the full
 // search (sampleSplits) is the answer otherwise, and the only one that
 // works on bodies in no particular place: a first evaluation, a
-// restart.
+// restart. It returns nil when the hinted search relocated the domain.
 func (dc *Decomposer) selectSplits(c *msg.Comm, ks []keys.Key, pw []float64, p int) []uint64 {
 	if p > 1 && len(dc.prev) == p+1 {
 		if splits, ok := dc.hintedSplits(c, ks, pw, p); ok {
@@ -430,11 +512,12 @@ type edge struct {
 // window is a rank's contribution to the one-allgather search: its
 // body count, their total work, and the first and last hintWindow
 // bodies of its sorted list (all of them when there are no more than
-// that), ascending.
+// that), ascending; and its bounding box when the domain is checked.
 type window struct {
 	n     int
 	work  float64
 	edges []edge
+	box   keys.Box
 }
 
 // gap returns the index in w.edges of the first body after the
@@ -459,6 +542,11 @@ func (w *window) gap() int {
 // upper of such a pair is that candidate, exactly as the full search
 // finds it. ok is false when some splitter has no such pair: the same
 // verdict on every rank, from the same gathered data.
+//
+// When dc.dom is a prediction the windows carry every rank's box, and
+// every rank computes the true domain from their union. If it is not the
+// prediction, the keys published are not the bodies': the result is ok
+// with no splits, and dc.dom the true domain to search in again.
 func (dc *Decomposer) hintedSplits(c *msg.Comm, ks []keys.Key, pw []float64, p int) (splits []uint64, ok bool) {
 	n := len(ks)
 	// The gathered windows alias every rank's edges, which are read up
@@ -476,8 +564,23 @@ func (dc *Decomposer) hintedSplits(c *msg.Comm, ks []keys.Key, pw []float64, p i
 		edges = append(edges, edge{tree.KeyOffset(ks[i]), pw[i]})
 	}
 	*buf = edges
-	wins := msg.Allgather(c, window{n: n, work: pw[n], edges: edges}, 16+16*len(edges))
+	mine, bytes := window{n: n, work: pw[n], edges: edges}, 16+16*len(edges)
+	if dc.check {
+		mine.box, bytes = dc.box, bytes+boxBytes
+	}
+	wins := msg.Allgather(c, mine, bytes)
 	dc.Last.Rounds++
+	if dc.check {
+		dc.check = false
+		box := keys.EmptyBox()
+		for i := range wins {
+			box = box.Union(wins[i].box)
+		}
+		if d := keys.DomainOf(box); d != dc.dom {
+			dc.dom = d
+			return nil, true
+		}
+	}
 
 	total := 0.0
 	cand := append(dc.cand[:0], 1)
@@ -703,27 +806,12 @@ func addVec(a, b []float64) []float64 {
 	return a
 }
 
-// GlobalDomain computes the bounding domain of bodies distributed
-// across ranks (allreduce of the coordinate bounds), so every rank
-// quantizes keys identically.
+// boxBytes is a keys.Box on the wire: two coordinate triples.
+const boxBytes = 48
+
+// GlobalDomain is keys.DomainOf the bounding box of bodies distributed
+// across ranks, allreduced, so every rank quantizes keys identically and
+// as keys.NewDomain does over all of them.
 func GlobalDomain(c *msg.Comm, sys *core.System) keys.Domain {
-	type bounds struct{ Lo, Hi vec.V3 }
-	b := bounds{
-		Lo: vec.V3{X: 1e300, Y: 1e300, Z: 1e300},
-		Hi: vec.V3{X: -1e300, Y: -1e300, Z: -1e300},
-	}
-	for _, p := range sys.Pos {
-		b.Lo = vec.Min(b.Lo, p)
-		b.Hi = vec.Max(b.Hi, p)
-	}
-	g := msg.Allreduce(c, b, func(x, y bounds) bounds {
-		return bounds{Lo: vec.Min(x.Lo, y.Lo), Hi: vec.Max(x.Hi, y.Hi)}
-	}, 48)
-	span := g.Hi.Sub(g.Lo)
-	size := span.MaxAbs()
-	if size <= 0 {
-		size = 1
-	}
-	size *= 1.0 + 1e-6
-	return keys.Domain{Origin: g.Lo, Size: size}
+	return keys.DomainOf(msg.Allreduce(c, keys.BoxOf(sys.Pos), keys.Box.Union, boxBytes))
 }

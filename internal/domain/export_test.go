@@ -9,9 +9,11 @@ import (
 
 // decomposeDense is Decompose with the body exchange over every pair of
 // ranks whatever the search found, as it ran before the windows planned
-// it: the reference the planned exchange is tested against.
+// it, and through wire records on one rank too, as it ran before keep:
+// the reference the planned exchange and keep are tested against.
 func (dc *Decomposer) decomposeDense(c *msg.Comm, sys *core.System, d keys.Domain) Result {
-	return dc.exchange(c, sys, d, dc.search(c, sys, d), nil)
+	dc.dom, dc.check = d, false
+	return dc.exchange(c, sys, dc.search(c, sys), nil)
 }
 
 // bisectSplits is the splitter search this package ran before the

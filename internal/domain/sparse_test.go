@@ -1,6 +1,7 @@
 package domain
 
 import (
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -131,6 +132,73 @@ func TestSparseExchangeMatchesDense(t *testing.T) {
 				t.Fatalf("np=%d %s: no rank was ever empty after a warm step", np, gen.name)
 			}
 			t.Logf("np=%d %s: %d rank-steps planned, %d of their %d batches left out", np, gen.name, planned, left, planned*(np-1))
+		}
+	}
+}
+
+// On one rank nothing moves, so the decomposition returns its keyed,
+// sorted input instead of packing every body into a wire record and
+// unpacking it into a fresh system. The result is the wire path's bit
+// for bit: the same columns present and absent, every column in the same
+// order with the same values and keys (accelerations and potentials
+// zeroed, a density without smoothing lengths dropped, as the wire
+// carries them), and the same splits, domain, moves and stats -- over
+// every column layout the engines use, and on a warm decomposer too.
+func TestOneRankKeepsWhatTheWireCarries(t *testing.T) {
+	layouts := map[string]func(*core.System){
+		"plain":    func(*core.System) {},
+		"dynamics": (*core.System).EnableDynamics,
+		"vortex":   func(s *core.System) { s.EnableDynamics(); s.EnableVortex() },
+		"sph":      func(s *core.System) { s.EnableDynamics(); s.EnableSPH() },
+		"rungs":    func(s *core.System) { s.EnableDynamics(); s.EnableRungs() },
+		"rho only": func(s *core.System) { s.Rho = make([]float64, s.Len()) },
+		"acc only": func(s *core.System) { s.Acc = make([]vec.V3, s.Len()) },
+	}
+	src := ic.Plummer(500, 1, 3)
+	for name, enable := range layouts {
+		var keep, wire Decomposer
+		for step := 0; step < 2; step++ {
+			in := core.New(src.Len())
+			enable(in)
+			for i := range in.Pos {
+				in.Pos[i] = src.Pos[i].Scale(1 + 0.01*float64(step))
+				in.Mass[i], in.ID[i], in.Work[i] = src.Mass[i], int64(src.Len()-1-i), float64(1+i%7)
+				f := float64(i + 1)
+				for _, col := range [][]float64{in.Pot, in.H, in.Rho} {
+					if col != nil {
+						col[i] = f
+					}
+				}
+				for _, col := range [][]vec.V3{in.Vel, in.Acc, in.Alpha} {
+					if col != nil {
+						col[i] = vec.V3{X: f, Y: -f, Z: 2 * f}
+					}
+				}
+				if in.Rung != nil {
+					in.Rung[i] = uint8(i % 5)
+				}
+			}
+			copyIn := core.New(0)
+			enable(copyIn)
+			for i := 0; i < in.Len(); i++ {
+				copyIn.AppendFrom(in, i)
+			}
+			d := keys.NewDomain(in.Pos)
+			var got, want Result
+			msg.Run(1, func(c *msg.Comm) {
+				got = keep.Decompose(c, in, d)
+				want = wire.decomposeDense(c, copyIn, d)
+			})
+			if got.Sys != in {
+				t.Fatalf("%s step %d: one rank returned a new system", name, step)
+			}
+			if !reflect.DeepEqual(got.Sys, want.Sys) {
+				t.Fatalf("%s step %d: the bodies kept differ from what the wire carried", name, step)
+			}
+			got.Sys, want.Sys = nil, nil
+			if !reflect.DeepEqual(got, want) || keep.Last != wire.Last {
+				t.Fatalf("%s step %d: one rank kept %+v / %+v, the wire carried %+v / %+v", name, step, got, keep.Last, want, wire.Last)
+			}
 		}
 	}
 }

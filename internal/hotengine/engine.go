@@ -15,7 +15,11 @@
 // One evaluation runs in the paper's four phases:
 //
 //  1. Domain decomposition: bodies move to processors as contiguous,
-//     work-weighted intervals of the Morton curve (internal/domain).
+//     work-weighted intervals of the Morton curve (internal/domain),
+//     keyed in the domain of their global bounding box. A warm step
+//     predicts that domain and checks it on the splitter allgather
+//     instead of reducing the box, so its decomposition is two
+//     collectives: the splitters and the bodies.
 //  2. Distributed tree build: each processor builds a local hashed
 //     oct-tree over its bodies, publishes its "branch" cells (the
 //     coarsest cells wholly inside its interval), and all processors
@@ -134,6 +138,8 @@ type Engine[X, B any] struct {
 	// Exchange with the redistributed, key-sorted system).
 	Sys *core.System
 
+	// Domain is the key domain of the last exchange: the bodies' own
+	// (keys.DomainOf their global box) after a full one.
 	Domain keys.Domain
 	Splits []uint64
 	// Local is this rank's tree: what it serves requests and pushes from.
@@ -164,6 +170,9 @@ type Engine[X, B any] struct {
 	// while the push covers every walk); RemoteCells the cells imported.
 	Rounds      int
 	RemoteCells int
+	// Relocated counts the full exchanges whose predicted key domain
+	// missed (domain.Stats.Relocated).
+	Relocated int
 
 	// Trace, when non-nil, receives this rank's timeline: phase spans
 	// (via the Timer's sink -- set both through Observe), ABM
@@ -286,6 +295,7 @@ func (e *Engine[X, B]) Record() metrics.RankInput {
 		Rounds:      e.Rounds,
 		RemoteCells: e.RemoteCells,
 		SplitRounds: e.dec.Last.Rounds,
+		Relocated:   e.Relocated,
 		BodyBatches: e.dec.Last.Batches,
 		Sent:        e.C.TrafficTotal(),
 		Bodies:      e.Sys.Len(),
@@ -308,6 +318,11 @@ func (e *Engine[X, B]) Exchange() {
 // WalkGroups/WalkGroupsIf must be that walk: any other would be
 // under-pushed and fall back on requests.
 //
+// A full exchange keys the bodies in their own domain, which the
+// decomposer predicts and checks on the splitter search instead of
+// allreducing the box (domain.Decomposer.DecomposeGlobal): a warm step
+// is five collectives, the box riding on the splitter allgather.
+//
 // incremental selects the fast path for the partial force evaluations
 // between block-timestep synchronization points: the key domain is
 // reused from the last full exchange (keys.Domain.KeyOf clamps, so
@@ -319,13 +334,17 @@ func (e *Engine[X, B]) Exchange() {
 // one of which must have come before.
 func (e *Engine[X, B]) ExchangeFor(v Visitor[X], active func(g *tree.Cell) bool, incremental bool) {
 	e.Timer.Start("decompose")
-	if !incremental {
-		e.Domain = domain.GlobalDomain(e.C, e.Sys)
-	}
 	e.dec.Reuse = incremental
-	res := e.dec.Decompose(e.C, e.Sys, e.Domain)
-	e.Sys = res.Sys
-	e.Splits = res.Splits
+	var res domain.Result
+	if incremental {
+		res = e.dec.Decompose(e.C, e.Sys, e.Domain)
+	} else {
+		res = e.dec.DecomposeGlobal(e.C, e.Sys)
+	}
+	e.Sys, e.Splits, e.Domain = res.Sys, res.Splits, res.Domain
+	if e.dec.Last.Relocated {
+		e.Relocated++
+	}
 	e.Phys.Prepare(e.Sys)
 
 	// The local tree force-splits cells straddling this rank's

@@ -264,10 +264,15 @@ func runPassesOn(global *core.System, np int, mode walkMode, partial, hashDescen
 			case mode == restartWalk:
 				e.RestartWalkGroups(label, v, eval)
 			case label == "partial":
-				every := 0
-				e.WalkGroupsIf(label, func(*tree.Cell) bool {
-					every++
-					return every%2 == 0 && c.Rank() != np-1
+				// Every other group, by position: the engine asks the
+				// predicate once for the walk and once for the push bound,
+				// so it must answer the same both times.
+				odd := map[keys.Key]bool{}
+				for i, gk := range e.Local.Groups {
+					odd[gk] = i%2 == 1
+				}
+				e.WalkGroupsIf(label, func(g *tree.Cell) bool {
+					return odd[g.Key] && c.Rank() != np-1
 				}, v, eval)
 			default:
 				e.WalkGroups(label, v, eval)

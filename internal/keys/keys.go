@@ -20,6 +20,7 @@
 package keys
 
 import (
+	"math"
 	"math/bits"
 
 	"repro/internal/vec"
@@ -132,25 +133,133 @@ type Domain struct {
 	Size   float64 // edge length
 }
 
-// NewDomain returns a cubic domain that contains all the given
-// positions with a small safety margin, so that quantization never
-// lands exactly on the upper boundary.
+// Box is an axis-aligned bounding box. A box with Lo above Hi on some
+// axis is empty; EmptyBox is the one Union starts from.
+type Box struct{ Lo, Hi vec.V3 }
+
+// EmptyBox returns the box of no points, the identity of Union.
+func EmptyBox() Box {
+	inf := math.Inf(1)
+	return Box{Lo: vec.V3{X: inf, Y: inf, Z: inf}, Hi: vec.V3{X: -inf, Y: -inf, Z: -inf}}
+}
+
+// BoxOf returns the bounding box of pos (EmptyBox for none).
+func BoxOf(pos []vec.V3) Box {
+	b := EmptyBox()
+	for _, p := range pos {
+		b.Lo = vec.Min(b.Lo, p)
+		b.Hi = vec.Max(b.Hi, p)
+	}
+	return b
+}
+
+// Union returns the bounding box of both boxes. It is exact, so the
+// union of many boxes does not depend on the order they are taken in.
+func (b Box) Union(o Box) Box {
+	return Box{Lo: vec.Min(b.Lo, o.Lo), Hi: vec.Max(b.Hi, o.Hi)}
+}
+
+// Empty reports whether b holds no point.
+func (b Box) Empty() bool {
+	return !(b.Lo.X <= b.Hi.X && b.Lo.Y <= b.Hi.Y && b.Lo.Z <= b.Hi.Z)
+}
+
+// Span returns b's largest edge.
+func (b Box) Span() float64 {
+	return max(b.Hi.X-b.Lo.X, b.Hi.Y-b.Lo.Y, b.Hi.Z-b.Lo.Z)
+}
+
+// MaxDomainRatio bounds DomainOf's cube over the span of its box: the
+// lattice adds at most span/128, the ladder a rung of at most 1.045 and
+// the margin 2^-15, so Size < 1.054 * span.
+const MaxDomainRatio = 1.06
+
+// minSpan is the smallest span DomainOf resolves; below it (a single
+// body, coincident bodies) the box is taken to span 1, which keeps the
+// lattice and the cube normal floating-point numbers.
+const minSpan = 0x1p-1000
+
+// ladder holds the cube sizes of one octave, in units of its top: the
+// geometric rungs 2^(k/16 - 1), k = 1..16, rounded to 1/1024 so each is
+// exact. Consecutive rungs differ by 4.3% to 4.5%.
+var ladder = [...]float64{
+	535. / 1024, 558. / 1024, 583. / 1024, 609. / 1024, 636. / 1024, 664. / 1024, 693. / 1024, 724. / 1024,
+	756. / 1024, 790. / 1024, 825. / 1024, 861. / 1024, 899. / 1024, 939. / 1024, 981. / 1024, 1,
+}
+
+// DomainOf is the one rule that turns the global bounding box of the
+// bodies into the key domain: every rank, the serial tree and the
+// replay call it on the same box and get the same bits. It is
+// piecewise constant in the box, so a distributed step can key its
+// bodies with the domain it predicts and check the prediction against
+// the gathered boxes instead of reducing the box first (internal/domain
+// Decomposer.DecomposeGlobal):
+//
+//   - the origin is the box's lower corner snapped down, per axis, to a
+//     lattice of spacing Lattice(span), a power of two between span/256
+//     and span/128;
+//   - the size is the rung of a fixed geometric ladder (sixteen rungs
+//     an octave) at or above span + lattice, with a 2^-16 relative
+//     margin, so every point of the box quantizes strictly inside
+//     [0, 2^21).
+//
+// The arithmetic is Frexp, Ldexp, Floor, comparisons and a few IEEE
+// subtractions or additions -- no Log, Exp or other library rounding --
+// so it is the same bits on every architecture. An empty box is the
+// unit cube at the origin. The box's coordinates must be finite and
+// below 2^1020 in magnitude.
+func DomainOf(b Box) Domain {
+	if b.Empty() {
+		return Domain{Size: 1}
+	}
+	span := b.Span()
+	if !(span >= minSpan) {
+		span = 1
+	}
+	ce := latticeExp(span)
+	return Domain{
+		Origin: vec.V3{X: snap(b.Lo.X, ce), Y: snap(b.Lo.Y, ce), Z: snap(b.Lo.Z, ce)},
+		Size:   LadderAbove(span + math.Ldexp(1, ce)),
+	}
+}
+
+// Lattice returns the origin lattice's spacing for a box of the given
+// span (at least minSpan): 2^(e-8) for span in [2^(e-1), 2^e).
+func Lattice(span float64) float64 { return math.Ldexp(1, latticeExp(span)) }
+
+func latticeExp(span float64) int {
+	_, e := math.Frexp(span)
+	return e - 8
+}
+
+// LadderAbove returns the smallest ladder size at or above
+// t * (1 + 2^-16), roughly: the mantissa of t plus 2^-16, rounded up to
+// the next rung.
+func LadderAbove(t float64) float64 {
+	m, e := math.Frexp(t)
+	m += 0x1p-16
+	for _, r := range ladder {
+		if m <= r {
+			return math.Ldexp(r, e)
+		}
+	}
+	return math.Ldexp(ladder[0], e+1)
+}
+
+// snap returns x rounded down to a multiple of 2^ce. x is one already
+// when its last mantissa bit is worth 2^ce or more, and then x / 2^ce
+// could overflow, so it is returned as is; otherwise the quotient is
+// below 2^53 and both scalings are exact.
+func snap(x float64, ce int) float64 {
+	if _, xe := math.Frexp(x); x == 0 || xe-53 >= ce {
+		return x
+	}
+	return math.Ldexp(math.Floor(math.Ldexp(x, -ce)), ce)
+}
+
+// NewDomain returns DomainOf the bounding box of pos.
 func NewDomain(pos []vec.V3) Domain {
-	if len(pos) == 0 {
-		return Domain{Origin: vec.V3{X: 0, Y: 0, Z: 0}, Size: 1}
-	}
-	lo, hi := pos[0], pos[0]
-	for _, p := range pos[1:] {
-		lo = vec.Min(lo, p)
-		hi = vec.Max(hi, p)
-	}
-	span := hi.Sub(lo)
-	size := span.MaxAbs()
-	if size == 0 {
-		size = 1
-	}
-	size *= 1.0 + 1e-6
-	return Domain{Origin: lo, Size: size}
+	return DomainOf(BoxOf(pos))
 }
 
 // KeyOf returns the body-level key of position p within the domain.

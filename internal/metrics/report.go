@@ -78,6 +78,10 @@ type RankReport struct {
 	// SplitRounds is the number of collectives the rank's last
 	// decomposition spent finding the splitters (domain.Stats.Rounds).
 	SplitRounds int `json:"split_rounds"`
+	// Relocated is how many of the rank's decompositions over the run
+	// found the key domain they predicted was not the bodies' and keyed
+	// again (domain.Stats.Relocated): each cost one collective more.
+	Relocated int `json:"relocated"`
 	// BodyBatches is the number of body batches the rank sent in its
 	// last decomposition's exchange (domain.Stats.Batches): np-1 when
 	// every pair exchanged, fewer when the splitter windows planned it.
@@ -205,11 +209,14 @@ type RankInput struct {
 	Phases []diag.Phase
 	// Rounds and RemoteCells are the request rounds and imported cells
 	// since the engine's last exchange; SplitRounds the collectives its
-	// last decomposition spent finding the splitters (domain.Stats.Rounds)
-	// and BodyBatches the body batches it sent (domain.Stats.Batches).
+	// last decomposition spent finding the splitters (domain.Stats.Rounds),
+	// Relocated its decompositions whose predicted key domain missed
+	// (domain.Stats.Relocated; cumulative) and BodyBatches the body
+	// batches it sent (domain.Stats.Batches).
 	Rounds      int
 	RemoteCells int
 	SplitRounds int
+	Relocated   int
 	BodyBatches int
 	// Collectives is the msg.Comm.Collectives delta of the step just
 	// finished and StepNs the rank's own wall clock for it; whoever
@@ -267,6 +274,7 @@ func BuildReport(command string, wall float64, ranks []RankInput, w *msg.World, 
 			Rounds:      in.Rounds,
 			RemoteCells: in.RemoteCells,
 			SplitRounds: in.SplitRounds,
+			Relocated:   in.Relocated,
 			BodyBatches: in.BodyBatches,
 			Collectives: in.Collectives,
 			Pushed:      in.Counters.Pushed,
@@ -447,12 +455,12 @@ func (r *RunReport) Render(w io.Writer) {
 	}
 
 	fmt.Fprintf(w, "\nper-rank work:\n")
-	fmt.Fprintf(w, "  %4s %14s %16s %10s %12s %7s %8s %6s %7s %6s %8s %8s\n",
-		"rank", "interactions", "flops", "sent msgs", "sent bytes", "rounds", "remote", "split", "batches", "colls", "pushed", "used")
+	fmt.Fprintf(w, "  %4s %14s %16s %10s %12s %7s %8s %6s %6s %7s %6s %8s %8s\n",
+		"rank", "interactions", "flops", "sent msgs", "sent bytes", "rounds", "remote", "split", "reloc", "batches", "colls", "pushed", "used")
 	for _, rr := range r.Ranks {
-		fmt.Fprintf(w, "  %4d %14d %16d %10d %12d %7d %8d %6d %7d %6d %8d %8d\n",
+		fmt.Fprintf(w, "  %4d %14d %16d %10d %12d %7d %8d %6d %6d %7d %6d %8d %8d\n",
 			rr.Rank, rr.Counters.Interactions(), rr.Flops, rr.SentMsgs, rr.SentBytes, rr.Rounds,
-			rr.RemoteCells, rr.SplitRounds, rr.BodyBatches, rr.Collectives, rr.Pushed, rr.PushUsed)
+			rr.RemoteCells, rr.SplitRounds, rr.Relocated, rr.BodyBatches, rr.Collectives, rr.Pushed, rr.PushUsed)
 	}
 
 	if len(r.Phases) > 0 {

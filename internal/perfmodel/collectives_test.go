@@ -136,3 +136,34 @@ func TestExpectedWallOfTheSparseExchange(t *testing.T) {
 			name, 36+len(sub), got, dense, dense-got)
 	}
 }
+
+// The warm uniform step without the box allreduce: the key domain is
+// predicted and checked on the splitter allgather, so a step is five
+// collectives. EXPERIMENTS.md ("Five collectives") sets this prediction,
+// for the body-exchange pairs a dist-latency step plans, beside the
+// measured op_wall_ms. The test pins that the model is deterministic and
+// that dropping a collective from the chain never costs time.
+func TestExpectedWallOfTheFiveCollectiveStep(t *testing.T) {
+	const np, q, l = 4, 1.0 / 16, 128 * time.Millisecond
+	rb := ReduceBcast
+	for _, tc := range []struct {
+		name  string
+		pairs [][2]int
+	}{
+		{"none", nil},
+		{"one way to the right", [][2]int{{0, 1}, {1, 2}, {2, 3}}},
+		{"neighbours", [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 3}, {3, 2}}},
+	} {
+		bodies := SparseAllToAll(tc.pairs...)
+		six := ExpectedWall([]Collective{rb, rb, bodies, rb, AllToAll, rb}, np, q, l) // box; search; bodies; branches+bounds; push; vote
+		five := ExpectedWall([]Collective{rb, bodies, rb, AllToAll, rb}, np, q, l)    // search+box; bodies; branches+bounds; push; vote
+		if again := ExpectedWall([]Collective{rb, bodies, rb, AllToAll, rb}, np, q, l); again != five {
+			t.Errorf("%s: same arguments, %v then %v", tc.name, five, again)
+		}
+		if five >= six {
+			t.Errorf("%s: five collectives modelled at %v, six at %v", tc.name, five, six)
+		}
+		t.Logf("body exchange over %s: six collectives (%d messages) %v, five (%d messages) %v: predicted saving %v",
+			tc.name, 36+len(tc.pairs), six, 30+len(tc.pairs), five, six-five)
+	}
+}

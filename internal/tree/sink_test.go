@@ -138,8 +138,8 @@ func listMass(t *testing.T, tr *Tree, w *Walker, gk keys.Key) (sources, cells fl
 }
 
 // The cells under a group's own key are never put to the MAC. The case
-// that shows why: in cloud(1000, 9) at AccelTol 1e-8 group 5401 holds
-// 26 bodies, its one-body sub-cell 43208 (RCrit = 0) sets the sphere's
+// that shows why: in cloud(1000, 9) at AccelTol 1e-8 group 86 holds 21
+// bodies, its one-body sub-cell 694 (RCrit = 0) sets the sphere's
 // radius, d == gr up to rounding, and the squared test accepts it: the
 // body would attract itself as a monopole. Then the property, over
 // random clouds: every group's list accounts for all the mass exactly
@@ -148,7 +148,7 @@ func listMass(t *testing.T, tr *Tree, w *Walker, gk keys.Key) (sources, cells fl
 func TestOwnCellsAlwaysOpen(t *testing.T) {
 	sys, d := cloud(1000, 9)
 	tr := Build(sys, d, grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-8, Quad: true}, 16)
-	const gk, sub = keys.Key(5401), keys.Key(43208)
+	const gk, sub = keys.Key(86), keys.Key(694)
 	g, c := tr.Cell(gk), tr.Cell(sub)
 	if g == nil || c == nil || !gk.Contains(sub) || !slices.Contains(tr.Groups, gk) {
 		t.Fatalf("the case moved: group %v = %+v, sub-cell %v = %+v", gk, g, sub, c)
