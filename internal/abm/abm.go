@@ -16,8 +16,9 @@
 // Whether a round is needed at all is a smaller question, and Vote
 // answers it with one allreduce: 2(P-1) one-byte messages, where the
 // all-to-all of empty batches that used to carry the answer was P(P-1).
-// A round loop is "for Vote(work) { Round() }"; behind hotengine's push
-// nobody is parked, and a walk phase ends on its first vote.
+// A round loop is "for Vote(work) { Round() }". hotengine runs it only
+// with its push off: behind the push nobody is parked, so a walk phase
+// ends without asking, and a group that parks there aborts the world.
 package abm
 
 import (

@@ -38,13 +38,16 @@
 //     tree.Builder produces -- the top tree, a copy of each own branch's
 //     subtree, and every import, appended as its family lands -- so
 //     every walk is tree.Descend, children by index, no name looked up.
-//     The phase ends on one vote, an allreduce. The paper's latency
-//     hiding is the safety net underneath: a group whose walk opens a
-//     cell whose children have not landed is suspended on that frontier
-//     (the explicit context switch) and rounds of batched request/reply
-//     (internal/abm) run until every group has finished.
+//     Behind the push every walk completes on its first attempt, so the
+//     phase ends there, with no collective: a group that still parks is
+//     a visitor whose TestBound broke its contract, and its rank aborts
+//     the world (*UncoveredWalkError). The paper's latency hiding is the
+//     mechanism with the push off: a group whose walk opens a cell whose
+//     children have not landed is suspended on that frontier (the
+//     explicit context switch) and rounds of batched request/reply
+//     (internal/abm) run until a vote finds every group finished.
 //
-// The global key name space makes the safety net possible: any
+// The global key name space makes the request path possible: any
 // processor can compute which cells it needs and who owns them from
 // key arithmetic plus the split table alone.
 package hotengine
@@ -89,10 +92,18 @@ type Physics[X, B any] interface {
 	// parent payload (top-tree ancestor assembly; acc starts at the
 	// zero X).
 	CombineExtra(acc, child X) X
-	// PackLeaf returns the body columns of a local leaf cell for a
-	// request reply. The slices may alias the physics' own storage;
-	// the importer copies.
+	// PackLeaf returns the body columns of local leaf cell c for a
+	// push batch or a request reply: slices of the copy Snapshot last
+	// took, never of the rank's own columns. A peer imports them
+	// whenever its batch lands, and no collective orders that read
+	// before the owner's next write to its columns (DESIGN.md "A pushed
+	// walk needs no vote").
 	PackLeaf(c *tree.Cell) B
+	// Snapshot copies the local columns PackLeaf serves, over the last
+	// copy. The engine calls it once per walk phase before anything is
+	// packed, at a point every peer reaches only after importing all
+	// the last phase sent it.
+	Snapshot()
 	// ImportLeaf copies n bodies from a reply payload into the
 	// physics' import arena, returning the arena start index the
 	// engine encodes into the cell's First sentinel.
@@ -112,8 +123,8 @@ type Config struct {
 	// and the top-tree ancestor RCrit values.
 	MAC    grav.MACParams
 	Bucket int
-	// MaxRounds bounds the request/reply rounds per walk phase as a
-	// deadlock backstop; 0 means the default (64).
+	// MaxRounds bounds the request/reply rounds per walk phase with the
+	// push off, as a deadlock backstop; 0 means the default (64).
 	MaxRounds int
 	// PhasePrefix prefixes the msg traffic phase labels (e.g. "v"
 	// keeps the vortex engine's historical "vtreebuild"/"vwalk"
@@ -167,7 +178,7 @@ type Engine[X, B any] struct {
 	// nest inside the Timer's decompose/treebuild phases.
 	Sub *diag.Timer
 	// Rounds is the request/reply rounds since the last Exchange (0
-	// while the push covers every walk); RemoteCells the cells imported.
+	// with the push on); RemoteCells the cells imported.
 	Rounds      int
 	RemoteCells int
 	// Relocated counts the full exchanges whose predicted key domain
@@ -194,10 +205,12 @@ type Engine[X, B any] struct {
 	// branches are this rank's own branch cells, the roots of the push
 	// descent; pubs is what the ranks published with theirs when that
 	// included walk bounds (ExchangeFor), for the first push after it;
-	// pushOff leaves the walk to request/reply alone (tests only).
+	// pushOff leaves the walk to request/reply alone, and fallBack ends
+	// a pushed phase on the same vote/round loop (tests only).
 	branches []keys.Key
 	pubs     []published[X, B]
 	pushOff  bool
+	fallBack bool
 
 	// phases holds one persistent abm engine per walk-phase label, so
 	// steady-state walks reuse the recycled queue/receive buffers
@@ -315,13 +328,14 @@ func (e *Engine[X, B]) Exchange() {
 // first: visitor v over the groups active admits (nil means all). That
 // walk's bound follows from the local tree alone, so it travels on the
 // branch allgather and the push needs no allgather of its own. The next
-// WalkGroups/WalkGroupsIf must be that walk: any other would be
-// under-pushed and fall back on requests.
+// WalkGroups/WalkGroupsIf must be that walk: any other is pushed for
+// the declared walk's groups, and if one of its groups parks the rank
+// aborts the world (*UncoveredWalkError).
 //
 // A full exchange keys the bodies in their own domain, which the
 // decomposer predicts and checks on the splitter search instead of
 // allreducing the box (domain.Decomposer.DecomposeGlobal): a warm step
-// is five collectives, the box riding on the splitter allgather.
+// is four collectives, the box riding on the splitter allgather.
 //
 // incremental selects the fast path for the partial force evaluations
 // between block-timestep synchronization points: the key domain is
@@ -674,12 +688,14 @@ func (e *Engine[X, B]) ResetImports() {
 // WalkGroups runs phases 3 and 4 for one traversal pass: after the
 // push it walks the tree for every local group on behalf of the
 // visitor v, running eval for each group right after the emitting walk
-// that completed it, parking groups that still miss a remote cell and
-// fetching those cells from their owners in batched rounds until every
-// group completes. Counters.Traversals counts the cell visits of
-// completed walks only -- the paper's performance accounting rides on
-// it being exact -- while visits of first attempts that missed and of
-// discovery descents go to Counters.Rewalked.
+// that completed it. The push covers every walk, so the phase ends
+// when the walks do; a group that parks all the same aborts the world
+// (*UncoveredWalkError). With the push off, parked groups fetch the
+// cells they miss from their owners in batched rounds until a vote
+// finds every group complete. Counters.Traversals counts the cell
+// visits of completed walks only -- the paper's performance accounting
+// rides on it being exact -- while visits of first attempts that
+// missed and of discovery descents go to Counters.Rewalked.
 //
 // eval may be nil when the pass has nothing to evaluate. label names
 // the phase for the Timer and (with the configured prefix) the msg
@@ -691,9 +707,10 @@ func (e *Engine[X, B]) WalkGroups(label string, v Visitor[X], eval EvalFn) {
 // WalkGroupsIf is WalkGroups restricted to the groups for which
 // active returns true (nil means all) -- the partial traversal of
 // block timesteps. Skipped groups run no walk at all, but every rank
-// still enters the same collectives (it publishes an empty bound,
-// pushes to the others, votes and serves their requests), so the call
-// is collective even when a rank's active set is empty.
+// still enters the same collectives (it publishes an empty bound and
+// pushes to the others; with the push off it votes and serves their
+// requests), so the call is collective even when a rank's active set
+// is empty.
 func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool, v Visitor[X], eval EvalFn) {
 	e.Timer.Start(label)
 	ph := e.phases[label]
@@ -744,10 +761,18 @@ func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool
 	for _, gi := range e.freshBuf {
 		e.attempt(gi)
 	}
-	// The phase ends on the vote that finds nothing parked or posted
-	// anywhere: the first, where the push covered every walk. Else a round
-	// runs (onReplyBatch imports as replies land) and the ready groups resume.
-	for round := 0; eng.Vote(e.nparked > 0); round++ {
+	// Behind the push the phase ends here, with no vote: every walk
+	// completed against what the owners sent. A group parked anyway
+	// means the visitor's TestBound did not cover its walk; the rank
+	// must not leave its peers waiting on requests nobody will serve.
+	rounds := e.pushOff || e.fallBack
+	if !rounds && e.nparked > 0 {
+		e.C.Abort(&UncoveredWalkError{Rank: e.C.Rank(), Phase: ph.label, Parked: e.nparked})
+	}
+	// With the push off the phase ends on the vote that finds nothing
+	// parked or posted anywhere. Until then a round runs (onReplyBatch
+	// imports as replies land) and the ready groups resume.
+	for round := 0; rounds && eng.Vote(e.nparked > 0); round++ {
 		if round >= e.Cfg.MaxRounds {
 			// One rank declaring the protocol stuck must not strand
 			// the others inside the next collective: abort the whole
@@ -769,4 +794,20 @@ func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool
 	e.desc.Entered = 0
 	e.desc.Drop() // the last batch points into the LET, which the next Exchange lays out again
 	e.Timer.Stop()
+}
+
+// UncoveredWalkError is the abort cause of a pushed walk phase that left
+// groups parked: the visitor's TestBound did not open every cell some
+// walk of the phase opened, or the phase was not the walk its
+// ExchangeFor declared. Rank is the rank whose groups parked, Phase the
+// phase's traffic label, Parked how many groups.
+type UncoveredWalkError struct {
+	Rank   int
+	Phase  string
+	Parked int
+}
+
+func (e *UncoveredWalkError) Error() string {
+	return fmt.Sprintf("hotengine: rank %d: %d groups parked in phase %q behind the push: the visitor's TestBound did not cover their walks",
+		e.Rank, e.Parked, e.Phase)
 }

@@ -22,8 +22,9 @@ import (
 // (as a float, with addition as the combine rule) and the leaf
 // payload is the particle IDs.
 type countPhysics struct {
-	e     func() *hotengine.Engine[float64, []int64]
-	impID []int64
+	e      func() *hotengine.Engine[float64, []int64]
+	snapID []int64
+	impID  []int64
 }
 
 func (p *countPhysics) Prepare(sys *core.System) {}
@@ -33,9 +34,10 @@ func (p *countPhysics) Extra(c *tree.Cell) float64           { return float64(c.
 func (p *countPhysics) CombineExtra(acc, ch float64) float64 { return acc + ch }
 
 func (p *countPhysics) PackLeaf(c *tree.Cell) []int64 {
-	e := p.e()
-	return e.Sys.ID[c.First : c.First+c.N]
+	return p.snapID[c.First : c.First+c.N]
 }
+
+func (p *countPhysics) Snapshot() { p.snapID = append(p.snapID[:0], p.e().Sys.ID...) }
 
 func (p *countPhysics) ImportLeaf(n int32, b []int64) int32 {
 	start := int32(len(p.impID))

@@ -13,9 +13,15 @@ import (
 
 // SetPush switches the push of a walk phase on or off. Off, every
 // remote cell is fetched by park/request/resume, as before the push
-// existed: the path the push is tested against, and the only way to
-// exercise parking at will. This hook is the only switch.
+// existed, and the phase ends on the vote/round loop: the path the push
+// is tested against. This hook is the only switch.
 func (e *Engine[X, B]) SetPush(on bool) { e.pushOff = !on }
+
+// SetFallBack lets a pushed walk phase end on the vote/round loop the
+// push-off walk runs, so a group the push did not cover parks, asks
+// and resumes instead of aborting the world: how an under-pushing
+// TestBound is held to the request walk. This hook is the only switch.
+func (e *Engine[X, B]) SetFallBack(on bool) { e.fallBack = on }
 
 // SetHashDescent switches the walks between tree.Descend over the LET
 // (off: children by index, as shipped) and the paper's design, a stack
@@ -193,6 +199,7 @@ func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn
 	pending := map[keys.Key]bool{}
 	todo := append([]keys.Key(nil), e.Local.Groups...)
 	var stack, missing []keys.Key
+	e.Phys.Snapshot() // what the replies carry
 	e.setVisitor(v)
 	defer func() { e.curWalk = nil }()
 	for {

@@ -29,18 +29,28 @@ func (e *Engine[X, B]) walkBound(v Visitor[X], active func(g *tree.Cell) bool) (
 // the peer's bound, one all-to-all of the packed cells, imported as
 // each batch lands. What arrives is a superset of what the walks
 // resolve, and they still apply the exact test, so no list changes; a
-// cell the bound did not cover is missed and requested (DESIGN.md
-// "Push-first walk").
+// cell the bound did not cover is missed, which aborts the phase
+// (DESIGN.md "Push-first walk"). Leaf bodies travel in the physics'
+// snapshot of its columns: the owner goes on to write those while a
+// peer's batch may still be in flight.
 func (e *Engine[X, B]) push(v Visitor[X], active func(g *tree.Cell) bool) {
 	pubs := e.pubs
 	e.pubs = nil // its bounds describe the first walk only
-	if e.pushOff || e.C.Size() == 1 {
+	switch {
+	case e.C.Size() == 1:
+		return
+	case e.pushOff:
+		e.Phys.Snapshot() // for the replies: the last phase ended on a vote, after every import
 		return
 	}
 	t0 := e.Trace.Now()
 	if pubs == nil {
 		pubs = msg.Allgather(e.C, published[X, B]{bound: e.walkBound(v, active)}, boundBytes)
 	}
+	// Every peer entered that allgather (or the branch exchange's)
+	// after its last push exchange returned, with this rank's last
+	// batch imported, so the snapshot may be written over.
+	e.Phys.Snapshot()
 	// Fresh batches every phase: reusing them measured no faster, and
 	// the receivers, who copy out as they import, are the last to hold them.
 	batches := make([][]Wire[X, B], len(pubs))

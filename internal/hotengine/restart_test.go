@@ -1,7 +1,9 @@
 package hotengine_test
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -35,6 +37,7 @@ type cols struct {
 type colPhysics struct {
 	e    *hotengine.Engine[vec.V3, cols]
 	pref []vec.V3
+	snap cols
 	imp  cols
 }
 
@@ -52,8 +55,13 @@ func (p *colPhysics) Extra(c *tree.Cell) vec.V3          { return p.pref[c.First
 func (p *colPhysics) CombineExtra(acc, ch vec.V3) vec.V3 { return acc.Add(ch) }
 
 func (p *colPhysics) PackLeaf(c *tree.Cell) cols {
-	sys, lo, hi := p.e.Sys, c.First, c.First+c.N
-	return cols{Pos: sys.Pos[lo:hi], Mass: sys.Mass[lo:hi], ID: sys.ID[lo:hi]}
+	a, lo, hi := &p.snap, c.First, c.First+c.N
+	return cols{Pos: a.Pos[lo:hi], Mass: a.Mass[lo:hi], ID: a.ID[lo:hi]}
+}
+
+func (p *colPhysics) Snapshot() {
+	sys, a := p.e.Sys, &p.snap
+	*a = cols{Pos: append(a.Pos[:0], sys.Pos...), Mass: append(a.Mass[:0], sys.Mass...), ID: append(a.ID[:0], sys.ID...)}
 }
 
 func (p *colPhysics) ImportLeaf(_ int32, b cols) int32 {
@@ -71,7 +79,8 @@ func (p *colPhysics) ResetImports() {
 // leaf returns a leaf cell's columns, local or imported.
 func (p *colPhysics) leaf(c *tree.Cell) cols {
 	if c.First >= 0 {
-		return p.PackLeaf(c)
+		sys, lo, hi := p.e.Sys, c.First, c.First+c.N
+		return cols{Pos: sys.Pos[lo:hi], Mass: sys.Mass[lo:hi], ID: sys.ID[lo:hi]}
 	}
 	lo := -(c.First + 1)
 	hi := lo + c.N
@@ -193,7 +202,7 @@ const (
 	restartWalk walkMode = iota // export_test.go's reference, no push
 	requestWalk                 // WalkGroups with the push off
 	pushedWalk                  // WalkGroups as it ships
-	underPushed                 // pushedWalk, the gravity passes through underPush
+	underPushed                 // pushedWalk, the gravity passes through underPush, falling back on requests
 )
 
 const npasses = 6
@@ -241,6 +250,7 @@ func runPassesOn(global *core.System, np int, mode walkMode, partial, hashDescen
 			Bucket: 8,
 		})
 		e.SetPush(mode >= pushedWalk)
+		e.SetFallBack(mode == underPushed)
 		e.SetHashDescent(hashDescent)
 		p.e = e
 		e.Exchange()
@@ -434,9 +444,10 @@ func TestPushedWalkMatchesRequests(t *testing.T) {
 
 // TestUnderPushFallsBackOnRequests breaks the push's contract on
 // purpose: a TestBound that refuses to open every third cell leaves
-// holes in what the owners send. The walks that fall into one park,
-// ask and resume, so rounds run again -- and lists and forces still
-// match the reference bit for bit.
+// holes in what the owners send. With the phase let fall back on the
+// vote/round loop (SetFallBack), the walks that fall into one park, ask
+// and resume, so rounds run again -- and lists and forces still match
+// the reference bit for bit.
 func TestUnderPushFallsBackOnRequests(t *testing.T) {
 	for _, np := range []int{2, 4} {
 		want, _ := runPasses(np, requestWalk, true)
@@ -462,6 +473,47 @@ func TestUnderPushFallsBackOnRequests(t *testing.T) {
 		if rounds == 0 {
 			t.Errorf("np=%d: an under-pushing TestBound never exercised the request rounds", np)
 		}
+	}
+}
+
+// TestUnderPushAborts runs the same broken TestBound as it ships, with
+// nothing switched: a pushed phase has no vote to fall back on, so the
+// rank whose groups park must abort the world with an
+// *UncoveredWalkError naming itself and the phase -- not hang its
+// peers, which the stall watchdog would turn into a StallError instead.
+func TestUnderPushAborts(t *testing.T) {
+	global := ic.Plummer(1500, 1.0, 29)
+	n := global.Len()
+	for _, np := range []int{2, 4} {
+		w := msg.NewWorld(np)
+		w.StartWatchdog(msg.WatchdogConfig{Quiet: 5 * time.Second, Out: io.Discard})
+		err := w.RunErr(func(c *msg.Comm) {
+			local := core.New(0)
+			local.EnableDynamics()
+			for i := c.Rank() * n / np; i < (c.Rank()+1)*n/np; i++ {
+				local.AppendFrom(global, i)
+			}
+			p := &colPhysics{}
+			e := hotengine.New[vec.V3, cols](c, local, p, hotengine.Config{
+				MAC:    grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true},
+				Bucket: 8,
+			})
+			p.e = e
+			e.Exchange()
+			g := &gravWalk{p: p, lists: map[keys.Key][]uint64{}}
+			e.WalkGroups("walk", &underPush{g}, g.eval)
+		})
+		if err == nil {
+			t.Fatalf("np=%d: an under-pushed walk completed", np)
+		}
+		var u *hotengine.UncoveredWalkError
+		if !errors.As(err, &u) {
+			t.Fatalf("np=%d: cause %v, want an *UncoveredWalkError", np, err.Cause)
+		}
+		if u.Rank != err.Rank || u.Phase != "walk" || u.Parked <= 0 {
+			t.Errorf("np=%d: %+v from a world aborted by rank %d, want that rank, phase \"walk\" and parked groups", np, *u, err.Rank)
+		}
+		t.Logf("np=%d: %v", np, u)
 	}
 }
 

@@ -31,7 +31,7 @@ type Config struct {
 }
 
 // Leaf is the gravity leaf payload of a pushed or requested cell:
-// position and mass columns, aliasing the owning rank's storage.
+// position and mass columns, slices of the owner's snapshot.
 type Leaf struct {
 	Pos  []vec.V3
 	Mass []float64
@@ -61,6 +61,7 @@ type Engine struct {
 type physics struct {
 	e *Engine
 
+	snap    Leaf
 	impPos  []vec.V3
 	impMass []float64
 }
@@ -72,8 +73,13 @@ func (p *physics) Extra(c *tree.Cell) hotengine.None                 { return ho
 func (p *physics) CombineExtra(acc, _ hotengine.None) hotengine.None { return acc }
 
 func (p *physics) PackLeaf(c *tree.Cell) Leaf {
-	pos, mass := p.e.Local.LeafBodies(c)
-	return Leaf{Pos: pos, Mass: mass}
+	lo, hi := c.First, c.First+c.N
+	return Leaf{Pos: p.snap.Pos[lo:hi], Mass: p.snap.Mass[lo:hi]}
+}
+
+func (p *physics) Snapshot() {
+	sys := p.e.Sys
+	p.snap = Leaf{Pos: append(p.snap.Pos[:0], sys.Pos...), Mass: append(p.snap.Mass[:0], sys.Mass...)}
 }
 
 func (p *physics) ImportLeaf(n int32, b Leaf) int32 {

@@ -140,15 +140,15 @@ func TestDomainRelocationMatchesFreshEngine(t *testing.T) {
 				if np == 1 || s == 0 {
 					continue
 				}
-				// A warm evaluation is its splitter search and four
-				// collectives more: bodies, branches, push and vote.
+				// A warm evaluation is its splitter search and three
+				// collectives more: bodies, branches and push.
 				rounds := 1
 				if reloc {
 					rounds = 2
 				}
-				if r.rounds[rank] != rounds || r.colls[rank] != 4+rounds {
+				if r.rounds[rank] != rounds || r.colls[rank] != 3+rounds {
 					t.Errorf("np=%d eval %d rank %d: %d collectives, %d of them the splitter search; want %d and %d",
-						np, s, rank, r.colls[rank], r.rounds[rank], 4+rounds, rounds)
+						np, s, rank, r.colls[rank], r.rounds[rank], 3+rounds, rounds)
 				}
 			}
 		}

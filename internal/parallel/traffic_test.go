@@ -281,19 +281,19 @@ func TestRooflineUtilizationIsAFraction(t *testing.T) {
 		rf.Utilization, rf.Bound, rf.ExecutedPerInteraction, rf.PeakFlops/1e9)
 }
 
-// A uniform step in steady state is five collectives: the splitters
+// A uniform step in steady state is four collectives: the splitters
 // (one allgather, which also carries every rank's bounding box, so the
 // key domain the step predicted is checked there), the bodies (the
 // planned batches of an all-to-all), the branches with the walk bounds
-// (allgather), the push (all-to-all) and the vote that ends the walk
-// (allreduce). On four ranks that is 30 messages besides the body
-// batches, where a dense exchange would add 12; the windows of the
-// splitter search leave out the pairs with nothing to send. The first
-// step after a first evaluation is not steady -- the work goes from
-// all-equal to counted interactions and the splitters jump past what
-// the ranks publish -- so the count is taken on later ones. The
-// domain's prediction holds on every one of them.
-func TestUniformStepIsFiveCollectives(t *testing.T) {
+// (allgather) and the push (all-to-all), after which the walk ends with
+// no vote. On four ranks that is 24 messages besides the body batches,
+// where a dense exchange would add 12; the windows of the splitter
+// search leave out the pairs with nothing to send. The first step after
+// a first evaluation is not steady -- the work goes from all-equal to
+// counted interactions and the splitters jump past what the ranks
+// publish -- so the count is taken on later ones. The domain's
+// prediction holds on every one of them.
+func TestUniformStepIsFourCollectives(t *testing.T) {
 	const n, np, steps = 3000, 4, 5
 	mac := grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true}
 	global := ic.Plummer(n, 1.0, 41)
@@ -321,15 +321,15 @@ func TestUniformStepIsFiveCollectives(t *testing.T) {
 	for s := 1; s < steps; s++ {
 		msgs, planned := uint64(0), 0
 		for r := 0; r < np; r++ {
-			if colls[r][s] != 5 || split[r][s] != 1 || relocated[r][s] {
-				t.Errorf("step %d rank %d: %d collectives, %d of them the splitter search, relocated %v; want 5, 1 and false",
+			if colls[r][s] != 4 || split[r][s] != 1 || relocated[r][s] {
+				t.Errorf("step %d rank %d: %d collectives, %d of them the splitter search, relocated %v; want 4, 1 and false",
 					s, r, colls[r][s], split[r][s], relocated[r][s])
 			}
 			msgs += sent[r][s]
 			planned += batches[r][s]
 		}
-		if msgs != 30+uint64(planned) || msgs >= 42 {
-			t.Errorf("step %d: %d messages with %d body batches planned, want 30 + %d and fewer than the dense 42", s, msgs, planned, planned)
+		if msgs != 24+uint64(planned) || msgs >= 36 {
+			t.Errorf("step %d: %d messages with %d body batches planned, want 24 + %d and fewer than the dense 36", s, msgs, planned, planned)
 		}
 		t.Logf("step %d: %d messages, %d of them body batches", s, msgs, planned)
 	}

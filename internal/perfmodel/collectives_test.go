@@ -167,3 +167,35 @@ func TestExpectedWallOfTheFiveCollectiveStep(t *testing.T) {
 			tc.name, 36+len(tc.pairs), six, 30+len(tc.pairs), five, six-five)
 	}
 }
+
+// The warm uniform step without the walk's termination vote: behind the
+// push every walk completes on its first attempt, so the phase ends
+// without asking and a step is four collectives. EXPERIMENTS.md ("Four
+// collectives") sets this prediction, for the same body-exchange pairs
+// as the five-collective step's, beside the measured op_wall_ms. The
+// test pins that the model is deterministic and that dropping the vote
+// never costs time.
+func TestExpectedWallOfTheFourCollectiveStep(t *testing.T) {
+	const np, q, l = 4, 1.0 / 16, 128 * time.Millisecond
+	rb := ReduceBcast
+	for _, tc := range []struct {
+		name  string
+		pairs [][2]int
+	}{
+		{"none", nil},
+		{"one way to the right", [][2]int{{0, 1}, {1, 2}, {2, 3}}},
+		{"neighbours", [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 3}, {3, 2}}},
+	} {
+		bodies := SparseAllToAll(tc.pairs...)
+		five := ExpectedWall([]Collective{rb, bodies, rb, AllToAll, rb}, np, q, l) // search+box; bodies; branches+bounds; push; vote
+		four := ExpectedWall([]Collective{rb, bodies, rb, AllToAll}, np, q, l)     // search+box; bodies; branches+bounds; push
+		if again := ExpectedWall([]Collective{rb, bodies, rb, AllToAll}, np, q, l); again != four {
+			t.Errorf("%s: same arguments, %v then %v", tc.name, four, again)
+		}
+		if four >= five {
+			t.Errorf("%s: four collectives modelled at %v, five at %v", tc.name, four, five)
+		}
+		t.Logf("body exchange over %s: five collectives (%d messages) %v, four (%d messages) %v: predicted saving %v",
+			tc.name, 30+len(tc.pairs), five, 24+len(tc.pairs), four, five-four)
+	}
+}

@@ -59,11 +59,11 @@ type ParallelConfig struct {
 	Theta   float64
 }
 
-// Leaf is the SPH leaf payload of a request reply: every per-body
-// column a remote neighbor interaction needs, aliasing the serving
-// rank's storage. Rho is whatever the serving rank holds at reply
-// time, which is why the force pass re-fetches after the density
-// pass completes globally.
+// Leaf is the SPH leaf payload of a pushed or requested cell: every
+// per-body column a remote neighbor interaction needs, slices of the
+// owner's snapshot. Rho is whatever the owning rank held when it took
+// the snapshot, which is why the force pass drops the density pass's
+// imports and is pushed afresh.
 type Leaf struct {
 	Pos  []vec.V3
 	Vel  []vec.V3
@@ -79,6 +79,7 @@ type Leaf struct {
 type physics struct {
 	e *ParallelEngine
 
+	snap    Leaf
 	impPos  []vec.V3
 	impVel  []vec.V3
 	impMass []float64
@@ -93,23 +94,26 @@ func (p *physics) PostBuild(t *tree.Tree)   {}
 func (p *physics) Extra(c *tree.Cell) hotengine.None                 { return hotengine.None{} }
 func (p *physics) CombineExtra(acc, _ hotengine.None) hotengine.None { return acc }
 
-// PackLeaf snapshots the leaf's columns rather than aliasing them:
-// unlike gravity and vortex, SPH serves replies *while* mutating a
-// served column (the density pass writes Rho), so the serving rank
-// must copy on its own goroutine, where those writes are sequenced.
-// (The requester never consumes a mid-pass Rho — the force pass
-// re-fetches after the density pass completes globally — but the
-// aliased slice would still be a cross-rank data race.)
 func (p *physics) PackLeaf(c *tree.Cell) Leaf {
-	sys := p.e.Sys
-	lo, hi := c.First, c.First+c.N
+	a, lo, hi := &p.snap, c.First, c.First+c.N
 	return Leaf{
-		Pos:  append([]vec.V3(nil), sys.Pos[lo:hi]...),
-		Vel:  append([]vec.V3(nil), sys.Vel[lo:hi]...),
-		Mass: append([]float64(nil), sys.Mass[lo:hi]...),
-		H:    append([]float64(nil), sys.H[lo:hi]...),
-		Rho:  append([]float64(nil), sys.Rho[lo:hi]...),
-		ID:   append([]int64(nil), sys.ID[lo:hi]...),
+		Pos: a.Pos[lo:hi], Vel: a.Vel[lo:hi], Mass: a.Mass[lo:hi],
+		H: a.H[lo:hi], Rho: a.Rho[lo:hi], ID: a.ID[lo:hi],
+	}
+}
+
+// Snapshot copies every column a leaf serves on the owner's goroutine,
+// where its writes are sequenced: the density pass writes Rho, and the
+// next step moves every column, while a peer may still be importing.
+func (p *physics) Snapshot() {
+	sys, a := p.e.Sys, &p.snap
+	*a = Leaf{
+		Pos:  append(a.Pos[:0], sys.Pos...),
+		Vel:  append(a.Vel[:0], sys.Vel...),
+		Mass: append(a.Mass[:0], sys.Mass...),
+		H:    append(a.H[:0], sys.H...),
+		Rho:  append(a.Rho[:0], sys.Rho...),
+		ID:   append(a.ID[:0], sys.ID...),
 	}
 }
 
@@ -186,8 +190,8 @@ func (e *ParallelEngine) Eval() diag.Counters {
 
 	// The force pass reads neighbor densities, which the density pass
 	// just computed on their owning ranks: drop the stale imports and
-	// re-fetch. (WalkGroups completing is a global rendezvous, so
-	// every rank's densities are final before any rank re-requests.)
+	// have them pushed again. (An owner snapshots its columns after its
+	// own density pass, so what it pushes is final.)
 	e.ResetImports()
 
 	if cap(e.pressure) < sys.Len() {

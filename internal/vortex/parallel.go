@@ -36,8 +36,8 @@ type ParallelEngine struct {
 	dAlpha []vec.V3
 }
 
-// VLeaf is the vortex leaf payload of a request reply: position and
-// strength columns, aliasing the serving rank's storage.
+// VLeaf is the vortex leaf payload of a pushed or requested cell:
+// position and strength columns, slices of the owner's snapshot.
 type VLeaf struct {
 	Pos   []vec.V3
 	Alpha []vec.V3
@@ -51,6 +51,7 @@ type vphysics struct {
 	e     *ParallelEngine
 	prefA []vec.V3
 
+	snap     VLeaf
 	impPos   []vec.V3
 	impAlpha []vec.V3
 }
@@ -80,8 +81,13 @@ func (p *vphysics) Extra(c *tree.Cell) vec.V3 {
 func (p *vphysics) CombineExtra(acc, child vec.V3) vec.V3 { return acc.Add(child) }
 
 func (p *vphysics) PackLeaf(c *tree.Cell) VLeaf {
-	pos, alpha := p.e.leafBodies(c)
-	return VLeaf{Pos: pos, Alpha: alpha}
+	lo, hi := c.First, c.First+c.N
+	return VLeaf{Pos: p.snap.Pos[lo:hi], Alpha: p.snap.Alpha[lo:hi]}
+}
+
+func (p *vphysics) Snapshot() {
+	sys := p.e.Sys
+	p.snap = VLeaf{Pos: append(p.snap.Pos[:0], sys.Pos...), Alpha: append(p.snap.Alpha[:0], sys.Alpha...)}
 }
 
 func (p *vphysics) ImportLeaf(n int32, b VLeaf) int32 {

@@ -42,7 +42,7 @@ go run ./cmd/vortexsim -ntheta 24 -procs 1 -steps 4 -remesh 2 -metrics "$OUT/v.j
 grep -q '"VortexPP": [1-9]' "$OUT/v.json" || { echo "FAIL: vortexsim -procs 1 wrote no RunReport with vortex interactions" >&2; exit 1; }
 BODIES=$(sed -n 's/^  "bodies": \([0-9]*\),$/\1/p' "$OUT/v.json")
 [ "${BODIES:-0}" -gt 192 ] || { echo "FAIL: vortexsim -procs 1 -remesh 2 ended with ${BODIES:-no} bodies of 192 (2 rings x 24 x 4)" >&2; exit 1; }
-echo "== walk guard (counts at N=10000 np=4: rewalked/traversals <= 0.1, 0 request rounds, a warm step's splitter search 1 collective of at most 5, its body exchange fewer than 12 batches)"
+echo "== walk guard (counts at N=10000 np=4: rewalked/traversals <= 0.1, 0 request rounds, a warm step's splitter search 1 collective of at most 4, its body exchange fewer than 12 batches)"
 sh scripts/walk_guard.sh
 echo "== fuzz (time-boxed: both splitter searches equal the reference bisection, ranks agree on which ran, the exchange plan reaches every body's receiver, never a panic, never a hung world)"
 # Coverage of a multi-goroutine target is not reproducible, so the
