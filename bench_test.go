@@ -414,8 +414,8 @@ type hashDescent struct {
 }
 
 func (h *hashDescent) walk(w *tree.Walker, tr *tree.Tree, gk keys.Key, gpos []vec.V3, ctr *diag.Counters) {
-	w.Begin(gk)
 	gc, gr := tree.GroupSphere(gpos)
+	w.Begin(gk, gc)
 	h.accepted = h.accepted[:0]
 	h.stack = append(h.stack[:0], keys.Root)
 	for len(h.stack) > 0 {

@@ -46,21 +46,22 @@ const (
 
 // What the production kernels (internal/grav kernel.go) execute per
 // interaction the paper's accounting charges 38 (or 38+70) for, an FMA
-// counting two. Every path -- eight lanes, four, or the Go loops --
-// executes the same arithmetic, reciprocal square root included, so
-// these do not depend on the lane count. Counted flops stay the
+// counting two, in float32. Every path -- sixteen lanes, eight, or the
+// Go loops -- executes the same arithmetic, reciprocal square root
+// included, so these do not depend on the lane count. The float64
+// fold, four adds per target every 128 sources, is not charged. Counted flops stay the
 // paper's -- rates remain comparable with its tables -- and the
 // roofline, a statement about this machine, uses these.
 const (
-	// ExecutedFlopsPerInteraction: 3 differences, 3 FMAs for r2, 17
-	// for the reciprocal square root (-r2/2, then four Newton steps of
+	// ExecutedFlopsPerInteraction: 3 differences, 3 FMAs for r2, 13
+	// for the reciprocal square root (-r2/2, then three Newton steps of
 	// a multiply, an FMA and a multiply), 3 multiplies to m/r^3 and 4
-	// FMAs to accumulate. The symmetric self sweep, on the divider,
-	// does 15 per counted interaction, so a group's self interactions
-	// are over-charged by the difference.
-	ExecutedFlopsPerInteraction = 37
+	// FMAs to accumulate. The symmetric self sweep, scalar float64 on
+	// the divider, does 15 per counted interaction, so a group's self
+	// interactions are over-charged by the difference.
+	ExecutedFlopsPerInteraction = 33
 	// ExecutedFlopsPerQuadrupole: the extra operations of a
-	// monopole+quadrupole interaction (71 in all): 2 more powers of
+	// monopole+quadrupole interaction (67 in all): 2 more powers of
 	// 1/r (r^-5, r^-7), Q.d in 3 multiplies and 6 FMAs, d.Q.d in a
 	// multiply and 2 FMAs, (5/2)(d.Q.d)/r^7 into the radial factor and
 	// (d.Q.d)/(2 r^5) into the potential by a multiply and an FMA each,
@@ -71,17 +72,17 @@ const (
 // Bytes-moved accounting for the interaction kernels (internal/grav),
 // the denominator of the roofline's arithmetic intensity. The kernels
 // share each source row across the block of targets in a register's
-// lanes -- 8 with AVX-512, 4 with AVX2, 1 in the Go loops -- so the
+// lanes -- 16 with AVX-512, 8 with AVX2, 1 in the Go loops -- so the
 // memory traffic charged per interaction is the row divided by the
 // lane count; target rows and accumulators stay in registers for a
 // whole sweep, so they are not charged against DRAM bandwidth.
 const (
 	// BytesPerSourceRow: a body source row (x,y,z,m) or a monopole row
-	// (cm,cx,cy,cz).
-	BytesPerSourceRow = 32
-	// BytesPerQuadRow: the six 8-byte quadrupole columns, read on top
+	// (cm,cx,cy,cz), four float32 columns.
+	BytesPerSourceRow = 16
+	// BytesPerQuadRow: the six 4-byte quadrupole columns, read on top
 	// of the monopole row when quadrupole terms run.
-	BytesPerQuadRow = 48
+	BytesPerQuadRow = 24
 )
 
 // KernelBytes returns the bytes moved through the interaction kernels

@@ -24,12 +24,12 @@ func TestCountersFlops(t *testing.T) {
 	}
 }
 
-// The executed bytes follow the kernel path, rows shared by 8, 4 or 1
+// The executed bytes follow the kernel path, rows shared by 16, 8 or 1
 // targets; the executed flops do not, since every path runs the same
-// arithmetic, reciprocal square root included.
+// float32 arithmetic, reciprocal square root included.
 func TestExecutedAccountingByPath(t *testing.T) {
 	c := Counters{PP: 10, PC: 6, QuadPC: 4, VortexPP: 1}
-	const flops = 16*37 + 4*34
+	const flops = 16*33 + 4*34
 	if got := c.ExecutedGravityFlops(); got != flops {
 		t.Errorf("executed gravity flops %d, want %d", got, flops)
 	}
@@ -40,9 +40,9 @@ func TestExecutedAccountingByPath(t *testing.T) {
 		lanes int
 		bytes uint64
 	}{
-		{1, 16*32 + 4*48},
-		{4, (16*32 + 4*48) / 4},
-		{8, (16*32 + 4*48) / 8},
+		{1, 16*16 + 4*24},
+		{8, (16*16 + 4*24) / 8},
+		{16, (16*16 + 4*24) / 16},
 	} {
 		if got := c.KernelBytes(tc.lanes); got != tc.bytes {
 			t.Errorf("lanes %d: kernel bytes %d, want %d", tc.lanes, got, tc.bytes)

@@ -1,13 +1,13 @@
 package grav_test
 
 // Interaction kernels: the production kernels as dispatched on this
-// host (eight-lane blocks on amd64 with AVX-512, four-lane with AVX2),
-// the four-lane path forced (the AVX2 rows), and their definition, the
-// Go loops called directly, on real interaction lists captured from a
-// 100k-body clustered walk so group sizes and list lengths are
-// production ones; and the dispatched kernels on one full block of
-// eight targets over a long random list (the Row rows). All must run
-// allocation-free at steady state.
+// host (sixteen-lane blocks on amd64 with AVX-512, eight-lane with
+// AVX2), the eight-lane path forced (the AVX2 rows), and their
+// definition, the Go loops called directly, on real interaction lists
+// captured from a 100k-body clustered walk so group sizes and list
+// lengths are production ones; and the dispatched kernels on one full
+// block of sixteen targets over a long random list (the Row rows). All
+// must run allocation-free at steady state.
 
 import (
 	"math/rand"
@@ -44,7 +44,7 @@ func captureEvalFixtures(b *testing.B, maxGroups int) []evalFixture {
 	var w tree.Walker
 	var ctr diag.Counters
 	var out []evalFixture
-	cp := func(s []float64) []float64 { return append([]float64(nil), s...) }
+	cp := func(s []float32) []float32 { return append([]float32(nil), s...) }
 	for gi := 0; gi < len(tr.Groups) && len(out) < maxGroups; gi += stride {
 		gk := tr.Groups[gi]
 		g := tr.Cell(gk)
@@ -54,9 +54,10 @@ func captureEvalFixtures(b *testing.B, maxGroups int) []evalFixture {
 		}
 		out = append(out, evalFixture{
 			gpos:  append([]vec.V3(nil), sys.Pos[lo:hi]...),
-			gmass: cp(sys.Mass[lo:hi]),
+			gmass: append([]float64(nil), sys.Mass[lo:hi]...),
 			list: grav.InteractionList{
-				SX: cp(w.List.SX), SY: cp(w.List.SY), SZ: cp(w.List.SZ), SM: cp(w.List.SM),
+				Origin: w.List.Origin,
+				SX:     cp(w.List.SX), SY: cp(w.List.SY), SZ: cp(w.List.SZ), SM: cp(w.List.SM),
 				CM: cp(w.List.CM), CX: cp(w.List.CX), CY: cp(w.List.CY), CZ: cp(w.List.CZ),
 				QXX: cp(w.List.QXX), QYY: cp(w.List.QYY), QZZ: cp(w.List.QZZ),
 				QXY: cp(w.List.QXY), QXZ: cp(w.List.QXZ), QYZ: cp(w.List.QYZ),
@@ -101,7 +102,7 @@ func benchEvalPP(b *testing.B, evalPP evalPPFunc) {
 
 func BenchmarkAblation_EvalPP(b *testing.B) { benchEvalPP(b, grav.EvalPP) }
 func BenchmarkAblation_EvalPPAVX2(b *testing.B) {
-	grav.Lanes4(b)
+	grav.Lanes8(b)
 	benchEvalPP(b, grav.EvalPP)
 }
 func BenchmarkAblation_EvalPPGo(b *testing.B) { benchEvalPP(b, grav.EvalPPGo) }
@@ -130,7 +131,7 @@ func benchEvalM2P(b *testing.B, evalM2P evalM2PFunc) {
 
 func BenchmarkAblation_EvalM2P(b *testing.B) { benchEvalM2P(b, grav.EvalM2P) }
 func BenchmarkAblation_EvalM2PAVX2(b *testing.B) {
-	grav.Lanes4(b)
+	grav.Lanes8(b)
 	benchEvalM2P(b, grav.EvalM2P)
 }
 func BenchmarkAblation_EvalM2PGo(b *testing.B) { benchEvalM2P(b, grav.EvalM2PGo) }
@@ -139,10 +140,10 @@ func BenchmarkAblation_EvalM2PGo(b *testing.B) { benchEvalM2P(b, grav.EvalM2PGo)
 // block's set-up and the sums' store are noise against the sweep.
 const rowSources = 4096
 
-// benchEvalRow times one full eight-target block over rowSources random
-// sources (or cells) as dispatched, and reports ns per source row: a
-// kernel's throughput with no lane padding and no list-length mix in
-// it, which the fixture benches above carry.
+// benchEvalRow times one full sixteen-target block over rowSources
+// random sources (or cells) as dispatched, and reports ns per source
+// row and per interaction: a kernel's throughput with no lane padding
+// and no list-length mix in it, which the fixture benches above carry.
 func benchEvalRow(b *testing.B, eval func(*grav.Targets, *grav.InteractionList) uint64) {
 	rng := rand.New(rand.NewSource(33))
 	col := func(n int, scale float64) []float64 {
@@ -152,14 +153,21 @@ func benchEvalRow(b *testing.B, eval func(*grav.Targets, *grav.InteractionList) 
 		}
 		return c
 	}
-	const nt = 8
+	col32 := func(n int, scale float64) []float32 {
+		c := make([]float32, n)
+		for i := range c {
+			c[i] = float32(scale * (2*rng.Float64() - 1))
+		}
+		return c
+	}
+	const nt = 16
 	tg := grav.Targets{X: col(nt, 1), Y: col(nt, 1), Z: col(nt, 1),
 		AX: col(nt, 0), AY: col(nt, 0), AZ: col(nt, 0), Pot: col(nt, 0)}
 	l := grav.InteractionList{
-		SX: col(rowSources, 4), SY: col(rowSources, 4), SZ: col(rowSources, 4), SM: col(rowSources, 1),
-		CM: col(rowSources, 1), CX: col(rowSources, 4), CY: col(rowSources, 4), CZ: col(rowSources, 4),
-		QXX: col(rowSources, .1), QYY: col(rowSources, .1), QZZ: col(rowSources, .1),
-		QXY: col(rowSources, .1), QXZ: col(rowSources, .1), QYZ: col(rowSources, .1),
+		SX: col32(rowSources, 4), SY: col32(rowSources, 4), SZ: col32(rowSources, 4), SM: col32(rowSources, 1),
+		CM: col32(rowSources, 1), CX: col32(rowSources, 4), CY: col32(rowSources, 4), CZ: col32(rowSources, 4),
+		QXX: col32(rowSources, .1), QYY: col32(rowSources, .1), QZZ: col32(rowSources, .1),
+		QXY: col32(rowSources, .1), QXZ: col32(rowSources, .1), QYZ: col32(rowSources, .1),
 	}
 	eval(&tg, &l)
 	b.ReportAllocs()
@@ -168,6 +176,7 @@ func benchEvalRow(b *testing.B, eval func(*grav.Targets, *grav.InteractionList) 
 		eval(&tg, &l)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rowSources, "ns/row")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rowSources/nt, "ns/inter")
 }
 
 func BenchmarkAblation_EvalRowPP(b *testing.B) {

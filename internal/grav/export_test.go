@@ -2,10 +2,10 @@ package grav
 
 import "testing"
 
-// Lanes4 runs the dispatched kernels on four-lane blocks only, the
+// Lanes8 runs the dispatched kernels on eight-lane blocks only, the
 // path of an AVX2 host without AVX-512, until tb ends. Tests and
 // benchmarks reach that path on an AVX-512 host through this alone.
-func Lanes4(tb testing.TB) {
+func Lanes8(tb testing.TB) {
 	old := haveAVX512
 	haveAVX512 = false
 	tb.Cleanup(func() { haveAVX512 = old })

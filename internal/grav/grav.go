@@ -45,8 +45,15 @@ type Multipole struct {
 	Bmax float64
 }
 
-// FromBodies computes the exact moments of a body set.
+// FromBodies computes the exact moments of a body set. One body's are
+// exactly a monopole at its position: through sum(m x)/m its centre of
+// mass would round off it, and the quadrupole, B2 and Bmax of that
+// offset, ~1e-34 at unit scale, would drive the float32 quadrupole
+// kernel's products into subnormals, each a microcode assist.
 func FromBodies(pos []vec.V3, mass []float64) Multipole {
+	if len(pos) == 1 {
+		return Multipole{M: mass[0], COM: pos[0]}
+	}
 	var mp Multipole
 	for i := range pos {
 		mp.M += mass[i]

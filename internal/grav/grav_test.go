@@ -99,6 +99,20 @@ func TestMomentsFromBodies(t *testing.T) {
 	}
 }
 
+// One body's moments are exactly a monopole at its position, at any
+// mass and position: no rounding-residue quadrupole or spread, which
+// would reach the float32 quadrupole kernel as subnormal products.
+func TestOneBodyMomentsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for range 1000 {
+		p := vec.V3{X: rng.NormFloat64() * 10, Y: rng.NormFloat64(), Z: rng.NormFloat64() * 1e-3}
+		m := rng.Float64() * 1e-4
+		if mp := FromBodies([]vec.V3{p}, []float64{m}); mp != (Multipole{M: m, COM: p}) {
+			t.Fatalf("body %v mass %g: moments %+v", p, m, mp)
+		}
+	}
+}
+
 func TestCombineMatchesDirect(t *testing.T) {
 	posA, massA := randomBodies(30, 4, vec.V3{X: -1}, 0.5)
 	posB, massB := randomBodies(20, 5, vec.V3{X: 1}, 0.5)

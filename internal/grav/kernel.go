@@ -1,66 +1,101 @@
 // The production interaction kernels, EvalPP/EvalSelf/EvalM2P, defined
-// as the plainest Go loops that compute them: for each target one
-// accumulator set starting at zero, the whole list swept once in list
-// order, the four sums added to the target's output slots once at the
-// end. The value chain is the paper's: 1/sqrt(r2) from multiplies and
-// adds alone (invSqrt: a bit-trick seed and four Newton steps, as Karp
-// took it from a table and two), and every product that feeds a sum an
-// explicit math.FMA, so the loops mean the same bits on every
-// platform -- Go fuses a plain x*y + z on arm64 but never on amd64,
-// and scripts/check.sh compiles these loops for arm64 to hold them to
-// that. On amd64 (kernel_amd64.go/.s) the same loops run with eight
-// targets in the eight lanes of a ZMM register where AVX-512 is
-// usable, and four in a YMM register where AVX2 and FMA are, each
-// source broadcast to all of them, using only lane-wise subtract,
-// multiply and fused multiply-add: every lane executes exactly the
-// scalar sequence below, so the assembly is bit-identical to these
-// loops by construction and tests hold it to that at both widths
-// (TestKernelAsmMatchesGo, TestRsqrtLanesMatchGo). The divider and
-// square root run only where r2 is out of invSqrt's range, out of
-// line in the assembly. Nothing selects a path but the CPU probe.
+// as the plainest Go loops that compute them. EvalPP and EvalM2P run in
+// float32, GRAPE-5's trade: a treecode's force error is the MAC's
+// truncation (~1e-4 at the default tolerance), not round-off, so the
+// pairwise arithmetic needs single precision only if three rules keep
+// its round-off far below that:
 //
-// Out of range the reciprocal is 1/math.Sqrt(r2), which has the
-// special-case table the Karp routine documents (0 -> +Inf, +Inf -> 0,
-// NaN or negative -> NaN, subnormals exact), so the loops carry no
-// special-value branch of their own: a NaN or Inf input propagates to
-// the targets it touches exactly as IEEE arithmetic says.
+//   - Relative coordinates. The list carries an origin (the group's
+//     box centre, set by tree.Walker.Begin); source and target
+//     coordinates are differenced from it in float64 and only then
+//     rounded to float32, so a close pair keeps its digits wherever it
+//     sits in the box.
+//   - Float64 folding. A target's four sums start at zero, sweep at
+//     most foldK sources in list order in float32, and are then added
+//     to the target's float64 output slots; the next foldK start from
+//     zero again. A float32 sum's relative round-off is then bounded
+//     by foldK*2^-24 (7.6e-6), not by the list's length.
+//   - One rounding per operation. Every product that feeds a sum is an
+//     explicit fma32, a float32 fused multiply-add correctly rounded
+//     in software (Go has none, and float32(math.FMA(...)) rounds
+//     twice); everything else is a plain float32 operation, which Go
+//     never fuses across a function call or an explicit conversion.
+//     So the loops mean the same bits on every platform, and
+//     scripts/fma_guard.sh compiles them for arm64 to hold them to
+//     that.
+//
+// The reciprocal square root is the paper's: multiplies and adds alone
+// (invSqrt32: a bit-trick seed and three Newton steps, as Karp took it
+// from a table and two). On amd64 (kernel_amd64.go/.s) the same loops
+// run with sixteen targets in the sixteen lanes of a ZMM register
+// where AVX-512 is usable, and eight in a YMM register where AVX2 and
+// FMA are, each source broadcast to all of them, using only lane-wise
+// subtract, multiply and fused multiply-add: every lane executes
+// exactly the scalar sequence below, so the assembly is bit-identical
+// to these loops by construction, and tests hold it to that at both
+// widths (TestKernelAsmMatchesGo, TestRsqrtLanesMatchGo, FuzzFMA32).
+// The divider and square root run only where r2 is out of invSqrt32's
+// range, out of line in the assembly. Nothing selects a path but the
+// CPU probe.
+//
+// Out of range the reciprocal is 1 over the float32 square root, each
+// rounded once, which has the special-case table the Karp routine
+// documents (0 -> +Inf, +Inf -> 0, NaN or negative -> NaN), so the
+// loops carry no special-value branch of their own: a NaN or Inf input
+// propagates to the targets it touches exactly as IEEE arithmetic says.
 //
 // What is executed is not what is counted. One body-body (or
-// monopole) interaction executes 37 floating-point operations here,
-// one quadrupole interaction 71 (an FMA counting two); the counters
+// monopole) interaction executes 33 floating-point operations here,
+// one quadrupole interaction 67 (an FMA counting two); the counters
 // and every flop rate the repo reports still charge the paper's 38
 // and 38+70, the cost of the same interaction on the Karp reciprocal
 // square root (grav.go's scalar PPTile/PPSelf/M2P, kept as the direct
 // sum's reference). diag.ExecutedFlops has the executed figures.
 package grav
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/vec"
+)
+
+// foldK is how many sources a float32 sweep covers before its sums
+// fold into float64: foldK*2^-24 = 7.6e-6 bounds a sweep's relative
+// round-off, far below the 1e-4 force error of the default MAC.
+const foldK = 128
+
+// RoundOff bounds the relative round-off of EvalPP and EvalM2P against
+// the same interactions summed in float64: a fold of foldK terms, each
+// a few ulp off, is within foldK*2^-24 of the magnitudes it adds. It is
+// the tolerance a float64 replay of a list is held to.
+const RoundOff = foldK * 0x1p-24
 
 // HaveAVX2 is the probe's verdict for the other packages' four-lane
 // kernels (internal/vortex), so that one probe selects every path: AVX2
-// and FMA, the four-lane gravity kernels' requirement.
+// and FMA, the eight-lane gravity kernels' requirement.
 func HaveAVX2() bool { return haveAVX2 }
 
 // KernelPath names the code path the CPU probe selected for EvalPP and
-// EvalM2P: "avx512", "avx2" or "go".
+// EvalM2P and the precision its lanes compute in: "avx512-f32",
+// "avx2-f32" or "go-f32".
 func KernelPath() string {
 	switch {
 	case haveAVX512:
-		return "avx512"
+		return "avx512-f32"
 	case haveAVX2:
-		return "avx2"
+		return "avx2-f32"
 	}
-	return "go"
+	return "go-f32"
 }
 
-// Lanes is how many targets share each source row on that path: 8, 4,
+// Lanes is how many targets share each source row on that path: 16, 8,
 // or 1 for the Go loops.
 func Lanes() int {
 	switch {
 	case haveAVX512:
-		return 8
+		return 16
 	case haveAVX2:
-		return 4
+		return 8
 	}
 	return 1
 }
@@ -71,7 +106,7 @@ func EvalPP(t *Targets, l *InteractionList, eps2 float64) uint64 {
 	if len(l.SM) == 0 || len(t.X) == 0 {
 		return 0
 	}
-	pp(t, l.SX, l.SY, l.SZ, l.SM, eps2)
+	pp(t, l.Origin, l.SX, l.SY, l.SZ, l.SM, float32(eps2))
 	return uint64(len(t.X)) * uint64(len(l.SM))
 }
 
@@ -82,7 +117,7 @@ func EvalPPGo(t *Targets, l *InteractionList, eps2 float64) uint64 {
 	if len(l.SM) == 0 || len(t.X) == 0 {
 		return 0
 	}
-	ppGo(t, l.SX, l.SY, l.SZ, l.SM, eps2)
+	ppGo(t, l.Origin, l.SX, l.SY, l.SZ, l.SM, float32(eps2))
 	return uint64(len(t.X)) * uint64(len(l.SM))
 }
 
@@ -95,9 +130,9 @@ func EvalM2P(t *Targets, l *InteractionList, quad bool, eps2 float64) uint64 {
 		return 0
 	}
 	if quad {
-		m2pQuad(t, l, eps2)
+		m2pQuad(t, l, float32(eps2))
 	} else {
-		pp(t, l.CX, l.CY, l.CZ, l.CM, eps2)
+		pp(t, l.Origin, l.CX, l.CY, l.CZ, l.CM, float32(eps2))
 	}
 	return uint64(len(t.X)) * uint64(len(l.CM))
 }
@@ -109,115 +144,163 @@ func EvalM2PGo(t *Targets, l *InteractionList, quad bool, eps2 float64) uint64 {
 		return 0
 	}
 	if quad {
-		m2pQuadGo(t, l, eps2)
+		m2pQuadGo(t, l, float32(eps2))
 	} else {
-		ppGo(t, l.CX, l.CY, l.CZ, l.CM, eps2)
+		ppGo(t, l.Origin, l.CX, l.CY, l.CZ, l.CM, float32(eps2))
 	}
 	return uint64(len(t.X)) * uint64(len(l.CM))
 }
 
-// invSqrt is the kernels' reciprocal square root. For r2 with an
-// exponent in [-1000, 1000) it takes the seed y =
-// Float64frombits(rsqrtMagic - bits(r2)>>1), within 3.5e-3 of
-// 1/sqrt(r2), and four Newton steps y *= 1.5 - (r2/2)*y*y, one FMA
-// each. The relative error squares at every step (1.8e-5, 4.6e-10,
-// 3e-19, ...), so what is left is the last step's rounding: within 4
-// ulp of 1/math.Sqrt(r2) (TestInvSqrtAccuracy). In that range y*y and
-// r2*y*y can neither overflow nor underflow. Everything else -- zero,
-// subnormals, huge values, negatives, Inf and NaN -- is
-// 1/math.Sqrt(r2) exactly. (The shape of this function is held to Go's
-// inlining budget: it is inlined into both kernels.)
-func invSqrt(r2 float64) float64 {
-	if r2 >= rsqrtLo && r2 < rsqrtHi {
-		h, y := -0.5*r2, math.Float64frombits(rsqrtMagic-math.Float64bits(r2)>>1)
-		y *= math.FMA(h, y*y, 1.5)
-		y *= math.FMA(h, y*y, 1.5)
-		y *= math.FMA(h, y*y, 1.5)
-		return y * math.FMA(h, y*y, 1.5)
+// fma32 returns a*b + c rounded once to float32, as VFMADD231PS does.
+// The product of two float32 is exact in float64, so s = a*b + c in
+// float64 has rounded once, and float32(s) is the correctly rounded
+// result unless s sits exactly on a float32 rounding boundary -- a
+// midpoint between two float32, or anything in float32's subnormal
+// range -- where the first rounding may have decided the tie
+// (a float64 midpoint closer to the exact value than s would
+// contradict s being the nearest float64). fma32Odd settles those.
+func fma32(a, b, c float32) float32 {
+	p := float64(float64(a) * float64(b))
+	s := p + float64(c)
+	if u := math.Float64bits(s); u&(1<<29-1) != 1<<28 && u&(0x7ff<<52) >= (1023-126)<<52 {
+		return float32(s)
 	}
-	return 1 / math.Sqrt(r2)
+	return fma32Odd(p, float64(c), s)
 }
 
-// invSqrt's range and seed constant.
+// fma32Odd rounds s = p + z to float32 correctly: TwoSum splits p + z
+// exactly into s + e; rounding s to odd (one step toward e when e is
+// not zero and s is even) keeps, in its last of 53 bits, whether
+// anything lies beyond, and 53 >= 24+2 makes float32 of that the
+// correctly rounded sum (Boldo and Melquiond's round-to-odd). A
+// non-finite s is left as it is.
+func fma32Odd(p, z, s float64) float32 {
+	bv := s - p
+	e := (p - (s - bv)) + (z - bv)
+	if u := math.Float64bits(s); e != 0 && u&1 == 0 && s-s == 0 {
+		if (e > 0) == (s > 0) {
+			u++
+		} else {
+			u--
+		}
+		s = math.Float64frombits(u)
+	}
+	return float32(s)
+}
+
+// invSqrt32 is the kernels' reciprocal square root. For r2 with an
+// exponent in [-100, 100) it takes the seed y = Float32frombits(
+// rsqrt32Magic - bits(r2)>>1), within 3.5e-2 of 1/sqrt(r2), and three
+// Newton steps y *= 1.5 - (r2/2)*y*y, one fma32 each. The relative
+// error squares at every step (1.8e-3, 4.7e-6, 3e-11), so what is left
+// is the last step's rounding: within 2 ulp of float32(1/math.Sqrt(r2))
+// (TestInvSqrtAccuracy). In that range y*y and r2*y*y can neither
+// overflow nor underflow. Everything else -- zero, subnormals, huge
+// values, negatives, Inf and NaN -- is 1 over the float32 square root,
+// each rounded once, as VSQRTPS and VDIVPS give it (float32 of the
+// float64 square root is the float32 square root, since 53 >= 2*24+2).
+func invSqrt32(r2 float32) float32 {
+	if r2 >= rsqrt32Lo && r2 < rsqrt32Hi {
+		h, y := -0.5*r2, math.Float32frombits(rsqrt32Magic-math.Float32bits(r2)>>1)
+		y *= fma32(h, y*y, 1.5)
+		y *= fma32(h, y*y, 1.5)
+		return y * fma32(h, y*y, 1.5)
+	}
+	return 1 / float32(math.Sqrt(float64(r2)))
+}
+
+// invSqrt32's range and seed constant.
 const (
-	rsqrtLo    = 0x1p-1000
-	rsqrtHi    = 0x1p1000
-	rsqrtMagic = 0x5FE6EB50C7B537A9
+	rsqrt32Lo    = 0x1p-100
+	rsqrt32Hi    = 0x1p100
+	rsqrt32Magic = 0x5F3759DF
 )
 
-// ppGo is the body-body kernel: sources (sx, sy, sz, sm) on every
-// target of t. Re-slicing the columns to one shared length hands the
-// prove pass the bounds, so the inner loop is check-free
-// (scripts/bce.sh).
-func ppGo(t *Targets, sx, sy, sz, sm []float64, eps2 float64) {
+// rel32 is a target coordinate in the list's frame: differenced from
+// the origin in float64, then rounded.
+func rel32(x, o float64) float32 { return float32(x - o) }
+
+// ppGo is the body-body kernel: sources (sx, sy, sz, sm), relative to
+// o, on every target of t, foldK sources per float32 sweep.
+// Re-slicing the columns to one shared length hands the prove pass
+// the bounds, so the inner loop is check-free (scripts/bce.sh).
+func ppGo(t *Targets, o vec.V3, sx, sy, sz, sm []float32, eps2 float32) {
 	n := len(sm)
 	sx, sy, sz = sx[:n], sy[:n], sz[:n]
 	nt := len(t.X)
 	tx, ty, tz := t.X[:nt], t.Y[:nt], t.Z[:nt]
 	oax, oay, oaz, opot := t.AX[:nt], t.AY[:nt], t.AZ[:nt], t.Pot[:nt]
 	for i := range tx {
-		xi, yi, zi := tx[i], ty[i], tz[i]
-		var ax, ay, az, p float64
-		for j := range sm {
-			dx := sx[j] - xi
-			dy := sy[j] - yi
-			dz := sz[j] - zi
-			r2 := math.FMA(dz, dz, math.FMA(dy, dy, math.FMA(dx, dx, eps2)))
-			rv := invSqrt(r2)
-			rin3 := sm[j] * (rv * (rv * rv))
-			ax = math.FMA(rin3, dx, ax)
-			ay = math.FMA(rin3, dy, ay)
-			az = math.FMA(rin3, dz, az)
-			p = math.FMA(-sm[j], rv, p)
+		xi, yi, zi := rel32(tx[i], o.X), rel32(ty[i], o.Y), rel32(tz[i], o.Z)
+		for lo := 0; lo < n; lo += foldK {
+			m := sm[lo:min(lo+foldK, n)]
+			x, y, z := sx[lo:][:len(m)], sy[lo:][:len(m)], sz[lo:][:len(m)]
+			var ax, ay, az, p float32
+			for j := range m {
+				dx := x[j] - xi
+				dy := y[j] - yi
+				dz := z[j] - zi
+				r2 := fma32(dz, dz, fma32(dy, dy, fma32(dx, dx, eps2)))
+				rv := invSqrt32(r2)
+				rin3 := m[j] * (rv * (rv * rv))
+				ax = fma32(rin3, dx, ax)
+				ay = fma32(rin3, dy, ay)
+				az = fma32(rin3, dz, az)
+				p = fma32(-m[j], rv, p)
+			}
+			oax[i] += float64(ax)
+			oay[i] += float64(ay)
+			oaz[i] += float64(az)
+			opot[i] += float64(p)
 		}
-		oax[i] += ax
-		oay[i] += ay
-		oaz[i] += az
-		opot[i] += p
 	}
 }
 
-// m2pQuadGo is the monopole+quadrupole kernel. The difference d
-// points from target to cell COM and the quadrupole terms are written
-// in d directly (Q.d flips sign with d, d.Q.d does not):
+// m2pQuadGo is the monopole+quadrupole kernel, folded like ppGo. The
+// difference d points from target to cell COM and the quadrupole terms
+// are written in d directly (Q.d flips sign with d, d.Q.d does not):
 //
 //	a   = (M/r^3 + (5/2)(d.Q.d)/r^7) d - Q.d/r^5
 //	phi = -(M/r + (d.Q.d)/(2 r^5))
-func m2pQuadGo(t *Targets, l *InteractionList, eps2 float64) {
-	cm := l.CM
-	n := len(cm)
-	cx, cy, cz := l.CX[:n], l.CY[:n], l.CZ[:n]
-	qxx, qyy, qzz := l.QXX[:n], l.QYY[:n], l.QZZ[:n]
-	qxy, qxz, qyz := l.QXY[:n], l.QXZ[:n], l.QYZ[:n]
+func m2pQuadGo(t *Targets, l *InteractionList, eps2 float32) {
+	n := len(l.CM)
+	o := l.Origin
 	nt := len(t.X)
 	tx, ty, tz := t.X[:nt], t.Y[:nt], t.Z[:nt]
 	oax, oay, oaz, opot := t.AX[:nt], t.AY[:nt], t.AZ[:nt], t.Pot[:nt]
 	for i := range tx {
-		xi, yi, zi := tx[i], ty[i], tz[i]
-		var ax, ay, az, p float64
-		for j := range cm {
-			da := cx[j] - xi
-			db := cy[j] - yi
-			dc := cz[j] - zi
-			r2 := math.FMA(dc, dc, math.FMA(db, db, math.FMA(da, da, eps2)))
-			rv := invSqrt(r2)
-			rv2 := rv * rv
-			rv3 := rv * rv2
-			rv5 := rv3 * rv2
-			qdx := math.FMA(qxz[j], dc, math.FMA(qxy[j], db, qxx[j]*da))
-			qdy := math.FMA(qyz[j], dc, math.FMA(qyy[j], db, qxy[j]*da))
-			qdz := math.FMA(qzz[j], dc, math.FMA(qyz[j], db, qxz[j]*da))
-			dqd := math.FMA(dc, qdz, math.FMA(db, qdy, da*qdx))
-			mc := math.FMA(dqd, 2.5*(rv5*rv2), cm[j]*rv3) // M/r^3 + (5/2)(d.Q.d)/r^7
-			ax = math.FMA(mc, da, math.FMA(-qdx, rv5, ax))
-			ay = math.FMA(mc, db, math.FMA(-qdy, rv5, ay))
-			az = math.FMA(mc, dc, math.FMA(-qdz, rv5, az))
-			p = math.FMA(-cm[j], rv, math.FMA(dqd, -0.5*rv5, p))
+		xi, yi, zi := rel32(tx[i], o.X), rel32(ty[i], o.Y), rel32(tz[i], o.Z)
+		for lo := 0; lo < n; lo += foldK {
+			cm := l.CM[lo:min(lo+foldK, n)]
+			k := len(cm)
+			cx, cy, cz := l.CX[lo:][:k], l.CY[lo:][:k], l.CZ[lo:][:k]
+			qxx, qyy, qzz := l.QXX[lo:][:k], l.QYY[lo:][:k], l.QZZ[lo:][:k]
+			qxy, qxz, qyz := l.QXY[lo:][:k], l.QXZ[lo:][:k], l.QYZ[lo:][:k]
+			var ax, ay, az, p float32
+			for j := range cm {
+				da := cx[j] - xi
+				db := cy[j] - yi
+				dc := cz[j] - zi
+				r2 := fma32(dc, dc, fma32(db, db, fma32(da, da, eps2)))
+				rv := invSqrt32(r2)
+				rv2 := rv * rv
+				rv3 := rv * rv2
+				rv5 := rv3 * rv2
+				qdx := fma32(qxz[j], dc, fma32(qxy[j], db, qxx[j]*da))
+				qdy := fma32(qyz[j], dc, fma32(qyy[j], db, qxy[j]*da))
+				qdz := fma32(qzz[j], dc, fma32(qyz[j], db, qxz[j]*da))
+				dqd := fma32(dc, qdz, fma32(db, qdy, da*qdx))
+				mc := fma32(dqd, 2.5*(rv5*rv2), cm[j]*rv3) // M/r^3 + (5/2)(d.Q.d)/r^7
+				ax = fma32(mc, da, fma32(-qdx, rv5, ax))
+				ay = fma32(mc, db, fma32(-qdy, rv5, ay))
+				az = fma32(mc, dc, fma32(-qdz, rv5, az))
+				p = fma32(-cm[j], rv, fma32(dqd, -0.5*rv5, p))
+			}
+			oax[i] += float64(ax)
+			oay[i] += float64(ay)
+			oaz[i] += float64(az)
+			opot[i] += float64(p)
 		}
-		oax[i] += ax
-		oay[i] += ay
-		oaz[i] += az
-		opot[i] += p
 	}
 }
 
@@ -275,21 +358,21 @@ func EvalSelf(t *Targets, eps2 float64) uint64 {
 
 // peakProbeGo is PeakProbe's scalar form: eight independent chains
 // (enough to cover the latency-throughput gap of the FP units), one
-// fused multiply-add per chain per step, as in the kernels.
+// fma32 per chain per step, as in the kernels.
 func peakProbeGo(n int) (flops, witness float64) {
-	a0, a1, a2, a3 := 1.0, 1.1, 1.2, 1.3
-	a4, a5, a6, a7 := 1.4, 1.5, 1.6, 1.7
-	// A multiplier this near 1 keeps the chains finite for any n.
-	const c, d = 1.0000000001, 1e-9
+	a0, a1, a2, a3 := float32(1.0), float32(1.1), float32(1.2), float32(1.3)
+	a4, a5, a6, a7 := float32(1.4), float32(1.5), float32(1.6), float32(1.7)
+	// A multiplier below 1 keeps the chains finite for any n.
+	const c, d = 0.999, 1e-3
 	for i := 0; i < n; i++ {
-		a0 = math.FMA(a0, c, d)
-		a1 = math.FMA(a1, c, d)
-		a2 = math.FMA(a2, c, d)
-		a3 = math.FMA(a3, c, d)
-		a4 = math.FMA(a4, c, d)
-		a5 = math.FMA(a5, c, d)
-		a6 = math.FMA(a6, c, d)
-		a7 = math.FMA(a7, c, d)
+		a0 = fma32(a0, c, d)
+		a1 = fma32(a1, c, d)
+		a2 = fma32(a2, c, d)
+		a3 = fma32(a3, c, d)
+		a4 = fma32(a4, c, d)
+		a5 = fma32(a5, c, d)
+		a6 = fma32(a6, c, d)
+		a7 = fma32(a7, c, d)
 	}
-	return 16 * float64(n), a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7
+	return 16 * float64(n), float64(a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7)
 }

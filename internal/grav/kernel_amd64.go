@@ -1,8 +1,10 @@
 package grav
 
+import "repro/internal/vec"
+
 // haveAVX2 and haveAVX512 are the one-time CPUID/XGETBV probe. They are
-// the only thing that selects a kernel path: eight-lane blocks where
-// AVX-512 is usable, four-lane blocks where AVX2 and FMA are, the Go
+// the only thing that selects a kernel path: sixteen-lane blocks where
+// AVX-512 is usable, eight-lane blocks where AVX2 and FMA are, the Go
 // loops elsewhere.
 var haveAVX2, haveAVX512 = readCPU().paths()
 
@@ -43,10 +45,10 @@ func readCPU() cpuWords {
 	return w
 }
 
-// paths is the probe's decision. The four-lane kernels need AVX2 and
-// FMA with the OS saving YMM state; the eight-lane ones need all of
-// that (they finish a group on four-lane blocks), AVX512F and the OS
-// saving the opmask and ZMM state.
+// paths is the probe's decision. The eight-lane kernels need AVX2 and
+// FMA with the OS saving YMM state; the sixteen-lane ones need all of
+// that (they finish a group on an eight-lane block), AVX512F and the
+// OS saving the opmask and ZMM state.
 func (w cpuWords) paths() (avx2, avx512 bool) {
 	const ecx1 = ecx1FMA | ecx1OSXSAVE | ecx1AVX
 	avx2 = w.maxLeaf >= 7 && w.ecx1&ecx1 == ecx1 && w.xcr0&xcr0YMM == xcr0YMM && w.ebx7&ebx7AVX2 != 0
@@ -54,70 +56,95 @@ func (w cpuWords) paths() (avx2, avx512 bool) {
 	return avx2, avx512
 }
 
-// laneBlock is what the four-lane assembly reads its targets from:
-// x[4] y[4] z[4] and eps2 in all four lanes. laneBlock8 is the same at
-// eight lanes.
+// laneBlock16 is what the sixteen-lane assembly reads its targets
+// from: x[16] y[16] z[16], relative to the list's origin, and eps2 in
+// all sixteen lanes. laneBlock8 is the same at eight lanes.
 type (
-	laneBlock  [16]float64
-	laneBlock8 [32]float64
+	laneBlock16 [64]float32
+	laneBlock8  [32]float32
 )
 
-// laneSums is what the four-lane assembly writes: the lanes' ax[4]
-// ay[4] az[4] pot[4], each accumulated from zero in list order.
-// laneSums8 is the same at eight lanes.
+// laneSums16 is what the sixteen-lane assembly writes: the lanes'
+// ax[16] ay[16] az[16] pot[16], each accumulated from zero in list
+// order over the sweep's sources. laneSums8 is the same at eight lanes.
 type (
-	laneSums  [16]float64
-	laneSums8 [32]float64
+	laneSums16 [64]float32
+	laneSums8  [32]float32
 )
 
-// pp4 sweeps the n sources (sx, sy, sz, sm) over the block's targets.
+// pp16 sweeps sources [lo, hi) of the columns (sx, sy, sz, sm) over the
+// block's targets.
 //
 //go:noescape
-func pp4(tg *laneBlock, sx, sy, sz, sm *float64, n int, out *laneSums)
+func pp16(tg *laneBlock16, sx, sy, sz, sm *float32, lo, hi int, out *laneSums16)
 
-// pp8 is pp4 at eight lanes.
+// pp8 is pp16 at eight lanes.
 //
 //go:noescape
-func pp8(tg *laneBlock8, sx, sy, sz, sm *float64, n int, out *laneSums8)
+func pp8(tg *laneBlock8, sx, sy, sz, sm *float32, lo, hi int, out *laneSums8)
 
-// m2pQuad4 sweeps n monopole+quadrupole cells over the block's
-// targets; cols holds the slab columns in the order cm cx cy cz qxx
-// qyy qzz qxy qxz qyz.
+// m2pQuad16 sweeps cells [lo, hi) of the slab over the block's
+// targets; cols holds the slab columns in the order cm cx cy cz qxx qyy
+// qzz qxy qxz qyz.
 //
 //go:noescape
-func m2pQuad4(tg *laneBlock, cols *[10]*float64, n int, out *laneSums)
+func m2pQuad16(tg *laneBlock16, cols *[10]*float32, lo, hi int, out *laneSums16)
 
-// m2pQuad8 is m2pQuad4 at eight lanes.
+// m2pQuad8 is m2pQuad16 at eight lanes.
 //
 //go:noescape
-func m2pQuad8(tg *laneBlock8, cols *[10]*float64, n int, out *laneSums8)
+func m2pQuad8(tg *laneBlock8, cols *[10]*float32, lo, hi int, out *laneSums8)
 
-// mulAdd4 runs n steps of eight independent four-lane fused
-// multiply-add chains and stores their lane-wise sum; mulAdd8 is the
-// same at eight lanes.
+// mulAdd8 runs n steps of eight independent eight-lane float32 fused
+// multiply-add chains and stores their lane-wise sum; mulAdd16 is the
+// same at sixteen lanes.
 //
 //go:noescape
-func mulAdd4(n int, out *[4]float64)
+func mulAdd8(n int, out *[8]float32)
 
 //go:noescape
-func mulAdd8(n int, out *[8]float64)
+func mulAdd16(n int, out *[16]float32)
 
-func (b *laneBlock) load(t *Targets, i int) int  { return loadLanes(b[0:4], b[4:8], b[8:12], t, i) }
-func (b *laneBlock8) load(t *Targets, i int) int { return loadLanes(b[0:8], b[8:16], b[16:24], t, i) }
+// fmaLanes8 sets c = a*b + c in each of eight lanes with one
+// VFMADD231PS, the fused multiply-add the kernels execute: fma32's
+// reference (FuzzFMA32).
+//
+//go:noescape
+func fmaLanes8(a, b, c *[8]float32)
 
-func (s *laneSums) addTo(t *Targets, i, m int) {
-	addLanes(s[0:4], s[4:8], s[8:12], s[12:16], t, i, m)
+func (b *laneBlock16) load(t *Targets, o vec.V3, i int) int {
+	return loadLanes(b[0:16], b[16:32], b[32:48], t, o, i)
+}
+
+func (b *laneBlock8) load(t *Targets, o vec.V3, i int) int {
+	return loadLanes(b[0:8], b[8:16], b[16:24], t, o, i)
+}
+
+func (b *laneBlock16) setEps(eps2 float32) {
+	for k := 48; k < 64; k++ {
+		b[k] = eps2
+	}
+}
+
+func (b *laneBlock8) setEps(eps2 float32) {
+	for k := 24; k < 32; k++ {
+		b[k] = eps2
+	}
+}
+
+func (s *laneSums16) addTo(t *Targets, i, m int) {
+	addLanes(s[0:16], s[16:32], s[32:48], s[48:64], t, i, m)
 }
 
 func (s *laneSums8) addTo(t *Targets, i, m int) {
 	addLanes(s[0:8], s[8:16], s[16:24], s[24:32], t, i, m)
 }
 
-// loadLanes gathers targets [i, i+len(x)) of t into the lanes x, y, z
-// and returns how many of them exist: the spare lanes of a group's
-// last block repeat its last target, and addLanes discards what they
-// compute.
-func loadLanes(x, y, z []float64, t *Targets, i int) int {
+// loadLanes gathers targets [i, i+len(x)) of t into the lanes x, y, z,
+// relative to o, and returns how many of them exist: the spare lanes of
+// a group's last block repeat its last target, and addLanes discards
+// what they compute.
+func loadLanes(x, y, z []float32, t *Targets, o vec.V3, i int) int {
 	n := len(t.X)
 	tx, ty, tz := t.X[i:n], t.Y[i:n], t.Z[i:n]
 	last := min(len(x), len(tx)) - 1
@@ -127,100 +154,119 @@ func loadLanes(x, y, z []float64, t *Targets, i int) int {
 	y, z = y[:len(x)], z[:len(x)]
 	for k := range x {
 		j := min(k, last)
-		x[k], y[k], z[k] = tx[j], ty[j], tz[j]
+		x[k], y[k], z[k] = rel32(tx[j], o.X), rel32(ty[j], o.Y), rel32(tz[j], o.Z)
 	}
 	return last + 1
 }
 
-// addLanes adds the first m lanes to targets [i, i+m) of t.
-func addLanes(ax, ay, az, pot []float64, t *Targets, i, m int) {
+// addLanes folds the first m lanes' float32 sums into targets [i, i+m)
+// of t.
+func addLanes(ax, ay, az, pot []float32, t *Targets, i, m int) {
 	oax, oay, oaz, opot := t.AX[i:i+m], t.AY[i:i+m], t.AZ[i:i+m], t.Pot[i:i+m]
 	ax, ay, az, pot = ax[:m], ay[:m], az[:m], pot[:m]
 	for k := range oax {
-		oax[k] += ax[k]
-		oay[k] += ay[k]
-		oaz[k] += az[k]
-		opot[k] += pot[k]
+		oax[k] += float64(ax[k])
+		oay[k] += float64(ay[k])
+		oaz[k] += float64(az[k])
+		opot[k] += float64(pot[k])
 	}
 }
 
-// pp and m2pQuad take eight-lane blocks while more than four targets
-// remain and finish with four-lane ones, so a group pads no more lanes
-// than at four.
-func pp(t *Targets, sx, sy, sz, sm []float64, eps2 float64) {
+// pp and m2pQuad take sixteen-lane blocks while more than eight targets
+// remain and finish with one eight-lane block, so a group pads no more
+// lanes than at eight. Each block sweeps the list foldK sources at a
+// time and folds the sums after every sweep, as the Go loops do.
+func pp(t *Targets, o vec.V3, sx, sy, sz, sm []float32, eps2 float32) {
 	if !haveAVX2 {
-		ppGo(t, sx, sy, sz, sm, eps2)
+		ppGo(t, o, sx, sy, sz, sm, eps2)
 		return
 	}
 	n := len(sm)
 	x, y, z, m0 := &sx[:n][0], &sy[:n][0], &sz[:n][0], &sm[0]
 	i := 0
 	if haveAVX512 {
-		tg := laneBlock8{24: eps2, eps2, eps2, eps2, eps2, eps2, eps2, eps2}
-		var out laneSums8
-		for ; len(t.X)-i > 4; i += 8 {
-			m := tg.load(t, i)
-			pp8(&tg, x, y, z, m0, n, &out)
+		var tg laneBlock16
+		var out laneSums16
+		tg.setEps(eps2)
+		for ; len(t.X)-i > 8; i += 16 {
+			m := tg.load(t, o, i)
+			for lo := 0; lo < n; lo += foldK {
+				pp16(&tg, x, y, z, m0, lo, min(lo+foldK, n), &out)
+				out.addTo(t, i, m)
+			}
+		}
+	}
+	var tg laneBlock8
+	var out laneSums8
+	tg.setEps(eps2)
+	for ; i < len(t.X); i += 8 {
+		m := tg.load(t, o, i)
+		for lo := 0; lo < n; lo += foldK {
+			pp8(&tg, x, y, z, m0, lo, min(lo+foldK, n), &out)
 			out.addTo(t, i, m)
 		}
 	}
-	tg := laneBlock{12: eps2, eps2, eps2, eps2}
-	var out laneSums
-	for ; i < len(t.X); i += 4 {
-		m := tg.load(t, i)
-		pp4(&tg, x, y, z, m0, n, &out)
-		out.addTo(t, i, m)
-	}
 }
 
-func m2pQuad(t *Targets, l *InteractionList, eps2 float64) {
+func m2pQuad(t *Targets, l *InteractionList, eps2 float32) {
 	if !haveAVX2 {
 		m2pQuadGo(t, l, eps2)
 		return
 	}
 	n := len(l.CM)
-	cols := [10]*float64{
+	cols := [10]*float32{
 		&l.CM[0], &l.CX[:n][0], &l.CY[:n][0], &l.CZ[:n][0],
 		&l.QXX[:n][0], &l.QYY[:n][0], &l.QZZ[:n][0],
 		&l.QXY[:n][0], &l.QXZ[:n][0], &l.QYZ[:n][0],
 	}
 	i := 0
 	if haveAVX512 {
-		tg := laneBlock8{24: eps2, eps2, eps2, eps2, eps2, eps2, eps2, eps2}
-		var out laneSums8
-		for ; len(t.X)-i > 4; i += 8 {
-			m := tg.load(t, i)
-			m2pQuad8(&tg, &cols, n, &out)
+		var tg laneBlock16
+		var out laneSums16
+		tg.setEps(eps2)
+		for ; len(t.X)-i > 8; i += 16 {
+			m := tg.load(t, l.Origin, i)
+			for lo := 0; lo < n; lo += foldK {
+				m2pQuad16(&tg, &cols, lo, min(lo+foldK, n), &out)
+				out.addTo(t, i, m)
+			}
+		}
+	}
+	var tg laneBlock8
+	var out laneSums8
+	tg.setEps(eps2)
+	for ; i < len(t.X); i += 8 {
+		m := tg.load(t, l.Origin, i)
+		for lo := 0; lo < n; lo += foldK {
+			m2pQuad8(&tg, &cols, lo, min(lo+foldK, n), &out)
 			out.addTo(t, i, m)
 		}
 	}
-	tg := laneBlock{12: eps2, eps2, eps2, eps2}
-	var out laneSums
-	for ; i < len(t.X); i += 4 {
-		m := tg.load(t, i)
-		m2pQuad4(&tg, &cols, n, &out)
-		out.addTo(t, i, m)
-	}
 }
 
-// PeakProbe executes n steps of eight independent fused multiply-add
-// chains, the kernels' instruction mix at the kernels' width (eight
-// lanes, four, or scalar), and returns the flops that took and a value
-// depending on every chain: the roofline's compute-ceiling probe.
+// PeakProbe executes n steps of eight independent float32 fused
+// multiply-add chains, the kernels' instruction mix at the kernels'
+// width (sixteen lanes, eight, or scalar), and returns the flops that
+// took and a value depending on every chain: the roofline's
+// compute-ceiling probe.
 func PeakProbe(n int) (flops, witness float64) {
 	switch {
 	case haveAVX512:
-		var out [8]float64
+		var out [16]float32
+		mulAdd16(n, &out)
+		w := 0.0
+		for _, v := range out {
+			w += float64(v)
+		}
+		return 16 * 16 * float64(n), w
+	case haveAVX2:
+		var out [8]float32
 		mulAdd8(n, &out)
 		w := 0.0
 		for _, v := range out {
-			w += v
+			w += float64(v)
 		}
 		return 8 * 16 * float64(n), w
-	case haveAVX2:
-		var out [4]float64
-		mulAdd4(n, &out)
-		return 4 * 16 * float64(n), out[0] + out[1] + out[2] + out[3]
 	}
 	return peakProbeGo(n)
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/vec"
 )
 
 // column returns n random values as a sub-slice starting off elements
@@ -17,8 +19,19 @@ func column(rng *rand.Rand, n, off int, scale float64) []float64 {
 	return buf[off : off+n : off+n]
 }
 
+// column32 is column for the list's float32 columns, at every 4-byte
+// phase of a 32-byte vector.
+func column32(rng *rand.Rand, n, off int, scale float64) []float32 {
+	buf := make([]float32, off+n+1)
+	for i := range buf {
+		buf[i] = float32(scale * (2*rng.Float64() - 1))
+	}
+	return buf[off : off+n : off+n]
+}
+
 // kernelCase builds a target block with non-zero incoming sums and a
-// list of ns sources and ns cells, every column unaligned.
+// list of ns sources and ns cells about an origin off zero, every
+// column unaligned.
 func kernelCase(rng *rand.Rand, nt, ns int) (*Targets, *InteractionList) {
 	tg := &Targets{
 		X: column(rng, nt, 1, 1), Y: column(rng, nt, 2, 1), Z: column(rng, nt, 3, 1),
@@ -26,12 +39,13 @@ func kernelCase(rng *rand.Rand, nt, ns int) (*Targets, *InteractionList) {
 		Pot: column(rng, nt, 1, 9),
 	}
 	l := &InteractionList{
-		SX: column(rng, ns, 1, 1), SY: column(rng, ns, 2, 1), SZ: column(rng, ns, 3, 1),
-		SM: column(rng, ns, 1, 1),
-		CM: column(rng, ns, 3, 1),
-		CX: column(rng, ns, 2, 4), CY: column(rng, ns, 1, 4), CZ: column(rng, ns, 3, 4),
-		QXX: column(rng, ns, 1, .1), QYY: column(rng, ns, 2, .1), QZZ: column(rng, ns, 3, .1),
-		QXY: column(rng, ns, 3, .1), QXZ: column(rng, ns, 2, .1), QYZ: column(rng, ns, 1, .1),
+		Origin: vec.V3{X: 0.25, Y: -0.125, Z: 0.0625},
+		SX:     column32(rng, ns, 1, 1), SY: column32(rng, ns, 2, 1), SZ: column32(rng, ns, 3, 1),
+		SM: column32(rng, ns, 1, 1),
+		CM: column32(rng, ns, 5, 1),
+		CX: column32(rng, ns, 2, 4), CY: column32(rng, ns, 7, 4), CZ: column32(rng, ns, 3, 4),
+		QXX: column32(rng, ns, 1, .1), QYY: column32(rng, ns, 6, .1), QZZ: column32(rng, ns, 3, .1),
+		QXY: column32(rng, ns, 4, .1), QXZ: column32(rng, ns, 2, .1), QYZ: column32(rng, ns, 1, .1),
 	}
 	return tg, l
 }
@@ -61,21 +75,22 @@ func sameColumns(t *testing.T, tag string, a, b *Targets, nanClass bool) {
 }
 
 // TestKernelAsmMatchesGo holds the assembly kernels to their
-// definition at both widths -- as dispatched (eight-lane blocks on an
-// AVX-512 host, then a four-lane tail) and with the four-lane path
+// definition at both widths -- as dispatched (sixteen-lane blocks on an
+// AVX-512 host, then an eight-lane tail) and with the eight-lane path
 // forced: all four output columns bitwise equal to the Go loops', for
-// target counts 1...33 (every remainder mod 8 and mod 4), list lengths
-// around the empty list, the lane counts and the old tile length, both
-// multipole orders, non-zero incoming sums and unaligned columns; and
-// the same NaN/Inf pattern on inputs where IEEE arithmetic produces
-// one.
+// target counts 1...40 (every remainder mod 16 and mod 8, and groups
+// that end on a tail block), list lengths around the empty list, the
+// lane counts and every side of one and two fold boundaries (foldK),
+// both multipole orders, non-zero incoming sums and unaligned columns;
+// and the same NaN/Inf pattern on inputs where IEEE arithmetic
+// produces one.
 func TestKernelAsmMatchesGo(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("no AVX2: the Go loops are the only kernel on this host")
 	}
 	t.Run("dispatched", kernelAsmMatchesGo)
-	t.Run("lanes4", func(t *testing.T) {
-		Lanes4(t)
+	t.Run("lanes8", func(t *testing.T) {
+		Lanes8(t)
 		kernelAsmMatchesGo(t)
 	})
 }
@@ -83,8 +98,8 @@ func TestKernelAsmMatchesGo(t *testing.T) {
 func kernelAsmMatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const eps2 = 1e-6
-	for nt := 1; nt <= 33; nt++ {
-		for _, ns := range []int{0, 1, 3, 4, 5, 63, 64, 65, 1000} {
+	for nt := 1; nt <= 40; nt++ {
+		for _, ns := range []int{0, 1, 3, 8, 15, 16, 17, 63, 64, foldK - 1, foldK, foldK + 1, 2*foldK + 1, 1000} {
 			tg, l := kernelCase(rng, nt, ns)
 			ref := tg.clone()
 			if EvalPP(tg, l, eps2) != EvalPPGo(ref, l, eps2) {
@@ -100,17 +115,22 @@ func kernelAsmMatchesGo(t *testing.T) {
 		}
 	}
 
-	// Special inputs: a source coincident with a target at eps2 = 0
-	// (r2 = 0, rv = +Inf, Inf*0 = NaN in that lane only), a separation
-	// whose square overflows (rv = 0) and one whose square is subnormal
-	// (rv huge, rv^3 overflows), in four- and eight-lane blocks.
-	for nt := 1; nt <= 12; nt++ {
-		tg, l := kernelCase(rng, nt, 9)
-		l.SX[2], l.SY[2], l.SZ[2] = tg.X[nt-1], tg.Y[nt-1], tg.Z[nt-1]
-		l.CX[4], l.CY[4], l.CZ[4] = tg.X[0], tg.Y[0], tg.Z[0]
-		l.SX[5], l.CX[6] = 1e200, -1e200
-		l.SX[7], l.SY[7], l.SZ[7] = tg.X[0]+1e-160, tg.Y[0], tg.Z[0]
-		l.CX[8], l.CY[8], l.CZ[8] = tg.X[nt-1], tg.Y[nt-1]+1e-160, tg.Z[nt-1]
+	// Special inputs, with the first target at the origin: a source
+	// coincident with the last target at eps2 = 0 (r2 = 0, rv = +Inf,
+	// Inf*0 = NaN in that lane only), a separation whose square
+	// overflows (rv = 0) and one whose square is subnormal (rv huge,
+	// rv^3 overflows), in eight- and sixteen-lane blocks, one of them
+	// past a fold boundary.
+	for nt := 1; nt <= 24; nt++ {
+		tg, l := kernelCase(rng, nt, foldK+9)
+		tg.X[0], tg.Y[0], tg.Z[0] = l.Origin.X, l.Origin.Y, l.Origin.Z
+		last := func(s []float64, o float64) float32 { return rel32(s[nt-1], o) }
+		o := l.Origin
+		l.SX[2], l.SY[2], l.SZ[2] = last(tg.X, o.X), last(tg.Y, o.Y), last(tg.Z, o.Z)
+		l.CX[4], l.CY[4], l.CZ[4] = 0, 0, 0
+		l.SX[5], l.CX[6] = 1e20, -1e20
+		l.SX[foldK+7], l.SY[foldK+7], l.SZ[foldK+7] = 1e-21, 0, 0
+		l.CX[8], l.CY[8], l.CZ[8] = 0, -1e-21, 0
 		in := tg.clone()
 		ref := tg.clone()
 		EvalPP(tg, l, 0)
@@ -127,15 +147,15 @@ func kernelAsmMatchesGo(t *testing.T) {
 		}
 	}
 
-	// One entry out of invSqrt's range whose contribution is exactly
+	// One entry out of invSqrt32's range whose contribution is exactly
 	// zero -- a separation whose square overflows, with no quadrupole to
 	// make it NaN -- at each position of an odd-length list, so in each
 	// lane of the kernels' pairs and alone after them: the sums stay
 	// finite, and a lane that missed the divider would be infinite.
-	for nt := 1; nt <= 12; nt++ {
+	for nt := 1; nt <= 24; nt++ {
 		for k := range 7 {
 			tg, l := kernelCase(rng, nt, 7)
-			l.SX[k], l.CX[k] = 1e200, -1e200
+			l.SX[k], l.CX[k] = 1e20, -1e20
 			l.QXX[k], l.QYY[k], l.QZZ[k], l.QXY[k], l.QXZ[k], l.QYZ[k] = 0, 0, 0, 0, 0, 0
 			ref := tg.clone()
 			EvalPP(tg, l, 0)
@@ -150,88 +170,91 @@ func kernelAsmMatchesGo(t *testing.T) {
 	}
 }
 
-// rsqrtLanes runs the lane kernels on eight targets at the origin with
-// eps2 = r2[k] in lane k and ns unit sources at the origin, so each
-// lane's r2 is 0 + r2[k] and its potential is -ns*rv: the kernels'
-// reciprocal square root, lane by lane, through pp8's pair loop (ns 2)
-// or its odd last source (ns 1), and through pp4 on each half of the
-// eight. want is ppGo's potential on the same target and sources.
-func rsqrtLanes(r2 *[8]float64, ns int) (got8, got4, want [8]float64) {
-	var zeros [2]float64
-	ones := [2]float64{1, 1}
+// rsqrtLanes runs the lane kernels on sixteen targets at the origin
+// with eps2 = r2[k] in lane k and ns unit sources at the origin, so
+// each lane's r2 is 0 + r2[k] and its potential is -ns*rv: the
+// kernels' reciprocal square root, lane by lane, through pp16's pair
+// loop (ns 2) or its odd last source (ns 1), and through pp8 on each
+// half of the sixteen. want is ppGo's potential on the same target and
+// sources.
+func rsqrtLanes(r2 *[16]float32, ns int) (got16, got8, want [16]float32) {
+	var zeros [2]float32
+	ones := [2]float32{1, 1}
 	o, m := zeros[:ns], ones[:ns]
 	if haveAVX512 {
-		var tg laneBlock8
-		copy(tg[24:], r2[:])
-		var out laneSums8
-		pp8(&tg, &o[0], &o[0], &o[0], &m[0], ns, &out)
-		copy(got8[:], out[24:])
+		var tg laneBlock16
+		copy(tg[48:], r2[:])
+		var out laneSums16
+		pp16(&tg, &o[0], &o[0], &o[0], &m[0], 0, ns, &out)
+		copy(got16[:], out[48:])
 	}
-	for h := 0; h < 8; h += 4 {
-		var tg laneBlock
-		copy(tg[12:], r2[h:h+4])
-		var out laneSums
-		pp4(&tg, &o[0], &o[0], &o[0], &m[0], ns, &out)
-		copy(got4[h:h+4], out[12:])
+	for h := 0; h < 16; h += 8 {
+		var tg laneBlock8
+		copy(tg[24:], r2[h:h+8])
+		var out laneSums8
+		pp8(&tg, &o[0], &o[0], &o[0], &m[0], 0, ns, &out)
+		copy(got8[h:h+8], out[24:])
 	}
 	var acc [4]float64
-	ref := Targets{X: o[:1], Y: o[:1], Z: o[:1], AX: acc[0:1], AY: acc[1:2], AZ: acc[2:3], Pot: acc[3:4]}
+	zero := []float64{0}
+	ref := Targets{X: zero, Y: zero, Z: zero, AX: acc[0:1], AY: acc[1:2], AZ: acc[2:3], Pot: acc[3:4]}
 	for k, v := range r2 {
 		acc[3] = 0
-		ppGo(&ref, o, o, o, m, v)
-		want[k] = acc[3]
+		ppGo(&ref, vec.V3{}, o, o, o, m, v)
+		want[k] = float32(acc[3])
 	}
-	return got8, got4, want
+	return got16, got8, want
 }
 
 // checkRsqrtLanes fails unless every lane of every lane kernel that
 // runs on this host equals the Go loop bit for bit (NaNs by class), at
 // one source and at two.
-func checkRsqrtLanes(t testing.TB, r2 *[8]float64) {
+func checkRsqrtLanes(t testing.TB, r2 *[16]float32) {
 	t.Helper()
 	for _, ns := range []int{1, 2} {
-		got8, got4, want := rsqrtLanes(r2, ns)
-		check := func(kernel string, k int, got float64) {
-			if !sameBits(got, want[k], true) {
+		got16, got8, want := rsqrtLanes(r2, ns)
+		check := func(kernel string, k int, got float32) {
+			if !sameBits32(got, want[k]) {
 				t.Fatalf("r2 = %x (%g), %d sources: %s potential %x (%g), Go %x (%g)",
-					math.Float64bits(r2[k]), r2[k], ns, kernel,
-					math.Float64bits(got), got, math.Float64bits(want[k]), want[k])
+					math.Float32bits(r2[k]), r2[k], ns, kernel,
+					math.Float32bits(got), got, math.Float32bits(want[k]), want[k])
 			}
 		}
 		for k := range want {
 			if haveAVX512 {
-				check("pp8", k, got8[k])
+				check("pp16", k, got16[k])
 			}
-			check("pp4", k, got4[k])
+			check("pp8", k, got8[k])
 		}
 	}
 }
 
 // TestRsqrtLanesMatchGo holds the lanes' reciprocal -- Newton steps,
-// and the divider out of line for lanes out of invSqrt's range -- to
-// the Go loop bit for bit, at eight lanes and four: on the hard cases;
-// on mixed vectors, one out-of-range lane among in-range ones at every
-// lane position; and on 10^7 random r2, half of them random bits over
-// the whole positive range (subnormals, Inf and NaN included), half in
-// the range a simulation meets.
+// and the divider out of line for lanes out of invSqrt32's range -- to
+// the Go loop bit for bit, at sixteen lanes and eight: on the hard
+// cases; on mixed vectors, one out-of-range lane among in-range ones at
+// every lane position; and on 10^7 random r2, half of them random bits
+// over the whole positive range (subnormals, Inf and NaN included),
+// half in the range a simulation meets.
 func TestRsqrtLanesMatchGo(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("no AVX2: the Go loops are the only kernel on this host")
 	}
-	var r2 [8]float64
-	hard := rsqrtHardCases()
-	for i := 0; i < len(hard); i += 8 {
+	var r2 [16]float32
+	hard := rsqrt32HardCases()
+	for i := 0; i < len(hard); i += 16 {
 		for k := range r2 {
 			r2[k] = hard[(i+k)%len(hard)]
 		}
 		checkRsqrtLanes(t, &r2)
 	}
 	rng := rand.New(rand.NewSource(30))
-	for _, bad := range []float64{0, math.Copysign(0, -1), 4e-320, math.Ldexp(1, -1001),
-		math.Nextafter(rsqrtLo, 0), rsqrtHi, math.MaxFloat64, math.Inf(1), -1, math.NaN()} {
+	inRange := func() float32 { return float32(math.Ldexp(1+rng.Float64(), rng.Intn(120)-60)) }
+	for _, bad := range []float32{0, float32(math.Copysign(0, -1)), 1e-44, 0x1p-101,
+		math.Nextafter32(rsqrt32Lo, 0), rsqrt32Hi, math.MaxFloat32, float32(math.Inf(1)), -1, float32(math.NaN())} {
 		for k := range r2 {
 			for j := range r2 {
-				r2[j] = math.Ldexp(1+rng.Float64(), rng.Intn(120)-60)
+				r2[j] = inRange()
 			}
 			r2[k] = bad
 			checkRsqrtLanes(t, &r2)
@@ -241,32 +264,154 @@ func TestRsqrtLanesMatchGo(t *testing.T) {
 	if testing.Short() {
 		n = 1_000_000
 	}
-	for i := 0; i < n; i += 8 {
+	for i := 0; i < n; i += 16 {
 		for k := range r2 {
 			if k%2 == 0 {
-				r2[k] = math.Float64frombits(rng.Uint64() >> 1)
+				r2[k] = math.Float32frombits(rng.Uint32() >> 1)
 			} else {
-				r2[k] = math.Ldexp(1+rng.Float64(), rng.Intn(120)-60)
+				r2[k] = inRange()
 			}
 		}
 		checkRsqrtLanes(t, &r2)
 	}
 }
 
-// FuzzRsqrtLanes: eight r2 in, the lanes' reciprocal bitwise equal to
-// the Go loop's out (NaNs by class), at eight lanes and four. The
-// corpus in testdata holds the hard cases of TestRsqrtLanesMatchGo.
+// FuzzRsqrtLanes: sixteen r2 in, the low and high halves of eight
+// float64's bits, the lanes' reciprocal bitwise equal to the Go loop's
+// out (NaNs by class), at sixteen lanes and eight. The corpus in
+// testdata holds the hard cases of TestRsqrtLanesMatchGo.
 func FuzzRsqrtLanes(f *testing.F) {
 	if !haveAVX2 {
 		f.Skip("no AVX2: the Go loops are the only kernel on this host")
 	}
 	f.Fuzz(func(t *testing.T, a, b, c, d, e, g, h, i float64) {
-		checkRsqrtLanes(t, &[8]float64{a, b, c, d, e, g, h, i})
+		var r2 [16]float32
+		for k, v := range [8]float64{a, b, c, d, e, g, h, i} {
+			u := math.Float64bits(v)
+			r2[2*k], r2[2*k+1] = math.Float32frombits(uint32(u)), math.Float32frombits(uint32(u>>32))
+		}
+		checkRsqrtLanes(t, &r2)
+	})
+}
+
+// checkFMA32 fails unless fma32 equals VFMADD231PS on eight triples,
+// bit for bit (NaNs by class: which operand's payload survives is the
+// hardware's choice).
+func checkFMA32(t testing.TB, a, b, c *[8]float32) {
+	t.Helper()
+	got := *c
+	fmaLanes8(a, b, &got)
+	for k := range got {
+		want := fma32(a[k], b[k], c[k])
+		if !sameBits32(got[k], want) {
+			t.Fatalf("fma32(%x, %x, %x) = %x (%g), VFMADD231PS %x (%g)",
+				math.Float32bits(a[k]), math.Float32bits(b[k]), math.Float32bits(c[k]),
+				math.Float32bits(want), want, math.Float32bits(got[k]), got[k])
+		}
+	}
+}
+
+// fmaTriple draws one fused multiply-add's operands of kind k: random
+// bits (every class: subnormals, Inf, NaN), mixed exponents within a
+// few octaves of each other, c cancelling a*b to its last bits, where
+// the single rounding shows, and a*b + c within 2^-46 of a half ulp of
+// c off c, so that the float64 sum lands on a float32 midpoint it is
+// not: the case where rounding twice goes wrong, for c normal and c
+// subnormal.
+func fmaTriple(rng *rand.Rand, k int) (a, b, c float32) {
+	switch k % 5 {
+	case 4:
+		a = float32(math.Ldexp(1+0x1p-23, -75))
+		b = float32(math.Ldexp(1-0x1p-23, -75))
+		c = math.Float32frombits(rng.Uint32() & 0x807fffff)
+		return a, b, c
+	case 3:
+		e := rng.Intn(200) - 100
+		c = float32(math.Ldexp(1+float64(rng.Intn(1<<23))*0x1p-23, e))
+		a = float32(math.Ldexp(1+0x1p-23, e-12))
+		b = float32(math.Ldexp(1-0x1p-23, -12))
+		if rng.Intn(2) == 0 {
+			b = a
+		}
+		if rng.Intn(2) == 0 {
+			a = -a
+		}
+		if rng.Intn(2) == 0 {
+			c = -c
+		}
+		return a, b, c
+	case 0:
+		return math.Float32frombits(rng.Uint32()), math.Float32frombits(rng.Uint32()), math.Float32frombits(rng.Uint32())
+	case 1:
+		v := func() float32 {
+			return float32(math.Ldexp(2*rng.Float64()-1, rng.Intn(60)-30))
+		}
+		return v(), v(), v()
+	}
+	a = float32(math.Ldexp(1+rng.Float64(), rng.Intn(40)-20))
+	b = float32(math.Ldexp(1+rng.Float64(), rng.Intn(40)-20))
+	c = -a * b
+	u := math.Float32bits(c) + uint32(rng.Intn(9)) - 4
+	return a, b, math.Float32frombits(u)
+}
+
+// TestFMA32MatchesHardware holds fma32 to VFMADD231PS on 4*10^6
+// triples of fmaTriple's kinds.
+func TestFMA32MatchesHardware(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("no AVX2 and FMA: no hardware fused multiply-add to compare with")
+	}
+	n := 4_000_000
+	if testing.Short() {
+		n = 400_000
+	}
+	rng := rand.New(rand.NewSource(38))
+	var a, b, c [8]float32
+	for i := 0; i < n; i += 8 {
+		for k := range a {
+			a[k], b[k], c[k] = fmaTriple(rng, i/8+k)
+		}
+		checkFMA32(t, &a, &b, &c)
+	}
+}
+
+// FuzzFMA32: three float32 bit patterns in, fma32 bitwise equal to
+// VFMADD231PS out (NaNs by class), each operand also in the other two
+// positions. The seed corpus holds exact and near cancellation, ties
+// and near-ties at the rounding boundary, subnormal and overflowing
+// results, and NaN and Inf operands.
+func FuzzFMA32(f *testing.F) {
+	if !haveAVX2 {
+		f.Skip("no AVX2 and FMA: no hardware fused multiply-add to compare with")
+	}
+	for _, s := range [][3]uint32{
+		{0x3f800001, 0x3f800001, 0xbf800002}, // (1+u)^2 - (1+2u): u^2 survives only fused
+		{0x3fa00000, 0x3fa00000, 0xbfc80000}, // 1.25^2 - 1.5625: exact zero
+		{0x3f800001, 0x3f7fffff, 0xbf800000}, // a tie below 1
+		{0x39800001, 0x397ffffe, 0x3f800001}, // 1 + 3*2^-24 - 2^-70: a float64 midpoint it is not
+		{0x1a000001, 0x19fffffe, 0x007fffff}, // the same below 2^-126, on a subnormal midpoint
+		{0x4b800001, 0x3f800000, 0x3f000000}, // a half-ulp addend on an odd significand
+		{0x00800000, 0x3f000000, 0x00000001}, // a subnormal result
+		{0x7f7fffff, 0x40000000, 0xff7fffff}, // a product past MaxFloat32 brought back
+		{0x7f7fffff, 0x3f800001, 0x00000000}, // overflow to +Inf
+		{0x7f800000, 0x00000000, 0x3f800000}, // Inf*0 = NaN
+		{0x7f800000, 0x3f800000, 0xff800000}, // Inf - Inf = NaN
+		{0x7fc00001, 0x3f800000, 0x7fa00002}, // two NaN payloads
+		{0x80000000, 0x3f800000, 0x00000000}, // -0 + +0 = +0
+		{0x80000001, 0x80000001, 0x80000000}, // a subnormal product under -0
+	} {
+		f.Add(s[0], s[1], s[2])
+	}
+	f.Fuzz(func(t *testing.T, x, y, z uint32) {
+		a := [8]float32{math.Float32frombits(x), math.Float32frombits(y), math.Float32frombits(z)}
+		b := [8]float32{math.Float32frombits(y), math.Float32frombits(z), math.Float32frombits(x)}
+		c := [8]float32{math.Float32frombits(z), math.Float32frombits(x), math.Float32frombits(y)}
+		checkFMA32(t, &a, &b, &c)
 	})
 }
 
 // TestProbePaths holds the probe's decision to the features each path
-// executes: the four-lane kernels' FMAs fault on an AVX2 host without
+// executes: the eight-lane kernels' FMAs fault on an AVX2 host without
 // FMA, so that host must get the Go loops.
 func TestProbePaths(t *testing.T) {
 	const (
@@ -274,9 +419,9 @@ func TestProbePaths(t *testing.T) {
 		ebx7 = ebx7AVX2 | ebx7AVX512F
 	)
 	for _, tc := range []struct {
-		name        string
-		w           cpuWords
-		four, eight bool
+		name           string
+		w              cpuWords
+		eight, sixteen bool
 	}{
 		{"avx512", cpuWords{0xd, ecx1, ebx7, xcr0ZMM}, true, true},
 		{"avx2", cpuWords{7, ecx1, ebx7AVX2, xcr0YMM}, true, false},
@@ -289,12 +434,12 @@ func TestProbePaths(t *testing.T) {
 		{"no leaf 7", cpuWords{6, ecx1, 0, xcr0ZMM}, false, false},
 		{"nothing", cpuWords{}, false, false},
 	} {
-		four, eight := tc.w.paths()
-		if four != tc.four || eight != tc.eight {
-			t.Errorf("%s: paths() = (%v, %v), want (%v, %v)", tc.name, four, eight, tc.four, tc.eight)
+		eight, sixteen := tc.w.paths()
+		if eight != tc.eight || sixteen != tc.sixteen {
+			t.Errorf("%s: paths() = (%v, %v), want (%v, %v)", tc.name, eight, sixteen, tc.eight, tc.sixteen)
 		}
 	}
-	if four, eight := readCPU().paths(); four != haveAVX2 || eight != haveAVX512 {
-		t.Errorf("probe re-read (%v, %v), at startup (%v, %v)", four, eight, haveAVX2, haveAVX512)
+	if eight, sixteen := readCPU().paths(); eight != haveAVX2 || sixteen != haveAVX512 {
+		t.Errorf("probe re-read (%v, %v), at startup (%v, %v)", eight, sixteen, haveAVX2, haveAVX512)
 	}
 }

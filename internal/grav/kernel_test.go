@@ -71,17 +71,18 @@ func TestEvalSelfCoincidentBodiesAtTileEdges(t *testing.T) {
 	}
 }
 
-// The production kernels (Newton reciprocal square root and FMAs;
-// dispatching and Go-loop forms) must agree with the scalar Karp
-// kernels PPTile/PPSelf/M2P to roundoff across a full mixed evaluation
-// (multipoles + foreign bodies + self) of identical lists, with
-// identical counts, at target counts covering every remainder of the
-// four-lane block: 1e-13 of the largest acceleration, 1e-13 relative
-// in the potential.
+// The production kernels (float32 lanes, Newton reciprocal square
+// root and FMAs; dispatching and Go-loop forms) must agree with the
+// scalar float64 Karp kernels PPTile/PPSelf/M2P to the float32
+// round-off across a full mixed evaluation (multipoles + foreign
+// bodies + self) of identical lists, with identical counts, at target
+// counts covering every remainder of the eight-lane block and a
+// sixteen-lane block with a tail: RoundOff of the largest acceleration,
+// RoundOff relative in the potential.
 func TestEvalMatchesKarpMixedList(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	eps2 := 1e-6
-	for _, nt := range []int{1, 3, 4, 5, 16, 67} {
+	for _, nt := range []int{1, 3, 4, 5, 16, 25, 67} {
 		tpos, tmass := randBodies(rng, nt)
 		spos, smass := randBodies(rng, 150)
 		var cells []Multipole
@@ -128,8 +129,8 @@ func TestEvalMatchesKarpMixedList(t *testing.T) {
 					t.Fatalf("nt=%d quad=%v %s: count %d, Karp %d", nt, quad, name, n, nK)
 				}
 				for i := range acc {
-					if acc[i].Sub(accK[i]).Norm() > 1e-13*scale ||
-						relDiff(pot[i], potK[i]) > 1e-13 {
+					if acc[i].Sub(accK[i]).Norm() > RoundOff*scale ||
+						relDiff(pot[i], potK[i]) > RoundOff {
 						t.Fatalf("nt=%d quad=%v %s body %d: %v/%g, Karp %v/%g",
 							nt, quad, name, i, acc[i], pot[i], accK[i], potK[i])
 					}
@@ -139,32 +140,28 @@ func TestEvalMatchesKarpMixedList(t *testing.T) {
 	}
 }
 
-// rsqrtHardCases are the r2 where a multiply-and-add reciprocal is
-// most likely to part from 1/math.Sqrt: every power of two and its two
-// neighbours (1 and 1 +- ulp, both edges of invSqrt's range, 2^-1000
-// and 2^1000, from either side, among them), squares of s with an
-// all-ones significand and of s one step either side of a power of
-// two, s at 2^-510 and 2^510 and one step past them, subnormals, the
-// largest double, zero, +Inf, negatives and NaN.
-func rsqrtHardCases() []float64 {
-	var c []float64
-	sq := func(s float64) { c = append(c, s*s) }
-	for e := -1074; e <= 1023; e++ {
-		p := math.Ldexp(1, e)
-		c = append(c, p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)))
-		if e > -500 && e < 500 {
+// rsqrt32HardCases are the r2 where a multiply-and-add reciprocal is
+// most likely to part from the correctly rounded one: every power of
+// two and its two neighbours (1 and 1 +- ulp, both edges of
+// invSqrt32's range, 2^-100 and 2^100, from either side, among them),
+// squares of s with an all-ones significand and of s one step either
+// side of a power of two, subnormals, the largest float32, zero, +Inf,
+// negatives and NaN.
+func rsqrt32HardCases() []float32 {
+	var c []float32
+	sq := func(s float32) { c = append(c, s*s) }
+	for e := -149; e <= 127; e++ {
+		p := float32(math.Ldexp(1, e))
+		c = append(c, p, math.Nextafter32(p, 0), math.Nextafter32(p, float32(math.Inf(1))))
+		if e > -60 && e < 60 {
 			sq(p)
-			sq(math.Nextafter(p, 0)) // all-ones significand
-			sq(math.Nextafter(p, math.Inf(1)))
+			sq(math.Nextafter32(p, 0)) // all-ones significand
+			sq(math.Nextafter32(p, float32(math.Inf(1))))
 		}
 	}
-	for _, s := range []float64{math.Ldexp(1, -510), math.Ldexp(1, 510)} {
-		sq(s)
-		sq(math.Nextafter(s, 0))
-		sq(math.Nextafter(s, math.Inf(1)))
-	}
-	return append(c, 0, math.SmallestNonzeroFloat64, 4e-320, math.MaxFloat64,
-		math.Inf(1), math.Inf(-1), -1, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff0000000000001))
+	return append(c, 0, math.SmallestNonzeroFloat32, 1e-44, math.MaxFloat32,
+		float32(math.Inf(1)), float32(math.Inf(-1)), -1, float32(math.Copysign(0, -1)),
+		float32(math.NaN()), math.Float32frombits(0x7f800001))
 }
 
 // sameBits reports whether x and y are the same bits or, with
@@ -175,34 +172,40 @@ func sameBits(x, y float64, nanClass bool) bool {
 	return math.Float64bits(x) == math.Float64bits(y) || nanClass && math.IsNaN(x) && math.IsNaN(y)
 }
 
-// invSqrtULP returns how many ulp invSqrt(r2) lies from
-// 1/math.Sqrt(r2), and false where r2 is out of invSqrt's range and the
-// two differ at all (NaNs by class).
-func invSqrtULP(r2 float64) (int64, bool) {
-	got, want := invSqrt(r2), 1/math.Sqrt(r2)
-	if !(r2 >= rsqrtLo && r2 < rsqrtHi) {
-		return 0, sameBits(got, want, true)
+// sameBits32 is sameBits for float32, NaNs by class.
+func sameBits32(x, y float32) bool {
+	return math.Float32bits(x) == math.Float32bits(y) || x != x && y != y
+}
+
+// invSqrt32ULP returns how many ulp invSqrt32(r2) lies from
+// float32(1/math.Sqrt(r2)), and false where r2 is out of invSqrt32's
+// range and it is not 1 over the float32 square root (VSQRTPS, then
+// VDIVPS) bit for bit (NaNs by class).
+func invSqrt32ULP(r2 float32) (int64, bool) {
+	got, want := invSqrt32(r2), float32(1/math.Sqrt(float64(r2)))
+	if !(r2 >= rsqrt32Lo && r2 < rsqrt32Hi) {
+		return 0, sameBits32(got, 1/float32(math.Sqrt(float64(r2))))
 	}
-	d := int64(math.Float64bits(got)) - int64(math.Float64bits(want))
+	d := int64(math.Float32bits(got)) - int64(math.Float32bits(want))
 	return max(d, -d), true
 }
 
 // TestInvSqrtAccuracy is the kernels' accuracy gate on their
-// reciprocal square root: within 4 ulp of the correctly rounded
-// 1/math.Sqrt on the hard cases and on 10^7 random r2 spread evenly
-// over the exponents of invSqrt's range, exactly 1/math.Sqrt outside
-// it. The worst measured is 3 ulp.
+// reciprocal square root: invSqrt32 within 2 ulp of
+// float32(1/math.Sqrt(r2)) on the hard cases and on 10^7 random r2
+// spread evenly over the exponents of its range, and 1 over the
+// float32 square root outside it. The worst measured is 2 ulp.
 func TestInvSqrtAccuracy(t *testing.T) {
 	var worst int64
-	check := func(r2 float64) {
-		d, ok := invSqrtULP(r2)
-		if !ok || d > 4 {
-			t.Fatalf("r2 = %x (%g): invSqrt %g, 1/math.Sqrt %g (%d ulp; out of range: %v)",
-				math.Float64bits(r2), r2, invSqrt(r2), 1/math.Sqrt(r2), d, !ok)
+	check := func(r2 float32) {
+		d, ok := invSqrt32ULP(r2)
+		if !ok || d > 2 {
+			t.Fatalf("r2 = %x (%g): invSqrt32 %g, 1/math.Sqrt %g (%d ulp; out of range: %v)",
+				math.Float32bits(r2), r2, invSqrt32(r2), 1/math.Sqrt(float64(r2)), d, !ok)
 		}
 		worst = max(worst, d)
 	}
-	for _, r2 := range rsqrtHardCases() {
+	for _, r2 := range rsqrt32HardCases() {
 		check(r2)
 	}
 	n := 10_000_000
@@ -211,7 +214,7 @@ func TestInvSqrtAccuracy(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(33))
 	for range n {
-		check(math.Ldexp(1+rng.Float64(), rng.Intn(2000)-1000))
+		check(float32(math.Ldexp(1+rng.Float64(), rng.Intn(200)-100)))
 	}
 	t.Logf("worst %d ulp", worst)
 }

@@ -19,27 +19,33 @@ import (
 // during a tree walk: body sources as SoA position/mass columns, and
 // accepted cell multipoles as an SoA slab (only the ten moments the
 // kernels read; B2/Bmax are MAC-time data and stay out of the hot
-// columns). The group's own cell is not copied into the source
-// columns; Self records that the walk reached it, and EvalSelf
-// evaluates it directly from the Targets block, all the group's bodies
-// against each other (keeping the self-pair skip, and hence the PP
-// count, exact).
+// columns). The columns are float32, the kernels' precision, and every
+// coordinate in them is relative to Origin: differenced in float64,
+// then rounded (kernel.go's first rule). The group's own cell is not
+// copied into the source columns; Self records that the walk reached
+// it, and EvalSelf evaluates it directly from the Targets block, all
+// the group's bodies against each other (keeping the self-pair skip,
+// and hence the PP count, exact).
 //
 // All storage is reused across Reset calls, so a long-lived list
 // allocates only until its buffers reach the high-water mark.
 type InteractionList struct {
+	// Origin is the frame the coordinates are relative to: the group's
+	// box centre (tree.Walker.Begin).
+	Origin vec.V3
 	// SX, SY, SZ, SM are the source bodies' coordinates and masses.
-	SX, SY, SZ, SM []float64
+	SX, SY, SZ, SM []float32
 	// CM, CX, CY, CZ are the accepted cells' masses and centers of
 	// mass; QXX..QYZ their traceless quadrupoles.
-	CM, CX, CY, CZ               []float64
-	QXX, QYY, QZZ, QXY, QXZ, QYZ []float64
+	CM, CX, CY, CZ               []float32
+	QXX, QYY, QZZ, QXY, QXZ, QYZ []float32
 	// Self records that the group's own bodies interact with each other.
 	Self bool
 }
 
-// Reset empties the list, keeping capacity.
-func (l *InteractionList) Reset() {
+// Reset empties the list and sets its origin, keeping capacity.
+func (l *InteractionList) Reset(origin vec.V3) {
+	l.Origin = origin
 	l.SX, l.SY, l.SZ, l.SM = l.SX[:0], l.SY[:0], l.SZ[:0], l.SM[:0]
 	l.CM, l.CX, l.CY, l.CZ = l.CM[:0], l.CX[:0], l.CY[:0], l.CZ[:0]
 	l.QXX, l.QYY, l.QZZ = l.QXX[:0], l.QYY[:0], l.QZZ[:0]
@@ -49,36 +55,38 @@ func (l *InteractionList) Reset() {
 
 // AddBodies appends a leaf's bodies to the source columns.
 func (l *InteractionList) AddBodies(pos []vec.V3, mass []float64) {
+	o := l.Origin
 	for i := range pos {
-		l.SX = append(l.SX, pos[i].X)
-		l.SY = append(l.SY, pos[i].Y)
-		l.SZ = append(l.SZ, pos[i].Z)
+		l.SX = append(l.SX, rel32(pos[i].X, o.X))
+		l.SY = append(l.SY, rel32(pos[i].Y, o.Y))
+		l.SZ = append(l.SZ, rel32(pos[i].Z, o.Z))
+		l.SM = append(l.SM, float32(mass[i]))
 	}
-	l.SM = append(l.SM, mass...)
 }
 
 // AddCell appends an accepted cell multipole to the slab.
 func (l *InteractionList) AddCell(mp *Multipole) {
-	l.CM = append(l.CM, mp.M)
-	l.CX = append(l.CX, mp.COM.X)
-	l.CY = append(l.CY, mp.COM.Y)
-	l.CZ = append(l.CZ, mp.COM.Z)
-	l.QXX = append(l.QXX, mp.Q.XX)
-	l.QYY = append(l.QYY, mp.Q.YY)
-	l.QZZ = append(l.QZZ, mp.Q.ZZ)
-	l.QXY = append(l.QXY, mp.Q.XY)
-	l.QXZ = append(l.QXZ, mp.Q.XZ)
-	l.QYZ = append(l.QYZ, mp.Q.YZ)
+	o := l.Origin
+	l.CM = append(l.CM, float32(mp.M))
+	l.CX = append(l.CX, rel32(mp.COM.X, o.X))
+	l.CY = append(l.CY, rel32(mp.COM.Y, o.Y))
+	l.CZ = append(l.CZ, rel32(mp.COM.Z, o.Z))
+	l.QXX = append(l.QXX, float32(mp.Q.XX))
+	l.QYY = append(l.QYY, float32(mp.Q.YY))
+	l.QZZ = append(l.QZZ, float32(mp.Q.ZZ))
+	l.QXY = append(l.QXY, float32(mp.Q.XY))
+	l.QXZ = append(l.QXZ, float32(mp.Q.XZ))
+	l.QYZ = append(l.QYZ, float32(mp.Q.YZ))
 }
 
-// ExtendCells lengthens the slab by n rows for the caller to fill and
-// returns the index of the first: a walk that collected its accepted
-// cells gathers them in one loop, behind one capacity check. Growth is
-// append's, geometric, so a reused list stops allocating at its
-// high-water mark.
+// ExtendCells lengthens the slab by n rows for the caller to fill (as
+// AddCell would) and returns the index of the first: a walk that
+// collected its accepted cells gathers them in one loop, behind one
+// capacity check. Growth is append's, geometric, so a reused list stops
+// allocating at its high-water mark.
 func (l *InteractionList) ExtendCells(n int) (at int) {
 	at = len(l.CM)
-	for _, col := range [...]*[]float64{&l.CM, &l.CX, &l.CY, &l.CZ, &l.QXX, &l.QYY, &l.QZZ, &l.QXY, &l.QXZ, &l.QYZ} {
+	for _, col := range [...]*[]float32{&l.CM, &l.CX, &l.CY, &l.CZ, &l.QXX, &l.QYY, &l.QZZ, &l.QXY, &l.QXZ, &l.QYZ} {
 		*col = slices.Grow(*col, n)[:at+n]
 	}
 	return at
@@ -90,15 +98,24 @@ func (l *InteractionList) NSources() int { return len(l.SM) }
 // NCells returns the number of cell multipoles in the list.
 func (l *InteractionList) NCells() int { return len(l.CM) }
 
-// Cell reconstructs slab entry i as a Multipole (B2/Bmax, which the
-// slab does not carry, are zero). For tests and replay tools.
+// Source returns body source i as the kernels see it, back in the
+// global frame. For tests and replay tools.
+func (l *InteractionList) Source(i int) (pos vec.V3, mass float64) {
+	o := l.Origin
+	return vec.V3{X: o.X + float64(l.SX[i]), Y: o.Y + float64(l.SY[i]), Z: o.Z + float64(l.SZ[i])}, float64(l.SM[i])
+}
+
+// Cell reconstructs slab entry i as a Multipole as the kernels see it,
+// back in the global frame (B2/Bmax, which the slab does not carry, are
+// zero). For tests and replay tools.
 func (l *InteractionList) Cell(i int) Multipole {
+	o := l.Origin
 	return Multipole{
-		M:   l.CM[i],
-		COM: vec.V3{X: l.CX[i], Y: l.CY[i], Z: l.CZ[i]},
+		M:   float64(l.CM[i]),
+		COM: vec.V3{X: o.X + float64(l.CX[i]), Y: o.Y + float64(l.CY[i]), Z: o.Z + float64(l.CZ[i])},
 		Q: vec.Sym3{
-			XX: l.QXX[i], YY: l.QYY[i], ZZ: l.QZZ[i],
-			XY: l.QXY[i], XZ: l.QXZ[i], YZ: l.QYZ[i],
+			XX: float64(l.QXX[i]), YY: float64(l.QYY[i]), ZZ: float64(l.QZZ[i]),
+			XY: float64(l.QXY[i]), XZ: float64(l.QXZ[i]), YZ: float64(l.QYZ[i]),
 		},
 	}
 }

@@ -28,7 +28,8 @@ func relDiff(a, b float64) float64 {
 }
 
 // The batched SoA kernels must reproduce the fused AoS kernels to
-// roundoff and report identical interaction counts.
+// the float32 kernels' round-off (RoundOff) and report identical
+// interaction counts.
 func TestEvalPPMatchesPPTile(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tpos, _ := randBodies(rng, 13)
@@ -52,7 +53,7 @@ func TestEvalPPMatchesPPTile(t *testing.T) {
 		t.Fatalf("counts differ: fused %d batched %d", nFused, nBatch)
 	}
 	for i := range acc {
-		if relDiff(acc[i].X, acc2[i].X) > 1e-14 || relDiff(pot[i], pot2[i]) > 1e-14 {
+		if relDiff(acc[i].X, acc2[i].X) > RoundOff || relDiff(pot[i], pot2[i]) > RoundOff {
 			t.Fatalf("body %d: fused %v/%g batched %v/%g", i, acc[i], pot[i], acc2[i], pot2[i])
 		}
 	}
@@ -121,7 +122,7 @@ func TestEvalM2PMatchesM2P(t *testing.T) {
 			t.Fatalf("quad=%v: counts differ: fused %d batched %d", quad, nFused, nBatch)
 		}
 		for i := range acc {
-			if relDiff(acc[i].Z, acc2[i].Z) > 1e-13 || relDiff(pot[i], pot2[i]) > 1e-13 {
+			if relDiff(acc[i].Z, acc2[i].Z) > RoundOff || relDiff(pot[i], pot2[i]) > RoundOff {
 				t.Fatalf("quad=%v body %d: fused %v/%g batched %v/%g", quad, i, acc[i], pot[i], acc2[i], pot2[i])
 			}
 		}
@@ -140,7 +141,7 @@ func TestListReuseAllocatesNothing(t *testing.T) {
 	acc := make([]vec.V3, len(tpos))
 	pot := make([]float64, len(tpos))
 	round := func() {
-		l.Reset()
+		l.Reset(vec.V3{X: 0.5, Y: 0.5, Z: 0.5})
 		l.AddBodies(spos, smass)
 		l.AddCell(&mp)
 		l.Self = true

@@ -149,7 +149,10 @@ type gravWalk struct {
 	lists map[keys.Key][]uint64
 }
 
-func (v *gravWalk) Begin(gk keys.Key, _ *tree.Cell)      { v.w.Begin(gk) }
+func (v *gravWalk) Begin(gk keys.Key, g *tree.Cell) {
+	c, _ := v.Sphere(g)
+	v.w.Begin(gk, c)
+}
 func (v *gravWalk) MAC() bool                            { return true }
 func (v *gravWalk) Cells(cells []*tree.Cell, _ []vec.V3) { v.w.TakeCells(cells) }
 func (v *gravWalk) Leaf(c *tree.Cell) {
@@ -171,10 +174,12 @@ func (v *gravWalk) eval(gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
 	w.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], 1e-6, true, ctr)
 	l := &w.List
 	var words []uint64
-	for _, col := range [][]float64{l.SX, l.SY, l.SZ, l.SM, l.CM, l.CX, l.CY, l.CZ, l.QXX, l.QYZ} {
+	o := l.Origin
+	words = append(words, math.Float64bits(o.X), math.Float64bits(o.Y), math.Float64bits(o.Z))
+	for _, col := range [][]float32{l.SX, l.SY, l.SZ, l.SM, l.CM, l.CX, l.CY, l.CZ, l.QXX, l.QYZ} {
 		words = append(words, uint64(len(col)))
 		for _, f := range col {
-			words = append(words, math.Float64bits(f))
+			words = append(words, uint64(math.Float32bits(f)))
 		}
 	}
 	if l.Self {

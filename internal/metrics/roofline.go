@@ -9,8 +9,8 @@
 // Two flop counts appear. KernelFlops, Intensity and AchievedFlops are
 // in the paper's accounting (38 per interaction, what every rate in
 // the repo is quoted in); ExecutedFlops is what the production
-// kernels really execute (diag.ExecutedFlops: 37 per interaction, 71
-// with quadrupole terms, the same on every kernel path).
+// kernels really execute (diag.ExecutedFlops: 33 per interaction, 67
+// with quadrupole terms, in float32, the same on every kernel path).
 // The ceilings bound executed work, so Ceiling and Utilization are in
 // executed flops: a kernel cannot exceed 100% by being charged for
 // arithmetic it no longer does.
@@ -45,9 +45,9 @@ type Roofline struct {
 	ExecutedFlops          uint64  `json:"executed_flops,omitempty"`
 	ExecutedPerInteraction float64 `json:"executed_flops_per_interaction,omitempty"`
 	// Kernel names the interaction-kernel code path the run's host took
-	// (grav.KernelPath: "avx512", "avx2" or "go"). KernelBytes and
-	// ExecutedFlops depend on it, so two reports compare only at the
-	// same path.
+	// and its precision (grav.KernelPath: "avx512-f32", "avx2-f32" or
+	// "go-f32"). KernelBytes and ExecutedFlops depend on it, so two
+	// reports compare only at the same path.
 	Kernel string `json:"kernel,omitempty"`
 
 	// PeakFlops is the measured (or asserted) compute ceiling, flops/s.
@@ -110,12 +110,12 @@ func (r *Roofline) Calibrate(peakFlops, peakBandwidth float64) {
 	}
 }
 
-// MeasurePeakFlops estimates the host's double-precision compute
+// MeasurePeakFlops estimates the host's single-precision compute
 // ceiling in flops/s for the instruction mix the interaction kernels
-// use: every core runs grav.PeakProbe, chains of independent fused
-// multiply-adds (the kernels' value chains are mostly FMAs, each
-// counted as two flops) at the kernels' width: eight lanes on the
-// AVX-512 path, four on the AVX2 path, scalar in the Go loops. This is
+// use: every core runs grav.PeakProbe, chains of independent float32
+// fused multiply-adds (the kernels' value chains are mostly FMAs, each
+// counted as two flops) at the kernels' width: sixteen lanes on the
+// AVX-512 path, eight on the AVX2 path, scalar fma32 in the Go loops. This is
 // the ceiling they are compared against, stated in the report as
 // "measured".
 func MeasurePeakFlops() float64 {

@@ -128,7 +128,10 @@ func (b engineBodies) MaxRung(local int) int {
 // interaction list.
 type visitor struct{ e *Engine }
 
-func (v *visitor) Begin(gk keys.Key, _ *tree.Cell) { v.e.walker.Begin(gk) }
+func (v *visitor) Begin(gk keys.Key, g *tree.Cell) {
+	c, _ := v.Sphere(g)
+	v.e.walker.Begin(gk, c)
+}
 
 func (v *visitor) Sphere(g *tree.Cell) (vec.V3, float64) {
 	return tree.GroupSphere(v.e.Sys.Pos[g.First : g.First+g.N])

@@ -436,7 +436,10 @@ func (t *forceTarget) add(j int) {
 // is all gravity needs.
 type gravVisitor struct{ e *ParallelEngine }
 
-func (v *gravVisitor) Begin(gk keys.Key, _ *tree.Cell) { v.e.w.Begin(gk) }
+func (v *gravVisitor) Begin(gk keys.Key, g *tree.Cell) {
+	c, _ := v.Sphere(g)
+	v.e.w.Begin(gk, c)
+}
 
 func (v *gravVisitor) MAC() bool { return true }
 

@@ -145,10 +145,11 @@ func ClassifyBound(c *Cell, b *Bound) Action {
 }
 
 // Begin starts a list build for the group with key groupKey: it
-// resets w.List for TakeLeaf and TakeCells.
-func (w *Walker) Begin(groupKey keys.Key) {
+// resets w.List for TakeLeaf and TakeCells, in the frame of the group's
+// box centre, the centre of GroupSphere(gpos).
+func (w *Walker) Begin(groupKey keys.Key, center vec.V3) {
 	w.groupKey = groupKey
-	w.List.Reset()
+	w.List.Reset(center)
 }
 
 // TakeLeaf adds an opened leaf to the list: the group's own cell sets
@@ -163,19 +164,22 @@ func (w *Walker) TakeLeaf(c *Cell, spos []vec.V3, smass []float64) {
 
 // TakeCells gathers a traversal's batch of accepted cells into the
 // list's slab, in order: one capacity check for the batch, then ten
-// indexed stores per cell.
+// indexed stores per cell, the centre of mass relative to the list's
+// origin (as InteractionList.AddCell).
 func (w *Walker) TakeCells(cells []*Cell) {
 	l := &w.List
 	n := len(cells)
 	at := l.ExtendCells(n)
+	o := l.Origin
 	cm, cx, cy, cz := l.CM[at:][:n], l.CX[at:][:n], l.CY[at:][:n], l.CZ[at:][:n]
 	qxx, qyy, qzz := l.QXX[at:][:n], l.QYY[at:][:n], l.QZZ[at:][:n]
 	qxy, qxz, qyz := l.QXY[at:][:n], l.QXZ[at:][:n], l.QYZ[at:][:n]
 	for i, c := range cells {
 		mp := &c.Mp
-		cm[i], cx[i], cy[i], cz[i] = mp.M, mp.COM.X, mp.COM.Y, mp.COM.Z
-		qxx[i], qyy[i], qzz[i] = mp.Q.XX, mp.Q.YY, mp.Q.ZZ
-		qxy[i], qxz[i], qyz[i] = mp.Q.XY, mp.Q.XZ, mp.Q.YZ
+		cm[i] = float32(mp.M)
+		cx[i], cy[i], cz[i] = float32(mp.COM.X-o.X), float32(mp.COM.Y-o.Y), float32(mp.COM.Z-o.Z)
+		qxx[i], qyy[i], qzz[i] = float32(mp.Q.XX), float32(mp.Q.YY), float32(mp.Q.ZZ)
+		qxy[i], qxz[i], qyz[i] = float32(mp.Q.XY), float32(mp.Q.XZ), float32(mp.Q.YZ)
 	}
 }
 
@@ -195,9 +199,9 @@ func (w *Walker) Leaf(c *Cell) {
 // branches. A tree holds every cell below its root, so missing is
 // always nil; the result remains for callers that check it.
 func (w *Walker) Walk(t *Tree, groupKey keys.Key, gpos []vec.V3, ctr *diag.Counters) (missing []keys.Key) {
-	w.Begin(groupKey)
-	w.src, w.d.Leaves = t, w
 	gc, gr := GroupSphere(gpos)
+	w.Begin(groupKey, gc)
+	w.src, w.d.Leaves = t, w
 	w.d.Aim(groupKey, gc, gr)
 	ctr.Traversals += t.Descend(&w.d, 0, 1, true)
 	w.TakeCells(w.d.Accepted)

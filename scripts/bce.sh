@@ -4,7 +4,7 @@
 # definition everywhere, and the production path wherever the assembly
 # is not) and for the Go glue that feeds grav's assembly
 # (internal/grav/kernel_amd64.go: the lane loads and stores of every
-# four- and eight-target block).
+# eight- and sixteen-target block).
 #
 # Builds the packages with -d=ssa/check_bce and compares the checks the
 # compiler could NOT eliminate in those three files against the
@@ -15,14 +15,15 @@
 # fails the guard.
 #
 # What the golden admits: in the two kernel.go files IsSliceInBounds
-# only, the once-per-call re-slices of every column to the one shared
-# length (sx[:n] and friends at the top of ppGo, m2pQuadGo and
-# EvalSelf; the columns and target slices at the top of evalVelPPGo
-# and evalVelMonoGo). That re-slice is what lets prove drop every index
-# check, so the loops themselves are check-free. In kernel_amd64.go the
-# same re-slices at the top of loadLanes/addLanes, and three IsInBounds
-# in pp and m2pQuad: the first element of the source columns, taken
-# once per call, outside the block loop. There is no tile to carve
+# only, the re-slices of every column to one shared length (sx[:n] and
+# friends at the top of ppGo, m2pQuadGo and EvalSelf, and at every
+# fold of ppGo and m2pQuadGo, once per foldK sources; the columns and
+# target slices at the top of evalVelPPGo and evalVelMonoGo). That
+# re-slice is what lets prove drop every index check, so the loops
+# themselves are check-free. In kernel_amd64.go the same re-slices at
+# the top of loadLanes/addLanes, and three IsInBounds in pp and
+# m2pQuad: the first element of the source columns, taken once per
+# call, outside the block loop. There is no tile to carve
 # and no seed table to index any more.
 #
 # Run with -update after a deliberate kernel change to regenerate the
