@@ -71,8 +71,8 @@ func main() {
 		float64(grouped)/float64(sampled), float64(perBody)/float64(sampled), sampled)
 	fmt.Printf("flops (38/interaction): %d\n", flops)
 	gflops := float64(flops) / wall / 1e9
-	fmt.Printf("host: %.2fs wall, %s kernels, %.2f Gflops-equivalent counted, %.2f at the per-body walk's count\n",
-		wall, grav.KernelPath(), gflops, gflops*float64(perBody)/float64(grouped))
+	fmt.Printf("host: %.2fs wall, %s kernels (%s), %.2f Gflops-equivalent counted, %.2f at the per-body walk's count\n",
+		wall, grav.KernelPath(), grav.KernelBlock(), gflops, gflops*float64(perBody)/float64(grouped))
 	comm := res.World.MaxRankTraffic()
 	fmt.Printf("comm (max rank): %d msgs, %.2f MB\n", comm.Msgs, float64(comm.Bytes)/1e6)
 	if *dtmode == "block" {

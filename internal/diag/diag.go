@@ -46,10 +46,11 @@ const (
 
 // What the production kernels (internal/grav kernel.go) execute per
 // interaction the paper's accounting charges 38 (or 38+70) for, an FMA
-// counting two, in float32. Every path -- sixteen lanes, eight, or the
-// Go loops -- executes the same arithmetic, reciprocal square root
-// included, so these do not depend on the lane count. The float64
-// fold, four adds per target every 128 sources, is not charged. Counted flops stay the
+// counting two, in float32. Every path -- a ZMM block of eight targets
+// × two sources, a YMM block of four × two, or the Go loops -- executes
+// the same arithmetic, reciprocal square root included, so these do not
+// depend on the block. The float64 fold, eight adds per target every
+// 128 sources, is not charged. Counted flops stay the
 // paper's -- rates remain comparable with its tables -- and the
 // roofline, a statement about this machine, uses these.
 const (
@@ -71,11 +72,13 @@ const (
 
 // Bytes-moved accounting for the interaction kernels (internal/grav),
 // the denominator of the roofline's arithmetic intensity. The kernels
-// share each source row across the block of targets in a register's
-// lanes -- 16 with AVX-512, 8 with AVX2, 1 in the Go loops -- so the
-// memory traffic charged per interaction is the row divided by the
-// lane count; target rows and accumulators stay in registers for a
-// whole sweep, so they are not charged against DRAM bandwidth.
+// share each source row across the block of targets in a register --
+// 8 with AVX-512 and 4 with AVX2, each target in two lanes that take
+// the row's sources in pairs, 1 in the Go loops -- so the memory
+// traffic charged per interaction is the row divided by the block's
+// target count (grav.Lanes); target rows and accumulators stay in
+// registers for a whole sweep, so they are not charged against DRAM
+// bandwidth.
 const (
 	// BytesPerSourceRow: a body source row (x,y,z,m) or a monopole row
 	// (cm,cx,cy,cz), four float32 columns.
@@ -86,8 +89,9 @@ const (
 )
 
 // KernelBytes returns the bytes moved through the interaction kernels
-// under the accounting above when lanes targets share each row: the
-// roofline denominator paired with Flops as the numerator.
+// under the accounting above when lanes targets share each row (a
+// block's targets, not its register lanes): the roofline denominator
+// paired with Flops as the numerator.
 func (c *Counters) KernelBytes(lanes int) uint64 {
 	return ((c.PP+c.PC)*BytesPerSourceRow + c.QuadPC*BytesPerQuadRow) / uint64(lanes)
 }

@@ -24,9 +24,9 @@ func TestCountersFlops(t *testing.T) {
 	}
 }
 
-// The executed bytes follow the kernel path, rows shared by 16, 8 or 1
-// targets; the executed flops do not, since every path runs the same
-// float32 arithmetic, reciprocal square root included.
+// The executed bytes follow the kernel path, rows shared by the 8, 4 or
+// 1 targets of a block; the executed flops do not, since every path
+// runs the same float32 arithmetic, reciprocal square root included.
 func TestExecutedAccountingByPath(t *testing.T) {
 	c := Counters{PP: 10, PC: 6, QuadPC: 4, VortexPP: 1}
 	const flops = 16*33 + 4*34
@@ -41,8 +41,8 @@ func TestExecutedAccountingByPath(t *testing.T) {
 		bytes uint64
 	}{
 		{1, 16*16 + 4*24},
+		{4, (16*16 + 4*24) / 4},
 		{8, (16*16 + 4*24) / 8},
-		{16, (16*16 + 4*24) / 16},
 	} {
 		if got := c.KernelBytes(tc.lanes); got != tc.bytes {
 			t.Errorf("lanes %d: kernel bytes %d, want %d", tc.lanes, got, tc.bytes)

@@ -1,15 +1,17 @@
 package grav_test
 
 // Interaction kernels: the production kernels as dispatched on this
-// host (sixteen-lane blocks on amd64 with AVX-512, eight-lane with
-// AVX2), the eight-lane path forced (the AVX2 rows), and their
+// host (blocks of eight targets × two sources on amd64 with AVX-512,
+// four × two with AVX2), the YMM path forced (the AVX2 rows), and their
 // definition, the Go loops called directly, on real interaction lists
 // captured from a 100k-body clustered walk so group sizes and list
-// lengths are production ones; and the dispatched kernels on one full
-// block of sixteen targets over a long random list (the Row rows). All
-// must run allocation-free at steady state.
+// lengths are production ones; and the dispatched kernels on a group of
+// 4, 8 or 16 targets over a long random list (the Row rows: a lone
+// tail block, one full ZMM block, two). All must run allocation-free
+// at steady state.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -140,11 +142,14 @@ func BenchmarkAblation_EvalM2PGo(b *testing.B) { benchEvalM2P(b, grav.EvalM2PGo)
 // block's set-up and the sums' store are noise against the sweep.
 const rowSources = 4096
 
-// benchEvalRow times one full sixteen-target block over rowSources
-// random sources (or cells) as dispatched, and reports ns per source
-// row and per interaction: a kernel's throughput with no lane padding
-// and no list-length mix in it, which the fixture benches above carry.
-func benchEvalRow(b *testing.B, eval func(*grav.Targets, *grav.InteractionList) uint64) {
+// rowTargets are the Row benches' group sizes.
+var rowTargets = []int{4, 8, 16}
+
+// benchEvalRow times a group of nt targets over rowSources random
+// sources (or cells) as dispatched, and reports ns per source row and
+// per interaction: a kernel's throughput on a block shape with no
+// list-length mix in it, which the fixture benches above carry.
+func benchEvalRow(b *testing.B, nt int, eval func(*grav.Targets, *grav.InteractionList) uint64) {
 	rng := rand.New(rand.NewSource(33))
 	col := func(n int, scale float64) []float64 {
 		c := make([]float64, n)
@@ -160,7 +165,6 @@ func benchEvalRow(b *testing.B, eval func(*grav.Targets, *grav.InteractionList) 
 		}
 		return c
 	}
-	const nt = 16
 	tg := grav.Targets{X: col(nt, 1), Y: col(nt, 1), Z: col(nt, 1),
 		AX: col(nt, 0), AY: col(nt, 0), AZ: col(nt, 0), Pot: col(nt, 0)}
 	l := grav.InteractionList{
@@ -176,13 +180,19 @@ func benchEvalRow(b *testing.B, eval func(*grav.Targets, *grav.InteractionList) 
 		eval(&tg, &l)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rowSources, "ns/row")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rowSources/nt, "ns/inter")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rowSources/float64(nt), "ns/inter")
+}
+
+func benchEvalRows(b *testing.B, eval func(*grav.Targets, *grav.InteractionList) uint64) {
+	for _, nt := range rowTargets {
+		b.Run(fmt.Sprintf("targets=%d", nt), func(b *testing.B) { benchEvalRow(b, nt, eval) })
+	}
 }
 
 func BenchmarkAblation_EvalRowPP(b *testing.B) {
-	benchEvalRow(b, func(t *grav.Targets, l *grav.InteractionList) uint64 { return grav.EvalPP(t, l, 1e-6) })
+	benchEvalRows(b, func(t *grav.Targets, l *grav.InteractionList) uint64 { return grav.EvalPP(t, l, 1e-6) })
 }
 
 func BenchmarkAblation_EvalRowM2P(b *testing.B) {
-	benchEvalRow(b, func(t *grav.Targets, l *grav.InteractionList) uint64 { return grav.EvalM2P(t, l, true, 1e-6) })
+	benchEvalRows(b, func(t *grav.Targets, l *grav.InteractionList) uint64 { return grav.EvalM2P(t, l, true, 1e-6) })
 }

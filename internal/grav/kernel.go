@@ -10,11 +10,15 @@
 //     coordinates are differenced from it in float64 and only then
 //     rounded to float32, so a close pair keeps its digits wherever it
 //     sits in the box.
-//   - Float64 folding. A target's four sums start at zero, sweep at
-//     most foldK sources in list order in float32, and are then added
-//     to the target's float64 output slots; the next foldK start from
-//     zero again. A float32 sum's relative round-off is then bounded
-//     by foldK*2^-24 (7.6e-6), not by the list's length.
+//   - Float64 folding. The list is cut into chunks of foldK sources
+//     (the last maybe shorter), each starting at an even position. Per
+//     chunk a target keeps two float32 partial sums of each of its four
+//     outputs: one over the chunk's even positions, one over its odd
+//     ones, each from zero in list order. fold adds the two in float64
+//     to the target's float64 output slot. A partial's relative
+//     round-off is then bounded by (foldK/2)*2^-24, within RoundOff,
+//     not by the list's length; and a target's bits depend on its list
+//     alone, not on which other targets share its block.
 //   - One rounding per operation. Every product that feeds a sum is an
 //     explicit fma32, a float32 fused multiply-add correctly rounded
 //     in software (Go has none, and float32(math.FMA(...)) rounds
@@ -27,13 +31,16 @@
 // The reciprocal square root is the paper's: multiplies and adds alone
 // (invSqrt32: a bit-trick seed and three Newton steps, as Karp took it
 // from a table and two). On amd64 (kernel_amd64.go/.s) the same loops
-// run with sixteen targets in the sixteen lanes of a ZMM register
-// where AVX-512 is usable, and eight in a YMM register where AVX2 and
-// FMA are, each source broadcast to all of them, using only lane-wise
-// subtract, multiply and fused multiply-add: every lane executes
-// exactly the scalar sequence below, so the assembly is bit-identical
-// to these loops by construction, and tests hold it to that at both
-// widths (TestKernelAsmMatchesGo, TestRsqrtLanesMatchGo, FuzzFMA32).
+// run in lane pairs: a target in two adjacent lanes, one summing the
+// even positions and one the odd, and a source pair broadcast to every
+// lane pair -- eight targets × two sources in a ZMM register where
+// AVX-512 is usable, four × two in a YMM register where AVX2 and FMA
+// are -- using only lane-wise subtract, multiply and fused
+// multiply-add: every lane executes exactly the scalar sequence below
+// for its partial sum, so the assembly is bit-identical to these loops
+// by construction, and tests hold it to that on both blocks
+// (TestKernelAsmMatchesGo, FuzzKernelLanes, TestRsqrtLanesMatchGo,
+// FuzzFMA32).
 // The divider and square root run only where r2 is out of invSqrt32's
 // range, out of line in the assembly. Nothing selects a path but the
 // CPU probe.
@@ -54,6 +61,7 @@
 package grav
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/vec"
@@ -61,18 +69,20 @@ import (
 
 // foldK is how many sources a float32 sweep covers before its sums
 // fold into float64: foldK*2^-24 = 7.6e-6 bounds a sweep's relative
-// round-off, far below the 1e-4 force error of the default MAC.
+// round-off, far below the 1e-4 force error of the default MAC. The
+// assembly's chunks are foldK long too (kernel_amd64.s).
 const foldK = 128
 
 // RoundOff bounds the relative round-off of EvalPP and EvalM2P against
-// the same interactions summed in float64: a fold of foldK terms, each
-// a few ulp off, is within foldK*2^-24 of the magnitudes it adds. It is
-// the tolerance a float64 replay of a list is held to.
+// the same interactions summed in float64: a chunk's two partial sums
+// of foldK/2 terms each, each term a few ulp off, are within
+// foldK*2^-24 of the magnitudes they add. It is the tolerance a float64
+// replay of a list is held to.
 const RoundOff = foldK * 0x1p-24
 
 // HaveAVX2 is the probe's verdict for the other packages' four-lane
 // kernels (internal/vortex), so that one probe selects every path: AVX2
-// and FMA, the eight-lane gravity kernels' requirement.
+// and FMA, the YMM gravity kernels' requirement.
 func HaveAVX2() bool { return haveAVX2 }
 
 // KernelPath names the code path the CPU probe selected for EvalPP and
@@ -88,16 +98,25 @@ func KernelPath() string {
 	return "go-f32"
 }
 
-// Lanes is how many targets share each source row on that path: 16, 8,
-// or 1 for the Go loops.
+// Lanes is how many targets share each source row on that path: the
+// targets of one block, 8 (ZMM) or 4 (YMM), or 1 for the Go loops.
 func Lanes() int {
 	switch {
 	case haveAVX512:
-		return 16
-	case haveAVX2:
 		return 8
+	case haveAVX2:
+		return 4
 	}
 	return 1
+}
+
+// KernelBlock describes that path's block: "8 targets × 2 sources",
+// "4 targets × 2 sources" or "1 target × 1 source".
+func KernelBlock() string {
+	if n := Lanes(); n > 1 {
+		return fmt.Sprintf("%d targets × 2 sources", n)
+	}
+	return "1 target × 1 source"
 }
 
 // EvalPP applies every body source of the list to every target.
@@ -220,8 +239,19 @@ const (
 // the origin in float64, then rounded.
 func rel32(x, o float64) float32 { return float32(x - o) }
 
+// partial is a target's float32 sums over the sources at one parity of
+// a chunk's positions.
+type partial struct{ ax, ay, az, p float32 }
+
+// fold adds a target's two partial sums of one output over a chunk,
+// its even and its odd positions, in float64, and that to the output
+// slot: the last step of the kernels' definition. The lane kernels
+// execute the same two float64 additions, VADDPD on the widened lanes.
+func fold(out *float64, even, odd float32) { *out += float64(even) + float64(odd) }
+
 // ppGo is the body-body kernel: sources (sx, sy, sz, sm), relative to
-// o, on every target of t, foldK sources per float32 sweep.
+// o, on every target of t, in chunks of foldK sources, each source
+// added to its target's partial of its position's parity.
 // Re-slicing the columns to one shared length hands the prove pass
 // the bounds, so the inner loop is check-free (scripts/bce.sh).
 func ppGo(t *Targets, o vec.V3, sx, sy, sz, sm []float32, eps2 float32) {
@@ -235,30 +265,32 @@ func ppGo(t *Targets, o vec.V3, sx, sy, sz, sm []float32, eps2 float32) {
 		for lo := 0; lo < n; lo += foldK {
 			m := sm[lo:min(lo+foldK, n)]
 			x, y, z := sx[lo:][:len(m)], sy[lo:][:len(m)], sz[lo:][:len(m)]
-			var ax, ay, az, p float32
+			var s [2]partial
 			for j := range m {
+				a := &s[j&1]
 				dx := x[j] - xi
 				dy := y[j] - yi
 				dz := z[j] - zi
 				r2 := fma32(dz, dz, fma32(dy, dy, fma32(dx, dx, eps2)))
 				rv := invSqrt32(r2)
 				rin3 := m[j] * (rv * (rv * rv))
-				ax = fma32(rin3, dx, ax)
-				ay = fma32(rin3, dy, ay)
-				az = fma32(rin3, dz, az)
-				p = fma32(-m[j], rv, p)
+				a.ax = fma32(rin3, dx, a.ax)
+				a.ay = fma32(rin3, dy, a.ay)
+				a.az = fma32(rin3, dz, a.az)
+				a.p = fma32(-m[j], rv, a.p)
 			}
-			oax[i] += float64(ax)
-			oay[i] += float64(ay)
-			oaz[i] += float64(az)
-			opot[i] += float64(p)
+			fold(&oax[i], s[0].ax, s[1].ax)
+			fold(&oay[i], s[0].ay, s[1].ay)
+			fold(&oaz[i], s[0].az, s[1].az)
+			fold(&opot[i], s[0].p, s[1].p)
 		}
 	}
 }
 
-// m2pQuadGo is the monopole+quadrupole kernel, folded like ppGo. The
-// difference d points from target to cell COM and the quadrupole terms
-// are written in d directly (Q.d flips sign with d, d.Q.d does not):
+// m2pQuadGo is the monopole+quadrupole kernel, in chunks and partial
+// sums like ppGo. The difference d points from target to cell COM and
+// the quadrupole terms are written in d directly (Q.d flips sign with
+// d, d.Q.d does not):
 //
 //	a   = (M/r^3 + (5/2)(d.Q.d)/r^7) d - Q.d/r^5
 //	phi = -(M/r + (d.Q.d)/(2 r^5))
@@ -276,8 +308,9 @@ func m2pQuadGo(t *Targets, l *InteractionList, eps2 float32) {
 			cx, cy, cz := l.CX[lo:][:k], l.CY[lo:][:k], l.CZ[lo:][:k]
 			qxx, qyy, qzz := l.QXX[lo:][:k], l.QYY[lo:][:k], l.QZZ[lo:][:k]
 			qxy, qxz, qyz := l.QXY[lo:][:k], l.QXZ[lo:][:k], l.QYZ[lo:][:k]
-			var ax, ay, az, p float32
+			var s [2]partial
 			for j := range cm {
+				a := &s[j&1]
 				da := cx[j] - xi
 				db := cy[j] - yi
 				dc := cz[j] - zi
@@ -291,15 +324,15 @@ func m2pQuadGo(t *Targets, l *InteractionList, eps2 float32) {
 				qdz := fma32(qzz[j], dc, fma32(qyz[j], db, qxz[j]*da))
 				dqd := fma32(dc, qdz, fma32(db, qdy, da*qdx))
 				mc := fma32(dqd, 2.5*(rv5*rv2), cm[j]*rv3) // M/r^3 + (5/2)(d.Q.d)/r^7
-				ax = fma32(mc, da, fma32(-qdx, rv5, ax))
-				ay = fma32(mc, db, fma32(-qdy, rv5, ay))
-				az = fma32(mc, dc, fma32(-qdz, rv5, az))
-				p = fma32(-cm[j], rv, fma32(dqd, -0.5*rv5, p))
+				a.ax = fma32(mc, da, fma32(-qdx, rv5, a.ax))
+				a.ay = fma32(mc, db, fma32(-qdy, rv5, a.ay))
+				a.az = fma32(mc, dc, fma32(-qdz, rv5, a.az))
+				a.p = fma32(-cm[j], rv, fma32(dqd, -0.5*rv5, a.p))
 			}
-			oax[i] += float64(ax)
-			oay[i] += float64(ay)
-			oaz[i] += float64(az)
-			opot[i] += float64(p)
+			fold(&oax[i], s[0].ax, s[1].ax)
+			fold(&oay[i], s[0].ay, s[1].ay)
+			fold(&oaz[i], s[0].az, s[1].az)
+			fold(&opot[i], s[0].p, s[1].p)
 		}
 	}
 }

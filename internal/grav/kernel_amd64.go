@@ -3,9 +3,9 @@ package grav
 import "repro/internal/vec"
 
 // haveAVX2 and haveAVX512 are the one-time CPUID/XGETBV probe. They are
-// the only thing that selects a kernel path: sixteen-lane blocks where
-// AVX-512 is usable, eight-lane blocks where AVX2 and FMA are, the Go
-// loops elsewhere.
+// the only thing that selects a kernel path: blocks of eight targets ×
+// two sources where AVX-512 is usable, four targets × two sources where
+// AVX2 and FMA are, the Go loops elsewhere.
 var haveAVX2, haveAVX512 = readCPU().paths()
 
 func cpuid(leaf, sub uint32) (a, b, c, d uint32)
@@ -45,10 +45,10 @@ func readCPU() cpuWords {
 	return w
 }
 
-// paths is the probe's decision. The eight-lane kernels need AVX2 and
-// FMA with the OS saving YMM state; the sixteen-lane ones need all of
-// that (they finish a group on an eight-lane block), AVX512F and the
-// OS saving the opmask and ZMM state.
+// paths is the probe's decision. The YMM kernels need AVX2 and FMA with
+// the OS saving YMM state; the ZMM ones need AVX512F and the OS saving
+// the opmask and ZMM state, and are only taken where the YMM ones run
+// too, so that one verdict, haveAVX2, says whether any kernel does.
 func (w cpuWords) paths() (avx2, avx512 bool) {
 	const ecx1 = ecx1FMA | ecx1OSXSAVE | ecx1AVX
 	avx2 = w.maxLeaf >= 7 && w.ecx1&ecx1 == ecx1 && w.xcr0&xcr0YMM == xcr0YMM && w.ebx7&ebx7AVX2 != 0
@@ -56,44 +56,40 @@ func (w cpuWords) paths() (avx2, avx512 bool) {
 	return avx2, avx512
 }
 
-// laneBlock16 is what the sixteen-lane assembly reads its targets
-// from: x[16] y[16] z[16], relative to the list's origin, and eps2 in
-// all sixteen lanes. laneBlock8 is the same at eight lanes.
+// laneBlock16 is what the ZMM pair kernels read their targets from,
+// sixteen lanes to a column: eight targets, target k in lanes 2k and
+// 2k+1, as x y z relative to the list's origin, and eps2 in every lane.
+// laneBlock8 is the same at eight lanes, four targets, for the YMM
+// kernels, and four columns more where they keep their sums across an
+// odd last source.
 type (
-	laneBlock16 [64]float32
-	laneBlock8  [32]float32
+	laneBlock16 [4 * 16]float32
+	laneBlock8  [8 * 8]float32
 )
 
-// laneSums16 is what the sixteen-lane assembly writes: the lanes'
-// ax[16] ay[16] az[16] pot[16], each accumulated from zero in list
-// order over the sweep's sources. laneSums8 is the same at eight lanes.
-type (
-	laneSums16 [64]float32
-	laneSums8  [32]float32
-)
-
-// pp16 sweeps sources [lo, hi) of the columns (sx, sy, sz, sm) over the
-// block's targets.
+// pp8x2 sweeps the n sources of the columns (sx, sy, sz, sm) over the
+// block's targets in chunks of foldK, and folds each chunk's lane pairs
+// into targets [0, m) of the output columns out (ax ay az pot) as fold
+// does: even + odd, then that added to the output, both in float64.
 //
 //go:noescape
-func pp16(tg *laneBlock16, sx, sy, sz, sm *float32, lo, hi int, out *laneSums16)
+func pp8x2(b *laneBlock16, sx, sy, sz, sm *float32, n int, out *[4]*float64, m int)
 
-// pp8 is pp16 at eight lanes.
+// pp4x2 is pp8x2 on a YMM block.
 //
 //go:noescape
-func pp8(tg *laneBlock8, sx, sy, sz, sm *float32, lo, hi int, out *laneSums8)
+func pp4x2(b *laneBlock8, sx, sy, sz, sm *float32, n int, out *[4]*float64, m int)
 
-// m2pQuad16 sweeps cells [lo, hi) of the slab over the block's
-// targets; cols holds the slab columns in the order cm cx cy cz qxx qyy
-// qzz qxy qxz qyz.
+// m2pQuad8x2 is pp8x2 for the n cells of the slab; cols holds the slab
+// columns in the order cm cx cy cz qxx qyy qzz qxy qxz qyz.
 //
 //go:noescape
-func m2pQuad16(tg *laneBlock16, cols *[10]*float32, lo, hi int, out *laneSums16)
+func m2pQuad8x2(b *laneBlock16, cols *[10]*float32, n int, out *[4]*float64, m int)
 
-// m2pQuad8 is m2pQuad16 at eight lanes.
+// m2pQuad4x2 is m2pQuad8x2 on a YMM block.
 //
 //go:noescape
-func m2pQuad8(tg *laneBlock8, cols *[10]*float32, lo, hi int, out *laneSums8)
+func m2pQuad4x2(b *laneBlock8, cols *[10]*float32, n int, out *[4]*float64, m int)
 
 // mulAdd8 runs n steps of eight independent eight-lane float32 fused
 // multiply-add chains and stores their lane-wise sum; mulAdd16 is the
@@ -112,70 +108,33 @@ func mulAdd16(n int, out *[16]float32)
 //go:noescape
 func fmaLanes8(a, b, c *[8]float32)
 
-func (b *laneBlock16) load(t *Targets, o vec.V3, i int) int {
-	return loadLanes(b[0:16], b[16:32], b[32:48], t, o, i)
-}
-
-func (b *laneBlock8) load(t *Targets, o vec.V3, i int) int {
-	return loadLanes(b[0:8], b[8:16], b[16:24], t, o, i)
-}
-
-func (b *laneBlock16) setEps(eps2 float32) {
-	for k := 48; k < 64; k++ {
-		b[k] = eps2
-	}
-}
-
-func (b *laneBlock8) setEps(eps2 float32) {
-	for k := 24; k < 32; k++ {
-		b[k] = eps2
-	}
-}
-
-func (s *laneSums16) addTo(t *Targets, i, m int) {
-	addLanes(s[0:16], s[16:32], s[32:48], s[48:64], t, i, m)
-}
-
-func (s *laneSums8) addTo(t *Targets, i, m int) {
-	addLanes(s[0:8], s[8:16], s[16:24], s[24:32], t, i, m)
-}
-
-// loadLanes gathers targets [i, i+len(x)) of t into the lanes x, y, z,
-// relative to o, and returns how many of them exist: the spare lanes of
-// a group's last block repeat its last target, and addLanes discards
-// what they compute.
-func loadLanes(x, y, z []float32, t *Targets, o vec.V3, i int) int {
-	n := len(t.X)
-	tx, ty, tz := t.X[i:n], t.Y[i:n], t.Z[i:n]
-	last := min(len(x), len(tx)) - 1
-	if last < 0 {
-		return 0
-	}
+// sweep loads every block of t's targets into the lane pairs of in (x
+// y z eps2, a quarter of it each), points out at the block's output
+// slots and runs kernel on it, which sweeps the list and folds into
+// the first m of them. The spare pairs of a group's last block repeat
+// its last target, and nothing folds what they compute.
+func sweep(in []float32, out *[4]*float64, t *Targets, o vec.V3, eps2 float32, kernel func(m int)) {
+	w := len(in) / 4
+	x, y, z, eps := in[0:w], in[w:2*w], in[2*w:3*w], in[3*w:4*w]
 	y, z = y[:len(x)], z[:len(x)]
-	for k := range x {
-		j := min(k, last)
-		x[k], y[k], z[k] = rel32(tx[j], o.X), rel32(ty[j], o.Y), rel32(tz[j], o.Z)
+	for k := range eps {
+		eps[k] = eps2
 	}
-	return last + 1
-}
-
-// addLanes folds the first m lanes' float32 sums into targets [i, i+m)
-// of t.
-func addLanes(ax, ay, az, pot []float32, t *Targets, i, m int) {
-	oax, oay, oaz, opot := t.AX[i:i+m], t.AY[i:i+m], t.AZ[i:i+m], t.Pot[i:i+m]
-	ax, ay, az, pot = ax[:m], ay[:m], az[:m], pot[:m]
-	for k := range oax {
-		oax[k] += float64(ax[k])
-		oay[k] += float64(ay[k])
-		oaz[k] += float64(az[k])
-		opot[k] += float64(pot[k])
+	for i := 0; i < len(t.X); i += w / 2 {
+		tx := t.X[i:]
+		ty, tz := t.Y[i:][:len(tx)], t.Z[i:][:len(tx)]
+		m := min(w/2, len(tx))
+		for l := range x {
+			j := min(l/2, m-1)
+			x[l], y[l], z[l] = rel32(tx[j], o.X), rel32(ty[j], o.Y), rel32(tz[j], o.Z)
+		}
+		*out = [4]*float64{&t.AX[i], &t.AY[i], &t.AZ[i], &t.Pot[i]}
+		kernel(m)
 	}
 }
 
-// pp and m2pQuad take sixteen-lane blocks while more than eight targets
-// remain and finish with one eight-lane block, so a group pads no more
-// lanes than at eight. Each block sweeps the list foldK sources at a
-// time and folds the sums after every sweep, as the Go loops do.
+// pp and m2pQuad run the pair kernels on every block of eight targets
+// where AVX-512 is usable, of four where AVX2 is.
 func pp(t *Targets, o vec.V3, sx, sy, sz, sm []float32, eps2 float32) {
 	if !haveAVX2 {
 		ppGo(t, o, sx, sy, sz, sm, eps2)
@@ -183,29 +142,14 @@ func pp(t *Targets, o vec.V3, sx, sy, sz, sm []float32, eps2 float32) {
 	}
 	n := len(sm)
 	x, y, z, m0 := &sx[:n][0], &sy[:n][0], &sz[:n][0], &sm[0]
-	i := 0
+	var out [4]*float64
 	if haveAVX512 {
-		var tg laneBlock16
-		var out laneSums16
-		tg.setEps(eps2)
-		for ; len(t.X)-i > 8; i += 16 {
-			m := tg.load(t, o, i)
-			for lo := 0; lo < n; lo += foldK {
-				pp16(&tg, x, y, z, m0, lo, min(lo+foldK, n), &out)
-				out.addTo(t, i, m)
-			}
-		}
+		var b laneBlock16
+		sweep(b[:], &out, t, o, eps2, func(m int) { pp8x2(&b, x, y, z, m0, n, &out, m) })
+		return
 	}
-	var tg laneBlock8
-	var out laneSums8
-	tg.setEps(eps2)
-	for ; i < len(t.X); i += 8 {
-		m := tg.load(t, o, i)
-		for lo := 0; lo < n; lo += foldK {
-			pp8(&tg, x, y, z, m0, lo, min(lo+foldK, n), &out)
-			out.addTo(t, i, m)
-		}
-	}
+	var b laneBlock8
+	sweep(b[:32], &out, t, o, eps2, func(m int) { pp4x2(&b, x, y, z, m0, n, &out, m) })
 }
 
 func m2pQuad(t *Targets, l *InteractionList, eps2 float32) {
@@ -219,34 +163,19 @@ func m2pQuad(t *Targets, l *InteractionList, eps2 float32) {
 		&l.QXX[:n][0], &l.QYY[:n][0], &l.QZZ[:n][0],
 		&l.QXY[:n][0], &l.QXZ[:n][0], &l.QYZ[:n][0],
 	}
-	i := 0
+	var out [4]*float64
 	if haveAVX512 {
-		var tg laneBlock16
-		var out laneSums16
-		tg.setEps(eps2)
-		for ; len(t.X)-i > 8; i += 16 {
-			m := tg.load(t, l.Origin, i)
-			for lo := 0; lo < n; lo += foldK {
-				m2pQuad16(&tg, &cols, lo, min(lo+foldK, n), &out)
-				out.addTo(t, i, m)
-			}
-		}
+		var b laneBlock16
+		sweep(b[:], &out, t, l.Origin, eps2, func(m int) { m2pQuad8x2(&b, &cols, n, &out, m) })
+		return
 	}
-	var tg laneBlock8
-	var out laneSums8
-	tg.setEps(eps2)
-	for ; i < len(t.X); i += 8 {
-		m := tg.load(t, l.Origin, i)
-		for lo := 0; lo < n; lo += foldK {
-			m2pQuad8(&tg, &cols, lo, min(lo+foldK, n), &out)
-			out.addTo(t, i, m)
-		}
-	}
+	var b laneBlock8
+	sweep(b[:32], &out, t, l.Origin, eps2, func(m int) { m2pQuad4x2(&b, &cols, n, &out, m) })
 }
 
 // PeakProbe executes n steps of eight independent float32 fused
 // multiply-add chains, the kernels' instruction mix at the kernels'
-// width (sixteen lanes, eight, or scalar), and returns the flops that
+// register width (sixteen lanes, eight, or scalar), and returns the flops that
 // took and a value depending on every chain: the roofline's
 // compute-ceiling probe.
 func PeakProbe(n int) (flops, witness float64) {

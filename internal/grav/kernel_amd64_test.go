@@ -8,82 +8,16 @@ import (
 	"repro/internal/vec"
 )
 
-// column returns n random values as a sub-slice starting off elements
-// into its backing array, so columns sit at every 8-byte phase of a
-// 32-byte vector.
-func column(rng *rand.Rand, n, off int, scale float64) []float64 {
-	buf := make([]float64, off+n+1)
-	for i := range buf {
-		buf[i] = scale * (2*rng.Float64() - 1)
-	}
-	return buf[off : off+n : off+n]
-}
-
-// column32 is column for the list's float32 columns, at every 4-byte
-// phase of a 32-byte vector.
-func column32(rng *rand.Rand, n, off int, scale float64) []float32 {
-	buf := make([]float32, off+n+1)
-	for i := range buf {
-		buf[i] = float32(scale * (2*rng.Float64() - 1))
-	}
-	return buf[off : off+n : off+n]
-}
-
-// kernelCase builds a target block with non-zero incoming sums and a
-// list of ns sources and ns cells about an origin off zero, every
-// column unaligned.
-func kernelCase(rng *rand.Rand, nt, ns int) (*Targets, *InteractionList) {
-	tg := &Targets{
-		X: column(rng, nt, 1, 1), Y: column(rng, nt, 2, 1), Z: column(rng, nt, 3, 1),
-		AX: column(rng, nt, 3, 9), AY: column(rng, nt, 1, 9), AZ: column(rng, nt, 2, 9),
-		Pot: column(rng, nt, 1, 9),
-	}
-	l := &InteractionList{
-		Origin: vec.V3{X: 0.25, Y: -0.125, Z: 0.0625},
-		SX:     column32(rng, ns, 1, 1), SY: column32(rng, ns, 2, 1), SZ: column32(rng, ns, 3, 1),
-		SM: column32(rng, ns, 1, 1),
-		CM: column32(rng, ns, 5, 1),
-		CX: column32(rng, ns, 2, 4), CY: column32(rng, ns, 7, 4), CZ: column32(rng, ns, 3, 4),
-		QXX: column32(rng, ns, 1, .1), QYY: column32(rng, ns, 6, .1), QZZ: column32(rng, ns, 3, .1),
-		QXY: column32(rng, ns, 4, .1), QXZ: column32(rng, ns, 2, .1), QYZ: column32(rng, ns, 1, .1),
-	}
-	return tg, l
-}
-
-// clone copies the block's positions and incoming sums.
-func (t *Targets) clone() *Targets {
-	dup := func(s []float64) []float64 { return append([]float64(nil), s...) }
-	return &Targets{X: dup(t.X), Y: dup(t.Y), Z: dup(t.Z),
-		AX: dup(t.AX), AY: dup(t.AY), AZ: dup(t.AZ), Pot: dup(t.Pot)}
-}
-
-// sameColumns fails unless the four output columns agree bit for bit
-// (NaNs by class with nanClass).
-func sameColumns(t *testing.T, tag string, a, b *Targets, nanClass bool) {
-	t.Helper()
-	cols := [4][2][]float64{{a.AX, b.AX}, {a.AY, b.AY}, {a.AZ, b.AZ}, {a.Pot, b.Pot}}
-	for c, p := range cols {
-		for i := range p[0] {
-			x, y := p[0][i], p[1][i]
-			if sameBits(x, y, nanClass) {
-				continue
-			}
-			t.Fatalf("%s: column %d target %d: assembly %x (%g), Go %x (%g)",
-				tag, c, i, math.Float64bits(x), x, math.Float64bits(y), y)
-		}
-	}
-}
-
 // TestKernelAsmMatchesGo holds the assembly kernels to their
-// definition at both widths -- as dispatched (sixteen-lane blocks on an
-// AVX-512 host, then an eight-lane tail) and with the eight-lane path
-// forced: all four output columns bitwise equal to the Go loops', for
-// target counts 1...40 (every remainder mod 16 and mod 8, and groups
-// that end on a tail block), list lengths around the empty list, the
-// lane counts and every side of one and two fold boundaries (foldK),
-// both multipole orders, non-zero incoming sums and unaligned columns;
-// and the same NaN/Inf pattern on inputs where IEEE arithmetic
-// produces one.
+// definition on both blocks -- as dispatched (eight targets × two
+// sources in a ZMM register on an AVX-512 host) and with the YMM block
+// of four targets × two sources forced: all four output columns bitwise
+// equal to the Go loops', for target counts 1...40 (every remainder mod
+// 8 and mod 4, so every partial last block), list lengths around the
+// empty list, odd and even, the pairs per iteration and every side of
+// one and two fold boundaries (foldK), both multipole orders, non-zero
+// incoming sums and unaligned columns; and the same NaN/Inf pattern on
+// inputs where IEEE arithmetic produces one.
 func TestKernelAsmMatchesGo(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("no AVX2: the Go loops are the only kernel on this host")
@@ -119,8 +53,8 @@ func kernelAsmMatchesGo(t *testing.T) {
 	// coincident with the last target at eps2 = 0 (r2 = 0, rv = +Inf,
 	// Inf*0 = NaN in that lane only), a separation whose square
 	// overflows (rv = 0) and one whose square is subnormal (rv huge,
-	// rv^3 overflows), in eight- and sixteen-lane blocks, one of them
-	// past a fold boundary.
+	// rv^3 overflows), in full and partial blocks, one of them past a
+	// fold boundary.
 	for nt := 1; nt <= 24; nt++ {
 		tg, l := kernelCase(rng, nt, foldK+9)
 		tg.X[0], tg.Y[0], tg.Z[0] = l.Origin.X, l.Origin.Y, l.Origin.Z
@@ -150,8 +84,9 @@ func kernelAsmMatchesGo(t *testing.T) {
 	// One entry out of invSqrt32's range whose contribution is exactly
 	// zero -- a separation whose square overflows, with no quadrupole to
 	// make it NaN -- at each position of an odd-length list, so in each
-	// lane of the kernels' pairs and alone after them: the sums stay
-	// finite, and a lane that missed the divider would be infinite.
+	// pair of a ZMM kernel's two, in its last pair and as the odd last
+	// source: the sums stay finite, and a lane that missed the divider
+	// would be infinite.
 	for nt := 1; nt <= 24; nt++ {
 		for k := range 7 {
 			tg, l := kernelCase(rng, nt, 7)
@@ -170,68 +105,77 @@ func kernelAsmMatchesGo(t *testing.T) {
 	}
 }
 
-// rsqrtLanes runs the lane kernels on sixteen targets at the origin
-// with eps2 = r2[k] in lane k and ns unit sources at the origin, so
-// each lane's r2 is 0 + r2[k] and its potential is -ns*rv: the
-// kernels' reciprocal square root, lane by lane, through pp16's pair
-// loop (ns 2) or its odd last source (ns 1), and through pp8 on each
-// half of the sixteen. want is ppGo's potential on the same target and
-// sources.
-func rsqrtLanes(r2 *[16]float32, ns int) (got16, got8, want [16]float32) {
-	var zeros [2]float32
-	ones := [2]float32{1, 1}
+// rsqrtLanes runs the pair kernels on targets at the origin with eps2 =
+// r2[k] in both lanes of target k and ns unit sources at the origin, so
+// each lane's r2 is 0 + r2[k] and its potential partial -rv for each
+// source it sums: the kernels' reciprocal square root, lane by lane,
+// through pp8x2's two-pair loop (ns 4), its last block as a pair (ns 2,
+// 3) and as the odd last source (ns 1, 3), and through pp4x2's pair
+// loop and odd last source, sixteen targets in two ZMM blocks and four
+// YMM ones. want is ppGo's potential on the same target and sources.
+func rsqrtLanes(r2 *[16]float32, ns int) (got16, got8, want [16]float64) {
+	var zeros [4]float32
+	ones := [4]float32{1, 1, 1, 1}
 	o, m := zeros[:ns], ones[:ns]
+	var acc [4][8]float64
+	out := [4]*float64{&acc[0][0], &acc[1][0], &acc[2][0], &acc[3][0]}
 	if haveAVX512 {
-		var tg laneBlock16
-		copy(tg[48:], r2[:])
-		var out laneSums16
-		pp16(&tg, &o[0], &o[0], &o[0], &m[0], 0, ns, &out)
-		copy(got16[:], out[48:])
+		for h := 0; h < 16; h += 8 {
+			var b laneBlock16
+			for l := range 16 {
+				b[48+l] = r2[h+l/2]
+			}
+			acc[3] = [8]float64{}
+			pp8x2(&b, &o[0], &o[0], &o[0], &m[0], ns, &out, 8)
+			copy(got16[h:h+8], acc[3][:])
+		}
 	}
-	for h := 0; h < 16; h += 8 {
-		var tg laneBlock8
-		copy(tg[24:], r2[h:h+8])
-		var out laneSums8
-		pp8(&tg, &o[0], &o[0], &o[0], &m[0], 0, ns, &out)
-		copy(got8[h:h+8], out[24:])
+	for h := 0; h < 16; h += 4 {
+		var b laneBlock8
+		for l := range 8 {
+			b[24+l] = r2[h+l/2]
+		}
+		acc[3] = [8]float64{}
+		pp4x2(&b, &o[0], &o[0], &o[0], &m[0], ns, &out, 4)
+		copy(got8[h:h+4], acc[3][:4])
 	}
-	var acc [4]float64
+	var ref [4]float64
 	zero := []float64{0}
-	ref := Targets{X: zero, Y: zero, Z: zero, AX: acc[0:1], AY: acc[1:2], AZ: acc[2:3], Pot: acc[3:4]}
+	tg := Targets{X: zero, Y: zero, Z: zero, AX: ref[0:1], AY: ref[1:2], AZ: ref[2:3], Pot: ref[3:4]}
 	for k, v := range r2 {
-		acc[3] = 0
-		ppGo(&ref, vec.V3{}, o, o, o, m, v)
-		want[k] = float32(acc[3])
+		ref[3] = 0
+		ppGo(&tg, vec.V3{}, o, o, o, m, v)
+		want[k] = ref[3]
 	}
 	return got16, got8, want
 }
 
-// checkRsqrtLanes fails unless every lane of every lane kernel that
+// checkRsqrtLanes fails unless every target of every pair kernel that
 // runs on this host equals the Go loop bit for bit (NaNs by class), at
-// one source and at two.
+// one to four sources.
 func checkRsqrtLanes(t testing.TB, r2 *[16]float32) {
 	t.Helper()
-	for _, ns := range []int{1, 2} {
+	for ns := 1; ns <= 4; ns++ {
 		got16, got8, want := rsqrtLanes(r2, ns)
-		check := func(kernel string, k int, got float32) {
-			if !sameBits32(got, want[k]) {
+		check := func(kernel string, k int, got float64) {
+			if !sameBits(got, want[k], true) {
 				t.Fatalf("r2 = %x (%g), %d sources: %s potential %x (%g), Go %x (%g)",
 					math.Float32bits(r2[k]), r2[k], ns, kernel,
-					math.Float32bits(got), got, math.Float32bits(want[k]), want[k])
+					math.Float64bits(got), got, math.Float64bits(want[k]), want[k])
 			}
 		}
 		for k := range want {
 			if haveAVX512 {
-				check("pp16", k, got16[k])
+				check("pp8x2", k, got16[k])
 			}
-			check("pp8", k, got8[k])
+			check("pp4x2", k, got8[k])
 		}
 	}
 }
 
 // TestRsqrtLanesMatchGo holds the lanes' reciprocal -- Newton steps,
 // and the divider out of line for lanes out of invSqrt32's range -- to
-// the Go loop bit for bit, at sixteen lanes and eight: on the hard
+// the Go loop bit for bit, on the ZMM block and the YMM one: on the hard
 // cases; on mixed vectors, one out-of-range lane among in-range ones at
 // every lane position; and on 10^7 random r2, half of them random bits
 // over the whole positive range (subnormals, Inf and NaN included),
@@ -278,7 +222,7 @@ func TestRsqrtLanesMatchGo(t *testing.T) {
 
 // FuzzRsqrtLanes: sixteen r2 in, the low and high halves of eight
 // float64's bits, the lanes' reciprocal bitwise equal to the Go loop's
-// out (NaNs by class), at sixteen lanes and eight. The corpus in
+// out (NaNs by class), on the ZMM block and the YMM one. The corpus in
 // testdata holds the hard cases of TestRsqrtLanesMatchGo.
 func FuzzRsqrtLanes(f *testing.F) {
 	if !haveAVX2 {
@@ -411,7 +355,7 @@ func FuzzFMA32(f *testing.F) {
 }
 
 // TestProbePaths holds the probe's decision to the features each path
-// executes: the eight-lane kernels' FMAs fault on an AVX2 host without
+// executes: the YMM kernels' FMAs fault on an AVX2 host without
 // FMA, so that host must get the Go loops.
 func TestProbePaths(t *testing.T) {
 	const (
@@ -442,4 +386,54 @@ func TestProbePaths(t *testing.T) {
 	if eight, sixteen := readCPU().paths(); eight != haveAVX2 || sixteen != haveAVX512 {
 		t.Errorf("probe re-read (%v, %v), at startup (%v, %v)", eight, sixteen, haveAVX2, haveAVX512)
 	}
+}
+
+// listColumns are the list's float32 columns, in the order
+// FuzzKernelLanes names them by.
+func listColumns(l *InteractionList) [14][]float32 {
+	return [14][]float32{l.SX, l.SY, l.SZ, l.SM, l.CM, l.CX, l.CY, l.CZ,
+		l.QXX, l.QYY, l.QZZ, l.QXY, l.QXZ, l.QYZ}
+}
+
+// FuzzKernelLanes: a group of 1...40 targets, a list of 0...300
+// sources and cells from a seeded generator, and two float32 bit
+// patterns written into one of the list's columns, one at any position
+// and one in the last slot, the odd last source of an odd list. EvalPP
+// and EvalM2P (quadrupole and monopole) must equal EvalPPGo and
+// EvalM2PGo bit for bit (NaNs by class), as dispatched and on the YMM
+// block forced. The corpus in testdata holds NaN, Inf, subnormal and
+// signed-zero patterns in the odd last slot and lists at the fold
+// boundaries.
+func FuzzKernelLanes(f *testing.F) {
+	if !haveAVX2 {
+		f.Skip("no AVX2: the Go loops are the only kernel on this host")
+	}
+	f.Fuzz(func(t *testing.T, ntb uint8, nsb uint16, seed int64, col uint8, pos uint16, bits, last uint32) {
+		nt, ns := 1+int(ntb)%40, int(nsb)%301
+		tg, l := kernelCase(rand.New(rand.NewSource(seed)), nt, ns)
+		if ns > 0 {
+			c := listColumns(l)[int(col)%14]
+			c[int(pos)%ns] = math.Float32frombits(bits)
+			c[ns-1] = math.Float32frombits(last)
+		}
+		const eps2 = 1e-6
+		for _, ymm := range []bool{false, true} {
+			if ymm && !haveAVX512 {
+				continue
+			}
+			old := haveAVX512
+			haveAVX512 = !ymm && old
+			got, ref := tg.clone(), tg.clone()
+			EvalPP(got, l, eps2)
+			EvalPPGo(ref, l, eps2)
+			sameColumns(t, "pp", got, ref, true)
+			for _, quad := range []bool{false, true} {
+				got, ref := tg.clone(), tg.clone()
+				EvalM2P(got, l, quad, eps2)
+				EvalM2PGo(ref, l, quad, eps2)
+				sameColumns(t, "m2p", got, ref, true)
+			}
+			haveAVX512 = old
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package grav
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -76,8 +77,8 @@ func TestEvalSelfCoincidentBodiesAtTileEdges(t *testing.T) {
 // scalar float64 Karp kernels PPTile/PPSelf/M2P to the float32
 // round-off across a full mixed evaluation (multipoles + foreign
 // bodies + self) of identical lists, with identical counts, at target
-// counts covering every remainder of the eight-lane block and a
-// sixteen-lane block with a tail: RoundOff of the largest acceleration,
+// counts covering every remainder of the four- and eight-target blocks
+// and groups of several blocks: RoundOff of the largest acceleration,
 // RoundOff relative in the potential.
 func TestEvalMatchesKarpMixedList(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -217,4 +218,109 @@ func TestInvSqrtAccuracy(t *testing.T) {
 		check(float32(math.Ldexp(1+rng.Float64(), rng.Intn(200)-100)))
 	}
 	t.Logf("worst %d ulp", worst)
+}
+
+// column returns n random values as a sub-slice starting off elements
+// into its backing array, so columns sit at every 8-byte phase of a
+// 32-byte vector.
+func column(rng *rand.Rand, n, off int, scale float64) []float64 {
+	buf := make([]float64, off+n+1)
+	for i := range buf {
+		buf[i] = scale * (2*rng.Float64() - 1)
+	}
+	return buf[off : off+n : off+n]
+}
+
+// column32 is column for the list's float32 columns, at every 4-byte
+// phase of a 32-byte vector.
+func column32(rng *rand.Rand, n, off int, scale float64) []float32 {
+	buf := make([]float32, off+n+1)
+	for i := range buf {
+		buf[i] = float32(scale * (2*rng.Float64() - 1))
+	}
+	return buf[off : off+n : off+n]
+}
+
+// kernelCase builds a target block with non-zero incoming sums and a
+// list of ns sources and ns cells about an origin off zero, every
+// column unaligned.
+func kernelCase(rng *rand.Rand, nt, ns int) (*Targets, *InteractionList) {
+	tg := &Targets{
+		X: column(rng, nt, 1, 1), Y: column(rng, nt, 2, 1), Z: column(rng, nt, 3, 1),
+		AX: column(rng, nt, 3, 9), AY: column(rng, nt, 1, 9), AZ: column(rng, nt, 2, 9),
+		Pot: column(rng, nt, 1, 9),
+	}
+	l := &InteractionList{
+		Origin: vec.V3{X: 0.25, Y: -0.125, Z: 0.0625},
+		SX:     column32(rng, ns, 1, 1), SY: column32(rng, ns, 2, 1), SZ: column32(rng, ns, 3, 1),
+		SM: column32(rng, ns, 1, 1),
+		CM: column32(rng, ns, 5, 1),
+		CX: column32(rng, ns, 2, 4), CY: column32(rng, ns, 7, 4), CZ: column32(rng, ns, 3, 4),
+		QXX: column32(rng, ns, 1, .1), QYY: column32(rng, ns, 6, .1), QZZ: column32(rng, ns, 3, .1),
+		QXY: column32(rng, ns, 4, .1), QXZ: column32(rng, ns, 2, .1), QYZ: column32(rng, ns, 1, .1),
+	}
+	return tg, l
+}
+
+// clone copies the block's positions and incoming sums.
+func (t *Targets) clone() *Targets {
+	dup := func(s []float64) []float64 { return append([]float64(nil), s...) }
+	return &Targets{X: dup(t.X), Y: dup(t.Y), Z: dup(t.Z),
+		AX: dup(t.AX), AY: dup(t.AY), AZ: dup(t.AZ), Pot: dup(t.Pot)}
+}
+
+// sameColumns fails unless the four output columns agree bit for bit
+// (NaNs by class with nanClass).
+func sameColumns(t *testing.T, tag string, a, b *Targets, nanClass bool) {
+	t.Helper()
+	cols := [4][2][]float64{{a.AX, b.AX}, {a.AY, b.AY}, {a.AZ, b.AZ}, {a.Pot, b.Pot}}
+	for c, p := range cols {
+		for i := range p[0] {
+			x, y := p[0][i], p[1][i]
+			if sameBits(x, y, nanClass) {
+				continue
+			}
+			t.Fatalf("%s: column %d target %d: assembly %x (%g), Go %x (%g)",
+				tag, c, i, math.Float64bits(x), x, math.Float64bits(y), y)
+		}
+	}
+}
+
+// TestTargetIndependentOfBlock holds a target's outputs to be a function
+// of its list alone: in groups of 1...40 targets, each target's four
+// outputs equal, bit for bit, those of the same target evaluated alone,
+// for body and cell lists of odd and even lengths around the fold, both
+// multipole orders, as dispatched and on the YMM block forced (on a host
+// with no lane kernels, the Go loops twice).
+func TestTargetIndependentOfBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	const eps2 = 1e-6
+	one := func(tg *Targets, i int) *Targets {
+		return &Targets{X: tg.X[i : i+1], Y: tg.Y[i : i+1], Z: tg.Z[i : i+1],
+			AX: tg.AX[i : i+1], AY: tg.AY[i : i+1], AZ: tg.AZ[i : i+1], Pot: tg.Pot[i : i+1]}
+	}
+	check := func(t *testing.T) {
+		for nt := 1; nt <= 40; nt++ {
+			for _, ns := range []int{1, 6, 7, foldK + 3} {
+				in, l := kernelCase(rng, nt, ns)
+				for _, eval := range []func(*Targets){
+					func(tg *Targets) { EvalPP(tg, l, eps2) },
+					func(tg *Targets) { EvalM2P(tg, l, false, eps2) },
+					func(tg *Targets) { EvalM2P(tg, l, true, eps2) },
+				} {
+					group, alone := in.clone(), in.clone()
+					eval(group)
+					for i := range nt {
+						eval(one(alone, i))
+					}
+					sameColumns(t, fmt.Sprintf("nt=%d ns=%d", nt, ns), group, alone, false)
+				}
+			}
+		}
+	}
+	t.Run("dispatched", check)
+	t.Run("lanes8", func(t *testing.T) {
+		Lanes8(t)
+		check(t)
+	})
 }

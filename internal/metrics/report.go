@@ -333,7 +333,7 @@ func BuildReport(command string, wall float64, ranks []RankInput, w *msg.World, 
 	}
 	c, lanes := &rep.Totals.Counters, grav.Lanes()
 	rep.Roofline = NewRoofline(rep.Totals.Flops, c.KernelBytes(lanes), wall)
-	rep.Roofline.Kernel = grav.KernelPath()
+	rep.Roofline.Kernel, rep.Roofline.Block = grav.KernelPath(), grav.KernelBlock()
 	rep.Roofline.ExecutedFlops = c.ExecutedFlops()
 	if n := rep.Totals.Interactions; n > 0 {
 		rep.Roofline.ExecutedPerInteraction = float64(c.ExecutedGravityFlops()) / float64(n)
@@ -410,7 +410,11 @@ func (r *RunReport) Render(w io.Writer) {
 	if rf := r.Roofline; rf != nil && rf.KernelBytes > 0 {
 		fmt.Fprintf(w, "\nroofline:\n")
 		if rf.Kernel != "" {
-			fmt.Fprintf(w, "  kernel path      %s\n", rf.Kernel)
+			fmt.Fprintf(w, "  kernel path      %s", rf.Kernel)
+			if rf.Block != "" {
+				fmt.Fprintf(w, " (%s)", rf.Block)
+			}
+			fmt.Fprintln(w)
 		}
 		fmt.Fprintf(w, "  kernel flops     %d counted\n", rf.KernelFlops)
 		if rf.ExecutedFlops > 0 {

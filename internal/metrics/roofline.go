@@ -49,6 +49,11 @@ type Roofline struct {
 	// "go-f32"). KernelBytes and ExecutedFlops depend on it, so two
 	// reports compare only at the same path.
 	Kernel string `json:"kernel,omitempty"`
+	// Block is that path's block of targets and sources
+	// (grav.KernelBlock: "8 targets × 2 sources", "4 targets × 2
+	// sources" or "1 target × 1 source"); its target count is the
+	// divisor of KernelBytes.
+	Block string `json:"block,omitempty"`
 
 	// PeakFlops is the measured (or asserted) compute ceiling, flops/s.
 	PeakFlops float64 `json:"peak_flops,omitempty"`
@@ -114,8 +119,9 @@ func (r *Roofline) Calibrate(peakFlops, peakBandwidth float64) {
 // ceiling in flops/s for the instruction mix the interaction kernels
 // use: every core runs grav.PeakProbe, chains of independent float32
 // fused multiply-adds (the kernels' value chains are mostly FMAs, each
-// counted as two flops) at the kernels' width: sixteen lanes on the
-// AVX-512 path, eight on the AVX2 path, scalar fma32 in the Go loops. This is
+// counted as two flops) at the kernels' register width: sixteen lanes
+// on the AVX-512 path, eight on the AVX2 path, scalar fma32 in the Go
+// loops. This is
 // the ceiling they are compared against, stated in the report as
 // "measured".
 func MeasurePeakFlops() float64 {

@@ -80,8 +80,9 @@ func karpEvaluate(e *Engine, l *grav.InteractionList, g *tree.Cell, ctr *diag.Co
 }
 
 // TestKernelEquivalenceAcrossRanks holds the production kernels
-// (float32 lanes, Newton reciprocal square root and FMAs, sixteen or
-// eight targets per register where the host has AVX-512 or AVX2) to
+// (float32 lanes, Newton reciprocal square root and FMAs, eight or
+// four targets × two sources per register where the host has AVX-512
+// or AVX2) to
 // the paper's: at np = 1, 2 and 8 the engine must count exactly the
 // interactions a float64 Karp replay of the same lists counts, and its
 // forces must agree with the replay's to the float32 kernels'

@@ -247,7 +247,8 @@ func TestRunReportMatchesCountersAndForcesUnchanged(t *testing.T) {
 }
 
 // The roofline must stay a ceiling now that the kernels run sixteen
-// float32 lanes wide on less than the counted arithmetic: on a small treebench-style run
+// float32 lanes wide (eight targets × two sources) on less than the
+// counted arithmetic: on a small treebench-style run
 // (4 ranks, real wall clock, host ceilings measured with the kernels'
 // own instruction mix) the utilization is a fraction, and the report
 // says what an interaction executes beside what it is charged.

@@ -523,26 +523,28 @@ func TestForcesHashMatchesRestartWalk(t *testing.T) {
 // self-gravity) to the digests of the current kernel generation:
 // grav/kernel.go's float32 Go loops -- coordinates relative to the
 // group's box centre, invSqrt32's Newton reciprocal square root, every
-// product that feeds a sum an explicit fma32, one accumulator set per
-// target swept in list order and folded into float64 every foldK
-// sources -- or their AVX2 and AVX-512 forms, which are the same
-// arithmetic bit for bit, applied to the lists of the walk groups,
-// sink cells of up to 64 bodies. The nine digests were re-captured
-// once for the Newton kernels (EXPERIMENTS.md "Lanes' reciprocal
-// square root"), once for the snapped key domain, which moved the
-// cells under the same kernels (EXPERIMENTS.md "Five collectives"),
-// and once for the float32 lanes, with every count unchanged
-// (EXPERIMENTS.md "Float32 lanes"). A change to the kernels' operation
+// product that feeds a sum an explicit fma32, two accumulator sets per
+// target, over a chunk's even and its odd positions, each swept in list
+// order and the two folded into float64 every foldK sources -- or their
+// AVX2 and AVX-512 pair blocks, which are the same arithmetic bit for
+// bit, applied to the lists of the walk groups, sink cells of up to 64
+// bodies. The nine digests were re-captured once for the Newton kernels
+// (EXPERIMENTS.md "Lanes' reciprocal square root"), once for the
+// snapped key domain, which moved the cells under the same kernels
+// (EXPERIMENTS.md "Five collectives"), once for the float32 lanes
+// (EXPERIMENTS.md "Float32 lanes") and once for the even/odd partial
+// sums of the pair blocks (EXPERIMENTS.md "Paired sources"), each time
+// with every count unchanged. A change to the kernels' operation
 // order, fusion or fold, an assembly lane that strays from the Go
 // loop, or a list that gains, loses or reorders an entry shows up
 // here.
 func TestForcesHashPinsKernel(t *testing.T) {
 	checkForcesHashes(t, []goldenHashes{
 		{Spec{Physics: PhysicsGravity, N: 1500, Steps: 1, Seed: 17},
-			[3]string{"fbe7043e910948b7", "c67f1d211b50f636", "079bc63591451bdc"}},
+			[3]string{"9a1188301bbcb99a", "707e2d3e7c5447f9", "c08bac50deb98ff1"}},
 		{Spec{Physics: PhysicsGravity, N: 1500, Steps: 1, Seed: 17, DTMode: "block"},
-			[3]string{"ae245bd516effb63", "5bf64c3a33161bf0", "e79e74e52c228026"}},
+			[3]string{"3e0f3ca25ecc11bb", "8ddadd6727e0779f", "abc885e620ee173a"}},
 		{Spec{Physics: PhysicsSPH, N: 600, Steps: 1, Seed: 17},
-			[3]string{"6e1aca71b16f097d", "1c9d92a60c642d30", "896a467ea9b0e8a9"}},
+			[3]string{"bb425560eb215cb5", "e7f4b29afc9a79bb", "0f3f8ee9ad03f42e"}},
 	})
 }

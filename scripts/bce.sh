@@ -3,8 +3,8 @@
 # (internal/grav/kernel.go and internal/vortex/kernel.go: the kernels'
 # definition everywhere, and the production path wherever the assembly
 # is not) and for the Go glue that feeds grav's assembly
-# (internal/grav/kernel_amd64.go: the lane loads and stores of every
-# eight- and sixteen-target block).
+# (internal/grav/kernel_amd64.go: the target loads of every block of
+# four or eight targets).
 #
 # Builds the packages with -d=ssa/check_bce and compares the checks the
 # compiler could NOT eliminate in those three files against the
@@ -20,11 +20,13 @@
 # fold of ppGo and m2pQuadGo, once per foldK sources; the columns and
 # target slices at the top of evalVelPPGo and evalVelMonoGo). That
 # re-slice is what lets prove drop every index check, so the loops
-# themselves are check-free. In kernel_amd64.go the same re-slices at
-# the top of loadLanes/addLanes, and three IsInBounds in pp and
-# m2pQuad: the first element of the source columns, taken once per
-# call, outside the block loop. There is no tile to carve
-# and no seed table to index any more.
+# themselves are check-free. In kernel_amd64.go the re-slices of sweep
+# and of pp and m2pQuad, and eight IsInBounds: in pp and m2pQuad the
+# first element of the source columns, taken once per call, outside
+# the block loop; in sweep the block's four output slots, once per
+# block, and the target a lane pair repeats, once per lane. The
+# kernels fold in the assembly, so no Go loop touches a sum. There is
+# no tile to carve and no seed table to index any more.
 #
 # Run with -update after a deliberate kernel change to regenerate the
 # golden (and say why in the commit).

@@ -56,8 +56,10 @@ echo "== fuzz (time-boxed: a POST /jobs body decodes and validates to a runnable
 go test -run='^$' -fuzz=FuzzJobSpec -fuzztime=10s -fuzzminimizetime=10x ./internal/simserve
 echo "== fuzz (time-boxed: a striped snapshot set reads to a valid system or an error, never a panic)"
 go test -run='^$' -fuzz=FuzzReadStriped -fuzztime=10s -fuzzminimizetime=10x ./internal/snapio
-echo "== fuzz (time-boxed: the lane kernels' reciprocal square root is the Go loop's bit for bit, at sixteen lanes and eight; skips without AVX2)"
+echo "== fuzz (time-boxed: the pair kernels' reciprocal square root is the Go loop's bit for bit, on the ZMM block of eight targets x two sources and the YMM block of four x two; skips without AVX2)"
 go test -run='^$' -fuzz=FuzzRsqrtLanes -fuzztime=10s ./internal/grav
+echo "== fuzz (time-boxed: the pair kernels equal the Go loops bit for bit on groups of 1-40 targets and lists of 0-300, odd lengths and fold boundaries, NaN/Inf/subnormal patterns in the odd last slot, on both blocks; skips without AVX2)"
+go test -run='^$' -fuzz=FuzzKernelLanes -fuzztime=10s ./internal/grav
 echo "== fuzz (time-boxed: the Go definition's float32 fused multiply-add fma32 is VFMADD231PS bit for bit, NaNs by class; skips without AVX2 and FMA)"
 go test -run='^$' -fuzz=FuzzFMA32 -fuzztime=10s ./internal/grav
 echo "== one runner (engines are constructed in internal/runner and nowhere else outside tests, and gravity, vortex and SPH runs have no serial path)"
@@ -90,7 +92,7 @@ echo "== bce (the interaction kernels' Go loops stay bounds-check-free, -d=ssa/c
 sh scripts/bce.sh
 echo "== fma guard (the gravity kernels' float32 Go loops fuse nothing on arm64: every fused multiply-add is an explicit fma32, so they mean the same bits everywhere)"
 sh scripts/fma_guard.sh
-echo "== benchcmp (allocs/op of the index descent, the sink-cell walk and evaluation, and the gravity (dispatched, eight-lane, Go) and vortex interaction kernels vs BENCH_baseline.json)"
+echo "== benchcmp (allocs/op of the index descent, the sink-cell walk and evaluation, and the gravity (dispatched, YMM block forced, Go) and vortex interaction kernels vs BENCH_baseline.json)"
 {
 	go test -run='^$' -bench='Ablation_(DescentIndex|SinkCells)' -benchtime=5x .
 	go test -run='^$' -bench='Ablation_Eval' -benchtime=100x ./internal/grav ./internal/vortex
