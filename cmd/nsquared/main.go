@@ -28,7 +28,7 @@ func main() {
 	flops := pp * 38
 	fmt.Printf("N=%d procs=%d steps=%d\n", *n, *procs, *steps)
 	fmt.Printf("interactions %d, flops %d\n", pp, flops)
-	fmt.Printf("host: %.2fs, %.3f Gflops\n", wall, float64(flops)/wall/1e9)
+	fmt.Printf("host: %.2fs, %.3f Gflops, %.2f ns per interaction\n", wall, float64(flops)/wall/1e9, wall*1e9/float64(pp))
 
 	// The paper's exact benchmark: 1e6 bodies, 4 steps, 6800 procs.
 	paperFlops := uint64(4) * 38 * 1_000_000 * 1_000_000

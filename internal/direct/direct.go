@@ -5,23 +5,34 @@
 // algorithmic comparison concrete — the paper's 1-million-body run on
 // 6800 processors sustained 635 Gflops and was still ~10^5 times less
 // efficient than the treecode.
+//
+// Each of its two jobs has one implementation. Ring, the benchmark,
+// runs the treecode's production kernels (grav.EvalPP/EvalSelf), so
+// its rate and the treecode's compare the same arithmetic. Serial, the
+// reference, is the exact float64 sum over grav.AccelAt.
 package direct
 
 import (
 	"repro/internal/diag"
 	"repro/internal/grav"
+	"repro/internal/keys"
 	"repro/internal/msg"
 	"repro/internal/vec"
 )
 
-// Serial computes forces on all bodies by direct summation.
+// Serial computes exact softened forces on all bodies by direct
+// summation in float64: grav.AccelAt over every other body. acc and pot
+// are overwritten.
 func Serial(pos []vec.V3, mass []float64, acc []vec.V3, pot []float64, eps2 float64) diag.Counters {
-	for i := range acc {
-		acc[i] = vec.V3{}
-		pot[i] = 0
+	for i, x := range pos {
+		a, p := grav.AccelAt(x, pos[:i], mass[:i], eps2)
+		b, q := grav.AccelAt(x, pos[i+1:], mass[i+1:], eps2)
+		acc[i], pot[i] = a.Add(b), p+q
 	}
 	var ctr diag.Counters
-	ctr.PP = grav.PPSelf(pos, mass, acc, pot, eps2)
+	if n := uint64(len(pos)); n > 0 {
+		ctr.PP = n * (n - 1)
+	}
 	return ctr
 }
 
@@ -37,10 +48,19 @@ const blockBytes = 32
 
 const ringTag = 11
 
+// tile is how many of the rank's bodies one kernel call evaluates: the
+// treecode's largest walk group (a sink cell of at most 64 bodies).
+const tile = 64
+
 // Ring computes forces on this rank's bodies with the ring
 // decomposition: every rank's block of bodies visits every other rank
 // once, so computation scales as (N/P)*N while communication scales
 // as N per rank. acc and pot are overwritten.
+//
+// The rank's bodies are evaluated in tiles of 64, each in its own
+// frame, the tile's box centre, as a walk group is. A visiting block is
+// the tile's source list (grav.EvalPP); in round 0 the rest of the
+// rank's own block is, and the tile against itself is grav.EvalSelf.
 func Ring(c *msg.Comm, pos []vec.V3, mass []float64, acc []vec.V3, pot []float64, eps2 float64) diag.Counters {
 	c.Phase("nsquared")
 	for i := range acc {
@@ -52,6 +72,8 @@ func Ring(c *msg.Comm, pos []vec.V3, mass []float64, acc []vec.V3, pot []float64
 	next := (c.Rank() + 1) % p
 	prev := (c.Rank() - 1 + p) % p
 
+	var tg grav.Targets
+	var l grav.InteractionList
 	cur := block{pos: pos, mass: mass}
 	for round := 0; round < p; round++ {
 		// Forward the block first so communication overlaps the
@@ -60,10 +82,25 @@ func Ring(c *msg.Comm, pos []vec.V3, mass []float64, acc []vec.V3, pot []float64
 		if round < p-1 {
 			c.Send(next, ringTag, cur, blockBytes*len(cur.pos))
 		}
-		if round == 0 {
-			ctr.PP += grav.PPSelf(cur.pos, cur.mass, acc, pot, eps2)
-		} else {
-			ctr.PP += grav.PPTile(pos, acc, pot, cur.pos, cur.mass, eps2)
+		for lo := 0; lo < len(pos); lo += tile {
+			hi := min(lo+tile, len(pos))
+			b := keys.BoxOf(pos[lo:hi])
+			l.Reset(b.Lo.Add(b.Hi).Scale(0.5))
+			if round == 0 {
+				tg.Load(pos[lo:hi], mass[lo:hi])
+				l.AddBodies(pos[:lo], mass[:lo])
+				l.AddBodies(pos[hi:], mass[hi:])
+				ctr.PP += grav.EvalSelf(&tg, eps2)
+			} else {
+				tg.Load(pos[lo:hi], nil)
+				l.AddBodies(cur.pos, cur.mass)
+			}
+			ctr.PP += grav.EvalPP(&tg, &l, eps2)
+			for i := lo; i < hi; i++ {
+				k := i - lo
+				acc[i] = acc[i].Add(vec.V3{X: tg.AX[k], Y: tg.AY[k], Z: tg.AZ[k]})
+				pot[i] += tg.Pot[k]
+			}
 		}
 		if round < p-1 {
 			m := c.Recv(prev, ringTag)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/grav"
 	"repro/internal/msg"
 	"repro/internal/vec"
 )
@@ -33,62 +34,76 @@ func TestSerialCounters(t *testing.T) {
 	}
 }
 
-func TestRingMatchesSerial(t *testing.T) {
-	const n = 240
-	const eps2 = 1e-5
-	pos, mass := randomBodies(n, 2)
+// ringVsSerial runs Ring with rank r holding bodies [cuts[r],
+// cuts[r+1]) and holds it to Serial: the interaction count exactly
+// n(n-1), every body's force within grav.RoundOff of the largest |a|
+// and its potential within RoundOff relative. It returns the largest
+// force difference over the largest |a|.
+func ringVsSerial(t *testing.T, pos []vec.V3, mass []float64, cuts []int, eps2 float64) float64 {
+	t.Helper()
+	n, np := len(pos), len(cuts)-1
 	wantAcc := make([]vec.V3, n)
 	wantPot := make([]float64, n)
 	Serial(pos, mass, wantAcc, wantPot, eps2)
+	scale := 0.0
+	for _, a := range wantAcc {
+		scale = max(scale, a.Norm())
+	}
 
+	gotAcc := make([]vec.V3, n)
+	gotPot := make([]float64, n)
+	pps := make([]uint64, np)
+	msg.Run(np, func(c *msg.Comm) {
+		lo, hi := cuts[c.Rank()], cuts[c.Rank()+1]
+		pps[c.Rank()] = Ring(c, pos[lo:hi], mass[lo:hi], gotAcc[lo:hi], gotPot[lo:hi], eps2).PP
+	})
+	var pp uint64
+	for _, v := range pps {
+		pp += v
+	}
+	if pp != uint64(n*(n-1)) {
+		t.Fatalf("cuts %v: total PP = %d, want %d", cuts, pp, n*(n-1))
+	}
+	worst := 0.0
+	for i := range pos {
+		d := gotAcc[i].Sub(wantAcc[i]).Norm() / scale
+		worst = max(worst, d)
+		if d > grav.RoundOff {
+			t.Fatalf("cuts %v body %d: acc %v vs %v", cuts, i, gotAcc[i], wantAcc[i])
+		}
+		if math.Abs(gotPot[i]-wantPot[i]) > grav.RoundOff*math.Abs(wantPot[i]) {
+			t.Fatalf("cuts %v body %d: pot %g vs %g", cuts, i, gotPot[i], wantPot[i])
+		}
+	}
+	return worst
+}
+
+// The ring runs the production kernels (float32 lanes folded into
+// float64), so against the exact float64 Serial it holds their
+// round-off, not Serial's own: every force within grav.RoundOff =
+// 7.6e-6 of the largest |a|, with the count exact, at every rank count.
+// Measured (-v): 5.5e-6 at np = 1, 2, 3 and 8, 9.5e-7 at np = 5. The
+// worst body is the one with the largest |a|, which its neighbour
+// 0.005 away sets. A tile holds bodies from across the unit cube, so
+// the pair's float32 coordinates, up to ~0.5 from the tile's centre,
+// each carry a rounding of up to 2^-26 = 1.5e-8: a few 1e-6 of their
+// separation.
+func TestRingMatchesSerial(t *testing.T) {
+	const n = 240
+	pos, mass := randomBodies(n, 2)
 	for _, np := range []int{1, 2, 3, 5, 8} {
-		gotAcc := make([]vec.V3, n)
-		gotPot := make([]float64, n)
-		var totalPP uint64
-		pps := make([]uint64, np)
-		msg.Run(np, func(c *msg.Comm) {
-			lo := c.Rank() * n / np
-			hi := (c.Rank() + 1) * n / np
-			ctr := Ring(c, pos[lo:hi], mass[lo:hi], gotAcc[lo:hi], gotPot[lo:hi], eps2)
-			pps[c.Rank()] = ctr.PP
-		})
-		for _, v := range pps {
-			totalPP += v
+		cuts := make([]int, np+1)
+		for r := range cuts {
+			cuts[r] = r * n / np
 		}
-		if totalPP != n*(n-1) {
-			t.Fatalf("np=%d: total PP = %d, want %d", np, totalPP, n*(n-1))
-		}
-		for i := 0; i < n; i++ {
-			if d := gotAcc[i].Sub(wantAcc[i]).Norm(); d > 1e-12*(wantAcc[i].Norm()+1) {
-				t.Fatalf("np=%d body %d: acc %v vs %v", np, i, gotAcc[i], wantAcc[i])
-			}
-			if math.Abs(gotPot[i]-wantPot[i]) > 1e-12*(math.Abs(wantPot[i])+1) {
-				t.Fatalf("np=%d body %d: pot", np, i)
-			}
-		}
+		t.Logf("np=%d: worst force difference %.2g of the largest |a|", np, ringVsSerial(t, pos, mass, cuts, 1e-5))
 	}
 }
 
+// Ranks with different body counts, one of them empty.
 func TestRingUnevenPartition(t *testing.T) {
-	// Ranks with different body counts (including an empty one).
-	const eps2 = 1e-5
 	pos, mass := randomBodies(10, 3)
-	wantAcc := make([]vec.V3, 10)
-	wantPot := make([]float64, 10)
-	Serial(pos, mass, wantAcc, wantPot, eps2)
-
-	cuts := []int{0, 7, 7, 10} // rank 1 is empty
-	gotAcc := make([]vec.V3, 10)
-	gotPot := make([]float64, 10)
-	msg.Run(3, func(c *msg.Comm) {
-		lo, hi := cuts[c.Rank()], cuts[c.Rank()+1]
-		Ring(c, pos[lo:hi], mass[lo:hi], gotAcc[lo:hi], gotPot[lo:hi], eps2)
-	})
-	for i := 0; i < 10; i++ {
-		if d := gotAcc[i].Sub(wantAcc[i]).Norm(); d > 1e-12 {
-			t.Fatalf("body %d: acc mismatch", i)
-		}
-	}
+	ringVsSerial(t, pos, mass, []int{0, 7, 7, 10}, 1e-5)
 }
 
 func TestRingTrafficScalesLinearly(t *testing.T) {

@@ -12,12 +12,10 @@
 // EvalPP and EvalM2P take the reciprocal square root from multiplies
 // and adds (a seed and Newton steps on fused multiply-adds; the
 // divider only for r2 out of range); EvalSelf, a sliver of the work,
-// stays on the hardware square root and divide. The scalar
-// PPTile/PPSelf/M2P in this file are the paper's interaction as the
-// paper computed it, on the Karp reciprocal square root
-// (internal/rsqrt, the 38-flop interaction): they serve the direct
-// sum and the tests that hold the production kernels to 1e-13 of them
-// (the fused walk among them).
+// stays on the hardware square root and divide. The treecode and the
+// O(N^2) ring (internal/direct) both run them. AccelAt (body sources)
+// and M2P (one multipole) in this file are the float64 references the
+// tests hold those kernels to, both on 1/math.Sqrt.
 //
 // Units: G = 1 throughout. The Plummer softening eps2 enters as
 // r^2 -> r^2 + eps^2 in the body-body kernel.
@@ -26,7 +24,6 @@ package grav
 import (
 	"math"
 
-	"repro/internal/rsqrt"
 	"repro/internal/vec"
 )
 
@@ -107,69 +104,8 @@ func Combine(children []Multipole) Multipole {
 	return mp
 }
 
-// PPTile accumulates the force and potential on targets from a
-// disjoint set of source bodies: the paper's 38-flop interaction on
-// the Karp reciprocal square root. It returns the number of
-// interactions computed.
-func PPTile(tpos []vec.V3, acc []vec.V3, pot []float64, spos []vec.V3, smass []float64, eps2 float64) uint64 {
-	for i := range tpos {
-		ax, ay, az := acc[i].X, acc[i].Y, acc[i].Z
-		p := pot[i]
-		xi, yi, zi := tpos[i].X, tpos[i].Y, tpos[i].Z
-		for j := range spos {
-			dx := spos[j].X - xi
-			dy := spos[j].Y - yi
-			dz := spos[j].Z - zi
-			r2 := dx*dx + dy*dy + dz*dz + eps2
-			rinv := rsqrt.Rsqrt(r2)
-			rinv3 := smass[j] * rinv * rinv * rinv
-			ax += rinv3 * dx
-			ay += rinv3 * dy
-			az += rinv3 * dz
-			p -= smass[j] * rinv
-		}
-		acc[i] = vec.V3{X: ax, Y: ay, Z: az}
-		pot[i] = p
-	}
-	return uint64(len(tpos)) * uint64(len(spos))
-}
-
-// PPSelf accumulates mutual forces within one body set, skipping
-// self-pairs. Both directions of each pair are computed explicitly:
-// the paper found Newton's-third-law saving not worth the extra
-// memory write. Returns the interaction count.
-func PPSelf(pos []vec.V3, mass []float64, acc []vec.V3, pot []float64, eps2 float64) uint64 {
-	n := len(pos)
-	for i := 0; i < n; i++ {
-		ax, ay, az := acc[i].X, acc[i].Y, acc[i].Z
-		p := pot[i]
-		xi, yi, zi := pos[i].X, pos[i].Y, pos[i].Z
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			dx := pos[j].X - xi
-			dy := pos[j].Y - yi
-			dz := pos[j].Z - zi
-			r2 := dx*dx + dy*dy + dz*dz + eps2
-			rinv := rsqrt.Rsqrt(r2)
-			rinv3 := mass[j] * rinv * rinv * rinv
-			ax += rinv3 * dx
-			ay += rinv3 * dy
-			az += rinv3 * dz
-			p -= mass[j] * rinv
-		}
-		acc[i] = vec.V3{X: ax, Y: ay, Z: az}
-		pot[i] = p
-	}
-	if n == 0 {
-		return 0
-	}
-	return uint64(n) * uint64(n-1)
-}
-
-// M2P accumulates the multipole field of one cell on the targets. If
-// quad is true the traceless quadrupole term is included:
+// M2P accumulates the multipole field of one cell on the targets in
+// float64: the reference EvalM2P is held to. If quad is true the traceless quadrupole term is included:
 //
 //	phi  = -M/r - (d.Q.d)/(2 r^5)
 //	a    = -M d/r^3 + Q d/r^5 - (5/2)(d.Q.d) d/r^7
@@ -187,7 +123,7 @@ func M2P(tpos []vec.V3, acc []vec.V3, pot []float64, mp *Multipole, quad bool, e
 		dy := tpos[i].Y - cy
 		dz := tpos[i].Z - cz
 		r2 := dx*dx + dy*dy + dz*dz + eps2
-		rinv := rsqrt.Rsqrt(r2)
+		rinv := 1 / math.Sqrt(r2)
 		rinv2 := rinv * rinv
 		rinv3 := rinv * rinv2
 		mono := m * rinv3
@@ -216,7 +152,8 @@ func M2P(tpos []vec.V3, acc []vec.V3, pot []float64, mp *Multipole, quad bool, e
 }
 
 // AccelAt returns the softened acceleration and potential at point x
-// due to all bodies: the O(N^2) reference used by accuracy tests.
+// due to all bodies, in float64, skipping a body at r2 = 0: the exact
+// body-body reference (direct.Serial sums it over every body).
 func AccelAt(x vec.V3, pos []vec.V3, mass []float64, eps2 float64) (vec.V3, float64) {
 	var acc vec.V3
 	pot := 0.0

@@ -23,59 +23,6 @@ func randomBodies(n int, seed int64, center vec.V3, scale float64) ([]vec.V3, []
 	return pos, mass
 }
 
-func TestPPTileMatchesReference(t *testing.T) {
-	tp, _ := randomBodies(10, 1, vec.V3{}, 1)
-	sp, sm := randomBodies(20, 2, vec.V3{X: 3}, 1)
-	acc := make([]vec.V3, len(tp))
-	pot := make([]float64, len(tp))
-	const eps2 = 1e-4
-	n := PPTile(tp, acc, pot, sp, sm, eps2)
-	if n != 200 {
-		t.Fatalf("interaction count = %d", n)
-	}
-	for i := range tp {
-		want, wantPot := AccelAt(tp[i], sp, sm, eps2)
-		if d := acc[i].Sub(want).Norm(); d > 1e-12*want.Norm() {
-			t.Fatalf("body %d acc mismatch: %v vs %v", i, acc[i], want)
-		}
-		if math.Abs(pot[i]-wantPot) > 1e-12*math.Abs(wantPot) {
-			t.Fatalf("body %d pot mismatch: %v vs %v", i, pot[i], wantPot)
-		}
-	}
-}
-
-func TestPPSelfSkipsSelfAndMatchesReference(t *testing.T) {
-	pos, mass := randomBodies(15, 3, vec.V3{}, 1)
-	acc := make([]vec.V3, len(pos))
-	pot := make([]float64, len(pos))
-	const eps2 = 1e-3
-	n := PPSelf(pos, mass, acc, pot, eps2)
-	if n != 15*14 {
-		t.Fatalf("interaction count = %d", n)
-	}
-	for i := range pos {
-		// Reference without body i.
-		var sp []vec.V3
-		var sm []float64
-		for j := range pos {
-			if j != i {
-				sp = append(sp, pos[j])
-				sm = append(sm, mass[j])
-			}
-		}
-		want, wantPot := AccelAt(pos[i], sp, sm, eps2)
-		if d := acc[i].Sub(want).Norm(); d > 1e-11*(want.Norm()+1) {
-			t.Fatalf("body %d acc mismatch: %v vs %v", i, acc[i], want)
-		}
-		if math.Abs(pot[i]-wantPot) > 1e-11*(math.Abs(wantPot)+1) {
-			t.Fatalf("body %d pot", i)
-		}
-	}
-	if PPSelf(nil, nil, nil, nil, eps2) != 0 {
-		t.Fatal("empty self count")
-	}
-}
-
 func TestMomentsFromBodies(t *testing.T) {
 	pos := []vec.V3{{X: 1}, {X: -1}}
 	mass := []float64{1, 1}
@@ -240,30 +187,5 @@ func TestDefaultMAC(t *testing.T) {
 	p := DefaultMAC()
 	if p.Kind != MACSalmonWarren || !p.Quad || p.AccelTol <= 0 {
 		t.Fatalf("unexpected default: %+v", p)
-	}
-}
-
-func BenchmarkPPInteraction(b *testing.B) {
-	sp, sm := randomBodies(1000, 9, vec.V3{}, 1)
-	tp := []vec.V3{{X: 0.1, Y: 0.2, Z: 0.3}}
-	acc := make([]vec.V3, 1)
-	pot := make([]float64, 1)
-	b.ResetTimer()
-	n := 0
-	for i := 0; i < b.N; i += 1000 {
-		PPTile(tp, acc, pot, sp, sm, 1e-4)
-		n += 1000
-	}
-	b.ReportMetric(float64(38), "flops/interaction")
-}
-
-func BenchmarkM2PQuad(b *testing.B) {
-	pos, mass := randomBodies(100, 10, vec.V3{}, 1)
-	mp := FromBodies(pos, mass)
-	tp := []vec.V3{{X: 5, Y: 1, Z: 2}}
-	acc := make([]vec.V3, 1)
-	pot := make([]float64, 1)
-	for i := 0; i < b.N; i++ {
-		M2P(tp, acc, pot, &mp, true, 0)
 	}
 }

@@ -46,7 +46,7 @@
 // CPU probe.
 //
 // Out of range the reciprocal is 1 over the float32 square root, each
-// rounded once, which has the special-case table the Karp routine
+// rounded once, which has the special-case table rsqrt.Rsqrt
 // documents (0 -> +Inf, +Inf -> 0, NaN or negative -> NaN), so the
 // loops carry no special-value branch of their own: a NaN or Inf input
 // propagates to the targets it touches exactly as IEEE arithmetic says.
@@ -55,9 +55,10 @@
 // monopole) interaction executes 33 floating-point operations here,
 // one quadrupole interaction 67 (an FMA counting two); the counters
 // and every flop rate the repo reports still charge the paper's 38
-// and 38+70, the cost of the same interaction on the Karp reciprocal
-// square root (grav.go's scalar PPTile/PPSelf/M2P, kept as the direct
-// sum's reference). diag.ExecutedFlops has the executed figures.
+// and 38+70, the cost of the same interaction on the paper's Karp
+// reciprocal square root, rsqrt.Rsqrt (internal/rsqrt, kept as the
+// paper's routine under ablation). diag.ExecutedFlops has the executed
+// figures.
 package grav
 
 import (

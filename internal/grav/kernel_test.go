@@ -24,11 +24,31 @@ func accScale(acc []vec.V3) float64 {
 	return s
 }
 
+// addAccel adds the exact float64 field of the bodies (spos, smass),
+// AccelAt, to each target and returns the interaction count.
+func addAccel(tpos []vec.V3, acc []vec.V3, pot []float64, spos []vec.V3, smass []float64, eps2 float64) uint64 {
+	for i, x := range tpos {
+		a, p := AccelAt(x, spos, smass, eps2)
+		acc[i], pot[i] = acc[i].Add(a), pot[i]+p
+	}
+	return uint64(len(tpos)) * uint64(len(spos))
+}
+
+// addSelfAccel adds to each body the exact float64 field of all the
+// others and returns the interaction count, n(n-1).
+func addSelfAccel(pos []vec.V3, mass []float64, acc []vec.V3, pot []float64, eps2 float64) (n uint64) {
+	for i := range pos {
+		n += addAccel(pos[i:i+1], acc[i:i+1], pot[i:i+1], pos[:i], mass[:i], eps2)
+		n += addAccel(pos[i:i+1], acc[i:i+1], pot[i:i+1], pos[i+1:], mass[i+1:], eps2)
+	}
+	return n
+}
+
 // EvalSelf walks each unordered pair once and never forms the self
 // slot. This test pins what a sentinel-based self sweep once got
 // wrong: bodies exactly coincident with another body (r2 = eps2, the
-// smallest value the kernel can see) must come out equal to the Karp
-// PPSelf, at group sizes around the four-lane block and around 64 and
+// smallest value the kernel can see) must come out equal to the exact
+// float64 sum over AccelAt, at group sizes around the four-lane block and around 64 and
 // 128 (the tile edges of the kernel generation the test was written
 // for, kept because they cost nothing).
 func TestEvalSelfCoincidentBodiesAtTileEdges(t *testing.T) {
@@ -47,7 +67,7 @@ func TestEvalSelfCoincidentBodiesAtTileEdges(t *testing.T) {
 
 		accRef := make([]vec.V3, n)
 		potRef := make([]float64, n)
-		nRef := PPSelf(pos, mass, accRef, potRef, eps2)
+		nRef := addSelfAccel(pos, mass, accRef, potRef, eps2)
 
 		var tg Targets
 		tg.Load(pos, mass)
@@ -56,7 +76,7 @@ func TestEvalSelfCoincidentBodiesAtTileEdges(t *testing.T) {
 		pot := make([]float64, n)
 		tg.Store(acc, pot)
 		if got != nRef {
-			t.Fatalf("n=%d: count %d, PPSelf %d", n, got, nRef)
+			t.Fatalf("n=%d: count %d, reference %d", n, got, nRef)
 		}
 		scale := accScale(accRef)
 		for i := range acc {
@@ -65,7 +85,7 @@ func TestEvalSelfCoincidentBodiesAtTileEdges(t *testing.T) {
 			}
 			if acc[i].Sub(accRef[i]).Norm() > 1e-13*scale ||
 				relDiff(pot[i], potRef[i]) > 1e-13 {
-				t.Fatalf("n=%d body %d: %v/%g, PPSelf %v/%g",
+				t.Fatalf("n=%d body %d: %v/%g, reference %v/%g",
 					n, i, acc[i], pot[i], accRef[i], potRef[i])
 			}
 		}
@@ -74,13 +94,12 @@ func TestEvalSelfCoincidentBodiesAtTileEdges(t *testing.T) {
 
 // The production kernels (float32 lanes, Newton reciprocal square
 // root and FMAs; dispatching and Go-loop forms) must agree with the
-// scalar float64 Karp kernels PPTile/PPSelf/M2P to the float32
-// round-off across a full mixed evaluation (multipoles + foreign
+// float64 references, M2P and AccelAt, to the float32 round-off across a full mixed evaluation (multipoles + foreign
 // bodies + self) of identical lists, with identical counts, at target
 // counts covering every remainder of the four- and eight-target blocks
 // and groups of several blocks: RoundOff of the largest acceleration,
 // RoundOff relative in the potential.
-func TestEvalMatchesKarpMixedList(t *testing.T) {
+func TestEvalMatchesFloat64MixedList(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	eps2 := 1e-6
 	for _, nt := range []int{1, 3, 4, 5, 16, 25, 67} {
@@ -108,8 +127,8 @@ func TestEvalMatchesKarpMixedList(t *testing.T) {
 			for c := range cells {
 				nK += M2P(tpos, accK, potK, &cells[c], quad, eps2)
 			}
-			nK += PPTile(tpos, accK, potK, spos, smass, eps2)
-			nK += PPSelf(tpos, tmass, accK, potK, eps2)
+			nK += addAccel(tpos, accK, potK, spos, smass, eps2)
+			nK += addSelfAccel(tpos, tmass, accK, potK, eps2)
 			scale := accScale(accK)
 
 			for name, eval := range map[string]func(*Targets) uint64{
@@ -127,12 +146,12 @@ func TestEvalMatchesKarpMixedList(t *testing.T) {
 				pot := make([]float64, nt)
 				tg.Store(acc, pot)
 				if n != nK {
-					t.Fatalf("nt=%d quad=%v %s: count %d, Karp %d", nt, quad, name, n, nK)
+					t.Fatalf("nt=%d quad=%v %s: count %d, float64 %d", nt, quad, name, n, nK)
 				}
 				for i := range acc {
 					if acc[i].Sub(accK[i]).Norm() > RoundOff*scale ||
 						relDiff(pot[i], potK[i]) > RoundOff {
-						t.Fatalf("nt=%d quad=%v %s body %d: %v/%g, Karp %v/%g",
+						t.Fatalf("nt=%d quad=%v %s body %d: %v/%g, float64 %v/%g",
 							nt, quad, name, i, acc[i], pot[i], accK[i], potK[i])
 					}
 				}

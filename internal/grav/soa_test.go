@@ -27,10 +27,10 @@ func relDiff(a, b float64) float64 {
 	return d / s
 }
 
-// The batched SoA kernels must reproduce the fused AoS kernels to
+// The batched SoA kernels must reproduce the float64 references to
 // the float32 kernels' round-off (RoundOff) and report identical
 // interaction counts.
-func TestEvalPPMatchesPPTile(t *testing.T) {
+func TestEvalPPMatchesAccelAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tpos, _ := randBodies(rng, 13)
 	spos, smass := randBodies(rng, 29)
@@ -38,7 +38,7 @@ func TestEvalPPMatchesPPTile(t *testing.T) {
 
 	acc := make([]vec.V3, len(tpos))
 	pot := make([]float64, len(tpos))
-	nFused := PPTile(tpos, acc, pot, spos, smass, eps2)
+	nRef := addAccel(tpos, acc, pot, spos, smass, eps2)
 
 	var tg Targets
 	tg.Load(tpos, nil)
@@ -49,24 +49,24 @@ func TestEvalPPMatchesPPTile(t *testing.T) {
 	pot2 := make([]float64, len(tpos))
 	tg.Store(acc2, pot2)
 
-	if nFused != nBatch {
-		t.Fatalf("counts differ: fused %d batched %d", nFused, nBatch)
+	if nRef != nBatch {
+		t.Fatalf("counts differ: float64 %d batched %d", nRef, nBatch)
 	}
 	for i := range acc {
 		if relDiff(acc[i].X, acc2[i].X) > RoundOff || relDiff(pot[i], pot2[i]) > RoundOff {
-			t.Fatalf("body %d: fused %v/%g batched %v/%g", i, acc[i], pot[i], acc2[i], pot2[i])
+			t.Fatalf("body %d: float64 %v/%g batched %v/%g", i, acc[i], pot[i], acc2[i], pot2[i])
 		}
 	}
 }
 
-func TestEvalSelfMatchesPPSelf(t *testing.T) {
+func TestEvalSelfMatchesAccelAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	pos, mass := randBodies(rng, 17)
 	eps2 := 1e-4
 
 	acc := make([]vec.V3, len(pos))
 	pot := make([]float64, len(pos))
-	nFused := PPSelf(pos, mass, acc, pot, eps2)
+	nRef := addSelfAccel(pos, mass, acc, pot, eps2)
 
 	var tg Targets
 	tg.Load(pos, mass)
@@ -75,12 +75,12 @@ func TestEvalSelfMatchesPPSelf(t *testing.T) {
 	pot2 := make([]float64, len(pos))
 	tg.Store(acc2, pot2)
 
-	if nFused != nBatch {
-		t.Fatalf("counts differ: fused %d batched %d", nFused, nBatch)
+	if nRef != nBatch {
+		t.Fatalf("counts differ: float64 %d batched %d", nRef, nBatch)
 	}
 	for i := range acc {
 		if relDiff(acc[i].Y, acc2[i].Y) > 1e-14 || relDiff(pot[i], pot2[i]) > 1e-14 {
-			t.Fatalf("body %d: fused %v/%g batched %v/%g", i, acc[i], pot[i], acc2[i], pot2[i])
+			t.Fatalf("body %d: float64 %v/%g batched %v/%g", i, acc[i], pot[i], acc2[i], pot2[i])
 		}
 	}
 }
@@ -102,9 +102,9 @@ func TestEvalM2PMatchesM2P(t *testing.T) {
 	for _, quad := range []bool{false, true} {
 		acc := make([]vec.V3, len(tpos))
 		pot := make([]float64, len(tpos))
-		var nFused uint64
+		var nRef uint64
 		for c := range cells {
-			nFused += M2P(tpos, acc, pot, &cells[c], quad, eps2)
+			nRef += M2P(tpos, acc, pot, &cells[c], quad, eps2)
 		}
 
 		var tg Targets
@@ -118,12 +118,12 @@ func TestEvalM2PMatchesM2P(t *testing.T) {
 		pot2 := make([]float64, len(tpos))
 		tg.Store(acc2, pot2)
 
-		if nFused != nBatch {
-			t.Fatalf("quad=%v: counts differ: fused %d batched %d", quad, nFused, nBatch)
+		if nRef != nBatch {
+			t.Fatalf("quad=%v: counts differ: float64 %d batched %d", quad, nRef, nBatch)
 		}
 		for i := range acc {
 			if relDiff(acc[i].Z, acc2[i].Z) > RoundOff || relDiff(pot[i], pot2[i]) > RoundOff {
-				t.Fatalf("quad=%v body %d: fused %v/%g batched %v/%g", quad, i, acc[i], pot[i], acc2[i], pot2[i])
+				t.Fatalf("quad=%v body %d: float64 %v/%g batched %v/%g", quad, i, acc[i], pot[i], acc2[i], pot2[i])
 			}
 		}
 	}

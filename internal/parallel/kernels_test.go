@@ -15,12 +15,12 @@ import (
 )
 
 // runKernels runs one force evaluation at np ranks and returns
-// per-body-ID forces and the summed interaction counts. With karp set
+// per-body-ID forces and the summed interaction counts. With replay set
 // the engine decomposes, builds and walks exactly as ComputeForces
 // does, but each group's interaction list is replayed entry by entry
-// through the scalar Karp kernels (grav.M2P/PPTile/PPSelf) instead of
-// the production Evaluate: the same lists, the paper's arithmetic.
-func runKernels(t *testing.T, np, n int, karp bool, mac grav.MACParams, eps2 float64) (map[int64]vec.V3, map[int64]float64, uint64, uint64) {
+// through the float64 references (grav.M2P, grav.AccelAt) instead of
+// the production Evaluate: the same lists, exact arithmetic.
+func runKernels(t *testing.T, np, n int, replay bool, mac grav.MACParams, eps2 float64) (map[int64]vec.V3, map[int64]float64, uint64, uint64) {
 	t.Helper()
 	acc := make(map[int64]vec.V3, n)
 	pot := make(map[int64]float64, n)
@@ -35,10 +35,10 @@ func runKernels(t *testing.T, np, n int, karp bool, mac grav.MACParams, eps2 flo
 			local.AppendFrom(global, i)
 		}
 		e := New(c, local, Config{MAC: mac, Eps2: eps2})
-		if karp {
+		if replay {
 			e.Exchange()
 			e.WalkGroups("walk", &visitor{e: e}, func(_ keys.Key, g *tree.Cell, ctr *diag.Counters) {
-				karpEvaluate(e, &e.walker.List, g, ctr)
+				replayEvaluate(e, &e.walker.List, g, ctr)
 			})
 		} else {
 			e.ComputeForces()
@@ -55,12 +55,12 @@ func runKernels(t *testing.T, np, n int, karp bool, mac grav.MACParams, eps2 flo
 	return acc, pot, pp, pc
 }
 
-// karpEvaluate applies list l to group g through the scalar Karp
-// kernels, overwriting the group's Acc and Pot rows.
-func karpEvaluate(e *Engine, l *grav.InteractionList, g *tree.Cell, ctr *diag.Counters) {
+// replayEvaluate applies list l to group g through the float64
+// references, overwriting the group's Acc and Pot rows.
+func replayEvaluate(e *Engine, l *grav.InteractionList, g *tree.Cell, ctr *diag.Counters) {
 	sys, quad, eps2 := e.Sys, e.Cfg.MAC.Quad, e.Cfg.Eps2
 	lo, hi := g.First, g.First+g.N
-	gpos, acc, pot := sys.Pos[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi]
+	gpos, gmass, acc, pot := sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi]
 	for i := range acc {
 		acc[i], pot[i] = vec.V3{}, 0
 	}
@@ -73,21 +73,29 @@ func karpEvaluate(e *Engine, l *grav.InteractionList, g *tree.Cell, ctr *diag.Co
 	for j := range spos {
 		spos[j], smass[j] = l.Source(j)
 	}
-	ctr.PP += grav.PPTile(gpos, acc, pot, spos, smass, eps2)
+	for i, x := range gpos {
+		a, p := grav.AccelAt(x, spos, smass, eps2)
+		acc[i], pot[i] = acc[i].Add(a), pot[i]+p
+		if l.Self {
+			a, p = grav.AccelAt(x, gpos[:i], gmass[:i], eps2)
+			b, q := grav.AccelAt(x, gpos[i+1:], gmass[i+1:], eps2)
+			acc[i], pot[i] = acc[i].Add(a).Add(b), pot[i]+p+q
+		}
+	}
+	ctr.PP += uint64(len(gpos)) * uint64(len(spos))
 	if l.Self {
-		ctr.PP += grav.PPSelf(gpos, sys.Mass[lo:hi], acc, pot, eps2)
+		ctr.PP += uint64(len(gpos)) * uint64(len(gpos)-1)
 	}
 }
 
 // TestKernelEquivalenceAcrossRanks holds the production kernels
 // (float32 lanes, Newton reciprocal square root and FMAs, eight or
 // four targets × two sources per register where the host has AVX-512
-// or AVX2) to
-// the paper's: at np = 1, 2 and 8 the engine must count exactly the
-// interactions a float64 Karp replay of the same lists counts, and its
-// forces must agree with the replay's to the float32 kernels'
-// round-off, grav.RoundOff of the largest acceleration (and relative
-// in the potential).
+// or AVX2) to exact arithmetic: at np = 1, 2 and 8 the engine must
+// count exactly the interactions a float64 replay of the same lists
+// counts, and its forces must agree with the replay's to the float32
+// kernels' round-off, grav.RoundOff of the largest acceleration (and
+// relative in the potential).
 func TestKernelEquivalenceAcrossRanks(t *testing.T) {
 	const n = 1200
 	mac := grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true}
@@ -97,10 +105,10 @@ func TestKernelEquivalenceAcrossRanks(t *testing.T) {
 		accT, potT, ppT, pcT := runKernels(t, np, n, false, mac, eps2)
 		accR, potR, ppR, pcR := runKernels(t, np, n, true, mac, eps2)
 		if ppT != ppR || pcT != pcR {
-			t.Errorf("np=%d: counts production PP=%d PC=%d, Karp replay PP=%d PC=%d", np, ppT, pcT, ppR, pcR)
+			t.Errorf("np=%d: counts production PP=%d PC=%d, float64 replay PP=%d PC=%d", np, ppT, pcT, ppR, pcR)
 		}
 		if len(accT) != n || len(accR) != n {
-			t.Fatalf("np=%d: missing bodies (production %d, Karp %d of %d)", np, len(accT), len(accR), n)
+			t.Fatalf("np=%d: missing bodies (production %d, replay %d of %d)", np, len(accT), len(accR), n)
 		}
 		accScale := 0.0
 		for _, a := range accR {
@@ -116,11 +124,11 @@ func TestKernelEquivalenceAcrossRanks(t *testing.T) {
 			}
 			pr, pt := potR[id], potT[id]
 			if d := pr - pt; d > grav.RoundOff*(-pr) || d < -grav.RoundOff*(-pr) {
-				t.Errorf("np=%d body %d: potential production %g Karp %g", np, id, pt, pr)
+				t.Errorf("np=%d body %d: potential production %g replay %g", np, id, pt, pr)
 			}
 		}
 		if maxErr > grav.RoundOff {
-			t.Errorf("np=%d: max relative force difference production vs Karp %g > %g", np, maxErr, grav.RoundOff)
+			t.Errorf("np=%d: max relative force difference production vs replay %g > %g", np, maxErr, grav.RoundOff)
 		}
 	}
 }

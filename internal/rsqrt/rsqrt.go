@@ -20,13 +20,12 @@
 // reciprocal square root the same way, from multiplies and adds: the
 // square root and divide units are as slow against the FMA units
 // today as they were on the Pentium Pro, and vector lanes have no
-// table lookup, so there a bit-trick seed and four Newton steps on
-// fused multiply-adds replace the table and the polynomial. Rsqrt
-// itself stays the paper's scalar routine: it serves the Karp kernels
-// grav.PPTile/PPSelf/M2P (the direct sum, the tests' fused walk and
-// the accuracy tests' second opinion) and the Ablation_RsqrtKarp vs
-// Ablation_RsqrtLibm pair, which times it against 1/math.Sqrt call for
-// call.
+// table lookup, so there a bit-trick seed and Newton steps on fused
+// multiply-adds replace the table and the polynomial. Rsqrt itself
+// stays the paper's scalar routine, run by no production code: it is
+// what the counted 38 flops per interaction price, and the
+// Ablation_RsqrtKarp vs Ablation_RsqrtLibm pair times it against
+// 1/math.Sqrt call for call.
 package rsqrt
 
 import "math"

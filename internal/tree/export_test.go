@@ -12,8 +12,9 @@ import (
 // WalkFused is the original single-phase traversal, as the paper wrote
 // it: a stack of keys, one hash probe per cell, a square root per
 // acceptance test, and each accepted interaction evaluated as it is
-// found, accumulating into acc and pot (parallel slices of gpos, NOT
-// zeroed here). It is the reference the list walk (Walk + Evaluate,
+// found by the float64 references (grav.M2P, grav.AccelAt),
+// accumulating into acc and pot (parallel slices of gpos, NOT zeroed
+// here). It is the reference the list walk (Walk + Evaluate,
 // descending by index and comparing squares) is tested against. The
 // group's own cell is never put to the MAC: by key, its bodies (gpos,
 // gmass) interact pairwise.
@@ -29,7 +30,7 @@ func WalkFused(t *Tree, groupKey keys.Key, gpos []vec.V3, gmass []float64, acc [
 			continue // empty cell contributes nothing
 		}
 		if k == groupKey {
-			ctr.PP += grav.PPSelf(gpos, gmass, acc, pot, eps2)
+			ctr.PP += addSelfAccel(gpos, gmass, acc, pot, eps2)
 			continue
 		}
 		d := c.Mp.COM.Sub(gc).Norm()
@@ -43,7 +44,7 @@ func WalkFused(t *Tree, groupKey keys.Key, gpos []vec.V3, gmass []float64, acc [
 		}
 		if c.Leaf {
 			spos, smass := t.LeafBodies(c)
-			ctr.PP += grav.PPTile(gpos, acc, pot, spos, smass, eps2)
+			ctr.PP += addAccel(gpos, acc, pot, spos, smass, eps2)
 			continue
 		}
 		for oct := 0; oct < 8; oct++ {
@@ -52,6 +53,26 @@ func WalkFused(t *Tree, groupKey keys.Key, gpos []vec.V3, gmass []float64, acc [
 			}
 		}
 	}
+}
+
+// addAccel adds the exact float64 field of the bodies (spos, smass),
+// grav.AccelAt, to each target and returns the interaction count.
+func addAccel(tpos []vec.V3, acc []vec.V3, pot []float64, spos []vec.V3, smass []float64, eps2 float64) uint64 {
+	for i, x := range tpos {
+		a, p := grav.AccelAt(x, spos, smass, eps2)
+		acc[i], pot[i] = acc[i].Add(a), pot[i]+p
+	}
+	return uint64(len(tpos)) * uint64(len(spos))
+}
+
+// addSelfAccel adds to each body the exact float64 field of all the
+// others and returns the interaction count, n(n-1).
+func addSelfAccel(pos []vec.V3, mass []float64, acc []vec.V3, pot []float64, eps2 float64) (n uint64) {
+	for i := range pos {
+		n += addAccel(pos[i:i+1], acc[i:i+1], pot[i:i+1], pos[:i], mass[:i], eps2)
+		n += addAccel(pos[i:i+1], acc[i:i+1], pot[i:i+1], pos[i+1:], mass[i+1:], eps2)
+	}
+	return n
 }
 
 // GravityFused is the original fused-walk evaluation (traversal and

@@ -37,7 +37,8 @@ func cosmoCloud(t *testing.T) (*core.System, keys.Domain) {
 
 // accClose checks the batched result against the fused one to the
 // float32 kernels' round-off, grav.RoundOff relative to the largest
-// acceleration (the fused walk sums in float64 on the Karp kernels).
+// acceleration (the fused walk sums in float64 on grav.M2P and
+// grav.AccelAt).
 func accClose(t *testing.T, tag string, acc, ref []vec.V3, pot, refPot []float64) {
 	t.Helper()
 	var scale float64
@@ -100,9 +101,9 @@ func TestGravityMatchesFused(t *testing.T) {
 
 // An InteractionList built from a tree walk must evaluate to the same
 // forces, to the float32 kernels' round-off (grav.RoundOff), as
-// replaying its entries through the float64 fused kernels one call at
-// a time: the list is a faithful record of the walk's accepted
-// interactions.
+// replaying its entries through the float64 references (grav.M2P,
+// grav.AccelAt) one at a time: the list is a faithful record of the
+// walk's accepted interactions.
 func TestListEvaluationMatchesPerEntryKernels(t *testing.T) {
 	const eps2 = 1e-6
 	f := func(seed int64, groupPick uint16, quad bool) bool {
@@ -125,7 +126,7 @@ func TestListEvaluationMatchesPerEntryKernels(t *testing.T) {
 		pot := make([]float64, len(gpos))
 		w.Evaluate(gpos, gmass, acc, pot, eps2, quad, &ctr)
 
-		// Replay the list entry by entry through the fused kernels.
+		// Replay the list entry by entry through the float64 references.
 		ref := make([]vec.V3, len(gpos))
 		refPot := make([]float64, len(gpos))
 		for c := 0; c < w.List.NCells(); c++ {
@@ -136,10 +137,10 @@ func TestListEvaluationMatchesPerEntryKernels(t *testing.T) {
 		var smass [1]float64
 		for j := 0; j < w.List.NSources(); j++ {
 			spos[0], smass[0] = w.List.Source(j)
-			grav.PPTile(gpos, ref, refPot, spos[:], smass[:], eps2)
+			addAccel(gpos, ref, refPot, spos[:], smass[:], eps2)
 		}
 		if w.List.Self {
-			grav.PPSelf(gpos, gmass, ref, refPot, eps2)
+			addSelfAccel(gpos, gmass, ref, refPot, eps2)
 		}
 		for i := range ref {
 			if acc[i].Sub(ref[i]).Norm() > grav.RoundOff*(ref[i].Norm()+1) ||

@@ -62,7 +62,7 @@ echo "== fuzz (time-boxed: the pair kernels equal the Go loops bit for bit on gr
 go test -run='^$' -fuzz=FuzzKernelLanes -fuzztime=10s ./internal/grav
 echo "== fuzz (time-boxed: the Go definition's float32 fused multiply-add fma32 is VFMADD231PS bit for bit, NaNs by class; skips without AVX2 and FMA)"
 go test -run='^$' -fuzz=FuzzFMA32 -fuzztime=10s ./internal/grav
-echo "== one runner (engines are constructed in internal/runner and nowhere else outside tests, and gravity, vortex and SPH runs have no serial path)"
+echo "== one runner (engines are constructed in internal/runner and nowhere else outside tests, gravity, vortex and SPH runs have no serial path, and no production code imports the scalar Karp rsqrt)"
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=runner \
 	'(parallel\.New|sph\.NewParallel|vortex\.NewParallel)\(' .; then
 	echo "FAIL: an engine constructed outside internal/runner: describe the run as a runner.Plan" >&2
@@ -80,6 +80,10 @@ fi
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'GravityActive\(|\.Gravity\(|FuncBodies' . |
 	grep -vE '^\./internal/tree/[^:]*:[0-9]+:.*\.Gravity\(|^\./internal/integrate/[^:]*:[0-9]+:.*FuncBodies'; then
 	echo "FAIL: a second serial gravity path: evaluate and step through runner.Gravity.Serial, the one-rank engine (tree.Tree.Gravity and integrate.FuncBodies are test references)" >&2
+	exit 1
+fi
+if grep -rlE --include='*.go' --exclude='*_test.go' '"repro/internal/rsqrt"' . | grep -v '^\./internal/rsqrt/'; then
+	echo "FAIL: a second gravity kernel family: rsqrt.Rsqrt (the paper's Karp routine) is kept for the ablation benches only; kernels take the lanes (grav.EvalPP/EvalSelf/EvalM2P), references 1/math.Sqrt (grav.AccelAt, grav.M2P)" >&2
 	exit 1
 fi
 echo "== one rank record (an engine describes its rank through Record, as a metrics.RankInput, and no other way)"
