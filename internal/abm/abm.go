@@ -33,7 +33,7 @@ import (
 type Engine[Req, Rep any] struct {
 	c        *msg.Comm
 	reqBytes int
-	repBytes int
+	repBytes func(*Rep) int
 	// Handler serves a batch of requests from src, returning exactly
 	// one reply per request, in order. The request slices are recycled
 	// after the round completes; a handler must not retain them past
@@ -72,10 +72,10 @@ type Engine[Req, Rep any] struct {
 	OnReply func(src int, reps []Rep)
 }
 
-// New creates an engine on communicator c. reqBytes and repBytes are
-// the logical wire sizes per request and per reply for traffic
-// accounting.
-func New[Req, Rep any](c *msg.Comm, reqBytes, repBytes int, handler func(src int, reqs []Req) []Rep) *Engine[Req, Rep] {
+// New creates an engine on communicator c. reqBytes is the logical wire
+// size of a request and repBytes gives each reply's, for traffic
+// accounting (a reply's size may depend on what it carries).
+func New[Req, Rep any](c *msg.Comm, reqBytes int, repBytes func(*Rep) int, handler func(src int, reqs []Req) []Rep) *Engine[Req, Rep] {
 	return &Engine[Req, Rep]{
 		c:        c,
 		reqBytes: reqBytes,

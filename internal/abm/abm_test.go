@@ -8,9 +8,12 @@ import (
 	"repro/internal/msg"
 )
 
+// fixed is a reply size that does not depend on the reply.
+func fixed[T any](n int) func(*T) int { return func(*T) int { return n } }
+
 func TestRoundTripAligned(t *testing.T) {
 	msg.Run(4, func(c *msg.Comm) {
-		e := New[int, string](c, 8, 16, func(src int, reqs []int) []string {
+		e := New[int, string](c, 8, fixed[string](16), func(src int, reqs []int) []string {
 			out := make([]string, len(reqs))
 			for i, r := range reqs {
 				out[i] = fmt.Sprintf("r%d:q%d:from%d", c.Rank(), r, src)
@@ -36,7 +39,7 @@ func TestRoundTripAligned(t *testing.T) {
 func TestEmptyRound(t *testing.T) {
 	// Ranks with nothing to ask must still serve.
 	msg.Run(3, func(c *msg.Comm) {
-		e := New[int, int](c, 8, 8, func(src int, reqs []int) []int {
+		e := New[int, int](c, 8, fixed[int](8), func(src int, reqs []int) []int {
 			out := make([]int, len(reqs))
 			for i, r := range reqs {
 				out[i] = r * r
@@ -68,7 +71,7 @@ func TestMultiRoundConvergence(t *testing.T) {
 	var mu sync.Mutex
 	total := 0
 	msg.Run(4, func(c *msg.Comm) {
-		e := New[int, int](c, 8, 8, func(src int, reqs []int) []int {
+		e := New[int, int](c, 8, fixed[int](8), func(src int, reqs []int) []int {
 			out := make([]int, len(reqs))
 			for i, r := range reqs {
 				out[i] = r - 1
@@ -108,7 +111,7 @@ func TestMultiRoundConvergence(t *testing.T) {
 func TestVoteDecidesTermination(t *testing.T) {
 	const np = 4
 	w := msg.Run(np, func(c *msg.Comm) {
-		e := New[int, int](c, 8, 8, func(src int, reqs []int) []int { return make([]int, len(reqs)) })
+		e := New[int, int](c, 8, fixed[int](8), func(src int, reqs []int) []int { return make([]int, len(reqs)) })
 		// Only rank 2 claims work, nobody asks.
 		if !e.Vote(c.Rank() == 2) {
 			t.Errorf("rank %d: loop ended although rank 2 voted to go on", c.Rank())
@@ -143,7 +146,7 @@ func TestVoteDecidesTermination(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	msg.Run(2, func(c *msg.Comm) {
-		e := New[int, int](c, 8, 8, func(src int, reqs []int) []int {
+		e := New[int, int](c, 8, fixed[int](8), func(src int, reqs []int) []int {
 			return make([]int, len(reqs))
 		})
 		if c.Rank() == 0 {
@@ -176,7 +179,7 @@ func TestHandlerArityPanics(t *testing.T) {
 		}
 	}()
 	msg.Run(1, func(c *msg.Comm) {
-		e := New[int, int](c, 8, 8, func(src int, reqs []int) []int {
+		e := New[int, int](c, 8, fixed[int](8), func(src int, reqs []int) []int {
 			return nil // wrong arity
 		})
 		e.Post(0, 1)
@@ -191,7 +194,7 @@ func TestHandlerArityPanics(t *testing.T) {
 func TestRoundZeroAllocSteadyState(t *testing.T) {
 	msg.Run(1, func(c *msg.Comm) {
 		var reps []int
-		e := New[int, int](c, 8, 8, func(src int, reqs []int) []int {
+		e := New[int, int](c, 8, fixed[int](8), func(src int, reqs []int) []int {
 			reps = reps[:0]
 			for _, r := range reqs {
 				reps = append(reps, r*2)
@@ -223,7 +226,7 @@ func TestRoundZeroAllocSteadyState(t *testing.T) {
 // rank 0 only, others just serve).
 func TestRoundRecyclesQueuesMultiRank(t *testing.T) {
 	msg.Run(4, func(c *msg.Comm) {
-		e := New[int, int](c, 8, 8, func(src int, reqs []int) []int {
+		e := New[int, int](c, 8, fixed[int](8), func(src int, reqs []int) []int {
 			out := make([]int, len(reqs))
 			for i, r := range reqs {
 				out[i] = r + src
@@ -252,7 +255,7 @@ func TestRoundRecyclesQueuesMultiRank(t *testing.T) {
 func BenchmarkRoundSteadyState(b *testing.B) {
 	msg.Run(1, func(c *msg.Comm) {
 		var reps []int
-		e := New[int, int](c, 8, 8, func(src int, reqs []int) []int {
+		e := New[int, int](c, 8, fixed[int](8), func(src int, reqs []int) []int {
 			reps = reps[:0]
 			for _, r := range reqs {
 				reps = append(reps, r*2)

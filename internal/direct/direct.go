@@ -13,6 +13,9 @@
 package direct
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/diag"
 	"repro/internal/grav"
 	"repro/internal/keys"
@@ -57,16 +60,19 @@ const tile = 64
 // once, so computation scales as (N/P)*N while communication scales
 // as N per rank. acc and pot are overwritten.
 //
-// The rank's bodies are evaluated in tiles of 64, each in its own
-// frame, the tile's box centre, as a walk group is. A visiting block is
-// the tile's source list (grav.EvalPP); in round 0 the rest of the
-// rank's own block is, and the tile against itself is grav.EvalSelf.
+// The rank's bodies are evaluated in tiles of 64 consecutive in key
+// order, so that a tile is compact as a walk group is, each in its own
+// frame, the tile's box centre: its float32 coordinates keep the digits
+// a tile spanning the box would lose. A visiting block is the tile's
+// source list (grav.EvalPP); in round 0 the rest of the rank's own
+// bodies are, and the tile against itself is grav.EvalSelf.
 func Ring(c *msg.Comm, pos []vec.V3, mass []float64, acc []vec.V3, pot []float64, eps2 float64) diag.Counters {
 	c.Phase("nsquared")
 	for i := range acc {
 		acc[i] = vec.V3{}
 		pot[i] = 0
 	}
+	ord, own := keyOrder(pos, mass)
 	var ctr diag.Counters
 	p := c.Size()
 	next := (c.Rank() + 1) % p
@@ -84,20 +90,19 @@ func Ring(c *msg.Comm, pos []vec.V3, mass []float64, acc []vec.V3, pot []float64
 		}
 		for lo := 0; lo < len(pos); lo += tile {
 			hi := min(lo+tile, len(pos))
-			b := keys.BoxOf(pos[lo:hi])
+			b := keys.BoxOf(own.pos[lo:hi])
 			l.Reset(b.Lo.Add(b.Hi).Scale(0.5))
 			if round == 0 {
-				tg.Load(pos[lo:hi], mass[lo:hi])
-				l.AddBodies(pos[:lo], mass[:lo])
-				l.AddBodies(pos[hi:], mass[hi:])
+				tg.Load(own.pos[lo:hi], own.mass[lo:hi])
+				l.AddBodies(own.pos[:lo], own.mass[:lo])
+				l.AddBodies(own.pos[hi:], own.mass[hi:])
 				ctr.PP += grav.EvalSelf(&tg, eps2)
 			} else {
-				tg.Load(pos[lo:hi], nil)
+				tg.Load(own.pos[lo:hi], nil)
 				l.AddBodies(cur.pos, cur.mass)
 			}
 			ctr.PP += grav.EvalPP(&tg, &l, eps2)
-			for i := lo; i < hi; i++ {
-				k := i - lo
+			for k, i := range ord[lo:hi] {
 				acc[i] = acc[i].Add(vec.V3{X: tg.AX[k], Y: tg.AY[k], Z: tg.AZ[k]})
 				pot[i] += tg.Pot[k]
 			}
@@ -108,6 +113,23 @@ func Ring(c *msg.Comm, pos []vec.V3, mass []float64, acc []vec.V3, pot []float64
 		}
 	}
 	return ctr
+}
+
+// keyOrder returns the permutation that sorts pos by key in the domain
+// of their box, and the bodies in that order.
+func keyOrder(pos []vec.V3, mass []float64) ([]int, block) {
+	d := keys.NewDomain(pos)
+	k := make([]keys.Key, len(pos))
+	ord := make([]int, len(pos))
+	for i, p := range pos {
+		k[i], ord[i] = d.KeyOf(p), i
+	}
+	slices.SortFunc(ord, func(a, b int) int { return cmp.Compare(k[a], k[b]) })
+	b := block{pos: make([]vec.V3, len(pos)), mass: make([]float64, len(pos))}
+	for j, i := range ord {
+		b.pos[j], b.mass[j] = pos[i], mass[i]
+	}
+	return ord, b
 }
 
 // RingRun is the paper's O(N^2) benchmark: steps evaluations of Ring on

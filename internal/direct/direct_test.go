@@ -82,12 +82,14 @@ func ringVsSerial(t *testing.T, pos []vec.V3, mass []float64, cuts []int, eps2 f
 // float64), so against the exact float64 Serial it holds their
 // round-off, not Serial's own: every force within grav.RoundOff =
 // 7.6e-6 of the largest |a|, with the count exact, at every rank count.
-// Measured (-v): 5.5e-6 at np = 1, 2, 3 and 8, 9.5e-7 at np = 5. The
-// worst body is the one with the largest |a|, which its neighbour
-// 0.005 away sets. A tile holds bodies from across the unit cube, so
-// the pair's float32 coordinates, up to ~0.5 from the tile's centre,
-// each carry a rounding of up to 2^-26 = 1.5e-8: a few 1e-6 of their
-// separation.
+// The worst body is the one with the largest |a|, which its neighbour
+// 0.005 away sets; the pair's float32 coordinates, relative to the
+// tile's centre, each carry a rounding of up to 2^-24 of their distance
+// from it. Tiles are runs in key order, so they are compact where a
+// rank's bodies are dense. Measured (-v): 1.4e-8 at np = 1, 8.4e-7 to
+// 9.5e-7 at np = 2, 3 and 5; 5.5e-6 at np = 8, where a rank's 30 bodies,
+// drawn from across the unit cube, are one tile spanning it whatever
+// their order (input-order tiles: 5.5e-6 at np = 1, 2, 3 and 8).
 func TestRingMatchesSerial(t *testing.T) {
 	const n = 240
 	pos, mass := randomBodies(n, 2)

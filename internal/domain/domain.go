@@ -152,7 +152,7 @@ type Decomposer struct {
 	// Reuse enables the displaced-fraction fast path for the partial
 	// force evaluations of block timesteps: when the globally
 	// allreduced fraction of displaced bodies is at most
-	// ReuseThreshold, the previous call's splits are kept verbatim and
+	// DefaultReuseThreshold, the previous call's splits are kept verbatim and
 	// the splitter search (and its collectives) is skipped entirely.
 	// Bodies that drifted across the kept boundaries are still
 	// exchanged, so ownership stays exact; only the load balance goes
@@ -160,9 +160,6 @@ type Decomposer struct {
 	// results (the splits), so callers enable it only between
 	// synchronization points.
 	Reuse bool
-	// ReuseThreshold is the displaced fraction at or below which Reuse
-	// keeps the previous splits; 0 means DefaultReuseThreshold.
-	ReuseThreshold float64
 	// Sub, when non-nil, accumulates the sorting share of the
 	// construction pipeline under the phase "treebuild/sort".
 	Sub *diag.Timer
@@ -265,16 +262,12 @@ func (dc *Decomposer) searchIn(c *msg.Comm, sys *core.System) []uint64 {
 		// Fast path for partial evaluations: one allreduce decides --
 		// identically on every rank -- whether few enough bodies moved
 		// to keep the previous splits and skip the search.
-		thresh := dc.ReuseThreshold
-		if thresh <= 0 {
-			thresh = DefaultReuseThreshold
-		}
 		cnt := msg.Allreduce(c, [2]float64{float64(dc.Last.Displaced), float64(n)}, sumPair, 16)
 		dc.Last.Rounds++
 		if cnt[1] > 0 {
 			dc.Last.DisplacedFrac = cnt[0] / cnt[1]
 		}
-		if cnt[0] <= thresh*cnt[1] {
+		if cnt[0] <= DefaultReuseThreshold*cnt[1] {
 			dc.Last.SplitsReused = true
 			splits = append([]uint64(nil), dc.prev...)
 		}
@@ -413,7 +406,7 @@ func (dc *Decomposer) exchange(c *msg.Comm, sys *core.System, splits []uint64, p
 		start = end
 	}
 
-	recv := msg.AlltoallvFunc(c, send, nil, WireBytes, pairs, nil)
+	recv := msg.AlltoallvFunc(c, send, nil, func(*Wire) int { return WireBytes }, pairs, nil)
 
 	// Unpack, preserving the field configuration of the input.
 	m := 0

@@ -7,10 +7,13 @@
 // dynamics, SPH and panel methods alike. This package is that shared
 // structure; a Physics implementation supplies what differs per
 // application: an optional per-cell moment payload and its combine
-// rule, the leaf body columns that travel in request replies, and any
-// per-evaluation precomputation. The gravity engine
-// (internal/parallel), the vortex engine (internal/vortex) and the
-// distributed SPH driver (internal/sph) are thin instantiations.
+// rule, which body columns a leaf carries, and any per-evaluation
+// precomputation. Where a leaf's bodies live -- the rank's own columns,
+// the per-phase snapshot pushed leaves are sliced from, or the arena
+// imported leaves land in -- is the engine's alone (LeafBodies). The
+// gravity engine (internal/parallel), the vortex engine
+// (internal/vortex) and the distributed SPH driver (internal/sph) are
+// thin instantiations.
 //
 // One evaluation runs in the paper's four phases:
 //
@@ -75,9 +78,10 @@ import (
 // Physics supplies the application-specific pieces of the pipeline.
 // X is the per-cell moment payload beyond the geometric multipole
 // every cell already carries (use None when the multipole suffices);
-// B is the leaf body payload of a request reply (SoA columns, e.g.
-// positions plus masses).
-type Physics[X, B any] interface {
+// B is the leaf body payload of a pushed or requested leaf: SoA
+// columns (e.g. positions plus masses), which the engine slices,
+// snapshots and appends through Columns.
+type Physics[X any, B Columns[B]] interface {
 	// Prepare runs after decomposition, before the tree build, on the
 	// redistributed, key-sorted local system (e.g. vortex dynamics
 	// derives the structural masses from the strengths here).
@@ -92,25 +96,19 @@ type Physics[X, B any] interface {
 	// parent payload (top-tree ancestor assembly; acc starts at the
 	// zero X).
 	CombineExtra(acc, child X) X
-	// PackLeaf returns the body columns of local leaf cell c for a
-	// push batch or a request reply: slices of the copy Snapshot last
-	// took, never of the rank's own columns. A peer imports them
-	// whenever its batch lands, and no collective orders that read
-	// before the owner's next write to its columns (DESIGN.md "A pushed
-	// walk needs no vote").
-	PackLeaf(c *tree.Cell) B
-	// Snapshot copies the local columns PackLeaf serves, over the last
-	// copy. The engine calls it once per walk phase before anything is
-	// packed, at a point every peer reaches only after importing all
-	// the last phase sent it.
-	Snapshot()
-	// ImportLeaf copies n bodies from a reply payload into the
-	// physics' import arena, returning the arena start index the
-	// engine encodes into the cell's First sentinel.
-	ImportLeaf(n int32, b B) int32
-	// ResetImports discards the import arena (new exchange, or a
-	// re-fetch pass over updated remote data).
-	ResetImports()
+	// Columns returns a view of sys's columns a leaf carries, indexed
+	// by body like sys: what local leaves are read from and what each
+	// walk phase's snapshot copies.
+	Columns(sys *core.System) B
+}
+
+// Columns is the constraint on a leaf body payload: equal-length
+// columns, one element per body. Slice returns the bodies [lo, hi) as a
+// view; Append returns the payload with b's bodies added at the end,
+// reusing the receiver's storage as append does.
+type Columns[B any] interface {
+	Slice(lo, hi int32) B
+	Append(b B) B
 }
 
 // None is the empty per-cell payload, for physics whose cell moments
@@ -135,13 +133,13 @@ type Config struct {
 // walkPhase is the persistent per-phase-label state: the abm engine
 // (recycled queue/receive buffers) and the precomputed traffic label
 // (prefix concatenation allocates, so it is done once).
-type walkPhase[X, B any] struct {
+type walkPhase[X any, B Columns[B]] struct {
 	eng   *abm.Engine[keys.Key, Wire[X, B]]
 	label string
 }
 
 // Engine holds one rank's state across timesteps.
-type Engine[X, B any] struct {
+type Engine[X any, B Columns[B]] struct {
 	C    *msg.Comm
 	Cfg  Config
 	Phys Physics[X, B]
@@ -201,7 +199,14 @@ type Engine[X, B any] struct {
 	dec     domain.Decomposer
 	builder tree.Builder
 
-	cellBytes int
+	// The leaf store: local views Sys's columns (taken as the exchange
+	// replaces Sys, so no older columns stay pinned), snap is the copy of
+	// them pushes and replies slice (snapshot), imp the arena of nimp
+	// imported bodies, an imported leaf's First being -(its start + 1).
+	local, snap, imp B
+	nimp             int32
+
+	cellBytes, bodyBytes int
 	// branches are this rank's own branch cells, the roots of the push
 	// descent; pubs is what the ranks published with theirs when that
 	// included walk bounds (ExchangeFor), for the first push after it;
@@ -254,7 +259,7 @@ type Engine[X, B any] struct {
 // New creates an engine wrapping this rank's share of the bodies. The
 // physics-facing system configuration (EnableDynamics etc.) is the
 // caller's responsibility.
-func New[X, B any](c *msg.Comm, sys *core.System, phys Physics[X, B], cfg Config) *Engine[X, B] {
+func New[X any, B Columns[B]](c *msg.Comm, sys *core.System, phys Physics[X, B], cfg Config) *Engine[X, B] {
 	if cfg.Bucket <= 0 {
 		cfg.Bucket = tree.DefaultBucketSize
 	}
@@ -266,6 +271,7 @@ func New[X, B any](c *msg.Comm, sys *core.System, phys Physics[X, B], cfg Config
 		Timer:     diag.NewTimer(),
 		Sub:       diag.NewTimer(),
 		cellBytes: CellWireBytes[X, B](),
+		bodyBytes: BodyWireBytes[B](),
 		phases:    make(map[string]*walkPhase[X, B]),
 		hasExtra:  reflect.TypeFor[X]().Size() > 0,
 	}
@@ -360,6 +366,7 @@ func (e *Engine[X, B]) ExchangeFor(v Visitor[X], active func(g *tree.Cell) bool,
 		e.Relocated++
 	}
 	e.Phys.Prepare(e.Sys)
+	e.local = e.Phys.Columns(e.Sys)
 
 	// The local tree force-splits cells straddling this rank's
 	// interval so every branch cell materializes as a node.
@@ -413,7 +420,7 @@ func (e *Engine[X, B]) exchangeBranches(v Visitor[X], active func(g *tree.Cell) 
 		e.pubs = all
 	}
 
-	e.Phys.ResetImports()
+	e.imp, e.nimp = e.imp.Slice(0, 0), 0
 	e.RemoteCells = 0
 
 	// Lay the LET out from the root: the top tree over every rank's
@@ -460,11 +467,7 @@ func (e *Engine[X, B]) place(c tree.Cell, x X) {
 // below it until its family (a leaf: its bodies) lands.
 func (e *Engine[X, B]) layTop(i int32, k keys.Key, bs []branch[X, B]) (tree.Cell, X) {
 	if b := bs[0]; b.w.Key == k {
-		w := b.w
-		c := tree.Cell{
-			Key: k, Mp: w.Mp, RCrit: w.RCrit, N: w.N,
-			ChildMask: w.ChildMask, Leaf: w.Leaf,
-		}
+		w, c := b.w, b.w.cell()
 		own := b.rank == e.C.Rank()
 		if own {
 			c = *e.Local.Cell(k)
@@ -579,13 +582,34 @@ func (e *Engine[X, B]) wireOf(k keys.Key, c *tree.Cell) Wire[X, B] {
 		N: c.N, ChildMask: c.ChildMask, Leaf: c.Leaf,
 	}
 	if c.Leaf {
-		w.Bodies = e.Phys.PackLeaf(c)
+		w.Bodies = e.snap.Slice(c.First, c.First+c.N)
 	}
 	return w
 }
 
+// snapshot copies the rank's leaf columns over the last copy, which
+// pushed and reply leaves are sliced from: a peer imports them whenever
+// its batch lands, and no collective orders that read before the
+// owner's next write to its columns (DESIGN.md "A pushed walk needs no
+// vote"). Called once per walk phase before anything is packed, at a
+// point every peer reaches only after importing all the last phase sent.
+func (e *Engine[X, B]) snapshot() {
+	e.snap = e.snap.Slice(0, 0).Append(e.local)
+}
+
+// LeafBodies returns where the bodies of leaf c of the LET are: the
+// rank's columns or the import arena, and the range [lo, hi) of them.
+// The columns go by pointer, so no payload is copied per leaf.
+func (e *Engine[X, B]) LeafBodies(c *tree.Cell) (cols *B, lo, hi int32) {
+	if c.First >= 0 {
+		return &e.local, c.First, c.First + c.N
+	}
+	lo = -(c.First + 1)
+	return &e.imp, lo, lo + c.N
+}
+
 // importCell lays out a remote cell, pushed by its owner or fetched by
-// request, copying leaf bodies into the physics' import arena. A cell
+// request, copying leaf bodies into the import arena. A cell
 // already held is dropped: a phase over an earlier phase's imports is
 // pushed much of them again (SPH forces, then gravity). Families land
 // whole, so the first of one to arrive reserves the block for all of
@@ -599,17 +623,14 @@ func (e *Engine[X, B]) importCell(w Wire[X, B], pushed bool) {
 	case cells.At(i).First != tree.Unfetched:
 		return
 	}
-	c := tree.Cell{
-		Key: w.Key, Mp: w.Mp, RCrit: w.RCrit, N: w.N,
-		ChildMask: w.ChildMask, Leaf: w.Leaf,
-	}
+	c := w.cell()
 	if pushed {
 		c.Kids = cells.At(i).Kids // a leaf branch's: not yet entered
 		e.Counters.Pushed++
 	}
 	if w.Leaf {
-		start := e.Phys.ImportLeaf(w.N, w.Bodies)
-		c.First = -(start + 1)
+		c.First = -(e.nimp + 1)
+		e.imp, e.nimp = e.imp.Append(w.Bodies), e.nimp+w.N
 	}
 	*cells.At(i) = c
 	e.letX[i] = w.Extra
@@ -671,7 +692,7 @@ func (e *Engine[X, B]) reserve(k keys.Key, pushed bool) int {
 	return int(kids) + bits.OnesCount8(mask&(1<<uint(k.Octant())-1))
 }
 
-// ResetImports discards every imported cell and the physics' arena,
+// ResetImports discards every imported cell and the import arena,
 // returning the LET to its layout before any import, so a later
 // WalkGroups imports remote data afresh. Multi-pass physics (SPH) uses
 // this between the density and force passes: the second pass must see
@@ -682,7 +703,7 @@ func (e *Engine[X, B]) ResetImports() {
 	for _, i := range e.remote {
 		blank(e.let.Cells.At(int(i)))
 	}
-	e.Phys.ResetImports()
+	e.imp, e.nimp = e.imp.Slice(0, 0), 0
 }
 
 // WalkGroups runs phases 3 and 4 for one traversal pass: after the
@@ -716,7 +737,7 @@ func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool
 	ph := e.phases[label]
 	if ph == nil {
 		ph = &walkPhase[X, B]{
-			eng:   abm.New[keys.Key, Wire[X, B]](e.C, KeyWireBytes(), e.cellBytes, e.serve),
+			eng:   abm.New[keys.Key, Wire[X, B]](e.C, KeyWireBytes(), e.wireBytes, e.serve),
 			label: e.Cfg.PhasePrefix + label,
 		}
 		ph.eng.OnReply = e.onReply

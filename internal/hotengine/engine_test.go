@@ -21,40 +21,29 @@ import (
 // engine core in isolation: the per-cell payload is the body count
 // (as a float, with addition as the combine rule) and the leaf
 // payload is the particle IDs.
-type countPhysics struct {
-	e      func() *hotengine.Engine[float64, []int64]
-	snapID []int64
-	impID  []int64
-}
+type countPhysics struct{}
 
-func (p *countPhysics) Prepare(sys *core.System) {}
-func (p *countPhysics) PostBuild(t *tree.Tree)   {}
+func (countPhysics) Prepare(sys *core.System) {}
+func (countPhysics) PostBuild(t *tree.Tree)   {}
 
-func (p *countPhysics) Extra(c *tree.Cell) float64           { return float64(c.N) }
-func (p *countPhysics) CombineExtra(acc, ch float64) float64 { return acc + ch }
+func (countPhysics) Extra(c *tree.Cell) float64           { return float64(c.N) }
+func (countPhysics) CombineExtra(acc, ch float64) float64 { return acc + ch }
 
-func (p *countPhysics) PackLeaf(c *tree.Cell) []int64 {
-	return p.snapID[c.First : c.First+c.N]
-}
+func (countPhysics) Columns(sys *core.System) ids { return ids{sys.ID} }
 
-func (p *countPhysics) Snapshot() { p.snapID = append(p.snapID[:0], p.e().Sys.ID...) }
+// ids is the synthetic physics' leaf payload, one column.
+type ids struct{ ID []int64 }
 
-func (p *countPhysics) ImportLeaf(n int32, b []int64) int32 {
-	start := int32(len(p.impID))
-	p.impID = append(p.impID, b...)
-	return start
-}
-
-func (p *countPhysics) ResetImports() { p.impID = p.impID[:0] }
+func (s ids) Slice(lo, hi int32) ids { return ids{s.ID[lo:hi]} }
+func (s ids) Append(b ids) ids       { return ids{append(s.ID, b.ID...)} }
 
 // idWalk is the exhaustive traversal of the synthetic physics as a
 // Visitor: no opening criterion, every reachable leaf is visited, and
 // the leaf IDs of a completed walk land in ids.
 type idWalk struct {
-	e    *hotengine.Engine[float64, []int64]
-	phys *countPhysics
-	got  []int64
-	ids  map[int64]bool
+	e   *hotengine.Engine[float64, ids]
+	got []int64
+	ids map[int64]bool
 }
 
 func (w *idWalk) Begin(keys.Key, *tree.Cell)    { w.got = w.got[:0] }
@@ -65,12 +54,8 @@ func (w *idWalk) MAC() bool                                     { return false }
 func (w *idWalk) TestBound(*tree.Cell, *tree.Bound) tree.Action { return tree.Open }
 
 func (w *idWalk) Leaf(c *tree.Cell) {
-	if c.First >= 0 {
-		w.got = append(w.got, w.e.Sys.ID[c.First:c.First+c.N]...)
-	} else {
-		lo := -(c.First + 1)
-		w.got = append(w.got, w.phys.impID[lo:lo+c.N]...)
-	}
+	b, lo, hi := w.e.LeafBodies(c)
+	w.got = append(w.got, b.ID[lo:hi]...)
 }
 
 // collect is the walk's EvalFn: it runs once per completed group.
@@ -113,10 +98,7 @@ func TestEngineCoreFullTraversal(t *testing.T) {
 		var mu sync.Mutex
 		seen := map[int]map[int64]bool{}
 		msg.Run(np, func(c *msg.Comm) {
-			phys := &countPhysics{}
-			var e *hotengine.Engine[float64, []int64]
-			phys.e = func() *hotengine.Engine[float64, []int64] { return e }
-			e = hotengine.New[float64, []int64](c, scatterTo(global, c), phys, hotengine.Config{
+			e := hotengine.New[float64, ids](c, scatterTo(global, c), countPhysics{}, hotengine.Config{
 				MAC:    grav.MACParams{Kind: grav.MACBarnesHut, Theta: 0.5},
 				Bucket: 8,
 			})
@@ -135,7 +117,7 @@ func TestEngineCoreFullTraversal(t *testing.T) {
 
 			// Exhaustive walk: gather every particle ID reachable from
 			// the root.
-			w := &idWalk{e: e, phys: phys, ids: map[int64]bool{}}
+			w := &idWalk{e: e, ids: map[int64]bool{}}
 			e.WalkGroups("walk", w, w.collect)
 			ids := w.ids
 
@@ -178,15 +160,12 @@ func TestWalkGroupsIfIdleRankServes(t *testing.T) {
 	var got, rounds, groups [2]int
 	var ctr [2]diag.Counters
 	msg.Run(2, func(c *msg.Comm) {
-		phys := &countPhysics{}
-		var e *hotengine.Engine[float64, []int64]
-		phys.e = func() *hotengine.Engine[float64, []int64] { return e }
-		e = hotengine.New[float64, []int64](c, scatterTo(global, c), phys, hotengine.Config{
+		e := hotengine.New[float64, ids](c, scatterTo(global, c), countPhysics{}, hotengine.Config{
 			MAC: grav.MACParams{Kind: grav.MACBarnesHut, Theta: 0.5}, Bucket: 8,
 		})
 		e.SetPush(false)
 		e.Exchange()
-		w := &idWalk{e: e, phys: phys, ids: map[int64]bool{}}
+		w := &idWalk{e: e, ids: map[int64]bool{}}
 		e.WalkGroupsIf("walk", func(*tree.Cell) bool { return c.Rank() == 0 }, w, w.collect)
 		got[c.Rank()], ctr[c.Rank()] = len(w.ids), e.Counters
 		rounds[c.Rank()], groups[c.Rank()] = e.Rounds, len(e.Local.Groups)
@@ -212,14 +191,11 @@ func TestWalkGroupsIfIdleRankServes(t *testing.T) {
 func TestEngineTimerPhases(t *testing.T) {
 	global := randomSystem(300, 9)
 	msg.Run(2, func(c *msg.Comm) {
-		phys := &countPhysics{}
-		var e *hotengine.Engine[float64, []int64]
-		phys.e = func() *hotengine.Engine[float64, []int64] { return e }
-		e = hotengine.New[float64, []int64](c, scatterTo(global, c), phys, hotengine.Config{
+		e := hotengine.New[float64, ids](c, scatterTo(global, c), countPhysics{}, hotengine.Config{
 			MAC: grav.MACParams{Kind: grav.MACBarnesHut, Theta: 0.5}, Bucket: 8,
 		})
 		e.Exchange()
-		e.WalkGroups("walk", &idWalk{e: e, phys: phys}, nil)
+		e.WalkGroups("walk", &idWalk{e: e}, nil)
 		want := []string{"decompose", "treebuild", "branches", "walk"}
 		got := e.Timer.Phases()
 		if len(got) != len(want) {
@@ -245,17 +221,14 @@ func TestMaxRoundsAbort(t *testing.T) {
 	go func() {
 		w := msg.NewWorld(2)
 		done <- w.RunErr(func(c *msg.Comm) {
-			phys := &countPhysics{}
-			var e *hotengine.Engine[float64, []int64]
-			phys.e = func() *hotengine.Engine[float64, []int64] { return e }
-			e = hotengine.New[float64, []int64](c, scatterTo(global, c), phys, hotengine.Config{
+			e := hotengine.New[float64, ids](c, scatterTo(global, c), countPhysics{}, hotengine.Config{
 				MAC:       grav.MACParams{Kind: grav.MACBarnesHut, Theta: 0.5},
 				Bucket:    8,
 				MaxRounds: 1,
 			})
 			e.SetPush(false)
 			e.Exchange()
-			e.WalkGroups("walk", &idWalk{e: e, phys: phys}, nil)
+			e.WalkGroups("walk", &idWalk{e: e}, nil)
 		})
 	}()
 	var err *msg.WorldError

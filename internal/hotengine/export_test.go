@@ -23,6 +23,10 @@ func (e *Engine[X, B]) SetPush(on bool) { e.pushOff = !on }
 // TestBound is held to the request walk. This hook is the only switch.
 func (e *Engine[X, B]) SetFallBack(on bool) { e.fallBack = on }
 
+// ImportedBodies is the length of the import arena: the bodies of every
+// leaf imported since the last exchange or ResetImports.
+func (e *Engine[X, B]) ImportedBodies() int32 { return e.nimp }
+
 // SetHashDescent switches the walks between tree.Descend over the LET
 // (off: children by index, as shipped) and the paper's design, a stack
 // of keys and one hash probe per cell of the same table (on): the
@@ -194,12 +198,12 @@ func (e *Engine[X, B]) Resolve(k keys.Key) (c *tree.Cell, x X, ok bool) {
 // is tested against: same lists, same counters, same rounds and
 // traffic.
 func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn) {
-	eng := abm.New[keys.Key, Wire[X, B]](e.C, KeyWireBytes(), e.cellBytes, e.serve)
+	eng := abm.New[keys.Key, Wire[X, B]](e.C, KeyWireBytes(), e.wireBytes, e.serve)
 	e.C.Phase(e.Cfg.PhasePrefix + label)
 	pending := map[keys.Key]bool{}
 	todo := append([]keys.Key(nil), e.Local.Groups...)
 	var stack, missing []keys.Key
-	e.Phys.Snapshot() // what the replies carry
+	e.snapshot() // what the replies carry
 	e.setVisitor(v)
 	defer func() { e.curWalk = nil }()
 	for {

@@ -30,8 +30,8 @@ func (e *Engine[X, B]) walkBound(v Visitor[X], active func(g *tree.Cell) bool) (
 // each batch lands. What arrives is a superset of what the walks
 // resolve, and they still apply the exact test, so no list changes; a
 // cell the bound did not cover is missed, which aborts the phase
-// (DESIGN.md "Push-first walk"). Leaf bodies travel in the physics'
-// snapshot of its columns: the owner goes on to write those while a
+// (DESIGN.md "Push-first walk"). Leaf bodies travel in the engine's
+// snapshot of the columns: the owner goes on to write those while a
 // peer's batch may still be in flight.
 func (e *Engine[X, B]) push(v Visitor[X], active func(g *tree.Cell) bool) {
 	pubs := e.pubs
@@ -40,7 +40,7 @@ func (e *Engine[X, B]) push(v Visitor[X], active func(g *tree.Cell) bool) {
 	case e.C.Size() == 1:
 		return
 	case e.pushOff:
-		e.Phys.Snapshot() // for the replies: the last phase ended on a vote, after every import
+		e.snapshot() // for the replies: the last phase ended on a vote, after every import
 		return
 	}
 	t0 := e.Trace.Now()
@@ -50,7 +50,7 @@ func (e *Engine[X, B]) push(v Visitor[X], active func(g *tree.Cell) bool) {
 	// Every peer entered that allgather (or the branch exchange's)
 	// after its last push exchange returned, with this rank's last
 	// batch imported, so the snapshot may be written over.
-	e.Phys.Snapshot()
+	e.snapshot()
 	// Fresh batches every phase: reusing them measured no faster, and
 	// the receivers, who copy out as they import, are the last to hold them.
 	batches := make([][]Wire[X, B], len(pubs))
@@ -71,7 +71,7 @@ func (e *Engine[X, B]) push(v Visitor[X], active func(g *tree.Cell) bool) {
 		}
 		batches[r] = send
 	}
-	msg.AlltoallvFunc(e.C, batches, nil, e.cellBytes, nil, func(_ int, ws []Wire[X, B]) {
+	msg.AlltoallvFunc(e.C, batches, nil, e.wireBytes, nil, func(_ int, ws []Wire[X, B]) {
 		for i := range ws {
 			e.importCell(ws[i], true)
 		}

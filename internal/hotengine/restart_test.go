@@ -30,6 +30,14 @@ type cols struct {
 	ID   []int64
 }
 
+func (a cols) Slice(lo, hi int32) cols {
+	return cols{Pos: a.Pos[lo:hi], Mass: a.Mass[lo:hi], ID: a.ID[lo:hi]}
+}
+
+func (a cols) Append(b cols) cols {
+	return cols{Pos: append(a.Pos, b.Pos...), Mass: append(a.Mass, b.Mass...), ID: append(a.ID, b.ID...)}
+}
+
 // colPhysics carries a vector payload per cell (the mass-weighted
 // position sum, from prefix sums, the way vortex carries its strength
 // sum), so accepted cells exercise the by-value payload path of top,
@@ -37,8 +45,6 @@ type cols struct {
 type colPhysics struct {
 	e    *hotengine.Engine[vec.V3, cols]
 	pref []vec.V3
-	snap cols
-	imp  cols
 }
 
 func (p *colPhysics) Prepare(*core.System) {}
@@ -54,37 +60,14 @@ func (p *colPhysics) PostBuild(*tree.Tree) {
 func (p *colPhysics) Extra(c *tree.Cell) vec.V3          { return p.pref[c.First+c.N].Sub(p.pref[c.First]) }
 func (p *colPhysics) CombineExtra(acc, ch vec.V3) vec.V3 { return acc.Add(ch) }
 
-func (p *colPhysics) PackLeaf(c *tree.Cell) cols {
-	a, lo, hi := &p.snap, c.First, c.First+c.N
-	return cols{Pos: a.Pos[lo:hi], Mass: a.Mass[lo:hi], ID: a.ID[lo:hi]}
-}
-
-func (p *colPhysics) Snapshot() {
-	sys, a := p.e.Sys, &p.snap
-	*a = cols{Pos: append(a.Pos[:0], sys.Pos...), Mass: append(a.Mass[:0], sys.Mass...), ID: append(a.ID[:0], sys.ID...)}
-}
-
-func (p *colPhysics) ImportLeaf(_ int32, b cols) int32 {
-	start := int32(len(p.imp.Pos))
-	p.imp.Pos = append(p.imp.Pos, b.Pos...)
-	p.imp.Mass = append(p.imp.Mass, b.Mass...)
-	p.imp.ID = append(p.imp.ID, b.ID...)
-	return start
-}
-
-func (p *colPhysics) ResetImports() {
-	p.imp = cols{Pos: p.imp.Pos[:0], Mass: p.imp.Mass[:0], ID: p.imp.ID[:0]}
+func (p *colPhysics) Columns(sys *core.System) cols {
+	return cols{Pos: sys.Pos, Mass: sys.Mass, ID: sys.ID}
 }
 
 // leaf returns a leaf cell's columns, local or imported.
 func (p *colPhysics) leaf(c *tree.Cell) cols {
-	if c.First >= 0 {
-		sys, lo, hi := p.e.Sys, c.First, c.First+c.N
-		return cols{Pos: sys.Pos[lo:hi], Mass: sys.Mass[lo:hi], ID: sys.ID[lo:hi]}
-	}
-	lo := -(c.First + 1)
-	hi := lo + c.N
-	return cols{Pos: p.imp.Pos[lo:hi], Mass: p.imp.Mass[lo:hi], ID: p.imp.ID[lo:hi]}
+	b, lo, hi := p.e.LeafBodies(c)
+	return b.Slice(lo, hi)
 }
 
 // recWalk is a visitor that records, per completed group, everything

@@ -6,15 +6,16 @@ import (
 
 	"repro/internal/grav"
 	"repro/internal/keys"
+	"repro/internal/tree"
 )
 
 // Wire is the packed cell record exchanged between ranks: in the
 // branch allgather, the push and request replies. X is the physics'
 // per-cell moment payload (nothing for gravity, the strength sum for
-// vortex dynamics); Bodies is the physics' leaf body payload, present
-// with pushed and requested leaves only and excluded from the fixed
-// wire size (its cost is the per-body columns, accounted separately by
-// the physics if desired).
+// vortex dynamics); Bodies is the leaf body payload, present with
+// pushed and requested leaves only, sliced from the owner's snapshot.
+// A record costs CellWireBytes, and a leaf's N bodies BodyWireBytes
+// each on top.
 type Wire[X, B any] struct {
 	Key       keys.Key
 	Mp        grav.Multipole
@@ -25,6 +26,20 @@ type Wire[X, B any] struct {
 	Leaf      bool
 	// Bodies carries leaf body columns (zero in branch messages).
 	Bodies B
+}
+
+// cell is the record as a cell of the LET, nothing below it laid out.
+func (w *Wire[X, B]) cell() tree.Cell {
+	return tree.Cell{Key: w.Key, Mp: w.Mp, RCrit: w.RCrit, N: w.N, ChildMask: w.ChildMask, Leaf: w.Leaf}
+}
+
+// wireBytes is the wire size of a pushed or reply record: the cell, and
+// a leaf's bodies.
+func (e *Engine[X, B]) wireBytes(w *Wire[X, B]) int {
+	if w.Leaf {
+		return e.cellBytes + int(w.N)*e.bodyBytes
+	}
+	return e.cellBytes
 }
 
 // CellWireBytes returns the packed wire size of one Wire[X, B] record
@@ -42,6 +57,20 @@ func CellWireBytes[X, B any]() int {
 			continue
 		}
 		size += packedSize(f.Type)
+	}
+	return size
+}
+
+// BodyWireBytes returns the packed wire size of one body of leaf payload
+// B, a struct of columns: the sum of one element's over its fields.
+func BodyWireBytes[B any]() int {
+	t, size := reflect.TypeFor[B](), 0
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i).Type
+		if f.Kind() != reflect.Slice {
+			panic(fmt.Sprintf("hotengine: leaf payload %v has a field of type %v, not a column", t, f))
+		}
+		size += packedSize(f.Elem())
 	}
 	return size
 }

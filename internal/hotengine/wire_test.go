@@ -2,9 +2,14 @@ package hotengine_test
 
 import (
 	"encoding/binary"
+	"sync"
 	"testing"
 
+	"repro/internal/grav"
 	"repro/internal/hotengine"
+	"repro/internal/ic"
+	"repro/internal/keys"
+	"repro/internal/msg"
 	"repro/internal/parallel"
 	"repro/internal/sph"
 	"repro/internal/vec"
@@ -74,4 +79,67 @@ func TestCellWireBytesRejectsUnsizeablePayload(t *testing.T) {
 	// A slice has no fixed packed size; putting one in the per-cell
 	// payload (rather than the leaf body payload) must be rejected.
 	hotengine.CellWireBytes[[]float64, parallel.Leaf]()
+}
+
+// A leaf body costs one element of each column: gravity a position and
+// a mass, vortex dynamics a position and a strength, SPH position,
+// velocity, mass, smoothing length, density and ID.
+func TestBodyWireBytes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"gravity", hotengine.BodyWireBytes[parallel.Leaf](), 24 + 8},
+		{"vortex", hotengine.BodyWireBytes[vortex.VLeaf](), 24 + 24},
+		{"sph", hotengine.BodyWireBytes[sph.Leaf](), 24 + 24 + 8 + 8 + 8 + 8},
+		{"ids", hotengine.BodyWireBytes[ids](), 8},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: BodyWireBytes = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("BodyWireBytes accepted a leaf payload field that is not a column")
+		}
+	}()
+	hotengine.BodyWireBytes[struct{ N int32 }]()
+}
+
+// A pushed record is counted at its wire size: the cell, and a leaf's
+// bodies on top. Behind an exchange that carried the walk's bound the
+// walk phase's traffic is the push alone, so at np 4 its bytes, summed
+// over the ranks, are those of every record imported: the pushed cells
+// at CellWireBytes and the imported bodies at BodyWireBytes.
+func TestPushBytesCountLeafBodies(t *testing.T) {
+	const np, n = 4, 1500
+	global := ic.Plummer(n, 1.0, 29)
+	var mu sync.Mutex
+	var pushed, bodies uint64
+	w := msg.NewWorld(np)
+	w.Run(func(c *msg.Comm) {
+		p := &colPhysics{}
+		e := hotengine.New[vec.V3, cols](c, scatterTo(global, c), p, hotengine.Config{
+			MAC:    grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true},
+			Bucket: 8,
+		})
+		p.e = e
+		v := &gravWalk{p: p, lists: map[keys.Key][]uint64{}}
+		e.ExchangeFor(v, nil, false)
+		e.WalkGroups("walk", v, v.eval)
+		mu.Lock()
+		defer mu.Unlock()
+		pushed += e.Counters.Pushed
+		bodies += uint64(e.ImportedBodies())
+	})
+	var got uint64
+	for r := 0; r < np; r++ {
+		if ph := w.RankTraffic(r).Phases["walk"]; ph != nil {
+			got += ph.Bytes
+		}
+	}
+	cell, body := uint64(hotengine.CellWireBytes[vec.V3, cols]()), uint64(hotengine.BodyWireBytes[cols]())
+	if want := pushed*cell + bodies*body; bodies == 0 || got != want {
+		t.Fatalf("walk phase sent %d bytes; %d pushed cells x %d + %d bodies x %d = %d", got, pushed, cell, bodies, body, want)
+	}
 }

@@ -126,7 +126,7 @@ func TestRunErrNilOnSuccess(t *testing.T) {
 	w := NewWorld(3)
 	if err := w.RunErr(func(c *Comm) {
 		c.Barrier()
-		Allreduce(c, c.Rank(), SumI, 4)
+		Allreduce(c, c.Rank(), sum[int], 4)
 	}); err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}

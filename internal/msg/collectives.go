@@ -168,22 +168,12 @@ func exchange[T any](c *Comm, send, recv []T, bytesOf func(T) int, pairs Pairs, 
 	return recv
 }
 
-// Alltoall sends the single value send[d] to rank d and returns what
-// every rank sent here, indexed by source, reusing recv when its
-// capacity allows. Each T is copied into its message, so the sender may
-// overwrite send as soon as the call returns (whatever a T points to
-// is still shared, as in Alltoallv). bytesOf gives the logical wire
-// size of one value.
-func Alltoall[T any](c *Comm, send, recv []T, bytesOf func(T) int) []T {
-	return exchange(c, send, recv, bytesOf, nil, nil)
-}
-
 // Alltoallv sends send[d] to rank d and returns what every rank sent
 // here, indexed by source. bytesPer is the logical wire size of one T.
 // The received slices alias the senders' slices (in-process handoff);
 // receivers treat them as read-only.
 func Alltoallv[T any](c *Comm, send [][]T, bytesPer int) [][]T {
-	return AlltoallvFunc(c, send, nil, bytesPer, nil, nil)
+	return AlltoallvInto(c, send, nil, bytesPer)
 }
 
 // AlltoallvInto is Alltoallv reusing recv as the result's outer slice
@@ -191,19 +181,21 @@ func Alltoallv[T any](c *Comm, send [][]T, bytesPer int) [][]T {
 // steady-state exchanges -- the ABM round loop -- allocate nothing.
 // Pass nil to allocate fresh.
 func AlltoallvInto[T any](c *Comm, send, recv [][]T, bytesPer int) [][]T {
-	return AlltoallvFunc(c, send, recv, bytesPer, nil, nil)
+	return exchange(c, send, recv, func(b []T) int { return bytesPer * len(b) }, nil, nil)
 }
 
 // AlltoallvFunc is AlltoallvInto over the pairs the plan names (nil:
-// all of them), invoking onBatch(src, batch), when it is not nil, as
-// each source's batch lands (the local batch at its own position in
-// source order, an unplanned source's as nil), so the caller can
-// process early arrivals while later sources are still in flight -- the
-// incremental-delivery hook the tree walk imports cells through.
-// onBatch runs on the calling goroutine and must not communicate. A
-// non-empty batch for a destination the plan does not send to aborts
-// the world with an *UnplannedError before anything is sent.
-func AlltoallvFunc[T any](c *Comm, send, recv [][]T, bytesPer int, pairs Pairs, onBatch func(src int, batch []T)) [][]T {
+// all of them), with bytesOf the logical wire size of each item (a
+// leaf's record carries its bodies), invoking onBatch(src, batch), when
+// it is not nil, as each source's batch lands (the local batch at its
+// own position in source order, an unplanned source's as nil), so the
+// caller can process early arrivals while later sources are still in
+// flight -- the incremental-delivery hook the tree walk imports cells
+// through. onBatch runs on the calling goroutine and must not
+// communicate. A non-empty batch for a destination the plan does not
+// send to aborts the world with an *UnplannedError before anything is
+// sent.
+func AlltoallvFunc[T any](c *Comm, send, recv [][]T, bytesOf func(*T) int, pairs Pairs, onBatch func(src int, batch []T)) [][]T {
 	if pairs != nil {
 		for d, b := range send {
 			if d != c.Rank() && len(b) > 0 && !pairs(c.Rank(), d) {
@@ -211,12 +203,17 @@ func AlltoallvFunc[T any](c *Comm, send, recv [][]T, bytesPer int, pairs Pairs, 
 			}
 		}
 	}
-	return exchange(c, send, recv, func(b []T) int { return bytesPer * len(b) }, pairs, onBatch)
+	return exchange(c, send, recv, func(b []T) int {
+		n := 0
+		for i := range b {
+			n += bytesOf(&b[i])
+		}
+		return n
+	}, pairs, onBatch)
 }
 
 // Common reduction operators.
 func SumF64(a, b float64) float64 { return a + b }
-func SumI64(a, b int64) int64     { return a + b }
 func SumU64(a, b uint64) uint64   { return a + b }
 func MaxF64(a, b float64) float64 {
 	if a > b {
@@ -230,4 +227,3 @@ func MaxI(a, b int) int {
 	}
 	return b
 }
-func SumI(a, b int) int { return a + b }

@@ -91,7 +91,7 @@ func TestInjectorLatencyHarmless(t *testing.T) {
 		w.SetInjector(inj)
 		err := w.RunErr(func(c *Comm) {
 			for i := 0; i < 25; i++ {
-				if got := Allreduce(c, c.Rank()+i, SumI, 4); got != 6+4*i {
+				if got := Allreduce(c, c.Rank()+i, sum[int], 4); got != 6+4*i {
 					panic("allreduce result corrupted")
 				}
 			}
@@ -235,7 +235,7 @@ func TestLatencyTimerWakeupNotLost(t *testing.T) {
 	w.StartWatchdog(WatchdogConfig{Quiet: 3 * time.Second, Out: io.Discard})
 	err := w.RunErr(func(c *Comm) {
 		for i := 0; i < 2000; i++ {
-			if got := Allreduce(c, c.Rank()+i, SumI, 4); got != 6+4*i {
+			if got := Allreduce(c, c.Rank()+i, sum[int], 4); got != 6+4*i {
 				panic("allreduce result corrupted")
 			}
 		}

@@ -111,11 +111,11 @@ func TestReduceAllreduce(t *testing.T) {
 	for _, np := range []int{1, 2, 4, 6, 9} {
 		want := int64(np * (np - 1) / 2)
 		Run(np, func(c *Comm) {
-			got := Reduce(c, 0, int64(c.Rank()), SumI64, 8)
+			got := Reduce(c, 0, int64(c.Rank()), sum[int64], 8)
 			if c.Rank() == 0 && got != want {
 				t.Errorf("np=%d: Reduce = %d want %d", np, got, want)
 			}
-			all := Allreduce(c, int64(c.Rank()), SumI64, 8)
+			all := Allreduce(c, int64(c.Rank()), sum[int64], 8)
 			if all != want {
 				t.Errorf("np=%d rank=%d: Allreduce = %d want %d", np, c.Rank(), all, want)
 			}
@@ -199,25 +199,25 @@ func TestAlltoallv(t *testing.T) {
 	})
 }
 
-// Alltoall moves one value per peer, by value, sized per value, and
-// reuses the receive buffer it is handed.
+// The all-to-all counts each item at its own size (a leaf record
+// carries its bodies) and reuses the receive buffer it is handed.
 func TestAlltoall(t *testing.T) {
 	const np = 4
 	w := Run(np, func(c *Comm) {
-		send := make([]int, np)
-		var recv []int
+		send := make([][]int, np)
+		var recv [][]int
 		for round := 0; round < 2; round++ {
 			for d := range send {
-				send[d] = 100*round + 10*c.Rank() + d
+				send[d] = []int{100*round + 10*c.Rank() + d}
 			}
-			got := Alltoall(c, send, recv, func(v int) int { return v % 10 })
+			got := AlltoallvFunc(c, send, recv, func(v *int) int { return *v % 10 }, nil, nil)
 			if round == 1 && &got[0] != &recv[0] {
 				t.Errorf("rank %d: receive buffer not reused", c.Rank())
 			}
 			recv = got
 			for s, v := range recv {
-				if v != 100*round+10*s+c.Rank() {
-					t.Errorf("rank %d round %d: recv[%d] = %d", c.Rank(), round, s, v)
+				if len(v) != 1 || v[0] != 100*round+10*s+c.Rank() {
+					t.Errorf("rank %d round %d: recv[%d] = %v", c.Rank(), round, s, v)
 				}
 			}
 		}
@@ -230,6 +230,9 @@ func TestAlltoall(t *testing.T) {
 		}
 	}
 }
+
+// sum is the reduction of the integer collectives' tests.
+func sum[T int | int64](a, b T) T { return a + b }
 
 func TestAlltoallvEmptySlices(t *testing.T) {
 	Run(3, func(c *Comm) {
@@ -374,7 +377,7 @@ func TestAllreduceMatchesSerialProperty(t *testing.T) {
 		}
 		ok := true
 		Run(np, func(c *Comm) {
-			got := Allreduce(c, vals[c.Rank()], SumI64, 8)
+			got := Allreduce(c, vals[c.Rank()], sum[int64], 8)
 			if got != want {
 				ok = false
 			}

@@ -10,6 +10,9 @@ import (
 	"time"
 )
 
+// size8 sizes every item of the sparse tests at eight bytes.
+func size8(*int) int { return 8 }
+
 // planOf is round i's plan on np ranks: a pseudo-random third of the
 // pairs, from (i, src, dst) alone, so every rank computes the same one;
 // every fifth round plans nothing at all.
@@ -68,7 +71,7 @@ func TestSparseAlltoallvCountsOnlyPlannedMessages(t *testing.T) {
 		w := NewWorld(np)
 		w.StartWatchdog(WatchdogConfig{Quiet: time.Second, Out: io.Discard})
 		if err := w.RunErr(func(c *Comm) {
-			recv := AlltoallvFunc(c, batchesFor(i, c.Rank(), np, plan), nil, bytesPer, plan, nil)
+			recv := AlltoallvFunc(c, batchesFor(i, c.Rank(), np, plan), nil, func(*int) int { return bytesPer }, plan, nil)
 			checkRecv(t, i, c.Rank(), plan, recv)
 			colls[c.Rank()] = c.Collectives()
 		}); err != nil {
@@ -118,9 +121,9 @@ func TestSparseExchangeKeepsTagsInStep(t *testing.T) {
 			var recv [][]int
 			for i := 0; i < rounds; i++ {
 				plan := planOf(i)
-				recv = AlltoallvFunc(c, batchesFor(i, me, np, plan), recv, 8, plan, nil)
+				recv = AlltoallvFunc(c, batchesFor(i, me, np, plan), recv, size8, plan, nil)
 				checkRecv(t, i, me, plan, recv)
-				if got := Allreduce(c, me+i, SumI, 8); got != np*(np-1)/2+np*i {
+				if got := Allreduce(c, me+i, sum[int], 8); got != np*(np-1)/2+np*i {
 					t.Errorf("round %d rank %d: allreduce %d", i, me, got)
 				}
 				dense := Alltoallv(c, batchesFor(i, me, np, nil), 8)
@@ -135,9 +138,9 @@ func TestSparseExchangeKeepsTagsInStep(t *testing.T) {
 						t.Errorf("round %d rank %d: allgather[%d] = %d", i, me, r, v)
 					}
 				}
-				vals := Alltoall(c, []int{me, me, me, me, me}, nil, func(int) int { return 8 })
+				vals := Alltoallv(c, [][]int{{me}, {me}, {me}, {me}, {me}}, 8)
 				for s, v := range vals {
-					if v != s {
+					if len(v) != 1 || v[0] != s {
 						t.Errorf("round %d rank %d: alltoall from %d = %d", i, me, s, v)
 					}
 				}
@@ -166,7 +169,7 @@ func TestSparseExchangeWaitsOnlyForPlannedMessages(t *testing.T) {
 		err := w.RunErr(func(c *Comm) {
 			for i := 0; i < rounds; i++ {
 				plan := planOf(i)
-				AlltoallvFunc(c, batchesFor(i, c.Rank(), np, plan), nil, 8, plan, func(src int, b []int) {
+				AlltoallvFunc(c, batchesFor(i, c.Rank(), np, plan), nil, size8, plan, func(src int, b []int) {
 					if src != c.Rank() && b != nil {
 						mu.Lock()
 						landed++
@@ -192,7 +195,7 @@ func TestSparseExchangeRefusesAnUnplannedBatch(t *testing.T) {
 		err := NewWorld(3).RunErr(func(c *Comm) {
 			plan := func(src, dst int) bool { return src != 2 || dst != 0 }
 			send := batchesFor(0, c.Rank(), 3, nil) // rank 2 holds 3 items for rank 0
-			AlltoallvFunc(c, send, nil, 8, plan, nil)
+			AlltoallvFunc(c, send, nil, size8, plan, nil)
 		})
 		var un *UnplannedError
 		if err == nil || !errors.As(err, &un) {

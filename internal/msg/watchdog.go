@@ -35,11 +35,9 @@ func (e *StallError) Error() string {
 // WatchdogConfig controls the stall monitor.
 type WatchdogConfig struct {
 	// Quiet is the no-progress period after which the world is
-	// declared stalled and aborted. Must exceed the run's longest
-	// communication-free compute stretch.
+	// declared stalled and aborted, sampled every Quiet/4. Must exceed
+	// the run's longest communication-free compute stretch.
 	Quiet time.Duration
-	// Poll is the sampling interval (0 = Quiet/4).
-	Poll time.Duration
 	// Out receives the stall dump (nil = os.Stderr). Ignored when Log
 	// is set.
 	Out io.Writer
@@ -70,9 +68,6 @@ func (w *World) StartWatchdog(cfg WatchdogConfig) *Watchdog {
 	if cfg.Quiet <= 0 {
 		panic("msg: watchdog needs a positive quiet period")
 	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = cfg.Quiet / 4
-	}
 	if cfg.Out == nil {
 		cfg.Out = os.Stderr
 	}
@@ -99,7 +94,7 @@ func (wd *Watchdog) loop() {
 	defer close(wd.done)
 	last := wd.w.progress.Load()
 	lastChange := time.Now()
-	tick := time.NewTicker(wd.cfg.Poll)
+	tick := time.NewTicker(wd.cfg.Quiet / 4)
 	defer tick.Stop()
 	for {
 		select {

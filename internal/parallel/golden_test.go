@@ -86,6 +86,11 @@ import (
 // on a vote: the one-byte allreduce is gone, 2(np-1) messages of a byte.
 // np=2 18 -> 16 msgs, 118301 -> 118299 bytes; np=8 210 -> 196 msgs,
 // 619583 -> 619569 bytes.
+//
+// bytes alone once more when a pushed or reply leaf record began to
+// count the bodies it carries (32 bytes each: a position and a mass),
+// not just the cell: np=2 118299 -> 156667 (1 199 bodies), np=8 619569
+// -> 882225 (8 208 bodies).
 func TestWalkCountsMatchRestartWalk(t *testing.T) {
 	const n = 1200
 	golden := []struct {
@@ -95,8 +100,8 @@ func TestWalkCountsMatchRestartWalk(t *testing.T) {
 		msgs, bytes                      uint64
 	}{
 		{np: 1},
-		{np: 2, trav: 32319, pp: 996186, pc: 175746, remote: 327, msgs: 16, bytes: 118299},
-		{np: 8, trav: 53934, pp: 922164, pc: 208812, remote: 2137, msgs: 196, bytes: 619569},
+		{np: 2, trav: 32319, pp: 996186, pc: 175746, remote: 327, msgs: 16, bytes: 156667},
+		{np: 8, trav: 53934, pp: 922164, pc: 208812, remote: 2137, msgs: 196, bytes: 882225},
 	}
 	for _, want := range golden {
 		np := want.np

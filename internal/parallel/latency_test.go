@@ -14,7 +14,7 @@ import (
 // A pushed walk phase ends without a vote, so nothing holds an owner
 // back until its peers have imported what it pushed: it walks,
 // integrates and moves its bodies while a delayed batch is still in
-// flight. The batch must carry copies (Physics.PackLeaf), or a late
+// flight. The batch must carry copies (the engine's snapshot), or a late
 // importer reads positions the owner has already drifted. On four ranks,
 // with one message in four held up to 20 ms, every body's force after
 // each of eight steps equals that of the same run with no latency, bit

@@ -31,10 +31,16 @@ type Config struct {
 }
 
 // Leaf is the gravity leaf payload of a pushed or requested cell:
-// position and mass columns, slices of the owner's snapshot.
+// position and mass columns.
 type Leaf struct {
 	Pos  []vec.V3
 	Mass []float64
+}
+
+func (l Leaf) Slice(lo, hi int32) Leaf { return Leaf{Pos: l.Pos[lo:hi], Mass: l.Mass[lo:hi]} }
+
+func (l Leaf) Append(b Leaf) Leaf {
+	return Leaf{Pos: append(l.Pos, b.Pos...), Mass: append(l.Mass, b.Mass...)}
 }
 
 // Engine holds one rank's state across timesteps. The embedded
@@ -50,7 +56,6 @@ type Engine struct {
 	// Stepper.Scheme, Eta and Eps before the first Step.
 	Stepper integrate.Stepper
 
-	phys *physics
 	// walker holds the interaction list of the group being walked and
 	// evaluated.
 	walker tree.Walker
@@ -58,41 +63,15 @@ type Engine struct {
 
 // physics is the gravity instantiation of hotengine.Physics: no
 // per-cell payload beyond the multipole, leaf bodies are (pos, mass).
-type physics struct {
-	e *Engine
+type physics struct{}
 
-	snap    Leaf
-	impPos  []vec.V3
-	impMass []float64
-}
+func (physics) Prepare(sys *core.System) {}
+func (physics) PostBuild(t *tree.Tree)   {}
 
-func (p *physics) Prepare(sys *core.System) {}
-func (p *physics) PostBuild(t *tree.Tree)   {}
+func (physics) Extra(c *tree.Cell) hotengine.None                 { return hotengine.None{} }
+func (physics) CombineExtra(acc, _ hotengine.None) hotengine.None { return acc }
 
-func (p *physics) Extra(c *tree.Cell) hotengine.None                 { return hotengine.None{} }
-func (p *physics) CombineExtra(acc, _ hotengine.None) hotengine.None { return acc }
-
-func (p *physics) PackLeaf(c *tree.Cell) Leaf {
-	lo, hi := c.First, c.First+c.N
-	return Leaf{Pos: p.snap.Pos[lo:hi], Mass: p.snap.Mass[lo:hi]}
-}
-
-func (p *physics) Snapshot() {
-	sys := p.e.Sys
-	p.snap = Leaf{Pos: append(p.snap.Pos[:0], sys.Pos...), Mass: append(p.snap.Mass[:0], sys.Mass...)}
-}
-
-func (p *physics) ImportLeaf(n int32, b Leaf) int32 {
-	start := int32(len(p.impPos))
-	p.impPos = append(p.impPos, b.Pos...)
-	p.impMass = append(p.impMass, b.Mass...)
-	return start
-}
-
-func (p *physics) ResetImports() {
-	p.impPos = p.impPos[:0]
-	p.impMass = p.impMass[:0]
-}
+func (physics) Columns(sys *core.System) Leaf { return Leaf{Pos: sys.Pos, Mass: sys.Mass} }
 
 // New creates an engine for this rank's share of the bodies. The
 // system must have dynamics enabled.
@@ -102,8 +81,7 @@ func New(c *msg.Comm, sys *core.System, cfg Config) *Engine {
 	}
 	sys.EnableDynamics()
 	e := &Engine{Cfg: cfg}
-	e.phys = &physics{e: e}
-	e.Engine = hotengine.New[hotengine.None, Leaf](c, sys, e.phys, hotengine.Config{
+	e.Engine = hotengine.New[hotengine.None, Leaf](c, sys, physics{}, hotengine.Config{
 		MAC: cfg.MAC, Bucket: cfg.Bucket,
 	})
 	e.Stepper.B = engineBodies{e}
@@ -144,13 +122,8 @@ func (v *visitor) TestBound(c *tree.Cell, b *tree.Bound) tree.Action { return tr
 func (v *visitor) Cells(cells []*tree.Cell, _ []hotengine.None) { v.e.walker.TakeCells(cells) }
 
 func (v *visitor) Leaf(c *tree.Cell) {
-	e := v.e
-	if c.First >= 0 {
-		v.e.walker.TakeLeaf(c, e.Sys.Pos[c.First:c.First+c.N], e.Sys.Mass[c.First:c.First+c.N])
-		return
-	}
-	i := -(c.First + 1)
-	v.e.walker.TakeLeaf(c, e.phys.impPos[i:i+c.N], e.phys.impMass[i:i+c.N])
+	b, lo, hi := v.e.LeafBodies(c)
+	v.e.walker.TakeLeaf(c, b.Pos[lo:hi], b.Mass[lo:hi])
 }
 
 // ComputeForces runs one full parallel force evaluation: decompose,

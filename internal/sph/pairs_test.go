@@ -54,13 +54,7 @@ func TestPairLoopsAcceptExactlyAtNorm(t *testing.T) {
 				} else {
 					out++
 				}
-				e.cand.reset()
-				e.cand.pos = append(e.cand.pos, y)
-				e.cand.vel = append(e.cand.vel, vec.V3{X: -1})
-				e.cand.mass = append(e.cand.mass, 1)
-				e.cand.h = append(e.cand.h, h)
-				e.cand.rho = append(e.cand.rho, 1)
-				e.cand.id = append(e.cand.id, 1)
+				e.cand = Leaf{Pos: []vec.V3{y}, Vel: []vec.V3{{X: -1}}, Mass: []float64{1}, H: []float64{h}, Rho: []float64{1}, ID: []int64{1}}
 				var dens, force diag.Counters
 				e.evalDensity(keys.Root, g, &dens)
 				e.evalForces(keys.Root, g, &force)

@@ -37,11 +37,10 @@ type ParallelEngine struct {
 	*hotengine.Engine[hotengine.None, Leaf]
 	Cfg ParallelConfig
 
-	phys     *physics
 	pressure []vec.V3
 	// cand is the candidate block of the group being gathered and
 	// evaluated, w the gravity pass's walker.
-	cand candidates
+	cand Leaf
 	w    tree.Walker
 }
 
@@ -60,10 +59,9 @@ type ParallelConfig struct {
 }
 
 // Leaf is the SPH leaf payload of a pushed or requested cell: every
-// per-body column a remote neighbor interaction needs, slices of the
-// owner's snapshot. Rho is whatever the owning rank held when it took
-// the snapshot, which is why the force pass drops the density pass's
-// imports and is pushed afresh.
+// per-body column a remote neighbor interaction needs. Rho is whatever
+// the owning rank held when the engine took its snapshot, which is why
+// the force pass drops the density pass's imports and is pushed afresh.
 type Leaf struct {
 	Pos  []vec.V3
 	Vel  []vec.V3
@@ -73,85 +71,43 @@ type Leaf struct {
 	ID   []int64
 }
 
+func (l Leaf) Slice(lo, hi int32) Leaf {
+	return Leaf{
+		Pos: l.Pos[lo:hi], Vel: l.Vel[lo:hi], Mass: l.Mass[lo:hi],
+		H: l.H[lo:hi], Rho: l.Rho[lo:hi], ID: l.ID[lo:hi],
+	}
+}
+
+func (l Leaf) Append(b Leaf) Leaf {
+	l.add(&b, 0, int32(len(b.Pos)))
+	return l
+}
+
+// add appends the bodies [lo, hi) of b.
+func (l *Leaf) add(b *Leaf, lo, hi int32) {
+	l.Pos = append(l.Pos, b.Pos[lo:hi]...)
+	l.Vel = append(l.Vel, b.Vel[lo:hi]...)
+	l.Mass = append(l.Mass, b.Mass[lo:hi]...)
+	l.H = append(l.H, b.H[lo:hi]...)
+	l.Rho = append(l.Rho, b.Rho[lo:hi]...)
+	l.ID = append(l.ID, b.ID[lo:hi]...)
+}
+
 // physics is the SPH instantiation of hotengine.Physics. Like
 // gravity, the geometric multipole is all the per-cell state the
 // traversal needs (range queries prune on cell geometry alone).
-type physics struct {
-	e *ParallelEngine
+type physics struct{}
 
-	snap    Leaf
-	impPos  []vec.V3
-	impVel  []vec.V3
-	impMass []float64
-	impH    []float64
-	impRho  []float64
-	impID   []int64
-}
+func (physics) Prepare(sys *core.System) {}
+func (physics) PostBuild(t *tree.Tree)   {}
 
-func (p *physics) Prepare(sys *core.System) {}
-func (p *physics) PostBuild(t *tree.Tree)   {}
+func (physics) Extra(c *tree.Cell) hotengine.None                 { return hotengine.None{} }
+func (physics) CombineExtra(acc, _ hotengine.None) hotengine.None { return acc }
 
-func (p *physics) Extra(c *tree.Cell) hotengine.None                 { return hotengine.None{} }
-func (p *physics) CombineExtra(acc, _ hotengine.None) hotengine.None { return acc }
-
-func (p *physics) PackLeaf(c *tree.Cell) Leaf {
-	a, lo, hi := &p.snap, c.First, c.First+c.N
-	return Leaf{
-		Pos: a.Pos[lo:hi], Vel: a.Vel[lo:hi], Mass: a.Mass[lo:hi],
-		H: a.H[lo:hi], Rho: a.Rho[lo:hi], ID: a.ID[lo:hi],
-	}
-}
-
-// Snapshot copies every column a leaf serves on the owner's goroutine,
-// where its writes are sequenced: the density pass writes Rho, and the
-// next step moves every column, while a peer may still be importing.
-func (p *physics) Snapshot() {
-	sys, a := p.e.Sys, &p.snap
-	*a = Leaf{
-		Pos:  append(a.Pos[:0], sys.Pos...),
-		Vel:  append(a.Vel[:0], sys.Vel...),
-		Mass: append(a.Mass[:0], sys.Mass...),
-		H:    append(a.H[:0], sys.H...),
-		Rho:  append(a.Rho[:0], sys.Rho...),
-		ID:   append(a.ID[:0], sys.ID...),
-	}
-}
-
-func (p *physics) ImportLeaf(n int32, b Leaf) int32 {
-	start := int32(len(p.impPos))
-	p.impPos = append(p.impPos, b.Pos...)
-	p.impVel = append(p.impVel, b.Vel...)
-	p.impMass = append(p.impMass, b.Mass...)
-	p.impH = append(p.impH, b.H...)
-	p.impRho = append(p.impRho, b.Rho...)
-	p.impID = append(p.impID, b.ID...)
-	return start
-}
-
-func (p *physics) ResetImports() {
-	p.impPos = p.impPos[:0]
-	p.impVel = p.impVel[:0]
-	p.impMass = p.impMass[:0]
-	p.impH = p.impH[:0]
-	p.impRho = p.impRho[:0]
-	p.impID = p.impID[:0]
-}
-
-// candidates is the reusable SoA neighbor candidate block one group
-// gathers before its per-particle distance tests.
-type candidates struct {
-	pos  []vec.V3
-	vel  []vec.V3
-	mass []float64
-	h    []float64
-	rho  []float64
-	id   []int64
-}
-
-func (c *candidates) reset() {
-	c.pos, c.vel = c.pos[:0], c.vel[:0]
-	c.mass, c.h, c.rho = c.mass[:0], c.h[:0], c.rho[:0]
-	c.id = c.id[:0]
+// Columns is every column a leaf serves. The engine snapshots them once
+// per walk phase, so the force pass pushes the densities just computed.
+func (physics) Columns(sys *core.System) Leaf {
+	return Leaf{Pos: sys.Pos, Vel: sys.Vel, Mass: sys.Mass, H: sys.H, Rho: sys.Rho, ID: sys.ID}
 }
 
 // NewParallel wraps this rank's particles.
@@ -165,8 +121,7 @@ func NewParallel(c *msg.Comm, sys *core.System, cfg ParallelConfig) *ParallelEng
 	sys.EnableDynamics()
 	sys.EnableSPH()
 	e := &ParallelEngine{Cfg: cfg}
-	e.phys = &physics{e: e}
-	e.Engine = hotengine.New[hotengine.None, Leaf](c, sys, e.phys, hotengine.Config{
+	e.Engine = hotengine.New[hotengine.None, Leaf](c, sys, physics{}, hotengine.Config{
 		MAC:         grav.MACParams{Kind: grav.MACBarnesHut, Theta: cfg.Theta, Quad: false},
 		Bucket:      cfg.Bucket,
 		PhasePrefix: "sph",
@@ -190,8 +145,8 @@ func (e *ParallelEngine) Eval() diag.Counters {
 
 	// The force pass reads neighbor densities, which the density pass
 	// just computed on their owning ranks: drop the stale imports and
-	// have them pushed again. (An owner snapshots its columns after its
-	// own density pass, so what it pushes is final.)
+	// have them pushed again. (The engine snapshots an owner's columns
+	// after its own density pass, so what it pushes is final.)
 	e.ResetImports()
 
 	if cap(e.pressure) < sys.Len() {
@@ -222,26 +177,6 @@ func (e *ParallelEngine) Eval() diag.Counters {
 	return e.Counters.Sub(start)
 }
 
-// leafColumns returns the per-body columns of a leaf cell, local or
-// imported.
-func (e *ParallelEngine) leafColumns(c *tree.Cell) Leaf {
-	if c.First >= 0 {
-		sys := e.Sys
-		lo, hi := c.First, c.First+c.N
-		return Leaf{
-			Pos: sys.Pos[lo:hi], Vel: sys.Vel[lo:hi], Mass: sys.Mass[lo:hi],
-			H: sys.H[lo:hi], Rho: sys.Rho[lo:hi], ID: sys.ID[lo:hi],
-		}
-	}
-	p := e.phys
-	lo := -(c.First + 1)
-	hi := lo + c.N
-	return Leaf{
-		Pos: p.impPos[lo:hi], Vel: p.impVel[lo:hi], Mass: p.impMass[lo:hi],
-		H: p.impH[lo:hi], Rho: p.impRho[lo:hi], ID: p.impID[lo:hi],
-	}
-}
-
 // gatherer is the neighbor search of the density and force passes as
 // a traversal visitor (hotengine.Visitor): it collects every body that
 // could lie within two smoothing lengths of any particle of the group
@@ -251,7 +186,7 @@ func (e *ParallelEngine) leafColumns(c *tree.Cell) Leaf {
 // prune on geometry alone.
 type gatherer struct{ e *ParallelEngine }
 
-func (v *gatherer) Begin(keys.Key, *tree.Cell) { v.e.cand.reset() }
+func (v *gatherer) Begin(keys.Key, *tree.Cell) { v.e.cand = v.e.cand.Slice(0, 0) }
 
 // Sphere is the group's search sphere: its bounding sphere grown by the
 // largest kernel support of its particles.
@@ -288,13 +223,8 @@ func (v *gatherer) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
 func (v *gatherer) Cells([]*tree.Cell, []hotengine.None) {}
 
 func (v *gatherer) Leaf(c *tree.Cell) {
-	b, cand := v.e.leafColumns(c), &v.e.cand
-	cand.pos = append(cand.pos, b.Pos...)
-	cand.vel = append(cand.vel, b.Vel...)
-	cand.mass = append(cand.mass, b.Mass...)
-	cand.h = append(cand.h, b.H...)
-	cand.rho = append(cand.rho, b.Rho...)
-	cand.id = append(cand.id, b.ID...)
+	b, lo, hi := v.e.LeafBodies(c)
+	v.e.cand.add(b, lo, hi)
 }
 
 // hmax returns the largest smoothing length in a body range.
@@ -320,8 +250,8 @@ func (e *ParallelEngine) evalDensity(_ keys.Key, g *tree.Cell, ctr *diag.Counter
 	sys := e.Sys
 	cand := &e.cand
 	lo, hi := g.First, g.First+g.N
-	pos := cand.pos
-	mass := cand.mass[:len(pos)]
+	pos := cand.Pos
+	mass := cand.Mass[:len(pos)]
 	var pairs uint64
 	for i := lo; i < hi; i++ {
 		h := sys.H[i]
@@ -363,7 +293,7 @@ func (e *ParallelEngine) evalDensity(_ keys.Key, g *tree.Cell, ctr *diag.Counter
 // candidate ends, keeps its few values in registers.
 func (e *ParallelEngine) evalForces(_ keys.Key, g *tree.Cell, ctr *diag.Counters) {
 	sys := e.Sys
-	pos := e.cand.pos
+	pos := e.cand.Pos
 	lo, hi := g.First, g.First+g.N
 	p := &e.Cfg.Params
 	t := forceTarget{p: p, c: &e.cand}
@@ -392,7 +322,7 @@ func (e *ParallelEngine) evalForces(_ keys.Key, g *tree.Cell, ctr *diag.Counters
 // running sum.
 type forceTarget struct {
 	p                   *Params
-	c                   *candidates
+	c                   *Leaf
 	x, vel              vec.V3
 	id                  int64
 	h, r, rho, term, cs float64
@@ -407,27 +337,27 @@ type forceTarget struct {
 // is handed the distance instead of taking a second Norm.
 func (t *forceTarget) add(j int) {
 	cand, p := t.c, t.p
-	rij := t.x.Sub(cand.pos[j])
+	rij := t.x.Sub(cand.Pos[j])
 	r2 := rij.Norm2()
 	d := math.Sqrt(r2)
-	if d > t.r || cand.id[j] == t.id {
+	if d > t.r || cand.ID[j] == t.id {
 		return
 	}
-	hbar := 0.5 * (t.h + cand.h[j])
-	Pj := p.pressure(cand.rho[j])
-	term := t.term + Pj/(cand.rho[j]*cand.rho[j])
+	hbar := 0.5 * (t.h + cand.H[j])
+	Pj := p.pressure(cand.Rho[j])
+	term := t.term + Pj/(cand.Rho[j]*cand.Rho[j])
 	// Artificial viscosity on approaching pairs.
 	if p.AlphaVisc > 0 {
-		vij := t.vel.Sub(cand.vel[j])
+		vij := t.vel.Sub(cand.Vel[j])
 		vr := vij.Dot(rij)
 		if vr < 0 {
 			mu := hbar * vr / (r2 + 0.01*hbar*hbar)
-			rhob := 0.5 * (t.rho + cand.rho[j])
-			cbar := 0.5 * (t.cs + p.soundSpeed(cand.rho[j]))
+			rhob := 0.5 * (t.rho + cand.Rho[j])
+			cbar := 0.5 * (t.cs + p.soundSpeed(cand.Rho[j]))
 			term += (-p.AlphaVisc*cbar*mu + p.BetaVisc*mu*mu) / rhob
 		}
 	}
-	t.acc = t.acc.Sub(gradW(rij, d, hbar).Scale(cand.mass[j] * term))
+	t.acc = t.acc.Sub(gradW(rij, d, hbar).Scale(cand.Mass[j] * term))
 	t.pairs++
 }
 
@@ -454,15 +384,9 @@ func (v *gravVisitor) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
 func (v *gravVisitor) Cells(cells []*tree.Cell, _ []hotengine.None) { v.e.w.TakeCells(cells) }
 
 func (v *gravVisitor) Leaf(c *tree.Cell) {
-	b := v.e.leafColumns(c)
-	v.e.w.TakeLeaf(c, b.Pos, b.Mass)
+	b, lo, hi := v.e.LeafBodies(c)
+	v.e.w.TakeLeaf(c, b.Pos[lo:hi], b.Mass[lo:hi])
 }
-
-// Kick advances velocities by dt using the current accelerations.
-func (e *ParallelEngine) Kick(dt float64) { integrate.Kick(e.Sys, dt) }
-
-// Drift advances positions by dt using the current velocities.
-func (e *ParallelEngine) Drift(dt float64) { integrate.Drift(e.Sys, dt) }
 
 // sphBodies adapts the engine to integrate.Bodies. SPH stays on
 // uniform steps -- the hydrodynamic state (density, pressure) has no

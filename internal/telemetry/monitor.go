@@ -11,10 +11,9 @@
 // HealthEvent when its condition first becomes true and arms again
 // once the condition clears, so a long excursion produces one event,
 // not one per step. Every event is appended to a bounded log (served
-// at /health), logged through slog with step attributes, pinned onto
-// every rank's trace timeline via trace.Run.MarkAll, and -- for
-// critical events when an Escalate hook is wired -- handed to the
-// driver, which typically routes it to msg.World.Abort.
+// at /health), logged through slog with step attributes, and pinned
+// onto every rank's trace timeline via trace.Run.MarkAll. A monitor
+// reports; it never stops the run.
 
 package telemetry
 
@@ -72,9 +71,6 @@ type MonitorConfig struct {
 	// assembled for this long; checked by a background watcher started
 	// with StartWatch and on every /health request. 0 disables.
 	NoProgress time.Duration
-	// Escalate, when non-nil, receives every critical event -- the
-	// hook drivers use to route a sick run into World.Abort.
-	Escalate func(HealthEvent)
 	// Log receives every event as a structured record (nil =
 	// slog.Default()).
 	Log *slog.Logger
@@ -278,9 +274,6 @@ func (h *health) emit(ev HealthEvent) {
 		lg.Warn("health: "+ev.Message, attrs...)
 	}
 	h.s.cfg.Trace.MarkAll("health." + ev.Monitor)
-	if ev.Severity == SeverityCritical && h.cfg.Escalate != nil {
-		h.cfg.Escalate(ev)
-	}
 }
 
 // events returns the log oldest-first.
@@ -288,12 +281,4 @@ func (h *health) events() []HealthEvent {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return append([]HealthEvent(nil), h.log...)
-}
-
-// HealthError adapts a critical HealthEvent into an error for
-// World.Abort escalation.
-type HealthError struct{ Event HealthEvent }
-
-func (e *HealthError) Error() string {
-	return fmt.Sprintf("telemetry: health monitor %s fired: %s", e.Event.Monitor, e.Event.Message)
 }

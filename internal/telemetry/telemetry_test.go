@@ -271,30 +271,6 @@ func TestNoProgressMonitor(t *testing.T) {
 	}
 }
 
-// Critical events reach the Escalate hook (the driver's World.Abort
-// route); warns do not.
-func TestEscalateOnlyCriticals(t *testing.T) {
-	var escalated []HealthEvent
-	s := NewSampler(Config{NP: 2, Monitors: MonitorConfig{
-		EnergyDriftTol: 0.01, ImbalanceMax: 1.5, ImbalanceRuns: 1, Log: discard(),
-		Escalate: func(ev HealthEvent) { escalated = append(escalated, ev) },
-	}})
-	defer s.Close()
-
-	// Skewed step clocks (warn) plus drifted energy (critical).
-	s.Contribute(0, metrics.RankInput{StepNs: 1e6, HasEnergy: true, Potential: -1.0})
-	s.Contribute(1, metrics.RankInput{StepNs: 9e6})
-	s.Contribute(0, metrics.RankInput{StepNs: 1e6, HasEnergy: true, Potential: -1.1})
-	s.Contribute(1, metrics.RankInput{StepNs: 9e6})
-
-	if len(escalated) != 1 || escalated[0].Monitor != MonitorEnergyDrift {
-		t.Fatalf("escalated = %+v, want only the energy_drift critical", escalated)
-	}
-	if got := len(s.Events()); got != 2 {
-		t.Fatalf("event log has %d entries, want 2 (warn + critical)", got)
-	}
-}
-
 // LiveReport is metrics.BuildReport over the ranks' latest records: the
 // code and the data of the exit report, so a mid-run /report carries the
 // stepping section and the phases in first-start order.

@@ -29,7 +29,6 @@ type ParallelEngine struct {
 	Sigma float64
 	Theta float64
 
-	phys   *vphysics
 	list   vList
 	tg     vTargets
 	walk   visitor
@@ -37,24 +36,23 @@ type ParallelEngine struct {
 }
 
 // VLeaf is the vortex leaf payload of a pushed or requested cell:
-// position and strength columns, slices of the owner's snapshot.
+// position and strength columns.
 type VLeaf struct {
 	Pos   []vec.V3
 	Alpha []vec.V3
+}
+
+func (l VLeaf) Slice(lo, hi int32) VLeaf { return VLeaf{Pos: l.Pos[lo:hi], Alpha: l.Alpha[lo:hi]} }
+
+func (l VLeaf) Append(b VLeaf) VLeaf {
+	return VLeaf{Pos: append(l.Pos, b.Pos...), Alpha: append(l.Alpha, b.Alpha...)}
 }
 
 // vphysics is the vortex instantiation of hotengine.Physics: the
 // per-cell payload is the cell's total strength (a vector the
 // geometric multipole cannot carry), derived from prefix sums over
 // the key-sorted strengths.
-type vphysics struct {
-	e     *ParallelEngine
-	prefA []vec.V3
-
-	snap     VLeaf
-	impPos   []vec.V3
-	impAlpha []vec.V3
-}
+type vphysics struct{ prefA []vec.V3 }
 
 // Prepare derives the structural mass |alpha| so the tree geometry
 // (COM, RCrit) follows the vorticity distribution.
@@ -67,10 +65,10 @@ func (p *vphysics) Prepare(sys *core.System) {
 // PostBuild computes prefix sums of alpha, giving every local cell's
 // total strength from its contiguous body range in O(1).
 func (p *vphysics) PostBuild(t *tree.Tree) {
-	n := p.e.Sys.Len()
+	n := t.Sys.Len()
 	p.prefA = make([]vec.V3, n+1)
 	for i := 0; i < n; i++ {
-		p.prefA[i+1] = p.prefA[i].Add(p.e.Sys.Alpha[i])
+		p.prefA[i+1] = p.prefA[i].Add(t.Sys.Alpha[i])
 	}
 }
 
@@ -80,36 +78,15 @@ func (p *vphysics) Extra(c *tree.Cell) vec.V3 {
 
 func (p *vphysics) CombineExtra(acc, child vec.V3) vec.V3 { return acc.Add(child) }
 
-func (p *vphysics) PackLeaf(c *tree.Cell) VLeaf {
-	lo, hi := c.First, c.First+c.N
-	return VLeaf{Pos: p.snap.Pos[lo:hi], Alpha: p.snap.Alpha[lo:hi]}
-}
-
-func (p *vphysics) Snapshot() {
-	sys := p.e.Sys
-	p.snap = VLeaf{Pos: append(p.snap.Pos[:0], sys.Pos...), Alpha: append(p.snap.Alpha[:0], sys.Alpha...)}
-}
-
-func (p *vphysics) ImportLeaf(n int32, b VLeaf) int32 {
-	start := int32(len(p.impPos))
-	p.impPos = append(p.impPos, b.Pos...)
-	p.impAlpha = append(p.impAlpha, b.Alpha...)
-	return start
-}
-
-func (p *vphysics) ResetImports() {
-	p.impPos = p.impPos[:0]
-	p.impAlpha = p.impAlpha[:0]
-}
+func (p *vphysics) Columns(sys *core.System) VLeaf { return VLeaf{Pos: sys.Pos, Alpha: sys.Alpha} }
 
 // NewParallel wraps this rank's particles.
 func NewParallel(c *msg.Comm, sys *core.System, sigma, theta float64) *ParallelEngine {
 	sys.EnableDynamics()
 	sys.EnableVortex()
 	e := &ParallelEngine{Sigma: sigma, Theta: theta}
-	e.phys = &vphysics{e: e}
 	e.walk.e = e
-	e.Engine = hotengine.New[vec.V3, VLeaf](c, sys, e.phys, hotengine.Config{
+	e.Engine = hotengine.New[vec.V3, VLeaf](c, sys, &vphysics{}, hotengine.Config{
 		MAC:         grav.MACParams{Kind: grav.MACBarnesHut, Theta: theta, Quad: false},
 		Bucket:      32,
 		PhasePrefix: "v",
@@ -125,15 +102,6 @@ func (e *ParallelEngine) Eval() []vec.V3 {
 	e.dAlpha = make([]vec.V3, e.Sys.Len())
 	e.WalkGroups("walk", &e.walk, e.evalGroup)
 	return e.dAlpha
-}
-
-// leafBodies returns positions and strengths of a leaf cell.
-func (e *ParallelEngine) leafBodies(c *tree.Cell) ([]vec.V3, []vec.V3) {
-	if c.First >= 0 {
-		return e.Sys.Pos[c.First : c.First+c.N], e.Sys.Alpha[c.First : c.First+c.N]
-	}
-	i := -(c.First + 1)
-	return e.phys.impPos[i : i+c.N], e.phys.impAlpha[i : i+c.N]
 }
 
 // visitor is the vortex side of the pipeline's traversal
@@ -159,7 +127,10 @@ func (v *visitor) Cells(cells []*tree.Cell, asum []vec.V3) {
 	}
 }
 
-func (v *visitor) Leaf(c *tree.Cell) { v.e.list.addBodies(v.e.leafBodies(c)) }
+func (v *visitor) Leaf(c *tree.Cell) {
+	b, lo, hi := v.e.LeafBodies(c)
+	v.e.list.addBodies(b.Pos[lo:hi], b.Alpha[lo:hi])
+}
 
 // evalGroup sweeps a completed interaction list with the batched
 // kernels.

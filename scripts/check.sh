@@ -2,7 +2,7 @@
 # Repo-wide check: build (and an arm64 cross-build, so the kernels'
 # portable path cannot rot), vet, race tests, the smokes, the chaos
 # soak, the walk guard, the fuzzers, the one-runner guards,
-# the one-rank-record guard, the kernel-loop bounds-check-elimination
+# the one-rank-record guard, the one-leaf-store guard, the kernel-loop bounds-check-elimination
 # and fusion guards, and the allocation guard -- the benches that must run
 # allocation-free are diffed against the committed BENCH_baseline.json,
 # failing on any growth in allocs/op.
@@ -90,6 +90,12 @@ echo "== one rank record (an engine describes its rank through Record, as a metr
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
 	'func \(e \*(Engine|ParallelEngine)[^)]*\) (Telemetry|TelemetrySample|Report)\(|RankSample' .; then
 	echo "FAIL: a second description of a rank: add the field to metrics.RankInput and fill it in Record" >&2
+	exit 1
+fi
+echo "== one leaf store (the engine keeps the rank's leaf columns, the per-phase snapshot and the import arena, and alone decodes an imported leaf's First)"
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=hotengine \
+	'First \+ 1\)|First >= 0|First < 0|func \([^)]*\) (ImportLeaf|PackLeaf|ResetImports)\(|func \([^)]*\) Snapshot\(\) \{' .; then
+	echo "FAIL: a second leaf store: read a leaf's bodies through hotengine.Engine.LeafBodies and give the physics' columns through Physics.Columns" >&2
 	exit 1
 fi
 echo "== bce (the interaction kernels' Go loops stay bounds-check-free, -d=ssa/check_bce)"
