@@ -60,19 +60,19 @@ const tile = 64
 // once, so computation scales as (N/P)*N while communication scales
 // as N per rank. acc and pot are overwritten.
 //
-// The rank's bodies are evaluated in tiles of 64 consecutive in key
-// order, so that a tile is compact as a walk group is, each in its own
-// frame, the tile's box centre: its float32 coordinates keep the digits
-// a tile spanning the box would lose. A visiting block is the tile's
-// source list (grav.EvalPP); in round 0 the rest of the rank's own
-// bodies are, and the tile against itself is grav.EvalSelf.
+// The rank's bodies are evaluated in tiles of 64 consecutive, each in
+// its own frame, the tile's box centre: bodies in key order (RingRun
+// hands each rank a piece of the Morton curve) make a tile compact, as
+// a walk group is, so its float32 coordinates keep the digits a tile
+// spanning the box would lose. A visiting block is the tile's source
+// list (grav.EvalPP); in round 0 the rest of the rank's own bodies
+// are, and the tile against itself is grav.EvalSelf.
 func Ring(c *msg.Comm, pos []vec.V3, mass []float64, acc []vec.V3, pot []float64, eps2 float64) diag.Counters {
 	c.Phase("nsquared")
 	for i := range acc {
 		acc[i] = vec.V3{}
 		pot[i] = 0
 	}
-	ord, own := keyOrder(pos, mass)
 	var ctr diag.Counters
 	p := c.Size()
 	next := (c.Rank() + 1) % p
@@ -90,21 +90,21 @@ func Ring(c *msg.Comm, pos []vec.V3, mass []float64, acc []vec.V3, pot []float64
 		}
 		for lo := 0; lo < len(pos); lo += tile {
 			hi := min(lo+tile, len(pos))
-			b := keys.BoxOf(own.pos[lo:hi])
+			b := keys.BoxOf(pos[lo:hi])
 			l.Reset(b.Lo.Add(b.Hi).Scale(0.5))
 			if round == 0 {
-				tg.Load(own.pos[lo:hi], own.mass[lo:hi])
-				l.AddBodies(own.pos[:lo], own.mass[:lo])
-				l.AddBodies(own.pos[hi:], own.mass[hi:])
+				tg.Load(pos[lo:hi], mass[lo:hi])
+				l.AddBodies(pos[:lo], mass[:lo])
+				l.AddBodies(pos[hi:], mass[hi:])
 				ctr.PP += grav.EvalSelf(&tg, eps2)
 			} else {
-				tg.Load(own.pos[lo:hi], nil)
+				tg.Load(pos[lo:hi], nil)
 				l.AddBodies(cur.pos, cur.mass)
 			}
 			ctr.PP += grav.EvalPP(&tg, &l, eps2)
-			for k, i := range ord[lo:hi] {
-				acc[i] = acc[i].Add(vec.V3{X: tg.AX[k], Y: tg.AY[k], Z: tg.AZ[k]})
-				pot[i] += tg.Pot[k]
+			for k := range hi - lo {
+				acc[lo+k] = acc[lo+k].Add(vec.V3{X: tg.AX[k], Y: tg.AY[k], Z: tg.AZ[k]})
+				pot[lo+k] += tg.Pot[k]
 			}
 		}
 		if round < p-1 {
@@ -115,9 +115,8 @@ func Ring(c *msg.Comm, pos []vec.V3, mass []float64, acc []vec.V3, pot []float64
 	return ctr
 }
 
-// keyOrder returns the permutation that sorts pos by key in the domain
-// of their box, and the bodies in that order.
-func keyOrder(pos []vec.V3, mass []float64) ([]int, block) {
+// keyOrder returns the bodies sorted by key in the domain of their box.
+func keyOrder(pos []vec.V3, mass []float64) block {
 	d := keys.NewDomain(pos)
 	k := make([]keys.Key, len(pos))
 	ord := make([]int, len(pos))
@@ -129,23 +128,25 @@ func keyOrder(pos []vec.V3, mass []float64) ([]int, block) {
 	for j, i := range ord {
 		b.pos[j], b.mass[j] = pos[i], mass[i]
 	}
-	return ord, b
+	return b
 }
 
 // RingRun is the paper's O(N^2) benchmark: steps evaluations of Ring on
-// a world of procs ranks, rank r holding the contiguous block
-// [r*n/procs, (r+1)*n/procs) of the bodies, which do not move between
-// evaluations. It returns the body-body interactions summed over ranks
-// and steps, n(n-1) per step.
+// a world of procs ranks. The bodies are sorted by key once, over the
+// whole input, and rank r holds the contiguous block [r*n/procs,
+// (r+1)*n/procs) of that order, a compact piece of the curve; they do
+// not move between evaluations. It returns the body-body interactions
+// summed over ranks and steps, n(n-1) per step.
 func RingRun(procs, steps int, pos []vec.V3, mass []float64, eps2 float64) uint64 {
 	n := len(pos)
+	b := keyOrder(pos, mass)
 	counts := make([]uint64, procs)
 	msg.Run(procs, func(c *msg.Comm) {
 		lo, hi := c.Rank()*n/procs, (c.Rank()+1)*n/procs
 		acc := make([]vec.V3, hi-lo)
 		pot := make([]float64, hi-lo)
 		for s := 0; s < steps; s++ {
-			counts[c.Rank()] += Ring(c, pos[lo:hi], mass[lo:hi], acc, pot, eps2).PP
+			counts[c.Rank()] += Ring(c, b.pos[lo:hi], b.mass[lo:hi], acc, pot, eps2).PP
 		}
 	})
 	var pp uint64

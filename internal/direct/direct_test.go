@@ -82,23 +82,24 @@ func ringVsSerial(t *testing.T, pos []vec.V3, mass []float64, cuts []int, eps2 f
 // float64), so against the exact float64 Serial it holds their
 // round-off, not Serial's own: every force within grav.RoundOff =
 // 7.6e-6 of the largest |a|, with the count exact, at every rank count.
-// The worst body is the one with the largest |a|, which its neighbour
+// The bodies are split as RingRun splits them: sorted by key over the
+// whole input, rank r holding the contiguous block [r*n/np,
+// (r+1)*n/np), so a rank's tiles are compact pieces of the curve. The
+// worst body is the one with the largest |a|, which its neighbour
 // 0.005 away sets; the pair's float32 coordinates, relative to the
 // tile's centre, each carry a rounding of up to 2^-24 of their distance
-// from it. Tiles are runs in key order, so they are compact where a
-// rank's bodies are dense. Measured (-v): 1.4e-8 at np = 1, 8.4e-7 to
-// 9.5e-7 at np = 2, 3 and 5; 5.5e-6 at np = 8, where a rank's 30 bodies,
-// drawn from across the unit cube, are one tile spanning it whatever
-// their order (input-order tiles: 5.5e-6 at np = 1, 2, 3 and 8).
+// from it. Measured (-v): 1.4e-8 at np = 1, 1.2e-8 to 3.8e-8 at np =
+// 2, 3 and 5, 4.5e-8 at np = 8 (5.5e-6 when each rank held a block of
+// the unsorted input, its 30 bodies spanning the cube).
 func TestRingMatchesSerial(t *testing.T) {
 	const n = 240
-	pos, mass := randomBodies(n, 2)
+	b := keyOrder(randomBodies(n, 2))
 	for _, np := range []int{1, 2, 3, 5, 8} {
 		cuts := make([]int, np+1)
 		for r := range cuts {
 			cuts[r] = r * n / np
 		}
-		t.Logf("np=%d: worst force difference %.2g of the largest |a|", np, ringVsSerial(t, pos, mass, cuts, 1e-5))
+		t.Logf("np=%d: worst force difference %.2g of the largest |a|", np, ringVsSerial(t, b.pos, b.mass, cuts, 1e-5))
 	}
 }
 

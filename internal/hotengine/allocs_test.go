@@ -19,8 +19,8 @@ type sumWalk struct {
 	sum float64
 }
 
-func (w *sumWalk) Begin(keys.Key, *tree.Cell) {}
-func (w *sumWalk) Leaf(c *tree.Cell)          { w.sum += float64(c.N) }
+func (w *sumWalk) Begin(keys.Key, vec.V3) {}
+func (w *sumWalk) Leaf(c *tree.Cell)      { w.sum += float64(c.N) }
 func (w *sumWalk) Cells(_ []*tree.Cell, xs []float64) {
 	for _, x := range xs {
 		w.sum += x
@@ -28,7 +28,6 @@ func (w *sumWalk) Cells(_ []*tree.Cell, xs []float64) {
 }
 
 func (w *sumWalk) Sphere(*tree.Cell) (vec.V3, float64) { return vec.V3{}, 0 }
-func (w *sumWalk) MAC() bool                           { return false }
 
 func (w *sumWalk) TestBound(c *tree.Cell, _ *tree.Bound) tree.Action {
 	if c.Key.Level() >= 2 {

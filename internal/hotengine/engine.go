@@ -31,19 +31,20 @@
 //     one bound on the groups it is about to walk (with its branches,
 //     when the exchange was told its first walk: ExchangeFor), and
 //     every owner sends each peer, in one all-to-all, the cells of its
-//     tree the Visitor's test, made conservative over that bound, could
-//     open.
+//     tree the walk's test (the MAC's or a RangeQuery's), made
+//     conservative over that bound, could open.
 //  4. Tree traversal: the engine walks the locally essential tree (LET)
 //     for each group of the local tree (tree.Tree.Groups: sink cells of
 //     up to 64 bodies, at or below this rank's branches) on behalf of
-//     the physics' Visitor, which is handed the group's own cell whole
-//     instead of a verdict on it. The LET is one table in the layout
-//     tree.Builder produces -- the top tree, a copy of each own branch's
-//     subtree, and every import, appended as its family lands -- so
-//     every walk is tree.Descend, children by index, no name looked up.
-//     Behind the push every walk completes on its first attempt, so the
-//     phase ends there, with no collective: a group that still parks is
-//     a visitor whose TestBound broke its contract, and its rank aborts
+//     the physics' Visitor, which only takes the interactions, the
+//     group's own cell whole among them; the engine runs the test. The
+//     LET is one table in the layout tree.Builder produces -- the top
+//     tree, a copy of each own branch's subtree, and every import,
+//     appended as its family lands -- so every walk is tree.Descend,
+//     children by index, no name looked up. Behind the push every walk
+//     completes on its first attempt, so the phase ends there, with no
+//     collective: a group that still parks is a range query whose
+//     TestBound broke its contract, and its rank aborts
 //     the world (*UncoveredWalkError). The paper's latency hiding is the
 //     mechanism with the push off: a group whose walk opens a cell whose
 //     children have not landed is suspended on that frontier (the
@@ -111,6 +112,10 @@ type Columns[B any] interface {
 	Append(b B) B
 }
 
+// maxRounds is the request/reply rounds a walk phase may run before
+// its rank declares the protocol stuck and aborts the world.
+const maxRounds = 64
+
 // None is the empty per-cell payload, for physics whose cell moments
 // are fully carried by the geometric multipole.
 type None struct{}
@@ -121,9 +126,6 @@ type Config struct {
 	// and the top-tree ancestor RCrit values.
 	MAC    grav.MACParams
 	Bucket int
-	// MaxRounds bounds the request/reply rounds per walk phase with the
-	// push off, as a deadlock backstop; 0 means the default (64).
-	MaxRounds int
 	// PhasePrefix prefixes the msg traffic phase labels (e.g. "v"
 	// keeps the vortex engine's historical "vtreebuild"/"vwalk"
 	// accounting separate from gravity's).
@@ -207,6 +209,8 @@ type Engine[X any, B Columns[B]] struct {
 	nimp             int32
 
 	cellBytes, bodyBytes int
+	// maxRounds is the constant, lowered only in tests.
+	maxRounds int
 	// branches are this rank's own branch cells, the roots of the push
 	// descent; pubs is what the ranks published with theirs when that
 	// included walk bounds (ExchangeFor), for the first push after it;
@@ -222,27 +226,29 @@ type Engine[X any, B Columns[B]] struct {
 	// instead of reconstructing the engine every call.
 	phases map[string]*walkPhase[X, B]
 	// Per-phase walk state shared between the round loop and the
-	// incremental reply imports: the current visitor, eval closure and
-	// abm engine (curEng, which requests are posted to); the groups the
-	// phase walks (freshBuf) and the parked groups whose
-	// last missing cell has arrived (readyBuf, resumed by the next
-	// sweep), both as indices into Local.Groups; the per-group walk
-	// state (groups, same indexing) and how many are parked; the
-	// miss->waiting-groups lists importCell walks so a group is promoted
-	// to ready the moment its final cell lands (keyWaiters heads into
-	// the waiters node arena, free nodes chained from freeWaiter; a miss
-	// is in keyWaiters exactly while its requests are in flight, so it
-	// doubles as the request-dedup set). desc is the current group's
-	// descent (its sphere, the test, the batch of accepted cells and
-	// their entries, what it missed) and extras the payloads of that
-	// batch, index for index, gathered only when X has any (hasExtra).
-	// hashDescent, nil outside tests, stands in for tree.Descend over
-	// the LET (the paper's hash-only descent, export_test.go).
+	// incremental reply imports: the current visitor (query: it as a
+	// RangeQuery, nil for a MAC walk), eval closure and abm engine
+	// (curEng, which requests are posted to); the groups the phase walks
+	// (freshBuf) and the parked groups whose last missing cell has
+	// arrived (readyBuf, resumed by the next sweep), both as indices into
+	// Local.Groups; the per-group walk state (groups, same indexing) and
+	// how many are parked; the miss->waiting-groups lists importCell
+	// walks so a group is promoted to ready the moment its final cell
+	// lands (keyWaiters heads into the waiters node arena, free nodes
+	// chained from freeWaiter; a miss is in keyWaiters exactly while its
+	// requests are in flight, so it doubles as the request-dedup set).
+	// desc is the current group's descent (its sphere, the test, the
+	// batch of accepted cells and their entries, what it missed) and
+	// extras the payloads of that batch, index for index, gathered only
+	// when X has any (hasExtra). hashDescent, nil outside tests, stands
+	// in for tree.Descend over the LET (the paper's hash-only descent,
+	// export_test.go).
 	desc        tree.Descent
 	extras      []X
 	hasExtra    bool
 	hashDescent func(from, n int32, emit bool) uint64
 	curWalk     Visitor[X]
+	query       RangeQuery
 	curEval     EvalFn
 	curEng      *abm.Engine[keys.Key, Wire[X, B]]
 	freshBuf    []int32
@@ -263,9 +269,6 @@ func New[X any, B Columns[B]](c *msg.Comm, sys *core.System, phys Physics[X, B],
 	if cfg.Bucket <= 0 {
 		cfg.Bucket = tree.DefaultBucketSize
 	}
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = 64
-	}
 	e := &Engine[X, B]{
 		C: c, Cfg: cfg, Phys: phys, Sys: sys,
 		Timer:     diag.NewTimer(),
@@ -273,6 +276,7 @@ func New[X any, B Columns[B]](c *msg.Comm, sys *core.System, phys Physics[X, B],
 		cellBytes: CellWireBytes[X, B](),
 		bodyBytes: BodyWireBytes[B](),
 		phases:    make(map[string]*walkPhase[X, B]),
+		maxRounds: maxRounds,
 		hasExtra:  reflect.TypeFor[X]().Size() > 0,
 	}
 	e.dec.Sub = e.Sub
@@ -412,7 +416,8 @@ func (e *Engine[X, B]) exchangeBranches(v Visitor[X], active func(g *tree.Cell) 
 	}
 	pub, bytes := published[X, B]{cells: mine}, e.cellBytes*len(mine)
 	if v != nil {
-		pub.bound, bytes = e.walkBound(v, active), bytes+boundBytes
+		q, _ := v.(RangeQuery)
+		pub.bound, bytes = e.walkBound(q, active), bytes+boundBytes
 	}
 	all := msg.Allgather(e.C, pub, bytes)
 	e.pubs = nil
@@ -774,8 +779,8 @@ func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool
 	// that takes.
 	e.observe = e.Stalls != nil || e.Trace != nil
 
-	e.push(v, active)
 	e.setVisitor(v)
+	e.push(active)
 	e.curEval, e.curEng = eval, eng
 
 	// First walks: every group once, against what the push delivered.
@@ -784,7 +789,7 @@ func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool
 	}
 	// Behind the push the phase ends here, with no vote: every walk
 	// completed against what the owners sent. A group parked anyway
-	// means the visitor's TestBound did not cover its walk; the rank
+	// means a range query's TestBound did not cover its walk; the rank
 	// must not leave its peers waiting on requests nobody will serve.
 	rounds := e.pushOff || e.fallBack
 	if !rounds && e.nparked > 0 {
@@ -794,14 +799,14 @@ func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool
 	// parked or posted anywhere. Until then a round runs (onReplyBatch
 	// imports as replies land) and the ready groups resume.
 	for round := 0; rounds && eng.Vote(e.nparked > 0); round++ {
-		if round >= e.Cfg.MaxRounds {
+		if round >= e.maxRounds {
 			// One rank declaring the protocol stuck must not strand
 			// the others inside the next collective: abort the whole
 			// world so every rank unwinds with its round state (noted
 			// by abm.Round) attached to the WorldError.
 			e.C.Abort(fmt.Errorf(
-				"hotengine: request rounds exceeded MaxRounds=%d in phase %q: %d groups parked, %d cell families in flight, %d rounds since exchange",
-				e.Cfg.MaxRounds, label, e.nparked, len(e.keyWaiters), e.Rounds))
+				"hotengine: request rounds exceeded the limit of %d in phase %q: %d groups parked, %d cell families in flight, %d rounds since exchange",
+				e.maxRounds, label, e.nparked, len(e.keyWaiters), e.Rounds))
 		}
 		eng.Round()
 		e.Rounds++
@@ -810,7 +815,7 @@ func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool
 		}
 		e.readyBuf = e.readyBuf[:0]
 	}
-	e.curWalk, e.curEval, e.curEng = nil, nil, nil
+	e.curWalk, e.query, e.curEval, e.curEng = nil, nil, nil, nil
 	e.Counters.PushUsed += e.desc.Entered
 	e.desc.Entered = 0
 	e.desc.Drop() // the last batch points into the LET, which the next Exchange lays out again
@@ -818,7 +823,7 @@ func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool
 }
 
 // UncoveredWalkError is the abort cause of a pushed walk phase that left
-// groups parked: the visitor's TestBound did not open every cell some
+// groups parked: a range query's TestBound did not open every cell some
 // walk of the phase opened, or the phase was not the walk its
 // ExchangeFor declared. Rank is the rank whose groups parked, Phase the
 // phase's traffic label, Parked how many groups.
@@ -829,6 +834,6 @@ type UncoveredWalkError struct {
 }
 
 func (e *UncoveredWalkError) Error() string {
-	return fmt.Sprintf("hotengine: rank %d: %d groups parked in phase %q behind the push: the visitor's TestBound did not cover their walks",
+	return fmt.Sprintf("hotengine: rank %d: %d groups parked in phase %q behind the push: the pushed cells did not cover their walks",
 		e.Rank, e.Parked, e.Phase)
 }

@@ -38,7 +38,7 @@ func (s ids) Slice(lo, hi int32) ids { return ids{s.ID[lo:hi]} }
 func (s ids) Append(b ids) ids       { return ids{append(s.ID, b.ID...)} }
 
 // idWalk is the exhaustive traversal of the synthetic physics as a
-// Visitor: no opening criterion, every reachable leaf is visited, and
+// range query: no opening criterion, every reachable leaf is visited, and
 // the leaf IDs of a completed walk land in ids.
 type idWalk struct {
 	e   *hotengine.Engine[float64, ids]
@@ -46,11 +46,10 @@ type idWalk struct {
 	ids map[int64]bool
 }
 
-func (w *idWalk) Begin(keys.Key, *tree.Cell)    { w.got = w.got[:0] }
+func (w *idWalk) Begin(keys.Key, vec.V3)        { w.got = w.got[:0] }
 func (w *idWalk) Cells([]*tree.Cell, []float64) {}
 
 func (w *idWalk) Sphere(*tree.Cell) (vec.V3, float64)           { return vec.V3{}, 0 }
-func (w *idWalk) MAC() bool                                     { return false }
 func (w *idWalk) TestBound(*tree.Cell, *tree.Bound) tree.Action { return tree.Open }
 
 func (w *idWalk) Leaf(c *tree.Cell) {
@@ -209,9 +208,9 @@ func TestEngineTimerPhases(t *testing.T) {
 	})
 }
 
-// A walk that needs more request rounds than MaxRounds allows (here
+// A walk that needs more request rounds than the engine allows (here
 // an exhaustive walk, one round per tree level below the branches,
-// against a budget of one, the push off) must end in a prompt
+// against a budget of one, SetMaxRounds, the push off) must end in a prompt
 // world-wide abort -- not the panic-plus-survivor-deadlock it used to be.
 // The WorldError carries each rank's batched-request round so the
 // report shows how far the protocol got.
@@ -222,10 +221,10 @@ func TestMaxRoundsAbort(t *testing.T) {
 		w := msg.NewWorld(2)
 		done <- w.RunErr(func(c *msg.Comm) {
 			e := hotengine.New[float64, ids](c, scatterTo(global, c), countPhysics{}, hotengine.Config{
-				MAC:       grav.MACParams{Kind: grav.MACBarnesHut, Theta: 0.5},
-				Bucket:    8,
-				MaxRounds: 1,
+				MAC:    grav.MACParams{Kind: grav.MACBarnesHut, Theta: 0.5},
+				Bucket: 8,
 			})
+			e.SetMaxRounds(1)
 			e.SetPush(false)
 			e.Exchange()
 			e.WalkGroups("walk", &idWalk{e: e}, nil)
@@ -235,13 +234,13 @@ func TestMaxRoundsAbort(t *testing.T) {
 	select {
 	case err = <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("MaxRounds overrun hung instead of aborting")
+		t.Fatal("round limit overrun hung instead of aborting")
 	}
 	if err == nil {
-		t.Fatal("expected a WorldError from the MaxRounds backstop")
+		t.Fatal("expected a WorldError from the round limit backstop")
 	}
-	if !strings.Contains(err.Cause.Error(), "MaxRounds=1") {
-		t.Fatalf("cause = %v, want a MaxRounds overrun", err.Cause)
+	if !strings.Contains(err.Cause.Error(), "exceeded the limit of 1 in") {
+		t.Fatalf("cause = %v, want a round limit overrun", err.Cause)
 	}
 	if !strings.Contains(err.Cause.Error(), `phase "walk"`) {
 		t.Fatalf("cause does not name the phase: %v", err.Cause)

@@ -23,6 +23,11 @@ func (e *Engine[X, B]) SetPush(on bool) { e.pushOff = !on }
 // TestBound is held to the request walk. This hook is the only switch.
 func (e *Engine[X, B]) SetFallBack(on bool) { e.fallBack = on }
 
+// SetMaxRounds lowers the request/reply rounds a walk phase with the
+// push off may run before the rank aborts the world (maxRounds). This
+// hook is the only switch.
+func (e *Engine[X, B]) SetMaxRounds(n int) { e.maxRounds = n }
+
 // ImportedBodies is the length of the import arena: the bodies of every
 // leaf imported since the last exchange or ResetImports.
 func (e *Engine[X, B]) ImportedBodies() int32 { return e.nimp }
@@ -205,7 +210,7 @@ func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn
 	var stack, missing []keys.Key
 	e.snapshot() // what the replies carry
 	e.setVisitor(v)
-	defer func() { e.curWalk = nil }()
+	defer func() { e.curWalk, e.query = nil, nil }()
 	for {
 		var deferred []keys.Key
 		for _, gk := range todo {

@@ -72,30 +72,30 @@ func (p *colPhysics) leaf(c *tree.Cell) cols {
 
 // recWalk is a visitor that records, per completed group, everything
 // the traversal handed it, in order: the interaction list as a flat
-// word trace. With rmax zero it opens cells by the multipole acceptance
-// criterion and takes accepted cells with their payload (the shape of
-// the gravity and vortex walks); with rmax positive it is an SPH-style
-// range query that prunes on geometry and never accepts.
+// word trace. It opens cells by the multipole acceptance criterion and
+// takes accepted cells with their payload (the shape of the gravity and
+// vortex walks); rangeWalk makes it an SPH-style range query.
 type recWalk struct {
 	p     *colPhysics
-	rmax  float64
 	trace []uint64 // the current traversal's: its leaves, then its cells
 	lists map[keys.Key][]uint64
 }
 
-func (w *recWalk) Begin(keys.Key, *tree.Cell) { w.trace = w.trace[:0] }
+func (w *recWalk) Begin(keys.Key, vec.V3) { w.trace = w.trace[:0] }
 
-func (w *recWalk) MAC() bool { return w.rmax == 0 }
+// rangeWalk is recWalk as a range query: it prunes on geometry, the
+// group's bounding sphere grown by rmax, and never accepts.
+type rangeWalk struct {
+	*recWalk
+	rmax float64
+}
 
-func (w *recWalk) Sphere(g *tree.Cell) (vec.V3, float64) {
+func (w *rangeWalk) Sphere(g *tree.Cell) (vec.V3, float64) {
 	gc, gr := tree.GroupSphere(w.p.e.Sys.Pos[g.First : g.First+g.N])
 	return gc, gr + w.rmax
 }
 
-func (w *recWalk) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
-	if w.rmax == 0 {
-		return tree.ClassifyBound(c, b)
-	}
+func (w *rangeWalk) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
 	center, size := w.p.e.Domain.CellCenter(c.Key)
 	if c.N == 0 || center.Sub(b.Nearest(center)).Norm() > b.R+size*math.Sqrt(3)/2 {
 		return tree.Skip
@@ -132,23 +132,11 @@ type gravWalk struct {
 	lists map[keys.Key][]uint64
 }
 
-func (v *gravWalk) Begin(gk keys.Key, g *tree.Cell) {
-	c, _ := v.Sphere(g)
-	v.w.Begin(gk, c)
-}
-func (v *gravWalk) MAC() bool                            { return true }
+func (v *gravWalk) Begin(gk keys.Key, centre vec.V3)     { v.w.Begin(gk, centre) }
 func (v *gravWalk) Cells(cells []*tree.Cell, _ []vec.V3) { v.w.TakeCells(cells) }
 func (v *gravWalk) Leaf(c *tree.Cell) {
 	b := v.p.leaf(c)
 	v.w.TakeLeaf(c, b.Pos, b.Mass)
-}
-
-func (v *gravWalk) Sphere(g *tree.Cell) (vec.V3, float64) {
-	return tree.GroupSphere(v.p.e.Sys.Pos[g.First : g.First+g.N])
-}
-
-func (v *gravWalk) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
-	return tree.ClassifyBound(c, b)
 }
 
 func (v *gravWalk) eval(gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
@@ -171,13 +159,20 @@ func (v *gravWalk) eval(gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
 	v.lists[gk] = words
 }
 
-// underPush is a gravity walk whose TestBound breaks its contract: it
-// refuses to open every third cell, so the owners push too little and
-// the walks fall back on park/request/resume for the rest.
+// underPush is a gravity walk made a range query whose TestBound
+// breaks its contract: over one group's sphere it is the MAC (a
+// one-point bound's tree.ClassifyBound is tree.Classify, bit for bit),
+// so its lists are gravWalk's, but over a rank's bound it refuses to
+// open every third cell, so the owners push too little and the walks
+// fall back on park/request/resume for the rest.
 type underPush struct{ *gravWalk }
 
+func (v *underPush) Sphere(g *tree.Cell) (vec.V3, float64) {
+	return tree.GroupSphere(v.p.e.Sys.Pos[g.First : g.First+g.N])
+}
+
 func (v *underPush) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
-	if uint64(c.Key)%3 == 0 {
+	if b.Lo != b.Hi && uint64(c.Key)%3 == 0 {
 		return tree.Accept
 	}
 	return tree.ClassifyBound(c, b)
@@ -289,8 +284,12 @@ func runPassesOn(global *core.System, np int, mode walkMode, partial, hashDescen
 			run(label, v, g.eval, g.lists)
 		}
 		query := func(label string, rmax float64) {
-			v := &recWalk{p: p, rmax: rmax, lists: map[keys.Key][]uint64{}}
-			run(label, v, v.done, v.lists)
+			w := &recWalk{p: p, lists: map[keys.Key][]uint64{}}
+			var v hotengine.Visitor[vec.V3] = w
+			if rmax > 0 {
+				v = &rangeWalk{w, rmax}
+			}
+			run(label, v, w.done, w.lists)
 		}
 
 		gravity("walk")

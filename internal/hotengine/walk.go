@@ -11,33 +11,18 @@ import (
 )
 
 // Visitor is the physics side of a group traversal. The engine owns
-// the descent, the acceptance test and miss collection; the visitor says what a group is measured by and takes
-// the interactions. All methods run on the rank goroutine, one
-// traversal at a time, so a visitor may keep the current group's state
-// (its interaction list) in its own fields.
+// the descent, the test and miss collection; the visitor takes the
+// interactions. The test is the multipole acceptance criterion (MAC)
+// against the group's bounding sphere (tree.GroupSphere, tree.Classify
+// inline, tree.ClassifyBound for the push) unless the visitor is a
+// RangeQuery. All methods run on the rank goroutine, one traversal at a
+// time, so a visitor may keep the current group's state in its fields.
 type Visitor[X any] interface {
-	// Begin starts a traversal for group g (key gk), resetting the
-	// visitor's evaluation state. A group may begin several times
-	// before it completes: the optimistic first attempt, discovery
-	// descents, and the final emitting walk.
-	Begin(gk keys.Key, g *tree.Cell)
-	// Sphere returns the sphere cells are measured against for group
-	// g. It must be a pure function of the group -- discovery descents
-	// replay the test to find which cells the emitting walk will open --
-	// and a rank publishes the tree.Bound of its groups' spheres.
-	Sphere(g *tree.Cell) (c vec.V3, r float64)
-	// MAC reports whether a cell is Skipped, Accepted (its moments one
-	// interaction) or Opened by the multipole acceptance criterion
-	// against Sphere: tree.Classify, which the engine runs itself, with
-	// no call into the visitor. Otherwise the test is TestBound over the
-	// group's own sphere, a range query's prune. Asked once per walk
-	// phase.
-	MAC() bool
-	// TestBound is the test made conservative over a peer's bound: it
-	// must return Open for every cell the test could open for a group
-	// whose sphere has its centre in b's box and a radius of at most
-	// b.R. Owners run it down their own trees to decide what to push.
-	TestBound(c *tree.Cell, b *tree.Bound) tree.Action
+	// Begin starts a traversal for group gk, measured by a sphere about
+	// centre, resetting the visitor's evaluation state. A group may begin
+	// several times before it completes: the optimistic first attempt,
+	// discovery descents, and the final emitting walk.
+	Begin(gk keys.Key, centre vec.V3)
 	// Leaf takes an opened leaf's bodies, as the emitting traversal
 	// reaches it, and likewise the group's own cell, whole and untested
 	// (tree.Descent.Own); Cells takes the cells that traversal accepted,
@@ -45,6 +30,22 @@ type Visitor[X any] interface {
 	// in root-DFS order.
 	Leaf(c *tree.Cell)
 	Cells(cells []*tree.Cell, xs []X)
+}
+
+// RangeQuery is a visitor whose test is not the MAC, as a range query
+// prunes on geometry (the SPH neighbour search). Asked once per phase.
+type RangeQuery interface {
+	// Sphere returns the sphere cells are measured against for group
+	// g. It must be a pure function of the group -- discovery descents
+	// replay the test to find which cells the emitting walk will open --
+	// and a rank publishes the tree.Bound of its groups' spheres.
+	Sphere(g *tree.Cell) (c vec.V3, r float64)
+	// TestBound is the test, made conservative over a peer's bound: it
+	// must return Open for every cell the test could open for a group
+	// whose sphere has its centre in b's box and a radius of at most
+	// b.R. Over a group's own sphere it is the traversal's test; owners
+	// run it down their own trees to decide what to push.
+	TestBound(c *tree.Cell, b *tree.Bound) tree.Action
 }
 
 // EvalFn evaluates one completed group's interactions from the state
@@ -101,21 +102,26 @@ func (e *Engine[X, B]) attempt(gi int32) {
 }
 
 // setVisitor makes v the visitor of the traversals that follow: it takes
-// their leaves, and its TestBound is their test unless it asks for the
-// MAC.
+// their leaves, and if it is a RangeQuery its TestBound is their test.
 func (e *Engine[X, B]) setVisitor(v Visitor[X]) {
-	e.curWalk = v
-	e.desc.Leaves, e.desc.Prune = v, nil
-	if !v.MAC() {
-		e.desc.Prune = v
-	}
+	e.query, _ = v.(RangeQuery)
+	e.curWalk, e.desc.Leaves, e.desc.Prune = v, v, e.query
 }
 
-// begin starts a traversal of group g: the visitor resets its state
-// and the descent is aimed at the group's sphere, its batch emptied.
+// sphere is what group g is measured by: q's sphere, or for a MAC walk
+// (q nil) the group's bounding sphere.
+func (e *Engine[X, B]) sphere(q RangeQuery, g *tree.Cell) (vec.V3, float64) {
+	if q != nil {
+		return q.Sphere(g)
+	}
+	return tree.GroupSphere(e.Sys.Pos[g.First : g.First+g.N])
+}
+
+// begin starts a traversal of group g: the descent is aimed at the
+// group's sphere, its batch emptied, and the visitor resets its state.
 func (e *Engine[X, B]) begin(gk keys.Key, g *tree.Cell) {
-	e.curWalk.Begin(gk, g)
-	gc, gr := e.curWalk.Sphere(g)
+	gc, gr := e.sphere(e.query, g)
+	e.curWalk.Begin(gk, gc)
 	e.desc.Aim(gk, gc, gr)
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/integrate"
 	"repro/internal/metrics"
 	"repro/internal/msg"
-	"repro/internal/vec"
 )
 
 // Step advances one global step through the engine's Stepper: the
@@ -57,13 +56,4 @@ func (e *Engine) Energy() (kin, pot float64) {
 	}
 	g := msg.Allreduce(e.C, loc, func(a, b en) en { return en{a.K + b.K, a.P + b.P} }, 16)
 	return g.K, g.P
-}
-
-// Momentum returns the global total momentum (collective).
-func (e *Engine) Momentum() vec.V3 {
-	var loc vec.V3
-	for i := range e.Sys.Vel {
-		loc = loc.Add(e.Sys.Vel[i].Scale(e.Sys.Mass[i]))
-	}
-	return msg.Allreduce(e.C, loc, func(a, b vec.V3) vec.V3 { return a.Add(b) }, 24)
 }

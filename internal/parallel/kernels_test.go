@@ -37,8 +37,8 @@ func runKernels(t *testing.T, np, n int, replay bool, mac grav.MACParams, eps2 f
 		e := New(c, local, Config{MAC: mac, Eps2: eps2})
 		if replay {
 			e.Exchange()
-			e.WalkGroups("walk", &visitor{e: e}, func(_ keys.Key, g *tree.Cell, ctr *diag.Counters) {
-				replayEvaluate(e, &e.walker.List, g, ctr)
+			e.WalkGroups("walk", e.pass, func(_ keys.Key, g *tree.Cell, ctr *diag.Counters) {
+				replayEvaluate(e, &e.pass.w.List, g, ctr)
 			})
 		} else {
 			e.ComputeForces()

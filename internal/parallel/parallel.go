@@ -2,13 +2,13 @@
 // the paper's parallel treecode instantiated on the shared HOT
 // pipeline (internal/hotengine). The pipeline owns the four phases --
 // work-weighted domain decomposition, local tree build plus branch
-// exchange, deferred-group traversal, batched request rounds -- and
-// this package supplies only what is gravitational about them: the
-// per-cell payload is empty (the geometric multipole every cell
-// carries IS the gravity moment), leaf replies carry position and
-// mass columns, and each completed group walk is evaluated with the
-// batched SoA kernels (grav.EvalPP/EvalM2P/EvalSelf) through
-// tree.Walker.
+// exchange, each group's MAC walk, test and all, batched request rounds
+// -- and this package supplies only what is gravitational about them:
+// the per-cell payload is empty (the geometric multipole every cell
+// carries IS the gravity moment), leaf replies carry position and mass
+// columns, and Pass, the one gravity visitor (SPH's self-gravity runs
+// it too), evaluates each group's list with the batched SoA kernels
+// (grav.EvalPP/EvalM2P/EvalSelf) through tree.Walker.
 package parallel
 
 import (
@@ -43,6 +43,8 @@ func (l Leaf) Append(b Leaf) Leaf {
 	return Leaf{Pos: append(l.Pos, b.Pos...), Mass: append(l.Mass, b.Mass...)}
 }
 
+func (l Leaf) PosMass() ([]vec.V3, []float64) { return l.Pos, l.Mass }
+
 // Engine holds one rank's state across timesteps. The embedded
 // hotengine.Engine exposes the pipeline state (Sys, Domain, Splits,
 // Local, Counters, Timer, Rounds, RemoteCells).
@@ -56,9 +58,7 @@ type Engine struct {
 	// Stepper.Scheme, Eta and Eps before the first Step.
 	Stepper integrate.Stepper
 
-	// walker holds the interaction list of the group being walked and
-	// evaluated.
-	walker tree.Walker
+	pass *Pass[Leaf]
 }
 
 // physics is the gravity instantiation of hotengine.Physics: no
@@ -84,6 +84,7 @@ func New(c *msg.Comm, sys *core.System, cfg Config) *Engine {
 	e.Engine = hotengine.New[hotengine.None, Leaf](c, sys, physics{}, hotengine.Config{
 		MAC: cfg.MAC, Bucket: cfg.Bucket,
 	})
+	e.pass = NewPass(e.Engine, cfg.Eps2)
 	e.Stepper.B = engineBodies{e}
 	return e
 }
@@ -100,30 +101,51 @@ func (b engineBodies) MaxRung(local int) int {
 	return msg.Allreduce(b.e.C, local, msg.MaxI, 8)
 }
 
-// visitor is the gravity side of the pipeline's traversal
-// (hotengine.Visitor): cells are opened by the MAC against the group's
-// bounding sphere, and the engine's tree.Walker collects the
-// interaction list.
-type visitor struct{ e *Engine }
-
-func (v *visitor) Begin(gk keys.Key, g *tree.Cell) {
-	c, _ := v.Sphere(g)
-	v.e.walker.Begin(gk, c)
+// Sources is the leaf payload a gravity pass reads: columns with the
+// bodies' positions and masses.
+type Sources[B any] interface {
+	hotengine.Columns[B]
+	PosMass() ([]vec.V3, []float64)
 }
 
-func (v *visitor) Sphere(g *tree.Cell) (vec.V3, float64) {
-	return tree.GroupSphere(v.e.Sys.Pos[g.First : g.First+g.N])
+// Pass is the gravity pass of an engine's MAC walk, written once (this
+// package's and SPH's self-gravity): as the walk's hotengine.Visitor it
+// gathers each group's list in a tree.Walker, and Eval, its EvalFn, runs
+// the batched kernels over the list.
+type Pass[B Sources[B]] struct {
+	e    *hotengine.Engine[hotengine.None, B]
+	eps2 float64
+	w    tree.Walker
 }
 
-func (v *visitor) MAC() bool { return true }
+// NewPass returns the gravity pass of engine e, softened by eps2.
+func NewPass[B Sources[B]](e *hotengine.Engine[hotengine.None, B], eps2 float64) *Pass[B] {
+	return &Pass[B]{e: e, eps2: eps2}
+}
 
-func (v *visitor) TestBound(c *tree.Cell, b *tree.Bound) tree.Action { return tree.ClassifyBound(c, b) }
+func (p *Pass[B]) Begin(gk keys.Key, centre vec.V3) { p.w.Begin(gk, centre) }
 
-func (v *visitor) Cells(cells []*tree.Cell, _ []hotengine.None) { v.e.walker.TakeCells(cells) }
+func (p *Pass[B]) Cells(cells []*tree.Cell, _ []hotengine.None) { p.w.TakeCells(cells) }
 
-func (v *visitor) Leaf(c *tree.Cell) {
-	b, lo, hi := v.e.LeafBodies(c)
-	v.e.walker.TakeLeaf(c, b.Pos[lo:hi], b.Mass[lo:hi])
+func (p *Pass[B]) Leaf(c *tree.Cell) {
+	b, lo, hi := p.e.LeafBodies(c)
+	pos, mass := (*b).PosMass()
+	p.w.TakeLeaf(c, pos[lo:hi], mass[lo:hi])
+}
+
+// Eval evaluates group g's list into its Acc and Pot (overwritten), and
+// adds the group's interactions per body to its Work.
+func (p *Pass[B]) Eval(_ keys.Key, g *tree.Cell, ctr *diag.Counters) {
+	sys := p.e.Sys
+	lo, hi := g.First, g.First+g.N
+	before := ctr.PP + ctr.PC
+	p.w.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], p.eps2, p.e.Cfg.MAC.Quad, ctr)
+	if g.N > 0 {
+		per := float64(ctr.PP+ctr.PC-before) / float64(g.N)
+		for i := lo; i < hi; i++ {
+			sys.Work[i] += per
+		}
+	}
 }
 
 // ComputeForces runs one full parallel force evaluation: decompose,
@@ -144,7 +166,6 @@ func (e *Engine) ComputeForces() diag.Counters {
 func (e *Engine) computeForces(minRung int) diag.Counters {
 	start := e.Counters
 
-	walk := &visitor{e: e}
 	// The partial evaluation's active set, nil for all groups. It reads
 	// e.Sys when called: the exchange, which needs it for the bound it
 	// publishes with the branches, has replaced the bodies by then.
@@ -154,24 +175,12 @@ func (e *Engine) computeForces(minRung int) diag.Counters {
 			return groupActive(e.Sys, int(g.First), int(g.First+g.N), minRung)
 		}
 	}
-	e.ExchangeFor(walk, active, minRung > 0)
-
-	sys := e.Sys
-	// The walk builds the group's interaction list; eval runs the
-	// kernels from it. The walk touches no PP/PC counters, so the
-	// per-body work weight is the eval-local delta.
-	eval := func(gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
-		lo, hi := g.First, g.First+g.N
-		before := ctr.PP + ctr.PC
-		e.walker.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], e.Cfg.Eps2, e.Cfg.MAC.Quad, ctr)
-		if g.N > 0 {
-			per := float64(ctr.PP+ctr.PC-before) / float64(g.N)
-			for i := lo; i < hi; i++ {
-				sys.Work[i] = per
-			}
-		}
-	}
-	e.WalkGroupsIf("walk", active, walk, eval)
+	e.ExchangeFor(e.pass, active, minRung > 0)
+	// The pass adds its share to Work: from zero, 0 + x is x exactly.
+	e.WalkGroupsIf("walk", active, e.pass, func(gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
+		clear(e.Sys.Work[g.First : g.First+g.N])
+		e.pass.Eval(gk, g, ctr)
+	})
 	return e.Counters.Sub(start)
 }
 

@@ -10,9 +10,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/diag"
 	"repro/internal/grav"
-	"repro/internal/hotengine"
 	"repro/internal/hotengine/visitortest"
+	"repro/internal/metrics"
 	"repro/internal/msg"
 	"repro/internal/vec"
 )
@@ -207,6 +208,12 @@ func TestEnergyConservationParallel(t *testing.T) {
 	}
 }
 
+// momentum is the world's total momentum: the ranks' records summed
+// (collective).
+func momentum(e *Engine) vec.V3 {
+	return msg.Allreduce(e.C, e.Record().Momentum, func(a, b vec.V3) vec.V3 { return a.Add(b) }, 24)
+}
+
 func TestMomentumConservationParallel(t *testing.T) {
 	const n = 300
 	global := globalCloud(n, 5)
@@ -214,14 +221,14 @@ func TestMomentumConservationParallel(t *testing.T) {
 	msg.Run(2, func(c *msg.Comm) {
 		e := New(c, scatter(global, c), cfg())
 		e.ComputeForces()
-		m0 := e.Momentum() // collective: every rank participates
+		m0 := momentum(e) // collective: every rank participates
 		if c.Rank() == 0 {
 			p0 = m0
 		}
 		for s := 0; s < 5; s++ {
 			e.Step(1e-3)
 		}
-		m := e.Momentum()
+		m := momentum(e)
 		if c.Rank() == 0 {
 			p1 = m
 		}
@@ -294,27 +301,33 @@ func BenchmarkParallelStep4Ranks(b *testing.B) {
 	})
 }
 
+// TestBalanceReport reads how evenly the work spread across ranks off
+// their records, the one description of a rank every report takes
+// (diag.BalanceOf over each rank's Record): the work-weighted
+// decomposition balances interactions decently even on a clustered
+// problem.
 func TestBalanceReport(t *testing.T) {
-	const n = 1000
+	const n, np = 1000, 4
 	global := globalCloud(n, 11)
-	var rep BalanceReport
-	msg.Run(4, func(c *msg.Comm) {
+	recs := make([]metrics.RankInput, np)
+	msg.Run(np, func(c *msg.Comm) {
 		e := New(c, scatter(global, c), cfg())
 		e.ComputeForces()
 		// A second evaluation rebalances on measured work.
 		e.ComputeForces()
-		r := e.Balance()
-		if c.Rank() == 0 {
-			rep = r
-		}
+		recs[c.Rank()] = e.Record()
 	})
-	if rep.Work.Max == 0 || rep.Bodies.Max == 0 {
-		t.Fatalf("empty balance report: %+v", rep)
+	var work, bodies []float64
+	for _, r := range recs {
+		work = append(work, float64(r.Counters.Interactions()))
+		bodies = append(bodies, float64(r.Bodies))
 	}
-	// The work-weighted decomposition should balance interactions
-	// decently even on a clustered problem.
-	if rep.Work.Efficiency < 0.6 {
-		t.Fatalf("work balance efficiency %.2f: %+v", rep.Work.Efficiency, rep.Work)
+	w, b := diag.BalanceOf(work), diag.BalanceOf(bodies)
+	if w.Max == 0 || b.Max == 0 {
+		t.Fatalf("empty balance: work %+v, bodies %+v", w, b)
+	}
+	if w.Efficiency < 0.6 {
+		t.Fatalf("work balance efficiency %.2f: %+v", w.Efficiency, w)
 	}
 }
 
@@ -357,14 +370,15 @@ func TestChaosCrashDuringWalkAborts(t *testing.T) {
 	}
 }
 
-// TestVisitorBoundIsSound holds the gravity visitor to the push's
-// contract on a real tree: TestBound opens whatever Test opens.
+// TestVisitorBoundIsSound holds the engine's MAC bound to the push's
+// contract on a Salmon-Warren gravity tree: tree.ClassifyBound over a
+// rank's bound opens whatever tree.Classify opens for one of its groups.
 func TestVisitorBoundIsSound(t *testing.T) {
 	msg.Run(1, func(c *msg.Comm) {
 		e := New(c, globalCloud(3000, 11), Config{
 			MAC: grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true}, Eps2: 1e-6,
 		})
 		e.Exchange()
-		visitortest.Sound[hotengine.None](t, &visitor{e: e}, e.Local, 1)
+		visitortest.MAC(t, e.Local, 1)
 	})
 }

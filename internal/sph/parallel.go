@@ -11,6 +11,7 @@ import (
 	"repro/internal/keys"
 	"repro/internal/metrics"
 	"repro/internal/msg"
+	"repro/internal/parallel"
 	"repro/internal/tree"
 	"repro/internal/vec"
 )
@@ -27,11 +28,11 @@ import (
 // request rounds as gravity. Between the passes the imports are
 // discarded and re-fetched, because the force pass must see the
 // densities the owning ranks just computed, not the stale copies.
-// An optional third pass evaluates self-gravity with the gravity
-// walker over the same imported cells. The pair loops and the
-// gatherer decide on squared distances and take a square root only
-// within a relative 2^-40 of the radius (sqBounds): no decision
-// differs from the exact Norm() test's. The serial reference the
+// An optional third pass evaluates self-gravity over the same imported
+// cells: gravity's own pass (parallel.Pass), the engine's MAC walk. The
+// pair loops and the gatherer decide on squared distances and take a
+// square root only within a relative 2^-40 of the radius (sqBounds): no
+// decision differs from the exact Norm() test's. The serial reference the
 // engine is held to is in serial_test.go.
 type ParallelEngine struct {
 	*hotengine.Engine[hotengine.None, Leaf]
@@ -39,9 +40,9 @@ type ParallelEngine struct {
 
 	pressure []vec.V3
 	// cand is the candidate block of the group being gathered and
-	// evaluated, w the gravity pass's walker.
-	cand Leaf
-	w    tree.Walker
+	// evaluated.
+	cand    Leaf
+	gravity *parallel.Pass[Leaf]
 }
 
 // ParallelConfig controls the distributed SPH evaluation.
@@ -82,6 +83,8 @@ func (l Leaf) Append(b Leaf) Leaf {
 	l.add(&b, 0, int32(len(b.Pos)))
 	return l
 }
+
+func (l Leaf) PosMass() ([]vec.V3, []float64) { return l.Pos, l.Mass }
 
 // add appends the bodies [lo, hi) of b.
 func (l *Leaf) add(b *Leaf, lo, hi int32) {
@@ -126,6 +129,7 @@ func NewParallel(c *msg.Comm, sys *core.System, cfg ParallelConfig) *ParallelEng
 		Bucket:      cfg.Bucket,
 		PhasePrefix: "sph",
 	})
+	e.gravity = parallel.NewPass(e.Engine, cfg.Eps2)
 	return e
 }
 
@@ -156,17 +160,8 @@ func (e *ParallelEngine) Eval() diag.Counters {
 	e.WalkGroups("forces", gather, e.evalForces)
 
 	if e.Cfg.Gravity {
-		e.WalkGroups("gravity", &gravVisitor{e: e}, func(gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
-			lo, hi := g.First, g.First+g.N
-			before := ctr.PP + ctr.PC
-			e.w.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], e.Cfg.Eps2, false, ctr)
-			if g.N > 0 {
-				per := float64(ctr.PP+ctr.PC-before) / float64(g.N)
-				for i := lo; i < hi; i++ {
-					sys.Work[i] += per
-				}
-			}
-		})
+		// The pass adds gravity's share of the work to the density pass's.
+		e.WalkGroups("gravity", e.gravity, e.gravity.Eval)
 		for i := range sys.Acc {
 			sys.Acc[i] = sys.Acc[i].Add(e.pressure[i])
 		}
@@ -177,31 +172,32 @@ func (e *ParallelEngine) Eval() diag.Counters {
 	return e.Counters.Sub(start)
 }
 
-// gatherer is the neighbor search of the density and force passes as
-// a traversal visitor (hotengine.Visitor): it collects every body that
-// could lie within two smoothing lengths of any particle of the group
-// into the engine's candidate block, pruning cells whose cube is entirely
-// outside the group's search sphere (the same cube-versus-sphere test
-// as the serial Neighbors). It never accepts a cell: range queries
-// prune on geometry alone.
+// gatherer is the neighbor search of the density and force passes, a
+// range query (hotengine.Visitor and RangeQuery): it collects every
+// body that could lie within two smoothing lengths of any particle of
+// the group into the engine's candidate block, pruning cells whose cube
+// is entirely outside the group's search sphere (the same
+// cube-versus-sphere test as the serial Neighbors). It never accepts a
+// cell: range queries prune on geometry alone.
 type gatherer struct{ e *ParallelEngine }
 
-func (v *gatherer) Begin(keys.Key, *tree.Cell) { v.e.cand = v.e.cand.Slice(0, 0) }
+func (v *gatherer) Begin(keys.Key, vec.V3) { v.e.cand = v.e.cand.Slice(0, 0) }
 
 // Sphere is the group's search sphere: its bounding sphere grown by the
 // largest kernel support of its particles.
 func (v *gatherer) Sphere(g *tree.Cell) (vec.V3, float64) {
 	lo, hi := g.First, g.First+g.N
 	gc, gr := tree.GroupSphere(v.e.Sys.Pos[lo:hi])
-	return gc, gr + 2*v.e.hmax(lo, hi)
+	hmax := 0.0
+	for _, h := range v.e.Sys.H[lo:hi] {
+		hmax = max(hmax, h)
+	}
+	return gc, gr + 2*hmax
 }
 
-// MAC is false: the traversal's test is TestBound over the group's own
-// search sphere.
-func (v *gatherer) MAC() bool { return false }
-
-// TestBound prunes a cell whose cube is entirely outside every search
-// sphere b encloses: its center is farther from b's box (one group's
+// TestBound, the traversal's test over the group's own search sphere,
+// prunes a cell whose cube is entirely outside every search sphere b
+// encloses: its center is farther from b's box (one group's
 // center, in a traversal) than the largest radius plus the
 // half-diagonal. The squared distance decides outside sqBounds' margin
 // on either side of that reach; inside it the exact Norm() > reach
@@ -225,17 +221,6 @@ func (v *gatherer) Cells([]*tree.Cell, []hotengine.None) {}
 func (v *gatherer) Leaf(c *tree.Cell) {
 	b, lo, hi := v.e.LeafBodies(c)
 	v.e.cand.add(b, lo, hi)
-}
-
-// hmax returns the largest smoothing length in a body range.
-func (e *ParallelEngine) hmax(lo, hi int32) float64 {
-	m := 0.0
-	for i := lo; i < hi; i++ {
-		if e.Sys.H[i] > m {
-			m = e.Sys.H[i]
-		}
-	}
-	return m
 }
 
 // evalDensity computes rho by kernel summation for one group from its
@@ -359,33 +344,6 @@ func (t *forceTarget) add(j int) {
 	}
 	t.acc = t.acc.Sub(gradW(rij, d, hbar).Scale(cand.Mass[j] * term))
 	t.pairs++
-}
-
-// gravVisitor drives the engine's gravity walker over the same
-// traversal; the SPH leaf payload carries positions and masses, which
-// is all gravity needs.
-type gravVisitor struct{ e *ParallelEngine }
-
-func (v *gravVisitor) Begin(gk keys.Key, g *tree.Cell) {
-	c, _ := v.Sphere(g)
-	v.e.w.Begin(gk, c)
-}
-
-func (v *gravVisitor) MAC() bool { return true }
-
-func (v *gravVisitor) Sphere(g *tree.Cell) (vec.V3, float64) {
-	return tree.GroupSphere(v.e.Sys.Pos[g.First : g.First+g.N])
-}
-
-func (v *gravVisitor) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
-	return tree.ClassifyBound(c, b)
-}
-
-func (v *gravVisitor) Cells(cells []*tree.Cell, _ []hotengine.None) { v.e.w.TakeCells(cells) }
-
-func (v *gravVisitor) Leaf(c *tree.Cell) {
-	b, lo, hi := v.e.LeafBodies(c)
-	v.e.w.TakeLeaf(c, b.Pos[lo:hi], b.Mass[lo:hi])
 }
 
 // sphBodies adapts the engine to integrate.Bodies. SPH stays on

@@ -7,7 +7,8 @@
 // cubic-spline kernel, density by summation, symmetric pressure
 // forces with artificial viscosity, and an isothermal or ideal-gas
 // equation of state. Neighbor finding is a range query over the
-// oct-tree, so the cost per step is O(N log N).
+// oct-tree (hotengine.RangeQuery), so the cost per step is O(N log N);
+// self-gravity is gravity's own pass, parallel.Pass.
 package sph
 
 import (

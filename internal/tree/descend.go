@@ -86,6 +86,15 @@ func (d *Descent) Test(c *Cell) Action {
 	return Classify(c, d.gc, d.gr)
 }
 
+// TestBound is Test made conservative over bound b, as owners run it to
+// push: Prune's TestBound, or ClassifyBound.
+func (d *Descent) TestBound(c *Cell, b *Bound) Action {
+	if d.Prune != nil {
+		return d.Prune.TestBound(c, b)
+	}
+	return ClassifyBound(c, b)
+}
+
 // Descend runs the group's DFS over the n sibling cells from entry
 // from of t's table and everything below them, and returns the number
 // of cells it visited. Children are Kids, Kids+1, ... in the table's

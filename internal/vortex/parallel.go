@@ -104,22 +104,13 @@ func (e *ParallelEngine) Eval() []vec.V3 {
 	return e.dAlpha
 }
 
-// visitor is the vortex side of the pipeline's traversal
-// (hotengine.Visitor): the gravity MAC on the |alpha|-weighted tree
-// geometry, accepted cells taken as monopoles of their total strength,
-// opened leaves as (position, strength) columns, all into the engine's
-// vList.
+// visitor is the vortex side of the engine's MAC walk on the
+// |alpha|-weighted tree geometry (hotengine.Visitor): accepted cells
+// taken as monopoles of their total strength, opened leaves as
+// (position, strength) columns, all into the engine's vList.
 type visitor struct{ e *ParallelEngine }
 
-func (v *visitor) Begin(keys.Key, *tree.Cell) { v.e.list.reset() }
-
-func (v *visitor) MAC() bool { return true }
-
-func (v *visitor) Sphere(g *tree.Cell) (vec.V3, float64) {
-	return tree.GroupSphere(v.e.Sys.Pos[g.First : g.First+g.N])
-}
-
-func (v *visitor) TestBound(c *tree.Cell, b *tree.Bound) tree.Action { return tree.ClassifyBound(c, b) }
+func (v *visitor) Begin(keys.Key, vec.V3) { v.e.list.reset() }
 
 func (v *visitor) Cells(cells []*tree.Cell, asum []vec.V3) {
 	for i, c := range cells {

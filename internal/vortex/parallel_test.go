@@ -160,12 +160,14 @@ func TestParallelWalkSteadyStateAllocs(t *testing.T) {
 	})
 }
 
-// TestVisitorBoundIsSound holds the vortex visitor to the push's
-// contract on a real tree: TestBound opens whatever Test opens.
+// TestVisitorBoundIsSound holds the engine's MAC bound to the push's
+// contract on a Barnes-Hut tree over |alpha|-weighted geometry:
+// tree.ClassifyBound over a rank's bound opens whatever tree.Classify
+// opens for one of its groups.
 func TestVisitorBoundIsSound(t *testing.T) {
 	msg.Run(1, func(c *msg.Comm) {
 		e := NewParallel(c, twoRings(64, 3), 0.15, 0.4)
 		e.Exchange()
-		visitortest.Sound[vec.V3](t, &e.walk, e.Local, 1)
+		visitortest.MAC(t, e.Local, 1)
 	})
 }

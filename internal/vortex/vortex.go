@@ -19,7 +19,8 @@
 // (classical stretching scheme). Far fields are evaluated through the
 // same hashed oct-tree as gravity, with vector-valued cell moments:
 // the paper's point that one treecode library serves gravity, vortex
-// dynamics and SPH alike.
+// dynamics and SPH alike. The walk is the engine's MAC walk, as
+// gravity's is; the vortex visitor only takes the interactions.
 package vortex
 
 import (

@@ -2,7 +2,7 @@
 # Repo-wide check: build (and an arm64 cross-build, so the kernels'
 # portable path cannot rot), vet, race tests, the smokes, the chaos
 # soak, the walk guard, the fuzzers, the one-runner guards,
-# the one-rank-record guard, the one-leaf-store guard, the kernel-loop bounds-check-elimination
+# the one-rank-record guard, the one-leaf-store guard, the one-MAC-walk guard, the kernel-loop bounds-check-elimination
 # and fusion guards, and the allocation guard -- the benches that must run
 # allocation-free are diffed against the committed BENCH_baseline.json,
 # failing on any growth in allocs/op.
@@ -86,9 +86,9 @@ if grep -rlE --include='*.go' --exclude='*_test.go' '"repro/internal/rsqrt"' . |
 	echo "FAIL: a second gravity kernel family: rsqrt.Rsqrt (the paper's Karp routine) is kept for the ablation benches only; kernels take the lanes (grav.EvalPP/EvalSelf/EvalM2P), references 1/math.Sqrt (grav.AccelAt, grav.M2P)" >&2
 	exit 1
 fi
-echo "== one rank record (an engine describes its rank through Record, as a metrics.RankInput, and no other way)"
+echo "== one rank record (an engine describes its rank through Record, as a metrics.RankInput, and no other way: no collective Balance either, diag.BalanceOf reads the records)"
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
-	'func \(e \*(Engine|ParallelEngine)[^)]*\) (Telemetry|TelemetrySample|Report)\(|RankSample' .; then
+	'func \(e \*(Engine|ParallelEngine)[^)]*\) (Telemetry|TelemetrySample|Report|Balance)\(|RankSample' .; then
 	echo "FAIL: a second description of a rank: add the field to metrics.RankInput and fill it in Record" >&2
 	exit 1
 fi
@@ -96,6 +96,17 @@ echo "== one leaf store (the engine keeps the rank's leaf columns, the per-phase
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=hotengine \
 	'First \+ 1\)|First >= 0|First < 0|func \([^)]*\) (ImportLeaf|PackLeaf|ResetImports)\(|func \([^)]*\) Snapshot\(\) \{' .; then
 	echo "FAIL: a second leaf store: read a leaf's bodies through hotengine.Engine.LeafBodies and give the physics' columns through Physics.Columns" >&2
+	exit 1
+fi
+echo "== one MAC walk (the engine measures a MAC walk's groups and tests them itself; only a range query brings a sphere and a test, and gravity's visitor is written once)"
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=tree --exclude-dir=hotengine \
+	'MAC\(\) bool|tree\.ClassifyBound\(' .; then
+	echo "FAIL: a visitor with its own MAC: the engine measures a MAC walk's groups (tree.GroupSphere) and tests them (tree.Classify, tree.ClassifyBound); only a hotengine.RangeQuery brings Sphere and TestBound" >&2
+	exit 1
+fi
+if [ "$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=tree --exclude-dir=hotengine 'TakeCells\(' . | wc -l)" -gt 1 ]; then
+	grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=tree --exclude-dir=hotengine 'TakeCells\(' . >&2
+	echo "FAIL: a second gravity visitor: run parallel.Pass, the one gravity pass of a MAC walk" >&2
 	exit 1
 fi
 echo "== bce (the interaction kernels' Go loops stay bounds-check-free, -d=ssa/check_bce)"
