@@ -281,12 +281,6 @@ func RunParallel(cfg ParallelConfig, bodies []Body, onStep func(step int, info S
 					Cells:        ctr.CellsBuilt,
 				})
 			}
-			if step == cfg.Steps-1 { // a collective: every rank, once, at the end
-				kin, pot := e.(*parallel.Engine).Energy()
-				if rank == 0 {
-					res.Kinetic, res.Potential = kin, pot
-				}
-			}
 		},
 	}, runner.Attachments{})
 	if err != nil {
@@ -295,7 +289,11 @@ func RunParallel(cfg ParallelConfig, bodies []Body, onStep func(step int, info S
 
 	res.Bodies = fromSystem(run.Merged())
 	res.Interactions, res.Flops = run.Counters.Interactions(), run.Counters.Flops()
+	// The final energies are the ranks' partial sums added in rank
+	// order, as an allreduce adds them.
 	for _, in := range run.Ranks {
+		res.Kinetic += in.Kinetic
+		res.Potential += in.Potential
 		res.RemoteCells += in.RemoteCells
 		res.Rounds = max(res.Rounds, in.Rounds)
 	}

@@ -46,7 +46,7 @@ func searchAllocs(t *testing.T, warm bool, most float64) {
 		pw := prefixWork(local.Work)
 		var dc Decomposer
 		if warm {
-			dc.prev = make([]uint64, np+1)
+			dc.warm = np
 		}
 		for i := 0; i < 3; i++ { // size the scratch and the mailboxes
 			dc.selectSplits(c, local.Key, pw, np)

@@ -42,6 +42,11 @@
 // computes the true domain. When the prediction missed, every rank
 // re-keys and searches again (Stats.Relocated), so the domain, like the
 // splits, is a function of the bodies alone.
+//
+// There is one decomposition: a block-timestep partial evaluation runs
+// DecomposeGlobal like a full one, so its domain and splits are those a
+// cold decomposer finds over the same bodies and their Work, and its
+// collectives are a warm step's.
 package domain
 
 import (
@@ -101,13 +106,6 @@ const samplesPerRank = 64
 // and that step runs the full search.
 const hintWindow = 64
 
-// DefaultReuseThreshold is the displaced-body fraction at or below
-// which a Reuse decomposition keeps the previous splits. One body in
-// twenty crossing a cell boundary between sub-steps barely moves the
-// work balance, and the splits are refreshed exactly at every
-// synchronization point anyway.
-const DefaultReuseThreshold = 0.05
-
 // Stats describes the most recent Decompose call of a Decomposer.
 type Stats struct {
 	// Displaced is the number of out-of-order bodies the pre-exchange
@@ -116,27 +114,19 @@ type Stats struct {
 	Displaced int
 	// FullSort reports that fallback.
 	FullSort bool
-	// Rounds is the number of collectives the splitter search issued
-	// (the Reuse check included): 1 when the one-allgather search of a
-	// warm decomposer settled every splitter, 5 when it could not and
-	// the full search followed, 4 for the full search of a cold one, 0
-	// on one rank; one more when the search ran again after Relocated.
+	// Rounds is the number of collectives the splitter search issued:
+	// 1 when the one-allgather search of a warm decomposer settled every
+	// splitter, 5 when it could not and the full search followed, 4 for
+	// the full search of a cold one, 0 on one rank; one more when the
+	// search ran again after Relocated.
 	Rounds int
 	// MergeRuns is the number of non-empty sorted runs the
 	// post-exchange merge combined (1 means the order was free).
 	MergeRuns int
-	// DisplacedFrac is the global fraction of bodies the order repair
-	// found displaced, allreduced so every rank sees the same value.
-	// Only computed when Reuse is set (it costs the one allreduce that
-	// replaces the splitter search).
-	DisplacedFrac float64
-	// SplitsReused reports that the fast path engaged: the previous
-	// splits were kept verbatim and the splitter search was skipped.
-	SplitsReused bool
 	// Batches is the number of body batches this rank sent in the
-	// exchange: one to every other rank after a full search or a Reuse
-	// check, only those the windows say may hold bodies after a settled
-	// one-allgather search (Decomposer.plan).
+	// exchange: one to every other rank after a full search, only those
+	// the windows say may hold bodies after a settled one-allgather
+	// search (Decomposer.plan).
 	Batches int
 	// Relocated reports that DecomposeGlobal's predicted domain was not
 	// the bodies' (the boxes gathered on the splitter search named
@@ -145,21 +135,10 @@ type Stats struct {
 }
 
 // Decomposer carries the cross-step state of the incremental
-// decomposition: the sorter scratch, the previous splits, and every
-// reusable buffer. One Decomposer per rank; the zero value is a cold
+// decomposition: the sorter scratch, the rank count it last decomposed
+// for, and every reusable buffer. One Decomposer per rank; the zero value is a cold
 // decomposer. The one-shot Decompose function wraps it.
 type Decomposer struct {
-	// Reuse enables the displaced-fraction fast path for the partial
-	// force evaluations of block timesteps: when the globally
-	// allreduced fraction of displaced bodies is at most
-	// DefaultReuseThreshold, the previous call's splits are kept verbatim and
-	// the splitter search (and its collectives) is skipped entirely.
-	// Bodies that drifted across the kept boundaries are still
-	// exchanged, so ownership stays exact; only the load balance goes
-	// slightly stale until the next full decomposition. This changes
-	// results (the splits), so callers enable it only between
-	// synchronization points.
-	Reuse bool
 	// Sub, when non-nil, accumulates the sorting share of the
 	// construction pipeline under the phase "treebuild/sort".
 	Sub *diag.Timer
@@ -167,7 +146,7 @@ type Decomposer struct {
 	Last Stats
 
 	sorter core.Sorter
-	prev   []uint64
+	warm   int         // the rank count of the last exchange, 0 before one
 	dom    keys.Domain // the domain of this call, then the last returned
 	check  bool        // dom is a prediction the next hinted search checks
 	box    keys.Box    // this rank's bounding box, published when checking
@@ -199,17 +178,17 @@ func (dc *Decomposer) Decompose(c *msg.Comm, sys *core.System, d keys.Domain) Re
 
 // DecomposeGlobal is Decompose in the bodies' own domain, keys.DomainOf
 // their global bounding box, which Result.Domain returns. A cold
-// decomposer, or one with Reuse set, allreduces the box first
-// (GlobalDomain). A warm one saves that collective: it keys and sorts
-// with the domain it returned last and publishes its local box with its
-// window on the one-allgather splitter search, where every rank checks
-// the prediction against the union of the gathered boxes. On a miss
-// (Stats.Relocated) every rank re-keys in the true domain, re-sorts and
-// searches again, which costs the collective the prediction saved. The
-// domain, the keys and the splits are therefore those a cold decomposer
-// finds for the same bodies, whatever the last call left behind.
+// decomposer allreduces the box first (GlobalDomain). A warm one saves
+// that collective: it keys and sorts with the domain it returned last
+// and publishes its local box with its window on the one-allgather
+// splitter search, where every rank checks the prediction against the
+// union of the gathered boxes. On a miss (Stats.Relocated) every rank
+// re-keys in the true domain, re-sorts and searches again, which costs
+// the collective the prediction saved. The domain, the keys and the
+// splits are therefore those a cold decomposer finds for the same
+// bodies, whatever the last call left behind.
 func (dc *Decomposer) DecomposeGlobal(c *msg.Comm, sys *core.System) Result {
-	if p := c.Size(); p > 1 && len(dc.prev) == p+1 && !dc.Reuse {
+	if p := c.Size(); p > 1 && dc.warm == p {
 		dc.box, dc.check = keys.BoxOf(sys.Pos), true
 	} else {
 		dc.dom, dc.check = GlobalDomain(c, sys), false
@@ -226,53 +205,26 @@ func (dc *Decomposer) decompose(c *msg.Comm, sys *core.System) Result {
 	return dc.exchange(c, sys, splits, dc.plan(splits))
 }
 
-// search keys and sorts sys in dc.dom and returns the new splits: the
-// previous ones when Reuse keeps them, else what selectSplits finds.
-// When the hinted search finds dc.dom was a wrong prediction it has set
-// the true one, and the keys, the order and the search are done again.
+// search keys and sorts sys in dc.dom and returns the splits
+// selectSplits finds. When the hinted search finds dc.dom was a wrong
+// prediction it has set the true one, and the keys, the order and the
+// search are done again.
 func (dc *Decomposer) search(c *msg.Comm, sys *core.System) []uint64 {
 	c.Phase("decompose")
 	dc.Last = Stats{}
 	dc.wins = nil
 	for {
-		if splits := dc.searchIn(c, sys); splits != nil {
-			return splits
+		if dc.Sub != nil {
+			dc.Sub.Start("treebuild/sort")
 		}
-		dc.Last.Relocated = true
-	}
-}
-
-// searchIn is one attempt of search, nil when it relocated.
-func (dc *Decomposer) searchIn(c *msg.Comm, sys *core.System) []uint64 {
-	if dc.Sub != nil {
-		dc.Sub.Start("treebuild/sort")
-	}
-	sys.AssignKeys(dc.dom)
-	n := sys.Len()
-	dc.Last.Displaced = dc.sorter.Resort(sys)
-	dc.Last.FullSort = dc.Last.Displaced == n && n > 0
-	if dc.Sub != nil {
-		dc.Sub.Stop()
-	}
-
-	p := c.Size()
-
-	var splits []uint64
-	if dc.Reuse && len(dc.prev) == p+1 {
-		// Fast path for partial evaluations: one allreduce decides --
-		// identically on every rank -- whether few enough bodies moved
-		// to keep the previous splits and skip the search.
-		cnt := msg.Allreduce(c, [2]float64{float64(dc.Last.Displaced), float64(n)}, sumPair, 16)
-		dc.Last.Rounds++
-		if cnt[1] > 0 {
-			dc.Last.DisplacedFrac = cnt[0] / cnt[1]
+		sys.AssignKeys(dc.dom)
+		n := sys.Len()
+		dc.Last.Displaced = dc.sorter.Resort(sys)
+		dc.Last.FullSort = dc.Last.Displaced == n && n > 0
+		if dc.Sub != nil {
+			dc.Sub.Stop()
 		}
-		if cnt[0] <= DefaultReuseThreshold*cnt[1] {
-			dc.Last.SplitsReused = true
-			splits = append([]uint64(nil), dc.prev...)
-		}
-	}
-	if splits == nil {
+
 		// Local prefix work sums: pw[i] = work of bodies [0, i).
 		if cap(dc.pw) < n+1 {
 			dc.pw = make([]float64, n+1)
@@ -282,9 +234,11 @@ func (dc *Decomposer) searchIn(c *msg.Comm, sys *core.System) []uint64 {
 		for i := 0; i < n; i++ {
 			pw[i+1] = pw[i] + sys.Work[i]
 		}
-		splits = dc.selectSplits(c, sys.Key, pw, p)
+		if splits := dc.selectSplits(c, sys.Key, pw, c.Size()); splits != nil {
+			return splits
+		}
+		dc.Last.Relocated = true
 	}
-	return splits
 }
 
 // plan returns the pairs of ranks between which the body exchange runs.
@@ -302,8 +256,8 @@ func (dc *Decomposer) searchIn(c *msg.Comm, sys *core.System) []uint64 {
 // exchange aborts the world if one is). As the search settles no
 // splitter inside an interior (FuzzSelectSplits checks), the interior's
 // receiver is also its bounding bodies'; the rule keeps the plan sound
-// without leaning on that. Without windows -- a full search, a Reuse
-// check, one rank -- it returns nil: every pair.
+// without leaning on that. Without windows -- a full search, one rank --
+// it returns nil: every pair.
 func (dc *Decomposer) plan(splits []uint64) msg.Pairs {
 	if dc.wins == nil {
 		return nil
@@ -349,7 +303,7 @@ func (dc *Decomposer) keep(sys *core.System, splits []uint64) Result {
 	if sys.Len() > 1 {
 		dc.Last.MergeRuns = 1
 	}
-	dc.prev = append(dc.prev[:0], splits...)
+	dc.warm = len(splits) - 1
 	return Result{Sys: sys, Splits: splits, Domain: dc.dom}
 }
 
@@ -464,7 +418,7 @@ func (dc *Decomposer) exchange(c *msg.Comm, sys *core.System, splits []uint64, p
 		dc.Sub.Stop()
 	}
 
-	dc.prev = append(dc.prev[:0], splits...)
+	dc.warm = len(splits) - 1
 	return Result{Sys: out, Splits: splits, Moved: moved, Domain: dc.dom}
 }
 
@@ -487,7 +441,7 @@ type summary struct {
 // works on bodies in no particular place: a first evaluation, a
 // restart. It returns nil when the hinted search relocated the domain.
 func (dc *Decomposer) selectSplits(c *msg.Comm, ks []keys.Key, pw []float64, p int) []uint64 {
-	if p > 1 && len(dc.prev) == p+1 {
+	if p > 1 && dc.warm == p {
 		if splits, ok := dc.hintedSplits(c, ks, pw, p); ok {
 			return splits
 		}
@@ -784,10 +738,6 @@ func searchOffset(ks []keys.Key, off uint64) int {
 // per call, byte-identical to the historical function.
 func Decompose(c *msg.Comm, sys *core.System, d keys.Domain) Result {
 	return new(Decomposer).Decompose(c, sys, d)
-}
-
-func sumPair(a, b [2]float64) [2]float64 {
-	return [2]float64{a[0] + b[0], a[1] + b[1]}
 }
 
 // addVec accumulates b into a: the reduction's accumulator is the

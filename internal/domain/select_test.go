@@ -149,97 +149,85 @@ func TestSelectMatchesBisection(t *testing.T) {
 	for _, np := range []int{1, 2, 3, 4, 8} {
 		for _, gen := range ics {
 			for _, tc := range selCases {
-				for _, reuse := range []bool{false, true} {
-					label := fmt.Sprintf("np=%d/%s/%s/reuse=%v", np, gen.name, tc.name, reuse)
-					global := gen.gen(tc.n)
-					msg.Run(np, func(c *msg.Comm) {
-						local := core.New(0)
-						local.EnableDynamics()
-						for i := 0; i < tc.n; i++ {
-							if tc.home(i, tc.n, np) == c.Rank() {
-								local.AppendFrom(global, i)
-							}
+				label := fmt.Sprintf("np=%d/%s/%s", np, gen.name, tc.name)
+				global := gen.gen(tc.n)
+				msg.Run(np, func(c *msg.Comm) {
+					local := core.New(0)
+					local.EnableDynamics()
+					for i := 0; i < tc.n; i++ {
+						if tc.home(i, tc.n, np) == c.Rank() {
+							local.AppendFrom(global, i)
 						}
-						dec := &Decomposer{Reuse: reuse}
-						for s := 0; s < steps; s++ {
-							// Small drift on the even steps keeps the
-							// Reuse path alive, a large one breaks it.
-							scale := 1e-5
-							if s%2 == 1 {
-								scale = 0.3
-							}
-							for i := range local.Pos {
-								h := hash32(local.ID[i], s)
-								f := func(shift uint) float64 { return (float64((h>>shift)%1024)/1024 - 0.5) * scale }
-								local.Pos[i] = local.Pos[i].Add(vec.V3{X: f(0), Y: f(10), Z: f(20)})
-							}
-							tc.shape(local, s)
-							d := GlobalDomain(c, local)
-
-							ref := core.New(0)
-							for i := 0; i < local.Len(); i++ {
-								ref.AppendFrom(local, i)
-							}
-							ref.AssignKeys(d)
-							ref.SortByKey()
-							pw := prefixWork(ref.Work)
-							want := bisectSplits(c, ref.Key, pw, np)
-
-							// The one-allgather search on this ownership:
-							// whatever home dealt on step 0, what the last
-							// exchange left, drifted, on the others.
-							if np > 1 {
-								got, ok := new(Decomposer).hintedSplits(c, ref.Key, pw, np)
-								if !sameOnAllRanks(c, len(got)) {
-									t.Errorf("%s step %d rank %d: ranks disagree on whether the one-allgather search settled (here: %v)", label, s, c.Rank(), ok)
-								}
-								if ok && !slices.Equal(got, want) {
-									t.Errorf("%s step %d rank %d: one-allgather splits\n got %x\nwant %x", label, s, c.Rank(), got, want)
-								}
-								if ok {
-									hinted.Add(1)
-								} else {
-									missed.Add(1)
-								}
-								if tc.name == "scattered-by-id" && s == 0 && ok {
-									t.Errorf("%s rank %d: settled splitters inside every rank's unpublished interior", label, c.Rank())
-								}
-							}
-
-							res := dec.Decompose(c, local, d)
-							local = res.Sys
-							st := dec.Last
-							if st.SplitsReused {
-								if st.Rounds > 1 {
-									t.Errorf("%s step %d rank %d: %d collectives with splits reused", label, s, c.Rank(), st.Rounds)
-								}
-								continue
-							}
-							if !slices.Equal(res.Splits, want) {
-								t.Errorf("%s step %d rank %d: splits\n got %x\nwant %x", label, s, c.Rank(), res.Splits, want)
-							}
-							search := st.Rounds
-							if reuse && s > 0 {
-								search-- // the Reuse check that said no
-							}
-							switch {
-							case np == 1 && search == 0:
-							case np > 1 && s == 0 && search == 4:
-							case np > 1 && s > 0 && (search == 1 || search == 5):
-							default:
-								t.Errorf("%s step %d rank %d: %d collectives in the search", label, s, c.Rank(), search)
-							}
-							if !sameOnAllRanks(c, st.Rounds) {
-								t.Errorf("%s step %d rank %d: ranks took different searches (here: %d collectives)", label, s, c.Rank(), st.Rounds)
-							}
-							if tc.name == "splitter-past-window" && np == 4 && s == 2 && search != 5 {
-								t.Errorf("%s rank %d: a splitter that moved past the windows was found in %d collectives, want 5", label, c.Rank(), search)
-							}
-						}
-					})
-					if t.Failed() {
-						t.FailNow()
 					}
+					dec := new(Decomposer)
+					for s := 0; s < steps; s++ {
+						// Small drift on the even steps, a large
+						// one on the odd.
+						scale := 1e-5
+						if s%2 == 1 {
+							scale = 0.3
+						}
+						for i := range local.Pos {
+							h := hash32(local.ID[i], s)
+							f := func(shift uint) float64 { return (float64((h>>shift)%1024)/1024 - 0.5) * scale }
+							local.Pos[i] = local.Pos[i].Add(vec.V3{X: f(0), Y: f(10), Z: f(20)})
+						}
+						tc.shape(local, s)
+						d := GlobalDomain(c, local)
+
+						ref := core.New(0)
+						for i := 0; i < local.Len(); i++ {
+							ref.AppendFrom(local, i)
+						}
+						ref.AssignKeys(d)
+						ref.SortByKey()
+						pw := prefixWork(ref.Work)
+						want := bisectSplits(c, ref.Key, pw, np)
+
+						// The one-allgather search on this ownership:
+						// whatever home dealt on step 0, what the last
+						// exchange left, drifted, on the others.
+						if np > 1 {
+							got, ok := new(Decomposer).hintedSplits(c, ref.Key, pw, np)
+							if !sameOnAllRanks(c, len(got)) {
+								t.Errorf("%s step %d rank %d: ranks disagree on whether the one-allgather search settled (here: %v)", label, s, c.Rank(), ok)
+							}
+							if ok && !slices.Equal(got, want) {
+								t.Errorf("%s step %d rank %d: one-allgather splits\n got %x\nwant %x", label, s, c.Rank(), got, want)
+							}
+							if ok {
+								hinted.Add(1)
+							} else {
+								missed.Add(1)
+							}
+							if tc.name == "scattered-by-id" && s == 0 && ok {
+								t.Errorf("%s rank %d: settled splitters inside every rank's unpublished interior", label, c.Rank())
+							}
+						}
+
+						res := dec.Decompose(c, local, d)
+						local = res.Sys
+						if !slices.Equal(res.Splits, want) {
+							t.Errorf("%s step %d rank %d: splits\n got %x\nwant %x", label, s, c.Rank(), res.Splits, want)
+						}
+						search := dec.Last.Rounds
+						switch {
+						case np == 1 && search == 0:
+						case np > 1 && s == 0 && search == 4:
+						case np > 1 && s > 0 && (search == 1 || search == 5):
+						default:
+							t.Errorf("%s step %d rank %d: %d collectives in the search", label, s, c.Rank(), search)
+						}
+						if !sameOnAllRanks(c, search) {
+							t.Errorf("%s step %d rank %d: ranks took different searches (here: %d collectives)", label, s, c.Rank(), search)
+						}
+						if tc.name == "splitter-past-window" && np == 4 && s == 2 && search != 5 {
+							t.Errorf("%s rank %d: a splitter that moved past the windows was found in %d collectives, want 5", label, c.Rank(), search)
+						}
+					}
+				})
+				if t.Failed() {
+					t.FailNow()
 				}
 			}
 		}
@@ -396,7 +384,7 @@ func FuzzSelectSplits(f *testing.F) {
 				plans[r] = checkPlan(t, hinted, got, ks[r], r)
 			}
 			// The selection as a decomposer runs it after an exchange.
-			warm := Decomposer{prev: make([]uint64, np+1)}
+			warm := Decomposer{warm: np}
 			if got := warm.selectSplits(c, ks[r], pw, np); !slices.Equal(got, want) {
 				t.Errorf("rank %d: warm splits\n got %x\nwant %x", r, got, want)
 			}

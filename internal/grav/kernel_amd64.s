@@ -249,6 +249,7 @@ pp4chunk:
 	VXORPS  Y6, Y6, Y6 // az
 	VXORPS  Y7, Y7, Y7 // p
 	JMP     pp4test
+	PCALIGN $64 // the loop head on a cache line, wherever the linker puts the function
 pp4loop:
 	VBROADCASTSD (SI)(DX*4), Y8 // sources j and j+1 in every lane pair
 	VBROADCASTSD (DI)(DX*4), Y9
@@ -379,6 +380,7 @@ q4chunk:
 	VXORPS Y14, Y14, Y14 // az
 	VXORPS Y15, Y15, Y15 // p
 	JMP    q4test
+	PCALIGN $64 // the loop head on a cache line, wherever the linker puts the function
 q4loop: // cells j and j+1 in every lane pair
 	VBROADCASTSD (CX)(DX*4), Y0
 	VSUBPS  0(AX), Y0, Y0  // da = cx - xi
@@ -647,6 +649,7 @@ pp8chunk:
 	VPXORD  Z6, Z6, Z6 // az
 	VPXORD  Z7, Z7, Z7 // p
 	JMP     pp8test2
+	PCALIGN $64 // the loop head on a cache line, wherever the linker puts the function
 pp8loop2:
 	VBROADCASTSD (SI)(DX*4), Z8 // sources j, j+1 in every lane pair
 	VBROADCASTSD 8(SI)(DX*4), Z21 // and j+2, j+3
@@ -857,6 +860,7 @@ q8chunk:
 	VPXORD Z24, Z24, Z24 // az
 	VPXORD Z25, Z25, Z25 // p
 	JMP    q8test2
+	PCALIGN $64 // the loop head on a cache line, wherever the linker puts the function
 q8loop2:
 	VBROADCASTSD (CX)(DX*4), Z0
 	VBROADCASTSD 8(CX)(DX*4), Z11

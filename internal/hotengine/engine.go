@@ -150,7 +150,7 @@ type Engine[X any, B Columns[B]] struct {
 	Sys *core.System
 
 	// Domain is the key domain of the last exchange: the bodies' own
-	// (keys.DomainOf their global box) after a full one.
+	// (keys.DomainOf their global box).
 	Domain keys.Domain
 	Splits []uint64
 	// Local is this rank's tree: what it serves requests and pushes from.
@@ -181,8 +181,8 @@ type Engine[X any, B Columns[B]] struct {
 	// with the push on); RemoteCells the cells imported.
 	Rounds      int
 	RemoteCells int
-	// Relocated counts the full exchanges whose predicted key domain
-	// missed (domain.Stats.Relocated).
+	// Relocated counts the exchanges whose predicted key domain missed
+	// (domain.Stats.Relocated).
 	Relocated int
 
 	// Trace, when non-nil, receives this rank's timeline: phase spans
@@ -197,7 +197,7 @@ type Engine[X any, B Columns[B]] struct {
 	Stalls *metrics.Histogram
 
 	// dec and builder carry the construction pipeline's cross-step
-	// state: sorter scratch, previous splits (reuse), cell buffers.
+	// state: sorter scratch, search windows, cell buffers.
 	dec     domain.Decomposer
 	builder tree.Builder
 
@@ -287,8 +287,8 @@ func New[X any, B Columns[B]](c *msg.Comm, sys *core.System, phys Physics[X, B],
 }
 
 // DecomposeStats describes the engine's most recent decomposition
-// (displaced bodies, splitter-search collectives, splits-reuse fast
-// path).
+// (displaced bodies, splitter-search collectives, body batches,
+// relocation).
 func (e *Engine[X, B]) DecomposeStats() domain.Stats { return e.dec.Last }
 
 // Observe attaches the rank's observers, either of which may be nil:
@@ -331,7 +331,7 @@ func (e *Engine[X, B]) Record() metrics.RankInput {
 // Sys holds the redistributed local bodies and the engine is ready
 // for WalkGroups.
 func (e *Engine[X, B]) Exchange() {
-	e.ExchangeFor(nil, nil, false)
+	e.ExchangeFor(nil, nil)
 }
 
 // ExchangeFor is Exchange for a caller that knows the walk it will run
@@ -342,29 +342,16 @@ func (e *Engine[X, B]) Exchange() {
 // the declared walk's groups, and if one of its groups parks the rank
 // aborts the world (*UncoveredWalkError).
 //
-// A full exchange keys the bodies in their own domain, which the
-// decomposer predicts and checks on the splitter search instead of
-// allreducing the box (domain.Decomposer.DecomposeGlobal): a warm step
-// is four collectives, the box riding on the splitter allgather.
-//
-// incremental selects the fast path for the partial force evaluations
-// between block-timestep synchronization points: the key domain is
-// reused from the last full exchange (keys.Domain.KeyOf clamps, so
-// bodies that drifted outside the stale box quantize to its faces) and
-// the decomposer may keep the previous splits when few bodies moved
-// (domain.Decomposer.Reuse), skipping the splitter search. Ownership
-// stays exact -- strays are still exchanged -- only the load balance
-// and the box go slightly stale until the next full exchange, at least
-// one of which must have come before.
-func (e *Engine[X, B]) ExchangeFor(v Visitor[X], active func(g *tree.Cell) bool, incremental bool) {
+// Every exchange, a block-timestep partial evaluation's too, keys the
+// bodies in their own domain, which the decomposer predicts and checks
+// on the splitter search instead of allreducing the box
+// (domain.Decomposer.DecomposeGlobal): a warm evaluation is four
+// collectives, the box riding on the splitter allgather, and its domain
+// and splits are a function of the bodies, their Work and the rank
+// count, never of the exchanges before it.
+func (e *Engine[X, B]) ExchangeFor(v Visitor[X], active func(g *tree.Cell) bool) {
 	e.Timer.Start("decompose")
-	e.dec.Reuse = incremental
-	var res domain.Result
-	if incremental {
-		res = e.dec.Decompose(e.C, e.Sys, e.Domain)
-	} else {
-		res = e.dec.DecomposeGlobal(e.C, e.Sys)
-	}
+	res := e.dec.DecomposeGlobal(e.C, e.Sys)
 	e.Sys, e.Splits, e.Domain = res.Sys, res.Splits, res.Domain
 	if e.dec.Last.Relocated {
 		e.Relocated++

@@ -125,7 +125,7 @@ func TestPushBytesCountLeafBodies(t *testing.T) {
 		})
 		p.e = e
 		v := &gravWalk{p: p, lists: map[keys.Key][]uint64{}}
-		e.ExchangeFor(v, nil, false)
+		e.ExchangeFor(v, nil)
 		e.WalkGroups("walk", v, v.eval)
 		mu.Lock()
 		defer mu.Unlock()

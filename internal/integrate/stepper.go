@@ -22,10 +22,10 @@ type Bodies interface {
 	// whose Rung is at least minRung. minRung <= 0 requests a full
 	// synchronization evaluation: every body, fresh decomposition.
 	// minRung > 0 is a partial evaluation: only the listed rungs need
-	// new accelerations, and distributed implementations may take the
-	// incremental decomposition fast path. Either way the evaluation
-	// is collective -- every rank calls Forces at every sub-step, even
-	// with an empty local active set.
+	// new accelerations, though the decomposition is a full one's (its
+	// bodies drifted, so their splits are searched again). Either way
+	// the evaluation is collective -- every rank calls Forces at every
+	// sub-step, even with an empty local active set.
 	Forces(minRung int)
 	// MaxRung folds a proposed local maximum rung into the global
 	// maximum (an allreduce in the distributed engines, the identity

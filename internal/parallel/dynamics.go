@@ -45,15 +45,13 @@ func (e *Engine) Record() metrics.RankInput {
 	return in
 }
 
-// Energy returns the global kinetic and potential energy (collective;
-// potential requires a preceding ComputeForces).
+// Energy returns the global kinetic and potential energy: the ranks'
+// Record partial sums, allreduced (collective; potential requires a
+// preceding ComputeForces).
 func (e *Engine) Energy() (kin, pot float64) {
-	type en struct{ K, P float64 }
-	var loc en
-	for i := range e.Sys.Vel {
-		loc.K += 0.5 * e.Sys.Mass[i] * e.Sys.Vel[i].Norm2()
-		loc.P += 0.5 * e.Sys.Mass[i] * e.Sys.Pot[i]
-	}
-	g := msg.Allreduce(e.C, loc, func(a, b en) en { return en{a.K + b.K, a.P + b.P} }, 16)
-	return g.K, g.P
+	in := e.Record()
+	g := msg.Allreduce(e.C, [2]float64{in.Kinetic, in.Potential}, func(a, b [2]float64) [2]float64 {
+		return [2]float64{a[0] + b[0], a[1] + b[1]}
+	}, 16)
+	return g[0], g[1]
 }

@@ -159,10 +159,9 @@ func (e *Engine) ComputeForces() diag.Counters {
 // computeForces at minRung > 0 is the partial evaluation of block
 // timesteps: only groups holding a body on rung minRung or finer are
 // walked and evaluated (their whole group, so the kernels run
-// unchanged), and the decomposition takes the incremental fast path
-// (hotengine.ExchangeFor with incremental set). minRung <= 0 is the
-// full evaluation. Collective at any minRung: every rank walks, serves
-// requests and enters the same rounds even with no active groups.
+// unchanged); the decomposition is a full evaluation's. minRung <= 0 is
+// the full evaluation. Collective at any minRung: every rank walks,
+// serves requests and enters the same rounds even with no active groups.
 func (e *Engine) computeForces(minRung int) diag.Counters {
 	start := e.Counters
 
@@ -175,7 +174,7 @@ func (e *Engine) computeForces(minRung int) diag.Counters {
 			return groupActive(e.Sys, int(g.First), int(g.First+g.N), minRung)
 		}
 	}
-	e.ExchangeFor(e.pass, active, minRung > 0)
+	e.ExchangeFor(e.pass, active)
 	// The pass adds its share to Work: from zero, 0 + x is x exactly.
 	e.WalkGroupsIf("walk", active, e.pass, func(gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
 		clear(e.Sys.Work[g.First : g.First+g.N])

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/diag"
 	"repro/internal/grav"
 	"repro/internal/ic"
+	"repro/internal/integrate"
 	"repro/internal/metrics"
 	"repro/internal/msg"
 	"repro/internal/telemetry"
@@ -282,56 +284,132 @@ func TestRooflineUtilizationIsAFraction(t *testing.T) {
 		rf.Utilization, rf.Bound, rf.ExecutedPerInteraction, rf.PeakFlops/1e9)
 }
 
-// A uniform step in steady state is four collectives: the splitters
-// (one allgather, which also carries every rank's bounding box, so the
-// key domain the step predicted is checked there), the bodies (the
-// planned batches of an all-to-all), the branches with the walk bounds
-// (allgather) and the push (all-to-all), after which the walk ends with
-// no vote. On four ranks that is 24 messages besides the body batches,
-// where a dense exchange would add 12; the windows of the splitter
-// search leave out the pairs with nothing to send. The first step after
-// a first evaluation is not steady -- the work goes from all-equal to
-// counted interactions and the splitters jump past what the ranks
+// evalHook is an engine's Bodies with a call after every force
+// evaluation, so a test sees each evaluation of a block step.
+type evalHook struct {
+	engineBodies
+	after func()
+}
+
+func (h evalHook) Forces(minRung int) {
+	h.engineBodies.Forces(minRung)
+	h.after()
+}
+
+// evalCost is what one evaluation of one rank cost: the collectives of
+// its splitter search, whether its predicted domain missed, and the body
+// batches it sent.
+type evalCost struct {
+	split, batches int
+	relocated      bool
+}
+
+// stepCost is what one step of one rank cost: its collectives and
+// messages, the evaluations its stepper counted, and each of them.
+type stepCost struct {
+	colls, subs int
+	msgs        uint64
+	evals       []evalCost
+}
+
+// stepCosts runs steps steps of n Plummer bodies at np ranks after a
+// first evaluation, uniformly or, at eta > 0, in block timesteps, and
+// returns the cost of each, by rank and step.
+func stepCosts(np, n, steps int, dt, eta float64) [][]stepCost {
+	mac := grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true}
+	global := ic.Plummer(n, 1.0, 41)
+	costs := make([][]stepCost, np)
+	msg.Run(np, func(c *msg.Comm) {
+		e := New(c, scatter(global, c), Config{MAC: mac, Eps2: 1e-6})
+		if eta > 0 {
+			e.Stepper.Scheme, e.Stepper.Eta, e.Stepper.Eps = integrate.Block, eta, math.Sqrt(1e-6)
+		}
+		var cur *stepCost
+		e.Stepper.B = evalHook{engineBodies{e}, func() {
+			st := e.DecomposeStats()
+			cur.evals = append(cur.evals, evalCost{split: st.Rounds, batches: st.Batches, relocated: st.Relocated})
+		}}
+		e.ComputeForces()
+		mine := make([]stepCost, steps)
+		for s := range mine {
+			cur = &mine[s]
+			before, sentBefore, subs := c.Collectives(), c.TrafficTotal().Msgs, e.Stepper.Stats.SubSteps
+			e.Step(dt)
+			cur.colls, cur.msgs = int(c.Collectives()-before), c.TrafficTotal().Msgs-sentBefore
+			cur.subs = int(e.Stepper.Stats.SubSteps - subs)
+		}
+		costs[c.Rank()] = mine
+	})
+	return costs
+}
+
+// A step in steady state costs four collectives an evaluation: the
+// splitters (one allgather, which also carries every rank's bounding
+// box, so the key domain the step predicted is checked there), the
+// bodies (the planned batches of an all-to-all), the branches with the
+// walk bounds (allgather) and the push (all-to-all), after which the
+// walk ends with no vote. On four ranks that is 24 messages besides the
+// body batches, where a dense exchange would add 12; the windows of the
+// splitter search leave out the pairs with nothing to send. A block
+// step runs several evaluations, full and partial, and one collective
+// more, the allreduce of the largest rung; a partial evaluation
+// decomposes as a full one does, so it costs the same. The first step
+// after a first evaluation is not steady -- the work goes from all-equal
+// to counted interactions and the splitters jump past what the ranks
 // publish -- so the count is taken on later ones. The domain's
 // prediction holds on every one of them.
 func TestUniformStepIsFourCollectives(t *testing.T) {
-	const n, np, steps = 3000, 4, 5
-	mac := grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true}
-	global := ic.Plummer(n, 1.0, 41)
-	var colls, split, batches [np][steps]int
-	var relocated [np][steps]bool
-	var sent [np][steps]uint64
-	msg.Run(np, func(c *msg.Comm) {
-		local := core.New(0)
-		local.EnableDynamics()
-		for i := c.Rank() * n / np; i < (c.Rank()+1)*n/np; i++ {
-			local.AppendFrom(global, i)
+	const n, steps, dt = 3000, 5, 1e-3
+	check := func(t *testing.T, np int, eta float64) {
+		costs := stepCosts(np, n, steps, dt, eta)
+		rung := 0
+		if eta > 0 {
+			rung = 1
 		}
-		e := New(c, local, Config{MAC: mac, Eps2: 1e-6})
-		e.ComputeForces()
-		for s := 0; s < steps; s++ {
-			before, sentBefore := c.Collectives(), c.TrafficTotal().Msgs
-			e.Step(1e-3)
-			colls[c.Rank()][s] = int(c.Collectives() - before)
-			split[c.Rank()][s] = e.DecomposeStats().Rounds
-			relocated[c.Rank()][s] = e.DecomposeStats().Relocated
-			batches[c.Rank()][s] = e.Record().BodyBatches
-			sent[c.Rank()][s] = c.TrafficTotal().Msgs - sentBefore
+		perEval := uint64((np - 1) * (np + 4)) // two allgathers and the push
+		partial := 0
+		for s := 1; s < steps; s++ {
+			evals := costs[0][s].subs
+			msgs, planned := uint64(0), 0
+			for r := 0; r < np; r++ {
+				c := costs[r][s]
+				if c.subs != evals || len(c.evals) != evals || c.colls != 4*evals+rung {
+					t.Errorf("np=%d step %d rank %d: %d collectives over %d evaluations, want %d over %d",
+						np, s, r, c.colls, len(c.evals), 4*evals+rung, evals)
+				}
+				for k, ev := range c.evals {
+					if ev.split != 1 || ev.relocated {
+						t.Errorf("np=%d step %d rank %d evaluation %d: splitter search %d collectives, relocated %v; want 1 and false",
+							np, s, r, k, ev.split, ev.relocated)
+					}
+				}
+				msgs += c.msgs
+			}
+			for k := 0; k < evals; k++ {
+				batches := 0
+				for r := 0; r < np; r++ {
+					batches += costs[r][s].evals[k].batches
+				}
+				if batches >= np*(np-1) {
+					t.Errorf("np=%d step %d evaluation %d: %d body batches, want fewer than the dense %d", np, s, k, batches, np*(np-1))
+				}
+				planned += batches
+			}
+			want := uint64(evals)*perEval + uint64(rung*2*(np-1)) + uint64(planned)
+			if msgs != want {
+				t.Errorf("np=%d step %d: %d messages over %d evaluations with %d body batches planned, want %d", np, s, msgs, evals, planned, want)
+			}
+			partial += evals - 1
+			t.Logf("np=%d step %d: %d evaluations, %d messages, %d of them body batches", np, s, evals, msgs, planned)
+		}
+		if eta > 0 && partial == 0 {
+			t.Errorf("np=%d: no partial evaluation after the first step", np)
+		}
+	}
+	t.Run("uniform", func(t *testing.T) { check(t, 4, 0) })
+	t.Run("block", func(t *testing.T) {
+		for _, np := range []int{4, 8} {
+			check(t, np, 0.02)
 		}
 	})
-	for s := 1; s < steps; s++ {
-		msgs, planned := uint64(0), 0
-		for r := 0; r < np; r++ {
-			if colls[r][s] != 4 || split[r][s] != 1 || relocated[r][s] {
-				t.Errorf("step %d rank %d: %d collectives, %d of them the splitter search, relocated %v; want 4, 1 and false",
-					s, r, colls[r][s], split[r][s], relocated[r][s])
-			}
-			msgs += sent[r][s]
-			planned += batches[r][s]
-		}
-		if msgs != 24+uint64(planned) || msgs >= 36 {
-			t.Errorf("step %d: %d messages with %d body batches planned, want 24 + %d and fewer than the dense 36", s, msgs, planned, planned)
-		}
-		t.Logf("step %d: %d messages, %d of them body batches", s, msgs, planned)
-	}
 }

@@ -2,7 +2,8 @@
 # Repo-wide check: build (and an arm64 cross-build, so the kernels'
 # portable path cannot rot), vet, race tests, the smokes, the chaos
 # soak, the walk guard, the fuzzers, the one-runner guards,
-# the one-rank-record guard, the one-leaf-store guard, the one-MAC-walk guard, the kernel-loop bounds-check-elimination
+# the one-rank-record guard, the one-leaf-store guard, the one-MAC-walk guard,
+# the one-decomposition guard, the kernel-loop bounds-check-elimination
 # and fusion guards, and the allocation guard -- the benches that must run
 # allocation-free are diffed against the committed BENCH_baseline.json,
 # failing on any growth in allocs/op.
@@ -107,6 +108,19 @@ fi
 if [ "$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=tree --exclude-dir=hotengine 'TakeCells\(' . | wc -l)" -gt 1 ]; then
 	grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=tree --exclude-dir=hotengine 'TakeCells\(' . >&2
 	echo "FAIL: a second gravity visitor: run parallel.Pass, the one gravity pass of a MAC walk" >&2
+	exit 1
+fi
+echo "== one decomposition (every evaluation, a block step's partial ones too, decomposes through domain.Decomposer.DecomposeGlobal: no splits-reuse fast path, no stale-domain exchange)"
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
+	'DefaultReuseThreshold|SplitsReused|DisplacedFrac|\.Reuse\b|Decomposer\{[^}]*Reuse|^[[:space:]]*Reuse[[:space:]]+bool' .; then
+	echo "FAIL: a second decomposition: a partial evaluation searches its splitters like a full one (domain.Decomposer.DecomposeGlobal)" >&2
+	exit 1
+fi
+# An ExchangeFor call or declaration with a third argument, one level of
+# nested parentheses dropped before the commas are counted.
+if grep -rnoE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'ExchangeFor\((\([^()]*\)|[^()])*\)' . |
+	sed -E 's/:ExchangeFor\(/:/; s/\)$//; s/\([^()]*\)//g' | grep -E '^[^:]*:[0-9]+:[^,]*,[^,]*,'; then
+	echo "FAIL: ExchangeFor takes the first walk and its active set, nothing else: every exchange decomposes through DecomposeGlobal" >&2
 	exit 1
 fi
 echo "== bce (the interaction kernels' Go loops stay bounds-check-free, -d=ssa/check_bce)"
