@@ -204,32 +204,88 @@ func (s *System) Slice(lo, hi int) *System {
 }
 
 // AppendFrom appends body i of src to s.
-func (s *System) AppendFrom(src *System, i int) {
-	s.Pos = append(s.Pos, src.Pos[i])
-	s.Mass = append(s.Mass, src.Mass[i])
-	s.Key = append(s.Key, src.Key[i])
-	s.Work = append(s.Work, src.Work[i])
-	s.ID = append(s.ID, src.ID[i])
-	if src.Vel != nil {
-		s.Vel = append(s.Vel, src.Vel[i])
+func (s *System) AppendFrom(src *System, i int) { s.AppendRange(src, i, i+1) }
+
+// AppendRange appends bodies [lo, hi) of src to s, column by column:
+// every column either has, with src's values where src has the column
+// and zeros where only s has it.
+func (s *System) AppendRange(src *System, lo, hi int) {
+	s.Pos = appendCol(s.Pos, src.Pos, lo, hi)
+	s.Mass = appendCol(s.Mass, src.Mass, lo, hi)
+	s.Key = appendCol(s.Key, src.Key, lo, hi)
+	s.Work = appendCol(s.Work, src.Work, lo, hi)
+	s.ID = appendCol(s.ID, src.ID, lo, hi)
+	s.Vel = appendCol(s.Vel, src.Vel, lo, hi)
+	s.Acc = appendCol(s.Acc, src.Acc, lo, hi)
+	s.Pot = appendCol(s.Pot, src.Pot, lo, hi)
+	s.Alpha = appendCol(s.Alpha, src.Alpha, lo, hi)
+	s.H = appendCol(s.H, src.H, lo, hi)
+	s.Rho = appendCol(s.Rho, src.Rho, lo, hi)
+	s.Rung = appendCol(s.Rung, src.Rung, lo, hi)
+}
+
+func appendCol[T any](dst, src []T, lo, hi int) []T {
+	switch {
+	case src != nil:
+		return append(dst, src[lo:hi]...)
+	case dst != nil:
+		return append(dst, make([]T, hi-lo)...)
 	}
-	if src.Acc != nil {
-		s.Acc = append(s.Acc, src.Acc[i])
+	return nil
+}
+
+// Reserve returns an empty system with the columns s has, each with
+// room for n bodies.
+func (s *System) Reserve(n int) *System {
+	return &System{
+		Pos: reserve(s.Pos, n), Mass: reserve(s.Mass, n), Key: reserve(s.Key, n),
+		Work: reserve(s.Work, n), ID: reserve(s.ID, n), Vel: reserve(s.Vel, n),
+		Acc: reserve(s.Acc, n), Pot: reserve(s.Pot, n), Alpha: reserve(s.Alpha, n),
+		H: reserve(s.H, n), Rho: reserve(s.Rho, n), Rung: reserve(s.Rung, n),
 	}
-	if src.Pot != nil {
-		s.Pot = append(s.Pot, src.Pot[i])
+}
+
+func reserve[T any](col []T, n int) []T {
+	if col == nil {
+		return nil
 	}
-	if src.Alpha != nil {
-		s.Alpha = append(s.Alpha, src.Alpha[i])
+	return make([]T, 0, n)
+}
+
+// Carried returns the view of bodies [lo, hi) that moves with them to
+// another rank: every column of s but Key, Acc and Pot, which the
+// receiver recomputes, and Rho only beside H. What arrives is laid out
+// by Land.
+func (s *System) Carried(lo, hi int) *System {
+	v := s.Slice(lo, hi)
+	v.Key, v.Acc, v.Pot = nil, nil, nil
+	if v.H == nil {
+		v.Rho = nil
 	}
-	if src.H != nil {
-		s.H = append(s.H, src.H[i])
+	return v
+}
+
+// Bytes is the size of s's columns: its bodies times the bytes of one
+// body over the columns it has.
+func (s *System) Bytes() int {
+	const v3, f64 = 24, 8
+	return v3*(len(s.Pos)+len(s.Vel)+len(s.Acc)+len(s.Alpha)) + len(s.Rung) +
+		f64*(len(s.Mass)+len(s.Key)+len(s.Work)+len(s.ID)+len(s.Pot)+len(s.H)+len(s.Rho))
+}
+
+// Land lays s out as bodies are after a move to another rank: Vel, Acc
+// and Pot if s has any of them, Acc and Pot zeroed (the next force
+// evaluation fills them), and Rho beside H and only there.
+func (s *System) Land() {
+	if s.Vel != nil || s.Acc != nil || s.Pot != nil {
+		s.EnableDynamics()
+		clear(s.Acc)
+		clear(s.Pot)
 	}
-	if src.Rho != nil {
-		s.Rho = append(s.Rho, src.Rho[i])
-	}
-	if src.Rung != nil {
-		s.Rung = append(s.Rung, src.Rung[i])
+	if s.H != nil {
+		s.EnableSPH()
+	} else {
+		s.Rho = nil
 	}
 }
 
@@ -268,9 +324,3 @@ func (s *System) Validate() error {
 	}
 	return nil
 }
-
-// BytesPerBody is the logical wire size of one body during particle
-// exchange: position, velocity, mass, work and id. The paper quotes
-// 32 bytes of data read per interaction (position + mass); exchange
-// carries the dynamic state too.
-const BytesPerBody = 3*8 + 3*8 + 8 + 8 + 8

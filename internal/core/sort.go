@@ -6,7 +6,9 @@
 // permutation by sorting (Key, ID) pairs digit by digit and applies
 // it with one gather pass per column; across timesteps Resort repairs
 // a nearly sorted array by extracting the displaced bodies and
-// merging them back.
+// merging them back, and so does every order the domain exchange
+// leaves behind (its batches arrive sorted, in rank order). Sorter is
+// the one body order: no other package compares (Key, ID).
 //
 // Ordering contract: ascending Key, ties broken by ascending ID.
 // The tie-break makes the order deterministic (package sort's
@@ -197,29 +199,36 @@ func lessAt(s *System, i, j int32) bool {
 // Resort restores (Key, ID) order after keys changed for a fraction
 // of the bodies (one dynamics step moves few bodies across cell
 // boundaries -- the paper's observation that the sort is nearly free
-// after the first timestep). It scans once, extracts the displaced
-// bodies (those breaking the running order), sorts just those, and
-// merges them back; if more than a quarter of the bodies are
-// displaced it falls back to a full radix sort. Returns the number of
-// displaced bodies (n means a full sort ran).
+// after the first timestep). It scans once, keeping a sorted
+// subsequence and displacing the bodies that break it, sorts just the
+// displaced, and merges them back; if more than a quarter of the bodies
+// are displaced it falls back to a full radix sort. A body below the
+// last kept one is displaced, unless it is not below the one kept
+// before: then the last kept body jumped ahead and is displaced
+// instead, so one body that jumped ahead costs one displacement, not
+// the stretch behind it. Returns the number of displaced bodies (n
+// means a full sort ran).
 func (st *Sorter) Resort(s *System) int {
 	n := s.Len()
 	if n < 2 {
 		return 0
 	}
-	st.kept = st.kept[:0]
-	st.disp = st.disp[:0]
-	maxK, maxID := s.Key[0], s.ID[0]
-	st.kept = append(st.kept, 0)
-	for i := 1; i < n; i++ {
-		if s.Key[i] < maxK || (s.Key[i] == maxK && s.ID[i] < maxID) {
-			st.disp = append(st.disp, int32(i))
-		} else {
-			maxK, maxID = s.Key[i], s.ID[i]
-			st.kept = append(st.kept, int32(i))
+	kept, disp := append(st.kept[:0], 0), st.disp[:0]
+	for i := int32(1); i < int32(n); i++ {
+		k := len(kept) - 1
+		switch {
+		case !lessAt(s, i, kept[k]):
+			kept = append(kept, i)
+		case k == 0 || !lessAt(s, i, kept[k-1]):
+			// The last kept body jumped ahead: it goes, i stays.
+			disp = append(disp, kept[k])
+			kept[k] = i
+		default:
+			disp = append(disp, i)
 		}
 	}
-	d := len(st.disp)
+	st.kept, st.disp = kept, disp
+	d := len(disp)
 	if d == 0 {
 		return 0
 	}
@@ -227,14 +236,12 @@ func (st *Sorter) Resort(s *System) int {
 		st.Sort(s)
 		return n
 	}
-	disp := st.disp
 	sort.Slice(disp, func(a, b int) bool { return lessAt(s, disp[a], disp[b]) })
 	// The kept subsequence is (Key, ID)-sorted by construction of the
-	// running-max scan, so a two-way merge with the sorted displaced
-	// list is the full stable order.
+	// scan, so a two-way merge with the sorted displaced list is the
+	// full stable order.
 	st.ensure(n)
 	perm := st.perm[:n]
-	kept := st.kept
 	i, j := 0, 0
 	for k := range perm {
 		if j >= len(disp) || (i < len(kept) && lessAt(s, kept[i], disp[j])) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -146,20 +147,79 @@ func TestResortRepairsPerturbedKeys(t *testing.T) {
 				orig.Key[i] = randomBodyKey(rng)
 			}
 		}
-		want := clone(orig)
-		(&Sorter{}).Sort(want)
 		got := clone(orig)
 		d := st.Resort(got)
 		if frac == 0 && d != 0 {
 			t.Fatalf("resort of a sorted system reported %d displaced", d)
 		}
-		for i := 0; i < got.Len(); i++ {
-			if got.Key[i] != want.Key[i] || got.ID[i] != want.ID[i] ||
-				got.Pos[i] != want.Pos[i] || got.Rho[i] != want.Rho[i] {
-				t.Fatalf("frac %g: resort differs from full sort at body %d", frac, i)
+		checkAgainstReference(t, orig, got, referencePerm(orig))
+	}
+
+	// One body whose key jumps ahead of a stretch of a sorted system is
+	// the one body displaced, not the stretch it jumped over.
+	orig := makeSystem(4000, func(i int) keys.Key { return randomBodyKey(rng) }, rng)
+	st := &Sorter{}
+	st.Sort(orig)
+	orig.Key[1000] = orig.Key[3000]
+	got := clone(orig)
+	if d := st.Resort(got); d != 1 {
+		t.Fatalf("one body jumped ahead: %d displaced, want 1", d)
+	}
+	checkAgainstReference(t, orig, got, referencePerm(orig))
+
+	// A Plummer sphere drifted one step of dt = 1e-3 in a fixed domain: a
+	// few bodies cross cells either way, and the repair stays local.
+	const n = 10000
+	drift := New(n)
+	drift.EnableDynamics()
+	for i := 0; i < n; i++ {
+		drift.Pos[i], drift.Vel[i] = plummerBody(rng)
+	}
+	d := keys.NewDomain(drift.Pos)
+	drift.AssignKeys(d)
+	st.Sort(drift)
+	for i := range drift.Pos {
+		drift.Pos[i] = drift.Pos[i].Add(drift.Vel[i].Scale(1e-3))
+	}
+	drift.AssignKeys(d)
+	ref := referencePerm(drift)
+	before := clone(drift)
+	if d := st.Resort(drift); d > 100 {
+		t.Fatalf("Plummer drift: %d of %d displaced, want at most 100", d, n)
+	} else {
+		t.Logf("Plummer drift: %d of %d displaced", d, n)
+	}
+	for i, p := range ref {
+		if drift.Key[i] != before.Key[p] || drift.ID[i] != before.ID[p] || drift.Vel[i] != before.Vel[p] {
+			t.Fatalf("Plummer drift: body %d out of the reference order", i)
+		}
+	}
+}
+
+// plummerBody draws one body of a Plummer sphere of unit mass and scale
+// radius, truncated at 10, in virial equilibrium: the Aarseth-Henon-Wielen
+// sampling of package ic (which imports this one).
+func plummerBody(rng *rand.Rand) (pos, vel vec.V3) {
+	dir := func() vec.V3 {
+		for {
+			v := vec.V3{X: 2*rng.Float64() - 1, Y: 2*rng.Float64() - 1, Z: 2*rng.Float64() - 1}
+			if n2 := v.Norm2(); n2 > 1e-8 && n2 <= 1 {
+				return v.Scale(1 / math.Sqrt(n2))
 			}
 		}
 	}
+	r := 10.0
+	for r >= 10 {
+		r = 1 / math.Sqrt(math.Pow(rng.Float64(), -2.0/3.0)-1)
+	}
+	q := 0.0
+	for {
+		q = rng.Float64()
+		if rng.Float64()*0.1 < q*q*math.Pow(1-q*q, 3.5) {
+			break
+		}
+	}
+	return dir().Scale(r), dir().Scale(q * math.Sqrt(2) * math.Pow(1+r*r, -0.25))
 }
 
 // Resort must also restore the ID tie-break among equal keys, not

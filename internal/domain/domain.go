@@ -12,7 +12,12 @@
 // among the offsets where the work below can change, narrowed by
 // samples first and settled by the few bodies left in between
 // (sampleSplits; two allgathers, two vector allreduces). Bodies then
-// move in one exchange, a batch from every rank to every other.
+// move in one exchange, a batch from every rank to every other: the
+// view of the columns its bodies carry (core.System.Carried), which the
+// receiver copies into one system and orders with the same repair the
+// local order gets (core.Sorter.Resort), as the batches arrive each
+// sorted and in rank order. There is no body record and no body order
+// here but core's.
 //
 // The paper's other observation is that the decomposition changes
 // slowly between timesteps, so a persistent Decomposer works
@@ -57,23 +62,7 @@ import (
 	"repro/internal/keys"
 	"repro/internal/msg"
 	"repro/internal/tree"
-	"repro/internal/vec"
 )
-
-// Wire is the packed body record moved during the exchange.
-type Wire struct {
-	Pos, Vel, Alpha vec.V3
-	Mass, Work, H   float64
-	Rho             float64
-	ID              int64
-	// Rung is the block-timestep rung, carried so a body that strays
-	// across a rank boundary mid-step keeps its sub-step schedule.
-	Rung uint8
-}
-
-// WireBytes is the logical size of one Wire on the network (13
-// float64 triples/scalars + id + one rung byte).
-const WireBytes = 14*8 + 1
 
 // Result is the outcome of a decomposition.
 type Result struct {
@@ -112,17 +101,12 @@ type Stats struct {
 	// repair extracted; equal to the body count when it fell back to a
 	// full sort.
 	Displaced int
-	// FullSort reports that fallback.
-	FullSort bool
 	// Rounds is the number of collectives the splitter search issued:
 	// 1 when the one-allgather search of a warm decomposer settled every
 	// splitter, 5 when it could not and the full search followed, 4 for
 	// the full search of a cold one, 0 on one rank; one more when the
 	// search ran again after Relocated.
 	Rounds int
-	// MergeRuns is the number of non-empty sorted runs the
-	// post-exchange merge combined (1 means the order was free).
-	MergeRuns int
 	// Batches is the number of body batches this rank sent in the
 	// exchange: one to every other rank after a full search, only those
 	// the windows say may hold bodies after a settled one-allgather
@@ -161,16 +145,18 @@ type Decomposer struct {
 	unknown []bool    // per candidate: inside some rank's unpublished interior
 	wins    []window  // every rank's, when the last search settled in one allgather
 	sends   []bool    // the exchange plan, row-major by (sender, receiver)
-	send    [][]Wire
-	perm    []int32
-	heads   []int
+	send    [][]core.System
 }
 
 // Decompose redistributes bodies so every rank owns a contiguous
-// Morton interval of roughly equal total Work. The input system is
-// consumed (sorted in place and then repacked). Order contract: the
+// Morton interval of roughly equal total Work. Order contract: the
 // returned system is sorted by (Key, ID), exactly as core.Sorter
 // produces, regardless of which incremental shortcuts engaged.
+//
+// The input system is consumed: it is keyed and sorted in place, and on
+// more than one rank its columns are sent as they are, views that the
+// receiving ranks copy before they leave the exchange. So the caller
+// writes none of them again; on one rank the result is the input.
 func (dc *Decomposer) Decompose(c *msg.Comm, sys *core.System, d keys.Domain) Result {
 	dc.dom, dc.check = d, false
 	return dc.decompose(c, sys)
@@ -220,7 +206,6 @@ func (dc *Decomposer) search(c *msg.Comm, sys *core.System) []uint64 {
 		sys.AssignKeys(dc.dom)
 		n := sys.Len()
 		dc.Last.Displaced = dc.sorter.Resort(sys)
-		dc.Last.FullSort = dc.Last.Displaced == n && n > 0
 		if dc.Sub != nil {
 			dc.Sub.Stop()
 		}
@@ -285,49 +270,31 @@ func (dc *Decomposer) plan(splits []uint64) msg.Pairs {
 }
 
 // keep is the exchange on one rank, where no body moves: the keyed,
-// sorted input is the result, with the columns the body wire would have
-// carried through exchange -- dynamics, SPH, vortex and rung columns as
-// the input has them, accelerations and potentials zeroed, nothing
-// else -- and no wire record packed or unpacked.
+// sorted input is the result, laid out as the exchange lays out what
+// arrives (core.System.Land), with nothing copied.
 func (dc *Decomposer) keep(sys *core.System, splits []uint64) Result {
-	if sys.Vel != nil || sys.Acc != nil || sys.Pot != nil {
-		sys.EnableDynamics()
-		clear(sys.Acc)
-		clear(sys.Pot)
-	}
-	if sys.H != nil {
-		sys.EnableSPH()
-	} else {
-		sys.Rho = nil
-	}
-	if sys.Len() > 1 {
-		dc.Last.MergeRuns = 1
-	}
+	sys.Land()
 	dc.warm = len(splits) - 1
 	return Result{Sys: sys, Splits: splits, Domain: dc.dom}
 }
 
-// exchange sends every body to the owner of its interval under splits
-// and unpacks what arrives, sending and receiving only the batches pairs
-// names (nil: all of them).
+// exchange sends every body to the owner of its interval under splits,
+// sending and receiving only the batches pairs names (nil: all of them),
+// each charged its core.System.Bytes, and orders what arrives.
 func (dc *Decomposer) exchange(c *msg.Comm, sys *core.System, splits []uint64, pairs msg.Pairs) Result {
 	p, n := c.Size(), sys.Len()
-	// Pack send buffers: bodies are sorted, so each destination's
-	// bodies form one contiguous run and a single linear sweep finds
-	// every boundary. The buffers are reused across calls: on more than
-	// one rank the next call packs only after a collective of its own,
-	// which no rank gets past before every receiver has entered it, done
-	// reading this call's, so overwriting is safe.
+	// Bodies are sorted, so each destination's are one contiguous run.
+	// The batch slices are reused: the next call fills them only after a
+	// collective that no rank gets past before every receiver has
+	// entered it, done reading this call's.
 	if len(dc.send) < p {
-		dc.send = make([][]Wire, p)
+		dc.send = make([][]core.System, p)
 	}
 	send := dc.send[:p]
-	moved := 0
-	start := 0
-	for r := 0; r < p; r++ {
-		limit := splits[r+1]
+	moved, start := 0, 0
+	for r := range send {
 		end := start
-		for end < n && tree.KeyOffset(sys.Key[end]) < limit {
+		for end < n && tree.KeyOffset(sys.Key[end]) < splits[r+1] {
 			end++
 		}
 		if r != c.Rank() {
@@ -336,84 +303,33 @@ func (dc *Decomposer) exchange(c *msg.Comm, sys *core.System, splits []uint64, p
 				dc.Last.Batches++
 			}
 		}
-		buf := send[r][:0]
-		for i := start; i < end; i++ {
-			w := Wire{Pos: sys.Pos[i], Mass: sys.Mass[i], Work: sys.Work[i], ID: sys.ID[i]}
-			if sys.Vel != nil {
-				w.Vel = sys.Vel[i]
-			}
-			if sys.Alpha != nil {
-				w.Alpha = sys.Alpha[i]
-			}
-			if sys.H != nil {
-				w.H = sys.H[i]
-			}
-			if sys.Rho != nil {
-				w.Rho = sys.Rho[i]
-			}
-			if sys.Rung != nil {
-				w.Rung = sys.Rung[i]
-			}
-			buf = append(buf, w)
+		send[r] = send[r][:0]
+		if end > start {
+			send[r] = append(send[r], *sys.Carried(start, end))
 		}
-		send[r] = buf
 		start = end
 	}
 
-	recv := msg.AlltoallvFunc(c, send, nil, func(*Wire) int { return WireBytes }, pairs, nil)
-
-	// Unpack, preserving the field configuration of the input.
+	recv := msg.AlltoallvFunc(c, send, nil, (*core.System).Bytes, pairs, nil)
 	m := 0
 	for _, b := range recv {
-		m += len(b)
-	}
-	out := core.New(m)
-	if sys.Vel != nil || sys.Acc != nil || sys.Pot != nil {
-		out.EnableDynamics()
-	}
-	if sys.Alpha != nil {
-		out.EnableVortex()
-	}
-	if sys.H != nil {
-		out.EnableSPH()
-	}
-	if sys.Rung != nil {
-		out.EnableRungs()
-	}
-	i := 0
-	for _, buf := range recv {
-		for _, w := range buf {
-			out.Pos[i] = w.Pos
-			out.Mass[i] = w.Mass
-			out.Work[i] = w.Work
-			out.ID[i] = w.ID
-			if out.Vel != nil {
-				out.Vel[i] = w.Vel
-			}
-			if out.Alpha != nil {
-				out.Alpha[i] = w.Alpha
-			}
-			if out.H != nil {
-				out.H[i] = w.H
-			}
-			if out.Rho != nil {
-				out.Rho[i] = w.Rho
-			}
-			if out.Rung != nil {
-				out.Rung[i] = w.Rung
-			}
-			i++
+		for i := range b {
+			m += b[i].Len()
 		}
 	}
+	out := sys.Reserve(m)
+	for _, b := range recv {
+		for i := range b {
+			out.AppendRange(&b[i], 0, b[i].Len())
+		}
+	}
+	out.Land()
 
 	if dc.Sub != nil {
 		dc.Sub.Start("treebuild/sort")
 	}
 	out.AssignKeys(dc.dom)
-	// The received buffers are P (Key, ID)-sorted runs over this
-	// rank's new interval; merging them by run boundary is the full
-	// stable sort without sorting anything.
-	dc.mergeRuns(out, recv)
+	dc.sorter.Resort(out)
 	if dc.Sub != nil {
 		dc.Sub.Stop()
 	}
@@ -664,60 +580,6 @@ func (dc *Decomposer) sampleSplits(c *msg.Comm, ks []keys.Key, pw []float64, p i
 		}
 	}
 	return splits
-}
-
-// mergeRuns restores (Key, ID) order over the freshly unpacked
-// bodies. recv holds the exchange's receive buffers in source-rank
-// order; their concatenation is out, so each buffer is one sorted run
-// and a P-way merge over the run boundaries reproduces the full
-// stable sort exactly.
-func (dc *Decomposer) mergeRuns(out *core.System, recv [][]Wire) {
-	n := out.Len()
-	if n < 2 {
-		return
-	}
-	dc.heads = dc.heads[:0]
-	runs := 0
-	off := 0
-	for _, b := range recv {
-		dc.heads = append(dc.heads, off)
-		off += len(b)
-		dc.heads = append(dc.heads, off)
-		if len(b) > 0 {
-			runs++
-		}
-	}
-	dc.Last.MergeRuns = runs
-	if runs <= 1 {
-		return // zero or one run: already sorted
-	}
-	if cap(dc.perm) < n {
-		dc.perm = make([]int32, n)
-	}
-	perm := dc.perm[:n]
-	for k := 0; k < n; k++ {
-		best, bestIdx := -1, -1
-		for r := 0; r < len(dc.heads); r += 2 {
-			h := dc.heads[r]
-			if h >= dc.heads[r+1] {
-				continue
-			}
-			if best < 0 || lessByKeyID(out, h, bestIdx) {
-				best, bestIdx = r, h
-			}
-		}
-		perm[k] = int32(bestIdx)
-		dc.heads[best]++
-	}
-	dc.sorter.Apply(out, perm)
-}
-
-// lessByKeyID orders bodies i, j of s by (Key, ID).
-func lessByKeyID(s *core.System, i, j int) bool {
-	if s.Key[i] != s.Key[j] {
-		return s.Key[i] < s.Key[j]
-	}
-	return s.ID[i] < s.ID[j]
 }
 
 // searchOffset returns the first index whose key offset is >= off.

@@ -108,8 +108,13 @@ func TestDecomposePreservesFields(t *testing.T) {
 		global.H[i] = float64(i) + 0.5
 		global.Rho[i] = float64(i) * 3
 	}
+	// body is what a body brings through the exchange.
+	type body struct {
+		Pos, Vel, Alpha    vec.V3
+		Mass, Work, H, Rho float64
+	}
 	var mu sync.Mutex
-	got := make(map[int64]Wire)
+	got := make(map[int64]body)
 	msg.Run(4, func(c *msg.Comm) {
 		lo, hi := c.Rank()*n/4, (c.Rank()+1)*n/4
 		local := core.New(0)
@@ -124,7 +129,7 @@ func TestDecomposePreservesFields(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		for i := 0; i < res.Sys.Len(); i++ {
-			got[res.Sys.ID[i]] = Wire{
+			got[res.Sys.ID[i]] = body{
 				Pos: res.Sys.Pos[i], Vel: res.Sys.Vel[i], Alpha: res.Sys.Alpha[i],
 				Mass: res.Sys.Mass[i], Work: res.Sys.Work[i], H: res.Sys.H[i], Rho: res.Sys.Rho[i],
 			}
@@ -136,7 +141,8 @@ func TestDecomposePreservesFields(t *testing.T) {
 			t.Fatalf("body %d lost", i)
 		}
 		if w.Vel != (vec.V3{X: float64(i)}) || w.Alpha != (vec.V3{Y: float64(i) * 2}) ||
-			w.H != float64(i)+0.5 || w.Rho != float64(i)*3 || w.Pos != global.Pos[i] {
+			w.H != float64(i)+0.5 || w.Rho != float64(i)*3 || w.Pos != global.Pos[i] ||
+			w.Mass != global.Mass[i] || w.Work != global.Work[i] {
 			t.Fatalf("body %d fields corrupted: %+v", i, w)
 		}
 	}

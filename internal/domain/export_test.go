@@ -9,7 +9,7 @@ import (
 
 // decomposeDense is Decompose with the body exchange over every pair of
 // ranks whatever the search found, as it ran before the windows planned
-// it, and through wire records on one rank too, as it ran before keep:
+// it, and through the exchange on one rank too, as it ran before keep:
 // the reference the planned exchange and keep are tested against.
 func (dc *Decomposer) decomposeDense(c *msg.Comm, sys *core.System, d keys.Domain) Result {
 	dc.dom, dc.check = d, false

@@ -1,6 +1,7 @@
 package domain
 
 import (
+	"errors"
 	"reflect"
 	"slices"
 	"sync"
@@ -136,50 +137,70 @@ func TestSparseExchangeMatchesDense(t *testing.T) {
 	}
 }
 
-// On one rank nothing moves, so the decomposition returns its keyed,
-// sorted input instead of packing every body into a wire record and
-// unpacking it into a fresh system. The result is the wire path's bit
-// for bit: the same columns present and absent, every column in the same
-// order with the same values and keys (accelerations and potentials
-// zeroed, a density without smoothing lengths dropped, as the wire
-// carries them), and the same splits, domain, moves and stats -- over
-// every column layout the engines use, and on a warm decomposer too.
-func TestOneRankKeepsWhatTheWireCarries(t *testing.T) {
-	layouts := map[string]func(*core.System){
-		"plain":    func(*core.System) {},
-		"dynamics": (*core.System).EnableDynamics,
-		"vortex":   func(s *core.System) { s.EnableDynamics(); s.EnableVortex() },
-		"sph":      func(s *core.System) { s.EnableDynamics(); s.EnableSPH() },
-		"rungs":    func(s *core.System) { s.EnableDynamics(); s.EnableRungs() },
-		"rho only": func(s *core.System) { s.Rho = make([]float64, s.Len()) },
-		"acc only": func(s *core.System) { s.Acc = make([]vec.V3, s.Len()) },
+// layouts are the column layouts the engines use (gravity's dynamics,
+// a block step's rungs, vortex, SPH) and two odd ones, with the bytes a
+// body of each carries when it changes ranks: position, mass, work and
+// ID (48), then velocity (24), vortex strength (24), smoothing length
+// with density (16) and rung (1) where the layout has them; never the
+// key, acceleration or potential, nor a density without smoothing
+// lengths.
+var layouts = []struct {
+	name    string
+	enable  func(*core.System)
+	carried int
+}{
+	{"plain", func(*core.System) {}, 48},
+	{"dynamics", (*core.System).EnableDynamics, 72},
+	{"vortex", func(s *core.System) { s.EnableDynamics(); s.EnableVortex() }, 96},
+	{"sph", func(s *core.System) { s.EnableDynamics(); s.EnableSPH() }, 88},
+	{"rungs", func(s *core.System) { s.EnableDynamics(); s.EnableRungs() }, 73},
+	{"rho only", func(s *core.System) { s.Rho = make([]float64, s.Len()) }, 48},
+	{"acc only", func(s *core.System) { s.Acc = make([]vec.V3, s.Len()) }, 48},
+}
+
+// layoutSystem is src's bodies, positions scaled, in the layout enable
+// makes, every column filled with values of its own and the IDs
+// reversed.
+func layoutSystem(src *core.System, enable func(*core.System), scale float64) *core.System {
+	in := core.New(src.Len())
+	enable(in)
+	for i := range in.Pos {
+		in.Pos[i] = src.Pos[i].Scale(scale)
+		in.Mass[i], in.ID[i], in.Work[i] = src.Mass[i], int64(src.Len()-1-i), float64(1+i%7)
+		f := float64(i + 1)
+		for _, col := range [][]float64{in.Pot, in.H, in.Rho} {
+			if col != nil {
+				col[i] = f
+			}
+		}
+		for _, col := range [][]vec.V3{in.Vel, in.Acc, in.Alpha} {
+			if col != nil {
+				col[i] = vec.V3{X: f, Y: -f, Z: 2 * f}
+			}
+		}
+		if in.Rung != nil {
+			in.Rung[i] = uint8(i % 5)
+		}
 	}
+	return in
+}
+
+// On one rank nothing moves, so the decomposition returns its keyed,
+// sorted input instead of copying every body into a fresh system. The
+// result is the exchange's bit for bit: the same columns present and
+// absent, every column in the same order with the same values and keys
+// (accelerations and potentials zeroed, a density without smoothing
+// lengths dropped, as the exchange lays out what arrives), and the same
+// splits, domain, moves and stats -- over every column layout, and on a
+// warm decomposer too.
+func TestOneRankKeepsWhatTheWireCarries(t *testing.T) {
 	src := ic.Plummer(500, 1, 3)
-	for name, enable := range layouts {
+	for _, l := range layouts {
 		var keep, wire Decomposer
 		for step := 0; step < 2; step++ {
-			in := core.New(src.Len())
-			enable(in)
-			for i := range in.Pos {
-				in.Pos[i] = src.Pos[i].Scale(1 + 0.01*float64(step))
-				in.Mass[i], in.ID[i], in.Work[i] = src.Mass[i], int64(src.Len()-1-i), float64(1+i%7)
-				f := float64(i + 1)
-				for _, col := range [][]float64{in.Pot, in.H, in.Rho} {
-					if col != nil {
-						col[i] = f
-					}
-				}
-				for _, col := range [][]vec.V3{in.Vel, in.Acc, in.Alpha} {
-					if col != nil {
-						col[i] = vec.V3{X: f, Y: -f, Z: 2 * f}
-					}
-				}
-				if in.Rung != nil {
-					in.Rung[i] = uint8(i % 5)
-				}
-			}
+			in := layoutSystem(src, l.enable, 1+0.01*float64(step))
 			copyIn := core.New(0)
-			enable(copyIn)
+			l.enable(copyIn)
 			for i := 0; i < in.Len(); i++ {
 				copyIn.AppendFrom(in, i)
 			}
@@ -190,15 +211,62 @@ func TestOneRankKeepsWhatTheWireCarries(t *testing.T) {
 				want = wire.decomposeDense(c, copyIn, d)
 			})
 			if got.Sys != in {
-				t.Fatalf("%s step %d: one rank returned a new system", name, step)
+				t.Fatalf("%s step %d: one rank returned a new system", l.name, step)
 			}
 			if !reflect.DeepEqual(got.Sys, want.Sys) {
-				t.Fatalf("%s step %d: the bodies kept differ from what the wire carried", name, step)
+				t.Fatalf("%s step %d: the bodies kept differ from what the exchange carried", l.name, step)
 			}
 			got.Sys, want.Sys = nil, nil
 			if !reflect.DeepEqual(got, want) || keep.Last != wire.Last {
-				t.Fatalf("%s step %d: one rank kept %+v / %+v, the wire carried %+v / %+v", name, step, got, keep.Last, want, wire.Last)
+				t.Fatalf("%s step %d: one rank kept %+v / %+v, the exchange carried %+v / %+v", l.name, step, got, keep.Last, want, wire.Last)
 			}
 		}
+	}
+}
+
+// The body exchange charges each body it sends at the bytes of the
+// columns that body carries, whatever the layout: at np = 2, the
+// exchange's bytes are the bodies sent away times the layout's carried
+// bytes (72 for gravity, where a fixed 113-byte record was charged).
+func TestExchangeBytesFollowTheColumns(t *testing.T) {
+	src := ic.Plummer(600, 1, 5)
+	for _, l := range layouts {
+		w := msg.NewWorld(2)
+		var moved [2]int
+		w.Run(func(c *msg.Comm) {
+			all := layoutSystem(src, l.enable, 1)
+			n := all.Len()
+			in := all.Slice(c.Rank()*n/2, (c.Rank()+1)*n/2)
+			var dc Decomposer
+			dc.dom = GlobalDomain(c, in)
+			splits := dc.search(c, in)
+			c.Phase("body exchange")
+			moved[c.Rank()] = dc.exchange(c, in, splits, dc.plan(splits)).Moved
+		})
+		for r, m := range moved {
+			got := w.RankTraffic(r).Phases["body exchange"].Bytes
+			if want := uint64(m * l.carried); m == 0 || got != want {
+				t.Fatalf("%s rank %d: %d bodies sent in %d bytes, want %d bytes a body", l.name, r, m, got, l.carried)
+			}
+		}
+	}
+}
+
+// A batch of bodies for a rank the plan leaves out stops the world with
+// a *msg.UnplannedError rather than losing the bodies.
+func TestExchangeRefusesAnUnplannedBatch(t *testing.T) {
+	src := ic.Plummer(200, 1, 7)
+	err := msg.NewWorld(2).RunErr(func(c *msg.Comm) {
+		all := layoutSystem(src, (*core.System).EnableDynamics, 1)
+		n := all.Len()
+		in := all.Slice(c.Rank()*n/2, (c.Rank()+1)*n/2)
+		var dc Decomposer
+		dc.dom = GlobalDomain(c, in)
+		splits := dc.search(c, in)
+		dc.exchange(c, in, splits, func(src, dst int) bool { return false })
+	})
+	var un *msg.UnplannedError
+	if !errors.As(err, &un) {
+		t.Fatalf("err = %v, want an *msg.UnplannedError", err)
 	}
 }

@@ -170,11 +170,11 @@ func TestInFlightHoldsBackItsStream(t *testing.T) {
 		if c.Rank() != 1 {
 			return
 		}
-		if m, ok := c.TryRecv(0, 7); ok {
-			t.Errorf("TryRecv delivered %v past its stream's in-flight head", m.Data)
-		}
 		if m := c.Recv(0, 8); m.Data.(int) != 3 {
 			t.Errorf("tag 8 delivered %v, want 3", m.Data)
+		}
+		if !time.Now().Before(due) {
+			t.Error("another stream's message waited for the in-flight one")
 		}
 		for want := 1; want <= 2; want++ {
 			if m := c.Recv(0, 7); m.Data.(int) != want {

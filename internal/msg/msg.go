@@ -44,7 +44,7 @@ type Message struct {
 	// what bounds any message's displacement to one delivery slot.
 	bumped bool
 	// due, when nonzero, is the injected in-flight deadline: the
-	// message sits in the mailbox but is invisible to take/tryTake
+	// message sits in the mailbox but is invisible to take
 	// until due passes. The sender is never blocked -- latency as time
 	// on the wire, not as a CPU stall.
 	due time.Time
@@ -177,22 +177,6 @@ func (m *mailbox) wake() {
 	m.mu.Lock()
 	m.cond.Broadcast()
 	m.mu.Unlock()
-}
-
-// tryTake removes and returns the first matching message if one is
-// already queued and past any injected in-flight deadline.
-func (m *mailbox) tryTake(src, tag int) (Message, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.w.aborted.Load() {
-		panic(abortUnwind{})
-	}
-	if i, _ := m.scanDue(src, tag); i >= 0 {
-		msg := m.queue[i]
-		m.queue = append(m.queue[:i], m.queue[i+1:]...)
-		return msg, true
-	}
-	return Message{}, false
 }
 
 // PhaseTraffic is the communication volume attributed to one phase.
@@ -454,15 +438,6 @@ func (c *Comm) Recv(src, tag int) Message {
 		c.w.trace.Rank(c.rank).Recv(c.phase, m.Src, m.Bytes)
 	}
 	return m
-}
-
-// TryRecv returns a matching message if one is already queued.
-func (c *Comm) TryRecv(src, tag int) (Message, bool) {
-	m, ok := c.w.boxes[c.rank].tryTake(src, tag)
-	if ok && c.w.trace != nil {
-		c.w.trace.Rank(c.rank).Recv(c.phase, m.Src, m.Bytes)
-	}
-	return m, ok
 }
 
 // nextTag issues the (negative) tag of the next collective and

@@ -55,25 +55,6 @@ func TestFIFOPerSourceTag(t *testing.T) {
 	})
 }
 
-func TestTryRecv(t *testing.T) {
-	Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			if _, ok := c.TryRecv(1, 9); ok {
-				t.Error("TryRecv found phantom message")
-			}
-			c.Send(1, 8, 42, 4)
-		} else {
-			m := c.Recv(0, 8) // ensures the message arrived
-			if m.Data.(int) != 42 {
-				t.Error("wrong data")
-			}
-			if _, ok := c.TryRecv(0, 8); ok {
-				t.Error("message not consumed")
-			}
-		}
-	})
-}
-
 func TestBarrier(t *testing.T) {
 	for _, np := range []int{1, 2, 3, 4, 7, 8, 16} {
 		var phase int32

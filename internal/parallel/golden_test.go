@@ -90,7 +90,10 @@ import (
 // bytes alone once more when a pushed or reply leaf record began to
 // count the bodies it carries (32 bytes each: a position and a mass),
 // not just the cell: np=2 118299 -> 156667 (1 199 bodies), np=8 619569
-// -> 882225 (8 208 bodies).
+// -> 882225 (8 208 bodies); and again when the body exchange began to
+// send the columns a body carries (core.System.Carried: 72 bytes a body
+// with dynamics) instead of a 113-byte record: np=2 156667 -> 131493,
+// np=8 882225 -> 839667.
 func TestWalkCountsMatchRestartWalk(t *testing.T) {
 	const n = 1200
 	golden := []struct {
@@ -100,8 +103,8 @@ func TestWalkCountsMatchRestartWalk(t *testing.T) {
 		msgs, bytes                      uint64
 	}{
 		{np: 1},
-		{np: 2, trav: 32319, pp: 996186, pc: 175746, remote: 327, msgs: 16, bytes: 156667},
-		{np: 8, trav: 53934, pp: 922164, pc: 208812, remote: 2137, msgs: 196, bytes: 882225},
+		{np: 2, trav: 32319, pp: 996186, pc: 175746, remote: 327, msgs: 16, bytes: 131493},
+		{np: 8, trav: 53934, pp: 922164, pc: 208812, remote: 2137, msgs: 196, bytes: 839667},
 	}
 	for _, want := range golden {
 		np := want.np

@@ -170,9 +170,7 @@ func Run(p Plan, at Attachments) (*Result, error) {
 func slab(global *core.System, rank, size int) *core.System {
 	n := global.Len()
 	local := core.New(0)
-	for i := rank * n / size; i < (rank+1)*n/size; i++ {
-		local.AppendFrom(global, i)
-	}
+	local.AppendRange(global, rank*n/size, (rank+1)*n/size)
 	return local
 }
 
@@ -190,9 +188,7 @@ func (r *Result) Bodies() int {
 func (r *Result) Merged() *core.System {
 	out := core.New(0)
 	for _, s := range r.Systems {
-		for i := 0; i < s.Len(); i++ {
-			out.AppendFrom(s, i)
-		}
+		out.AppendRange(s, 0, s.Len())
 	}
 	return out
 }

@@ -3,7 +3,7 @@
 # portable path cannot rot), vet, race tests, the smokes, the chaos
 # soak, the walk guard, the fuzzers, the one-runner guards,
 # the one-rank-record guard, the one-leaf-store guard, the one-MAC-walk guard,
-# the one-decomposition guard, the kernel-loop bounds-check-elimination
+# the one-decomposition and one-body-layout guards, the kernel-loop bounds-check-elimination
 # and fusion guards, and the allocation guard -- the benches that must run
 # allocation-free are diffed against the committed BENCH_baseline.json,
 # failing on any growth in allocs/op.
@@ -121,6 +121,13 @@ fi
 if grep -rnoE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'ExchangeFor\((\([^()]*\)|[^()])*\)' . |
 	sed -E 's/:ExchangeFor\(/:/; s/\)$//; s/\([^()]*\)//g' | grep -E '^[^:]*:[0-9]+:[^,]*,[^,]*,'; then
 	echo "FAIL: ExchangeFor takes the first walk and its active set, nothing else: every exchange decomposes through DecomposeGlobal" >&2
+	exit 1
+fi
+echo "== one body layout (a body is core.System's columns and its order core.Sorter's: the exchange sends column views and repairs the order with Sorter.Resort)"
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
+	'\.ID\[[^]]*\] *[<>]|[<>]=? *[A-Za-z_.]*\.ID\[|\b(mergeRuns|WireBytes|BytesPerBody)\b' . | grep -v '^\./internal/core/' ||
+	grep -rnE --include='*.go' --exclude='*_test.go' '^type Wire struct' internal/domain; then
+	echo "FAIL: a second body layout or order: move bodies as core.System column views (Carried, AppendRange, Bytes) and order them with core.Sorter" >&2
 	exit 1
 fi
 echo "== bce (the interaction kernels' Go loops stay bounds-check-free, -d=ssa/check_bce)"
