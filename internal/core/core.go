@@ -41,6 +41,11 @@ type System struct {
 	// step in 2^Rung[i] pieces. Carried through sort and exchange so
 	// bodies keep their rung when they migrate ranks mid-step.
 	Rung []uint8
+	// Pos0 and Alpha0 are a vortex step's pre-step position and
+	// strength. They are columns so that the exchange between the
+	// step's two evaluations moves them with their bodies; outside a
+	// step they are nil.
+	Pos0, Alpha0 []vec.V3
 }
 
 // New returns a system of n bodies with the always-present fields
@@ -172,35 +177,21 @@ func (s *System) PotentialEnergy() float64 {
 
 // Slice returns a view of bodies [lo,hi) sharing storage with s.
 func (s *System) Slice(lo, hi int) *System {
-	v := &System{
-		Pos:  s.Pos[lo:hi],
-		Mass: s.Mass[lo:hi],
-		Key:  s.Key[lo:hi],
-		Work: s.Work[lo:hi],
-		ID:   s.ID[lo:hi],
+	return &System{
+		Pos: s.Pos[lo:hi], Mass: s.Mass[lo:hi], Key: s.Key[lo:hi],
+		Work: s.Work[lo:hi], ID: s.ID[lo:hi], Vel: view(s.Vel, lo, hi),
+		Acc: view(s.Acc, lo, hi), Pot: view(s.Pot, lo, hi), Alpha: view(s.Alpha, lo, hi),
+		H: view(s.H, lo, hi), Rho: view(s.Rho, lo, hi), Rung: view(s.Rung, lo, hi),
+		Pos0: view(s.Pos0, lo, hi), Alpha0: view(s.Alpha0, lo, hi),
 	}
-	if s.Vel != nil {
-		v.Vel = s.Vel[lo:hi]
+}
+
+// view is col[lo:hi], or nil for an absent column.
+func view[T any](col []T, lo, hi int) []T {
+	if col == nil {
+		return nil
 	}
-	if s.Acc != nil {
-		v.Acc = s.Acc[lo:hi]
-	}
-	if s.Pot != nil {
-		v.Pot = s.Pot[lo:hi]
-	}
-	if s.Alpha != nil {
-		v.Alpha = s.Alpha[lo:hi]
-	}
-	if s.H != nil {
-		v.H = s.H[lo:hi]
-	}
-	if s.Rho != nil {
-		v.Rho = s.Rho[lo:hi]
-	}
-	if s.Rung != nil {
-		v.Rung = s.Rung[lo:hi]
-	}
-	return v
+	return col[lo:hi]
 }
 
 // AppendFrom appends body i of src to s.
@@ -222,6 +213,8 @@ func (s *System) AppendRange(src *System, lo, hi int) {
 	s.H = appendCol(s.H, src.H, lo, hi)
 	s.Rho = appendCol(s.Rho, src.Rho, lo, hi)
 	s.Rung = appendCol(s.Rung, src.Rung, lo, hi)
+	s.Pos0 = appendCol(s.Pos0, src.Pos0, lo, hi)
+	s.Alpha0 = appendCol(s.Alpha0, src.Alpha0, lo, hi)
 }
 
 func appendCol[T any](dst, src []T, lo, hi int) []T {
@@ -242,6 +235,7 @@ func (s *System) Reserve(n int) *System {
 		Work: reserve(s.Work, n), ID: reserve(s.ID, n), Vel: reserve(s.Vel, n),
 		Acc: reserve(s.Acc, n), Pot: reserve(s.Pot, n), Alpha: reserve(s.Alpha, n),
 		H: reserve(s.H, n), Rho: reserve(s.Rho, n), Rung: reserve(s.Rung, n),
+		Pos0: reserve(s.Pos0, n), Alpha0: reserve(s.Alpha0, n),
 	}
 }
 
@@ -269,7 +263,7 @@ func (s *System) Carried(lo, hi int) *System {
 // body over the columns it has.
 func (s *System) Bytes() int {
 	const v3, f64 = 24, 8
-	return v3*(len(s.Pos)+len(s.Vel)+len(s.Acc)+len(s.Alpha)) + len(s.Rung) +
+	return v3*(len(s.Pos)+len(s.Vel)+len(s.Acc)+len(s.Alpha)+len(s.Pos0)+len(s.Alpha0)) + len(s.Rung) +
 		f64*(len(s.Mass)+len(s.Key)+len(s.Work)+len(s.ID)+len(s.Pot)+len(s.H)+len(s.Rho))
 }
 
@@ -314,7 +308,7 @@ func (s *System) Validate() error {
 	for name, l := range map[string]int{
 		"Vel": len(s.Vel), "Acc": len(s.Acc), "Pot": len(s.Pot),
 		"Alpha": len(s.Alpha), "H": len(s.H), "Rho": len(s.Rho),
-		"Rung": len(s.Rung),
+		"Rung": len(s.Rung), "Pos0": len(s.Pos0), "Alpha0": len(s.Alpha0),
 	} {
 		if l != 0 {
 			if err := check(name, l, n); err != nil {

@@ -126,37 +126,73 @@ func TestMassAndEnergyDiagnostics(t *testing.T) {
 	}
 }
 
+// withStepColumns gives s a vortex step's pre-step columns, filled with
+// values of their own.
+func withStepColumns(s *System) *System {
+	s.Pos0, s.Alpha0 = make([]vec.V3, s.Len()), make([]vec.V3, s.Len())
+	for i := range s.Pos0 {
+		s.Pos0[i], s.Alpha0[i] = s.Pos[i].Scale(3), s.Vel[i].Scale(5)
+	}
+	return s
+}
+
 func TestSliceSharesStorage(t *testing.T) {
-	s := randomSystem(10, 3)
+	s := withStepColumns(randomSystem(10, 3))
 	v := s.Slice(2, 5)
 	if v.Len() != 3 {
 		t.Fatalf("slice len = %d", v.Len())
 	}
 	v.Pos[0] = vec.V3{X: 99}
-	if s.Pos[2].X != 99 {
+	v.Pos0[1] = vec.V3{Y: 98}
+	v.Alpha0[2] = vec.V3{Z: 97}
+	if s.Pos[2].X != 99 || s.Pos0[3].Y != 98 || s.Alpha0[4].Z != 97 {
 		t.Fatal("slice does not share storage")
+	}
+	if v.Acc == nil || v.Rung != nil {
+		t.Fatal("slice changed which columns are present")
 	}
 	if err := v.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// AppendFrom and AppendRange copy every column the source has, the step
+// columns among them, and zero-fill a column only the destination has;
+// Reserve keeps the columns it is given, with room for n bodies.
 func TestAppendFrom(t *testing.T) {
-	src := randomSystem(5, 4)
+	src := withStepColumns(randomSystem(8, 4))
 	dst := New(0)
 	dst.EnableDynamics()
-	for i := 0; i < src.Len(); i++ {
+	for i := 0; i < 5; i++ {
 		dst.AppendFrom(src, i)
 	}
 	if dst.Len() != 5 {
 		t.Fatalf("len = %d", dst.Len())
 	}
 	for i := 0; i < 5; i++ {
-		if dst.Pos[i] != src.Pos[i] || dst.Vel[i] != src.Vel[i] || dst.Mass[i] != src.Mass[i] {
+		if dst.Pos[i] != src.Pos[i] || dst.Vel[i] != src.Vel[i] || dst.Mass[i] != src.Mass[i] ||
+			dst.Pos0[i] != src.Pos0[i] || dst.Alpha0[i] != src.Alpha0[i] {
 			t.Fatalf("body %d not copied faithfully", i)
 		}
 	}
 	if err := dst.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	res := dst.Reserve(6)
+	if cap(res.Pos0) != 6 || cap(res.Alpha0) != 6 || res.Len() != 0 || res.Rung != nil {
+		t.Fatalf("Reserve: Pos0 cap %d, Alpha0 cap %d, len %d", cap(res.Pos0), cap(res.Alpha0), res.Len())
+	}
+	src.Pot = nil
+	res.AppendRange(src, 1, 4)
+	res.AppendRange(src, 5, 8)
+	for i, j := range []int{1, 2, 3, 5, 6, 7} {
+		if res.Pos[i] != src.Pos[j] || res.Vel[i] != src.Vel[j] || res.Pos0[i] != src.Pos0[j] ||
+			res.Alpha0[i] != src.Alpha0[j] || res.Pot[i] != 0 {
+			t.Fatalf("range body %d not copied from body %d faithfully", i, j)
+		}
+	}
+	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -171,5 +207,15 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	s.Vel = make([]vec.V3, 1)
 	if err := s.Validate(); err == nil {
 		t.Fatal("Validate missed short Vel")
+	}
+	for _, short := range []func(*System){
+		func(s *System) { s.Pos0 = make([]vec.V3, 2) },
+		func(s *System) { s.Alpha0 = make([]vec.V3, 4) },
+	} {
+		s = New(3)
+		short(s)
+		if err := s.Validate(); err == nil {
+			t.Fatal("Validate missed a step column of the wrong length")
+		}
 	}
 }

@@ -39,6 +39,7 @@ type Sorter struct {
 	kept, disp []int32
 
 	sPos, sVel, sAcc, sAlpha []vec.V3
+	sPos0, sAlpha0           []vec.V3
 	sMass, sWork, sPot, sH   []float64
 	sRho                     []float64
 	sKey                     []keys.Key
@@ -186,6 +187,8 @@ func (st *Sorter) Apply(s *System, perm []int32) {
 	s.H, st.sH = permute(s.H, st.sH, perm)
 	s.Rho, st.sRho = permute(s.Rho, st.sRho, perm)
 	s.Rung, st.sRung = permute(s.Rung, st.sRung, perm)
+	s.Pos0, st.sPos0 = permute(s.Pos0, st.sPos0, perm)
+	s.Alpha0, st.sAlpha0 = permute(s.Alpha0, st.sAlpha0, perm)
 }
 
 // lessAt orders bodies i, j of s by (Key, ID).

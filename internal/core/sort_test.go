@@ -18,6 +18,7 @@ func makeSystem(n int, keyOf func(i int) keys.Key, rng *rand.Rand) *System {
 	s.EnableDynamics()
 	s.EnableVortex()
 	s.EnableSPH()
+	s.Pos0, s.Alpha0 = make([]vec.V3, n), make([]vec.V3, n)
 	perm := rng.Perm(n)
 	for i := 0; i < n; i++ {
 		f := float64(i)
@@ -32,6 +33,8 @@ func makeSystem(n int, keyOf func(i int) keys.Key, rng *rand.Rand) *System {
 		s.Alpha[i] = vec.V3{Z: -f}
 		s.H[i] = f + 3
 		s.Rho[i] = f + 4
+		s.Pos0[i] = vec.V3{X: f + 5}
+		s.Alpha0[i] = vec.V3{Y: f + 6}
 	}
 	return s
 }
@@ -66,7 +69,8 @@ func checkAgainstReference(t *testing.T, orig, got *System, perm []int) {
 			got.Work[i] != orig.Work[p] ||
 			got.Vel[i] != orig.Vel[p] || got.Acc[i] != orig.Acc[p] ||
 			got.Pot[i] != orig.Pot[p] || got.Alpha[i] != orig.Alpha[p] ||
-			got.H[i] != orig.H[p] || got.Rho[i] != orig.Rho[p] {
+			got.H[i] != orig.H[p] || got.Rho[i] != orig.Rho[p] ||
+			got.Pos0[i] != orig.Pos0[p] || got.Alpha0[i] != orig.Alpha0[p] {
 			t.Fatalf("body %d: payload columns did not follow the permutation", i)
 		}
 	}

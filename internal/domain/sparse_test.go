@@ -138,10 +138,11 @@ func TestSparseExchangeMatchesDense(t *testing.T) {
 }
 
 // layouts are the column layouts the engines use (gravity's dynamics,
-// a block step's rungs, vortex, SPH) and two odd ones, with the bytes a
-// body of each carries when it changes ranks: position, mass, work and
-// ID (48), then velocity (24), vortex strength (24), smoothing length
-// with density (16) and rung (1) where the layout has them; never the
+// a block step's rungs, vortex, a vortex step's midpoint, SPH) and two
+// odd ones, with the bytes a body of each carries when it changes
+// ranks: position, mass, work and ID (48), then velocity (24), vortex
+// strength (24), the pre-step position and strength (48), smoothing
+// length with density (16) and rung (1) where the layout has them; never the
 // key, acceleration or potential, nor a density without smoothing
 // lengths.
 var layouts = []struct {
@@ -152,6 +153,11 @@ var layouts = []struct {
 	{"plain", func(*core.System) {}, 48},
 	{"dynamics", (*core.System).EnableDynamics, 72},
 	{"vortex", func(s *core.System) { s.EnableDynamics(); s.EnableVortex() }, 96},
+	{"vortex step", func(s *core.System) {
+		s.EnableDynamics()
+		s.EnableVortex()
+		s.Pos0, s.Alpha0 = make([]vec.V3, s.Len()), make([]vec.V3, s.Len())
+	}, 144},
 	{"sph", func(s *core.System) { s.EnableDynamics(); s.EnableSPH() }, 88},
 	{"rungs", func(s *core.System) { s.EnableDynamics(); s.EnableRungs() }, 73},
 	{"rho only", func(s *core.System) { s.Rho = make([]float64, s.Len()) }, 48},
@@ -173,7 +179,7 @@ func layoutSystem(src *core.System, enable func(*core.System), scale float64) *c
 				col[i] = f
 			}
 		}
-		for _, col := range [][]vec.V3{in.Vel, in.Acc, in.Alpha} {
+		for _, col := range [][]vec.V3{in.Vel, in.Acc, in.Alpha, in.Pos0, in.Alpha0} {
 			if col != nil {
 				col[i] = vec.V3{X: f, Y: -f, Z: 2 * f}
 			}

@@ -1,6 +1,8 @@
 package vortex
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/grav"
@@ -136,48 +138,31 @@ func (e *ParallelEngine) evalGroup(_ keys.Key, g *tree.Cell, ctr *diag.Counters)
 	tg.store(sys.Vel[lo:hi], e.dAlpha[lo:hi])
 }
 
-// saved is a particle's position and strength under its ID: the
-// pre-step state Step carries across rank migrations, and what Remesh
-// sends the owners of the particle's lattice nodes.
-type saved struct {
-	ID   int64
-	X, A vec.V3
-}
-
 // Step advances one RK2 (midpoint) step with distributed evaluations.
-// The decomposition between the two stages may migrate particles
-// across ranks, so the pre-step state is exchanged by particle ID (a
-// collective allgather; the in-process machine makes this cheap, and
-// the state is ~56 bytes/particle either way). Returns this step's
-// counter delta, like the gravity and SPH engines.
+// The pre-step state rides with the particles: after the first
+// evaluation Pos and Alpha are cloned into the system's Pos0 and Alpha0
+// columns, which the second evaluation's exchange moves like any other,
+// so each particle finishes the step from its own columns on whichever
+// rank now holds it. The clones are fresh every step (the sorter swaps
+// each column it permutes with its scratch, so no buffer of the engine's
+// could be kept), and the columns are cleared before Step returns, so
+// the next first evaluation and Remesh neither carry nor charge them.
+// Returns this step's counter delta, like the gravity and SPH engines.
 func (e *ParallelEngine) Step(dt float64) diag.Counters {
 	start := e.Counters
 	d1 := e.Eval()
-	n := e.Sys.Len()
-	mine := make([]saved, n)
-	for i := 0; i < n; i++ {
-		mine[i] = saved{ID: e.Sys.ID[i], X: e.Sys.Pos[i], A: e.Sys.Alpha[i]}
-	}
-	for i := 0; i < n; i++ {
-		e.Sys.Pos[i] = e.Sys.Pos[i].Add(e.Sys.Vel[i].Scale(dt / 2))
-		e.Sys.Alpha[i] = e.Sys.Alpha[i].Add(d1[i].Scale(dt / 2))
+	s := e.Sys
+	s.Pos0, s.Alpha0 = slices.Clone(s.Pos), slices.Clone(s.Alpha)
+	for i := range s.Pos {
+		s.Pos[i] = s.Pos[i].Add(s.Vel[i].Scale(dt / 2))
+		s.Alpha[i] = s.Alpha[i].Add(d1[i].Scale(dt / 2))
 	}
 	d2 := e.Eval()
-	// Reassemble everyone's pre-step state, keyed by ID.
-	all := msg.Allgather(e.C, mine, 56*len(mine))
-	x0 := make(map[int64]saved, n)
-	for _, batch := range all {
-		for _, s := range batch {
-			x0[s.ID] = s
-		}
+	s = e.Sys
+	for i := range s.Pos {
+		s.Pos[i] = s.Pos0[i].Add(s.Vel[i].Scale(dt))
+		s.Alpha[i] = s.Alpha0[i].Add(d2[i].Scale(dt))
 	}
-	for i := 0; i < e.Sys.Len(); i++ {
-		s, ok := x0[e.Sys.ID[i]]
-		if !ok {
-			panic("vortex: particle lost its pre-step state")
-		}
-		e.Sys.Pos[i] = s.X.Add(e.Sys.Vel[i].Scale(dt))
-		e.Sys.Alpha[i] = s.A.Add(d2[i].Scale(dt))
-	}
+	s.Pos0, s.Alpha0 = nil, nil
 	return e.Counters.Sub(start)
 }

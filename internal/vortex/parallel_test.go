@@ -128,6 +128,35 @@ func stepCentroid(global *core.System, np int) (float64, int) {
 	return z, n
 }
 
+// A vortex step costs its two evaluations' collectives and no more: the
+// pre-step state rides the second evaluation's body exchange in the
+// Pos0/Alpha0 columns, so a warm step at np = 4 is 2 x 4 collectives a
+// rank (splitters, bodies, branches, push) plus one for each evaluation
+// whose predicted key domain missed (Relocated). The step columns are
+// gone when Step returns.
+func TestVortexStepIsTwoEvaluations(t *testing.T) {
+	const np, steps, dt = 4, 8, 0.02
+	global := twoRings(32, 3)
+	relocated := make([]int, np)
+	msg.Run(np, func(c *msg.Comm) {
+		e := NewParallel(c, scatterV(global, c), 0.12, 0.5)
+		e.Step(dt) // cold: the first evaluation searches its splitters in full
+		for s := 1; s < steps; s++ {
+			colls, rel := c.Collectives(), e.Relocated
+			e.Step(dt)
+			want := uint64(2*4 + e.Relocated - rel)
+			if got := c.Collectives() - colls; got != want {
+				t.Errorf("rank %d step %d: %d collectives with %d relocated, want %d", c.Rank(), s, got, e.Relocated-rel, want)
+			}
+			if e.Sys.Pos0 != nil || e.Sys.Alpha0 != nil {
+				t.Errorf("rank %d step %d: the step columns outlive the step", c.Rank(), s)
+			}
+		}
+		relocated[c.Rank()] = e.Relocated
+	})
+	t.Logf("relocated evaluations by rank: %v", relocated)
+}
+
 func TestParallelVortexEmptyRanks(t *testing.T) {
 	// More ranks than the tiny ring needs: empty intervals must not
 	// deadlock.

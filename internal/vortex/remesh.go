@@ -58,6 +58,13 @@ func spread(p vec.V3, h float64, f func(nd node, w float64)) {
 	}
 }
 
+// saved is a particle's position and strength under its ID, what
+// Remesh sends the owners of the particle's lattice nodes.
+type saved struct {
+	ID   int64
+	X, A vec.V3
+}
+
 // Remesh redistributes the particle strengths onto the regular lattice
 // of spacing h (origin 0) with the M4' kernel and replaces the
 // particles of every rank by the lattice nodes whose strength

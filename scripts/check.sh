@@ -3,7 +3,7 @@
 # portable path cannot rot), vet, race tests, the smokes, the chaos
 # soak, the walk guard, the fuzzers, the one-runner guards,
 # the one-rank-record guard, the one-leaf-store guard, the one-MAC-walk guard,
-# the one-decomposition and one-body-layout guards, the kernel-loop bounds-check-elimination
+# the one-decomposition, one-body-layout and one-way-across-ranks guards, the kernel-loop bounds-check-elimination
 # and fusion guards, and the allocation guard -- the benches that must run
 # allocation-free are diffed against the committed BENCH_baseline.json,
 # failing on any growth in allocs/op.
@@ -128,6 +128,12 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
 	'\.ID\[[^]]*\] *[<>]|[<>]=? *[A-Za-z_.]*\.ID\[|\b(mergeRuns|WireBytes|BytesPerBody)\b' . | grep -v '^\./internal/core/' ||
 	grep -rnE --include='*.go' --exclude='*_test.go' '^type Wire struct' internal/domain; then
 	echo "FAIL: a second body layout or order: move bodies as core.System column views (Carried, AppendRange, Bytes) and order them with core.Sorter" >&2
+	exit 1
+fi
+echo "== one way across ranks (body state crosses ranks only in the body exchange: a vortex step's pre-step state rides it in the Pos0/Alpha0 columns, not an ID-keyed allgather)"
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'map\[int64\]' . ||
+	grep -nE 'msg\.(Bcast|Reduce|Allreduce|Gather|Allgather|Alltoallv)|\.Barrier\(' internal/vortex/parallel.go; then
+	echo "FAIL: body state keyed by ID, or a collective in the vortex step: carry it in core.System columns through the body exchange" >&2
 	exit 1
 fi
 echo "== bce (the interaction kernels' Go loops stay bounds-check-free, -d=ssa/check_bce)"
