@@ -9,7 +9,9 @@ package hot
 
 import (
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -241,6 +243,34 @@ func leafGroups(tr *tree.Tree) []keys.Key {
 	return leaves
 }
 
+// idleThreads leaves the scheduler idle OS threads to spare before an
+// allocation-free loop is timed. When the scheduler wants one more
+// thread than it has idle, it starts one, and allocm's m with its g0
+// and gsignal goroutines are 6 objects, 5 504 B, which the process-wide
+// count charges to whatever loop is timed: 1 alloc/op at
+// -benchtime=5x, in a few percent of runs, more on a loaded machine.
+// Each goroutine here pins a thread of its own until all are running,
+// then returns it to the idle list, which the runtime never shrinks.
+func idleThreads() {
+	n := 4 * runtime.GOMAXPROCS(0)
+	var running, done sync.WaitGroup
+	running.Add(n)
+	done.Add(n)
+	release := make(chan struct{})
+	for range n {
+		go func() {
+			defer done.Done()
+			runtime.LockOSThread()
+			defer runtime.UnlockOSThread()
+			running.Done()
+			<-release
+		}()
+	}
+	running.Wait()
+	close(release)
+	done.Wait()
+}
+
 func benchSink(b *testing.B, leaves bool) {
 	sys, d := buildCluster(10000)
 	tr := tree.Build(sys, d, grav.DefaultMAC(), 16)
@@ -259,6 +289,7 @@ func benchSink(b *testing.B, leaves bool) {
 		}
 	}
 	round() // warm-up: stack, batch, list and target block reach their high-water marks
+	idleThreads()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -457,6 +488,7 @@ func benchDescent(b *testing.B, walk func(*tree.Walker, *tree.Tree, keys.Key, []
 		}
 	}
 	round() // warm-up: stack, batch and list reach their high-water marks
+	idleThreads()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -87,10 +87,8 @@ func draw(base string, samples []telemetry.Sample, status string, events []telem
 				s.ActiveFraction, s.Imbalance, float64(s.Bytes)/1e6)
 		}
 		last := samples[len(samples)-1]
-		fmt.Printf("\nlast step: %d bodies, %d interactions, %d msgs, stall p99 %v, walk efficiency %.3f, %d collectives (%d the splitter search), %d cells pushed (%d used)\n",
-			last.Bodies, last.Interactions, last.Msgs,
-			time.Duration(last.StallP99Ns).Round(time.Microsecond), last.WalkEfficiency, last.Collectives, last.SplitRounds,
-			last.Pushed, last.PushUsed)
+		fmt.Printf("\nlast step: %d bodies, %d interactions, %d msgs, %d collectives (%d the splitter search), %d cells pushed (%d used)\n",
+			last.Bodies, last.Interactions, last.Msgs, last.Collectives, last.SplitRounds, last.Pushed, last.PushUsed)
 	}
 
 	fmt.Println()

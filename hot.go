@@ -246,9 +246,7 @@ type ParallelResult struct {
 	Flops        uint64
 	// MaxMsgs/MaxBytes are the bottleneck rank's total traffic.
 	MaxMsgs, MaxBytes uint64
-	// Rounds is the largest number of request/reply rounds any
-	// evaluation needed; RemoteCells the total imported cells.
-	Rounds      int
+	// RemoteCells is the total imported cells.
 	RemoteCells int
 	// Kinetic/Potential are the final energies.
 	Kinetic, Potential float64
@@ -295,7 +293,6 @@ func RunParallel(cfg ParallelConfig, bodies []Body, onStep func(step int, info S
 		res.Kinetic += in.Kinetic
 		res.Potential += in.Potential
 		res.RemoteCells += in.RemoteCells
-		res.Rounds = max(res.Rounds, in.Rounds)
 	}
 	m := run.World.MaxRankTraffic()
 	res.MaxMsgs, res.MaxBytes = m.Msgs, m.Bytes

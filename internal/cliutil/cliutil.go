@@ -153,6 +153,7 @@ type Obs struct {
 	trace, metrics, cpuprofile, memprofile, http string
 	noProgress                                   time.Duration
 	at                                           runner.Attachments
+	reg                                          *metrics.Registry
 	closers                                      []func()
 }
 
@@ -197,14 +198,14 @@ func (o *Obs) Start(np int, at runner.Attachments) {
 		o.at.Trace = trace.NewRun(np)
 	}
 	if o.instrumented() {
-		o.at.Registry = metrics.NewRegistry()
+		o.reg = metrics.NewRegistry()
 	}
 	if o.http != "" {
 		mon := telemetry.DefaultMonitors()
 		mon.NoProgress = o.noProgress
 		mon.Log = o.Log
 		o.at.Sampler = telemetry.NewSampler(telemetry.Config{
-			NP: np, Registry: o.at.Registry, Trace: o.at.Trace, Monitors: mon, Command: o.prog,
+			NP: np, Registry: o.reg, Trace: o.at.Trace, Monitors: mon, Command: o.prog,
 		})
 		ep, err := telemetry.Serve(o.http, o.at.Sampler, o.Log)
 		o.check("telemetry endpoint", err)
@@ -228,7 +229,7 @@ func (o *Obs) Abort(err error) {
 // RunReport and the Chrome trace files.
 func (o *Obs) Run(p runner.Plan) *runner.Result {
 	res, err := runner.Run(p, o.at)
-	reg, run := o.at.Registry, o.at.Trace
+	reg, run := o.reg, o.at.Trace
 	if inj := o.at.Injector; inj != nil {
 		st := inj.Stats()
 		o.Log.Info("chaos: injection summary",
@@ -265,8 +266,7 @@ func (o *Obs) Run(p runner.Plan) *runner.Result {
 }
 
 // PrintPhases prints one rank's per-phase wall clock (the sub-phases,
-// "treebuild/sort", are the report's), rounds and remote cells under
-// title.
+// "treebuild/sort", are the report's) and remote cells under title.
 func PrintPhases(title string, in metrics.RankInput) {
 	fmt.Println(title)
 	for _, ph := range in.Phases {
@@ -274,7 +274,7 @@ func PrintPhases(title string, in metrics.RankInput) {
 			fmt.Printf("  %-12s %v\n", ph.Name, ph.D)
 		}
 	}
-	fmt.Printf("  rounds=%d remoteCells=%d\n", in.Rounds, in.RemoteCells)
+	fmt.Printf("  remoteCells=%d\n", in.RemoteCells)
 }
 
 // Close stops what Start began and writes the heap profile.

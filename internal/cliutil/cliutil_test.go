@@ -126,12 +126,12 @@ func TestObsFlags(t *testing.T) {
 	}
 	o.Start(4, runner.Attachments{})
 	defer o.Close()
-	if at := o.at; at.Trace != nil || at.Registry != nil || at.Sampler != nil || len(o.closers) != 0 {
-		t.Errorf("flags off, yet Start attached %+v", at)
+	if at := o.at; at.Trace != nil || o.reg != nil || at.Sampler != nil || len(o.closers) != 0 {
+		t.Errorf("flags off, yet Start attached %+v (registry %v)", at, o.reg)
 	}
 	o.metrics = "report.json"
 	o.Start(4, runner.Attachments{})
-	if at := o.at; at.Registry == nil || at.Trace != nil || at.Sampler != nil {
-		t.Errorf("-metrics alone should attach a registry only, got %+v", at)
+	if at := o.at; o.reg == nil || at.Trace != nil || at.Sampler != nil {
+		t.Errorf("-metrics alone should make a registry only, got %+v (registry %v)", at, o.reg)
 	}
 }

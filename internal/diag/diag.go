@@ -22,9 +22,6 @@ type Counters struct {
 	QuadPC     uint64 // of PC, how many included quadrupole terms
 	CellsBuilt uint64 // tree cells constructed
 	Traversals uint64 // tree-walk node visits of completed walks (non-flop work)
-	Rewalked   uint64 // visits that built no list: missed first attempts, discovery descents (never in Traversals)
-	Deferred   uint64 // groups context-switched waiting on remote data
-	Requests   uint64 // remote cell requests issued
 	VortexPP   uint64 // vortex body-body interactions
 	SPHPairs   uint64 // SPH neighbor pairs evaluated
 	// Push accounting (owner-side push of the locally essential cells):
@@ -103,9 +100,6 @@ func (c *Counters) Add(other Counters) {
 	c.QuadPC += other.QuadPC
 	c.CellsBuilt += other.CellsBuilt
 	c.Traversals += other.Traversals
-	c.Rewalked += other.Rewalked
-	c.Deferred += other.Deferred
-	c.Requests += other.Requests
 	c.VortexPP += other.VortexPP
 	c.SPHPairs += other.SPHPairs
 	c.Pushed += other.Pushed
@@ -121,25 +115,11 @@ func (c Counters) Sub(other Counters) Counters {
 		QuadPC:     c.QuadPC - other.QuadPC,
 		CellsBuilt: c.CellsBuilt - other.CellsBuilt,
 		Traversals: c.Traversals - other.Traversals,
-		Rewalked:   c.Rewalked - other.Rewalked,
-		Deferred:   c.Deferred - other.Deferred,
-		Requests:   c.Requests - other.Requests,
 		VortexPP:   c.VortexPP - other.VortexPP,
 		SPHPairs:   c.SPHPairs - other.SPHPairs,
 		Pushed:     c.Pushed - other.Pushed,
 		PushUsed:   c.PushUsed - other.PushUsed,
 	}
-}
-
-// WalkEfficiency is the useful share of the tree-walk visits,
-// Traversals / (Traversals + Rewalked): 1 on a single rank, lower the
-// more traversal a distributed walk spends finding out what to fetch.
-// Zero when nothing was walked.
-func (c *Counters) WalkEfficiency() float64 {
-	if c.Traversals+c.Rewalked == 0 {
-		return 0
-	}
-	return float64(c.Traversals) / float64(c.Traversals+c.Rewalked)
 }
 
 // PushHitRate is the useful share of the pushed cells, PushUsed /

@@ -181,6 +181,8 @@ type Engine[X any, B Columns[B]] struct {
 	// with the push on); RemoteCells the cells imported.
 	Rounds      int
 	RemoteCells int
+	// Park accumulates the request path's tallies across evaluations.
+	Park ParkCounters
 	// Relocated counts the exchanges whose predicted key domain missed
 	// (domain.Stats.Relocated).
 	Relocated int
@@ -190,11 +192,6 @@ type Engine[X any, B Columns[B]] struct {
 	// round spans, and a "stall" span per deferred group covering
 	// first deferral to walk completion. Nil means zero overhead.
 	Trace *trace.Tracer
-	// Stalls, when non-nil, receives one latency sample per deferred
-	// group: nanoseconds from the group's first deferral until its
-	// walk finally completes -- the paper's context-switch wait made
-	// measurable. Shared across ranks safely (atomic updates).
-	Stalls *metrics.Histogram
 
 	// dec and builder carry the construction pipeline's cross-step
 	// state: sorter scratch, search windows, cell buffers.
@@ -259,7 +256,6 @@ type Engine[X any, B Columns[B]] struct {
 	waiters     []waiter
 	freeWaiter  int32
 	onReply     func(src int, reps []Wire[X, B])
-	observe     bool
 }
 
 // New creates an engine wrapping this rank's share of the bodies. The
@@ -291,12 +287,11 @@ func New[X any, B Columns[B]](c *msg.Comm, sys *core.System, phys Physics[X, B],
 // relocation).
 func (e *Engine[X, B]) DecomposeStats() domain.Stats { return e.dec.Last }
 
-// Observe attaches the rank's observers, either of which may be nil:
-// with a tracer the Timer's phases become timeline spans and the walk
-// emits ABM round and stall spans; stalls is Stalls. Call before the
-// first Exchange.
-func (e *Engine[X, B]) Observe(t *trace.Tracer, stalls *metrics.Histogram) {
-	e.Trace, e.Stalls = t, stalls
+// Observe attaches the rank's tracer (nil: none): the Timer's phases
+// become timeline spans and the walk emits ABM round and stall spans.
+// Call before the first Exchange.
+func (e *Engine[X, B]) Observe(t *trace.Tracer) {
+	e.Trace = t
 	if t != nil {
 		e.Timer.Sink = func(phase string, start time.Time, d time.Duration) {
 			t.SpanAt(phase, start, d)
@@ -315,7 +310,6 @@ func (e *Engine[X, B]) Record() metrics.RankInput {
 	return metrics.RankInput{
 		Counters:    e.Counters,
 		Phases:      append(e.Timer.Banked(), e.Sub.Banked()...),
-		Rounds:      e.Rounds,
 		RemoteCells: e.RemoteCells,
 		SplitRounds: e.dec.Last.Rounds,
 		Relocated:   e.Relocated,
@@ -708,7 +702,7 @@ func (e *Engine[X, B]) ResetImports() {
 // finds every group complete. Counters.Traversals counts the cell
 // visits of completed walks only -- the paper's performance accounting
 // rides on it being exact -- while visits of first attempts that
-// missed and of discovery descents go to Counters.Rewalked.
+// missed and of discovery descents go to Park.Rewalked.
 //
 // eval may be nil when the pass has nothing to evaluate. label names
 // the phase for the Timer and (with the configured prefix) the msg
@@ -759,12 +753,6 @@ func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool
 	}
 	clear(e.keyWaiters)
 	e.waiters, e.freeWaiter = e.waiters[:0], -1
-
-	// Stall observation (off unless tracing or the histogram is
-	// attached): a group's stall runs from its first parking to the
-	// walk that finally completes it, spanning however many rounds
-	// that takes.
-	e.observe = e.Stalls != nil || e.Trace != nil
 
 	e.setVisitor(v)
 	e.push(active)

@@ -131,8 +131,8 @@ func TestEngineCoreFullTraversal(t *testing.T) {
 			if err := e.CheckLET(); err != nil {
 				t.Errorf("np=%d rank=%d: %v", np, c.Rank(), err)
 			}
-			if ctr := e.Counters; e.Rounds != 0 || ctr.Requests != 0 || ctr.Deferred != 0 || ctr.Rewalked != 0 {
-				t.Errorf("np=%d rank=%d: pushed walk still asked: %d rounds, counters %+v", np, c.Rank(), e.Rounds, ctr)
+			if e.Rounds != 0 || e.Park != (hotengine.ParkCounters{}) {
+				t.Errorf("np=%d rank=%d: pushed walk still asked: %d rounds, %+v", np, c.Rank(), e.Rounds, e.Park)
 			}
 			mu.Lock()
 			seen[c.Rank()] = ids
@@ -158,6 +158,7 @@ func TestWalkGroupsIfIdleRankServes(t *testing.T) {
 	global := randomSystem(n, 99)
 	var got, rounds, groups [2]int
 	var ctr [2]diag.Counters
+	var park [2]hotengine.ParkCounters
 	msg.Run(2, func(c *msg.Comm) {
 		e := hotengine.New[float64, ids](c, scatterTo(global, c), countPhysics{}, hotengine.Config{
 			MAC: grav.MACParams{Kind: grav.MACBarnesHut, Theta: 0.5}, Bucket: 8,
@@ -166,22 +167,22 @@ func TestWalkGroupsIfIdleRankServes(t *testing.T) {
 		e.Exchange()
 		w := &idWalk{e: e, ids: map[int64]bool{}}
 		e.WalkGroupsIf("walk", func(*tree.Cell) bool { return c.Rank() == 0 }, w, w.collect)
-		got[c.Rank()], ctr[c.Rank()] = len(w.ids), e.Counters
+		got[c.Rank()], ctr[c.Rank()], park[c.Rank()] = len(w.ids), e.Counters, e.Park
 		rounds[c.Rank()], groups[c.Rank()] = e.Rounds, len(e.Local.Groups)
 	})
 	if got[0] != n {
 		t.Errorf("active rank saw %d of %d particle IDs", got[0], n)
 	}
-	if got[1] != 0 || ctr[1].Traversals != 0 || ctr[1].Rewalked != 0 || ctr[1].Requests != 0 {
-		t.Errorf("idle rank walked: %d ids, counters %+v", got[1], ctr[1])
+	if got[1] != 0 || ctr[1].Traversals != 0 || park[1].Rewalked != 0 || park[1].Requests != 0 {
+		t.Errorf("idle rank walked: %d ids, counters %+v %+v", got[1], ctr[1], park[1])
 	}
 	if rounds[0] < 2 || rounds[1] != rounds[0] {
 		t.Errorf("rounds = %v, want the idle rank in every one of the active rank's >= 2 rounds", rounds)
 	}
 	// Parked more often than there are groups: some group was resumed
 	// and parked again on keys its discovery descent found.
-	if ctr[0].Deferred <= uint64(groups[0]) {
-		t.Errorf("active rank parked %d times for %d groups: no resumed group discovered new keys", ctr[0].Deferred, groups[0])
+	if park[0].Deferred <= uint64(groups[0]) {
+		t.Errorf("active rank parked %d times for %d groups: no resumed group discovered new keys", park[0].Deferred, groups[0])
 	}
 }
 

@@ -262,12 +262,12 @@ func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn
 				}
 				continue
 			}
-			e.Counters.Deferred++
+			e.Park.Deferred++
 			deferred = append(deferred, gk)
 			for _, mk := range missing {
 				if !pending[mk] {
 					pending[mk] = true
-					e.Counters.Requests++
+					e.Park.Requests++
 					eng.Post(e.OwnerOf(mk), mk)
 				}
 			}

@@ -195,8 +195,9 @@ var passNames = [npasses]string{"gravity", "vortex", "sph density", "sph forces"
 // walkRecord is everything one rank's run of the passes leaves behind
 // that the walk implementations must agree on.
 type walkRecord struct {
-	lists  [npasses]map[keys.Key][]uint64 // per pass: group -> list trace
-	ctr    [npasses]diag.Counters         // per pass deltas
+	lists  [npasses]map[keys.Key][]uint64  // per pass: group -> list trace
+	ctr    [npasses]diag.Counters          // per pass deltas
+	park   [npasses]hotengine.ParkCounters // per pass deltas
 	rounds [npasses]int
 	remote [npasses]int
 	acc    map[int64]vec.V3 // gravity-pass forces by body ID
@@ -251,7 +252,7 @@ func runPassesOn(global *core.System, np int, mode walkMode, partial, hashDescen
 		}
 		checkLET("after the exchange")
 		run := func(label string, v hotengine.Visitor[vec.V3], eval hotengine.EvalFn, lists map[keys.Key][]uint64) {
-			before := e.Counters
+			before, park0 := e.Counters, e.Park
 			r0 := e.Rounds
 			switch {
 			case mode == restartWalk:
@@ -270,7 +271,7 @@ func runPassesOn(global *core.System, np int, mode walkMode, partial, hashDescen
 			default:
 				e.WalkGroups(label, v, eval)
 			}
-			rec.lists[pass], rec.ctr[pass] = lists, e.Counters.Sub(before)
+			rec.lists[pass], rec.ctr[pass], rec.park[pass] = lists, e.Counters.Sub(before), parkDelta(e.Park, park0)
 			rec.rounds[pass], rec.remote[pass] = e.Rounds-r0, e.RemoteCells
 			checkLET(fmt.Sprintf("after %s", passNames[pass]))
 			pass++
@@ -313,6 +314,15 @@ func runPassesOn(global *core.System, np int, mode walkMode, partial, hashDescen
 		mu.Unlock()
 	})
 	return recs, w.TotalTraffic()
+}
+
+// parkDelta is a - b, field by field.
+func parkDelta(a, b hotengine.ParkCounters) hotengine.ParkCounters {
+	return hotengine.ParkCounters{
+		Rewalked: a.Rewalked - b.Rewalked,
+		Deferred: a.Deferred - b.Deferred,
+		Requests: a.Requests - b.Requests,
+	}
 }
 
 // letHeld fails the test if any rank's LET broke its layout (CheckLET)
@@ -362,12 +372,12 @@ func TestResumedWalkMatchesRestart(t *testing.T) {
 			for ps := 0; ps < npasses-1; ps++ {
 				where := fmt.Sprintf("%s rank %d %s", name, r, passNames[ps])
 				g, w := got[r].ctr[ps], want[r].ctr[ps]
-				if w.Rewalked != 0 {
+				gp, wp := got[r].park[ps], want[r].park[ps]
+				if wp.Rewalked != 0 {
 					t.Fatalf("%s: the reference counted rewalked visits", where)
 				}
-				g.Rewalked = 0
-				if g != w {
-					t.Errorf("%s: counters %+v, restart walk %+v", where, g, w)
+				if g != w || gp.Deferred != wp.Deferred || gp.Requests != wp.Requests {
+					t.Errorf("%s: counters %+v %+v, restart walk %+v %+v", where, g, gp, w, wp)
 				}
 				if got[r].rounds[ps] != want[r].rounds[ps] || got[r].remote[ps] != want[r].remote[ps] {
 					t.Errorf("%s: %d rounds / %d imported cells, restart walk %d / %d", where,
@@ -402,8 +412,8 @@ func TestPushedWalkMatchesRequests(t *testing.T) {
 			for ps := 0; ps < npasses; ps++ {
 				where := fmt.Sprintf("np=%d rank %d %s", np, r, passNames[ps])
 				g, w := got[r].ctr[ps], want[r].ctr[ps]
-				if g.Requests != 0 || g.Deferred != 0 || g.Rewalked != 0 || got[r].rounds[ps] != 0 {
-					t.Errorf("%s: the pushed walk fell back on requests: %d rounds, counters %+v", where, got[r].rounds[ps], g)
+				if gp := got[r].park[ps]; gp != (hotengine.ParkCounters{}) || got[r].rounds[ps] != 0 {
+					t.Errorf("%s: the pushed walk fell back on requests: %d rounds, %+v", where, got[r].rounds[ps], gp)
 				}
 				if g.Traversals != w.Traversals || g.PP != w.PP || g.PC != w.PC {
 					t.Errorf("%s: counters %+v, request walk %+v", where, g, w)
@@ -555,8 +565,9 @@ func TestIndexDescentMatchesHashDescent(t *testing.T) {
 				for r := 0; r < np; r++ {
 					for ps := 0; ps < npasses; ps++ {
 						where := fmt.Sprintf("%s rank %d %s", name, r, passNames[ps])
-						if got[r].ctr[ps] != want[r].ctr[ps] {
-							t.Errorf("%s: counters %+v, hash descent %+v", where, got[r].ctr[ps], want[r].ctr[ps])
+						if got[r].ctr[ps] != want[r].ctr[ps] || got[r].park[ps] != want[r].park[ps] {
+							t.Errorf("%s: counters %+v %+v, hash descent %+v %+v", where,
+								got[r].ctr[ps], got[r].park[ps], want[r].ctr[ps], want[r].park[ps])
 						}
 						if got[r].rounds[ps] != want[r].rounds[ps] || got[r].remote[ps] != want[r].remote[ps] {
 							t.Errorf("%s: %d rounds / %d imported cells, hash descent %d / %d", where,
@@ -564,7 +575,7 @@ func TestIndexDescentMatchesHashDescent(t *testing.T) {
 						}
 						sameLists(t, where, ps, got[r], want[r])
 						visits += got[r].ctr[ps].Traversals
-						rewalked += got[r].ctr[ps].Rewalked
+						rewalked += got[r].park[ps].Rewalked
 					}
 					for id, a := range want[r].acc {
 						if got[r].acc[id] != a {

@@ -53,11 +53,21 @@ type RangeQuery interface {
 // goroutine right after that walk; ctr is the engine's Counters.
 type EvalFn func(gk keys.Key, g *tree.Cell, ctr *diag.Counters)
 
+// ParkCounters tallies the request path. Only a walk with the push off
+// parks (behind the push a parked group aborts the world), so these stay
+// zero in every production run and no report carries them; the tests
+// and the push-off benchmarks read them from Engine.Park.
+type ParkCounters struct {
+	Rewalked uint64 // visits that built no list: missed first attempts, discovery descents (never in Counters.Traversals)
+	Deferred uint64 // groups context-switched waiting on remote data
+	Requests uint64 // remote cell requests issued
+}
+
 // suspended is the walk state of one group while it is parked: the
 // frontier its last traversal stopped at (the LET entries of the cells
 // it opened whose children, or a leaf's bodies, had not landed: each
 // one family in flight), how many of those are still in flight, and
-// when it was first parked (stall observation). Nothing list-sized is
+// when it was first parked (the trace's stall span). Nothing list-sized is
 // kept; see DESIGN.md "Suspended walks". The frontier buffer is reused
 // by whichever group has the same index in later phases.
 type suspended struct {
@@ -86,7 +96,7 @@ func (e *Engine[X, B]) descend(from, n int32, emit bool) uint64 {
 // attempt is the first walk of group gi (an index into Local.Groups):
 // emitting from the root, it completes outright when every cell it
 // needs is already here (always on one rank, and wherever the push
-// covered the group). Otherwise its visits are charged to Rewalked and
+// covered the group). Otherwise its visits are charged to Park.Rewalked and
 // the group is parked on the cells it missed.
 func (e *Engine[X, B]) attempt(gi int32) {
 	gk := e.Local.Groups[gi]
@@ -95,7 +105,7 @@ func (e *Engine[X, B]) attempt(gi int32) {
 		return
 	}
 	e.nparked++
-	if e.observe {
+	if e.Trace != nil {
 		e.groups[gi].since = time.Now()
 	}
 	e.park(gi)
@@ -127,12 +137,12 @@ func (e *Engine[X, B]) begin(gk keys.Key, g *tree.Cell) {
 
 // emitFromRoot runs an emitting walk of g from the root and evaluates
 // the group if it completed; on a miss it charges the visits to
-// Rewalked and leaves the misses on e.desc.Missed.
+// Park.Rewalked and leaves the misses on e.desc.Missed.
 func (e *Engine[X, B]) emitFromRoot(gk keys.Key, g *tree.Cell) bool {
 	e.begin(gk, g)
 	n := e.descend(0, 1, true)
 	if len(e.desc.Missed) > 0 {
-		e.Counters.Rewalked += n
+		e.Park.Rewalked += n
 		return false
 	}
 	e.Counters.Traversals += n
@@ -166,9 +176,9 @@ func (e *Engine[X, B]) resume(gi int32) {
 	e.begin(gk, g)
 	for _, i := range s.frontier { // in the order they were missed
 		if c := e.let.Cells.At(int(i)); c.Leaf {
-			e.Counters.Rewalked += e.descend(i, 1, false)
+			e.Park.Rewalked += e.descend(i, 1, false)
 		} else {
-			e.Counters.Rewalked += e.descend(c.Kids, int32(bits.OnesCount8(c.ChildMask)), false)
+			e.Park.Rewalked += e.descend(c.Kids, int32(bits.OnesCount8(c.ChildMask)), false)
 		}
 	}
 	if len(e.desc.Missed) > 0 {
@@ -179,10 +189,8 @@ func (e *Engine[X, B]) resume(gi int32) {
 	if !e.emitFromRoot(gk, g) {
 		panic("hotengine: resumed walk missed a cell below an empty frontier")
 	}
-	if e.observe {
-		d := time.Since(s.since)
-		e.Stalls.Observe(uint64(d.Nanoseconds()))
-		e.Trace.SpanAt("stall", s.since, d)
+	if e.Trace != nil {
+		e.Trace.SpanAt("stall", s.since, time.Since(s.since))
 	}
 }
 
@@ -193,7 +201,7 @@ func (e *Engine[X, B]) park(gi int32) {
 	s := &e.groups[gi]
 	s.frontier = append(s.frontier[:0], e.desc.Missed...)
 	s.wait = int32(len(s.frontier))
-	e.Counters.Deferred++
+	e.Park.Deferred++
 	for _, i := range s.frontier {
 		c := e.let.Cells.At(int(i))
 		n := e.freeWaiter
@@ -225,6 +233,6 @@ func (e *Engine[X, B]) park(gi int32) {
 
 // request posts one cell request to its owner: the next round sends it.
 func (e *Engine[X, B]) request(k keys.Key) {
-	e.Counters.Requests++
+	e.Park.Requests++
 	e.curEng.Post(e.OwnerOf(k), k)
 }

@@ -314,19 +314,3 @@ func compact1By2(v uint64) uint32 {
 	v = (v ^ v>>32) & 0x1FFFFF
 	return uint32(v)
 }
-
-// CommonAncestor returns the deepest cell containing both a and b.
-func CommonAncestor(a, b Key) Key {
-	la, lb := a.Level(), b.Level()
-	if la > lb {
-		a = a.AncestorAt(lb)
-		la = lb
-	} else if lb > la {
-		b = b.AncestorAt(la)
-	}
-	for a != b {
-		a >>= 3
-		b >>= 3
-	}
-	return a
-}

@@ -114,25 +114,6 @@ func TestAncestorAt(t *testing.T) {
 	}
 }
 
-func TestCommonAncestor(t *testing.T) {
-	a := Root.Child(0).Child(1).Child(2)
-	b := Root.Child(0).Child(1).Child(5)
-	if got := CommonAncestor(a, b); got != Root.Child(0).Child(1) {
-		t.Fatalf("CommonAncestor = %v", got)
-	}
-	c := Root.Child(7)
-	if got := CommonAncestor(a, c); got != Root {
-		t.Fatalf("CommonAncestor across root = %v", got)
-	}
-	if got := CommonAncestor(a, a); got != a {
-		t.Fatalf("CommonAncestor(a,a) = %v", got)
-	}
-	// Different levels: ancestor of both.
-	if got := CommonAncestor(a, a.Parent()); got != a.Parent() {
-		t.Fatalf("CommonAncestor(a,parent) = %v", got)
-	}
-}
-
 func TestDomainKeyOf(t *testing.T) {
 	d := Domain{Origin: vec.V3{X: -1, Y: -1, Z: -1}, Size: 2}
 	// The lower corner maps to key with coords (0,0,0).

@@ -99,7 +99,7 @@ func histUpper(i int) uint64 {
 // Histogram is an HDR-style latency histogram: eight linear buckets
 // per power of two, exact count/sum/max, atomic updates. A quantile is
 // an upper bound within 12.5% of the sample it stands for, which is
-// what a threshold on a p99 needs: at one bucket per octave a stall
+// what a threshold on a p99 needs: at one bucket per octave a latency
 // histogram could not tell 1 ms from 2 ms, and no gate can sit inside a
 // factor of two.
 type Histogram struct {

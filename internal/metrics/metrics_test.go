@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -214,20 +216,54 @@ func TestBuildReportDetachedInputs(t *testing.T) {
 	}
 }
 
-// The report carries the walk efficiency next to the counters it is
-// made of, and the rendering shows it.
-func TestReportWalkEfficiency(t *testing.T) {
+// The report, its rendering and its diff carry only signals a run can
+// move: nothing of the request path (no walk efficiency, no request
+// rounds), and the push counts once, in the counters. A report written
+// with those fields still reads.
+func TestReportCarriesOnlyLiveSignals(t *testing.T) {
 	rep := BuildReport("x", 1.0, []RankInput{
-		{Counters: diag.Counters{Traversals: 50, Rewalked: 30}},
-		{Counters: diag.Counters{Traversals: 70, Rewalked: 10}},
+		{Counters: diag.Counters{Traversals: 50, Pushed: 30, PushUsed: 20}, RemoteCells: 30},
+		{Counters: diag.Counters{Traversals: 70, Pushed: 10, PushUsed: 10}, RemoteCells: 10},
 	}, nil, nil)
-	if rep.Totals.Counters.Traversals != 120 || rep.Totals.WalkEfficiency != 0.75 {
-		t.Fatalf("totals = %+v, want 120 traversals at efficiency 0.75", rep.Totals)
+	path := filepath.Join(t.TempDir(), "r.json")
+	if err := rep.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dead := range []string{`"walk_efficiency"`, `"rounds"`, `"Rewalked"`, `"Deferred"`, `"Requests"`, `"pushed"`, `"push_used"`, "walk_stall"} {
+		if strings.Contains(string(raw), dead) {
+			t.Errorf("report JSON carries %s:\n%s", dead, raw)
+		}
 	}
 	var b strings.Builder
 	rep.Render(&b)
-	if !strings.Contains(b.String(), "40 rewalked (efficiency 0.750)") {
-		t.Fatalf("render missing the walk line:\n%s", b.String())
+	Diff(&b, rep, rep, 0.1)
+	for _, dead := range []string{"walk_efficiency", "efficiency 1", "rewalked", "rounds"} {
+		if strings.Contains(b.String(), dead) {
+			t.Errorf("render or diff shows %q:\n%s", dead, b.String())
+		}
+	}
+	if !strings.Contains(b.String(), "push: 40 cells, 30 used") {
+		t.Errorf("render missing the push line:\n%s", b.String())
+	}
+
+	old := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(old, []byte(`{"schema": 1, "command": "treebench", "np": 1,
+		"totals": {"counters": {"PP": 5, "Rewalked": 0, "Deferred": 0, "Requests": 0, "Pushed": 4, "PushUsed": 3},
+			"walk_efficiency": 1, "push_hit_rate": 0.75},
+		"ranks": [{"rank": 0, "counters": {"PP": 5, "Pushed": 4, "PushUsed": 3},
+			"rounds": 0, "remote_cells": 4, "pushed": 4, "push_used": 3}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadReport(old)
+	if err != nil {
+		t.Fatalf("a report with the request path's fields: %v", err)
+	}
+	if c := got.Totals.Counters; c.PP != 5 || c.Pushed != 4 || c.PushUsed != 3 || got.Ranks[0].RemoteCells != 4 {
+		t.Fatalf("read %+v", got)
 	}
 }
 

@@ -2,10 +2,10 @@
 // command can emit (-metrics run.json). It is the paper's performance
 // tables as data -- interaction counts and the 38-flop accounting,
 // per-phase wall-clock with load-balance statistics across ranks, the
-// NxN communication matrix, request-round counts, and walk-stall
-// percentiles -- assembled from the same diag.Counters, diag.Timer
-// and msg traffic records the engines already keep, so the report
-// always agrees with the counters byte for byte. cmd/perfreport
+// NxN communication matrix, the push's hit rate and the collectives
+// of a step -- assembled from the same diag.Counters, diag.Timer and
+// msg traffic records the engines already keep, so the report always
+// agrees with the counters byte for byte. cmd/perfreport
 // renders one (or diffs two) as paper-style tables.
 package metrics
 
@@ -42,10 +42,6 @@ type Totals struct {
 	Flops        uint64        `json:"flops"`
 	// FlopsRate is Flops over the host wall-clock, in flops/s.
 	FlopsRate float64 `json:"flops_rate"`
-	// WalkEfficiency is Traversals / (Traversals + Rewalked): the share
-	// of tree-walk cell visits that went into a completed interaction
-	// list rather than into finding out which remote cells to fetch.
-	WalkEfficiency float64 `json:"walk_efficiency"`
 	// PushHitRate is Counters.PushUsed / Counters.Pushed: the share of
 	// the cells the owners pushed that a walk went on to resolve. The
 	// rest is what the conservative test sent in vain.
@@ -73,7 +69,6 @@ type RankReport struct {
 	Traffic      map[string]msg.PhaseTraffic `json:"traffic,omitempty"`
 	SentMsgs     uint64                      `json:"sent_msgs"`
 	SentBytes    uint64                      `json:"sent_bytes"`
-	Rounds       int                         `json:"rounds"`
 	RemoteCells  int                         `json:"remote_cells"`
 	// SplitRounds is the number of collectives the rank's last
 	// decomposition spent finding the splitters (domain.Stats.Rounds).
@@ -91,11 +86,6 @@ type RankReport struct {
 	// msg.Comm.Collectives: an allreduce or an allgather is one. Under
 	// latency a step costs about this many waits on the slowest message.
 	Collectives int `json:"collectives_per_step"`
-	// Pushed and PushUsed are the rank's Counters.Pushed/PushUsed: the
-	// cells it imported from the owners' push, and how many of them a
-	// walk resolved.
-	Pushed   uint64 `json:"pushed"`
-	PushUsed uint64 `json:"push_used"`
 }
 
 // PhaseBalance is the load-balance statistics of one phase's
@@ -134,11 +124,6 @@ type RunReport struct {
 	Metrics         map[string]float64           `json:"metrics,omitempty"`
 	Histograms      map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
-
-// StallHistogram is the registry name under which the engines record
-// deferred-group walk stalls, in nanoseconds from first deferral to
-// walk completion.
-const StallHistogram = "walk_stall_ns"
 
 // Registry names under which a chaos run records what its fault
 // injector actually did (msg.InjectorStats), so a RunReport from a
@@ -207,13 +192,12 @@ type RankInput struct {
 	// sub-phase clock ("treebuild/sort" nests inside treebuild), each in
 	// first-start order.
 	Phases []diag.Phase
-	// Rounds and RemoteCells are the request rounds and imported cells
-	// since the engine's last exchange; SplitRounds the collectives its
-	// last decomposition spent finding the splitters (domain.Stats.Rounds),
+	// RemoteCells is the cells imported since the engine's last
+	// exchange; SplitRounds the collectives its last decomposition
+	// spent finding the splitters (domain.Stats.Rounds),
 	// Relocated its decompositions whose predicted key domain missed
 	// (domain.Stats.Relocated; cumulative) and BodyBatches the body
 	// batches it sent (domain.Stats.Batches).
-	Rounds      int
 	RemoteCells int
 	SplitRounds int
 	Relocated   int
@@ -271,14 +255,11 @@ func BuildReport(command string, wall float64, ranks []RankInput, w *msg.World, 
 			Flops:       in.Counters.Flops(),
 			SentMsgs:    in.Sent.Msgs,
 			SentBytes:   in.Sent.Bytes,
-			Rounds:      in.Rounds,
 			RemoteCells: in.RemoteCells,
 			SplitRounds: in.SplitRounds,
 			Relocated:   in.Relocated,
 			BodyBatches: in.BodyBatches,
 			Collectives: in.Collectives,
-			Pushed:      in.Counters.Pushed,
-			PushUsed:    in.Counters.PushUsed,
 		}
 		if len(in.Phases) > 0 {
 			rr.PhaseSeconds = make(map[string]float64, len(in.Phases))
@@ -326,7 +307,6 @@ func BuildReport(command string, wall float64, ranks []RankInput, w *msg.World, 
 	}
 	rep.Totals.Interactions = rep.Totals.Counters.Interactions()
 	rep.Totals.Flops = rep.Totals.Counters.Flops()
-	rep.Totals.WalkEfficiency = rep.Totals.Counters.WalkEfficiency()
 	rep.Totals.PushHitRate = rep.Totals.Counters.PushHitRate()
 	if wall > 0 {
 		rep.Totals.FlopsRate = float64(rep.Totals.Flops) / wall
@@ -388,10 +368,6 @@ func (r *RunReport) Render(w io.Writer) {
 		n, per, grp := float64(t.WalkSampleBodies), float64(t.WalkSamplePerBody), float64(t.WalkSampleGrouped)
 		fmt.Fprintf(w, "per-body walk: %.1f interactions/body where the grouped walk counts %.1f (sampled n=%d) -> %s\n",
 			per/n, grp/n, t.WalkSampleBodies, diag.Rate(uint64(t.FlopsRate*per/grp), 1))
-	}
-	if c := r.Totals.Counters; c.Traversals > 0 {
-		fmt.Fprintf(w, "walk: %d cell visits in completed walks, %d rewalked (efficiency %.3f)\n",
-			c.Traversals, c.Rewalked, r.Totals.WalkEfficiency)
 	}
 	if c := r.Totals.Counters; c.Pushed > 0 {
 		fmt.Fprintf(w, "push: %d cells, %d used (hit rate %.1f%%, %d sent in vain)\n",
@@ -459,12 +435,13 @@ func (r *RunReport) Render(w io.Writer) {
 	}
 
 	fmt.Fprintf(w, "\nper-rank work:\n")
-	fmt.Fprintf(w, "  %4s %14s %16s %10s %12s %7s %8s %6s %6s %7s %6s %8s %8s\n",
-		"rank", "interactions", "flops", "sent msgs", "sent bytes", "rounds", "remote", "split", "reloc", "batches", "colls", "pushed", "used")
+	fmt.Fprintf(w, "  %4s %14s %16s %10s %12s %8s %6s %6s %7s %6s %8s %8s\n",
+		"rank", "interactions", "flops", "sent msgs", "sent bytes", "remote", "split", "reloc", "batches", "colls", "pushed", "used")
 	for _, rr := range r.Ranks {
-		fmt.Fprintf(w, "  %4d %14d %16d %10d %12d %7d %8d %6d %6d %7d %6d %8d %8d\n",
-			rr.Rank, rr.Counters.Interactions(), rr.Flops, rr.SentMsgs, rr.SentBytes, rr.Rounds,
-			rr.RemoteCells, rr.SplitRounds, rr.Relocated, rr.BodyBatches, rr.Collectives, rr.Pushed, rr.PushUsed)
+		c := &rr.Counters
+		fmt.Fprintf(w, "  %4d %14d %16d %10d %12d %8d %6d %6d %7d %6d %8d %8d\n",
+			rr.Rank, c.Interactions(), rr.Flops, rr.SentMsgs, rr.SentBytes,
+			rr.RemoteCells, rr.SplitRounds, rr.Relocated, rr.BodyBatches, rr.Collectives, c.Pushed, c.PushUsed)
 	}
 
 	if len(r.Phases) > 0 {
@@ -541,8 +518,6 @@ func Diff(w io.Writer, base, cur *RunReport, tol float64) (regressed bool) {
 	fmt.Fprintf(w, "  %-16s %14d -> %14d  %+6.1f%%\n",
 		"interactions", base.Totals.Interactions, cur.Totals.Interactions,
 		rel(float64(base.Totals.Interactions), float64(cur.Totals.Interactions))*100)
-	fmt.Fprintf(w, "  %-16s %14.3f -> %14.3f\n",
-		"walk_efficiency", base.Totals.WalkEfficiency, cur.Totals.WalkEfficiency)
 	fmt.Fprintf(w, "  %-16s %14d -> %14d  %+6.1f%%\n",
 		"bytes", base.Totals.Bytes, cur.Totals.Bytes,
 		rel(float64(base.Totals.Bytes), float64(cur.Totals.Bytes))*100)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/grav"
+	"repro/internal/hotengine"
 	"repro/internal/ic"
 	"repro/internal/msg"
 )
@@ -109,6 +110,7 @@ func TestWalkCountsMatchRestartWalk(t *testing.T) {
 	for _, want := range golden {
 		np := want.np
 		var sum diag.Counters
+		var park hotengine.ParkCounters
 		rounds := make([]int, np)
 		remote := 0
 		var mu sync.Mutex
@@ -135,21 +137,24 @@ func TestWalkCountsMatchRestartWalk(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			sum.Add(e.Counters)
+			park.Rewalked += e.Park.Rewalked
+			park.Deferred += e.Park.Deferred
+			park.Requests += e.Park.Requests
 			rounds[c.Rank()] = e.Rounds
 			remote += e.RemoteCells
 		})
 		if np == 1 {
-			if sum.Rewalked != 0 || sum.Deferred != 0 || sum.Traversals == 0 {
+			if park.Rewalked != 0 || park.Deferred != 0 || sum.Traversals == 0 {
 				t.Errorf("np=1: rewalked %d, deferred %d, traversals %d; a single rank must complete every walk at once",
-					sum.Rewalked, sum.Deferred, sum.Traversals)
+					park.Rewalked, park.Deferred, sum.Traversals)
 			}
 			continue
 		}
 		tot := w.TotalTraffic()
 		if sum.Traversals != want.trav || sum.PP != want.pp || sum.PC != want.pc ||
-			sum.Requests != want.requests || sum.Deferred != want.deferred {
+			park.Requests != want.requests || park.Deferred != want.deferred {
 			t.Errorf("np=%d: traversals %d pp %d pc %d requests %d deferred %d, want %d %d %d %d %d", np,
-				sum.Traversals, sum.PP, sum.PC, sum.Requests, sum.Deferred,
+				sum.Traversals, sum.PP, sum.PC, park.Requests, park.Deferred,
 				want.trav, want.pp, want.pc, want.requests, want.deferred)
 		}
 		for r, got := range rounds {
@@ -161,9 +166,9 @@ func TestWalkCountsMatchRestartWalk(t *testing.T) {
 			t.Errorf("np=%d: %d imported cells, %d msgs, %d bytes, want %d %d %d", np,
 				remote, tot.Msgs, tot.Bytes, want.remote, want.msgs, want.bytes)
 		}
-		if sum.Rewalked != 0 || sum.PushUsed == 0 || sum.PushUsed > sum.Pushed || sum.Pushed != uint64(remote) {
+		if park.Rewalked != 0 || sum.PushUsed == 0 || sum.PushUsed > sum.Pushed || sum.Pushed != uint64(remote) {
 			t.Errorf("np=%d: %d visits rewalked, %d of %d pushed cells used, %d imported; want every import pushed and none rewalked",
-				np, sum.Rewalked, sum.PushUsed, sum.Pushed, remote)
+				np, park.Rewalked, sum.PushUsed, sum.Pushed, remote)
 		}
 	}
 }

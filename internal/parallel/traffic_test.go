@@ -19,9 +19,8 @@ import (
 )
 
 // run4 executes evals force evaluations on a 4-rank world and returns
-// the world and engines. tr and stalls, when non-nil, instrument
-// every rank.
-func run4(t *testing.T, n, evals int, tr *trace.Run, stalls *metrics.Histogram) (*msg.World, []*Engine) {
+// the world and engines. tr, when non-nil, traces every rank.
+func run4(t *testing.T, n, evals int, tr *trace.Run) (*msg.World, []*Engine) {
 	t.Helper()
 	const np = 4
 	mac := grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true}
@@ -38,7 +37,7 @@ func run4(t *testing.T, n, evals int, tr *trace.Run, stalls *metrics.Histogram) 
 			local.AppendFrom(global, i)
 		}
 		e := New(c, local, Config{MAC: mac, Eps2: 1e-6})
-		e.Observe(tr.Rank(c.Rank()), stalls)
+		e.Observe(tr.Rank(c.Rank()))
 		for k := 0; k < evals; k++ {
 			e.ComputeForces()
 		}
@@ -54,7 +53,7 @@ func run4(t *testing.T, n, evals int, tr *trace.Run, stalls *metrics.Histogram) 
 // attributed to exactly one phase, so the per-phase records sum to
 // the rank's total, and the comm-matrix row sums agree with both.
 func TestPhaseTrafficAttributionSumsToTotals(t *testing.T) {
-	w, engines := run4(t, 1500, 2, nil, nil)
+	w, engines := run4(t, 1500, 2, nil)
 
 	matMsgs, matBytes := w.CommMatrix()
 	var worldMsgs, worldBytes uint64
@@ -110,7 +109,7 @@ func TestRunReportMatchesCountersAndForcesUnchanged(t *testing.T) {
 	const n = 1500
 
 	// Untraced reference run.
-	_, ref := run4(t, n, 1, nil, nil)
+	_, ref := run4(t, n, 1, nil)
 	refAcc := map[int64]vec.V3{}
 	for _, e := range ref {
 		for i := 0; i < e.Sys.Len(); i++ {
@@ -118,11 +117,10 @@ func TestRunReportMatchesCountersAndForcesUnchanged(t *testing.T) {
 		}
 	}
 
-	// Fully instrumented run: tracing, stall histogram, registry.
+	// Fully instrumented run: tracing, registry.
 	reg := metrics.NewRegistry()
-	stalls := reg.Histogram(metrics.StallHistogram)
 	tr := trace.NewRun(4)
-	w, engines := run4(t, n, 1, tr, stalls)
+	w, engines := run4(t, n, 1, tr)
 
 	seen := 0
 	for _, e := range engines {
@@ -143,7 +141,7 @@ func TestRunReportMatchesCountersAndForcesUnchanged(t *testing.T) {
 	for r, e := range engines {
 		inputs[r] = e.Record()
 		want.Add(e.Counters)
-		deferredTotal += e.Counters.Deferred
+		deferredTotal += e.Park.Deferred
 	}
 	rep := metrics.BuildReport("test", 1.0, inputs, w, reg)
 
@@ -168,29 +166,22 @@ func TestRunReportMatchesCountersAndForcesUnchanged(t *testing.T) {
 	}
 
 	// A healthy 4-rank run is pushed everything it opens: nothing is
-	// deferred, so the stall histogram stays empty and reads 0 at every
-	// percentile, the walk is all useful visits, and each rank's report
-	// row carries what it was pushed and what of that it used.
-	if deferredTotal != 0 || stalls.Count() != 0 {
-		t.Fatalf("healthy run deferred %d groups and sampled %d stalls", deferredTotal, stalls.Count())
-	}
-	if h := rep.Histograms[metrics.StallHistogram]; h.P50 != 0 || h.P99 != 0 {
-		t.Fatalf("empty stall histogram reads p50 %d p99 %d, want 0", h.P50, h.P99)
-	}
-	if rep.Totals.WalkEfficiency != 1 {
-		t.Fatalf("walk_efficiency %v, want 1", rep.Totals.WalkEfficiency)
+	// deferred, and each rank's counters in the report carry what it
+	// was pushed and what of that it used.
+	if deferredTotal != 0 {
+		t.Fatalf("healthy run deferred %d groups", deferredTotal)
 	}
 	if hr := rep.Totals.PushHitRate; hr <= 0 || hr > 1 {
 		t.Fatalf("push_hit_rate %v, want in (0, 1]", hr)
 	}
 	for r, rr := range rep.Ranks {
-		if rr.Pushed == 0 || rr.Pushed != engines[r].Counters.Pushed || rr.PushUsed != engines[r].Counters.PushUsed {
-			t.Fatalf("rank %d report row: pushed %d used %d, counters %+v", r, rr.Pushed, rr.PushUsed, engines[r].Counters)
+		if c := rr.Counters; c.Pushed == 0 || c.PushUsed == 0 || c.PushUsed > c.Pushed {
+			t.Fatalf("rank %d report row: pushed %d used %d", r, c.Pushed, c.PushUsed)
 		}
 	}
 
-	// The live view of the same run: the walk_stall monitor (and every
-	// other default monitor) stays silent, and /series carries the push.
+	// The live view of the same run: every default monitor stays
+	// silent, and /series carries the push.
 	tel := telemetry.NewSampler(telemetry.Config{NP: len(engines), Registry: reg, Monitors: telemetry.DefaultMonitors()})
 	defer tel.Close()
 	for r, in := range inputs {
@@ -201,9 +192,8 @@ func TestRunReportMatchesCountersAndForcesUnchanged(t *testing.T) {
 	if evs := tel.Events(); !ok || len(evs) != 0 {
 		t.Fatalf("healthy run fired %+v (sample assembled: %v)", evs, ok)
 	}
-	if smp.StallP99Ns != 0 || smp.WalkEfficiency != 1 || smp.Pushed != want.Pushed || smp.PushUsed != want.PushUsed {
-		t.Fatalf("sample: stall p99 %d, walk_efficiency %v, pushed %d used %d; want 0, 1, %d, %d",
-			smp.StallP99Ns, smp.WalkEfficiency, smp.Pushed, smp.PushUsed, want.Pushed, want.PushUsed)
+	if smp.Pushed != want.Pushed || smp.PushUsed != want.PushUsed {
+		t.Fatalf("sample: pushed %d used %d; want %d, %d", smp.Pushed, smp.PushUsed, want.Pushed, want.PushUsed)
 	}
 
 	// Phase balance covers the pipeline phases with sane statistics.
@@ -260,7 +250,7 @@ func TestRooflineUtilizationIsAFraction(t *testing.T) {
 	}
 	const n = 3000
 	t0 := time.Now()
-	w, engines := run4(t, n, 2, nil, nil)
+	w, engines := run4(t, n, 2, nil)
 	wall := time.Since(t0).Seconds()
 	inputs := make([]metrics.RankInput, len(engines))
 	for r, e := range engines {

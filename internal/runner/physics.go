@@ -19,9 +19,9 @@ import (
 // drives. The value an OnStep hook receives is the concrete engine
 // (*parallel.Engine, *sph.ParallelEngine or *vortex.ParallelEngine).
 type Engine interface {
-	// Observe attaches the rank's tracer and stall histogram (either
-	// may be nil) before anything runs.
-	Observe(*trace.Tracer, *metrics.Histogram)
+	// Observe attaches the rank's tracer (nil: none) before anything
+	// runs.
+	Observe(*trace.Tracer)
 	Step(dt float64) diag.Counters
 	// Record describes the rank as of the evaluation just finished; call
 	// it from the rank's own goroutine.

@@ -60,9 +60,6 @@ type Plan struct {
 type Attachments struct {
 	// Trace records per-rank timelines (messages, phases, stalls).
 	Trace *trace.Run
-	// Registry receives the deferred-group stall histogram
-	// (metrics.StallHistogram) of every rank.
-	Registry *metrics.Registry
 	// Sampler receives one sample per rank per evaluation. The caller
 	// owns it: Run never closes it.
 	Sampler *telemetry.Sampler
@@ -109,8 +106,6 @@ func Run(p Plan, at Attachments) (*Result, error) {
 	if at.Watchdog.Quiet > 0 {
 		w.StartWatchdog(at.Watchdog)
 	}
-	stalls := at.Registry.Histogram(metrics.StallHistogram) // nil without a registry
-
 	res := &Result{
 		Systems: make([]*core.System, p.NP),
 		Ranks:   make([]metrics.RankInput, p.NP),
@@ -120,7 +115,7 @@ func Run(p Plan, at Attachments) (*Result, error) {
 	werr := w.RunErr(func(c *msg.Comm) {
 		r := c.Rank()
 		e := p.Physics.build(c, slab(p.System, r, p.NP))
-		e.Observe(at.Trace.Rank(r), stalls)
+		e.Observe(at.Trace.Rank(r))
 		// record is the rank's record with the two things only the step
 		// loop knows: the wall clock and collectives of the last step.
 		var stepNs int64

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"log/slog"
@@ -8,7 +9,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,10 +19,8 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/msg"
 	"repro/internal/parallel"
-	"repro/internal/sph"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/vortex"
 )
 
 var production = Gravity{
@@ -55,48 +53,32 @@ func settled(t *testing.T, before int) {
 	}
 }
 
-// stallsOf reads the Stalls field of the hotengine.Engine embedded in
-// each adapter.
-func stallsOf(t *testing.T, e Engine) *metrics.Histogram {
-	switch e := e.(type) {
-	case *parallel.Engine:
-		return e.Stalls
-	case *sph.ParallelEngine:
-		return e.Stalls
-	case *vortex.ParallelEngine:
-		return e.Stalls
+// An injected stall of a rank in the walk phase holds the first
+// evaluation, so no sample arrives for longer than the sampler's quiet
+// period: the no-progress monitor raises one event, and no other
+// monitor does. The stall is bounded, so the run then completes.
+func TestWalkStallRaisesNoProgress(t *testing.T) {
+	const np = 2
+	before := runtime.NumGoroutine()
+	mon := telemetry.DefaultMonitors()
+	mon.NoProgress, mon.Log = 250*time.Millisecond, slog.New(slog.NewTextHandler(io.Discard, nil))
+	tel := telemetry.NewSampler(telemetry.Config{NP: np, Monitors: mon})
+	inj := &msg.Injector{Seed: 1, StallProb: 1, StallPhase: "walk", StallDur: 800 * time.Millisecond, MaxStalls: 1}
+	if _, err := Run(scenes(np, 3)["gravity"], Attachments{Sampler: tel, Injector: inj}); err != nil {
+		t.Fatalf("a bounded stall failed the run: %v", err)
 	}
-	t.Errorf("unexpected engine type %T", e)
-	return nil
-}
-
-// A run given a registry feeds that registry's stall histogram from
-// every rank of every physics -- the service's walk_stall monitor reads
-// it, and was blind while simserve armed the monitor without setting
-// Stalls. (That a parked group observes into Stalls is hotengine's own
-// test.) Without a registry the engines carry none.
-func TestRegistryWiresStallHistogram(t *testing.T) {
-	for name, plan := range scenes(2, 1) {
-		for _, reg := range []*metrics.Registry{metrics.NewRegistry(), nil} {
-			want := reg.Histogram(metrics.StallHistogram)
-			var mu sync.Mutex
-			seen := 0
-			plan.OnStep = func(rank, step int, e Engine, _ diag.Counters) {
-				mu.Lock()
-				defer mu.Unlock()
-				seen++
-				if got := stallsOf(t, e); got != want {
-					t.Errorf("%s rank %d step %d: engine Stalls = %p, want the registry's %p", name, rank, step, got, want)
-				}
-			}
-			if _, err := Run(plan, Attachments{Registry: reg}); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if seen != 2*2 { // two ranks, step -1 and step 0
-				t.Errorf("%s: hook ran %d times, want 4", name, seen)
-			}
-		}
+	tel.Close()
+	if st := inj.Stats(); st.Stalls != 1 {
+		t.Fatalf("%d stalls injected, want 1", st.Stalls)
 	}
+	if got := len(tel.Samples(0)); got != 4 {
+		t.Errorf("%d samples, want one per evaluation = 4", got)
+	}
+	evs := tel.Events()
+	if len(evs) != 1 || evs[0].Monitor != telemetry.MonitorNoProgress {
+		t.Fatalf("events = %+v, want one %s", evs, telemetry.MonitorNoProgress)
+	}
+	settled(t, before)
 }
 
 // An injected crash in any physics comes back as the *msg.WorldError:
@@ -251,7 +233,7 @@ func TestFullyAttachedRun(t *testing.T) {
 			}
 		}
 		res, err := Run(plan, Attachments{
-			Trace: run, Registry: reg, Sampler: tel,
+			Trace: run, Sampler: tel,
 			Watchdog: msg.WatchdogConfig{Quiet: 30 * time.Second, Log: quiet},
 			OnWorld:  func(w *msg.World) error { handed = w; return nil },
 		})
@@ -292,8 +274,29 @@ func TestFullyAttachedRun(t *testing.T) {
 					rr.Collectives, rep.Totals.CollectivesPerStep, last.Collectives)
 			}
 		}
-		if _, ok := rep.Histograms[metrics.StallHistogram]; !ok {
-			t.Errorf("%s: report has no %s histogram", name, metrics.StallHistogram)
+		// Nothing of the request path reaches a reader: the report, a
+		// sample and the registry's exposition carry only what a run
+		// can move.
+		raw, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		smp, err := json.Marshal(last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prom strings.Builder
+		telemetry.WritePrometheus(&prom, reg)
+		for what, out := range map[string]string{"report": string(raw), "sample": string(smp), "/metrics": prom.String()} {
+			for _, dead := range []string{"walk_stall", "stall_p99", "walk_efficiency", `"rounds"`, "Rewalked", "Deferred", "Requests"} {
+				if strings.Contains(out, dead) {
+					t.Errorf("%s: the %s carries %s", name, what, dead)
+				}
+			}
+		}
+		// A rank row's push counts are its counters': no copy beside them.
+		if strings.Contains(string(raw), `"push_used"`) {
+			t.Errorf("%s: the report repeats the push counts beside the counters", name)
 		}
 		tel.Close() // the caller's: Run must not have closed it
 		settled(t, before)
@@ -303,7 +306,7 @@ func TestFullyAttachedRun(t *testing.T) {
 // The live /report and the exit RunReport are one function over one
 // record, so after the last step they agree on everything a rank
 // describes -- counters, phase names and their first-start order,
-// rounds, traffic, the stepping section -- for every physics and
+// imported cells, traffic, the stepping section -- for every physics and
 // stepping mode. They were two translations of two structs: the live
 // one had no stepping section and sorted its phases.
 func TestLiveReportMatchesFinalReport(t *testing.T) {
@@ -329,7 +332,7 @@ func TestLiveReportMatchesFinalReport(t *testing.T) {
 				}
 			}
 			res, err := Run(plan, Attachments{
-				Trace: run, Registry: reg, Sampler: tel,
+				Trace: run, Sampler: tel,
 				Watchdog: msg.WatchdogConfig{Quiet: 30 * time.Second, Log: quiet},
 			})
 			if err != nil {

@@ -80,7 +80,7 @@ func (m *Manager) runJob(j *Job) {
 // means every rank completed and res holds the digest.
 func (m *Manager) execute(j *Job) (*Result, error) {
 	run, err := runner.Run(j.Spec.plan(), runner.Attachments{
-		Registry: j.reg, Sampler: j.tel, Injector: j.inj,
+		Sampler: j.tel, Injector: j.inj,
 		// A negative configured quiet period disables the watchdog.
 		Watchdog: msg.WatchdogConfig{Quiet: max(m.cfg.Watchdog, 0), Log: m.lg.With("job", j.ID)},
 		OnWorld: func(w *msg.World) error {

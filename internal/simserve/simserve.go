@@ -199,8 +199,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		Registry: j.reg,
 		Monitors: telemetry.MonitorConfig{
 			EnergyDriftTol: 0.02, ImbalanceMax: 4, ImbalanceRuns: 3,
-			StallP99Max: 500 * time.Millisecond,
-			Log:         m.lg.With("job", j.ID),
+			Log: m.lg.With("job", j.ID),
 		},
 		Command: "simserve/" + j.ID,
 	})

@@ -32,7 +32,7 @@ func TestHTTPRoutes(t *testing.T) {
 	s := NewSampler(Config{NP: 1, Registry: reg, Command: "bench",
 		Monitors: MonitorConfig{Log: discard()}})
 	defer s.Close()
-	reg.Histogram(metrics.StallHistogram).Observe(12345)
+	reg.Histogram("job_latency_ns").Observe(12345)
 	s.Contribute(0, rank(100, 10e6, 5, 1000))
 
 	srv := httptest.NewServer(Handler(s))
@@ -51,9 +51,9 @@ func TestHTTPRoutes(t *testing.T) {
 		"# TYPE telemetry_samples counter",
 		"# TYPE telemetry_step_ms gauge",
 		"telemetry_step_ms 10",
-		"# TYPE walk_stall_ns summary",
-		`walk_stall_ns{quantile="0.99"}`,
-		"walk_stall_ns_count 1",
+		"# TYPE job_latency_ns summary",
+		`job_latency_ns{quantile="0.99"}`,
+		"job_latency_ns_count 1",
 	} {
 		if !strings.Contains(prom, want) {
 			t.Errorf("/metrics missing %q; got:\n%s", want, prom)
@@ -267,7 +267,7 @@ func TestWritePrometheus(t *testing.T) {
 		t.Fatalf("nil registry wrote %q", b.String())
 	}
 
-	if got := promName("walk stall.p99"); got != "walk_stall_p99" {
+	if got := promName("job latency.p99"); got != "job_latency_p99" {
 		t.Fatalf("promName = %q", got)
 	}
 }

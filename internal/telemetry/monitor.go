@@ -1,10 +1,10 @@
 // Health monitors: the in-band complement to the msg stall watchdog.
 // The watchdog catches a world that stops moving; these catch a world
 // that keeps moving while quietly going wrong -- energy drifting past
-// tolerance, one rank dominating every step, walk-stall latencies
-// blowing up -- plus a no-progress check that fires when samples stop
-// arriving at all (e.g. an injected rank stall: the world is alive in
-// the watchdog's eyes for its whole quiet period, but the telemetry
+// tolerance, one rank dominating every step -- plus a no-progress
+// check that fires when samples stop arriving at all (e.g. an injected
+// rank stall, in the walk or anywhere else: the world is alive in the
+// watchdog's eyes for its whole quiet period, but the telemetry
 // heartbeat has already flatlined).
 //
 // Each monitor is edge-triggered with re-arm: it emits one structured
@@ -35,7 +35,6 @@ const (
 const (
 	MonitorEnergyDrift = "energy_drift"
 	MonitorImbalance   = "load_imbalance"
-	MonitorWalkStall   = "walk_stall"
 	MonitorNoProgress  = "no_progress"
 )
 
@@ -64,9 +63,6 @@ type MonitorConfig struct {
 	// ImbalanceRuns is the consecutive-sample debounce (0 = 3): one
 	// slow step is scheduling noise, a streak is a sick decomposition.
 	ImbalanceRuns int
-	// StallP99Max fires walk_stall (warn) when the walk-stall p99
-	// exceeds it. 0 disables.
-	StallP99Max time.Duration
 	// NoProgress fires no_progress (critical) when no sample has been
 	// assembled for this long; checked by a background watcher started
 	// with StartWatch and on every /health request. 0 disables.
@@ -77,15 +73,13 @@ type MonitorConfig struct {
 }
 
 // DefaultMonitors returns the production thresholds: 2% energy drift,
-// 4x sustained imbalance, walk-stall p99 over 500ms. NoProgress stays
-// off; drivers enable it with their own quiet period (it must exceed
-// the slowest expected step).
+// 4x sustained imbalance. NoProgress stays off; drivers enable it with
+// their own quiet period (it must exceed the slowest expected step).
 func DefaultMonitors() MonitorConfig {
 	return MonitorConfig{
 		EnergyDriftTol: 0.02,
 		ImbalanceMax:   4,
 		ImbalanceRuns:  3,
-		StallP99Max:    500 * time.Millisecond,
 	}
 }
 
@@ -152,16 +146,6 @@ func (h *health) onSample(smp *Sample) {
 				Value: smp.Imbalance, Threshold: cfg.ImbalanceMax,
 				Message: fmt.Sprintf("per-rank step imbalance %.2fx over %d consecutive samples (threshold %.2fx)",
 					smp.Imbalance, streak, cfg.ImbalanceMax),
-			}
-		})
-	}
-	if cfg.StallP99Max > 0 {
-		h.edge(MonitorWalkStall, smp.StallP99Ns > uint64(cfg.StallP99Max.Nanoseconds()), func() HealthEvent {
-			return HealthEvent{
-				Step: smp.Step, Monitor: MonitorWalkStall, Severity: SeverityWarn,
-				Value: float64(smp.StallP99Ns), Threshold: float64(cfg.StallP99Max.Nanoseconds()),
-				Message: fmt.Sprintf("walk-stall p99 %v exceeds %v",
-					time.Duration(smp.StallP99Ns), cfg.StallP99Max),
 			}
 		})
 	}

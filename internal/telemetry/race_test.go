@@ -32,7 +32,7 @@ func TestConcurrentHTTPReadsUnderContribution(t *testing.T) {
 		Monitors: MonitorConfig{EnergyDriftTol: 0.02, ImbalanceMax: 4, NoProgress: time.Second, Log: discard()},
 	})
 	defer s.Close()
-	reg.Histogram(metrics.StallHistogram).Observe(1000)
+	reg.Histogram("job_latency_ns").Observe(1000)
 
 	srv := httptest.NewServer(Handler(s))
 	defer srv.Close()

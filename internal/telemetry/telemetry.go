@@ -80,15 +80,8 @@ type Sample struct {
 	// perfectly balanced); the inverse of diag.Balance.Efficiency.
 	Imbalance float64 `json:"imbalance"`
 
-	// StallP99Ns is the current walk-stall p99 from the metrics
-	// Registry (0 when no histogram is attached).
-	StallP99Ns uint64 `json:"stall_p99_ns"`
-
-	// PushHitRate is this step's push-used over pushed cells;
-	// WalkEfficiency this step's completed-walk cell visits over all
-	// cell visits (diag.Counters.WalkEfficiency).
-	PushHitRate    float64 `json:"push_hit_rate"`
-	WalkEfficiency float64 `json:"walk_efficiency"`
+	// PushHitRate is this step's push-used over pushed cells.
+	PushHitRate float64 `json:"push_hit_rate"`
 
 	// SplitRounds is the most collectives any rank's last
 	// decomposition spent on the splitter search; Pushed and PushUsed
@@ -109,9 +102,9 @@ type Config struct {
 	NP int
 	// Capacity is the ring size (0 = DefaultCapacity).
 	Capacity int
-	// Registry, when non-nil, is read for the walk-stall p99 and
-	// receives the sampler's own live gauges (telemetry_* series) so
-	// /metrics always shows the latest sample.
+	// Registry, when non-nil, receives the sampler's own live gauges
+	// (telemetry_* series) so /metrics always shows the latest sample,
+	// and is the live report's registry.
 	Registry *metrics.Registry
 	// Trace, when non-nil, gets a MarkAll instant on every health
 	// event, pinning the event onto all rank timelines.
@@ -300,11 +293,7 @@ func (s *Sampler) assemble() {
 		mean := float64(stepSumNs) / float64(len(s.slots))
 		smp.Imbalance = float64(stepMaxNs) / mean
 	}
-	if s.cfg.Registry != nil {
-		smp.StallP99Ns = s.cfg.Registry.Histogram(metrics.StallHistogram).Quantile(0.99)
-	}
 	smp.PushHitRate = d.PushHitRate()
-	smp.WalkEfficiency = d.WalkEfficiency()
 	s.prev = cum
 	s.push(smp)
 	s.mu.Unlock()
@@ -345,7 +334,6 @@ func (s *Sampler) publish(smp *Sample) {
 	reg.Gauge("telemetry_active_fraction").Set(smp.ActiveFraction)
 	reg.Gauge("telemetry_imbalance").Set(smp.Imbalance)
 	reg.Gauge("telemetry_push_hit_rate").Set(smp.PushHitRate)
-	reg.Gauge("telemetry_walk_efficiency").Set(smp.WalkEfficiency)
 	reg.Gauge("telemetry_split_rounds").Set(float64(smp.SplitRounds))
 	reg.Gauge("telemetry_collectives_per_step").Set(float64(smp.Collectives))
 	reg.Gauge("telemetry_pushed").Set(float64(smp.Pushed))

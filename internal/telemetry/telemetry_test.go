@@ -92,15 +92,15 @@ func TestSamplerDeltas(t *testing.T) {
 		t.Fatalf("balanced step has imbalance %g, want 1", smp.Imbalance)
 	}
 
-	// Third step: 60 more completed-walk visits and 20 rewalked ones
-	// across the ranks; the efficiency is this step's, not the run's.
+	// Third step: 60 cells pushed across the ranks, 45 of them used;
+	// the hit rate is this step's, not the run's.
 	r0, r1 := rank(300, 10e6, 9, 2000), rank(80, 10e6, 5, 700)
-	r0.Counters.Traversals, r0.Counters.Rewalked = 40, 20
-	r1.Counters.Traversals = 20
+	r0.Counters.Pushed, r0.Counters.PushUsed = 40, 30
+	r1.Counters.Pushed, r1.Counters.PushUsed = 20, 15
 	s.Contribute(0, r0)
 	s.Contribute(1, r1)
-	if smp, _ = s.Last(); smp.WalkEfficiency != 0.75 {
-		t.Fatalf("walk efficiency = %g, want 60/(60+20)", smp.WalkEfficiency)
+	if smp, _ = s.Last(); smp.Pushed != 60 || smp.PushUsed != 45 || smp.PushHitRate != 0.75 {
+		t.Fatalf("push %d used %d hit rate %g, want 60, 45, 0.75", smp.Pushed, smp.PushUsed, smp.PushHitRate)
 	}
 }
 
@@ -208,27 +208,25 @@ func TestImbalanceDebounce(t *testing.T) {
 	}
 }
 
-// The walk-stall monitor reads the registry's stall histogram, and
-// every fired event is pinned onto all rank trace timelines as a
+// Every fired event is pinned onto all rank trace timelines as a
 // "health.<monitor>" instant.
-func TestWalkStallMonitorMarksTrace(t *testing.T) {
-	reg := metrics.NewRegistry()
+func TestHealthEventMarksTrace(t *testing.T) {
 	run := trace.NewRun(2)
-	s := NewSampler(Config{NP: 1, Registry: reg, Trace: run, Monitors: MonitorConfig{
-		StallP99Max: time.Millisecond, Log: discard(),
+	s := NewSampler(Config{NP: 1, Trace: run, Monitors: MonitorConfig{
+		EnergyDriftTol: 0.01, Log: discard(),
 	}})
 	defer s.Close()
 
-	reg.Histogram(metrics.StallHistogram).Observe(uint64(50 * time.Millisecond))
-	s.Contribute(0, rank(10, 1e6, 0, 0))
+	s.Contribute(0, energyRank(-1.0))
+	s.Contribute(0, energyRank(-1.05))
 	evs := s.Events()
-	if len(evs) != 1 || evs[0].Monitor != MonitorWalkStall {
-		t.Fatalf("events = %+v, want one walk_stall", evs)
+	if len(evs) != 1 || evs[0].Monitor != MonitorEnergyDrift {
+		t.Fatalf("events = %+v, want one energy_drift", evs)
 	}
 
 	marks := 0
 	for _, ev := range run.Events() {
-		if ev.Kind == trace.KindInstant && ev.Name == "health."+MonitorWalkStall {
+		if ev.Kind == trace.KindInstant && ev.Name == "health."+MonitorEnergyDrift {
 			marks++
 		}
 	}
@@ -281,7 +279,7 @@ func TestLiveReport(t *testing.T) {
 	sec := time.Second
 	rs0 := rank(100, 10e6, 5, 1000)
 	rs0.Phases = []diag.Phase{{Name: "walk", D: 2 * sec}, {Name: "branches", D: sec}}
-	rs0.Rounds = 3
+	rs0.RemoteCells = 3
 	rs0.Stepping = metrics.Stepping{Mode: "block", Eta: 0.02, Stats: integrate.Stats{
 		SubSteps: 4, ActiveSinks: 25, TotalSinks: 100, Occupancy: []uint64{90, 10}}}
 	rs1 := rank(60, 10e6, 7, 2000)

@@ -3,7 +3,7 @@
 # portable path cannot rot), vet, race tests, the smokes, the chaos
 # soak, the walk guard, the fuzzers, the one-runner guards,
 # the one-rank-record guard, the one-leaf-store guard, the one-MAC-walk guard,
-# the one-decomposition, one-body-layout and one-way-across-ranks guards, the kernel-loop bounds-check-elimination
+# the one-decomposition, one-body-layout and one-way-across-ranks guards, the true-signals guard, the kernel-loop bounds-check-elimination
 # and fusion guards, and the allocation guard -- the benches that must run
 # allocation-free are diffed against the committed BENCH_baseline.json,
 # failing on any growth in allocs/op.
@@ -43,7 +43,7 @@ go run ./cmd/vortexsim -ntheta 24 -procs 1 -steps 4 -remesh 2 -metrics "$OUT/v.j
 grep -q '"VortexPP": [1-9]' "$OUT/v.json" || { echo "FAIL: vortexsim -procs 1 wrote no RunReport with vortex interactions" >&2; exit 1; }
 BODIES=$(sed -n 's/^  "bodies": \([0-9]*\),$/\1/p' "$OUT/v.json")
 [ "${BODIES:-0}" -gt 192 ] || { echo "FAIL: vortexsim -procs 1 -remesh 2 ended with ${BODIES:-no} bodies of 192 (2 rings x 24 x 4)" >&2; exit 1; }
-echo "== walk guard (counts at N=10000 np=4: rewalked/traversals <= 0.1, 0 request rounds, a warm step's splitter search 1 collective of at most 4, its body exchange fewer than 12 batches)"
+echo "== walk guard (counts at N=10000 np=4: a warm step's splitter search 1 collective of at most 4, its body exchange fewer than 12 batches, every rank using some of what it was pushed)"
 sh scripts/walk_guard.sh
 echo "== fuzz (time-boxed: both splitter searches equal the reference bisection, ranks agree on which ran, the exchange plan reaches every body's receiver, never a panic, never a hung world)"
 # Coverage of a multi-goroutine target is not reproducible, so the
@@ -134,6 +134,12 @@ echo "== one way across ranks (body state crosses ranks only in the body exchang
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'map\[int64\]' . ||
 	grep -nE 'msg\.(Bcast|Reduce|Allreduce|Gather|Allgather|Alltoallv)|\.Barrier\(' internal/vortex/parallel.go; then
 	echo "FAIL: body state keyed by ID, or a collective in the vortex step: carry it in core.System columns through the body exchange" >&2
+	exit 1
+fi
+echo "== true signals (the request path's tallies -- rewalked visits, deferrals, requests -- and the walk-stall histogram, p99, efficiency and monitor are read only where the push is off: in internal/hotengine and its tests, never in a report, sample or monitor)"
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=hotengine \
+	'\b(Rewalked|Deferred|Requests|StallHistogram|StallP99[A-Za-z]*|WalkEfficiency|MonitorWalkStall)\b|walk_stall' .; then
+	echo "FAIL: a signal that reads 0 on every pushed run: the request path's tallies are hotengine.Engine.Park, for its tests and push-off benchmarks only" >&2
 	exit 1
 fi
 echo "== bce (the interaction kernels' Go loops stay bounds-check-free, -d=ssa/check_bce)"
