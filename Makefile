@@ -30,7 +30,7 @@ bench-baseline:
 	go run ./cmd/treebench -n 50000 -procs 4 -steps 1 -metrics "$$dir/report.json" >/dev/null && \
 	{ go test -run='^$$' -bench='Ablation_(MAC|Order|GroupSize|ABM|Step|Sink|Sort|Build|Decompose|Descent)' -benchtime=5x . ; \
 	  go test -run='^$$' -bench='Ablation_(Hash|Rsqrt)' -benchtime=1s . ; \
-	  go test -run='^$$' -bench='Ablation_(Eval|GroupSphere)' -benchtime=100x . ./internal/grav ./internal/vortex ; } \
+	  go test -run='^$$' -bench='Ablation_(Eval|GroupSphere|ListBuild)' -benchtime=100x . ./internal/grav ./internal/vortex ; } \
 	  | go run ./cmd/benchdump -runreport "$$dir/report.json" -o BENCH_baseline.json
 
 .PHONY: check bench-baseline
@@ -40,7 +40,7 @@ bench-baseline:
 # (times are printed, not compared).
 benchcmp:
 	{ go test -run='^$$' -bench='Ablation_(DescentIndex|SinkCells)' -benchtime=5x . ; \
-	  go test -run='^$$' -bench='Ablation_Eval' -benchtime=100x ./internal/grav ./internal/vortex ; } \
-	  | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(DescentIndex|SinkCells|Eval)'
+	  go test -run='^$$' -bench='Ablation_(Eval|ListBuild)' -benchtime=100x ./internal/grav ./internal/vortex ; } \
+	  | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(DescentIndex|SinkCells|Eval|ListBuild)'
 
 .PHONY: benchcmp

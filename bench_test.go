@@ -440,14 +440,14 @@ func BenchmarkAblation_GroupSphere(b *testing.B) {
 
 // hashDescent is the scratch of the key-stack walk.
 type hashDescent struct {
-	stack    []keys.Key
-	accepted []*tree.Cell
+	stack            []keys.Key
+	accepted, opened []*tree.Cell
 }
 
 func (h *hashDescent) walk(w *tree.Walker, tr *tree.Tree, gk keys.Key, gpos []vec.V3, ctr *diag.Counters) {
 	gc, gr := tree.GroupSphere(gpos)
 	w.Begin(gk, gc)
-	h.accepted = h.accepted[:0]
+	h.accepted, h.opened = h.accepted[:0], h.opened[:0]
 	h.stack = append(h.stack[:0], keys.Root)
 	for len(h.stack) > 0 {
 		k := h.stack[len(h.stack)-1]
@@ -455,7 +455,7 @@ func (h *hashDescent) walk(w *tree.Walker, tr *tree.Tree, gk keys.Key, gpos []ve
 		c := tr.Cell(k)
 		ctr.Traversals++
 		if k == gk { // the group's own cell: taken whole, never tested
-			w.TakeLeaf(c, nil, nil)
+			h.opened = append(h.opened, c)
 			continue
 		}
 		switch a := tree.Classify(c, gc, gr); {
@@ -463,8 +463,7 @@ func (h *hashDescent) walk(w *tree.Walker, tr *tree.Tree, gk keys.Key, gpos []ve
 		case a == tree.Accept:
 			h.accepted = append(h.accepted, c)
 		case c.Leaf:
-			spos, smass := tr.LeafBodies(c)
-			w.TakeLeaf(c, spos, smass)
+			h.opened = append(h.opened, c)
 		default:
 			for oct := 0; oct < 8; oct++ {
 				if c.ChildMask&(1<<uint(oct)) != 0 {
@@ -473,6 +472,7 @@ func (h *hashDescent) walk(w *tree.Walker, tr *tree.Tree, gk keys.Key, gpos []ve
 			}
 		}
 	}
+	w.TakeLeaves(h.opened, tr)
 	w.TakeCells(h.accepted)
 }
 

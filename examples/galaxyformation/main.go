@@ -41,7 +41,7 @@ func main() {
 		OnStep: func(rank, s int, e runner.Engine, ctr diag.Counters) {
 			if rank == 0 && s >= 0 && s%4 == 0 {
 				in := e.Record()
-				fmt.Printf("step %2d: %9d interactions, %5d remote cells\n",
+				fmt.Printf("step %2d: %9d interactions, %6d cells imported so far\n",
 					s, ctr.Interactions(), in.RemoteCells)
 			}
 		},

@@ -94,12 +94,11 @@ func Ring(c *msg.Comm, pos []vec.V3, mass []float64, acc []vec.V3, pot []float64
 			l.Reset(b.Lo.Add(b.Hi).Scale(0.5))
 			if round == 0 {
 				tg.Load(pos[lo:hi], mass[lo:hi])
-				l.AddBodies(pos[:lo], mass[:lo])
-				l.AddBodies(pos[hi:], mass[hi:])
+				l.AddRuns([]grav.Run{{Pos: pos[:lo], Mass: mass[:lo]}, {Pos: pos[hi:], Mass: mass[hi:]}})
 				ctr.PP += grav.EvalSelf(&tg, eps2)
 			} else {
 				tg.Load(pos[lo:hi], nil)
-				l.AddBodies(cur.pos, cur.mass)
+				l.AddRuns([]grav.Run{{Pos: cur.pos, Mass: cur.mass}})
 			}
 			ctr.PP += grav.EvalPP(&tg, &l, eps2)
 			for k := range hi - lo {

@@ -196,3 +196,81 @@ func BenchmarkAblation_EvalRowPP(b *testing.B) {
 func BenchmarkAblation_EvalRowM2P(b *testing.B) {
 	benchEvalRows(b, func(t *grav.Targets, l *grav.InteractionList) uint64 { return grav.EvalM2P(t, l, true, 1e-6) })
 }
+
+// listFixture is one group's list build input: the moments of the cells
+// its walk accepted and the runs of bodies of the leaves it opened,
+// read in place from the tree, and the group's origin.
+type listFixture struct {
+	origin vec.V3
+	cells  []*grav.Multipole
+	runs   []grav.Run
+}
+
+// captureListFixtures walks the eval benches' 100k-body clustered tree
+// and keeps the batches up to maxGroups groups' walks hand over.
+func captureListFixtures(b *testing.B, maxGroups int) []listFixture {
+	b.Helper()
+	sys := ic.Plummer(100000, 1.0, 11)
+	d := keys.NewDomain(sys.Pos)
+	sys.AssignKeys(d)
+	sys.SortByKey()
+	tr := tree.Build(sys, d, grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-3, Quad: true}, 16)
+	stride := max(len(tr.Groups)/maxGroups, 1)
+	var desc tree.Descent
+	var out []listFixture
+	for gi := 0; gi < len(tr.Groups) && len(out) < maxGroups; gi += stride {
+		gk := tr.Groups[gi]
+		g := tr.Cell(gk)
+		gc, gr := tree.GroupSphere(sys.Pos[g.First : g.First+g.N])
+		desc.Aim(gk, gc, gr)
+		tr.Descend(&desc, 0, 1, true)
+		f := listFixture{origin: gc}
+		for _, c := range desc.Accepted {
+			f.cells = append(f.cells, &c.Mp)
+		}
+		for _, c := range desc.Opened {
+			if c.Key != gk {
+				pos, mass := tr.LeafBodies(c)
+				f.runs = append(f.runs, grav.Run{Pos: pos, Mass: mass})
+			}
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// benchListBuild times the list build of the captured groups: their
+// accepted cells gathered into the slab (AddCells), their opened
+// leaves' bodies converted into the source columns (AddRuns), both as
+// dispatched. It reports ns per list row, cell or body.
+func benchListBuild(b *testing.B) {
+	fx := captureListFixtures(b, 48)
+	var l grav.InteractionList
+	round := func() (rows int) {
+		for i := range fx {
+			f := &fx[i]
+			l.Reset(f.origin)
+			l.AddCells(f.cells)
+			l.AddRuns(f.runs)
+			rows += l.NCells() + l.NSources()
+		}
+		return rows
+	}
+	rows := round() // warm-up: the list reaches its high-water mark
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.ReportMetric(float64(rows), "rows/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+}
+
+// BenchmarkAblation_ListBuild is the list build as dispatched (the
+// lane routines on an AVX-512 host); ListBuildGo forces the Go loops,
+// the path of every other host.
+func BenchmarkAblation_ListBuild(b *testing.B) { benchListBuild(b) }
+func BenchmarkAblation_ListBuildGo(b *testing.B) {
+	grav.Lanes8(b)
+	benchListBuild(b)
+}

@@ -236,6 +236,40 @@ const (
 	rsqrt32Magic = 0x5F3759DF
 )
 
+// addRunsGo is the definition of the run conversion: the bodies of runs
+// into rows at... of the source columns, each coordinate differenced
+// from Origin in float64, then rounded (rel32), each mass rounded.
+func addRunsGo(l *InteractionList, runs []Run, at int) {
+	o := l.Origin
+	for _, r := range runs {
+		pos := r.Pos
+		mass := r.Mass[:len(pos)]
+		sx := l.SX[at:][:len(pos)]
+		sy, sz, sm := l.SY[at:][:len(sx)], l.SZ[at:][:len(sx)], l.SM[at:][:len(sx)]
+		for i, p := range pos {
+			sx[i], sy[i], sz[i], sm[i] = rel32(p.X, o.X), rel32(p.Y, o.Y), rel32(p.Z, o.Z), float32(mass[i])
+		}
+		at += len(pos)
+	}
+}
+
+// addCellsGo is the definition of the cell gather: cells into rows
+// at... of the slab, every moment rounded to float32, the centre of mass
+// first differenced from Origin in float64.
+func addCellsGo(l *InteractionList, cells []*Multipole, at int) {
+	n := len(cells)
+	o := l.Origin
+	cm, cx, cy, cz := l.CM[at:][:n], l.CX[at:][:n], l.CY[at:][:n], l.CZ[at:][:n]
+	qxx, qyy, qzz := l.QXX[at:][:n], l.QYY[at:][:n], l.QZZ[at:][:n]
+	qxy, qxz, qyz := l.QXY[at:][:n], l.QXZ[at:][:n], l.QYZ[at:][:n]
+	for i, mp := range cells {
+		cm[i] = float32(mp.M)
+		cx[i], cy[i], cz[i] = rel32(mp.COM.X, o.X), rel32(mp.COM.Y, o.Y), rel32(mp.COM.Z, o.Z)
+		qxx[i], qyy[i], qzz[i] = float32(mp.Q.XX), float32(mp.Q.YY), float32(mp.Q.ZZ)
+		qxy[i], qxz[i], qyz[i] = float32(mp.Q.XY), float32(mp.Q.XZ), float32(mp.Q.YZ)
+	}
+}
+
 // rel32 is a target coordinate in the list's frame: differenced from
 // the origin in float64, then rounded.
 func rel32(x, o float64) float32 { return float32(x - o) }

@@ -1,6 +1,10 @@
 package grav
 
-import "repro/internal/vec"
+import (
+	"unsafe"
+
+	"repro/internal/vec"
+)
 
 // haveAVX2 and haveAVX512 are the one-time CPUID/XGETBV probe. They are
 // the only thing that selects a kernel path: blocks of eight targets ×
@@ -107,6 +111,58 @@ func mulAdd16(n int, out *[16]float32)
 //
 //go:noescape
 func fmaLanes8(a, b, c *[8]float32)
+
+// runs8 converts the bodies of the nr runs from runs into the source
+// columns cols (sx sy sz sm) from row at on, as addRunsGo does: eight
+// bodies at a time, the three ZMM loads of their positions less the
+// origin in the same interleaving, rounded (VCVTPD2PS), the x, y and z
+// lanes picked out by VPERMI2PS, and a run's last block masked. The
+// columns must hold every body of the runs from row at on, and a run's
+// Mass at least its Pos.
+//
+//go:noescape
+func runs8(runs *Run, nr int, o *vec.V3, cols *[4]*float32, at int)
+
+// cells8 gathers the n cells (a multiple of eight) cells points at into
+// the slab columns cols (in the order of m2pQuad8x2's) from row at on,
+// as addCellsGo does: each Multipole's first eight moments loaded into
+// a ZMM register, the origin subtracted from its centre-of-mass lanes
+// alone, rounded (VCVTPD2PS) and transposed eight by eight, the last
+// two moments gathered in pairs by masked loads.
+//
+//go:noescape
+func cells8(cells **Multipole, n int, o *vec.V3, cols *[10]*float32, at int)
+
+// addRuns and addCells are the list build's lane routines where
+// AVX-512 is usable, the Go loops elsewhere. The list's columns were
+// grown to hold the batch from row at on, so the column pointers are
+// taken at their bases; the last cells short of eight go through the
+// Go loop.
+func addRuns(l *InteractionList, runs []Run, at int) {
+	if !haveAVX512 || len(runs) == 0 {
+		addRunsGo(l, runs, at)
+		return
+	}
+	cols := [4]*float32{unsafe.SliceData(l.SX), unsafe.SliceData(l.SY), unsafe.SliceData(l.SZ), unsafe.SliceData(l.SM)}
+	runs8(unsafe.SliceData(runs), len(runs), &l.Origin, &cols, at)
+}
+
+func addCells(l *InteractionList, cells []*Multipole, at int) {
+	if !haveAVX512 {
+		addCellsGo(l, cells, at)
+		return
+	}
+	n8 := len(cells) &^ 7
+	if n8 > 0 {
+		cols := [10]*float32{
+			unsafe.SliceData(l.CM), unsafe.SliceData(l.CX), unsafe.SliceData(l.CY), unsafe.SliceData(l.CZ),
+			unsafe.SliceData(l.QXX), unsafe.SliceData(l.QYY), unsafe.SliceData(l.QZZ),
+			unsafe.SliceData(l.QXY), unsafe.SliceData(l.QXZ), unsafe.SliceData(l.QYZ),
+		}
+		cells8(unsafe.SliceData(cells), n8, &l.Origin, &cols, at)
+	}
+	addCellsGo(l, cells[n8:], at+n8)
+}
 
 // sweep loads every block of t's targets into the lane pairs of in (x
 // y z eps2, a quarter of it each), points out at the block's output

@@ -1166,3 +1166,437 @@ TEXT ·fmaLanes8(SB), NOSPLIT, $0-24
 	VMOVUPS Y2, (CX)
 	VZEROUPPER
 	RET
+
+// The list build's lane routines (AVX-512F): runs8 converts opened
+// leaves' bodies, cells8 gathers accepted cells, each the Go loop of
+// kernel.go (addRunsGo, addCellsGo) bit for bit. Only float64 subtracts
+// of the origin and VCVTPD2PS roundings touch the values, as
+// float32(x - o) and float32(x) do in Go; the rest is data movement.
+
+// runs8's constants: the origin pattern of the three ZMM loads of
+// eight positions (x y z x y z x y, z x y ..., y z x ...), the lanes
+// of x, y and z in the 24 floats those loads round to, and per block
+// length r = 0...8 four opmasks: the first r lanes, and the first 3r
+// lanes eight to each of the three position loads.
+DATA runO0<>+0(SB)/8, $0
+DATA runO0<>+8(SB)/8, $1
+DATA runO0<>+16(SB)/8, $2
+DATA runO0<>+24(SB)/8, $0
+DATA runO0<>+32(SB)/8, $1
+DATA runO0<>+40(SB)/8, $2
+DATA runO0<>+48(SB)/8, $0
+DATA runO0<>+56(SB)/8, $1
+GLOBL runO0<>(SB), RODATA|NOPTR, $64
+DATA runO1<>+0(SB)/8, $2
+DATA runO1<>+8(SB)/8, $0
+DATA runO1<>+16(SB)/8, $1
+DATA runO1<>+24(SB)/8, $2
+DATA runO1<>+32(SB)/8, $0
+DATA runO1<>+40(SB)/8, $1
+DATA runO1<>+48(SB)/8, $2
+DATA runO1<>+56(SB)/8, $0
+GLOBL runO1<>(SB), RODATA|NOPTR, $64
+DATA runO2<>+0(SB)/8, $1
+DATA runO2<>+8(SB)/8, $2
+DATA runO2<>+16(SB)/8, $0
+DATA runO2<>+24(SB)/8, $1
+DATA runO2<>+32(SB)/8, $2
+DATA runO2<>+40(SB)/8, $0
+DATA runO2<>+48(SB)/8, $1
+DATA runO2<>+56(SB)/8, $2
+GLOBL runO2<>(SB), RODATA|NOPTR, $64
+DATA runX<>+0(SB)/4, $0
+DATA runX<>+4(SB)/4, $3
+DATA runX<>+8(SB)/4, $6
+DATA runX<>+12(SB)/4, $9
+DATA runX<>+16(SB)/4, $12
+DATA runX<>+20(SB)/4, $15
+DATA runX<>+24(SB)/4, $18
+DATA runX<>+28(SB)/4, $21
+DATA runX<>+32(SB)/4, $0
+DATA runX<>+36(SB)/4, $0
+DATA runX<>+40(SB)/4, $0
+DATA runX<>+44(SB)/4, $0
+DATA runX<>+48(SB)/4, $0
+DATA runX<>+52(SB)/4, $0
+DATA runX<>+56(SB)/4, $0
+DATA runX<>+60(SB)/4, $0
+GLOBL runX<>(SB), RODATA|NOPTR, $64
+DATA runY<>+0(SB)/4, $1
+DATA runY<>+4(SB)/4, $4
+DATA runY<>+8(SB)/4, $7
+DATA runY<>+12(SB)/4, $10
+DATA runY<>+16(SB)/4, $13
+DATA runY<>+20(SB)/4, $16
+DATA runY<>+24(SB)/4, $19
+DATA runY<>+28(SB)/4, $22
+DATA runY<>+32(SB)/4, $0
+DATA runY<>+36(SB)/4, $0
+DATA runY<>+40(SB)/4, $0
+DATA runY<>+44(SB)/4, $0
+DATA runY<>+48(SB)/4, $0
+DATA runY<>+52(SB)/4, $0
+DATA runY<>+56(SB)/4, $0
+DATA runY<>+60(SB)/4, $0
+GLOBL runY<>(SB), RODATA|NOPTR, $64
+DATA runZ<>+0(SB)/4, $2
+DATA runZ<>+4(SB)/4, $5
+DATA runZ<>+8(SB)/4, $8
+DATA runZ<>+12(SB)/4, $11
+DATA runZ<>+16(SB)/4, $14
+DATA runZ<>+20(SB)/4, $17
+DATA runZ<>+24(SB)/4, $20
+DATA runZ<>+28(SB)/4, $23
+DATA runZ<>+32(SB)/4, $0
+DATA runZ<>+36(SB)/4, $0
+DATA runZ<>+40(SB)/4, $0
+DATA runZ<>+44(SB)/4, $0
+DATA runZ<>+48(SB)/4, $0
+DATA runZ<>+52(SB)/4, $0
+DATA runZ<>+56(SB)/4, $0
+DATA runZ<>+60(SB)/4, $0
+GLOBL runZ<>(SB), RODATA|NOPTR, $64
+DATA runMasks<>+0(SB)/2, $0x00
+DATA runMasks<>+2(SB)/2, $0x00
+DATA runMasks<>+4(SB)/2, $0x00
+DATA runMasks<>+6(SB)/2, $0x00
+DATA runMasks<>+8(SB)/2, $0x01
+DATA runMasks<>+10(SB)/2, $0x07
+DATA runMasks<>+12(SB)/2, $0x00
+DATA runMasks<>+14(SB)/2, $0x00
+DATA runMasks<>+16(SB)/2, $0x03
+DATA runMasks<>+18(SB)/2, $0x3f
+DATA runMasks<>+20(SB)/2, $0x00
+DATA runMasks<>+22(SB)/2, $0x00
+DATA runMasks<>+24(SB)/2, $0x07
+DATA runMasks<>+26(SB)/2, $0xff
+DATA runMasks<>+28(SB)/2, $0x01
+DATA runMasks<>+30(SB)/2, $0x00
+DATA runMasks<>+32(SB)/2, $0x0f
+DATA runMasks<>+34(SB)/2, $0xff
+DATA runMasks<>+36(SB)/2, $0x0f
+DATA runMasks<>+38(SB)/2, $0x00
+DATA runMasks<>+40(SB)/2, $0x1f
+DATA runMasks<>+42(SB)/2, $0xff
+DATA runMasks<>+44(SB)/2, $0x7f
+DATA runMasks<>+46(SB)/2, $0x00
+DATA runMasks<>+48(SB)/2, $0x3f
+DATA runMasks<>+50(SB)/2, $0xff
+DATA runMasks<>+52(SB)/2, $0xff
+DATA runMasks<>+54(SB)/2, $0x03
+DATA runMasks<>+56(SB)/2, $0x7f
+DATA runMasks<>+58(SB)/2, $0xff
+DATA runMasks<>+60(SB)/2, $0xff
+DATA runMasks<>+62(SB)/2, $0x1f
+DATA runMasks<>+64(SB)/2, $0xff
+DATA runMasks<>+66(SB)/2, $0xff
+DATA runMasks<>+68(SB)/2, $0xff
+DATA runMasks<>+70(SB)/2, $0xff
+GLOBL runMasks<>(SB), RODATA|NOPTR, $72
+
+// cells8's constants: the two stages of the 8x8 transpose (four
+// fields of four cells from two row pairs, then two whole columns from
+// two of those), and the split of the last two moments' pairs.
+DATA cellT1a<>+0(SB)/4, $0
+DATA cellT1a<>+4(SB)/4, $8
+DATA cellT1a<>+8(SB)/4, $16
+DATA cellT1a<>+12(SB)/4, $24
+DATA cellT1a<>+16(SB)/4, $1
+DATA cellT1a<>+20(SB)/4, $9
+DATA cellT1a<>+24(SB)/4, $17
+DATA cellT1a<>+28(SB)/4, $25
+DATA cellT1a<>+32(SB)/4, $2
+DATA cellT1a<>+36(SB)/4, $10
+DATA cellT1a<>+40(SB)/4, $18
+DATA cellT1a<>+44(SB)/4, $26
+DATA cellT1a<>+48(SB)/4, $3
+DATA cellT1a<>+52(SB)/4, $11
+DATA cellT1a<>+56(SB)/4, $19
+DATA cellT1a<>+60(SB)/4, $27
+GLOBL cellT1a<>(SB), RODATA|NOPTR, $64
+DATA cellT1b<>+0(SB)/4, $4
+DATA cellT1b<>+4(SB)/4, $12
+DATA cellT1b<>+8(SB)/4, $20
+DATA cellT1b<>+12(SB)/4, $28
+DATA cellT1b<>+16(SB)/4, $5
+DATA cellT1b<>+20(SB)/4, $13
+DATA cellT1b<>+24(SB)/4, $21
+DATA cellT1b<>+28(SB)/4, $29
+DATA cellT1b<>+32(SB)/4, $6
+DATA cellT1b<>+36(SB)/4, $14
+DATA cellT1b<>+40(SB)/4, $22
+DATA cellT1b<>+44(SB)/4, $30
+DATA cellT1b<>+48(SB)/4, $7
+DATA cellT1b<>+52(SB)/4, $15
+DATA cellT1b<>+56(SB)/4, $23
+DATA cellT1b<>+60(SB)/4, $31
+GLOBL cellT1b<>(SB), RODATA|NOPTR, $64
+DATA cellT2a<>+0(SB)/4, $0
+DATA cellT2a<>+4(SB)/4, $1
+DATA cellT2a<>+8(SB)/4, $2
+DATA cellT2a<>+12(SB)/4, $3
+DATA cellT2a<>+16(SB)/4, $16
+DATA cellT2a<>+20(SB)/4, $17
+DATA cellT2a<>+24(SB)/4, $18
+DATA cellT2a<>+28(SB)/4, $19
+DATA cellT2a<>+32(SB)/4, $4
+DATA cellT2a<>+36(SB)/4, $5
+DATA cellT2a<>+40(SB)/4, $6
+DATA cellT2a<>+44(SB)/4, $7
+DATA cellT2a<>+48(SB)/4, $20
+DATA cellT2a<>+52(SB)/4, $21
+DATA cellT2a<>+56(SB)/4, $22
+DATA cellT2a<>+60(SB)/4, $23
+GLOBL cellT2a<>(SB), RODATA|NOPTR, $64
+DATA cellT2b<>+0(SB)/4, $8
+DATA cellT2b<>+4(SB)/4, $9
+DATA cellT2b<>+8(SB)/4, $10
+DATA cellT2b<>+12(SB)/4, $11
+DATA cellT2b<>+16(SB)/4, $24
+DATA cellT2b<>+20(SB)/4, $25
+DATA cellT2b<>+24(SB)/4, $26
+DATA cellT2b<>+28(SB)/4, $27
+DATA cellT2b<>+32(SB)/4, $12
+DATA cellT2b<>+36(SB)/4, $13
+DATA cellT2b<>+40(SB)/4, $14
+DATA cellT2b<>+44(SB)/4, $15
+DATA cellT2b<>+48(SB)/4, $28
+DATA cellT2b<>+52(SB)/4, $29
+DATA cellT2b<>+56(SB)/4, $30
+DATA cellT2b<>+60(SB)/4, $31
+GLOBL cellT2b<>(SB), RODATA|NOPTR, $64
+DATA cellPair<>+0(SB)/4, $0
+DATA cellPair<>+4(SB)/4, $2
+DATA cellPair<>+8(SB)/4, $4
+DATA cellPair<>+12(SB)/4, $6
+DATA cellPair<>+16(SB)/4, $8
+DATA cellPair<>+20(SB)/4, $10
+DATA cellPair<>+24(SB)/4, $12
+DATA cellPair<>+28(SB)/4, $14
+DATA cellPair<>+32(SB)/4, $1
+DATA cellPair<>+36(SB)/4, $3
+DATA cellPair<>+40(SB)/4, $5
+DATA cellPair<>+44(SB)/4, $7
+DATA cellPair<>+48(SB)/4, $9
+DATA cellPair<>+52(SB)/4, $11
+DATA cellPair<>+56(SB)/4, $13
+DATA cellPair<>+60(SB)/4, $15
+GLOBL cellPair<>(SB), RODATA|NOPTR, $64
+
+// func runs8(runs *Run, nr int, o *vec.V3, cols *[4]*float32, at int)
+//
+// SI walks the runs (48 bytes each: Pos's pointer and length, Mass's
+// pointer at 24), BX a run's positions, R13 its masses, R12 its bodies
+// left; R8-R11 the columns sx sy sz sm from row at. Each block of r <=
+// 8 bodies loads its 3r position doubles and r masses under masks
+// (nothing past the run is read), subtracts the origin pattern, rounds,
+// joins the first two float32 rows into one register and picks x, y and
+// z out of the 24 floats with VPERMI2PS, and stores r lanes of each.
+// nr must be at least 1: the run loop tests its count at the end.
+TEXT ·runs8(SB), NOSPLIT, $0-40
+	MOVQ runs+0(FP), SI
+	MOVQ nr+8(FP), CX
+	MOVQ o+16(FP), AX
+	MOVQ cols+24(FP), DI
+	MOVQ at+32(FP), DX
+	MOVQ 0(DI), R8
+	MOVQ 8(DI), R9
+	MOVQ 16(DI), R10
+	MOVQ 24(DI), R11
+	LEAQ (R8)(DX*4), R8
+	LEAQ (R9)(DX*4), R9
+	LEAQ (R10)(DX*4), R10
+	LEAQ (R11)(DX*4), R11
+	LEAQ runMasks<>(SB), DI
+	KMOVW 24(DI), K1 // r = 3: the first three lanes
+	VMOVUPD.Z (AX), K1, Z23 // ox oy oz
+	VMOVDQU64 runO0<>(SB), Z20
+	VMOVDQU64 runO1<>(SB), Z21
+	VMOVDQU64 runO2<>(SB), Z22
+	VPERMPD Z23, Z20, Z20
+	VPERMPD Z23, Z21, Z21
+	VPERMPD Z23, Z22, Z22
+	VMOVDQU32 runX<>(SB), Z24
+	VMOVDQU32 runY<>(SB), Z25
+	VMOVDQU32 runZ<>(SB), Z26
+
+runloop:
+	MOVQ 0(SI), BX
+	MOVQ 8(SI), R12
+	MOVQ 24(SI), R13
+
+blockloop:
+	TESTQ R12, R12
+	JEQ   nextrun
+	MOVQ  $8, AX
+	CMPQ  R12, AX
+	CMOVQLT R12, AX // r = min(8, bodies left)
+	KMOVW 0(DI)(AX*8), K1
+	KMOVW 2(DI)(AX*8), K2
+	KMOVW 4(DI)(AX*8), K3
+	KMOVW 6(DI)(AX*8), K4
+	VMOVUPD.Z 0(BX), K2, Z0
+	VMOVUPD.Z 64(BX), K3, Z1
+	VMOVUPD.Z 128(BX), K4, Z2
+	VMOVUPD.Z 0(R13), K1, Z3
+	VSUBPD Z20, Z0, Z0
+	VSUBPD Z21, Z1, Z1
+	VSUBPD Z22, Z2, Z2
+	VCVTPD2PS Z0, Y0
+	VCVTPD2PS Z1, Y1
+	VCVTPD2PS Z2, Y2
+	VCVTPD2PS Z3, Y3
+	VINSERTF64X4 $1, Y1, Z0, Z0 // the first 16 of the 24 floats; Z2 the last 8
+	VMOVAPS   Z24, Z5
+	VPERMI2PS Z2, Z0, Z5
+	VMOVAPS   Z25, Z6
+	VPERMI2PS Z2, Z0, Z6
+	VMOVAPS   Z26, Z7
+	VPERMI2PS Z2, Z0, Z7
+	VMOVUPS Z5, K1, (R8)
+	VMOVUPS Z6, K1, (R9)
+	VMOVUPS Z7, K1, (R10)
+	VMOVUPS Z3, K1, (R11)
+	LEAQ (R8)(AX*4), R8
+	LEAQ (R9)(AX*4), R9
+	LEAQ (R10)(AX*4), R10
+	LEAQ (R11)(AX*4), R11
+	LEAQ (R13)(AX*8), R13
+	LEAQ (AX)(AX*2), DX
+	LEAQ (BX)(DX*8), BX
+	SUBQ AX, R12
+	JMP  blockloop
+
+nextrun:
+	ADDQ $48, SI
+	DECQ CX
+	JNZ  runloop
+	VZEROUPPER
+	RET
+
+// func cells8(cells **Multipole, n int, o *vec.V3, cols *[10]*float32, at int)
+//
+// Per block of eight cells: Zi = cell i's M, COM and Q.XX...Q.XY, the
+// origin subtracted from lanes 1-3 only (K1), rounded into Yi; its
+// Q.XZ, Q.YZ pair loaded into lanes 2(i%4), 2(i%4)+1 of Z16 (i < 4) or
+// Z17 (K2-K5: the masked load is addressed 16(i%4) bytes early, so the
+// pair lands in those lanes, and reads nothing else). The rows are
+// joined in pairs (Z0 = rows 0|1, Z2 = 2|3, Z4 = 4|5, Z6 = 6|7), and two
+// rounds of VPERMI2PS transpose them: fields 0-3 and 4-7 of cells 0-3
+// (Z8, Z9) and of cells 4-7 (Z10, Z11), then two whole columns a
+// register (Z12-Z15); the pairs' floats are split into the last two
+// columns (Z16). DX is the row, SI the next eight cell pointers.
+TEXT ·cells8(SB), NOSPLIT, $0-40
+	MOVQ cells+0(FP), SI
+	MOVQ n+8(FP), CX
+	MOVQ o+16(FP), AX
+	MOVQ cols+24(FP), DI
+	MOVQ at+32(FP), DX
+	MOVW $0x0e, BX
+	KMOVW BX, K1
+	MOVW $0x03, BX
+	KMOVW BX, K2
+	MOVW $0x0c, BX
+	KMOVW BX, K3
+	MOVW $0x30, BX
+	KMOVW BX, K4
+	MOVW $0xc0, BX
+	KMOVW BX, K5
+	VMOVUPD.Z -8(AX), K1, Z30 // 0 ox oy oz 0 0 0 0
+	VMOVDQU32 cellT1a<>(SB), Z24
+	VMOVDQU32 cellT1b<>(SB), Z25
+	VMOVDQU32 cellT2a<>(SB), Z26
+	VMOVDQU32 cellT2b<>(SB), Z27
+	VMOVDQU32 cellPair<>(SB), Z28
+
+cellloop:
+	MOVQ 0(SI), AX
+	VMOVUPD (AX), Z0
+	VSUBPD Z30, Z0, K1, Z0
+	VCVTPD2PS Z0, Y0
+	VMOVUPD.Z 64(AX), K2, Z16
+	MOVQ 8(SI), AX
+	VMOVUPD (AX), Z1
+	VSUBPD Z30, Z1, K1, Z1
+	VCVTPD2PS Z1, Y1
+	VMOVUPD 48(AX), K3, Z16
+	MOVQ 16(SI), AX
+	VMOVUPD (AX), Z2
+	VSUBPD Z30, Z2, K1, Z2
+	VCVTPD2PS Z2, Y2
+	VMOVUPD 32(AX), K4, Z16
+	MOVQ 24(SI), AX
+	VMOVUPD (AX), Z3
+	VSUBPD Z30, Z3, K1, Z3
+	VCVTPD2PS Z3, Y3
+	VMOVUPD 16(AX), K5, Z16
+	MOVQ 32(SI), AX
+	VMOVUPD (AX), Z4
+	VSUBPD Z30, Z4, K1, Z4
+	VCVTPD2PS Z4, Y4
+	VMOVUPD.Z 64(AX), K2, Z17
+	MOVQ 40(SI), AX
+	VMOVUPD (AX), Z5
+	VSUBPD Z30, Z5, K1, Z5
+	VCVTPD2PS Z5, Y5
+	VMOVUPD 48(AX), K3, Z17
+	MOVQ 48(SI), AX
+	VMOVUPD (AX), Z6
+	VSUBPD Z30, Z6, K1, Z6
+	VCVTPD2PS Z6, Y6
+	VMOVUPD 32(AX), K4, Z17
+	MOVQ 56(SI), AX
+	VMOVUPD (AX), Z7
+	VSUBPD Z30, Z7, K1, Z7
+	VCVTPD2PS Z7, Y7
+	VMOVUPD 16(AX), K5, Z17
+	VINSERTF64X4 $1, Y1, Z0, Z0
+	VINSERTF64X4 $1, Y3, Z2, Z2
+	VINSERTF64X4 $1, Y5, Z4, Z4
+	VINSERTF64X4 $1, Y7, Z6, Z6
+	VMOVAPS   Z24, Z8
+	VPERMI2PS Z2, Z0, Z8
+	VMOVAPS   Z25, Z9
+	VPERMI2PS Z2, Z0, Z9
+	VMOVAPS   Z24, Z10
+	VPERMI2PS Z6, Z4, Z10
+	VMOVAPS   Z25, Z11
+	VPERMI2PS Z6, Z4, Z11
+	VMOVAPS   Z26, Z12
+	VPERMI2PS Z10, Z8, Z12
+	VMOVAPS   Z27, Z13
+	VPERMI2PS Z10, Z8, Z13
+	VMOVAPS   Z26, Z14
+	VPERMI2PS Z11, Z9, Z14
+	VMOVAPS   Z27, Z15
+	VPERMI2PS Z11, Z9, Z15
+	VCVTPD2PS Z16, Y16
+	VCVTPD2PS Z17, Y17
+	VINSERTF64X4 $1, Y17, Z16, Z16
+	VPERMPS Z16, Z28, Z16
+	MOVQ 0(DI), AX
+	VMOVUPS Y12, (AX)(DX*4)
+	MOVQ 8(DI), AX
+	VEXTRACTF64X4 $1, Z12, (AX)(DX*4)
+	MOVQ 16(DI), AX
+	VMOVUPS Y13, (AX)(DX*4)
+	MOVQ 24(DI), AX
+	VEXTRACTF64X4 $1, Z13, (AX)(DX*4)
+	MOVQ 32(DI), AX
+	VMOVUPS Y14, (AX)(DX*4)
+	MOVQ 40(DI), AX
+	VEXTRACTF64X4 $1, Z14, (AX)(DX*4)
+	MOVQ 48(DI), AX
+	VMOVUPS Y15, (AX)(DX*4)
+	MOVQ 56(DI), AX
+	VEXTRACTF64X4 $1, Z15, (AX)(DX*4)
+	MOVQ 64(DI), AX
+	VMOVUPS Y16, (AX)(DX*4)
+	MOVQ 72(DI), AX
+	VEXTRACTF64X4 $1, Z16, (AX)(DX*4)
+	ADDQ $64, SI
+	ADDQ $8, DX
+	SUBQ $8, CX
+	JNZ  cellloop
+	VZEROUPPER
+	RET

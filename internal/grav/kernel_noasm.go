@@ -14,6 +14,10 @@ func pp(t *Targets, o vec.V3, sx, sy, sz, sm []float32, eps2 float32) {
 
 func m2pQuad(t *Targets, l *InteractionList, eps2 float32) { m2pQuadGo(t, l, eps2) }
 
+func addRuns(l *InteractionList, runs []Run, at int) { addRunsGo(l, runs, at) }
+
+func addCells(l *InteractionList, cells []*Multipole, at int) { addCellsGo(l, cells, at) }
+
 // PeakProbe executes n steps of eight independent float32 fused
 // multiply-add chains (fma32), the kernels' instruction mix, and
 // returns the flops that took (and a value depending on every chain, so

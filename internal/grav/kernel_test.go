@@ -115,9 +115,9 @@ func TestEvalMatchesFloat64MixedList(t *testing.T) {
 			cells = append(cells, FromBodies(cpos, cmass))
 		}
 		var l InteractionList
-		l.AddBodies(spos, smass)
+		l.AddRuns([]Run{{Pos: spos, Mass: smass}})
 		for c := range cells {
-			l.AddCell(&cells[c])
+			l.AddCells([]*Multipole{&cells[c]})
 		}
 
 		for _, quad := range []bool{false, true} {

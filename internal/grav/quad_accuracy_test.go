@@ -69,7 +69,7 @@ func quadErrAt(t *testing.T, evalM2P m2pFunc, spos []vec.V3, smass []float64, d 
 	var tg grav.Targets
 	tg.Load(tpos, nil)
 	var l grav.InteractionList
-	l.AddCell(&mp)
+	l.AddCells([]*grav.Multipole{&mp})
 	evalM2P(&tg, &l, true, 0)
 	acc := make([]vec.V3, len(tpos))
 	pot := make([]float64, len(tpos))

@@ -53,43 +53,39 @@ func (l *InteractionList) Reset(origin vec.V3) {
 	l.Self = false
 }
 
-// AddBodies appends a leaf's bodies to the source columns.
-func (l *InteractionList) AddBodies(pos []vec.V3, mass []float64) {
-	o := l.Origin
-	for i := range pos {
-		l.SX = append(l.SX, rel32(pos[i].X, o.X))
-		l.SY = append(l.SY, rel32(pos[i].Y, o.Y))
-		l.SZ = append(l.SZ, rel32(pos[i].Z, o.Z))
-		l.SM = append(l.SM, float32(mass[i]))
+// Run is the bodies of one opened leaf as a list takes them: their
+// positions, and masses in Mass[:len(Pos)].
+type Run struct {
+	Pos  []vec.V3
+	Mass []float64
+}
+
+// AddRuns appends the bodies of runs to the source columns, in order:
+// the columns grow once for the batch, and addRuns converts every run,
+// eight bodies at a time where AVX-512 is usable, as addRunsGo does.
+func (l *InteractionList) AddRuns(runs []Run) {
+	n := 0
+	for i := range runs {
+		_ = runs[i].Mass[:len(runs[i].Pos)] // a short Mass panics before anything is written
+		n += len(runs[i].Pos)
 	}
+	at := len(l.SM)
+	for _, col := range [...]*[]float32{&l.SX, &l.SY, &l.SZ, &l.SM} {
+		*col = slices.Grow(*col, n)[:at+n]
+	}
+	addRuns(l, runs, at)
 }
 
-// AddCell appends an accepted cell multipole to the slab.
-func (l *InteractionList) AddCell(mp *Multipole) {
-	o := l.Origin
-	l.CM = append(l.CM, float32(mp.M))
-	l.CX = append(l.CX, rel32(mp.COM.X, o.X))
-	l.CY = append(l.CY, rel32(mp.COM.Y, o.Y))
-	l.CZ = append(l.CZ, rel32(mp.COM.Z, o.Z))
-	l.QXX = append(l.QXX, float32(mp.Q.XX))
-	l.QYY = append(l.QYY, float32(mp.Q.YY))
-	l.QZZ = append(l.QZZ, float32(mp.Q.ZZ))
-	l.QXY = append(l.QXY, float32(mp.Q.XY))
-	l.QXZ = append(l.QXZ, float32(mp.Q.XZ))
-	l.QYZ = append(l.QYZ, float32(mp.Q.YZ))
-}
-
-// ExtendCells lengthens the slab by n rows for the caller to fill (as
-// AddCell would) and returns the index of the first: a walk that
-// collected its accepted cells gathers them in one loop, behind one
-// capacity check. Growth is append's, geometric, so a reused list stops
-// allocating at its high-water mark.
-func (l *InteractionList) ExtendCells(n int) (at int) {
-	at = len(l.CM)
+// AddCells appends the moments of cells to the slab, in order: the
+// columns grow once for the batch, and addCells gathers the cells,
+// eight at a time where AVX-512 is usable, as addCellsGo does.
+func (l *InteractionList) AddCells(cells []*Multipole) {
+	n := len(cells)
+	at := len(l.CM)
 	for _, col := range [...]*[]float32{&l.CM, &l.CX, &l.CY, &l.CZ, &l.QXX, &l.QYY, &l.QZZ, &l.QXY, &l.QXZ, &l.QYZ} {
 		*col = slices.Grow(*col, n)[:at+n]
 	}
-	return at
+	addCells(l, cells, at)
 }
 
 // NSources returns the number of body sources in the list.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/vec"
 )
@@ -43,7 +44,7 @@ func TestEvalPPMatchesAccelAt(t *testing.T) {
 	var tg Targets
 	tg.Load(tpos, nil)
 	var l InteractionList
-	l.AddBodies(spos, smass)
+	l.AddRuns([]Run{{Pos: spos, Mass: smass}})
 	nBatch := EvalPP(&tg, &l, eps2)
 	acc2 := make([]vec.V3, len(tpos))
 	pot2 := make([]float64, len(tpos))
@@ -111,7 +112,7 @@ func TestEvalM2PMatchesM2P(t *testing.T) {
 		tg.Load(tpos, nil)
 		var l InteractionList
 		for c := range cells {
-			l.AddCell(&cells[c])
+			l.AddCells([]*Multipole{&cells[c]})
 		}
 		nBatch := EvalM2P(&tg, &l, quad, eps2)
 		acc2 := make([]vec.V3, len(tpos))
@@ -142,8 +143,8 @@ func TestListReuseAllocatesNothing(t *testing.T) {
 	pot := make([]float64, len(tpos))
 	round := func() {
 		l.Reset(vec.V3{X: 0.5, Y: 0.5, Z: 0.5})
-		l.AddBodies(spos, smass)
-		l.AddCell(&mp)
+		l.AddRuns([]Run{{Pos: spos, Mass: smass}})
+		l.AddCells([]*Multipole{&mp})
 		l.Self = true
 		tg.Load(tpos, tmass)
 		EvalM2P(&tg, &l, true, 1e-6)
@@ -154,5 +155,28 @@ func TestListReuseAllocatesNothing(t *testing.T) {
 	round() // warm-up: buffers reach their high-water mark
 	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
 		t.Fatalf("steady-state evaluation allocates %v times per round", allocs)
+	}
+}
+
+// TestMultipoleLayout pins the Multipole offsets the lane gather reads
+// (cells8): M, COM and Q, ten float64 in the order of the slab columns,
+// from the start of the struct. A reordered Multipole fails here, not
+// in a list.
+func TestMultipoleLayout(t *testing.T) {
+	var mp Multipole
+	com, q := unsafe.Offsetof(mp.COM), unsafe.Offsetof(mp.Q)
+	got := []uintptr{
+		unsafe.Offsetof(mp.M),
+		com + unsafe.Offsetof(mp.COM.X), com + unsafe.Offsetof(mp.COM.Y), com + unsafe.Offsetof(mp.COM.Z),
+		q + unsafe.Offsetof(mp.Q.XX), q + unsafe.Offsetof(mp.Q.YY), q + unsafe.Offsetof(mp.Q.ZZ),
+		q + unsafe.Offsetof(mp.Q.XY), q + unsafe.Offsetof(mp.Q.XZ), q + unsafe.Offsetof(mp.Q.YZ),
+	}
+	for i, off := range got {
+		if off != uintptr(8*i) {
+			t.Errorf("moment %d at offset %d, the gather reads it at %d", i, off, 8*i)
+		}
+	}
+	if s := unsafe.Sizeof(mp); s < 80 {
+		t.Errorf("Multipole is %d bytes, the gather reads 80", s)
 	}
 }

@@ -20,7 +20,11 @@ type sumWalk struct {
 }
 
 func (w *sumWalk) Begin(keys.Key, vec.V3) {}
-func (w *sumWalk) Leaf(c *tree.Cell)      { w.sum += float64(c.N) }
+func (w *sumWalk) Leaves(cells []*tree.Cell) {
+	for _, c := range cells {
+		w.sum += float64(c.N)
+	}
+}
 func (w *sumWalk) Cells(_ []*tree.Cell, xs []float64) {
 	for _, x := range xs {
 		w.sum += x

@@ -178,9 +178,12 @@ type Engine[X any, B Columns[B]] struct {
 	// nest inside the Timer's decompose/treebuild phases.
 	Sub *diag.Timer
 	// Rounds is the request/reply rounds since the last Exchange (0
-	// with the push on); RemoteCells the cells imported.
-	Rounds      int
-	RemoteCells int
+	// with the push on); RemoteCells the cells imported since then, and
+	// ImportedCells those imported over the engine's life, the run total
+	// Record reports beside the Counters.
+	Rounds        int
+	RemoteCells   int
+	ImportedCells int
 	// Park accumulates the request path's tallies across evaluations.
 	Park ParkCounters
 	// Relocated counts the exchanges whose predicted key domain missed
@@ -310,7 +313,7 @@ func (e *Engine[X, B]) Record() metrics.RankInput {
 	return metrics.RankInput{
 		Counters:    e.Counters,
 		Phases:      append(e.Timer.Banked(), e.Sub.Banked()...),
-		RemoteCells: e.RemoteCells,
+		RemoteCells: e.ImportedCells,
 		SplitRounds: e.dec.Last.Rounds,
 		Relocated:   e.Relocated,
 		BodyBatches: e.dec.Last.Batches,
@@ -621,6 +624,7 @@ func (e *Engine[X, B]) importCell(w Wire[X, B], pushed bool) {
 	*cells.At(i) = c
 	e.letX[i] = w.Extra
 	e.RemoteCells++
+	e.ImportedCells++
 	// Wake the groups waiting on this cell: a group whose last
 	// outstanding miss just landed is promoted to the ready queue, and
 	// the next sweep resumes it. In-flight misses go by family,

@@ -52,9 +52,11 @@ func (w *idWalk) Cells([]*tree.Cell, []float64) {}
 func (w *idWalk) Sphere(*tree.Cell) (vec.V3, float64)           { return vec.V3{}, 0 }
 func (w *idWalk) TestBound(*tree.Cell, *tree.Bound) tree.Action { return tree.Open }
 
-func (w *idWalk) Leaf(c *tree.Cell) {
-	b, lo, hi := w.e.LeafBodies(c)
-	w.got = append(w.got, b.ID[lo:hi]...)
+func (w *idWalk) Leaves(cells []*tree.Cell) {
+	for _, c := range cells {
+		b, lo, hi := w.e.LeafBodies(c)
+		w.got = append(w.got, b.ID[lo:hi]...)
+	}
 }
 
 // collect is the walk's EvalFn: it runs once per completed group.

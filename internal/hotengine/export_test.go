@@ -58,7 +58,7 @@ func (e *Engine[X, B]) SetHashDescent(on bool) {
 			visits++
 			if d.Own(c) {
 				if emit {
-					d.Leaves.Leaf(c)
+					d.Opened = append(d.Opened, c)
 				}
 				continue
 			}
@@ -82,7 +82,7 @@ func (e *Engine[X, B]) SetHashDescent(on bool) {
 					d.Entered++
 				}
 				if emit {
-					d.Leaves.Leaf(c)
+					d.Opened = append(d.Opened, c)
 				}
 			case c.Kids == 0:
 				d.Missed, emit = append(d.Missed, i), false
@@ -229,7 +229,7 @@ func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn
 				}
 				if k == gk {
 					visits++
-					v.Leaf(c)
+					e.desc.Opened = append(e.desc.Opened, c)
 					continue
 				}
 				a := e.desc.Test(c)
@@ -245,7 +245,7 @@ func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn
 					e.desc.Accepted = append(e.desc.Accepted, c)
 					e.extras = append(e.extras, x)
 				case c.Leaf:
-					v.Leaf(c)
+					e.desc.Opened = append(e.desc.Opened, c)
 				default:
 					for oct := 0; oct < 8; oct++ {
 						if c.ChildMask&(1<<uint(oct)) != 0 {
@@ -256,6 +256,7 @@ func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn
 			}
 			if len(missing) == 0 {
 				e.Counters.Traversals += visits
+				v.Leaves(e.desc.Opened)
 				v.Cells(e.desc.Accepted, e.extras)
 				if eval != nil {
 					eval(gk, g, &e.Counters)

@@ -111,11 +111,13 @@ func (w *recWalk) Cells(cells []*tree.Cell, xs []vec.V3) {
 	}
 }
 
-func (w *recWalk) Leaf(c *tree.Cell) {
-	b := w.p.leaf(c)
-	w.trace = append(w.trace, uint64(c.Key))
-	for i := range b.ID {
-		w.trace = append(w.trace, uint64(b.ID[i]), math.Float64bits(b.Pos[i].Y), math.Float64bits(b.Mass[i]))
+func (w *recWalk) Leaves(cells []*tree.Cell) {
+	for _, c := range cells {
+		b := w.p.leaf(c)
+		w.trace = append(w.trace, uint64(c.Key))
+		for i := range b.ID {
+			w.trace = append(w.trace, uint64(b.ID[i]), math.Float64bits(b.Pos[i].Y), math.Float64bits(b.Mass[i]))
+		}
 	}
 }
 
@@ -134,9 +136,11 @@ type gravWalk struct {
 
 func (v *gravWalk) Begin(gk keys.Key, centre vec.V3)     { v.w.Begin(gk, centre) }
 func (v *gravWalk) Cells(cells []*tree.Cell, _ []vec.V3) { v.w.TakeCells(cells) }
-func (v *gravWalk) Leaf(c *tree.Cell) {
+func (v *gravWalk) Leaves(cells []*tree.Cell)            { v.w.TakeLeaves(cells, v) }
+
+func (v *gravWalk) LeafBodies(c *tree.Cell) ([]vec.V3, []float64) {
 	b := v.p.leaf(c)
-	v.w.TakeLeaf(c, b.Pos, b.Mass)
+	return b.Pos, b.Mass
 }
 
 func (v *gravWalk) eval(gk keys.Key, g *tree.Cell, ctr *diag.Counters) {

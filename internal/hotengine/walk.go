@@ -23,12 +23,13 @@ type Visitor[X any] interface {
 	// several times before it completes: the optimistic first attempt,
 	// discovery descents, and the final emitting walk.
 	Begin(gk keys.Key, centre vec.V3)
-	// Leaf takes an opened leaf's bodies, as the emitting traversal
-	// reaches it, and likewise the group's own cell, whole and untested
-	// (tree.Descent.Own); Cells takes the cells that traversal accepted,
-	// with their payloads, in one batch when it has completed. Both are
-	// in root-DFS order.
-	Leaf(c *tree.Cell)
+	// Leaves takes the leaves the emitting traversal opened, and in its
+	// place the group's own cell, whole and untested (tree.Descent.Own);
+	// Cells takes the cells that traversal accepted, with their payloads.
+	// Each is one batch in root-DFS order, handed over once the
+	// traversal has completed, Leaves first; a traversal that missed
+	// hands over nothing.
+	Leaves(cells []*tree.Cell)
 	Cells(cells []*tree.Cell, xs []X)
 }
 
@@ -112,10 +113,10 @@ func (e *Engine[X, B]) attempt(gi int32) {
 }
 
 // setVisitor makes v the visitor of the traversals that follow: it takes
-// their leaves, and if it is a RangeQuery its TestBound is their test.
+// their batches, and if it is a RangeQuery its TestBound is their test.
 func (e *Engine[X, B]) setVisitor(v Visitor[X]) {
 	e.query, _ = v.(RangeQuery)
-	e.curWalk, e.desc.Leaves, e.desc.Prune = v, v, e.query
+	e.curWalk, e.desc.Prune = v, e.query
 }
 
 // sphere is what group g is measured by: q's sphere, or for a MAC walk
@@ -155,6 +156,7 @@ func (e *Engine[X, B]) emitFromRoot(gk keys.Key, g *tree.Cell) bool {
 	} else {
 		e.extras = append(e.extras[:0], make([]X, len(d.Accepted))...)
 	}
+	e.curWalk.Leaves(d.Opened)
 	e.curWalk.Cells(d.Accepted, e.extras)
 	if e.curEval != nil {
 		e.curEval(gk, g, &e.Counters)

@@ -192,8 +192,8 @@ type RankInput struct {
 	// sub-phase clock ("treebuild/sort" nests inside treebuild), each in
 	// first-start order.
 	Phases []diag.Phase
-	// RemoteCells is the cells imported since the engine's last
-	// exchange; SplitRounds the collectives its last decomposition
+	// RemoteCells is the cells the engine imported over the run, as
+	// its Counters count; SplitRounds the collectives its last decomposition
 	// spent finding the splitters (domain.Stats.Rounds),
 	// Relocated its decompositions whose predicted key domain missed
 	// (domain.Stats.Relocated; cumulative) and BodyBatches the body

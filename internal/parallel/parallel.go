@@ -127,10 +127,14 @@ func (p *Pass[B]) Begin(gk keys.Key, centre vec.V3) { p.w.Begin(gk, centre) }
 
 func (p *Pass[B]) Cells(cells []*tree.Cell, _ []hotengine.None) { p.w.TakeCells(cells) }
 
-func (p *Pass[B]) Leaf(c *tree.Cell) {
+func (p *Pass[B]) Leaves(cells []*tree.Cell) { p.w.TakeLeaves(cells, p) }
+
+// LeafBodies returns the positions and masses of leaf c of the engine's
+// LET (tree.Bodies).
+func (p *Pass[B]) LeafBodies(c *tree.Cell) ([]vec.V3, []float64) {
 	b, lo, hi := p.e.LeafBodies(c)
 	pos, mass := (*b).PosMass()
-	p.w.TakeLeaf(c, pos[lo:hi], mass[lo:hi])
+	return pos[lo:hi], mass[lo:hi]
 }
 
 // Eval evaluates group g's list into its Acc and Pot (overwritten), and

@@ -218,9 +218,11 @@ func (v *gatherer) TestBound(c *tree.Cell, b *tree.Bound) tree.Action {
 
 func (v *gatherer) Cells([]*tree.Cell, []hotengine.None) {}
 
-func (v *gatherer) Leaf(c *tree.Cell) {
-	b, lo, hi := v.e.LeafBodies(c)
-	v.e.cand.add(b, lo, hi)
+func (v *gatherer) Leaves(cells []*tree.Cell) {
+	for _, c := range cells {
+		b, lo, hi := v.e.LeafBodies(c)
+		v.e.cand.add(b, lo, hi)
+	}
 }
 
 // evalDensity computes rho by kernel summation for one group from its

@@ -11,12 +11,6 @@ import (
 // leaf another rank owns, known from its branch record alone.
 const Unfetched = int32(-1 << 30)
 
-// LeafTaker receives the leaves a descent opens, in root-DFS order, and
-// in their place the group's own cell, whole (Descent.Own).
-type LeafTaker interface {
-	Leaf(c *Cell)
-}
-
 // Pruner is a cell test other than the multipole acceptance criterion:
 // a range query's prune. A descent runs it against the one-sphere bound
 // of its group.
@@ -25,19 +19,22 @@ type Pruner interface {
 }
 
 // Descent is the state of one group's traversal, reused from group to
-// group: the sphere cells are measured against, the batch of accepted
-// cells, what the traversal missed, and the index stack of Descend. Set
-// Leaves (and Prune, for a range query) once, Aim it at each group, then
-// Descend from the root, or from wherever an earlier traversal stopped.
+// group: the sphere cells are measured against, the batches of accepted
+// cells and opened leaves, what the traversal missed, and the index
+// stack of Descend. Set Prune (for a range query) once, Aim the descent
+// at each group, then Descend from the root, or from wherever an earlier
+// traversal stopped.
 type Descent struct {
-	// Leaves takes the leaves an emitting descent opens.
-	Leaves LeafTaker
 	// Prune, when non-nil, is the cell test in place of Classify.
 	Prune Pruner
 	// Accepted is the batch of cells accepted since Aim, in root-DFS
 	// order. Their moments are gathered from it in one pass when the
 	// traversal is over, rather than cell by cell through a callback.
 	Accepted []*Cell
+	// Opened is the batch of leaves opened since Aim, and in its place
+	// the group's own cell, whole (Own), in root-DFS order: their bodies
+	// too are gathered in one pass once the traversal has completed.
+	Opened []*Cell
 	// Index, when set, has the descent record in At the table entry of
 	// each of Accepted, for a caller that keeps a payload per entry.
 	Index bool
@@ -69,11 +66,12 @@ func (d *Descent) Aim(own keys.Key, gc vec.V3, gr float64) {
 // the walks are over, would keep a whole earlier table reachable.
 func (d *Descent) Drop() {
 	clear(d.Accepted)
-	d.Accepted, d.At, d.Missed = d.Accepted[:0], d.At[:0], d.Missed[:0]
+	clear(d.Opened)
+	d.Accepted, d.Opened, d.At, d.Missed = d.Accepted[:0], d.Opened[:0], d.At[:0], d.Missed[:0]
 }
 
-// Own reports whether c is the group's own cell. A traversal hands it
-// to Leaves whole and tests nothing at or below it: a one-body sub-cell
+// Own reports whether c is the group's own cell. A traversal puts it on
+// Opened whole and tests nothing at or below it: a one-body sub-cell
 // that sets the sphere's radius has RCrit = 0 and d = gr up to rounding,
 // and accepted, the body would attract itself as a monopole.
 func (d *Descent) Own(c *Cell) bool { return c.Key == d.own }
@@ -100,12 +98,12 @@ func (d *Descent) TestBound(c *Cell, b *Bound) Action {
 // of cells it visited. Children are Kids, Kids+1, ... in the table's
 // entries, pushed in octant order and popped in reverse, the order a
 // stack of keys gives. While emit is set, accepted cells are appended to
-// d.Accepted and opened leaves, and the group's own cell, handed to
-// d.Leaves; a descent that only discovers what a group will open leaves
-// both alone. An opened cell whose children have not landed, or a leaf
-// whose bodies have not, is put on d.Missed and not descended (nor, a
-// leaf, counted as visited), and emission stops there: a list with a
-// hole is never evaluated.
+// d.Accepted and opened leaves, and the group's own cell, to d.Opened; a
+// descent that only discovers what a group will open leaves both alone.
+// An opened cell whose children have not landed, or a leaf whose bodies
+// have not, is put on d.Missed and not descended (nor, a leaf, counted
+// as visited), and emission stops there: a list with a hole is never
+// evaluated.
 func (t *Tree) Descend(d *Descent, from, n int32, emit bool) (visits uint64) {
 	cells, prune, own, gc, gr := t.Cells, d.Prune, d.own, d.gc, d.gr
 	stack := d.stack[:0]
@@ -119,7 +117,7 @@ func (t *Tree) Descend(d *Descent, from, n int32, emit bool) (visits uint64) {
 		visits++
 		if c.Key == own {
 			if emit {
-				d.Leaves.Leaf(c)
+				d.Opened = append(d.Opened, c)
 			}
 			continue
 		}
@@ -149,7 +147,7 @@ func (t *Tree) Descend(d *Descent, from, n int32, emit bool) (visits uint64) {
 				d.Entered++
 			}
 			if emit {
-				d.Leaves.Leaf(c)
+				d.Opened = append(d.Opened, c)
 			}
 		default:
 			k := c.Kids

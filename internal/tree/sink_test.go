@@ -115,7 +115,6 @@ func listMass(t *testing.T, tr *Tree, w *Walker, gk keys.Key) (sources, cells fl
 	g := tr.Cell(gk)
 	gc, gr := GroupSphere(tr.Sys.Pos[g.First : g.First+g.N])
 	w.Begin(gk, gc)
-	w.src, w.d.Leaves = tr, w
 	w.d.Aim(gk, gc, gr)
 	tr.Descend(&w.d, 0, 1, true)
 	for _, c := range w.d.Accepted {
@@ -123,6 +122,7 @@ func listMass(t *testing.T, tr *Tree, w *Walker, gk keys.Key) (sources, cells fl
 			t.Fatalf("group %v: its list holds cell %v, one of its own", gk, c.Key)
 		}
 	}
+	w.TakeLeaves(w.d.Opened, tr)
 	w.TakeCells(w.d.Accepted)
 	w.d.Drop()
 	if !w.List.Self {

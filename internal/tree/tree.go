@@ -41,8 +41,10 @@ const sinkCap = 64
 
 // Cell is one node of the hashed oct-tree.
 type Cell struct {
-	Key keys.Key
+	// Mp is the cell's moments, the first field: a *Cell is a pointer
+	// to them too (Walker.TakeCells).
 	Mp  grav.Multipole
+	Key keys.Key
 	// RCrit is the precomputed critical radius: the cell's multipole
 	// expansion is valid for any target farther than RCrit from the
 	// center of mass.

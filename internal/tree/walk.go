@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math"
+	"unsafe"
 
 	"repro/internal/diag"
 	"repro/internal/grav"
@@ -10,20 +11,26 @@ import (
 )
 
 // Walker holds the reusable state of group traversals: the descent
-// (stack and batch of accepted cells), the interaction list the walk
-// fills, and the SoA target block Evaluate uses. One long-lived Walker
+// (stack and batches of accepted cells and opened leaves), the
+// interaction list the walk fills, the runs of bodies the leaves hand
+// over, and the SoA target block Evaluate uses. One long-lived Walker
 // per rank amortizes every per-group allocation away.
 type Walker struct {
 	d Descent
 	// List is the interaction list built by the last Walk (or the
-	// last Begin ... TakeLeaf, TakeCells sequence of a distributed
+	// last Begin ... TakeLeaves, TakeCells sequence of a distributed
 	// traversal).
 	List grav.InteractionList
+	runs []grav.Run
 	tg   grav.Targets
-	// The current group's key, fixed by Begin, and the tree Walk is
-	// descending.
+	// The current group's key, fixed by Begin.
 	groupKey keys.Key
-	src      *Tree
+}
+
+// Bodies is where the leaves a walk opens keep their bodies: a tree's
+// own arena (Tree.LeafBodies), or a rank's columns and imports.
+type Bodies interface {
+	LeafBodies(c *Cell) ([]vec.V3, []float64)
 }
 
 // GroupSphere returns the bounding sphere of a body set: midpoint of
@@ -145,49 +152,44 @@ func ClassifyBound(c *Cell, b *Bound) Action {
 }
 
 // Begin starts a list build for the group with key groupKey: it
-// resets w.List for TakeLeaf and TakeCells, in the frame of the group's
-// box centre, the centre of GroupSphere(gpos).
+// resets w.List for TakeLeaves and TakeCells, in the frame of the
+// group's box centre, the centre of GroupSphere(gpos).
 func (w *Walker) Begin(groupKey keys.Key, center vec.V3) {
 	w.groupKey = groupKey
 	w.List.Reset(center)
 }
 
-// TakeLeaf adds an opened leaf to the list: the group's own cell sets
-// the Self flag, any other contributes its bodies.
-func (w *Walker) TakeLeaf(c *Cell, spos []vec.V3, smass []float64) {
-	if c.Key == w.groupKey {
-		w.List.Self = true
-	} else {
-		w.List.AddBodies(spos, smass)
+// TakeLeaves adds a traversal's batch of opened leaves to the list, in
+// order: the group's own cell sets the Self flag, every other leaf's
+// bodies, read from src, go to the source columns in one
+// InteractionList.AddRuns.
+func (w *Walker) TakeLeaves(cells []*Cell, src Bodies) {
+	runs := w.runs[:0]
+	for _, c := range cells {
+		if c.Key == w.groupKey {
+			w.List.Self = true
+			continue
+		}
+		pos, mass := src.LeafBodies(c)
+		runs = append(runs, grav.Run{Pos: pos, Mass: mass})
 	}
+	w.List.AddRuns(runs)
+	clear(runs) // a reused Walker outlives the columns it read
+	w.runs = runs
 }
 
 // TakeCells gathers a traversal's batch of accepted cells into the
-// list's slab, in order: one capacity check for the batch, then ten
-// indexed stores per cell, the centre of mass relative to the list's
-// origin (as InteractionList.AddCell).
-func (w *Walker) TakeCells(cells []*Cell) {
-	l := &w.List
-	n := len(cells)
-	at := l.ExtendCells(n)
-	o := l.Origin
-	cm, cx, cy, cz := l.CM[at:][:n], l.CX[at:][:n], l.CY[at:][:n], l.CZ[at:][:n]
-	qxx, qyy, qzz := l.QXX[at:][:n], l.QYY[at:][:n], l.QZZ[at:][:n]
-	qxy, qxz, qyz := l.QXY[at:][:n], l.QXZ[at:][:n], l.QYZ[at:][:n]
-	for i, c := range cells {
-		mp := &c.Mp
-		cm[i] = float32(mp.M)
-		cx[i], cy[i], cz[i] = float32(mp.COM.X-o.X), float32(mp.COM.Y-o.Y), float32(mp.COM.Z-o.Z)
-		qxx[i], qyy[i], qzz[i] = float32(mp.Q.XX), float32(mp.Q.YY), float32(mp.Q.ZZ)
-		qxy[i], qxz[i], qyz[i] = float32(mp.Q.XY), float32(mp.Q.XZ), float32(mp.Q.YZ)
-	}
+// list's slab, in order (InteractionList.AddCells).
+func (w *Walker) TakeCells(cells []*Cell) { w.List.AddCells(moments(cells)) }
+
+// moments views cells as pointers to their moments: Mp is a Cell's
+// first field, so a *Cell points at its Multipole too.
+func moments(cells []*Cell) []*grav.Multipole {
+	return unsafe.Slice((**grav.Multipole)(unsafe.Pointer(unsafe.SliceData(cells))), len(cells))
 }
 
-// Leaf takes a leaf Walk's descent opened (LeafTaker).
-func (w *Walker) Leaf(c *Cell) {
-	spos, smass := w.src.LeafBodies(c)
-	w.TakeLeaf(c, spos, smass)
-}
+// moments needs Cell.Mp at offset 0: this fails to compile otherwise.
+var _ [0]struct{} = [unsafe.Offsetof(Cell{}.Mp)]struct{}{}
 
 // Walk traverses t for one group of bodies and builds the group's
 // interaction list in w.List (phase 1 of the two-phase evaluation):
@@ -201,12 +203,11 @@ func (w *Walker) Leaf(c *Cell) {
 func (w *Walker) Walk(t *Tree, groupKey keys.Key, gpos []vec.V3, ctr *diag.Counters) (missing []keys.Key) {
 	gc, gr := GroupSphere(gpos)
 	w.Begin(groupKey, gc)
-	w.src, w.d.Leaves = t, w
 	w.d.Aim(groupKey, gc, gr)
 	ctr.Traversals += t.Descend(&w.d, 0, 1, true)
+	w.TakeLeaves(w.d.Opened, t)
 	w.TakeCells(w.d.Accepted)
-	w.d.Drop()
-	w.src = nil // a reused Walker outlives the trees it walks
+	w.d.Drop() // a reused Walker outlives the trees it walks
 	return nil
 }
 
@@ -262,11 +263,6 @@ func (t *Tree) Gravity(eps2 float64) diag.Counters {
 	return ctr
 }
 
-// bodyCount counts the bodies of the leaves a descent opens.
-type bodyCount struct{ n uint64 }
-
-func (b *bodyCount) Leaf(c *Cell) { b.n += uint64(c.N) }
-
 // PerBodyWalk counts the interactions of the original algorithm for
 // every stride-th body: one walk per body, a sphere of radius zero, the
 // same MAC, accepted cells plus the bodies of opened leaves less
@@ -276,14 +272,15 @@ func (b *bodyCount) Leaf(c *Cell) { b.n += uint64(c.N) }
 // timed (GRAPE-5's correction).
 func (t *Tree) PerBodyWalk(stride int) (inter uint64, sampled int) {
 	var d Descent
-	var leaves bodyCount
-	d.Leaves = &leaves
 	for i := 0; i < t.Sys.Len(); i += stride {
 		d.Aim(keys.Invalid, t.Sys.Pos[i], 0)
 		t.Descend(&d, 0, 1, true)
 		inter += uint64(len(d.Accepted))
+		for _, c := range d.Opened {
+			inter += uint64(c.N)
+		}
 		sampled++
 	}
 	d.Drop()
-	return inter + leaves.n - uint64(sampled), sampled
+	return inter - uint64(sampled), sampled
 }

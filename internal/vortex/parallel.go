@@ -120,9 +120,11 @@ func (v *visitor) Cells(cells []*tree.Cell, asum []vec.V3) {
 	}
 }
 
-func (v *visitor) Leaf(c *tree.Cell) {
-	b, lo, hi := v.e.LeafBodies(c)
-	v.e.list.addBodies(b.Pos[lo:hi], b.Alpha[lo:hi])
+func (v *visitor) Leaves(cells []*tree.Cell) {
+	for _, c := range cells {
+		b, lo, hi := v.e.LeafBodies(c)
+		v.e.list.addBodies(b.Pos[lo:hi], b.Alpha[lo:hi])
+	}
 }
 
 // evalGroup sweeps a completed interaction list with the batched

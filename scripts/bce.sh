@@ -2,9 +2,12 @@
 # Bounds-check-elimination guard for the interaction kernels' Go loops
 # (internal/grav/kernel.go and internal/vortex/kernel.go: the kernels'
 # definition everywhere, and the production path wherever the assembly
-# is not) and for the Go glue that feeds grav's assembly
-# (internal/grav/kernel_amd64.go: the target loads of every block of
-# four or eight targets).
+# is not), the list build's Go loops (addRunsGo and addCellsGo in
+# internal/grav/kernel.go: the definition of the lane routines, and the
+# production path off AVX-512) and the Go glue that feeds grav's
+# assembly (internal/grav/kernel_amd64.go: the target loads of every
+# block of four or eight targets, and addRuns and addCells, which hand
+# the lane routines the columns' bases and so keep no check at all).
 #
 # Builds the packages with -d=ssa/check_bce and compares the checks the
 # compiler could NOT eliminate in those three files against the
@@ -18,10 +21,12 @@
 # only, the re-slices of every column to one shared length (sx[:n] and
 # friends at the top of ppGo, m2pQuadGo and EvalSelf, and at every
 # fold of ppGo and m2pQuadGo, once per foldK sources; the columns and
-# target slices at the top of evalVelPPGo and evalVelMonoGo). That
-# re-slice is what lets prove drop every index check, so the loops
-# themselves are check-free. In kernel_amd64.go the re-slices of sweep
-# and of pp and m2pQuad, and eight IsInBounds: in pp and m2pQuad the
+# target slices at the top of evalVelPPGo and evalVelMonoGo; the ten
+# slab columns at the top of addCellsGo, and a run's masses and the four
+# source columns once per run in addRunsGo). That re-slice is what lets
+# prove drop every index check, so the loops themselves are check-free.
+# In kernel_amd64.go the re-slices of sweep and of pp and m2pQuad (none
+# in addRuns and addCells), and eight IsInBounds: in pp and m2pQuad the
 # first element of the source columns, taken once per call, outside
 # the block loop; in sweep the block's four output slots, once per
 # block, and the target a lane pair repeats, once per lane. The

@@ -61,6 +61,8 @@ echo "== fuzz (time-boxed: the pair kernels' reciprocal square root is the Go lo
 go test -run='^$' -fuzz=FuzzRsqrtLanes -fuzztime=10s ./internal/grav
 echo "== fuzz (time-boxed: the pair kernels equal the Go loops bit for bit on groups of 1-40 targets and lists of 0-300, odd lengths and fold boundaries, NaN/Inf/subnormal patterns in the odd last slot, on both blocks; skips without AVX2)"
 go test -run='^$' -fuzz=FuzzKernelLanes -fuzztime=10s ./internal/grav
+echo "== fuzz (time-boxed: the list build's lane routines, the cell gather and the body-run converter, equal the Go loops bit for bit on 0-300 cells and bodies in runs of 1-16, every tail of 1-7, origins far from the data, NaN/Inf/subnormal/-0 moments and positions, and write nothing past the batch; skips without AVX-512)"
+go test -run='^$' -fuzz=FuzzListLanes -fuzztime=10s ./internal/grav
 echo "== fuzz (time-boxed: the Go definition's float32 fused multiply-add fma32 is VFMADD231PS bit for bit, NaNs by class; skips without AVX2 and FMA)"
 go test -run='^$' -fuzz=FuzzFMA32 -fuzztime=10s ./internal/grav
 echo "== one runner (engines are constructed in internal/runner and nowhere else outside tests, gravity, vortex and SPH runs have no serial path, and no production code imports the scalar Karp rsqrt)"
@@ -146,9 +148,9 @@ echo "== bce (the interaction kernels' Go loops stay bounds-check-free, -d=ssa/c
 sh scripts/bce.sh
 echo "== fma guard (the gravity kernels' float32 Go loops fuse nothing on arm64: every fused multiply-add is an explicit fma32, so they mean the same bits everywhere)"
 sh scripts/fma_guard.sh
-echo "== benchcmp (allocs/op of the index descent, the sink-cell walk and evaluation, and the gravity (dispatched, YMM block forced, Go) and vortex interaction kernels vs BENCH_baseline.json)"
+echo "== benchcmp (allocs/op of the index descent, the sink-cell walk and evaluation, the gravity (dispatched, YMM block forced, Go) and vortex interaction kernels and the list build (dispatched, Go forced) vs BENCH_baseline.json)"
 {
 	go test -run='^$' -bench='Ablation_(DescentIndex|SinkCells)' -benchtime=5x .
-	go test -run='^$' -bench='Ablation_Eval' -benchtime=100x ./internal/grav ./internal/vortex
-} | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(DescentIndex|SinkCells|Eval)'
+	go test -run='^$' -bench='Ablation_(Eval|ListBuild)' -benchtime=100x ./internal/grav ./internal/vortex
+} | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(DescentIndex|SinkCells|Eval|ListBuild)'
 echo "== ok"
