@@ -20,9 +20,10 @@ chaos:
 # No row is one iteration: a time taken once on this box says nothing.
 # The benches of tens to hundreds of milliseconds (the tree ablations,
 # the construction pipeline, the descent and sink pairs, the steps) run
-# 5; the millisecond ones (the interaction kernels, GroupSphere; the
-# gravity and vortex kernels' rows come from internal/grav and
-# internal/vortex) 100; the nanosecond
+# 5; the millisecond ones (the interaction kernels, GroupSphere, the
+# splitter sweep; the gravity and vortex kernels' rows come from
+# internal/grav and internal/vortex, the sweep's from internal/domain)
+# 100; the nanosecond
 # rows (Rsqrt, Hash) for a second each -- one iteration of those is one
 # call plus the timer.
 bench-baseline:
@@ -30,7 +31,7 @@ bench-baseline:
 	go run ./cmd/treebench -n 50000 -procs 4 -steps 1 -metrics "$$dir/report.json" >/dev/null && \
 	{ go test -run='^$$' -bench='Ablation_(MAC|Order|GroupSize|ABM|Step|Sink|Sort|Build|Decompose|Descent)' -benchtime=5x . ; \
 	  go test -run='^$$' -bench='Ablation_(Hash|Rsqrt)' -benchtime=1s . ; \
-	  go test -run='^$$' -bench='Ablation_(Eval|GroupSphere|ListBuild)' -benchtime=100x . ./internal/grav ./internal/vortex ; } \
+	  go test -run='^$$' -bench='Ablation_(Eval|GroupSphere|ListBuild|SplitterSweep)' -benchtime=100x . ./internal/grav ./internal/vortex ./internal/domain ; } \
 	  | go run ./cmd/benchdump -runreport "$$dir/report.json" -o BENCH_baseline.json
 
 .PHONY: check bench-baseline
@@ -40,7 +41,7 @@ bench-baseline:
 # (times are printed, not compared).
 benchcmp:
 	{ go test -run='^$$' -bench='Ablation_(DescentIndex|SinkCells)' -benchtime=5x . ; \
-	  go test -run='^$$' -bench='Ablation_(Eval|ListBuild)' -benchtime=100x ./internal/grav ./internal/vortex ; } \
-	  | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(DescentIndex|SinkCells|Eval|ListBuild)'
+	  go test -run='^$$' -bench='Ablation_(Eval|ListBuild|SplitterSweep)' -benchtime=100x ./internal/grav ./internal/vortex ./internal/domain ; } \
+	  | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(DescentIndex|SinkCells|Eval|ListBuild|SplitterSweep)'
 
 .PHONY: benchcmp

@@ -23,9 +23,11 @@ type System struct {
 	Pos  []vec.V3
 	Mass []float64
 	Key  []keys.Key
-	// Work is the per-body cost estimate from the previous force
-	// evaluation, used to weight the domain decomposition.
-	Work []float64
+	// Work is a body's cost in its last force evaluation, a count of
+	// interactions (and SPH neighbour pairs) that weights the domain
+	// decomposition; every sum of it is exact in any order. A group of N
+	// bodies costs N·(cells + sources) + N(N-1): its N-th share is exact.
+	Work []uint64
 	// ID is a stable identity that survives sorting and exchange.
 	ID []int64
 
@@ -55,7 +57,7 @@ func New(n int) *System {
 		Pos:  make([]vec.V3, n),
 		Mass: make([]float64, n),
 		Key:  make([]keys.Key, n),
-		Work: make([]float64, n),
+		Work: make([]uint64, n),
 		ID:   make([]int64, n),
 	}
 	for i := range s.Work {

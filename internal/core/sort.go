@@ -40,8 +40,8 @@ type Sorter struct {
 
 	sPos, sVel, sAcc, sAlpha []vec.V3
 	sPos0, sAlpha0           []vec.V3
-	sMass, sWork, sPot, sH   []float64
-	sRho                     []float64
+	sMass, sPot, sH, sRho    []float64
+	sWork                    []uint64
 	sKey                     []keys.Key
 	sID                      []int64
 	sRung                    []uint8

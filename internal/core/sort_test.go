@@ -26,7 +26,7 @@ func makeSystem(n int, keyOf func(i int) keys.Key, rng *rand.Rand) *System {
 		s.ID[i] = int64(perm[i]) // IDs unique but shuffled
 		s.Pos[i] = vec.V3{X: f, Y: f + 0.25, Z: f + 0.5}
 		s.Mass[i] = f + 1
-		s.Work[i] = f + 2
+		s.Work[i] = uint64(i) + 2
 		s.Vel[i] = vec.V3{X: -f}
 		s.Acc[i] = vec.V3{Y: -f}
 		s.Pot[i] = -f

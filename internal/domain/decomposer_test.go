@@ -16,7 +16,7 @@ type rankSnap struct {
 	ids  []int64
 	ks   []keys.Key
 	pos  []vec.V3
-	work []float64
+	work []uint64
 }
 
 type stepSnap struct {
@@ -41,7 +41,7 @@ func jitter(scale float64) driftFn {
 				return (float64((h>>shift)%1024)/1024 - 0.5) * scale
 			}
 			sys.Pos[i] = sys.Pos[i].Add(vec.V3{X: f(0), Y: f(10), Z: f(20)})
-			sys.Work[i] = 1 + float64((h>>30)%100)/100
+			sys.Work[i] = 100 + (h>>30)%100
 		}
 	}
 }
@@ -88,7 +88,7 @@ func runWorld(t *testing.T, global *core.System, np, steps int, drift driftFn, m
 				ids:  append([]int64(nil), res.Sys.ID...),
 				ks:   append([]keys.Key(nil), res.Sys.Key...),
 				pos:  append([]vec.V3(nil), res.Sys.Pos...),
-				work: append([]float64(nil), res.Sys.Work...),
+				work: append([]uint64(nil), res.Sys.Work...),
 			}
 			snaps[s].stats[c.Rank()] = st
 			mu.Unlock()

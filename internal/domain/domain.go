@@ -11,27 +11,27 @@
 // collectives whatever the key width, N or Np: an exact selection
 // among the offsets where the work below can change, narrowed by
 // samples first and settled by the few bodies left in between
-// (sampleSplits; two allgathers, two vector allreduces). Bodies then
-// move in one exchange, a batch from every rank to every other: the
-// view of the columns its bodies carry (core.System.Carried), which the
-// receiver copies into one system and orders with the same repair the
-// local order gets (core.Sorter.Resort), as the batches arrive each
-// sorted and in rank order. There is no body record and no body order
-// here but core's.
+// (sampleSplits; two allgathers, two vector allreduces). Work is a
+// count (core.System.Work), so every sum of it is exact, in whatever
+// order a reduction adds it. Bodies then move in one exchange, a batch
+// from every rank to every other: the view of the columns its bodies
+// carry (core.System.Carried), which the receiver copies into one
+// system and orders with the local order's repair (core.Sorter.Resort:
+// the batches arrive sorted, in rank order). There is no body record
+// and no body order here but core's.
 //
 // The paper's other observation is that the decomposition changes
 // slowly between timesteps, so a persistent Decomposer works
-// incrementally: the local order is repaired (core.Sorter.Resort)
-// instead of re-sorted, the prefix/sample/probe/send scratch is reused
-// across calls, and the splitter search itself is one allgather
-// (hintedSplits): after an exchange every rank holds one interval of
-// the curve, so the next splitters fall where two neighbours' intervals
-// meet, among the first and last few bodies of each rank. Publishing
-// those is enough to evaluate the same rank-ordered work sums the full
-// search reduces, at every offset that can matter, and to know when it
-// was not enough: the search then runs in full. The splits are the same
-// bits either way -- a function of the bodies and Np, never of what the
-// previous step left behind; only the count of collectives differs
+// incrementally: the local order is repaired instead of re-sorted, its
+// scratch is reused across calls, and the splitter search itself is
+// one allgather (hintedSplits): after an exchange every rank holds one
+// interval of the curve, so the next splitters fall where two
+// neighbours' intervals meet, among the first and last few bodies of
+// each rank. Publishing those is enough to evaluate the full search's
+// sums at every offset that can matter, in one pass, and to know when
+// it was not enough: the search then runs in full. The splits are the
+// same bits either way, a function of the bodies and Np, never of what
+// the previous step left behind; only the count of collectives differs
 // (Stats.Rounds: 1 on a hit, 4 cold, 5 on a miss). The same windows say
 // who can hold bodies for whom, so after a hit the exchange carries
 // only those batches (Decomposer.plan): on a warm step most pairs of
@@ -120,8 +120,8 @@ type Stats struct {
 
 // Decomposer carries the cross-step state of the incremental
 // decomposition: the sorter scratch, the rank count it last decomposed
-// for, and every reusable buffer. One Decomposer per rank; the zero value is a cold
-// decomposer. The one-shot Decompose function wraps it.
+// for, and every reusable buffer. One Decomposer per rank; the zero
+// value is a cold decomposer. The one-shot Decompose function wraps it.
 type Decomposer struct {
 	// Sub, when non-nil, accumulates the sorting share of the
 	// construction pipeline under the phase "treebuild/sort".
@@ -135,17 +135,17 @@ type Decomposer struct {
 	check  bool        // dom is a prediction the next hinted search checks
 	box    keys.Box    // this rank's bounding box, published when checking
 
-	pw      []float64
-	mine    []uint64  // this rank's candidates of a search pass
-	cand    []uint64  // every rank's, merged: identical on all ranks
-	sums    []float64 // work below each of cand
-	below   []uint64  // per splitter, an offset known to lie below it
-	edges   [2][]edge // this rank's published bodies, by parity of hinted
-	hinted  int       // one-allgather searches run
-	unknown []bool    // per candidate: inside some rank's unpublished interior
-	wins    []window  // every rank's, when the last search settled in one allgather
-	sends   []bool    // the exchange plan, row-major by (sender, receiver)
-	send    [][]core.System
+	pw     []uint64  // work below each local body, and of all of them
+	mine   []uint64  // this rank's candidates of a search pass
+	cand   []uint64  // every rank's, merged: identical on all ranks
+	sums   []uint64  // work below each of cand
+	below  []uint64  // per splitter, an offset known to lie below it
+	edges  [2][]edge // this rank's published bodies, by parity of hinted
+	hinted int       // one-allgather searches run
+	cover  []int32   // per candidate: unpublished interiors holding it
+	wins   []window  // every rank's, when the last search settled in one allgather
+	sends  []bool    // the exchange plan, row-major by (sender, receiver)
+	send   [][]core.System
 }
 
 // Decompose redistributes bodies so every rank owns a contiguous
@@ -204,21 +204,17 @@ func (dc *Decomposer) search(c *msg.Comm, sys *core.System) []uint64 {
 			dc.Sub.Start("treebuild/sort")
 		}
 		sys.AssignKeys(dc.dom)
-		n := sys.Len()
 		dc.Last.Displaced = dc.sorter.Resort(sys)
 		if dc.Sub != nil {
 			dc.Sub.Stop()
 		}
 
 		// Local prefix work sums: pw[i] = work of bodies [0, i).
-		if cap(dc.pw) < n+1 {
-			dc.pw = make([]float64, n+1)
+		pw := append(dc.pw[:0], 0)
+		for i, w := range sys.Work {
+			pw = append(pw, pw[i]+w)
 		}
-		pw := dc.pw[:n+1]
-		pw[0] = 0
-		for i := 0; i < n; i++ {
-			pw[i+1] = pw[i] + sys.Work[i]
-		}
+		dc.pw = pw
 		if splits := dc.selectSplits(c, sys.Key, pw, c.Size()); splits != nil {
 			return splits
 		}
@@ -341,14 +337,14 @@ func (dc *Decomposer) exchange(c *msg.Comm, sys *core.System, splits []uint64, p
 // summary is a rank's contribution to one pass of the splitter
 // search: its total work and its candidate offsets, ascending.
 type summary struct {
-	work  float64
+	work  uint64
 	cands []uint64
 }
 
 // selectSplits finds the P-1 interior splitters: splits[s+1] is the
-// smallest offset >= 1 below which the global work (per-rank prefix
-// sums added in rank order) reaches total*(s+1)/P, or EndOffset when
-// none does. That predicate is monotone in the offset and can only
+// smallest offset >= 1 below which the global work (the sum of every
+// rank's work below it) reaches total*(s+1)/P in float64, or EndOffset
+// when none does. That predicate is monotone in the offset and can only
 // change at a candidate -- the offset 1 or some body's offset + 1 --
 // so it is evaluated at candidates alone. A warm decomposer, whose
 // last exchange left every rank one interval of the curve, first asks
@@ -356,7 +352,7 @@ type summary struct {
 // search (sampleSplits) is the answer otherwise, and the only one that
 // works on bodies in no particular place: a first evaluation, a
 // restart. It returns nil when the hinted search relocated the domain.
-func (dc *Decomposer) selectSplits(c *msg.Comm, ks []keys.Key, pw []float64, p int) []uint64 {
+func (dc *Decomposer) selectSplits(c *msg.Comm, ks []keys.Key, pw []uint64, p int) []uint64 {
 	if p > 1 && dc.warm == p {
 		if splits, ok := dc.hintedSplits(c, ks, pw, p); ok {
 			return splits
@@ -367,10 +363,7 @@ func (dc *Decomposer) selectSplits(c *msg.Comm, ks []keys.Key, pw []float64, p i
 
 // edge is one published body: its key offset and the work of this
 // rank's bodies below it in the local order.
-type edge struct {
-	off   uint64
-	below float64
-}
+type edge struct{ off, below uint64 }
 
 // window is a rank's contribution to the one-allgather search: its
 // body count, their total work, and the first and last hintWindow
@@ -378,7 +371,7 @@ type edge struct {
 // that), ascending; and its bounding box when the domain is checked.
 type window struct {
 	n     int
-	work  float64
+	work  uint64
 	edges []edge
 	box   keys.Box
 }
@@ -394,23 +387,20 @@ func (w *window) gap() int {
 
 // hintedSplits is the splitter search in one allgather. Every rank
 // publishes a window; from all of them every rank evaluates, at every
-// published candidate, the same sum the full search allreduces -- each
-// rank's work below the candidate, added in rank order -- wherever that
-// is known: rank r's term is unknown exactly for candidates in its
-// unpublished interior, above its last published head body and not
-// above its first published tail body. An unpublished body's candidate
-// lies in its rank's interior or equals a published one, so between two
-// adjacent published candidates that are both known there is no
-// candidate at all, and a splitter whose target is first reached at the
-// upper of such a pair is that candidate, exactly as the full search
-// finds it. ok is false when some splitter has no such pair: the same
-// verdict on every rank, from the same gathered data.
+// published candidate, the same sum the full search allreduces, wherever
+// that is known (sweep). An unpublished body's candidate lies in its
+// rank's interior or equals a published one, so between two adjacent
+// published candidates that are both known there is no candidate at
+// all, and a splitter whose target is first reached at the upper of
+// such a pair is that candidate, exactly as the full search finds it.
+// ok is false when some splitter has no such pair: the same verdict on
+// every rank, from the same gathered data.
 //
 // When dc.dom is a prediction the windows carry every rank's box, and
 // every rank computes the true domain from their union. If it is not the
 // prediction, the keys published are not the bodies': the result is ok
 // with no splits, and dc.dom the true domain to search in again.
-func (dc *Decomposer) hintedSplits(c *msg.Comm, ks []keys.Key, pw []float64, p int) (splits []uint64, ok bool) {
+func (dc *Decomposer) hintedSplits(c *msg.Comm, ks []keys.Key, pw []uint64, p int) (splits []uint64, ok bool) {
 	n := len(ks)
 	// The gathered windows alias every rank's edges, which are read up
 	// to the body exchange, and a rank the sparse exchange does not hold
@@ -445,7 +435,44 @@ func (dc *Decomposer) hintedSplits(c *msg.Comm, ks []keys.Key, pw []float64, p i
 		}
 	}
 
-	total := 0.0
+	total := dc.sweep(wins)
+	cand, sums, cover := dc.cand, dc.sums, dc.cover
+
+	// Targets rise with s, so the scan never goes back. The last
+	// candidate lies above every body and is known to every rank: a
+	// target it does not reach is reached nowhere.
+	splits = make([]uint64, p+1)
+	splits[p] = tree.EndOffset
+	k := 0
+	for s := 0; s < p-1; s++ {
+		tgt := float64(total) * float64(s+1) / float64(p)
+		for k < len(cand) && (cover[k] > 0 || float64(sums[k]) < tgt) {
+			k++
+		}
+		switch {
+		case k == len(cand):
+			splits[s+1] = tree.EndOffset
+		case k > 0 && cover[k-1] > 0:
+			return nil, false
+		default:
+			splits[s+1] = cand[k]
+		}
+	}
+	dc.wins = wins
+	return splits, true
+}
+
+// sweep merges the gathered windows' candidates into dc.cand (the
+// offset 1 and each published body's offset + 1) and returns the total
+// work. At each candidate it leaves in dc.sums every rank's work below
+// it, and in dc.cover how many ranks' terms are unknown there: those
+// whose unpublished interior holds it, above the last head body and not
+// above the first tail body. Each is one prefix sum over a difference
+// array: rank r's term steps up at each published body's candidate by
+// the work up to r's next published body (after the last head body, the
+// interior's too), and r's interior adds 1 at its last head body's
+// candidate and takes it away at its first tail body's.
+func (dc *Decomposer) sweep(wins []window) (total uint64) {
 	cand := append(dc.cand[:0], 1)
 	for i := range wins {
 		total += wins[i].work
@@ -455,55 +482,28 @@ func (dc *Decomposer) hintedSplits(c *msg.Comm, ks []keys.Key, pw []float64, p i
 	}
 	slices.Sort(cand)
 	cand = slices.Compact(cand)
-	dc.cand = cand
-
-	// One sweep per rank, in rank order so the sums associate as the
-	// allreduce's do (which starts from rank 0's term; 0 + x is x): j is
-	// the first published body at or above the candidate, and the work
-	// below the candidate is the work below j.
-	sums := append(dc.sums[:0], make([]float64, len(cand))...)
-	unknown := append(dc.unknown[:0], make([]bool, len(cand))...)
-	dc.sums, dc.unknown = sums, unknown
+	sums := append(dc.sums[:0], make([]uint64, len(cand))...)
+	cover := append(dc.cover[:0], make([]int32, len(cand))...)
+	dc.cand, dc.sums, dc.cover = cand, sums, cover
+	at := func(e edge) int { k, _ := slices.BinarySearch(cand, e.off+1); return k }
 	for r := range wins {
 		w := &wins[r]
-		gap, j := w.gap(), 0
-		for k, off := range cand {
-			for j < len(w.edges) && w.edges[j].off < off {
-				j++
-			}
-			below := w.work
-			if j < len(w.edges) {
-				below = w.edges[j].below
-			}
-			if j == gap {
-				unknown[k] = true
-			}
-			sums[k] += below
+		next := w.work // below r's next published body, or below none
+		for j := len(w.edges) - 1; j >= 0; j-- {
+			e := w.edges[j]
+			sums[at(e)] += next - e.below
+			next = e.below
+		}
+		if g := w.gap(); g > 0 {
+			cover[at(w.edges[g-1])]++
+			cover[at(w.edges[g])]--
 		}
 	}
-
-	// Targets rise with s, so the scan never goes back. The last
-	// candidate lies above every body and is known to every rank: a
-	// target it does not reach is reached nowhere.
-	splits = make([]uint64, p+1)
-	splits[p] = tree.EndOffset
-	k := 0
-	for s := 0; s < p-1; s++ {
-		tgt := total * float64(s+1) / float64(p)
-		for k < len(cand) && (unknown[k] || !(sums[k] >= tgt)) {
-			k++
-		}
-		switch {
-		case k == len(cand):
-			splits[s+1] = tree.EndOffset
-		case k > 0 && unknown[k-1]:
-			return nil, false
-		default:
-			splits[s+1] = cand[k]
-		}
+	for k := 1; k < len(cand); k++ {
+		sums[k] += sums[k-1]
+		cover[k] += cover[k-1]
 	}
-	dc.wins = wins
-	return splits, true
+	return total
 }
 
 // sampleSplits is the full splitter search, in two passes of one
@@ -515,7 +515,7 @@ func (dc *Decomposer) hintedSplits(c *msg.Comm, ks []keys.Key, pw []float64, p i
 // Splitter s is bracketed by (lo[s], hi[s]]: the work below lo is
 // short of the target, hi is the answer unless a candidate in between
 // already reaches it. hi narrows in place in the result.
-func (dc *Decomposer) sampleSplits(c *msg.Comm, ks []keys.Key, pw []float64, p int) []uint64 {
+func (dc *Decomposer) sampleSplits(c *msg.Comm, ks []keys.Key, pw []uint64, p int) []uint64 {
 	splits := make([]uint64, p+1)
 	for s := 1; s <= p; s++ {
 		splits[s] = tree.EndOffset
@@ -545,7 +545,7 @@ func (dc *Decomposer) sampleSplits(c *msg.Comm, ks []keys.Key, pw []float64, p i
 		}
 		mine = slices.Compact(mine)
 		dc.mine = mine
-		total := 0.0
+		var total uint64
 		cand := append(dc.cand[:0], 1)
 		for _, a := range msg.Allgather(c, summary{work: pw[len(ks)], cands: mine}, 8+8*len(mine)) {
 			total += a.work
@@ -555,10 +555,10 @@ func (dc *Decomposer) sampleSplits(c *msg.Comm, ks []keys.Key, pw []float64, p i
 		cand = slices.Compact(cand)
 		dc.cand = cand
 
-		// Work below every candidate, summed over ranks in rank order
-		// into rank 0's vector. The sums alias that scratch: rank 0
-		// refills it only after the next allgather, which no rank
-		// enters before it is done reading.
+		// Work below every candidate, summed over ranks into rank 0's
+		// vector. The sums alias that scratch: rank 0 refills it only
+		// after the next allgather, which no rank enters before it is
+		// done reading.
 		sums := dc.sums[:0]
 		for _, off := range cand {
 			sums = append(sums, pw[searchOffset(ks, off)])
@@ -568,10 +568,10 @@ func (dc *Decomposer) sampleSplits(c *msg.Comm, ks []keys.Key, pw []float64, p i
 		dc.Last.Rounds += 2
 
 		for s := range lo {
-			tgt := total * float64(s+1) / float64(p)
+			tgt := float64(total) * float64(s+1) / float64(p)
 			k, _ := slices.BinarySearch(cand, lo[s]+1)
 			for ; k < len(cand) && cand[k] < hi[s]; k++ {
-				if sums[k] >= tgt {
+				if float64(sums[k]) >= tgt {
 					hi[s] = cand[k]
 					break
 				}
@@ -604,7 +604,7 @@ func Decompose(c *msg.Comm, sys *core.System, d keys.Domain) Result {
 
 // addVec accumulates b into a: the reduction's accumulator is the
 // root's own probe vector, so nothing is allocated.
-func addVec(a, b []float64) []float64 {
+func addVec(a, b []uint64) []uint64 {
 	for i := range a {
 		a[i] += b[i]
 	}

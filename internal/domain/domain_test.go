@@ -26,7 +26,7 @@ func clustered(n int, seed int64) *core.System {
 			sys.Pos[i] = vec.V3{X: 0.1 + 0.02*rng.NormFloat64(), Y: 0.1 + 0.02*rng.NormFloat64(), Z: 0.1 + 0.02*rng.NormFloat64()}
 		}
 		sys.Mass[i] = 1
-		sys.Work[i] = rng.Float64()*9 + 1 // wildly uneven work
+		sys.Work[i] = uint64(rng.Float64()*9) + 1 // wildly uneven work
 		sys.ID[i] = int64(i)
 	}
 	return sys
@@ -57,7 +57,7 @@ func TestDecomposeBasics(t *testing.T) {
 			w := 0.0
 			for i := 0; i < res.Sys.Len(); i++ {
 				seenIDs[res.Sys.ID[i]]++
-				w += res.Sys.Work[i]
+				w += float64(res.Sys.Work[i])
 				// Contiguity: every local body within this rank's split.
 				off := tree.KeyOffset(res.Sys.Key[i])
 				if off < res.Splits[c.Rank()] || off >= res.Splits[c.Rank()+1] {
@@ -110,8 +110,9 @@ func TestDecomposePreservesFields(t *testing.T) {
 	}
 	// body is what a body brings through the exchange.
 	type body struct {
-		Pos, Vel, Alpha    vec.V3
-		Mass, Work, H, Rho float64
+		Pos, Vel, Alpha vec.V3
+		Mass, H, Rho    float64
+		Work            uint64
 	}
 	var mu sync.Mutex
 	got := make(map[int64]body)

@@ -19,19 +19,19 @@ func (dc *Decomposer) decomposeDense(c *msg.Comm, sys *core.System, d keys.Domai
 // bisectSplits is the splitter search this package ran before the
 // sample selection: a bisection on the 63-bit key-offset space, one
 // allreduce of the P-1 probes per bit. Kept as the reference
-// selectSplits is tested against: same prefix sums, same rank-order
-// reduction, same fixed point.
-func bisectSplits(c *msg.Comm, ks []keys.Key, pw []float64, p int) []uint64 {
-	total := msg.Allreduce(c, pw[len(ks)], msg.SumF64, 8)
+// selectSplits is tested against: same prefix sums, same target
+// predicate, same fixed point.
+func bisectSplits(c *msg.Comm, ks []keys.Key, pw []uint64, p int) []uint64 {
+	total := msg.Allreduce(c, pw[len(ks)], msg.SumU64, 8)
 	lo := make([]uint64, p-1)
 	hi := make([]uint64, p-1)
 	tgt := make([]float64, p-1)
 	for s := range lo {
 		hi[s] = tree.EndOffset
-		tgt[s] = total * float64(s+1) / float64(p)
+		tgt[s] = float64(total) * float64(s+1) / float64(p)
 	}
-	sumVec := func(a, b []float64) []float64 {
-		out := make([]float64, len(a))
+	sumVec := func(a, b []uint64) []uint64 {
+		out := make([]uint64, len(a))
 		for i := range a {
 			out[i] = a[i] + b[i]
 		}
@@ -39,7 +39,7 @@ func bisectSplits(c *msg.Comm, ks []keys.Key, pw []float64, p int) []uint64 {
 	}
 	for round := 0; round < 64; round++ {
 		done := true
-		probes := make([]float64, p-1)
+		probes := make([]uint64, p-1)
 		for s := range lo {
 			if hi[s]-lo[s] > 1 {
 				done = false
@@ -52,7 +52,7 @@ func bisectSplits(c *msg.Comm, ks []keys.Key, pw []float64, p int) []uint64 {
 		sums := msg.Allreduce(c, probes, sumVec, 8*(p-1))
 		for s := range lo {
 			mid := (lo[s] + hi[s]) / 2
-			if sums[s] >= tgt[s] {
+			if float64(sums[s]) >= tgt[s] {
 				hi[s] = mid
 			} else {
 				lo[s] = mid

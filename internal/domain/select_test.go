@@ -39,7 +39,7 @@ type selCase struct {
 
 func blockHome(i, n, np int) int { return i * np / n }
 
-func setWork(f func(id int64, step int) float64) func(*core.System, int) {
+func setWork(f func(id int64, step int) uint64) func(*core.System, int) {
 	return func(sys *core.System, step int) {
 		for i := range sys.Work {
 			sys.Work[i] = f(sys.ID[i], step)
@@ -49,23 +49,23 @@ func setWork(f func(id int64, step int) float64) func(*core.System, int) {
 
 var selCases = []selCase{
 	{name: "uniform-work", n: 700, home: blockHome,
-		shape: setWork(func(int64, int) float64 { return 1 })},
+		shape: setWork(func(int64, int) uint64 { return 1 })},
 	{name: "random-work", n: 700, home: blockHome,
-		shape: setWork(func(id int64, step int) float64 { return 0.1 + float64(hash32(id, step)%1000)/7 })},
+		shape: setWork(func(id int64, step int) uint64 { return 1 + hash32(id, step)%1000 })},
 	{name: "zero-work-bodies", n: 700, home: blockHome,
-		shape: setWork(func(id int64, step int) float64 {
+		shape: setWork(func(id int64, step int) uint64 {
 			if hash32(id, step)%3 == 0 {
 				return 0
 			}
-			return float64(1 + id%5)
+			return uint64(1 + id%5)
 		})},
 	{name: "total-work-zero", n: 300, home: blockHome,
-		shape: setWork(func(int64, int) float64 { return 0 })},
+		shape: setWork(func(int64, int) uint64 { return 0 })},
 	{name: "one-key", n: 300, home: blockHome,
 		shape: func(sys *core.System, step int) {
 			for i := range sys.Pos {
 				sys.Pos[i] = vec.V3{X: 0.25, Y: 0.5, Z: 0.75}
-				sys.Work[i] = 1 + float64(sys.ID[i]%3)
+				sys.Work[i] = 1 + uint64(sys.ID[i]%3)
 			}
 		}},
 	// Five distinct positions, equal work: every target falls inside
@@ -79,16 +79,16 @@ var selCases = []selCase{
 			}
 		}},
 	{name: "fewer-than-samples", n: 20, home: blockHome,
-		shape: setWork(func(id int64, step int) float64 { return float64(1 + hash32(id, step)%4) })},
+		shape: setWork(func(id int64, step int) uint64 { return 1 + hash32(id, step)%4 })},
 	{name: "empty-ranks", n: 500, home: func(i, n, np int) int { return blockHome(i, n, (np+1)/2) * 2 },
-		shape: setWork(func(id int64, step int) float64 { return float64(1 + hash32(id, step)%9) })},
+		shape: setWork(func(id int64, step int) uint64 { return 1 + hash32(id, step)%9 })},
 	{name: "one-rank", n: 500, home: func(i, n, np int) int { return np - 1 },
-		shape: setWork(func(id int64, step int) float64 { return float64(1 + hash32(id, step)%9) })},
+		shape: setWork(func(id int64, step int) uint64 { return 1 + hash32(id, step)%9 })},
 	// Ownership no exchange could have left behind: every rank's
 	// bodies span the whole curve, more of them than two windows hold,
 	// so every splitter lies in every rank's unpublished interior.
 	{name: "scattered-by-id", n: 2400, home: func(i, n, np int) int { return i % np },
-		shape: setWork(func(id int64, step int) float64 { return float64(1 + hash32(id, step)%9) })},
+		shape: setWork(func(id int64, step int) uint64 { return 1 + hash32(id, step)%9 })},
 	// Seven distinct keys in runs longer than a window: the edge of
 	// every published window falls inside a run of equal keys.
 	{name: "runs-over-window-edge", n: 2100, home: blockHome,
@@ -96,7 +96,7 @@ var selCases = []selCase{
 			for i := range sys.Pos {
 				k := float64((sys.ID[i] + int64(step)) % 7)
 				sys.Pos[i] = vec.V3{X: k / 7, Y: 1 - k/7, Z: k / 9}
-				sys.Work[i] = 1 + float64(sys.ID[i]%2)
+				sys.Work[i] = 1 + uint64(sys.ID[i]%2)
 			}
 		}},
 	// Bodies barely move but the work does: on the last step one half
@@ -113,10 +113,9 @@ var selCases = []selCase{
 		}},
 }
 
-// prefixWork returns pw with pw[i] = work of bodies [0, i), summed as
-// Decompose sums it.
-func prefixWork(work []float64) []float64 {
-	pw := make([]float64, len(work)+1)
+// prefixWork returns pw with pw[i] = work of bodies [0, i).
+func prefixWork(work []uint64) []uint64 {
+	pw := make([]uint64, len(work)+1)
 	for i, w := range work {
 		pw[i+1] = pw[i] + w
 	}
@@ -239,20 +238,23 @@ func TestSelectMatchesBisection(t *testing.T) {
 }
 
 // decodeFuzzWorld turns fuzz bytes into a world: np ranks, each with a
-// key-sorted body list (offset, work). Byte 0 picks np, byte 1 the bit
+// key-sorted body list (offset, work). Byte 0 picks np (below 0x80, 1
+// to 8; from 0x80 up, an even np from 2 to 256), byte 1 the bit
 // position of the 16-bit offsets (so runs collide or spread over the
 // curve); then four bytes per body: rank, work, offset high and low.
 // Work is a small non-negative integer or zero, offsets 0xffff map to
 // the last representable offset.
-func decodeFuzzWorld(data []byte) (np int, ks [][]keys.Key, work [][]float64) {
+func decodeFuzzWorld(data []byte) (np int, ks [][]keys.Key, work [][]uint64) {
 	if len(data) < 2 {
-		return 1, make([][]keys.Key, 1), make([][]float64, 1)
+		return 1, make([][]keys.Key, 1), make([][]uint64, 1)
 	}
 	np = 1 + int(data[0]%8)
+	if data[0] >= 0x80 {
+		np = 2 * (int(data[0]) - 0x7f)
+	}
 	shift := uint(data[1] % 48)
 	type body struct {
-		off  uint64
-		work float64
+		off, work uint64
 	}
 	bodies := make([][]body, np)
 	for b := data[2:]; len(b) >= 4; b = b[4:] {
@@ -261,10 +263,10 @@ func decodeFuzzWorld(data []byte) (np int, ks [][]keys.Key, work [][]float64) {
 			off = tree.EndOffset - 1
 		}
 		r := int(b[0]) % np
-		bodies[r] = append(bodies[r], body{off, float64(b[1] / 8)})
+		bodies[r] = append(bodies[r], body{off, uint64(b[1] / 8)})
 	}
 	ks = make([][]keys.Key, np)
-	work = make([][]float64, np)
+	work = make([][]uint64, np)
 	for r, bs := range bodies {
 		slices.SortStableFunc(bs, func(a, b body) int { return cmp.Compare(a.off, b.off) })
 		for _, b := range bs {
@@ -276,10 +278,13 @@ func decodeFuzzWorld(data []byte) (np int, ks [][]keys.Key, work [][]float64) {
 }
 
 // fuzzWorld encodes a world for decodeFuzzWorld: n bodies on np ranks
-// (byte 0 = np-1, so np is what comes out), rank, work byte and 16-bit
+// (np at most 8, or even and at most 256), rank, work byte and 16-bit
 // offset by the functions given.
 func fuzzWorld(np, shift, n int, rank, work, off func(i int) int) []byte {
 	b := []byte{byte(np - 1), byte(shift)}
+	if np > 8 {
+		b[0] = byte(0x7f + np/2)
+	}
 	for i := 0; i < n; i++ {
 		o := off(i)
 		b = append(b, byte(rank(i)), byte(work(i)), byte(o>>8), byte(o))
@@ -353,6 +358,37 @@ func FuzzSelectSplits(f *testing.F) {
 		}
 		return owner(i)
 	}, some, rising))
+	// Worlds at np = 64 and 256, where a sweep per rank over every
+	// rank's candidates was quadratic in np. At np = 64: every rank with
+	// more bodies than two windows hold (so every rank has an unpublished
+	// interior) and the splitters where ranks meet, which the search
+	// settles; every other rank empty, every rank's interior spanning the
+	// curve, which it declines; a few strays. At np = 256, kept small
+	// enough for -race: every rank's bodies all published, every other
+	// rank empty, and every eighth rank with an interior among ranks of
+	// two bodies.
+	const wide = 2*hintWindow + 8
+	n64 := 64 * wide
+	owner64 := func(i int) int { return i * 64 / n64 }
+	id := func(i int) int { return i }
+	f.Add(fuzzWorld(64, 20, n64, owner64, func(i int) int { return 8 + 8*(i%2) }, id))
+	f.Add(fuzzWorld(64, 20, n64, func(i int) int { return owner64(i) &^ 1 }, some, id))
+	f.Add(fuzzWorld(64, 20, n64, func(i int) int { return i % 64 }, some, id))
+	f.Add(fuzzWorld(64, 20, n64, func(i int) int {
+		if i%97 == 0 {
+			return (owner64(i) + 32) % 64
+		}
+		return owner64(i)
+	}, some, id))
+	f.Add(fuzzWorld(256, 20, 256*16, func(i int) int { return i / 16 }, some, id))
+	f.Add(fuzzWorld(256, 20, 128*32, func(i int) int { return i / 32 * 2 }, some, id))
+	f.Add(fuzzWorld(256, 20, 32*(wide+14), func(i int) int { // rank 8k holds wide bodies, ranks 8k+1 to 8k+7 two each
+		k, j := i/(wide+14), i%(wide+14)
+		if j < wide {
+			return 8 * k
+		}
+		return 8*k + 1 + (j-wide)/2
+	}, some, id))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		np, ks, work := decodeFuzzWorld(data)
 		settled := make([]bool, np)
@@ -435,4 +471,32 @@ func checkPlan(t *testing.T, dc *Decomposer, splits []uint64, ks []keys.Key, r i
 		}
 	}
 	return slices.Clone(dc.sends)
+}
+
+// BenchmarkAblation_SplitterSweep is the one-allgather search's pass
+// over what its allgather gathers at np = 256: every rank's window of
+// 2·hintWindow published bodies around an unpublished interior, 32 768
+// candidates in all, merged, then summed and covered by one prefix sum
+// (sweep). It runs on the Decomposer's scratch, allocating nothing.
+func BenchmarkAblation_SplitterSweep(b *testing.B) {
+	const p, n = 256, 1000 // ranks, bodies a rank
+	wins := make([]window, p)
+	for r := range wins {
+		w := &wins[r]
+		w.n = n
+		for i := 0; i < n; i++ {
+			if i < hintWindow || i >= n-hintWindow {
+				w.edges = append(w.edges, edge{uint64(r*n+i) << 20, w.work})
+			}
+			w.work += 1 + hash32(int64(r*n+i), 0)%64
+		}
+	}
+	var dc Decomposer
+	dc.sweep(wins)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dc.sweep(wins)
+	}
+	b.ReportMetric(float64(len(dc.cand)), "candidates")
 }

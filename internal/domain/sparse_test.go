@@ -21,7 +21,7 @@ type exchangeSnap struct {
 	ids    []int64
 	pos    []vec.V3
 	vel    []vec.V3
-	work   []float64
+	work   []uint64
 	splits []uint64
 	moved  int
 	stats  Stats
@@ -42,9 +42,9 @@ func driftStrayHeavy(sys *core.System, box keys.Domain, n, step int) {
 		if step%2 == 1 && h%97 == 0 {
 			sys.Pos[i] = centre.Scale(2).Sub(sys.Pos[i])
 		}
-		sys.Work[i] = 1 + float64(hash32(sys.ID[i], 0)%4)
+		sys.Work[i] = 1 + hash32(sys.ID[i], 0)%4
 		if sys.ID[i] == 0 {
-			sys.Work[i] = 2.5 * float64(n)
+			sys.Work[i] = 5 * uint64(n) / 2
 		}
 	}
 }
@@ -172,7 +172,7 @@ func layoutSystem(src *core.System, enable func(*core.System), scale float64) *c
 	enable(in)
 	for i := range in.Pos {
 		in.Pos[i] = src.Pos[i].Scale(scale)
-		in.Mass[i], in.ID[i], in.Work[i] = src.Mass[i], int64(src.Len()-1-i), float64(1+i%7)
+		in.Mass[i], in.ID[i], in.Work[i] = src.Mass[i], int64(src.Len()-1-i), uint64(1+i%7)
 		f := float64(i + 1)
 		for _, col := range [][]float64{in.Pot, in.H, in.Rho} {
 			if col != nil {

@@ -145,7 +145,7 @@ func (p *Pass[B]) Eval(_ keys.Key, g *tree.Cell, ctr *diag.Counters) {
 	before := ctr.PP + ctr.PC
 	p.w.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], p.eps2, p.e.Cfg.MAC.Quad, ctr)
 	if g.N > 0 {
-		per := float64(ctr.PP+ctr.PC-before) / float64(g.N)
+		per := (ctr.PP + ctr.PC - before) / uint64(g.N)
 		for i := lo; i < hi; i++ {
 			sys.Work[i] += per
 		}
@@ -179,7 +179,7 @@ func (e *Engine) computeForces(minRung int) diag.Counters {
 		}
 	}
 	e.ExchangeFor(e.pass, active)
-	// The pass adds its share to Work: from zero, 0 + x is x exactly.
+	// The pass adds its share to Work, here from zero.
 	e.WalkGroupsIf("walk", active, e.pass, func(gk keys.Key, g *tree.Cell, ctr *diag.Counters) {
 		clear(e.Sys.Work[g.First : g.First+g.N])
 		e.pass.Eval(gk, g, ctr)

@@ -269,18 +269,25 @@ func TestEmptyRanksTolerated(t *testing.T) {
 
 func TestWorkWeightsFeedBack(t *testing.T) {
 	// After an evaluation every local body must carry positive work,
-	// and a second evaluation must rebalance using it without error.
+	// the rank's weights must add up to its count exactly (each group's
+	// count divides by its size), and a second evaluation must
+	// rebalance using them without error.
 	const n = 500
 	global := globalCloud(n, 7)
 	msg.Run(4, func(c *msg.Comm) {
 		e := New(c, scatter(global, c), cfg())
-		e.ComputeForces()
-		for i := 0; i < e.Sys.Len(); i++ {
-			if e.Sys.Work[i] <= 0 {
-				t.Errorf("rank %d body %d: work %g", c.Rank(), i, e.Sys.Work[i])
-			}
-		}
 		ctr := e.ComputeForces()
+		var work uint64
+		for i := 0; i < e.Sys.Len(); i++ {
+			if e.Sys.Work[i] == 0 {
+				t.Errorf("rank %d body %d: no work", c.Rank(), i)
+			}
+			work += e.Sys.Work[i]
+		}
+		if work != ctr.Interactions() {
+			t.Errorf("rank %d: work weights sum to %d, the evaluation counted %d", c.Rank(), work, ctr.Interactions())
+		}
+		ctr = e.ComputeForces()
 		if e.Sys.Len() > 0 && ctr.Interactions() == 0 {
 			t.Errorf("second evaluation produced no work")
 		}

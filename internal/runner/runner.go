@@ -198,12 +198,11 @@ func (r *Result) PerBodyWalk(g Gravity) (perBody, grouped uint64, sampled int) {
 	d := keys.NewDomain(sys.Pos)
 	sys.AssignKeys(d)
 	sys.SortByKey()
-	var work float64
 	for i := 0; i < sys.Len(); i += 64 {
-		work += sys.Work[i]
+		grouped += sys.Work[i]
 	}
 	perBody, sampled = tree.Build(sys, d, g.MAC, g.Bucket).PerBodyWalk(64)
-	return perBody, uint64(work), sampled
+	return perBody, grouped, sampled
 }
 
 // ForcesHash digests final per-body state in rank-major, local body

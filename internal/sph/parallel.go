@@ -239,7 +239,6 @@ func (e *ParallelEngine) evalDensity(_ keys.Key, g *tree.Cell, ctr *diag.Counter
 	lo, hi := g.First, g.First+g.N
 	pos := cand.Pos
 	mass := cand.Mass[:len(pos)]
-	var pairs uint64
 	for i := lo; i < hi; i++ {
 		h := sys.H[i]
 		r := 2 * h
@@ -247,6 +246,7 @@ func (e *ParallelEngine) evalDensity(_ keys.Key, g *tree.Cell, ctr *diag.Counter
 		norm := 1 / (math.Pi * h * h * h)
 		xi := sys.Pos[i]
 		rho := 0.0
+		var pairs uint64
 		for j := range pos {
 			r2 := pos[j].Sub(xi).Norm2()
 			if r2 > far {
@@ -257,16 +257,10 @@ func (e *ParallelEngine) evalDensity(_ keys.Key, g *tree.Cell, ctr *diag.Counter
 				pairs++
 			}
 		}
-		sys.Rho[i] = rho
-	}
-	ctr.SPHPairs += pairs
-	// Neighbor pairs are the work the next decomposition balances
-	// (the gravity pass adds its own share on top).
-	if g.N > 0 {
-		per := float64(pairs) / float64(g.N)
-		for i := lo; i < hi; i++ {
-			sys.Work[i] = per
-		}
+		// Its neighbour pairs are the body's work in the next
+		// decomposition (the gravity pass adds its share on top).
+		sys.Rho[i], sys.Work[i] = rho, pairs
+		ctr.SPHPairs += pairs
 	}
 }
 

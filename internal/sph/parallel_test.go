@@ -166,6 +166,43 @@ func TestParallelWithGravityMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestDensityWorkIsPairCount: the density pass gives each body its own
+// neighbour-pair count as its work, so on every rank the weights add up
+// to the pass's SPHPairs exactly, and the self-gravity pass adds its
+// interactions on top. The second round decomposes on the first's
+// weights.
+func TestDensityWorkIsPairCount(t *testing.T) {
+	p := Params{EOS: Isothermal, CS: 1.0, AlphaVisc: 1, BetaVisc: 2}
+	sum := func(work []uint64) (s uint64) {
+		for _, w := range work {
+			s += w
+		}
+		return s
+	}
+	for _, np := range []int{1, 2, 8} {
+		msg.Run(np, func(c *msg.Comm) {
+			e := NewParallel(c, scatterSPH(gasLattice(8), c), ParallelConfig{Params: p, Gravity: true, Eps2: 1e-4})
+			for round := 0; round < 2; round++ {
+				e.Exchange()
+				start := e.Counters
+				e.WalkGroups("density", &gatherer{e: e}, e.evalDensity)
+				pairs := e.Counters.Sub(start).SPHPairs
+				if got := sum(e.Sys.Work); got != pairs || pairs == 0 {
+					t.Errorf("np=%d rank %d round %d: work sums to %d after the density pass, which counted %d pairs", np, c.Rank(), round, got, pairs)
+				}
+				e.ResetImports()
+				start = e.Counters
+				e.WalkGroups("gravity", e.gravity, e.gravity.Eval)
+				grav := e.Counters.Sub(start)
+				inter := grav.Interactions()
+				if got := sum(e.Sys.Work); got != pairs+inter {
+					t.Errorf("np=%d rank %d round %d: work sums to %d after the gravity pass, want %d pairs + %d interactions", np, c.Rank(), round, got, pairs, inter)
+				}
+			}
+		})
+	}
+}
+
 // TestParallelStepMatchesLeapfrog integrates the pressure-only gas
 // for a few KDK steps on 2 ranks and compares trajectories against
 // the serial leapfrog driving sph.Step, by particle ID.

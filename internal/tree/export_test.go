@@ -91,7 +91,7 @@ func (t *Tree) GravityFused(eps2 float64) diag.Counters {
 		before := ctr.PP + ctr.PC
 		WalkFused(t, gk, sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], eps2, t.MAC.Quad, &ctr)
 		if g.N > 0 {
-			per := float64(ctr.PP+ctr.PC-before) / float64(g.N)
+			per := (ctr.PP + ctr.PC - before) / uint64(g.N)
 			for i := lo; i < hi; i++ {
 				sys.Work[i] = per
 			}

@@ -208,7 +208,7 @@ func TestPerBodyWalkCounts(t *testing.T) {
 		t.Fatalf("sampled %d bodies, want every %dth of 3000", sampled, stride)
 	}
 	var want uint64
-	var grouped float64
+	var grouped uint64
 	for i := 0; i < sys.Len(); i += stride {
 		var one diag.Counters
 		WalkFused(tr, keys.Invalid, sys.Pos[i:i+1], sys.Mass[i:i+1], make([]vec.V3, 1), make([]float64, 1), 1e-6, true, &one)
@@ -218,7 +218,7 @@ func TestPerBodyWalkCounts(t *testing.T) {
 	if perBody != want {
 		t.Fatalf("PerBodyWalk counts %d interactions, the reference walk %d", perBody, want)
 	}
-	if float64(perBody) >= grouped {
-		t.Fatalf("the per-body walk counts %d, no fewer than the grouped walk's %.0f", perBody, grouped)
+	if perBody >= grouped {
+		t.Fatalf("the per-body walk counts %d, no fewer than the grouped walk's %d", perBody, grouped)
 	}
 }

@@ -169,10 +169,17 @@ func TestGravityCountersAndWork(t *testing.T) {
 	if ctr.Interactions() < n {
 		t.Fatalf("interaction count %d implausibly low", ctr.Interactions())
 	}
+	// Each group's count divides by its size, so the weights add up to
+	// the count exactly.
+	var work uint64
 	for i, w := range sys.Work {
-		if w <= 0 {
-			t.Fatalf("body %d has nonpositive work %g", i, w)
+		if w == 0 {
+			t.Fatalf("body %d has no work", i)
 		}
+		work += w
+	}
+	if work != ctr.Interactions() {
+		t.Fatalf("work weights sum to %d, the evaluation counted %d", work, ctr.Interactions())
 	}
 	if ctr.Flops() != ctr.Interactions()*38+ctr.QuadPC*70 {
 		t.Fatal("flop accounting mismatch")

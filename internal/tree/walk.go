@@ -238,8 +238,7 @@ func (w *Walker) Evaluate(gpos []vec.V3, gmass []float64, acc []vec.V3, pot []fl
 // Gravity runs a full serial force evaluation through the two-phase
 // (interaction-list) path: for every group, build its list, evaluate
 // it batched, and record the per-body work weights (the group's
-// interactions spread evenly over its bodies, exact to +-1 since every
-// body in a group shares the same interaction list). The system must
+// interactions over its bodies, which share its list). The system must
 // have dynamics enabled. Returns the interaction counters. It is the
 // serial reference the one-rank distributed engine reproduces bit for
 // bit; programs evaluate gravity through that engine.
@@ -254,7 +253,7 @@ func (t *Tree) Gravity(eps2 float64) diag.Counters {
 		w.Walk(t, gk, sys.Pos[lo:hi], &ctr)
 		w.Evaluate(sys.Pos[lo:hi], sys.Mass[lo:hi], sys.Acc[lo:hi], sys.Pot[lo:hi], eps2, t.MAC.Quad, &ctr)
 		if g.N > 0 {
-			per := float64(ctr.PP+ctr.PC-before) / float64(g.N)
+			per := (ctr.PP + ctr.PC - before) / uint64(g.N)
 			for i := lo; i < hi; i++ {
 				sys.Work[i] = per
 			}

@@ -1,6 +1,10 @@
 package vortex
 
-import "repro/internal/vec"
+import (
+	"slices"
+
+	"repro/internal/vec"
+)
 
 // Batched, structure-of-arrays evaluation for the vortex tree walk:
 // the vector-valued twin of internal/grav's interaction-list path.
@@ -29,13 +33,14 @@ func (l *vList) reset() {
 }
 
 func (l *vList) addBodies(pos, alpha []vec.V3) {
-	for i := range pos {
-		l.sx = append(l.sx, pos[i].X)
-		l.sy = append(l.sy, pos[i].Y)
-		l.sz = append(l.sz, pos[i].Z)
-		l.sax = append(l.sax, alpha[i].X)
-		l.say = append(l.say, alpha[i].Y)
-		l.saz = append(l.saz, alpha[i].Z)
+	at, n := len(l.sx), len(pos)
+	for _, col := range [...]*[]float64{&l.sx, &l.sy, &l.sz, &l.sax, &l.say, &l.saz} {
+		*col = slices.Grow(*col, n)[:at+n]
+	}
+	sx, sy, sz, sax, say, saz := l.sx[at:], l.sy[at:], l.sz[at:], l.sax[at:], l.say[at:], l.saz[at:]
+	for i, p := range pos {
+		sx[i], sy[i], sz[i] = p.X, p.Y, p.Z
+		sax[i], say[i], saz[i] = alpha[i].X, alpha[i].Y, alpha[i].Z
 	}
 }
 

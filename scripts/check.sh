@@ -148,9 +148,9 @@ echo "== bce (the interaction kernels' Go loops stay bounds-check-free, -d=ssa/c
 sh scripts/bce.sh
 echo "== fma guard (the gravity kernels' float32 Go loops fuse nothing on arm64: every fused multiply-add is an explicit fma32, so they mean the same bits everywhere)"
 sh scripts/fma_guard.sh
-echo "== benchcmp (allocs/op of the index descent, the sink-cell walk and evaluation, the gravity (dispatched, YMM block forced, Go) and vortex interaction kernels and the list build (dispatched, Go forced) vs BENCH_baseline.json)"
+echo "== benchcmp (allocs/op of the index descent, the sink-cell walk and evaluation, the gravity (dispatched, YMM block forced, Go) and vortex interaction kernels, the list build (dispatched, Go forced) and the splitter sweep at np = 256 vs BENCH_baseline.json)"
 {
 	go test -run='^$' -bench='Ablation_(DescentIndex|SinkCells)' -benchtime=5x .
-	go test -run='^$' -bench='Ablation_(Eval|ListBuild)' -benchtime=100x ./internal/grav ./internal/vortex
-} | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(DescentIndex|SinkCells|Eval|ListBuild)'
+	go test -run='^$' -bench='Ablation_(Eval|ListBuild|SplitterSweep)' -benchtime=100x ./internal/grav ./internal/vortex ./internal/domain
+} | go run ./cmd/benchdump -compare BENCH_baseline.json -match 'Ablation_(DescentIndex|SinkCells|Eval|ListBuild|SplitterSweep)'
 echo "== ok"
