@@ -11,14 +11,19 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/keys"
 	"repro/internal/vec"
 )
 
-// System holds N bodies. Pos, Mass, Key, Work and ID always have
-// length N; the remaining slices are either nil (feature unused) or
-// length N.
+// System holds N bodies, N being len(Pos). In a system Pos, Mass, Key,
+// Work and ID always have length N; the remaining slices are either nil
+// (feature unused) or length N. A view may lack any column, a nil one:
+// Carried's lacks Key, Acc and Pot, and a leaf's view
+// (hotengine.Physics.Columns) has only the columns a leaf carries. Slice,
+// AppendRange, Reserve, BodyBytes and Bytes take a view as they take a
+// system; N is still len(Pos), so a view without Pos has none.
 type System struct {
 	Pos  []vec.V3
 	Mass []float64
@@ -177,11 +182,19 @@ func (s *System) PotentialEnergy() float64 {
 	return e
 }
 
-// Slice returns a view of bodies [lo,hi) sharing storage with s.
+// Slice returns a view of bodies [lo,hi) sharing storage with s, nil
+// where s lacks the column. It is small enough to inline, so a caller
+// that keeps the view by value (*s.Slice(0, 0), the way a store of
+// bodies is emptied for reuse) allocates nothing.
 func (s *System) Slice(lo, hi int) *System {
-	return &System{
-		Pos: s.Pos[lo:hi], Mass: s.Mass[lo:hi], Key: s.Key[lo:hi],
-		Work: s.Work[lo:hi], ID: s.ID[lo:hi], Vel: view(s.Vel, lo, hi),
+	v := s.slice(lo, hi)
+	return &v
+}
+
+func (s *System) slice(lo, hi int) System {
+	return System{
+		Pos: view(s.Pos, lo, hi), Mass: view(s.Mass, lo, hi), Key: view(s.Key, lo, hi),
+		Work: view(s.Work, lo, hi), ID: view(s.ID, lo, hi), Vel: view(s.Vel, lo, hi),
 		Acc: view(s.Acc, lo, hi), Pot: view(s.Pot, lo, hi), Alpha: view(s.Alpha, lo, hi),
 		H: view(s.H, lo, hi), Rho: view(s.Rho, lo, hi), Rung: view(s.Rung, lo, hi),
 		Pos0: view(s.Pos0, lo, hi), Alpha0: view(s.Alpha0, lo, hi),
@@ -261,13 +274,27 @@ func (s *System) Carried(lo, hi int) *System {
 	return v
 }
 
+// BodyBytes is the size of one body over the columns s has, one element
+// of each: what a body costs on the wire in a Carried view (the
+// exchange) or a leaf's view (a pushed or replied leaf).
+func (s *System) BodyBytes() int {
+	return colBytes(s.Pos) + colBytes(s.Mass) + colBytes(s.Key) + colBytes(s.Work) + colBytes(s.ID) +
+		colBytes(s.Vel) + colBytes(s.Acc) + colBytes(s.Pot) + colBytes(s.Alpha) + colBytes(s.H) +
+		colBytes(s.Rho) + colBytes(s.Rung) + colBytes(s.Pos0) + colBytes(s.Alpha0)
+}
+
+// colBytes is the size of one element of col, or 0 for an absent column.
+func colBytes[T any](col []T) int {
+	if col == nil {
+		return 0
+	}
+	var x T
+	return int(unsafe.Sizeof(x))
+}
+
 // Bytes is the size of s's columns: its bodies times the bytes of one
 // body over the columns it has.
-func (s *System) Bytes() int {
-	const v3, f64 = 24, 8
-	return v3*(len(s.Pos)+len(s.Vel)+len(s.Acc)+len(s.Alpha)+len(s.Pos0)+len(s.Alpha0)) + len(s.Rung) +
-		f64*(len(s.Mass)+len(s.Key)+len(s.Work)+len(s.ID)+len(s.Pot)+len(s.H)+len(s.Rho))
-}
+func (s *System) Bytes() int { return s.Len() * s.BodyBytes() }
 
 // Land lays s out as bodies are after a move to another rank: Vel, Acc
 // and Pot if s has any of them, Acc and Pot zeroed (the next force

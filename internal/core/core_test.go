@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -194,6 +195,83 @@ func TestAppendFrom(t *testing.T) {
 	}
 	if err := res.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A view lacks columns: a leaf's carries only what its physics reads, a
+// Carried one drops what the receiver recomputes. Slice, Reserve and
+// AppendRange keep exactly the columns a view has, nil where it lacks
+// one, and its Bytes are its bodies at BodyBytes each: 32 B a gravity
+// body, 48 B a vortex one, 80 B an SPH one.
+func TestViews(t *testing.T) {
+	s := withStepColumns(randomSystem(10, 5))
+	s.EnableVortex()
+	s.EnableSPH()
+	for i := range s.Alpha {
+		s.Alpha[i], s.H[i], s.Rho[i] = s.Pos[i].Scale(3), float64(i), float64(2*i)
+	}
+	for _, c := range []struct {
+		name string
+		v    System
+		body int
+	}{
+		{"gravity", System{Pos: s.Pos, Mass: s.Mass}, 24 + 8},
+		{"vortex", System{Pos: s.Pos, Alpha: s.Alpha}, 24 + 24},
+		{"sph", System{Pos: s.Pos, Vel: s.Vel, Mass: s.Mass, H: s.H, Rho: s.Rho, ID: s.ID}, 24 + 24 + 8 + 8 + 8 + 8},
+		// Pos, Mass, Work, ID, Vel, Alpha, H, Rho, Pos0, Alpha0.
+		{"carried", *s.Carried(0, s.Len()), 24 + 8 + 8 + 8 + 24 + 24 + 8 + 8 + 24 + 24},
+	} {
+		v := &c.v
+		if got := v.BodyBytes(); got != c.body {
+			t.Errorf("%s: BodyBytes = %d, want %d", c.name, got, c.body)
+		}
+		if got := v.Bytes(); got != v.Len()*c.body || v.Len() != s.Len() {
+			t.Errorf("%s: Bytes = %d over %d bodies, want %d", c.name, got, v.Len(), s.Len()*c.body)
+		}
+		sl := v.Slice(2, 5)
+		if got := sl.Bytes(); got != 3*c.body {
+			t.Errorf("%s: Bytes of a 3-body slice = %d, want %d", c.name, got, 3*c.body)
+		}
+		res := v.Reserve(6)
+		res.AppendRange(v, 7, 10)
+		res.AppendRange(sl, 0, 3)
+		if got := res.Bytes(); got != res.Len()*res.BodyBytes() || res.BodyBytes() != c.body {
+			t.Errorf("%s: appended Bytes = %d at %d a body, want %d a body", c.name, got, res.BodyBytes(), c.body)
+		}
+		want := reflect.ValueOf(v).Elem()
+		for f := 0; f < want.NumField(); f++ {
+			name, col := want.Type().Field(f).Name, want.Field(f)
+			for _, got := range []struct {
+				what   string
+				sys    *System
+				bodies []int
+			}{{"Slice", sl, []int{2, 3, 4}}, {"Reserve+AppendRange", res, []int{7, 8, 9, 2, 3, 4}}} {
+				g := reflect.ValueOf(got.sys).Elem().Field(f)
+				if col.IsNil() {
+					if !g.IsNil() {
+						t.Errorf("%s: %s has column %s the view lacks", c.name, got.what, name)
+					}
+					continue
+				}
+				if g.Len() != len(got.bodies) {
+					t.Fatalf("%s: %s column %s has %d bodies, want %d", c.name, got.what, name, g.Len(), len(got.bodies))
+				}
+				for i, j := range got.bodies {
+					if g.Index(i).Interface() != col.Index(j).Interface() {
+						t.Errorf("%s: %s column %s body %d is not body %d", c.name, got.what, name, i, j)
+					}
+				}
+			}
+		}
+	}
+	if got := (&System{}).Slice(0, 0); got.BodyBytes() != 0 || got.Len() != 0 {
+		t.Errorf("an empty view's slice has %d bodies at %d B", got.Len(), got.BodyBytes())
+	}
+	// Emptying a store for reuse keeps its view by value, with no copy of
+	// the header on the heap.
+	v := System{Pos: s.Pos, Mass: s.Mass}
+	if a := testing.AllocsPerRun(10, func() { v = *v.Slice(0, 0) }); a != 0 {
+		t.Errorf("*Slice(0, 0) allocates %.0f times", a)
 	}
 }
 

@@ -56,6 +56,7 @@ package domain
 
 import (
 	"slices"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/diag"
@@ -567,15 +568,21 @@ func (dc *Decomposer) sampleSplits(c *msg.Comm, ks []keys.Key, pw []uint64, p in
 		sums = msg.Allreduce(c, sums, addVec, 8*len(sums))
 		dc.Last.Rounds += 2
 
+		// The sums rise with the candidates, so the first candidate in
+		// (lo, hi) whose sum reaches the target is found by bisection: hi
+		// narrows to it and lo to the candidate before it, if that is in
+		// the bracket too. Each search is O(log) in the candidates, not a
+		// scan of its bracket, which in the first pass is all of them.
 		for s := range lo {
 			tgt := float64(total) * float64(s+1) / float64(p)
-			k, _ := slices.BinarySearch(cand, lo[s]+1)
-			for ; k < len(cand) && cand[k] < hi[s]; k++ {
-				if float64(sums[k]) >= tgt {
-					hi[s] = cand[k]
-					break
-				}
-				lo[s] = cand[k]
+			a, _ := slices.BinarySearch(cand, lo[s]+1)
+			b, _ := slices.BinarySearch(cand[a:], hi[s])
+			k := a + sort.Search(b, func(j int) bool { return float64(sums[a+j]) >= tgt })
+			if k > a {
+				lo[s] = cand[k-1]
+			}
+			if k < a+b {
+				hi[s] = cand[k]
 			}
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // sumWalk accepts every cell two levels below the root and sums the
 // payloads it is handed.
 type sumWalk struct {
-	e   *hotengine.Engine[float64, ids]
+	e   *hotengine.Engine[float64]
 	sum float64
 }
 
@@ -48,7 +48,7 @@ func (w *sumWalk) TestBound(c *tree.Cell, _ *tree.Bound) tree.Action {
 func TestWalkGroupsSteadyStateAllocs(t *testing.T) {
 	global := randomSystem(500, 4242)
 	msg.Run(1, func(c *msg.Comm) {
-		e := hotengine.New[float64, ids](c, scatterTo(global, c), countPhysics{}, hotengine.Config{
+		e := hotengine.New[float64](c, scatterTo(global, c), countPhysics{}, hotengine.Config{
 			MAC:    grav.MACParams{Kind: grav.MACBarnesHut, Theta: 0.5},
 			Bucket: 8,
 		})

@@ -8,9 +8,10 @@
 // structure; a Physics implementation supplies what differs per
 // application: an optional per-cell moment payload and its combine
 // rule, which body columns a leaf carries, and any per-evaluation
-// precomputation. Where a leaf's bodies live -- the rank's own columns,
-// the per-phase snapshot pushed leaves are sliced from, or the arena
-// imported leaves land in -- is the engine's alone (LeafBodies). The
+// precomputation. A leaf's bodies are a range of a core.System view
+// with those columns wherever they live -- the rank's own columns, the
+// per-phase snapshot pushed leaves are read from, or the arena imported
+// leaves land in -- and where is the engine's alone (LeafBodies). The
 // gravity engine (internal/parallel), the vortex engine
 // (internal/vortex) and the distributed SPH driver (internal/sph) are
 // thin instantiations.
@@ -78,11 +79,9 @@ import (
 
 // Physics supplies the application-specific pieces of the pipeline.
 // X is the per-cell moment payload beyond the geometric multipole
-// every cell already carries (use None when the multipole suffices);
-// B is the leaf body payload of a pushed or requested leaf: SoA
-// columns (e.g. positions plus masses), which the engine slices,
-// snapshots and appends through Columns.
-type Physics[X any, B Columns[B]] interface {
+// every cell already carries (use None when the multipole suffices).
+// A leaf's bodies are the columns Columns names, in a core.System view.
+type Physics[X any] interface {
 	// Prepare runs after decomposition, before the tree build, on the
 	// redistributed, key-sorted local system (e.g. vortex dynamics
 	// derives the structural masses from the strengths here).
@@ -97,19 +96,12 @@ type Physics[X any, B Columns[B]] interface {
 	// parent payload (top-tree ancestor assembly; acc starts at the
 	// zero X).
 	CombineExtra(acc, child X) X
-	// Columns returns a view of sys's columns a leaf carries, indexed
-	// by body like sys: what local leaves are read from and what each
-	// walk phase's snapshot copies.
-	Columns(sys *core.System) B
-}
-
-// Columns is the constraint on a leaf body payload: equal-length
-// columns, one element per body. Slice returns the bodies [lo, hi) as a
-// view; Append returns the payload with b's bodies added at the end,
-// reusing the receiver's storage as append does.
-type Columns[B any] interface {
-	Slice(lo, hi int32) B
-	Append(b B) B
+	// Columns returns the view of sys's columns a leaf carries, every
+	// other column nil (as core.System.Carried leaves them), indexed by
+	// body like sys: what local leaves are read from, what each walk
+	// phase's snapshot copies, and, at its BodyBytes, what a pushed or
+	// replied leaf's bodies cost on the wire.
+	Columns(sys *core.System) core.System
 }
 
 // maxRounds is the request/reply rounds a walk phase may run before
@@ -135,16 +127,16 @@ type Config struct {
 // walkPhase is the persistent per-phase-label state: the abm engine
 // (recycled queue/receive buffers) and the precomputed traffic label
 // (prefix concatenation allocates, so it is done once).
-type walkPhase[X any, B Columns[B]] struct {
-	eng   *abm.Engine[keys.Key, Wire[X, B]]
+type walkPhase[X any] struct {
+	eng   *abm.Engine[keys.Key, Wire[X]]
 	label string
 }
 
 // Engine holds one rank's state across timesteps.
-type Engine[X any, B Columns[B]] struct {
+type Engine[X any] struct {
 	C    *msg.Comm
 	Cfg  Config
-	Phys Physics[X, B]
+	Phys Physics[X]
 	// Sys is this rank's current local bodies (replaced by each
 	// Exchange with the redistributed, key-sorted system).
 	Sys *core.System
@@ -203,9 +195,10 @@ type Engine[X any, B Columns[B]] struct {
 
 	// The leaf store: local views Sys's columns (taken as the exchange
 	// replaces Sys, so no older columns stay pinned), snap is the copy of
-	// them pushes and replies slice (snapshot), imp the arena of nimp
-	// imported bodies, an imported leaf's First being -(its start + 1).
-	local, snap, imp B
+	// them pushed and replied leaves are ranges of (snapshot), imp the
+	// arena of nimp imported bodies, an imported leaf's First being
+	// -(its start + 1). bodyBytes is a body of local's on the wire.
+	local, snap, imp core.System
 	nimp             int32
 
 	cellBytes, bodyBytes int
@@ -217,14 +210,14 @@ type Engine[X any, B Columns[B]] struct {
 	// pushOff leaves the walk to request/reply alone, and fallBack ends
 	// a pushed phase on the same vote/round loop (tests only).
 	branches []keys.Key
-	pubs     []published[X, B]
+	pubs     []published[X]
 	pushOff  bool
 	fallBack bool
 
 	// phases holds one persistent abm engine per walk-phase label, so
 	// steady-state walks reuse the recycled queue/receive buffers
 	// instead of reconstructing the engine every call.
-	phases map[string]*walkPhase[X, B]
+	phases map[string]*walkPhase[X]
 	// Per-phase walk state shared between the round loop and the
 	// incremental reply imports: the current visitor (query: it as a
 	// RangeQuery, nil for a MAC walk), eval closure and abm engine
@@ -250,7 +243,7 @@ type Engine[X any, B Columns[B]] struct {
 	curWalk     Visitor[X]
 	query       RangeQuery
 	curEval     EvalFn
-	curEng      *abm.Engine[keys.Key, Wire[X, B]]
+	curEng      *abm.Engine[keys.Key, Wire[X]]
 	freshBuf    []int32
 	readyBuf    []int32
 	groups      []suspended
@@ -258,23 +251,22 @@ type Engine[X any, B Columns[B]] struct {
 	keyWaiters  map[keys.Key]waitList
 	waiters     []waiter
 	freeWaiter  int32
-	onReply     func(src int, reps []Wire[X, B])
+	onReply     func(src int, reps []Wire[X])
 }
 
 // New creates an engine wrapping this rank's share of the bodies. The
 // physics-facing system configuration (EnableDynamics etc.) is the
 // caller's responsibility.
-func New[X any, B Columns[B]](c *msg.Comm, sys *core.System, phys Physics[X, B], cfg Config) *Engine[X, B] {
+func New[X any](c *msg.Comm, sys *core.System, phys Physics[X], cfg Config) *Engine[X] {
 	if cfg.Bucket <= 0 {
 		cfg.Bucket = tree.DefaultBucketSize
 	}
-	e := &Engine[X, B]{
+	e := &Engine[X]{
 		C: c, Cfg: cfg, Phys: phys, Sys: sys,
 		Timer:     diag.NewTimer(),
 		Sub:       diag.NewTimer(),
-		cellBytes: CellWireBytes[X, B](),
-		bodyBytes: BodyWireBytes[B](),
-		phases:    make(map[string]*walkPhase[X, B]),
+		cellBytes: CellWireBytes[X](),
+		phases:    make(map[string]*walkPhase[X]),
 		maxRounds: maxRounds,
 		hasExtra:  reflect.TypeFor[X]().Size() > 0,
 	}
@@ -288,12 +280,12 @@ func New[X any, B Columns[B]](c *msg.Comm, sys *core.System, phys Physics[X, B],
 // DecomposeStats describes the engine's most recent decomposition
 // (displaced bodies, splitter-search collectives, body batches,
 // relocation).
-func (e *Engine[X, B]) DecomposeStats() domain.Stats { return e.dec.Last }
+func (e *Engine[X]) DecomposeStats() domain.Stats { return e.dec.Last }
 
 // Observe attaches the rank's tracer (nil: none): the Timer's phases
 // become timeline spans and the walk emits ABM round and stall spans.
 // Call before the first Exchange.
-func (e *Engine[X, B]) Observe(t *trace.Tracer) {
+func (e *Engine[X]) Observe(t *trace.Tracer) {
 	e.Trace = t
 	if t != nil {
 		e.Timer.Sink = func(phase string, start time.Time, d time.Duration) {
@@ -309,7 +301,7 @@ func (e *Engine[X, B]) Observe(t *trace.Tracer) {
 // traffic record) and copied, so the call is safe mid-run from that
 // goroutine and the value is safe anywhere. The physics engines add
 // their invariants (energy, stepping).
-func (e *Engine[X, B]) Record() metrics.RankInput {
+func (e *Engine[X]) Record() metrics.RankInput {
 	return metrics.RankInput{
 		Counters:    e.Counters,
 		Phases:      append(e.Timer.Banked(), e.Sub.Banked()...),
@@ -327,7 +319,7 @@ func (e *Engine[X, B]) Record() metrics.RankInput {
 // locally essential tree every walk descends. On return
 // Sys holds the redistributed local bodies and the engine is ready
 // for WalkGroups.
-func (e *Engine[X, B]) Exchange() {
+func (e *Engine[X]) Exchange() {
 	e.ExchangeFor(nil, nil)
 }
 
@@ -346,7 +338,7 @@ func (e *Engine[X, B]) Exchange() {
 // collectives, the box riding on the splitter allgather, and its domain
 // and splits are a function of the bodies, their Work and the rank
 // count, never of the exchanges before it.
-func (e *Engine[X, B]) ExchangeFor(v Visitor[X], active func(g *tree.Cell) bool) {
+func (e *Engine[X]) ExchangeFor(v Visitor[X], active func(g *tree.Cell) bool) {
 	e.Timer.Start("decompose")
 	res := e.dec.DecomposeGlobal(e.C, e.Sys)
 	e.Sys, e.Splits, e.Domain = res.Sys, res.Splits, res.Domain
@@ -355,6 +347,7 @@ func (e *Engine[X, B]) ExchangeFor(v Visitor[X], active func(g *tree.Cell) bool)
 	}
 	e.Phys.Prepare(e.Sys)
 	e.local = e.Phys.Columns(e.Sys)
+	e.bodyBytes = e.local.BodyBytes()
 
 	// The local tree force-splits cells straddling this rank's
 	// interval so every branch cell materializes as a node.
@@ -373,8 +366,8 @@ func (e *Engine[X, B]) ExchangeFor(v Visitor[X], active func(g *tree.Cell) bool)
 
 // published is one rank's contribution to the branch allgather: its
 // branch cells and, for an exchange that knows it, the first walk's bound.
-type published[X, B any] struct {
-	cells []Wire[X, B]
+type published[X any] struct {
+	cells []Wire[X]
 	bound tree.Bound
 }
 
@@ -383,9 +376,9 @@ type published[X, B any] struct {
 // across ranks) and lays out the LET over it. With a visitor it also
 // publishes the bound of the groups v is about to walk and keeps every
 // rank's for the push.
-func (e *Engine[X, B]) exchangeBranches(v Visitor[X], active func(g *tree.Cell) bool) {
+func (e *Engine[X]) exchangeBranches(v Visitor[X], active func(g *tree.Cell) bool) {
 	e.C.Phase(e.Cfg.PhasePrefix + "branches")
-	var mine []Wire[X, B]
+	var mine []Wire[X]
 	e.branches = e.branches[:0]
 	for _, bk := range tree.RangeDecompose(e.Splits[e.C.Rank()], e.Splits[e.C.Rank()+1]) {
 		c := e.Local.Cell(bk)
@@ -393,12 +386,12 @@ func (e *Engine[X, B]) exchangeBranches(v Visitor[X], active func(g *tree.Cell) 
 			continue // no bodies in this part of the interval
 		}
 		e.branches = append(e.branches, bk)
-		mine = append(mine, Wire[X, B]{
+		mine = append(mine, Wire[X]{
 			Key: bk, Mp: c.Mp, Extra: e.Phys.Extra(c), RCrit: c.RCrit,
 			N: c.N, ChildMask: c.ChildMask, Leaf: c.Leaf,
 		})
 	}
-	pub, bytes := published[X, B]{cells: mine}, e.cellBytes*len(mine)
+	pub, bytes := published[X]{cells: mine}, e.cellBytes*len(mine)
 	if v != nil {
 		q, _ := v.(RangeQuery)
 		pub.bound, bytes = e.walkBound(q, active), bytes+boundBytes
@@ -409,16 +402,16 @@ func (e *Engine[X, B]) exchangeBranches(v Visitor[X], active func(g *tree.Cell) 
 		e.pubs = all
 	}
 
-	e.imp, e.nimp = e.imp.Slice(0, 0), 0
+	e.imp, e.nimp = *e.imp.Slice(0, 0), 0
 	e.RemoteCells = 0
 
 	// Lay the LET out from the root: the top tree over every rank's
 	// branches, which arrive in Morton order, and below the branches what
 	// is here already.
-	var bs []branch[X, B]
+	var bs []branch[X]
 	for r, a := range all {
 		for _, w := range a.cells {
-			bs = append(bs, branch[X, B]{w, r})
+			bs = append(bs, branch[X]{w, r})
 		}
 	}
 	// One table for the engine's life: a cell holds no pointer, so the
@@ -437,13 +430,13 @@ func (e *Engine[X, B]) exchangeBranches(v Visitor[X], active func(g *tree.Cell) 
 }
 
 // branch is a published branch cell and the rank it is a branch of.
-type branch[X, B any] struct {
-	w    Wire[X, B]
+type branch[X any] struct {
+	w    Wire[X]
 	rank int
 }
 
 // place appends a cell and its payload to the LET.
-func (e *Engine[X, B]) place(c tree.Cell, x X) {
+func (e *Engine[X]) place(c tree.Cell, x X) {
 	e.let.Cells.Insert(c.Key, c)
 	e.letX = append(e.letX, x)
 }
@@ -454,7 +447,7 @@ func (e *Engine[X, B]) place(c tree.Cell, x X) {
 // combined from theirs in octant order. An own branch is the local
 // tree's cell, its subtree copied in; another rank's branch has nothing
 // below it until its family (a leaf: its bodies) lands.
-func (e *Engine[X, B]) layTop(i int32, k keys.Key, bs []branch[X, B]) (tree.Cell, X) {
+func (e *Engine[X]) layTop(i int32, k keys.Key, bs []branch[X]) (tree.Cell, X) {
 	if b := bs[0]; b.w.Key == k {
 		w, c := b.w, b.w.cell()
 		own := b.rank == e.C.Rank()
@@ -520,7 +513,7 @@ func blank(c *tree.Cell) {
 
 // copyLocal copies the local subtree below src, one of this rank's
 // cells, under its copy at entry i.
-func (e *Engine[X, B]) copyLocal(i int32, src *tree.Cell) {
+func (e *Engine[X]) copyLocal(i int32, src *tree.Cell) {
 	if src.Leaf {
 		return
 	}
@@ -539,7 +532,7 @@ func (e *Engine[X, B]) copyLocal(i int32, src *tree.Cell) {
 
 // OwnerOf returns the rank owning a (strictly below-branch) cell,
 // from key arithmetic and the split table alone.
-func (e *Engine[X, B]) OwnerOf(k keys.Key) int {
+func (e *Engine[X]) OwnerOf(k keys.Key) int {
 	off := tree.KeyOffset(k.MinBody())
 	// Find r with Splits[r] <= off < Splits[r+1].
 	r := tree.UpperBound(e.Splits[1:], off)
@@ -552,8 +545,8 @@ func (e *Engine[X, B]) OwnerOf(k keys.Key) int {
 // serve answers a batch of cell requests from src out of the local
 // tree. Every requested key must be at or below one of this rank's
 // branches, so a miss is a protocol violation.
-func (e *Engine[X, B]) serve(src int, reqs []keys.Key) []Wire[X, B] {
-	out := make([]Wire[X, B], len(reqs))
+func (e *Engine[X]) serve(src int, reqs []keys.Key) []Wire[X] {
+	out := make([]Wire[X], len(reqs))
 	for i, k := range reqs {
 		c := e.Local.Cell(k)
 		if c == nil {
@@ -565,31 +558,32 @@ func (e *Engine[X, B]) serve(src int, reqs []keys.Key) []Wire[X, B] {
 }
 
 // wireOf packs one local cell for the wire.
-func (e *Engine[X, B]) wireOf(k keys.Key, c *tree.Cell) Wire[X, B] {
-	w := Wire[X, B]{
+func (e *Engine[X]) wireOf(k keys.Key, c *tree.Cell) Wire[X] {
+	w := Wire[X]{
 		Key: k, Mp: c.Mp, Extra: e.Phys.Extra(c), RCrit: c.RCrit,
 		N: c.N, ChildMask: c.ChildMask, Leaf: c.Leaf,
 	}
 	if c.Leaf {
-		w.Bodies = e.snap.Slice(c.First, c.First+c.N)
+		w.Bodies = bodyRange{&e.snap, c.First}
 	}
 	return w
 }
 
 // snapshot copies the rank's leaf columns over the last copy, which
-// pushed and reply leaves are sliced from: a peer imports them whenever
+// pushed and reply leaves are ranges of: a peer imports them whenever
 // its batch lands, and no collective orders that read before the
 // owner's next write to its columns (DESIGN.md "A pushed walk needs no
 // vote"). Called once per walk phase before anything is packed, at a
 // point every peer reaches only after importing all the last phase sent.
-func (e *Engine[X, B]) snapshot() {
-	e.snap = e.snap.Slice(0, 0).Append(e.local)
+func (e *Engine[X]) snapshot() {
+	e.snap = *e.snap.Slice(0, 0)
+	e.snap.AppendRange(&e.local, 0, e.Sys.Len())
 }
 
 // LeafBodies returns where the bodies of leaf c of the LET are: the
 // rank's columns or the import arena, and the range [lo, hi) of them.
-// The columns go by pointer, so no payload is copied per leaf.
-func (e *Engine[X, B]) LeafBodies(c *tree.Cell) (cols *B, lo, hi int32) {
+// The columns go by pointer, so nothing is copied per leaf.
+func (e *Engine[X]) LeafBodies(c *tree.Cell) (cols *core.System, lo, hi int32) {
 	if c.First >= 0 {
 		return &e.local, c.First, c.First + c.N
 	}
@@ -603,7 +597,7 @@ func (e *Engine[X, B]) LeafBodies(c *tree.Cell) (cols *B, lo, hi int32) {
 // pushed much of them again (SPH forces, then gravity). Families land
 // whole, so the first of one to arrive reserves the block for all of
 // it; another rank's leaf branch is filled in place.
-func (e *Engine[X, B]) importCell(w Wire[X, B], pushed bool) {
+func (e *Engine[X]) importCell(w Wire[X], pushed bool) {
 	cells := e.let.Cells
 	i := cells.Index(w.Key)
 	switch {
@@ -619,7 +613,9 @@ func (e *Engine[X, B]) importCell(w Wire[X, B], pushed bool) {
 	}
 	if w.Leaf {
 		c.First = -(e.nimp + 1)
-		e.imp, e.nimp = e.imp.Append(w.Bodies), e.nimp+w.N
+		b := w.Bodies
+		e.imp.AppendRange(b.src, int(b.first), int(b.first+w.N))
+		e.nimp += w.N
 	}
 	*cells.At(i) = c
 	e.letX[i] = w.Extra
@@ -653,7 +649,7 @@ func (e *Engine[X, B]) importCell(w Wire[X, B], pushed bool) {
 // onReplyBatch is the abm OnReply hook (bound once): it imports one
 // source's reply batch as it arrives inside Round, on the rank
 // goroutine, while later sources' batches are still in flight.
-func (e *Engine[X, B]) onReplyBatch(_ int, reps []Wire[X, B]) {
+func (e *Engine[X]) onReplyBatch(_ int, reps []Wire[X]) {
 	for i := range reps {
 		e.importCell(reps[i], false)
 	}
@@ -663,7 +659,7 @@ func (e *Engine[X, B]) onReplyBatch(_ int, reps []Wire[X, B]) {
 // a slot per sibling, unfetched until it lands too, and the parent's
 // Kids -- negated for a pushed family, so that the first descent into
 // it counts it used (tree.Descent.Entered). It returns k's slot.
-func (e *Engine[X, B]) reserve(k keys.Key, pushed bool) int {
+func (e *Engine[X]) reserve(k keys.Key, pushed bool) int {
 	cells, pk := e.let.Cells, k.Parent()
 	p := cells.Index(pk)
 	mask := cells.At(p).ChildMask
@@ -687,13 +683,13 @@ func (e *Engine[X, B]) reserve(k keys.Key, pushed bool) int {
 // WalkGroups imports remote data afresh. Multi-pass physics (SPH) uses
 // this between the density and force passes: the second pass must see
 // the updated remote densities, not the stale imports.
-func (e *Engine[X, B]) ResetImports() {
+func (e *Engine[X]) ResetImports() {
 	e.let.Cells.Truncate(e.letTop)
 	e.letX = e.letX[:e.letTop]
 	for _, i := range e.remote {
 		blank(e.let.Cells.At(int(i)))
 	}
-	e.imp, e.nimp = e.imp.Slice(0, 0), 0
+	e.imp, e.nimp = *e.imp.Slice(0, 0), 0
 }
 
 // WalkGroups runs phases 3 and 4 for one traversal pass: after the
@@ -711,7 +707,7 @@ func (e *Engine[X, B]) ResetImports() {
 // eval may be nil when the pass has nothing to evaluate. label names
 // the phase for the Timer and (with the configured prefix) the msg
 // traffic accounting.
-func (e *Engine[X, B]) WalkGroups(label string, v Visitor[X], eval EvalFn) {
+func (e *Engine[X]) WalkGroups(label string, v Visitor[X], eval EvalFn) {
 	e.WalkGroupsIf(label, nil, v, eval)
 }
 
@@ -722,12 +718,12 @@ func (e *Engine[X, B]) WalkGroups(label string, v Visitor[X], eval EvalFn) {
 // pushes to the others; with the push off it votes and serves their
 // requests), so the call is collective even when a rank's active set
 // is empty.
-func (e *Engine[X, B]) WalkGroupsIf(label string, active func(g *tree.Cell) bool, v Visitor[X], eval EvalFn) {
+func (e *Engine[X]) WalkGroupsIf(label string, active func(g *tree.Cell) bool, v Visitor[X], eval EvalFn) {
 	e.Timer.Start(label)
 	ph := e.phases[label]
 	if ph == nil {
-		ph = &walkPhase[X, B]{
-			eng:   abm.New[keys.Key, Wire[X, B]](e.C, KeyWireBytes(), e.wireBytes, e.serve),
+		ph = &walkPhase[X]{
+			eng:   abm.New[keys.Key, Wire[X]](e.C, KeyWireBytes(), e.wireBytes, e.serve),
 			label: e.Cfg.PhasePrefix + label,
 		}
 		ph.eng.OnReply = e.onReply

@@ -19,8 +19,8 @@ import (
 
 // countPhysics is a minimal synthetic physics used to exercise the
 // engine core in isolation: the per-cell payload is the body count
-// (as a float, with addition as the combine rule) and the leaf
-// payload is the particle IDs.
+// (as a float, with addition as the combine rule) and a leaf carries
+// the particle IDs alone.
 type countPhysics struct{}
 
 func (countPhysics) Prepare(sys *core.System) {}
@@ -29,19 +29,13 @@ func (countPhysics) PostBuild(t *tree.Tree)   {}
 func (countPhysics) Extra(c *tree.Cell) float64           { return float64(c.N) }
 func (countPhysics) CombineExtra(acc, ch float64) float64 { return acc + ch }
 
-func (countPhysics) Columns(sys *core.System) ids { return ids{sys.ID} }
-
-// ids is the synthetic physics' leaf payload, one column.
-type ids struct{ ID []int64 }
-
-func (s ids) Slice(lo, hi int32) ids { return ids{s.ID[lo:hi]} }
-func (s ids) Append(b ids) ids       { return ids{append(s.ID, b.ID...)} }
+func (countPhysics) Columns(sys *core.System) core.System { return core.System{ID: sys.ID} }
 
 // idWalk is the exhaustive traversal of the synthetic physics as a
 // range query: no opening criterion, every reachable leaf is visited, and
 // the leaf IDs of a completed walk land in ids.
 type idWalk struct {
-	e   *hotengine.Engine[float64, ids]
+	e   *hotengine.Engine[float64]
 	got []int64
 	ids map[int64]bool
 }
@@ -99,7 +93,7 @@ func TestEngineCoreFullTraversal(t *testing.T) {
 		var mu sync.Mutex
 		seen := map[int]map[int64]bool{}
 		msg.Run(np, func(c *msg.Comm) {
-			e := hotengine.New[float64, ids](c, scatterTo(global, c), countPhysics{}, hotengine.Config{
+			e := hotengine.New[float64](c, scatterTo(global, c), countPhysics{}, hotengine.Config{
 				MAC:    grav.MACParams{Kind: grav.MACBarnesHut, Theta: 0.5},
 				Bucket: 8,
 			})
@@ -162,7 +156,7 @@ func TestWalkGroupsIfIdleRankServes(t *testing.T) {
 	var ctr [2]diag.Counters
 	var park [2]hotengine.ParkCounters
 	msg.Run(2, func(c *msg.Comm) {
-		e := hotengine.New[float64, ids](c, scatterTo(global, c), countPhysics{}, hotengine.Config{
+		e := hotengine.New[float64](c, scatterTo(global, c), countPhysics{}, hotengine.Config{
 			MAC: grav.MACParams{Kind: grav.MACBarnesHut, Theta: 0.5}, Bucket: 8,
 		})
 		e.SetPush(false)
@@ -193,7 +187,7 @@ func TestWalkGroupsIfIdleRankServes(t *testing.T) {
 func TestEngineTimerPhases(t *testing.T) {
 	global := randomSystem(300, 9)
 	msg.Run(2, func(c *msg.Comm) {
-		e := hotengine.New[float64, ids](c, scatterTo(global, c), countPhysics{}, hotengine.Config{
+		e := hotengine.New[float64](c, scatterTo(global, c), countPhysics{}, hotengine.Config{
 			MAC: grav.MACParams{Kind: grav.MACBarnesHut, Theta: 0.5}, Bucket: 8,
 		})
 		e.Exchange()
@@ -223,7 +217,7 @@ func TestMaxRoundsAbort(t *testing.T) {
 	go func() {
 		w := msg.NewWorld(2)
 		done <- w.RunErr(func(c *msg.Comm) {
-			e := hotengine.New[float64, ids](c, scatterTo(global, c), countPhysics{}, hotengine.Config{
+			e := hotengine.New[float64](c, scatterTo(global, c), countPhysics{}, hotengine.Config{
 				MAC:    grav.MACParams{Kind: grav.MACBarnesHut, Theta: 0.5},
 				Bucket: 8,
 			})

@@ -15,22 +15,22 @@ import (
 // remote cell is fetched by park/request/resume, as before the push
 // existed, and the phase ends on the vote/round loop: the path the push
 // is tested against. This hook is the only switch.
-func (e *Engine[X, B]) SetPush(on bool) { e.pushOff = !on }
+func (e *Engine[X]) SetPush(on bool) { e.pushOff = !on }
 
 // SetFallBack lets a pushed walk phase end on the vote/round loop the
 // push-off walk runs, so a group the push did not cover parks, asks
 // and resumes instead of aborting the world: how an under-pushing
 // TestBound is held to the request walk. This hook is the only switch.
-func (e *Engine[X, B]) SetFallBack(on bool) { e.fallBack = on }
+func (e *Engine[X]) SetFallBack(on bool) { e.fallBack = on }
 
 // SetMaxRounds lowers the request/reply rounds a walk phase with the
 // push off may run before the rank aborts the world (maxRounds). This
 // hook is the only switch.
-func (e *Engine[X, B]) SetMaxRounds(n int) { e.maxRounds = n }
+func (e *Engine[X]) SetMaxRounds(n int) { e.maxRounds = n }
 
 // ImportedBodies is the length of the import arena: the bodies of every
 // leaf imported since the last exchange or ResetImports.
-func (e *Engine[X, B]) ImportedBodies() int32 { return e.nimp }
+func (e *Engine[X]) ImportedBodies() int32 { return e.nimp }
 
 // SetHashDescent switches the walks between tree.Descend over the LET
 // (off: children by index, as shipped) and the paper's design, a stack
@@ -39,7 +39,7 @@ func (e *Engine[X, B]) ImportedBodies() int32 { return e.nimp }
 // same order, same batch, the same misses and first entries, the group's
 // own cell known by its key and taken whole; only how a child is found
 // differs. This hook is the only switch.
-func (e *Engine[X, B]) SetHashDescent(on bool) {
+func (e *Engine[X]) SetHashDescent(on bool) {
 	if !on {
 		e.hashDescent = nil
 		return
@@ -110,7 +110,7 @@ func (e *Engine[X, B]) SetHashDescent(on bool) {
 // rank's leaf branch (no reserved slot is left empty); each entry has
 // its payload; and each own subtree equals the local tree's, cell for
 // cell and payload for payload.
-func (e *Engine[X, B]) CheckLET() error {
+func (e *Engine[X]) CheckLET() error {
 	cells := e.let.Cells
 	if cells.Len() == 0 {
 		return nil // no bodies anywhere
@@ -166,7 +166,7 @@ func (e *Engine[X, B]) CheckLET() error {
 
 // sameSubtree compares the LET's entry i and what lies below it with
 // the local cell lc and its subtree.
-func (e *Engine[X, B]) sameSubtree(i int, lc *tree.Cell) error {
+func (e *Engine[X]) sameSubtree(i int, lc *tree.Cell) error {
 	c, l := *e.let.Cells.At(i), *lc
 	if (c.Kids == 0) != (l.Kids == 0) {
 		return fmt.Errorf("own cell %v: child index %d, local %d", c.Key, c.Kids, l.Kids)
@@ -187,7 +187,7 @@ func (e *Engine[X, B]) sameSubtree(i int, lc *tree.Cell) error {
 // the LET was laid out: another rank's leaf branch resolves to its
 // record, without bodies until they land (First == tree.Unfetched); a
 // cell whose family has not landed does not resolve.
-func (e *Engine[X, B]) Resolve(k keys.Key) (c *tree.Cell, x X, ok bool) {
+func (e *Engine[X]) Resolve(k keys.Key) (c *tree.Cell, x X, ok bool) {
 	i := e.let.Cells.Index(k)
 	if i < 0 {
 		return nil, x, false
@@ -202,8 +202,8 @@ func (e *Engine[X, B]) Resolve(k keys.Key) (c *tree.Cell, x X, ok bool) {
 // key and taken whole. It is the reference WalkGroups with the push off
 // is tested against: same lists, same counters, same rounds and
 // traffic.
-func (e *Engine[X, B]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn) {
-	eng := abm.New[keys.Key, Wire[X, B]](e.C, KeyWireBytes(), e.wireBytes, e.serve)
+func (e *Engine[X]) RestartWalkGroups(label string, v Visitor[X], eval EvalFn) {
+	eng := abm.New[keys.Key, Wire[X]](e.C, KeyWireBytes(), e.wireBytes, e.serve)
 	e.C.Phase(e.Cfg.PhasePrefix + label)
 	pending := map[keys.Key]bool{}
 	todo := append([]keys.Key(nil), e.Local.Groups...)

@@ -12,7 +12,7 @@ var boundBytes = packedSize(reflect.TypeOf(tree.Bound{}))
 
 // walkBound reduces the spheres of the groups active admits (nil means
 // all) in a walk of q to the one bound this rank publishes.
-func (e *Engine[X, B]) walkBound(q RangeQuery, active func(g *tree.Cell) bool) (b tree.Bound) {
+func (e *Engine[X]) walkBound(q RangeQuery, active func(g *tree.Cell) bool) (b tree.Bound) {
 	for _, gk := range e.Local.Groups {
 		if g := e.Local.Cell(gk); active == nil || active(g) {
 			b.Add(e.sphere(q, g))
@@ -33,7 +33,7 @@ func (e *Engine[X, B]) walkBound(q RangeQuery, active func(g *tree.Cell) bool) (
 // which aborts the phase (DESIGN.md "Push-first walk"). Leaf bodies
 // travel in the engine's snapshot of the columns: the owner goes on to
 // write those while a peer's batch may still be in flight.
-func (e *Engine[X, B]) push(active func(g *tree.Cell) bool) {
+func (e *Engine[X]) push(active func(g *tree.Cell) bool) {
 	pubs := e.pubs
 	e.pubs = nil // its bounds describe the first walk only
 	switch {
@@ -45,7 +45,7 @@ func (e *Engine[X, B]) push(active func(g *tree.Cell) bool) {
 	}
 	t0 := e.Trace.Now()
 	if pubs == nil {
-		pubs = msg.Allgather(e.C, published[X, B]{bound: e.walkBound(e.query, active)}, boundBytes)
+		pubs = msg.Allgather(e.C, published[X]{bound: e.walkBound(e.query, active)}, boundBytes)
 	}
 	// Every peer entered that allgather (or the branch exchange's)
 	// after its last push exchange returned, with this rank's last
@@ -53,9 +53,9 @@ func (e *Engine[X, B]) push(active func(g *tree.Cell) bool) {
 	e.snapshot()
 	// Fresh batches every phase: reusing them measured no faster, and
 	// the receivers, who copy out as they import, are the last to hold them.
-	batches := make([][]Wire[X, B], len(pubs))
+	batches := make([][]Wire[X], len(pubs))
 	for r := range pubs {
-		var send []Wire[X, B]
+		var send []Wire[X]
 		if b := &pubs[r].bound; b.Any && r != e.C.Rank() {
 			for _, bk := range e.branches {
 				// Every rank holds a branch's record, a leaf's without
@@ -71,7 +71,7 @@ func (e *Engine[X, B]) push(active func(g *tree.Cell) bool) {
 		}
 		batches[r] = send
 	}
-	msg.AlltoallvFunc(e.C, batches, nil, e.wireBytes, nil, func(_ int, ws []Wire[X, B]) {
+	msg.AlltoallvFunc(e.C, batches, nil, e.wireBytes, nil, func(_ int, ws []Wire[X]) {
 		for i := range ws {
 			e.importCell(ws[i], true)
 		}
@@ -82,7 +82,7 @@ func (e *Engine[X, B]) push(active func(g *tree.Cell) bool) {
 // packChildren appends the children of local cell c, which a walk
 // inside b could open, and below each child that it could open in turn,
 // that child's. A leaf's record carries its bodies, as a reply's would.
-func (e *Engine[X, B]) packChildren(dst []Wire[X, B], b *tree.Bound, c *tree.Cell) []Wire[X, B] {
+func (e *Engine[X]) packChildren(dst []Wire[X], b *tree.Bound, c *tree.Cell) []Wire[X] {
 	for i, m := int(c.Kids), c.ChildMask; m != 0; i, m = i+1, m&(m-1) {
 		cc := e.Local.Cells.At(i)
 		dst = append(dst, e.wireOf(cc.Key, cc))

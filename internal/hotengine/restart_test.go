@@ -22,28 +22,12 @@ import (
 	"repro/internal/vec"
 )
 
-// cols is the leaf payload of the equivalence tests' physics: the
-// columns the three real instantiations ship between them.
-type cols struct {
-	Pos  []vec.V3
-	Mass []float64
-	ID   []int64
-}
-
-func (a cols) Slice(lo, hi int32) cols {
-	return cols{Pos: a.Pos[lo:hi], Mass: a.Mass[lo:hi], ID: a.ID[lo:hi]}
-}
-
-func (a cols) Append(b cols) cols {
-	return cols{Pos: append(a.Pos, b.Pos...), Mass: append(a.Mass, b.Mass...), ID: append(a.ID, b.ID...)}
-}
-
 // colPhysics carries a vector payload per cell (the mass-weighted
 // position sum, from prefix sums, the way vortex carries its strength
 // sum), so accepted cells exercise the by-value payload path of top,
 // local and imported cells alike.
 type colPhysics struct {
-	e    *hotengine.Engine[vec.V3, cols]
+	e    *hotengine.Engine[vec.V3]
 	pref []vec.V3
 }
 
@@ -60,14 +44,16 @@ func (p *colPhysics) PostBuild(*tree.Tree) {
 func (p *colPhysics) Extra(c *tree.Cell) vec.V3          { return p.pref[c.First+c.N].Sub(p.pref[c.First]) }
 func (p *colPhysics) CombineExtra(acc, ch vec.V3) vec.V3 { return acc.Add(ch) }
 
-func (p *colPhysics) Columns(sys *core.System) cols {
-	return cols{Pos: sys.Pos, Mass: sys.Mass, ID: sys.ID}
+// Columns is what the equivalence tests' leaves carry: the columns the
+// three real instantiations ship between them.
+func (p *colPhysics) Columns(sys *core.System) core.System {
+	return core.System{Pos: sys.Pos, Mass: sys.Mass, ID: sys.ID}
 }
 
 // leaf returns a leaf cell's columns, local or imported.
-func (p *colPhysics) leaf(c *tree.Cell) cols {
+func (p *colPhysics) leaf(c *tree.Cell) core.System {
 	b, lo, hi := p.e.LeafBodies(c)
-	return b.Slice(lo, hi)
+	return *b.Slice(int(lo), int(hi))
 }
 
 // recWalk is a visitor that records, per completed group, everything
@@ -233,7 +219,7 @@ func runPassesOn(global *core.System, np int, mode walkMode, partial, hashDescen
 			local.AppendFrom(global, i)
 		}
 		p := &colPhysics{}
-		e := hotengine.New[vec.V3, cols](c, local, p, hotengine.Config{
+		e := hotengine.New[vec.V3](c, local, p, hotengine.Config{
 			MAC:    grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true},
 			Bucket: 8,
 		})
@@ -495,7 +481,7 @@ func TestUnderPushAborts(t *testing.T) {
 				local.AppendFrom(global, i)
 			}
 			p := &colPhysics{}
-			e := hotengine.New[vec.V3, cols](c, local, p, hotengine.Config{
+			e := hotengine.New[vec.V3](c, local, p, hotengine.Config{
 				MAC:    grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true},
 				Bucket: 8,
 			})
@@ -623,7 +609,7 @@ func BenchmarkWalkUnderLatency(b *testing.B) {
 						local.AppendFrom(global, j)
 					}
 					p := &colPhysics{}
-					e := hotengine.New[vec.V3, cols](c, local, p, hotengine.Config{
+					e := hotengine.New[vec.V3](c, local, p, hotengine.Config{
 						MAC:    grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-3, Quad: true},
 						Bucket: 16,
 					})

@@ -87,7 +87,7 @@ type waitList struct{ head, tail int32 }
 
 // descend runs tree.Descend over the LET for the current group (or the
 // hash-probe ablation in its place, in tests).
-func (e *Engine[X, B]) descend(from, n int32, emit bool) uint64 {
+func (e *Engine[X]) descend(from, n int32, emit bool) uint64 {
 	if e.hashDescent != nil {
 		return e.hashDescent(from, n, emit)
 	}
@@ -99,7 +99,7 @@ func (e *Engine[X, B]) descend(from, n int32, emit bool) uint64 {
 // needs is already here (always on one rank, and wherever the push
 // covered the group). Otherwise its visits are charged to Park.Rewalked and
 // the group is parked on the cells it missed.
-func (e *Engine[X, B]) attempt(gi int32) {
+func (e *Engine[X]) attempt(gi int32) {
 	gk := e.Local.Groups[gi]
 	g := e.Local.Cell(gk)
 	if e.emitFromRoot(gk, g) {
@@ -114,14 +114,14 @@ func (e *Engine[X, B]) attempt(gi int32) {
 
 // setVisitor makes v the visitor of the traversals that follow: it takes
 // their batches, and if it is a RangeQuery its TestBound is their test.
-func (e *Engine[X, B]) setVisitor(v Visitor[X]) {
+func (e *Engine[X]) setVisitor(v Visitor[X]) {
 	e.query, _ = v.(RangeQuery)
 	e.curWalk, e.desc.Prune = v, e.query
 }
 
 // sphere is what group g is measured by: q's sphere, or for a MAC walk
 // (q nil) the group's bounding sphere.
-func (e *Engine[X, B]) sphere(q RangeQuery, g *tree.Cell) (vec.V3, float64) {
+func (e *Engine[X]) sphere(q RangeQuery, g *tree.Cell) (vec.V3, float64) {
 	if q != nil {
 		return q.Sphere(g)
 	}
@@ -130,7 +130,7 @@ func (e *Engine[X, B]) sphere(q RangeQuery, g *tree.Cell) (vec.V3, float64) {
 
 // begin starts a traversal of group g: the descent is aimed at the
 // group's sphere, its batch emptied, and the visitor resets its state.
-func (e *Engine[X, B]) begin(gk keys.Key, g *tree.Cell) {
+func (e *Engine[X]) begin(gk keys.Key, g *tree.Cell) {
 	gc, gr := e.sphere(e.query, g)
 	e.curWalk.Begin(gk, gc)
 	e.desc.Aim(gk, gc, gr)
@@ -139,7 +139,7 @@ func (e *Engine[X, B]) begin(gk keys.Key, g *tree.Cell) {
 // emitFromRoot runs an emitting walk of g from the root and evaluates
 // the group if it completed; on a miss it charges the visits to
 // Park.Rewalked and leaves the misses on e.desc.Missed.
-func (e *Engine[X, B]) emitFromRoot(gk keys.Key, g *tree.Cell) bool {
+func (e *Engine[X]) emitFromRoot(gk keys.Key, g *tree.Cell) bool {
 	e.begin(gk, g)
 	n := e.descend(0, 1, true)
 	if len(e.desc.Missed) > 0 {
@@ -171,7 +171,7 @@ func (e *Engine[X, B]) emitFromRoot(gk keys.Key, g *tree.Cell) bool {
 // missing a single emitting walk from the root builds the list. That walk cannot miss -- imports only grow within a phase --
 // and it emits in root-DFS order, the one order every schedule shares,
 // which is what keeps forces bitwise independent of when cells arrive.
-func (e *Engine[X, B]) resume(gi int32) {
+func (e *Engine[X]) resume(gi int32) {
 	gk := e.Local.Groups[gi]
 	g := e.Local.Cell(gk)
 	s := &e.groups[gi]
@@ -199,7 +199,7 @@ func (e *Engine[X, B]) resume(gi int32) {
 // park suspends group gi on the cells its traversal just missed --
 // the paper's explicit context switch -- and posts requests for those
 // no other group is already waiting on.
-func (e *Engine[X, B]) park(gi int32) {
+func (e *Engine[X]) park(gi int32) {
 	s := &e.groups[gi]
 	s.frontier = append(s.frontier[:0], e.desc.Missed...)
 	s.wait = int32(len(s.frontier))
@@ -234,7 +234,7 @@ func (e *Engine[X, B]) park(gi int32) {
 }
 
 // request posts one cell request to its owner: the next round sends it.
-func (e *Engine[X, B]) request(k keys.Key) {
+func (e *Engine[X]) request(k keys.Key) {
 	e.Park.Requests++
 	e.curEng.Post(e.OwnerOf(k), k)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 
+	"repro/internal/core"
 	"repro/internal/grav"
 	"repro/internal/keys"
 	"repro/internal/tree"
@@ -11,12 +12,12 @@ import (
 
 // Wire is the packed cell record exchanged between ranks: in the
 // branch allgather, the push and request replies. X is the physics'
-// per-cell moment payload (nothing for gravity, the strength sum for
-// vortex dynamics); Bodies is the leaf body payload, present with
-// pushed and requested leaves only, sliced from the owner's snapshot.
-// A record costs CellWireBytes, and a leaf's N bodies BodyWireBytes
-// each on top.
-type Wire[X, B any] struct {
+// per-cell moment payload (nothing for gravity and SPH, the strength sum
+// for vortex dynamics); Bodies is a leaf's bodies, present with pushed
+// and requested leaves only, a range of the owner's snapshot. A record
+// costs CellWireBytes, and a leaf's N bodies the BodyBytes of the
+// physics' Columns view each on top.
+type Wire[X any] struct {
 	Key       keys.Key
 	Mp        grav.Multipole
 	Extra     X
@@ -24,32 +25,39 @@ type Wire[X, B any] struct {
 	N         int32
 	ChildMask uint8
 	Leaf      bool
-	// Bodies carries leaf body columns (zero in branch messages).
-	Bodies B
+	// Bodies locates a leaf's bodies (zero in branch messages).
+	Bodies bodyRange
+}
+
+// bodyRange is a leaf's N bodies from first on in src, its owner's
+// snapshot, which the receiver copies out as it imports the record.
+type bodyRange struct {
+	src   *core.System
+	first int32
 }
 
 // cell is the record as a cell of the LET, nothing below it laid out.
-func (w *Wire[X, B]) cell() tree.Cell {
+func (w *Wire[X]) cell() tree.Cell {
 	return tree.Cell{Key: w.Key, Mp: w.Mp, RCrit: w.RCrit, N: w.N, ChildMask: w.ChildMask, Leaf: w.Leaf}
 }
 
 // wireBytes is the wire size of a pushed or reply record: the cell, and
 // a leaf's bodies.
-func (e *Engine[X, B]) wireBytes(w *Wire[X, B]) int {
+func (e *Engine[X]) wireBytes(w *Wire[X]) int {
 	if w.Leaf {
 		return e.cellBytes + int(w.N)*e.bodyBytes
 	}
 	return e.cellBytes
 }
 
-// CellWireBytes returns the packed wire size of one Wire[X, B] record
-// (every fixed field, excluding the leaf body payload). This is the
+// CellWireBytes returns the packed wire size of one Wire[X] record
+// (every fixed field, excluding Bodies). This is the
 // single place cell wire sizes come from: the traffic counters in
 // internal/msg, and through them the perfmodel times, ride on these
 // numbers, and deriving them from the struct keeps a payload change
 // from silently skewing the accounting.
-func CellWireBytes[X, B any]() int {
-	t := reflect.TypeOf((*Wire[X, B])(nil)).Elem()
+func CellWireBytes[X any]() int {
+	t := reflect.TypeOf((*Wire[X])(nil)).Elem()
 	size := 0
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
@@ -57,20 +65,6 @@ func CellWireBytes[X, B any]() int {
 			continue
 		}
 		size += packedSize(f.Type)
-	}
-	return size
-}
-
-// BodyWireBytes returns the packed wire size of one body of leaf payload
-// B, a struct of columns: the sum of one element's over its fields.
-func BodyWireBytes[B any]() int {
-	t, size := reflect.TypeFor[B](), 0
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i).Type
-		if f.Kind() != reflect.Slice {
-			panic(fmt.Sprintf("hotengine: leaf payload %v has a field of type %v, not a column", t, f))
-		}
-		size += packedSize(f.Elem())
 	}
 	return size
 }

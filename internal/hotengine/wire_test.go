@@ -10,10 +10,7 @@ import (
 	"repro/internal/ic"
 	"repro/internal/keys"
 	"repro/internal/msg"
-	"repro/internal/parallel"
-	"repro/internal/sph"
 	"repro/internal/vec"
-	"repro/internal/vortex"
 )
 
 // mirror structs re-declare each physics' fixed wire record with
@@ -49,9 +46,8 @@ func TestCellWireBytesMatchDeclaredRecords(t *testing.T) {
 		mirror any
 		legacy int
 	}{
-		{"gravity", hotengine.CellWireBytes[hotengine.None, parallel.Leaf](), gravMirror{}, 118},
-		{"vortex", hotengine.CellWireBytes[vec.V3, vortex.VLeaf](), vortexMirror{}, 142},
-		{"sph", hotengine.CellWireBytes[hotengine.None, sph.Leaf](), gravMirror{}, 118},
+		{"gravity and SPH", hotengine.CellWireBytes[hotengine.None](), gravMirror{}, 118},
+		{"vortex", hotengine.CellWireBytes[vec.V3](), vortexMirror{}, 142},
 	}
 	for _, c := range cases {
 		want := binary.Size(c.mirror)
@@ -77,40 +73,16 @@ func TestCellWireBytesRejectsUnsizeablePayload(t *testing.T) {
 		}
 	}()
 	// A slice has no fixed packed size; putting one in the per-cell
-	// payload (rather than the leaf body payload) must be rejected.
-	hotengine.CellWireBytes[[]float64, parallel.Leaf]()
-}
-
-// A leaf body costs one element of each column: gravity a position and
-// a mass, vortex dynamics a position and a strength, SPH position,
-// velocity, mass, smoothing length, density and ID.
-func TestBodyWireBytes(t *testing.T) {
-	for _, c := range []struct {
-		name      string
-		got, want int
-	}{
-		{"gravity", hotengine.BodyWireBytes[parallel.Leaf](), 24 + 8},
-		{"vortex", hotengine.BodyWireBytes[vortex.VLeaf](), 24 + 24},
-		{"sph", hotengine.BodyWireBytes[sph.Leaf](), 24 + 24 + 8 + 8 + 8 + 8},
-		{"ids", hotengine.BodyWireBytes[ids](), 8},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s: BodyWireBytes = %d, want %d", c.name, c.got, c.want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("BodyWireBytes accepted a leaf payload field that is not a column")
-		}
-	}()
-	hotengine.BodyWireBytes[struct{ N int32 }]()
+	// payload (rather than among a leaf's bodies) must be rejected.
+	hotengine.CellWireBytes[[]float64]()
 }
 
 // A pushed record is counted at its wire size: the cell, and a leaf's
 // bodies on top. Behind an exchange that carried the walk's bound the
 // walk phase's traffic is the push alone, so at np 4 its bytes, summed
 // over the ranks, are those of every record imported: the pushed cells
-// at CellWireBytes and the imported bodies at BodyWireBytes.
+// at CellWireBytes and the imported bodies at the BodyBytes of the
+// physics' leaf view.
 func TestPushBytesCountLeafBodies(t *testing.T) {
 	const np, n = 4, 1500
 	global := ic.Plummer(n, 1.0, 29)
@@ -119,7 +91,7 @@ func TestPushBytesCountLeafBodies(t *testing.T) {
 	w := msg.NewWorld(np)
 	w.Run(func(c *msg.Comm) {
 		p := &colPhysics{}
-		e := hotengine.New[vec.V3, cols](c, scatterTo(global, c), p, hotengine.Config{
+		e := hotengine.New[vec.V3](c, scatterTo(global, c), p, hotengine.Config{
 			MAC:    grav.MACParams{Kind: grav.MACSalmonWarren, AccelTol: 1e-4, Quad: true},
 			Bucket: 8,
 		})
@@ -138,7 +110,8 @@ func TestPushBytesCountLeafBodies(t *testing.T) {
 			got += ph.Bytes
 		}
 	}
-	cell, body := uint64(hotengine.CellWireBytes[vec.V3, cols]()), uint64(hotengine.BodyWireBytes[cols]())
+	view := (&colPhysics{}).Columns(global)
+	cell, body := uint64(hotengine.CellWireBytes[vec.V3]()), uint64(view.BodyBytes())
 	if want := pushed*cell + bodies*body; bodies == 0 || got != want {
 		t.Fatalf("walk phase sent %d bytes; %d pushed cells x %d + %d bodies x %d = %d", got, pushed, cell, bodies, body, want)
 	}

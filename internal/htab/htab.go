@@ -145,25 +145,6 @@ func (t *Table[V]) Insert(k keys.Key, val V) bool {
 	return true
 }
 
-// Upsert returns a pointer to the value under k, inserting the zero
-// value first if absent. The same invalidation caveat as Ptr applies.
-func (t *Table[V]) Upsert(k keys.Key) *V {
-	h := t.hash(k)
-	for i := t.buckets[h]; i >= 0; i = t.entries[i].next {
-		if t.entries[i].key == k {
-			return &t.entries[i].val
-		}
-	}
-	if len(t.entries) >= 2*len(t.buckets) {
-		t.grow()
-		h = t.hash(k)
-	}
-	var zero V
-	t.entries = append(t.entries, entry[V]{key: k, next: t.buckets[h], val: zero})
-	t.buckets[h] = int32(len(t.entries) - 1)
-	return &t.entries[len(t.entries)-1].val
-}
-
 func (t *Table[V]) grow() {
 	nb := len(t.buckets) * 2
 	t.buckets = make([]int32, nb)

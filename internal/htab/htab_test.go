@@ -54,15 +54,16 @@ func TestGrowManyKeys(t *testing.T) {
 	}
 }
 
-func TestUpsertAndPtr(t *testing.T) {
+func TestInsertAndPtr(t *testing.T) {
 	tb := New[int](4)
-	p := tb.Upsert(keys.Root)
-	if *p != 0 {
-		t.Fatal("upsert should create zero value")
+	tb.Insert(keys.Root, 0)
+	p := tb.Ptr(keys.Root)
+	if p == nil || *p != 0 {
+		t.Fatal("Ptr should find the inserted entry")
 	}
 	*p = 7
 	if v, _ := tb.Lookup(keys.Root); v != 7 {
-		t.Fatalf("write through Upsert pointer lost: %v", v)
+		t.Fatalf("write through Ptr pointer lost: %v", v)
 	}
 	p2 := tb.Ptr(keys.Root)
 	if p2 == nil || *p2 != 7 {
@@ -70,11 +71,6 @@ func TestUpsertAndPtr(t *testing.T) {
 	}
 	if tb.Ptr(keys.Root.Child(3)) != nil {
 		t.Fatal("Ptr of absent key should be nil")
-	}
-	// Upsert of an existing key returns the same entry.
-	p3 := tb.Upsert(keys.Root)
-	if *p3 != 7 {
-		t.Fatal("upsert of existing key should not reset value")
 	}
 	if tb.Len() != 1 {
 		t.Fatalf("len = %d", tb.Len())

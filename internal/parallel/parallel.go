@@ -5,7 +5,7 @@
 // exchange, each group's MAC walk, test and all, batched request rounds
 // -- and this package supplies only what is gravitational about them:
 // the per-cell payload is empty (the geometric multipole every cell
-// carries IS the gravity moment), leaf replies carry position and mass
+// carries IS the gravity moment), a leaf carries position and mass
 // columns, and Pass, the one gravity visitor (SPH's self-gravity runs
 // it too), evaluates each group's list with the batched SoA kernels
 // (grav.EvalPP/EvalM2P/EvalSelf) through tree.Walker.
@@ -30,26 +30,11 @@ type Config struct {
 	Eps2   float64
 }
 
-// Leaf is the gravity leaf payload of a pushed or requested cell:
-// position and mass columns.
-type Leaf struct {
-	Pos  []vec.V3
-	Mass []float64
-}
-
-func (l Leaf) Slice(lo, hi int32) Leaf { return Leaf{Pos: l.Pos[lo:hi], Mass: l.Mass[lo:hi]} }
-
-func (l Leaf) Append(b Leaf) Leaf {
-	return Leaf{Pos: append(l.Pos, b.Pos...), Mass: append(l.Mass, b.Mass...)}
-}
-
-func (l Leaf) PosMass() ([]vec.V3, []float64) { return l.Pos, l.Mass }
-
 // Engine holds one rank's state across timesteps. The embedded
 // hotengine.Engine exposes the pipeline state (Sys, Domain, Splits,
 // Local, Counters, Timer, Rounds, RemoteCells).
 type Engine struct {
-	*hotengine.Engine[hotengine.None, Leaf]
+	*hotengine.Engine[hotengine.None]
 	Cfg Config
 
 	// Stepper drives Step's time integration through the shared
@@ -58,11 +43,11 @@ type Engine struct {
 	// Stepper.Scheme, Eta and Eps before the first Step.
 	Stepper integrate.Stepper
 
-	pass *Pass[Leaf]
+	pass *Pass
 }
 
 // physics is the gravity instantiation of hotengine.Physics: no
-// per-cell payload beyond the multipole, leaf bodies are (pos, mass).
+// per-cell payload beyond the multipole, a leaf's bodies are (pos, mass).
 type physics struct{}
 
 func (physics) Prepare(sys *core.System) {}
@@ -71,7 +56,9 @@ func (physics) PostBuild(t *tree.Tree)   {}
 func (physics) Extra(c *tree.Cell) hotengine.None                 { return hotengine.None{} }
 func (physics) CombineExtra(acc, _ hotengine.None) hotengine.None { return acc }
 
-func (physics) Columns(sys *core.System) Leaf { return Leaf{Pos: sys.Pos, Mass: sys.Mass} }
+func (physics) Columns(sys *core.System) core.System {
+	return core.System{Pos: sys.Pos, Mass: sys.Mass}
+}
 
 // New creates an engine for this rank's share of the bodies. The
 // system must have dynamics enabled.
@@ -81,7 +68,7 @@ func New(c *msg.Comm, sys *core.System, cfg Config) *Engine {
 	}
 	sys.EnableDynamics()
 	e := &Engine{Cfg: cfg}
-	e.Engine = hotengine.New[hotengine.None, Leaf](c, sys, physics{}, hotengine.Config{
+	e.Engine = hotengine.New[hotengine.None](c, sys, physics{}, hotengine.Config{
 		MAC: cfg.MAC, Bucket: cfg.Bucket,
 	})
 	e.pass = NewPass(e.Engine, cfg.Eps2)
@@ -101,45 +88,38 @@ func (b engineBodies) MaxRung(local int) int {
 	return msg.Allreduce(b.e.C, local, msg.MaxI, 8)
 }
 
-// Sources is the leaf payload a gravity pass reads: columns with the
-// bodies' positions and masses.
-type Sources[B any] interface {
-	hotengine.Columns[B]
-	PosMass() ([]vec.V3, []float64)
-}
-
 // Pass is the gravity pass of an engine's MAC walk, written once (this
 // package's and SPH's self-gravity): as the walk's hotengine.Visitor it
 // gathers each group's list in a tree.Walker, and Eval, its EvalFn, runs
-// the batched kernels over the list.
-type Pass[B Sources[B]] struct {
-	e    *hotengine.Engine[hotengine.None, B]
+// the batched kernels over the list. It reads a leaf's positions and
+// masses, so it serves every engine whose leaves carry them.
+type Pass struct {
+	e    *hotengine.Engine[hotengine.None]
 	eps2 float64
 	w    tree.Walker
 }
 
 // NewPass returns the gravity pass of engine e, softened by eps2.
-func NewPass[B Sources[B]](e *hotengine.Engine[hotengine.None, B], eps2 float64) *Pass[B] {
-	return &Pass[B]{e: e, eps2: eps2}
+func NewPass(e *hotengine.Engine[hotengine.None], eps2 float64) *Pass {
+	return &Pass{e: e, eps2: eps2}
 }
 
-func (p *Pass[B]) Begin(gk keys.Key, centre vec.V3) { p.w.Begin(gk, centre) }
+func (p *Pass) Begin(gk keys.Key, centre vec.V3) { p.w.Begin(gk, centre) }
 
-func (p *Pass[B]) Cells(cells []*tree.Cell, _ []hotengine.None) { p.w.TakeCells(cells) }
+func (p *Pass) Cells(cells []*tree.Cell, _ []hotengine.None) { p.w.TakeCells(cells) }
 
-func (p *Pass[B]) Leaves(cells []*tree.Cell) { p.w.TakeLeaves(cells, p) }
+func (p *Pass) Leaves(cells []*tree.Cell) { p.w.TakeLeaves(cells, p) }
 
 // LeafBodies returns the positions and masses of leaf c of the engine's
 // LET (tree.Bodies).
-func (p *Pass[B]) LeafBodies(c *tree.Cell) ([]vec.V3, []float64) {
+func (p *Pass) LeafBodies(c *tree.Cell) ([]vec.V3, []float64) {
 	b, lo, hi := p.e.LeafBodies(c)
-	pos, mass := (*b).PosMass()
-	return pos[lo:hi], mass[lo:hi]
+	return b.Pos[lo:hi], b.Mass[lo:hi]
 }
 
 // Eval evaluates group g's list into its Acc and Pot (overwritten), and
 // adds the group's interactions per body to its Work.
-func (p *Pass[B]) Eval(_ keys.Key, g *tree.Cell, ctr *diag.Counters) {
+func (p *Pass) Eval(_ keys.Key, g *tree.Cell, ctr *diag.Counters) {
 	sys := p.e.Sys
 	lo, hi := g.First, g.First+g.N
 	before := ctr.PP + ctr.PC

@@ -54,7 +54,7 @@ func TestPairLoopsAcceptExactlyAtNorm(t *testing.T) {
 				} else {
 					out++
 				}
-				e.cand = Leaf{Pos: []vec.V3{y}, Vel: []vec.V3{{X: -1}}, Mass: []float64{1}, H: []float64{h}, Rho: []float64{1}, ID: []int64{1}}
+				e.cand = core.System{Pos: []vec.V3{y}, Vel: []vec.V3{{X: -1}}, Mass: []float64{1}, H: []float64{h}, Rho: []float64{1}, ID: []int64{1}}
 				var dens, force diag.Counters
 				e.evalDensity(keys.Root, g, &dens)
 				e.evalForces(keys.Root, g, &force)

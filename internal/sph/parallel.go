@@ -35,14 +35,15 @@ import (
 // decision differs from the exact Norm() test's. The serial reference the
 // engine is held to is in serial_test.go.
 type ParallelEngine struct {
-	*hotengine.Engine[hotengine.None, Leaf]
+	*hotengine.Engine[hotengine.None]
 	Cfg ParallelConfig
 
 	pressure []vec.V3
 	// cand is the candidate block of the group being gathered and
-	// evaluated.
-	cand    Leaf
-	gravity *parallel.Pass[Leaf]
+	// evaluated: the bodies of every leaf it gathered, in the columns
+	// a leaf carries (physics.Columns).
+	cand    core.System
+	gravity *parallel.Pass
 }
 
 // ParallelConfig controls the distributed SPH evaluation.
@@ -59,43 +60,6 @@ type ParallelConfig struct {
 	Theta   float64
 }
 
-// Leaf is the SPH leaf payload of a pushed or requested cell: every
-// per-body column a remote neighbor interaction needs. Rho is whatever
-// the owning rank held when the engine took its snapshot, which is why
-// the force pass drops the density pass's imports and is pushed afresh.
-type Leaf struct {
-	Pos  []vec.V3
-	Vel  []vec.V3
-	Mass []float64
-	H    []float64
-	Rho  []float64
-	ID   []int64
-}
-
-func (l Leaf) Slice(lo, hi int32) Leaf {
-	return Leaf{
-		Pos: l.Pos[lo:hi], Vel: l.Vel[lo:hi], Mass: l.Mass[lo:hi],
-		H: l.H[lo:hi], Rho: l.Rho[lo:hi], ID: l.ID[lo:hi],
-	}
-}
-
-func (l Leaf) Append(b Leaf) Leaf {
-	l.add(&b, 0, int32(len(b.Pos)))
-	return l
-}
-
-func (l Leaf) PosMass() ([]vec.V3, []float64) { return l.Pos, l.Mass }
-
-// add appends the bodies [lo, hi) of b.
-func (l *Leaf) add(b *Leaf, lo, hi int32) {
-	l.Pos = append(l.Pos, b.Pos[lo:hi]...)
-	l.Vel = append(l.Vel, b.Vel[lo:hi]...)
-	l.Mass = append(l.Mass, b.Mass[lo:hi]...)
-	l.H = append(l.H, b.H[lo:hi]...)
-	l.Rho = append(l.Rho, b.Rho[lo:hi]...)
-	l.ID = append(l.ID, b.ID[lo:hi]...)
-}
-
 // physics is the SPH instantiation of hotengine.Physics. Like
 // gravity, the geometric multipole is all the per-cell state the
 // traversal needs (range queries prune on cell geometry alone).
@@ -107,10 +71,12 @@ func (physics) PostBuild(t *tree.Tree)   {}
 func (physics) Extra(c *tree.Cell) hotengine.None                 { return hotengine.None{} }
 func (physics) CombineExtra(acc, _ hotengine.None) hotengine.None { return acc }
 
-// Columns is every column a leaf serves. The engine snapshots them once
-// per walk phase, so the force pass pushes the densities just computed.
-func (physics) Columns(sys *core.System) Leaf {
-	return Leaf{Pos: sys.Pos, Vel: sys.Vel, Mass: sys.Mass, H: sys.H, Rho: sys.Rho, ID: sys.ID}
+// Columns is every per-body column a remote neighbor interaction needs.
+// The engine snapshots them once per walk phase, so an imported Rho is
+// whatever the owner held then: the force pass drops the density pass's
+// imports and is pushed the densities just computed.
+func (physics) Columns(sys *core.System) core.System {
+	return core.System{Pos: sys.Pos, Vel: sys.Vel, Mass: sys.Mass, H: sys.H, Rho: sys.Rho, ID: sys.ID}
 }
 
 // NewParallel wraps this rank's particles.
@@ -124,7 +90,7 @@ func NewParallel(c *msg.Comm, sys *core.System, cfg ParallelConfig) *ParallelEng
 	sys.EnableDynamics()
 	sys.EnableSPH()
 	e := &ParallelEngine{Cfg: cfg}
-	e.Engine = hotengine.New[hotengine.None, Leaf](c, sys, physics{}, hotengine.Config{
+	e.Engine = hotengine.New[hotengine.None](c, sys, physics{}, hotengine.Config{
 		MAC:         grav.MACParams{Kind: grav.MACBarnesHut, Theta: cfg.Theta, Quad: false},
 		Bucket:      cfg.Bucket,
 		PhasePrefix: "sph",
@@ -181,7 +147,7 @@ func (e *ParallelEngine) Eval() diag.Counters {
 // cell: range queries prune on geometry alone.
 type gatherer struct{ e *ParallelEngine }
 
-func (v *gatherer) Begin(keys.Key, vec.V3) { v.e.cand = v.e.cand.Slice(0, 0) }
+func (v *gatherer) Begin(keys.Key, vec.V3) { v.e.cand = *v.e.cand.Slice(0, 0) }
 
 // Sphere is the group's search sphere: its bounding sphere grown by the
 // largest kernel support of its particles.
@@ -221,7 +187,7 @@ func (v *gatherer) Cells([]*tree.Cell, []hotengine.None) {}
 func (v *gatherer) Leaves(cells []*tree.Cell) {
 	for _, c := range cells {
 		b, lo, hi := v.e.LeafBodies(c)
-		v.e.cand.add(b, lo, hi)
+		v.e.cand.AppendRange(b, int(lo), int(hi))
 	}
 }
 
@@ -303,7 +269,7 @@ func (e *ParallelEngine) evalForces(_ keys.Key, g *tree.Cell, ctr *diag.Counters
 // running sum.
 type forceTarget struct {
 	p                   *Params
-	c                   *Leaf
+	c                   *core.System
 	x, vel              vec.V3
 	id                  int64
 	h, r, rho, term, cs float64

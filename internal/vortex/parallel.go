@@ -27,7 +27,7 @@ import (
 // serial tree walk its tests hold it to. Remesh (remesh.go) is the
 // collective that grows the particle set.
 type ParallelEngine struct {
-	*hotengine.Engine[vec.V3, VLeaf]
+	*hotengine.Engine[vec.V3]
 	Sigma float64
 	Theta float64
 
@@ -37,23 +37,11 @@ type ParallelEngine struct {
 	dAlpha []vec.V3
 }
 
-// VLeaf is the vortex leaf payload of a pushed or requested cell:
-// position and strength columns.
-type VLeaf struct {
-	Pos   []vec.V3
-	Alpha []vec.V3
-}
-
-func (l VLeaf) Slice(lo, hi int32) VLeaf { return VLeaf{Pos: l.Pos[lo:hi], Alpha: l.Alpha[lo:hi]} }
-
-func (l VLeaf) Append(b VLeaf) VLeaf {
-	return VLeaf{Pos: append(l.Pos, b.Pos...), Alpha: append(l.Alpha, b.Alpha...)}
-}
-
 // vphysics is the vortex instantiation of hotengine.Physics: the
 // per-cell payload is the cell's total strength (a vector the
 // geometric multipole cannot carry), derived from prefix sums over
-// the key-sorted strengths.
+// the key-sorted strengths, and a leaf carries position and strength
+// columns.
 type vphysics struct{ prefA []vec.V3 }
 
 // Prepare derives the structural mass |alpha| so the tree geometry
@@ -80,7 +68,9 @@ func (p *vphysics) Extra(c *tree.Cell) vec.V3 {
 
 func (p *vphysics) CombineExtra(acc, child vec.V3) vec.V3 { return acc.Add(child) }
 
-func (p *vphysics) Columns(sys *core.System) VLeaf { return VLeaf{Pos: sys.Pos, Alpha: sys.Alpha} }
+func (p *vphysics) Columns(sys *core.System) core.System {
+	return core.System{Pos: sys.Pos, Alpha: sys.Alpha}
+}
 
 // NewParallel wraps this rank's particles.
 func NewParallel(c *msg.Comm, sys *core.System, sigma, theta float64) *ParallelEngine {
@@ -88,7 +78,7 @@ func NewParallel(c *msg.Comm, sys *core.System, sigma, theta float64) *ParallelE
 	sys.EnableVortex()
 	e := &ParallelEngine{Sigma: sigma, Theta: theta}
 	e.walk.e = e
-	e.Engine = hotengine.New[vec.V3, VLeaf](c, sys, &vphysics{}, hotengine.Config{
+	e.Engine = hotengine.New[vec.V3](c, sys, &vphysics{}, hotengine.Config{
 		MAC:         grav.MACParams{Kind: grav.MACBarnesHut, Theta: theta, Quad: false},
 		Bucket:      32,
 		PhasePrefix: "v",

@@ -101,6 +101,11 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=hotengine \
 	echo "FAIL: a second leaf store: read a leaf's bodies through hotengine.Engine.LeafBodies and give the physics' columns through Physics.Columns" >&2
 	exit 1
 fi
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
+	'BodyWireBytes|hotengine\.Columns\b|type Columns\[|func \([^)]*\) Slice\(lo, hi int32\)' .; then
+	echo "FAIL: a second leaf layout: a leaf's bodies are a range of a core.System view (Physics.Columns), charged at its BodyBytes" >&2
+	exit 1
+fi
 echo "== one MAC walk (the engine measures a MAC walk's groups and tests them itself; only a range query brings a sphere and a test, and gravity's visitor is written once)"
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=tree --exclude-dir=hotengine \
 	'MAC\(\) bool|tree\.ClassifyBound\(' .; then
